@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSPSCOps$$' -fuzztime $(FUZZTIME) ./internal/ring/
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsintAgree$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
 
 # ci is the full continuous-integration chain: formatting, static checks,
 # compile, the complete suite under the race detector, and a short fuzz
@@ -86,17 +87,23 @@ traces:
 # bench runs the hot-path micro-benchmarks (emulator fast path, parallel
 # measurement, search) plus the Figure 12 profiling-overhead benches, and
 # archives the parsed results in BENCH_emulator.json (see DESIGN.md's
-# "Performance architecture" for how to read it).
+# "Performance architecture" for how to read it). The semantic-proof
+# benches live beside their code (internal/analysis and its absint
+# subpackage, all on the 54-table synth program) and are archived in
+# BENCH_search.json.
+PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 bench:
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
 		-benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
+	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
+		| $(GO) run ./cmd/benchjson -out BENCH_search.json
 
 # benchcheck is the bench-regression gate: rerun the hot-path bench set
 # (-count=3; the gate compares best-of-3 per metric) and fail (exit
 # nonzero) if a gated benchmark regressed more than MAXREGRESS in ns/op
 # — or grew allocs/op — versus the committed BENCH_emulator.json
-# baseline. The -gate regexp excludes the multi-worker MeasureParallel
+# baseline (and the proof benches versus BENCH_search.json). The -gate regexp excludes the multi-worker MeasureParallel
 # entries: at GOMAXPROCS=1 those measure scheduler contention, not the
 # datapath, and swing well past any sane threshold run to run. Refresh
 # the baseline with `make bench` after intentional performance changes.
@@ -106,3 +113,5 @@ benchcheck:
 		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
 		-benchmem . | $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
 		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|Search$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$'
+	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
+		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)

@@ -119,7 +119,8 @@ func TestPathClassPartition(t *testing.T) {
 			t.Fatalf("class %b may drop but whole program may not", bits)
 		}
 		if out.Egress != nil {
-			for f, v := range out.Egress {
+			for _, f := range out.Egress.Fields() {
+				v := out.Egress.Get(f)
 				wv := whole.Outcome.Egress.Get(f)
 				if j := wv.Join(v); j != wv {
 					t.Fatalf("class %b: %s = %+v escapes whole-program %+v", bits, f, v, wv)

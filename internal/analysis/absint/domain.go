@@ -175,13 +175,18 @@ func maskMonotone(mask uint64, w int) bool {
 // mask==0 is a full wildcard. The result over-approximates: false means
 // provably no match.
 func (v Value) MayMatch(mask, val uint64, w int) bool {
+	return v.mayMatch(mask, val, maskMonotone(mask, w))
+}
+
+// mayMatch is MayMatch with maskMonotone(mask, w) precomputed.
+func (v Value) mayMatch(mask, val uint64, monotone bool) bool {
 	if mask == 0 {
 		return true
 	}
 	if (v.KnownVal^val)&v.KnownMask&mask != 0 {
 		return false
 	}
-	if maskMonotone(mask, w) {
+	if monotone {
 		if val < v.Lo&mask || val > v.Hi&mask {
 			return false
 		}
@@ -193,13 +198,18 @@ func (v Value) MayMatch(mask, val uint64, w int) bool {
 // x&mask == val. The result under-approximates: true means provably
 // always a match.
 func (v Value) MustMatch(mask, val uint64, w int) bool {
+	return v.mustMatch(mask, val, maskMonotone(mask, w))
+}
+
+// mustMatch is MustMatch with maskMonotone(mask, w) precomputed.
+func (v Value) mustMatch(mask, val uint64, monotone bool) bool {
 	if mask == 0 {
 		return true
 	}
 	if v.KnownMask&mask == mask {
 		return (v.KnownVal^val)&mask == 0
 	}
-	if maskMonotone(mask, w) {
+	if monotone {
 		// x&mask is monotone over the interval: equal endpoints pin it.
 		return v.Lo&mask == val && v.Hi&mask == val
 	}

@@ -2,7 +2,6 @@ package absint
 
 import (
 	"errors"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -13,19 +12,35 @@ import (
 // errEmptyNodeName rejects programs containing a node literally named "".
 var errEmptyNodeName = errors.New("absint: program contains a node with an empty name")
 
-// State maps field names to abstract values. Fields absent from the map
-// hold their default: header fields are parser-extracted and unconstrained
-// within their registry width, metadata starts zeroed, and unknown
-// non-meta fields read zero (mirroring the emulator's FieldInvalid
-// fallback).
-type State map[string]Value
+// State is the abstract value of every field one program mentions, stored
+// densely: the analyzer's field table assigns each mentioned field a slot,
+// pre-filled with the field's default. Fields the program never mentions
+// have no slot and always hold their default: header fields are
+// parser-extracted and unconstrained within their registry width, metadata
+// starts zeroed, and unknown non-meta fields read zero (mirroring the
+// emulator's FieldInvalid fallback).
+type State struct {
+	fields *fieldTable
+	vals   []Value
+}
 
 // Get reads a field, falling back to its initial-value default.
-func (s State) Get(field string) Value {
-	if v, ok := s[field]; ok {
-		return v
+func (s *State) Get(field string) Value {
+	if s != nil {
+		if i, ok := s.fields.slot[field]; ok {
+			return s.vals[i]
+		}
 	}
 	return defaultValue(field)
+}
+
+// Fields lists the fields the state tracks explicitly (every field its
+// program mentions); all others hold their default.
+func (s *State) Fields() []string {
+	if s == nil {
+		return nil
+	}
+	return s.fields.names
 }
 
 func defaultValue(field string) Value {
@@ -38,46 +53,6 @@ func defaultValue(field string) Value {
 	return TopWidth(packet.FieldWidth(field))
 }
 
-// set models a field write with the emulator's truncation semantics:
-// header fields store value mod 2^width, metadata stores the full 64-bit
-// value, and writes to unknown non-meta fields are dropped.
-func (s State) set(field string, v Value) {
-	if strings.HasPrefix(field, "meta.") {
-		s[field] = v
-		return
-	}
-	if packet.FieldIDFor(field) == packet.FieldInvalid {
-		return
-	}
-	s[field] = v.Truncate(packet.FieldWidth(field))
-}
-
-func (s State) clone() State {
-	out := make(State, len(s)+2)
-	for f, v := range s {
-		out[f] = v
-	}
-	return out
-}
-
-// joinState is the field-wise least upper bound; missing fields join
-// through their defaults. a may be nil (unreached): the result is then b.
-func joinState(a, b State) State {
-	if a == nil {
-		return b.clone()
-	}
-	out := make(State, len(a)+len(b))
-	for f := range a {
-		out[f] = a[f].Join(b.Get(f))
-	}
-	for f := range b {
-		if _, ok := out[f]; !ok {
-			out[f] = b[f].Join(a.Get(f))
-		}
-	}
-	return out
-}
-
 // NodeResult is the per-node outcome of Analyze.
 type NodeResult struct {
 	// Reachable reports whether any abstract path visits the node. False
@@ -85,8 +60,8 @@ type NodeResult struct {
 	// over-approximates).
 	Reachable bool
 	// In is the join of the abstract states over all paths reaching the
-	// node (valid only when Reachable).
-	In State
+	// node (nil unless Reachable).
+	In *State
 	// EntryMay / EntryMust are per-entry match feasibility under In
 	// (tables only): EntryMay[i]==false proves entry i can never match;
 	// EntryMust[i]==true proves it always matches.
@@ -116,7 +91,7 @@ type ClassOutcome struct {
 	MustDrop bool
 	// Egress is the join of the non-dropped terminal states (nil when no
 	// path reaches egress).
-	Egress State
+	Egress *State
 }
 
 // Truncation records one provably-truncating header write found during
@@ -138,52 +113,25 @@ type Result struct {
 	Truncations []Truncation
 }
 
-// Analyzer runs the abstract interpreter over one program, caching
-// program-derived facts across runs — the semantic checker abstractly
-// executes the same program once per path class, so per-table work that
-// does not depend on the incoming state (currently the statically dead
-// entry sets from TableShadows) is computed once here. Safe for
-// concurrent use.
+// Analyzer runs the abstract interpreter over one program. Construction
+// compiles everything a run would otherwise re-derive — the semantic
+// checker abstractly executes the same program once per path class — into
+// a plan: topological order with successors as indices, a field→slot
+// table, parsed conditionals, per-entry masks and values with the
+// statically dead entries (TableShadows) marked, and actions with
+// pre-resolved operands. Runs execute that plan on dense states from a
+// scratch free list. Safe for concurrent use.
 type Analyzer struct {
-	prog *p4ir.Program
+	plan *plan
 
-	mu    sync.Mutex
-	facts map[string]tableFacts
+	mu   sync.Mutex
+	free []*scratch
 }
 
-// tableFacts is the interpreter-facing digest of AnalyzeTable: the
-// per-entry "never selected" mask (dedup losers, dominated and
-// group-covered entries — which the emulator's lookup can never pick and
-// the interpreter must therefore not apply, lest their actions' writes
-// leak into the egress join and flag legal Figure-6 merges as
-// inequivalent) and whether a miss is statically impossible.
-type tableFacts struct {
-	dead    []bool // nil = none
-	mustHit bool
-}
-
-// NewAnalyzer prepares an interpreter for prog. The program must not be
-// mutated while the analyzer is in use.
+// NewAnalyzer compiles prog. The analyzer keeps no reference to the
+// program's entries: a program mutated afterwards needs a new analyzer.
 func NewAnalyzer(prog *p4ir.Program) *Analyzer {
-	return &Analyzer{prog: prog, facts: map[string]tableFacts{}}
-}
-
-func (a *Analyzer) tableFacts(t *p4ir.Table) tableFacts {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	f, ok := a.facts[t.Name]
-	if !ok {
-		tf := AnalyzeTable(t)
-		if len(tf.Shadows) > 0 {
-			f.dead = make([]bool, len(t.Entries))
-			for _, s := range tf.Shadows {
-				f.dead[s.Entry] = true
-			}
-		}
-		f.mustHit = tf.MustHit
-		a.facts[t.Name] = f
-	}
-	return f
+	return &Analyzer{plan: compile(prog)}
 }
 
 // Analyze runs the forward interpreter over every path of the program
@@ -191,18 +139,20 @@ func (a *Analyzer) tableFacts(t *p4ir.Table) tableFacts {
 // field states, and entry feasibility. The program must be structurally
 // valid (acyclic, no dangling references).
 func (a *Analyzer) Analyze() (*Result, error) {
-	return a.run(nil, true)
+	res := &Result{}
+	out, err := a.run(nil, res)
+	if err != nil {
+		return nil, err
+	}
+	res.Outcome = out
+	return res, nil
 }
 
 // Exec abstractly executes the program under a path class: conditionals
 // named in forced take only the given branch (when feasible), all others
 // contribute both arms. A nil forced map executes the full packet space.
 func (a *Analyzer) Exec(forced map[string]bool) (ClassOutcome, error) {
-	r, err := a.run(forced, false)
-	if err != nil {
-		return ClassOutcome{}, err
-	}
-	return r.Outcome, nil
+	return a.run(forced, nil)
 }
 
 // Analyze is the one-shot form of Analyzer.Analyze.
@@ -231,326 +181,322 @@ func CondNames(prog *p4ir.Program) []string {
 	return out
 }
 
-func (a *Analyzer) run(forced map[string]bool, collect bool) (*Result, error) {
-	prog := a.prog
-	if prog.Has("") {
-		// p4ir's graph view treats "" as the egress sink, but the emulator
-		// resolves it to the empty-named node: the two disagree on every
-		// edge, so such (degenerate, loader-accepted) programs are
-		// unanalyzable.
-		return nil, errEmptyNodeName
+// scratch is the mutable memory of one run: the in-state of every node
+// (row i of vals; row plan.egress is the egress join), which rows have been
+// reached, and the per-table working buffers.
+type scratch struct {
+	vals    []Value // (len(nodes)+1) rows of nslots
+	reached []bool
+	// joined[i] is the table node one of whose outcomes row i last absorbed
+	// in full; further outcomes of that table join only the slots its
+	// actions write (see flowFrom).
+	joined []int32
+	tmp    []Value // the executing table's in-state plus one action's writes
+	keys   []Value
+	force  []int8 // per node: 0 unforced, 1 only the true arm, 2 only the false arm
+}
+
+func (a *Analyzer) getScratch() *scratch {
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		sc := a.free[n-1]
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return sc
 	}
-	order, err := prog.TopoOrder()
-	if err != nil {
-		return nil, err
+	a.mu.Unlock()
+	p := a.plan
+	rows := len(p.nodes) + 1
+	return &scratch{
+		vals:    make([]Value, rows*p.nslots()),
+		reached: make([]bool, rows),
+		joined:  make([]int32, rows),
+		tmp:     make([]Value, p.nslots()),
+		keys:    make([]Value, p.maxKeys),
+		force:   make([]int8, len(p.nodes)),
 	}
-	res := &Result{}
-	if collect {
-		res.Nodes = make(map[string]*NodeResult, prog.NumNodes())
-		for _, name := range prog.NodeNames() {
+}
+
+func (a *Analyzer) putScratch(sc *scratch) {
+	a.mu.Lock()
+	a.free = append(a.free, sc)
+	a.mu.Unlock()
+}
+
+// exec is one run in flight.
+type exec struct {
+	p   *plan
+	sc  *scratch
+	res *Result // nil unless collecting per-node results and truncations
+}
+
+func (x *exec) row(i int32) []Value {
+	n := x.p.nslots()
+	return x.sc.vals[int(i)*n : (int(i)+1)*n]
+}
+
+// snapshot copies a state row out of the scratch.
+func (x *exec) snapshot(row []Value) *State {
+	return &State{fields: x.p.fields, vals: append([]Value(nil), row...)}
+}
+
+// flow joins src, a complete state, into the in-state of successor to.
+func (x *exec) flow(to int32, src []Value) {
+	if to == toNowhere {
+		return
+	}
+	dst := x.row(to)
+	if !x.sc.reached[to] {
+		x.sc.reached[to] = true
+		copy(dst, src)
+		return
+	}
+	for s := range dst {
+		dst[s] = dst[s].Join(src[s])
+	}
+}
+
+// flowFrom is flow for the outcomes of one table execution: src is the
+// table's in-state plus one action's writes, so once a successor has
+// absorbed one such outcome in full, later ones can only differ from what
+// it holds in the slots the table's actions write.
+func (x *exec) flowFrom(table, to int32, src []Value, writes []int32) {
+	if to == toNowhere {
+		return
+	}
+	if x.sc.reached[to] && x.sc.joined[to] == table {
+		dst := x.row(to)
+		for _, s := range writes {
+			dst[s] = dst[s].Join(src[s])
+		}
+		return
+	}
+	x.flow(to, src)
+	x.sc.joined[to] = table
+}
+
+// run executes the plan once. A non-nil res additionally collects the
+// per-node results and truncations.
+func (a *Analyzer) run(forced map[string]bool, res *Result) (ClassOutcome, error) {
+	p := a.plan
+	if p.err != nil {
+		return ClassOutcome{}, p.err
+	}
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	for i := range sc.reached {
+		sc.reached[i] = false
+		sc.joined[i] = -1
+	}
+	clear(sc.force)
+	for name, taken := range forced {
+		if i, ok := p.index[name]; ok {
+			if taken {
+				sc.force[i] = 1
+			} else {
+				sc.force[i] = 2
+			}
+		}
+	}
+
+	x := exec{p: p, sc: sc, res: res}
+	if res != nil {
+		res.Nodes = make(map[string]*NodeResult, len(p.names))
+		for _, name := range p.names {
 			res.Nodes[name] = &NodeResult{}
 		}
 	}
 
-	in := make(map[string]State, len(order))
-	var egress State
-	egressReached := false
+	x.flow(p.root, p.fields.defaults)
 	mayDrop := false
-
-	flow := func(next string, st State) {
-		if next == "" {
-			egress = joinState(egress, st)
-			egressReached = true
-			return
-		}
-		in[next] = joinState(in[next], st)
-	}
-
-	if prog.Root == "" {
-		flow("", State{})
-	} else {
-		in[prog.Root] = State{}
-	}
-
-	for _, name := range order {
-		st, reached := in[name]
-		if !reached {
+	for i := range p.nodes {
+		if !sc.reached[i] {
 			continue
 		}
+		nd := &p.nodes[i]
+		st := x.row(int32(i))
 		var nr *NodeResult
-		if collect {
-			nr = res.Nodes[name]
+		if res != nil {
+			nr = res.Nodes[nd.name]
 			nr.Reachable = true
-			nr.In = st
+			nr.In = x.snapshot(st)
 		}
-		if c, ok := prog.Conds[name]; ok {
-			runCond(c, st, forced, nr, flow)
-			continue
-		}
-		t := prog.Tables[name]
-		if spec, isCache := t.CacheMeta(); isCache && !spec.Prepopulated {
+		switch nd.kind {
+		case nodeCond:
+			x.runCond(nd, st, sc.force[i], nr)
+		case nodePass:
 			// Runtime flow caches are cold at deploy time and record only
 			// outcomes their covers produced: the deploy-time semantics is
 			// the always-miss path, which executes the covers unchanged.
-			flow(spec.MissNext, st.clone())
-			continue
-		}
-		var rec truncRec
-		if collect {
-			node := name
-			rec = func(action, field string, v Value, w int) {
-				res.Truncations = append(res.Truncations, Truncation{
-					Node: node, Action: action, Field: field, Value: v, Width: w,
-				})
+			x.flow(nd.next[0], st)
+		default:
+			if x.runTable(int32(i), nd, st, nr) {
+				mayDrop = true
 			}
 		}
-		if runTable(t, a.tableFacts(t), st, nr, flow, rec) {
-			mayDrop = true
-		}
 	}
 
-	res.Outcome = ClassOutcome{
-		Feasible: egressReached || mayDrop,
+	out := ClassOutcome{
+		Feasible: sc.reached[p.egress] || mayDrop,
 		MayDrop:  mayDrop,
-		MustDrop: mayDrop && !egressReached,
-		Egress:   egress,
+		MustDrop: mayDrop && !sc.reached[p.egress],
 	}
-	return res, nil
+	if sc.reached[p.egress] {
+		out.Egress = x.snapshot(x.row(p.egress))
+	}
+	return out, nil
 }
 
-func runCond(c *p4ir.Conditional, st State, forced map[string]bool, nr *NodeResult, flow func(string, State)) {
-	ce := parseCond(c.Expr)
+func (x *exec) runCond(nd *cnode, st []Value, force int8, nr *NodeResult) {
+	ce := &nd.cond
 	mayT, mayF := true, true
-	stT, stF := st, st
+	var refT, refF Value
 	switch ce.kind {
 	case ckConst:
 		mayT, mayF = ce.constVal, !ce.constVal
 	case ckCompare:
-		v := st.Get(ce.field)
-		var refT, refF Value
-		mayT, mayF, refT, refF = evalCompare(v, ce.op, ce.lit)
-		if mayT {
-			stT = st.clone()
-			stT.set2(ce.field, refT)
-		}
-		if mayF {
-			stF = st.clone()
-			stF.set2(ce.field, refF)
-		}
+		mayT, mayF, refT, refF = evalCompare(st[ce.slot], ce.op, ce.lit)
 	}
 	if nr != nil {
 		nr.CondKnown = ce.kind != ckUnknown
 		nr.CondDecided = mayT != mayF
 		nr.CondTaken = mayT
 	}
-	if forced != nil {
-		if d, ok := forced[c.Name]; ok {
-			if d {
-				mayF = false
-			} else {
-				mayT = false
-			}
-		}
+	switch force {
+	case 1:
+		mayF = false
+	case 2:
+		mayT = false
+	}
+	// A compared field is refined on each arm; the refinement narrows an
+	// existing read, so it is stored verbatim (no truncation applies).
+	// Comparisons of unknown non-meta fields, which always read zero,
+	// refine nothing.
+	refine := ce.kind == ckCompare && x.p.fields.width[ce.slot] != unwritable
+	var old Value
+	if refine {
+		old = st[ce.slot]
 	}
 	if mayT {
-		flow(c.TrueNext, stT.clone())
+		if refine {
+			st[ce.slot] = refT
+		}
+		x.flow(nd.next[0], st)
 	}
 	if mayF {
-		flow(c.FalseNext, stF.clone())
-	}
-}
-
-// set2 stores a refined value verbatim: refinement narrows an existing
-// read, so no truncation applies (the read already was in-range).
-func (s State) set2(field string, v Value) {
-	if packet.FieldIDFor(field) == packet.FieldInvalid && !strings.HasPrefix(field, "meta.") {
-		return
-	}
-	s[field] = v
-}
-
-// truncRec receives range-proven truncating writes (nil = don't record).
-type truncRec func(action, field string, v Value, w int)
-
-// runTable abstractly executes one match-action table. facts.dead marks
-// entries the emulator's lookup provably never selects (nil = none);
-// their actions are not applied and they contribute to neither match
-// feasibility nor miss exclusion — sound because a dead entry's match set
-// is covered by its killers', so any must-match it would assert holds
-// transitively for a live entry. facts.mustHit statically rules out the
-// miss path. Reports whether some path through the table drops.
-func runTable(t *p4ir.Table, facts tableFacts, st State, nr *NodeResult, flow func(string, State), rec truncRec) bool {
-	keyVals := make([]Value, len(t.Keys))
-	for i, k := range t.Keys {
-		keyVals[i] = st.Get(k.Field).Truncate(k.BitWidth())
-	}
-
-	may := make([]bool, len(t.Entries))
-	must := make([]bool, len(t.Entries))
-	missPossible := !facts.mustHit
-	for ei := range t.Entries {
-		e := &t.Entries[ei]
-		if len(e.Match) != len(t.Keys) {
-			continue // structurally invalid entry; gated upstream
+		if refine {
+			st[ce.slot] = refF
 		}
-		if facts.dead != nil && facts.dead[ei] {
-			continue // shadowed: never selected, may/must stay false
+		x.flow(nd.next[1], st)
+	}
+	if refine {
+		st[ce.slot] = old
+	}
+}
+
+// runTable abstractly executes one match-action table. Entries the
+// emulator's lookup provably never selects (dead) are not applied and
+// contribute to neither match feasibility nor miss exclusion — sound
+// because a dead entry's match set is covered by its killers', so any
+// must-match it would assert holds transitively for a live entry. mustHit
+// statically rules out the miss path. Reports whether some path through
+// the table drops.
+func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool {
+	t := nd.tab
+	keyVals := x.sc.keys[:len(t.keys)]
+	for i, k := range t.keys {
+		keyVals[i] = st[k.slot].Truncate(k.width)
+	}
+	var may, must []bool
+	if nr != nil {
+		may = make([]bool, len(t.entries))
+		must = make([]bool, len(t.entries))
+	}
+	tmp := x.sc.tmp
+	copy(tmp, st)
+	dropped := false
+	apply := func(act *caction, args []operand) {
+		if act.drops && x.res == nil {
+			dropped = true // writes before a drop are unobservable
+			return
+		}
+		x.applyAction(nd.name, act, args, tmp)
+		if act.drops {
+			dropped = true
+		} else {
+			x.flowFrom(self, act.next, tmp, t.writes)
+		}
+		for _, s := range act.writes {
+			tmp[s] = st[s]
+		}
+	}
+
+	missPossible := !t.mustHit
+	nk := len(t.keys)
+	for ei := range t.entries {
+		e := &t.entries[ei]
+		if !e.live {
+			continue // malformed or shadowed: never selected, may/must stay false
 		}
 		entryMay, entryMust := true, true
-		for i, k := range t.Keys {
-			mask := entryMask(k, e.Match[i])
-			val := e.Match[i].Value & mask
-			w := k.BitWidth()
-			if !keyVals[i].MayMatch(mask, val, w) {
+		for i, m := range t.match[ei*nk : (ei+1)*nk] {
+			if !keyVals[i].mayMatch(m.mask, m.val, m.monotone) {
 				entryMay, entryMust = false, false
 				break
 			}
-			if !keyVals[i].MustMatch(mask, val, w) {
+			if !keyVals[i].mustMatch(m.mask, m.val, m.monotone) {
 				entryMust = false
 			}
 		}
-		may[ei], must[ei] = entryMay, entryMust
+		if nr != nil {
+			may[ei], must[ei] = entryMay, entryMust
+		}
 		if entryMust {
 			missPossible = false
+		}
+		if entryMay && e.act != nil {
+			apply(e.act, e.args)
 		}
 	}
 	if nr != nil {
 		nr.EntryMay, nr.EntryMust, nr.MissPossible = may, must, missPossible
 	}
-
-	dropped := false
-	apply := func(act *p4ir.Action, args []string) {
-		out, drops := applyAction(st, act, args, rec)
-		if drops {
-			dropped = true
-			return
-		}
-		flow(t.NextFor(act.Name), out)
-	}
-	for ei := range t.Entries {
-		if !may[ei] {
-			continue
-		}
-		if act := t.Action(t.Entries[ei].Action); act != nil {
-			apply(act, t.Entries[ei].Args)
-		}
-	}
 	if missPossible {
-		def := t.Action(t.DefaultAction)
-		if def == nil && len(t.Actions) > 0 {
-			// The emulator falls back to the last action when no default
-			// is named.
-			def = t.Actions[len(t.Actions)-1]
-		}
-		if def == nil {
+		if t.def == nil {
 			// Actionless table: pure forwarding node.
-			flow(t.BaseNext, st.clone())
+			x.flow(t.baseNext, st)
 		} else {
-			apply(def, nil)
+			apply(t.def, nil)
 		}
 	}
 	return dropped
 }
 
-// entryMask derives the comparison mask of one entry key, matching the
-// emulator's entryMasks.
-func entryMask(k p4ir.Key, mv p4ir.MatchValue) uint64 {
-	switch k.Kind {
-	case p4ir.MatchExact:
-		return k.FullMask()
-	case p4ir.MatchLPM:
-		return k.PrefixMask(mv.PrefixLen)
-	default: // ternary / range
-		return mv.Mask
-	}
-}
-
-// applyAction is the abstract transfer function of one action, mirroring
-// the emulator's compiled primitives: a drop terminates the action
-// immediately, malformed primitives are no-ops, and unknown destination
-// fields swallow the write.
-func applyAction(st State, act *p4ir.Action, args []string, rec truncRec) (State, bool) {
-	out := st.clone()
-	write := func(field string, v Value) {
-		noteTrunc(rec, act.Name, field, v)
-		out.set(field, v)
-	}
-	for _, pr := range act.Primitives {
-		switch pr.Op {
-		case "drop", "mark_to_drop":
-			return out, true
-		case "modify_field":
-			if len(pr.Args) >= 2 {
-				write(pr.Args[0], evalOperand(out, pr.Args[1], args))
-			}
-		case "add", "subtract":
-			if len(pr.Args) >= 3 {
-				a := evalOperand(out, pr.Args[1], args)
-				b := evalOperand(out, pr.Args[2], args)
-				if pr.Op == "add" {
-					write(pr.Args[0], a.Add(b))
-				} else {
-					write(pr.Args[0], a.Sub(b))
-				}
-			}
-		case "forward":
-			if len(pr.Args) >= 1 {
-				// forward writes meta.egress_port (full width, no truncation).
-				out.set("meta.egress_port", evalOperand(out, pr.Args[0], args))
-			}
+// applyAction is the abstract transfer function of one action on st,
+// mirroring the emulator's compiled primitives: a drop terminates the
+// action immediately, malformed primitives are no-ops, and unknown
+// destination fields swallow the write (compile drops both). When
+// collecting, header writes whose operand provably exceeds the
+// destination width are recorded.
+func (x *exec) applyAction(node string, act *caction, args []operand, st []Value) {
+	f := x.p.fields
+	for i := range act.prims {
+		pr := &act.prims[i]
+		v := pr.a.eval(st, args)
+		switch pr.op {
+		case opAdd:
+			v = v.Add(pr.b.eval(st, args))
+		case opSub:
+			v = v.Sub(pr.b.eval(st, args))
 		}
-	}
-	return out, false
-}
-
-// noteTrunc reports the write to rec when the operand provably exceeds
-// the destination header field's width (metadata and unknown destinations
-// never truncate).
-func noteTrunc(rec truncRec, action, field string, v Value) {
-	if rec == nil || strings.HasPrefix(field, "meta.") {
-		return
-	}
-	if packet.FieldIDFor(field) == packet.FieldInvalid {
-		return
-	}
-	w := packet.FieldWidth(field)
-	if w >= 64 {
-		return
-	}
-	if v.Lo > (uint64(1)<<w)-1 {
-		rec(action, field, v, w)
-	}
-}
-
-// evalOperand mirrors the emulator's operand compilation and evaluation:
-// "$i" resolves entry action-data (out-of-range, negative, or
-// $-referencing data reads zero; a nil args slice is a default-action
-// execution where every $i reads zero), dotted names read fields, and
-// anything else parses as a literal (unparseable reads zero).
-func evalOperand(st State, arg string, args []string) Value {
-	if strings.HasPrefix(arg, "$") {
-		i, err := strconv.Atoi(arg[1:])
-		if err != nil || i < 0 || i >= len(args) {
-			return Const(0)
+		w := f.width[pr.dst]
+		if x.res != nil && pr.checked && v.Lo > widthMask(w) {
+			x.res.Truncations = append(x.res.Truncations, Truncation{
+				Node: node, Action: act.name, Field: f.names[pr.dst], Value: v, Width: w,
+			})
 		}
-		a := args[i]
-		if strings.HasPrefix(a, "$") {
-			return Const(0)
-		}
-		return evalBase(st, a)
+		st[pr.dst] = v.Truncate(w)
 	}
-	return evalBase(st, arg)
-}
-
-func evalBase(st State, arg string) Value {
-	if p4ir.IsFieldRef(arg) {
-		return st.Get(arg)
-	}
-	v, err := strconv.ParseUint(arg, 0, 64)
-	if err != nil {
-		return Const(0)
-	}
-	return Const(v)
 }
 
 type condKind uint8
@@ -565,35 +511,9 @@ type condExpr struct {
 	kind     condKind
 	constVal bool
 	field    string
+	slot     int32 // of field, set by compile
 	op       string
 	lit      uint64
-}
-
-// parseCond mirrors nicsim's compileCond grammar. Expressions it cannot
-// analyze (valid(...) headers, custom predicates, malformed literals) are
-// ckUnknown, which the interpreter treats as "either arm" — always sound.
-func parseCond(expr string) condExpr {
-	s := strings.TrimSpace(expr)
-	switch s {
-	case "true", "":
-		return condExpr{kind: ckConst, constVal: true}
-	case "false":
-		return condExpr{kind: ckConst, constVal: false}
-	}
-	if strings.HasPrefix(s, "valid(") {
-		return condExpr{}
-	}
-	for _, op := range []string{"==", "!=", "<=", ">=", "<", ">"} {
-		if i := strings.Index(s, op); i > 0 {
-			field := strings.TrimSpace(s[:i])
-			lit, err := strconv.ParseUint(strings.TrimSpace(s[i+len(op):]), 0, 64)
-			if err != nil {
-				return condExpr{}
-			}
-			return condExpr{kind: ckCompare, field: field, op: op, lit: lit}
-		}
-	}
-	return condExpr{}
 }
 
 // evalCompare decides a field-vs-literal comparison abstractly. It

@@ -1,0 +1,87 @@
+package analysis_test
+
+import (
+	"fmt"
+	"testing"
+
+	"pipeleon/internal/analysis"
+	"pipeleon/internal/costmodel"
+	"pipeleon/internal/opt"
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/synth"
+)
+
+// proofBenchPrograms returns the 54-table program of the proof
+// micro-benchmarks (the synth-proof workload of the end-to-end benchmark)
+// and the program its searched plan rewrites it into — searched with the
+// deep gate on, as in that workload, so the plan holds proven options only.
+func proofBenchPrograms(b *testing.B) (orig, optimized *p4ir.Program) {
+	b.Helper()
+	orig = synth.Program(synth.ProgramSpec{Pipelets: 20, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	prof := synth.SynthesizeProfile(orig, synth.ProfileSpec{Seed: 8, Category: synth.Mixed})
+	cfg := opt.DefaultConfig()
+	cfg.TopKFrac = 1
+	cfg.DeepVerify = true
+	_, rw, err := opt.SearchAndApply(orig, prof, costmodel.BlueField2(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rw == nil {
+		b.Fatal("search found no plan for the benchmark program")
+	}
+	return orig, rw.Program
+}
+
+// BenchmarkSemanticCheckerNew times what a session pays once per program
+// (and once more after entry updates): every path class of the original.
+func BenchmarkSemanticCheckerNew(b *testing.B) {
+	orig, _ := proofBenchPrograms(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.NewSemanticChecker(orig)
+	}
+}
+
+// BenchmarkSemanticVerify times one proof of the optimized program: cold
+// (a candidate the checker has not seen: compile, every path class,
+// compare) and memo (the same program again: serialize and digest).
+func BenchmarkSemanticVerify(b *testing.B) {
+	orig, optimized := proofBenchPrograms(b)
+	b.Run("cold", func(b *testing.B) {
+		// A candidate never seen before: the program name is part of the
+		// serialization, so renaming defeats the memo and nothing else.
+		sc := analysis.NewSemanticChecker(orig)
+		fresh := optimized.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fresh.Name = fmt.Sprintf("candidate-%d", i)
+			if d := sc.Verify(fresh); d.HasErrors() {
+				b.Fatal(d)
+			}
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		sc := analysis.NewSemanticChecker(orig)
+		sc.Verify(optimized)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if d := sc.Verify(optimized); d.HasErrors() {
+				b.Fatal(d)
+			}
+		}
+	})
+}
+
+// BenchmarkLintDeep times the symbolic lint tier the deploy gate runs on
+// every candidate.
+func BenchmarkLintDeep(b *testing.B) {
+	_, optimized := proofBenchPrograms(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.LintDeep(optimized)
+	}
+}

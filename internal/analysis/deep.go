@@ -5,11 +5,13 @@
 package analysis
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
 	"pipeleon/internal/analysis/absint"
 	"pipeleon/internal/diag"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 )
 
@@ -144,16 +146,31 @@ const (
 	semMaxConds    = 12
 )
 
+// semMemoCap bounds the checker's verdict memo. A control loop asks about
+// the same few programs round after round (the applied plan at the joint
+// check and again at the deploy gate, each plan option alone during
+// search), so the cap only has to outlast one plan's worth of candidates.
+const semMemoCap = 256
+
 // SemanticChecker amortizes differential semantic verification over many
 // candidate rewrites of one original program, the way RewriteChecker
 // does for dependency ordering. Construction enumerates the original's
 // path classes and abstractly executes each once; Verify then only
-// executes the candidate. Safe for concurrent use once built.
+// executes the candidate — once per distinct candidate: verdicts are
+// memoized by program content. The original must not change while the
+// checker is in use; after an entry update, build a new one. Safe for
+// concurrent use once built.
 type SemanticChecker struct {
 	origBroken bool
 	conds      []string
+	condsTotal int
 	classes    []semClass
 	origFields []string
+	// verdicts maps the digest of a candidate's canonical serialization to
+	// the diagnostics its proof produced. The key is a cryptographic
+	// digest because a hit skips the proof: a collision between a verified
+	// and a broken candidate would deploy the broken one unproven.
+	verdicts *memo.Table[[sha256.Size]byte, diag.List]
 }
 
 type semClass struct {
@@ -164,12 +181,13 @@ type semClass struct {
 // NewSemanticChecker precomputes the original program's per-path-class
 // abstract outcomes.
 func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
-	sc := &SemanticChecker{}
+	sc := &SemanticChecker{verdicts: memo.New[[sha256.Size]byte, diag.List](semMemoCap)}
 	if orig.StructuralDiagnostics().HasErrors() {
 		sc.origBroken = true
 		return sc
 	}
 	conds := absint.CondNames(orig)
+	sc.condsTotal = len(conds)
 	n := len(conds)
 	if n > semMaxConds {
 		n = semMaxConds
@@ -208,12 +226,31 @@ func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
 // (the abstraction over-approximates), but equivalence is no longer
 // proven, which is what a deploy gate needs to block on.
 func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
-	var l diag.List
 	if sc.origBroken {
+		var l diag.List
 		l.Add(CodeSemInput, diag.Error, "", "",
 			"original program is not analyzable; semantic comparison impossible")
 		return l
 	}
+	// MarshalJSON is the canonical serialization (sorted tables,
+	// conditionals and map keys) that also decides whether two layouts are
+	// the same deploy; a program it cannot serialize is proven unmemoized.
+	js, err := opt.MarshalJSON()
+	if err != nil {
+		return sc.prove(opt)
+	}
+	key := sha256.Sum256(js)
+	if l, ok := sc.verdicts.Get(key); ok {
+		return append(diag.List(nil), l...)
+	}
+	l := sc.prove(opt)
+	sc.verdicts.Put(key, l)
+	return append(diag.List(nil), l...)
+}
+
+// prove is one uncached differential proof of opt against the original.
+func (sc *SemanticChecker) prove(opt *p4ir.Program) diag.List {
+	var l diag.List
 	if sd := opt.StructuralDiagnostics(); sd.HasErrors() {
 		l.Add(CodeSemInput, diag.Error, "", "",
 			"optimized program has %d structural error(s); semantic comparison impossible", len(sd.Errors()))
@@ -265,6 +302,20 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 	}
 	l.Sort()
 	return l
+}
+
+// MemoStats returns how many Verify calls were answered from the verdict
+// memo and how many ran a proof.
+func (sc *SemanticChecker) MemoStats() (hits, misses uint64) {
+	return sc.verdicts.Stats()
+}
+
+// Strength reports how fine the path-class partition is: forced of the
+// original's total conditionals each split the packet space in two (the
+// rest contribute both arms to every class). forced < total means the
+// semMaxConds / semClassBudget bound coarsened the comparison.
+func (sc *SemanticChecker) Strength() (forced, total int) {
+	return len(sc.conds), sc.condsTotal
 }
 
 // VerifySemantics is the one-shot form of SemanticChecker: a

@@ -100,6 +100,9 @@ func (r *Runtime) entryOp(table string, origMut func(*p4ir.Table) error, fast fu
 		return err
 	}
 	r.updCountsOrig[table]++
+	// r.orig is the search session's program: its semantic proofs were
+	// computed from the entries as they were.
+	r.search.EntriesChanged()
 
 	ct, inCurrent := r.current.Tables[table]
 	mergedCover := r.tableMergedLocked(table)

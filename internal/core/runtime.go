@@ -52,11 +52,6 @@ type Runtime struct {
 	// profile drifted only locally re-enumerates only the touched units.
 	search *opt.Session
 
-	// sem is the deep-gate semantic checker (nil unless cfg.DeepVerify):
-	// the original's path-class outcomes, precomputed once and reused by
-	// every deploy gate to prove candidate programs equivalent.
-	sem *analysis.SemanticChecker
-
 	lastUpdateCounts map[string]uint64
 	// updCountsOrig accumulates entry-update operations keyed by
 	// original-program table names (through the API mapping).
@@ -153,13 +148,12 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 		updCountsOrig:     map[string]uint64{},
 		lastUpdCountsOrig: map[string]uint64{},
 	}
-	if cfg.DeepVerify {
-		r.sem = analysis.NewSemanticChecker(r.orig)
-	}
 	// The session shares r.cfg by value; the HitRateOverride map inside is
 	// aliased on purpose, so per-round feedback written by OptimizeOnce is
 	// visible to the warm search (its memo folds the overrides into every
-	// unit's material inputs).
+	// unit's material inputs). With cfg.DeepVerify the session also owns
+	// the one semantic checker: search, the joint check of the applied
+	// plan and the deploy gate share its proof memo.
 	search, err := opt.NewSession(r.orig, r.pm, r.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning program: %w", err)

@@ -26,14 +26,16 @@ func vetProgram(orig, next *p4ir.Program, pm costmodel.Params) diag.List {
 // the report. With DeepVerify configured it additionally runs the
 // symbolic tier: the value-range lints (warnings) and, for rewritten
 // programs, the differential semantic-equivalence proof against the
-// original (errors block the deploy). It returns false — and fills
-// DeployError — when the program must not reach the device.
+// original (errors block the deploy) — asked of the search session's
+// checker, which has already proven any program SearchAndApply returned.
+// It returns false — and fills DeployError — when the program must not
+// reach the device.
 func (r *Runtime) deployGate(next *p4ir.Program, report *RoundReport) bool {
 	diags := vetProgram(r.orig, next, r.pm)
-	if r.sem != nil {
+	if r.cfg.DeepVerify {
 		diags = append(diags, analysis.LintDeep(next)...)
 		if next != r.orig {
-			diags = append(diags, r.sem.Verify(next)...)
+			diags = append(diags, r.search.VerifySemantics(next)...)
 		}
 		diags.Sort()
 	}

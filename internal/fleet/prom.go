@@ -84,6 +84,8 @@ func WriteMetrics(w io.Writer, st Status) error {
 	p.counter("pipeleon_optsearch_unit_memo_misses_total", "Per-unit candidate-memo misses.", float64(st.OptSearch.UnitMisses))
 	p.counter("pipeleon_optsearch_verify_memo_hits_total", "Rewrite-verdict-memo hits.", float64(st.OptSearch.VerifyHits))
 	p.counter("pipeleon_optsearch_verify_memo_misses_total", "Rewrite-verdict-memo misses.", float64(st.OptSearch.VerifyMisses))
+	p.counter("pipeleon_optsearch_proof_memo_hits_total", "Semantic proofs answered from the program-digest memo.", float64(st.OptSearch.ProofMemoHits))
+	p.counter("pipeleon_optsearch_proof_memo_misses_total", "Semantic proofs run.", float64(st.OptSearch.ProofMemoMisses))
 	p.counter("pipeleon_optsearch_search_seconds_total", "Cumulative wall-clock search time.", float64(st.OptSearch.TotalSearchNs)/1e9)
 
 	// Per-device series, sorted for a stable scrape (Status preserves

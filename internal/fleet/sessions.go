@@ -84,6 +84,16 @@ type SearchSessionStats struct {
 	// VerifyHits / VerifyMisses count rewrite-verdict-memo outcomes.
 	VerifyHits   uint64 `json:"verify_hits"`
 	VerifyMisses uint64 `json:"verify_misses"`
+	// Deep gate, summed over the sessions that run it: the per-option
+	// semantic-verdict memo, whole-program proofs answered from the
+	// program-digest memo versus run, and how many of the programs'
+	// conditionals the proofs' path classes split on.
+	DeepVerifyHits   uint64 `json:"deep_verify_hits"`
+	DeepVerifyMisses uint64 `json:"deep_verify_misses"`
+	ProofMemoHits    uint64 `json:"proof_memo_hits"`
+	ProofMemoMisses  uint64 `json:"proof_memo_misses"`
+	ProofForcedConds int    `json:"proof_forced_conds"`
+	ProofTotalConds  int    `json:"proof_total_conds"`
 	// TotalSearchNs is the cumulative wall-clock search time in
 	// nanoseconds across live sessions.
 	TotalSearchNs int64 `json:"total_search_ns"`
@@ -108,6 +118,12 @@ func (sp *sessionPool) stats() SearchSessionStats {
 		st.UnitMisses += ss.UnitMisses
 		st.VerifyHits += ss.VerifyHits
 		st.VerifyMisses += ss.VerifyMisses
+		st.DeepVerifyHits += ss.DeepVerifyHits
+		st.DeepVerifyMisses += ss.DeepVerifyMisses
+		st.ProofMemoHits += ss.ProofMemoHits
+		st.ProofMemoMisses += ss.ProofMemoMisses
+		st.ProofForcedConds += ss.ProofForcedConds
+		st.ProofTotalConds += ss.ProofTotalConds
 		st.TotalSearchNs += ss.TotalSearch.Nanoseconds()
 	}
 	return st

@@ -2,9 +2,11 @@ package opt
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/diag"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 )
 
@@ -19,17 +21,28 @@ import (
 //   - verdicts are memoized per option identity — semantics depend only
 //     on the program and the option, never on the profile.
 //
+// The one checker also serves the joint check of an applied plan and the
+// runtime's deploy gate (Session.VerifySemantics), so its program-digest
+// memo proves each distinct program once across all three.
+//
+// The runtime mutates the session's program in place when entries are
+// inserted or deleted. The checker's per-class outcomes and both memos
+// are functions of those entries, so entriesChanged advances an epoch and
+// the next proof rebuilds the checker and drops the verdicts.
+//
 // It exists only when Config.DeepVerify is set; a nil *semVerifier means
 // the deep gate is off and every verify call is vacuously true.
 type semVerifier struct {
-	prog *p4ir.Program
-	cfg  Config
-	sc   *analysis.SemanticChecker
+	prog    *p4ir.Program
+	cfg     Config
+	verdict *memo.Table[string, bool]
+	epoch   atomic.Uint64 // entry updates seen
 
-	mu      sync.Mutex
-	verdict map[string]bool
-	hits    uint64
-	misses  uint64
+	mu    sync.Mutex // guards the fields below
+	sc    *analysis.SemanticChecker
+	built uint64 // epoch sc was built at
+	// Program-memo counters of the checkers rebuilds retired.
+	retiredHits, retiredMisses uint64
 }
 
 func newSemVerifier(prog *p4ir.Program, cfg Config) *semVerifier {
@@ -43,8 +56,32 @@ func newSemVerifierShared(prog *p4ir.Program, cfg Config, sc *analysis.SemanticC
 		prog:    prog,
 		cfg:     cfg,
 		sc:      sc,
-		verdict: map[string]bool{},
+		verdict: memo.New[string, bool](verdictMemoCap),
 	}
+}
+
+// entriesChanged records that the program's entries were mutated in
+// place. The rebuild happens lazily, so a burst of updates costs one.
+func (v *semVerifier) entriesChanged() {
+	if v != nil {
+		v.epoch.Add(1)
+	}
+}
+
+// checker returns the semantic checker for the program's current entries,
+// rebuilding it (and dropping the option verdicts) when they changed.
+func (v *semVerifier) checker() *analysis.SemanticChecker {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if e := v.epoch.Load(); e != v.built {
+		h, m := v.sc.MemoStats()
+		v.retiredHits += h
+		v.retiredMisses += m
+		v.sc = analysis.NewSemanticChecker(v.prog)
+		v.verdict.Reset()
+		v.built = e
+	}
+	return v.sc
 }
 
 // verify reports whether o's rewrite provably preserves the original
@@ -54,51 +91,47 @@ func (v *semVerifier) verify(o *Option) bool {
 	if v == nil {
 		return true
 	}
+	sc := v.checker()
 	key := o.String()
-	v.mu.Lock()
-	if r, ok := v.verdict[key]; ok {
-		v.hits++
-		v.mu.Unlock()
+	if r, ok := v.verdict.Get(key); ok {
 		return r
 	}
-	v.misses++
-	v.mu.Unlock()
-
-	r := v.check(o)
-
-	v.mu.Lock()
-	v.verdict[key] = r
-	v.mu.Unlock()
+	scratch := scratchClone(v.prog)
+	r := applyOption(scratch, o, NewCounterMap(), v.cfg) == nil && !sc.Verify(scratch).HasErrors()
+	v.verdict.Put(key, r)
 	return r
 }
 
-func (v *semVerifier) check(o *Option) bool {
-	scratch := scratchClone(v.prog)
-	if err := applyOption(scratch, o, NewCounterMap(), v.cfg); err != nil {
-		return false
-	}
-	return !v.sc.Verify(scratch).HasErrors()
-}
-
-// verifyProgram runs the semantic check against an already-applied
-// program (the belt-and-braces joint check in SearchAndApply), returning
-// only blocking diagnostics.
+// verifyProgram proves an already-applied program (the joint check in
+// SearchAndApply, the runtime's deploy gate) against the original,
+// returning every diagnostic; nil on a nil receiver.
 func (v *semVerifier) verifyProgram(prog *p4ir.Program) diag.List {
 	if v == nil {
 		return nil
 	}
-	if d := v.sc.Verify(prog); d.HasErrors() {
-		return d.Errors()
-	}
-	return nil
+	return v.checker().Verify(prog)
 }
 
-// stats returns the memo hit/miss counters; zero on a nil receiver.
-func (v *semVerifier) stats() (hits, misses uint64) {
+// semStats are the verifier's counters: the option-verdict memo, the
+// checker's program-digest memo (cumulative over rebuilds), and the proof
+// strength of the current checker.
+type semStats struct {
+	hits, misses         uint64
+	progHits, progMisses uint64
+	forced, total        int
+}
+
+// stats snapshots the counters; zero on a nil receiver.
+func (v *semVerifier) stats() semStats {
 	if v == nil {
-		return 0, 0
+		return semStats{}
 	}
+	var st semStats
+	st.hits, st.misses = v.verdict.Stats()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.hits, v.misses
+	h, m := v.sc.MemoStats()
+	st.progHits, st.progMisses = v.retiredHits+h, v.retiredMisses+m
+	st.forced, st.total = v.sc.Strength()
+	return st
 }

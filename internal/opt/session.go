@@ -12,6 +12,7 @@ import (
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/deps"
+	"pipeleon/internal/diag"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
@@ -77,6 +78,18 @@ type SessionStats struct {
 	// (zero unless Config.DeepVerify).
 	DeepVerifyHits   uint64
 	DeepVerifyMisses uint64
+	// ProofMemoHits / ProofMemoMisses count semantic proofs of whole
+	// programs — a candidate option applied alone, the jointly applied
+	// plan, the deploy gate — answered from the checker's program-digest
+	// memo versus actually run.
+	ProofMemoHits   uint64
+	ProofMemoMisses uint64
+	// ProofForcedConds of the program's ProofTotalConds conditionals split
+	// the path classes the proof compares; fewer forced than total means
+	// the class budget coarsened it (still sound). Both zero unless
+	// Config.DeepVerify.
+	ProofForcedConds int
+	ProofTotalConds  int
 	// LastSignature is the quantized profile signature of the last round.
 	LastSignature string
 	// LastSearch / TotalSearch are wall-clock search latencies.
@@ -131,13 +144,32 @@ func newSessionShared(prog *p4ir.Program, pm costmodel.Params, cfg Config, part 
 // Stats returns a snapshot of the session counters.
 func (s *Session) Stats() SessionStats {
 	hits, misses := s.verifier.stats()
-	deepHits, deepMisses := s.sem.stats()
+	sem := s.sem.stats()
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
 	st.VerifyHits, st.VerifyMisses = hits, misses
-	st.DeepVerifyHits, st.DeepVerifyMisses = deepHits, deepMisses
+	st.DeepVerifyHits, st.DeepVerifyMisses = sem.hits, sem.misses
+	st.ProofMemoHits, st.ProofMemoMisses = sem.progHits, sem.progMisses
+	st.ProofForcedConds, st.ProofTotalConds = sem.forced, sem.total
 	return st
+}
+
+// VerifySemantics proves prog — a rewrite of the session's program —
+// semantically equivalent to it with the session's own checker, so a
+// program the search already proved (SearchAndApply's joint check) costs
+// the deploy gate one digest. It returns every diagnostic of the proof,
+// and nil when the deep gate is off.
+func (s *Session) VerifySemantics(prog *p4ir.Program) diag.List {
+	return s.sem.verifyProgram(prog)
+}
+
+// EntriesChanged tells the session that its program's table entries were
+// mutated in place (the runtime's entry API does that). Semantic proofs
+// depend on the entries, so the next one rebuilds the checker and drops
+// the memoized verdicts.
+func (s *Session) EntriesChanged() {
+	s.sem.entriesChanged()
 }
 
 // ensureEvaluator builds the evaluator on first use and refreshes its
@@ -336,9 +368,9 @@ func (s *Session) SearchAndApply(prof *profile.Profile) (*SearchResult, *Rewrite
 		return res, nil, fmt.Errorf("opt: optimized program fails rewrite verification: %s",
 			strings.Join(d.Errors().Strings(), "; "))
 	}
-	if d := s.sem.verifyProgram(rw.Program); len(d) > 0 {
+	if d := s.sem.verifyProgram(rw.Program); d.HasErrors() {
 		return res, nil, fmt.Errorf("opt: optimized program fails semantic verification: %s",
-			strings.Join(d.Strings(), "; "))
+			strings.Join(d.Errors().Strings(), "; "))
 	}
 	return res, rw, nil
 }

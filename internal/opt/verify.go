@@ -1,11 +1,16 @@
 package opt
 
 import (
-	"sync"
-
 	"pipeleon/internal/analysis"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 )
+
+// verdictMemoCap bounds the per-option verdict memos of planVerifier and
+// semVerifier. A round verifies the handful of options the knapsack
+// selected, and the hot ones recur round after round; the cap only stops a
+// long-lived session from remembering every option it ever saw.
+const verdictMemoCap = 4096
 
 // planVerifier amortizes option verification across the many candidates a
 // warm session checks against one original program. VerifyOption pays for
@@ -23,18 +28,14 @@ import (
 //
 // and memoizes the verdict per option identity — verification depends
 // only on the program and the option, never on the profile, so a verdict
-// stays valid for the session's lifetime. Verdicts are identical to
-// VerifyOption (pinned by TestPlanVerifierMatchesVerifyOption).
+// stays valid until evicted. Verdicts are identical to VerifyOption
+// (pinned by TestPlanVerifierMatchesVerifyOption).
 type planVerifier struct {
-	prog  *p4ir.Program
-	cfg   Config
-	rc    *analysis.RewriteChecker
-	preds map[string][]string // node -> original nodes holding a successor reference to it
-
-	mu      sync.Mutex
-	verdict map[string]bool
-	hits    uint64
-	misses  uint64
+	prog    *p4ir.Program
+	cfg     Config
+	rc      *analysis.RewriteChecker
+	preds   map[string][]string // node -> original nodes holding a successor reference to it
+	verdict *memo.Table[string, bool]
 }
 
 func newPlanVerifier(prog *p4ir.Program, cfg Config) *planVerifier {
@@ -50,7 +51,7 @@ func newPlanVerifierShared(prog *p4ir.Program, cfg Config, rc *analysis.RewriteC
 		cfg:     cfg,
 		rc:      rc,
 		preds:   preds,
-		verdict: map[string]bool{},
+		verdict: memo.New[string, bool](verdictMemoCap),
 	}
 }
 
@@ -123,20 +124,11 @@ func scratchClone(prog *p4ir.Program) *p4ir.Program {
 // VerifyOption(prog, o, cfg), memoized. Safe for concurrent use.
 func (v *planVerifier) verify(o *Option) bool {
 	key := o.String()
-	v.mu.Lock()
-	if r, ok := v.verdict[key]; ok {
-		v.hits++
-		v.mu.Unlock()
+	if r, ok := v.verdict.Get(key); ok {
 		return r
 	}
-	v.misses++
-	v.mu.Unlock()
-
 	r := v.check(o)
-
-	v.mu.Lock()
-	v.verdict[key] = r
-	v.mu.Unlock()
+	v.verdict.Put(key, r)
 	return r
 }
 
@@ -197,8 +189,4 @@ func (v *planVerifier) touch(set map[string]bool, o *Option) {
 }
 
 // stats returns the memo hit/miss counters.
-func (v *planVerifier) stats() (hits, misses uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.hits, v.misses
-}
+func (v *planVerifier) stats() (hits, misses uint64) { return v.verdict.Stats() }
