@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fmtcheck lint ci verify conformance traces bench benchcheck fuzz fleet-sim
+.PHONY: build test vet race fmtcheck lint ci verify conformance traces bench benchcheck bench-smoke fuzz fleet-sim
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/p4c/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadValidate$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSPSCOps$$' -fuzztime $(FUZZTIME) ./internal/ring/
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsintAgree$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
@@ -70,13 +71,21 @@ fleet-sim:
 # suite under the race detector (the runtime loop, control plane, and
 # fault-injection paths are concurrent), then the backend conformance
 # suite explicitly, then the scripted fleet scenario through fleetd,
-# then the bench-regression gate against the archived baseline.
+# then the end-to-end benchmark's own smoke test, then the
+# bench-regression gate against the archived baselines.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(MAKE) lint
 	$(MAKE) conformance
 	$(MAKE) fleet-sim
+	$(MAKE) bench-smoke
 	$(MAKE) benchcheck
+
+# bench-smoke vets and tests the end-to-end benchmark. bench/ is a module
+# of its own, so `go build ./...` and `go test ./...` at the root never
+# descend into it; this is what notices a change that breaks it.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # traces regenerates the golden replay traces consumed by the core replay
 # round-trip tests and `pipeleon -trace`.
@@ -90,28 +99,40 @@ traces:
 # "Performance architecture" for how to read it). The semantic-proof
 # benches live beside their code (internal/analysis and its absint
 # subpackage, all on the 54-table synth program) and are archived in
-# BENCH_search.json.
+# BENCH_search.json. The per-packet stores' benches live beside theirs
+# (flow cache in nicsim, sink flush and snapshot in profile, metadata and
+# clone in packet) and are archived in BENCH_datapath.json together with
+# the root burst bench that has all three stores on its path.
+EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
+STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$
+STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
+SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$
 bench:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
-		-benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
+	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -out BENCH_search.json
+	{ $(GO) test -run '^$$' -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
+	  $(GO) test -run '^$$' -bench '$(SYNTH110BENCH)' -benchmem .; } \
+		| $(GO) run ./cmd/benchjson -out BENCH_datapath.json
 
 # benchcheck is the bench-regression gate: rerun the hot-path bench set
 # (-count=3; the gate compares best-of-3 per metric) and fail (exit
 # nonzero) if a gated benchmark regressed more than MAXREGRESS in ns/op
 # — or grew allocs/op — versus the committed BENCH_emulator.json
-# baseline (and the proof benches versus BENCH_search.json). The -gate regexp excludes the multi-worker MeasureParallel
-# entries: at GOMAXPROCS=1 those measure scheduler contention, not the
-# datapath, and swing well past any sane threshold run to run. Refresh
-# the baseline with `make bench` after intentional performance changes.
+# baseline (and the proof benches versus BENCH_search.json, the store
+# benches versus BENCH_datapath.json). The -gate regexp excludes the
+# multi-worker MeasureParallel entries: at GOMAXPROCS=1 those measure
+# scheduler contention, not the datapath, and swing well past any sane
+# threshold run to run. Refresh the baseline with `make bench` after
+# intentional performance changes.
 MAXREGRESS ?= 0.15
 benchcheck:
-	$(GO) test -run '^$$' -count=3 \
-		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
-		-benchmem . | $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
+	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem . \
+		| $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
 		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|Search$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$'
 	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)
+	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
+	  $(GO) test -run '^$$' -count=3 -bench '$(SYNTH110BENCH)' -benchmem .; } \
+		| $(GO) run ./cmd/benchjson -compare BENCH_datapath.json -max-regress $(MAXREGRESS)

@@ -458,6 +458,25 @@ func BenchmarkEmulatorProcessInstrumented(b *testing.B) {
 	}
 }
 
+// BenchmarkEmulatorProcessBurstSynth110Instrumented is the burst datapath
+// with nothing left out: the 110-table program of the end-to-end
+// benchmark's synth-shift workload, instrumented into a bound collector,
+// with the searched cache plan deployed — packet metadata past the inline
+// slots, distinct-key sets and flow caches are all on the path, as they
+// are under core.Runtime. ns/op is per packet.
+func BenchmarkEmulatorProcessBurstSynth110Instrumented(b *testing.B) {
+	nic, _, pkts := synth110Deployed(b)
+	a := newBurstArena()
+	for lo := 0; lo < len(pkts); lo += nicsim.BurstSize {
+		a.run(nic, pkts, lo)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += nicsim.BurstSize {
+		a.run(nic, pkts, i)
+	}
+}
+
 // BenchmarkMeasureParallel measures batch throughput of the burst
 // datapath at different worker counts, reporting wall-clock packets per
 // second. workers=1 is the serial burst path; workers>1 fan out over

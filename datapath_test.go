@@ -1,0 +1,176 @@
+package pipeleon
+
+// Tier-1 budgets for the packet path on the program the end-to-end
+// benchmark's synth-shift workload runs: 110 tables, instrumented, a
+// bound collector, an optimizer-chosen plan with flow caches deployed.
+// Here all three per-packet stores are live — packet metadata past the
+// inline slots, the collector's key sets, the flow caches.
+
+import (
+	"sync"
+	"testing"
+
+	"pipeleon/internal/costmodel"
+	"pipeleon/internal/nicsim"
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
+	"pipeleon/internal/synth"
+	"pipeleon/internal/trafficgen"
+)
+
+// synth110Deployed returns the emulator after one profiling window and
+// the deploy of the plan searched from it, with the batch that drove it.
+func synth110Deployed(tb testing.TB) (*nicsim.NIC, *Collector, []*packet.Packet) {
+	tb.Helper()
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	col := NewCollector()
+	nic, err := nicsim.New(prog, nicsim.Config{
+		Params: costmodel.BlueField2(), Collector: col, Instrument: true,
+		Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen := trafficgen.New(4, trafficgen.DefaultPacketBytes)
+	gen.AddFlows(trafficgen.UniformFlows(8, 128)...)
+	gen.SetSkew(0.9)
+	pkts := gen.Batch(4096)
+	nic.Measure(pkts)
+	plan, err := Optimize(prog, col.Snapshot(), costmodel.BlueField2(), DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !plan.Changed() {
+		tb.Fatal("the search found no plan for the 110-table program")
+	}
+	if err := nic.Swap(plan.Program); err != nil {
+		tb.Fatal(err)
+	}
+	if len(nic.CacheStatsAll()) == 0 {
+		tb.Fatal("the deployed plan has no flow cache")
+	}
+	col.Reset()
+	return nic, col, pkts
+}
+
+// burstArena is the caller's side of ProcessBurst: scratch packets cloned
+// into and a result per packet.
+type burstArena struct {
+	scratch [nicsim.BurstSize]packet.Packet
+	ptrs    [nicsim.BurstSize]*packet.Packet
+	results [nicsim.BurstSize]nicsim.Result
+}
+
+func newBurstArena() *burstArena {
+	a := &burstArena{}
+	for i := range a.ptrs {
+		a.ptrs[i] = &a.scratch[i]
+	}
+	return a
+}
+
+// run processes pkts[lo:lo+BurstSize) (wrapping) as one burst.
+func (a *burstArena) run(nic *nicsim.NIC, pkts []*packet.Packet, lo int) {
+	for j := range a.ptrs {
+		pkts[(lo+j)%len(pkts)].CloneInto(a.ptrs[j])
+	}
+	nic.ProcessBurst(a.ptrs[:], a.results[:])
+}
+
+func TestProcessBurstAllocatesNothingWhenWarm(t *testing.T) {
+	nic, col, pkts := synth110Deployed(t)
+	a := newBurstArena()
+	for lo := 0; lo < len(pkts); lo += nicsim.BurstSize {
+		a.run(nic, pkts, lo) // fills the caches, sizes every buffer
+	}
+	lo := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		a.run(nic, pkts, lo)
+		lo += nicsim.BurstSize
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("%v allocations per warm burst, want 0", allocs)
+	}
+	if p := col.Snapshot(); p.FlowCardinality == 0 || len(p.KeyCardinality) == 0 {
+		t.Errorf("the profiling sink was not on the path: %d flows, %d tables with keys", p.FlowCardinality, len(p.KeyCardinality))
+	}
+}
+
+// MeasureParallel on a cached program while entry updates invalidate the
+// caches and the runtime snapshots the profile: the window the race
+// detector has to clear.
+func TestMeasureParallelWithInvalidationAndSnapshot(t *testing.T) {
+	nic, col, pkts := synth110Deployed(t)
+	table, entry := exactTableEntry(t, nic.Program())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := nic.InsertEntry(table, entry); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := nic.DeleteEntry(table, entry.Match); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				col.Snapshot()
+			}
+		}
+	}()
+	want := len(pkts)
+	for i := 0; i < 3; i++ {
+		if m := nic.MeasureParallel(pkts, 4); m.Packets != want {
+			t.Errorf("measured %d packets, want %d", m.Packets, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	var inval uint64
+	for _, cs := range nic.CacheStatsAll() {
+		inval += cs.Invalidations
+	}
+	if inval == 0 {
+		t.Error("no cache was invalidated while measuring")
+	}
+}
+
+// exactTableEntry picks a cache-covered single-key exact table of the
+// deployed program and an entry it does not hold.
+func exactTableEntry(t *testing.T, prog *p4ir.Program) (string, p4ir.Entry) {
+	t.Helper()
+	for _, name := range prog.NodeNames() {
+		spec, ok := prog.Tables[name].CacheMeta()
+		if !ok || spec.Prepopulated {
+			continue
+		}
+		for _, covered := range spec.Covers {
+			ct := prog.Tables[covered]
+			if ct == nil || len(ct.Keys) != 1 || ct.Keys[0].Kind != p4ir.MatchExact || len(ct.Actions) == 0 {
+				continue
+			}
+			return covered, p4ir.Entry{
+				Match:  []p4ir.MatchValue{{Value: ct.Keys[0].FullMask()}},
+				Action: ct.Actions[0].Name,
+			}
+		}
+	}
+	t.Fatal("no cache of the deployed plan covers a single-key exact table")
+	return "", p4ir.Entry{}
+}

@@ -8,6 +8,7 @@ import (
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 // fakeBackend implements Backend in memory.
@@ -144,8 +145,9 @@ func TestProgramFetch(t *testing.T) {
 
 func TestCountersFetch(t *testing.T) {
 	_, cl, _, col := startServer(t)
-	col.RecordAction("acl", "allow")
-	col.RecordAction("acl", "allow")
+	rec := profiletest.NewRecorder(col)
+	rec.Action("acl", "allow")
+	rec.Action("acl", "allow")
 	prof, err := cl.Counters()
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 	"pipeleon/internal/stats"
 )
 
@@ -120,20 +121,23 @@ func TestDropShortensExpectedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 90; i++ {
-		col.RecordAction("acl", "drop_packet")
+		rec.Action("acl", "drop_packet")
 	}
 	for i := 0; i < 10; i++ {
-		col.RecordAction("acl", "allow")
+		rec.Action("acl", "allow")
 	}
 	heavyDrop := ExpectedLatency(prog, col.Snapshot(), pm)
 
 	col2 := profile.NewCollector()
+
+	rec2 := profiletest.NewRecorder(col2)
 	for i := 0; i < 10; i++ {
-		col2.RecordAction("acl", "drop_packet")
+		rec2.Action("acl", "drop_packet")
 	}
 	for i := 0; i < 90; i++ {
-		col2.RecordAction("acl", "allow")
+		rec2.Action("acl", "allow")
 	}
 	lightDrop := ExpectedLatency(prog, col2.Snapshot(), pm)
 	if heavyDrop >= lightDrop {
@@ -178,6 +182,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 		names[i] = fmt.Sprintf("n%d", i)
 	}
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < depth; i++ {
 		next := names[i+1]
 		if i == depth-1 {
@@ -194,7 +199,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 				Actions: acts, Next: next})
 			for _, a := range acts {
 				for k := rng.Intn(50); k >= 0; k-- {
-					col.RecordAction(names[i], a.Name)
+					rec.Action(names[i], a.Name)
 				}
 			}
 		case 1: // conditional: true side skips ahead when possible
@@ -204,7 +209,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 			}
 			b.Cond(names[i], "meta.x == 1", trueNext, next)
 			for k := rng.Intn(60); k >= 0; k-- {
-				col.RecordBranch(names[i], rng.Intn(2) == 0)
+				rec.Branch(names[i], rng.Intn(2) == 0)
 			}
 		default: // switch-case table with two targets
 			acts := []*p4ir.Action{p4ir.NoopAction("a"), p4ir.NoopAction("bb"), p4ir.DropAction()}
@@ -218,7 +223,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 				ActionNext: an})
 			for _, a := range acts {
 				for k := rng.Intn(40); k >= 0; k-- {
-					col.RecordAction(names[i], a.Name)
+					rec.Action(names[i], a.Name)
 				}
 			}
 		}

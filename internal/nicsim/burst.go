@@ -1,9 +1,6 @@
 package nicsim
 
-import (
-	"pipeleon/internal/packet"
-	"pipeleon/internal/profile"
-)
+import "pipeleon/internal/packet"
 
 // BurstSize is the default burst width of the batched datapath: the plan
 // pointer is loaded and profiling counters are flushed once per
@@ -38,16 +35,7 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 			hi = len(pkts)
 		}
 		pl := n.plan.Load()
-		var sink profile.Sink
-		if len(pl.shards) > 0 {
-			shard := pl.shards[int(ctx.slot)%len(pl.shards)]
-			if ctx.burst == nil {
-				ctx.burst = shard.NewBurst()
-			} else {
-				ctx.burst.Rebind(shard)
-			}
-			sink = ctx.burst
-		}
+		sink := ctx.sink(pl)
 		for i := lo; i < hi; i++ {
 			n.run(pl, ctx, pkts[i], sink, &results[i])
 			if results[i].Dropped {
@@ -55,9 +43,7 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 			}
 			ctx.reset()
 		}
-		if ctx.burst != nil {
-			ctx.burst.Flush()
-		}
+		sink.Flush()
 	}
 	n.noteBurst(uint64(len(pkts)), dropped)
 	n.ctxPool.Put(ctx)

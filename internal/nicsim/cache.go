@@ -1,7 +1,8 @@
 package nicsim
 
 import (
-	"container/list"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,23 +65,35 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 }
 
 // flowCache is the runtime store of one generated cache table: an LRU map
-// from masked key to cachedResult, with a fixed entry budget and an
-// insertion rate limiter.
+// from masked key words to cachedResult, with a fixed entry budget and an
+// insertion rate limiter. Entries live in a slab of nodes linked into the
+// LRU order by index; an open-addressed table of node indices, keyed by a
+// hash of the key words, finds them. Every node owns a key buffer and a
+// writes buffer that the next key stored in the node reuses, so a warm
+// cache neither allocates nor frees.
 type flowCache struct {
 	mu      sync.Mutex
 	spec    p4ir.CacheSpec
 	fields  []string
 	budget  int
-	lru     *list.List // front = most recent; values are *cacheNode
-	index   map[string]*list.Element
 	limiter *tokenBucket
+
+	nodes []cacheNode // live entries; the slab beyond len keeps its buffers
+	index []int32     // node index + 1 per slot, 0 = empty; at most half full
+	shift uint        // 64 - log2(len(index))
+	// head is the most recently used node and tail the least; both are
+	// nilNode when the cache is empty.
+	head, tail int32
 
 	hits, misses, inserts, rejected, evictions, invalidations uint64
 }
 
 type cacheNode struct {
-	key string
-	res cachedResult
+	hash       uint64
+	key        []uint64
+	writes     []fieldWrite
+	dropped    bool
+	prev, next int32 // towards head, towards tail
 }
 
 func newFlowCache(spec p4ir.CacheSpec, fields []string) *flowCache {
@@ -88,63 +101,189 @@ func newFlowCache(spec p4ir.CacheSpec, fields []string) *flowCache {
 		spec:    spec,
 		fields:  fields,
 		budget:  spec.Budget,
-		lru:     list.New(),
-		index:   map[string]*list.Element{},
 		limiter: newTokenBucket(spec.InsertLimit),
+		head:    nilNode,
+		tail:    nilNode,
 	}
 }
 
-// get looks up a key, refreshing LRU order on hit. The []byte key is
-// indexed via string conversion directly in the map expression, which the
-// compiler turns into an allocation-free probe.
-func (c *flowCache) get(key []byte) (cachedResult, bool) {
+// hashWords folds key words to 64 bits, one multiply per word. The flow
+// caches index by it and compare the words on a match; the profiling
+// sink uses it as the identity of a multi-field key.
+func hashWords(words []uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range words {
+		h = (h ^ w) * fib64
+		h ^= h >> 32
+	}
+	return h
+}
+
+// find returns the node holding key, or nilNode.
+func (c *flowCache) find(key []uint64, h uint64) int32 {
+	if len(c.index) == 0 {
+		return nilNode
+	}
+	mask := uint64(len(c.index) - 1)
+	for i := h >> c.shift; ; i = (i + 1) & mask {
+		id := c.index[i] - 1
+		if id < 0 {
+			return nilNode
+		}
+		if nd := &c.nodes[id]; nd.hash == h && slices.Equal(nd.key, key) {
+			return id
+		}
+	}
+}
+
+// unlink takes a node out of the LRU order.
+func (c *flowCache) unlink(id int32) {
+	nd := &c.nodes[id]
+	if nd.prev >= 0 {
+		c.nodes[nd.prev].next = nd.next
+	} else {
+		c.head = nd.next
+	}
+	if nd.next >= 0 {
+		c.nodes[nd.next].prev = nd.prev
+	} else {
+		c.tail = nd.prev
+	}
+}
+
+// pushFront makes an unlinked node the most recently used.
+func (c *flowCache) pushFront(id int32) {
+	nd := &c.nodes[id]
+	nd.prev, nd.next = nilNode, c.head
+	if c.head >= 0 {
+		c.nodes[c.head].prev = id
+	} else {
+		c.tail = id
+	}
+	c.head = id
+}
+
+func (c *flowCache) touch(id int32) {
+	if c.head != id {
+		c.unlink(id)
+		c.pushFront(id)
+	}
+}
+
+// indexInsert records a node in a slot array that has room for it.
+func (c *flowCache) indexInsert(id int32) {
+	mask := uint64(len(c.index) - 1)
+	i := c.nodes[id].hash >> c.shift
+	for c.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.index[i] = id + 1
+}
+
+// indexDelete removes a node's slot, shifting the rest of its probe run
+// back so that no lookup meets a hole.
+func (c *flowCache) indexDelete(id int32) {
+	mask := uint64(len(c.index) - 1)
+	i := c.nodes[id].hash >> c.shift
+	for c.index[i] != id+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may move to the hole at i unless its home slot
+		// lies cyclically in (i, j].
+		if home := c.nodes[c.index[j]-1].hash >> c.shift; (j-home)&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = 0
+}
+
+// growIndex doubles the slot array and re-enters every live node.
+func (c *flowCache) growIndex() {
+	size := 2 * len(c.index)
+	if size < 16 {
+		size = 16
+	}
+	c.index = make([]int32, size)
+	c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for id := range c.nodes {
+		c.indexInsert(int32(id))
+	}
+}
+
+// get looks up a key, refreshing LRU order on hit. The result's writes
+// are copied into buf (returned re-sliced): the node's own buffer may be
+// rewritten by a concurrent put as soon as the lock is released.
+func (c *flowCache) get(key []uint64, buf []fieldWrite) (cachedResult, bool) {
+	h := hashWords(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.index[string(key)]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheNode).res, true
+	id := c.find(key, h)
+	if id < 0 {
+		c.misses++
+		return cachedResult{}, false
 	}
-	c.misses++
-	return cachedResult{}, false
+	c.touch(id)
+	c.hits++
+	nd := &c.nodes[id]
+	return cachedResult{writes: append(buf[:0], nd.writes...), dropped: nd.dropped}, true
 }
 
 // put installs a result, subject to the rate limit and LRU eviction. The
-// key bytes and the result's writes slice are copied: callers reuse both
-// buffers across packets.
-func (c *flowCache) put(key []byte, res cachedResult, now time.Time) bool {
+// key words and the result's writes are copied into the node's buffers:
+// callers reuse both across packets.
+func (c *flowCache) put(key []uint64, res cachedResult, now time.Time) bool {
+	h := hashWords(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res.writes = append([]fieldWrite(nil), res.writes...)
-	if el, ok := c.index[string(key)]; ok {
-		el.Value.(*cacheNode).res = res
-		c.lru.MoveToFront(el)
-		return true
-	}
-	if !c.limiter.allow(now) {
-		c.rejected++
-		return false
-	}
-	if c.budget > 0 && c.lru.Len() >= c.budget {
-		back := c.lru.Back()
-		if back != nil {
-			delete(c.index, back.Value.(*cacheNode).key)
-			c.lru.Remove(back)
-			c.evictions++
+	id := c.find(key, h)
+	if id >= 0 {
+		c.touch(id)
+	} else {
+		if !c.limiter.allow(now) {
+			c.rejected++
+			return false
 		}
+		if c.budget > 0 && len(c.nodes) >= c.budget {
+			// The evicted node is the one the new key moves into.
+			id = c.tail
+			c.indexDelete(id)
+			c.unlink(id)
+			c.evictions++
+		} else {
+			if 2*(len(c.nodes)+1) > len(c.index) {
+				c.growIndex()
+			}
+			id = int32(len(c.nodes))
+			if int(id) < cap(c.nodes) {
+				c.nodes = c.nodes[:id+1] // a node an invalidation left behind
+			} else {
+				c.nodes = append(c.nodes, cacheNode{})
+			}
+		}
+		nd := &c.nodes[id]
+		nd.hash = h
+		nd.key = append(nd.key[:0], key...)
+		c.indexInsert(id)
+		c.pushFront(id)
+		c.inserts++
 	}
-	k := string(key)
-	c.index[k] = c.lru.PushFront(&cacheNode{key: k, res: res})
-	c.inserts++
+	nd := &c.nodes[id]
+	nd.writes = append(nd.writes[:0], res.writes...)
+	nd.dropped = res.dropped
 	return true
 }
 
 // invalidate clears the whole cache (an update in any covered table
-// invalidates it, §3.2.2).
+// invalidates it, §3.2.2). The slab keeps its nodes' buffers.
 func (c *flowCache) invalidate() {
 	c.mu.Lock()
-	c.lru.Init()
-	c.index = map[string]*list.Element{}
+	if len(c.nodes) > 0 {
+		c.nodes = c.nodes[:0]
+		clear(c.index)
+		c.head, c.tail = nilNode, nilNode
+	}
 	c.invalidations++
 	c.mu.Unlock()
 }
@@ -168,7 +307,7 @@ func (c *flowCache) stats() CacheStats {
 		Hits:  c.hits, Misses: c.misses,
 		Inserts: c.inserts, Rejected: c.rejected,
 		Evictions: c.evictions, Invalidations: c.invalidations,
-		Entries: c.lru.Len(),
+		Entries: len(c.nodes),
 	}
 }
 

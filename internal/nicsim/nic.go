@@ -134,13 +134,13 @@ type procCtx struct {
 	wantPath bool     // record Result.Path (scalar Process only)
 	values   []uint64 // gathered match-key values
 	scratch  []byte   // lookup key build buffer
-	keyBuf   []byte   // append-only per-packet cache-fill keys
+	keyBuf   []uint64 // append-only per-packet cache-fill key words
 	path     []int32  // node ids traversed
 	writes   []fieldWrite
 	fills    []fillRef
 	fillBufs [][]fieldWrite // reusable write buffers, one per fill slot
-	// burst is the per-burst profiling accumulator (lazily created; only
-	// the burst path uses it).
+	// burst is the profiling accumulator (lazily created), flushed once
+	// per burst.
 	burst *profile.Burst
 }
 
@@ -154,7 +154,7 @@ func (ctx *procCtx) reset() {
 
 type fillRef struct {
 	cache          *flowCache
-	keyOff, keyLen int
+	keyOff, keyLen int      // in words of keyBuf
 	covers         []uint64 // node-id bitset; nil = every table (vendor)
 	writes         []fieldWrite
 	dropped        bool
@@ -313,33 +313,46 @@ type Result struct {
 }
 
 // Process runs one packet through the program, mutating it in place, and
-// returns the emulated result. It takes no locks: the execution plan is
-// read through an atomic pointer and all scratch state lives in a pooled
+// returns the emulated result: ProcessBurst of one packet, plus
+// Result.Path. It takes no locks on the plan: the execution plan is read
+// through an atomic pointer and all scratch state lives in a pooled
 // context, so concurrent callers never contend.
 func (n *NIC) Process(pkt *packet.Packet) Result {
 	pl := n.plan.Load()
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = true
-	var sink profile.Sink
-	if len(pl.shards) > 0 {
-		sink = pl.shards[int(ctx.slot)%len(pl.shards)]
-	}
+	sink := ctx.sink(pl)
 	var res Result
 	n.run(pl, ctx, pkt, sink, &res)
+	sink.Flush()
 	n.note(res.Dropped)
 	ctx.reset()
 	n.ctxPool.Put(ctx)
 	return res
 }
 
+// sink returns the context's profiling accumulator bound to the plan's
+// shard bank, or nil when the plan is not instrumented.
+func (ctx *procCtx) sink(pl *execPlan) *profile.Burst {
+	if len(pl.shards) == 0 {
+		return nil
+	}
+	shard := pl.shards[int(ctx.slot)%len(pl.shards)]
+	if ctx.burst == nil {
+		ctx.burst = shard.NewBurst()
+	} else {
+		ctx.burst.Rebind(shard)
+	}
+	return ctx.burst
+}
+
 // run walks the compiled plan for one packet. Profiling updates go
-// through sink (a Shard for the scalar path, a per-burst accumulator for
-// the burst path — both commutative, so the two paths produce identical
-// snapshots). The caller accounts the packet via note / noteBurst.
+// through sink, which the caller flushes; the caller also accounts the
+// packet via note / noteBurst.
 // run fills res in place rather than returning it: the burst path calls
 // it once per packet, and writing through the pointer keeps the Result
 // (with its Path slice header) out of the call's copy traffic.
-func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink profile.Sink, res *Result) {
+func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.Burst, res *Result) {
 	*res = Result{}
 	lat := pl.perPacketOver
 
@@ -362,13 +375,11 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink profile.S
 		k := pkt.Flow()
 		off := len(ctx.keyBuf)
 		ctx.keyBuf = append(ctx.keyBuf,
-			byte(k.SrcAddr>>24), byte(k.SrcAddr>>16), byte(k.SrcAddr>>8), byte(k.SrcAddr),
-			byte(k.DstAddr>>24), byte(k.DstAddr>>16), byte(k.DstAddr>>8), byte(k.DstAddr),
-			byte(k.SrcPort>>8), byte(k.SrcPort),
-			byte(k.DstPort>>8), byte(k.DstPort),
-			k.Proto)
+			uint64(k.SrcAddr)<<32|uint64(k.DstAddr),
+			uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))
 		lat += pl.lmat
-		if r, ok := pl.vendor.get(ctx.keyBuf[off:]); ok {
+		if r, ok := pl.vendor.get(ctx.keyBuf[off:], ctx.writes); ok {
+			ctx.writes = r.writes
 			for _, w := range r.writes {
 				pkt.SetID(w.id, w.value)
 			}
@@ -431,12 +442,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink profile.S
 			ctx.gather(rt, pkt)
 			lat += pl.lmat * mult
 			off := len(ctx.keyBuf)
-			for _, v := range ctx.values {
-				ctx.keyBuf = append(ctx.keyBuf,
-					byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-					byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-			}
-			if r, ok := nd.fc.get(ctx.keyBuf[off:]); ok {
+			ctx.keyBuf = append(ctx.keyBuf, ctx.values...)
+			if r, ok := nd.fc.get(ctx.keyBuf[off:], ctx.writes); ok {
+				ctx.writes = r.writes
 				for _, w := range r.writes {
 					pkt.SetID(w.id, w.value)
 				}
@@ -476,8 +484,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink profile.S
 			// the whole lookup inlines into this loop.
 			v := pkt.GetID(rt.fids[0]) & rt.kmasks[0]
 			if sampled {
-				one := [1]uint64{v}
-				sink.AddKey(int(nd.keySlot), foldValues(one[:]))
+				sink.AddKey(int(nd.keySlot), v)
 			}
 			se := rt.m0.get(v & rt.m0mask)
 			lr = lookupResult{entry: se, probes: 1, hit: se != nil}
@@ -486,14 +493,13 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink profile.S
 			// no gather loop, no scratch buffer.
 			v := pkt.GetID(rt.fids[0]) & rt.kmasks[0]
 			if sampled {
-				one := [1]uint64{v}
-				sink.AddKey(int(nd.keySlot), foldValues(one[:]))
+				sink.AddKey(int(nd.keySlot), v)
 			}
 			lr = rt.lookup1(v)
 		} else {
 			ctx.gather(rt, pkt)
 			if sampled && len(ctx.values) > 0 {
-				sink.AddKey(int(nd.keySlot), foldValues(ctx.values))
+				sink.AddKey(int(nd.keySlot), hashWords(ctx.values))
 			}
 			need := 8 * len(ctx.values)
 			if cap(ctx.scratch) < need {
@@ -627,16 +633,4 @@ func (pl *execPlan) applyNoise(lat float64, flowHash uint64) float64 {
 		f = 0.5
 	}
 	return lat * f
-}
-
-func foldValues(values []uint64) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range values {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
 }

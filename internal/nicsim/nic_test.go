@@ -1,7 +1,6 @@
 package nicsim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -348,14 +347,15 @@ func TestFlowCacheCachesDropVerdict(t *testing.T) {
 func TestCacheLRUEvictionAndBudget(t *testing.T) {
 	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 2}, nil)
 	now := timeNow()
-	fc.put([]byte("a"), cachedResult{}, now)
-	fc.put([]byte("b"), cachedResult{}, now)
-	fc.get([]byte("a")) // refresh a
-	fc.put([]byte("c"), cachedResult{}, now)
-	if _, ok := fc.get([]byte("b")); ok {
+	a, b, c := []uint64{1}, []uint64{2}, []uint64{3}
+	fc.put(a, cachedResult{}, now)
+	fc.put(b, cachedResult{}, now)
+	fc.get(a, nil) // refresh a
+	fc.put(c, cachedResult{}, now)
+	if _, ok := fc.get(b, nil); ok {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if _, ok := fc.get([]byte("a")); !ok {
+	if _, ok := fc.get(a, nil); !ok {
 		t.Error("a was refreshed; must survive")
 	}
 	if st := fc.stats(); st.Evictions != 1 || st.Entries != 2 {
@@ -368,7 +368,7 @@ func TestCacheInsertRateLimit(t *testing.T) {
 	now := timeNow()
 	accepted := 0
 	for i := 0; i < 100; i++ {
-		if fc.put([]byte(fmt.Sprintf("k%d", i)), cachedResult{}, now) {
+		if fc.put([]uint64{uint64(i)}, cachedResult{}, now) {
 			accepted++
 		}
 	}

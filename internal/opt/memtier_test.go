@@ -6,6 +6,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 	"pipeleon/internal/trafficgen"
 )
 
@@ -46,10 +47,11 @@ func TestPlanMemoryTiersPrefersHotTraffic(t *testing.T) {
 	prog := tierProgram(t)
 	// gate drops 80%: "cold" sees 20% of traffic, the rest see 100%.
 	col := profile.NewCollector()
-	recordDrops(col, "gate", 80)
+	rec := profiletest.NewRecorder(col)
+	recordDrops(rec, "gate", 80)
 	for _, tb := range []string{"hot", "warm", "cold"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 	}
 	pm := tierParams()

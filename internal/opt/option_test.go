@@ -10,6 +10,7 @@ import (
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 // aclSpec builds an independent ACL-style table (drop + allow) keyed on a
@@ -39,12 +40,12 @@ func mustChain(t *testing.T, specs ...p4ir.TableSpec) *p4ir.Program {
 	return prog
 }
 
-func recordDrops(col *profile.Collector, table string, dropPct int) {
+func recordDrops(rec *profiletest.Recorder, table string, dropPct int) {
 	for i := 0; i < dropPct; i++ {
-		col.RecordAction(table, "drop_packet")
+		rec.Action(table, "drop_packet")
 	}
 	for i := dropPct; i < 100; i++ {
-		col.RecordAction(table, "allow")
+		rec.Action(table, "allow")
 	}
 }
 
@@ -149,10 +150,11 @@ func TestLocalOptimizePrefersDropPromotion(t *testing.T) {
 		aclSpec("acl", "f.d"),
 	)
 	col := profile.NewCollector()
-	recordDrops(col, "acl", 75)
+	rec := profiletest.NewRecorder(col)
+	recordDrops(rec, "acl", 75)
 	for _, tb := range []string{"t1", "t2", "t3"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 	}
 	cfg := DefaultConfig()
@@ -183,13 +185,14 @@ func TestLocalOptimizeCachingComplexTables(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 		// Few distinct keys: cacheable working set.
 		for k := uint64(0); k < 10; k++ {
-			col.RecordKey(tb, k)
+			rec.Key(tb, k)
 		}
 	}
 	cfg := DefaultConfig()
@@ -224,12 +227,13 @@ func TestCrossProductPenalizesWideCaches(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 		for k := uint64(0); k < 3000; k++ {
-			col.RecordKey(tb, k)
+			rec.Key(tb, k)
 		}
 	}
 	cfg := DefaultConfig()
@@ -266,9 +270,10 @@ func TestMergeExactTablesProducesMergedCacheGain(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchExact),
 	)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 	}
 	cfg := DefaultConfig()
@@ -295,9 +300,10 @@ func TestMergingTernaryTablesLoses(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 	}
 	cfg := DefaultConfig()
@@ -404,8 +410,9 @@ func TestLocalOptimizeManyTablesFallsBackToGreedy(t *testing.T) {
 	}
 	prog := mustChain(t, specs...)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 9; i++ {
-		recordDrops(col, fmt.Sprintf("a%d", i), i*10)
+		recordDrops(rec, fmt.Sprintf("a%d", i), i*10)
 	}
 	cfg := DefaultConfig()
 	cfg.MaxPipeletLen = 9

@@ -7,6 +7,7 @@ import (
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 func entry(action string, vals ...uint64) p4ir.Entry {
@@ -340,13 +341,14 @@ func TestSearchAndApplyEndToEnd(t *testing.T) {
 		aclSpec("acl2", "f.d"),
 	)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
-			col.RecordAction(tb, "set")
+			rec.Action(tb, "set")
 		}
 	}
-	recordDrops(col, "acl1", 5)
-	recordDrops(col, "acl2", 80)
+	recordDrops(rec, "acl1", 5)
+	recordDrops(rec, "acl2", 80)
 	prof := col.Snapshot()
 	pm := costmodel.BlueField2()
 	cfg := DefaultConfig()

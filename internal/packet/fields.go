@@ -2,9 +2,11 @@ package packet
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FieldInfo describes a named header field available to match-action keys.
@@ -93,6 +95,9 @@ var metaReg = struct {
 	sync.RWMutex
 	ids   map[string]FieldID
 	names []string
+	// count mirrors len(names) for lock-free readers: a packet sizes its
+	// dense metadata store to cover every field interned so far.
+	count atomic.Int32
 }{ids: map[string]FieldID{}}
 
 // FieldIDFor resolves a field name to its ID, interning metadata names on
@@ -118,6 +123,7 @@ func FieldIDFor(name string) FieldID {
 	id = metaBase + FieldID(len(metaReg.names))
 	metaReg.ids[name] = id
 	metaReg.names = append(metaReg.names, name)
+	metaReg.count.Store(int32(len(metaReg.names)))
 	return id
 }
 
@@ -199,12 +205,19 @@ func (p *Packet) Get(name string) (uint64, bool) {
 // GetID reads a field by compiled ID. Absent metadata fields read zero.
 func (p *Packet) GetID(id FieldID) uint64 {
 	if id >= metaBase {
-		for i := 0; i < int(p.nMeta); i++ {
-			if p.metaKeys[i] == id {
-				return p.metaVals[i]
+		if len(p.metaSet) > 0 {
+			i := uint(id - metaBase)
+			if w := i >> 6; w < uint(len(p.metaSet)) && p.metaSet[w]&(1<<(i&63)) != 0 {
+				return p.metaDense[i]
+			}
+			return 0
+		}
+		for j := 0; j < int(p.nMeta); j++ {
+			if p.metaKeys[j] == id {
+				return p.metaVals[j]
 			}
 		}
-		return p.metaOver[id]
+		return 0
 	}
 	switch id {
 	case fieldEthDstMac:
@@ -254,28 +267,27 @@ func (p *Packet) Set(name string, v uint64) error {
 // SetID writes a field by compiled ID. Writes to FieldInvalid are dropped.
 func (p *Packet) SetID(id FieldID, v uint64) {
 	if id >= metaBase {
-		for i := 0; i < int(p.nMeta); i++ {
-			if p.metaKeys[i] == id {
-				p.metaVals[i] = v
+		if len(p.metaSet) == 0 {
+			for j := 0; j < int(p.nMeta); j++ {
+				if p.metaKeys[j] == id {
+					p.metaVals[j] = v
+					return
+				}
+			}
+			if int(p.nMeta) < metaInlineSlots {
+				p.metaKeys[p.nMeta] = id
+				p.metaVals[p.nMeta] = v
+				p.nMeta++
 				return
 			}
+			p.spillMeta()
 		}
-		if p.metaOver != nil {
-			if _, ok := p.metaOver[id]; ok {
-				p.metaOver[id] = v
-				return
-			}
+		i := uint(id - metaBase)
+		if i>>6 >= uint(len(p.metaSet)) {
+			p.growMeta(int(i>>6) + 1)
 		}
-		if int(p.nMeta) < metaInlineSlots {
-			p.metaKeys[p.nMeta] = id
-			p.metaVals[p.nMeta] = v
-			p.nMeta++
-			return
-		}
-		if p.metaOver == nil {
-			p.metaOver = map[FieldID]uint64{}
-		}
-		p.metaOver[id] = v
+		p.metaSet[i>>6] |= 1 << (i & 63)
+		p.metaDense[i] = v
 		return
 	}
 	switch id {
@@ -327,6 +339,45 @@ func u64ToMAC(v uint64, m *[6]byte) {
 	}
 }
 
+// spillMeta moves the inline fields into the dense store, which holds
+// every field from then on.
+func (p *Packet) spillMeta() {
+	for j := 0; j < int(p.nMeta); j++ {
+		i := uint(p.metaKeys[j] - metaBase)
+		if i>>6 >= uint(len(p.metaSet)) {
+			p.growMeta(int(i>>6) + 1)
+		}
+		p.metaSet[i>>6] |= 1 << (i & 63)
+		p.metaDense[i] = p.metaVals[j]
+	}
+	if len(p.metaSet) == 0 {
+		p.growMeta(1)
+	}
+	p.nMeta = 0
+}
+
+// growMeta extends the dense store to at least words bitmap words,
+// inside the packet's buffer when it is large enough. New bitmap words
+// are cleared; value words are not (the bitmap guards them).
+func (p *Packet) growMeta(words int) {
+	old := len(p.metaSet)
+	if words > cap(p.metaSet) {
+		// Cover every field interned so far: the packet then allocates
+		// once however many of them its program goes on to write.
+		if all := (int(metaReg.count.Load()) + 63) >> 6; words < all {
+			words = all
+		}
+		buf := make([]uint64, 65*words)
+		copy(buf[:words], p.metaSet)
+		copy(buf[words:], p.metaDense)
+		p.metaSet, p.metaDense = buf[:words:words], buf[words:]
+		return
+	}
+	p.metaSet = p.metaSet[:words]
+	clear(p.metaSet[old:])
+	p.metaDense = p.metaDense[:64*words]
+}
+
 // Clone deep-copies the packet (payload shared — it is immutable in the
 // emulator; metadata copied). Packets whose metadata fits the inline
 // slots clone in a single allocation.
@@ -339,37 +390,53 @@ func (p *Packet) Clone() *Packet {
 // CloneInto copies the packet into dst, reusing dst's storage — the
 // allocation-free form of Clone the burst measurement loops use (one
 // scratch Packet per worker instead of one heap clone per packet). Like
-// Clone, the payload is shared and metadata is deep-copied.
+// Clone, the payload is shared and metadata is deep-copied: dst keeps its
+// own dense-store buffer, of which nothing a previous occupant wrote stays
+// readable. A dst that owns a buffer takes the fields into it at once —
+// its last occupant outgrew the inline slots, and this one, run through
+// the same program, would too.
 func (p *Packet) CloneInto(dst *Packet) {
+	set, over := dst.metaSet[:0], dst.metaDense[:0]
 	*dst = *p
-	if p.metaOver != nil {
-		over := make(map[FieldID]uint64, len(p.metaOver))
-		for k, v := range p.metaOver {
-			over[k] = v
+	dst.metaSet, dst.metaDense = set, over
+	if len(p.metaSet) == 0 {
+		if cap(set) > 0 {
+			dst.spillMeta()
 		}
-		dst.metaOver = over
+		return
+	}
+	dst.growMeta(len(p.metaSet))
+	copy(dst.metaSet, p.metaSet)
+	for w, m := range p.metaSet {
+		if m != 0 {
+			copy(dst.metaDense[64*w:64*w+64], p.metaDense[64*w:])
+		}
 	}
 }
 
 // MetaMap returns a copy of all metadata fields keyed by full name
 // ("meta.x"). Intended for tests and debugging, not the hot path.
 func (p *Packet) MetaMap() map[string]uint64 {
-	out := make(map[string]uint64, int(p.nMeta)+len(p.metaOver))
+	out := make(map[string]uint64, int(p.nMeta))
 	for i := 0; i < int(p.nMeta); i++ {
 		out[FieldName(p.metaKeys[i])] = p.metaVals[i]
 	}
-	for k, v := range p.metaOver {
-		out[FieldName(k)] = v
+	for w, m := range p.metaSet {
+		for ; m != 0; m &= m - 1 {
+			i := 64*w + bits.TrailingZeros64(m)
+			out[FieldName(metaBase+FieldID(i))] = p.metaDense[i]
+		}
 	}
 	return out
 }
 
-// ClearMeta removes every metadata field.
+// ClearMeta removes every metadata field. The dense-store buffer is
+// released rather than kept: a Packet copied by value shares it.
 func (p *Packet) ClearMeta() {
 	for i := 0; i < int(p.nMeta); i++ {
 		p.metaKeys[i] = 0
 		p.metaVals[i] = 0
 	}
 	p.nMeta = 0
-	p.metaOver = nil
+	p.metaSet, p.metaDense = nil, nil
 }

@@ -85,25 +85,31 @@ type Packet struct {
 	HasTCP  bool
 	HasUDP  bool
 	Payload []byte
-	// Metadata fields ("meta.x") live in a small inline array keyed by
-	// interned FieldID so that metadata writes and Clone stay
-	// allocation-free on the emulator's hot path — and so a Packet with
-	// no payload or overflow is pointer-free, which keeps GC scanning and
-	// write barriers off burst clones. Programs touching more than
-	// metaInlineSlots distinct fields spill to the overflow map. Access
-	// via Get/Set/GetID/SetID/MetaMap.
-	nMeta    uint8
-	metaKeys [metaInlineSlots]FieldID
-	metaVals [metaInlineSlots]uint64
-	metaOver map[FieldID]uint64
+	// Metadata fields ("meta.x") are keyed by interned FieldID. A packet
+	// keeps its first metaInlineSlots distinct fields in a small inline
+	// array, so a Packet of a small program holds no pointer but its
+	// payload and clones as one struct copy. The write of one field more
+	// moves them all to the dense store, and len(metaSet) > 0 from then
+	// on: metaDense[id-metaBase] holds a value and bit id-metaBase of
+	// metaSet says whether it is present (a word whose bit is clear is
+	// garbage, possibly a previous occupant's). The buffer behind both
+	// slices belongs to this packet alone; CloneInto keeps the
+	// destination's buffer, so a scratch packet allocates once. Access via
+	// Get/Set/GetID/SetID/MetaMap.
+	nMeta     uint8
+	metaKeys  [metaInlineSlots]FieldID
+	metaVals  [metaInlineSlots]uint64
+	metaSet   []uint64 // presence bitmap of the dense store; empty = inline
+	metaDense []uint64 // len == 64*len(metaSet)
 	// WireLen is the original wire length in bytes (for throughput math);
 	// Serialize output may differ if fields changed.
 	WireLen int
 }
 
-// metaInlineSlots is the inline metadata capacity. Synthetic workloads
-// write up to three scratch fields per table plus the egress port; 24
-// slots cover every program in the repo without spilling.
+// metaInlineSlots is the inline metadata capacity. It covers the
+// hand-written programs (dash.p4 touches under a dozen fields); the
+// synthetic programs write up to three scratch fields per table, so the
+// 110-table program spills to the dense store on every packet.
 const metaInlineSlots = 24
 
 // Header sizes.

@@ -7,6 +7,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 func tbl(name, next string) p4ir.TableSpec {
@@ -147,16 +148,17 @@ func TestRankByCostAndTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	// 90% of traffic goes to the a-branch.
 	for i := 0; i < 90; i++ {
-		col.RecordBranch("c0", true)
+		rec.Branch("c0", true)
 	}
 	for i := 0; i < 10; i++ {
-		col.RecordBranch("c0", false)
+		rec.Branch("c0", false)
 	}
 	// Switch-case sends everything to x.
 	for i := 0; i < 100; i++ {
-		col.RecordAction("sw", "go_x")
+		rec.Action("sw", "go_x")
 	}
 	prof := col.Snapshot()
 	pm := costmodel.Params{Lmat: 10, Lact: 2, BranchFactor: 0.1}
@@ -198,14 +200,15 @@ func TestTrafficDistributionSumsToOne(t *testing.T) {
 	prog := figure8(t)
 	part, _ := Form(prog, 0)
 	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 60; i++ {
-		col.RecordBranch("c0", true)
+		rec.Branch("c0", true)
 	}
 	for i := 0; i < 40; i++ {
-		col.RecordBranch("c0", false)
+		rec.Branch("c0", false)
 	}
 	for i := 0; i < 100; i++ {
-		col.RecordAction("sw", "go_x")
+		rec.Action("sw", "go_x")
 	}
 	dist := TrafficDistribution(prog, col.Snapshot(), part)
 	var sum float64

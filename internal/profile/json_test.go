@@ -1,32 +1,36 @@
-package profile
+package profile_test
 
 import (
 	"encoding/json"
 	"testing"
+
+	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 // Profiles travel as JSON through the control plane and the pipeleon CLI
 // (-profile); the snapshot must round-trip losslessly.
 func TestProfileJSONRoundTrip(t *testing.T) {
-	col := NewCollector()
-	col.RecordAction("t1", "a")
-	col.RecordAction("t1", "a")
-	col.RecordAction("t1", "b")
-	col.RecordBranch("c1", true)
-	col.RecordBranch("c1", false)
-	col.RecordCache("cache1", true)
-	col.RecordCache("cache1", false)
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
+	rec.Action("t1", "a")
+	rec.Action("t1", "a")
+	rec.Action("t1", "b")
+	rec.Branch("c1", true)
+	rec.Branch("c1", false)
+	rec.Cache("cache1", true)
+	rec.Cache("cache1", false)
 	col.ObserveUpdateRate("t1", 123.5)
-	col.RecordKey("t1", 1)
-	col.RecordKey("t1", 2)
-	col.RecordFlow(99)
+	rec.Key("t1", 1)
+	rec.Key("t1", 2)
+	rec.Flow(99)
 	p := col.Snapshot()
 
 	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := New()
+	back := profile.New()
 	if err := json.Unmarshal(data, back); err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +58,10 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 }
 
 func TestFlowCardinalityTracking(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 100; i++ {
-		col.RecordFlow(uint64(i % 25))
+		rec.Flow(uint64(i % 25))
 	}
 	if got := col.Snapshot().FlowCardinality; got != 25 {
 		t.Errorf("flow cardinality = %d, want 25", got)
@@ -64,5 +69,10 @@ func TestFlowCardinalityTracking(t *testing.T) {
 	col.Reset()
 	if got := col.Snapshot().FlowCardinality; got != 0 {
 		t.Errorf("flow cardinality after reset = %d", got)
+	}
+	// A flow of the closed window counts again in the new one.
+	rec.Flow(3)
+	if got := col.Snapshot().FlowCardinality; got != 1 {
+		t.Errorf("flow cardinality in the new window = %d, want 1", got)
 	}
 }

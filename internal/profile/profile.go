@@ -245,89 +245,22 @@ type Layout struct {
 }
 
 // Shard is one core's lock-free counter bank for a bound Layout. Counters
-// are atomic so any goroutine may increment any shard, but the intended
-// pattern is one shard per processing context: increments are then
-// uncontended and scale linearly with cores. Key/flow sets are the only
-// mutex-guarded state, and they are touched at most once per sampled
-// packet. Counts are merged back into the owning Collector lazily, on
-// Snapshot/Reset/Bind — the hot path never takes the Collector's mutex.
+// are atomic so any goroutine may add to any shard, but the intended
+// pattern is one shard per processing context, written through that
+// context's Burst: adds are then uncontended and scale linearly with
+// cores. Counts are merged back into the owning Collector lazily, on
+// Snapshot/Reset/Bind — the hot path never takes the Collector's mutex
+// for a counter.
 type Shard struct {
-	every *atomic.Uint64 // shared sampling divisor (the Collector's)
-	tick  *atomic.Uint64 // shared sampling wheel (the Collector's)
+	c   *Collector
+	gen uint64 // the Bind call that made the shard; see Collector.gen
 
 	actions  []atomic.Uint64 // one per Layout.Actions slot
 	branches []atomic.Uint64 // two per Layout.Branches slot: [2i]=true, [2i+1]=false
 	caches   []atomic.Uint64 // two per Layout.Caches slot: [2i]=hit, [2i+1]=miss
-
-	mu    sync.Mutex
-	keys  []map[uint64]struct{} // one per Layout.Tables slot, lazily allocated
-	flows map[uint64]struct{}
 }
 
-// Sampled reports whether this packet should update counters, advancing
-// the collector-wide sampling wheel. The wheel is shared across shards so
-// exactly 1 in `every` packets is sampled regardless of how packets were
-// spread over shards; at every == 1 (record-all) the shared counter is
-// never touched and the fast path stays contention-free. With sampling
-// enabled (every > 1) which packets are selected depends on goroutine
-// interleaving, so serial and parallel runs agree exactly only at
-// every == 1.
-func (s *Shard) Sampled() bool {
-	e := s.every.Load()
-	if e <= 1 {
-		return true
-	}
-	return s.tick.Add(1)%e == 0
-}
-
-// IncAction counts one packet executing the action at the given slot.
-func (s *Shard) IncAction(slot int) { s.actions[slot].Add(1) }
-
-// IncBranch counts one conditional outcome at the given slot.
-func (s *Shard) IncBranch(slot int, taken bool) {
-	i := 2 * slot
-	if !taken {
-		i++
-	}
-	s.branches[i].Add(1)
-}
-
-// IncCache counts a cache hit or miss at the given slot.
-func (s *Shard) IncCache(slot int, hit bool) {
-	i := 2 * slot
-	if !hit {
-		i++
-	}
-	s.caches[i].Add(1)
-}
-
-// AddKey notes a distinct folded key value at the given table slot.
-func (s *Shard) AddKey(slot int, key uint64) {
-	s.mu.Lock()
-	set := s.keys[slot]
-	if set == nil {
-		set = map[uint64]struct{}{}
-		s.keys[slot] = set
-	}
-	if len(set) < keyCardCap {
-		set[key] = struct{}{}
-	}
-	s.mu.Unlock()
-}
-
-// AddFlow notes a distinct flow key.
-func (s *Shard) AddFlow(key uint64) {
-	s.mu.Lock()
-	if s.flows == nil {
-		s.flows = map[uint64]struct{}{}
-	}
-	if len(s.flows) < keyCardCap {
-		s.flows[key] = struct{}{}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Shard) zeroLocked() {
+func (s *Shard) zero() {
 	for i := range s.actions {
 		s.actions[i].Store(0)
 	}
@@ -337,50 +270,45 @@ func (s *Shard) zeroLocked() {
 	for i := range s.caches {
 		s.caches[i].Store(0)
 	}
-	s.mu.Lock()
-	for i := range s.keys {
-		s.keys[i] = nil
-	}
-	s.flows = nil
-	s.mu.Unlock()
 }
 
-// Collector is the concurrent write side of profiling. The emulator's
-// cores call Record* on the hot path (legacy string-keyed API) or, after
-// Bind, increment per-shard integer-indexed counters; the Pipeleon
-// runtime calls Snapshot on every optimization window.
+// Collector is the concurrent write side of profiling. The emulator binds
+// a Layout, and its cores record through per-context Bursts into the
+// shards' integer-indexed counters and the per-table key sets; the
+// Pipeleon runtime calls Snapshot on every optimization window.
 type Collector struct {
 	mu sync.Mutex
 	p  *Profile
 	// every records 1-in-N sampling (1 = record all packets); counts are
-	// scaled by N at snapshot time so probabilities are unbiased.
+	// scaled by N at snapshot time so probabilities are unbiased. tick is
+	// the sampling wheel, shared by every Burst so that exactly 1 in
+	// every packets is sampled however packets are spread over cores; at
+	// every == 1 it is never touched. With sampling on, which packets are
+	// selected depends on goroutine interleaving, so serial and parallel
+	// runs agree exactly only at every == 1.
 	every atomic.Uint64
 	tick  atomic.Uint64
-	// keys tracks distinct key values per table, capped at keyCardCap
-	// entries each to bound memory.
-	keys map[string]map[uint64]struct{}
-	// flows tracks distinct flow keys, capped like keys.
-	flows map[uint64]struct{}
+	// keys holds the distinct key values seen per table name this window
+	// and flows the distinct flow keys; their lengths are the
+	// cardinalities. A set outlives a Bind, so a program swap keeps the
+	// window's keys of the tables it keeps. slotKeys is keys resolved to
+	// the bound layout's Tables slots, the form Burst.Flush addresses.
+	keys     map[string]*u64set
+	slotKeys []*u64set
+	flows    u64set
 	// layout/shards is the currently bound integer-indexed counter bank
-	// (nil until Bind). Snapshot merges shards through the layout.
+	// (nil until Bind). Snapshot merges shards through the layout. gen
+	// counts Bind calls: keys flushed by a burst still bound to an earlier
+	// layout's shard name that layout's slots and are dropped, like the
+	// counters of that shard.
 	layout *Layout
 	shards []*Shard
-	// unionScratch is Snapshot's reusable dedup buffer for the per-table
-	// and per-flow shard unions. Only its size is ever read, so one
-	// cleared map serves every union in turn; pooling it keeps repeated
-	// snapshots (one per profiling window) from reallocating a map per
-	// table. Guarded by mu like everything else.
-	unionScratch map[uint64]struct{}
+	gen    uint64
 }
-
-// keyCardCap bounds the per-table distinct-key tracking set. Beyond the
-// cap the cardinality saturates, which is fine: the cache planner only
-// needs to know "small" vs "much larger than any cache budget".
-const keyCardCap = 1 << 16
 
 // NewCollector returns a collector recording every packet.
 func NewCollector() *Collector {
-	c := &Collector{p: New(), keys: map[string]map[uint64]struct{}{}}
+	c := &Collector{p: New(), keys: map[string]*u64set{}}
 	c.every.Store(1)
 	return c
 }
@@ -399,16 +327,6 @@ func (c *Collector) SetSampling(n uint64) {
 	c.mu.Unlock()
 }
 
-// Sampled reports whether this packet should update counters, advancing
-// the sampling wheel. Callers use it once per packet.
-func (c *Collector) Sampled() bool {
-	e := c.every.Load()
-	if e <= 1 {
-		return true
-	}
-	return c.tick.Add(1)%e == 0
-}
-
 // Bind installs a Layout and allocates n per-core shards for it,
 // returning them for the emulator to hand out to processing contexts.
 // Counts accumulated under a previous binding are folded into the
@@ -423,23 +341,64 @@ func (c *Collector) Bind(l *Layout, n int) []*Shard {
 	defer c.mu.Unlock()
 	c.foldShardsLocked()
 	c.layout = l
+	c.gen++
 	c.shards = make([]*Shard, n)
 	for i := range c.shards {
 		c.shards[i] = &Shard{
-			every:    &c.every,
-			tick:     &c.tick,
+			c:        c,
+			gen:      c.gen,
 			actions:  make([]atomic.Uint64, len(l.Actions)),
 			branches: make([]atomic.Uint64, 2*len(l.Branches)),
 			caches:   make([]atomic.Uint64, 2*len(l.Caches)),
-			keys:     make([]map[uint64]struct{}, len(l.Tables)),
 		}
 	}
+	c.resolveKeysLocked()
 	return c.shards
+}
+
+// resolveKeysLocked points slotKeys at the bound layout's tables' sets,
+// creating the missing ones.
+func (c *Collector) resolveKeysLocked() {
+	c.slotKeys = c.slotKeys[:0]
+	if c.layout == nil {
+		return
+	}
+	for _, table := range c.layout.Tables {
+		s := c.keys[table]
+		if s == nil {
+			s = &u64set{}
+			c.keys[table] = s
+		}
+		c.slotKeys = append(c.slotKeys, s)
+	}
+}
+
+// addKeys inserts one burst's keys under a single lock acquisition.
+func (c *Collector) addKeys(from *Shard, keys []burstKey) {
+	c.mu.Lock()
+	if from.gen == c.gen {
+		for _, k := range keys {
+			if k.slot == flowSlot {
+				c.flows.add(k.key)
+			} else {
+				c.slotKeys[k.slot].add(k.key)
+			}
+		}
+	}
+	c.mu.Unlock()
 }
 
 // foldShardsLocked drains every shard's counters into the string-keyed
 // profile and zeroes the shards, preserving window totals across a Bind.
 func (c *Collector) foldShardsLocked() {
+	c.mergeShardsLocked(c.p)
+	for _, s := range c.shards {
+		s.zero()
+	}
+}
+
+// mergeShardsLocked adds the live shard counters to out.
+func (c *Collector) mergeShardsLocked(out *Profile) {
 	l := c.layout
 	if l == nil {
 		return
@@ -448,10 +407,10 @@ func (c *Collector) foldShardsLocked() {
 		for i := range l.Actions {
 			if n := s.actions[i].Load(); n > 0 {
 				site := l.Actions[i]
-				m := c.p.ActionCounts[site.Table]
+				m := out.ActionCounts[site.Table]
 				if m == nil {
 					m = map[string]uint64{}
-					c.p.ActionCounts[site.Table] = m
+					out.ActionCounts[site.Table] = m
 				}
 				m[site.Action] += n
 			}
@@ -459,114 +418,21 @@ func (c *Collector) foldShardsLocked() {
 		for i, cond := range l.Branches {
 			t, f := s.branches[2*i].Load(), s.branches[2*i+1].Load()
 			if t+f > 0 {
-				v := c.p.BranchCounts[cond]
+				v := out.BranchCounts[cond]
 				v[0] += t
 				v[1] += f
-				c.p.BranchCounts[cond] = v
+				out.BranchCounts[cond] = v
 			}
 		}
 		for i, cache := range l.Caches {
 			if h := s.caches[2*i].Load(); h > 0 {
-				c.p.CacheHits[cache] += h
+				out.CacheHits[cache] += h
 			}
 			if m := s.caches[2*i+1].Load(); m > 0 {
-				c.p.CacheMisses[cache] += m
+				out.CacheMisses[cache] += m
 			}
 		}
-		s.mu.Lock()
-		for i, set := range s.keys {
-			if len(set) == 0 {
-				continue
-			}
-			dst := c.keys[l.Tables[i]]
-			if dst == nil {
-				dst = map[uint64]struct{}{}
-				c.keys[l.Tables[i]] = dst
-			}
-			for k := range set {
-				if len(dst) >= keyCardCap {
-					break
-				}
-				dst[k] = struct{}{}
-			}
-		}
-		for k := range s.flows {
-			if c.flows == nil {
-				c.flows = map[uint64]struct{}{}
-			}
-			if len(c.flows) >= keyCardCap {
-				break
-			}
-			c.flows[k] = struct{}{}
-		}
-		s.mu.Unlock()
-		s.zeroLocked()
 	}
-}
-
-// RecordAction counts one packet executing table/action.
-func (c *Collector) RecordAction(table, action string) {
-	c.mu.Lock()
-	m := c.p.ActionCounts[table]
-	if m == nil {
-		m = map[string]uint64{}
-		c.p.ActionCounts[table] = m
-	}
-	m[action]++
-	c.mu.Unlock()
-}
-
-// RecordBranch counts one conditional outcome.
-func (c *Collector) RecordBranch(cond string, taken bool) {
-	c.mu.Lock()
-	v := c.p.BranchCounts[cond]
-	if taken {
-		v[0]++
-	} else {
-		v[1]++
-	}
-	c.p.BranchCounts[cond] = v
-	c.mu.Unlock()
-}
-
-// RecordCache counts a cache hit or miss.
-func (c *Collector) RecordCache(cache string, hit bool) {
-	c.mu.Lock()
-	if hit {
-		c.p.CacheHits[cache]++
-	} else {
-		c.p.CacheMisses[cache]++
-	}
-	c.mu.Unlock()
-}
-
-// RecordFlow notes a distinct flow (pre-folded to uint64). Flow
-// cardinality bounds every cache working set.
-func (c *Collector) RecordFlow(key uint64) {
-	c.mu.Lock()
-	if c.flows == nil {
-		c.flows = map[uint64]struct{}{}
-	}
-	if len(c.flows) < keyCardCap {
-		c.flows[key] = struct{}{}
-	}
-	c.mu.Unlock()
-}
-
-// RecordKey notes a distinct key value observed at a table. The key should
-// already be hashed/folded to a uint64 by the caller (the emulator folds
-// the concatenated match-key bytes).
-func (c *Collector) RecordKey(table string, key uint64) {
-	c.mu.Lock()
-	set := c.keys[table]
-	if set == nil {
-		set = map[uint64]struct{}{}
-		c.keys[table] = set
-	}
-	if len(set) < keyCardCap {
-		set[key] = struct{}{}
-	}
-	c.mu.Unlock()
 }
 
 // ObserveUpdateRate records the entry-update rate for a table.
@@ -583,102 +449,13 @@ func (c *Collector) Snapshot() *Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.p.Clone()
-	if l := c.layout; l != nil {
-		for _, s := range c.shards {
-			for i := range l.Actions {
-				if n := s.actions[i].Load(); n > 0 {
-					site := l.Actions[i]
-					m := out.ActionCounts[site.Table]
-					if m == nil {
-						m = map[string]uint64{}
-						out.ActionCounts[site.Table] = m
-					}
-					m[site.Action] += n
-				}
-			}
-			for i, cond := range l.Branches {
-				t, f := s.branches[2*i].Load(), s.branches[2*i+1].Load()
-				if t+f > 0 {
-					v := out.BranchCounts[cond]
-					v[0] += t
-					v[1] += f
-					out.BranchCounts[cond] = v
-				}
-			}
-			for i, cache := range l.Caches {
-				if h := s.caches[2*i].Load(); h > 0 {
-					out.CacheHits[cache] += h
-				}
-				if m := s.caches[2*i+1].Load(); m > 0 {
-					out.CacheMisses[cache] += m
-				}
-			}
-		}
-	}
+	c.mergeShardsLocked(out)
 	for table, set := range c.keys {
-		out.KeyCardinality[table] = uint64(len(set))
-	}
-	out.FlowCardinality = uint64(len(c.flows))
-	if l := c.layout; l != nil {
-		// Distinct-key and flow counts must dedupe across shards and the
-		// legacy sets, so build unions (only for slots with shard data).
-		// The union buffer is pooled on the collector: only its final size
-		// is read, so each union clears and refills the same map instead
-		// of allocating per table per snapshot.
-		if c.unionScratch == nil {
-			c.unionScratch = map[uint64]struct{}{}
-		}
-		u := c.unionScratch
-		for ti, table := range l.Tables {
-			seeded := false
-			for _, s := range c.shards {
-				s.mu.Lock()
-				set := s.keys[ti]
-				if len(set) > 0 {
-					if !seeded {
-						seeded = true
-						clear(u)
-						for k := range c.keys[table] {
-							u[k] = struct{}{}
-						}
-					}
-					for k := range set {
-						if len(u) >= keyCardCap {
-							break
-						}
-						u[k] = struct{}{}
-					}
-				}
-				s.mu.Unlock()
-			}
-			if seeded {
-				out.KeyCardinality[table] = uint64(len(u))
-			}
-		}
-		seeded := false
-		for _, s := range c.shards {
-			s.mu.Lock()
-			if len(s.flows) > 0 {
-				if !seeded {
-					seeded = true
-					clear(u)
-					for k := range c.flows {
-						u[k] = struct{}{}
-					}
-				}
-				for k := range s.flows {
-					if len(u) >= keyCardCap {
-						break
-					}
-					u[k] = struct{}{}
-				}
-			}
-			s.mu.Unlock()
-		}
-		if seeded {
-			out.FlowCardinality = uint64(len(u))
+		if set.n > 0 {
+			out.KeyCardinality[table] = uint64(set.n)
 		}
 	}
+	out.FlowCardinality = uint64(c.flows.n)
 	if every := c.every.Load(); every > 1 {
 		for _, m := range out.ActionCounts {
 			for a := range m {
@@ -703,16 +480,18 @@ func (c *Collector) Snapshot() *Profile {
 // Reset clears all counters (used at the start of each profiling window)
 // while preserving the sampling configuration and the bound shard set:
 // shard counter banks are zeroed in place, so execution plans holding
-// shard pointers keep recording into the new window.
+// shard pointers keep recording into the new window. The key sets are
+// released, not cleared: the next window allocates what it needs.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	rate := c.p.SampleRate
 	c.p = New()
 	c.p.SampleRate = rate
-	c.keys = map[string]map[uint64]struct{}{}
-	c.flows = nil
+	c.keys = make(map[string]*u64set, len(c.slotKeys))
+	c.flows = u64set{}
+	c.resolveKeysLocked()
 	for _, s := range c.shards {
-		s.zeroLocked()
+		s.zero()
 	}
 	c.mu.Unlock()
 }
@@ -723,11 +502,8 @@ func (c *Collector) Reset() {
 func CounterUpdatesPerPacket(prog *p4ir.Program, path []string) int {
 	n := 0
 	for _, name := range path {
-		if t, c := prog.Node(name); t != nil {
-			_ = t
-			n++ // one action counter per table hit
-		} else if c != nil {
-			n++ // one branch counter
+		if t, c := prog.Node(name); t != nil || c != nil {
+			n++ // one action counter per table hit, one branch counter per conditional
 		}
 	}
 	return n

@@ -1,11 +1,12 @@
-package profile
+package profile_test
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/profile"
+	"pipeleon/internal/profile/profiletest"
 )
 
 func linearProg(t *testing.T) *p4ir.Program {
@@ -35,12 +36,13 @@ func branchProg(t *testing.T) *p4ir.Program {
 
 func TestActionProbAndDropProb(t *testing.T) {
 	prog := linearProg(t)
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 30; i++ {
-		col.RecordAction("acl", "drop_packet")
+		rec.Action("acl", "drop_packet")
 	}
 	for i := 0; i < 70; i++ {
-		col.RecordAction("acl", "allow")
+		rec.Action("acl", "allow")
 	}
 	p := col.Snapshot()
 	probs := p.ActionProb(prog.Tables["acl"])
@@ -54,7 +56,7 @@ func TestActionProbAndDropProb(t *testing.T) {
 
 func TestActionProbUniformFallback(t *testing.T) {
 	prog := linearProg(t)
-	p := New()
+	p := profile.New()
 	probs := p.ActionProb(prog.Tables["acl"])
 	if math.Abs(probs["drop_packet"]-0.5) > 1e-9 || math.Abs(probs["allow"]-0.5) > 1e-9 {
 		t.Errorf("uniform fallback = %v", probs)
@@ -62,12 +64,13 @@ func TestActionProbUniformFallback(t *testing.T) {
 }
 
 func TestBranchProb(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 80; i++ {
-		col.RecordBranch("c", true)
+		rec.Branch("c", true)
 	}
 	for i := 0; i < 20; i++ {
-		col.RecordBranch("c", false)
+		rec.Branch("c", false)
 	}
 	p := col.Snapshot()
 	if math.Abs(p.BranchProb("c")-0.8) > 1e-9 {
@@ -80,12 +83,13 @@ func TestBranchProb(t *testing.T) {
 
 func TestReachProbsLinearWithDrop(t *testing.T) {
 	prog := linearProg(t)
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 40; i++ {
-		col.RecordAction("acl", "drop_packet")
+		rec.Action("acl", "drop_packet")
 	}
 	for i := 0; i < 60; i++ {
-		col.RecordAction("acl", "allow")
+		rec.Action("acl", "allow")
 	}
 	reach := col.Snapshot().ReachProbs(prog)
 	if math.Abs(reach["acl"]-1) > 1e-9 {
@@ -98,12 +102,13 @@ func TestReachProbsLinearWithDrop(t *testing.T) {
 
 func TestReachProbsBranches(t *testing.T) {
 	prog := branchProg(t)
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 70; i++ {
-		col.RecordBranch("c", true)
+		rec.Branch("c", true)
 	}
 	for i := 0; i < 30; i++ {
-		col.RecordBranch("c", false)
+		rec.Branch("c", false)
 	}
 	reach := col.Snapshot().ReachProbs(prog)
 	if math.Abs(reach["A"]-0.7) > 1e-9 || math.Abs(reach["B"]-0.3) > 1e-9 {
@@ -129,15 +134,16 @@ func TestReachProbsSwitchCase(t *testing.T) {
 		Table(p4ir.TableSpec{Name: "B", Actions: []*p4ir.Action{p4ir.NoopAction("n")}}).
 		Root("classify").
 		MustBuild()
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 50; i++ {
-		col.RecordAction("classify", "to_a")
+		rec.Action("classify", "to_a")
 	}
 	for i := 0; i < 30; i++ {
-		col.RecordAction("classify", "to_b")
+		rec.Action("classify", "to_b")
 	}
 	for i := 0; i < 20; i++ {
-		col.RecordAction("classify", "drop_packet")
+		rec.Action("classify", "drop_packet")
 	}
 	reach := col.Snapshot().ReachProbs(prog)
 	if math.Abs(reach["A"]-0.5) > 1e-9 || math.Abs(reach["B"]-0.3) > 1e-9 {
@@ -146,15 +152,18 @@ func TestReachProbsSwitchCase(t *testing.T) {
 }
 
 func TestSamplingScalesCounts(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
 	col.SetSampling(4)
+	layout := &profile.Layout{Actions: []profile.ActionSite{{Table: "t", Action: "a"}}}
+	b := col.Bind(layout, 1)[0].NewBurst()
 	recorded := 0
 	for i := 0; i < 1000; i++ {
-		if col.Sampled() {
-			col.RecordAction("t", "a")
+		if b.Sampled() {
+			b.IncAction(0)
 			recorded++
 		}
 	}
+	b.Flush()
 	if recorded != 250 {
 		t.Errorf("recorded %d of 1000 with 1/4 sampling, want 250", recorded)
 	}
@@ -168,12 +177,13 @@ func TestSamplingScalesCounts(t *testing.T) {
 }
 
 func TestCacheHitRate(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	for i := 0; i < 90; i++ {
-		col.RecordCache("cache1", true)
+		rec.Cache("cache1", true)
 	}
 	for i := 0; i < 10; i++ {
-		col.RecordCache("cache1", false)
+		rec.Cache("cache1", false)
 	}
 	p := col.Snapshot()
 	rate, ok := p.CacheHitRate("cache1")
@@ -185,35 +195,11 @@ func TestCacheHitRate(t *testing.T) {
 	}
 }
 
-func TestCollectorConcurrency(t *testing.T) {
-	col := NewCollector()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				col.RecordAction("t", "a")
-				col.RecordBranch("c", i%2 == 0)
-				col.RecordCache("k", i%3 == 0)
-			}
-		}()
-	}
-	wg.Wait()
-	p := col.Snapshot()
-	if got := p.TableTotal("t"); got != 8000 {
-		t.Errorf("concurrent total = %d, want 8000", got)
-	}
-	b := p.BranchCounts["c"]
-	if b[0]+b[1] != 8000 {
-		t.Errorf("branch total = %d, want 8000", b[0]+b[1])
-	}
-}
-
 func TestResetPreservesSampling(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
 	col.SetSampling(8)
-	col.RecordAction("t", "a")
+	rec.Action("t", "a")
 	col.Reset()
 	p := col.Snapshot()
 	if p.TableTotal("t") != 0 {
@@ -225,7 +211,7 @@ func TestResetPreservesSampling(t *testing.T) {
 }
 
 func TestUpdateRates(t *testing.T) {
-	col := NewCollector()
+	col := profile.NewCollector()
 	col.ObserveUpdateRate("lb", 1500)
 	p := col.Snapshot()
 	if p.UpdateRate("lb") != 1500 {
@@ -237,8 +223,9 @@ func TestUpdateRates(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	col := NewCollector()
-	col.RecordAction("t", "a")
+	col := profile.NewCollector()
+	rec := profiletest.NewRecorder(col)
+	rec.Action("t", "a")
 	p1 := col.Snapshot()
 	p2 := p1.Clone()
 	p2.ActionCounts["t"]["a"] = 999
@@ -249,7 +236,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestCounterUpdatesPerPacket(t *testing.T) {
 	prog := branchProg(t)
-	n := CounterUpdatesPerPacket(prog, []string{"c", "A", "C"})
+	n := profile.CounterUpdatesPerPacket(prog, []string{"c", "A", "C"})
 	if n != 3 {
 		t.Errorf("CounterUpdatesPerPacket = %d, want 3", n)
 	}

@@ -1,14 +1,16 @@
-package profile
+package profile_test
 
 import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"pipeleon/internal/profile"
 )
 
-func testLayout() *Layout {
-	return &Layout{
-		Actions: []ActionSite{
+func testLayout() *profile.Layout {
+	return &profile.Layout{
+		Actions: []profile.ActionSite{
 			{Table: "acl", Action: "allow"},
 			{Table: "acl", Action: "drop_packet"},
 			{Table: "fwd", Action: "set_port"},
@@ -19,88 +21,105 @@ func testLayout() *Layout {
 	}
 }
 
-// The sharded fast path and the legacy string-keyed Record* API are two
-// write paths into the same profile: driving them with identical events
-// must yield identical snapshots.
-func TestShardsMatchLegacyRecordAPI(t *testing.T) {
-	sharded := NewCollector()
-	legacy := NewCollector()
-	shards := sharded.Bind(testLayout(), 4)
-
-	for i := 0; i < 1000; i++ {
-		s := shards[i%len(shards)]
-		if !s.Sampled() {
-			continue
-		}
-		s.IncAction(i % 3)
-		s.IncBranch(0, i%2 == 0)
-		s.IncCache(0, i%5 != 0)
-		s.AddKey(i%2, uint64(i%37))
-		s.AddFlow(uint64(i % 53))
-
-		switch i % 3 {
-		case 0:
-			legacy.RecordAction("acl", "allow")
-		case 1:
-			legacy.RecordAction("acl", "drop_packet")
-		case 2:
-			legacy.RecordAction("fwd", "set_port")
-		}
-		legacy.RecordBranch("is_tcp", i%2 == 0)
-		legacy.RecordCache("fwd_cache", i%5 != 0)
-		if i%2 == 0 {
-			legacy.RecordKey("acl", uint64(i%37))
-		} else {
-			legacy.RecordKey("fwd", uint64(i%37))
-		}
-		legacy.RecordFlow(uint64(i % 53))
+// bursts binds the layout on n shards and returns one burst per shard.
+func bursts(c *profile.Collector, n int) []*profile.Burst {
+	out := make([]*profile.Burst, n)
+	for i, s := range c.Bind(testLayout(), n) {
+		out[i] = s.NewBurst()
 	}
-
-	if got, want := sharded.Snapshot(), legacy.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded snapshot differs from legacy:\nsharded: %+v\nlegacy:  %+v", got, want)
-	}
+	return out
 }
 
 // Snapshot must not consume shard state: two consecutive snapshots with no
 // traffic in between are identical, and counts keep accumulating after.
 func TestShardSnapshotNonDestructive(t *testing.T) {
-	c := NewCollector()
-	shards := c.Bind(testLayout(), 2)
+	c := profile.NewCollector()
+	bs := bursts(c, 2)
 	for i := 0; i < 100; i++ {
-		shards[i%2].IncAction(0)
+		bs[i%2].IncAction(0)
+		bs[i%2].AddKey(0, uint64(i%7))
+		bs[i%2].Flush()
 	}
 	a := c.Snapshot()
 	b := c.Snapshot()
 	if !reflect.DeepEqual(a, b) {
 		t.Error("back-to-back snapshots differ")
 	}
-	shards[0].IncAction(0)
-	if got := c.Snapshot().ActionCounts["acl"]["allow"]; got != 101 {
+	bs[0].IncAction(0)
+	bs[0].Flush()
+	p := c.Snapshot()
+	if got := p.ActionCounts["acl"]["allow"]; got != 101 {
 		t.Errorf("post-snapshot increment lost: %d != 101", got)
+	}
+	if got := p.KeyCardinality["acl"]; got != 7 {
+		t.Errorf("key cardinality %d != 7", got)
+	}
+	if _, ok := p.KeyCardinality["fwd"]; ok {
+		t.Error("a table that saw no key has a cardinality entry")
 	}
 }
 
 // Rebinding (program hot-swap) must fold outstanding shard counts into
-// the carry profile rather than dropping them.
+// the carry profile rather than dropping them, keep the window's keys of
+// the tables the new layout still has, and drop what a burst still bound
+// to the old layout flushes afterwards.
 func TestBindFoldsOldShards(t *testing.T) {
-	c := NewCollector()
-	shards := c.Bind(testLayout(), 2)
+	c := profile.NewCollector()
+	old := bursts(c, 2)
 	for i := 0; i < 40; i++ {
-		shards[i%2].IncAction(1)
+		old[i%2].IncAction(1)
+		old[i%2].AddKey(1, uint64(i))
+		old[i%2].Flush()
 	}
-	shards2 := c.Bind(testLayout(), 8)
+	old[0].AddKey(0, 1000) // logged before the swap, flushed after it
+	bs := bursts(c, 8)
+	old[0].Flush()
 	for i := 0; i < 10; i++ {
-		shards2[i%8].IncAction(1)
+		bs[i%8].IncAction(1)
+		bs[i%8].AddKey(1, uint64(35+i))
+		bs[i%8].Flush()
 	}
-	if got := c.Snapshot().ActionCounts["acl"]["drop_packet"]; got != 50 {
+	p := c.Snapshot()
+	if got := p.ActionCounts["acl"]["drop_packet"]; got != 50 {
 		t.Errorf("rebind lost counts: %d != 50", got)
+	}
+	if got := p.KeyCardinality["fwd"]; got != 45 {
+		t.Errorf("keys across rebind: %d != 45", got)
+	}
+	if _, ok := p.KeyCardinality["acl"]; ok {
+		t.Error("a stale burst's keys reached the new layout's slots")
 	}
 }
 
-// Concurrent increments across goroutines sharing shards must be exact —
-// this is the lock-free claim, run under -race by make verify.
+// Reset opens a new window: the keys of the closed one are gone and count
+// again when they recur.
+func TestResetReopensKeySets(t *testing.T) {
+	c := profile.NewCollector()
+	b := bursts(c, 1)[0]
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 500; i++ {
+			b.AddKey(0, uint64(i%50))
+			b.AddFlow(uint64(i % 20))
+			if i%32 == 31 {
+				b.Flush()
+			}
+		}
+		b.Flush()
+		p := c.Snapshot()
+		if p.KeyCardinality["acl"] != 50 || p.FlowCardinality != 20 {
+			t.Fatalf("round %d: keys=%d flows=%d, want 50/20", round, p.KeyCardinality["acl"], p.FlowCardinality)
+		}
+		c.Reset()
+		if p := c.Snapshot(); len(p.KeyCardinality) != 0 || p.FlowCardinality != 0 {
+			t.Fatalf("round %d: Reset left keys behind: %v", round, p.KeyCardinality)
+		}
+	}
+}
+
+// Concurrent bursts on goroutines sharing shards must be exact — this is
+// the lock-free claim, run under -race by make verify.
 func TestShardConcurrentIncrementsExact(t *testing.T) {
-	c := NewCollector()
+	c := profile.NewCollector()
 	shards := c.Bind(testLayout(), 4)
 	const goroutines, per = 8, 5000
 	var wg sync.WaitGroup
@@ -108,13 +127,18 @@ func TestShardConcurrentIncrementsExact(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := shards[g%len(shards)]
+			b := shards[g%len(shards)].NewBurst()
 			for i := 0; i < per; i++ {
-				s.IncAction(2)
-				s.IncBranch(0, i%2 == 0)
-				s.IncCache(0, i%3 == 0)
-				s.AddFlow(uint64(i % 97))
+				b.IncAction(2)
+				b.IncBranch(0, i%2 == 0)
+				b.IncCache(0, i%3 == 0)
+				b.AddKey(g%2, uint64(i%(41+g)))
+				b.AddFlow(uint64(i % 97))
+				if i%32 == 31 {
+					b.Flush()
+				}
 			}
+			b.Flush()
 		}(g)
 	}
 	wg.Wait()
@@ -131,5 +155,9 @@ func TestShardConcurrentIncrementsExact(t *testing.T) {
 	}
 	if p.FlowCardinality != 97 {
 		t.Errorf("flow cardinality %d != 97", p.FlowCardinality)
+	}
+	// Goroutines g = 0, 2, 4, 6 share slot 0 with key ranges 41, 43, 45, 47.
+	if p.KeyCardinality["acl"] != 47 || p.KeyCardinality["fwd"] != 48 {
+		t.Errorf("key cardinality acl=%d fwd=%d, want 47/48", p.KeyCardinality["acl"], p.KeyCardinality["fwd"])
 	}
 }
