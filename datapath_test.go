@@ -96,6 +96,63 @@ func TestProcessBurstAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// The same budget on the table shapes that used to probe a string-keyed
+// map: a two-word exact table at conntrack size (hashed words, paged
+// slots), two-word LPM and ternary tables (one hashed group per mask), all
+// hit and missed, instrumented.
+func TestProcessBurstAllocatesNothingOnMultiFieldTables(t *testing.T) {
+	two := func(name string, kind p4ir.MatchKind, next string, n int) p4ir.TableSpec {
+		ts := p4ir.TableSpec{
+			Name: name, Next: next,
+			Keys: []p4ir.Key{{Field: "ipv4.srcAddr", Kind: kind, Width: 32}, {Field: "tcp.sport", Kind: kind, Width: 16}},
+			Actions: []*p4ir.Action{
+				p4ir.NewAction("mark", p4ir.Prim("modify_field", "meta."+name, "$0")), p4ir.NoopAction("miss"),
+			},
+			DefaultAction: "miss",
+		}
+		for i := 0; i < n; i++ {
+			ts.Entries = append(ts.Entries, p4ir.Entry{
+				Match: []p4ir.MatchValue{
+					{Value: uint64(i) << 8, PrefixLen: 24 + i%3*4, Mask: 0xffffff00},
+					{Value: uint64(i) & 0xffff, PrefixLen: 16, Mask: []uint64{0xffff, 0xff00, 0}[i%3]},
+				},
+				Action: "mark", Args: []string{"7"}, Priority: i % 4,
+			})
+		}
+		return ts
+	}
+	prog, err := p4ir.ChainTables("multifield", []p4ir.TableSpec{
+		two("conntrack", p4ir.MatchExact, "routes", 2000), two("routes", p4ir.MatchLPM, "acl", 300), two("acl", p4ir.MatchTernary, "", 300),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: NewCollector(), Instrument: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]*packet.Packet, 1024)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{
+			Eth: packet.Ethernet{Type: packet.EtherTypeIPv4},
+			IP:  packet.IPv4{TTL: 64, Protocol: packet.ProtoTCP, SrcAddr: uint32(3*i) << 8, DstAddr: 9},
+			TCP: packet.TCP{SrcPort: uint16(3 * i), DstPort: 80}, HasIPv4: true, HasTCP: true, WireLen: 512,
+		}
+	}
+	a := newBurstArena()
+	for lo := 0; lo < len(pkts); lo += nicsim.BurstSize {
+		a.run(nic, pkts, lo)
+	}
+	lo := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		a.run(nic, pkts, lo)
+		lo += nicsim.BurstSize
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("%v allocations per warm burst, want 0", allocs)
+	}
+}
+
 // MeasureParallel on a cached program while entry updates invalidate the
 // caches and the runtime snapshots the profile: the window the race
 // detector has to clear.

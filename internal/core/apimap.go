@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
@@ -23,18 +24,24 @@ import (
 // plan returns the currently deployed plan (options applied to orig).
 func (r *Runtime) planLocked() []*opt.Option { return r.activePlan }
 
+// entryMut applies one entry operation to a table and returns how to take
+// it back; an operation it refuses leaves the table untouched.
+type entryMut func(t *p4ir.Table) (undo func(), err error)
+
 // InsertEntry adds an entry to a table of the *original* program and
 // propagates the change to the deployed layout.
 func (r *Runtime) InsertEntry(table string, e p4ir.Entry) error {
-	return r.entryOp(table, func(t *p4ir.Table) error {
-		if len(e.Match) != len(t.Keys) {
-			return fmt.Errorf("core: entry arity %d != %d keys", len(e.Match), len(t.Keys))
-		}
-		if t.Action(e.Action) == nil {
-			return fmt.Errorf("core: unknown action %q", e.Action)
+	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
+		switch {
+		case len(e.Match) != len(t.Keys):
+			return nil, fmt.Errorf("core: entry arity %d != %d keys", len(e.Match), len(t.Keys))
+		case t.Action(e.Action) == nil:
+			return nil, fmt.Errorf("core: unknown action %q", e.Action)
+		case t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries:
+			return nil, fmt.Errorf("core: table %q full (%d entries)", t.Name, t.MaxEntries)
 		}
 		t.Entries = append(t.Entries, e.Clone())
-		return nil
+		return func() { t.Entries = slices.Delete(t.Entries, len(t.Entries)-1, len(t.Entries)) }, nil
 	}, func() error {
 		return r.tgt.InsertEntry(table, e)
 	})
@@ -42,14 +49,14 @@ func (r *Runtime) InsertEntry(table string, e p4ir.Entry) error {
 
 // DeleteEntry removes the first entry with equal match values.
 func (r *Runtime) DeleteEntry(table string, match []p4ir.MatchValue) error {
-	return r.entryOp(table, func(t *p4ir.Table) error {
-		for i := range t.Entries {
-			if matchEqual(t.Entries[i].Match, match) {
-				t.Entries = append(t.Entries[:i], t.Entries[i+1:]...)
-				return nil
-			}
+	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
+		i, err := firstMatch(t, match)
+		if err != nil {
+			return nil, err
 		}
-		return fmt.Errorf("core: no entry matching %v in %q", match, table)
+		gone := t.Entries[i]
+		t.Entries = slices.Delete(t.Entries, i, i+1)
+		return func() { t.Entries = slices.Insert(t.Entries, i, gone) }, nil
 	}, func() error {
 		return r.tgt.DeleteEntry(table, match)
 	})
@@ -57,67 +64,76 @@ func (r *Runtime) DeleteEntry(table string, match []p4ir.MatchValue) error {
 
 // ModifyEntry rewrites the action/args of the first matching entry.
 func (r *Runtime) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	return r.entryOp(table, func(t *p4ir.Table) error {
+	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
 		if t.Action(action) == nil {
-			return fmt.Errorf("core: unknown action %q", action)
+			return nil, fmt.Errorf("core: unknown action %q", action)
 		}
-		for i := range t.Entries {
-			if matchEqual(t.Entries[i].Match, match) {
-				t.Entries[i].Action = action
-				t.Entries[i].Args = append([]string(nil), args...)
-				return nil
-			}
+		i, err := firstMatch(t, match)
+		if err != nil {
+			return nil, err
 		}
-		return fmt.Errorf("core: no entry matching %v in %q", match, table)
+		was := t.Entries[i]
+		t.Entries[i].Action, t.Entries[i].Args = action, append([]string(nil), args...)
+		return func() { t.Entries[i] = was }, nil
 	}, func() error {
 		return r.tgt.ModifyEntry(table, match, action, args)
 	})
 }
 
-func matchEqual(a, b []p4ir.MatchValue) bool {
-	if len(a) != len(b) {
-		return false
+func firstMatch(t *p4ir.Table, match []p4ir.MatchValue) (int, error) {
+	i := t.EntryIndex(match)
+	if i < 0 {
+		return i, fmt.Errorf("core: no entry matching %v in %q", match, t.Name)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return i, nil
 }
 
-// entryOp applies origMut to the original program, then propagates: fast
-// path when the table exists untouched in the deployed program, slow path
-// (plan re-application + swap) when a merge consumed it.
-func (r *Runtime) entryOp(table string, origMut func(*p4ir.Table) error, fast func() error) error {
+// entryOp applies mut to the original program, then propagates: fast path
+// when the table exists untouched in the deployed program, slow path (plan
+// re-application + swap) when a merge consumed it. The operation is one
+// transaction: both views validate before the device is asked, and when the
+// device refuses (table full, RPC failure, failed redeploy) both views are
+// put back, so the runtime never believes in an entry the device does not
+// hold — the next redeploy would silently install it.
+func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ot, ok := r.orig.Tables[table]
 	if !ok {
 		return fmt.Errorf("core: no table %q in original program", table)
 	}
-	if err := origMut(ot); err != nil {
+	undo, err := mut(ot)
+	if err != nil {
+		return err
+	}
+	// Slow path: regenerate the deployed program from the updated original
+	// under the active plan.
+	propagate := r.redeployLocked
+	if ct, inCurrent := r.current.Tables[table]; inCurrent && !r.tableMergedLocked(table) {
+		// Fast path. Keep the runtime's view of the deployed program in
+		// sync so the next round's layout comparison does not force a
+		// spurious swap (which would cold-start every cache).
+		propagate = func() error {
+			undoCurrent, err := mut(ct)
+			if err != nil {
+				return err
+			}
+			if err := fast(); err != nil {
+				undoCurrent()
+				return err
+			}
+			return nil
+		}
+	}
+	if err := propagate(); err != nil {
+		undo()
 		return err
 	}
 	r.updCountsOrig[table]++
 	// r.orig is the search session's program: its semantic proofs were
 	// computed from the entries as they were.
 	r.search.EntriesChanged()
-
-	ct, inCurrent := r.current.Tables[table]
-	mergedCover := r.tableMergedLocked(table)
-	if inCurrent && !mergedCover {
-		// Keep the runtime's view of the deployed program in sync so the
-		// next round's layout comparison does not force a spurious swap
-		// (which would cold-start every cache).
-		if err := origMut(ct); err != nil {
-			return err
-		}
-		return fast()
-	}
-	// Slow path: regenerate the deployed program from the updated
-	// original under the active plan.
-	return r.redeployLocked()
+	return nil
 }
 
 // tableMergedLocked reports whether any merged (or merged-cache) table of
@@ -156,32 +172,29 @@ func splitCovers(s string) []string {
 // redeployLocked re-applies the active plan to the (updated) original
 // program and deploys the result to the target. Entry propagation is a
 // definitive change, not a speculative optimization, so the deploy is
-// committed immediately with no verification window.
+// committed immediately with no verification window. The runtime's view of
+// the deployed layout moves only once the device has taken it.
 func (r *Runtime) redeployLocked() error {
-	plan := r.planLocked()
-	if len(plan) == 0 {
-		r.current = r.orig.Clone()
-		r.cmap = opt.NewCounterMap()
-		return r.deployCommitLocked()
-	}
-	rw, err := opt.Apply(r.orig, plan, r.cfg)
-	if err != nil {
-		// The plan no longer applies (e.g. entries changed shape);
+	next, cmap, plan := r.orig.Clone(), opt.NewCounterMap(), r.planLocked()
+	if len(plan) > 0 {
+		// When the plan no longer applies (e.g. entries changed shape),
 		// fall back to the original program and let the next round
 		// re-optimize.
-		r.current = r.orig.Clone()
-		r.cmap = opt.NewCounterMap()
-		r.activePlan = nil
-		return r.deployCommitLocked()
+		if rw, err := opt.Apply(r.orig, plan, r.cfg); err == nil {
+			next, cmap = rw.Program, rw.Map
+		} else {
+			plan = nil
+		}
 	}
-	r.current = rw.Program
-	r.cmap = rw.Map
-	return r.deployCommitLocked()
-}
-
-func (r *Runtime) deployCommitLocked() error {
-	if err := r.tgt.Deploy(r.current); err != nil {
+	if err := r.tgt.Deploy(next); err != nil {
 		return err
 	}
-	return r.tgt.Commit()
+	if err := r.tgt.Commit(); err != nil {
+		// The device holds next uncommitted; put the checkpoint back so it
+		// agrees with the view this error leaves in place.
+		_ = r.tgt.Rollback() // best effort: the commit error is the one to report
+		return err
+	}
+	r.current, r.cmap, r.activePlan = next, cmap, plan
+	return nil
 }

@@ -244,10 +244,11 @@ func TestRuntimeAPIMappingFastPath(t *testing.T) {
 	}
 }
 
-func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
-	// Two small exact static tables — the planner should merge them into
-	// a pre-populated merged cache; inserts must then regenerate the
-	// cross product.
+// mergeProgram is two small exact static tables — the planner should merge
+// them into a pre-populated merged cache; inserts must then regenerate the
+// cross product.
+func mergeProgram(t *testing.T) *p4ir.Program {
+	t.Helper()
 	mk := func(name, field string, vals ...uint64) p4ir.TableSpec {
 		ts := p4ir.TableSpec{
 			Name:          name,
@@ -267,6 +268,11 @@ func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
+	prog := mergeProgram(t)
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.EnableCache = false

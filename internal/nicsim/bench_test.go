@@ -1,10 +1,12 @@
 package nicsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 )
 
 // BenchmarkFlowCache times the three shapes of a flow-cache probe, one
@@ -72,6 +74,157 @@ func BenchmarkFlowCache(b *testing.B) {
 				b.Fatal("evicted key hit")
 			}
 			fc.put(k, res, now)
+		}
+	})
+}
+
+// lookupBenchTable is a one-table program of n entries for the lookup and
+// entry-operation benches: keyed on the destination address (and, for the
+// two-word shape, the source port — DASH conntrack's layout), LPM over
+// three prefix lengths, ternary and range over five masks.
+func lookupBenchTable(kind p4ir.MatchKind, words, n int) (*p4ir.Program, []p4ir.Entry) {
+	keys := []p4ir.Key{{Field: "ipv4.dstAddr", Kind: kind, Width: 32}}
+	if words == 2 {
+		keys = append(keys, p4ir.Key{Field: "tcp.sport", Kind: kind, Width: 16})
+	}
+	ts := p4ir.TableSpec{
+		Name: "lookup", Keys: keys,
+		Actions:       []*p4ir.Action{p4ir.NewAction("hit", p4ir.Prim("modify_field", "meta.hit", "$0")), p4ir.NoopAction("miss")},
+		DefaultAction: "miss",
+	}
+	// n installed entries, then as many spare ones for the entry benches.
+	entries := make([]p4ir.Entry, 2*n)
+	for i := range entries {
+		mv := p4ir.MatchValue{Value: 0x0a000000 + uint64(i)*0x101}
+		e := p4ir.Entry{Action: "hit", Args: []string{"7"}}
+		switch kind {
+		case p4ir.MatchLPM:
+			mv.PrefixLen = []int{32, 28, 24}[i%3]
+			mv.Value &= keys[0].PrefixMask(mv.PrefixLen)
+		case p4ir.MatchTernary, p4ir.MatchRange:
+			mv.Mask = keys[0].PrefixMask(32 - 2*(i%5))
+			mv.Value &= mv.Mask
+			e.Priority = 10 - i%5
+		}
+		e.Match = []p4ir.MatchValue{mv}
+		if words == 2 {
+			e.Match = append(e.Match, p4ir.MatchValue{Value: uint64(i) & 0xffff, PrefixLen: 16, Mask: 0xffff})
+		}
+		entries[i] = e
+	}
+	ts.Entries = slices.Clone(entries[:n])
+	prog, err := p4ir.ChainTables("lookup", []p4ir.TableSpec{ts})
+	if err != nil {
+		panic(err)
+	}
+	return prog, entries[n:]
+}
+
+// BenchmarkLookup is the per-match-kind lookup row of the datapath
+// budget: one ProcessBurst packet through a single 1 024-entry table —
+// key gather, probe and the hit action — with four packets in five
+// hitting an entry. ternary-tiny has 20 entries, four to a mask: the
+// groups that scan from slot 0 instead of hashing (tinySlots).
+func BenchmarkLookup(b *testing.B) {
+	for _, sh := range []struct {
+		name  string
+		kind  p4ir.MatchKind
+		words int
+		size  int
+	}{
+		{"exact1w", p4ir.MatchExact, 1, 1024}, {"exact2w", p4ir.MatchExact, 2, 1024},
+		{"lpm", p4ir.MatchLPM, 1, 1024}, {"ternary", p4ir.MatchTernary, 1, 1024}, {"range", p4ir.MatchRange, 1, 1024},
+		{"ternary-tiny", p4ir.MatchTernary, 1, 20},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			prog, spare := lookupBenchTable(sh.kind, sh.words, sh.size)
+			installed := prog.Tables["lookup"].Entries
+			nic, err := New(prog, Config{Params: testParams()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := make([]*packet.Packet, 1024)
+			for i := range src {
+				e := installed[i%sh.size]
+				if i%5 == 4 {
+					e = spare[i%sh.size] // not installed: a miss
+				}
+				sport := uint16(0)
+				if sh.words == 2 {
+					sport = uint16(e.Match[1].Value)
+				}
+				src[i] = pkt(1, uint32(e.Match[0].Value), sport, 80)
+			}
+			var scratch [BurstSize]packet.Packet
+			var burst [BurstSize]*packet.Packet
+			var results [BurstSize]Result
+			for i := range burst {
+				burst[i] = &scratch[i]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += BurstSize {
+				n := min(BurstSize, b.N-i)
+				for j := 0; j < n; j++ {
+					src[(i+j)%len(src)].CloneInto(burst[j])
+				}
+				nic.ProcessBurst(burst[:n], results[:n])
+			}
+		})
+	}
+}
+
+// BenchmarkEntryOp times one control-plane entry operation — an insert
+// and the delete of the same entry, halved — on a table already holding
+// the named number of entries: what a connection-tracking workload pays
+// per flow arrival and departure.
+func BenchmarkEntryOp(b *testing.B) {
+	for _, sh := range []struct {
+		name  string
+		kind  p4ir.MatchKind
+		words int
+		size  int
+	}{
+		{"exact2w-2000", p4ir.MatchExact, 2, 2000}, {"exact2w-16000", p4ir.MatchExact, 2, 16000},
+		{"ternary-512", p4ir.MatchTernary, 1, 512}, {"lpm-256", p4ir.MatchLPM, 1, 256},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			prog, spare := lookupBenchTable(sh.kind, sh.words, sh.size)
+			nic, err := New(prog, Config{Params: testParams()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += 2 {
+				e := spare[i/2%len(spare)]
+				if err := nic.InsertEntry("lookup", e); err != nil {
+					b.Fatal(err)
+				}
+				if err := nic.DeleteEntry("lookup", e.Match); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildTable is a bulk install: ReplaceEntries of 2 000 two-word
+// exact entries, the path New and Swap take per table.
+func BenchmarkBuildTable(b *testing.B) {
+	b.Run("2000", func(b *testing.B) {
+		prog, _ := lookupBenchTable(p4ir.MatchExact, 2, 2000)
+		entries := prog.Tables["lookup"].Clone().Entries
+		nic, err := New(prog, Config{Params: testParams()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := nic.ReplaceEntries("lookup", entries); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

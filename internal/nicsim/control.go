@@ -2,6 +2,8 @@ package nicsim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"pipeleon/internal/p4ir"
@@ -10,22 +12,21 @@ import (
 // Entry update API — the data-plane side of the control plane. Every call
 // counts toward the table's update rate (§4) and invalidates any runtime
 // cache covering the table (§3.2.2: "an update in any of the original
-// tables will invalidate the entire cache").
+// tables will invalidate the entire cache"). An operation validates, then
+// applies to a fork of the table's lookup store, then to Table.Entries —
+// or to neither: a refused one leaves program and store in agreement.
 
-// InsertEntry installs an entry into a table and rebuilds its lookup
-// structure.
+// InsertEntry installs an entry into a table.
 func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
-	return n.mutateTable(table, func(t *p4ir.Table) error {
-		if len(e.Match) != len(t.Keys) {
-			return fmt.Errorf("nicsim: entry arity %d != %d keys", len(e.Match), len(t.Keys))
-		}
-		if t.Action(e.Action) == nil {
-			return fmt.Errorf("nicsim: unknown action %q", e.Action)
-		}
+	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
 		if t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries {
-			return fmt.Errorf("nicsim: table %q full (%d entries)", table, t.MaxEntries)
+			return fmt.Errorf("table %q full (%d entries)", table, t.MaxEntries)
 		}
-		t.Entries = append(t.Entries, e.Clone())
+		e = e.Clone()
+		if err := rt.insert(&e); err != nil {
+			return err
+		}
+		t.Entries = append(t.Entries, e)
 		return nil
 	})
 }
@@ -33,75 +34,62 @@ func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
 // DeleteEntry removes the first entry whose match values equal the given
 // match.
 func (n *NIC) DeleteEntry(table string, match []p4ir.MatchValue) error {
-	return n.mutateTable(table, func(t *p4ir.Table) error {
-		for i := range t.Entries {
-			if matchEqual(t.Entries[i].Match, match) {
-				t.Entries = append(t.Entries[:i], t.Entries[i+1:]...)
-				return nil
-			}
+	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
+		if err := rt.remove(match); err != nil {
+			return err
 		}
-		return fmt.Errorf("nicsim: no entry matching %v in %q", match, table)
+		i := t.EntryIndex(match)
+		t.Entries = slices.Delete(t.Entries, i, i+1)
+		return nil
 	})
 }
 
 // ModifyEntry replaces the action/args of the first entry whose match
 // values equal the given match.
 func (n *NIC) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	return n.mutateTable(table, func(t *p4ir.Table) error {
-		if t.Action(action) == nil {
-			return fmt.Errorf("nicsim: unknown action %q", action)
+	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
+		if err := rt.modify(match, action, args); err != nil {
+			return err
 		}
-		for i := range t.Entries {
-			if matchEqual(t.Entries[i].Match, match) {
-				t.Entries[i].Action = action
-				t.Entries[i].Args = append([]string(nil), args...)
-				return nil
-			}
-		}
-		return fmt.Errorf("nicsim: no entry matching %v in %q", match, table)
-	})
-}
-
-// ReplaceEntries swaps a table's whole entry set (bulk install).
-func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
-	return n.mutateTable(table, func(t *p4ir.Table) error {
-		t.Entries = t.Entries[:0]
-		for _, e := range entries {
-			t.Entries = append(t.Entries, e.Clone())
-		}
+		i := t.EntryIndex(match)
+		t.Entries[i].Action = action
+		t.Entries[i].Args = append([]string(nil), args...)
 		return nil
 	})
 }
 
-func matchEqual(a, b []p4ir.MatchValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// ReplaceEntries swaps a table's whole entry set (bulk install): the fork
+// becomes a store built afresh from the new entries.
+func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
+	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
+		fresh := make([]p4ir.Entry, len(entries))
+		for i, e := range entries {
+			fresh[i] = e.Clone()
 		}
-	}
-	return true
+		built, err := buildTable(t, fresh, n.pm.LPMFixedM, n.pm.TernaryFixedM)
+		if err != nil {
+			return err
+		}
+		*rt, t.Entries = *built, fresh
+		return nil
+	})
 }
 
-func (n *NIC) mutateTable(table string, f func(*p4ir.Table) error) error {
+// mutateTable runs one entry operation against a fork of the table's
+// lookup store and publishes the fork copy-on-write: in-flight Process
+// calls keep walking the old plan; new calls see the new entries.
+func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	t, ok := n.prog.Tables[table]
 	if !ok {
 		return fmt.Errorf("nicsim: no table %q", table)
 	}
-	if err := f(t); err != nil {
-		return err
-	}
-	rt, err := buildTable(t, n.pm.LPMFixedM, n.pm.TernaryFixedM)
-	if err != nil {
-		return err
+	rt := n.tables[table].fork()
+	if err := op(t, rt); err != nil {
+		return fmt.Errorf("nicsim: %w", err)
 	}
 	n.tables[table] = rt
-	// Publish the rebuilt table copy-on-write: in-flight Process calls
-	// keep walking the old plan; new calls see the new entries.
 	pl := n.plan.Load()
 	if id, ok := pl.ids[table]; ok {
 		n.plan.Store(pl.rebuiltNode(id, rt))
@@ -122,11 +110,7 @@ func (n *NIC) mutateTable(table string, f func(*p4ir.Table) error) error {
 func (n *NIC) UpdateCounts() map[string]uint64 {
 	n.statMu.Lock()
 	defer n.statMu.Unlock()
-	out := make(map[string]uint64, len(n.updateCounts))
-	for k, v := range n.updateCounts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(n.updateCounts)
 }
 
 // CacheStatsAll returns stats for every runtime cache (sorted by table

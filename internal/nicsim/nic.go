@@ -3,6 +3,7 @@ package nicsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +14,6 @@ import (
 	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/stats"
-)
-
-// Pipeline identifies which processing engine a table executes on in a
-// heterogeneous target (§3.2.4).
-type Pipeline int
-
-const (
-	// ASIC is the fast hardware pipeline.
-	ASIC Pipeline = iota
-	// CPU is the slower software pipeline (latencies scaled by
-	// Params.CPUSlowdown).
-	CPU
 )
 
 // Config configures a NIC instance.
@@ -133,7 +122,6 @@ type procCtx struct {
 	slot     uint32
 	wantPath bool     // record Result.Path (scalar Process only)
 	values   []uint64 // gathered match-key values
-	scratch  []byte   // lookup key build buffer
 	keyBuf   []uint64 // append-only per-packet cache-fill key words
 	path     []int32  // node ids traversed
 	writes   []fieldWrite
@@ -168,7 +156,7 @@ func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
 		updateCounts: map[string]uint64{},
 	}
 	n.ctxPool.New = func() any {
-		return &procCtx{slot: n.ctxSeq.Add(1) - 1}
+		return &procCtx{slot: n.ctxSeq.Add(1) - 1, values: make([]uint64, 0, 8)}
 	}
 	if cfg.VendorCache {
 		budget := cfg.VendorCacheBudget
@@ -200,7 +188,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 	caches := map[string]*flowCache{}
 	coveredBy := map[string][]*flowCache{}
 	for name, t := range prog.Tables {
-		rt, err := buildTable(t, n.pm.LPMFixedM, n.pm.TernaryFixedM)
+		rt, err := buildTable(t, t.Entries, n.pm.LPMFixedM, n.pm.TernaryFixedM)
 		if err != nil {
 			return err
 		}
@@ -245,15 +233,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 // cache (same covered span and budget), so its contents may survive a
 // program swap.
 func sameCacheIdentity(a, b p4ir.CacheSpec) bool {
-	if a.Table != b.Table || a.Budget != b.Budget || len(a.Covers) != len(b.Covers) {
-		return false
-	}
-	for i := range a.Covers {
-		if a.Covers[i] != b.Covers[i] {
-			return false
-		}
-	}
-	return true
+	return a.Table == b.Table && a.Budget == b.Budget && slices.Equal(a.Covers, b.Covers)
 }
 
 // Swap atomically replaces the running program — the live runtime
@@ -437,12 +417,23 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		}
 		mult := pl.tierMult[curTier]
 		rt := nd.rt
+		// Gather the width-masked key fields, by compiled field ID; most
+		// keys are one field, fetched without the loop.
+		vals := ctx.values[:1]
+		if len(rt.fids) == 1 {
+			vals[0] = pkt.GetID(rt.fids[0]) & rt.kmasks[0]
+		} else {
+			vals = vals[:0]
+			for i, fid := range rt.fids {
+				vals = append(vals, pkt.GetID(fid)&rt.kmasks[i])
+			}
+			ctx.values = vals
+		}
 
 		if nd.kind == nkCache {
-			ctx.gather(rt, pkt)
 			lat += pl.lmat * mult
 			off := len(ctx.keyBuf)
-			ctx.keyBuf = append(ctx.keyBuf, ctx.values...)
+			ctx.keyBuf = append(ctx.keyBuf, vals...)
 			if r, ok := nd.fc.get(ctx.keyBuf[off:], ctx.writes); ok {
 				ctx.writes = r.writes
 				for _, w := range r.writes {
@@ -478,42 +469,30 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		}
 
 		// Ordinary (or pre-populated merged-cache) table.
-		var lr lookupResult
-		if rt.m0 != nil {
-			// Single-field exact match against the open-addressed bank:
-			// the whole lookup inlines into this loop.
-			v := pkt.GetID(rt.fids[0]) & rt.kmasks[0]
-			if sampled {
-				sink.AddKey(int(nd.keySlot), v)
+		if sampled && len(vals) > 0 {
+			// A one-field key is its own identity; wider keys fold to a
+			// hash.
+			k := vals[0]
+			if len(vals) > 1 {
+				k = hashWords(vals)
 			}
-			se := rt.m0.get(v & rt.m0mask)
-			lr = lookupResult{entry: se, probes: 1, hit: se != nil}
-		} else if len(rt.fids) == 1 {
-			// Single-field fast path: key word straight from the packet,
-			// no gather loop, no scratch buffer.
-			v := pkt.GetID(rt.fids[0]) & rt.kmasks[0]
-			if sampled {
-				sink.AddKey(int(nd.keySlot), v)
-			}
-			lr = rt.lookup1(v)
+			sink.AddKey(int(nd.keySlot), k)
+		}
+		var se *storedEntry
+		if len(vals) != 1 || len(rt.groups) != 1 {
+			se = rt.lookup(vals)
+		} else if g := rt.groups[0]; len(g.flat) != 0 {
+			// One word in one small group, the hottest shape: probed inline.
+			se = g.probe1(vals[0])
 		} else {
-			ctx.gather(rt, pkt)
-			if sampled && len(ctx.values) > 0 {
-				sink.AddKey(int(nd.keySlot), hashWords(ctx.values))
-			}
-			need := 8 * len(ctx.values)
-			if cap(ctx.scratch) < need {
-				ctx.scratch = make([]byte, need)
-			}
-			lr = rt.lookupBuf(ctx.values, ctx.scratch[:need])
+			se = g.probePaged(vals[0])
 		}
 		act := rt.defaultAct
 		var cargs []operand
-		if lr.hit {
-			act = lr.entry.cact
-			cargs = lr.entry.cargs
+		if se != nil {
+			act, cargs = se.cact, se.cargs
 		}
-		lat += float64(lr.probes) * nd.lmatTier * mult
+		lat += float64(rt.numGroups()) * nd.lmatTier * mult
 		if act == nil {
 			// Table with no actions: pure forwarding node.
 			cur = nd.baseNext
@@ -589,15 +568,6 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		res.Path = names
 	}
 	res.LatencyNs = pl.applyNoise(lat, flowHash)
-}
-
-// gather fills ctx.values with the table's width-masked key fields.
-func (ctx *procCtx) gather(rt *runtimeTable, pkt *packet.Packet) {
-	vals := ctx.values[:0]
-	for i, fid := range rt.fids {
-		vals = append(vals, pkt.GetID(fid)&rt.kmasks[i])
-	}
-	ctx.values = vals
 }
 
 // addFill opens a cache-fill record, reusing a pooled write buffer.

@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"runtime"
+	"slices"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
@@ -252,12 +253,8 @@ func resolveTier(t *p4ir.Table, cfg Config, numTiers int) uint8 {
 // because entry updates cannot add or remove actions.
 func (pl *execPlan) rebuiltNode(id int32, rt *runtimeTable) *execPlan {
 	next := *pl
-	next.nodes = append([]execNode(nil), pl.nodes...)
+	next.nodes = slices.Clone(pl.nodes)
 	next.nodes[id].rt = rt
-	if next.nodes[id].kind == nkCache {
-		// Cache node lookups go through nd.fc; rt is only key metadata.
-		return &next
-	}
 	return &next
 }
 

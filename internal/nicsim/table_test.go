@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pipeleon/internal/p4ir"
@@ -23,17 +24,17 @@ func TestMultiKeyExactLookup(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 10}, {Value: 80}}, Action: "hit"},
 		},
 	}
-	rt, err := buildTable(tbl, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rt.lookup([]uint64{10, 80}); !r.hit {
+	if r := rt.lookup([]uint64{10, 80}); r == nil {
 		t.Error("exact pair should hit")
 	}
-	if r := rt.lookup([]uint64{10, 81}); r.hit {
+	if r := rt.lookup([]uint64{10, 81}); r != nil {
 		t.Error("partial match must miss")
 	}
-	if r := rt.lookup([]uint64{11, 80}); r.hit {
+	if r := rt.lookup([]uint64{11, 80}); r != nil {
 		t.Error("partial match must miss")
 	}
 	if rt.numGroups() != 1 {
@@ -55,20 +56,20 @@ func TestMixedLPMExactKey(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a140000, PrefixLen: 16}, {Value: 6}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 10.20.x.x proto 6 matches both prefixes; longest (/16) wins first.
 	r := rt.lookup([]uint64{0x0a140102, 6})
-	if !r.hit {
+	if r == nil {
 		t.Fatal("should hit")
 	}
-	if r.entry.entry.Match[0].PrefixLen != 16 {
-		t.Errorf("longest prefix should win, got /%d", r.entry.entry.Match[0].PrefixLen)
+	if r.match[0].PrefixLen != 16 {
+		t.Errorf("longest prefix should win, got /%d", r.match[0].PrefixLen)
 	}
 	// Wrong proto misses both.
-	if r := rt.lookup([]uint64{0x0a140102, 17}); r.hit {
+	if r := rt.lookup([]uint64{0x0a140102, 17}); r != nil {
 		t.Error("proto mismatch should miss")
 	}
 	if rt.numGroups() != 2 {
@@ -89,14 +90,14 @@ func TestRangeKindTreatedAsTernary(t *testing.T) {
 			{Priority: 1, Match: []p4ir.MatchValue{{Value: 0, Mask: 0xfc00}}, Action: "low"},
 		},
 	}
-	rt, err := buildTable(tbl, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rt.lookup([]uint64{80}); !r.hit {
+	if r := rt.lookup([]uint64{80}); r == nil {
 		t.Error("port 80 should match the low range")
 	}
-	if r := rt.lookup([]uint64{8080}); r.hit {
+	if r := rt.lookup([]uint64{8080}); r != nil {
 		t.Error("port 8080 should miss")
 	}
 }
@@ -114,13 +115,13 @@ func TestDuplicateEntryHigherPriorityWins(t *testing.T) {
 			{Priority: 9, Match: []p4ir.MatchValue{{Value: 5, Mask: 0xff}}, Action: "second"},
 		},
 	}
-	rt, err := buildTable(tbl, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rt.lookup([]uint64{5})
-	if !r.hit || r.entry.action.Name != "second" {
-		t.Errorf("priority 9 duplicate should win, got %+v", r.entry)
+	if r == nil || r.cact.act.Name != "second" {
+		t.Errorf("priority 9 duplicate should win, got %+v", r)
 	}
 }
 
@@ -135,12 +136,12 @@ func TestFixedMOverridesProbeCount(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a000000, PrefixLen: 8}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, 3, 0) // emulated NIC pins LPM at 3
+	rt, err := buildTable(tbl, tbl.Entries, 3, 0) // emulated NIC pins LPM at 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rt.lookup([]uint64{0x0a010101}); r.probes != 3 {
-		t.Errorf("probes = %d, want fixed 3", r.probes)
+	if m := rt.numGroups(); m != 3 {
+		t.Errorf("probes = %d, want fixed 3", m)
 	}
 }
 
@@ -203,7 +204,7 @@ func TestKeyWidthMasking(t *testing.T) {
 	}
 	// Lookup directly to observe the masked hit.
 	rt := nic.tables["narrow"]
-	if res := rt.lookup([]uint64{0x50}); !res.hit {
+	if res := rt.lookup([]uint64{0x50}); res == nil {
 		t.Error("entry value above field width should be masked to match")
 	}
 }
@@ -225,7 +226,57 @@ func TestBuildTableRejectsGhostAction(t *testing.T) {
 		Actions: []*p4ir.Action{p4ir.NoopAction("a")},
 		Entries: []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 1}}, Action: "ghost"}},
 	}
-	if _, err := buildTable(tbl, 0, 0); err == nil {
+	if _, err := buildTable(tbl, tbl.Entries, 0, 0); err == nil {
 		t.Error("ghost action should fail table build")
+	}
+}
+
+// A refused entry operation — table full, bad arity, unknown action, no
+// such entry, a bulk install with one bad entry — must leave the program
+// and the lookup store as they were: the store forks, applies, and only
+// then is Table.Entries touched.
+func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
+	spec := exactTable("t", "ipv4.dstAddr", "", e("hit_act", 1), e("hit_act", 2))
+	spec.MaxEntries = 3
+	prog, err := p4ir.ChainTables("p", []p4ir.TableSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic, err := New(prog, Config{Params: testParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nic.InsertEntry("t", e("hit_act", 3)); err != nil {
+		t.Fatal(err)
+	}
+	store, plan := nic.tables["t"], nic.plan.Load()
+	entries := prog.Tables["t"].Clone().Entries
+	for name, op := range map[string]func() error{
+		"insert into full table": func() error { return nic.InsertEntry("t", e("hit_act", 4)) },
+		"insert, bad arity":      func() error { return nic.InsertEntry("t", e("hit_act", 4, 5)) },
+		"insert, ghost action":   func() error { return nic.InsertEntry("t", e("ghost", 4)) },
+		"delete, no such entry":  func() error { return nic.DeleteEntry("t", e("", 4).Match) },
+		"modify, no such entry":  func() error { return nic.ModifyEntry("t", e("", 4).Match, "hit_act", nil) },
+		"modify, ghost action":   func() error { return nic.ModifyEntry("t", e("", 1).Match, "ghost", nil) },
+		"replace, one bad entry": func() error { return nic.ReplaceEntries("t", []p4ir.Entry{e("hit_act", 9), e("ghost", 8)}) },
+		"no such table":          func() error { return nic.InsertEntry("nope", e("hit_act", 4)) },
+	} {
+		if err := op(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if nic.tables["t"] != store || nic.plan.Load() != plan {
+			t.Errorf("%s: refused, but a new table was published", name)
+		}
+		if got := nic.Program().Tables["t"].Entries; !reflect.DeepEqual(got, entries) {
+			t.Errorf("%s: refused, but Table.Entries = %+v, want %+v", name, got, entries)
+		}
+		for v := uint64(1); v <= 9; v++ {
+			if hit := nic.tables["t"].lookup([]uint64{v}) != nil; hit != (v <= 3) {
+				t.Errorf("%s: refused, but lookup(%d) hit = %v", name, v, hit)
+			}
+		}
+		if n := nic.UpdateCounts()["t"]; n != 1 {
+			t.Errorf("%s: refused, but %d updates counted", name, n)
+		}
 	}
 }
