@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/p4c/
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/p4c/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadValidate$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
+	$(GO) test -run '^$$' -fuzz '^FuzzDigestMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
@@ -105,12 +106,17 @@ traces:
 # clone in packet) and are archived in BENCH_datapath.json together with
 # the root burst bench that has all three stores on its path and the match
 # store's rows: lookup per match kind, entry operation per table size,
-# bulk install.
+# bulk install. The control loop's benches live beside theirs too — one
+# round of each kind in core, the program digest against the JSON it
+# replaced in p4ir, all on the 110-table synth program — and are archived
+# in BENCH_control.json.
 EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$
+CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$
+CONTROLPKGS = ./internal/core ./internal/p4ir
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
@@ -118,13 +124,16 @@ bench:
 	{ $(GO) test -run '^$$' -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
 	  $(GO) test -run '^$$' -bench '$(SYNTH110BENCH)' -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_datapath.json
+	$(GO) test -run '^$$' -bench '$(CONTROLBENCH)' -benchmem $(CONTROLPKGS) \
+		| $(GO) run ./cmd/benchjson -out BENCH_control.json
 
 # benchcheck is the bench-regression gate: rerun the hot-path bench set
 # (-count=3; the gate compares best-of-3 per metric) and fail (exit
 # nonzero) if a gated benchmark regressed more than MAXREGRESS in ns/op
 # — or grew allocs/op — versus the committed BENCH_emulator.json
 # baseline (and the proof benches versus BENCH_search.json, the store
-# benches versus BENCH_datapath.json). The -gate regexp excludes the
+# benches versus BENCH_datapath.json, the control-loop benches versus
+# BENCH_control.json). The -gate regexp excludes the
 # multi-worker MeasureParallel entries: at GOMAXPROCS=1 those measure
 # scheduler contention, not the datapath, and swing well past any sane
 # threshold run to run. Refresh the baseline with `make bench` after
@@ -139,3 +148,5 @@ benchcheck:
 	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
 	  $(GO) test -run '^$$' -count=3 -bench '$(SYNTH110BENCH)' -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -compare BENCH_datapath.json -max-regress $(MAXREGRESS)
+	$(GO) test -run '^$$' -count=3 -bench '$(CONTROLBENCH)' -benchmem $(CONTROLPKGS) \
+		| $(GO) run ./cmd/benchjson -compare BENCH_control.json -max-regress $(MAXREGRESS)

@@ -3,6 +3,7 @@ package absint
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pipeleon/internal/p4ir"
@@ -60,25 +61,31 @@ func TableShadows(t *p4ir.Table) []Shadow {
 // between entries are otherwise order-dependent and never reported.
 // Structurally invalid entries (key arity mismatch) are skipped.
 func AnalyzeTable(t *p4ir.Table) TableFacts {
+	// Entries group by their per-key masks and, inside a group, by their
+	// masked values: both are word tuples, indexed as such (wordIndex).
 	type info struct {
 		ok    bool
 		masks []uint64
 		vals  []uint64
-		sig   string
+		group int // mask group, numbered in first-seen order
 	}
 	infos := make([]info, len(t.Entries))
+	var maskGroups wordIndex
+	words := make([]uint64, 2*len(t.Keys)*len(t.Entries))
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
 		if len(e.Match) != len(t.Keys) {
 			continue
 		}
-		in := info{ok: true, masks: make([]uint64, len(t.Keys)), vals: make([]uint64, len(t.Keys))}
+		n := len(t.Keys)
+		in := info{ok: true, masks: words[:n:n], vals: words[n : 2*n : 2*n]}
+		words = words[2*n:]
 		for i, k := range t.Keys {
 			m := entryMask(k, e.Match[i])
 			in.masks[i] = m
 			in.vals[i] = e.Match[i].Value & m
-			in.sig += fmt.Sprintf("%016x,", m)
 		}
+		in.group, _ = maskGroups.id(in.masks)
 		infos[ei] = in
 	}
 
@@ -87,39 +94,30 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	// Build-time dedup: within one mask group, entries sharing a masked
 	// key collapse to a single winner (strictly higher priority replaces;
 	// ties keep the first installed).
-	type slot struct{ winner int }
-	groups := map[string]map[string]*slot{}
-	keyOf := func(in info) string {
-		s := ""
-		for _, v := range in.vals {
-			s += fmt.Sprintf("%016x,", v)
-		}
-		return s
+	type dedup struct {
+		vals   wordIndex
+		winner []int // per distinct masked key
 	}
+	dedups := make([]dedup, maskGroups.len())
 	losers := make([]bool, len(t.Entries))
 	for ei := range t.Entries {
 		in := infos[ei]
 		if !in.ok {
 			continue
 		}
-		g := groups[in.sig]
-		if g == nil {
-			g = map[string]*slot{}
-			groups[in.sig] = g
-		}
-		k := keyOf(in)
-		sl := g[k]
-		if sl == nil {
-			g[k] = &slot{winner: ei}
+		d := &dedups[in.group]
+		slot, fresh := d.vals.id(in.vals)
+		if fresh {
+			d.winner = append(d.winner, ei)
 			continue
 		}
-		if t.Entries[ei].Priority > t.Entries[sl.winner].Priority {
-			losers[sl.winner] = true
-			out = append(out, Shadow{Entry: sl.winner, By: ei, Duplicate: true})
-			sl.winner = ei
+		if w := d.winner[slot]; t.Entries[ei].Priority > t.Entries[w].Priority {
+			losers[w] = true
+			out = append(out, Shadow{Entry: w, By: ei, Duplicate: true})
+			d.winner[slot] = ei
 		} else {
 			losers[ei] = true
-			out = append(out, Shadow{Entry: ei, By: sl.winner, Duplicate: true})
+			out = append(out, Shadow{Entry: ei, By: w, Duplicate: true})
 		}
 	}
 
@@ -170,8 +168,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	// or equal priority in a later-installed mask group (the probe scans
 	// groups in first-seen order and keeps the first best-priority hit).
 	type group struct {
-		vals    map[string]bool
-		tuples  [][]uint64
+		vals    wordIndex // distinct in-width masked values, first-seen order
 		masks   []uint64
 		bits    int
 		prefix  int // emulator probe sort key (exact widths + LPM prefixes)
@@ -180,7 +177,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		sample  int
 		some    bool
 	}
-	covGroups := map[string]*group{}
+	covGroups := make([]*group, maskGroups.len())
 	var groupSeq []*group
 	groupOf := make([]*group, len(t.Entries))
 	for ei := range t.Entries {
@@ -188,7 +185,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		if !in.ok {
 			continue
 		}
-		g := covGroups[in.sig]
+		g := covGroups[in.group]
 		if g == nil {
 			bits, prefix := 0, 0
 			for i, k := range t.Keys {
@@ -200,8 +197,8 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 					prefix += t.Entries[ei].Match[i].PrefixLen
 				}
 			}
-			g = &group{vals: map[string]bool{}, masks: in.masks, bits: bits, prefix: prefix}
-			covGroups[in.sig] = g
+			g = &group{masks: in.masks, bits: bits, prefix: prefix}
+			covGroups[in.group] = g
 			groupSeq = append(groupSeq, g)
 		}
 		groupOf[ei] = g
@@ -222,10 +219,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 			g.minPrio, g.sample = p, ei
 		}
 		g.some = true
-		if !g.vals[keyOf(in)] {
-			g.vals[keyOf(in)] = true
-			g.tuples = append(g.tuples, in.vals)
-		}
+		g.vals.id(in.vals)
 	}
 	// Probe rank mirrors buildTable: groups stable-sorted by prefix bits
 	// descending over first-seen order.
@@ -237,7 +231,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	for _, g := range groupSeq {
 		// bits is capped far above any enumerable entry count; the cap only
 		// guards the 1<<bits shift.
-		if !g.some || g.bits > 24 || len(g.vals) != 1<<uint(g.bits) {
+		if !g.some || g.bits > 24 || g.vals.len() != 1<<uint(g.bits) {
 			continue
 		}
 		mustHit = true
@@ -276,12 +270,13 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		}
 		var virts []virtual
 		for _, g := range groupSeq {
-			if !g.some || len(g.tuples) < 2 {
+			tuples := g.vals.words
+			if !g.some || len(tuples) < 2 {
 				continue
 			}
 			for j := range t.Keys {
 				bitsJ := popcount(g.masks[j] & widthMask(t.Keys[j].BitWidth()))
-				if bitsJ == 0 || bitsJ > 24 || len(g.tuples) < 1<<uint(bitsJ) {
+				if bitsJ == 0 || bitsJ > 24 || len(tuples) < 1<<uint(bitsJ) {
 					continue
 				}
 				// Bucket the tuples by their values on every key but j; a
@@ -291,20 +286,16 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 					jvals map[uint64]bool
 					rep   []uint64
 				}
-				buckets := map[string]*bucket{}
-				for _, tu := range g.tuples {
-					ctx := ""
-					for i, v := range tu {
-						if i != j {
-							ctx += fmt.Sprintf("%016x,", v)
-						}
+				var contexts wordIndex
+				var buckets []bucket
+				ctx := make([]uint64, 0, len(t.Keys))
+				for _, tu := range tuples {
+					ctx = append(append(ctx[:0], tu[:j]...), tu[j+1:]...)
+					bi, fresh := contexts.id(ctx)
+					if fresh {
+						buckets = append(buckets, bucket{jvals: map[uint64]bool{}, rep: tu})
 					}
-					b := buckets[ctx]
-					if b == nil {
-						b = &bucket{jvals: map[uint64]bool{}, rep: tu}
-						buckets[ctx] = b
-					}
-					b.jvals[tu[j]] = true
+					buckets[bi].jvals[tu[j]] = true
 				}
 				for _, b := range buckets {
 					if len(b.jvals) != 1<<uint(bitsJ) {
@@ -345,6 +336,40 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		}
 	}
 	return TableFacts{Shadows: out, MustHit: mustHit}
+}
+
+// wordIndex numbers distinct word tuples in first-seen order. Tuples are
+// found by a 64-bit fold of their words (the emulator's hashWords; absint
+// may not import the emulator) and compared word for word on a match, so
+// no tuple is ever formatted into a string to serve as a map key.
+type wordIndex struct {
+	head  map[uint64]int32 // fold -> 1 + the newest tuple with that fold
+	chain []int32          // id -> 1 + the next older tuple with its fold
+	words [][]uint64       // id -> tuple
+}
+
+func (x *wordIndex) len() int { return len(x.words) }
+
+// id returns the tuple's number, assigning the next one (and keeping a
+// copy of the words) when it is new.
+func (x *wordIndex) id(words []uint64) (id int, fresh bool) {
+	h := uint64(14695981039346656037)
+	for _, w := range words {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	for i := x.head[h]; i != 0; i = x.chain[i-1] {
+		if slices.Equal(x.words[i-1], words) {
+			return int(i - 1), false
+		}
+	}
+	if x.head == nil {
+		x.head = map[uint64]int32{}
+	}
+	x.chain = append(x.chain, x.head[h])
+	x.words = append(x.words, slices.Clone(words))
+	x.head[h] = int32(len(x.words))
+	return len(x.words) - 1, true
 }
 
 func widthMask(w int) uint64 {

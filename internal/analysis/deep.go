@@ -5,7 +5,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -166,11 +165,11 @@ type SemanticChecker struct {
 	condsTotal int
 	classes    []semClass
 	origFields []string
-	// verdicts maps the digest of a candidate's canonical serialization to
-	// the diagnostics its proof produced. The key is a cryptographic
-	// digest because a hit skips the proof: a collision between a verified
-	// and a broken candidate would deploy the broken one unproven.
-	verdicts *memo.Table[[sha256.Size]byte, diag.List]
+	// verdicts maps a candidate's content digest to the diagnostics its
+	// proof produced. The key is a cryptographic digest because a hit
+	// skips the proof: a collision between a verified and a broken
+	// candidate would deploy the broken one unproven.
+	verdicts *memo.Table[p4ir.Digest, diag.List]
 }
 
 type semClass struct {
@@ -181,7 +180,7 @@ type semClass struct {
 // NewSemanticChecker precomputes the original program's per-path-class
 // abstract outcomes.
 func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
-	sc := &SemanticChecker{verdicts: memo.New[[sha256.Size]byte, diag.List](semMemoCap)}
+	sc := &SemanticChecker{verdicts: memo.New[p4ir.Digest, diag.List](semMemoCap)}
 	if orig.StructuralDiagnostics().HasErrors() {
 		sc.origBroken = true
 		return sc
@@ -232,14 +231,9 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 			"original program is not analyzable; semantic comparison impossible")
 		return l
 	}
-	// MarshalJSON is the canonical serialization (sorted tables,
-	// conditionals and map keys) that also decides whether two layouts are
-	// the same deploy; a program it cannot serialize is proven unmemoized.
-	js, err := opt.MarshalJSON()
-	if err != nil {
-		return sc.prove(opt)
-	}
-	key := sha256.Sum256(js)
+	// The content digest also decides whether two layouts are the same
+	// deploy, so "same program" means one thing here and there.
+	key := opt.Digest()
 	if l, ok := sc.verdicts.Get(key); ok {
 		return append(diag.List(nil), l...)
 	}

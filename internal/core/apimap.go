@@ -122,6 +122,8 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 				undoCurrent()
 				return err
 			}
+			// current was edited in place; the next round recomputes.
+			r.currentDigest = p4ir.Digest{}
 			return nil
 		}
 	}
@@ -130,9 +132,10 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 		return err
 	}
 	r.updCountsOrig[table]++
-	// r.orig is the search session's program: its semantic proofs were
-	// computed from the entries as they were.
+	// r.orig is the search session's program: its semantic proofs, and the
+	// deploy gate's verdicts, were computed from the entries as they were.
 	r.search.EntriesChanged()
+	r.gate.Reset()
 	return nil
 }
 
@@ -195,6 +198,6 @@ func (r *Runtime) redeployLocked() error {
 		_ = r.tgt.Rollback() // best effort: the commit error is the one to report
 		return err
 	}
-	r.current, r.cmap, r.activePlan = next, cmap, plan
+	r.setCurrentLocked(next, p4ir.Digest{}, cmap, plan)
 	return nil
 }

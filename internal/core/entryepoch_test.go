@@ -11,14 +11,11 @@ import (
 	"pipeleon/internal/trafficgen"
 )
 
-// Entry operations mutate the original program in place, and the semantic
-// proofs of a DeepVerify runtime were computed from the entries as they
-// were. An insert that widens an egress range must therefore invalidate
-// them: a stale checker would compare every later candidate against the
-// old range (spurious SE003: the search finds nothing deployable) and
-// would still accept a program built from the old entries (a stale true
-// verdict).
-func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
+// markProgram is a table whose written value is action data, then two
+// independent ACLs: meta.mark egresses in [0,1] until an entry carries
+// something larger.
+func markProgram(t *testing.T) *p4ir.Program {
+	t.Helper()
 	dst := p4ir.Key{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.dstAddr")}
 	acl := func(name, field string, dropVal uint64) p4ir.TableSpec {
 		return p4ir.TableSpec{
@@ -29,8 +26,6 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: dropVal}}, Action: "drop_packet"}},
 		}
 	}
-	// mark's written value is action data: meta.mark egresses in [0,1]
-	// until an entry carries something larger.
 	prog, err := p4ir.ChainTables("markprog", []p4ir.TableSpec{
 		{
 			Name:          "mark",
@@ -45,6 +40,18 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+// Entry operations mutate the original program in place, and the semantic
+// proofs of a DeepVerify runtime were computed from the entries as they
+// were. An insert that widens an egress range must therefore invalidate
+// them: a stale checker would compare every later candidate against the
+// old range (spurious SE003: the search finds nothing deployable) and
+// would still accept a program built from the old entries (a stale true
+// verdict).
+func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
+	prog := markProgram(t)
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.EnableCache = false
@@ -101,13 +108,13 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 	// The rebuilt checker still blocks what it must: a program holding
 	// the entries from before the insert, and a hand-broken candidate.
 	var stale RoundReport
-	if rt.deployGate(beforeInsert, &stale) || !strings.Contains(stale.DeployError, "SE003") {
+	if gate(rt, beforeInsert, &stale) || !strings.Contains(stale.DeployError, "SE003") {
 		t.Errorf("program without the inserted entry passed the gate: %q", stale.DeployError)
 	}
 	broken := rt.Original().Clone()
 	broken.Tables["acl1"].Actions[1] = p4ir.NewAction("allow", p4ir.Prim("modify_field", "meta.mark", "2"))
 	var blocked RoundReport
-	if rt.deployGate(broken, &blocked) || !strings.Contains(blocked.DeployError, "SE003") {
+	if gate(rt, broken, &blocked) || !strings.Contains(blocked.DeployError, "SE003") {
 		t.Errorf("hand-broken candidate passed the gate: %q", blocked.DeployError)
 	}
 }

@@ -53,7 +53,7 @@ func assertHealthy(t *testing.T, rt *Runtime, nic *nicsim.NIC) {
 	if root := rt.Current().Root; root != "acl2" {
 		t.Errorf("runtime root = %q, want acl2 deployed", root)
 	}
-	if !samePrograms(rt.Current(), nic.Program()) {
+	if rt.Current().Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree on the deployed program")
 	}
 }
@@ -165,7 +165,7 @@ func TestMidDeployCrashDetectedAndRolledBack(t *testing.T) {
 		t.Fatalf("silent mid-deploy crash not detected: %+v", rep)
 	}
 	// After rollback, runtime and device agree again.
-	if !samePrograms(rt.Current(), nic.Program()) {
+	if rt.Current().Digest() != nic.Program().Digest() {
 		t.Error("runtime and device diverged after crash + rollback")
 	}
 
@@ -302,7 +302,7 @@ func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	if !converged {
 		t.Fatalf("loop did not converge; history=%+v", rt.History())
 	}
-	if !samePrograms(rt.Current(), nic.Program()) {
+	if rt.Current().Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree after convergence")
 	}
 	var sawFailure, sawRollback bool

@@ -135,13 +135,19 @@ func (r *Runtime) noteDeployFailureLocked() {
 }
 
 // blacklistLocked bars a plan from redeployment for the configured
-// number of rounds.
+// number of rounds, and sweeps the entries that have expired: a plan that
+// is never chosen again is never looked up, and would otherwise stay.
 func (r *Runtime) blacklistLocked(planKey string) {
 	if planKey == "" || r.guard == nil {
 		return
 	}
 	if r.blacklist == nil {
 		r.blacklist = map[string]int{}
+	}
+	for key, exp := range r.blacklist {
+		if r.round > exp {
+			delete(r.blacklist, key)
+		}
 	}
 	r.blacklist[planKey] = r.round + r.guard.blacklistRounds()
 }

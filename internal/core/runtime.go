@@ -23,6 +23,7 @@ import (
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/faultinject"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
@@ -42,9 +43,14 @@ type Runtime struct {
 	pm   costmodel.Params
 	cfg  opt.Config
 
-	current    *p4ir.Program
-	cmap       *opt.CounterMap
-	activePlan []*opt.Option
+	// The deployed layout. The four move together, through setCurrentLocked
+	// only; currentDigest is current.Digest(), or zero when an entry
+	// operation edited current in place and the next round has to recompute
+	// it (currentDigestLocked).
+	current       *p4ir.Program
+	currentDigest p4ir.Digest
+	cmap          *opt.CounterMap
+	activePlan    []*opt.Option
 
 	// search is the warm optimizer session: it keeps the pipelet
 	// partition, dependency analysis, evaluator arrays, and per-unit
@@ -58,9 +64,19 @@ type Runtime struct {
 	updCountsOrig     map[string]uint64
 	lastUpdCountsOrig map[string]uint64
 
-	round     int
-	history   []RoundReport
-	lastCosts map[string]float64
+	round int
+	// history is a ring of the last historyCap reports (historyNext is the
+	// oldest once full); tally holds the counters of every report ever
+	// recorded, so Status reads no history and a daemon's memory does not
+	// grow with its rounds.
+	history     []RoundReport
+	historyNext int
+	tally       RuntimeStatus
+	lastCosts   map[string]float64
+
+	// gate memoizes the deploy gate's verdict per candidate program (see
+	// vet.go); every entry operation drops it.
+	gate *memo.Table[p4ir.Digest, gateVerdict]
 
 	// Fault tolerance (see guard.go): transactional deploys with
 	// verify-and-rollback, plan blacklisting, and a redeploy circuit
@@ -142,12 +158,12 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 		tgt:               tgt,
 		pm:                tgt.Capabilities().Params,
 		cfg:               cfg,
-		current:           orig.Clone(),
-		cmap:              opt.NewCounterMap(),
 		lastUpdateCounts:  map[string]uint64{},
 		updCountsOrig:     map[string]uint64{},
 		lastUpdCountsOrig: map[string]uint64{},
+		gate:              memo.New[p4ir.Digest, gateVerdict](gateMemoCap),
 	}
+	r.setCurrentLocked(orig.Clone(), p4ir.Digest{}, opt.NewCounterMap(), nil)
 	// The session shares r.cfg by value; the HitRateOverride map inside is
 	// aliased on purpose, so per-round feedback written by OptimizeOnce is
 	// visible to the warm search (its memo folds the overrides into every
@@ -192,11 +208,47 @@ func (r *Runtime) TranslatedCounters() *profile.Profile {
 	return r.cmap.Translate(snap, r.orig)
 }
 
-// History returns the reports of all completed rounds.
+// setCurrentLocked is the one place the runtime's view of the deployed
+// layout changes. digest is prog's, or zero when the caller has not
+// computed it.
+func (r *Runtime) setCurrentLocked(prog *p4ir.Program, digest p4ir.Digest, cmap *opt.CounterMap, plan []*opt.Option) {
+	r.current, r.currentDigest, r.cmap, r.activePlan = prog, digest, cmap, plan
+}
+
+// currentDigestLocked returns current.Digest(), computing and storing it
+// when an in-place edit left it unknown.
+func (r *Runtime) currentDigestLocked() p4ir.Digest {
+	if r.currentDigest == (p4ir.Digest{}) {
+		r.currentDigest = r.current.Digest()
+	}
+	return r.currentDigest
+}
+
+// historyCap is how many round reports the runtime keeps: several minutes
+// of rounds at the paper's sub-second cadence, enough to read back what
+// led up to an incident.
+const historyCap = 1024
+
+// History returns the reports of the most recent rounds, oldest first —
+// at most historyCap of them; Status counts every round ever run.
 func (r *Runtime) History() []RoundReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]RoundReport(nil), r.history...)
+	out := make([]RoundReport, 0, len(r.history))
+	out = append(out, r.history[r.historyNext:]...)
+	return append(out, r.history[:r.historyNext]...)
+}
+
+// recordLocked files a finished round: into the ring and into the tally
+// Status reads.
+func (r *Runtime) recordLocked(rep RoundReport) {
+	if len(r.history) < historyCap {
+		r.history = append(r.history, rep)
+	} else {
+		r.history[r.historyNext] = rep
+		r.historyNext = (r.historyNext + 1) % historyCap
+	}
+	r.tally.count(rep)
 }
 
 // OptimizeOnce runs one optimization round over the profile collected in
@@ -216,7 +268,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 	defer r.mu.Unlock()
 	r.round++
 	report := RoundReport{Round: r.round, HitRateFeedback: map[string]float64{}}
-	record := func() { r.history = append(r.history, report) }
+	record := func() { r.recordLocked(report) }
 
 	optProf, perr := r.tgt.Profile(true)
 	if perr != nil {
@@ -295,7 +347,10 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 	}
 	r.lastCosts = newCosts
 
-	res, rw, err := r.search.SearchAndApply(origProf)
+	// Decide, then materialize: the search, the blacklist and the
+	// hysteresis test read only the plan and its gain, so a round they stop
+	// never clones, rewrites or proves a program.
+	res, err := r.search.Search(origProf)
 	if err != nil {
 		report.Error = err.Error()
 		record()
@@ -323,20 +378,10 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 		record()
 		return report, nil
 	}
-
-	next := r.orig
-	nextMap := opt.NewCounterMap()
-	nextPlan := res.Plan
-	if rw != nil {
-		next = rw.Program
-		nextMap = rw.Map
-	} else {
-		nextPlan = nil
-	}
 	// Hysteresis: reconfigure only when the new plan beats the active
 	// plan (re-scored under the fresh profile) by RedeployMargin —
 	// otherwise keep the deployed layout and its warm caches.
-	if len(r.activePlan) > 0 && rw != nil {
+	if len(r.activePlan) > 0 && len(res.Plan) > 0 {
 		curGain := r.search.ReScore(origProf, r.activePlan)
 		report.ActivePlanGain = curGain
 		if curGain > 0 && report.Gain < curGain*(1+r.cfg.RedeployMargin) {
@@ -344,11 +389,23 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 			return report, nil
 		}
 	}
+
+	// An empty plan deploys the original back.
+	next, nextMap, nextPlan := r.orig, opt.NewCounterMap(), []*opt.Option(nil)
+	if len(res.Plan) > 0 {
+		rw, err := r.search.Materialize(res.Plan)
+		if err != nil {
+			report.Error = err.Error()
+			record()
+			return report, err
+		}
+		next, nextMap, nextPlan = rw.Program, rw.Map, res.Plan
+	}
 	// Deploy only when the layout actually changed.
-	if !samePrograms(next, r.current) {
+	if nextDigest := next.Digest(); nextDigest != r.currentDigestLocked() {
 		// Static-analysis gate: a program with Error diagnostics never
 		// reaches the device, whatever the search promised.
-		if !r.deployGate(next, &report) {
+		if !r.deployGate(next, nextDigest, &report) {
 			r.noteDeployFailureLocked()
 			record()
 			return report, fmt.Errorf("core: deploy %s", report.DeployError)
@@ -357,8 +414,8 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 		// program itself (Deploy stages, Commit/Rollback resolve it).
 		// Measure the pre-deploy baseline on the same sample the
 		// post-deploy window will replay.
-		prevProg, prevMap, prevPlan := r.current, r.cmap, r.activePlan
-		verifying := r.guard != nil && r.guard.Sampler != nil && rw != nil
+		prevProg, prevDigest, prevMap, prevPlan := r.current, r.currentDigest, r.cmap, r.activePlan
+		verifying := r.guard != nil && r.guard.Sampler != nil && nextPlan != nil
 		var sample []*packet.Packet
 		var preM target.Measurement
 		if verifying {
@@ -387,9 +444,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 			record()
 			return report, fmt.Errorf("core: deploy failed: %w", err)
 		}
-		r.current = next.Clone()
-		r.cmap = nextMap
-		r.activePlan = nextPlan
+		r.setCurrentLocked(next.Clone(), nextDigest, nextMap, nextPlan)
 		report.Deployed = true
 		if verifying {
 			_, _ = r.measureSample(sample) // warm the fresh program's caches
@@ -432,9 +487,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 					record()
 					return report, fmt.Errorf("core: rollback failed: %w", err)
 				}
-				r.current = prevProg
-				r.cmap = prevMap
-				r.activePlan = prevPlan
+				r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
 				report.RolledBack = true
 				r.blacklistLocked(planKey)
 				r.noteDeployFailureLocked()
@@ -449,12 +502,9 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 			return report, fmt.Errorf("core: commit failed: %w", err)
 		}
 		r.consecFailures = 0
-	} else {
+	} else if nextPlan != nil {
 		// Layout unchanged; refresh map/plan so entry ops stay mapped.
-		if rw != nil {
-			r.cmap = nextMap
-			r.activePlan = nextPlan
-		}
+		r.setCurrentLocked(r.current, r.currentDigest, nextMap, nextPlan)
 	}
 	record()
 	return report, nil
@@ -467,11 +517,8 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 // rates.
 func (r *Runtime) profileSignature(prof *profile.Profile) map[string]float64 {
 	out := map[string]float64{}
-	part, err := pipelet.Form(r.orig, r.cfg.MaxPipeletLen)
-	if err == nil {
-		for _, c := range pipelet.RankByCost(r.orig, prof, r.pm, part) {
-			out["cost:"+c.Pipelet.Head()] = c.Weighted
-		}
+	for _, c := range pipelet.RankByCost(r.orig, prof, r.pm, r.search.Partition()) {
+		out["cost:"+c.Pipelet.Head()] = c.Weighted
 	}
 	for name, t := range r.orig.Tables {
 		if t.HasDropAction() {
@@ -535,15 +582,6 @@ func (r *Runtime) measureSample(sample []*packet.Packet) (target.Measurement, er
 		}
 	}
 	return r.tgt.Measure(sample)
-}
-
-func samePrograms(a, b *p4ir.Program) bool {
-	ja, err1 := a.MarshalJSON()
-	jb, err2 := b.MarshalJSON()
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return string(ja) == string(jb)
 }
 
 // Run executes rounds until stop is closed, one per interval. It is the

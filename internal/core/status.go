@@ -68,18 +68,52 @@ type RuntimeStatus struct {
 	TotalSearchNs int64 `json:"total_search_ns"`
 }
 
-// Status aggregates the round history and live guard state into a
-// RuntimeStatus. Before this existed, BreakerOpen/RolledBack outcomes
-// lived only in individual RoundReports, forcing remote observers to
-// fetch and fold the whole history themselves.
+// count folds one recorded round into the cumulative counters. The
+// runtime keeps one RuntimeStatus as its running tally, so Status never
+// re-reads the round history.
+func (st *RuntimeStatus) count(rep RoundReport) {
+	if rep.Deployed {
+		st.Deploys++
+	}
+	if rep.RolledBack {
+		st.RolledBack++
+	}
+	if rep.DeployError != "" {
+		st.DeployErrors++
+	}
+	if rep.BreakerOpen {
+		st.BreakerOpenRounds++
+	}
+	if rep.PlanBlacklisted {
+		st.PlanBlacklistedRounds++
+	}
+	if rep.SkippedUnchanged {
+		st.SkippedUnchanged++
+	}
+	if rep.Error != "" {
+		st.Errors++
+	}
+	switch {
+	case rep.Error != "":
+		st.LastError = rep.Error
+	case rep.DeployError != "":
+		st.LastError = rep.DeployError
+	case rep.Deployed && !rep.RolledBack:
+		st.LastError = ""
+	}
+}
+
+// Status reports the running round tally and the live guard state as a
+// RuntimeStatus, so a remote observer never has to fetch and fold
+// per-round reports itself. Its cost does not depend on how many rounds
+// have run.
 func (r *Runtime) Status() RuntimeStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RuntimeStatus{
-		Round:               r.round,
-		BreakerOpen:         r.round < r.breakerOpenUntil,
-		ConsecutiveFailures: r.consecFailures,
-	}
+	st := r.tally
+	st.Round = r.round
+	st.BreakerOpen = r.round < r.breakerOpenUntil
+	st.ConsecutiveFailures = r.consecFailures
 	if r.search != nil {
 		ss := r.search.Stats()
 		st.SearchRounds = ss.Rounds
@@ -96,42 +130,11 @@ func (r *Runtime) Status() RuntimeStatus {
 		st.LastSearchNs = ss.LastSearch.Nanoseconds()
 		st.TotalSearchNs = ss.TotalSearch.Nanoseconds()
 	}
-	// Count only live blacklist entries; expired ones are garbage-collected
-	// lazily on lookup and must not be reported as active.
+	// Count only live blacklist entries; blacklistLocked sweeps expired
+	// ones, so the map holds at most a few.
 	for _, exp := range r.blacklist {
 		if r.round <= exp {
 			st.BlacklistedPlans++
-		}
-	}
-	for _, rep := range r.history {
-		if rep.Deployed {
-			st.Deploys++
-		}
-		if rep.RolledBack {
-			st.RolledBack++
-		}
-		if rep.DeployError != "" {
-			st.DeployErrors++
-		}
-		if rep.BreakerOpen {
-			st.BreakerOpenRounds++
-		}
-		if rep.PlanBlacklisted {
-			st.PlanBlacklistedRounds++
-		}
-		if rep.SkippedUnchanged {
-			st.SkippedUnchanged++
-		}
-		if rep.Error != "" {
-			st.Errors++
-		}
-		switch {
-		case rep.Error != "":
-			st.LastError = rep.Error
-		case rep.DeployError != "":
-			st.LastError = rep.DeployError
-		case rep.Deployed && !rep.RolledBack:
-			st.LastError = ""
 		}
 	}
 	return st

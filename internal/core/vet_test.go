@@ -45,13 +45,19 @@ func TestNewRuntimeRejectsInvalidProgram(t *testing.T) {
 	}
 }
 
+// gate runs the deploy gate on prog the way a round does: under the
+// digest the round computed to compare layouts.
+func gate(rt *Runtime, prog *p4ir.Program, report *RoundReport) bool {
+	return rt.deployGate(prog, prog.Digest(), report)
+}
+
 func TestVetProgramFlagsBrokenRewrite(t *testing.T) {
 	prog := aclProgram(t)
-	pm := costmodel.BlueField2()
+	rt, _, _ := newRig(t, prog, opt.DefaultConfig())
 
 	// The unchanged program vets clean (pointer-identical: no rewrite
 	// proof needed).
-	if l := vetProgram(prog, prog, pm); l.HasErrors() {
+	if l := rt.vet(rt.orig); l.HasErrors() {
 		t.Fatalf("identity deploy has error diagnostics: %v", l.Errors())
 	}
 
@@ -63,7 +69,7 @@ func TestVetProgramFlagsBrokenRewrite(t *testing.T) {
 			break
 		}
 	}
-	l := vetProgram(prog, mut, pm)
+	l := rt.vet(mut)
 	if !l.HasErrors() {
 		t.Fatal("rewrite that lost a table vetted clean")
 	}
@@ -81,7 +87,7 @@ func TestDeployGateFillsReport(t *testing.T) {
 		}
 	}
 	var report RoundReport
-	if rt.deployGate(mut, &report) {
+	if gate(rt, mut, &report) {
 		t.Fatal("deploy gate passed a broken candidate")
 	}
 	if !strings.Contains(report.DeployError, "blocked by static analysis") {
@@ -93,7 +99,7 @@ func TestDeployGateFillsReport(t *testing.T) {
 
 	// And a clean candidate sails through without residue.
 	var clean RoundReport
-	if !rt.deployGate(prog, &clean) {
+	if !gate(rt, prog, &clean) {
 		t.Fatalf("deploy gate blocked the unchanged program: %v", clean.DeployError)
 	}
 	if clean.DeployError != "" {
@@ -116,7 +122,7 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 	// Without the deep gate the mutation sails through.
 	shallow, _, _ := newRig(t, prog, opt.DefaultConfig())
 	var rep RoundReport
-	if !shallow.deployGate(mut, &rep) {
+	if !gate(shallow, mut, &rep) {
 		t.Fatalf("shallow gate blocked the mutation: %v", rep.DeployError)
 	}
 
@@ -125,7 +131,7 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 	deep, _, _ := newRig(t, prog, cfg)
 
 	var blocked RoundReport
-	if deep.deployGate(mut, &blocked) {
+	if gate(deep, mut, &blocked) {
 		t.Fatal("deep gate passed a semantics-changing candidate")
 	}
 	if !strings.Contains(blocked.DeployError, "SE003") {
@@ -134,7 +140,7 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 
 	// The unchanged program and a legal independent reorder still deploy.
 	var clean RoundReport
-	if !deep.deployGate(prog, &clean) {
+	if !gate(deep, prog, &clean) {
 		t.Fatalf("deep gate blocked the unchanged program: %v", clean.DeployError)
 	}
 	reordered, err := p4ir.ChainTables("aclprog", []p4ir.TableSpec{
@@ -169,7 +175,7 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ok RoundReport
-	if !deep.deployGate(reordered, &ok) {
+	if !gate(deep, reordered, &ok) {
 		t.Fatalf("deep gate blocked an equivalent reorder: %v", ok.DeployError)
 	}
 }

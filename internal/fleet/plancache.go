@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sync"
 
 	"pipeleon/internal/p4ir"
@@ -109,20 +107,16 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	return PlanCacheStats{Entries: len(pc.entries), Hits: pc.hits, Misses: pc.misses}
 }
 
-// Fingerprint returns a stable short hash of a program's canonical JSON
-// form — the identity rollouts and the plan cache key on. p4ir's
-// MarshalJSON is deterministic (sorted nodes), so equal programs hash
-// equal across processes.
+// Fingerprint returns a stable short hash of a program — the identity
+// rollouts and the plan cache key on: the first 16 hex characters of the
+// program's content digest, which is deterministic (sorted nodes), so
+// equal programs hash equal across processes.
 func Fingerprint(p *p4ir.Program) string {
 	if p == nil {
 		return ""
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
+	d := p.Digest()
+	return hex.EncodeToString(d[:8])
 }
 
 // ProfileSignature quantizes a runtime profile into a similarity key for

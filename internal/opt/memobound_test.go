@@ -75,3 +75,43 @@ func TestVerdictMemosStayBounded(t *testing.T) {
 		t.Errorf("evicted options were answered from a memo: %+v -> %+v", before, after)
 	}
 }
+
+// The unit-candidate memo is bounded like the verdict memos, and a unit
+// evicted from it enumerates again to the same result.
+func TestUnitMemoStaysBounded(t *testing.T) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 4, AvgLen: 2, Category: synth.HeavyDrop, Seed: 99})
+	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 100, Category: synth.HeavyDrop})
+	cfg := DefaultConfig()
+	cfg.TopKFrac = 1
+	s, err := NewSession(prog, costmodel.BlueField2(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Search(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Plan) == 0 {
+		t.Fatal("search found no plan; the test would compare nothing")
+	}
+	// A daemon's worth of regroupings: unit keys the session will never
+	// look up again.
+	for i := 0; i < 3*unitMemoCap; i++ {
+		s.memo.Put(fmt.Sprintf("g:ghost%d", i), &unitEntry{})
+	}
+	if n := s.memo.Len(); n > unitMemoCap {
+		t.Fatalf("unit memo holds %d entries, cap %d", n, unitMemoCap)
+	}
+	before := s.Stats()
+	again, err := s.Search(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.UnitHits != before.UnitHits || after.UnitMisses == before.UnitMisses {
+		t.Errorf("evicted units were answered from the memo: %+v -> %+v", before, after)
+	}
+	if PlanGain(again.Plan) != PlanGain(first.Plan) || fmt.Sprint(again.Plan) != fmt.Sprint(first.Plan) {
+		t.Errorf("plan after eviction %v (gain %v), before %v (gain %v)",
+			again.Plan, PlanGain(again.Plan), first.Plan, PlanGain(first.Plan))
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/deps"
 	"pipeleon/internal/diag"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
@@ -37,7 +38,14 @@ import (
 // session tracks for reporting and which fleet.PlanCache uses as its
 // coarser cross-program cache key.
 //
-// Search, SearchAndApply, and ReScore serialize on an internal mutex; the
+// A round is two steps with a decision between them. Search and ReScore
+// read only the profile and return a plan and its gain — enough for a
+// caller to decide whether the plan is worth a deploy. Materialize turns
+// a plan the caller decided for into a proven program, and costs a
+// program clone plus the joint proofs; SearchAndApply is the two composed
+// for callers with nothing to decide in between.
+//
+// Search, Materialize, and ReScore serialize on an internal mutex; the
 // cold package-level entry points are thin wrappers that run one round on
 // a fresh session, so cold and warm execute the same code path.
 type Session struct {
@@ -49,16 +57,22 @@ type Session struct {
 	verifier *planVerifier
 	sem      *semVerifier // nil unless cfg.DeepVerify
 
-	mu    sync.Mutex // guards ev, memo, stats across rounds
+	mu    sync.Mutex // guards ev, stats across rounds
 	ev    *Evaluator
-	memo  map[string]*unitEntry
+	memo  *memo.Table[string, *unitEntry]
 	stats SessionStats
 }
+
+// unitMemoCap bounds the unit-candidate memo. A round looks up one entry
+// per top-k pipelet or group (a few dozen on a 110-table program) and the
+// same units recur while the hot set holds; group keys carry their member
+// composition, so a hot set that keeps regrouping over a daemon's lifetime
+// would otherwise leave every composition it ever formed behind.
+const unitMemoCap = 1024
 
 // unitEntry memoizes one unit's enumeration outcome together with the
 // exact material inputs that produced it.
 type unitEntry struct {
-	sig        string
 	material   []uint64
 	unit       Unit
 	candidates int
@@ -74,6 +88,9 @@ type SessionStats struct {
 	// VerifyHits / VerifyMisses count verification-verdict-memo outcomes.
 	VerifyHits   uint64
 	VerifyMisses uint64
+	// Materialized counts Materialize calls: each is one Apply plus the
+	// joint proofs of the applied program.
+	Materialized uint64
 	// DeepVerifyHits / DeepVerifyMisses count the semantic-verdict memo
 	// (zero unless Config.DeepVerify).
 	DeepVerifyHits   uint64
@@ -110,7 +127,7 @@ func NewSession(prog *p4ir.Program, pm costmodel.Params, cfg Config) (*Session, 
 		cfg:      cfg,
 		part:     part,
 		verifier: newPlanVerifier(prog, cfg),
-		memo:     map[string]*unitEntry{},
+		memo:     memo.New[string, *unitEntry](unitMemoCap),
 	}
 	if cfg.DeepVerify {
 		s.sem = newSemVerifier(prog, cfg)
@@ -133,7 +150,7 @@ func newSessionShared(prog *p4ir.Program, pm costmodel.Params, cfg Config, part 
 		part:     part,
 		an:       an,
 		verifier: newPlanVerifierShared(prog, cfg, rc, preds),
-		memo:     map[string]*unitEntry{},
+		memo:     memo.New[string, *unitEntry](unitMemoCap),
 	}
 	if cfg.DeepVerify && sc != nil {
 		s.sem = newSemVerifierShared(prog, cfg, sc)
@@ -155,11 +172,23 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
+// Partition returns the pipelet partition of the session's program. It
+// depends only on the program's structure, which entry operations do not
+// change, so it stays valid for the session's lifetime.
+func (s *Session) Partition() *pipelet.Partition { return s.part }
+
+// VerifyRewrite proves that prog — a rewrite of the session's program —
+// preserves its dependency structure, with the checker the session built
+// once; the result is identical to analysis.VerifyRewrite(original, prog).
+func (s *Session) VerifyRewrite(prog *p4ir.Program) diag.List {
+	return s.verifier.rc.Verify(prog)
+}
+
 // VerifySemantics proves prog — a rewrite of the session's program —
 // semantically equivalent to it with the session's own checker, so a
-// program the search already proved (SearchAndApply's joint check) costs
-// the deploy gate one digest. It returns every diagnostic of the proof,
-// and nil when the deep gate is off.
+// program Materialize already proved costs the deploy gate one digest. It
+// returns every diagnostic of the proof, and nil when the deep gate is
+// off.
 func (s *Session) VerifySemantics(prog *p4ir.Program) diag.List {
 	return s.sem.verifyProgram(prog)
 }
@@ -264,7 +293,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 			keys[i] = "p:" + t.p.String()
 			mats[i] = s.pipeletMaterial(t.p, fc, od)
 		}
-		if e, ok := s.memo[keys[i]]; ok && materialEqual(e.material, mats[i]) {
+		if e, ok := s.memo.Get(keys[i]); ok && materialEqual(e.material, mats[i]) {
 			outs[i] = unitOut{unit: e.unit, candidates: e.candidates}
 			s.stats.UnitHits++
 			continue
@@ -294,10 +323,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 		outs[miss[j]] = unitOut{unit: Unit{Name: t.p.String(), Options: opts}, candidates: len(opts)}
 	})
 	for _, i := range miss {
-		s.memo[keys[i]] = &unitEntry{
-			sig: sig, material: mats[i],
-			unit: outs[i].unit, candidates: outs[i].candidates,
-		}
+		s.memo.Put(keys[i], &unitEntry{material: mats[i], unit: outs[i].unit, candidates: outs[i].candidates})
 	}
 
 	for _, o := range outs {
@@ -312,7 +338,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 	// memoized like any unit (keyed by the exact material the estimator
 	// reads) and competes in the global knapsack below.
 	if s.cfg.EnablePlacement {
-		unit, cand, err := s.placementUnit(prof, fc, od, sig)
+		unit, cand, err := s.placementUnit(prof, fc, od)
 		if err != nil {
 			return nil, err
 		}
@@ -346,33 +372,42 @@ func (s *Session) verifyPlan(plan []*Option) []*Option {
 	return out
 }
 
-// SearchAndApply runs Search and, when the plan is non-empty, applies it.
-// A nil Rewrite with nil error means "nothing worth doing".
-func (s *Session) SearchAndApply(prof *profile.Profile) (*SearchResult, *Rewrite, error) {
+// Materialize builds the program a searched plan describes and proves it
+// before handing it to a deploy path: the plan options verified
+// individually during Search; this applies them together and proves the
+// jointly applied program too — its dependency structure always, its
+// packet semantics when the deep gate is on.
+func (s *Session) Materialize(plan []*Option) (*Rewrite, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.searchLocked(prof)
+	s.stats.Materialized++
+	rw, err := Apply(s.prog, plan, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if d := s.verifier.rc.Verify(rw.Program); d.HasErrors() {
+		return nil, fmt.Errorf("opt: optimized program fails rewrite verification: %s",
+			strings.Join(d.Errors().Strings(), "; "))
+	}
+	if d := s.sem.verifyProgram(rw.Program); d.HasErrors() {
+		return nil, fmt.Errorf("opt: optimized program fails semantic verification: %s",
+			strings.Join(d.Errors().Strings(), "; "))
+	}
+	return rw, nil
+}
+
+// SearchAndApply runs Search and, when the plan is non-empty, Materialize.
+// A nil Rewrite with nil error means "nothing worth doing".
+func (s *Session) SearchAndApply(prof *profile.Profile) (*SearchResult, *Rewrite, error) {
+	res, err := s.Search(prof)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(res.Plan) == 0 {
 		return res, nil, nil
 	}
-	rw, err := Apply(s.prog, res.Plan, s.cfg)
-	if err != nil {
-		return res, nil, err
-	}
-	// Belt and braces: the plan options verified individually; prove the
-	// jointly applied program too before handing it to a deploy path.
-	if d := s.verifier.rc.Verify(rw.Program); d.HasErrors() {
-		return res, nil, fmt.Errorf("opt: optimized program fails rewrite verification: %s",
-			strings.Join(d.Errors().Strings(), "; "))
-	}
-	if d := s.sem.verifyProgram(rw.Program); d.HasErrors() {
-		return res, nil, fmt.Errorf("opt: optimized program fails semantic verification: %s",
-			strings.Join(d.Errors().Strings(), "; "))
-	}
-	return res, rw, nil
+	rw, err := s.Materialize(res.Plan)
+	return res, rw, err
 }
 
 // ReScore sums the re-evaluated gains of a plan under a new profile, with
@@ -404,7 +439,7 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 // single-option unit. Outcomes — including "nothing profitable" — are
 // memoized under the same material-fold discipline as pipelet units, so
 // warm rounds with unchanged inputs skip the greedy search entirely.
-func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64, sig string) (*Unit, int, error) {
+func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64) (*Unit, int, error) {
 	if s.pm.NumTiers() < 2 {
 		return nil, 0, nil
 	}
@@ -420,7 +455,7 @@ func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64, sig string
 	}
 	const key = "placement:*"
 	mat := s.placementMaterial(prof, fc, od)
-	if e, ok := s.memo[key]; ok && materialEqual(e.material, mat) {
+	if e, ok := s.memo.Get(key); ok && materialEqual(e.material, mat) {
 		s.stats.UnitHits++
 		if len(e.unit.Options) == 0 {
 			return nil, e.candidates, nil
@@ -465,7 +500,7 @@ func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64, sig string
 		}
 		unit = Unit{Name: "placement", Options: []*Option{o}}
 	}
-	s.memo[key] = &unitEntry{sig: sig, material: mat, unit: unit, candidates: 1}
+	s.memo.Put(key, &unitEntry{material: mat, unit: unit, candidates: 1})
 	if len(unit.Options) == 0 {
 		return nil, 1, nil
 	}
