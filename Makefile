@@ -38,6 +38,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLexer$$' -fuzztime $(FUZZTIME) ./internal/p4c/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadValidate$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackets$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
@@ -107,16 +110,17 @@ traces:
 # the root burst bench that has all three stores on its path and the match
 # store's rows: lookup per match kind, entry operation per table size,
 # bulk install. The control loop's benches live beside theirs too — one
-# round of each kind in core, the program digest against the JSON it
-# replaced in p4ir, all on the 110-table synth program — and are archived
-# in BENCH_control.json.
+# round of each kind in core, the program digest and the binary codec
+# against the JSON they replaced in p4ir, one loopback round trip of each
+# bulk RPC in controlplane, all on the 110-table synth program — and are
+# archived in BENCH_control.json.
 EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$
-CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$
-CONTROLPKGS = ./internal/core ./internal/p4ir
+CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$
+CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \

@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
-
-	"strings"
 
 	"pipeleon/internal/controlplane"
 	"pipeleon/internal/core"
@@ -145,12 +145,24 @@ func main() {
 	if faults != nil {
 		srvOpts = append(srvOpts, controlplane.WithFaultInjector(faults))
 	}
+	// The status document reads the server's wire counters, and the server
+	// takes the document's source as an option: the pointer closes the loop
+	// for a request that arrives before NewServer has returned.
+	var serving atomic.Pointer[controlplane.Server]
 	if rt != nil {
 		// Serve the runtime's aggregated counters (deploys, rollbacks,
 		// breaker state) on the stats op, so fleetd and `p4cctl stats` get
-		// a machine-readable health document instead of a bare ack.
+		// a machine-readable health document instead of a bare ack — with
+		// the wire counters the server's own default document carries.
 		srvOpts = append(srvOpts, controlplane.WithStatus(func() ([]byte, error) {
-			return json.Marshal(rt.Status())
+			doc := struct {
+				core.RuntimeStatus
+				Wire controlplane.WireStats `json:"wire"`
+			}{RuntimeStatus: rt.Status()}
+			if srv := serving.Load(); srv != nil {
+				doc.Wire = srv.WireStats()
+			}
+			return json.Marshal(doc)
 		}))
 	}
 	var backend controlplane.Backend
@@ -162,6 +174,7 @@ func main() {
 		fatal("starting control plane: %v", err)
 	}
 	defer srv.Close()
+	serving.Store(srv)
 	mode := "optimizer"
 	if *devOnly {
 		mode = "device-only"

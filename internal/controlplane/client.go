@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -176,6 +177,9 @@ func (c *Client) call(req *Request) (*Response, error) {
 		lastErr = err
 		c.conn.Close()
 		c.conn = nil
+		if errors.Is(err, ErrProtocolVersion) {
+			return nil, err // nor against a peer of another build
+		}
 	}
 	return nil, fmt.Errorf("controlplane: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
 }
@@ -192,13 +196,15 @@ func (c *Client) roundTrip(req *Request, overall time.Time) (*Response, error) {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(c.conn, req); err != nil {
+	if err := writeFrame(c.conn, req, req.Body); err != nil {
 		return nil, err
 	}
 	var resp Response
-	if err := readFrame(c.conn, &resp); err != nil {
+	body, err := readFrame(c.conn, &resp)
+	if err != nil {
 		return nil, err
 	}
+	resp.Body = body
 	if resp.ID != req.ID {
 		return &resp, fmt.Errorf("controlplane: response id %d for request %d", resp.ID, req.ID)
 	}
@@ -283,15 +289,34 @@ func (c *Client) ModifyEntry(table string, match []p4ir.MatchValue, action strin
 
 // Program fetches the currently deployed program.
 func (c *Client) Program() (*p4ir.Program, error) {
-	resp, err := c.call(&Request{Op: OpProgram})
+	p, _, err := c.ProgramUnless(p4ir.Digest{})
+	return p, err
+}
+
+// ProgramUnless fetches the currently deployed program and its digest,
+// unless that digest is have (the zero digest stands for "none held"): the
+// server then sends no program and the result is (nil, have, nil). The
+// server decides, from the program it runs when the request arrives.
+func (c *Client) ProgramUnless(have p4ir.Digest) (*p4ir.Program, p4ir.Digest, error) {
+	req := &Request{Op: OpProgram}
+	if have != (p4ir.Digest{}) {
+		req.Have = have.String()
+	}
+	resp, err := c.call(req)
 	if err != nil {
-		return nil, err
+		return nil, p4ir.Digest{}, err
 	}
-	p := &p4ir.Program{}
-	if err := p.UnmarshalJSON(resp.Data); err != nil {
-		return nil, err
+	if resp.Unchanged != "" {
+		if resp.Unchanged != req.Have {
+			return nil, p4ir.Digest{}, fmt.Errorf("controlplane: server answered program %q unchanged, which the request (have %q) did not name", resp.Unchanged, req.Have)
+		}
+		return nil, have, nil
 	}
-	return p, nil
+	p, err := p4ir.DecodeBinary(resp.Body)
+	if err != nil {
+		return nil, p4ir.Digest{}, err
+	}
+	return p, p4ir.DigestOf(resp.Body), nil
 }
 
 // Counters fetches a profile snapshot from the device collector.
@@ -329,14 +354,7 @@ func (e *DeployError) Unwrap() error { return e.Err }
 // cost model first; a rejection comes back as a *DeployError carrying
 // the analyzer's diagnostics.
 func (c *Client) Deploy(prog *p4ir.Program) error {
-	data, err := prog.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	resp, err := c.call(&Request{Op: OpDeploy, Program: data})
-	if err != nil && resp != nil && len(resp.Diags) > 0 {
-		return &DeployError{Diags: resp.Diags, Err: err}
-	}
+	_, err := c.DeployDiags(prog)
 	return err
 }
 
@@ -344,11 +362,14 @@ func (c *Client) Deploy(prog *p4ir.Program) error {
 // attached to an accepted deploy — lint warnings ride along with
 // successful stagings instead of being discarded.
 func (c *Client) DeployDiags(prog *p4ir.Program) (diag.List, error) {
-	data, err := prog.MarshalJSON()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.call(&Request{Op: OpDeploy, Program: data})
+	return c.DeployEncoded(prog.AppendBinary(nil))
+}
+
+// DeployEncoded is DeployDiags for a caller that already holds the
+// program's binary form (p4ir.AppendBinary) — and with it the digest the
+// server will know the program by.
+func (c *Client) DeployEncoded(encoded []byte) (diag.List, error) {
+	resp, err := c.call(&Request{Op: OpDeploy, Body: encoded})
 	if err != nil {
 		if resp != nil && len(resp.Diags) > 0 {
 			return resp.Diags, &DeployError{Diags: resp.Diags, Err: err}
@@ -374,11 +395,7 @@ func (c *Client) Rollback() error {
 // statistics. Packets cross the wire in serialized form (plus wire length
 // and metadata), so header-level state round-trips faithfully.
 func (c *Client) Measure(pkts []*packet.Packet) (target.Measurement, error) {
-	wire := make([]WirePacket, len(pkts))
-	for i, p := range pkts {
-		wire[i] = FromPacket(p)
-	}
-	resp, err := c.call(&Request{Op: OpMeasure, Packets: wire})
+	resp, err := c.call(&Request{Op: OpMeasure, Body: appendPackets(nil, pkts)})
 	if err != nil {
 		return target.Measurement{}, err
 	}

@@ -185,11 +185,11 @@ func TestConcurrentClients(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := &Request{ID: 7, Op: OpInsert, Table: "t", Entry: &WireEntry{Action: "a", Match: []p4ir.MatchValue{{Value: 1}}}}
-	if err := writeFrame(&buf, req); err != nil {
+	if err := writeFrame(&buf, req, nil); err != nil {
 		t.Fatal(err)
 	}
 	var back Request
-	if err := readFrame(&buf, &back); err != nil {
+	if _, err := readFrame(&buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.ID != 7 || back.Op != OpInsert || back.Entry.Action != "a" {
@@ -201,7 +201,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	var v Request
-	if err := readFrame(&buf, &v); err == nil {
+	if _, err := readFrame(&buf, &v); err == nil {
 		t.Error("oversized frame must be rejected")
 	}
 }

@@ -106,11 +106,11 @@ func TestDiagnosticsRoundTripJSON(t *testing.T) {
 	resp := &Response{ID: 7, OK: false, Error: "rejected", Diags: l}
 
 	var buf strings.Builder
-	if err := writeFrame(&buf, resp); err != nil {
+	if err := writeFrame(&buf, resp, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := readFrame(strings.NewReader(buf.String()), &got); err != nil {
+	if _, err := readFrame(strings.NewReader(buf.String()), &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Diags) != 2 {

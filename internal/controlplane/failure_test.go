@@ -268,10 +268,10 @@ func TestClientRejectsMismatchedResponseID(t *testing.T) {
 		}
 		defer c.Close()
 		var req Request
-		if err := readFrame(c, &req); err != nil {
+		if _, err := readFrame(c, &req); err != nil {
 			return
 		}
-		writeFrame(c, &Response{ID: req.ID + 99, OK: true})
+		writeFrame(c, &Response{ID: req.ID + 99, OK: true}, nil)
 	}()
 	cl, err := Dial(ln.Addr().String())
 	if err != nil {

@@ -2,8 +2,9 @@
 // a TCP server exposing the Pipeleon runtime's program-management API
 // (table entry insert/delete/modify, counter reads, program reads) and a
 // matching client. It plays the role P4Runtime gRPC plays for real
-// SmartNICs, using a length-prefixed JSON framing over stdlib net so the
-// module stays dependency-free.
+// SmartNICs, using a length-prefixed framing over stdlib net — a small JSON
+// header plus one raw body for the bulk payloads — so the module stays
+// dependency-free.
 //
 // The optimizer's API-mapping guarantee (§2.3) lives below this layer, in
 // core.Runtime: clients always address tables of the *original* program,
@@ -11,10 +12,13 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"pipeleon/internal/diag"
 	"pipeleon/internal/p4ir"
@@ -64,47 +68,16 @@ type Request struct {
 	// Action/Args are used by modify.
 	Action string   `json:"action,omitempty"`
 	Args   []string `json:"args,omitempty"`
-	// Program carries the staged program JSON for deploy.
-	Program json.RawMessage `json:"program,omitempty"`
-	// Packets is the batch for measure.
-	Packets []WirePacket `json:"packets,omitempty"`
 	// Reset makes profile close the current counter window.
 	Reset bool `json:"reset,omitempty"`
-}
-
-// WirePacket is a packet on the wire: its serialized frame plus the
-// per-packet state serialization cannot carry (the original wire length
-// used for throughput math, and metadata fields).
-type WirePacket struct {
-	Data    []byte            `json:"data"`
-	WireLen int               `json:"wire_len,omitempty"`
-	Meta    map[string]uint64 `json:"meta,omitempty"`
-}
-
-// FromPacket converts a packet to wire form.
-func FromPacket(p *packet.Packet) WirePacket {
-	w := WirePacket{Data: p.Serialize(), WireLen: p.WireLen}
-	if m := p.MetaMap(); len(m) > 0 {
-		w.Meta = m
-	}
-	return w
-}
-
-// ToPacket reconstructs the packet.
-func (w WirePacket) ToPacket() (*packet.Packet, error) {
-	p, err := packet.Parse(w.Data)
-	if err != nil {
-		return nil, err
-	}
-	if w.WireLen > 0 {
-		p.WireLen = w.WireLen
-	}
-	for name, v := range w.Meta {
-		if err := p.Set(name, v); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	// Have, on a program request, is the hex digest of the program the
+	// client already holds; the server answers Unchanged instead of sending
+	// that program again.
+	Have string `json:"have,omitempty"`
+	// Body is the frame's raw payload, outside the JSON header: the staged
+	// program in p4ir's binary form for deploy, the packet batch
+	// (appendPackets) for measure.
+	Body []byte `json:"-"`
 }
 
 // WireEntry is the wire form of a table entry.
@@ -150,43 +123,198 @@ type Response struct {
 	// warnings that rode along with an accepted one. Clients surface
 	// them verbatim instead of re-running the analyzer.
 	Diags diag.List `json:"diags,omitempty"`
+	// Unchanged, on a program response, is the hex digest of the program
+	// the device runs when that is the one the request said it has: the
+	// response then carries no body.
+	Unchanged string `json:"unchanged,omitempty"`
+	// Body is the frame's raw payload: the device's program in p4ir's
+	// binary form on a program response.
+	Body []byte `json:"-"`
 }
 
-// maxFrame bounds a single message (16 MiB) to fail fast on framing
-// corruption.
+// A frame is
+//
+//	length u32 | version u8 | header length u32 | header (JSON) | body
+//
+// big-endian, length counting everything after itself. The header is a
+// Request or a Response; the body is whatever bulk payload rides with it
+// (a program, a packet batch) and is empty for most operations.
+
+// maxFrame bounds a single message, header and body together (16 MiB), to
+// fail fast on framing corruption.
 const maxFrame = 16 << 20
 
-// writeFrame writes a length-prefixed JSON message.
-func writeFrame(w io.Writer, v interface{}) error {
-	data, err := json.Marshal(v)
+// protocolVersion is the frame layout's version byte. The layout before it
+// was a bare length-prefixed JSON document, whose first byte '{' reads as
+// version 123 here.
+const protocolVersion = 2
+
+// framePrefix is the version byte and the header length.
+const framePrefix = 1 + 4
+
+// ErrProtocolVersion is returned for a frame of another protocol version.
+// Retrying cannot help: the peer runs a different build.
+var ErrProtocolVersion = errors.New("controlplane: protocol version mismatch")
+
+// writeFrame writes one frame: hdr as JSON, then body.
+func writeFrame(w io.Writer, hdr any, body []byte) error {
+	h, err := json.Marshal(hdr)
 	if err != nil {
 		return err
 	}
-	if len(data) > maxFrame {
-		return fmt.Errorf("controlplane: frame too large (%d bytes)", len(data))
+	n := framePrefix + len(h) + len(body)
+	if n > maxFrame {
+		return fmt.Errorf("controlplane: frame too large (%d bytes)", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
+	buf := make([]byte, 0, 4+n)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, protocolVersion)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(h)))
+	buf = append(append(buf, h...), body...)
+	_, err = w.Write(buf)
 	return err
 }
 
-// readFrame reads one length-prefixed JSON message into v.
-func readFrame(r io.Reader, v interface{}) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// readFrame reads one frame, decodes its header into hdr and returns its
+// body (nil when empty). The buffer grows with the bytes that arrive, not
+// with the length the peer claims.
+func readFrame(r io.Reader, hdr any) (body []byte, err error) {
+	var pre [4]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(pre[:])
 	if n > maxFrame {
-		return fmt.Errorf("controlplane: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("controlplane: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+	var b bytes.Buffer
+	b.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
 	}
-	return json.Unmarshal(buf, v)
+	buf := b.Bytes()
+	if len(buf) > 0 && buf[0] != protocolVersion {
+		return nil, fmt.Errorf("%w: frame has version %d, this build speaks %d", ErrProtocolVersion, buf[0], protocolVersion)
+	}
+	if len(buf) < framePrefix {
+		return nil, errors.New("controlplane: frame shorter than its prefix")
+	}
+	hlen := binary.BigEndian.Uint32(buf[1:framePrefix])
+	if uint64(hlen) > uint64(len(buf)-framePrefix) {
+		return nil, fmt.Errorf("controlplane: header of %d bytes in a frame of %d", hlen, len(buf))
+	}
+	buf = buf[framePrefix:]
+	if err := json.Unmarshal(buf[:hlen], hdr); err != nil {
+		return nil, err
+	}
+	if body = buf[hlen:]; len(body) == 0 {
+		body = nil
+	}
+	return body, nil
+}
+
+// A packet batch travels as a frame body:
+//
+//	count | count × ( length, Serialize() bytes | wire length | fields | fields × ( length, name | value ) )
+//
+// every number a uvarint: the serialized frame plus the per-packet state
+// serialization cannot carry (the original wire length used for throughput
+// math, and metadata fields, sorted by name).
+
+// appendPackets appends the batch's wire form to dst.
+func appendPackets(dst []byte, pkts []*packet.Packet) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(pkts)))
+	var names []string
+	for _, p := range pkts {
+		data := p.Serialize()
+		dst = binary.AppendUvarint(dst, uint64(len(data)))
+		dst = append(dst, data...)
+		dst = binary.AppendUvarint(dst, uint64(max(p.WireLen, 0)))
+		meta := p.MetaMap()
+		names = names[:0]
+		for name := range meta {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		dst = binary.AppendUvarint(dst, uint64(len(names)))
+		for _, name := range names {
+			dst = binary.AppendUvarint(dst, uint64(len(name)))
+			dst = append(dst, name...)
+			dst = binary.AppendUvarint(dst, meta[name])
+		}
+	}
+	return dst
+}
+
+// decodePackets reconstructs a batch. Counts and lengths are checked
+// against the bytes that remain before anything is sized by them. The
+// packets' payloads alias data.
+func decodePackets(data []byte) ([]*packet.Packet, error) {
+	bad := func(what string) ([]*packet.Packet, error) {
+		return nil, fmt.Errorf("controlplane: malformed packet batch: %s", what)
+	}
+	// number reads a uvarint. With each > 0 it counts items of at least
+	// that many bytes apiece, and the bytes that remain must hold them.
+	number := func(each uint64) (uint64, bool) {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return 0, false
+		}
+		data = data[n:]
+		if each > 0 && v > uint64(len(data))/each {
+			return 0, false
+		}
+		return v, true
+	}
+	const minPacketBytes, minFieldBytes = 3, 2 // three numbers; two numbers
+	count, ok := number(minPacketBytes)
+	if !ok {
+		return bad("packet count")
+	}
+	pkts := make([]*packet.Packet, 0, count)
+	for i := uint64(0); i < count; i++ {
+		n, ok := number(1)
+		if !ok {
+			return bad("packet length")
+		}
+		p, err := packet.Parse(data[:n])
+		if err != nil {
+			return nil, err
+		}
+		data = data[n:]
+		wireLen, ok := number(0)
+		if !ok || wireLen > maxFrame {
+			return bad("wire length")
+		}
+		if wireLen > 0 {
+			p.WireLen = int(wireLen)
+		}
+		fields, ok := number(minFieldBytes)
+		if !ok {
+			return bad("field count")
+		}
+		for j := uint64(0); j < fields; j++ {
+			n, ok := number(1)
+			if !ok {
+				return bad("field name")
+			}
+			name := string(data[:n])
+			data = data[n:]
+			v, ok := number(0)
+			if !ok {
+				return bad("field value")
+			}
+			if err := p.Set(name, v); err != nil {
+				return nil, err
+			}
+		}
+		pkts = append(pkts, p)
+	}
+	if len(data) > 0 {
+		return bad("trailing bytes")
+	}
+	return pkts, nil
 }

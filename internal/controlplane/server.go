@@ -6,13 +6,16 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pipeleon/internal/analysis"
+	"pipeleon/internal/diag"
 	"pipeleon/internal/faultinject"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
-	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
 )
@@ -119,6 +122,14 @@ type Server struct {
 	faults    faultinject.Injector
 	statusFn  func() ([]byte, error) // optional, for OpStats
 
+	// lint memoizes analysis.Lint's diagnostics for a staged program under
+	// the digest of the bytes it arrived as. The verdict is a pure function
+	// of those bytes and the device's Params, which a server takes as fixed
+	// for its lifetime (a remote fetches Capabilities once, too). It holds
+	// diagnostics only, never a program.
+	lint *memo.Table[p4ir.Digest, diag.List]
+	wire wireCounters
+
 	// deepVerify arms the symbolic OpDeploy tier; sem is the semantic
 	// checker built from the first successfully deployed program.
 	deepVerify bool
@@ -134,7 +145,10 @@ type Server struct {
 // NewServer starts a server on addr (e.g. "127.0.0.1:0"). The collector
 // may be nil, disabling OpCounters.
 func NewServer(addr string, backend Backend, collector *profile.Collector, opts ...ServerOption) (*Server, error) {
-	s := &Server{backend: backend, collector: collector, conns: map[net.Conn]struct{}{}, idem: newIdemCache()}
+	s := &Server{
+		backend: backend, collector: collector, conns: map[net.Conn]struct{}{}, idem: newIdemCache(),
+		lint: memo.New[p4ir.Digest, diag.List](lintMemoCap),
+	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -146,6 +160,47 @@ func NewServer(addr string, backend Backend, collector *profile.Collector, opts 
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// lintMemoCap bounds the deploy gate's lint memo. A device under shifting
+// traffic is moved among a handful of layouts; the cap only stops a daemon
+// from remembering every program it was ever sent.
+const lintMemoCap = 256
+
+// WireStats counts what a server moved in frame bodies and what its deploy
+// gate reused — enough to tell from a running daemon whether a link is
+// re-sending programs.
+type WireStats struct {
+	// ProgramsSent / ProgramsUnchanged count program fetches answered with
+	// the program and answered "you have it" with no body.
+	ProgramsSent      uint64 `json:"programs_sent"`
+	ProgramsUnchanged uint64 `json:"programs_unchanged"`
+	// BodyBytesIn / BodyBytesOut total the frame bodies received (staged
+	// programs, packet batches) and sent (programs).
+	BodyBytesIn  uint64 `json:"body_bytes_in"`
+	BodyBytesOut uint64 `json:"body_bytes_out"`
+	// LintMemoHits / LintMemoMisses count deploys whose lint diagnostics
+	// were reused and computed.
+	LintMemoHits   uint64 `json:"lint_memo_hits"`
+	LintMemoMisses uint64 `json:"lint_memo_misses"`
+}
+
+type wireCounters struct {
+	programsSent, programsUnchanged, bodyBytesIn, bodyBytesOut atomic.Uint64
+}
+
+// WireStats returns the server's wire counters. The default OpStats
+// document carries them; a WithStatus document can include them.
+func (s *Server) WireStats() WireStats {
+	hits, misses := s.lint.Stats()
+	return WireStats{
+		ProgramsSent:      s.wire.programsSent.Load(),
+		ProgramsUnchanged: s.wire.programsUnchanged.Load(),
+		BodyBytesIn:       s.wire.bodyBytesIn.Load(),
+		BodyBytesOut:      s.wire.bodyBytesOut.Load(),
+		LintMemoHits:      hits,
+		LintMemoMisses:    misses,
+	}
 }
 
 // Addr returns the bound address.
@@ -200,7 +255,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	for {
 		var req Request
-		if err := readFrame(conn, &req); err != nil {
+		body, err := readFrame(conn, &req)
+		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 				// Clean client close / server shutdown.
@@ -211,6 +267,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
+		req.Body = body
+		s.wire.bodyBytesIn.Add(uint64(len(body)))
 		if d := s.faultAt(faultinject.PointConnRead); !d.None() {
 			if d.Delay > 0 {
 				time.Sleep(d.Delay)
@@ -231,10 +289,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, resp, resp.Body); err != nil {
 			log.Printf("controlplane: write: %v", err)
 			return
 		}
+		s.wire.bodyBytesOut.Add(uint64(len(resp.Body)))
 	}
 }
 
@@ -282,23 +341,40 @@ func (s *Server) apply(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		data, err := prog.MarshalJSON()
-		if err != nil {
-			return fail(err)
+		// The answer is decided here, from the program running at this
+		// instant: whatever changed it — an entry operation, a rollback,
+		// another controller's deploy — changed its digest. The common
+		// answer is "unchanged", so the digest is streamed first and the
+		// program is encoded only when it has to travel.
+		if have := prog.Digest().String(); have == req.Have {
+			resp.Unchanged = have
+			s.wire.programsUnchanged.Add(1)
+		} else {
+			resp.Body = prog.AppendBinary(nil)
+			s.wire.programsSent.Add(1)
 		}
-		resp.Data = data
 	case OpDeploy:
 		if s.device == nil {
 			return fail(errNoDevice)
 		}
-		prog := &p4ir.Program{}
-		if err := prog.UnmarshalJSON(req.Program); err != nil {
+		// The digest is of the bytes received, never one the client names,
+		// and DecodeBinary accepts them only as the canonical encoding of a
+		// valid program: equal digests are equal programs.
+		digest := p4ir.DigestOf(req.Body)
+		prog, err := p4ir.DecodeBinary(req.Body)
+		if err != nil {
 			return fail(err)
 		}
 		// Lint against the device's own cost model before staging: a
 		// remote client gets the same static-analysis gate a local
-		// runtime applies, with the diagnostics on the wire.
-		diags := analysis.Lint(prog, analysis.WithParams(s.device.Capabilities().Params))
+		// runtime applies, with the diagnostics on the wire. A program
+		// seen before gets the diagnostics it got then.
+		diags, ok := s.lint.Get(digest)
+		if !ok {
+			diags = analysis.Lint(prog, analysis.WithParams(s.device.Capabilities().Params))
+			s.lint.Put(digest, diags)
+		}
+		diags = slices.Clone(diags) // the deep tier appends
 		if diags.HasErrors() {
 			resp.Diags = diags
 			resp.OK = false
@@ -354,13 +430,9 @@ func (s *Server) apply(req *Request) *Response {
 		if s.device == nil {
 			return fail(errNoDevice)
 		}
-		pkts := make([]*packet.Packet, 0, len(req.Packets))
-		for _, w := range req.Packets {
-			p, err := w.ToPacket()
-			if err != nil {
-				return fail(err)
-			}
-			pkts = append(pkts, p)
+		pkts, err := decodePackets(req.Body)
+		if err != nil {
+			return fail(err)
 		}
 		m, err := s.device.Measure(pkts)
 		if err != nil {
@@ -446,7 +518,7 @@ func (s *Server) apply(req *Request) *Response {
 			resp.Data = data
 			break
 		}
-		data, err := json.Marshal(map[string]any{"ok": true})
+		data, err := json.Marshal(map[string]any{"ok": true, "wire": s.WireStats()})
 		if err != nil {
 			return fail(err)
 		}

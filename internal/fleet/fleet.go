@@ -325,15 +325,15 @@ func isPanicErr(err error) bool {
 	return false
 }
 
-// fingerprintOf returns the fingerprint of a device's running program, or
-// "" when it cannot be read.
-func fingerprintOf(tgt target.Target) string {
+// digestOf returns the content digest of a device's running program; ok is
+// false when the program cannot be read.
+func digestOf(tgt target.Target) (d p4ir.Digest, ok bool) {
 	var prog *p4ir.Program
 	if err := safeCall(func() error {
 		prog = tgt.Program()
 		return nil
 	}); err != nil || prog == nil {
-		return ""
+		return d, false
 	}
-	return Fingerprint(prog)
+	return prog.Digest(), true
 }

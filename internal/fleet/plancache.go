@@ -12,11 +12,13 @@ import (
 // plan search, keyed by what made the search reusable — the base program,
 // the device model (cost model), and a quantized profile signature.
 type PlanEntry struct {
-	Fingerprint string   `json:"fingerprint"`
-	Model       string   `json:"model"`
-	Signature   string   `json:"signature"`
-	Plan        []string `json:"plan"`
-	Gain        float64  `json:"gain_ns"`
+	// Base is the content digest of the base program the plan was
+	// searched for.
+	Base      p4ir.Digest `json:"-"`
+	Model     string      `json:"model"`
+	Signature string      `json:"signature"`
+	Plan      []string    `json:"plan"`
+	Gain      float64     `json:"gain_ns"`
 	// Source records how the entry was produced ("search"); Get flips the
 	// returned copy to "cache" so callers can report reuse.
 	Source string `json:"source"`
@@ -40,8 +42,8 @@ type PlanCacheStats struct {
 type PlanCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*PlanEntry
-	order   []string
+	entries map[planKey]*PlanEntry
+	order   []planKey
 	hits    uint64
 	misses  uint64
 }
@@ -51,19 +53,22 @@ func NewPlanCache(max int) *PlanCache {
 	if max <= 0 {
 		max = 128
 	}
-	return &PlanCache{max: max, entries: map[string]*PlanEntry{}}
+	return &PlanCache{max: max, entries: map[planKey]*PlanEntry{}}
 }
 
-func cacheKey(fp, model, sig string) string {
-	return fp + "|" + model + "|" + sig
+// planKey is what made a search reusable. The base program is named by its
+// whole digest: a hit hands out a program that is then deployed unsearched.
+type planKey struct {
+	base       p4ir.Digest
+	model, sig string
 }
 
 // Get returns a copy of the cached entry for the key triple, with a
 // cloned Program, or ok=false on a miss.
-func (pc *PlanCache) Get(fp, model, sig string) (*PlanEntry, bool) {
+func (pc *PlanCache) Get(base p4ir.Digest, model, sig string) (*PlanEntry, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	e, ok := pc.entries[cacheKey(fp, model, sig)]
+	e, ok := pc.entries[planKey{base, model, sig}]
 	if !ok {
 		pc.misses++
 		return nil, false
@@ -83,7 +88,7 @@ func (pc *PlanCache) Get(fp, model, sig string) (*PlanEntry, bool) {
 func (pc *PlanCache) Put(e *PlanEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	key := cacheKey(e.Fingerprint, e.Model, e.Signature)
+	key := planKey{e.Base, e.Model, e.Signature}
 	cp := *e
 	if e.Program != nil {
 		cp.Program = e.Program.Clone()
@@ -107,17 +112,19 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	return PlanCacheStats{Entries: len(pc.entries), Hits: pc.hits, Misses: pc.misses}
 }
 
-// Fingerprint returns a stable short hash of a program — the identity
-// rollouts and the plan cache key on: the first 16 hex characters of the
-// program's content digest, which is deterministic (sorted nodes), so
-// equal programs hash equal across processes.
+// Fingerprint returns a stable short hash of a program for logs and
+// reports: the first 16 hex characters of the program's content digest,
+// which is deterministic (sorted nodes), so equal programs hash equal
+// across processes. It is a display form only; rollouts, the plan cache and
+// the session pool identify programs by the whole digest.
 func Fingerprint(p *p4ir.Program) string {
 	if p == nil {
 		return ""
 	}
-	d := p.Digest()
-	return hex.EncodeToString(d[:8])
+	return shortDigest(p.Digest())
 }
+
+func shortDigest(d p4ir.Digest) string { return hex.EncodeToString(d[:8]) }
 
 // ProfileSignature quantizes a runtime profile into a similarity key for
 // the plan cache. It is profile.Signature — the one shared quantization

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pipeleon/internal/fleet"
+	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 )
 
@@ -46,17 +47,18 @@ func TestProfileSignatureQuantization(t *testing.T) {
 func TestPlanCacheGetPutEvict(t *testing.T) {
 	pc := fleet.NewPlanCache(2)
 	prog := aclProgram(t)
-	put := func(fp string) {
+	a, b, c := p4ir.Digest{'a'}, p4ir.Digest{'b'}, p4ir.Digest{'c'}
+	put := func(base p4ir.Digest) {
 		pc.Put(&fleet.PlanEntry{
-			Fingerprint: fp, Model: "bf2", Signature: "s",
+			Base: base, Model: "bf2", Signature: "s",
 			Plan: []string{"reorder"}, Program: prog, Source: "search",
 		})
 	}
-	if _, ok := pc.Get("a", "bf2", "s"); ok {
+	if _, ok := pc.Get(a, "bf2", "s"); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	put("a")
-	e, ok := pc.Get("a", "bf2", "s")
+	put(a)
+	e, ok := pc.Get(a, "bf2", "s")
 	if !ok || e.Source != "cache" {
 		t.Fatalf("entry = %+v ok=%v, want a cache hit", e, ok)
 	}
@@ -65,16 +67,16 @@ func TestPlanCacheGetPutEvict(t *testing.T) {
 	}
 	// Mutating the returned clone must not poison later hits.
 	e.Program.Name = "mutated"
-	if e2, _ := pc.Get("a", "bf2", "s"); e2.Program.Name == "mutated" {
+	if e2, _ := pc.Get(a, "bf2", "s"); e2.Program.Name == "mutated" {
 		t.Error("mutation of a returned program leaked into the cache")
 	}
 
-	put("b")
-	put("c") // evicts "a" (FIFO)
-	if _, ok := pc.Get("a", "bf2", "s"); ok {
+	put(b)
+	put(c) // evicts "a" (FIFO)
+	if _, ok := pc.Get(a, "bf2", "s"); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if _, ok := pc.Get("c", "bf2", "s"); !ok {
+	if _, ok := pc.Get(c, "bf2", "s"); !ok {
 		t.Error("newest entry missing")
 	}
 	st := pc.Stats()

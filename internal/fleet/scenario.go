@@ -97,15 +97,15 @@ func RunFaultScenario(in FaultScenarioInput) error {
 		// Loose allowance: only the scripted 10× regressions trip it.
 		Verify: VerifyConfig{Sampler: in.Sampler, Packets: 128, MaxRegression: 1.0},
 	}
-	fpNext := Fingerprint(in.Next)
-	fpOld := fingerprintOf(devs[0].Target)
-	if fpOld == "" || fpOld == fpNext {
-		return fmt.Errorf("fleet scenario: devices must start on a program different from Next (old=%q next=%q)", fpOld, fpNext)
+	nextDigest := in.Next.Digest()
+	oldDigest, ok := digestOf(devs[0].Target)
+	if !ok || oldDigest == nextDigest {
+		return fmt.Errorf("fleet scenario: devices must start on a program different from Next (old=%q next=%q)", shortDigest(oldDigest), shortDigest(nextDigest))
 	}
-	onProgram := func(want string, names ...int) error {
+	onProgram := func(want p4ir.Digest, names ...int) error {
 		for _, i := range names {
-			if got := fingerprintOf(devs[i].Target); got != want {
-				return fmt.Errorf("device %s runs %q, want %q", devs[i].Name, got, want)
+			if got, _ := digestOf(devs[i].Target); got != want {
+				return fmt.Errorf("device %s runs %q, want %q", devs[i].Name, shortDigest(got), shortDigest(want))
 			}
 		}
 		return nil
@@ -143,7 +143,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	if rep.RolledBack {
 		return fmt.Errorf("phase 1: nothing was committed, fleet rollback must not run")
 	}
-	if err := onProgram(fpOld, all...); err != nil {
+	if err := onProgram(oldDigest, all...); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
 	ctl.ProbeAll() // healthy probe lifts the canary's Degraded mark
@@ -170,7 +170,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	if len(rep.Committed) != 0 || len(rep.RollbackErrors) != 0 {
 		return fmt.Errorf("phase 2: committed=%v rollbackErrors=%v, want none", rep.Committed, rep.RollbackErrors)
 	}
-	if err := onProgram(fpOld, all...); err != nil {
+	if err := onProgram(oldDigest, all...); err != nil {
 		return fmt.Errorf("phase 2: fleet rollback incomplete: %w", err)
 	}
 
@@ -195,10 +195,10 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	if err := wantState(flapper, Quarantined); err != nil {
 		return fmt.Errorf("phase 3: %w", err)
 	}
-	if err := onProgram(fpNext, 0, 1, 2, 4, 6, 7); err != nil {
+	if err := onProgram(nextDigest, 0, 1, 2, 4, 6, 7); err != nil {
 		return fmt.Errorf("phase 3: %w", err)
 	}
-	if err := onProgram(fpOld, crasher, flapper); err != nil {
+	if err := onProgram(oldDigest, crasher, flapper); err != nil {
 		return fmt.Errorf("phase 3: %w", err)
 	}
 	st = ctl.Status()
@@ -243,7 +243,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	if rep.Halted || len(rep.Committed) != 8 {
 		return fmt.Errorf("phase 4: want full convergence, got halted=%v committed=%v", rep.Halted, rep.Committed)
 	}
-	if err := onProgram(fpNext, all...); err != nil {
+	if err := onProgram(nextDigest, all...); err != nil {
 		return fmt.Errorf("phase 4: %w", err)
 	}
 	st = ctl.Status()

@@ -11,33 +11,38 @@ import (
 // maxWarmSessions bounds the controller's warm-session pool. Each session
 // pins a program's partition, dependency analysis, and candidate memos in
 // memory, so the pool holds only the most recently introduced
-// (fingerprint, model) pairs — a fleet typically runs a handful of
+// (program, model) pairs — a fleet typically runs a handful of
 // programs at a time, and an evicted pair merely pays one cold search.
 const maxWarmSessions = 8
 
-// sessionPool caches warm optimizer sessions keyed by (program
-// fingerprint, device model). The plan cache already short-circuits
+// sessionPool caches warm optimizer sessions keyed by (program digest,
+// device model). The plan cache already short-circuits
 // repeated searches whose quantized profile signature matches exactly; the
 // session pool accelerates the remaining case — a signature that did move,
 // for a program/model pair searched before — by reusing the session's
 // program-derived state and per-unit memos. FIFO eviction, like PlanCache.
 type sessionPool struct {
 	mu     sync.Mutex
-	order  []string
-	byKey  map[string]*opt.Session
+	order  []sessionKey
+	byKey  map[sessionKey]*opt.Session
 	hits   uint64
 	misses uint64
 }
 
-func newSessionPool() *sessionPool {
-	return &sessionPool{byKey: map[string]*opt.Session{}}
+type sessionKey struct {
+	prog  p4ir.Digest
+	model string
 }
 
-// get returns the warm session for (fp, model), building one from prog
-// when absent. Concurrent callers racing on the same key converge on the
-// first session inserted.
-func (sp *sessionPool) get(fp, model string, prog *p4ir.Program, pm costmodel.Params, cfg opt.Config) (*opt.Session, error) {
-	key := fp + "|" + model
+func newSessionPool() *sessionPool {
+	return &sessionPool{byKey: map[sessionKey]*opt.Session{}}
+}
+
+// get returns the warm session for (digest, model), building one from
+// prog — the program digest names — when absent. Concurrent callers racing
+// on the same key converge on the first session inserted.
+func (sp *sessionPool) get(digest p4ir.Digest, model string, prog *p4ir.Program, pm costmodel.Params, cfg opt.Config) (*opt.Session, error) {
+	key := sessionKey{digest, model}
 	sp.mu.Lock()
 	if s, ok := sp.byKey[key]; ok {
 		sp.hits++

@@ -17,7 +17,8 @@ import (
 // from random scripts (and from the fuzzer) checks the equivalence on
 // synthesized programs, Clone must preserve it, and a reflection walk
 // over every field of every IR struct fails the day someone adds a field
-// the walk in digest.go does not reach.
+// the walk in binary.go — the digest's preimage and the wire codec — does
+// not reach, or that DecodeBinary does not read back.
 
 func mustJSON(t testing.TB, p *p4ir.Program) []byte {
 	t.Helper()
@@ -290,19 +291,22 @@ func mutate(p *p4ir.Program, s *script) {
 	}
 }
 
-// checkDigestMatchesJSON runs both scripts against clones of one
-// synthesized program and checks the equivalence on the pair.
-func checkDigestMatchesJSON(t testing.TB, seed uint64, sa, sb []byte) (equal bool) {
-	base := synth.Program(synth.ProgramSpec{
+// scripted returns the small synthesized program of seed after the edits
+// of one script.
+func scripted(seed uint64, edits []byte) *p4ir.Program {
+	p := synth.Program(synth.ProgramSpec{
 		Pipelets: 2 + int(seed%3), AvgLen: 2, Category: synth.Category(seed % 4), Seed: seed, EntriesPerTable: 3,
 	})
-	a, b := base.Clone(), base.Clone()
-	for s := (&script{b: sa}); !s.done(); {
-		mutate(a, s)
+	for s := (&script{b: edits}); !s.done(); {
+		mutate(p, s)
 	}
-	for s := (&script{b: sb}); !s.done(); {
-		mutate(b, s)
-	}
+	return p
+}
+
+// checkDigestMatchesJSON runs both scripts against one synthesized program
+// and checks the equivalence on the pair.
+func checkDigestMatchesJSON(t testing.TB, seed uint64, sa, sb []byte) (equal bool) {
+	a, b := scripted(seed, sa), scripted(seed, sb)
 	sameJSON := bytes.Equal(mustJSON(t, a), mustJSON(t, b))
 	sameDigest := a.Digest() == b.Digest()
 	if sameJSON != sameDigest {
@@ -344,13 +348,25 @@ func TestDigestEqualsExactlyWhenJSONEqual(t *testing.T) {
 	}
 }
 
+// scriptSeeds are the edit-script pairs both fuzz targets start from:
+// FuzzDigestMatchesJSON runs them as they are, FuzzDecodeBinary decodes the
+// binary form of the programs they produce.
+var scriptSeeds = []struct {
+	seed   uint64
+	sa, sb []byte
+}{
+	{1, []byte{}, []byte{}},
+	{2, []byte{0, 0, 0, 17, 1, 2, 3}, []byte{0, 0, 0, 17, 1, 2, 4}},
+	{3, []byte{1, 0, 1, 22, 0, 1, 0, 1, 19, 0, 3}, []byte{1, 0, 1, 22, 0}},
+	{5, []byte{2, 1, 0, 26}, []byte{2, 1, 0, 28}},
+}
+
 // FuzzDigestMatchesJSON lets the fuzzer search for a pair of edit scripts
 // whose programs the digest and the JSON disagree about.
 func FuzzDigestMatchesJSON(f *testing.F) {
-	f.Add(uint64(1), []byte{}, []byte{})
-	f.Add(uint64(2), []byte{0, 0, 0, 17, 1, 2, 3}, []byte{0, 0, 0, 17, 1, 2, 4})
-	f.Add(uint64(3), []byte{1, 0, 1, 22, 0, 1, 0, 1, 19, 0, 3}, []byte{1, 0, 1, 22, 0})
-	f.Add(uint64(5), []byte{2, 1, 0, 26}, []byte{2, 1, 0, 28})
+	for _, s := range scriptSeeds {
+		f.Add(s.seed, s.sa, s.sb)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, sa, sb []byte) {
 		if len(sa) > 64 || len(sb) > 64 {
 			t.Skip()
@@ -405,8 +421,10 @@ func fullyPopulated() *p4ir.Program {
 
 // TestDigestCoversEveryField perturbs every leaf value reachable from a
 // Program by reflection, one at a time, and requires the digest (and the
-// JSON, whose coverage the digest mirrors) to move. A field added to any
-// IR struct without a line in digest.go fails here by name.
+// JSON, whose coverage the digest mirrors) to move and the decoder to read
+// the perturbed value back: every perturbation leaves a non-zero value, so
+// a field the decoder skips re-encodes differently. A field added to any IR
+// struct without a line in binary.go's walk and decoder fails here by name.
 func TestDigestCoversEveryField(t *testing.T) {
 	p := fullyPopulated()
 	cleanDigest, cleanJSON := p.Digest(), mustJSON(t, p)
@@ -418,7 +436,14 @@ func TestDigestCoversEveryField(t *testing.T) {
 			t.Errorf("%s: changed, digest did not", path)
 		}
 		if bytes.Equal(mustJSON(t, p), cleanJSON) {
-			t.Errorf("%s: changed, JSON did not — cover the field in MarshalJSON and in Digest", path)
+			t.Errorf("%s: changed, JSON did not — cover the field in MarshalJSON and in the binary walk", path)
+		}
+		// Without Validate: a perturbed reference dangles.
+		enc := p.AppendBinary(nil)
+		if q, err := p4ir.DecodeBinaryUnchecked(enc); err != nil {
+			t.Errorf("%s: changed, encoding no longer decodes: %v", path, err)
+		} else if !bytes.Equal(q.AppendBinary(nil), enc) {
+			t.Errorf("%s: changed, DecodeBinary did not read it back", path)
 		}
 	}
 	var walk func(path string, v reflect.Value)
@@ -489,11 +514,17 @@ func TestDigestCoversEveryField(t *testing.T) {
 
 var digestSink p4ir.Digest
 
+// synth110 is the 110-table program of the synth-shift workload.
+func synth110() *p4ir.Program {
+	return synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+}
+
 // BenchmarkDigest and BenchmarkMarshalJSON price the two ways of asking
-// "is this the same program" on the 110-table program of the synth-shift
-// workload.
+// "is this the same program"; BenchmarkAppendBinary and BenchmarkDecodeBinary
+// against BenchmarkMarshalJSON and BenchmarkUnmarshalJSON price the two ways
+// of moving one between processes.
 func BenchmarkDigest(b *testing.B) {
-	p := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	p := synth110()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -504,10 +535,52 @@ func BenchmarkDigest(b *testing.B) {
 var jsonSink []byte
 
 func BenchmarkMarshalJSON(b *testing.B) {
-	p := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	p := synth110()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jsonSink, _ = p.MarshalJSON()
+	}
+}
+
+var programSink *p4ir.Program
+
+func BenchmarkUnmarshalJSON(b *testing.B) {
+	js := mustJSON(b, synth110())
+	b.SetBytes(int64(len(js)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &p4ir.Program{}
+		if err := p.UnmarshalJSON(js); err != nil {
+			b.Fatal(err)
+		}
+		programSink = p
+	}
+}
+
+func BenchmarkAppendBinary(b *testing.B) {
+	p := synth110()
+	buf := p.AppendBinary(nil)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = p.AppendBinary(buf[:0])
+	}
+	jsonSink = buf
+}
+
+func BenchmarkDecodeBinary(b *testing.B) {
+	enc := synth110().AppendBinary(nil)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := p4ir.DecodeBinary(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		programSink = p
 	}
 }

@@ -283,6 +283,93 @@ func TestConformanceReplay(t *testing.T) {
 	exercise(t, tgt, prog, true)
 }
 
+// TestConformanceRemoteProgramIsTheDevices pins what the loopback remote
+// adds to the contract: it keeps one program on its side of the wire and
+// asks the device only whether that one is still current, and Program()
+// must all the same be the device's program whoever changed it last —
+// another connection's entry insert, a rollback, another remote's deploy —
+// and never the memory of a caller that went on writing to what it deployed.
+func TestConformanceRemoteProgramIsTheDevices(t *testing.T) {
+	orig := confProgram(t)
+	dev := newLocalTarget(t, orig)
+	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(dev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *remote.Remote {
+		r, err := remote.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	rem, other := dial(), dial()
+	entries, err := controlplane.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer entries.Close()
+
+	same := func(when string) {
+		t.Helper()
+		got := rem.Program()
+		if got == nil {
+			t.Fatalf("%s: Program() = nil", when)
+		}
+		if got.Digest() != dev.Program().Digest() {
+			t.Fatalf("%s: Program() is not the program the device runs", when)
+		}
+	}
+	same("at first")
+	same("held, unchanged")
+
+	inserted := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 4242}}, Action: "drop_packet"}
+	if err := entries.InsertEntry("acl1", inserted); err != nil {
+		t.Fatal(err)
+	}
+	same("after an entry insert through a second client")
+	if rem.Program().Tables["acl1"].EntryIndex(inserted.Match) < 0 {
+		t.Fatal("the second client's entry is missing from Program()")
+	}
+
+	alt := altProgram(t)
+	if err := rem.Deploy(alt); err != nil {
+		t.Fatal(err)
+	}
+	same("after own deploy")
+	// The caller keeps writing to what it deployed, as core.Runtime does
+	// on the entry fast path; the device never saw these writes.
+	alt.Name = "scribbled"
+	alt.Tables["acl2"].Entries = nil
+	same("after the caller mutated the program it deployed")
+	if got := rem.Program(); got == alt || got.Name == "scribbled" {
+		t.Fatal("Program() aliases the caller's program")
+	}
+
+	if err := rem.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	same("after rollback")
+	if got := rem.Program().Root; got != orig.Root {
+		t.Fatalf("after rollback, root = %q, want %q", got, orig.Root)
+	}
+
+	theirs := altProgram(t)
+	theirs.Name = "theirs"
+	if err := other.Deploy(theirs); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	same("after a deploy by a second remote")
+	if got := rem.Program().Name; got != "theirs" {
+		t.Fatalf("after a second remote's deploy, program = %q", got)
+	}
+}
+
 // TestConformanceMeasurementsAgree pins backend equivalence directly: the
 // same deterministic batch against identically configured devices must
 // produce the same measurement locally and across the wire (the emulator

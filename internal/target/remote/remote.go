@@ -4,9 +4,16 @@
 // off-box from the device it is tuning. Connection-level failures are
 // retried by the underlying client with idempotency keys, so a retried
 // Deploy or Measure cannot double-apply.
+//
+// A program crosses the wire only when it changed: the remote holds one
+// program beside its digest — the last it fetched, or its own copy of the
+// last it deployed — and Program names that digest to the server, which
+// answers "unchanged" when it still runs exactly that.
 package remote
 
 import (
+	"sync"
+
 	"pipeleon/internal/controlplane"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
@@ -18,6 +25,15 @@ import (
 type Remote struct {
 	client *controlplane.Client
 	cap    target.Capabilities
+
+	// held is the one program kept on this side and digest its content
+	// digest; nil until the first fetch or deploy. It is never memory a
+	// caller can write: core.Runtime edits the program it deployed in
+	// place on the entry fast path. mu also spans the RPC that replaces
+	// them, so held and digest always belong together.
+	mu     sync.Mutex
+	held   *p4ir.Program
+	digest p4ir.Digest
 }
 
 // Dial connects to a device server and fetches its capabilities.
@@ -40,17 +56,34 @@ func New(client *controlplane.Client) (*Remote, error) {
 	return &Remote{client: client, cap: cap}, nil
 }
 
-// Program fetches the currently deployed program.
+// Program returns the device's currently deployed program, nil when it
+// cannot be read. Every call asks the device; the program itself crosses
+// only when it is not the held one.
 func (r *Remote) Program() *p4ir.Program {
-	prog, err := r.client.Program()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	prog, digest, err := r.client.ProgramUnless(r.digest)
 	if err != nil {
 		return nil
 	}
-	return prog
+	if prog != nil {
+		r.held, r.digest = prog, digest
+	}
+	return r.held
 }
 
-// Deploy stages prog on the remote device.
-func (r *Remote) Deploy(prog *p4ir.Program) error { return r.client.Deploy(prog) }
+// Deploy stages prog on the remote device and keeps a copy of it as the
+// held program: it is what the device runs until something changes it.
+func (r *Remote) Deploy(prog *p4ir.Program) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	enc := prog.AppendBinary(nil)
+	if _, err := r.client.DeployEncoded(enc); err != nil {
+		return err
+	}
+	r.held, r.digest = prog.Clone(), p4ir.DigestOf(enc)
+	return nil
+}
 
 // Commit finalizes the staged deploy.
 func (r *Remote) Commit() error { return r.client.Commit() }

@@ -110,7 +110,9 @@ func CapabilitiesFor(pm costmodel.Params, cacheSupport bool) Capabilities {
 // windows, and control-plane entry churn all overlap.
 type Target interface {
 	// Program returns the currently running program (the staged one after
-	// an uncommitted Deploy).
+	// an uncommitted Deploy). The result is read-only: a backend may hand
+	// out the program it runs (Local) or the one copy it keeps (Remote).
+	// Clone it before changing it or deploying it elsewhere.
 	Program() *p4ir.Program
 
 	// Deploy stages prog on the device, checkpointing the running program
