@@ -99,7 +99,8 @@ traces:
 	$(GO) run ./cmd/tracegen -out testdata/traces/agiliocx.json -target agiliocx -seed 21
 
 # bench runs the hot-path micro-benchmarks (emulator fast path, parallel
-# measurement, search) plus the Figure 12 profiling-overhead benches, and
+# measurement, search, and — beside its code in internal/opt — the
+# tier-aware estimate) plus the Figure 12 profiling-overhead benches, and
 # archives the parsed results in BENCH_emulator.json (see DESIGN.md's
 # "Performance architecture" for how to read it). The semantic-proof
 # benches live beside their code (internal/analysis and its absint
@@ -114,7 +115,8 @@ traces:
 # against the JSON they replaced in p4ir, one loopback round trip of each
 # bulk RPC in controlplane, all on the 110-table synth program — and are
 # archived in BENCH_control.json.
-EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20
+EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
+EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
@@ -122,7 +124,7 @@ SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$
 CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$
 CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane
 bench:
-	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
+	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -out BENCH_search.json
 	{ $(GO) test -run '^$$' -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
@@ -144,9 +146,9 @@ bench:
 # intentional performance changes.
 MAXREGRESS ?= 0.15
 benchcheck:
-	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem . \
+	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) \
 		| $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
-		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|Search$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$'
+		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$|HeteroEstimate'
 	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)
 	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \

@@ -509,18 +509,6 @@ func BenchmarkMeasureParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSearch measures one full optimization round.
-func BenchmarkSearch(b *testing.B) {
-	prog, cfg, pm, _ := ablationSearchInput()
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Search(prog, prof, pm, *cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchCold measures one full optimization round on a fresh
 // session per iteration — everything (partition, dependency analysis,
 // candidate enumeration, verification) from scratch. The warm/cold pair

@@ -83,6 +83,18 @@ var tierNameRules = []tierNameRule{
 	},
 }
 
+// costDerivations are the calls that turn a (program, profile, cost model)
+// triple into probabilities and node latencies. Inside internal/opt only
+// the file that builds the cost view (Evaluator) may make them: every
+// estimate there is an integral over the view, and a second reading of the
+// profile is how the optimizer once came to price one program four ways.
+var costDerivations = map[string]bool{
+	"ReachProbs": true, "ActionProb": true, "DropProb": true, "BranchProb": true,
+	"NodeLatency": true, "TableLatency": true,
+}
+
+const costViewDir, costViewFile = "internal/opt", "estimate.go"
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -132,7 +144,15 @@ func lintModule(root string) ([]Violation, error) {
 		}
 		out = append(out, vs...)
 	}
-	vs, err := lintDiagCodes(fset, root)
+	notView := func(base string) bool { return base != costViewFile }
+	vs, err := lintDir(fset, filepath.Join(root, costViewDir), notView, func(f *ast.File) []Violation {
+		return checkCostView(fset, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
+	vs, err = lintDiagCodes(fset, root)
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +346,26 @@ func checkTierNames(fset *token.FileSet, f *ast.File, r tierNameRule) []Violatio
 				Pos:  fset.Position(sel.Pos()),
 				Rule: "tier-generic",
 				Msg:  fmt.Sprintf("names concrete tier %s.%s: %s", cmName, sel.Sel.Name, r.Why),
+			})
+		}
+		return true
+	})
+	return out
+}
+
+func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && costDerivations[sel.Sel.Name] {
+			out = append(out, Violation{
+				Pos:  fset.Position(sel.Pos()),
+				Rule: "one-estimator",
+				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator) instead of deriving it again",
+					sel.Sel.Name, costViewDir, costViewFile),
 			})
 		}
 		return true

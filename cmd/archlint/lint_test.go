@@ -284,3 +284,49 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("%s", v)
 	}
 }
+
+func TestCostDerivationOnlyInTheViewFile(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// The view's own file may read the profile and the cost model.
+		"internal/opt/estimate.go": `package opt
+
+func build(prof profile, pm params) { prof.ReachProbs(nil); prof.ActionProb(nil); pm.NodeLatency(nil, nil, "") }
+`,
+		// Any other file of the package may not.
+		"internal/opt/hetero.go": `package opt
+
+func walk(prof profile, pm params) float64 {
+	reach := prof.ReachProbs(nil)
+	return reach["t"] * pm.TableLatency(nil, prof.ActionProb(nil))
+}
+`,
+		// Naming a quantity without calling the deriving method is fine.
+		"internal/opt/ok.go": `package opt
+
+type Costs struct{ DropProb, BranchProb float64 }
+
+func read(c Costs) float64 { return c.DropProb + c.BranchProb }
+`,
+		"internal/opt/oracle_test.go": `package opt
+
+func legacy(prof profile) { prof.DropProb(nil); prof.BranchProb("c") }
+`,
+		// Other packages define and use these freely.
+		"internal/pipelet/rank.go": `package pipelet
+
+func rank(prof profile) { prof.ReachProbs(nil) }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 3 {
+		t.Fatalf("got %d violations, want 3: %v", len(vs), vs)
+	}
+	for _, v := range vs {
+		if v.Rule != "one-estimator" || filepath.Base(v.Pos.Filename) != "hetero.go" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+	}
+}

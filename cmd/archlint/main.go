@@ -9,6 +9,9 @@
 //     record/replay files must not call time.Now or import math/rand —
 //     any ambient wall clock or global RNG would make recorded device
 //     sessions unreproducible on replay.
+//   - one-estimator: in internal/opt only estimate.go, the file that
+//     builds the cost view, may call ReachProbs, ActionProb, DropProb,
+//     BranchProb, NodeLatency or TableLatency.
 //
 // Test files are exempt from every rule. Violations print one per line
 // as file:line: [rule] message; the exit status is 1 when any were

@@ -18,14 +18,12 @@
 // n_a the primitive count of action a, and Lmat/Lact constants extracted
 // per target by benchmarking plus linear regression.
 //
-// Two evaluation strategies are provided and property-tested equivalent:
-// ExpectedLatency propagates reach probabilities over the DAG in O(V+E),
-// while EnumeratePaths expands every execution path (exponential; only for
-// small graphs, used for validation and per-path reporting).
+// ExpectedLatency evaluates Equation 1 by propagating reach probabilities
+// over the DAG in O(V+E); the literal sum over enumerated paths lives in
+// the package's tests as its oracle.
 package costmodel
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -201,10 +199,17 @@ func (pm Params) TierFactor(t *p4ir.Table) float64 {
 	return 1
 }
 
+// MatchLatency evaluates Equation 4a for one table, honoring its memory
+// tier. It is the one place the match part of a node's cost is priced:
+// TableLatency and the optimizer's cost view (opt.Evaluator) both call it.
+func (pm Params) MatchLatency(t *p4ir.Table) float64 {
+	return float64(pm.MatchComplexity(t)) * pm.Lmat * pm.TierFactor(t)
+}
+
 // TableLatency evaluates Equation 3 for one table given its action
-// probabilities, honoring the table's memory tier.
+// probabilities.
 func (pm Params) TableLatency(t *p4ir.Table, actionProb map[string]float64) float64 {
-	match := float64(pm.MatchComplexity(t)) * pm.Lmat * pm.TierFactor(t)
+	match := pm.MatchLatency(t)
 	var action float64
 	for _, a := range t.Actions {
 		action += actionProb[a.Name] * float64(a.NumPrimitives()) * pm.Lact
@@ -241,105 +246,6 @@ func ExpectedLatency(prog *p4ir.Program, prof *profile.Profile, pm Params) float
 	var total float64
 	for _, name := range names {
 		total += reach[name] * pm.NodeLatency(prog, prof, name)
-	}
-	return total
-}
-
-// SubgraphLatency computes the expected latency contributed by a subset of
-// nodes (a pipelet), i.e. Σ_{v∈nodes} P(reach v)·L(v). Dividing by the
-// pipelet's entry probability gives the conditional latency L(G'); this
-// weighted form is directly the L(G')·P(G') of §4.1.2 used for hot-pipelet
-// ranking.
-func SubgraphLatency(prog *p4ir.Program, prof *profile.Profile, pm Params, nodes []string) float64 {
-	reach := prof.ReachProbs(prog)
-	var total float64
-	for _, name := range nodes {
-		total += reach[name] * pm.NodeLatency(prog, prof, name)
-	}
-	return total
-}
-
-// WeightedPath is one execution path with its probability and latency.
-type WeightedPath struct {
-	Nodes   []string
-	Prob    float64
-	Latency float64
-}
-
-// MaxEnumerationPaths bounds EnumeratePaths output to keep validation
-// tractable; programs beyond it should use ExpectedLatency.
-const MaxEnumerationPaths = 1 << 16
-
-// EnumeratePaths expands every root-to-termination execution path with its
-// probability and latency. Paths terminate at the sink or at a dropping
-// action. Per the paper footnote, a switch-case table contributes only the
-// cost of the action leading to the current path, which the expansion
-// handles naturally by splitting per action.
-func EnumeratePaths(prog *p4ir.Program, prof *profile.Profile, pm Params) ([]WeightedPath, error) {
-	var out []WeightedPath
-	var walk func(name string, nodes []string, prob, lat float64) error
-	walk = func(name string, nodes []string, prob, lat float64) error {
-		if prob == 0 {
-			return nil
-		}
-		if name == "" {
-			out = append(out, WeightedPath{Nodes: append([]string(nil), nodes...), Prob: prob, Latency: lat})
-			if len(out) > MaxEnumerationPaths {
-				return fmt.Errorf("costmodel: more than %d paths", MaxEnumerationPaths)
-			}
-			return nil
-		}
-		t, c := prog.Node(name)
-		nodes = append(nodes, name)
-		switch {
-		case t != nil:
-			probs := prof.ActionProb(t)
-			match := float64(pm.MatchComplexity(t)) * pm.Lmat
-			for _, a := range t.Actions {
-				pa := probs[a.Name]
-				if pa == 0 {
-					continue
-				}
-				actLat := float64(a.NumPrimitives()) * pm.Lact
-				nextLat := lat + match + actLat
-				if a.Drops() {
-					// Drop terminates the path here.
-					out = append(out, WeightedPath{Nodes: append([]string(nil), nodes...), Prob: prob * pa, Latency: nextLat})
-					if len(out) > MaxEnumerationPaths {
-						return fmt.Errorf("costmodel: more than %d paths", MaxEnumerationPaths)
-					}
-					continue
-				}
-				if err := walk(t.NextFor(a.Name), nodes, prob*pa, nextLat); err != nil {
-					return err
-				}
-			}
-		case c != nil:
-			pt := prof.BranchProb(name)
-			l := lat + pm.CondLatency()
-			if err := walk(c.TrueNext, nodes, prob*pt, l); err != nil {
-				return err
-			}
-			if err := walk(c.FalseNext, nodes, prob*(1-pt), l); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("costmodel: missing node %q", name)
-		}
-		return nil
-	}
-	if err := walk(prog.Root, nil, 1, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ExpectedFromPaths sums P(π)·L(π) over enumerated paths — the literal
-// Equation 1, used to cross-check ExpectedLatency.
-func ExpectedFromPaths(paths []WeightedPath) float64 {
-	var total float64
-	for _, p := range paths {
-		total += p.Prob * p.Latency
 	}
 	return total
 }

@@ -171,6 +171,95 @@ func TestExpectedLatencyMatchesPathEnumeration(t *testing.T) {
 	}
 }
 
+// Path enumeration: the literal Equation 1, kept as the oracle
+// TestExpectedLatencyMatchesPathEnumeration checks ExpectedLatency's
+// propagation against (moved here verbatim from the package).
+
+// WeightedPath is one execution path with its probability and latency.
+type WeightedPath struct {
+	Nodes   []string
+	Prob    float64
+	Latency float64
+}
+
+// MaxEnumerationPaths bounds EnumeratePaths output to keep validation
+// tractable; programs beyond it should use ExpectedLatency.
+const MaxEnumerationPaths = 1 << 16
+
+// EnumeratePaths expands every root-to-termination execution path with its
+// probability and latency. Paths terminate at the sink or at a dropping
+// action. Per the paper footnote, a switch-case table contributes only the
+// cost of the action leading to the current path, which the expansion
+// handles naturally by splitting per action.
+func EnumeratePaths(prog *p4ir.Program, prof *profile.Profile, pm Params) ([]WeightedPath, error) {
+	var out []WeightedPath
+	var walk func(name string, nodes []string, prob, lat float64) error
+	walk = func(name string, nodes []string, prob, lat float64) error {
+		if prob == 0 {
+			return nil
+		}
+		if name == "" {
+			out = append(out, WeightedPath{Nodes: append([]string(nil), nodes...), Prob: prob, Latency: lat})
+			if len(out) > MaxEnumerationPaths {
+				return fmt.Errorf("costmodel: more than %d paths", MaxEnumerationPaths)
+			}
+			return nil
+		}
+		t, c := prog.Node(name)
+		nodes = append(nodes, name)
+		switch {
+		case t != nil:
+			probs := prof.ActionProb(t)
+			match := float64(pm.MatchComplexity(t)) * pm.Lmat
+			for _, a := range t.Actions {
+				pa := probs[a.Name]
+				if pa == 0 {
+					continue
+				}
+				actLat := float64(a.NumPrimitives()) * pm.Lact
+				nextLat := lat + match + actLat
+				if a.Drops() {
+					// Drop terminates the path here.
+					out = append(out, WeightedPath{Nodes: append([]string(nil), nodes...), Prob: prob * pa, Latency: nextLat})
+					if len(out) > MaxEnumerationPaths {
+						return fmt.Errorf("costmodel: more than %d paths", MaxEnumerationPaths)
+					}
+					continue
+				}
+				if err := walk(t.NextFor(a.Name), nodes, prob*pa, nextLat); err != nil {
+					return err
+				}
+			}
+		case c != nil:
+			pt := prof.BranchProb(name)
+			l := lat + pm.CondLatency()
+			if err := walk(c.TrueNext, nodes, prob*pt, l); err != nil {
+				return err
+			}
+			if err := walk(c.FalseNext, nodes, prob*(1-pt), l); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("costmodel: missing node %q", name)
+		}
+		return nil
+	}
+	if err := walk(prog.Root, nil, 1, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ExpectedFromPaths sums P(π)·L(π) over enumerated paths — the literal
+// Equation 1, used to cross-check ExpectedLatency.
+func ExpectedFromPaths(paths []WeightedPath) float64 {
+	var total float64
+	for _, p := range paths {
+		total += p.Prob * p.Latency
+	}
+	return total
+}
+
 // randomProgram builds a random layered DAG with tables (some dropping,
 // some switch-case) and conditionals, plus a random profile.
 func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profile) {
@@ -314,26 +403,6 @@ func TestCalibrateRecoversConstants(t *testing.T) {
 	pm := cal.Apply(Params{Lmat: 1, Lact: 1})
 	if pm.Lmat != cal.Lmat || pm.Lact != cal.Lact {
 		t.Error("Apply did not overwrite constants")
-	}
-}
-
-func TestSubgraphLatencyPartitionsTotal(t *testing.T) {
-	prog := exactChain(t, 10, 2)
-	prof := profile.New()
-	pm := Params{Lmat: 10, Lact: 2}
-	var first, second []string
-	for i := 0; i < 10; i++ {
-		name := fmt.Sprintf("t%d", i)
-		if i < 5 {
-			first = append(first, name)
-		} else {
-			second = append(second, name)
-		}
-	}
-	total := ExpectedLatency(prog, prof, pm)
-	sum := SubgraphLatency(prog, prof, pm, first) + SubgraphLatency(prog, prof, pm, second)
-	if math.Abs(total-sum) > 1e-9 {
-		t.Errorf("subgraph latencies %v do not sum to total %v", sum, total)
 	}
 }
 

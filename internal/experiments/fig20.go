@@ -63,12 +63,13 @@ func placemapParams(locality float64) costmodel.Params {
 // — concrete tier names stay inside costmodel.
 func placemapWinner(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params) (int, error) {
 	winner, best := 0, 0.0
+	view := opt.NewEvaluator(prog, prof, pm, opt.Config{})
 	for t := 0; t < pm.NumTiers(); t++ {
 		pl := opt.Placement{Tier: map[string]costmodel.TierID{}, Copies: map[string]bool{}}
 		for _, name := range placemapStage {
 			pl.Tier[name] = costmodel.TierID(t)
 		}
-		lat, err := opt.EstimateHeteroLatency(prog, prof, pm, pl)
+		lat, err := view.HeteroLatency(pl)
 		if err != nil {
 			return 0, err
 		}

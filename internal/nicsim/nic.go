@@ -20,15 +20,12 @@ import (
 type Config struct {
 	// Params is the target cost/performance model.
 	Params costmodel.Params
-	// CPUTables places tables on the CPU pipeline. Tables marked
-	// Unsupported in the IR are forced onto the CPU regardless.
-	CPUTables map[string]bool
 	// CopiedTables exist on every tier (table copying, §3.2.4): the
 	// packet executes them wherever it currently is, avoiding migration.
 	CopiedTables map[string]bool
 	// TierTables places tables on an explicit execution tier (0 = ASIC,
-	// 1 = NIC CPU, 2 = off-path host). It overrides CPUTables and the
-	// program's placement annotations; a table's floor (Unsupported /
+	// 1 = NIC CPU, 2 = off-path host). It overrides the program's
+	// placement annotations; a table's floor (Unsupported /
 	// MinTier) still applies, and tiers the cost model does not have are
 	// clamped to its top tier.
 	TierTables map[string]int

@@ -430,7 +430,7 @@ func TestHeterogeneousMigrationCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := testParams()
-	nic, err := New(prog, Config{Params: pm, CPUTables: map[string]bool{"b": true}})
+	nic, err := New(prog, Config{Params: pm, TierTables: map[string]int{"b": 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestTableCopyingAvoidsMigration(t *testing.T) {
 	// here we copy only b to ASIC — packet never migrates.
 	nic, err := New(prog, Config{
 		Params:       pm,
-		CPUTables:    map[string]bool{"b": true},
+		TierTables:   map[string]int{"b": 1},
 		CopiedTables: map[string]bool{"b": true},
 	})
 	if err != nil {

@@ -227,17 +227,15 @@ func (n *NIC) compile() *execPlan {
 }
 
 // resolveTier decides a table's execution tier: explicit TierTables
-// config wins, then the placement annotation, then the legacy CPUTables
-// flag; the result is raised to the table's floor (Unsupported tables
-// never land on the ASIC) and clamped to the tiers the target has.
+// config wins, then the placement annotation; the result is raised to the
+// table's floor (Unsupported tables never land on the ASIC) and clamped to
+// the tiers the target has.
 func resolveTier(t *p4ir.Table, cfg Config, numTiers int) uint8 {
 	tier := 0
 	if tt, ok := cfg.TierTables[t.Name]; ok {
 		tier = tt
 	} else if at, ok := t.TierAssignment(); ok {
 		tier = at
-	} else if cfg.CPUTables[t.Name] {
-		tier = 1
 	}
 	if f := t.TierFloor(); tier < f {
 		tier = f

@@ -159,18 +159,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// hitEstimate returns the estimated hit rate for a cache with the given
-// budget over a working set of ws distinct keys, honoring overrides.
-func (c Config) hitEstimate(spanKey string, ws uint64) float64 {
-	if h, ok := c.HitRateOverride[spanKey]; ok {
-		return h
-	}
-	return c.hitEstimateNoOverride(ws)
-}
-
-// hitEstimateNoOverride is the model part of hitEstimate. The dense
-// candidate loop calls it directly so the span-key string (which exists
-// only to key HitRateOverride) is never built when no overrides are set.
+// hitEstimateNoOverride returns the estimated hit rate for a cache with the
+// configured budget over a working set of ws distinct keys — the model part
+// of the estimate; Evaluator.hitEstimateIdx puts HitRateOverride in front.
 func (c Config) hitEstimateNoOverride(ws uint64) float64 {
 	if ws == 0 {
 		return c.EstimatedHitRate

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"sort"
+	"sync"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/deps"
@@ -10,18 +11,27 @@ import (
 	"pipeleon/internal/profile"
 )
 
-// Evaluator scores candidate transformations with the cost model under the
-// current runtime profile. Per-table quantities live in dense slices over
-// a stable node ordering (sorted tables, then sorted conds) so the hot
-// candidate loop runs map-free, and refresh swaps in a new profile without
-// rebuilding the static program-derived quantities — which is what lets a
-// warm Session reuse one Evaluator across rounds.
+// Evaluator is the optimizer's one reading of (program, profile, cost
+// model): every per-node quantity of the §3.1 formula, laid out in dense
+// slices over a stable node ordering (sorted tables, then sorted conds),
+// together with the graph as indices. Every estimate of a round — pipelet
+// layouts, group caches, re-scores, the pipelet ranking, the baseline, the
+// tier-aware estimate — is an integral over these arrays, so this file is
+// the only place in the package that asks the profile for a probability or
+// the cost model for a node latency. refresh swaps in a new profile without
+// rebuilding the static quantities, which is what lets a warm Session
+// reuse one Evaluator across rounds; between refreshes the view is
+// read-only and safe to share across goroutines.
 type Evaluator struct {
 	prog *p4ir.Program
 	prof *profile.Profile
 	pm   costmodel.Params
 	cfg  Config
-	an   *deps.Analyzer
+
+	// an is built on first use: the tier-aware and ranking integrals never
+	// need it, and a one-shot estimate must not pay for it.
+	an     *deps.Analyzer
+	anOnce sync.Once
 
 	// Stable dense node ordering: tables first (sorted), then conds
 	// (sorted). Table-only quantities are zero at cond slots.
@@ -32,12 +42,25 @@ type Evaluator struct {
 	// Static quantities (program + cost model, fixed for the Evaluator's
 	// lifetime).
 	// matchLat / actLat split each table's latency into the key-match part
-	// (m·Lmat) and the expected action part (Σ P(a)·n_a·Lact).
+	// (Params.MatchLatency) and the expected action part (Σ P(a)·n_a·Lact).
+	tables   []*p4ir.Table
 	matchLat []float64
 	entries  []int
 	exact    []bool
 	mcomp    []int
 	memBytes []int
+	// byName lists node indices in lexicographic name order — the order
+	// costmodel.ExpectedLatency sums in, which baseline must reproduce to
+	// stay bit-equal to it.
+	byName []int
+	// topo lists the nodes reachable from the root in topological order;
+	// topoErr is the TopoOrder error of a program that has none.
+	topo    []int
+	topoErr error
+	// Node i's successors are succ[succOff[i]:succOff[i+1]], in
+	// Program.Successors order.
+	succOff []int
+	succ    []int
 
 	// Profile-dependent quantities, recomputed in place by refresh.
 	reach    []float64
@@ -45,21 +68,27 @@ type Evaluator struct {
 	actLat   []float64
 	card     []uint64
 	updRate  []float64
+	// share[k] is the fraction of the traffic leaving succ[k]'s source
+	// node that goes to succ[k].
+	share []float64
 
 	// dropByName mirrors dropRate under table names for the exported
 	// order-enumeration API (GreedyDropOrder takes a name-keyed map).
 	dropByName map[string]float64
 }
 
-// NewEvaluator precomputes per-table model quantities.
+// NewEvaluator derives the cost view of prog under prof and pm. The
+// dependency analyzer the candidate enumeration needs is built on first
+// use, so a caller that only wants estimates (HeteroLatency under several
+// placements, say) holds a cheap value.
 func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) *Evaluator {
-	return newEvaluator(prog, prof, pm, cfg, deps.NewAnalyzer(prog))
+	return newEvaluator(prog, prof, pm, cfg, nil)
 }
 
-// newEvaluator is NewEvaluator with an injected dependency analyzer, so
-// many evaluators over one program (a sweep's points) share the analysis.
-// The analyzer is eager and read-only after construction, hence safe to
-// share across goroutines.
+// newEvaluator is NewEvaluator with an injected dependency analyzer (nil
+// builds one lazily), so many evaluators over one program (a sweep's
+// points) share the analysis. The analyzer is eager and read-only after
+// construction, hence safe to share across goroutines.
 func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config, an *deps.Analyzer) *Evaluator {
 	ev := &Evaluator{prog: prog, pm: pm, cfg: cfg, an: an}
 	tnames := make([]string, 0, len(prog.Tables))
@@ -72,13 +101,25 @@ func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 		cnames = append(cnames, name)
 	}
 	sort.Strings(cnames)
-	n := len(tnames) + len(cnames)
-	ev.numTables = len(tnames)
+	nt := len(tnames)
+	n := nt + len(cnames)
+	ev.numTables = nt
 	ev.nodeNames = append(append(make([]string, 0, n), tnames...), cnames...)
 	ev.nodeIdx = make(map[string]int, n)
 	for i, name := range ev.nodeNames {
 		ev.nodeIdx[name] = i
 	}
+	ev.byName = make([]int, 0, n)
+	for t, c := 0, nt; t < nt || c < n; {
+		if c == n || (t < nt && ev.nodeNames[t] < ev.nodeNames[c]) {
+			ev.byName = append(ev.byName, t)
+			t++
+		} else {
+			ev.byName = append(ev.byName, c)
+			c++
+		}
+	}
+	ev.tables = make([]*p4ir.Table, nt)
 	ev.matchLat = make([]float64, n)
 	ev.entries = make([]int, n)
 	ev.exact = make([]bool, n)
@@ -86,54 +127,113 @@ func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 	ev.memBytes = make([]int, n)
 	for i, name := range tnames {
 		t := prog.Tables[name]
-		ev.matchLat[i] = float64(pm.MatchComplexity(t)) * pm.Lmat
+		ev.tables[i] = t
+		ev.matchLat[i] = pm.MatchLatency(t)
 		ev.entries[i] = len(t.Entries)
 		ev.exact[i] = t.WidestMatchKind() == p4ir.MatchExact
 		ev.mcomp[i] = pm.MatchComplexity(t)
 		ev.memBytes[i] = t.MemoryBytes()
+	}
+	ev.succOff = make([]int, n+1)
+	for i, name := range ev.nodeNames {
+		for _, s := range prog.Successors(name) {
+			if j, ok := ev.nodeIdx[s]; ok {
+				ev.succ = append(ev.succ, j)
+			}
+		}
+		ev.succOff[i+1] = len(ev.succ)
+	}
+	order, err := prog.TopoOrder()
+	ev.topoErr = err
+	ev.topo = make([]int, len(order))
+	for k, name := range order {
+		ev.topo[k] = ev.nodeIdx[name]
 	}
 	ev.reach = make([]float64, n)
 	ev.dropRate = make([]float64, n)
 	ev.actLat = make([]float64, n)
 	ev.card = make([]uint64, n)
 	ev.updRate = make([]float64, n)
-	ev.dropByName = make(map[string]float64, len(tnames))
+	ev.share = make([]float64, len(ev.succ))
+	ev.dropByName = make(map[string]float64, nt)
 	ev.refresh(prof)
 	return ev
 }
 
 // refresh recomputes the profile-dependent quantities in place, reusing
 // the dense backing arrays. A warm session's per-round evaluator cost is
-// therefore the per-table model math, not allocation.
+// therefore the per-table model math, not allocation. Reach comes from the
+// profile's own propagation — re-deriving it from the edge shares would
+// sum mass·(p₁+p₂) where ReachProbs sums mass·p₁ + mass·p₂ — and
+// everything else of a table from one ActionProb.
 func (ev *Evaluator) refresh(prof *profile.Profile) {
 	ev.prof = prof
-	for i := range ev.reach {
-		ev.reach[i] = 0
-	}
+	clear(ev.reach)
 	for name, v := range prof.ReachProbs(ev.prog) {
 		if i, ok := ev.nodeIdx[name]; ok {
 			ev.reach[i] = v
 		}
 	}
-	for i := 0; i < ev.numTables; i++ {
-		name := ev.nodeNames[i]
-		t := ev.prog.Tables[name]
-		drop := prof.DropProb(t)
-		ev.dropRate[i] = drop
-		ev.dropByName[name] = drop
+	for i, t := range ev.tables {
 		probs := prof.ActionProb(t)
-		var act float64
+		var act, drop float64
 		for _, a := range t.Actions {
 			act += probs[a.Name] * float64(a.NumPrimitives()) * ev.pm.Lact
+			if a.Drops() {
+				drop += probs[a.Name]
+			}
 		}
 		ev.actLat[i] = act
-		ev.card[i] = prof.Cardinality(name, ev.cfg.DefaultCardinality)
-		ev.updRate[i] = prof.UpdateRate(name)
+		ev.dropRate[i] = drop
+		ev.dropByName[t.Name] = drop
+		ev.card[i] = prof.Cardinality(t.Name, ev.cfg.DefaultCardinality)
+		ev.updRate[i] = prof.UpdateRate(t.Name)
+		lo, hi := ev.succOff[i], ev.succOff[i+1]
+		if !t.IsSwitchCase() {
+			if lo < hi {
+				ev.share[lo] = 1 - drop
+			}
+			continue
+		}
+		clear(ev.share[lo:hi])
+		for _, a := range t.Actions {
+			if !a.Drops() {
+				ev.addShare(lo, hi, t.NextFor(a.Name), probs[a.Name])
+			}
+		}
+	}
+	for i := ev.numTables; i < len(ev.nodeNames); i++ {
+		name := ev.nodeNames[i]
+		c := ev.prog.Conds[name]
+		pt := prof.BranchProb(name)
+		lo, hi := ev.succOff[i], ev.succOff[i+1]
+		clear(ev.share[lo:hi])
+		ev.addShare(lo, hi, c.TrueNext, pt)
+		ev.addShare(lo, hi, c.FalseNext, 1-pt)
 	}
 }
 
-// Analyzer exposes the dependency analyzer (shared with rewriting).
-func (ev *Evaluator) Analyzer() *deps.Analyzer { return ev.an }
+// addShare adds p to the share of the edge among succ[lo:hi] that leads to
+// the named node, if there is one.
+func (ev *Evaluator) addShare(lo, hi int, to string, p float64) {
+	if j, ok := ev.nodeIdx[to]; ok {
+		for k := lo; k < hi; k++ {
+			if ev.succ[k] == j {
+				ev.share[k] += p
+			}
+		}
+	}
+}
+
+// analyzer returns the dependency analyzer, building it on first use.
+func (ev *Evaluator) analyzer() *deps.Analyzer {
+	ev.anOnce.Do(func() {
+		if ev.an == nil {
+			ev.an = deps.NewAnalyzer(ev.prog)
+		}
+	})
+	return ev.an
+}
 
 // idxOf returns a node's dense index, or -1 for unknown names.
 func (ev *Evaluator) idxOf(name string) int {
@@ -150,83 +250,55 @@ func (ev *Evaluator) reachOf(name string) float64 {
 	return 0
 }
 
-func (ev *Evaluator) matchLatOf(name string) float64 {
-	if i := ev.idxOf(name); i >= 0 {
-		return ev.matchLat[i]
+// appendIdx appends the dense indices of the named tables to dst. Options
+// and pipelets carry names; this is where they enter the index space.
+func (ev *Evaluator) appendIdx(dst []int, names []string) []int {
+	for _, t := range names {
+		dst = append(dst, ev.nodeIdx[t])
 	}
-	return 0
+	return dst
 }
 
-func (ev *Evaluator) actLatOf(name string) float64 {
-	if i := ev.idxOf(name); i >= 0 {
-		return ev.actLat[i]
+// nodeLat is L(v) of Equation 3 for node i: match plus expected action
+// latency for a table, the branch cost for a conditional.
+func (ev *Evaluator) nodeLat(i int) float64 {
+	if i < ev.numTables {
+		return ev.matchLat[i] + ev.actLat[i]
 	}
-	return 0
+	return ev.pm.CondLatency()
 }
 
-func (ev *Evaluator) dropOf(name string) float64 {
-	if i := ev.idxOf(name); i >= 0 {
-		return ev.dropRate[i]
+// baseline is the expected latency of the program as it stands, Σ_v
+// P(reach v)·L(v) — costmodel.ExpectedLatency over the view, bit for bit.
+func (ev *Evaluator) baseline() float64 {
+	var total float64
+	for _, i := range ev.byName {
+		total += ev.reach[i] * ev.nodeLat(i)
 	}
-	return 0
+	return total
 }
 
-// elemKind labels one element of a transformed pipelet layout.
-type elemKind int
-
-const (
-	elemTable elemKind = iota
-	elemCache
-	elemMerge
-)
-
-type seqElem struct {
-	kind   elemKind
-	tables []string
-}
-
-// buildSequence lays out the pipelet as a sequence of plain tables and
-// segment elements, in order.
-func buildSequence(order []string, segs []Segment) []seqElem {
-	covered := map[int]int{} // position -> segment index
-	for si, s := range segs {
-		for i := s.Start; i < s.Start+s.Len; i++ {
-			covered[i] = si
-		}
-	}
-	var out []seqElem
-	for i := 0; i < len(order); {
-		if si, ok := covered[i]; ok {
-			s := segs[si]
-			kind := elemCache
-			if s.Kind == SegMerge {
-				kind = elemMerge
+// rank computes every pipelet's weighted cost L(G')·P(G') (§4.1.2) and
+// returns them sorted descending — pipelet.RankByCost over the view.
+func (ev *Evaluator) rank(part *pipelet.Partition) []pipelet.Cost {
+	costs := make([]pipelet.Cost, 0, len(part.Pipelets))
+	for _, p := range part.Pipelets {
+		var w float64
+		for _, tbl := range p.Tables {
+			if i := ev.idxOf(tbl); i >= 0 {
+				w += ev.reach[i] * ev.nodeLat(i)
 			}
-			out = append(out, seqElem{kind: kind, tables: order[s.Start : s.Start+s.Len]})
-			i += s.Len
-		} else {
-			out = append(out, seqElem{kind: elemTable, tables: order[i : i+1]})
-			i++
 		}
+		costs = append(costs, pipelet.Cost{Pipelet: p, Weighted: w, Reach: ev.reachOf(p.Head())})
 	}
-	return out
+	sort.SliceStable(costs, func(i, j int) bool { return costs[i].Weighted > costs[j].Weighted })
+	return costs
 }
 
-// spanStats aggregates the model quantities of a table span: the original
+// spanStatsIdx aggregates the model quantities of a table span: the original
 // per-entering-packet cost, the expected combined action cost, and the
 // span's aggregate drop probability. Within the span, traffic surviving
 // table i proceeds to table i+1.
-func (ev *Evaluator) spanStats(tables []string) (origCost, actSum, dropProb float64) {
-	flow := 1.0
-	for _, t := range tables {
-		origCost += flow * (ev.matchLatOf(t) + ev.actLatOf(t))
-		actSum += flow * ev.actLatOf(t)
-		flow *= 1 - ev.dropOf(t)
-	}
-	return origCost, actSum, 1 - flow
-}
-
-// spanStatsIdx is spanStats over dense indices (the hot path).
 func (ev *Evaluator) spanStatsIdx(span []int) (origCost, actSum, dropProb float64) {
 	flow := 1.0
 	for _, ti := range span {
@@ -237,7 +309,7 @@ func (ev *Evaluator) spanStatsIdx(span []int) (origCost, actSum, dropProb float6
 	return origCost, actSum, 1 - flow
 }
 
-// workingSet is the cross-product cardinality of a span's cache key
+// workingSetIdx is the cross-product cardinality of a span's cache key
 // (§3.2.2: "n header fields could produce up to S1·S2·...·Sn cache
 // entries"), saturating to avoid overflow. Because every cache key is a
 // function of the packet's flow, the working set is additionally bounded
@@ -317,54 +389,10 @@ func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
 	return h
 }
 
-// seqLatency returns the expected per-packet latency of a pipelet layout
-// for one packet entering the pipelet. (Compatibility path over node
-// names; the candidate loop uses seqLatencyIdx.)
-func (ev *Evaluator) seqLatency(elems []seqElem) float64 {
-	flow := 1.0
-	var total float64
-	for _, e := range elems {
-		switch e.kind {
-		case elemTable:
-			t := e.tables[0]
-			total += flow * (ev.matchLatOf(t) + ev.actLatOf(t))
-			flow *= 1 - ev.dropOf(t)
-		case elemCache:
-			origCost, actSum, dropP := ev.spanStats(e.tables)
-			h := ev.cfg.hitEstimate(SpanKey(e.tables), ev.workingSetNames(e.tables))
-			h = ev.invalidationDiscountNames(h, e.tables)
-			// One exact probe always; on a hit the combined action
-			// applies; on a miss the packet falls through to the
-			// original tables.
-			total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			flow *= 1 - dropP
-		case elemMerge:
-			origCost, actSum, dropP := ev.spanStats(e.tables)
-			if ev.allExactNames(e.tables) {
-				// Merged-exact cache with fallback (§3.2.3: "Pipeleon
-				// addresses this by generating a merged exact table
-				// without ternary entries as a cache").
-				h := ev.cfg.MergedCacheHitRate
-				if hh, ok := ev.cfg.HitRateOverride[SpanKey(e.tables)]; ok {
-					h = hh
-				}
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else {
-				// In-place merge: one (multi-probe) match executes all
-				// member actions.
-				m := ev.mergedMNames(e.tables)
-				total += flow * (float64(m)*ev.pm.Lmat + actSum)
-			}
-			flow *= 1 - dropP
-		}
-	}
-	return total
-}
-
-// seqLatencyIdx is the dense fast path of seqLatency: it walks the order
-// positions directly against the (position-sorted, disjoint) segments, so
-// no seqElem slice or covered map is built per candidate. Arithmetic is
-// element-for-element identical to seqLatency over buildSequence.
+// seqLatencyIdx returns the expected per-packet latency of a pipelet layout
+// for one packet entering the pipelet. It walks the order positions
+// directly against the (position-sorted, disjoint) segments, so nothing is
+// built per candidate.
 func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) float64 {
 	flow := 1.0
 	var total float64
@@ -376,10 +404,16 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 			span := idxs[i : i+s.Len]
 			origCost, actSum, dropP := ev.spanStatsIdx(span)
 			if s.Kind == SegCache {
+				// One exact probe always; on a hit the combined action
+				// applies; on a miss the packet falls through to the
+				// original tables.
 				h := ev.hitEstimateIdx(order[i:i+s.Len], span)
 				h = ev.invalidationDiscount(h, span)
 				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
 			} else if ev.allExactIdx(span) {
+				// Merged-exact cache with fallback (§3.2.3: "Pipeleon
+				// addresses this by generating a merged exact table
+				// without ternary entries as a cache").
 				h := ev.cfg.MergedCacheHitRate
 				if len(ev.cfg.HitRateOverride) > 0 {
 					if hh, ok := ev.cfg.HitRateOverride[SpanKey(order[i:i+s.Len])]; ok {
@@ -388,6 +422,8 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 				}
 				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
 			} else {
+				// In-place merge: one (multi-probe) match executes all
+				// member actions.
 				m := ev.mergedMIdx(span)
 				total += flow * (float64(m)*ev.pm.Lmat + actSum)
 			}
@@ -403,166 +439,70 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 	return total
 }
 
-// Name-based shims for the compatibility paths (ScoreOption, group
-// scoring); each resolves indices per call and must stay value-identical
-// to its Idx counterpart.
-
-func (ev *Evaluator) workingSetNames(tables []string) uint64 {
-	const sat = 1 << 40
-	ws := uint64(1)
-	for _, t := range tables {
-		var c uint64
-		if i := ev.idxOf(t); i >= 0 {
-			c = ev.card[i]
-		}
-		if c == 0 {
-			c = 1
-		}
-		if ws > sat/c {
-			ws = sat
-			break
-		}
-		ws *= c
-	}
-	if fc := ev.prof.FlowCardinality; fc > 0 && fc < ws {
-		ws = fc
-	}
-	return ws
-}
-
-func (ev *Evaluator) allExactNames(tables []string) bool {
-	for _, t := range tables {
-		if ev.prog.Tables[t].WidestMatchKind() != p4ir.MatchExact {
-			return false
-		}
-	}
-	return true
-}
-
-func (ev *Evaluator) mergedMNames(tables []string) int {
-	const cap = 64
-	m := 1
-	for _, t := range tables {
-		m *= ev.pm.MatchComplexity(ev.prog.Tables[t])
-		if m > cap {
-			return cap
-		}
-	}
-	return m
-}
-
-func (ev *Evaluator) invalidationDiscountNames(h float64, tables []string) float64 {
-	if ev.cfg.InvalidationPenalty > 0 {
-		var upd float64
-		for _, t := range tables {
-			upd += ev.prof.UpdateRate(t)
-		}
-		h /= 1 + upd*ev.cfg.InvalidationPenalty
-	}
-	return h
-}
-
-// segCosts returns the memory and entry-update costs of an option's
-// segments.
-func (ev *Evaluator) segCosts(o *Option) (mem int, upd float64) {
-	for _, s := range o.Segments {
-		span := o.SegTables(s)
-		keyFields := ev.an.CacheKey(span)
-		mem, upd = ev.segCostAccum(mem, upd, s.Kind, ev.spanIdxAlloc(span), len(keyFields))
-	}
-	return mem, upd
-}
-
-// segCostsIdx is the dense fast path of segCosts: span key-field counts
-// come from the per-order scratch cache instead of recomputing
-// an.CacheKey per candidate.
+// segCostsIdx returns the memory and entry-update costs of a layout's
+// segments; span key-field counts come from the per-order scratch cache
+// instead of recomputing an.CacheKey per candidate.
 func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, segs []Segment) (mem int, upd float64) {
 	for _, s := range segs {
-		kl := sc.keyLenFor(ev, order, s.Start, s.Len)
-		mem, upd = ev.segCostAccum(mem, upd, s.Kind, idxs[s.Start:s.Start+s.Len], kl)
-	}
-	return mem, upd
-}
-
-// spanIdxAlloc maps a name span to dense indices (compatibility path).
-func (ev *Evaluator) spanIdxAlloc(span []string) []int {
-	out := make([]int, len(span))
-	for i, t := range span {
-		out[i] = ev.idxOf(t)
-	}
-	return out
-}
-
-// segCostAccum folds one segment's memory and update costs into (mem,
-// upd). Shared by the name-based and dense paths so the arithmetic exists
-// once.
-func (ev *Evaluator) segCostAccum(mem int, upd float64, kind SegKind, span []int, keyFields int) (int, float64) {
-	entryBytes := keyFields*8 + 16
-	switch kind {
-	case SegCache:
-		mem += ev.cfg.CacheBudgetEntries * entryBytes
-		// A cache consumes entry-insertion bandwidth on misses;
-		// Pipeleon reserves its configured rate limit.
-		upd += ev.cfg.CacheInsertLimit
-	case SegMerge:
-		// N(T_AB) = Π N(T_i) (§3.2.3 optimization considerations).
-		prod := 1
-		for _, ti := range span {
-			n := ev.entries[ti]
-			if n < 1 {
-				n = 1
-			}
-			if prod > (1<<30)/n {
-				prod = 1 << 30
-				break
-			}
-			prod *= n
-		}
-		if ev.allExactIdx(span) {
-			mem += prod * entryBytes
-		} else {
-			m := ev.mergedMIdx(span)
-			merged := prod * entryBytes * m
-			var orig int
+		span := idxs[s.Start : s.Start+s.Len]
+		entryBytes := sc.keyLenFor(ev, order, s.Start, s.Len)*8 + 16
+		switch s.Kind {
+		case SegCache:
+			mem += ev.cfg.CacheBudgetEntries * entryBytes
+			// A cache consumes entry-insertion bandwidth on misses;
+			// Pipeleon reserves its configured rate limit.
+			upd += ev.cfg.CacheInsertLimit
+		case SegMerge:
+			// N(T_AB) = Π N(T_i) (§3.2.3 optimization considerations).
+			prod := 1
 			for _, ti := range span {
-				orig += ev.memBytes[ti]
-			}
-			delta := merged - orig
-			if delta > 0 {
-				mem += delta
-			}
-		}
-		// I(T_AB) = Σ_i I(T_i) · Π_{j≠i} N(T_j).
-		for i, ti := range span {
-			rate := ev.updRate[ti]
-			if rate == 0 {
-				continue
-			}
-			mult := 1.0
-			for j, tj := range span {
-				if j == i {
-					continue
-				}
-				n := ev.entries[tj]
+				n := ev.entries[ti]
 				if n < 1 {
 					n = 1
 				}
-				mult *= float64(n)
+				if prod > (1<<30)/n {
+					prod = 1 << 30
+					break
+				}
+				prod *= n
 			}
-			upd += rate * mult
+			if ev.allExactIdx(span) {
+				mem += prod * entryBytes
+			} else {
+				m := ev.mergedMIdx(span)
+				merged := prod * entryBytes * m
+				var orig int
+				for _, ti := range span {
+					orig += ev.memBytes[ti]
+				}
+				delta := merged - orig
+				if delta > 0 {
+					mem += delta
+				}
+			}
+			// I(T_AB) = Σ_i I(T_i) · Π_{j≠i} N(T_j).
+			for i, ti := range span {
+				rate := ev.updRate[ti]
+				if rate == 0 {
+					continue
+				}
+				mult := 1.0
+				for j, tj := range span {
+					if j == i {
+						continue
+					}
+					n := ev.entries[tj]
+					if n < 1 {
+						n = 1
+					}
+					mult *= float64(n)
+				}
+				upd += rate * mult
+			}
 		}
 	}
 	return mem, upd
 }
-
-// PipeletBaseline returns the expected per-entering-packet latency of the
-// pipelet in its current layout.
-func (ev *Evaluator) PipeletBaseline(p *pipelet.Pipelet) float64 {
-	return ev.seqLatency(buildSequence(p.Tables, nil))
-}
-
-// Reach returns P(reach node) under the evaluator's profile.
-func (ev *Evaluator) Reach(node string) float64 { return ev.reachOf(node) }
 
 // GroupOptions builds the candidates of a pipelet group (§4.1.1): the
 // cross product of member options (joint application) plus a group-wide
@@ -623,7 +563,7 @@ func (ev *Evaluator) GroupOptions(g *pipelet.Group, memberOpts [][]*Option) []*O
 			}
 		}
 		for _, m := range g.Members {
-			if !ev.an.CanCache(m.Tables) {
+			if !ev.analyzer().CanCache(m.Tables) {
 				legal = false
 				break
 			}
@@ -666,15 +606,15 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 	if entryReach <= 0 {
 		return nil
 	}
+	allTables := g.Tables()
+	span := ev.appendIdx(make([]int, 0, len(allTables)), allTables)
 	// Conditional (per-entering-packet) expected cost of the group: the
 	// reach-weighted node costs of members and internal branches,
 	// normalized by the entry reach.
 	var weighted, weightedAct float64
-	for _, m := range g.Members {
-		for _, t := range m.Tables {
-			weighted += ev.reachOf(t) * (ev.matchLatOf(t) + ev.actLatOf(t))
-			weightedAct += ev.reachOf(t) * ev.actLatOf(t)
-		}
+	for _, ti := range span {
+		weighted += ev.reach[ti] * (ev.matchLat[ti] + ev.actLat[ti])
+		weightedAct += ev.reach[ti] * ev.actLat[ti]
 	}
 	for _, bn := range g.Branches {
 		weighted += ev.reachOf(bn) * ev.pm.CondLatency()
@@ -682,12 +622,11 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 	baseline := weighted / entryReach
 	actSum := weightedAct / entryReach
 
-	allTables := g.Tables()
-	h := ev.cfg.hitEstimate(SpanKey(allTables), ev.workingSetNames(allTables))
-	h = ev.invalidationDiscountNames(h, allTables)
+	h := ev.hitEstimateIdx(allTables, span)
+	h = ev.invalidationDiscount(h, span)
 	cached := ev.pm.Lmat + h*actSum + (1-h)*baseline
 	gain := (baseline - cached) * entryReach
-	keyFields := ev.an.CacheKey(allTables)
+	keyFields := ev.analyzer().CacheKey(allTables)
 	entryBytes := (len(keyFields)+len(branchFields))*8 + 16
 	return &Option{
 		Kind: OptGroupCache, Group: g,

@@ -93,8 +93,14 @@ func (p Placement) String() string {
 	return sb.String()
 }
 
-// clampTier bounds a tier to the tiers the target actually has.
-func clampTier(d costmodel.TierID, numTiers int) costmodel.TierID {
+// placedTier resolves a table's effective tier under a placement: the
+// assigned tier, raised to the table's floor, clamped to the tiers the
+// target actually has.
+func placedTier(pl Placement, t *p4ir.Table, numTiers int) costmodel.TierID {
+	d := pl.Tier[t.Name]
+	if f := costmodel.TierID(t.TierFloor()); d < f {
+		d = f
+	}
 	if int(d) >= numTiers {
 		d = costmodel.TierID(numTiers - 1)
 	}
@@ -102,16 +108,6 @@ func clampTier(d costmodel.TierID, numTiers int) costmodel.TierID {
 		d = 0
 	}
 	return d
-}
-
-// placedTier resolves a table's effective tier under a placement: the
-// assigned tier, raised to the table's floor, clamped to the target.
-func placedTier(pl Placement, t *p4ir.Table, numTiers int) costmodel.TierID {
-	d := pl.Tier[t.Name]
-	if f := costmodel.TierID(t.TierFloor()); d < f {
-		d = f
-	}
-	return clampTier(d, numTiers)
 }
 
 // rawTierSpeed is the per-tier node-latency multiplier used inside the
@@ -130,67 +126,79 @@ func rawTierSpeed(pm costmodel.Params, d costmodel.TierID) float64 {
 }
 
 // EstimateHeteroLatency computes the expected per-packet latency of a
-// program under a placement, including per-pair migration costs and
-// per-tier update-install stalls, by walking the DAG in topological
-// order while carrying a per-tier probability vector across joins. For
-// branch-free chains (the Appendix A.2 benchmark shape) this is exact;
-// for DAGs it approximates by probability-weighting the tier state.
-// A cyclic or disconnected program returns the TopoOrder error — it
-// used to be silently reported as zero latency, i.e. "free program".
+// program under a placement: one HeteroLatency over a view built for the
+// call. A caller pricing several placements of one (program, profile,
+// target) should hold the view (NewEvaluator) instead.
 func EstimateHeteroLatency(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, pl Placement) (float64, error) {
-	order, err := prog.TopoOrder()
-	if err != nil {
-		return 0, fmt.Errorf("opt: hetero estimate: %w", err)
+	return NewEvaluator(prog, prof, pm, Config{}).HeteroLatency(pl)
+}
+
+// HeteroLatency computes the expected per-packet latency of the program
+// under a placement, including per-pair migration costs and per-tier
+// update-install stalls: the view's Σ P(reach v)·L(v) with each table's
+// L(v) scaled by its tier's speed, plus the crossings, walking the DAG in
+// topological order while carrying a per-tier probability vector across
+// joins. For branch-free chains (the Appendix A.2 benchmark shape) this is
+// exact; for DAGs it approximates by probability-weighting the tier state.
+// The placement is an argument: one view prices any number of them. A
+// cyclic or disconnected program returns the TopoOrder error — it used to
+// be silently reported as zero latency, i.e. "free program".
+func (ev *Evaluator) HeteroLatency(pl Placement) (float64, error) {
+	if ev.topoErr != nil {
+		return 0, fmt.Errorf("opt: hetero estimate: %w", ev.topoErr)
 	}
+	return ev.heteroLatency(pl), nil
+}
+
+// heteroLatency is HeteroLatency on a program known to have a topological
+// order.
+func (ev *Evaluator) heteroLatency(pl Placement) float64 {
+	pm := ev.pm
 	nt := pm.NumTiers()
-	reach := prof.ReachProbs(prog)
-	// q[node][d-1] = probability the packet is on tier d (d >= 1) when
-	// it arrives at node, conditioned on reaching it. Tier-0 mass is
-	// the residual 1 - sum(q), mirroring the legacy scalar pCPU.
-	q := map[string][]float64{}
-	arrivalOf := func(name string) []float64 {
-		if v := q[name]; v != nil {
-			return v
-		}
-		return make([]float64, nt-1)
-	}
+	w := nt - 1
+	// q[i*w+d-1] = probability the packet is on tier d (d >= 1) when it
+	// arrives at node i, conditioned on reaching it. Tier-0 mass is the
+	// residual 1 - sum, mirroring the legacy scalar pCPU. The row past the
+	// last node is scratch: the tier state after a table that is not copied.
+	n := len(ev.nodeNames)
+	q := make([]float64, (n+1)*w)
 	var total float64
-	for _, name := range order {
-		mass := reach[name]
+	for _, i := range ev.topo {
+		mass := ev.reach[i]
 		if mass <= 0 {
 			continue
 		}
-		arr := arrivalOf(name)
-		t, _ := prog.Node(name)
-		var after []float64
-		if t != nil {
+		arr := q[i*w : (i+1)*w]
+		after := arr
+		if i < ev.numTables {
 			var qsum float64
 			for _, v := range arr {
 				qsum += v
 			}
-			var mult, mig float64
-			if pl.Copies[name] {
+			var mult, mig, stall float64
+			if pl.Copies[ev.nodeNames[i]] {
 				// Runs wherever the packet is: blend tier speeds by
 				// arrival mass, no migration, tier state unchanged.
-				for i, v := range arr {
-					mult += v * rawTierSpeed(pm, costmodel.TierID(i+1))
+				for k, v := range arr {
+					mult += v * rawTierSpeed(pm, costmodel.TierID(k+1))
 				}
 				mult += (1 - qsum) * 1
-				after = arr
 			} else {
-				d := placedTier(pl, t, nt)
+				d := placedTier(pl, ev.tables[i], nt)
 				mult = rawTierSpeed(pm, d)
 				if d != 0 {
 					if r := 1 - qsum; r != 0 {
 						mig += r * pm.MigrationCost(0, d)
 					}
 				}
-				for i, v := range arr {
-					if from := costmodel.TierID(i + 1); from != d && v != 0 {
+				for k, v := range arr {
+					if from := costmodel.TierID(k + 1); from != d && v != 0 {
 						mig += v * pm.MigrationCost(from, d)
 					}
 				}
-				after = make([]float64, nt-1)
+				stall = pm.TierUpdateStall(d)
+				after = q[n*w:]
+				clear(after)
 				if d != 0 {
 					after[d-1] = 1
 				}
@@ -198,128 +206,42 @@ func EstimateHeteroLatency(prog *p4ir.Program, prof *profile.Profile, pm costmod
 			if pm.CPUSlowdown <= 0 {
 				mult = 1
 			}
-			node := pm.NodeLatency(prog, prof, name)
-			total += mass * (node*mult + mig)
+			total += mass * (ev.nodeLat(i)*mult + mig)
 			// Entry churn stalls packets while the table's tier installs
 			// updates. Zero for legacy parameter sets, so the term is
 			// skipped and the two-tier estimate stays bit-identical.
-			if !pl.Copies[name] {
-				if stall := pm.TierUpdateStall(placedTier(pl, t, nt)); stall != 0 {
-					if ur := prof.UpdateRate(name); ur != 0 {
-						total += mass * ur * stall
-					}
-				}
+			if ur := ev.updRate[i]; stall != 0 && ur != 0 {
+				total += mass * ur * stall
 			}
 		} else {
 			total += mass * pm.CondLatency()
-			after = arr
 		}
 		// Propagate tier state to successors (weighted by how much of
 		// their traffic comes from here).
-		for _, s := range prog.Successors(name) {
-			if reach[s] > 0 {
-				share := edgeShare(prog, prof, name, s)
-				for i, v := range after {
+		for k := ev.succOff[i]; k < ev.succOff[i+1]; k++ {
+			s := ev.succ[k]
+			if ev.reach[s] > 0 {
+				for j, v := range after {
 					if v != 0 {
-						qs := q[s]
-						if qs == nil {
-							qs = make([]float64, nt-1)
-							q[s] = qs
-						}
-						qs[i] += v * (mass / reach[s]) * share
+						q[s*w+j] += v * (mass / ev.reach[s]) * ev.share[k]
 					}
 				}
 			}
 		}
 	}
-	return total, nil
-}
-
-// edgeShare approximates the fraction of `from`'s outgoing traffic that
-// goes to `to`.
-func edgeShare(prog *p4ir.Program, prof *profile.Profile, from, to string) float64 {
-	if t, c := prog.Node(from); t != nil {
-		if !t.IsSwitchCase() {
-			if t.BaseNext == to {
-				return 1 - prof.DropProb(t)
-			}
-			return 0
-		}
-		probs := prof.ActionProb(t)
-		var share float64
-		for _, a := range t.Actions {
-			if a.Drops() {
-				continue
-			}
-			if t.NextFor(a.Name) == to {
-				share += probs[a.Name]
-			}
-		}
-		return share
-	} else if c != nil {
-		pt := prof.BranchProb(from)
-		var share float64
-		if c.TrueNext == to {
-			share += pt
-		}
-		if c.FalseNext == to {
-			share += 1 - pt
-		}
-		return share
-	}
-	return 0
+	return total
 }
 
 // copyCandidates lists tables eligible for tier replication, in sorted
 // order: floor-0 tables still on tier 0 whose state is not pinned.
-func copyCandidates(prog *p4ir.Program, base Placement, numTiers int) []string {
+func (ev *Evaluator) copyCandidates(base Placement, numTiers int) []string {
 	var names []string
-	for name, t := range prog.Tables {
+	for _, t := range ev.tables {
 		if t.TierFloor() == 0 && !t.Sticky && placedTier(base, t, numTiers) == 0 {
-			names = append(names, name)
+			names = append(names, t.Name)
 		}
 	}
-	sort.Strings(names)
 	return names
-}
-
-// GreedyCopyPlan chooses up to maxCopies tables to replicate across
-// tiers, greedily picking the copy that most reduces the estimated
-// latency each round. It stops early when no copy helps — capturing the
-// Appendix A.2 observation that "copying only one table ... does not
-// reduce the needed migration and performing the copied table on CPU
-// cores is slower", so unprofitable copies are never taken.
-func GreedyCopyPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, base Placement, maxCopies int) (Placement, error) {
-	best := clonePlacement(base)
-	bestLat, err := EstimateHeteroLatency(prog, prof, pm, best)
-	if err != nil {
-		return base, err
-	}
-	names := copyCandidates(prog, base, pm.NumTiers())
-	for c := 0; c < maxCopies; c++ {
-		var pick string
-		pickLat := bestLat
-		for _, name := range names {
-			if best.Copies[name] {
-				continue
-			}
-			trial := clonePlacement(best)
-			trial.Copies[name] = true
-			lat, err := EstimateHeteroLatency(prog, prof, pm, trial)
-			if err != nil {
-				return base, err
-			}
-			if lat < pickLat-1e-12 {
-				pick, pickLat = name, lat
-			}
-		}
-		if pick == "" {
-			break
-		}
-		best.Copies[pick] = true
-		bestLat = pickLat
-	}
-	return best, nil
 }
 
 // placementMove is one candidate step of the three-way planner.
@@ -349,47 +271,48 @@ func (m placementMove) apply(pl Placement) Placement {
 	return trial
 }
 
-// GreedyPlacementPlan extends GreedyCopyPlan with three-way moves: each
-// round it considers (a) replicating one table across tiers, (b)
-// re-tiering one table to an off-path tier, and (c) offloading a whole
-// contiguous stage (>= 2 tables, at least one already in software) to
-// an off-path tier, committing the single move that most reduces the
-// estimated latency. With the off-path tier disabled (NumTiers() == 2)
-// moves (b) and (c) enumerate nothing and the search degenerates to
-// exactly GreedyCopyPlan — a property the tests pin bit-for-bit.
+// GreedyPlacementPlan chooses up to maxMoves placement moves, greedily
+// committing each round the single move that most reduces the estimated
+// latency: (a) replicating one table across tiers, (b) re-tiering one
+// table to an off-path tier, or (c) offloading a whole contiguous stage
+// (>= 2 tables, at least one already in software) to an off-path tier. It
+// stops early when no move helps — capturing the Appendix A.2 observation
+// that "copying only one table ... does not reduce the needed migration
+// and performing the copied table on CPU cores is slower", so
+// unprofitable copies are never taken. With the off-path tier disabled
+// (NumTiers() == 2) moves (b) and (c) enumerate nothing and the search is
+// exactly the legacy greedy copy planner — a property the tests pin
+// bit-for-bit. Every trial placement is priced against one view.
 func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, base Placement, maxMoves int) (Placement, error) {
-	best := clonePlacement(base)
-	bestLat, err := EstimateHeteroLatency(prog, prof, pm, best)
+	ev := NewEvaluator(prog, prof, pm, Config{})
+	baseLat, err := ev.HeteroLatency(base)
 	if err != nil {
 		return base, err
 	}
-	nt := pm.NumTiers()
-	order, err := prog.TopoOrder()
-	if err != nil {
-		return base, fmt.Errorf("opt: placement plan: %w", err)
-	}
-	copies := copyCandidates(prog, best, nt)
+	return ev.greedyPlacement(base, baseLat, maxMoves), nil
+}
+
+// greedyPlacement is GreedyPlacementPlan over the view, from a base
+// placement already priced at baseLat (so the program has a topological
+// order).
+func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves int) Placement {
+	best, bestLat := clonePlacement(base), baseLat
+	nt := ev.pm.NumTiers()
+	copies := ev.copyCandidates(best, nt)
+	runs := ev.tableRuns()
 	for round := 0; round < maxMoves; round++ {
 		var pick placementMove
 		var picked bool
 		pickLat := bestLat
-		consider := func(m placementMove) error {
-			lat, err := EstimateHeteroLatency(prog, prof, pm, m.apply(best))
-			if err != nil {
-				return err
-			}
-			if lat < pickLat-1e-12 {
+		consider := func(m placementMove) {
+			if lat := ev.heteroLatency(m.apply(best)); lat < pickLat-1e-12 {
 				pick, picked, pickLat = m, true, lat
 			}
-			return nil
 		}
 		// (a) Cross-tier copies, in sorted-name order.
 		for _, name := range copies {
-			if best.Copies[name] {
-				continue
-			}
-			if err := consider(placementMove{copyTable: name}); err != nil {
-				return base, err
+			if !best.Copies[name] {
+				consider(placementMove{copyTable: name})
 			}
 		}
 		// (b)+(c) Re-tier a table or offload a whole stage to an
@@ -398,26 +321,25 @@ func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel
 		// already placed in software (tier >= 1) — the PnO insight is
 		// that the stateful software stage drags its neighbors along.
 		for d := costmodel.TierID(2); int(d) < nt; d++ {
-			for _, run := range tableRuns(prog, order) {
+			for _, run := range runs {
 				for lo := 0; lo < len(run); lo++ {
 					for hi := lo; hi < len(run); hi++ {
 						seg := run[lo : hi+1]
-						ok := false
+						// ok: some member is in software and none is floored
+						// above d; moves: not every member is on d already.
+						ok, moves := false, false
 						for _, name := range seg {
-							t := prog.Tables[name]
-							if placedTier(best, t, nt) >= 1 {
-								ok = true
-							}
+							t := ev.prog.Tables[name]
+							at := placedTier(best, t, nt)
+							ok = ok || at >= 1
+							moves = moves || at != d
 							if t.TierFloor() > int(d) {
 								ok = false
 								break
 							}
 						}
-						if !ok || segmentOnTier(prog, best, seg, d, nt) {
-							continue
-						}
-						if err := consider(placementMove{members: append([]string(nil), seg...), tier: d}); err != nil {
-							return base, err
+						if ok && moves {
+							consider(placementMove{members: append([]string(nil), seg...), tier: d})
 						}
 					}
 				}
@@ -429,18 +351,18 @@ func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel
 		best = pick.apply(best)
 		bestLat = pickLat
 	}
-	return best, nil
+	return best
 }
 
 // tableRuns splits the topological order into maximal runs of
 // consecutive table nodes (conditionals break runs: a stage offloaded
 // behind one DMA crossing cannot span a branch the ASIC resolves).
-func tableRuns(prog *p4ir.Program, order []string) [][]string {
+func (ev *Evaluator) tableRuns() [][]string {
 	var runs [][]string
 	var cur []string
-	for _, name := range order {
-		if t, _ := prog.Node(name); t != nil {
-			cur = append(cur, name)
+	for _, i := range ev.topo {
+		if i < ev.numTables {
+			cur = append(cur, ev.nodeNames[i])
 			continue
 		}
 		if len(cur) > 0 {
@@ -452,15 +374,4 @@ func tableRuns(prog *p4ir.Program, order []string) [][]string {
 		runs = append(runs, cur)
 	}
 	return runs
-}
-
-// segmentOnTier reports whether every table of seg is already placed on
-// tier d (such a move would be a no-op).
-func segmentOnTier(prog *p4ir.Program, pl Placement, seg []string, d costmodel.TierID, numTiers int) bool {
-	for _, name := range seg {
-		if placedTier(pl, prog.Tables[name], numTiers) != d {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/synth"
 )
 
 // interlaced builds U1 S1 S2 U2 S3 S4 U3 — unsupported tables interlaced
@@ -111,7 +112,7 @@ func TestGreedyCopyPlanAvoidsBadCopies(t *testing.T) {
 	// Greedy is one-step: since no single copy helps in the pair-shaped
 	// program, it must stop without copying anything (it never makes
 	// latency worse).
-	plan, err := GreedyCopyPlan(prog, prof, pm, base, 4)
+	plan, err := GreedyPlacementPlan(prog, prof, pm, base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestGreedyCopyPlanTakesProfitableCopies(t *testing.T) {
 	prof := profile.New()
 	pm := heteroParams()
 	base := NewPlacement(prog, pm)
-	plan, err := GreedyCopyPlan(prog, prof, pm, base, 4)
+	plan, err := GreedyPlacementPlan(prog, prof, pm, base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestStickyTableIsNeverCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := heteroParams()
-	plan, err := GreedyCopyPlan(prog, profile.New(), pm, NewPlacement(prog, pm), 4)
+	plan, err := GreedyPlacementPlan(prog, profile.New(), pm, NewPlacement(prog, pm), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,4 +246,47 @@ func TestGreedyPlacementPlanRespectsTierFloor(t *testing.T) {
 	if got := placedTier(NewPlacement(prog, two), prog.Tables["u2"], two.NumTiers()); got != 1 {
 		t.Fatalf("clamped tier = %d, want 1", got)
 	}
+}
+
+// BenchmarkHeteroEstimate prices one placement of the root
+// BenchmarkPlacementPlan input (the shared synth search workload with every
+// third table floored off the ASIC, BlueField2's three tiers; the placement
+// is the greedy plan): oneshot builds the cost view per call, as
+// EstimateHeteroLatency must; held prices against a view built once — the
+// per-trial cost of the placement search.
+func BenchmarkHeteroEstimate(b *testing.B) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 2.5, Category: synth.Mixed, Seed: 4242})
+	pm := costmodel.BlueField2()
+	nth := 0
+	for _, name := range prog.NodeNames() {
+		if t, _ := prog.Node(name); t != nil {
+			if nth%3 == 1 {
+				t.MinTier = 1
+			}
+			nth++
+		}
+	}
+	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
+	pl, err := GreedyPlacementPlan(prog, prof, pm, NewPlacement(prog, pm), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := EstimateHeteroLatency(prog, prof, pm, pl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("held", func(b *testing.B) {
+		b.ReportAllocs()
+		view := NewEvaluator(prog, prof, pm, Config{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := view.HeteroLatency(pl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

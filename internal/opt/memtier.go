@@ -37,26 +37,26 @@ func PlanMemoryTiers(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Par
 	if pm.SRAMFactor <= 0 || pm.SRAMFactor >= 1 || pm.SRAMBytes <= 0 {
 		return plan
 	}
-	reach := prof.ReachProbs(prog)
+	ev := NewEvaluator(prog, prof, pm, Config{})
 	type cand struct {
 		name    string
 		benefit float64
 		bytes   int
 	}
 	var cands []cand
-	for name, t := range prog.Tables {
+	for i, t := range ev.tables {
 		if t.MemTier() == p4ir.TierSRAM {
 			continue
 		}
-		bytes := t.MemoryBytes()
+		bytes := ev.memBytes[i]
 		if bytes == 0 {
-			bytes = t.EntryBytes() * pm.MatchComplexity(t) // min footprint
+			bytes = t.EntryBytes() * ev.mcomp[i] // min footprint
 		}
-		benefit := reach[name] * float64(pm.MatchComplexity(t)) * pm.Lmat * (1 - pm.SRAMFactor)
+		benefit := ev.reach[i] * float64(ev.mcomp[i]) * pm.Lmat * (1 - pm.SRAMFactor)
 		if benefit <= 0 {
 			continue
 		}
-		cands = append(cands, cand{name: name, benefit: benefit, bytes: bytes})
+		cands = append(cands, cand{name: t.Name, benefit: benefit, bytes: bytes})
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		di := cands[i].benefit / float64(cands[i].bytes)

@@ -228,58 +228,6 @@ func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]flo
 	return out
 }
 
-// enumerateSegmentations returns every way to assign disjoint contiguous
-// cache and merge segments over the order (§4.2: "for each top-k pipelet,
-// Pipeleon computes all possible optimizations for each technique
-// independently [and] enumerates all valid combinations"). Merging and
-// caching never apply to the same table, which disjointness enforces.
-func enumerateSegmentations(order []string, an *deps.Analyzer, cfg Config) [][]Segment {
-	n := len(order)
-	maxSegs := cfg.MaxSegmentations
-	if maxSegs <= 0 {
-		maxSegs = 20000
-	}
-	var out [][]Segment
-	var rec func(pos int, acc []Segment)
-	rec = func(pos int, acc []Segment) {
-		if len(out) >= maxSegs {
-			return
-		}
-		if pos == n {
-			out = append(out, append([]Segment(nil), acc...))
-			return
-		}
-		// (a) leave the table at pos untouched.
-		rec(pos+1, acc)
-		// (b) cache segment starting here.
-		if cfg.EnableCache {
-			for l := 1; pos+l <= n; l++ {
-				span := order[pos : pos+l]
-				if !an.CanCache(span) {
-					break // a longer span contains the same violation
-				}
-				rec(pos+l, append(acc, Segment{Kind: SegCache, Start: pos, Len: l}))
-			}
-		}
-		// (c) merge segment starting here.
-		if cfg.EnableMerge {
-			maxL := cfg.MergeCap
-			if maxL < 2 {
-				maxL = 2
-			}
-			for l := 2; l <= maxL && pos+l <= n; l++ {
-				span := order[pos : pos+l]
-				if !an.CanMerge(span) {
-					break
-				}
-				rec(pos+l, append(acc, Segment{Kind: SegMerge, Start: pos, Len: l}))
-			}
-		}
-	}
-	rec(0, nil)
-	return out
-}
-
 // evalScratch is the pooled per-order working state of the fused
 // enumerate-and-score loop: the dense index view of the order, the
 // segment accumulator, the precomputed legal span lengths, and a cache of
@@ -306,10 +254,7 @@ var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
 	n := len(order)
 	sc.n = n
-	sc.orderIdx = sc.orderIdx[:0]
-	for _, t := range order {
-		sc.orderIdx = append(sc.orderIdx, ev.nodeIdx[t])
-	}
+	sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], order)
 	if cap(sc.maxCache) < n {
 		sc.maxCache = make([]int, n)
 		sc.maxMerge = make([]int, n)
@@ -320,11 +265,12 @@ func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
 	if mergeMax < 2 {
 		mergeMax = 2
 	}
+	an := ev.analyzer()
 	for pos := 0; pos < n; pos++ {
 		m := 0
 		if ev.cfg.EnableCache {
 			for l := 1; pos+l <= n; l++ {
-				if !ev.an.CanCache(order[pos : pos+l]) {
+				if !an.CanCache(order[pos : pos+l]) {
 					break // a longer span contains the same violation
 				}
 				m = l
@@ -334,7 +280,7 @@ func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
 		mm := 0
 		if ev.cfg.EnableMerge {
 			for l := 2; l <= mergeMax && pos+l <= n; l++ {
-				if !ev.an.CanMerge(order[pos : pos+l]) {
+				if !an.CanMerge(order[pos : pos+l]) {
 					break
 				}
 				mm = l
@@ -359,9 +305,47 @@ func (sc *evalScratch) keyLenFor(ev *Evaluator, order []string, start, l int) in
 	if kl := sc.keyLen[slot]; kl >= 0 {
 		return kl
 	}
-	kl := len(ev.an.CacheKey(order[start : start+l]))
+	kl := len(ev.analyzer().CacheKey(order[start : start+l]))
 	sc.keyLen[slot] = kl
 	return kl
+}
+
+// segmentations visits every way to assign disjoint contiguous cache and
+// merge segments over the prepared order (§4.2: "for each top-k pipelet,
+// Pipeleon computes all possible optimizations for each technique
+// independently [and] enumerates all valid combinations"), at most max of
+// them. Merging and caching never apply to the same table, which
+// disjointness enforces. The slice passed to visit is reused between calls.
+func (sc *evalScratch) segmentations(max int, visit func(segs []Segment)) {
+	segs := sc.segs[:0]
+	emitted := 0
+	var rec func(pos int)
+	rec = func(pos int) {
+		if emitted >= max {
+			return
+		}
+		if pos == sc.n {
+			emitted++
+			visit(segs)
+			return
+		}
+		// (a) leave the table at pos untouched.
+		rec(pos + 1)
+		// (b) cache segment starting here.
+		for l := 1; l <= sc.maxCache[pos]; l++ {
+			segs = append(segs, Segment{Kind: SegCache, Start: pos, Len: l})
+			rec(pos + l)
+			segs = segs[:len(segs)-1]
+		}
+		// (c) merge segment starting here.
+		for l := 2; l <= sc.maxMerge[pos]; l++ {
+			segs = append(segs, Segment{Kind: SegMerge, Start: pos, Len: l})
+			rec(pos + l)
+			segs = segs[:len(segs)-1]
+		}
+	}
+	rec(0)
+	sc.segs = segs[:0]
 }
 
 // LocalOptimize enumerates and scores all candidates for one pipelet
@@ -370,12 +354,9 @@ func (sc *evalScratch) keyLenFor(ev *Evaluator, order []string, start, l int) in
 // candidates with non-positive gain (the implicit "do nothing" option is
 // always available to the global search).
 //
-// Enumeration and scoring are fused: the segmentation recursion (same
-// emission order and MaxSegmentations cap as enumerateSegmentations)
-// evaluates each candidate against the dense evaluator in place, and only
-// candidates that clear the gain threshold materialize an Option. The
-// candidate stream, and therefore the sorted result, is identical to
-// enumerating first and scoring after.
+// Enumeration and scoring are fused: each segmentation is evaluated
+// against the dense evaluator in place, and only candidates that clear the
+// gain threshold materialize an Option.
 func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
 	if p.SwitchCase || p.Len() == 0 {
 		return nil
@@ -383,7 +364,7 @@ func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
 	tables := p.Tables
 	var orders [][]string
 	if ev.cfg.EnableReorder {
-		orders = enumerateOrders(ev.an, tables, ev.dropByName, ev.cfg.MaxOrders)
+		orders = enumerateOrders(ev.analyzer(), tables, ev.dropByName, ev.cfg.MaxOrders)
 	} else {
 		orders = [][]string{append([]string(nil), tables...)}
 	}
@@ -396,52 +377,25 @@ func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
 	if maxSegs <= 0 {
 		maxSegs = 20000
 	}
-	n := len(tables)
 	var options []*Option
 	for oi, order := range orders {
 		sc.prepareOrder(ev, order)
-		segs := sc.segs[:0]
-		emitted := 0
-		var rec func(pos int)
-		rec = func(pos int) {
-			if emitted >= maxSegs {
-				return
+		sc.segmentations(maxSegs, func(segs []Segment) {
+			if oi == 0 && len(segs) == 0 {
+				return // identity
 			}
-			if pos == n {
-				emitted++
-				if oi == 0 && len(segs) == 0 {
-					return // identity
+			lat := ev.seqLatencyIdx(order, sc.orderIdx, segs)
+			gain := (baseline - lat) * reach
+			if gain > 1e-12 {
+				var segsCopy []Segment
+				if len(segs) > 0 {
+					segsCopy = append([]Segment(nil), segs...)
 				}
-				lat := ev.seqLatencyIdx(order, sc.orderIdx, segs)
-				gain := (baseline - lat) * reach
-				if gain > 1e-12 {
-					var segsCopy []Segment
-					if len(segs) > 0 {
-						segsCopy = append([]Segment(nil), segs...)
-					}
-					o := &Option{Kind: OptPipelet, Pipelet: p, Order: order, Segments: segsCopy, Gain: gain}
-					o.MemCost, o.UpdateCost = ev.segCostsIdx(sc, order, sc.orderIdx, segsCopy)
-					options = append(options, o)
-				}
-				return
+				o := &Option{Kind: OptPipelet, Pipelet: p, Order: order, Segments: segsCopy, Gain: gain}
+				o.MemCost, o.UpdateCost = ev.segCostsIdx(sc, order, sc.orderIdx, segsCopy)
+				options = append(options, o)
 			}
-			// (a) leave the table at pos untouched.
-			rec(pos + 1)
-			// (b) cache segment starting here.
-			for l := 1; l <= sc.maxCache[pos]; l++ {
-				segs = append(segs, Segment{Kind: SegCache, Start: pos, Len: l})
-				rec(pos + l)
-				segs = segs[:len(segs)-1]
-			}
-			// (c) merge segment starting here.
-			for l := 2; l <= sc.maxMerge[pos]; l++ {
-				segs = append(segs, Segment{Kind: SegMerge, Start: pos, Len: l})
-				rec(pos + l)
-				segs = segs[:len(segs)-1]
-			}
-		}
-		rec(0)
-		sc.segs = segs[:0]
+		})
 	}
 	sort.SliceStable(options, func(i, j int) bool { return options[i].Gain > options[j].Gain })
 	if len(options) > ev.cfg.MaxOptionsPerPipelet {

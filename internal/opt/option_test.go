@@ -120,11 +120,23 @@ func TestGreedyDropOrderRespectsDependency(t *testing.T) {
 	}
 }
 
+// segmentationsOf collects every segmentation LocalOptimize's walker emits
+// for one table order of prog.
+func segmentationsOf(prog *p4ir.Program, cfg Config, order []string) [][]Segment {
+	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
+	sc := new(evalScratch)
+	sc.prepareOrder(ev, order)
+	var out [][]Segment
+	sc.segmentations(cfg.MaxSegmentations, func(segs []Segment) {
+		out = append(out, append([]Segment(nil), segs...))
+	})
+	return out
+}
+
 func TestEnumerateSegmentationsCounts(t *testing.T) {
 	prog := mustChain(t, plainSpec("t1", "f.a", p4ir.MatchExact), plainSpec("t2", "f.b", p4ir.MatchExact))
-	an := deps.NewAnalyzer(prog)
 	cfg := DefaultConfig()
-	segs := enumerateSegmentations([]string{"t1", "t2"}, an, cfg)
+	segs := segmentationsOf(prog, cfg, []string{"t1", "t2"})
 	// Paper §4.2: two tables yield cache candidates [A],[B],[A][B],[A,B]
 	// and one merge candidate [A,B]. With "nothing" that is:
 	// {}, C[A], C[B], C[A]C[B], C[AB], M[AB], C[A]M? no (overlap),
@@ -326,11 +338,10 @@ func TestMergeCapRespected(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchExact),
 		plainSpec("t3", "f.c", p4ir.MatchExact),
 	)
-	an := deps.NewAnalyzer(prog)
 	cfg := DefaultConfig()
 	cfg.MergeCap = 2
 	cfg.EnableCache = false
-	segs := enumerateSegmentations([]string{"t1", "t2", "t3"}, an, cfg)
+	segs := segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"})
 	for _, ss := range segs {
 		for _, s := range ss {
 			if s.Kind == SegMerge && s.Len > 2 {
@@ -339,7 +350,7 @@ func TestMergeCapRespected(t *testing.T) {
 		}
 	}
 	cfg.MergeCap = 3
-	segs = enumerateSegmentations([]string{"t1", "t2", "t3"}, an, cfg)
+	segs = segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"})
 	found3 := false
 	for _, ss := range segs {
 		for _, s := range ss {
@@ -377,17 +388,23 @@ func TestSwitchCasePipeletHasNoOptions(t *testing.T) {
 func TestHitEstimateShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBudgetEntries = 100
-	small := cfg.hitEstimate("a", 50)
-	big := cfg.hitEstimate("b", 100000)
+	small := cfg.hitEstimateNoOverride(50)
+	big := cfg.hitEstimateNoOverride(100000)
 	if small != cfg.EstimatedHitRate {
 		t.Errorf("fitting working set should use default rate, got %v", small)
 	}
 	if big >= small {
 		t.Errorf("oversized working set must reduce the estimate: %v", big)
 	}
+	prog := mustChain(t, plainSpec("c", "f.a", p4ir.MatchExact), plainSpec("d", "f.b", p4ir.MatchExact))
 	cfg.HitRateOverride = map[string]float64{"c": 0.42}
-	if got := cfg.hitEstimate("c", 10); got != 0.42 {
+	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
+	if got := ev.hitEstimateIdx([]string{"c"}, []int{ev.idxOf("c")}); got != 0.42 {
 		t.Errorf("override ignored: %v", got)
+	}
+	d := []int{ev.idxOf("d")}
+	if got, want := ev.hitEstimateIdx([]string{"d"}, d), cfg.hitEstimateNoOverride(ev.workingSetIdx(d)); got != want {
+		t.Errorf("span without an override should fall through to the model: %v, want %v", got, want)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 					t.Errorf("trial %d workers=%d: plan[%d] %s != %s", trial, workers, i, par.Plan[i], serial.Plan[i])
 				}
 			}
-			if rs, rp := ReScore(prog, prof, pm, cfg, serial.Plan), ReScore(prog, prof, pm, cfg, par.Plan); rs != rp {
+			if rs, rp := coldReScore(t, prog, prof, pm, cfg, serial.Plan), coldReScore(t, prog, prof, pm, cfg, par.Plan); rs != rp {
 				t.Errorf("trial %d workers=%d: rescore %v != %v", trial, workers, rp, rs)
 			}
 		}

@@ -1,11 +1,5 @@
 package opt
 
-import (
-	"pipeleon/internal/costmodel"
-	"pipeleon/internal/p4ir"
-	"pipeleon/internal/profile"
-)
-
 // ScoreOption re-evaluates one option's expected gain under the
 // evaluator's (fresh) profile, without re-running the search. The runtime
 // uses it to decide whether a newly found plan beats the plan already
@@ -15,8 +9,12 @@ import (
 func (ev *Evaluator) ScoreOption(o *Option) float64 {
 	switch o.Kind {
 	case OptPipelet:
-		baseline := ev.seqLatency(buildSequence(o.Pipelet.Tables, nil))
-		lat := ev.seqLatency(buildSequence(o.Order, o.Segments))
+		sc := evalScratchPool.Get().(*evalScratch)
+		defer evalScratchPool.Put(sc)
+		sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], o.Pipelet.Tables)
+		baseline := ev.seqLatencyIdx(o.Pipelet.Tables, sc.orderIdx, nil)
+		sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], o.Order)
+		lat := ev.seqLatencyIdx(o.Order, sc.orderIdx, o.Segments)
 		return (baseline - lat) * ev.reachOf(o.Pipelet.Head())
 	case OptGroupCombo:
 		var g float64
@@ -32,24 +30,4 @@ func (ev *Evaluator) ScoreOption(o *Option) float64 {
 		}
 	}
 	return 0
-}
-
-// ReScore sums the re-evaluated gains of a plan under a new profile.
-// Options score independently (the evaluator is read-only after
-// construction), so scoring fans out over cfg.SearchWorkers; the per-option
-// scores are collected by index and summed serially, keeping the result
-// bit-identical to a serial run. Options whose rewrite no longer passes
-// verification against the current program contribute no gain, so a stale
-// plan that became unsound is never re-selected on its old merits.
-//
-// This is the cold entry point, running on a throwaway Session; a
-// long-lived runtime holds a Session and calls its ReScore so verdicts
-// and evaluator state stay warm across rounds. A program that cannot be
-// partitioned scores zero.
-func ReScore(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config, plan []*Option) float64 {
-	s, err := NewSession(prog, pm, cfg)
-	if err != nil {
-		return 0
-	}
-	return s.ReScore(prof, plan)
 }

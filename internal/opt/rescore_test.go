@@ -5,8 +5,21 @@ import (
 	"testing"
 
 	"pipeleon/internal/costmodel"
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/profile"
 	"pipeleon/internal/synth"
 )
+
+// coldReScore re-scores a plan on a fresh session — what a caller without
+// a warm one does.
+func coldReScore(t *testing.T, prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config, plan []*Option) float64 {
+	t.Helper()
+	s, err := NewSession(prog, pm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.ReScore(prof, plan)
+}
 
 // Property: re-scoring a plan under the SAME profile that produced it must
 // reproduce each option's gain — the hysteresis comparison in the runtime
@@ -32,7 +45,7 @@ func TestScoreOptionMatchesSearchGain(t *testing.T) {
 				t.Errorf("trial %d: option %s: search gain %.4f != rescore %.4f", trial, o, o.Gain, re)
 			}
 		}
-		total := ReScore(prog, prof, pm, cfg, sr.Plan)
+		total := coldReScore(t, prog, prof, pm, cfg, sr.Plan)
 		if math.Abs(total-sr.Gain) > 1e-6*(1+sr.Gain) {
 			t.Errorf("trial %d: plan gain %.4f != rescore total %.4f", trial, sr.Gain, total)
 		}
@@ -63,8 +76,8 @@ func TestReScoreReactsToProfileShift(t *testing.T) {
 		profBad.UpdateRates[name] = 500
 		profBad.KeyCardinality[name] = 1 << 18
 	}
-	good := ReScore(prog, profGood, pm, cfg, sr.Plan)
-	bad := ReScore(prog, profBad, pm, cfg, sr.Plan)
+	good := coldReScore(t, prog, profGood, pm, cfg, sr.Plan)
+	bad := coldReScore(t, prog, profBad, pm, cfg, sr.Plan)
 	if bad >= good {
 		t.Errorf("hostile profile should lower the plan's re-scored gain: %v >= %v", bad, good)
 	}

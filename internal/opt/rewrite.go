@@ -265,6 +265,47 @@ func redirect(p *p4ir.Program, from, to string, internal map[string]bool) {
 	}
 }
 
+// elemKind labels one element of a transformed pipelet layout.
+type elemKind int
+
+const (
+	elemTable elemKind = iota
+	elemCache
+	elemMerge
+)
+
+type seqElem struct {
+	kind   elemKind
+	tables []string
+}
+
+// buildSequence lays out the pipelet as a sequence of plain tables and
+// segment elements, in order.
+func buildSequence(order []string, segs []Segment) []seqElem {
+	covered := map[int]int{} // position -> segment index
+	for si, s := range segs {
+		for i := s.Start; i < s.Start+s.Len; i++ {
+			covered[i] = si
+		}
+	}
+	var out []seqElem
+	for i := 0; i < len(order); {
+		if si, ok := covered[i]; ok {
+			s := segs[si]
+			kind := elemCache
+			if s.Kind == SegMerge {
+				kind = elemMerge
+			}
+			out = append(out, seqElem{kind: kind, tables: order[s.Start : s.Start+s.Len]})
+			i += s.Len
+		} else {
+			out = append(out, seqElem{kind: elemTable, tables: order[i : i+1]})
+			i++
+		}
+	}
+	return out
+}
+
 // applyPipeletOption rebuilds the pipelet's chain per the option: tables
 // in the option's order, with cache/merge segments materialized.
 func applyPipeletOption(p *p4ir.Program, o *Option, cm *CounterMap, cfg Config) error {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
@@ -88,21 +87,6 @@ func Search(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg 
 		return nil, err
 	}
 	return s.Search(prof)
-}
-
-// VerifyOption applies one option in isolation and reports whether the
-// resulting rewrite provably preserves the original program's dependency
-// structure (analysis.VerifyRewrite). Candidate enumeration already gates
-// on the deps-level legality rules, so a false result means an unsound
-// candidate slipped through a heuristic (e.g. a group cache spanning
-// chained diamonds with a cross-member dependency) and must not reach a
-// device.
-func VerifyOption(prog *p4ir.Program, o *Option, cfg Config) bool {
-	rw, err := Apply(prog, []*Option{o}, cfg)
-	if err != nil {
-		return false
-	}
-	return !analysis.VerifyRewrite(prog, rw.Program).HasErrors()
 }
 
 // SearchAndApply runs Search and, when the plan is non-empty, applies it.

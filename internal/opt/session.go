@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,9 +35,8 @@ import (
 // candidates untouched; a drift inside it re-enumerates just that unit.
 // Because a hit requires the exact inputs of the original enumeration,
 // warm results are bit-identical to a cold Search — even when the drift
-// stays below the quantization threshold of profile.Signature, which the
-// session tracks for reporting and which fleet.PlanCache uses as its
-// coarser cross-program cache key.
+// stays below the quantization threshold of profile.Signature, the coarser
+// cross-program key fleet.PlanCache uses.
 //
 // A round is two steps with a decision between them. Search and ReScore
 // read only the profile and return a plan and its gain — enough for a
@@ -53,7 +53,7 @@ type Session struct {
 	pm       costmodel.Params
 	cfg      Config
 	part     *pipelet.Partition
-	an       *deps.Analyzer // shared analyzer (lazy when nil; see ensureEvaluator)
+	an       *deps.Analyzer // shared analyzer (nil: the evaluator builds its own on first use)
 	verifier *planVerifier
 	sem      *semVerifier // nil unless cfg.DeepVerify
 
@@ -107,8 +107,6 @@ type SessionStats struct {
 	// Config.DeepVerify.
 	ProofForcedConds int
 	ProofTotalConds  int
-	// LastSignature is the quantized profile signature of the last round.
-	LastSignature string
 	// LastSearch / TotalSearch are wall-clock search latencies.
 	LastSearch  time.Duration
 	TotalSearch time.Duration
@@ -205,9 +203,6 @@ func (s *Session) EntriesChanged() {
 // profile-dependent arrays afterwards.
 func (s *Session) ensureEvaluator(prof *profile.Profile) {
 	if s.ev == nil {
-		if s.an == nil {
-			s.an = deps.NewAnalyzer(s.prog)
-		}
 		s.ev = newEvaluator(s.prog, prof, s.pm, s.cfg, s.an)
 		return
 	}
@@ -229,10 +224,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 	start := time.Now()
 	s.ensureEvaluator(prof)
 	ev := s.ev
-	res := &SearchResult{
-		Costs:           pipelet.RankByCost(s.prog, prof, s.pm, s.part),
-		BaselineLatency: costmodel.ExpectedLatency(s.prog, prof, s.pm),
-	}
+	res := &SearchResult{Costs: ev.rank(s.part), BaselineLatency: ev.baseline()}
 	res.TopK = pipelet.TopK(res.Costs, s.cfg.TopKFrac)
 
 	// Serial phase: decide group membership (a pipelet joins at most one
@@ -273,7 +265,6 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 
 	// Memo phase: fold each task's material inputs and split hits from
 	// misses. Only misses enumerate.
-	sig := profile.Signature(s.prog, prof)
 	od := overrideDigest(s.cfg.HitRateOverride)
 	fc := prof.FlowCardinality
 
@@ -293,7 +284,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 			keys[i] = "p:" + t.p.String()
 			mats[i] = s.pipeletMaterial(t.p, fc, od)
 		}
-		if e, ok := s.memo.Get(keys[i]); ok && materialEqual(e.material, mats[i]) {
+		if e, ok := s.memo.Get(keys[i]); ok && slices.Equal(e.material, mats[i]) {
 			outs[i] = unitOut{unit: e.unit, candidates: e.candidates}
 			s.stats.UnitHits++
 			continue
@@ -338,7 +329,7 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 	// memoized like any unit (keyed by the exact material the estimator
 	// reads) and competes in the global knapsack below.
 	if s.cfg.EnablePlacement {
-		unit, cand, err := s.placementUnit(prof, fc, od)
+		unit, cand, err := s.placementUnit(fc, od)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +343,6 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 	res.Gain = PlanGain(res.Plan)
 	res.Elapsed = time.Since(start)
 	s.stats.Rounds++
-	s.stats.LastSignature = sig
 	s.stats.LastSearch = res.Elapsed
 	s.stats.TotalSearch += res.Elapsed
 	return res, nil
@@ -439,7 +429,7 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 // single-option unit. Outcomes — including "nothing profitable" — are
 // memoized under the same material-fold discipline as pipelet units, so
 // warm rounds with unchanged inputs skip the greedy search entirely.
-func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64) (*Unit, int, error) {
+func (s *Session) placementUnit(fc, od uint64) (*Unit, int, error) {
 	if s.pm.NumTiers() < 2 {
 		return nil, 0, nil
 	}
@@ -454,8 +444,8 @@ func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64) (*Unit, in
 		return nil, 0, nil
 	}
 	const key = "placement:*"
-	mat := s.placementMaterial(prof, fc, od)
-	if e, ok := s.memo.Get(key); ok && materialEqual(e.material, mat) {
+	mat := s.placementMaterial(fc, od)
+	if e, ok := s.memo.Get(key); ok && slices.Equal(e.material, mat) {
 		s.stats.UnitHits++
 		if len(e.unit.Options) == 0 {
 			return nil, e.candidates, nil
@@ -470,32 +460,21 @@ func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64) (*Unit, in
 		maxMoves = 8
 	}
 	base := NewPlacement(s.prog, s.pm)
-	baseLat, err := EstimateHeteroLatency(s.prog, prof, s.pm, base)
+	baseLat, err := s.ev.HeteroLatency(base)
 	if err != nil {
 		return nil, 0, err
 	}
-	plan, err := GreedyPlacementPlan(s.prog, prof, s.pm, base, maxMoves)
-	if err != nil {
-		return nil, 0, err
-	}
-	planLat, err := EstimateHeteroLatency(s.prog, prof, s.pm, plan)
-	if err != nil {
-		return nil, 0, err
-	}
+	plan := s.ev.greedyPlacement(base, baseLat, maxMoves)
 	var unit Unit
-	if gain := baseLat - planLat; gain > 1e-12 {
+	if gain := baseLat - s.ev.heteroLatency(plan); gain > 1e-12 {
 		o := &Option{Kind: OptPlacement, Placement: &plan, Gain: gain}
-		// Sorted accumulation: float sums are order-sensitive and map
-		// iteration is not, and warm and cold sessions must agree bitwise.
-		copies := make([]string, 0, len(plan.Copies))
-		for name := range plan.Copies {
-			copies = append(copies, name)
-		}
-		sort.Strings(copies)
-		for _, name := range copies {
-			if t := s.prog.Tables[name]; t != nil {
+		// Accumulate in the view's (sorted) table order: float sums are
+		// order-sensitive and map iteration is not, and warm and cold
+		// sessions must agree bitwise.
+		for i, t := range s.ev.tables {
+			if plan.Copies[t.Name] {
 				o.MemCost += len(t.Entries) * t.EntryBytes() * s.pm.MatchComplexity(t)
-				o.UpdateCost += prof.UpdateRate(name)
+				o.UpdateCost += s.ev.updRate[i]
 			}
 		}
 		unit = Unit{Name: "placement", Options: []*Option{o}}
@@ -507,31 +486,21 @@ func (s *Session) placementUnit(prof *profile.Profile, fc, od uint64) (*Unit, in
 	return &unit, 1, nil
 }
 
-// placementMaterial folds everything EstimateHeteroLatency reads:
-// per-node reach, each table's rate material, update rate (the tier
-// update-stall term), per-action probabilities (edge shares on
-// switch-case tables), and each conditional's branch probability.
-func (s *Session) placementMaterial(prof *profile.Profile, fc, od uint64) []uint64 {
-	names := s.prog.NodeNames()
-	sort.Strings(names)
-	reach := prof.ReachProbs(s.prog)
-	m := make([]uint64, 0, 2+7*len(names))
+// placementMaterial folds everything HeteroLatency reads from the view:
+// per-node reach, each table's rate material (the update rate carries the
+// tier update-stall term), and every edge's traffic share.
+func (s *Session) placementMaterial(fc, od uint64) []uint64 {
+	ev := s.ev
+	m := make([]uint64, 0, 2+len(ev.reach)+4*ev.numTables+len(ev.share))
 	m = append(m, fc, od)
-	for _, name := range names {
-		m = append(m, math.Float64bits(reach[name]))
-		t, _ := s.prog.Node(name)
-		if t == nil {
-			m = append(m, math.Float64bits(prof.BranchProb(name)))
-			continue
+	for i, r := range ev.reach {
+		m = append(m, math.Float64bits(r))
+		if i < ev.numTables {
+			m = appendTableMaterial(m, ev, i)
 		}
-		m = appendTableMaterial(m, s.ev, name)
-		m = append(m, math.Float64bits(prof.UpdateRate(name)))
-		if t.IsSwitchCase() {
-			probs := prof.ActionProb(t)
-			for _, a := range t.Actions {
-				m = append(m, math.Float64bits(probs[a.Name]))
-			}
-		}
+	}
+	for _, sh := range ev.share {
+		m = append(m, math.Float64bits(sh))
 	}
 	return m
 }
@@ -558,7 +527,7 @@ func (s *Session) pipeletMaterial(p *pipelet.Pipelet, fc uint64, od uint64) []ui
 	m := make([]uint64, 0, 3+4*len(p.Tables))
 	m = append(m, fc, od, math.Float64bits(s.ev.reachOf(p.Head())))
 	for _, t := range p.Tables {
-		m = appendTableMaterial(m, s.ev, t)
+		m = appendTableMaterial(m, s.ev, s.ev.idxOf(t))
 	}
 	return m
 }
@@ -576,14 +545,13 @@ func (s *Session) groupMaterial(g *pipelet.Group, fc uint64, od uint64) []uint64
 		m = append(m, math.Float64bits(s.ev.reachOf(mem.Head())))
 		for _, t := range mem.Tables {
 			m = append(m, math.Float64bits(s.ev.reachOf(t)))
-			m = appendTableMaterial(m, s.ev, t)
+			m = appendTableMaterial(m, s.ev, s.ev.idxOf(t))
 		}
 	}
 	return m
 }
 
-func appendTableMaterial(m []uint64, ev *Evaluator, table string) []uint64 {
-	i := ev.idxOf(table)
+func appendTableMaterial(m []uint64, ev *Evaluator, i int) []uint64 {
 	if i < 0 || i >= ev.numTables {
 		return append(m, 0, 0, 0, 0)
 	}
@@ -592,18 +560,6 @@ func appendTableMaterial(m []uint64, ev *Evaluator, table string) []uint64 {
 		math.Float64bits(ev.actLat[i]),
 		ev.card[i],
 		math.Float64bits(ev.updRate[i]))
-}
-
-func materialEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // overrideDigest folds the hit-rate-override map into one word, in sorted
