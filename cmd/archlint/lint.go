@@ -95,6 +95,19 @@ var costDerivations = map[string]bool{
 
 const costViewDir, costViewFile = "internal/opt", "estimate.go"
 
+// proofPrimitives are internal/analysis's proof constructors and one-shot
+// proofs. Outside that package nothing composes them: analysis.Verifier
+// does, once, and every other layer asks it (or an analysis.Gate over it).
+// A second composition is how the wire gate once kept a baseline the
+// search's verifier had long since learned to refresh. The root façade
+// re-exports the one-shot forms for library users and is the exception.
+var proofPrimitives = map[string]bool{
+	"NewRewriteChecker": true, "NewSemanticChecker": true,
+	"VerifyRewrite": true, "VerifySemantics": true,
+}
+
+const analysisDir, analysisPath, facadeFile = "internal/analysis", "pipeleon/internal/analysis", "pipeleon.go"
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -157,6 +170,11 @@ func lintModule(root string) ([]Violation, error) {
 		return nil, err
 	}
 	out = append(out, vs...)
+	vs, err = lintOneVerifier(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
@@ -207,9 +225,9 @@ func lintDir(fset *token.FileSet, dir string, match func(string) bool, check fun
 // DESIGN.md diagnostics table (rendered there as `CODE` in backticks).
 var diagCodeRE = regexp.MustCompile(`^(PL|RW|SE)[0-9]{3}$`)
 
-// lintDiagCodes walks every non-test .go file in the module, collects
-// constant declarations whose value is a diag-code string literal, and
-// reports duplicates and codes missing from DESIGN.md.
+// lintDiagCodes collects, module-wide, constant declarations whose value
+// is a diag-code string literal, and reports duplicates and codes missing
+// from DESIGN.md.
 func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil && !os.IsNotExist(err) {
@@ -224,26 +242,7 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 		pos  token.Position
 	}
 	var decls []decl
-	walkErr := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// Fixture trees under testdata are not part of the module's
-			// code-facing surface.
-			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != root {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		base := d.Name()
-		if !strings.HasSuffix(base, ".go") || strings.HasSuffix(base, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
+	walkErr := walkModule(fset, root, func(_ string, f *ast.File) {
 		for _, dcl := range f.Decls {
 			gd, ok := dcl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -267,7 +266,6 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 				}
 			}
 		}
-		return nil
 	})
 	if walkErr != nil {
 		return nil, walkErr
@@ -300,6 +298,89 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 	return out, nil
 }
 
+// walkModule parses every non-test .go file of the module rooted at root
+// and hands it to visit with its path. Fixture trees under testdata, dot
+// directories and nested modules (bench/) are not part of the module's
+// code-facing surface.
+func walkModule(fset *token.FileSet, root string, visit func(path string, f *ast.File)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			_, nested := os.Stat(filepath.Join(path, "go.mod"))
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || nested == nil) {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if base := d.Name(); !strings.HasSuffix(base, ".go") || strings.HasSuffix(base, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return fmt.Errorf("parsing %s: %w", path, err)
+		}
+		visit(path, f)
+		return nil
+	})
+}
+
+// lintOneVerifier reports each use of a proof primitive outside
+// internal/analysis and the root façade file.
+func lintOneVerifier(fset *token.FileSet, root string) ([]Violation, error) {
+	var out []Violation
+	owner := filepath.Join(root, analysisDir) + string(filepath.Separator)
+	err := walkModule(fset, root, func(path string, f *ast.File) {
+		if !strings.HasPrefix(path, owner) && path != filepath.Join(root, facadeFile) {
+			out = append(out, checkOneVerifier(fset, f)...)
+		}
+	})
+	return out, err
+}
+
+// importName returns the local name f imports path under — so aliased
+// imports are caught and unrelated identifiers are not — or "" when it
+// does not import it by a usable name.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if p, err := strconv.Unquote(imp.Path.Value); err != nil || p != path {
+			continue
+		}
+		switch {
+		case imp.Name == nil:
+			return path[strings.LastIndexByte(path, '/')+1:]
+		case imp.Name.Name != "_":
+			return imp.Name.Name
+		}
+	}
+	return ""
+}
+
+func checkOneVerifier(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	pkgName := importName(f, analysisPath)
+	if pkgName == "" {
+		return out
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || !proofPrimitives[sel.Sel.Name] {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkgName && id.Obj == nil {
+			out = append(out, Violation{
+				Pos:  fset.Position(sel.Pos()),
+				Rule: "one-verifier",
+				Msg: fmt.Sprintf("uses %s.%s outside %s: ask an analysis.Verifier (or an analysis.Gate over one) instead of composing proof tiers again",
+					pkgName, sel.Sel.Name, analysisDir),
+			})
+		}
+		return true
+	})
+	return out
+}
+
 func checkImports(fset *token.FileSet, f *ast.File, r importRule) []Violation {
 	var out []Violation
 	for _, imp := range f.Imports {
@@ -320,20 +401,8 @@ func checkImports(fset *token.FileSet, f *ast.File, r importRule) []Violation {
 
 func checkTierNames(fset *token.FileSet, f *ast.File, r tierNameRule) []Violation {
 	var out []Violation
-	// Resolve the local name the costmodel package is imported under, so
-	// aliased imports are caught and unrelated identifiers are not.
-	cmName := ""
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || path != "pipeleon/internal/costmodel" {
-			continue
-		}
-		cmName = "costmodel"
-		if imp.Name != nil {
-			cmName = imp.Name.Name
-		}
-	}
-	if cmName == "" || cmName == "_" {
+	cmName := importName(f, "pipeleon/internal/costmodel")
+	if cmName == "" {
 		return out
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -375,30 +444,17 @@ func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
 
 func checkDeterminism(fset *token.FileSet, f *ast.File, r determinismRule) []Violation {
 	var out []Violation
-	// The local name the "time" package is imported under (if at all),
-	// so aliased imports are still caught and shadowed identifiers named
-	// "time" are not.
-	timeName := ""
 	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		switch path {
-		case "math/rand", "math/rand/v2":
+		if path, err := strconv.Unquote(imp.Path.Value); err == nil && (path == "math/rand" || path == "math/rand/v2") {
 			out = append(out, Violation{
 				Pos:  fset.Position(imp.Pos()),
 				Rule: "determinism",
 				Msg:  fmt.Sprintf("imports %s (ambient RNG): %s; use internal/stats.RNG with an explicit seed", path, r.Why),
 			})
-		case "time":
-			timeName = "time"
-			if imp.Name != nil {
-				timeName = imp.Name.Name
-			}
 		}
 	}
-	if timeName == "" || timeName == "_" {
+	timeName := importName(f, "time")
+	if timeName == "" {
 		return out
 	}
 	ast.Inspect(f, func(n ast.Node) bool {

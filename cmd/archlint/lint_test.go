@@ -330,3 +330,82 @@ func rank(prof profile) { prof.ReachProbs(nil) }
 		}
 	}
 }
+
+func TestProofPrimitivesOnlyInsideAnalysis(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// The package that owns the primitives composes them.
+		"internal/analysis/verifier.go": `package analysis
+
+func NewVerifier() { NewRewriteChecker(); NewSemanticChecker() }
+`,
+		// Anyone else builds a second pipeline: a call, an aliased import,
+		// a function value.
+		"internal/opt/sweep.go": `package opt
+
+import "pipeleon/internal/analysis"
+
+var rc = analysis.NewRewriteChecker(nil)
+`,
+		"internal/controlplane/server.go": `package controlplane
+
+import an "pipeleon/internal/analysis"
+
+func gate() { an.NewSemanticChecker(nil); check := an.VerifySemantics; _ = check }
+`,
+		"cmd/tool/main.go": `package main
+
+import "pipeleon/internal/analysis"
+
+func main() { analysis.VerifyRewrite(nil, nil) }
+`,
+		// Asking the verifier, linting, and a local name that merely
+		// collides are all fine.
+		"internal/core/vet.go": `package core
+
+import "pipeleon/internal/analysis"
+
+type local struct{}
+
+func (local) VerifyRewrite() {}
+
+func ok() { analysis.NewVerifier(nil, true); analysis.Lint(nil); var analysis local; analysis.VerifyRewrite() }
+`,
+		// Exempt: tests, the root façade's re-exports, a nested module.
+		"internal/opt/oracle_test.go": `package opt
+
+import "pipeleon/internal/analysis"
+
+var _ = analysis.VerifyRewrite
+`,
+		"pipeleon.go": `package pipeleon
+
+import "pipeleon/internal/analysis"
+
+var VerifyRewrite, VerifySemantics = analysis.VerifyRewrite, analysis.VerifySemantics
+`,
+		"bench/go.mod": "module bench\n",
+		"bench/layers.go": `package main
+
+import "pipeleon/internal/analysis"
+
+var _ = analysis.NewSemanticChecker
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, v := range vs {
+		if v.Rule != "one-verifier" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		got[filepath.Base(v.Pos.Filename)]++
+	}
+	if len(vs) != 4 || got["sweep.go"] != 1 || got["server.go"] != 2 || got["main.go"] != 1 {
+		t.Fatalf("got %v, want one violation in sweep.go, two in server.go, one in main.go", vs)
+	}
+	if !strings.Contains(vs[0].Msg, "analysis.Verifier") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}

@@ -12,6 +12,10 @@
 //   - one-estimator: in internal/opt only estimate.go, the file that
 //     builds the cost view, may call ReachProbs, ActionProb, DropProb,
 //     BranchProb, NodeLatency or TableLatency.
+//   - one-verifier: outside internal/analysis (and the root façade's
+//     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
+//     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof
+//     tiers are composed by analysis.Verifier only.
 //
 // Test files are exempt from every rule. Violations print one per line
 // as file:line: [rule] message; the exit status is 1 when any were

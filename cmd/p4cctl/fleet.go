@@ -133,9 +133,8 @@ func printFleetStatus(st fleet.Status) {
 		st.OptSearch.UnitHits, st.OptSearch.UnitMisses,
 		st.OptSearch.VerifyHits, st.OptSearch.VerifyMisses)
 	if o := st.OptSearch; o.ProofMemoHits+o.ProofMemoMisses > 0 {
-		fmt.Printf("proof: %d run, %d answered from the program memo; option verdict memo %d hits / %d misses; %d of %d conditionals forced\n",
-			o.ProofMemoMisses, o.ProofMemoHits, o.DeepVerifyHits, o.DeepVerifyMisses,
-			o.ProofForcedConds, o.ProofTotalConds)
+		fmt.Printf("proof: %d run, %d answered from the program memo; %d of %d conditionals forced\n",
+			o.ProofMemoMisses, o.ProofMemoHits, o.ProofForcedConds, o.ProofTotalConds)
 	}
 	for _, d := range st.Devices {
 		line := fmt.Sprintf("  %-12s %-11s model=%s probes=%d/%d deploys=%d/%d rollbacks=%d",

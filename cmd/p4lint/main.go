@@ -73,7 +73,7 @@ func main() {
 		}
 		diags := analysis.Lint(prog, opts...)
 		if *deep {
-			diags = append(diags, analysis.LintDeep(prog, opts...)...)
+			diags = append(diags, analysis.LintDeep(prog)...)
 			diags.Sort()
 		}
 		nerr := len(diags.Errors())

@@ -26,7 +26,7 @@ func TestExampleProgramDeepLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := pipeleon.LintDeep(prog, pipeleon.BlueField2()); len(l) > 0 {
+	if l := pipeleon.LintDeep(prog); len(l) > 0 {
 		t.Errorf("example program has symbolic-tier findings:\n%v", l)
 	}
 }

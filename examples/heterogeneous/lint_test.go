@@ -18,7 +18,7 @@ func TestExampleProgramLintsClean(t *testing.T) {
 // entries, decided branches, dead writes, or proven truncations ship in
 // an example.
 func TestExampleProgramDeepLintsClean(t *testing.T) {
-	if l := pipeleon.LintDeep(buildInterleaved(), pipeleon.BlueField2()); len(l) > 0 {
+	if l := pipeleon.LintDeep(buildInterleaved()); len(l) > 0 {
 		t.Errorf("example program has symbolic-tier findings:\n%v", l)
 	}
 }

@@ -9,15 +9,19 @@
 //     capacity overcommit against the active costmodel tier sizes, and
 //     unsound cache specs.
 //
-//   - Transformation safety (VerifyRewrite, verify.go): a proof that an
+//   - Transformation safety (verify.go, deep.go): the proof rules — an
 //     optimized program preserves every dependency ordering of the
-//     original modulo the declared rewrites.
+//     original modulo the declared rewrites (RewriteChecker) and, one tier
+//     deeper, its packet semantics (SemanticChecker).
 //
-// Diagnostics carry stable rule codes (P4Sxx structural, PL1xx lint,
-// RWxxx rewrite safety), warn/error severities, and node/field positions,
-// and are collected exhaustively rather than fail-fast. Deployment gates
-// (opt.Search, core.Runtime, the control-plane deploy op) block on Error
-// severity only; warnings are surfaced but never gate.
+// The rules are primitives; two types compose them. Verifier runs the
+// proof tiers for one original program and owns their memo and the entry
+// epoch; Gate puts Lint and a Verifier in front of a device and is what
+// every deploy — a runtime's own or one received over the control plane —
+// passes. Diagnostics carry stable rule codes (P4Sxx structural, PLxxx
+// lint, RWxxx rewrite safety, SExxx semantics), warn/error severities, and
+// node/field positions, and are collected exhaustively within a tier.
+// Gates block on Error severity only; warnings are surfaced but never gate.
 package analysis
 
 import (

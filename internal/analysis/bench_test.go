@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"fmt"
 	"testing"
 
 	"pipeleon/internal/analysis"
@@ -44,31 +43,29 @@ func BenchmarkSemanticCheckerNew(b *testing.B) {
 }
 
 // BenchmarkSemanticVerify times one proof of the optimized program: cold
-// (a candidate the checker has not seen: compile, every path class,
-// compare) and memo (the same program again: serialize and digest).
+// (the semantic tier alone on a candidate: compile, every path class,
+// compare) and memo (Verifier.Prove of a program it has proven, under the
+// digest the caller holds: one lookup).
 func BenchmarkSemanticVerify(b *testing.B) {
 	orig, optimized := proofBenchPrograms(b)
 	b.Run("cold", func(b *testing.B) {
-		// A candidate never seen before: the program name is part of the
-		// serialization, so renaming defeats the memo and nothing else.
 		sc := analysis.NewSemanticChecker(orig)
-		fresh := optimized.Clone()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fresh.Name = fmt.Sprintf("candidate-%d", i)
-			if d := sc.Verify(fresh); d.HasErrors() {
+			if d := sc.Verify(optimized); d.HasErrors() {
 				b.Fatal(d)
 			}
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
-		sc := analysis.NewSemanticChecker(orig)
-		sc.Verify(optimized)
+		v := analysis.NewVerifier(orig, true)
+		digest := optimized.Digest()
+		v.Prove(optimized, digest)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := sc.Verify(optimized); d.HasErrors() {
+			if d := v.Prove(optimized, digest); d.HasErrors() {
 				b.Fatal(d)
 			}
 		}

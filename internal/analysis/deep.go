@@ -1,7 +1,7 @@
 // Deep (symbolic) analysis tier: value-range lints and differential
 // semantic equivalence, both built on the internal/analysis/absint
-// forward abstract interpreter. Everything here is opt-in — the deep
-// gate behind opt.Config.DeepVerify, p4lint -deep, and pipeleon -check.
+// forward abstract interpreter. Everything here is opt-in — a deep
+// Verifier (opt.Config.DeepVerify), p4lint -deep, and pipeleon -check.
 package analysis
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"pipeleon/internal/analysis/absint"
 	"pipeleon/internal/diag"
-	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 )
 
@@ -37,7 +36,7 @@ const (
 // returns only the PL2xx diagnostics — callers combine it with Lint.
 // Programs with structural errors (or shapes absint rejects) yield no
 // deep diagnostics; the structural tier already reports those.
-func LintDeep(prog *p4ir.Program, opts ...Option) diag.List {
+func LintDeep(prog *p4ir.Program) diag.List {
 	if sd := prog.StructuralDiagnostics(); sd.HasErrors() {
 		return nil
 	}
@@ -145,31 +144,20 @@ const (
 	semMaxConds    = 12
 )
 
-// semMemoCap bounds the checker's verdict memo. A control loop asks about
-// the same few programs round after round (the applied plan at the joint
-// check and again at the deploy gate, each plan option alone during
-// search), so the cap only has to outlast one plan's worth of candidates.
-const semMemoCap = 256
-
 // SemanticChecker amortizes differential semantic verification over many
 // candidate rewrites of one original program, the way RewriteChecker
 // does for dependency ordering. Construction enumerates the original's
 // path classes and abstractly executes each once; Verify then only
-// executes the candidate — once per distinct candidate: verdicts are
-// memoized by program content. The original must not change while the
-// checker is in use; after an entry update, build a new one. Safe for
-// concurrent use once built.
+// executes the candidate. It remembers no verdicts — Verifier, which
+// composes it with the other proof tiers, does. The original must not
+// change while the checker is in use; after an entry update, build a new
+// one. Safe for concurrent use once built.
 type SemanticChecker struct {
 	origBroken bool
 	conds      []string
 	condsTotal int
 	classes    []semClass
 	origFields []string
-	// verdicts maps a candidate's content digest to the diagnostics its
-	// proof produced. The key is a cryptographic digest because a hit
-	// skips the proof: a collision between a verified and a broken
-	// candidate would deploy the broken one unproven.
-	verdicts *memo.Table[p4ir.Digest, diag.List]
 }
 
 type semClass struct {
@@ -180,7 +168,7 @@ type semClass struct {
 // NewSemanticChecker precomputes the original program's per-path-class
 // abstract outcomes.
 func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
-	sc := &SemanticChecker{verdicts: memo.New[p4ir.Digest, diag.List](semMemoCap)}
+	sc := &SemanticChecker{}
 	if orig.StructuralDiagnostics().HasErrors() {
 		sc.origBroken = true
 		return sc
@@ -225,26 +213,12 @@ func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
 // (the abstraction over-approximates), but equivalence is no longer
 // proven, which is what a deploy gate needs to block on.
 func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
+	var l diag.List
 	if sc.origBroken {
-		var l diag.List
 		l.Add(CodeSemInput, diag.Error, "", "",
 			"original program is not analyzable; semantic comparison impossible")
 		return l
 	}
-	// The content digest also decides whether two layouts are the same
-	// deploy, so "same program" means one thing here and there.
-	key := opt.Digest()
-	if l, ok := sc.verdicts.Get(key); ok {
-		return append(diag.List(nil), l...)
-	}
-	l := sc.prove(opt)
-	sc.verdicts.Put(key, l)
-	return append(diag.List(nil), l...)
-}
-
-// prove is one uncached differential proof of opt against the original.
-func (sc *SemanticChecker) prove(opt *p4ir.Program) diag.List {
-	var l diag.List
 	if sd := opt.StructuralDiagnostics(); sd.HasErrors() {
 		l.Add(CodeSemInput, diag.Error, "", "",
 			"optimized program has %d structural error(s); semantic comparison impossible", len(sd.Errors()))
@@ -296,12 +270,6 @@ func (sc *SemanticChecker) prove(opt *p4ir.Program) diag.List {
 	}
 	l.Sort()
 	return l
-}
-
-// MemoStats returns how many Verify calls were answered from the verdict
-// memo and how many ran a proof.
-func (sc *SemanticChecker) MemoStats() (hits, misses uint64) {
-	return sc.verdicts.Stats()
 }
 
 // Strength reports how fine the path-class partition is: forced of the

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -222,63 +221,5 @@ func TestVerifySemanticsAcceptsAnnotationOnlyChange(t *testing.T) {
 	pinned.Tables["t1"].SetMemTier("dram")
 	if l := VerifySemantics(orig, pinned); l.HasErrors() {
 		t.Errorf("annotation-only change rejected:\n%s", strings.Join(l.Strings(), "\n"))
-	}
-}
-
-// The verdict memo is content-keyed and bounded: a warm answer is the
-// same sorted list as the cold one, 10⁴ distinct candidates leave it at
-// its cap, and a candidate evicted meanwhile is proven again to the same
-// verdict.
-func TestSemanticCheckerMemoBoundedAndVerdictStable(t *testing.T) {
-	build := func(name, missValue string) *p4ir.Program {
-		return p4ir.NewBuilder(name).
-			Table(p4ir.TableSpec{
-				Name: "t",
-				Keys: []p4ir.Key{{Field: "tcp.dport", Kind: p4ir.MatchExact, Width: 16}},
-				Actions: []*p4ir.Action{
-					p4ir.NewAction("hit", p4ir.Prim("modify_field", "meta.mark", "1")),
-					p4ir.NewAction("miss", p4ir.Prim("modify_field", "meta.mark", missValue)),
-				},
-				DefaultAction: "miss",
-				Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 80}}, Action: "hit"}},
-			}).
-			MustBuild()
-	}
-	orig := build("orig", "7")
-	sc := NewSemanticChecker(orig)
-	good, bad := build("good", "7"), build("bad", "8")
-
-	coldGood, coldBad := sc.Verify(good), sc.Verify(bad)
-	if coldGood.HasErrors() || deepCodes(coldBad)[CodeSemEgress] == 0 {
-		t.Fatalf("cold verdicts: good %v, bad %v", coldGood, coldBad)
-	}
-	warmBad := sc.Verify(bad)
-	if strings.Join(warmBad.Strings(), "\n") != strings.Join(coldBad.Strings(), "\n") {
-		t.Errorf("memoized diagnostics differ:\ncold %v\nwarm %v", coldBad, warmBad)
-	}
-	if hits, misses := sc.MemoStats(); hits != 1 || misses != 2 {
-		t.Errorf("memo stats = %d hits / %d misses, want 1 / 2", hits, misses)
-	}
-	// A returned list is the caller's: mutating it must not reach the memo.
-	warmBad[0].Message = "scribbled"
-	if again := sc.Verify(bad); again[0].Message == "scribbled" {
-		t.Error("Verify hands out the memo's own slice")
-	}
-
-	for i := 0; i < 10000; i++ {
-		sc.Verify(build(fmt.Sprintf("p%d", i), "7"))
-	}
-	if n := sc.verdicts.Len(); n > semMemoCap {
-		t.Errorf("memo holds %d verdicts, cap %d", n, semMemoCap)
-	}
-	_, before := sc.MemoStats()
-	if again := sc.Verify(bad); strings.Join(again.Strings(), "\n") != strings.Join(coldBad.Strings(), "\n") {
-		t.Errorf("evicted candidate re-verified to a different verdict: %v", again)
-	}
-	if sc.Verify(good).HasErrors() {
-		t.Error("evicted equivalent candidate now rejected")
-	}
-	if _, after := sc.MemoStats(); after != before+2 {
-		t.Errorf("evicted candidates were not proven again: misses %d -> %d", before, after)
 	}
 }

@@ -42,7 +42,7 @@ const (
 // witness field. Annotation-only rewrites (memory-tier pinning) pass
 // trivially.
 func VerifyRewrite(orig, opt *p4ir.Program) diag.List {
-	return NewRewriteChecker(orig).Verify(opt)
+	return NewRewriteChecker(orig).verify(opt, nil)
 }
 
 // depEdge is one classified dependency edge of the original program: u
@@ -55,9 +55,11 @@ type depEdge struct {
 // RewriteChecker amortizes rewrite verification over many candidate
 // rewrites of one original program. Construction performs everything that
 // depends only on the original — the structural gate, the dependency
-// graph, and the full classified dependency-edge list — so each Verify
-// call only analyzes the candidate program. Safe for concurrent use once
-// built (all precomputed state is read-only).
+// graph, and the full classified dependency-edge list — so each proof
+// only analyzes the candidate program. It reads the original's
+// structure and effects, never its table entries, so entry operations
+// leave it valid. Safe for concurrent use once built (all precomputed
+// state is read-only).
 type RewriteChecker struct {
 	origDiags int // structural diagnostics count when the original is invalid
 	gO        *graph
@@ -90,23 +92,14 @@ func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
 	return rc
 }
 
-// Verify checks a full rewrite; the result is identical to
-// VerifyRewrite(orig, opt).
-func (rc *RewriteChecker) Verify(opt *p4ir.Program) diag.List {
-	return rc.verify(opt, nil)
-}
-
-// VerifyTouched restricts the dependency-edge check to edges with at
-// least one endpoint in touched — sound when every node the rewrite
-// rewired, deleted, or generated is in the set, because an edge between
-// two untouched nodes keeps its original wiring and relative order. Node
-// representation (RW001/RW003) and declared-transform legality (RW004)
-// are still checked in full; both scan only annotated or unreachable
-// nodes, so they are cheap.
-func (rc *RewriteChecker) VerifyTouched(opt *p4ir.Program, touched map[string]bool) diag.List {
-	return rc.verify(opt, touched)
-}
-
+// verify checks a rewrite, with the dependency-edge check optionally
+// restricted to edges with at least one endpoint in touched (nil: every
+// edge, the result VerifyRewrite(orig, opt) returns) —
+// sound when every node the rewrite rewired, deleted, or generated is in
+// the set, because an edge between two untouched nodes keeps its original
+// wiring and relative order. Node representation (RW001/RW003) and
+// declared-transform legality (RW004) are still checked in full; both scan
+// only annotated or unreachable nodes, so they are cheap.
 func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) diag.List {
 	if rc.gO == nil {
 		var l diag.List

@@ -215,3 +215,81 @@ func TestRemoteDeployDeepLintWarnings(t *testing.T) {
 		t.Errorf("accepted deploy carries no %s warning: %v", analysis.CodeShadowedEntry, resp)
 	}
 }
+
+// A deep server's baseline is the first program the device accepted plus
+// every entry operation the server has served since — so "the very program
+// the device is running" always redeploys, whatever was inserted, and a
+// program from before an insert (or after a delete: one still holding the
+// entry) does not.
+func TestDeepGateBaselineFollowsEntryOps(t *testing.T) {
+	srv, dev := newDeviceServer(t, WithDeepVerify())
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	dst := func(v uint64) []p4ir.MatchValue { return []p4ir.MatchValue{{Value: v}} }
+	e1 := p4ir.Entry{Match: dst(0x0b000001), Action: "set", Args: []string{"1"}}
+	e2 := p4ir.Entry{Match: dst(0x0b000002), Action: "set", Args: []string{"9"}} // widens meta.mark's egress range
+	mk := func(name string, entries ...p4ir.Entry) *p4ir.Program {
+		prog, err := p4ir.ChainTables(name, []p4ir.TableSpec{{
+			Name:          "mark",
+			Keys:          []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.dstAddr")}},
+			Actions:       []*p4ir.Action{p4ir.NewAction("set", p4ir.Prim("modify_field", "meta.mark", "$0")), p4ir.NoopAction("pass")},
+			DefaultAction: "pass",
+			Entries:       entries,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	refusedSE003 := func(what string, err error) {
+		t.Helper()
+		var de *DeployError
+		if !errors.As(err, &de) || !strings.Contains(err.Error(), analysis.CodeSemEgress) {
+			t.Fatalf("%s: err = %v, want an %s refusal", what, err, analysis.CodeSemEgress)
+		}
+	}
+
+	if err := cl.Deploy(mk("base", e1)); err != nil {
+		t.Fatalf("baseline deploy: %v", err)
+	}
+	if err := cl.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.InsertEntry("mark", e2); err != nil {
+		t.Fatal(err)
+	}
+	running := dev.Program().Clone()
+	if n := len(running.Tables["mark"].Entries); n != 2 {
+		t.Fatalf("device holds %d entries after the insert, want 2", n)
+	}
+	if err := cl.Deploy(running); err != nil {
+		t.Fatalf("redeploy of the program the device is running: %v", err)
+	}
+	refusedSE003("program from before the insert", cl.Deploy(mk("stale", e1)))
+
+	// A modify moves the baseline too: e2 now writes what e1 writes.
+	if err := cl.ModifyEntry("mark", e2.Match, "set", []string{"1"}); err != nil {
+		t.Fatal(err)
+	}
+	refusedSE003("program from before the modify", cl.Deploy(running))
+
+	if err := cl.DeleteEntry("mark", e2.Match); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Deploy(mk("shrunk", e1)); err != nil {
+		t.Fatalf("redeploy without the deleted entry: %v", err)
+	}
+	refusedSE003("program still holding the deleted entry", cl.Deploy(mk("grown", e1, e2)))
+
+	// An operation the device refused changed nothing.
+	if err := cl.DeleteEntry("mark", e2.Match); err == nil {
+		t.Fatal("second delete of the same entry succeeded")
+	}
+	if err := cl.Deploy(mk("shrunk-again", e1)); err != nil {
+		t.Fatalf("redeploy after a refused entry operation: %v", err)
+	}
+}

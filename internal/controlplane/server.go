@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"pipeleon/internal/analysis"
-	"pipeleon/internal/diag"
 	"pipeleon/internal/faultinject"
-	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
@@ -99,15 +97,15 @@ func WithDevice(dev target.Target) ServerOption {
 	return func(s *Server) { s.device = dev }
 }
 
-// WithDeepVerify arms the symbolic tier of the OpDeploy gate: staged
-// programs additionally run the value-range lints (warnings on the
-// wire), and every deploy after the first must prove semantic
-// equivalence — identical per-path-class drop behaviour and egress field
-// ranges under abstract interpretation — against the first successfully
-// deployed program, which the server records as the semantic baseline.
-// This matches the runtime model where a device server hosts one program
-// being continuously re-optimized; serving a genuinely new program needs
-// a fresh server (or no deep gate).
+// WithDeepVerify puts a deep analysis.Verifier behind the OpDeploy gate:
+// staged programs additionally carry the value-range lints (warnings on
+// the wire), and every deploy after the first must be proven a sound
+// rewrite — same dependency orderings, same per-path-class drop behaviour
+// and egress field ranges — of the baseline: the first program the device
+// accepted, kept in step with every entry operation the server has served
+// since. This matches the runtime model where a device server hosts one
+// program being continuously re-optimized; serving a genuinely new
+// program needs a fresh server (or no deep gate).
 func WithDeepVerify() ServerOption {
 	return func(s *Server) { s.deepVerify = true }
 }
@@ -122,19 +120,19 @@ type Server struct {
 	faults    faultinject.Injector
 	statusFn  func() ([]byte, error) // optional, for OpStats
 
-	// lint memoizes analysis.Lint's diagnostics for a staged program under
-	// the digest of the bytes it arrived as. The verdict is a pure function
-	// of those bytes and the device's Params, which a server takes as fixed
-	// for its lifetime (a remote fetches Capabilities once, too). It holds
-	// diagnostics only, never a program.
-	lint *memo.Table[p4ir.Digest, diag.List]
 	wire wireCounters
 
-	// deepVerify arms the symbolic OpDeploy tier; sem is the semantic
-	// checker built from the first successfully deployed program.
+	// gate is the check OpDeploy puts every staged program through — the
+	// one a local runtime's deploys pass — under the device's Params, which
+	// a server takes as fixed from its first deploy on (a remote fetches
+	// Capabilities once, too). A deepVerify server's gate proves candidates
+	// against baseline: the server's own copy of the first program the
+	// device accepted, on which it repeats the entry operations it serves.
+	// Both are nil until a first deploy (deep: a first accepted one).
 	deepVerify bool
-	semMu      sync.Mutex
-	sem        *analysis.SemanticChecker
+	gateMu     sync.Mutex // guards gate, baseline and baseline's entries
+	gate       *analysis.Gate
+	baseline   *p4ir.Program
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -147,7 +145,6 @@ type Server struct {
 func NewServer(addr string, backend Backend, collector *profile.Collector, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		backend: backend, collector: collector, conns: map[net.Conn]struct{}{}, idem: newIdemCache(),
-		lint: memo.New[p4ir.Digest, diag.List](lintMemoCap),
 	}
 	for _, o := range opts {
 		o(s)
@@ -162,11 +159,6 @@ func NewServer(addr string, backend Backend, collector *profile.Collector, opts 
 	return s, nil
 }
 
-// lintMemoCap bounds the deploy gate's lint memo. A device under shifting
-// traffic is moved among a handful of layouts; the cap only stops a daemon
-// from remembering every program it was ever sent.
-const lintMemoCap = 256
-
 // WireStats counts what a server moved in frame bodies and what its deploy
 // gate reused — enough to tell from a running daemon whether a link is
 // re-sending programs.
@@ -179,8 +171,8 @@ type WireStats struct {
 	// programs, packet batches) and sent (programs).
 	BodyBytesIn  uint64 `json:"body_bytes_in"`
 	BodyBytesOut uint64 `json:"body_bytes_out"`
-	// LintMemoHits / LintMemoMisses count deploys whose lint diagnostics
-	// were reused and computed.
+	// LintMemoHits / LintMemoMisses count deploys whose gate verdict was
+	// remembered and computed.
 	LintMemoHits   uint64 `json:"lint_memo_hits"`
 	LintMemoMisses uint64 `json:"lint_memo_misses"`
 }
@@ -192,7 +184,12 @@ type wireCounters struct {
 // WireStats returns the server's wire counters. The default OpStats
 // document carries them; a WithStatus document can include them.
 func (s *Server) WireStats() WireStats {
-	hits, misses := s.lint.Stats()
+	var hits, misses uint64
+	s.gateMu.Lock()
+	if s.gate != nil {
+		hits, misses = s.gate.MemoStats()
+	}
+	s.gateMu.Unlock()
 	return WireStats{
 		ProgramsSent:      s.wire.programsSent.Load(),
 		ProgramsUnchanged: s.wire.programsUnchanged.Load(),
@@ -325,17 +322,29 @@ func (s *Server) apply(req *Request) *Response {
 		if req.Entry == nil {
 			return fail(errors.New("insert requires an entry"))
 		}
-		if err := s.insertEntry(req.Table, req.Entry.ToEntry()); err != nil {
+		e := req.Entry.ToEntry()
+		if err := s.insertEntry(req.Table, e); err != nil {
 			return fail(err)
 		}
+		s.entryServed(req.Table, func(t *p4ir.Table) { t.Entries = append(t.Entries, e.Clone()) })
 	case OpDelete:
 		if err := s.deleteEntry(req.Table, req.Match); err != nil {
 			return fail(err)
 		}
+		s.entryServed(req.Table, func(t *p4ir.Table) {
+			if i := t.EntryIndex(req.Match); i >= 0 {
+				t.Entries = slices.Delete(t.Entries, i, i+1)
+			}
+		})
 	case OpModify:
 		if err := s.modifyEntry(req.Table, req.Match, req.Action, req.Args); err != nil {
 			return fail(err)
 		}
+		s.entryServed(req.Table, func(t *p4ir.Table) {
+			if i := t.EntryIndex(req.Match); i >= 0 {
+				t.Entries[i].Action, t.Entries[i].Args = req.Action, slices.Clone(req.Args)
+			}
+		})
 	case OpProgram:
 		prog, err := s.currentProgram()
 		if err != nil {
@@ -365,53 +374,20 @@ func (s *Server) apply(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		// Lint against the device's own cost model before staging: a
-		// remote client gets the same static-analysis gate a local
-		// runtime applies, with the diagnostics on the wire. A program
-		// seen before gets the diagnostics it got then.
-		diags, ok := s.lint.Get(digest)
-		if !ok {
-			diags = analysis.Lint(prog, analysis.WithParams(s.device.Capabilities().Params))
-			s.lint.Put(digest, diags)
-		}
-		diags = slices.Clone(diags) // the deep tier appends
-		if diags.HasErrors() {
-			resp.Diags = diags
+		// The gate a local runtime's deploys pass, under the device's own
+		// cost model, with the diagnostics on the wire. A program seen
+		// before gets the verdict it got then.
+		verdict, adopt := s.checkDeploy(prog, digest)
+		resp.Diags = verdict.Diags
+		if verdict.Refusal != "" {
 			resp.OK = false
-			resp.Error = "program rejected by static analysis: " + diags.Errors()[0].String()
+			resp.Error = "program rejected by " + verdict.Refusal
 			return resp
 		}
-		if s.deepVerify {
-			diags = append(diags, analysis.LintDeep(prog)...)
-			s.semMu.Lock()
-			sc := s.sem
-			s.semMu.Unlock()
-			if sc != nil {
-				sem := sc.Verify(prog)
-				diags = append(diags, sem...)
-				if sem.HasErrors() {
-					diags.Sort()
-					resp.Diags = diags
-					resp.OK = false
-					resp.Error = "program rejected by semantic verification: " + sem.Errors()[0].String()
-					return resp
-				}
-			}
-			diags.Sort()
-		}
-		resp.Diags = diags
 		if err := s.device.Deploy(prog); err != nil {
 			return fail(err)
 		}
-		if s.deepVerify {
-			// The first program a deep-verifying server stages becomes the
-			// semantic baseline every later deploy is proven against.
-			s.semMu.Lock()
-			if s.sem == nil {
-				s.sem = analysis.NewSemanticChecker(prog.Clone())
-			}
-			s.semMu.Unlock()
-		}
+		adopt()
 	case OpCommit:
 		if s.device == nil {
 			return fail(errNoDevice)
@@ -530,6 +506,46 @@ func (s *Server) apply(req *Request) *Response {
 }
 
 var errNoDevice = errors.New("device operations unavailable (server has no device)")
+
+// checkDeploy asks the gate about a staged program. A deep server that has
+// no baseline yet checks the program as its own original, with a gate that
+// becomes the server's — the program its baseline — only when adopt is
+// called: after the device accepted it.
+func (s *Server) checkDeploy(prog *p4ir.Program, digest p4ir.Digest) (analysis.Verdict, func()) {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if s.gate == nil && !s.deepVerify {
+		s.gate = analysis.NewGate(s.device.Capabilities().Params, nil)
+	}
+	if s.gate != nil {
+		return s.gate.Check(prog, digest), func() {}
+	}
+	base := prog.Clone() // the device keeps prog
+	gate := analysis.NewGate(s.device.Capabilities().Params, analysis.NewVerifier(base, true))
+	return gate.Check(base, digest), func() {
+		s.gateMu.Lock()
+		defer s.gateMu.Unlock()
+		if s.gate == nil {
+			s.gate, s.baseline = gate, base
+		}
+	}
+}
+
+// entryServed repeats an entry operation the device accepted on the gate's
+// baseline, so a deep gate proves later deploys against the entries the
+// device holds now. A table the baseline lacks — one a rewrite generated —
+// is skipped.
+func (s *Server) entryServed(table string, mut func(t *p4ir.Table)) {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if s.baseline == nil {
+		return // a shallow gate's verdicts read the candidate only
+	}
+	if t, ok := s.baseline.Tables[table]; ok {
+		mut(t)
+	}
+	s.gate.EntriesChanged()
+}
 
 // Entry and program ops prefer the runtime backend (which maps them onto
 // the original program, §2.3); a device-only server applies them to the

@@ -132,10 +132,9 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 		return err
 	}
 	r.updCountsOrig[table]++
-	// r.orig is the search session's program: its semantic proofs, and the
-	// deploy gate's verdicts, were computed from the entries as they were.
-	r.search.EntriesChanged()
-	r.gate.Reset()
+	// r.orig is the verifier's original: the gate's verdicts and the
+	// proofs behind them were computed from the entries as they were.
+	r.gate.EntriesChanged()
 	return nil
 }
 

@@ -130,24 +130,25 @@ func BenchmarkRoundKept(b *testing.B) {
 }
 
 // deployRounds times rounds that each swap the searched plan in over the
-// original layout; firstSight empties the gate memo before every round.
+// original layout; firstSight makes the gate forget every verdict, the
+// verifier's proofs included, before every round.
 func deployRounds(b *testing.B, firstSight bool) {
 	r := newRoundRig(b, 0)
 	r.round(b)
 	r.backToOriginal(b)
-	_, missesBefore := r.rt.gate.Stats()
+	_, missesBefore := r.rt.gate.MemoStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if firstSight {
-			r.rt.gate.Reset()
+			r.rt.gate.EntriesChanged()
 		}
 		if rep := r.round(b); !rep.Deployed || rep.RolledBack {
 			b.Fatalf("round %d did not swap the layout: %+v", i, rep)
 		}
 		r.backToOriginal(b)
 	}
-	if _, misses := r.rt.gate.Stats(); !firstSight && misses != missesBefore {
+	if _, misses := r.rt.gate.MemoStats(); !firstSight && misses != missesBefore {
 		b.Fatalf("%d of %d redeploys were of a program the gate had not seen", misses-missesBefore, b.N)
 	}
 }

@@ -113,7 +113,7 @@ func TestKeptRoundMaterializesNothing(t *testing.T) {
 	type work struct{ materialized, proofs, verdicts uint64 }
 	workDone := func() work {
 		s := rt.search.Stats()
-		return work{s.Materialized, s.ProofMemoHits + s.ProofMemoMisses, s.VerifyMisses + s.DeepVerifyMisses}
+		return work{s.Materialized, s.ProofMemoHits + s.ProofMemoMisses, s.VerifyMisses}
 	}
 
 	if rep := mustRound(t, rt, nic, gen); !rep.RolledBack {
@@ -157,7 +157,7 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 		}
 		deploys++
 		d := prog.Digest()
-		if _, ok := rt.gate.Get(d); !ok {
+		if !gateRemembers(rt, prog) {
 			t.Errorf("round %d deployed a program with no live gate verdict", rt.round)
 		}
 		if seen[d] {
@@ -195,8 +195,9 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 		t.Errorf("%d first-sight and %d repeat deploys; want at least 6 and 4", firstSights, repeats)
 	}
 	// The gate ran once per first sight; every repeat was a memo hit.
-	if _, misses := rt.gate.Stats(); int(misses) != firstSights {
-		t.Errorf("gate ran %d times for %d first-sight deploys", misses, firstSights)
+	// (One more: NewRuntime gated the original.)
+	if _, misses := rt.gate.MemoStats(); int(misses) != firstSights+1 {
+		t.Errorf("gate ran %d times for %d first-sight deploys", misses-1, firstSights)
 	}
 }
 
@@ -214,8 +215,9 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	if rep := mustRound(t, rt, nic, hotACL1); !rep.Deployed || rt.Current().Root != "acl1" {
 		t.Fatalf("round 2 should deploy acl1 first: %+v", rep)
 	}
-	if rt.gate.Len() != 2 {
-		t.Fatalf("gate memo holds %d verdicts after two deploys, want 2", rt.gate.Len())
+	acl1First := rt.Current().Clone()
+	if !gateRemembers(rt, acl1First) {
+		t.Fatal("gate holds no verdict for the deployed program")
 	}
 
 	// 0x1ffff cannot fit the 16-bit tcp.sport key. The device takes the
@@ -224,8 +226,8 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	if err := rt.InsertEntry("acl1", wide); err != nil {
 		t.Fatal(err)
 	}
-	if n := rt.gate.Len(); n != 0 {
-		t.Fatalf("entry operation left %d gate verdicts behind", n)
+	if gateRemembers(rt, acl1First) {
+		t.Fatal("entry operation left the deployed program's verdict behind")
 	}
 
 	// The acl2-first plan was clean in round 1. It is the same plan now,
@@ -247,9 +249,9 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	fresh := refuse()
 	// Refused on first sight, and refused again from the memo — with the
 	// report a fresh run fills.
-	hitsBefore, _ := rt.gate.Stats()
+	hitsBefore, _ := rt.gate.MemoStats()
 	remembered := refuse()
-	if hits, _ := rt.gate.Stats(); hits != hitsBefore+1 {
+	if hits, _ := rt.gate.MemoStats(); hits != hitsBefore+1 {
 		t.Errorf("second refusal did not come from the memo: hits %d -> %d", hitsBefore, hits)
 	}
 	if remembered.DeployError != fresh.DeployError || !slices.Equal(remembered.Diagnostics, fresh.Diagnostics) {

@@ -23,7 +23,6 @@ import (
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/faultinject"
-	"pipeleon/internal/memo"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
@@ -74,9 +73,10 @@ type Runtime struct {
 	tally       RuntimeStatus
 	lastCosts   map[string]float64
 
-	// gate memoizes the deploy gate's verdict per candidate program (see
-	// vet.go); every entry operation drops it.
-	gate *memo.Table[p4ir.Digest, gateVerdict]
+	// gate is the check every program passes before it reaches the device
+	// (see vet.go), built over search's verifier; every entry operation
+	// tells it the original changed.
+	gate *analysis.Gate
 
 	// Fault tolerance (see guard.go): transactional deploys with
 	// verify-and-rollback, plan blacklisting, and a redeploy circuit
@@ -143,13 +143,6 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	if err := orig.Validate(); err != nil {
 		return nil, err
 	}
-	// Semantic gate: the original program must itself lint clean of
-	// Error-severity findings (unsound caches, overcommitted tiers, bad
-	// entries) before it is deployed anywhere.
-	if diags := analysis.Lint(orig, analysis.WithParams(tgt.Capabilities().Params)); diags.HasErrors() {
-		return nil, fmt.Errorf("core: program failed static analysis: %s",
-			strings.Join(diags.Errors().Strings(), "; "))
-	}
 	if cfg.HitRateOverride == nil {
 		cfg.HitRateOverride = map[string]float64{}
 	}
@@ -161,20 +154,27 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 		lastUpdateCounts:  map[string]uint64{},
 		updCountsOrig:     map[string]uint64{},
 		lastUpdCountsOrig: map[string]uint64{},
-		gate:              memo.New[p4ir.Digest, gateVerdict](gateMemoCap),
 	}
-	r.setCurrentLocked(orig.Clone(), p4ir.Digest{}, opt.NewCounterMap(), nil)
 	// The session shares r.cfg by value; the HitRateOverride map inside is
 	// aliased on purpose, so per-round feedback written by OptimizeOnce is
 	// visible to the warm search (its memo folds the overrides into every
-	// unit's material inputs). With cfg.DeepVerify the session also owns
-	// the one semantic checker: search, the joint check of the applied
-	// plan and the deploy gate share its proof memo.
+	// unit's material inputs). The session owns the one verifier of r.orig:
+	// search, the joint proof of the applied plan and the deploy gate ask
+	// it, and share its proof memo.
 	search, err := opt.NewSession(r.orig, r.pm, r.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning program: %w", err)
 	}
 	r.search = search
+	r.gate = analysis.NewGate(r.pm, search.Verifier())
+	// The original is the first program to pass the gate: it must itself
+	// be clean of Error-severity findings (unsound caches, overcommitted
+	// tiers, bad entries) before it is deployed anywhere.
+	digest := r.orig.Digest()
+	if v := r.gate.Check(r.orig, digest); v.Refusal != "" {
+		return nil, fmt.Errorf("core: program failed %s", v.Refusal)
+	}
+	r.setCurrentLocked(orig.Clone(), digest, opt.NewCounterMap(), nil)
 	if err := tgt.Deploy(r.current); err != nil {
 		return nil, err
 	}
@@ -392,6 +392,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 
 	// An empty plan deploys the original back.
 	next, nextMap, nextPlan := r.orig, opt.NewCounterMap(), []*opt.Option(nil)
+	var nextDigest p4ir.Digest
 	if len(res.Plan) > 0 {
 		rw, err := r.search.Materialize(res.Plan)
 		if err != nil {
@@ -399,10 +400,12 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 			record()
 			return report, err
 		}
-		next, nextMap, nextPlan = rw.Program, rw.Map, res.Plan
+		next, nextMap, nextPlan, nextDigest = rw.Program, rw.Map, res.Plan, rw.Digest
+	} else {
+		nextDigest = next.Digest()
 	}
 	// Deploy only when the layout actually changed.
-	if nextDigest := next.Digest(); nextDigest != r.currentDigestLocked() {
+	if nextDigest != r.currentDigestLocked() {
 		// Static-analysis gate: a program with Error diagnostics never
 		// reaches the device, whatever the search promised.
 		if !r.deployGate(next, nextDigest, &report) {
@@ -429,8 +432,8 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 				// measuring it against the warm incumbent would veto
 				// every cache plan.
 				var merr error
-				_, _ = r.measureSample(sample)
-				preM, merr = r.measureSample(sample)
+				_, _ = r.tgt.Measure(sample)
+				preM, merr = r.tgt.Measure(sample)
 				if merr != nil {
 					// No usable baseline — deploy unverified rather than
 					// veto the plan on a measurement failure.
@@ -447,8 +450,8 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 		r.setCurrentLocked(next.Clone(), nextDigest, nextMap, nextPlan)
 		report.Deployed = true
 		if verifying {
-			_, _ = r.measureSample(sample) // warm the fresh program's caches
-			postM, merr := r.measureSample(sample)
+			_, _ = r.tgt.Measure(sample) // warm the fresh program's caches
+			postM, merr := r.tgt.Measure(sample)
 			contradicted := false
 			if merr != nil {
 				// Can't confirm the deploy helped — fail safe and restore
@@ -568,20 +571,6 @@ func costsChanged(old, new map[string]float64, threshold float64) bool {
 		}
 	}
 	return false
-}
-
-// measureSample runs one verification measurement over the sample. With
-// cfg.MeasureWorkers > 1 and a target that supports batch measurement
-// (the emulator's ring-fed worker pool), the batch fans out across that
-// many cores; otherwise — the default — it measures serially, which keeps
-// recorded replay traces byte-stable.
-func (r *Runtime) measureSample(sample []*packet.Packet) (target.Measurement, error) {
-	if r.cfg.MeasureWorkers > 1 {
-		if bm, ok := r.tgt.(target.BatchMeasurer); ok {
-			return bm.MeasureParallel(sample, r.cfg.MeasureWorkers)
-		}
-	}
-	return r.tgt.Measure(sample)
 }
 
 // Run executes rounds until stop is closed, one per interval. It is the

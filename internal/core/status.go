@@ -49,17 +49,15 @@ type RuntimeStatus struct {
 	SearchUnitMisses   uint64 `json:"search_unit_misses"`
 	SearchVerifyHits   uint64 `json:"search_verify_hits"`
 	SearchVerifyMisses uint64 `json:"search_verify_misses"`
-	// Deep gate (zero unless Options.DeepVerify). DeepVerify* count the
-	// per-option semantic-verdict memo; ProofMemo* count whole-program
-	// proofs — option candidates, the applied plan, the deploy gate —
-	// answered from the shared program-digest memo versus actually run.
-	DeepVerifyHits   uint64 `json:"deep_verify_hits"`
-	DeepVerifyMisses uint64 `json:"deep_verify_misses"`
-	ProofMemoHits    uint64 `json:"proof_memo_hits"`
-	ProofMemoMisses  uint64 `json:"proof_memo_misses"`
+	// ProofMemo* count whole-program proofs — the applied plan, the deploy
+	// gate — answered from the verifier's program-digest memo versus
+	// actually run.
+	ProofMemoHits   uint64 `json:"proof_memo_hits"`
+	ProofMemoMisses uint64 `json:"proof_memo_misses"`
 	// ProofForcedConds of the program's ProofTotalConds conditionals split
-	// the path classes the proof compares; forced < total means the class
-	// budget coarsened the (still sound) comparison.
+	// the path classes the semantic tier compares (both zero unless
+	// Options.DeepVerify); forced < total means the class budget coarsened
+	// the (still sound) comparison.
 	ProofForcedConds int `json:"proof_forced_conds"`
 	ProofTotalConds  int `json:"proof_total_conds"`
 	// LastSearchNs / TotalSearchNs are wall-clock search latencies in
@@ -121,8 +119,6 @@ func (r *Runtime) Status() RuntimeStatus {
 		st.SearchUnitMisses = ss.UnitMisses
 		st.SearchVerifyHits = ss.VerifyHits
 		st.SearchVerifyMisses = ss.VerifyMisses
-		st.DeepVerifyHits = ss.DeepVerifyHits
-		st.DeepVerifyMisses = ss.DeepVerifyMisses
 		st.ProofMemoHits = ss.ProofMemoHits
 		st.ProofMemoMisses = ss.ProofMemoMisses
 		st.ProofForcedConds = ss.ProofForcedConds

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"pipeleon/internal/controlplane"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/opt"
@@ -51,14 +53,23 @@ func gate(rt *Runtime, prog *p4ir.Program, report *RoundReport) bool {
 	return rt.deployGate(prog, prog.Digest(), report)
 }
 
+// gateRemembers reports whether the gate holds a verdict for prog: asking
+// again is then a memo hit.
+func gateRemembers(rt *Runtime, prog *p4ir.Program) bool {
+	before, _ := rt.gate.MemoStats()
+	rt.gate.Check(prog, prog.Digest())
+	after, _ := rt.gate.MemoStats()
+	return after == before+1
+}
+
 func TestVetProgramFlagsBrokenRewrite(t *testing.T) {
 	prog := aclProgram(t)
 	rt, _, _ := newRig(t, prog, opt.DefaultConfig())
 
 	// The unchanged program vets clean (pointer-identical: no rewrite
 	// proof needed).
-	if l := rt.vet(rt.orig); l.HasErrors() {
-		t.Fatalf("identity deploy has error diagnostics: %v", l.Errors())
+	if v := rt.gate.Check(rt.orig, rt.orig.Digest()); v.Diags.HasErrors() {
+		t.Fatalf("identity deploy has error diagnostics: %v", v.Diags.Errors())
 	}
 
 	// A candidate that silently dropped a table must be blocked.
@@ -69,8 +80,7 @@ func TestVetProgramFlagsBrokenRewrite(t *testing.T) {
 			break
 		}
 	}
-	l := rt.vet(mut)
-	if !l.HasErrors() {
+	if v := rt.gate.Check(mut, mut.Digest()); !v.Diags.HasErrors() || v.Refusal == "" {
 		t.Fatal("rewrite that lost a table vetted clean")
 	}
 }
@@ -177,5 +187,121 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 	var ok RoundReport
 	if !gate(deep, reordered, &ok) {
 		t.Fatalf("deep gate blocked an equivalent reorder: %v", ok.DeployError)
+	}
+}
+
+// The runtime's deploy gate and a deep server's OpDeploy are one
+// analysis.Gate: the same original and the same hand-broken candidates get
+// the same diagnostic codes and the same accept/refuse either way.
+func TestWireGateIsTheLocalGate(t *testing.T) {
+	// w writes meta.a, r reads it, acl is independent of both.
+	orig, err := p4ir.ChainTables("wire", []p4ir.TableSpec{
+		{
+			Name:          "w",
+			Keys:          []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.dstAddr")}},
+			Actions:       []*p4ir.Action{p4ir.NewAction("set", p4ir.Prim("modify_field", "meta.a", "3")), p4ir.NoopAction("pass")},
+			DefaultAction: "pass",
+			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0x0b000001}}, Action: "set"}},
+		},
+		{
+			Name:          "r",
+			Keys:          []p4ir.Key{{Field: "ipv4.srcAddr", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.srcAddr")}},
+			Actions:       []*p4ir.Action{p4ir.NewAction("copy", p4ir.Prim("modify_field", "meta.b", "meta.a"))},
+			DefaultAction: "copy",
+		},
+		{
+			Name:          "acl",
+			Keys:          []p4ir.Key{{Field: "tcp.sport", Kind: p4ir.MatchExact, Width: packet.FieldWidth("tcp.sport")}},
+			Actions:       []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")},
+			DefaultAction: "allow",
+			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 1111}}, Action: "drop_packet"}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opt.DefaultConfig()
+	cfg.DeepVerify = true
+	rt, _, _ := newRig(t, orig, cfg)
+
+	col := profile.NewCollector()
+	nic, err := nicsim.New(orig.Clone(), nicsim.Config{Params: costmodel.BlueField2(), Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil,
+		controlplane.WithDevice(target.NewLocal(nic, col)), controlplane.WithDeepVerify())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := controlplane.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Deploy(orig); err != nil { // the server's baseline
+		t.Fatal(err)
+	}
+
+	edit := func(name string, f func(p *p4ir.Program)) *p4ir.Program {
+		p := orig.Clone()
+		p.Name = name
+		f(p)
+		return p
+	}
+	candidates := []*p4ir.Program{
+		edit("same", func(*p4ir.Program) {}),
+		edit("acl-first", func(p *p4ir.Program) { // a legal reorder
+			p.Root, p.Tables["acl"].BaseNext, p.Tables["r"].BaseNext = "acl", "w", ""
+		}),
+		edit("lost-table", func(p *p4ir.Program) {
+			p.Tables["r"].BaseNext = ""
+			delete(p.Tables, "acl")
+		}),
+		edit("reversed-dependency", func(p *p4ir.Program) {
+			p.Root, p.Tables["r"].BaseNext, p.Tables["w"].BaseNext = "r", "w", "acl"
+		}),
+		edit("changed-write", func(p *p4ir.Program) {
+			p.Tables["w"].Actions[0] = p4ir.NewAction("set", p4ir.Prim("modify_field", "meta.a", "4"))
+		}),
+		edit("pl104-entry", func(p *p4ir.Program) {
+			p.Tables["acl"].Entries[0].Match[0].Value = 0x1ffff // 17 bits in the 16-bit tcp.sport key
+		}),
+	}
+	codes := func(rendered []string) string {
+		var out []string
+		for _, d := range rendered {
+			out = append(out, strings.Fields(d)[0])
+		}
+		return strings.Join(out, " ")
+	}
+	refusals := 0
+	for _, cand := range candidates {
+		var rep RoundReport
+		localOK := gate(rt, cand, &rep)
+		wire, err := cl.DeployDiags(cand)
+		var de *controlplane.DeployError
+		if errors.As(err, &de) {
+			wire = de.Diags
+		} else if err != nil {
+			t.Fatalf("%s: %v", cand.Name, err)
+		}
+		if wireOK := err == nil; wireOK != localOK {
+			t.Errorf("%s: local gate accepted=%v, wire gate accepted=%v (%v)", cand.Name, localOK, wireOK, err)
+		}
+		if l, w := codes(rep.Diagnostics), codes(wire.Strings()); l != w {
+			t.Errorf("%s: local gate reports [%s], wire gate [%s]", cand.Name, l, w)
+		}
+		if !localOK {
+			refusals++
+			tier := strings.TrimPrefix(rep.DeployError, "blocked by ")
+			if !strings.HasSuffix(err.Error(), tier) {
+				t.Errorf("%s: local refusal %q, wire refusal %q", cand.Name, rep.DeployError, err)
+			}
+		}
+	}
+	if refusals != len(candidates)-2 {
+		t.Errorf("%d of %d candidates refused; every edit but the first two is a broken rewrite", refusals, len(candidates))
 	}
 }

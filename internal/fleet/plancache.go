@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"pipeleon/internal/p4ir"
-	"pipeleon/internal/profile"
 )
 
 // PlanEntry is one cached optimization result: the program produced by a
@@ -38,7 +37,7 @@ type PlanCacheStats struct {
 // search (seconds of knapsack work under the cost model) is reused for
 // every device with the same base program, the same model, and a similar
 // enough traffic profile — the similarity relation is equality of the
-// quantized ProfileSignature. Eviction is FIFO; safe for concurrent use.
+// quantized profile.Signature. Eviction is FIFO; safe for concurrent use.
 type PlanCache struct {
 	mu      sync.Mutex
 	max     int
@@ -125,12 +124,3 @@ func Fingerprint(p *p4ir.Program) string {
 }
 
 func shortDigest(d p4ir.Digest) string { return hex.EncodeToString(d[:8]) }
-
-// ProfileSignature quantizes a runtime profile into a similarity key for
-// the plan cache. It is profile.Signature — the one shared quantization
-// used by the plan cache, the optimizer's warm sessions, and the core
-// runtime's change detection — re-exported under the fleet's historical
-// name.
-func ProfileSignature(prog *p4ir.Program, prof *profile.Profile) string {
-	return profile.Signature(prog, prof)
-}

@@ -23,12 +23,12 @@ func TestProfileSignatureQuantization(t *testing.T) {
 		return p
 	}
 
-	base := fleet.ProfileSignature(prog, mkProf(1000, 1000, 1000, 800))
-	similar := fleet.ProfileSignature(prog, mkProf(1020, 990, 1010, 812))
+	base := profile.Signature(prog, mkProf(1000, 1000, 1000, 800))
+	similar := profile.Signature(prog, mkProf(1020, 990, 1010, 812))
 	if base != similar {
 		t.Errorf("near-identical profiles got different signatures: %s vs %s", base, similar)
 	}
-	shifted := fleet.ProfileSignature(prog, mkProf(1000, 1000, 1000, 10))
+	shifted := profile.Signature(prog, mkProf(1000, 1000, 1000, 10))
 	if base == shifted {
 		t.Error("hot table going cold did not change the signature")
 	}
@@ -37,7 +37,7 @@ func TestProfileSignatureQuantization(t *testing.T) {
 	// hot-updated table is the §4 trap the update-rate term guards).
 	storm := mkProf(1000, 1000, 1000, 800)
 	storm.UpdateRates["acl2"] = 5000
-	if got := fleet.ProfileSignature(prog, storm); got == base {
+	if got := profile.Signature(prog, storm); got == base {
 		t.Error("update-rate storm did not change the signature")
 	}
 }

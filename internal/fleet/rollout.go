@@ -469,7 +469,7 @@ func (c *Controller) planFor(base *p4ir.Program, canary *device) (*PlanEntry, er
 		return nil, fmt.Errorf("profiling canary: %w", err)
 	}
 	digest := base.Digest()
-	sig := ProfileSignature(base, prof)
+	sig := profile.Signature(base, prof)
 	model := canary.model
 	if e, ok := c.cache.Get(digest, model, sig); ok {
 		return e, nil

@@ -86,15 +86,13 @@ type SearchSessionStats struct {
 	// UnitHits / UnitMisses count per-unit candidate-memo outcomes.
 	UnitHits   uint64 `json:"unit_hits"`
 	UnitMisses uint64 `json:"unit_misses"`
-	// VerifyHits / VerifyMisses count rewrite-verdict-memo outcomes.
+	// VerifyHits / VerifyMisses count per-option verdict-memo outcomes.
 	VerifyHits   uint64 `json:"verify_hits"`
 	VerifyMisses uint64 `json:"verify_misses"`
-	// Deep gate, summed over the sessions that run it: the per-option
-	// semantic-verdict memo, whole-program proofs answered from the
-	// program-digest memo versus run, and how many of the programs'
-	// conditionals the proofs' path classes split on.
-	DeepVerifyHits   uint64 `json:"deep_verify_hits"`
-	DeepVerifyMisses uint64 `json:"deep_verify_misses"`
+	// Whole-program proofs answered from the verifiers' program-digest
+	// memos versus run, and — summed over the sessions with a deep
+	// verifier — how many of the programs' conditionals the semantic
+	// tier's path classes split on.
 	ProofMemoHits    uint64 `json:"proof_memo_hits"`
 	ProofMemoMisses  uint64 `json:"proof_memo_misses"`
 	ProofForcedConds int    `json:"proof_forced_conds"`
@@ -123,8 +121,6 @@ func (sp *sessionPool) stats() SearchSessionStats {
 		st.UnitMisses += ss.UnitMisses
 		st.VerifyHits += ss.VerifyHits
 		st.VerifyMisses += ss.VerifyMisses
-		st.DeepVerifyHits += ss.DeepVerifyHits
-		st.DeepVerifyMisses += ss.DeepVerifyMisses
 		st.ProofMemoHits += ss.ProofMemoHits
 		st.ProofMemoMisses += ss.ProofMemoMisses
 		st.ProofForcedConds += ss.ProofForcedConds

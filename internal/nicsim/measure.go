@@ -1,12 +1,10 @@
 package nicsim
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
 	"pipeleon/internal/packet"
-	"pipeleon/internal/ring"
 )
 
 // Measurement aggregates a batch of processed packets into the quantities
@@ -34,13 +32,13 @@ func (n *NIC) Measure(pkts []*packet.Packet) Measurement {
 	return n.measure(pkts, 1)
 }
 
-// MeasureParallel processes the batch on `workers` goroutines fed by
-// per-worker SPSC rings, steering packets to workers through an
-// RSS-style indirection table rebalanced for the batch's per-bucket load
-// — flows stay on one core, so per-flow state never migrates mid-batch.
-// Per-packet latencies land in per-index slots and profiling updates are
-// commutative, so for cache-free programs at sampling=1 the result is
-// bit-identical to Measure. workers <= 0 uses GOMAXPROCS.
+// MeasureParallel processes the batch on `workers` goroutines, steering
+// packets to workers through an RSS-style indirection table rebalanced
+// for the batch's per-bucket load — flows stay on one core, so per-flow
+// state never migrates mid-batch. Per-packet latencies land in per-index
+// slots and profiling updates are commutative, so for cache-free programs
+// at sampling=1 the result is bit-identical to Measure. workers <= 0 uses
+// GOMAXPROCS.
 func (n *NIC) MeasureParallel(pkts []*packet.Packet, workers int) Measurement {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -118,7 +116,7 @@ func (n *NIC) measure(pkts []*packet.Packet, workers int) Measurement {
 	if workers <= 1 {
 		n.measureSerial(pkts, lat, &tally)
 	} else {
-		n.measureRings(pkts, lat, &tally, workers)
+		n.measureSteered(pkts, lat, &tally, workers)
 	}
 
 	var sum float64
@@ -177,16 +175,10 @@ func (br *burstRunner) runRange(n *NIC, pkts []*packet.Packet, lo, hi int, lat [
 	}
 }
 
-// idxBurst is one ring element: a burst of packet indices for a worker.
-type idxBurst struct {
-	n   int32
-	idx [BurstSize]int32
-}
-
-// measureRings is the multicore path: the producer steers packet indices
-// through the RSS table into per-worker SPSC rings in bursts; workers
-// clone-and-process and scatter results by index.
-func (n *NIC) measureRings(pkts []*packet.Packet, lat []float64, tally *burstTally, workers int) {
+// measureSteered is the multicore path: one pass steers every packet index
+// through the RSS table into its worker's list, then each worker walks
+// its list in bursts, clone-and-processes and scatters results by index.
+func (n *NIC) measureSteered(pkts []*packet.Packet, lat []float64, tally *burstTally, workers int) {
 	// Steering: hash every flow, count per-bucket load, then migrate
 	// buckets so the batch spreads evenly — deterministic for a given
 	// batch, so repeated runs steer identically.
@@ -199,11 +191,23 @@ func (n *NIC) measureRings(pkts []*packet.Packet, lat []float64, tally *burstTal
 	}
 	rss.rebalance(&load)
 
-	ctx := context.Background()
-	rings := make([]*ring.SPSC[idxBurst], workers)
-	for w := range rings {
-		rings[w] = ring.New[idxBurst](64)
+	// The bucket loads say how long each worker's list gets, so the lists
+	// are cut from one array and filled in batch order.
+	starts := make([]int, workers+1)
+	for b, l := range load {
+		starts[rss.bucket[b]+1] += int(l)
 	}
+	for w := 0; w < workers; w++ {
+		starts[w+1] += starts[w]
+	}
+	idx := make([]int32, len(pkts))
+	fill := append([]int(nil), starts[:workers]...)
+	for i := range pkts {
+		w := rss.workerOf(hashes[i])
+		idx[fill[w]] = int32(i)
+		fill[w]++
+	}
+
 	tallies := make([]burstTally, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -211,31 +215,12 @@ func (n *NIC) measureRings(pkts []*packet.Packet, lat []float64, tally *burstTal
 		go func(w int) {
 			defer wg.Done()
 			br := newBurstRunner()
-			for {
-				b, ok := rings[w].Pop(ctx)
-				if !ok {
-					return
-				}
-				br.runIdx(n, pkts, b.idx[:b.n], lat, &tallies[w])
+			for list := idx[starts[w]:starts[w+1]]; len(list) > 0; {
+				k := min(len(list), BurstSize)
+				br.runIdx(n, pkts, list[:k], lat, &tallies[w])
+				list = list[k:]
 			}
 		}(w)
-	}
-	pending := make([]idxBurst, workers)
-	for i := range pkts {
-		w := rss.workerOf(hashes[i])
-		pb := &pending[w]
-		pb.idx[pb.n] = int32(i)
-		pb.n++
-		if pb.n == BurstSize {
-			rings[w].Push(ctx, *pb)
-			pb.n = 0
-		}
-	}
-	for w := range pending {
-		if pending[w].n > 0 {
-			rings[w].Push(ctx, pending[w])
-		}
-		rings[w].Close()
 	}
 	wg.Wait()
 	for w := range tallies {

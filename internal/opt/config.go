@@ -112,20 +112,13 @@ type Config struct {
 	// MaxPlacementMoves caps the greedy three-way placement search's
 	// committed moves per round. <=0 uses a small default.
 	MaxPlacementMoves int
-	// MeasureWorkers is the core count verification measurements run on
-	// when the deployment target supports batch measurement
-	// (target.BatchMeasurer): the emulator then feeds per-core workers
-	// through SPSC rings with RSS flow steering. 0 or 1 measures
-	// serially — the default, which keeps recorded replay traces and
-	// their golden measurements byte-stable.
-	MeasureWorkers int
-	// DeepVerify additionally gates every plan option behind
-	// analysis.VerifySemantics: a differential abstract-interpretation
-	// check that the rewritten program preserves per-path-class drop
-	// behaviour and egress field ranges, on top of the always-on
-	// dependency-ordering proof. Verdicts are memoized per candidate in
-	// the session, like the ordering verifier's. Off by default — it
-	// roughly doubles per-candidate verification cost.
+	// DeepVerify makes the session's analysis.Verifier a deep one: every
+	// plan option and every materialized program must additionally pass
+	// the semantic tier — a differential abstract-interpretation check
+	// that the rewritten program preserves per-path-class drop behaviour
+	// and egress field ranges — on top of the always-on
+	// dependency-ordering proof. Off by default — it roughly doubles
+	// per-candidate verification cost.
 	DeepVerify bool
 }
 

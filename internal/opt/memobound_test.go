@@ -9,8 +9,8 @@ import (
 )
 
 // A long-lived session sees an unbounded stream of distinct options; its
-// two per-option verdict memos must stay at their cap, and an option
-// evicted meanwhile must verify again to the same verdict.
+// per-option verdict memo must stay at its cap, and an option evicted
+// meanwhile must verify again to the same verdict.
 func TestVerdictMemosStayBounded(t *testing.T) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 4, AvgLen: 2, Category: synth.HeavyDrop, Seed: 99})
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 100, Category: synth.HeavyDrop})
@@ -35,12 +35,11 @@ func TestVerdictMemosStayBounded(t *testing.T) {
 	if len(real) > 32 {
 		real = real[:32]
 	}
-	type verdict struct{ rewrite, semantic bool }
-	want := make([]verdict, len(real))
+	want := make([]bool, len(real))
 	accepted := 0
 	for i, o := range real {
-		want[i] = verdict{s.verifier.verify(o), s.sem.verify(o)}
-		if want[i].rewrite && want[i].semantic {
+		want[i] = s.verifier.verify(o)
+		if want[i] {
 			accepted++
 		}
 	}
@@ -52,26 +51,22 @@ func TestVerdictMemosStayBounded(t *testing.T) {
 	// that fail to apply.
 	for i := 0; i < 10000; i++ {
 		ghost := &Option{Kind: OptPipelet, Order: []string{fmt.Sprintf("ghost%d", i)}}
-		if s.verifier.verify(ghost) || s.sem.verify(ghost) {
+		if s.verifier.verify(ghost) {
 			t.Fatalf("option over a missing table verified: %v", ghost)
 		}
 	}
 	if n := s.verifier.verdict.Len(); n > verdictMemoCap {
-		t.Errorf("rewrite-verdict memo holds %d entries, cap %d", n, verdictMemoCap)
-	}
-	if n := s.sem.verdict.Len(); n > verdictMemoCap {
-		t.Errorf("semantic-verdict memo holds %d entries, cap %d", n, verdictMemoCap)
+		t.Errorf("option-verdict memo holds %d entries, cap %d", n, verdictMemoCap)
 	}
 
 	before := s.Stats()
 	for i, o := range real {
-		if got := (verdict{s.verifier.verify(o), s.sem.verify(o)}); got != want[i] {
-			t.Errorf("%v: verdict after eviction %+v, before %+v", o, got, want[i])
+		if got := s.verifier.verify(o); got != want[i] {
+			t.Errorf("%v: verdict after eviction %v, before %v", o, got, want[i])
 		}
 	}
 	after := s.Stats()
-	if after.VerifyMisses != before.VerifyMisses+uint64(len(real)) ||
-		after.DeepVerifyMisses != before.DeepVerifyMisses+uint64(len(real)) {
+	if after.VerifyMisses != before.VerifyMisses+uint64(len(real)) {
 		t.Errorf("evicted options were answered from a memo: %+v -> %+v", before, after)
 	}
 }

@@ -139,6 +139,9 @@ func (cm *CounterMap) Translate(opt *profile.Profile, orig *p4ir.Program) *profi
 type Rewrite struct {
 	// Program is the optimized program.
 	Program *p4ir.Program
+	// Digest is Program.Digest() on a rewrite Session.Materialize returned
+	// (it keyed the proof); Apply leaves it zero.
+	Digest p4ir.Digest
 	// Map links optimized counters back to the original program.
 	Map *CounterMap
 	// Applied are the options realized (some may be skipped if the graph

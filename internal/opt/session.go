@@ -13,7 +13,6 @@ import (
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/deps"
-	"pipeleon/internal/diag"
 	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
@@ -24,8 +23,8 @@ import (
 // triple. It survives across optimization rounds, keeping alive everything
 // the search recomputed from scratch each round before: the pipelet
 // partition, the dependency analyzer, the evaluator's dense per-table
-// arrays, the precomputed rewrite checker, and — the main lever — a memo
-// of each unit's enumerated candidates.
+// arrays, the program's verifier, and — the main lever — a memo of each
+// unit's enumerated candidates.
 //
 // The memo is invalidated per unit by exact material change: a unit entry
 // carries a fold of every profile quantity its enumeration read (reach,
@@ -42,7 +41,7 @@ import (
 // read only the profile and return a plan and its gain — enough for a
 // caller to decide whether the plan is worth a deploy. Materialize turns
 // a plan the caller decided for into a proven program, and costs a
-// program clone plus the joint proofs; SearchAndApply is the two composed
+// program clone plus the joint proof; SearchAndApply is the two composed
 // for callers with nothing to decide in between.
 //
 // Search, Materialize, and ReScore serialize on an internal mutex; the
@@ -54,8 +53,7 @@ type Session struct {
 	cfg      Config
 	part     *pipelet.Partition
 	an       *deps.Analyzer // shared analyzer (nil: the evaluator builds its own on first use)
-	verifier *planVerifier
-	sem      *semVerifier // nil unless cfg.DeepVerify
+	verifier *optionVerifier
 
 	mu    sync.Mutex // guards ev, stats across rounds
 	ev    *Evaluator
@@ -85,20 +83,16 @@ type SessionStats struct {
 	// UnitHits / UnitMisses count per-unit candidate-memo outcomes.
 	UnitHits   uint64
 	UnitMisses uint64
-	// VerifyHits / VerifyMisses count verification-verdict-memo outcomes.
+	// VerifyHits / VerifyMisses count the per-option verdict memo: a miss
+	// is one option applied to a scratch program and proven.
 	VerifyHits   uint64
 	VerifyMisses uint64
 	// Materialized counts Materialize calls: each is one Apply plus the
-	// joint proofs of the applied program.
+	// joint proof of the applied program.
 	Materialized uint64
-	// DeepVerifyHits / DeepVerifyMisses count the semantic-verdict memo
-	// (zero unless Config.DeepVerify).
-	DeepVerifyHits   uint64
-	DeepVerifyMisses uint64
-	// ProofMemoHits / ProofMemoMisses count semantic proofs of whole
-	// programs — a candidate option applied alone, the jointly applied
-	// plan, the deploy gate — answered from the checker's program-digest
-	// memo versus actually run.
+	// ProofMemoHits / ProofMemoMisses count proofs of whole programs — the
+	// jointly applied plan, the deploy gate — answered from the verifier's
+	// program-digest memo versus actually run.
 	ProofMemoHits   uint64
 	ProofMemoMisses uint64
 	// ProofForcedConds of the program's ProofTotalConds conditionals split
@@ -119,54 +113,36 @@ func NewSession(prog *p4ir.Program, pm costmodel.Params, cfg Config) (*Session, 
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		prog:     prog,
-		pm:       pm,
-		cfg:      cfg,
-		part:     part,
-		verifier: newPlanVerifier(prog, cfg),
-		memo:     memo.New[string, *unitEntry](unitMemoCap),
-	}
-	if cfg.DeepVerify {
-		s.sem = newSemVerifier(prog, cfg)
-	}
-	return s, nil
+	return newSessionShared(prog, pm, cfg, part, nil, analysis.NewVerifier(prog, cfg.DeepVerify), predecessors(prog)), nil
 }
 
 // newSessionShared builds a session over prebuilt program-derived state: a
-// pipelet partition, a dependency analyzer, the rewrite checker with its
-// predecessor index, and (when the point enables DeepVerify) the semantic
-// checker. Sweep uses it so every point shares the program-only analyses
-// and pays only for its own evaluator and memos.
+// pipelet partition, a dependency analyzer, and the program's verifier (of
+// the point's depth) with its predecessor index. Sweep uses it so every
+// point shares the program-only analyses and pays only for its own
+// evaluator and memos.
 func newSessionShared(prog *p4ir.Program, pm costmodel.Params, cfg Config, part *pipelet.Partition,
-	an *deps.Analyzer, rc *analysis.RewriteChecker, preds map[string][]string,
-	sc *analysis.SemanticChecker) *Session {
-	s := &Session{
+	an *deps.Analyzer, v *analysis.Verifier, preds map[string][]string) *Session {
+	return &Session{
 		prog:     prog,
 		pm:       pm,
 		cfg:      cfg,
 		part:     part,
 		an:       an,
-		verifier: newPlanVerifierShared(prog, cfg, rc, preds),
+		verifier: &optionVerifier{prog: prog, cfg: cfg, v: v, preds: preds, verdict: memo.New[string, bool](verdictMemoCap)},
 		memo:     memo.New[string, *unitEntry](unitMemoCap),
 	}
-	if cfg.DeepVerify && sc != nil {
-		s.sem = newSemVerifierShared(prog, cfg, sc)
-	}
-	return s
 }
 
 // Stats returns a snapshot of the session counters.
 func (s *Session) Stats() SessionStats {
-	hits, misses := s.verifier.stats()
-	sem := s.sem.stats()
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	st.VerifyHits, st.VerifyMisses = hits, misses
-	st.DeepVerifyHits, st.DeepVerifyMisses = sem.hits, sem.misses
-	st.ProofMemoHits, st.ProofMemoMisses = sem.progHits, sem.progMisses
-	st.ProofForcedConds, st.ProofTotalConds = sem.forced, sem.total
+	v := s.verifier.v
+	st.VerifyHits, st.VerifyMisses = s.verifier.verdict.Stats()
+	st.ProofMemoHits, st.ProofMemoMisses = v.MemoStats()
+	st.ProofForcedConds, st.ProofTotalConds = v.Strength()
 	return st
 }
 
@@ -175,29 +151,10 @@ func (s *Session) Stats() SessionStats {
 // change, so it stays valid for the session's lifetime.
 func (s *Session) Partition() *pipelet.Partition { return s.part }
 
-// VerifyRewrite proves that prog — a rewrite of the session's program —
-// preserves its dependency structure, with the checker the session built
-// once; the result is identical to analysis.VerifyRewrite(original, prog).
-func (s *Session) VerifyRewrite(prog *p4ir.Program) diag.List {
-	return s.verifier.rc.Verify(prog)
-}
-
-// VerifySemantics proves prog — a rewrite of the session's program —
-// semantically equivalent to it with the session's own checker, so a
-// program Materialize already proved costs the deploy gate one digest. It
-// returns every diagnostic of the proof, and nil when the deep gate is
-// off.
-func (s *Session) VerifySemantics(prog *p4ir.Program) diag.List {
-	return s.sem.verifyProgram(prog)
-}
-
-// EntriesChanged tells the session that its program's table entries were
-// mutated in place (the runtime's entry API does that). Semantic proofs
-// depend on the entries, so the next one rebuilds the checker and drops
-// the memoized verdicts.
-func (s *Session) EntriesChanged() {
-	s.sem.entriesChanged()
-}
+// Verifier returns the verifier of the session's program. A deploy gate
+// built over it finds what Materialize returned already proven, and
+// whoever mutates the program's table entries in place tells it.
+func (s *Session) Verifier() *analysis.Verifier { return s.verifier.v }
 
 // ensureEvaluator builds the evaluator on first use and refreshes its
 // profile-dependent arrays afterwards.
@@ -348,14 +305,13 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 	return res, nil
 }
 
-// verifyPlan discards the selected options that fail verification — the
-// dependency-ordering proof always, plus the semantic-equivalence proof
-// when the deep gate is on. Plan options belong to disjoint units, so
-// verifying them in isolation is exact.
+// verifyPlan discards the selected options that fail verification. Plan
+// options belong to disjoint units, so verifying them in isolation is
+// exact.
 func (s *Session) verifyPlan(plan []*Option) []*Option {
 	out := make([]*Option, 0, len(plan))
 	for _, o := range plan {
-		if s.verifier.verify(o) && s.sem.verify(o) {
+		if s.verifier.verify(o) {
 			out = append(out, o)
 		}
 	}
@@ -365,8 +321,8 @@ func (s *Session) verifyPlan(plan []*Option) []*Option {
 // Materialize builds the program a searched plan describes and proves it
 // before handing it to a deploy path: the plan options verified
 // individually during Search; this applies them together and proves the
-// jointly applied program too — its dependency structure always, its
-// packet semantics when the deep gate is on.
+// jointly applied program too. The rewrite carries the program's digest,
+// under which the verifier now remembers the proof.
 func (s *Session) Materialize(plan []*Option) (*Rewrite, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,12 +331,9 @@ func (s *Session) Materialize(plan []*Option) (*Rewrite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d := s.verifier.rc.Verify(rw.Program); d.HasErrors() {
-		return nil, fmt.Errorf("opt: optimized program fails rewrite verification: %s",
-			strings.Join(d.Errors().Strings(), "; "))
-	}
-	if d := s.sem.verifyProgram(rw.Program); d.HasErrors() {
-		return nil, fmt.Errorf("opt: optimized program fails semantic verification: %s",
+	rw.Digest = rw.Program.Digest()
+	if d := s.verifier.v.Prove(rw.Program, rw.Digest); d.HasErrors() {
+		return nil, fmt.Errorf("opt: optimized program fails verification: %s",
 			strings.Join(d.Errors().Strings(), "; "))
 	}
 	return rw, nil
@@ -412,7 +365,7 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 	s.ensureEvaluator(prof)
 	scores := make([]float64, len(plan))
 	runIndexed(len(plan), s.cfg.searchWorkers(), func(i int) {
-		if !s.verifier.verify(plan[i]) || !s.sem.verify(plan[i]) {
+		if !s.verifier.verify(plan[i]) {
 			return
 		}
 		scores[i] = s.ev.ScoreOption(plan[i])

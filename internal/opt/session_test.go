@@ -227,7 +227,7 @@ func TestPlanVerifierMatchesVerifyOption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
-		v := newPlanVerifier(prog, cfg)
+		v := s.verifier
 		for _, u := range res.Units {
 			opts := u.Options
 			if len(opts) > 12 {

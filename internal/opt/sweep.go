@@ -23,9 +23,9 @@ type SweepPoint struct {
 // the substrate of "what-if" design-space exploration: which budget,
 // hit-rate assumption, or target would this program profit from most?
 //
-// All points share the program-derived analyses (dependency analyzer,
-// rewrite checker, predecessor index, and one pipelet partition per
-// distinct MaxPipeletLen); each point runs its own warm session, since
+// All points share the program-derived analyses (dependency analyzer, one
+// verifier per proof depth, predecessor index, and one pipelet partition
+// per distinct MaxPipeletLen); each point runs its own warm session, since
 // candidate gains and rewrite verdicts depend on the point's parameters.
 // Points fan out over `workers` goroutines (<=0 uses GOMAXPROCS); results
 // are indexed by point and bit-identical to running
@@ -38,17 +38,11 @@ func Sweep(prog *p4ir.Program, prof *profile.Profile, points []SweepPoint, worke
 		return nil, nil
 	}
 	an := deps.NewAnalyzer(prog)
-	rc := analysis.NewRewriteChecker(prog)
 	preds := predecessors(prog)
-	// The semantic checker is only built when some point wants the deep
-	// gate — path-class enumeration is not free.
-	var sc *analysis.SemanticChecker
-	for _, pt := range points {
-		if pt.Config.DeepVerify {
-			sc = analysis.NewSemanticChecker(prog)
-			break
-		}
-	}
+	// The deep verifier is only built when some point wants the deep gate —
+	// path-class enumeration is not free.
+	shallow := analysis.NewVerifier(prog, false)
+	var deep *analysis.Verifier
 	parts := map[int]*pipelet.Partition{}
 	sessions := make([]*Session, len(points))
 	for i, pt := range points {
@@ -61,7 +55,14 @@ func Sweep(prog *p4ir.Program, prof *profile.Profile, points []SweepPoint, worke
 			}
 			parts[pt.Config.MaxPipeletLen] = part
 		}
-		sessions[i] = newSessionShared(prog, pt.Params, pt.Config, part, an, rc, preds, sc)
+		v := shallow
+		if pt.Config.DeepVerify {
+			if deep == nil {
+				deep = shallow.Deepened()
+			}
+			v = deep
+		}
+		sessions[i] = newSessionShared(prog, pt.Params, pt.Config, part, an, v, preds)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,58 +1,44 @@
 package opt
 
 import (
+	"sync/atomic"
+
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 )
 
-// verdictMemoCap bounds the per-option verdict memos of planVerifier and
-// semVerifier. A round verifies the handful of options the knapsack
-// selected, and the hot ones recur round after round; the cap only stops a
-// long-lived session from remembering every option it ever saw.
+// verdictMemoCap bounds the per-option verdict memo. A round verifies the
+// handful of options the knapsack selected, and the hot ones recur round
+// after round; the cap only stops a long-lived session from remembering
+// every option it ever saw.
 const verdictMemoCap = 4096
 
-// planVerifier amortizes option verification across the many candidates a
-// warm session checks against one original program. VerifyOption pays for
-// a full program clone (Apply) plus a from-scratch dependency analysis of
-// both programs (analysis.VerifyRewrite) per option; the verifier instead
+// optionVerifier decides, at search time, whether one option alone is a
+// sound rewrite of the session's program. The proof is analysis.Verifier's
+// — dependency ordering always, packet semantics behind a deep verifier —
+// and what this type adds is how an option gets there cheaply:
 //
-//   - precomputes the original program's dependency structure once
-//     (analysis.RewriteChecker),
-//   - applies each candidate to a cheap scratch clone that shares the
+//   - the option applies, once, to a scratch clone that shares the
 //     immutable bulk of the program (keys, actions, entries) with the
-//     original, and
-//   - restricts the dependency-ordering check to edges touching the
-//     rewritten subgraph, which is sound because an edge between two
-//     untouched nodes keeps its original wiring and relative order,
+//     original,
+//   - the dependency tier looks only at edges touching the rewritten
+//     subgraph (Verifier.ProveTouched), and
+//   - the verdict is memoized per option identity: it depends on the
+//     program and the option, never on the profile.
 //
-// and memoizes the verdict per option identity — verification depends
-// only on the program and the option, never on the profile, so a verdict
-// stays valid until evicted. Verdicts are identical to VerifyOption
-// (pinned by TestPlanVerifierMatchesVerifyOption).
-type planVerifier struct {
+// A shallow verdict reads the program's structure and effects only, so it
+// stays valid until evicted. A deep one also reads the table entries the
+// runtime mutates in place; the memo then follows the verifier's entry
+// epoch. Verdicts are identical to VerifyOption (pinned by
+// TestPlanVerifierMatchesVerifyOption).
+type optionVerifier struct {
 	prog    *p4ir.Program
 	cfg     Config
-	rc      *analysis.RewriteChecker
+	v       *analysis.Verifier  // shared by a sweep's points of one depth, like preds
 	preds   map[string][]string // node -> original nodes holding a successor reference to it
 	verdict *memo.Table[string, bool]
-}
-
-func newPlanVerifier(prog *p4ir.Program, cfg Config) *planVerifier {
-	return newPlanVerifierShared(prog, cfg, analysis.NewRewriteChecker(prog), predecessors(prog))
-}
-
-// newPlanVerifierShared reuses a prebuilt checker and predecessor index —
-// both depend only on the program, so a sweep's points (which differ in
-// cfg, and therefore need separate verdict memos) share them.
-func newPlanVerifierShared(prog *p4ir.Program, cfg Config, rc *analysis.RewriteChecker, preds map[string][]string) *planVerifier {
-	return &planVerifier{
-		prog:    prog,
-		cfg:     cfg,
-		rc:      rc,
-		preds:   preds,
-		verdict: memo.New[string, bool](verdictMemoCap),
-	}
+	epoch   atomic.Uint64 // the verifier's entry epoch the verdicts were computed at
 }
 
 // predecessors indexes, for every node, the nodes referencing it as a
@@ -119,38 +105,38 @@ func scratchClone(prog *p4ir.Program) *p4ir.Program {
 	return out
 }
 
-// verify reports whether o's rewrite provably preserves the original
-// program's dependency structure — the same verdict as
-// VerifyOption(prog, o, cfg), memoized. Safe for concurrent use.
-func (v *planVerifier) verify(o *Option) bool {
+// verify reports whether o's rewrite is provably sound — the same verdict
+// as VerifyOption(prog, o, cfg) plus, behind a deep verifier, the semantic
+// proof — memoized. Safe for concurrent use.
+func (ov *optionVerifier) verify(o *Option) bool {
+	if ov.v.IsDeep() {
+		if e := ov.v.Epoch(); ov.epoch.Swap(e) != e {
+			ov.verdict.Reset()
+		}
+	}
 	key := o.String()
-	if r, ok := v.verdict.Get(key); ok {
+	if r, ok := ov.verdict.Get(key); ok {
 		return r
 	}
-	r := v.check(o)
-	v.verdict.Put(key, r)
-	return r
-}
-
-func (v *planVerifier) check(o *Option) bool {
-	scratch := scratchClone(v.prog)
-	if err := applyOption(scratch, o, NewCounterMap(), v.cfg); err != nil {
-		return false
+	// Apply's post-hoc Validate is subsumed by the proof: every structural
+	// diagnostic is Error-severity, so Validate fails exactly when the
+	// proof's structure tier does.
+	scratch := scratchClone(ov.prog)
+	r := applyOption(scratch, o, NewCounterMap(), ov.cfg) == nil
+	if r {
+		touched := map[string]bool{}
+		ov.touch(touched, o)
+		r = !ov.v.ProveTouched(scratch, touched).HasErrors()
 	}
-	// Apply's post-hoc Validate is subsumed by the checker: every
-	// structural diagnostic is Error-severity, so Validate fails exactly
-	// when StructuralDiagnostics has errors, which VerifyTouched checks
-	// first.
-	touched := map[string]bool{}
-	v.touch(touched, o)
-	return !v.rc.VerifyTouched(scratch, touched).HasErrors()
+	ov.verdict.Put(key, r)
+	return r
 }
 
 // touch collects every original node the option rewires, deletes, or
 // covers: the reordered span itself, the old subgraph entry, and the
 // external predecessors redirect rewires to the new entry. Generated
 // tables need no entry — dependency edges connect original nodes only.
-func (v *planVerifier) touch(set map[string]bool, o *Option) {
+func (ov *optionVerifier) touch(set map[string]bool, o *Option) {
 	switch o.Kind {
 	case OptPipelet:
 		for _, t := range o.Order {
@@ -158,13 +144,13 @@ func (v *planVerifier) touch(set map[string]bool, o *Option) {
 		}
 		head := o.Pipelet.Head()
 		set[head] = true
-		for _, p := range v.preds[head] {
+		for _, p := range ov.preds[head] {
 			set[p] = true
 		}
 	case OptGroupCombo:
 		for _, m := range o.Members {
 			if m != nil {
-				v.touch(set, m)
+				ov.touch(set, m)
 			}
 		}
 	case OptGroupCache:
@@ -175,7 +161,7 @@ func (v *planVerifier) touch(set map[string]bool, o *Option) {
 			set[b] = true
 		}
 		set[o.Group.Branch] = true
-		for _, p := range v.preds[o.Group.Branch] {
+		for _, p := range ov.preds[o.Group.Branch] {
 			set[p] = true
 		}
 	case OptPlacement:
@@ -187,6 +173,3 @@ func (v *planVerifier) touch(set map[string]bool, o *Option) {
 		}
 	}
 }
-
-// stats returns the memo hit/miss counters.
-func (v *planVerifier) stats() (hits, misses uint64) { return v.verdict.Stats() }

@@ -96,23 +96,6 @@ func (l *Local) Measure(pkts []*packet.Packet) (Measurement, error) {
 	}, nil
 }
 
-// MeasureParallel processes the batch on the emulator's ring-fed worker
-// pool (see nicsim.MeasureParallel); workers <= 1 degrades to the serial
-// burst path. Implements BatchMeasurer.
-func (l *Local) MeasureParallel(pkts []*packet.Packet, workers int) (Measurement, error) {
-	m := l.nic.MeasureParallel(pkts, workers)
-	return Measurement{
-		Packets:            m.Packets,
-		MeanLatencyNs:      m.MeanLatencyNs,
-		P99LatencyNs:       m.P99LatencyNs,
-		ThroughputGbps:     m.ThroughputGbps,
-		DropRate:           m.DropRate,
-		MeanMigrations:     m.MeanMigrations,
-		VendorHitRate:      m.VendorHitRate,
-		MeanCounterUpdates: m.MeanCounterUpdates,
-	}, nil
-}
-
 // Profile snapshots the collector; reset closes the window.
 func (l *Local) Profile(reset bool) (*profile.Profile, error) {
 	if l.col == nil {

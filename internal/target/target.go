@@ -146,13 +146,3 @@ type Target interface {
 	// Close releases backend resources (network connections, trace files).
 	Close() error
 }
-
-// BatchMeasurer is the optional fast-measurement extension: backends that
-// can process a batch on several cores implement it, and callers
-// (internal/core, benchmarks) type-assert for it when the caller asked
-// for workers > 1. MeasureParallel with workers <= 1 must be equivalent
-// to Measure; replay-trace backends deliberately do not implement it so
-// recorded traces stay deterministic.
-type BatchMeasurer interface {
-	MeasureParallel(pkts []*packet.Packet, workers int) (Measurement, error)
-}

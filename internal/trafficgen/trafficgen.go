@@ -12,10 +12,7 @@
 package trafficgen
 
 import (
-	"context"
-
 	"pipeleon/internal/packet"
-	"pipeleon/internal/ring"
 	"pipeleon/internal/stats"
 )
 
@@ -70,9 +67,6 @@ func (g *Generator) SetSkew(s float64) {
 
 // NumFlows returns the population size.
 func (g *Generator) NumFlows() int { return len(g.flows) }
-
-// PacketBytes returns the configured wire size.
-func (g *Generator) PacketBytes() int { return g.packetBytes }
 
 func (g *Generator) prepare() {
 	if g.skew > 0 {
@@ -130,12 +124,6 @@ func (g *Generator) Next() *packet.Packet {
 	return p
 }
 
-// NextInto samples one packet into p, overwriting it entirely. The
-// allocation-free form of Next for ring producers that recycle packets.
-func (g *Generator) NextInto(p *packet.Packet) {
-	g.buildInto(g.nextFlow(), p)
-}
-
 // Split derives n independent child generators over the same flow
 // population. A Generator is single-threaded (its RNG and sampling tables
 // mutate on every Next), so concurrent producers each take one child:
@@ -178,25 +166,6 @@ func (g *Generator) BatchInto(dst []*packet.Packet) {
 		}
 		g.buildInto(g.nextFlow(), dst[i])
 	}
-}
-
-// Produce synthesizes `total` packets (unbounded when total < 0) and
-// pushes them into the ring, closing it on return so the consumer drains
-// and exits. It stops early — returning how many packets were actually
-// enqueued — when the ring is closed from the consumer side or ctx is
-// canceled, so an abandoned consumer never strands the producer.
-func (g *Generator) Produce(ctx context.Context, r *ring.SPSC[*packet.Packet], total int) int {
-	defer r.Close()
-	sent := 0
-	for total < 0 || sent < total {
-		p := &packet.Packet{}
-		g.buildInto(g.nextFlow(), p)
-		if !r.Push(ctx, p) {
-			break
-		}
-		sent++
-	}
-	return sent
 }
 
 // buildInto overwrites p with a fresh packet for flow f.

@@ -230,12 +230,8 @@ func VerifyRewrite(orig, opt *Program) Diagnostics {
 // ranges, dead writes, proven truncations). All findings are warnings;
 // they flag dead weight and likely authoring bugs, not unsound
 // programs. Enable the same tier at runtime with Options.DeepVerify.
-func LintDeep(prog *Program, target ...Target) Diagnostics {
-	var opts []analysis.Option
-	if len(target) > 0 {
-		opts = append(opts, analysis.WithParams(target[0]))
-	}
-	return analysis.LintDeep(prog, opts...)
+func LintDeep(prog *Program) Diagnostics {
+	return analysis.LintDeep(prog)
 }
 
 // VerifySemantics proves opt observably equivalent to orig per path
