@@ -98,8 +98,9 @@ traces:
 	$(GO) run ./cmd/tracegen -out testdata/traces/agiliocx.json -target agiliocx -seed 21
 
 # bench runs the hot-path micro-benchmarks (emulator fast path, parallel
-# measurement, search, and — beside its code in internal/opt — the
-# tier-aware estimate) plus the Figure 12 profiling-overhead benches, and
+# measurement, search, and — beside their code in internal/opt — the
+# tier-aware estimate and the drifting search) plus the Figure 12
+# profiling-overhead benches, and
 # archives the parsed results in BENCH_emulator.json (see DESIGN.md's
 # "Performance architecture" for how to read it). The semantic-proof
 # benches live beside their code (internal/analysis and its absint
@@ -114,7 +115,7 @@ traces:
 # against the JSON they replaced in p4ir, one loopback round trip of each
 # bulk RPC in controlplane, all on the 110-table synth program — and are
 # archived in BENCH_control.json.
-EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
+EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
 EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
@@ -141,13 +142,15 @@ bench:
 # BENCH_control.json). The -gate regexp excludes the
 # multi-worker MeasureParallel entries: at GOMAXPROCS=1 those measure
 # scheduler contention, not the datapath, and swing well past any sane
-# threshold run to run. Refresh the baseline with `make bench` after
+# threshold run to run. It gates the search the loop asks for (SearchDrift:
+# a warm session, a profile that moved), not SearchWarm — a repeat of the
+# very same profile, which change detection skips before it reaches Search. Refresh the baseline with `make bench` after
 # intentional performance changes.
 MAXREGRESS ?= 0.15
 benchcheck:
 	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) \
 		| $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
-		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$|HeteroEstimate'
+		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|SearchCold$$|SearchDrift$$|Sweep$$|PlacementPlan$$|HeteroEstimate'
 	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)
 	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \

@@ -511,9 +511,8 @@ func BenchmarkMeasureParallel(b *testing.B) {
 
 // BenchmarkSearchCold measures one full optimization round on a fresh
 // session per iteration — everything (partition, dependency analysis,
-// candidate enumeration, verification) from scratch. The warm/cold pair
-// is the headline of the incremental search engine: same program, same
-// profile, identical (bit-for-bit) results.
+// candidate skeletons, verification) from scratch: same program, same
+// profile and identical (bit-for-bit) results as the warm session's.
 func BenchmarkSearchCold(b *testing.B) {
 	prog, cfg, pm, _ := ablationSearchInput()
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
@@ -529,10 +528,12 @@ func BenchmarkSearchCold(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchWarm measures a repeat round on a warm session with an
-// unchanged profile — the steady state of the runtime's round loop when
-// traffic holds still: memo hits everywhere, no enumeration, no
-// re-verification.
+// BenchmarkSearchWarm measures a repeat round on a warm session with the
+// very profile it is already on: no refresh of the cost view, no
+// re-verification, every unit priced again on its skeleton. No caller
+// produces this round (the runtime skips an unchanged profile before the
+// search); archived but not gated — internal/opt's BenchmarkSearchDrift is
+// the search the loop asks for.
 func BenchmarkSearchWarm(b *testing.B) {
 	prog, cfg, pm, _ := ablationSearchInput()
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})

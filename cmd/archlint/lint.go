@@ -88,12 +88,14 @@ var tierNameRules = []tierNameRule{
 // the file that builds the cost view (Evaluator) may make them: every
 // estimate there is an integral over the view, and a second reading of the
 // profile is how the optimizer once came to price one program four ways.
+// internal/core may make none: a round has one reader of the profile, the
+// session's view, and change detection reads that (opt.Session.Observe).
 var costDerivations = map[string]bool{
 	"ReachProbs": true, "ActionProb": true, "DropProb": true, "BranchProb": true,
 	"NodeLatency": true, "TableLatency": true,
 }
 
-const costViewDir, costViewFile = "internal/opt", "estimate.go"
+const costViewDir, costViewFile, roundDir = "internal/opt", "estimate.go", "internal/core"
 
 // proofPrimitives are internal/analysis's proof constructors and one-shot
 // proofs. Outside that package nothing composes them: analysis.Verifier
@@ -158,14 +160,16 @@ func lintModule(root string) ([]Violation, error) {
 		out = append(out, vs...)
 	}
 	notView := func(base string) bool { return base != costViewFile }
-	vs, err := lintDir(fset, filepath.Join(root, costViewDir), notView, func(f *ast.File) []Violation {
-		return checkCostView(fset, f)
-	})
-	if err != nil {
-		return nil, err
+	for dir, match := range map[string]func(string) bool{costViewDir: notView, roundDir: nil} {
+		vs, err := lintDir(fset, filepath.Join(root, dir), match, func(f *ast.File) []Violation {
+			return checkCostView(fset, f)
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vs...)
 	}
-	out = append(out, vs...)
-	vs, err = lintDiagCodes(fset, root)
+	vs, err := lintDiagCodes(fset, root)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +437,7 @@ func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
 			out = append(out, Violation{
 				Pos:  fset.Position(sel.Pos()),
 				Rule: "one-estimator",
-				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator) instead of deriving it again",
+				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
 					sel.Sel.Name, costViewDir, costViewFile),
 			})
 		}

@@ -127,7 +127,7 @@ func printFleetStatus(st fleet.Status) {
 	fmt.Printf("rollouts: %d total, %d halted, %d fleet rollbacks; plan cache %d entries (%d hits / %d misses)\n",
 		st.Rollouts, st.HaltedRollouts, st.FleetRollbacks,
 		st.PlanCache.Entries, st.PlanCache.Hits, st.PlanCache.Misses)
-	fmt.Printf("search: %d warm sessions, %d rounds in %s; unit memo %d hits / %d misses, verify memo %d hits / %d misses\n",
+	fmt.Printf("search: %d warm sessions, %d rounds in %s; skeletons %d reused / %d built, verify memo %d hits / %d misses\n",
 		st.OptSearch.Sessions, st.OptSearch.Rounds,
 		time.Duration(st.OptSearch.TotalSearchNs),
 		st.OptSearch.UnitHits, st.OptSearch.UnitMisses,

@@ -26,7 +26,6 @@ import (
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
-	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
 )
@@ -52,9 +51,9 @@ type Runtime struct {
 	activePlan    []*opt.Option
 
 	// search is the warm optimizer session: it keeps the pipelet
-	// partition, dependency analysis, evaluator arrays, and per-unit
-	// candidate/verdict memos alive across rounds, so a round whose
-	// profile drifted only locally re-enumerates only the touched units.
+	// partition, dependency analysis, cost-view arrays, candidate skeletons
+	// and verdict memos alive across rounds, so a round re-prices what the
+	// profile moved and re-derives nothing of the program.
 	search *opt.Session
 
 	lastUpdateCounts map[string]uint64
@@ -157,8 +156,8 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	}
 	// The session shares r.cfg by value; the HitRateOverride map inside is
 	// aliased on purpose, so per-round feedback written by OptimizeOnce is
-	// visible to the warm search (its memo folds the overrides into every
-	// unit's material inputs). The session owns the one verifier of r.orig:
+	// visible to the warm search (it reads the overrides as it prices each
+	// round's cache spans). The session owns the one verifier of r.orig:
 	// search, the joint proof of the applied plan and the deploy gate ask
 	// it, and share its proof memo.
 	search, err := opt.NewSession(r.orig, r.pm, r.cfg)
@@ -517,17 +516,17 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 // optimization round when it moves: per-pipelet weighted costs, per-table
 // drop rates (a drop flip at the last table changes no upstream cost but
 // changes the best order), observed cache hit rates, and entry-update
-// rates.
+// rates. Its Observe is the round's one reading of the profile: the search
+// and the re-score after it start from the view it refreshed.
 func (r *Runtime) profileSignature(prof *profile.Profile) map[string]float64 {
 	out := map[string]float64{}
-	for _, c := range pipelet.RankByCost(r.orig, prof, r.pm, r.search.Partition()) {
+	costs, tables, dropRates := r.search.Observe(prof)
+	for _, c := range costs {
 		out["cost:"+c.Pipelet.Head()] = c.Weighted
 	}
-	for name, t := range r.orig.Tables {
-		if t.HasDropAction() {
-			if d := prof.DropProb(t); d > 0 {
-				out["drop:"+name] = d
-			}
+	for i, d := range dropRates {
+		if d > 0 {
+			out["drop:"+tables[i]] = d
 		}
 	}
 	for span, rate := range r.cfg.HitRateOverride {

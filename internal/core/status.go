@@ -40,10 +40,10 @@ type RuntimeStatus struct {
 	// the latest rounds were clean).
 	LastError string `json:"last_error,omitempty"`
 
-	// Warm-search session counters (see opt.SessionStats): how often the
-	// incremental optimizer reused memoized per-unit candidates and
-	// rewrite verdicts instead of re-enumerating, and what each round's
-	// search actually cost.
+	// Warm-search session counters (see opt.SessionStats): pipelets priced
+	// on a candidate skeleton the session held (unit hits) versus built
+	// first (unit misses), rewrite verdicts reused versus proven, and what
+	// each round's search actually cost.
 	SearchRounds       int    `json:"search_rounds"`
 	SearchUnitHits     uint64 `json:"search_unit_hits"`
 	SearchUnitMisses   uint64 `json:"search_unit_misses"`

@@ -80,8 +80,8 @@ func WriteMetrics(w io.Writer, st Status) error {
 	p.counter("pipeleon_optsearch_pool_hits_total", "Session-pool lookups that reused a warm session.", float64(st.OptSearch.PoolHits))
 	p.counter("pipeleon_optsearch_pool_misses_total", "Session-pool lookups that built a session.", float64(st.OptSearch.PoolMisses))
 	p.counter("pipeleon_optsearch_rounds_total", "Optimization searches served.", float64(st.OptSearch.Rounds))
-	p.counter("pipeleon_optsearch_unit_memo_hits_total", "Per-unit candidate-memo hits.", float64(st.OptSearch.UnitHits))
-	p.counter("pipeleon_optsearch_unit_memo_misses_total", "Per-unit candidate-memo misses.", float64(st.OptSearch.UnitMisses))
+	p.counter("pipeleon_optsearch_unit_memo_hits_total", "Pipelets priced on a candidate skeleton reused.", float64(st.OptSearch.UnitHits))
+	p.counter("pipeleon_optsearch_unit_memo_misses_total", "Pipelets priced on a candidate skeleton built first.", float64(st.OptSearch.UnitMisses))
 	p.counter("pipeleon_optsearch_verify_memo_hits_total", "Rewrite-verdict-memo hits.", float64(st.OptSearch.VerifyHits))
 	p.counter("pipeleon_optsearch_verify_memo_misses_total", "Rewrite-verdict-memo misses.", float64(st.OptSearch.VerifyMisses))
 	p.counter("pipeleon_optsearch_proof_memo_hits_total", "Semantic proofs answered from the program-digest memo.", float64(st.OptSearch.ProofMemoHits))

@@ -9,7 +9,7 @@ import (
 )
 
 // maxWarmSessions bounds the controller's warm-session pool. Each session
-// pins a program's partition, dependency analysis, and candidate memos in
+// pins a program's partition, dependency analysis, and candidate skeletons in
 // memory, so the pool holds only the most recently introduced
 // (program, model) pairs — a fleet typically runs a handful of
 // programs at a time, and an evicted pair merely pays one cold search.
@@ -20,7 +20,7 @@ const maxWarmSessions = 8
 // repeated searches whose quantized profile signature matches exactly; the
 // session pool accelerates the remaining case — a signature that did move,
 // for a program/model pair searched before — by reusing the session's
-// program-derived state and per-unit memos. FIFO eviction, like PlanCache.
+// program-derived state and candidate skeletons. FIFO eviction, like PlanCache.
 type sessionPool struct {
 	mu     sync.Mutex
 	order  []sessionKey
@@ -83,7 +83,7 @@ type SearchSessionStats struct {
 	PoolMisses uint64 `json:"pool_misses"`
 	// Rounds is the total searches served across live sessions.
 	Rounds int `json:"rounds"`
-	// UnitHits / UnitMisses count per-unit candidate-memo outcomes.
+	// UnitHits / UnitMisses count pipelets priced on a skeleton reused / built.
 	UnitHits   uint64 `json:"unit_hits"`
 	UnitMisses uint64 `json:"unit_misses"`
 	// VerifyHits / VerifyMisses count per-option verdict-memo outcomes.

@@ -42,8 +42,8 @@ type Status struct {
 
 	PlanCache PlanCacheStats `json:"plan_cache"`
 	// OptSearch aggregates the warm optimizer-session pool: searches
-	// served, per-unit candidate-memo and verdict-memo hit rates, and
-	// cumulative search time.
+	// served, candidate skeletons reused / built, verdict-memo hit rates,
+	// and cumulative search time.
 	OptSearch SearchSessionStats `json:"opt_search"`
 }
 

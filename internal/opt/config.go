@@ -154,7 +154,7 @@ func DefaultConfig() Config {
 
 // hitEstimateNoOverride returns the estimated hit rate for a cache with the
 // configured budget over a working set of ws distinct keys — the model part
-// of the estimate; Evaluator.hitEstimateIdx puts HitRateOverride in front.
+// of the estimate; Evaluator.hitEstimate puts HitRateOverride in front.
 func (c Config) hitEstimateNoOverride(ws uint64) float64 {
 	if ws == 0 {
 		return c.EstimatedHitRate

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -18,9 +19,11 @@ import (
 // layouts, group caches, re-scores, the pipelet ranking, the baseline, the
 // tier-aware estimate — is an integral over these arrays, so this file is
 // the only place in the package that asks the profile for a probability or
-// the cost model for a node latency. refresh swaps in a new profile without
-// rebuilding the static quantities, which is what lets a warm Session
-// reuse one Evaluator across rounds; between refreshes the view is
+// the cost model for a node latency. The view has three layers by lifetime:
+// what only the program's structure fixes (built once), what its table
+// entries fix (readEntries, again whenever they changed), and what the
+// profile fixes (refresh, once per round) — which is what lets a warm
+// Session reuse one Evaluator across rounds; between refreshes the view is
 // read-only and safe to share across goroutines.
 type Evaluator struct {
 	prog *p4ir.Program
@@ -39,14 +42,17 @@ type Evaluator struct {
 	nodeNames []string
 	numTables int
 
-	// Static quantities (program + cost model, fixed for the Evaluator's
-	// lifetime).
+	// Structural quantities (program + cost model, fixed for the
+	// Evaluator's lifetime).
+	tables []*p4ir.Table
+	exact  []bool
+	// Entry-dependent quantities, re-read by readEntries: a table's match
+	// complexity counts the distinct masks and prefix lengths among its
+	// entries, which the runtime's entry API edits in place.
 	// matchLat / actLat split each table's latency into the key-match part
 	// (Params.MatchLatency) and the expected action part (Σ P(a)·n_a·Lact).
-	tables   []*p4ir.Table
 	matchLat []float64
 	entries  []int
-	exact    []bool
 	mcomp    []int
 	memBytes []int
 	// byName lists node indices in lexicographic name order — the order
@@ -71,10 +77,6 @@ type Evaluator struct {
 	// share[k] is the fraction of the traffic leaving succ[k]'s source
 	// node that goes to succ[k].
 	share []float64
-
-	// dropByName mirrors dropRate under table names for the exported
-	// order-enumeration API (GreedyDropOrder takes a name-keyed map).
-	dropByName map[string]float64
 }
 
 // NewEvaluator derives the cost view of prog under prof and pm. The
@@ -128,12 +130,9 @@ func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 	for i, name := range tnames {
 		t := prog.Tables[name]
 		ev.tables[i] = t
-		ev.matchLat[i] = pm.MatchLatency(t)
-		ev.entries[i] = len(t.Entries)
 		ev.exact[i] = t.WidestMatchKind() == p4ir.MatchExact
-		ev.mcomp[i] = pm.MatchComplexity(t)
-		ev.memBytes[i] = t.MemoryBytes()
 	}
+	ev.readEntries()
 	ev.succOff = make([]int, n+1)
 	for i, name := range ev.nodeNames {
 		for _, s := range prog.Successors(name) {
@@ -155,14 +154,26 @@ func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 	ev.card = make([]uint64, n)
 	ev.updRate = make([]float64, n)
 	ev.share = make([]float64, len(ev.succ))
-	ev.dropByName = make(map[string]float64, nt)
 	ev.refresh(prof)
 	return ev
 }
 
+// readEntries reads what the view holds of the tables' entries. The holder
+// of a long-lived view calls it again when the entries changed (a Session
+// follows its verifier's entry epoch).
+func (ev *Evaluator) readEntries() {
+	for i, t := range ev.tables {
+		ev.matchLat[i] = ev.pm.MatchLatency(t)
+		ev.entries[i] = max(len(t.Entries), 1) // an empty table counts as one entry in a merge product
+		ev.mcomp[i] = ev.pm.MatchComplexity(t)
+		ev.memBytes[i] = t.MemoryBytes()
+	}
+}
+
 // refresh recomputes the profile-dependent quantities in place, reusing
-// the dense backing arrays. A warm session's per-round evaluator cost is
-// therefore the per-table model math, not allocation. Reach comes from the
+// the dense backing arrays — the one walk of the profile a round makes. A
+// warm session's per-round evaluator cost is therefore the per-table model
+// math, not allocation. Reach comes from the
 // profile's own propagation — re-deriving it from the edge shares would
 // sum mass·(p₁+p₂) where ReachProbs sums mass·p₁ + mass·p₂ — and
 // everything else of a table from one ActionProb.
@@ -185,7 +196,6 @@ func (ev *Evaluator) refresh(prof *profile.Profile) {
 		}
 		ev.actLat[i] = act
 		ev.dropRate[i] = drop
-		ev.dropByName[t.Name] = drop
 		ev.card[i] = prof.Cardinality(t.Name, ev.cfg.DefaultCardinality)
 		ev.updRate[i] = prof.UpdateRate(t.Name)
 		lo, hi := ev.succOff[i], ev.succOff[i+1]
@@ -362,15 +372,11 @@ func (ev *Evaluator) mergedMIdx(span []int) int {
 	return m
 }
 
-// hitEstimateIdx resolves the estimated hit rate of a cache over a span.
-// The span-key string only exists to key HitRateOverride, so it is built
-// only when overrides are present — the common no-override hot path is
-// allocation-free.
-func (ev *Evaluator) hitEstimateIdx(spanNames []string, span []int) float64 {
-	if len(ev.cfg.HitRateOverride) > 0 {
-		if h, ok := ev.cfg.HitRateOverride[SpanKey(spanNames)]; ok {
-			return h
-		}
+// hitEstimate resolves the estimated hit rate of a cache over a span; key
+// is the span's SpanKey, under which the runtime files observed rates.
+func (ev *Evaluator) hitEstimate(key string, span []int) float64 {
+	if h, ok := ev.cfg.HitRateOverride[key]; ok {
+		return h
 	}
 	return ev.cfg.hitEstimateNoOverride(ev.workingSetIdx(span))
 }
@@ -389,10 +395,38 @@ func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
 	return h
 }
 
+// spanPrice prices one transformed span for a packet entering it: the
+// expected latency spent in it and the probability of leaving it alive.
+// These are the reference expressions of §3.2.2/§3.2.3; every estimate of a
+// cached or merged span, the price tables included, is this function's.
+func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep float64) {
+	origCost, actSum, dropP := ev.spanStatsIdx(span)
+	switch {
+	case kind == SegCache:
+		// One exact probe always; on a hit the combined action applies; on
+		// a miss the packet falls through to the original tables.
+		h := ev.invalidationDiscount(ev.hitEstimate(key, span), span)
+		cost = ev.pm.Lmat + h*actSum + (1-h)*origCost
+	case ev.allExactIdx(span):
+		// Merged-exact cache with fallback (§3.2.3: "Pipeleon addresses
+		// this by generating a merged exact table without ternary entries
+		// as a cache").
+		h := ev.cfg.MergedCacheHitRate
+		if hh, ok := ev.cfg.HitRateOverride[key]; ok {
+			h = hh
+		}
+		cost = ev.pm.Lmat + h*actSum + (1-h)*origCost
+	default:
+		// In-place merge: one (multi-probe) match executes all member
+		// actions.
+		cost = float64(ev.mergedMIdx(span))*ev.pm.Lmat + actSum
+	}
+	return cost, 1 - dropP
+}
+
 // seqLatencyIdx returns the expected per-packet latency of a pipelet layout
 // for one packet entering the pipelet. It walks the order positions
-// directly against the (position-sorted, disjoint) segments, so nothing is
-// built per candidate.
+// directly against the (position-sorted, disjoint) segments.
 func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) float64 {
 	flow := 1.0
 	var total float64
@@ -401,33 +435,9 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 		if si < len(segs) && segs[si].Start == i {
 			s := segs[si]
 			si++
-			span := idxs[i : i+s.Len]
-			origCost, actSum, dropP := ev.spanStatsIdx(span)
-			if s.Kind == SegCache {
-				// One exact probe always; on a hit the combined action
-				// applies; on a miss the packet falls through to the
-				// original tables.
-				h := ev.hitEstimateIdx(order[i:i+s.Len], span)
-				h = ev.invalidationDiscount(h, span)
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else if ev.allExactIdx(span) {
-				// Merged-exact cache with fallback (§3.2.3: "Pipeleon
-				// addresses this by generating a merged exact table
-				// without ternary entries as a cache").
-				h := ev.cfg.MergedCacheHitRate
-				if len(ev.cfg.HitRateOverride) > 0 {
-					if hh, ok := ev.cfg.HitRateOverride[SpanKey(order[i:i+s.Len])]; ok {
-						h = hh
-					}
-				}
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else {
-				// In-place merge: one (multi-probe) match executes all
-				// member actions.
-				m := ev.mergedMIdx(span)
-				total += flow * (float64(m)*ev.pm.Lmat + actSum)
-			}
-			flow *= 1 - dropP
+			cost, keep := ev.spanPrice(s.Kind, SpanKey(order[i:i+s.Len]), idxs[i:i+s.Len])
+			total += flow * cost
+			flow *= keep
 			i += s.Len
 		} else {
 			ti := idxs[i]
@@ -439,13 +449,155 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 	return total
 }
 
-// segCostsIdx returns the memory and entry-update costs of a layout's
-// segments; span key-field counts come from the per-order scratch cache
-// instead of recomputing an.CacheKey per candidate.
-func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, segs []Segment) (mem int, upd float64) {
-	for _, s := range segs {
-		span := idxs[s.Start : s.Start+s.Len]
-		entryBytes := sc.keyLenFor(ev, order, s.Start, s.Len)*8 + 16
+// evalScratch is the pooled working state of pricing one pipelet (price
+// runs concurrently across units): the price table of the order at hand
+// and the selection's two buffers.
+type evalScratch struct {
+	cost, keep []float64
+	picks, tmp []pick
+	hist       [8][256]uint32 // sortPicks' digit counts (8 KB: not a stack frame for a fresh worker goroutine)
+}
+
+var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+
+// pick is one candidate that cleared the gain threshold: candidate c of
+// order oi.
+type pick struct {
+	gain  float64
+	oi, c int32
+}
+
+// sortPicks orders picks by gain descending, keeping arrival order among
+// equal gains — a stable sort by gain over the enumeration. It is an LSD
+// radix sort over the bits of the (positive) gains, which order as the
+// gains do; a comparison sort was a quarter of a drifting search. The
+// result is in one of the scratch's two buffers, the other becomes sc.tmp.
+func (sc *evalScratch) sortPicks(a []pick) []pick {
+	if len(a) < 2 {
+		return a
+	}
+	tmp, hist := sc.tmp, &sc.hist
+	if cap(tmp) < len(a) {
+		tmp = make([]pick, len(a))
+	}
+	tmp = tmp[:len(a)]
+	*hist = [8][256]uint32{}
+	for i := range a {
+		k := math.Float64bits(a[i].gain)
+		for d := range hist {
+			hist[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range hist {
+		h := &hist[d]
+		if h[byte(math.Float64bits(a[0].gain)>>(8*d))] == uint32(len(a)) {
+			continue // every gain has this byte
+		}
+		sum := uint32(0)
+		for b := 255; b >= 0; b-- { // high bytes first: descending
+			h[b], sum = sum, sum+h[b]
+		}
+		for i := range a {
+			b := byte(math.Float64bits(a[i].gain) >> (8 * d))
+			tmp[h[b]] = a[i]
+			h[b]++
+		}
+		a, tmp = tmp, a
+	}
+	sc.tmp = tmp
+	return a
+}
+
+// price is the per-round half of LocalOptimize: a pipelet's skeleton priced
+// under the view. Per order, one table of (cost, keep) per untouched
+// position and per legal span — spanPrice once per span, not once per
+// candidate containing it — and each candidate is the sum over its items of
+// flow·cost, flow the product of the keeps before it: seqLatencyIdx's own
+// operations in its own order, so the gains are the same bits. Only the
+// MaxOptionsPerPipelet best become Options, sharing the skeleton's Order
+// and Segments.
+func (ev *Evaluator) price(sk *skeleton) []*Option {
+	if len(sk.orders) == 0 {
+		return nil
+	}
+	sc := evalScratchPool.Get().(*evalScratch)
+	defer evalScratchPool.Put(sc)
+	orders := sk.orders
+	if sk.blocked != nil {
+		if os := sk.dropOrder(ev); os != nil {
+			orders = []*orderSkel{orders[0], os}
+		}
+	}
+	reach := ev.reachOf(sk.p.Head())
+	// The best limit picks so far are kept among at most twice as many:
+	// when the buffer fills it is sorted and cut to limit, and the last
+	// survivor's gain becomes the bar — a later candidate that only ties it
+	// comes after it in enumeration order and cannot displace it.
+	limit, bar := ev.cfg.MaxOptionsPerPipelet, 1e-12
+	picks := sc.picks[:0]
+	var baseline float64
+	for oi, os := range orders {
+		sh := os.shape
+		cost, keep := sc.cost[:0], sc.keep[:0]
+		for _, ti := range os.idx {
+			cost = append(cost, ev.matchLat[ti]+ev.actLat[ti])
+			keep = append(keep, 1-ev.dropRate[ti])
+		}
+		for k, sp := range sh.spans {
+			c, kp := ev.spanPrice(sp.Kind, os.keys[k], os.idx[sp.Start:sp.Start+sp.Len])
+			cost, keep = append(cost, c), append(keep, kp)
+		}
+		sc.cost, sc.keep = cost, keep
+		for c, lo := range sh.ends[:len(sh.ends)-1] {
+			flow, lat := 1.0, 0.0
+			for _, it := range sh.items[lo:sh.ends[c+1]] {
+				lat += flow * cost[it]
+				flow *= keep[it]
+			}
+			if oi == 0 && c == 0 {
+				baseline = lat // the pipelet as it stands: every shape's first candidate is the untouched layout
+				continue
+			}
+			if gain := (baseline - lat) * reach; gain > bar {
+				picks = append(picks, pick{gain: gain, oi: int32(oi), c: int32(c)})
+				if len(picks) == 2*limit {
+					picks = sc.sortPicks(picks)
+					picks, bar = picks[:limit], picks[limit-1].gain
+				}
+			}
+		}
+	}
+	picks = sc.sortPicks(picks)
+	picks = picks[:min(len(picks), limit)]
+	sc.picks = picks
+	if len(picks) == 0 {
+		return nil
+	}
+	opts := make([]Option, len(picks))
+	out := make([]*Option, len(picks))
+	for i, pk := range picks {
+		os := orders[pk.oi]
+		o := &opts[i] // Kind is OptPipelet, the zero value
+		o.Pipelet, o.Order, o.Segments, o.Gain = sk.p, os.order, os.shape.segments(int(pk.c)), pk.gain
+		o.MemCost, o.UpdateCost = ev.segCosts(os, int(pk.c))
+		out[i] = o
+	}
+	return out
+}
+
+// segCosts returns the memory and entry-update costs of candidate c of an
+// order. They read the tables' entry counts, so they are computed for the
+// survivors each round and never kept in the skeleton.
+func (ev *Evaluator) segCosts(os *orderSkel, c int) (mem int, upd float64) {
+	sh := os.shape
+	for _, it := range sh.items[sh.ends[c]:sh.ends[c+1]] {
+		k := int(it) - sh.n
+		if k < 0 {
+			continue
+		}
+		s := sh.spans[k]
+		span := os.idx[s.Start : s.Start+s.Len]
+		entryBytes := os.keyLen[k]*8 + 16
 		switch s.Kind {
 		case SegCache:
 			mem += ev.cfg.CacheBudgetEntries * entryBytes
@@ -457,9 +609,6 @@ func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, se
 			prod := 1
 			for _, ti := range span {
 				n := ev.entries[ti]
-				if n < 1 {
-					n = 1
-				}
 				if prod > (1<<30)/n {
 					prod = 1 << 30
 					break
@@ -488,14 +637,9 @@ func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, se
 				}
 				mult := 1.0
 				for j, tj := range span {
-					if j == i {
-						continue
+					if j != i {
+						mult *= float64(ev.entries[tj])
 					}
-					n := ev.entries[tj]
-					if n < 1 {
-						n = 1
-					}
-					mult *= float64(n)
 				}
 				upd += rate * mult
 			}
@@ -508,33 +652,34 @@ func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, se
 // cross product of member options (joint application) plus a group-wide
 // cache spanning the branch and every member, when legal.
 func (ev *Evaluator) GroupOptions(g *pipelet.Group, memberOpts [][]*Option) []*Option {
-	var out []*Option
 	// Cross product of member choices (nil = leave member unchanged),
 	// capped; at least one member must change. Member options arrive
 	// sorted by gain descending and nil goes LAST, so when the cap
 	// truncates the product, the best-of-each combination is the first
-	// one enumerated and always survives.
-	combos := [][]*Option{{}}
-	for _, opts := range memberOpts {
-		var next [][]*Option
-		choices := append(append([]*Option{}, opts...), nil)
-		for _, c := range combos {
+	// one enumerated and always survives. Combos are rows of one flat
+	// slab per member level, k choices wide after member k.
+	combos, count := []*Option(nil), 1
+	for k, opts := range memberOpts {
+		choices := append(opts[:len(opts):len(opts)], nil)
+		n := max(min(count*len(choices), ev.cfg.MaxGroupCombos), 0)
+		next := make([]*Option, 0, n*(k+1))
+		for c := 0; c < count; c++ {
 			for _, ch := range choices {
-				if len(next) >= ev.cfg.MaxGroupCombos {
-					break
+				if len(next) < n*(k+1) {
+					next = append(append(next, combos[c*k:(c+1)*k]...), ch)
 				}
-				nc := append(append([]*Option(nil), c...), ch)
-				next = append(next, nc)
 			}
 		}
-		combos = next
+		combos, count = next, n
 	}
-	for _, c := range combos {
-		var gain float64
-		var memC int
-		var updC float64
-		changed := false
-		for _, ch := range c {
+	w := len(memberOpts)
+	slab := make([]Option, 0, count)
+	out := make([]*Option, 0, count+1)
+	for c := 0; c < count; c++ {
+		members := combos[c*w : (c+1)*w : (c+1)*w]
+		var gain, updC float64
+		memC, changed := 0, false
+		for _, ch := range members {
 			if ch == nil {
 				continue
 			}
@@ -546,10 +691,11 @@ func (ev *Evaluator) GroupOptions(g *pipelet.Group, memberOpts [][]*Option) []*O
 		if !changed {
 			continue
 		}
-		out = append(out, &Option{
-			Kind: OptGroupCombo, Group: g, Members: c,
+		slab = append(slab, Option{
+			Kind: OptGroupCombo, Group: g, Members: members,
 			Gain: gain, MemCost: memC, UpdateCost: updC,
 		})
+		out = append(out, &slab[len(slab)-1])
 	}
 	// Group-wide cache: legal when every member span is cacheable and the
 	// entry branch is a conditional (a switch-case branch's per-action
@@ -622,8 +768,7 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 	baseline := weighted / entryReach
 	actSum := weightedAct / entryReach
 
-	h := ev.hitEstimateIdx(allTables, span)
-	h = ev.invalidationDiscount(h, span)
+	h := ev.invalidationDiscount(ev.hitEstimate(SpanKey(allTables), span), span)
 	cached := ev.pm.Lmat + h*actSum + (1-h)*baseline
 	gain := (baseline - cached) * entryReach
 	keyFields := ev.analyzer().CacheKey(allTables)

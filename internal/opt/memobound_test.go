@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pipeleon/internal/costmodel"
@@ -71,42 +72,57 @@ func TestVerdictMemosStayBounded(t *testing.T) {
 	}
 }
 
-// The unit-candidate memo is bounded like the verdict memos, and a unit
-// evicted from it enumerates again to the same result.
-func TestUnitMemoStaysBounded(t *testing.T) {
+// What a session keeps of its candidate space is bounded by the partition:
+// one skeleton per pipelet, built the first time the pipelet is searched and
+// reused from then on — no cap, nothing to evict — whatever stream of
+// profiles a daemon's lifetime feeds it, and its heap says so.
+func TestSkeletonBoundedByPartition(t *testing.T) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 4, AvgLen: 2, Category: synth.HeavyDrop, Seed: 99})
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 100, Category: synth.HeavyDrop})
 	cfg := DefaultConfig()
 	cfg.TopKFrac = 1
 	s, err := NewSession(prog, costmodel.BlueField2(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Search(prof)
-	if err != nil {
-		t.Fatal(err)
+	if len(s.skels) != len(s.part.Pipelets) {
+		t.Fatalf("%d skeleton slots for %d pipelets", len(s.skels), len(s.part.Pipelets))
 	}
-	if len(first.Plan) == 0 {
-		t.Fatal("search found no plan; the test would compare nothing")
+	search := func(round int) *SearchResult {
+		cat := synth.Category(round % 4)
+		res, err := s.Search(synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: uint64(100 + round), Category: cat}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	// A daemon's worth of regroupings: unit keys the session will never
-	// look up again.
-	for i := 0; i < 3*unitMemoCap; i++ {
-		s.memo.Put(fmt.Sprintf("g:ghost%d", i), &unitEntry{})
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
 	}
-	if n := s.memo.Len(); n > unitMemoCap {
-		t.Fatalf("unit memo holds %d entries, cap %d", n, unitMemoCap)
+	for r := 0; r < 8; r++ {
+		search(r)
 	}
-	before := s.Stats()
-	again, err := s.Search(prof)
-	if err != nil {
-		t.Fatal(err)
+	settled, heapSettled := s.Stats(), heap()
+	if settled.UnitMisses == 0 || settled.UnitMisses > uint64(len(s.part.Pipelets)) {
+		t.Fatalf("%d skeletons built for %d pipelets", settled.UnitMisses, len(s.part.Pipelets))
 	}
-	if after := s.Stats(); after.UnitHits != before.UnitHits || after.UnitMisses == before.UnitMisses {
-		t.Errorf("evicted units were answered from the memo: %+v -> %+v", before, after)
+	plans := 0
+	for r := 8; r < 408; r++ {
+		plans += len(search(r).Plan)
 	}
-	if PlanGain(again.Plan) != PlanGain(first.Plan) || fmt.Sprint(again.Plan) != fmt.Sprint(first.Plan) {
-		t.Errorf("plan after eviction %v (gain %v), before %v (gain %v)",
-			again.Plan, PlanGain(again.Plan), first.Plan, PlanGain(first.Plan))
+	if plans == 0 {
+		t.Fatal("no round found a plan; the test searched nothing")
+	}
+	after := s.Stats()
+	if after.UnitMisses != settled.UnitMisses {
+		t.Errorf("skeletons rebuilt on a warm session: %d -> %d", settled.UnitMisses, after.UnitMisses)
+	}
+	if after.UnitHits <= settled.UnitHits {
+		t.Errorf("400 rounds reused no skeleton: %+v -> %+v", settled, after)
+	}
+	if grown := int64(heap()) - int64(heapSettled); grown > 256<<10 {
+		t.Errorf("live heap grew %d KB over 400 drifting rounds", grown>>10)
 	}
 }

@@ -2,9 +2,10 @@ package opt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"pipeleon/internal/deps"
 	"pipeleon/internal/pipelet"
@@ -115,53 +116,42 @@ func (o *Option) String() string {
 func SpanKey(tables []string) string { return strings.Join(tables, "+") }
 
 // enumerateOrders returns the dependency-valid permutations of tables,
-// capped at maxOrders. The original order is always first. Beyond the cap
-// (or for long pipelets) only the original and the greedy drop-sorted
-// orders are returned.
-func enumerateOrders(an *deps.Analyzer, tables []string, dropRate map[string]float64, maxOrders int) [][]string {
+// capped at maxOrders, the original order first. A pipelet too long to
+// permute exhaustively (n! > maxOrders) yields its original order alone and
+// exhaustive = false: its one alternative, the greedy drop-sorted order,
+// follows the profile and is derived per round (skeleton.dropOrder).
+func enumerateOrders(an *deps.Analyzer, tables []string, maxOrders int) (orders [][]string, exhaustive bool) {
 	n := len(tables)
-	orders := [][]string{append([]string(nil), tables...)}
-	if n < 2 {
-		return orders
+	orders = [][]string{slices.Clone(tables)}
+	if n < 2 || !factorialAtMost(n, maxOrders) {
+		return orders, n < 2
 	}
-	// Factorial guard: enumerate exhaustively only for small pipelets.
-	if factorialAtMost(n, maxOrders) {
-		seen := map[string]bool{SpanKey(tables): true}
-		perm := make([]string, 0, n)
-		used := make([]bool, n)
-		var rec func()
-		rec = func() {
-			if len(orders) >= maxOrders {
-				return
-			}
-			if len(perm) == n {
-				key := SpanKey(perm)
-				if !seen[key] && an.ValidOrder(tables, perm) {
-					seen[key] = true
-					orders = append(orders, append([]string(nil), perm...))
-				}
-				return
-			}
-			for i := 0; i < n; i++ {
-				if used[i] {
-					continue
-				}
-				used[i] = true
-				perm = append(perm, tables[i])
-				rec()
-				perm = perm[:len(perm)-1]
-				used[i] = false
-			}
+	perm := make([]string, 0, n)
+	used := make([]bool, n)
+	var rec func()
+	rec = func() {
+		if len(orders) >= maxOrders {
+			return
 		}
-		rec()
-		return orders
+		if len(perm) == n {
+			if !slices.Equal(perm, tables) && an.ValidOrder(tables, perm) {
+				orders = append(orders, slices.Clone(perm))
+			}
+			return
+		}
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			used[i] = true
+			perm = append(perm, tables[i])
+			rec()
+			perm = perm[:len(perm)-1]
+			used[i] = false
+		}
 	}
-	// Heuristic fallback: greedy drop-sorted valid order.
-	greedy := GreedyDropOrder(an, tables, dropRate)
-	if SpanKey(greedy) != SpanKey(tables) {
-		orders = append(orders, greedy)
-	}
-	return orders
+	rec()
+	return orders, true
 }
 
 func factorialAtMost(n, cap int) bool {
@@ -175,231 +165,265 @@ func factorialAtMost(n, cap int) bool {
 	return true
 }
 
-// GreedyDropOrder builds a dependency-valid order that promotes tables
-// with higher drop rates to earlier positions (§3.2.1: "Pipeleon promotes
-// tables with higher dropping rates to earlier parts of the program"):
-// repeatedly place the highest-drop table whose original-order
-// predecessors with dependencies have all been placed.
-func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]float64) []string {
-	n := len(tables)
+// orderDeps is the dependency matrix the greedy order consults: row j,
+// column i (j < i) says table i must stay behind table j.
+func orderDeps(an *deps.Analyzer, tables []string) [][]bool {
+	blocked := make([][]bool, len(tables))
+	for j := range tables {
+		blocked[j] = make([]bool, len(tables))
+		for i := j + 1; i < len(tables); i++ {
+			blocked[j][i] = an.Dependency(tables[j], tables[i]) != deps.DepNone
+		}
+	}
+	return blocked
+}
+
+// greedyDropOrder builds a dependency-valid order, as a permutation of
+// positions, that promotes tables with higher drop rates to earlier
+// positions (§3.2.1: "Pipeleon promotes tables with higher dropping rates
+// to earlier parts of the program"): repeatedly place the highest-drop
+// table whose original-order predecessors with dependencies have all been
+// placed.
+func greedyDropOrder(blocked [][]bool, drop func(i int) float64) []int {
+	n := len(blocked)
 	placed := make([]bool, n)
-	out := make([]string, 0, n)
+	out := make([]int, 0, n)
 	ready := func(i int) bool {
-		for j := 0; j < n; j++ {
-			if placed[j] || j == i {
-				continue
-			}
-			// j unplaced; if original order has j before i with a
-			// dependency j→i, i is not ready.
-			if j < i && an.Dependency(tables[j], tables[i]) != deps.DepNone {
+		for j := 0; j < i; j++ {
+			if !placed[j] && blocked[j][i] {
 				return false
 			}
-			// Also i must not need to stay before j (dependency i→j is
-			// fine — i goes first).
 		}
 		return true
 	}
 	for len(out) < n {
 		best := -1
 		for i := 0; i < n; i++ {
-			if placed[i] || !ready(i) {
-				continue
-			}
-			if best == -1 {
+			if !placed[i] && ready(i) && (best == -1 || drop(i) > drop(best)+1e-12) {
 				best = i
-				continue
-			}
-			di, db := dropRate[tables[i]], dropRate[tables[best]]
-			if di > db+1e-12 {
-				best = i
-			}
-		}
-		if best == -1 { // should not happen for a DAG-consistent order
-			for i := 0; i < n; i++ {
-				if !placed[i] {
-					best = i
-					break
-				}
 			}
 		}
 		placed[best] = true
-		out = append(out, tables[best])
+		out = append(out, best)
 	}
 	return out
 }
 
-// evalScratch is the pooled per-order working state of the fused
-// enumerate-and-score loop: the dense index view of the order, the
-// segment accumulator, the precomputed legal span lengths, and a cache of
-// span key-field counts. Pooling it (LocalOptimize runs concurrently
-// across units) keeps the per-candidate path allocation-free.
-type evalScratch struct {
-	orderIdx []int
-	segs     []Segment
-	// maxCache[pos] / maxMerge[pos] are the longest legal cache / merge
-	// span lengths starting at pos — the deps checks are monotone over
-	// prefixes (the enumeration breaks at the first violation), so one
-	// O(n²) precompute per order replaces per-candidate CanCache/CanMerge
-	// calls.
-	maxCache []int
-	maxMerge []int
-	// keyLen caches len(an.CacheKey(span)) per (start, len), -1 = unset.
-	keyLen []int
-	n      int
+// skeleton is the profile-independent half of one pipelet's candidate
+// space (§4.2): its dependency-valid orders and, per order, the legal cache
+// and merge spans and every segmentation over them. It reads the program,
+// the dependency analysis and the structural config fields (EnableReorder/
+// Cache/Merge, MaxOrders, MaxSegmentations, MergeCap) — no profile, no cost
+// model, no table entry — so it is built once per pipelet and priced every
+// round (Evaluator.price); a sweep's sessions that agree on those share it.
+type skeleton struct {
+	p      *pipelet.Pipelet
+	orders []*orderSkel // the exhaustively enumerated orders, the pipelet's own first
+	// blocked is set for a pipelet too long to permute: its second order is
+	// the greedy drop-sorted one, which follows the profile. dropSorted
+	// keeps the last one built, so a drop order that holds from round to
+	// round is analyzed once.
+	blocked    [][]bool
+	dropSorted atomic.Pointer[orderSkel]
 }
 
-var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+// orderSkel is one table order of a pipelet: the dense view indices of its
+// tables and, for every legal span of its shape, what pricing and costing
+// need of the span's identity.
+type orderSkel struct {
+	order  []string
+	idx    []int
+	shape  *shape
+	keyLen []int    // per shape span: fields in the covering cache key
+	keys   []string // per shape span: SpanKey, the HitRateOverride key
+}
 
-// prepareOrder points the scratch at one table order.
-func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
-	n := len(order)
-	sc.n = n
-	sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], order)
-	if cap(sc.maxCache) < n {
-		sc.maxCache = make([]int, n)
-		sc.maxMerge = make([]int, n)
+// shape is the segmentation structure of an order: which spans are legal
+// and every way to lay disjoint ones over the n positions. It depends on
+// the order only through the longest legal cache and merge span per
+// position, so the orders of a pipelet that agree on those share one.
+type shape struct {
+	n     int
+	legal []int // longest legal cache span per position, then longest merge span
+	spans []Segment
+	// Candidate c is items[ends[c]:ends[c+1]], in position order: an item
+	// below n is the untouched table at that position, item n+k is
+	// spans[k]. Its segments are segs[segEnds[c]:segEnds[c+1]] — immutable,
+	// and what a surviving Option's Segments points at.
+	items   []uint16
+	ends    []uint32
+	segs    []Segment
+	segEnds []uint32
+}
+
+// segments returns candidate c's segments (nil for none).
+func (sh *shape) segments(c int) []Segment {
+	if lo, hi := sh.segEnds[c], sh.segEnds[c+1]; lo < hi {
+		return sh.segs[lo:hi:hi]
 	}
-	sc.maxCache = sc.maxCache[:n]
-	sc.maxMerge = sc.maxMerge[:n]
-	mergeMax := ev.cfg.MergeCap
-	if mergeMax < 2 {
-		mergeMax = 2
+	return nil
+}
+
+// newSkeleton analyzes one pipelet. Of the view it reads what every view of
+// the program has alike: the dependency analyzer, the dense node index, the
+// structural config fields.
+func newSkeleton(ev *Evaluator, p *pipelet.Pipelet) *skeleton {
+	sk := &skeleton{p: p}
+	if p.SwitchCase || p.Len() == 0 {
+		return sk
 	}
-	an := ev.analyzer()
+	orders, exhaustive := [][]string{slices.Clone(p.Tables)}, true
+	if ev.cfg.EnableReorder {
+		orders, exhaustive = enumerateOrders(ev.analyzer(), p.Tables, ev.cfg.MaxOrders)
+	}
+	if !exhaustive {
+		sk.blocked = orderDeps(ev.analyzer(), p.Tables)
+	}
+	var shapes []*shape
+	for _, order := range orders {
+		sk.orders = append(sk.orders, newOrderSkel(ev, order, &shapes))
+	}
+	return sk
+}
+
+// dropOrder returns the greedy drop-sorted order of a long pipelet under
+// the view's drop rates, or nil when that is the pipelet's own order.
+func (sk *skeleton) dropOrder(ev *Evaluator) *orderSkel {
+	own := sk.orders[0]
+	perm := greedyDropOrder(sk.blocked, func(i int) float64 { return ev.dropRate[own.idx[i]] })
+	order := make([]string, len(perm))
+	same := true
+	for k, i := range perm {
+		order[k] = own.order[i]
+		same = same && k == i
+	}
+	if same {
+		return nil
+	}
+	if os := sk.dropSorted.Load(); os != nil && slices.Equal(os.order, order) {
+		return os
+	}
+	os := newOrderSkel(ev, order, new([]*shape))
+	sk.dropSorted.Store(os)
+	return os
+}
+
+// newOrderSkel analyzes one order. The deps checks are monotone over
+// prefixes (a longer span contains the same violation), so the longest
+// legal span per position says which spans are legal; shapes collects the
+// pipelet's shapes built so far.
+func newOrderSkel(ev *Evaluator, order []string, shapes *[]*shape) *orderSkel {
+	an, cfg, n := ev.analyzer(), ev.cfg, len(order)
+	os := &orderSkel{order: order, idx: ev.appendIdx(nil, order)}
+	mergeMax := max(cfg.MergeCap, 2)
+	legal := make([]int, 2*n)
 	for pos := 0; pos < n; pos++ {
-		m := 0
-		if ev.cfg.EnableCache {
-			for l := 1; pos+l <= n; l++ {
-				if !an.CanCache(order[pos : pos+l]) {
-					break // a longer span contains the same violation
-				}
-				m = l
+		if cfg.EnableCache {
+			for l := 1; pos+l <= n && an.CanCache(order[pos:pos+l]); l++ {
+				legal[pos] = l
 			}
 		}
-		sc.maxCache[pos] = m
-		mm := 0
-		if ev.cfg.EnableMerge {
-			for l := 2; l <= mergeMax && pos+l <= n; l++ {
-				if !an.CanMerge(order[pos : pos+l]) {
-					break
-				}
-				mm = l
+		if cfg.EnableMerge {
+			for l := 2; l <= mergeMax && pos+l <= n && an.CanMerge(order[pos:pos+l]); l++ {
+				legal[n+pos] = l
 			}
 		}
-		sc.maxMerge[pos] = mm
 	}
-	need := (n + 1) * (n + 1)
-	if cap(sc.keyLen) < need {
-		sc.keyLen = make([]int, need)
+	if i := slices.IndexFunc(*shapes, func(sh *shape) bool { return slices.Equal(sh.legal, legal) }); i >= 0 {
+		os.shape = (*shapes)[i]
+	} else {
+		os.shape = newShape(legal, cfg.MaxSegmentations)
+		*shapes = append(*shapes, os.shape)
 	}
-	sc.keyLen = sc.keyLen[:need]
-	for i := range sc.keyLen {
-		sc.keyLen[i] = -1
+	for _, sp := range os.shape.spans {
+		names := order[sp.Start : sp.Start+sp.Len]
+		os.keyLen = append(os.keyLen, len(an.CacheKey(names)))
+		os.keys = append(os.keys, SpanKey(names))
 	}
+	return os
 }
 
-// keyLenFor returns len(an.CacheKey(order[start:start+l])), computing it
-// at most once per (order, start, l).
-func (sc *evalScratch) keyLenFor(ev *Evaluator, order []string, start, l int) int {
-	slot := start*(sc.n+1) + l
-	if kl := sc.keyLen[slot]; kl >= 0 {
-		return kl
+// newShape lists every way to assign disjoint contiguous cache and merge
+// segments over n positions (§4.2: "for each top-k pipelet, Pipeleon
+// computes all possible optimizations for each technique independently
+// [and] enumerates all valid combinations"), at most maxSegs of them (<= 0:
+// 20000), the untouched layout first. Merging and caching never apply to
+// the same table, which disjointness enforces.
+func newShape(legal []int, maxSegs int) *shape {
+	n := len(legal) / 2
+	sh := &shape{n: n, legal: legal, ends: []uint32{0}, segEnds: []uint32{0}}
+	if maxSegs <= 0 {
+		maxSegs = 20000
 	}
-	kl := len(ev.analyzer().CacheKey(order[start : start+l]))
-	sc.keyLen[slot] = kl
-	return kl
-}
-
-// segmentations visits every way to assign disjoint contiguous cache and
-// merge segments over the prepared order (§4.2: "for each top-k pipelet,
-// Pipeleon computes all possible optimizations for each technique
-// independently [and] enumerates all valid combinations"), at most max of
-// them. Merging and caching never apply to the same table, which
-// disjointness enforces. The slice passed to visit is reused between calls.
-func (sc *evalScratch) segmentations(max int, visit func(segs []Segment)) {
-	segs := sc.segs[:0]
-	emitted := 0
+	spanID := map[Segment]uint16{}
+	item := func(sp Segment) uint16 {
+		id, ok := spanID[sp]
+		if !ok {
+			id = uint16(n + len(sh.spans))
+			spanID[sp] = id
+			sh.spans = append(sh.spans, sp)
+		}
+		return id
+	}
+	var path []uint16
 	var rec func(pos int)
 	rec = func(pos int) {
-		if emitted >= max {
+		if len(sh.ends) > maxSegs {
 			return
 		}
-		if pos == sc.n {
-			emitted++
-			visit(segs)
+		if pos == n {
+			sh.items = append(sh.items, path...)
+			sh.ends = append(sh.ends, uint32(len(sh.items)))
+			for _, it := range path {
+				if int(it) >= n {
+					sh.segs = append(sh.segs, sh.spans[int(it)-n])
+				}
+			}
+			sh.segEnds = append(sh.segEnds, uint32(len(sh.segs)))
 			return
 		}
 		// (a) leave the table at pos untouched.
+		path = append(path, uint16(pos))
 		rec(pos + 1)
+		path = path[:len(path)-1]
 		// (b) cache segment starting here.
-		for l := 1; l <= sc.maxCache[pos]; l++ {
-			segs = append(segs, Segment{Kind: SegCache, Start: pos, Len: l})
+		for l := 1; l <= legal[pos]; l++ {
+			path = append(path, item(Segment{Kind: SegCache, Start: pos, Len: l}))
 			rec(pos + l)
-			segs = segs[:len(segs)-1]
+			path = path[:len(path)-1]
 		}
 		// (c) merge segment starting here.
-		for l := 2; l <= sc.maxMerge[pos]; l++ {
-			segs = append(segs, Segment{Kind: SegMerge, Start: pos, Len: l})
+		for l := 2; l <= legal[n+pos]; l++ {
+			path = append(path, item(Segment{Kind: SegMerge, Start: pos, Len: l}))
 			rec(pos + l)
-			segs = segs[:len(segs)-1]
+			path = path[:len(path)-1]
 		}
 	}
 	rec(0)
-	sc.segs = segs[:0]
+	return sh
 }
 
 // LocalOptimize enumerates and scores all candidates for one pipelet
 // (Figure 16, LocalOptimize). The returned options are sorted by gain
 // descending, truncated to cfg.MaxOptionsPerPipelet, and exclude
 // candidates with non-positive gain (the implicit "do nothing" option is
-// always available to the global search).
-//
-// Enumeration and scoring are fused: each segmentation is evaluated
-// against the dense evaluator in place, and only candidates that clear the
-// gain threshold materialize an Option.
+// always available to the global search). One-shot: a Session keeps the
+// skeleton.
 func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
-	if p.SwitchCase || p.Len() == 0 {
-		return nil
-	}
-	tables := p.Tables
-	var orders [][]string
-	if ev.cfg.EnableReorder {
-		orders = enumerateOrders(ev.analyzer(), tables, ev.dropByName, ev.cfg.MaxOrders)
-	} else {
-		orders = [][]string{append([]string(nil), tables...)}
-	}
-	sc := evalScratchPool.Get().(*evalScratch)
-	defer evalScratchPool.Put(sc)
-	sc.prepareOrder(ev, tables)
-	baseline := ev.seqLatencyIdx(tables, sc.orderIdx, nil)
-	reach := ev.reachOf(p.Head())
-	maxSegs := ev.cfg.MaxSegmentations
-	if maxSegs <= 0 {
-		maxSegs = 20000
-	}
-	var options []*Option
-	for oi, order := range orders {
-		sc.prepareOrder(ev, order)
-		sc.segmentations(maxSegs, func(segs []Segment) {
-			if oi == 0 && len(segs) == 0 {
-				return // identity
-			}
-			lat := ev.seqLatencyIdx(order, sc.orderIdx, segs)
-			gain := (baseline - lat) * reach
-			if gain > 1e-12 {
-				var segsCopy []Segment
-				if len(segs) > 0 {
-					segsCopy = append([]Segment(nil), segs...)
-				}
-				o := &Option{Kind: OptPipelet, Pipelet: p, Order: order, Segments: segsCopy, Gain: gain}
-				o.MemCost, o.UpdateCost = ev.segCostsIdx(sc, order, sc.orderIdx, segsCopy)
-				options = append(options, o)
-			}
-		})
-	}
-	sort.SliceStable(options, func(i, j int) bool { return options[i].Gain > options[j].Gain })
-	if len(options) > ev.cfg.MaxOptionsPerPipelet {
-		options = options[:ev.cfg.MaxOptionsPerPipelet]
-	}
-	return options
+	return ev.price(newSkeleton(ev, p))
+}
+
+// skeletons holds one lazily built skeleton per pipelet of a partition,
+// by Pipelet.ID: bounded by the partition, nothing to evict. Safe for
+// concurrent use, so a sweep's sessions can share one.
+type skeletons []struct {
+	once sync.Once
+	sk   *skeleton
+}
+
+// get returns p's skeleton and whether this call built it.
+func (ss skeletons) get(ev *Evaluator, p *pipelet.Pipelet) (sk *skeleton, built bool) {
+	slot := &ss[p.ID]
+	slot.once.Do(func() { slot.sk, built = newSkeleton(ev, p), true })
+	return slot.sk, built
 }

@@ -72,7 +72,7 @@ func TestEnumerateOrdersRespectsDeps(t *testing.T) {
 		aclSpec("acl", "tcp.dport"),
 	)
 	an := deps.NewAnalyzer(prog)
-	orders := enumerateOrders(an, []string{"w", "r", "acl"}, nil, 1000)
+	orders, _ := enumerateOrders(an, []string{"w", "r", "acl"}, 1000)
 	// w must always precede r.
 	for _, o := range orders {
 		wi, ri := -1, -1
@@ -92,6 +92,15 @@ func TestEnumerateOrdersRespectsDeps(t *testing.T) {
 	if len(orders) != 3 {
 		t.Errorf("got %d orders, want 3: %v", len(orders), orders)
 	}
+}
+
+// GreedyDropOrder is greedyDropOrder by table name.
+func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]float64) []string {
+	var out []string
+	for _, i := range greedyDropOrder(orderDeps(an, tables), func(i int) float64 { return dropRate[tables[i]] }) {
+		out = append(out, tables[i])
+	}
+	return out
 }
 
 func TestGreedyDropOrder(t *testing.T) {
@@ -120,16 +129,15 @@ func TestGreedyDropOrderRespectsDependency(t *testing.T) {
 	}
 }
 
-// segmentationsOf collects every segmentation LocalOptimize's walker emits
-// for one table order of prog.
+// segmentationsOf collects every segmentation the skeleton holds for one
+// table order of prog.
 func segmentationsOf(prog *p4ir.Program, cfg Config, order []string) [][]Segment {
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
-	sc := new(evalScratch)
-	sc.prepareOrder(ev, order)
-	var out [][]Segment
-	sc.segmentations(cfg.MaxSegmentations, func(segs []Segment) {
-		out = append(out, append([]Segment(nil), segs...))
-	})
+	sh := newOrderSkel(ev, order, new([]*shape)).shape
+	out := make([][]Segment, len(sh.ends)-1)
+	for c := range out {
+		out[c] = sh.segments(c)
+	}
 	return out
 }
 
@@ -399,11 +407,11 @@ func TestHitEstimateShape(t *testing.T) {
 	prog := mustChain(t, plainSpec("c", "f.a", p4ir.MatchExact), plainSpec("d", "f.b", p4ir.MatchExact))
 	cfg.HitRateOverride = map[string]float64{"c": 0.42}
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
-	if got := ev.hitEstimateIdx([]string{"c"}, []int{ev.idxOf("c")}); got != 0.42 {
+	if got := ev.hitEstimate("c", []int{ev.idxOf("c")}); got != 0.42 {
 		t.Errorf("override ignored: %v", got)
 	}
 	d := []int{ev.idxOf("d")}
-	if got, want := ev.hitEstimateIdx([]string{"d"}, d), cfg.hitEstimateNoOverride(ev.workingSetIdx(d)); got != want {
+	if got, want := ev.hitEstimate("d", d), cfg.hitEstimateNoOverride(ev.workingSetIdx(d)); got != want {
 		t.Errorf("span without an override should fall through to the model: %v, want %v", got, want)
 	}
 }

@@ -9,12 +9,8 @@ package opt
 func (ev *Evaluator) ScoreOption(o *Option) float64 {
 	switch o.Kind {
 	case OptPipelet:
-		sc := evalScratchPool.Get().(*evalScratch)
-		defer evalScratchPool.Put(sc)
-		sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], o.Pipelet.Tables)
-		baseline := ev.seqLatencyIdx(o.Pipelet.Tables, sc.orderIdx, nil)
-		sc.orderIdx = ev.appendIdx(sc.orderIdx[:0], o.Order)
-		lat := ev.seqLatencyIdx(o.Order, sc.orderIdx, o.Segments)
+		baseline := ev.seqLatencyIdx(o.Pipelet.Tables, ev.appendIdx(nil, o.Pipelet.Tables), nil)
+		lat := ev.seqLatencyIdx(o.Order, ev.appendIdx(nil, o.Order), o.Segments)
 		return (baseline - lat) * ev.reachOf(o.Pipelet.Head())
 	case OptGroupCombo:
 		var g float64

@@ -35,6 +35,33 @@ func sessionCase(i int) (synth.ProgramSpec, synth.ProfileSpec, costmodel.Params)
 	return pspec, synth.ProfileSpec{Seed: seed + 1, Category: cat}, pm
 }
 
+// sessionConfig is the corpus configuration of case i: exhaustive top-k,
+// resource budgets on every fifth case, and on every third the N-tier
+// placement unit — some tables of prog floored off the ASIC (i%3==0 cases
+// run under BlueField2, which has the off-path tier, so the three-way
+// planner runs in earnest).
+func sessionConfig(i int, prog *p4ir.Program) Config {
+	cfg := DefaultConfig()
+	cfg.TopKFrac = 1
+	if i%5 == 0 {
+		cfg.MemoryBudget = 1 << 16
+		cfg.UpdateBudget = 4000
+	}
+	if i%3 == 0 {
+		for j, name := range sortedTables(prog) {
+			switch j % 4 {
+			case 1:
+				prog.Tables[name].Unsupported = true
+			case 3:
+				prog.Tables[name].MinTier = 1
+			}
+		}
+		cfg.EnablePlacement = true
+		cfg.MaxPlacementMoves = 4
+	}
+	return cfg
+}
+
 // perturb returns a copy of prof with one table's busiest action count
 // bumped by one packet — a drift far below the quantization threshold of
 // profile.Signature, but a material change for every unit whose model
@@ -105,9 +132,10 @@ func sameResults(t *testing.T, label string, cold, warm *SearchResult) {
 // cold Search under that round's profile — same units, option strings,
 // gains, plan, and candidate counts — whether the drift stays below the
 // profile.Signature quantization threshold (round 2: one packet moved) or
-// blows past it (round 3: an entirely different workload). Run under
-// -race this also exercises the session's internal locking against the
-// per-unit worker pool.
+// blows past it (round 3: an entirely different workload). Nothing of a
+// round's prices outlives it, so there is no hit condition to meet: the
+// drifting sequence is the contract. Run under -race this also exercises
+// the session's internal locking against the per-unit worker pool.
 func TestWarmSessionMatchesColdSearch(t *testing.T) {
 	var hits, misses uint64
 	sigChanges := 0
@@ -118,33 +146,7 @@ func TestWarmSessionMatchesColdSearch(t *testing.T) {
 		p2 := perturb(p1)
 		p3 := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: profSpec.Seed + 999, Category: profSpec.Category})
 
-		cfg := DefaultConfig()
-		cfg.TopKFrac = 1
-		if i%5 == 0 {
-			cfg.MemoryBudget = 1 << 16
-			cfg.UpdateBudget = 4000
-		}
-		// A third of the corpus exercises the N-tier placement unit (and
-		// its memo): floor some tables off the ASIC and enable the
-		// placement search. i%3==0 seeds use BlueField2, which has the
-		// off-path tier, so the three-way planner runs in earnest.
-		if i%3 == 0 {
-			names := make([]string, 0, len(prog.Tables))
-			for name := range prog.Tables {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for j, name := range names {
-				switch j % 4 {
-				case 1:
-					prog.Tables[name].Unsupported = true
-				case 3:
-					prog.Tables[name].MinTier = 1
-				}
-			}
-			cfg.EnablePlacement = true
-			cfg.MaxPlacementMoves = 4
-		}
+		cfg := sessionConfig(i, prog)
 
 		s, err := NewSession(prog, pm, cfg)
 		if err != nil {
@@ -173,16 +175,18 @@ func TestWarmSessionMatchesColdSearch(t *testing.T) {
 		if st.Rounds != 3 {
 			t.Fatalf("seed %d: session served %d rounds, want 3", i, st.Rounds)
 		}
+		if n := uint64(len(s.part.Pipelets)); st.UnitMisses > n {
+			t.Fatalf("seed %d: %d skeletons built for %d pipelets", i, st.UnitMisses, n)
+		}
 	}
-	// The memo must actually engage: across the corpus, round 2's tiny
-	// drift leaves plenty of units untouched (hits) while rounds 1 and 3
-	// re-enumerate (misses), and round 3's workload swap moves the
-	// quantized signature for at least some seeds.
-	if hits == 0 {
-		t.Error("unit memo never hit across the corpus")
+	// Skeletons are built in round 1 and reused in rounds 2 and 3 whatever
+	// the drift, and round 3's workload swap moves the quantized signature
+	// for at least some seeds.
+	if hits < misses {
+		t.Errorf("skeletons reused %d times, built %d: rounds 2 and 3 should both reuse round 1's", hits, misses)
 	}
 	if misses == 0 {
-		t.Error("unit memo never missed across the corpus")
+		t.Error("no skeleton was ever built across the corpus")
 	}
 	if sigChanges == 0 {
 		t.Error("no seed drifted past the signature quantization threshold")
@@ -304,36 +308,25 @@ func TestSweepMatchesSearch(t *testing.T) {
 	}
 }
 
-// The warm hot path must stay allocation-light: after the first round
-// primes the memos, a repeat search with an unchanged profile performs no
-// candidate enumeration and only bounded bookkeeping. The budget is the
-// measured 282 objs/op plus 20 %, and most of it is the one derivation of
-// the cost view (one ReachProbs, one ActionProb map per table): a second
-// walk of the profile anywhere in the round — the ranking, the baseline and
-// the placement material each made their own, 613 objs/op — overdraws it.
+// A search of a warm session on a profile that moved — the only search the
+// runtime asks for — must stay allocation-light: the skeletons are held,
+// the price tables and the selection's buffers are pooled, and Options
+// exist only for the survivors, one slab per pipelet. The budget is the
+// measured 845 objs/search on the 110-table program plus 15 % (the
+// enumerate-and-score search made 13 900), and most of it is the one
+// derivation of the cost view (one ReachProbs, one ActionProb map per
+// table): a second walk of the profile anywhere in the round overdraws it.
 func TestWarmSearchAllocBudget(t *testing.T) {
-	pspec, profSpec, _ := sessionCase(3)
-	pspec.Pipelets = 12
-	prog := synth.Program(pspec)
-	prof := synth.SynthesizeProfile(prog, profSpec)
-	cfg := DefaultConfig()
-	cfg.TopKFrac = 1
-	cfg.SearchWorkers = 1
-
-	s, err := NewSession(prog, costmodel.EmulatedNIC(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Search(prof); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Search(prof); err != nil {
+	s, profs := driftRig(t)
+	round := 0
+	allocs := testing.AllocsPerRun(16, func() {
+		if _, err := s.Search(profs[round%len(profs)]); err != nil {
 			t.Fatal(err)
 		}
+		round++
 	})
-	const budget = 340
+	const budget = 970
 	if allocs > budget {
-		t.Fatalf("warm search allocates %.0f objs/op, budget %d", allocs, budget)
+		t.Fatalf("drifting search allocates %.0f objs/op, budget %d", allocs, budget)
 	}
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"runtime"
 
 	"pipeleon/internal/analysis"
@@ -24,8 +25,9 @@ type SweepPoint struct {
 // hit-rate assumption, or target would this program profit from most?
 //
 // All points share the program-derived analyses (dependency analyzer, one
-// verifier per proof depth, predecessor index, and one pipelet partition
-// per distinct MaxPipeletLen); each point runs its own warm session, since
+// verifier per proof depth, predecessor index, one pipelet partition per
+// distinct MaxPipeletLen, and the partition's candidate skeletons per
+// distinct structural config); each point runs its own warm session, since
 // candidate gains and rewrite verdicts depend on the point's parameters.
 // Points fan out over `workers` goroutines (<=0 uses GOMAXPROCS); results
 // are indexed by point and bit-identical to running
@@ -44,6 +46,8 @@ func Sweep(prog *p4ir.Program, prof *profile.Profile, points []SweepPoint, worke
 	shallow := analysis.NewVerifier(prog, false)
 	var deep *analysis.Verifier
 	parts := map[int]*pipelet.Partition{}
+	// Skeletons by the partition they are over and every Config field they read.
+	skels := map[string]skeletons{}
 	sessions := make([]*Session, len(points))
 	for i, pt := range points {
 		part, ok := parts[pt.Config.MaxPipeletLen]
@@ -62,7 +66,12 @@ func Sweep(prog *p4ir.Program, prof *profile.Profile, points []SweepPoint, worke
 			}
 			v = deep
 		}
-		sessions[i] = newSessionShared(prog, pt.Params, pt.Config, part, an, v, preds)
+		c := pt.Config
+		key := fmt.Sprint(c.MaxPipeletLen, c.MaxOrders, c.MaxSegmentations, c.MergeCap, c.EnableReorder, c.EnableCache, c.EnableMerge)
+		if skels[key] == nil {
+			skels[key] = make(skeletons, len(part.Pipelets))
+		}
+		sessions[i] = newSessionShared(prog, pt.Params, c, part, an, v, preds, skels[key])
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -108,8 +108,10 @@ func (p *Profile) BranchProb(cond string) float64 {
 // DropProb returns the fraction of the table's traffic that executes a
 // dropping action — the "packet dropping rate" that drives table
 // reordering (§3.2.1).
-func (p *Profile) DropProb(t *p4ir.Table) float64 {
-	probs := p.ActionProb(t)
+func (p *Profile) DropProb(t *p4ir.Table) float64 { return dropProb(t, p.ActionProb(t)) }
+
+// dropProb sums the probabilities of t's dropping actions.
+func dropProb(t *p4ir.Table, probs map[string]float64) float64 {
 	var drop float64
 	for _, a := range t.Actions {
 		if a.Drops() {
@@ -177,7 +179,7 @@ func (p *Profile) ReachProbs(prog *p4ir.Program) map[string]float64 {
 					}
 				}
 			} else if t.BaseNext != "" {
-				reach[t.BaseNext] += mass * (1 - p.DropProb(t))
+				reach[t.BaseNext] += mass * (1 - dropProb(t, probs))
 			}
 		} else if c != nil {
 			pt := p.BranchProb(name)
