@@ -25,6 +25,7 @@ import (
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
 	"pipeleon/internal/synth"
 	"pipeleon/internal/trafficgen"
 )
@@ -280,6 +281,21 @@ func ablationSearchInput() (*p4ir.Program, *opt.Config, costmodel.Params, *synth
 	return synth.Program(*spec), &cfg, costmodel.EmulatedNIC(), spec
 }
 
+// searchFresh runs one round on a session of its own: a session is bound
+// to one Config, and the ablations below compare configurations.
+func searchFresh(tb testing.TB, prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg opt.Config) *opt.SearchResult {
+	tb.Helper()
+	s, err := opt.NewSession(prog, pm, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sr, err := s.Search(prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sr
+}
+
 // BenchmarkAblationKnapsackResolution sweeps the knapsack discretization:
 // finer grids cost more time for marginally better plans.
 func BenchmarkAblationKnapsackResolution(b *testing.B) {
@@ -294,10 +310,7 @@ func BenchmarkAblationKnapsackResolution(b *testing.B) {
 			cfg.CacheInsertLimit = 1000
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sr := searchFresh(b, prog, prof, pm, cfg)
 				gain = sr.Gain
 			}
 			b.ReportMetric(gain, "gain-ns")
@@ -321,10 +334,7 @@ func BenchmarkAblationMergeCap(b *testing.B) {
 			var gain float64
 			var mem int
 			for i := 0; i < b.N; i++ {
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sr := searchFresh(b, prog, prof, pm, cfg)
 				gain = sr.Gain
 				mem, _ = opt.PlanCosts(sr.Plan)
 			}
@@ -353,10 +363,7 @@ func BenchmarkAblationTechniques(b *testing.B) {
 			cfg.EnableReorder, cfg.EnableCache, cfg.EnableMerge = m.reorder, m.cache, m.merge_
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sr := searchFresh(b, prog, prof, pm, cfg)
 				gain = sr.Gain
 			}
 			b.ReportMetric(gain, "gain-ns")
@@ -607,10 +614,7 @@ func BenchmarkPlacementPlan(b *testing.B) {
 func BenchmarkApplyPlan(b *testing.B) {
 	prog, cfg, pm, _ := ablationSearchInput()
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
-	sr, err := opt.Search(prog, prof, pm, *cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sr := searchFresh(b, prog, prof, pm, *cfg)
 	if len(sr.Plan) == 0 {
 		b.Skip("no plan")
 	}

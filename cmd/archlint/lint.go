@@ -125,8 +125,9 @@ var determinismRules = []determinismRule{
 }
 
 // lintModule walks the module rooted at root and returns all violations,
-// sorted by position. Test files (_test.go) are always exempt: they may
-// construct emulators and use wall-clock timeouts freely.
+// sorted by position. Test files (_test.go) are exempt from every rule —
+// they may construct emulators and use wall-clock timeouts freely — and
+// read by one: live-knob counts them as users of a Config field.
 func lintModule(root string) ([]Violation, error) {
 	var out []Violation
 	fset := token.NewFileSet()
@@ -175,6 +176,11 @@ func lintModule(root string) ([]Violation, error) {
 	}
 	out = append(out, vs...)
 	vs, err = lintOneVerifier(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
+	vs, err = lintLiveKnobs(fset, root)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +252,7 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 		pos  token.Position
 	}
 	var decls []decl
-	walkErr := walkModule(fset, root, func(_ string, f *ast.File) {
+	walkErr := walkModule(fset, root, false, func(_ string, f *ast.File) {
 		for _, dcl := range f.Decls {
 			gd, ok := dcl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -302,11 +308,11 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 	return out, nil
 }
 
-// walkModule parses every non-test .go file of the module rooted at root
-// and hands it to visit with its path. Fixture trees under testdata, dot
-// directories and nested modules (bench/) are not part of the module's
-// code-facing surface.
-func walkModule(fset *token.FileSet, root string, visit func(path string, f *ast.File)) error {
+// walkModule parses every .go file of the module rooted at root — test
+// files only when tests is set — and hands it to visit with its path.
+// Fixture trees under testdata, dot directories and nested modules (bench/)
+// are not part of the module's code-facing surface.
+func walkModule(fset *token.FileSet, root string, tests bool, visit func(path string, f *ast.File)) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -318,7 +324,7 @@ func walkModule(fset *token.FileSet, root string, visit func(path string, f *ast
 			}
 			return nil
 		}
-		if base := d.Name(); !strings.HasSuffix(base, ".go") || strings.HasSuffix(base, "_test.go") {
+		if base := d.Name(); !strings.HasSuffix(base, ".go") || (!tests && strings.HasSuffix(base, "_test.go")) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -335,11 +341,66 @@ func walkModule(fset *token.FileSet, root string, visit func(path string, f *ast
 func lintOneVerifier(fset *token.FileSet, root string) ([]Violation, error) {
 	var out []Violation
 	owner := filepath.Join(root, analysisDir) + string(filepath.Separator)
-	err := walkModule(fset, root, func(path string, f *ast.File) {
+	err := walkModule(fset, root, false, func(path string, f *ast.File) {
 		if !strings.HasPrefix(path, owner) && path != filepath.Join(root, facadeFile) {
 			out = append(out, checkOneVerifier(fset, f)...)
 		}
 	})
+	return out, err
+}
+
+// knobFile declares opt.Config, the optimizer's tunables. A field nothing
+// sets is not a tunable: it is a constant that a Config literal built
+// without DefaultConfig silently zeroes (six such fields once priced every
+// cache at hit rate 0 for whoever wrote opt.Config{...}). So every exported
+// field must be set somewhere in the module outside this file — assigned
+// through a selector (cfg.F = v) or keyed in a composite literal. For this
+// rule alone test files count as users: a knob only a test turns is still
+// turned. The match is by field name, as syntactic as the other rules: a
+// same-named field of another struct counts too.
+const knobFile, knobType = "internal/opt/config.go", "Config"
+
+func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
+	decl := filepath.Join(root, knobFile)
+	fields, set := map[string]token.Pos{}, map[string]bool{}
+	err := walkModule(fset, root, true, func(path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && path == decl && n.Name.Name == knobType {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if name.IsExported() {
+								fields[name.Name] = name.Pos()
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && path != decl {
+						set[sel.Sel.Name] = true
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && path != decl {
+					set[key.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	var out []Violation
+	for name, pos := range fields {
+		if !set[name] {
+			out = append(out, Violation{
+				Pos:  fset.Position(pos),
+				Rule: "live-knob",
+				Msg: fmt.Sprintf("%s.%s is set nowhere outside %s: make it an unexported constant, or delete it",
+					knobType, name, knobFile),
+			})
+		}
+	}
 	return out, err
 }
 

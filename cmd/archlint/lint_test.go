@@ -429,3 +429,63 @@ var _ = analysis.NewSemanticChecker
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
 	}
 }
+
+func TestEveryConfigFieldIsSetSomewhere(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/opt/config.go": `package opt
+
+type Config struct {
+	TopKFrac     float64
+	MergeCap     int
+	EnableCache  bool
+	HitRateAlpha float64 // set nowhere but here
+	MaxCombos    int     // only read elsewhere
+	workers      int
+}
+
+func DefaultConfig() Config { return Config{TopKFrac: 0.2, MergeCap: 2, HitRateAlpha: 0.5, MaxCombos: 256} }
+`,
+		// A selector assignment, a literal in the package, a literal
+		// outside it; a test file counts as a user.
+		"cmd/tool/main.go": `package main
+
+import "pipeleon/internal/opt"
+
+func main() { cfg := opt.DefaultConfig(); cfg.TopKFrac = 1 }
+`,
+		"internal/opt/sweep.go": `package opt
+
+var merged = Config{MergeCap: 4}
+`,
+		"internal/core/runtime_test.go": `package core
+
+import o "pipeleon/internal/opt"
+
+var _ = o.Config{EnableCache: true}
+`,
+		"internal/opt/group.go": `package opt
+
+func combos(cfg Config) int { n := cfg.MaxCombos; return n }
+`,
+		// Not part of the module: a nested module's assignment.
+		"bench/go.mod": "module bench\n",
+		"bench/rig.go": `package main
+
+func rig(cfg *struct{ HitRateAlpha float64 }) { cfg.HitRateAlpha = 1 }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range vs {
+		if v.Rule != "live-knob" || !strings.HasSuffix(v.Pos.Filename, "config.go") {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		got = append(got, v.Msg[:strings.Index(v.Msg, " ")])
+	}
+	if len(got) != 2 || got[0] != "Config.HitRateAlpha" || got[1] != "Config.MaxCombos" {
+		t.Fatalf("got %v, want Config.HitRateAlpha and Config.MaxCombos unset", vs)
+	}
+}

@@ -16,10 +16,15 @@
 //     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
 //     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof
 //     tiers are composed by analysis.Verifier only.
+//   - live-knob: every exported field of opt.Config is set (assigned
+//     through a selector, or keyed in a composite literal) somewhere in
+//     the module outside internal/opt/config.go, test files counting as
+//     users for this rule only; a field nothing sets is a constant that a
+//     literal built without DefaultConfig silently zeroes.
 //
-// Test files are exempt from every rule. Violations print one per line
-// as file:line: [rule] message; the exit status is 1 when any were
-// found and 2 on I/O or parse errors.
+// Test files are exempt from every rule (and read by live-knob only).
+// Violations print one per line as file:line: [rule] message; the exit
+// status is 1 when any were found and 2 on I/O or parse errors.
 //
 // Usage:
 //

@@ -7,8 +7,8 @@
 //
 //	GET  /v1/status             aggregate fleet + per-device status
 //	POST /v1/rollout            staged rollout of the posted program JSON
-//	POST /v1/optimize           profile canaries, plan via the shared
-//	                            cache, roll optimized layouts out per model
+//	POST /v1/optimize           profile canaries, search each profile on its
+//	                            warm session, roll layouts out per model
 //	POST /v1/quarantine?device= force a device out of rotation
 //	POST /v1/recover?device=    lift a quarantine (probation re-entry)
 //	GET  /metrics               the same counters in Prometheus text format
@@ -76,15 +76,8 @@ func main() {
 		os.Exit(runScenario(logf))
 	}
 
-	var pm costmodel.Params
-	switch *model {
-	case "bluefield2":
-		pm = costmodel.BlueField2()
-	case "agiliocx":
-		pm = costmodel.AgilioCX()
-	case "emulated":
-		pm = costmodel.EmulatedNIC()
-	default:
+	pm, ok := costmodel.ByName(*model)
+	if !ok {
 		fatal("unknown target %q", *model)
 	}
 
@@ -102,9 +95,9 @@ func main() {
 			fatal("-sim needs -program")
 		}
 		var err error
-		base, err = loadProgram(*progPath)
+		base, err = p4c.LoadFile(*progPath)
 		if err != nil {
-			fatal("loading program: %v", err)
+			fatal("%v", err)
 		}
 		gen := trafficgen.New(1, 0)
 		gen.AddFlows(trafficgen.UniformFlows(2, *flows)...)
@@ -233,19 +226,6 @@ func main() {
 	<-loopDone
 	srv.Close()
 	fmt.Println("fleetd: bye")
-}
-
-// loadProgram loads a program from JSON or compiles it from .p4 source,
-// matching nicd's -program handling.
-func loadProgram(path string) (*p4ir.Program, error) {
-	if strings.HasSuffix(path, ".p4") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return p4c.Compile(string(src))
-	}
-	return p4ir.LoadFile(path)
 }
 
 // simDevice builds one in-process emulated device: a nicsim-backed Local

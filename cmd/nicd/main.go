@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4c"
-	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
 	"pipeleon/internal/trafficgen"
@@ -67,33 +65,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var prog *p4ir.Program
-	if strings.HasSuffix(*progPath, ".p4") {
-		src, rerr := os.ReadFile(*progPath)
-		if rerr != nil {
-			fatal("loading program: %v", rerr)
-		}
-		var cerr error
-		prog, cerr = p4c.Compile(string(src))
-		if cerr != nil {
-			fatal("compiling P4: %v", cerr)
-		}
-	} else {
-		var lerr error
-		prog, lerr = p4ir.LoadFile(*progPath)
-		if lerr != nil {
-			fatal("loading program: %v", lerr)
-		}
+	prog, err := p4c.LoadFile(*progPath)
+	if err != nil {
+		fatal("%v", err)
 	}
-	var pm costmodel.Params
-	switch *model {
-	case "bluefield2":
-		pm = costmodel.BlueField2()
-	case "agiliocx":
-		pm = costmodel.AgilioCX()
-	case "emulated":
-		pm = costmodel.EmulatedNIC()
-	default:
+	pm, ok := costmodel.ByName(*model)
+	if !ok {
 		fatal("unknown target %q", *model)
 	}
 

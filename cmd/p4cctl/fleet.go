@@ -124,9 +124,8 @@ func fleetCall(client *http.Client, method, u string, body io.Reader, out any) {
 func printFleetStatus(st fleet.Status) {
 	fmt.Printf("fleet: %d devices — %d healthy, %d degraded, %d quarantined, %d recovering (%d serving)\n",
 		len(st.Devices), st.Healthy, st.Degraded, st.Quarantined, st.Recovering, st.Serving)
-	fmt.Printf("rollouts: %d total, %d halted, %d fleet rollbacks; plan cache %d entries (%d hits / %d misses)\n",
-		st.Rollouts, st.HaltedRollouts, st.FleetRollbacks,
-		st.PlanCache.Entries, st.PlanCache.Hits, st.PlanCache.Misses)
+	fmt.Printf("rollouts: %d total, %d halted, %d fleet rollbacks\n",
+		st.Rollouts, st.HaltedRollouts, st.FleetRollbacks)
 	fmt.Printf("search: %d warm sessions, %d rounds in %s; skeletons %d reused / %d built, verify memo %d hits / %d misses\n",
 		st.OptSearch.Sessions, st.OptSearch.Rounds,
 		time.Duration(st.OptSearch.TotalSearchNs),

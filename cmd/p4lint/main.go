@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
@@ -109,30 +108,9 @@ func main() {
 // load resolves one CLI argument into a program and (optionally) the
 // cost-model parameters to lint it under.
 func load(path, targetName string) (*p4ir.Program, costmodel.Params, bool, error) {
-	var pm costmodel.Params
-	hasPM := true
-	switch targetName {
-	case "bluefield2":
-		pm = costmodel.BlueField2()
-	case "agiliocx":
-		pm = costmodel.AgilioCX()
-	case "emulated":
-		pm = costmodel.EmulatedNIC()
-	case "":
-		hasPM = false
-	default:
+	pm, hasPM := costmodel.ByName(targetName)
+	if !hasPM && targetName != "" {
 		return nil, pm, false, fmt.Errorf("unknown target %q", targetName)
-	}
-	if strings.HasSuffix(path, ".p4") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, pm, false, err
-		}
-		prog, err := p4c.Compile(string(src))
-		if err != nil {
-			return nil, pm, false, fmt.Errorf("compiling: %w", err)
-		}
-		return prog, pm, hasPM, nil
 	}
 	// A replay trace is JSON too; try it first so its embedded program and
 	// recorded cost model are used.
@@ -144,7 +122,7 @@ func load(path, targetName string) (*p4ir.Program, costmodel.Params, bool, error
 			return prog, pm, hasPM, nil
 		}
 	}
-	prog, err := p4ir.LoadFile(path)
+	prog, err := p4c.LoadFile(path)
 	if err != nil {
 		return nil, pm, false, err
 	}

@@ -44,15 +44,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var pm costmodel.Params
-	switch *model {
-	case "bluefield2":
-		pm = costmodel.BlueField2()
-	case "agiliocx":
-		pm = costmodel.AgilioCX()
-	case "emulated":
-		pm = costmodel.EmulatedNIC()
-	default:
+	pm, ok := costmodel.ByName(*model)
+	if !ok {
 		fatal("unknown target %q", *model)
 	}
 

@@ -56,7 +56,11 @@ func TestDenseMatchesReference(t *testing.T) {
 			prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: seed + 1, Category: cat})
 			cfg := opt.DefaultConfig()
 			cfg.TopKFrac = 1
-			res, err := opt.Search(prog, prof, pm, cfg)
+			s, err := opt.NewSession(prog, pm, cfg)
+			if err != nil {
+				t.Fatalf("session: %v", err)
+			}
+			res, err := s.Search(prof)
 			if err != nil {
 				t.Fatalf("search: %v", err)
 			}
@@ -85,7 +89,11 @@ func TestDenseMatchesReferenceLargeProgram(t *testing.T) {
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 8, Category: synth.Mixed})
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
-	_, rw, err := opt.SearchAndApply(prog, prof, costmodel.BlueField2(), cfg)
+	s, err := opt.NewSession(prog, costmodel.BlueField2(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rw, err := s.SearchAndApply(prof)
 	if err != nil {
 		t.Fatal(err)
 	}

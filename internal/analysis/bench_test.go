@@ -21,7 +21,11 @@ func proofBenchPrograms(b *testing.B) (orig, optimized *p4ir.Program) {
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.DeepVerify = true
-	_, rw, err := opt.SearchAndApply(orig, prof, costmodel.BlueField2(), cfg)
+	s, err := opt.NewSession(orig, costmodel.BlueField2(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rw, err := s.SearchAndApply(prof)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -63,7 +63,11 @@ func TestSearchNeverEmitsUnverifiableCandidate(t *testing.T) {
 		cfg := opt.DefaultConfig()
 		cfg.TopKFrac = 1
 
-		res, err := opt.Search(prog, prof, pm, cfg)
+		s, err := opt.NewSession(prog, pm, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: session: %v", pspec.Seed, err)
+		}
+		res, err := s.Search(prof)
 		if err != nil {
 			t.Fatalf("seed %d: search: %v", pspec.Seed, err)
 		}
@@ -82,12 +86,12 @@ func TestSearchNeverEmitsUnverifiableCandidate(t *testing.T) {
 			}
 		}
 		// The combined plan verifies and lints clean too.
-		_, rw, err := opt.SearchAndApply(prog, prof, pm, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: search-and-apply: %v", pspec.Seed, err)
-		}
-		if rw == nil {
+		if len(res.Plan) == 0 {
 			continue
+		}
+		rw, err := s.Materialize(res.Plan)
+		if err != nil {
+			t.Fatalf("seed %d: materializing the plan: %v", pspec.Seed, err)
 		}
 		applied++
 		if l := analysis.VerifyRewrite(prog, rw.Program); l.HasErrors() {
@@ -114,7 +118,11 @@ func TestVerifierCatchesCorruptedRewrites(t *testing.T) {
 		prof := synth.SynthesizeProfile(prog, profSpec)
 		cfg := opt.DefaultConfig()
 		cfg.TopKFrac = 1
-		_, rw, err := opt.SearchAndApply(prog, prof, pm, cfg)
+		s, err := opt.NewSession(prog, pm, cfg)
+		if err != nil {
+			continue
+		}
+		_, rw, err := s.SearchAndApply(prof)
 		if err != nil || rw == nil {
 			continue
 		}

@@ -92,6 +92,18 @@ type Params struct {
 	SRAMBytes  int
 }
 
+// ByName returns the preset whose Name is name — "bluefield2", "agiliocx"
+// or "emulated", the values of the commands' -target/-model flags — and
+// false for any other name.
+func ByName(name string) (Params, bool) {
+	for _, preset := range []func() Params{BlueField2, AgilioCX, EmulatedNIC} {
+		if pm := preset(); pm.Name == name {
+			return pm, true
+		}
+	}
+	return Params{}, false
+}
+
 // BlueField2 returns parameters approximating Nvidia BlueField2: dRMT ASIC
 // cores fetching match-action entries over a memory bus, 2x100 Gb/s ports
 // (one used in the paper's back-to-back setup). Counter updates on

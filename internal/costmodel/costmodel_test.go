@@ -418,3 +418,17 @@ func TestProgramMemoryBytes(t *testing.T) {
 		t.Errorf("memory should grow with entries, got %d", got)
 	}
 }
+
+func TestByNameFindsEveryPreset(t *testing.T) {
+	for _, preset := range []Params{BlueField2(), AgilioCX(), EmulatedNIC()} {
+		if got, ok := ByName(preset.Name); !ok || got != preset {
+			t.Errorf("ByName(%q) = %+v, %v; want the %s preset", preset.Name, got, ok, preset.Name)
+		}
+	}
+	if _, ok := ByName("tofino"); ok {
+		t.Error("ByName found a preset nobody defined")
+	}
+	if _, ok := ByName(""); ok {
+		t.Error("ByName matched the empty name")
+	}
+}

@@ -5,6 +5,8 @@ import (
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/opt"
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/profile"
 	"pipeleon/internal/synth"
 )
 
@@ -51,10 +53,7 @@ func Fig10(opts RunOpts) *Result {
 				cfg.EnableReorder = c.tech == "reorder"
 				cfg.EnableCache = c.tech == "cache"
 				cfg.EnableMerge = c.tech == "merge"
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					panic(err)
-				}
+				sr := search(prog, prof, pm, cfg)
 				if sr.BaselineLatency > 0 {
 					sum += sr.Gain / sr.BaselineLatency * 100
 					n++
@@ -67,6 +66,21 @@ func Fig10(opts RunOpts) *Result {
 	}
 	res.Note("longer pipelets yield larger reductions; merging (2-table cap) trails reordering and caching, as in the paper")
 	return res
+}
+
+// search runs one optimization round on a session of its own: the figures
+// vary the Config per point, and a session is bound to one. The inputs are
+// synthesized here, so an error is a bug in this package.
+func search(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg opt.Config) *opt.SearchResult {
+	s, err := opt.NewSession(prog, pm, cfg)
+	if err != nil {
+		panic(err)
+	}
+	sr, err := s.Search(prof)
+	if err != nil {
+		panic(err)
+	}
+	return sr
 }
 
 func max(a, b int) int {

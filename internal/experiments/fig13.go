@@ -45,10 +45,7 @@ func Fig13(opts RunOpts) *Result {
 				cfg := opt.DefaultConfig()
 				cfg.TopKFrac = k
 				cfg.CacheInsertLimit = 0
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					panic(err)
-				}
+				sr := search(prog, prof, pm, cfg)
 				times[k] = append(times[k], float64(sr.Elapsed.Microseconds())/1000)
 			}
 		}
@@ -101,20 +98,14 @@ func Fig14(opts RunOpts) *Result {
 			cfgE := opt.DefaultConfig()
 			cfgE.TopKFrac = 1
 			cfgE.CacheInsertLimit = 0
-			esr, err := opt.Search(prog, prof, pm, cfgE)
-			if err != nil {
-				panic(err)
-			}
+			esr := search(prog, prof, pm, cfgE)
 			if esr.Gain <= 0 {
 				continue
 			}
 			for ki, k := range ks {
 				cfg := cfgE
 				cfg.TopKFrac = k
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					panic(err)
-				}
+				sr := search(prog, prof, pm, cfg)
 				ratios[[2]int{ei, ki}] = append(ratios[[2]int{ei, ki}], sr.Gain/esr.Gain)
 			}
 		}
@@ -165,10 +156,7 @@ func Fig15(opts RunOpts) *Result {
 				cfg.TopKFrac = k
 				cfg.EnableGroups = groups
 				cfg.CacheInsertLimit = 0
-				sr, err := opt.Search(prog, prof, pm, cfg)
-				if err != nil {
-					panic(err)
-				}
+				sr := search(prog, prof, pm, cfg)
 				red := 0.0
 				if sr.BaselineLatency > 0 {
 					red = sr.Gain / sr.BaselineLatency * 100

@@ -63,10 +63,7 @@ func Fig19(opts RunOpts) *Result {
 			cfg := opt.DefaultConfig()
 			cfg.TopKFrac = 1
 			cfg.CacheInsertLimit = 0
-			sr, err := opt.Search(prog, prof, pm, cfg)
-			if err != nil {
-				panic(err)
-			}
+			sr := search(prog, prof, pm, cfg)
 			if sr.BaselineLatency <= 0 {
 				continue
 			}

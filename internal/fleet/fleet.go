@@ -12,9 +12,10 @@
 //     with per-device measured-regression verification and an automatic
 //     fleet-wide halt-and-rollback when the failure ratio crosses a
 //     threshold (rollout.go),
-//   - a shared plan cache keyed by program fingerprint and quantized
-//     profile signature, so one canary's optimization search is reused
-//     across similar devices (plancache.go).
+//   - fleet optimization rounds: one canary per device model is profiled,
+//     the profile searched on a warm optimizer session held per (program
+//     digest, model), and the result staged across the fleet; a round that
+//     finds the plan already running deploys nothing (sessions.go).
 //
 // The controller degrades gracefully: quarantined devices are excluded
 // from rollouts and the rest of the fleet keeps serving; recovered
@@ -43,8 +44,6 @@ type Options struct {
 	Policy HealthPolicy
 	// Optimizer configures plan search for OptimizeAndRollout.
 	Optimizer opt.Config
-	// Cache is the shared plan cache; nil → a private cache of default size.
-	Cache *PlanCache
 	// Logf, when set, receives human-readable progress lines.
 	Logf func(format string, args ...any)
 }
@@ -54,7 +53,6 @@ type Options struct {
 type Controller struct {
 	policy   HealthPolicy
 	optCfg   opt.Config
-	cache    *PlanCache
 	sessions *sessionPool
 	logf     func(string, ...any)
 
@@ -79,10 +77,6 @@ func New(opts Options) *Controller {
 	if pol.ProbeTimeout <= 0 {
 		pol.ProbeTimeout = 2 * time.Second
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = NewPlanCache(0)
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -90,7 +84,6 @@ func New(opts Options) *Controller {
 	return &Controller{
 		policy:   pol,
 		optCfg:   opts.Optimizer,
-		cache:    cache,
 		sessions: newSessionPool(),
 		logf:     logf,
 		byName:   map[string]*device{},

@@ -81,9 +81,14 @@ func newMember(t *testing.T, name string, prog *p4ir.Program) fleet.FleetMember 
 
 func newMemberNIC(t *testing.T, name string, prog *p4ir.Program) (fleet.FleetMember, *nicsim.NIC) {
 	t.Helper()
+	return newMemberModel(t, name, prog, costmodel.BlueField2())
+}
+
+func newMemberModel(t *testing.T, name string, prog *p4ir.Program, pm costmodel.Params) (fleet.FleetMember, *nicsim.NIC) {
+	t.Helper()
 	col := profile.NewCollector()
 	nic, err := nicsim.New(prog.Clone(), nicsim.Config{
-		Params:     costmodel.BlueField2(),
+		Params:     pm,
 		Collector:  col,
 		Instrument: true,
 	})
@@ -299,16 +304,24 @@ func TestOperatorQuarantineExcludesDevice(t *testing.T) {
 	}
 }
 
-// TestOptimizeAndRolloutSharesPlans runs a fleet optimization round over
-// three same-model devices: the canary's search result is cached and the
-// optimized program (hot ACL promoted) rolls out to the whole group.
-func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
-	progA := aclProgram(t)
+// reorderOnly is the optimizer configuration of the optimization-round
+// tests: every pipelet searched, reordering the only rewrite, so the one
+// profitable plan is promoting the hot ACL.
+func reorderOnly() opt.Config {
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.EnableCache = false
 	cfg.EnableMerge = false
-	ctl := fleet.New(fleet.Options{Optimizer: cfg, Logf: t.Logf})
+	return cfg
+}
+
+// TestOptimizeAndRolloutSharesPlans runs a fleet optimization round over
+// three same-model devices: the canary's profile is searched once, on the
+// one session the pool holds for the pair, and the optimized program (hot
+// ACL promoted) rolls out to the whole group.
+func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
+	progA := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
 
 	gen := dropTraffic()
 	var members []fleet.FleetMember
@@ -338,9 +351,103 @@ func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 			t.Errorf("%s root = %q, want acl2 promoted", m.Name, root)
 		}
 	}
-	cs := ctl.Status().PlanCache
-	if cs.Entries != 1 || cs.Misses != 1 {
-		t.Errorf("plan cache = %+v, want one searched entry", cs)
+	if ss := ctl.Status().OptSearch; ss.Sessions != 1 || ss.Rounds != 1 {
+		t.Errorf("session pool = %d sessions, %d rounds, want one search on one session", ss.Sessions, ss.Rounds)
+	}
+}
+
+// TestRepeatedOptimizeConverges pins what stands where the plan cache
+// stood: a second optimization round over an unchanged canary profile
+// searches again on the same warm session, finds the same program, and
+// Rollout's whole-digest test turns that into zero deploys.
+func TestRepeatedOptimizeConverges(t *testing.T) {
+	progA := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
+	gen := dropTraffic()
+	for i := 0; i < 3; i++ {
+		m, nic := newMemberNIC(t, fmt.Sprintf("nic%d", i), progA)
+		nic.Measure(gen.Batch(4000))
+		if err := ctl.Add(m.Name, m.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unverified deploys: no measurement moves the canary's profile
+	// between the rounds.
+	rcfg := fleet.DefaultRolloutConfig(nil)
+
+	first, err := ctl.OptimizeAndRollout(progA, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 1 || len(first[0].Committed) != 3 {
+		t.Fatalf("first round: %+v, want one report committing 3 devices", first)
+	}
+	before := ctl.Status()
+
+	second, err := ctl.OptimizeAndRollout(progA, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second) != 1 {
+		t.Fatalf("second round: %d reports, want 1", len(second))
+	}
+	rep := second[0]
+	if rep.Fingerprint != first[0].Fingerprint {
+		t.Errorf("second round planned %s, first %s: same profile, different program", rep.Fingerprint, first[0].Fingerprint)
+	}
+	if rep.Attempted != 0 || len(rep.Results) != 3 {
+		t.Fatalf("second round attempted %d deploys over %d results, want 0 over 3", rep.Attempted, len(rep.Results))
+	}
+	for _, r := range rep.Results {
+		if !r.Converged {
+			t.Errorf("%s not marked converged: %+v", r.Device, r)
+		}
+	}
+	after := ctl.Status()
+	if ss := after.OptSearch; ss.Sessions != 1 || ss.Rounds != 2 {
+		t.Errorf("session pool = %d sessions, %d rounds, want 1 and 2", ss.Sessions, ss.Rounds)
+	}
+	for i, d := range after.Devices {
+		if d.Deploys != before.Devices[i].Deploys {
+			t.Errorf("%s deploys %d -> %d on a converged round", d.Name, before.Devices[i].Deploys, d.Deploys)
+		}
+	}
+}
+
+// TestOptimizeContinuesPastFailedGroup: one model's canary failing to
+// profile must not keep the other model's devices from being optimized.
+// Groups run in model-name order, so the failing agiliocx group is first.
+func TestOptimizeContinuesPastFailedGroup(t *testing.T) {
+	progA := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
+	gen := dropTraffic()
+	dead, _ := newMemberModel(t, "agilio0", progA, costmodel.AgilioCX())
+	live, nic := newMemberModel(t, "bf0", progA, costmodel.BlueField2())
+	nic.Measure(gen.Batch(4000))
+	for _, m := range []fleet.FleetMember{dead, live} {
+		if err := ctl.Add(m.Name, m.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead.Script.Queue(faultinject.PointProbe, faultinject.Decision{Fail: true})
+
+	reports, err := ctl.OptimizeAndRollout(progA, fleet.DefaultRolloutConfig(nil))
+	if err == nil || !strings.Contains(err.Error(), "agiliocx") {
+		t.Fatalf("err = %v, want the agiliocx group's planning failure", err)
+	}
+	if dead.Script.Pending(faultinject.PointProbe) != 0 {
+		t.Fatal("the scripted probe failure never fired")
+	}
+	if len(reports) != 1 {
+		t.Fatalf("reports = %d, want the bluefield2 group's rollout", len(reports))
+	}
+	committed := false
+	for _, name := range reports[0].Committed {
+		committed = committed || name == "bf0"
+	}
+	if !committed || live.Target.Program().Root != "acl2" {
+		t.Errorf("bf0 committed=%v root=%q, want the optimized program committed: %+v",
+			committed, live.Target.Program().Root, reports[0])
 	}
 }
 

@@ -72,10 +72,6 @@ func WriteMetrics(w io.Writer, st Status) error {
 	p.counter("pipeleon_fleet_rollouts_halted_total", "Rollouts halted by the failure-fraction gate.", float64(st.HaltedRollouts))
 	p.counter("pipeleon_fleet_rollbacks_total", "Fleet-wide rollbacks.", float64(st.FleetRollbacks))
 
-	p.gauge("pipeleon_plancache_entries", "Plans held in the shared plan cache.", float64(st.PlanCache.Entries))
-	p.counter("pipeleon_plancache_hits_total", "Plan-cache lookups served from cache.", float64(st.PlanCache.Hits))
-	p.counter("pipeleon_plancache_misses_total", "Plan-cache lookups that ran a fresh search.", float64(st.PlanCache.Misses))
-
 	p.gauge("pipeleon_optsearch_sessions", "Live warm optimizer sessions.", float64(st.OptSearch.Sessions))
 	p.counter("pipeleon_optsearch_pool_hits_total", "Session-pool lookups that reused a warm session.", float64(st.OptSearch.PoolHits))
 	p.counter("pipeleon_optsearch_pool_misses_total", "Session-pool lookups that built a session.", float64(st.OptSearch.PoolMisses))

@@ -20,7 +20,6 @@ func TestWriteMetricsRendersStatus(t *testing.T) {
 		},
 		Healthy: 1, Quarantined: 1, Serving: 1,
 		Rollouts: 5, HaltedRollouts: 1, FleetRollbacks: 2,
-		PlanCache: PlanCacheStats{Entries: 2, Hits: 7, Misses: 3},
 		OptSearch: SearchSessionStats{Sessions: 2, Rounds: 4, UnitHits: 11, TotalSearchNs: 2.5e9},
 	}
 	var sb strings.Builder
@@ -40,8 +39,6 @@ func TestWriteMetricsRendersStatus(t *testing.T) {
 		"pipeleon_fleet_rollouts_total 5",
 		"pipeleon_fleet_rollouts_halted_total 1",
 		"pipeleon_fleet_rollbacks_total 2",
-		"pipeleon_plancache_entries 2",
-		"pipeleon_plancache_hits_total 7",
 		"pipeleon_optsearch_rounds_total 4",
 		"pipeleon_optsearch_unit_memo_hits_total 11",
 		"pipeleon_optsearch_search_seconds_total 2.5",

@@ -19,7 +19,7 @@ import (
 func TestNicdKilledMidCanary(t *testing.T) {
 	progA := aclProgram(t)
 	progB := altProgram(t)
-	fpA, fpB := fleet.Fingerprint(progA), fleet.Fingerprint(progB)
+	fpA, fpB := progA.Digest(), progB.Digest()
 
 	// dev0 is in-process; dev1 sits behind a control-plane server.
 	m0 := newMember(t, "dev0", progA)
@@ -80,8 +80,8 @@ func TestNicdKilledMidCanary(t *testing.T) {
 	if rep.Halted || len(rep.Committed) != 2 {
 		t.Fatalf("healthy rollout: halted=%v committed=%v", rep.Halted, rep.Committed)
 	}
-	if got := fleet.Fingerprint(rdev.Program()); got != fpB {
-		t.Fatalf("remote device runs %q, want %q", got, fpB)
+	if got := rdev.Program().Digest(); got != fpB {
+		t.Fatalf("remote device runs %x, want %x", got, fpB)
 	}
 
 	// Kill the device server mid-fleet.
@@ -99,8 +99,8 @@ func TestNicdKilledMidCanary(t *testing.T) {
 		t.Fatalf("committed=%v after halt, want none", rep.Committed)
 	}
 	// dev0 had committed progA and must be back on progB.
-	if got := fleet.Fingerprint(m0.Target.Program()); got != fpB {
-		t.Fatalf("dev0 runs %q after fleet rollback, want %q", got, fpB)
+	if got := m0.Target.Program().Digest(); got != fpB {
+		t.Fatalf("dev0 runs %x after fleet rollback, want %x", got, fpB)
 	}
 
 	// Probe failures quarantine the dead device; the fleet keeps serving.
@@ -136,11 +136,11 @@ func TestNicdKilledMidCanary(t *testing.T) {
 	if rep.Halted || len(rep.Committed) != 2 {
 		t.Fatalf("reconvergence: halted=%v committed=%v (%s)", rep.Halted, rep.Committed, rep.HaltReason)
 	}
-	if got := fleet.Fingerprint(m0.Target.Program()); got != fpA {
-		t.Errorf("dev0 runs %q, want %q", got, fpA)
+	if got := m0.Target.Program().Digest(); got != fpA {
+		t.Errorf("dev0 runs %x, want %x", got, fpA)
 	}
-	if got := fleet.Fingerprint(rdev.Program()); got != fpA {
-		t.Errorf("dev1 runs %q, want %q", got, fpA)
+	if got := rdev.Program().Digest(); got != fpA {
+		t.Errorf("dev1 runs %x, want %x", got, fpA)
 	}
 	st := ctl.Status()
 	if st.Healthy != 2 || st.HaltedRollouts != 1 || st.FleetRollbacks != 1 {

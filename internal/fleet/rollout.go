@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
 
+	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
@@ -161,6 +163,11 @@ type RolloutReport struct {
 	Attempted int `json:"attempted"`
 	Failed    int `json:"failed"`
 }
+
+// shortDigest is the display form of a program digest in logs and reports:
+// its first 16 hex characters. Rollouts and the session pool identify
+// programs by the whole digest.
+func shortDigest(d p4ir.Digest) string { return hex.EncodeToString(d[:8]) }
 
 // Rollout deploys prog to every eligible device in stages: canary first,
 // then exponentially growing waves. Each device deploy is verified with a
@@ -416,11 +423,16 @@ func (c *Controller) deployOne(d *device, prog *p4ir.Program, cfg RolloutConfig,
 
 // OptimizeAndRollout runs one fleet optimization round: for each device
 // model represented in the eligible fleet, it profiles the group's canary
-// (first eligible device), resolves an optimized program through the
-// shared plan cache — one canary's search is reused for every similar
-// profile on the same (program, model) — and stages a Rollout of the
-// result across the whole fleet. base is the original (unoptimized)
-// program the plans are computed from.
+// (first eligible device), searches that profile on the warm session held
+// for the (program, model) pair and stages a Rollout of the result across
+// the whole fleet. A round that finds the plan the fleet already runs
+// costs no deploy: Rollout skips every device whose program digest
+// matches. base is the original (unoptimized) program the plans are
+// computed from.
+//
+// A group whose canary cannot be profiled or planned does not hold back
+// the other models: the round goes on, and the error returned joins every
+// group's failure beside the reports that were gathered.
 func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) ([]*RolloutReport, error) {
 	if base == nil {
 		return nil, errors.New("fleet: OptimizeAndRollout needs the base program")
@@ -430,32 +442,33 @@ func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) (
 		return nil, errors.New("fleet: no eligible devices")
 	}
 	var reports []*RolloutReport
+	var errs []error
 	for _, g := range modelGroups(eligible) {
 		canary := g.Devs[0]
-		entry, err := c.planFor(base, canary)
+		res, rw, err := c.planFor(base, canary)
 		if err != nil {
-			return reports, fmt.Errorf("fleet: planning for model %s via %s: %w", g.Model, canary.name, err)
+			errs = append(errs, fmt.Errorf("fleet: planning for model %s via %s: %w", g.Model, canary.name, err))
+			continue
 		}
-		if len(entry.Plan) == 0 {
+		if rw == nil {
 			c.logf("optimize: model %s: no profitable plan, skipping rollout", g.Model)
 			continue
 		}
-		c.logf("optimize: model %s: plan %v (est. gain %.0fns, cache %s)",
-			g.Model, entry.Plan, entry.Gain, entry.Source)
-		rep, err := c.Rollout(entry.Program, cfg)
+		c.logf("optimize: model %s: plan %v (est. gain %.0fns)", g.Model, res.Plan, res.Gain)
+		rep, err := c.Rollout(rw.Program, cfg)
 		if rep != nil {
 			reports = append(reports, rep)
 		}
 		if err != nil {
-			return reports, err
+			errs = append(errs, fmt.Errorf("model %s: %w", g.Model, err))
 		}
 	}
-	return reports, nil
+	return reports, errors.Join(errs...)
 }
 
-// planFor resolves the optimized program for base as seen by the canary
-// device's current profile, via the shared plan cache.
-func (c *Controller) planFor(base *p4ir.Program, canary *device) (*PlanEntry, error) {
+// planFor searches base under the canary device's current profile, on the
+// warm session for (base, canary model). A nil Rewrite means no plan paid.
+func (c *Controller) planFor(base *p4ir.Program, canary *device) (*opt.SearchResult, *opt.Rewrite, error) {
 	var prof *profile.Profile
 	err := safeCall(func() error {
 		p, err := canary.tgt.Profile(false)
@@ -466,39 +479,11 @@ func (c *Controller) planFor(base *p4ir.Program, canary *device) (*PlanEntry, er
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("profiling canary: %w", err)
+		return nil, nil, fmt.Errorf("profiling canary: %w", err)
 	}
-	digest := base.Digest()
-	sig := profile.Signature(base, prof)
-	model := canary.model
-	if e, ok := c.cache.Get(digest, model, sig); ok {
-		return e, nil
-	}
-	// Plan-cache miss: the quantized signature moved. Search on the warm
-	// session for this (program, model) pair, which reuses the partition,
-	// dependency analysis, and every unit whose material inputs held still.
-	s, err := c.sessions.get(digest, model, base, canary.tgt.Capabilities().Params, c.optCfg)
+	s, err := c.sessions.get(base.Digest(), canary.model, base, canary.tgt.Capabilities().Params, c.optCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, rw, err := s.SearchAndApply(prof)
-	if err != nil {
-		return nil, err
-	}
-	e := &PlanEntry{
-		Base:      digest,
-		Model:     model,
-		Signature: sig,
-		Gain:      res.Gain,
-		Program:   base,
-		Source:    "search",
-	}
-	if rw != nil && len(res.Plan) > 0 {
-		e.Program = rw.Program
-		for _, o := range res.Plan {
-			e.Plan = append(e.Plan, o.String())
-		}
-	}
-	c.cache.Put(e)
-	return e, nil
+	return s.SearchAndApply(prof)
 }

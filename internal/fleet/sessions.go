@@ -15,12 +15,10 @@ import (
 // programs at a time, and an evicted pair merely pays one cold search.
 const maxWarmSessions = 8
 
-// sessionPool caches warm optimizer sessions keyed by (program digest,
-// device model). The plan cache already short-circuits
-// repeated searches whose quantized profile signature matches exactly; the
-// session pool accelerates the remaining case — a signature that did move,
-// for a program/model pair searched before — by reusing the session's
-// program-derived state and candidate skeletons. FIFO eviction, like PlanCache.
+// sessionPool holds warm optimizer sessions keyed by (program digest,
+// device model): every optimization round for a pair searched before
+// reuses the session's program-derived state and candidate skeletons.
+// FIFO eviction.
 type sessionPool struct {
 	mu     sync.Mutex
 	order  []sessionKey

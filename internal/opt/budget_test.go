@@ -26,7 +26,7 @@ func TestSearchRespectsResourceBudgets(t *testing.T) {
 			cfg.MemoryBudget = mem
 			cfg.UpdateBudget = upd
 			cfg.CacheInsertLimit = 500
-			sr, err := Search(prog, prof, pm, cfg)
+			sr, err := coldSession(t, prog, pm, cfg).Search(prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestConstrainedPlansApplyCleanly(t *testing.T) {
 	cfg.MemoryBudget = 32 << 10
 	cfg.UpdateBudget = 2000
 	cfg.CacheInsertLimit = 500
-	sr, rw, err := SearchAndApply(prog, prof, pm, cfg)
+	sr, rw, err := coldSession(t, prog, pm, cfg).SearchAndApply(prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,23 +17,6 @@ type Config struct {
 	// CacheInsertLimit caps each cache's entry insertions per second;
 	// insertions beyond the limit are dropped (§3.2.2).
 	CacheInsertLimit float64
-	// EstimatedHitRate is the default hit-rate estimate used before any
-	// runtime observation exists (§3.2.2: "it uses a default estimated
-	// hit rate for calculation but continuously monitors its actual
-	// performance at runtime").
-	EstimatedHitRate float64
-	// HitRateAlpha shapes the budget/working-set scaling of the hit-rate
-	// estimate: h = min(EstimatedHitRate, (budget/workingSet)^alpha).
-	// Under Zipf-like locality a cache covering a fraction f of the flow
-	// space captures more than f of the packets, hence alpha < 1.
-	HitRateAlpha float64
-	// InvalidationPenalty models cache-warmth loss per covered-table
-	// entry update (seconds of degradation per update/second): a cache
-	// whose covered tables update at rate U has its estimated hit rate
-	// scaled by 1/(1 + U·InvalidationPenalty), since every update
-	// invalidates the entire cache (§3.2.2). This is what steers the
-	// planner away from caching churning tables (Figure 11a).
-	InvalidationPenalty float64
 	// HitRateOverride pins the estimated hit rate for specific spans
 	// (keyed by SpanKey). The runtime writes observed rates here so
 	// re-planning uses reality instead of the default estimate.
@@ -42,10 +25,6 @@ type Config struct {
 	// restricts merges to two tables by default to control memory
 	// overhead (§5.2.2) but sweeps to four in Figure 9d.
 	MergeCap int
-	// MergedCacheHitRate estimates the coverage of a merged-exact cache
-	// (the fraction of traffic matching installed entries in all merged
-	// tables).
-	MergedCacheHitRate float64
 	// MaxOrders caps the number of table orders enumerated per pipelet;
 	// beyond it only the original and the greedy drop-sorted orders are
 	// considered.
@@ -57,9 +36,6 @@ type Config struct {
 	// order) pair — long pipelets otherwise explode combinatorially
 	// (§4's motivation for bounding the search).
 	MaxSegmentations int
-	// DefaultCardinality is the assumed per-table distinct-key count when
-	// the profile has not observed one.
-	DefaultCardinality uint64
 	// MemoryBudget is the optimizer-wide extra memory allowance in bytes
 	// (the M of Equation 5). <=0 means unconstrained.
 	MemoryBudget int
@@ -83,9 +59,6 @@ type Config struct {
 	// EnableGroups turns on cross-pipelet (pipelet group) optimization
 	// (§4.1.1, Figure 15).
 	EnableGroups bool
-	// MaxGroupCombos caps the cross product of member options evaluated
-	// per pipelet group.
-	MaxGroupCombos int
 	// ProfileChangeThreshold is the relative change in any pipelet's
 	// weighted cost that triggers a new optimization round; below it the
 	// runtime skips the search entirely ("Pipeleon constantly monitors
@@ -122,20 +95,48 @@ type Config struct {
 	DeepVerify bool
 }
 
+// Model constants no caller tunes. They are typed so that every expression
+// they enter is evaluated at run time in that type, as it was when they
+// were Config fields.
+const (
+	// estimatedHitRate is the default hit-rate estimate used before any
+	// runtime observation exists (§3.2.2: "it uses a default estimated
+	// hit rate for calculation but continuously monitors its actual
+	// performance at runtime").
+	estimatedHitRate float64 = 0.9
+	// hitRateAlpha shapes the budget/working-set scaling of the hit-rate
+	// estimate: h = min(estimatedHitRate, (budget/workingSet)^alpha).
+	// Under Zipf-like locality a cache covering a fraction f of the flow
+	// space captures more than f of the packets, hence alpha < 1.
+	hitRateAlpha float64 = 0.5
+	// invalidationPenalty models cache-warmth loss per covered-table
+	// entry update (seconds of degradation per update/second): a cache
+	// whose covered tables update at rate U has its estimated hit rate
+	// scaled by 1/(1 + U·invalidationPenalty), since every update
+	// invalidates the entire cache (§3.2.2). This is what steers the
+	// planner away from caching churning tables (Figure 11a).
+	invalidationPenalty float64 = 0.01
+	// mergedCacheHitRate estimates the coverage of a merged-exact cache
+	// (the fraction of traffic matching installed entries in all merged
+	// tables).
+	mergedCacheHitRate float64 = 0.85
+	// defaultCardinality is the assumed per-table distinct-key count when
+	// the profile has not observed one.
+	defaultCardinality uint64 = 1024
+	// maxGroupCombos caps the cross product of member options evaluated
+	// per pipelet group.
+	maxGroupCombos int = 256
+)
+
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
 	return Config{
 		CacheBudgetEntries:     1024,
 		CacheInsertLimit:       5000,
-		EstimatedHitRate:       0.9,
-		HitRateAlpha:           0.5,
-		InvalidationPenalty:    0.01,
 		MergeCap:               2,
-		MergedCacheHitRate:     0.85,
 		MaxOrders:              120,
 		MaxOptionsPerPipelet:   512,
 		MaxSegmentations:       20000,
-		DefaultCardinality:     1024,
 		MemoryBudget:           0,
 		UpdateBudget:           0,
 		MemBuckets:             64,
@@ -146,7 +147,6 @@ func DefaultConfig() Config {
 		EnableCache:            true,
 		EnableMerge:            true,
 		EnableGroups:           true,
-		MaxGroupCombos:         256,
 		ProfileChangeThreshold: 0.05,
 		RedeployMargin:         0.1,
 	}
@@ -157,13 +157,13 @@ func DefaultConfig() Config {
 // of the estimate; Evaluator.hitEstimate puts HitRateOverride in front.
 func (c Config) hitEstimateNoOverride(ws uint64) float64 {
 	if ws == 0 {
-		return c.EstimatedHitRate
+		return estimatedHitRate
 	}
 	b := float64(c.CacheBudgetEntries)
 	if b <= 0 || float64(ws) <= b {
-		return c.EstimatedHitRate
+		return estimatedHitRate
 	}
-	h := math.Pow(b/float64(ws), c.HitRateAlpha) * c.EstimatedHitRate
+	h := math.Pow(b/float64(ws), hitRateAlpha) * estimatedHitRate
 	if h < 0 {
 		h = 0
 	}

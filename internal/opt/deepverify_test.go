@@ -49,7 +49,7 @@ func TestDeepVerifyRejectsNoSearchCandidates(t *testing.T) {
 
 			cfg := DefaultConfig()
 			cfg.TopKFrac = 1
-			base, err := Search(prog, prof, pm, cfg)
+			base, err := coldSession(t, prog, pm, cfg).Search(prof)
 			if err != nil {
 				t.Fatalf("baseline search: %v", err)
 			}
@@ -104,7 +104,7 @@ func TestSweepWithDeepVerifyMatchesSearch(t *testing.T) {
 		t.Fatalf("sweep: %v", err)
 	}
 	for i, pt := range points {
-		want, err := Search(prog, prof, pt.Params, pt.Config)
+		want, err := coldSession(t, prog, pt.Params, pt.Config).Search(prof)
 		if err != nil {
 			t.Fatalf("search point %d: %v", i, err)
 		}

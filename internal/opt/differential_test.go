@@ -72,7 +72,7 @@ func TestOptimizedProgramsForwardIdentically(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.TopKFrac = 1
 			cfg.CacheInsertLimit = 0
-			res, rw, err := SearchAndApply(prog, prof, pm, cfg)
+			res, rw, err := coldSession(t, prog, pm, cfg).SearchAndApply(prof)
 			if err != nil {
 				t.Fatalf("search: %v", err)
 			}
@@ -173,7 +173,7 @@ func TestOptimizedProgramsNoSlower(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.TopKFrac = 1
 		cfg.CacheInsertLimit = 0
-		_, rw, err := SearchAndApply(prog, prof, pm, cfg)
+		_, rw, err := coldSession(t, prog, pm, cfg).SearchAndApply(prof)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,7 +196,7 @@ func (ev *Evaluator) refresh(prof *profile.Profile) {
 		}
 		ev.actLat[i] = act
 		ev.dropRate[i] = drop
-		ev.card[i] = prof.Cardinality(t.Name, ev.cfg.DefaultCardinality)
+		ev.card[i] = prof.Cardinality(t.Name, defaultCardinality)
 		ev.updRate[i] = prof.UpdateRate(t.Name)
 		lo, hi := ev.succOff[i], ev.succOff[i+1]
 		if !t.IsSwitchCase() {
@@ -385,14 +385,11 @@ func (ev *Evaluator) hitEstimate(key string, span []int) float64 {
 // entry updates in any covered table invalidate the whole cache, so the
 // hit estimate is discounted by the aggregate update rate.
 func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
-	if ev.cfg.InvalidationPenalty > 0 {
-		var upd float64
-		for _, ti := range span {
-			upd += ev.updRate[ti]
-		}
-		h /= 1 + upd*ev.cfg.InvalidationPenalty
+	var upd float64
+	for _, ti := range span {
+		upd += ev.updRate[ti]
 	}
-	return h
+	return h / (1 + upd*invalidationPenalty)
 }
 
 // spanPrice prices one transformed span for a packet entering it: the
@@ -411,7 +408,7 @@ func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep
 		// Merged-exact cache with fallback (§3.2.3: "Pipeleon addresses
 		// this by generating a merged exact table without ternary entries
 		// as a cache").
-		h := ev.cfg.MergedCacheHitRate
+		h := mergedCacheHitRate
 		if hh, ok := ev.cfg.HitRateOverride[key]; ok {
 			h = hh
 		}
@@ -661,7 +658,7 @@ func (ev *Evaluator) GroupOptions(g *pipelet.Group, memberOpts [][]*Option) []*O
 	combos, count := []*Option(nil), 1
 	for k, opts := range memberOpts {
 		choices := append(opts[:len(opts):len(opts)], nil)
-		n := max(min(count*len(choices), ev.cfg.MaxGroupCombos), 0)
+		n := max(min(count*len(choices), maxGroupCombos), 0)
 		next := make([]*Option, 0, n*(k+1))
 		for c := 0; c < count; c++ {
 			for _, ch := range choices {

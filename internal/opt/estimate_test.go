@@ -256,7 +256,7 @@ func TestViewFollowsEntryOps(t *testing.T) {
 			if wantRank := pipelet.RankByCost(prog, prof, pm, s.part); !reflect.DeepEqual(wantRank, warm.Costs) {
 				t.Fatalf("%s: view ranking differs from RankByCost:\n%v\n%v", label, warm.Costs, wantRank)
 			}
-			cold, err := Search(prog, prof, pm, cfg)
+			cold, err := coldSession(t, prog, pm, cfg).Search(prof)
 			if err != nil {
 				t.Fatal(err)
 			}

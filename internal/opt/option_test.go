@@ -398,7 +398,7 @@ func TestHitEstimateShape(t *testing.T) {
 	cfg.CacheBudgetEntries = 100
 	small := cfg.hitEstimateNoOverride(50)
 	big := cfg.hitEstimateNoOverride(100000)
-	if small != cfg.EstimatedHitRate {
+	if small != estimatedHitRate {
 		t.Errorf("fitting working set should use default rate, got %v", small)
 	}
 	if big >= small {

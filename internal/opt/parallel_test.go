@@ -22,13 +22,13 @@ func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.TopKFrac = 1
 		cfg.SearchWorkers = 1
-		serial, err := Search(prog, prof, pm, cfg)
+		serial, err := coldSession(t, prog, pm, cfg).Search(prof)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
 			cfg.SearchWorkers = workers
-			par, err := Search(prog, prof, pm, cfg)
+			par, err := coldSession(t, prog, pm, cfg).Search(prof)
 			if err != nil {
 				t.Fatal(err)
 			}

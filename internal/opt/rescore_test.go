@@ -14,11 +14,18 @@ import (
 // a warm one does.
 func coldReScore(t *testing.T, prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config, plan []*Option) float64 {
 	t.Helper()
+	return coldSession(t, prog, pm, cfg).ReScore(prof, plan)
+}
+
+// coldSession is a session nobody keeps: one round on it is what the
+// tests compare a held session against.
+func coldSession(tb testing.TB, prog *p4ir.Program, pm costmodel.Params, cfg Config) *Session {
+	tb.Helper()
 	s, err := NewSession(prog, pm, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return s.ReScore(prof, plan)
+	return s
 }
 
 // Property: re-scoring a plan under the SAME profile that produced it must
@@ -34,7 +41,7 @@ func TestScoreOptionMatchesSearchGain(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.TopKFrac = 1
 		cfg.CacheInsertLimit = 0
-		sr, err := Search(prog, prof, pm, cfg)
+		sr, err := coldSession(t, prog, pm, cfg).Search(prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +68,7 @@ func TestReScoreReactsToProfileShift(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.CacheInsertLimit = 0
-	sr, err := Search(prog, profGood, pm, cfg)
+	sr, err := coldSession(t, prog, pm, cfg).Search(profGood)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func TestSearchAndApplyEndToEnd(t *testing.T) {
 	pm := costmodel.BlueField2()
 	cfg := DefaultConfig()
 	cfg.TopKFrac = 1
-	res, rw, err := SearchAndApply(prog, prof, pm, cfg)
+	res, rw, err := coldSession(t, prog, pm, cfg).SearchAndApply(prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pipeleon/internal/costmodel"
-	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
-	"pipeleon/internal/profile"
 )
 
 // SearchResult is the outcome of one optimization round.
@@ -72,29 +69,4 @@ func runIndexed(n, workers int, f func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Search runs one full optimization round (§4): partition into pipelets,
-// rank by cost under the profile, select the top-k, form pipelet groups,
-// enumerate per-unit candidates, and solve the global knapsack.
-//
-// It is the cold entry point: one round on a throwaway Session, so cold
-// and warm searches execute exactly the same code path (and therefore
-// produce bit-identical results — pinned by the warm/cold property test).
-func Search(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) (*SearchResult, error) {
-	s, err := NewSession(prog, pm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Search(prof)
-}
-
-// SearchAndApply runs Search and, when the plan is non-empty, applies it.
-// A nil Rewrite with nil error means "nothing worth doing".
-func SearchAndApply(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) (*SearchResult, *Rewrite, error) {
-	s, err := NewSession(prog, pm, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.SearchAndApply(prof)
 }

@@ -178,7 +178,8 @@ func (s *Session) Observe(prof *profile.Profile) (costs []pipelet.Cost, tables [
 // Search runs one optimization round (§4) against the session's program:
 // rank pipelets under the profile, select the top-k, form groups, price
 // each unit's candidates on its pipelets' skeletons, and solve the global
-// knapsack. The result is bit-identical to the package-level Search.
+// knapsack. A held session and a fresh one produce bit-identical results
+// (pinned by TestWarmSessionMatchesColdSearch).
 func (s *Session) Search(prof *profile.Profile) (*SearchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,9 +333,8 @@ func (s *Session) SearchAndApply(prof *profile.Profile) (*SearchResult, *Rewrite
 	return res, rw, err
 }
 
-// ReScore sums the re-evaluated gains of a plan under a new profile, with
-// the same semantics as the package-level ReScore: options whose rewrite
-// no longer verifies contribute no gain.
+// ReScore sums the re-evaluated gains of a plan under a new profile:
+// options whose rewrite no longer verifies contribute no gain.
 func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 	if len(plan) == 0 {
 		return 0

@@ -63,9 +63,9 @@ func sessionConfig(i int, prog *p4ir.Program) Config {
 }
 
 // perturb returns a copy of prof with one table's busiest action count
-// bumped by one packet — a drift far below the quantization threshold of
-// profile.Signature, but a material change for every unit whose model
-// inputs it reaches (drop probability, action mix, downstream reach).
+// bumped by one packet — a drift no operator would call a traffic shift,
+// but a material change for every unit whose model inputs it reaches
+// (drop probability, action mix, downstream reach).
 func perturb(prof *profile.Profile) *profile.Profile {
 	out := prof.Clone()
 	tables := make([]string, 0, len(out.ActionCounts))
@@ -129,16 +129,15 @@ func sameResults(t *testing.T, label string, cold, warm *SearchResult) {
 
 // Property (the warm-session contract): a Session fed a sequence of
 // drifting profiles produces, at every round, results bit-identical to a
-// cold Search under that round's profile — same units, option strings,
-// gains, plan, and candidate counts — whether the drift stays below the
-// profile.Signature quantization threshold (round 2: one packet moved) or
-// blows past it (round 3: an entirely different workload). Nothing of a
+// fresh session's under that round's profile — same units, option strings,
+// gains, plan, and candidate counts — whether the drift is one packet
+// (round 2) or an entirely different workload (round 3). Nothing of a
 // round's prices outlives it, so there is no hit condition to meet: the
 // drifting sequence is the contract. Run under -race this also exercises
 // the session's internal locking against the per-unit worker pool.
 func TestWarmSessionMatchesColdSearch(t *testing.T) {
 	var hits, misses uint64
-	sigChanges := 0
+	replanned := 0
 	for i := 0; i < sessionSeeds; i++ {
 		pspec, profSpec, pm := sessionCase(i)
 		prog := synth.Program(pspec)
@@ -152,11 +151,9 @@ func TestWarmSessionMatchesColdSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
-		if profile.Signature(prog, p1) != profile.Signature(prog, p3) {
-			sigChanges++
-		}
+		var first *SearchResult
 		for r, prof := range []*profile.Profile{p1, p2, p3} {
-			cold, err := Search(prog, prof, pm, cfg)
+			cold, err := coldSession(t, prog, pm, cfg).Search(prof)
 			if err != nil {
 				t.Fatalf("seed %d round %d: cold: %v", i, r, err)
 			}
@@ -165,6 +162,14 @@ func TestWarmSessionMatchesColdSearch(t *testing.T) {
 				t.Fatalf("seed %d round %d: warm: %v", i, r, err)
 			}
 			sameResults(t, fmt.Sprintf("seed %d round %d", i, r), cold, warm)
+			switch r {
+			case 0:
+				first = cold
+			case 2:
+				if cold.BaselineLatency != first.BaselineLatency && fmt.Sprint(cold.Plan) != fmt.Sprint(first.Plan) {
+					replanned++
+				}
+			}
 			if cr, wr := coldReScore(t, prog, prof, pm, cfg, cold.Plan), s.ReScore(prof, warm.Plan); cr != wr {
 				t.Errorf("seed %d round %d: rescore %v != %v", i, r, wr, cr)
 			}
@@ -180,16 +185,16 @@ func TestWarmSessionMatchesColdSearch(t *testing.T) {
 		}
 	}
 	// Skeletons are built in round 1 and reused in rounds 2 and 3 whatever
-	// the drift, and round 3's workload swap moves the quantized signature
-	// for at least some seeds.
+	// the drift, and round 3's workload swap moves the baseline and the
+	// chosen plan for at least some seeds.
 	if hits < misses {
 		t.Errorf("skeletons reused %d times, built %d: rounds 2 and 3 should both reuse round 1's", hits, misses)
 	}
 	if misses == 0 {
 		t.Error("no skeleton was ever built across the corpus")
 	}
-	if sigChanges == 0 {
-		t.Error("no seed drifted past the signature quantization threshold")
+	if replanned == 0 {
+		t.Error("no seed's workload swap moved both the baseline and the plan")
 	}
 }
 
@@ -299,7 +304,7 @@ func TestSweepMatchesSearch(t *testing.T) {
 			t.Fatalf("workers=%d: %d results for %d points", workers, len(results), len(points))
 		}
 		for pi, pt := range points {
-			cold, err := Search(prog, prof, pt.Params, pt.Config)
+			cold, err := coldSession(t, prog, pt.Params, pt.Config).Search(prof)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -180,7 +180,7 @@ func TestLongPipeletFollowsDropOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Search(prog, prof, pm, cfg)
+		cold, err := coldSession(t, prog, pm, cfg).Search(prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestOverridesWrittenBetweenRoundsReprice(t *testing.T) {
 	if after.Gain >= before.Gain {
 		t.Fatalf("a 2%% observed hit rate on every planned cache left the gain at %v (was %v)", after.Gain, before.Gain)
 	}
-	cold, err := Search(prog, prof, pm, cfg)
+	cold, err := coldSession(t, prog, pm, cfg).Search(prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ type SweepPoint struct {
 // distinct structural config); each point runs its own warm session, since
 // candidate gains and rewrite verdicts depend on the point's parameters.
 // Points fan out over `workers` goroutines (<=0 uses GOMAXPROCS); results
-// are indexed by point and bit-identical to running
-// Search(prog, prof, pt.Params, pt.Config) per point — pinned by
+// are indexed by point and bit-identical to searching prof on a fresh
+// NewSession(prog, pt.Params, pt.Config) per point — pinned by
 // TestSweepMatchesSearch. For large sweeps, set each point's
 // Config.SearchWorkers to 1 so per-unit fan-out does not oversubscribe
 // the point-level pool.

@@ -1,6 +1,9 @@
 package p4c
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -456,5 +459,45 @@ func TestConstEntriesErrors(t *testing.T) {
 				t.Errorf("error %q missing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// LoadFile is every command's program argument: source compiled by its
+// suffix, JSON otherwise, and errors that name the failed step in the words
+// the commands print.
+func TestLoadFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	compiled, err := LoadFile(write("demo.p4", demoSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(write("demo.json", string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Digest() != compiled.Digest() {
+		t.Error("the JSON of a compiled program loads as a different program")
+	}
+	for path, want := range map[string]string{
+		filepath.Join(dir, "missing.p4"):    "loading program: ",
+		filepath.Join(dir, "missing.json"):  "loading program: ",
+		write("bad.json", "{"):              "loading program: ",
+		write("bad.p4", "table t { key = "): "compiling P4: ",
+	} {
+		if _, err := LoadFile(path); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("LoadFile(%s) = %v, want an error starting %q", filepath.Base(path), err, want)
+		}
 	}
 }

@@ -28,8 +28,6 @@ package pipeleon
 
 import (
 	"io"
-	"os"
-	"strings"
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
@@ -84,16 +82,7 @@ func DropAction() *Action { return p4ir.DropAction() }
 
 // LoadProgram reads a program from a BMv2-style JSON file, or compiles it
 // from P4 source when the path ends in ".p4".
-func LoadProgram(path string) (*Program, error) {
-	if strings.HasSuffix(path, ".p4") {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return p4c.Compile(string(src))
-	}
-	return p4ir.LoadFile(path)
-}
+func LoadProgram(path string) (*Program, error) { return p4c.LoadFile(path) }
 
 // ReadProgram reads a JSON program from a stream.
 func ReadProgram(r io.Reader) (*Program, error) { return p4ir.Load(r) }
@@ -246,7 +235,11 @@ func VerifySemantics(orig, opt *Program) Diagnostics {
 // Optimize runs one search-and-rewrite round against a program, profile,
 // and target.
 func Optimize(prog *Program, prof *Profile, target Target, o Options) (*Plan, error) {
-	res, rw, err := opt.SearchAndApply(prog, prof, target, o)
+	s, err := opt.NewSession(prog, target, o)
+	if err != nil {
+		return nil, err
+	}
+	res, rw, err := s.SearchAndApply(prof)
 	if err != nil {
 		return nil, err
 	}
