@@ -44,6 +44,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTrace$$' -fuzztime $(FUZZTIME) ./internal/target/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz '^FuzzAbsintAgree$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/analysis/absint/
 
@@ -113,16 +115,17 @@ traces:
 # bulk install. The control loop's benches live beside theirs too — one
 # round of each kind in core, the program digest and the binary codec
 # against the JSON they replaced in p4ir, one loopback round trip of each
-# bulk RPC in controlplane, all on the 110-table synth program — and are
-# archived in BENCH_control.json.
+# bulk RPC in controlplane, one live reconfiguration in nicsim, the deploy
+# gate's lint and rewrite proof in analysis, all on the 110-table synth
+# program — and are archived in BENCH_control.json.
 EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
 EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$
-CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$
-CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane
+CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$
+CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \

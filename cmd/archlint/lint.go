@@ -91,7 +91,7 @@ var tierNameRules = []tierNameRule{
 // internal/core may make none: a round has one reader of the profile, the
 // session's view, and change detection reads that (opt.Session.Observe).
 var costDerivations = map[string]bool{
-	"ReachProbs": true, "ActionProb": true, "DropProb": true, "BranchProb": true,
+	"ReachProbs": true, "ReachProbsAlong": true, "ActionProb": true, "DropProb": true, "BranchProb": true,
 	"NodeLatency": true, "TableLatency": true,
 }
 

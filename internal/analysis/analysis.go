@@ -25,6 +25,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,46 +91,65 @@ func Lint(prog *p4ir.Program, opts ...Option) diag.List {
 }
 
 // graph bundles the derived views every rule needs: the reachable set, the
-// strict-precedence closure, and per-table dataflow effects.
+// strict-precedence closure, and per-table dataflow effects. The closure is
+// a bitset row per reachable node: sets of names cost a gate's first sight
+// of a layout one map insert per ordered pair of nodes.
 type graph struct {
 	prog *p4ir.Program
 	an   *deps.Analyzer
-	// desc[u][v] reports that v is strictly after u on some execution
-	// path. Only nodes reachable from the root appear as keys.
-	desc map[string]map[string]bool
-	// topo is the reachable nodes in topological order.
+	// topo is the reachable nodes in topological order, idx a node's place
+	// in it; empty for a structurally invalid program (callers gate on that).
 	topo []string
+	idx  map[string]int
+	// desc: bit v of row u (words long) says v is strictly after u on a path.
+	desc  []uint64
+	words int
 }
 
 func newGraph(prog *p4ir.Program) *graph {
-	g := &graph{prog: prog, an: deps.NewAnalyzer(prog), desc: map[string]map[string]bool{}}
+	g := &graph{prog: prog, an: deps.NewAnalyzer(prog)}
 	order, err := prog.TopoOrder()
 	if err != nil {
-		return g // structurally invalid; callers gate on that first
+		return g
 	}
 	g.topo = order
+	g.idx = make(map[string]int, len(order))
+	for i, n := range order {
+		g.idx[n] = i
+	}
+	g.words = (len(order) + 63) / 64
+	g.desc = make([]uint64, len(order)*g.words)
 	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		set := map[string]bool{}
-		for _, s := range prog.Successors(n) {
-			if !prog.Has(s) {
-				continue
-			}
-			set[s] = true
-			for d := range g.desc[s] {
-				set[d] = true
+		row := g.row(i)
+		for _, s := range prog.Successors(order[i]) {
+			j := g.idx[s]
+			row[j>>6] |= 1 << (j & 63)
+			for w, bits := range g.row(j) {
+				row[w] |= bits
 			}
 		}
-		g.desc[n] = set
 	}
 	return g
 }
 
+// row is node i's row of the closure.
+func (g *graph) row(i int) []uint64 { return g.desc[i*g.words : (i+1)*g.words] }
+
 // reachable reports whether the node is on some root path.
 func (g *graph) reachable(name string) bool {
-	_, ok := g.desc[name]
+	_, ok := g.idx[name]
 	return ok
 }
+
+// before reports whether v is strictly after u on some execution path.
+func (g *graph) before(u, v string) bool {
+	i, ok := g.idx[u]
+	j, ok2 := g.idx[v]
+	return ok && ok2 && g.has(i, j)
+}
+
+// has is before by place in topo.
+func (g *graph) has(i, j int) bool { return g.desc[i*g.words+j>>6]&(1<<(j&63)) != 0 }
 
 // reads returns the full read set of a node (tables: keys + action
 // operands; conditionals: expression read fields).
@@ -188,22 +208,11 @@ var knownFields = func() map[string]bool {
 // wrote.
 func lintReadBeforeInit(g *graph) diag.List {
 	var l diag.List
-	// ancestorWrites[v] = union of writes of every strict predecessor.
-	ancestorWrites := map[string]deps.FieldSet{}
-	for _, u := range g.topo {
-		w := g.writes(u)
-		if len(w) == 0 {
-			continue
-		}
-		for v := range g.desc[u] {
-			s := ancestorWrites[v]
-			if s == nil {
-				s = deps.FieldSet{}
-				ancestorWrites[v] = s
-			}
-			for f := range w {
-				s[f] = true
-			}
+	// writers lists, per field, the nodes that write it, by place in topo.
+	writers := map[string][]int{}
+	for i, u := range g.topo {
+		for f := range g.writes(u) {
+			writers[f] = append(writers[f], i)
 		}
 	}
 	uninitialized := func(node, field string, local deps.FieldSet) bool {
@@ -213,7 +222,8 @@ func lintReadBeforeInit(g *graph) diag.List {
 		if local != nil && local[field] {
 			return false
 		}
-		return !ancestorWrites[node][field]
+		v := g.idx[node]
+		return !slices.ContainsFunc(writers[field], func(u int) bool { return g.has(u, v) })
 	}
 	names := append([]string(nil), g.topo...)
 	sort.Strings(names)
@@ -445,7 +455,7 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 	// sibling branch arms) out of false positives.
 	for _, u := range spec.Covers {
 		for _, v := range spec.Covers {
-			if u == v || !g.desc[u][v] {
+			if u == v || !g.before(u, v) {
 				continue
 			}
 			eu, ev := g.an.Effects(u), g.an.Effects(v)
@@ -468,14 +478,14 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 	// Nothing strictly between the cache and a covered table may write a
 	// cache-key field: the verdict was keyed on the packet as it passed
 	// the cache.
-	if g.reachable(name) {
-		for w := range g.desc[name] {
-			if covered[w] || w == name {
+	if ci, ok := g.idx[name]; ok {
+		for wi, w := range g.topo {
+			if !g.has(ci, wi) || covered[w] {
 				continue
 			}
 			betweenCover := false
 			for _, v := range spec.Covers {
-				if g.desc[w][v] {
+				if vi, ok := g.idx[v]; ok && g.has(wi, vi) {
 					betweenCover = true
 					break
 				}

@@ -86,3 +86,47 @@ func BenchmarkLintDeep(b *testing.B) {
 		analysis.LintDeep(optimized)
 	}
 }
+
+// BenchmarkLint times the gate's first tier on the 110-table program of
+// the synth-shift workload, and BenchmarkVerifyRewrite its second on the
+// searched layout of that program with the checker held, as the verifier
+// holds it: what a first-sight Gate.Check costs a runtime, and each
+// fleet-remote device server, per new layout.
+func BenchmarkLint(b *testing.B) {
+	_, optimized := controlBenchPrograms(b)
+	pm := costmodel.BlueField2()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l := analysis.Lint(optimized, analysis.WithParams(pm)); l.HasErrors() {
+			b.Fatal(l)
+		}
+	}
+}
+
+func BenchmarkVerifyRewrite(b *testing.B) {
+	orig, optimized := controlBenchPrograms(b)
+	v := analysis.NewVerifier(orig, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l := v.ProveTouched(optimized, nil); l.HasErrors() {
+			b.Fatal(l)
+		}
+	}
+}
+
+func controlBenchPrograms(b *testing.B) (orig, optimized *p4ir.Program) {
+	b.Helper()
+	orig = synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	prof := synth.SynthesizeProfile(orig, synth.ProfileSpec{Seed: 8, Category: synth.Mixed})
+	s, err := opt.NewSession(orig, costmodel.BlueField2(), opt.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rw, err := s.SearchAndApply(prof)
+	if err != nil || rw == nil {
+		b.Fatalf("no searched layout of the benchmark program: %v", err)
+	}
+	return orig, rw.Program
+}

@@ -79,7 +79,7 @@ func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
 	sort.Strings(nodes)
 	for _, u := range nodes {
 		for _, v := range nodes {
-			if u == v || !rc.gO.desc[u][v] {
+			if u == v || !rc.gO.before(u, v) {
 				continue
 			}
 			kind, field := edgeBetween(rc.gO, u, v)
@@ -132,10 +132,10 @@ func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) dia
 			continue
 		}
 		switch {
-		case gN.desc[rv][ru]:
+		case gN.before(rv, ru):
 			l.Add(CodeBrokenDep, diag.Error, rv, e.field,
 				"%s dependency %s→%s on %q is reversed: %q now precedes %q", e.kind, e.u, e.v, e.field, rv, ru)
-		case !gN.desc[ru][rv]:
+		case !gN.before(ru, rv):
 			l.Add(CodeBrokenDep, diag.Error, ru, e.field,
 				"%s dependency %s→%s on %q is lost: no path orders %q before %q", e.kind, e.u, e.v, e.field, ru, rv)
 		}

@@ -262,12 +262,33 @@ func (r *Runtime) recordLocked(rep RoundReport) {
 // previous program and counter map are checkpointed, a verification
 // window compares measured latency against the plan's prediction, and a
 // contradicted deploy is rolled back and its plan blacklisted.
-func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
+// A panic under it (search, rewrite, gate, a target call) costs the round,
+// not the loop: recorded with Error, counted toward the breaker as a failed
+// deploy, and a program staged but not committed is rolled back.
+func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.round++
-	report := RoundReport{Round: r.round, HitRateFeedback: map[string]float64{}}
+	report = RoundReport{Round: r.round, HitRateFeedback: map[string]float64{}}
 	record := func() { r.recordLocked(report) }
+	// unstage restores the checkpoint, on the device and in the runtime's
+	// view; set once a program is deployed, spent by its one use.
+	var unstage func() error
+	defer func() {
+		if p := recover(); p != nil {
+			report.Error = fmt.Sprintf("panic: %v", p)
+			if unstage != nil {
+				if rerr := unstage(); rerr != nil {
+					report.DeployError = fmt.Sprintf("rollback failed: %v", rerr)
+				} else {
+					report.RolledBack = true
+				}
+			}
+			r.noteDeployFailureLocked()
+			record()
+			err = fmt.Errorf("core: round panicked: %v", p)
+		}
+	}()
 
 	optProf, perr := r.tgt.Profile(true)
 	if perr != nil {
@@ -446,7 +467,21 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 			record()
 			return report, fmt.Errorf("core: deploy failed: %w", err)
 		}
-		r.setCurrentLocked(next.Clone(), nextDigest, nextMap, nextPlan)
+		// A materialized program is the runtime's alone (the session keeps none,
+		// a target copies what Deploy is handed) and becomes current as it is;
+		// r.orig may not: entry operations write both.
+		if next == r.orig {
+			next = r.orig.Clone()
+		}
+		r.setCurrentLocked(next, nextDigest, nextMap, nextPlan)
+		unstage = func() error {
+			unstage = nil
+			if err := r.tgt.Rollback(); err != nil {
+				return err
+			}
+			r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
+			return nil
+		}
 		report.Deployed = true
 		if verifying {
 			_, _ = r.tgt.Measure(sample) // warm the fresh program's caches
@@ -481,7 +516,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 				contradicted = regressed || unrealized
 			}
 			if contradicted {
-				if err := r.tgt.Rollback(); err != nil {
+				if err := unstage(); err != nil {
 					// Device wedged between two programs — the breaker
 					// is the only remaining backstop.
 					report.DeployError = fmt.Sprintf("rollback failed: %v", err)
@@ -489,7 +524,6 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (RoundReport, error) {
 					record()
 					return report, fmt.Errorf("core: rollback failed: %w", err)
 				}
-				r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
 				report.RolledBack = true
 				r.blacklistLocked(planKey)
 				r.noteDeployFailureLocked()

@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"pipeleon/internal/costmodel"
+	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
+	"pipeleon/internal/synth"
+	"pipeleon/internal/trafficgen"
 )
 
 // BenchmarkFlowCache times the three shapes of a flow-cache probe, one
@@ -227,4 +232,40 @@ func BenchmarkBuildTable(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSwap is one live reconfiguration of the 110-table program of
+// the synth-shift workload, alternating its original layout and the one
+// searched for a window of traffic (the round benches' window, in core):
+// what a deploy, and the rollback of one, cost the device.
+func BenchmarkSwap(b *testing.B) {
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	col := profile.NewCollector()
+	nic, err := New(orig.Clone(), Config{
+		Params: costmodel.BlueField2(), Collector: col, Instrument: true,
+		Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := trafficgen.New(11, trafficgen.DefaultPacketBytes)
+	gen.AddFlows(trafficgen.UniformFlows(8, 128)...)
+	gen.SetSkew(0.9)
+	nic.Measure(gen.Batch(1024))
+	s, err := opt.NewSession(orig, costmodel.BlueField2(), opt.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rw, err := s.SearchAndApply(col.Snapshot())
+	if err != nil || rw == nil {
+		b.Fatalf("no searched layout of the benchmark program: %v", err)
+	}
+	layouts := [2]*p4ir.Program{rw.Program, orig}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nic.Swap(layouts[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -171,11 +171,14 @@ func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
 }
 
 // load compiles a program into runtime structures and publishes a fresh
-// execution plan (callers hold no lock or the write lock). Runtime caches
-// whose identity (name + covered span + budget) is unchanged keep their
-// contents — live reconfiguration on runtime-programmable SmartNICs
-// preserves state that the new layout still uses, so a re-optimization
-// that keeps a cache does not cold-start it.
+// execution plan (callers hold no lock or the write lock). Live
+// reconfiguration keeps the state the new layout still uses. A table that
+// compiles to the store the loaded table of its name has (sameStore: the
+// device compares with its own copy, whatever a caller says it changed)
+// takes that store as a fork, copied on write by entry operations; only
+// rewritten, merged and generated tables install entry by entry. A runtime
+// cache of unchanged identity (name + covered span + budget) keeps its
+// contents: a re-optimization that keeps it does not cold-start it.
 func (n *NIC) load(prog *p4ir.Program) error {
 	if err := prog.Validate(); err != nil {
 		return err
@@ -185,11 +188,17 @@ func (n *NIC) load(prog *p4ir.Program) error {
 	caches := map[string]*flowCache{}
 	coveredBy := map[string][]*flowCache{}
 	for name, t := range prog.Tables {
-		rt, err := buildTable(t, t.Entries, n.pm.LPMFixedM, n.pm.TernaryFixedM)
-		if err != nil {
+		if old := n.tables[name]; old != nil && sameStore(old.tbl, t) {
+			tables[name] = old.fork()
+			tables[name].tbl = t
+			for i := range t.Entries { // the arrays the store holds, not a second copy
+				t.Entries[i].Match = old.tbl.Entries[i].Match
+			}
+		} else if rt, err := buildTable(t, t.Entries, n.pm.LPMFixedM, n.pm.TernaryFixedM); err != nil {
 			return err
+		} else {
+			tables[name] = rt
 		}
-		tables[name] = rt
 		if spec, ok := t.CacheMeta(); ok && !spec.Prepopulated {
 			fields := make([]string, len(t.Keys))
 			for i, k := range t.Keys {
@@ -226,6 +235,20 @@ func (n *NIC) load(prog *p4ir.Program) error {
 	return nil
 }
 
+// sameStore reports whether two tables compile to the same match store:
+// everything buildTable reads of a table, entries in install order included.
+func sameStore(a, b *p4ir.Table) bool {
+	prim := func(p, q p4ir.Primitive) bool { return p.Op == q.Op && slices.Equal(p.Args, q.Args) }
+	act := func(x, y *p4ir.Action) bool {
+		return x.Name == y.Name && slices.EqualFunc(x.Primitives, y.Primitives, prim)
+	}
+	entry := func(x, y p4ir.Entry) bool {
+		return x.Priority == y.Priority && x.Action == y.Action && slices.Equal(x.Match, y.Match) && slices.Equal(x.Args, y.Args)
+	}
+	return a.DefaultAction == b.DefaultAction && a.MaxEntries == b.MaxEntries && slices.Equal(a.Keys, b.Keys) &&
+		slices.EqualFunc(a.Actions, b.Actions, act) && slices.EqualFunc(a.Entries, b.Entries, entry)
+}
+
 // sameCacheIdentity reports whether two cache specs describe the same
 // cache (same covered span and budget), so its contents may survive a
 // program swap.
@@ -235,7 +258,8 @@ func sameCacheIdentity(a, b p4ir.CacheSpec) bool {
 
 // Swap atomically replaces the running program — the live runtime
 // reconfiguration of runtime-programmable SmartNICs (§2.3 deployment
-// scenario 1). Runtime cache contents do not survive a swap.
+// scenario 1). Tables the swap leaves as they were keep their match store
+// and runtime cache contents (see load); the rest start afresh.
 //
 // Under fault injection a swap may fail (reload rejected, device keeps
 // the old program) or crash mid-deploy (reported success, old program

@@ -224,6 +224,26 @@ func (m *tableModel) replace(entries []p4ir.Entry) {
 	})
 }
 
+// swap puts the device on a copy of the program it runs — the store is
+// kept — or, flipped, on one whose table has another default action — the
+// store is rebuilt from the entry list, renumbering the installs.
+func (m *tableModel) swap(flip bool) {
+	m.t.Helper()
+	other := map[string]string{"miss": "deny", "deny": "miss"}[m.tbl.DefaultAction]
+	m.apply("swap", func() error {
+		next := m.nic.Program().Clone()
+		if flip {
+			next.Tables["t"].DefaultAction = other
+		}
+		return m.nic.Swap(next)
+	}, func() error {
+		if flip {
+			m.tbl.DefaultAction = other
+		}
+		return nil
+	})
+}
+
 // run interprets prog as an operation stream: one opcode byte, then the
 // operands the opcode takes, each one byte indexing an operand space.
 func (m *tableModel) run(prog []byte) {
@@ -282,12 +302,14 @@ func (m *tableModel) run(prog []byte) {
 				args = []string{fmt.Sprint(next())}
 			}
 			m.modify(installed(), modelActions[next()%len(modelActions)], args)
-		default:
+		case op < 248:
 			entries := make([]p4ir.Entry, next()%12)
 			for i := range entries {
 				entries[i] = entry()
 			}
 			m.replace(entries)
+		default:
+			m.swap(next()&1 == 1)
 		}
 	}
 }
@@ -356,6 +378,8 @@ func TestTableGrowthAndShiftMatchReference(t *testing.T) {
 // stream. Seed corpus lives in testdata/fuzz/FuzzTableModel.
 func FuzzTableModel(f *testing.F) {
 	f.Add(uint8(1), uint8(0), []byte{0, 4, 0, 0, 1, 0, 0, 2, 0, 1, 9, 0, 130, 1, 0, 0}) // insert, delete it
+	// insert, swap keeping the store, insert, swap rebuilding it, delete the oldest, swap
+	f.Add(uint8(6), uint8(0), []byte{0, 4, 0, 3, 2, 0, 1, 9, 5, 250, 0, 0, 5, 0, 2, 1, 1, 0, 5, 250, 1, 130, 1, 0, 250, 0})
 	f.Fuzz(func(t *testing.T, shape, fixed uint8, prog []byte) {
 		if len(prog) > 4096 {
 			prog = prog[:4096] // every operation costs a reference rebuild

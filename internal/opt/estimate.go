@@ -59,9 +59,10 @@ type Evaluator struct {
 	// costmodel.ExpectedLatency sums in, which baseline must reproduce to
 	// stay bit-equal to it.
 	byName []int
-	// topo lists the nodes reachable from the root in topological order;
-	// topoErr is the TopoOrder error of a program that has none.
+	// topo lists the nodes reachable from the root in topological order,
+	// order their names; topoErr is the error of a program that has none.
 	topo    []int
+	order   []string
 	topoErr error
 	// Node i's successors are succ[succOff[i]:succOff[i+1]], in
 	// Program.Successors order.
@@ -142,10 +143,9 @@ func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 		}
 		ev.succOff[i+1] = len(ev.succ)
 	}
-	order, err := prog.TopoOrder()
-	ev.topoErr = err
-	ev.topo = make([]int, len(order))
-	for k, name := range order {
+	ev.order, ev.topoErr = prog.TopoOrder()
+	ev.topo = make([]int, len(ev.order))
+	for k, name := range ev.order {
 		ev.topo[k] = ev.nodeIdx[name]
 	}
 	ev.reach = make([]float64, n)
@@ -180,7 +180,7 @@ func (ev *Evaluator) readEntries() {
 func (ev *Evaluator) refresh(prof *profile.Profile) {
 	ev.prof = prof
 	clear(ev.reach)
-	for name, v := range prof.ReachProbs(ev.prog) {
+	for name, v := range prof.ReachProbsAlong(ev.prog, ev.order) {
 		if i, ok := ev.nodeIdx[name]; ok {
 			ev.reach[i] = v
 		}

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pipeleon/internal/p4ir"
@@ -509,30 +510,22 @@ func buildMergedCache(p *p4ir.Program, covers []string, cfg Config, cm *CounterM
 		ActionNext:    map[string]string{"cache_miss": covers[0]},
 	}
 	origin := map[string]map[string]string{}
-	// Cross product of member entries (all-hit combos only).
-	combos := [][]p4ir.Entry{{}}
+	// Cross product of member entries (all-hit combos only), capped: an
+	// odometer over the members' entry indices, the last member fastest.
+	total := 1
 	for _, m := range members {
-		var next [][]p4ir.Entry
-		for _, c := range combos {
-			for _, e := range m.Entries {
-				if len(next) >= 1<<16 {
-					break
-				}
-				next = append(next, append(append([]p4ir.Entry(nil), c...), e))
-			}
-		}
-		combos = next
+		total = min(total*len(m.Entries), 1<<16)
 	}
+	mt.Entries = make([]p4ir.Entry, 0, total)
+	at := make([]int, len(members))
 	seenAction := map[string]bool{}
-	for _, combo := range combos {
-		if len(combo) != len(members) {
-			continue
-		}
+	for n := 0; n < total; n++ {
 		parts := make([]*p4ir.Action, len(members))
-		var match []p4ir.MatchValue
+		match := slices.Grow([]p4ir.MatchValue(nil), len(keys))
 		var args []string
-		for i, e := range combo {
-			parts[i] = members[i].Action(e.Action)
+		for i, m := range members {
+			e := &m.Entries[at[i]]
+			parts[i] = m.Action(e.Action)
 			match = append(match, e.Match...)
 			args = append(args, e.Args...)
 		}
@@ -543,12 +536,18 @@ func buildMergedCache(p *p4ir.Program, covers []string, cfg Config, cm *CounterM
 			mt.Actions = append(mt.Actions, ca)
 			mt.ActionNext[ca.Name] = ""
 			om := map[string]string{}
-			for i, e := range combo {
-				om[covers[i]] = e.Action
+			for i, m := range members {
+				om[covers[i]] = m.Entries[at[i]].Action
 			}
 			origin[ca.Name] = om
 		}
 		mt.Entries = append(mt.Entries, p4ir.Entry{Match: match, Action: ca.Name, Args: args})
+		for i := len(at) - 1; i >= 0; i-- {
+			if at[i]++; at[i] < len(members[i].Entries) {
+				break
+			}
+			at[i] = 0
+		}
 	}
 	mt.SetCacheMeta(p4ir.CacheSpec{
 		Table: name, Kind: p4ir.KindMergedCache,

@@ -153,12 +153,14 @@ func (p *Profile) Cardinality(table string, def uint64) uint64 {
 // the pipelet ... the sum of probabilities for all reachable paths from
 // the graph root to the pipelet") computed without path enumeration.
 func (p *Profile) ReachProbs(prog *p4ir.Program) map[string]float64 {
+	order, _ := prog.TopoOrder() // none for a program that has none: nothing is reached
+	return p.ReachProbsAlong(prog, order)
+}
+
+// ReachProbsAlong is ReachProbs for a caller that holds prog.TopoOrder().
+func (p *Profile) ReachProbsAlong(prog *p4ir.Program, order []string) map[string]float64 {
 	reach := map[string]float64{}
-	order, err := prog.TopoOrder()
-	if err != nil {
-		return reach
-	}
-	if prog.Root != "" {
+	if len(order) > 0 {
 		reach[prog.Root] = 1
 	}
 	for _, name := range order {

@@ -279,8 +279,10 @@ func entryCount(spec ProgramSpec, rng *stats.RNG) int {
 // only a table whose whole key space is exhausted comes up short.
 func syntheticEntries(rng *stats.RNG, ts p4ir.TableSpec, n int) []p4ir.Entry {
 	entries := make([]p4ir.Entry, 0, n)
-	seen := map[string]bool{}
-	groupN := map[string]int{}
+	// Keyed by (match kind, prefix length or mask) and, in seen, the masked
+	// value placed under it; as formatted strings these were 3/4 of Program.
+	seen := map[[3]uint64]bool{}
+	groupN := map[[2]uint64]int{}
 	for i := 0; i < n; i++ {
 		e := p4ir.Entry{Action: "act_main"}
 		ok := true
@@ -317,7 +319,7 @@ type placedMatch struct {
 // ternary masks keeping the top width-2c bits, with priority tied to
 // specificity (the most specific mask ranks highest) so no entry is
 // dominated by a coarser, higher-priority one.
-func placeEntry(k p4ir.Key, raw uint64, i int, seen map[string]bool, groupN map[string]int) (placedMatch, bool) {
+func placeEntry(k p4ir.Key, raw uint64, i int, seen map[[3]uint64]bool, groupN map[[2]uint64]int) (placedMatch, bool) {
 	classes := 1
 	switch k.Kind {
 	case p4ir.MatchLPM:
@@ -329,21 +331,19 @@ func placeEntry(k p4ir.Key, raw uint64, i int, seen map[string]bool, groupN map[
 		c := (i + attempt) % classes
 		mv := placedMatch{MatchValue: p4ir.MatchValue{Value: raw}}
 		mask := k.FullMask()
-		var sig string
+		sig := [2]uint64{uint64(p4ir.MatchExact)}
 		switch k.Kind {
 		case p4ir.MatchLPM:
 			// A prefix must never exceed the key itself (a /24 on a
 			// 16-bit port field is malformed; PL104 flags it).
 			mv.PrefixLen = (1 + c) * k.BitWidth() / 4
 			mask = k.PrefixMask(mv.PrefixLen)
-			sig = fmt.Sprintf("lpm/%d", mv.PrefixLen)
+			sig = [2]uint64{uint64(p4ir.MatchLPM), uint64(mv.PrefixLen)}
 		case p4ir.MatchTernary, p4ir.MatchRange:
 			mask = k.FullMask() &^ ((uint64(1) << (c * 2)) - 1)
 			mv.Mask = mask
 			mv.priority = 5 - c
-			sig = fmt.Sprintf("tern/%x", mask)
-		default:
-			sig = "exact"
+			sig = [2]uint64{uint64(p4ir.MatchTernary), mask}
 		}
 		mv.Value &= mask
 		// A fully-enumerated mask group matches every packet, starving
@@ -365,7 +365,7 @@ func placeEntry(k p4ir.Key, raw uint64, i int, seen map[string]bool, groupN map[
 		// Masks are contiguous high blocks, so stepping by the mask's
 		// lowest set bit cycles through the whole group space.
 		free := true
-		for tries := 0; seen[fmt.Sprintf("%s:%x", sig, mv.Value)]; tries++ {
+		for tries := 0; seen[[3]uint64{sig[0], sig[1], mv.Value}]; tries++ {
 			if step == 0 || tries >= 1<<12 {
 				free = false
 				break
@@ -375,7 +375,7 @@ func placeEntry(k p4ir.Key, raw uint64, i int, seen map[string]bool, groupN map[
 		if !free {
 			continue
 		}
-		seen[fmt.Sprintf("%s:%x", sig, mv.Value)] = true
+		seen[[3]uint64{sig[0], sig[1], mv.Value}] = true
 		groupN[sig]++
 		return mv, true
 	}

@@ -170,6 +170,10 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	}
 	if got := tgt.Program(); rootOf(got) != alt.Root {
 		t.Fatalf("after deploy, root = %q, want %q", rootOf(got), alt.Root)
+	} else if got == alt {
+		// core.Runtime holds what it deployed as its view of the layout
+		// and edits it in place on entry operations.
+		t.Fatal("Deploy kept the caller's program instead of a copy")
 	}
 	if err := tgt.Rollback(); err != nil {
 		t.Fatalf("rollback: %v", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"pipeleon/internal/p4ir"
@@ -64,6 +65,9 @@ func LoadTrace(path string) (*Trace, error) {
 	tr := &Trace{}
 	if err := json.Unmarshal(data, tr); err != nil {
 		return nil, fmt.Errorf("target: parsing trace %s: %w", path, err)
+	}
+	if slices.Contains(tr.Profiles, nil) {
+		return nil, fmt.Errorf("target: trace %s holds a null profile", path)
 	}
 	return tr, nil
 }

@@ -117,7 +117,8 @@ type Target interface {
 
 	// Deploy stages prog on the device, checkpointing the running program
 	// so Rollback can restore it. A failed Deploy leaves the previous
-	// program running and no checkpoint staged.
+	// program running and no checkpoint staged. The backend keeps a copy,
+	// never prog itself: the caller goes on to hold and edit it.
 	Deploy(prog *p4ir.Program) error
 	// Commit finalizes the most recent Deploy, discarding the checkpoint.
 	// ErrNoCheckpoint when no deploy is staged.
