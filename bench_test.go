@@ -559,32 +559,6 @@ func BenchmarkSearchWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures design-space exploration: one program evaluated
-// across six (cost model, config) points sharing the program-derived
-// analyses.
-func BenchmarkSweep(b *testing.B) {
-	prog, cfg, pm, _ := ablationSearchInput()
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
-	short := *cfg
-	short.MaxPipeletLen = 4
-	merged := *cfg
-	merged.MergeCap = 3
-	points := []opt.SweepPoint{
-		{Params: pm, Config: *cfg},
-		{Params: costmodel.BlueField2(), Config: *cfg},
-		{Params: costmodel.AgilioCX(), Config: *cfg},
-		{Params: pm, Config: short},
-		{Params: costmodel.BlueField2(), Config: merged},
-		{Params: costmodel.AgilioCX(), Config: short},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Sweep(prog, prof, points, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlacementPlan measures the three-way N-tier placement search
 // (table copies, re-tiering, whole-stage off-path offload) on the shared
 // search workload with every third table floored off the ASIC.

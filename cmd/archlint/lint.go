@@ -110,6 +110,15 @@ var proofPrimitives = map[string]bool{
 
 const analysisDir, analysisPath, facadeFile = "internal/analysis", "pipeleon/internal/analysis", "pipeleon.go"
 
+// A search is one goroutine on one session (opt.Session.mu admits one round
+// at a time, and a round's work is 65-860 µs: a fan-out over it measured as
+// nothing or a loss — DESIGN.md, "The search is serial"). So internal/opt
+// starts no goroutine and holds none of the primitives that exist to share
+// state between them; the mutex stays, for the callers that share a session.
+const serialDir = "internal/opt"
+
+var sharingPrimitives = map[string]bool{"WaitGroup": true, "Once": true, "Pool": true}
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -170,7 +179,14 @@ func lintModule(root string) ([]Violation, error) {
 		}
 		out = append(out, vs...)
 	}
-	vs, err := lintDiagCodes(fset, root)
+	vs, err := lintDir(fset, filepath.Join(root, serialDir), nil, func(f *ast.File) []Violation {
+		return checkSerial(fset, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
+	vs, err = lintDiagCodes(fset, root)
 	if err != nil {
 		return nil, err
 	}
@@ -501,6 +517,35 @@ func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
 				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
 					sel.Sel.Name, costViewDir, costViewFile),
 			})
+		}
+		return true
+	})
+	return out
+}
+
+func checkSerial(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	report := func(pos token.Pos, what string) {
+		out = append(out, Violation{
+			Pos:  fset.Position(pos),
+			Rule: "serial-search",
+			Msg:  what + " in " + serialDir + ": a search runs on its caller's goroutine, and nothing inside a session is shared with a second one",
+		})
+	}
+	for _, imp := range f.Imports {
+		if path, err := strconv.Unquote(imp.Path.Value); err == nil && path == "sync/atomic" {
+			report(imp.Pos(), "imports sync/atomic")
+		}
+	}
+	syncName := importName(f, "sync")
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			report(n.Pos(), "go statement")
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok && syncName != "" && id.Name == syncName && id.Obj == nil && sharingPrimitives[n.Sel.Name] {
+				report(n.Pos(), "uses sync."+n.Sel.Name)
+			}
 		}
 		return true
 	})

@@ -351,6 +351,74 @@ func rank(prof profile) { prof.ReachProbs(nil) }
 	}
 }
 
+func TestSearchIsSerial(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/opt/search.go": `package opt
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+func runIndexed(n int, f func(int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); f(int(next.Add(1))) }()
+	wg.Wait()
+}
+`,
+		"internal/opt/estimate.go": `package opt
+
+import s "sync"
+
+var pool = s.Pool{}
+
+type view struct{ once s.Once }
+`,
+		// The session's mutex is what its callers share it through.
+		"internal/opt/session.go": `package opt
+
+import "sync"
+
+type Session struct{ mu sync.Mutex }
+
+type local struct{ Once, Pool int }
+
+func (l local) ok() int { var sync local; return sync.Once + sync.Pool }
+`,
+		"internal/opt/stress_test.go": `package opt
+
+import "sync"
+
+func hammer() { var wg sync.WaitGroup; wg.Add(1); go wg.Done(); wg.Wait() }
+`,
+		// Other packages fan out freely.
+		"internal/nicsim/measure.go": `package nicsim
+
+import "sync"
+
+func measure() { var wg sync.WaitGroup; wg.Add(1); go wg.Done(); wg.Wait() }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := map[string]int{}
+	for _, v := range vs {
+		if v.Rule != "serial-search" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		perFile[filepath.Base(v.Pos.Filename)]++
+	}
+	// search.go: the import, the WaitGroup, the go statement; estimate.go:
+	// the Pool and the Once under an aliased import.
+	if len(vs) != 5 || perFile["search.go"] != 3 || perFile["estimate.go"] != 2 {
+		t.Fatalf("got %v, want 3 in search.go and 2 in estimate.go: %v", perFile, vs)
+	}
+}
+
 func TestProofPrimitivesOnlyInsideAnalysis(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		// The package that owns the primitives composes them.

@@ -16,6 +16,9 @@
 //     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
 //     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof
 //     tiers are composed by analysis.Verifier only.
+//   - serial-search: non-test files of internal/opt contain no go
+//     statement and use no sync.WaitGroup, sync.Once, sync.Pool or
+//     sync/atomic; a search is one goroutine on one session.
 //   - live-knob: every exported field of opt.Config is set (assigned
 //     through a selector, or keyed in a composite literal) somewhere in
 //     the module outside internal/opt/config.go, test files counting as

@@ -26,8 +26,8 @@ type Verdict struct {
 //
 //  1. Lint under the device's cost-model parameters. It is a tier of the
 //     gate and not of the Verifier because it judges a program on one
-//     device, while a proof holds across cost models and is shared across
-//     them (opt.Sweep).
+//     device, while a proof holds on any device and is memoized by the
+//     candidate's digest alone.
 //  2. Verifier.Prove, when the gate has an original and the candidate is
 //     not that very program.
 //  3. LintDeep's warnings, behind a deep verifier.

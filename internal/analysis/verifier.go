@@ -55,21 +55,12 @@ type proofKey struct {
 
 // NewVerifier precomputes what the proofs need of the original.
 func NewVerifier(orig *p4ir.Program, deep bool) *Verifier {
-	return newVerifier(orig, NewRewriteChecker(orig), deep)
-}
-
-func newVerifier(orig *p4ir.Program, rc *RewriteChecker, deep bool) *Verifier {
-	v := &Verifier{orig: orig, rc: rc, deep: deep, verdicts: memo.New[proofKey, diag.List](proofMemoCap)}
+	v := &Verifier{orig: orig, rc: NewRewriteChecker(orig), deep: deep, verdicts: memo.New[proofKey, diag.List](proofMemoCap)}
 	if deep {
 		v.sc = NewSemanticChecker(orig)
 	}
 	return v
 }
-
-// Deepened returns a deep verifier of the same original that shares this
-// one's dependency structure, with a memo of its own — for a caller that
-// needs both depths of one program.
-func (v *Verifier) Deepened() *Verifier { return newVerifier(v.orig, v.rc, true) }
 
 // IsDeep reports whether the semantic tier is on.
 func (v *Verifier) IsDeep() bool { return v.deep }

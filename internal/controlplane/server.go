@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -326,24 +325,22 @@ func (s *Server) apply(req *Request) *Response {
 		if err := s.insertEntry(req.Table, e); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) { t.Entries = append(t.Entries, e.Clone()) })
+		s.entryServed(req.Table, func(t *p4ir.Table) error { return t.InsertEntry(e) })
 	case OpDelete:
 		if err := s.deleteEntry(req.Table, req.Match); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) {
-			if i := t.EntryIndex(req.Match); i >= 0 {
-				t.Entries = slices.Delete(t.Entries, i, i+1)
-			}
+		s.entryServed(req.Table, func(t *p4ir.Table) error {
+			_, _, err := t.DeleteEntry(req.Match)
+			return err
 		})
 	case OpModify:
 		if err := s.modifyEntry(req.Table, req.Match, req.Action, req.Args); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) {
-			if i := t.EntryIndex(req.Match); i >= 0 {
-				t.Entries[i].Action, t.Entries[i].Args = req.Action, slices.Clone(req.Args)
-			}
+		s.entryServed(req.Table, func(t *p4ir.Table) error {
+			_, _, err := t.ModifyEntry(req.Match, req.Action, req.Args)
+			return err
 		})
 	case OpProgram:
 		prog, err := s.currentProgram()
@@ -535,14 +532,17 @@ func (s *Server) checkDeploy(prog *p4ir.Program, digest p4ir.Digest) (analysis.V
 // baseline, so a deep gate proves later deploys against the entries the
 // device holds now. A table the baseline lacks — one a rewrite generated —
 // is skipped.
-func (s *Server) entryServed(table string, mut func(t *p4ir.Table)) {
+func (s *Server) entryServed(table string, mut func(t *p4ir.Table) error) {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
 	if s.baseline == nil {
 		return // a shallow gate's verdicts read the candidate only
 	}
 	if t, ok := s.baseline.Tables[table]; ok {
-		mut(t)
+		// The device accepted the operation on these same entries. A
+		// refusal here means the baseline differs from the device already;
+		// it is left as it is.
+		_ = mut(t)
 	}
 	s.gate.EntriesChanged()
 }

@@ -25,23 +25,16 @@ import (
 func (r *Runtime) planLocked() []*opt.Option { return r.activePlan }
 
 // entryMut applies one entry operation to a table and returns how to take
-// it back; an operation it refuses leaves the table untouched.
+// it back; an operation it refuses leaves the table untouched, and its undo
+// is not to be called.
 type entryMut func(t *p4ir.Table) (undo func(), err error)
 
 // InsertEntry adds an entry to a table of the *original* program and
 // propagates the change to the deployed layout.
 func (r *Runtime) InsertEntry(table string, e p4ir.Entry) error {
 	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		switch {
-		case len(e.Match) != len(t.Keys):
-			return nil, fmt.Errorf("core: entry arity %d != %d keys", len(e.Match), len(t.Keys))
-		case t.Action(e.Action) == nil:
-			return nil, fmt.Errorf("core: unknown action %q", e.Action)
-		case t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries:
-			return nil, fmt.Errorf("core: table %q full (%d entries)", t.Name, t.MaxEntries)
-		}
-		t.Entries = append(t.Entries, e.Clone())
-		return func() { t.Entries = slices.Delete(t.Entries, len(t.Entries)-1, len(t.Entries)) }, nil
+		err := t.InsertEntry(e)
+		return func() { t.Entries = slices.Delete(t.Entries, len(t.Entries)-1, len(t.Entries)) }, err
 	}, func() error {
 		return r.tgt.InsertEntry(table, e)
 	})
@@ -50,13 +43,8 @@ func (r *Runtime) InsertEntry(table string, e p4ir.Entry) error {
 // DeleteEntry removes the first entry with equal match values.
 func (r *Runtime) DeleteEntry(table string, match []p4ir.MatchValue) error {
 	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		i, err := firstMatch(t, match)
-		if err != nil {
-			return nil, err
-		}
-		gone := t.Entries[i]
-		t.Entries = slices.Delete(t.Entries, i, i+1)
-		return func() { t.Entries = slices.Insert(t.Entries, i, gone) }, nil
+		i, gone, err := t.DeleteEntry(match)
+		return func() { t.Entries = slices.Insert(t.Entries, i, gone) }, err
 	}, func() error {
 		return r.tgt.DeleteEntry(table, match)
 	})
@@ -65,27 +53,11 @@ func (r *Runtime) DeleteEntry(table string, match []p4ir.MatchValue) error {
 // ModifyEntry rewrites the action/args of the first matching entry.
 func (r *Runtime) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
 	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		if t.Action(action) == nil {
-			return nil, fmt.Errorf("core: unknown action %q", action)
-		}
-		i, err := firstMatch(t, match)
-		if err != nil {
-			return nil, err
-		}
-		was := t.Entries[i]
-		t.Entries[i].Action, t.Entries[i].Args = action, append([]string(nil), args...)
-		return func() { t.Entries[i] = was }, nil
+		i, was, err := t.ModifyEntry(match, action, args)
+		return func() { t.Entries[i] = was }, err
 	}, func() error {
 		return r.tgt.ModifyEntry(table, match, action, args)
 	})
-}
-
-func firstMatch(t *p4ir.Table, match []p4ir.MatchValue) (int, error) {
-	i := t.EntryIndex(match)
-	if i < 0 {
-		return i, fmt.Errorf("core: no entry matching %v in %q", match, t.Name)
-	}
-	return i, nil
 }
 
 // entryOp applies mut to the original program, then propagates: fast path
@@ -104,7 +76,7 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 	}
 	undo, err := mut(ot)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: %w", err)
 	}
 	// Slow path: regenerate the deployed program from the updated original
 	// under the active plan.
@@ -116,7 +88,7 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 		propagate = func() error {
 			undoCurrent, err := mut(ct)
 			if err != nil {
-				return err
+				return fmt.Errorf("core: %w", err)
 			}
 			if err := fast(); err != nil {
 				undoCurrent()

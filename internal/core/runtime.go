@@ -56,7 +56,6 @@ type Runtime struct {
 	// profile moved and re-derives nothing of the program.
 	search *opt.Session
 
-	lastUpdateCounts map[string]uint64
 	// updCountsOrig accumulates entry-update operations keyed by
 	// original-program table names (through the API mapping).
 	updCountsOrig     map[string]uint64
@@ -150,7 +149,6 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 		tgt:               tgt,
 		pm:                tgt.Capabilities().Params,
 		cfg:               cfg,
-		lastUpdateCounts:  map[string]uint64{},
 		updCountsOrig:     map[string]uint64{},
 		lastUpdCountsOrig: map[string]uint64{},
 	}

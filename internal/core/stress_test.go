@@ -96,6 +96,7 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 			default:
 				_ = rt.TranslatedCounters()
 				_ = rt.Current()
+				_ = rt.Status() // reads the session's counters while a round may be searching
 				time.Sleep(5 * time.Millisecond)
 			}
 		}

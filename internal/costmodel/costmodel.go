@@ -281,13 +281,3 @@ func (pm Params) ThroughputGbps(latencyNs float64, packetBytes int) float64 {
 func (pm Params) LatencyFloorNs(packetBytes int) float64 {
 	return float64(pm.Cores) * float64(packetBytes) * 8 / pm.LineRateGbps
 }
-
-// ProgramMemoryBytes estimates the memory consumption of all tables (§4):
-// entry bytes scaled by m for multi-hash-table match kinds.
-func ProgramMemoryBytes(prog *p4ir.Program, pm Params) int {
-	total := 0
-	for _, t := range prog.Tables {
-		total += len(t.Entries) * t.EntryBytes() * pm.MatchComplexity(t)
-	}
-	return total
-}

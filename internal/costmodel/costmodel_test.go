@@ -406,19 +406,6 @@ func TestCalibrateRecoversConstants(t *testing.T) {
 	}
 }
 
-func TestProgramMemoryBytes(t *testing.T) {
-	prog := exactChain(t, 2, 1)
-	pm := BlueField2()
-	if got := ProgramMemoryBytes(prog, pm); got != 0 {
-		t.Errorf("empty tables should use no memory, got %d", got)
-	}
-	prog.Tables["t0"].Entries = append(prog.Tables["t0"].Entries,
-		p4ir.Entry{Match: []p4ir.MatchValue{{Value: 1}}, Action: "act"})
-	if got := ProgramMemoryBytes(prog, pm); got <= 0 {
-		t.Errorf("memory should grow with entries, got %d", got)
-	}
-}
-
 func TestByNameFindsEveryPreset(t *testing.T) {
 	for _, preset := range []Params{BlueField2(), AgilioCX(), EmulatedNIC()} {
 		if got, ok := ByName(preset.Name); !ok || got != preset {

@@ -37,16 +37,6 @@ const (
 	TierOffPath TierID = 2
 )
 
-var tierNames = [...]string{"asic", "nic-cpu", "off-path"}
-
-// TierName returns a short human-readable tier name.
-func TierName(t TierID) string {
-	if t >= 0 && int(t) < len(tierNames) {
-		return tierNames[t]
-	}
-	return "tier?"
-}
-
 // NumTiers returns how many execution tiers the target has: two (ASIC +
 // NIC CPU) for on-path SmartNICs, three when an off-path host tier is
 // configured (OffPathSlowdown > 0).
@@ -110,12 +100,6 @@ func (pm Params) MigrationCost(from, to TierID) float64 {
 		return pm.MigrationLatency
 	}
 	return pm.OffPathCrossNs(pm.DMABatch)
-}
-
-// CrossesDMA reports whether a from→to transition is an off-path DMA
-// transfer (as opposed to an on-path fabric migration).
-func (pm Params) CrossesDMA(from, to TierID) bool {
-	return from != to && (from > TierNICCPU || to > TierNICCPU)
 }
 
 // TierUpdateStall returns the expected per-packet latency (ns) that one

@@ -94,25 +94,6 @@ func TestOffPathCrossNsBatchAmortization(t *testing.T) {
 	}
 }
 
-func TestCrossesDMA(t *testing.T) {
-	pm := BlueField2()
-	cases := []struct {
-		from, to TierID
-		want     bool
-	}{
-		{TierASIC, TierNICCPU, false},
-		{TierNICCPU, TierASIC, false},
-		{TierASIC, TierOffPath, true},
-		{TierOffPath, TierNICCPU, true},
-		{TierOffPath, TierOffPath, false},
-	}
-	for _, c := range cases {
-		if got := pm.CrossesDMA(c.from, c.to); got != c.want {
-			t.Fatalf("CrossesDMA(%d,%d) = %v, want %v", c.from, c.to, got, c.want)
-		}
-	}
-}
-
 func TestTierUpdateStallOrdering(t *testing.T) {
 	for _, pm := range []Params{BlueField2(), AgilioCX()} {
 		asic := pm.TierUpdateStall(TierASIC)
@@ -125,15 +106,5 @@ func TestTierUpdateStallOrdering(t *testing.T) {
 		if off <= 0 {
 			t.Fatalf("%s: off-path stall must be positive", pm.Name)
 		}
-	}
-}
-
-func TestTierName(t *testing.T) {
-	if TierName(TierASIC) != "asic" || TierName(TierNICCPU) != "nic-cpu" || TierName(TierOffPath) != "off-path" {
-		t.Fatalf("unexpected tier names: %q %q %q",
-			TierName(TierASIC), TierName(TierNICCPU), TierName(TierOffPath))
-	}
-	if TierName(TierID(9)) != "tier?" {
-		t.Fatalf("out-of-range tier name = %q", TierName(TierID(9)))
 	}
 }

@@ -336,7 +336,24 @@ func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 
 	rcfg := fleet.DefaultRolloutConfig(lockedSampler(gen))
 	rcfg.Verify.MaxRegression = 1.0
+	// Status is served beside the round: it reads the warm session's
+	// counters while the search runs (the race detector's business).
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = ctl.Status()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
 	reports, err := ctl.OptimizeAndRollout(progA, rcfg)
+	close(stop)
+	<-polled
 	if err != nil {
 		t.Fatal(err)
 	}

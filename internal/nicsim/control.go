@@ -2,31 +2,30 @@ package nicsim
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 
 	"pipeleon/internal/p4ir"
 )
 
 // Entry update API — the data-plane side of the control plane. Every call
-// counts toward the table's update rate (§4) and invalidates any runtime
-// cache covering the table (§3.2.2: "an update in any of the original
-// tables will invalidate the entire cache"). An operation validates, then
+// invalidates any runtime cache covering the table (§3.2.2: "an update in
+// any of the original tables will invalidate the entire cache"); the update
+// rate of §4 is counted by the caller (core). An operation validates, then
 // applies to a fork of the table's lookup store, then to Table.Entries —
-// or to neither: a refused one leaves program and store in agreement.
+// or to neither: the fork of a refused one is dropped, which leaves program
+// and store in agreement.
 
 // InsertEntry installs an entry into a table.
 func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
 	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		if t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries {
-			return fmt.Errorf("table %q full (%d entries)", table, t.MaxEntries)
-		}
-		e = e.Clone()
-		if err := rt.insert(&e); err != nil {
+		se, err := rt.insert(&e)
+		if err != nil {
 			return err
 		}
-		t.Entries = append(t.Entries, e)
+		if err := t.InsertEntry(e); err != nil {
+			return err
+		}
+		se.match = t.Entries[len(t.Entries)-1].Match // the table's copy, not the caller's
 		return nil
 	})
 }
@@ -38,9 +37,8 @@ func (n *NIC) DeleteEntry(table string, match []p4ir.MatchValue) error {
 		if err := rt.remove(match); err != nil {
 			return err
 		}
-		i := t.EntryIndex(match)
-		t.Entries = slices.Delete(t.Entries, i, i+1)
-		return nil
+		_, _, err := t.DeleteEntry(match)
+		return err
 	})
 }
 
@@ -51,10 +49,8 @@ func (n *NIC) ModifyEntry(table string, match []p4ir.MatchValue, action string, 
 		if err := rt.modify(match, action, args); err != nil {
 			return err
 		}
-		i := t.EntryIndex(match)
-		t.Entries[i].Action = action
-		t.Entries[i].Args = append([]string(nil), args...)
-		return nil
+		_, _, err := t.ModifyEntry(match, action, args)
+		return err
 	})
 }
 
@@ -100,17 +96,7 @@ func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) erro
 	if n.vendorCache != nil {
 		n.vendorCache.invalidate()
 	}
-	n.statMu.Lock()
-	n.updateCounts[table]++
-	n.statMu.Unlock()
 	return nil
-}
-
-// UpdateCounts returns the cumulative entry-update operations per table.
-func (n *NIC) UpdateCounts() map[string]uint64 {
-	n.statMu.Lock()
-	defer n.statMu.Unlock()
-	return maps.Clone(n.updateCounts)
 }
 
 // CacheStatsAll returns stats for every runtime cache (sorted by table

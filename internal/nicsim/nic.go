@@ -68,7 +68,7 @@ type Config struct {
 	// update) each instrumentation point charges packets that are NOT
 	// sampled — the per-site sampling test is not free on hardware,
 	// which is why 1/1024 sampling still costs ~4-5% on Agilio CX
-	// (§5.4.1). Default 0.25 when Instrument is set.
+	// (§5.4.1). Default 0.15 when Instrument is set.
 	SampleCheckFraction float64
 	// Faults, when non-nil, is consulted on program swaps so tests can
 	// inject deploy failures and silent mid-deploy crashes (the NIC left
@@ -100,10 +100,8 @@ type NIC struct {
 	ctxPool sync.Pool
 	ctxSeq  atomic.Uint32
 
-	statMu       sync.Mutex
-	updateCounts map[string]uint64
-	processed    atomic.Uint64
-	droppedCnt   atomic.Uint64
+	processed  atomic.Uint64
+	droppedCnt atomic.Uint64
 
 	// vnow is the NIC's virtual clock in nanoseconds since the Unix
 	// epoch, advanced by each packet's modeled latency. It feeds the
@@ -147,11 +145,7 @@ type fillRef struct {
 
 // New builds a NIC executing prog under cfg.
 func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
-	n := &NIC{
-		cfg:          cfg,
-		pm:           cfg.Params,
-		updateCounts: map[string]uint64{},
-	}
+	n := &NIC{cfg: cfg, pm: cfg.Params}
 	n.ctxPool.New = func() any {
 		return &procCtx{slot: n.ctxSeq.Add(1) - 1, values: make([]uint64, 0, 8)}
 	}

@@ -355,7 +355,7 @@ func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedLPM, fixedTernary int)
 	}
 	rt.fixedM = map[p4ir.MatchKind]int{p4ir.MatchLPM: fixedLPM, p4ir.MatchTernary: fixedTernary}[rt.kind]
 	for i := range entries {
-		if err := rt.insert(&entries[i]); err != nil {
+		if _, err := rt.insert(&entries[i]); err != nil {
 			return nil, fmt.Errorf("table %q entry %d: %w", t.Name, i, err)
 		}
 	}
@@ -416,14 +416,15 @@ func (rt *runtimeTable) sortGroups() {
 }
 
 // insert validates, compiles and installs one entry — and nothing else:
-// no entry already in the table is hashed, compiled or copied for it.
-func (rt *runtimeTable) insert(e *p4ir.Entry) error {
+// no entry already in the table is hashed, compiled or copied for it. The
+// stored entry keeps e.Match.
+func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
 	if len(e.Match) != len(rt.tbl.Keys) {
-		return fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(rt.tbl.Keys))
+		return nil, fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(rt.tbl.Keys))
 	}
 	cact := rt.actByName[e.Action]
 	if cact == nil {
-		return fmt.Errorf("unknown action %q", e.Action)
+		return nil, fmt.Errorf("unknown action %q", e.Action)
 	}
 	var buf [8]uint64
 	se := &storedEntry{cact: cact, cargs: compileArgs(e.Args), priority: e.Priority, match: e.Match, seq: rt.nextSeq}
@@ -443,7 +444,7 @@ func (rt *runtimeTable) insert(e *p4ir.Entry) error {
 	if fresh {
 		rt.sortGroups()
 	}
-	return nil
+	return se, nil
 }
 
 func compileArgs(args []string) []operand {

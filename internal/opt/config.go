@@ -70,12 +70,6 @@ type Config struct {
 	// device. Hysteresis prevents flip-flopping between near-equal plans,
 	// each swap of which would cold-start its caches.
 	RedeployMargin float64
-	// SearchWorkers is the goroutine pool size for per-unit candidate
-	// enumeration and plan re-scoring — units are independent until the
-	// global knapsack, so they evaluate in parallel. 0 uses GOMAXPROCS;
-	// 1 forces serial evaluation. Results are deterministic regardless
-	// of the worker count.
-	SearchWorkers int
 	// EnablePlacement turns on heterogeneous N-tier placement search:
 	// the session proposes a tier assignment + copy plan (as an
 	// annotation-only OptPlacement candidate) whenever the cost model

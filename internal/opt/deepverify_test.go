@@ -80,36 +80,3 @@ func TestDeepVerifyRejectsNoSearchCandidates(t *testing.T) {
 	}
 	_ = misses
 }
-
-// Sweep points sharing one program must share the semantic checker and
-// still match per-point Search exactly when DeepVerify is on.
-func TestSweepWithDeepVerifyMatchesSearch(t *testing.T) {
-	pm := costmodel.BlueField2()
-	prog := synth.Program(synth.ProgramSpec{Pipelets: 4, AvgLen: 2, Category: synth.HeavyDrop, Seed: 99})
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 100, Category: synth.HeavyDrop})
-
-	deepCfg := DefaultConfig()
-	deepCfg.TopKFrac = 1
-	deepCfg.DeepVerify = true
-	plainCfg := deepCfg
-	plainCfg.DeepVerify = false
-
-	points := []SweepPoint{
-		{Params: pm, Config: deepCfg},
-		{Params: pm, Config: plainCfg},
-		{Params: costmodel.AgilioCX(), Config: deepCfg},
-	}
-	results, err := Sweep(prog, prof, points, 2)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	for i, pt := range points {
-		want, err := coldSession(t, prog, pt.Params, pt.Config).Search(prof)
-		if err != nil {
-			t.Fatalf("search point %d: %v", i, err)
-		}
-		if a, b := planSignature(want), planSignature(results[i]); a != b {
-			t.Errorf("point %d: sweep result differs from direct search:\n  search: %s\n  sweep:  %s", i, a, b)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package opt
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/deps"
@@ -23,8 +22,8 @@ import (
 // what only the program's structure fixes (built once), what its table
 // entries fix (readEntries, again whenever they changed), and what the
 // profile fixes (refresh, once per round) — which is what lets a warm
-// Session reuse one Evaluator across rounds; between refreshes the view is
-// read-only and safe to share across goroutines.
+// Session reuse one Evaluator across rounds. A view belongs to one
+// goroutine at a time: pricing works in its scratch.
 type Evaluator struct {
 	prog *p4ir.Program
 	prof *profile.Profile
@@ -33,8 +32,9 @@ type Evaluator struct {
 
 	// an is built on first use: the tier-aware and ranking integrals never
 	// need it, and a one-shot estimate must not pay for it.
-	an     *deps.Analyzer
-	anOnce sync.Once
+	an *deps.Analyzer
+	// scratch is price's working state, kept from pipelet to pipelet.
+	scratch evalScratch
 
 	// Stable dense node ordering: tables first (sorted), then conds
 	// (sorted). Table-only quantities are zero at cond slots.
@@ -85,15 +85,7 @@ type Evaluator struct {
 // use, so a caller that only wants estimates (HeteroLatency under several
 // placements, say) holds a cheap value.
 func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) *Evaluator {
-	return newEvaluator(prog, prof, pm, cfg, nil)
-}
-
-// newEvaluator is NewEvaluator with an injected dependency analyzer (nil
-// builds one lazily), so many evaluators over one program (a sweep's
-// points) share the analysis. The analyzer is eager and read-only after
-// construction, hence safe to share across goroutines.
-func newEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config, an *deps.Analyzer) *Evaluator {
-	ev := &Evaluator{prog: prog, pm: pm, cfg: cfg, an: an}
+	ev := &Evaluator{prog: prog, pm: pm, cfg: cfg}
 	tnames := make([]string, 0, len(prog.Tables))
 	for name := range prog.Tables {
 		tnames = append(tnames, name)
@@ -237,11 +229,9 @@ func (ev *Evaluator) addShare(lo, hi int, to string, p float64) {
 
 // analyzer returns the dependency analyzer, building it on first use.
 func (ev *Evaluator) analyzer() *deps.Analyzer {
-	ev.anOnce.Do(func() {
-		if ev.an == nil {
-			ev.an = deps.NewAnalyzer(ev.prog)
-		}
-	})
+	if ev.an == nil {
+		ev.an = deps.NewAnalyzer(ev.prog)
+	}
 	return ev.an
 }
 
@@ -446,16 +436,14 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 	return total
 }
 
-// evalScratch is the pooled working state of pricing one pipelet (price
-// runs concurrently across units): the price table of the order at hand
-// and the selection's two buffers.
+// evalScratch is the working state of pricing one pipelet: the price table
+// of the order at hand, the selection's two buffers and sortPicks' digit
+// counts.
 type evalScratch struct {
 	cost, keep []float64
 	picks, tmp []pick
-	hist       [8][256]uint32 // sortPicks' digit counts (8 KB: not a stack frame for a fresh worker goroutine)
+	hist       [8][256]uint32
 }
-
-var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // pick is one candidate that cleared the gain threshold: candidate c of
 // order oi.
@@ -517,8 +505,7 @@ func (ev *Evaluator) price(sk *skeleton) []*Option {
 	if len(sk.orders) == 0 {
 		return nil
 	}
-	sc := evalScratchPool.Get().(*evalScratch)
-	defer evalScratchPool.Put(sc)
+	sc := &ev.scratch
 	orders := sk.orders
 	if sk.blocked != nil {
 		if os := sk.dropOrder(ev); os != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pipeleon/internal/deps"
 	"pipeleon/internal/pipelet"
@@ -215,7 +213,7 @@ func greedyDropOrder(blocked [][]bool, drop func(i int) float64) []int {
 // the dependency analysis and the structural config fields (EnableReorder/
 // Cache/Merge, MaxOrders, MaxSegmentations, MergeCap) — no profile, no cost
 // model, no table entry — so it is built once per pipelet and priced every
-// round (Evaluator.price); a sweep's sessions that agree on those share it.
+// round (Evaluator.price).
 type skeleton struct {
 	p      *pipelet.Pipelet
 	orders []*orderSkel // the exhaustively enumerated orders, the pipelet's own first
@@ -224,7 +222,7 @@ type skeleton struct {
 	// keeps the last one built, so a drop order that holds from round to
 	// round is analyzed once.
 	blocked    [][]bool
-	dropSorted atomic.Pointer[orderSkel]
+	dropSorted *orderSkel
 }
 
 // orderSkel is one table order of a pipelet: the dense view indices of its
@@ -300,12 +298,10 @@ func (sk *skeleton) dropOrder(ev *Evaluator) *orderSkel {
 	if same {
 		return nil
 	}
-	if os := sk.dropSorted.Load(); os != nil && slices.Equal(os.order, order) {
-		return os
+	if sk.dropSorted == nil || !slices.Equal(sk.dropSorted.order, order) {
+		sk.dropSorted = newOrderSkel(ev, order, new([]*shape))
 	}
-	os := newOrderSkel(ev, order, new([]*shape))
-	sk.dropSorted.Store(os)
-	return os
+	return sk.dropSorted
 }
 
 // newOrderSkel analyzes one order. The deps checks are monotone over
@@ -411,19 +407,4 @@ func newShape(legal []int, maxSegs int) *shape {
 // skeleton.
 func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
 	return ev.price(newSkeleton(ev, p))
-}
-
-// skeletons holds one lazily built skeleton per pipelet of a partition,
-// by Pipelet.ID: bounded by the partition, nothing to evict. Safe for
-// concurrent use, so a sweep's sessions can share one.
-type skeletons []struct {
-	once sync.Once
-	sk   *skeleton
-}
-
-// get returns p's skeleton and whether this call built it.
-func (ss skeletons) get(ev *Evaluator, p *pipelet.Pipelet) (sk *skeleton, built bool) {
-	slot := &ss[p.ID]
-	slot.once.Do(func() { slot.sk, built = newSkeleton(ev, p), true })
-	return slot.sk, built
 }

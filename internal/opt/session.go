@@ -2,13 +2,13 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
-	"pipeleon/internal/deps"
 	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
@@ -42,19 +42,19 @@ import (
 // program clone plus the joint proof; SearchAndApply is the two composed
 // for callers with nothing to decide in between.
 //
-// Observe, Search, Materialize, and ReScore serialize on an internal mutex;
-// the cold package-level entry points are thin wrappers that run one round
-// on a fresh session, so cold and warm execute the same code path.
+// Observe, Search, Materialize, and ReScore serialize on an internal mutex
+// and run on the caller's goroutine: a session starts none of its own.
+// Stats may be called while a round runs. A cold search is a fresh
+// session's first round, so cold and warm execute the same code path.
 type Session struct {
 	prog     *p4ir.Program
 	pm       costmodel.Params
 	cfg      Config
 	part     *pipelet.Partition
-	an       *deps.Analyzer // shared analyzer (nil: the evaluator builds its own on first use)
 	verifier *optionVerifier
-	skels    skeletons // shared by a sweep's points that enumerate alike
 
-	mu    sync.Mutex // guards everything below across rounds
+	mu    sync.Mutex  // guards everything below across rounds
+	skels []*skeleton // by Pipelet.ID, built the first time the pipelet is searched
 	ev    *Evaluator
 	epoch uint64         // the verifier's entry epoch ev's entry-dependent arrays were read at
 	costs []pipelet.Cost // ev's pipelet ranking
@@ -103,27 +103,15 @@ func NewSession(prog *p4ir.Program, pm costmodel.Params, cfg Config) (*Session, 
 	if err != nil {
 		return nil, err
 	}
-	return newSessionShared(prog, pm, cfg, part, nil, analysis.NewVerifier(prog, cfg.DeepVerify), predecessors(prog),
-		make(skeletons, len(part.Pipelets))), nil
-}
-
-// newSessionShared builds a session over prebuilt program-derived state: a
-// pipelet partition, a dependency analyzer, the program's verifier (of
-// the point's depth) with its predecessor index, and the partition's
-// skeletons (for the point's structural config). Sweep uses it so every
-// point shares the program-only analyses and pays only for its own
-// evaluator and verdict memo.
-func newSessionShared(prog *p4ir.Program, pm costmodel.Params, cfg Config, part *pipelet.Partition,
-	an *deps.Analyzer, v *analysis.Verifier, preds map[string][]string, skels skeletons) *Session {
 	return &Session{
-		prog:     prog,
-		pm:       pm,
-		cfg:      cfg,
-		part:     part,
-		an:       an,
-		verifier: &optionVerifier{prog: prog, cfg: cfg, v: v, preds: preds, verdict: memo.New[string, bool](verdictMemoCap)},
-		skels:    skels,
-	}
+		prog: prog,
+		pm:   pm,
+		cfg:  cfg,
+		part: part,
+		verifier: &optionVerifier{prog: prog, cfg: cfg, v: analysis.NewVerifier(prog, cfg.DeepVerify),
+			preds: predecessors(prog), verdict: memo.New[string, bool](verdictMemoCap)},
+		skels: make([]*skeleton, len(part.Pipelets)),
+	}, nil
 }
 
 // Stats returns a snapshot of the session counters.
@@ -149,7 +137,7 @@ func (s *Session) view(prof *profile.Profile) *Evaluator {
 	epoch := s.verifier.v.Epoch()
 	switch {
 	case s.ev == nil:
-		s.ev = newEvaluator(s.prog, prof, s.pm, s.cfg, s.an)
+		s.ev = NewEvaluator(s.prog, prof, s.pm, s.cfg)
 	case s.ev.prof == prof && s.epoch == epoch:
 		return s.ev
 	default:
@@ -188,77 +176,48 @@ func (s *Session) Search(prof *profile.Profile) (*SearchResult, error) {
 	res := &SearchResult{Costs: s.costs, BaselineLatency: ev.baseline()}
 	res.TopK = pipelet.TopK(res.Costs, s.cfg.TopKFrac)
 
-	// Serial phase: decide group membership (a pipelet joins at most one
-	// group per round), which fixes the unit list and its order.
-	type unitTask struct {
-		group *pipelet.Group // nil for a single-pipelet unit
-		p     *pipelet.Pipelet
-	}
-	var tasks []unitTask
+	// A pipelet joins at most one group per round; groups are priced first,
+	// then the top-k pipelets left alone, which fixes the unit order.
 	grouped := map[*pipelet.Pipelet]bool{}
 	if s.cfg.EnableGroups {
 		for _, g := range pipelet.FindGroups(s.prog, s.part, res.TopK) {
-			dup := false
-			for _, m := range g.Members {
-				if grouped[m] {
-					dup = true
-					break
+			if !slices.ContainsFunc(g.Members, func(m *pipelet.Pipelet) bool { return grouped[m] }) {
+				res.Groups = append(res.Groups, g)
+				for _, m := range g.Members {
+					grouped[m] = true
 				}
 			}
-			if dup {
-				continue
-			}
-			res.Groups = append(res.Groups, g)
-			for _, m := range g.Members {
-				grouped[m] = true
-			}
 		}
-		for i := range res.Groups {
-			tasks = append(tasks, unitTask{group: &res.Groups[i]})
+	}
+	priced := func(p *pipelet.Pipelet) []*Option {
+		if s.skels[p.ID] == nil {
+			s.skels[p.ID] = newSkeleton(ev, p)
+			s.stats.UnitMisses++
+		} else {
+			s.stats.UnitHits++
 		}
+		opts := ev.price(s.skels[p.ID])
+		res.CandidatesEvaluated += len(opts)
+		return opts
+	}
+	addUnit := func(name string, opts []*Option) {
+		if len(opts) > 0 {
+			res.Units = append(res.Units, Unit{Name: name, Options: opts})
+		}
+	}
+	for i := range res.Groups {
+		g := &res.Groups[i]
+		memberOpts := make([][]*Option, len(g.Members))
+		for k, m := range g.Members {
+			memberOpts[k] = priced(m)
+		}
+		opts := ev.GroupOptions(g, memberOpts)
+		res.CandidatesEvaluated += len(opts)
+		addUnit("group@"+g.Branch, opts)
 	}
 	for _, p := range res.TopK {
 		if !grouped[p] {
-			tasks = append(tasks, unitTask{p: p})
-		}
-	}
-
-	// Parallel phase: price each unit's candidates.
-	type unitOut struct {
-		unit                      Unit
-		candidates, priced, built int
-	}
-	outs := make([]unitOut, len(tasks))
-	runIndexed(len(tasks), s.cfg.searchWorkers(), func(i int) {
-		t, out := tasks[i], &outs[i]
-		priced := func(p *pipelet.Pipelet) []*Option {
-			sk, built := s.skels.get(ev, p)
-			out.priced++
-			if built {
-				out.built++
-			}
-			return ev.price(sk)
-		}
-		if t.group == nil {
-			opts := priced(t.p)
-			out.unit, out.candidates = Unit{Name: t.p.String(), Options: opts}, len(opts)
-			return
-		}
-		memberOpts := make([][]*Option, len(t.group.Members))
-		for k, m := range t.group.Members {
-			memberOpts[k] = priced(m)
-			out.candidates += len(memberOpts[k])
-		}
-		opts := ev.GroupOptions(t.group, memberOpts)
-		out.unit = Unit{Name: "group@" + t.group.Branch, Options: opts}
-		out.candidates += len(opts)
-	})
-	for _, o := range outs {
-		s.stats.UnitMisses += uint64(o.built)
-		s.stats.UnitHits += uint64(o.priced - o.built)
-		res.CandidatesEvaluated += o.candidates
-		if len(o.unit.Options) > 0 {
-			res.Units = append(res.Units, o.unit)
+			addUnit(p.String(), priced(p))
 		}
 	}
 
@@ -342,16 +301,11 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ev := s.view(prof)
-	scores := make([]float64, len(plan))
-	runIndexed(len(plan), s.cfg.searchWorkers(), func(i int) {
-		if !s.verifier.verify(plan[i]) {
-			return
-		}
-		scores[i] = ev.ScoreOption(plan[i])
-	})
 	var total float64
-	for _, sc := range scores {
-		total += sc
+	for _, o := range plan {
+		if s.verifier.verify(o) {
+			total += ev.ScoreOption(o)
+		}
 	}
 	return total
 }

@@ -267,55 +267,9 @@ func TestPlanVerifierMatchesVerifyOption(t *testing.T) {
 	}
 }
 
-// Property: Sweep's per-point results are bit-identical to running Search
-// point by point, whatever the points' cost models and configs, and
-// whatever the worker count.
-func TestSweepMatchesSearch(t *testing.T) {
-	pspec, profSpec, _ := sessionCase(7)
-	pspec.Pipelets = 8
-	prog := synth.Program(pspec)
-	prof := synth.SynthesizeProfile(prog, profSpec)
-
-	base := DefaultConfig()
-	base.TopKFrac = 1
-	short := base
-	short.MaxPipeletLen = 4
-	merged := base
-	merged.MergeCap = 3
-	budget := base
-	budget.MemoryBudget = 1 << 15
-	noCache := base
-	noCache.EnableCache = false
-
-	points := []SweepPoint{
-		{Params: costmodel.EmulatedNIC(), Config: base},
-		{Params: costmodel.BlueField2(), Config: base},
-		{Params: costmodel.AgilioCX(), Config: short},
-		{Params: costmodel.EmulatedNIC(), Config: merged},
-		{Params: costmodel.BlueField2(), Config: budget},
-		{Params: costmodel.EmulatedNIC(), Config: noCache},
-	}
-	for _, workers := range []int{1, 4} {
-		results, err := Sweep(prog, prof, points, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != len(points) {
-			t.Fatalf("workers=%d: %d results for %d points", workers, len(results), len(points))
-		}
-		for pi, pt := range points {
-			cold, err := coldSession(t, prog, pt.Params, pt.Config).Search(prof)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "point", cold, results[pi])
-		}
-	}
-}
-
 // A search of a warm session on a profile that moved — the only search the
 // runtime asks for — must stay allocation-light: the skeletons are held,
-// the price tables and the selection's buffers are pooled, and Options
+// the price tables and the selection's buffers are the view's, and Options
 // exist only for the survivors, one slab per pipelet. The budget is the
 // measured 845 objs/search on the 110-table program plus 15 % (the
 // enumerate-and-score search made 13 900), and most of it is the one

@@ -188,7 +188,7 @@ func TestLongPipeletFollowsDropOrder(t *testing.T) {
 		if len(warm.Plan) != 1 || warm.Plan[0].Order[0] != fmt.Sprintf("a%d", hot) {
 			t.Fatalf("round %d: plan %v does not lead with a%d", round, warm.Plan, hot)
 		}
-		sorted := s.skels[0].sk.dropSorted.Load()
+		sorted := s.skels[0].dropSorted
 		if round == 2 && sorted != held {
 			t.Error("round 2: an unchanged drop order was analyzed again")
 		}

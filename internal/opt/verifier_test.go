@@ -8,8 +8,7 @@ import (
 	"pipeleon/internal/synth"
 )
 
-// deepSession is a deep session over a program whose search finds a plan,
-// with the search fanned out so the race detector sees the verifier shared.
+// deepSession is a deep session over a program whose search finds a plan.
 func deepSession(t *testing.T) (*Session, *SearchResult, func() *SearchResult) {
 	t.Helper()
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 4, AvgLen: 2, Category: synth.HeavyDrop, Seed: 99})
@@ -17,7 +16,6 @@ func deepSession(t *testing.T) (*Session, *SearchResult, func() *SearchResult) {
 	cfg := DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.DeepVerify = true
-	cfg.SearchWorkers = 4
 	s, err := NewSession(prog, costmodel.BlueField2(), cfg)
 	if err != nil {
 		t.Fatal(err)

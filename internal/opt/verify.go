@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"sync/atomic"
-
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
@@ -35,10 +33,10 @@ const verdictMemoCap = 4096
 type optionVerifier struct {
 	prog    *p4ir.Program
 	cfg     Config
-	v       *analysis.Verifier  // shared by a sweep's points of one depth, like preds
+	v       *analysis.Verifier
 	preds   map[string][]string // node -> original nodes holding a successor reference to it
 	verdict *memo.Table[string, bool]
-	epoch   atomic.Uint64 // the verifier's entry epoch the verdicts were computed at
+	epoch   uint64 // the verifier's entry epoch the verdicts were computed at
 }
 
 // predecessors indexes, for every node, the nodes referencing it as a
@@ -107,10 +105,11 @@ func scratchClone(prog *p4ir.Program) *p4ir.Program {
 
 // verify reports whether o's rewrite is provably sound — the same verdict
 // as VerifyOption(prog, o, cfg) plus, behind a deep verifier, the semantic
-// proof — memoized. Safe for concurrent use.
+// proof — memoized.
 func (ov *optionVerifier) verify(o *Option) bool {
 	if ov.v.IsDeep() {
-		if e := ov.v.Epoch(); ov.epoch.Swap(e) != e {
+		if e := ov.v.Epoch(); ov.epoch != e {
+			ov.epoch = e
 			ov.verdict.Reset()
 		}
 	}

@@ -20,11 +20,11 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	rec.Branch("c1", false)
 	rec.Cache("cache1", true)
 	rec.Cache("cache1", false)
-	col.ObserveUpdateRate("t1", 123.5)
 	rec.Key("t1", 1)
 	rec.Key("t1", 2)
 	rec.Flow(99)
 	p := col.Snapshot()
+	p.UpdateRates["t1"] = 123.5
 
 	data, err := json.Marshal(p)
 	if err != nil {
@@ -40,8 +40,8 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if back.BranchCounts["c1"] != [2]uint64{1, 1} {
 		t.Errorf("BranchCounts = %v", back.BranchCounts["c1"])
 	}
-	if r, ok := back.CacheHitRate("cache1"); !ok || r != 0.5 {
-		t.Errorf("hit rate = %v %v", r, ok)
+	if h, m := back.CacheHits["cache1"], back.CacheMisses["cache1"]; h != 1 || m != 1 {
+		t.Errorf("cache hits, misses = %d, %d", h, m)
 	}
 	if back.UpdateRate("t1") != 123.5 {
 		t.Errorf("update rate = %v", back.UpdateRate("t1"))

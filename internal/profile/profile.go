@@ -121,16 +121,6 @@ func dropProb(t *p4ir.Table, probs map[string]float64) float64 {
 	return drop
 }
 
-// CacheHitRate returns the observed hit rate for a cache table, and whether
-// any observations exist.
-func (p *Profile) CacheHitRate(cache string) (float64, bool) {
-	h, m := p.CacheHits[cache], p.CacheMisses[cache]
-	if h+m == 0 {
-		return 0, false
-	}
-	return float64(h) / float64(h+m), true
-}
-
 // UpdateRate returns the entry-update rate for a table (0 if unobserved).
 func (p *Profile) UpdateRate(table string) float64 { return p.UpdateRates[table] }
 
@@ -439,13 +429,6 @@ func (c *Collector) mergeShardsLocked(out *Profile) {
 	}
 }
 
-// ObserveUpdateRate records the entry-update rate for a table.
-func (c *Collector) ObserveUpdateRate(table string, opsPerSec float64) {
-	c.mu.Lock()
-	c.p.UpdateRates[table] = opsPerSec
-	c.mu.Unlock()
-}
-
 // Snapshot returns an immutable copy of the current profile with counter
 // values scaled by the sampling factor. Live shard counters are merged in
 // non-destructively, so processing may continue concurrently.
@@ -498,17 +481,4 @@ func (c *Collector) Reset() {
 		s.zero()
 	}
 	c.mu.Unlock()
-}
-
-// CounterUpdatesPerPacket returns how many counter increments one packet
-// traversing the given path (node names) costs under this instrumentation:
-// one per conditional branch plus one per table action executed (§5.4.1).
-func CounterUpdatesPerPacket(prog *p4ir.Program, path []string) int {
-	n := 0
-	for _, name := range path {
-		if t, c := prog.Node(name); t != nil || c != nil {
-			n++ // one action counter per table hit, one branch counter per conditional
-		}
-	}
-	return n
 }

@@ -176,25 +176,6 @@ func TestSamplingScalesCounts(t *testing.T) {
 	}
 }
 
-func TestCacheHitRate(t *testing.T) {
-	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
-	for i := 0; i < 90; i++ {
-		rec.Cache("cache1", true)
-	}
-	for i := 0; i < 10; i++ {
-		rec.Cache("cache1", false)
-	}
-	p := col.Snapshot()
-	rate, ok := p.CacheHitRate("cache1")
-	if !ok || math.Abs(rate-0.9) > 1e-9 {
-		t.Errorf("hit rate = %v ok=%v, want 0.9 true", rate, ok)
-	}
-	if _, ok := p.CacheHitRate("nothere"); ok {
-		t.Error("unobserved cache should report ok=false")
-	}
-}
-
 func TestResetPreservesSampling(t *testing.T) {
 	col := profile.NewCollector()
 	rec := profiletest.NewRecorder(col)
@@ -211,9 +192,8 @@ func TestResetPreservesSampling(t *testing.T) {
 }
 
 func TestUpdateRates(t *testing.T) {
-	col := profile.NewCollector()
-	col.ObserveUpdateRate("lb", 1500)
-	p := col.Snapshot()
+	p := profile.New()
+	p.UpdateRates["lb"] = 1500
 	if p.UpdateRate("lb") != 1500 {
 		t.Errorf("UpdateRate = %v, want 1500", p.UpdateRate("lb"))
 	}
@@ -231,13 +211,5 @@ func TestCloneIndependence(t *testing.T) {
 	p2.ActionCounts["t"]["a"] = 999
 	if p1.ActionCounts["t"]["a"] != 1 {
 		t.Error("Clone shares maps with original")
-	}
-}
-
-func TestCounterUpdatesPerPacket(t *testing.T) {
-	prog := branchProg(t)
-	n := profile.CounterUpdatesPerPacket(prog, []string{"c", "A", "C"})
-	if n != 3 {
-		t.Errorf("CounterUpdatesPerPacket = %d, want 3", n)
 	}
 }

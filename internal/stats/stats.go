@@ -1,6 +1,6 @@
 // Package stats provides small statistical helpers used throughout the
 // Pipeleon reproduction: linear regression for cost-model calibration,
-// entropy of traffic distributions, percentile/CDF extraction for the
+// entropy of traffic distributions, percentile extraction for the
 // evaluation harness, and a Zipf sampler for traffic locality.
 //
 // Everything in this package is deterministic given a seed; the emulator and
@@ -112,28 +112,6 @@ func Percentile(values []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// CDFPoint is a single point on an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical cumulative distribution of values as a sorted
-// series of (value, fraction<=value) points, one per input sample.
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	points := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		points[i] = CDFPoint{Value: v, Fraction: float64(i+1) / n}
-	}
-	return points
-}
-
 // Mean returns the arithmetic mean of values, or 0 for an empty slice.
 func Mean(values []float64) float64 {
 	if len(values) == 0 {
@@ -144,28 +122,4 @@ func Mean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// Normalize scales weights so they sum to 1. Weights that are non-positive
-// are clamped to zero. If everything is zero the result is a uniform
-// distribution.
-func Normalize(weights []float64) []float64 {
-	out := make([]float64, len(weights))
-	var total float64
-	for i, w := range weights {
-		if w > 0 {
-			out[i] = w
-			total += w
-		}
-	}
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
-		}
-		return out
-	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
 }

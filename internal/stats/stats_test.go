@@ -129,43 +129,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	vals := []float64{3, 1, 2, 2, 5}
-	points := CDF(vals)
-	if len(points) != len(vals) {
-		t.Fatalf("len = %d, want %d", len(points), len(vals))
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Value < points[i-1].Value {
-			t.Error("CDF values not sorted")
-		}
-		if points[i].Fraction <= points[i-1].Fraction {
-			t.Error("CDF fractions not strictly increasing")
-		}
-	}
-	if points[len(points)-1].Fraction != 1 {
-		t.Errorf("final fraction = %v, want 1", points[len(points)-1].Fraction)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 3, -2, 0})
-	var sum float64
-	for _, v := range out {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("sum = %v, want 1", sum)
-	}
-	if out[2] != 0 {
-		t.Errorf("negative weight should clamp to 0, got %v", out[2])
-	}
-	uniform := Normalize([]float64{0, 0})
-	if uniform[0] != 0.5 || uniform[1] != 0.5 {
-		t.Errorf("all-zero input should become uniform, got %v", uniform)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -203,18 +166,6 @@ func TestRNGIntnPanics(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	rng := NewRNG(9)
-	p := rng.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
 }
 
 func TestZipfSkewConcentrates(t *testing.T) {

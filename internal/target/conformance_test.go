@@ -1,6 +1,7 @@
 package target_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,7 @@ func confProgram(t *testing.T) *p4ir.Program {
 			Keys:          []p4ir.Key{{Field: field, Kind: p4ir.MatchExact, Width: packet.FieldWidth(field)}},
 			Actions:       []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")},
 			DefaultAction: "allow",
+			MaxEntries:    2,
 			Entries: []p4ir.Entry{
 				{Match: []p4ir.MatchValue{{Value: dropVal}}, Action: "drop_packet"},
 			},
@@ -73,6 +75,7 @@ func altProgram(t *testing.T) *p4ir.Program {
 			Keys:          tbl.Keys,
 			Actions:       tbl.Actions,
 			DefaultAction: tbl.DefaultAction,
+			MaxEntries:    tbl.MaxEntries,
 			Entries:       tbl.Entries,
 		})
 	}
@@ -248,6 +251,16 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if err := tgt.InsertEntry("no_such_table", p4ir.Entry{}); err == nil {
 		t.Error("insert into unknown table should fail")
 	}
+	// Insert into a full table is refused by every backend: the ACLs hold
+	// two entries and ship with one.
+	if err := tgt.InsertEntry("acl2", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 8080}}, Action: "drop_packet"}); err != nil {
+		t.Fatalf("insert up to capacity: %v", err)
+	}
+	if err := tgt.InsertEntry("acl2", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 8081}}, Action: "drop_packet"}); err == nil {
+		t.Error("insert into a full table should fail")
+	} else if n := len(tgt.Program().Tables["acl2"].Entries); n != 2 {
+		t.Errorf("refused insert left %d entries in acl2, want 2", n)
+	}
 
 	if isReplay {
 		// The replayed sequence must have consumed exactly the recording.
@@ -334,7 +347,7 @@ func TestConformanceRemoteProgramIsTheDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("after an entry insert through a second client")
-	if rem.Program().Tables["acl1"].EntryIndex(inserted.Match) < 0 {
+	if !slices.ContainsFunc(rem.Program().Tables["acl1"].Entries, func(e p4ir.Entry) bool { return slices.Equal(e.Match, inserted.Match) }) {
 		t.Fatal("the second client's entry is missing from Program()")
 	}
 

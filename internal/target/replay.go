@@ -270,45 +270,22 @@ func (r *Replayer) CacheStats() ([]CacheStats, error) {
 
 // InsertEntry applies the entry to the tracked program.
 func (r *Replayer) InsertEntry(table string, e p4ir.Entry) error {
-	return r.mutate(table, func(t *p4ir.Table) error {
-		if len(e.Match) != len(t.Keys) {
-			return fmt.Errorf("target: entry arity %d != %d keys", len(e.Match), len(t.Keys))
-		}
-		if t.Action(e.Action) == nil {
-			return fmt.Errorf("target: unknown action %q", e.Action)
-		}
-		t.Entries = append(t.Entries, e.Clone())
-		return nil
-	})
+	return r.mutate(table, func(t *p4ir.Table) error { return t.InsertEntry(e) })
 }
 
 // DeleteEntry removes the first matching entry from the tracked program.
 func (r *Replayer) DeleteEntry(table string, match []p4ir.MatchValue) error {
 	return r.mutate(table, func(t *p4ir.Table) error {
-		for i := range t.Entries {
-			if matchValuesEqual(t.Entries[i].Match, match) {
-				t.Entries = append(t.Entries[:i], t.Entries[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("target: no entry matching %v in %q", match, table)
+		_, _, err := t.DeleteEntry(match)
+		return err
 	})
 }
 
 // ModifyEntry rewrites the first matching entry in the tracked program.
 func (r *Replayer) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
 	return r.mutate(table, func(t *p4ir.Table) error {
-		if t.Action(action) == nil {
-			return fmt.Errorf("target: unknown action %q", action)
-		}
-		for i := range t.Entries {
-			if matchValuesEqual(t.Entries[i].Match, match) {
-				t.Entries[i].Action = action
-				t.Entries[i].Args = append([]string(nil), args...)
-				return nil
-			}
-		}
-		return fmt.Errorf("target: no entry matching %v in %q", match, table)
+		_, _, err := t.ModifyEntry(match, action, args)
+		return err
 	})
 }
 
@@ -319,7 +296,10 @@ func (r *Replayer) mutate(table string, f func(*p4ir.Table) error) error {
 	if !ok {
 		return fmt.Errorf("target: no table %q", table)
 	}
-	return f(t)
+	if err := f(t); err != nil {
+		return fmt.Errorf("target: %w", err)
+	}
+	return nil
 }
 
 // Capabilities returns the recorded device description.
@@ -336,16 +316,4 @@ func (r *Replayer) Remaining() (measurements, profiles, cacheStats int) {
 	return len(r.trace.Measurements) - r.nextMeasure,
 		len(r.trace.Profiles) - r.nextProfile,
 		len(r.trace.CacheStats) - r.nextCaches
-}
-
-func matchValuesEqual(a, b []p4ir.MatchValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

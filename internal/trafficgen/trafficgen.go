@@ -65,9 +65,6 @@ func (g *Generator) SetSkew(s float64) {
 	g.zipf = nil
 }
 
-// NumFlows returns the population size.
-func (g *Generator) NumFlows() int { return len(g.flows) }
-
 func (g *Generator) prepare() {
 	if g.skew > 0 {
 		if g.zipf == nil {
