@@ -7,6 +7,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 	"pipeleon/internal/synth"
 	"pipeleon/internal/target"
 	"pipeleon/internal/trafficgen"
@@ -16,7 +17,8 @@ import (
 // loopback against a device that runs the 110-table program of the
 // synth-shift workload: a program fetch that finds nothing changed and one
 // that moves the program, a deploy of a program the server has never seen
-// and of one it has, and a 2 000-packet measurement.
+// and of one it has, and a 2 000-packet measurement — and, with no wire,
+// that measurement's packet codec.
 
 func benchDevice(b *testing.B) (*Client, *p4ir.Program) {
 	b.Helper()
@@ -90,11 +92,16 @@ func BenchmarkDeployRPCRepeat(b *testing.B) {
 	}
 }
 
-func BenchmarkMeasureRPC(b *testing.B) {
-	cl, _ := benchDevice(b)
+// measureBatch is the 2 000-packet batch the measure benches ship.
+func measureBatch() []*packet.Packet {
 	gen := trafficgen.New(3, 0)
 	gen.AddFlows(trafficgen.UniformFlows(4, 500)...)
-	batch := gen.Batch(2000)
+	return gen.Batch(2000)
+}
+
+func BenchmarkMeasureRPC(b *testing.B) {
+	cl, _ := benchDevice(b)
+	batch := measureBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,4 +109,33 @@ func BenchmarkMeasureRPC(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPacketBatch is the measure RPC's packet codec alone: the batch
+// encoded into a buffer with room, and decoded into a slab that held it
+// before. Both are gated at 0 allocs/op.
+func BenchmarkPacketBatch(b *testing.B) {
+	batch := measureBatch()
+	enc := appendPackets(nil, batch)
+	b.Run("encode", func(b *testing.B) {
+		buf := appendPackets(nil, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = appendPackets(buf[:0], batch)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		slab := new(packetSlab)
+		if _, err := decodePackets(slab, enc); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodePackets(slab, enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -391,11 +391,18 @@ func (c *Client) Rollback() error {
 	return err
 }
 
+// encodePool holds batch encode buffers, pooled rather than kept per client
+// for the reason slabPool is.
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // Measure ships the batch to the device and returns its aggregate
 // statistics. Packets cross the wire in serialized form (plus wire length
 // and metadata), so header-level state round-trips faithfully.
 func (c *Client) Measure(pkts []*packet.Packet) (target.Measurement, error) {
-	resp, err := c.call(&Request{Op: OpMeasure, Body: appendPackets(nil, pkts)})
+	buf := encodePool.Get().(*[]byte)
+	*buf = appendPackets((*buf)[:0], pkts)
+	resp, err := c.call(&Request{Op: OpMeasure, Body: *buf})
+	encodePool.Put(buf)
 	if err != nil {
 		return target.Measurement{}, err
 	}

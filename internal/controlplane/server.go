@@ -350,9 +350,15 @@ func (s *Server) apply(req *Request) *Response {
 		// The answer is decided here, from the program running at this
 		// instant: whatever changed it — an entry operation, a rollback,
 		// another controller's deploy — changed its digest. The common
-		// answer is "unchanged", so the digest is streamed first and the
-		// program is encoded only when it has to travel.
-		if have := prog.Digest().String(); have == req.Have {
+		// answer is "unchanged", which a device decides by the digest it
+		// keeps; the program is encoded only when it has to travel.
+		var digest p4ir.Digest
+		if s.backend != nil {
+			digest = prog.Digest()
+		} else if digest, err = s.device.Digest(); err != nil {
+			return fail(err)
+		}
+		if have := digest.String(); have == req.Have {
 			resp.Unchanged = have
 			s.wire.programsUnchanged.Add(1)
 		} else {
@@ -403,11 +409,13 @@ func (s *Server) apply(req *Request) *Response {
 		if s.device == nil {
 			return fail(errNoDevice)
 		}
-		pkts, err := decodePackets(req.Body)
-		if err != nil {
-			return fail(err)
+		slab := slabPool.Get().(*packetSlab)
+		pkts, err := decodePackets(slab, req.Body)
+		var m target.Measurement
+		if err == nil {
+			m, err = s.device.Measure(pkts)
 		}
-		m, err := s.device.Measure(pkts)
+		slabPool.Put(slab)
 		if err != nil {
 			return fail(err)
 		}

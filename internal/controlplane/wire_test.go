@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
@@ -357,28 +358,31 @@ func testBatch(n int) []*packet.Packet {
 	return pkts
 }
 
+// decode decodes into a slab of its own.
+func decode(data []byte) ([]*packet.Packet, error) { return decodePackets(new(packetSlab), data) }
+
 func TestPacketBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 64} {
 		pkts := testBatch(n)
-		got, err := decodePackets(appendPackets(nil, pkts))
+		got, err := decode(appendPackets(nil, pkts))
 		if err != nil {
 			t.Fatal(err)
 		}
 		samePackets(t, got, pkts)
 	}
-	if _, err := decodePackets(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Fatal("a missing body was accepted as a batch")
 	}
 	enc := appendPackets(nil, testBatch(4))
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := decodePackets(enc[:cut]); err == nil {
+		if _, err := decode(enc[:cut]); err == nil {
 			t.Fatalf("batch truncated to %d/%d bytes was accepted", cut, len(enc))
 		}
 	}
-	if _, err := decodePackets(append(bytes.Clone(enc), 0)); err == nil {
+	if _, err := decode(append(bytes.Clone(enc), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := decodePackets(binary.AppendUvarint(nil, 1<<40)); err == nil {
+	if _, err := decode(binary.AppendUvarint(nil, 1<<40)); err == nil {
 		t.Fatal("a count the input cannot hold was accepted")
 	}
 }
@@ -433,18 +437,49 @@ func frameSeeds() [][]byte {
 }
 
 // FuzzDecodePackets feeds arbitrary bytes to the batch decoder. It never
-// panics, and a batch it accepts is a fixed point: encoded again and
-// decoded again it is the same batch.
+// panics; a batch it accepts is a fixed point (encoded again and decoded
+// again it is the same batch); and decoded into a reused, dirty slab — one
+// that just held packets whose metadata spilled past the inline slots,
+// between packets with inline metadata — it is the batch a fresh slab holds,
+// with nothing of the previous one left.
 func FuzzDecodePackets(f *testing.F) {
 	for _, seed := range packetSeeds() {
 		f.Add(seed)
 	}
+	prev := testBatch(16)
+	for i, p := range prev {
+		for j := 0; j < 5+35*(i%2); j++ {
+			p.Set(fmt.Sprintf("meta.wire_spill_%d", j), uint64(i*j+1))
+		}
+		p.Payload = []byte{1, 2, 3}
+		if i%4 < 2 { // and UDP beside the generator's TCP
+			p.HasTCP, p.HasUDP, p.IP.Protocol = false, true, packet.ProtoUDP
+			p.UDP = packet.UDP{SrcPort: 7, DstPort: 9}
+		}
+	}
+	dirty := appendPackets(nil, prev)
+	slab := new(packetSlab)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkts, err := decodePackets(data)
+		pkts, err := decode(data)
+		if _, derr := decodePackets(slab, dirty); derr != nil {
+			t.Fatal(derr)
+		}
+		reused, rerr := decodePackets(slab, data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("fresh slab: %v, reused slab: %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
-		again, err := decodePackets(appendPackets(nil, pkts))
+		samePackets(t, reused, pkts)
+		for i, p := range reused {
+			q := pkts[i]
+			if p.Eth != q.Eth || p.IP != q.IP || p.TCP != q.TCP || p.UDP != q.UDP || p.HasIPv4 != q.HasIPv4 ||
+				p.HasTCP != q.HasTCP || p.HasUDP != q.HasUDP || !bytes.Equal(p.Payload, q.Payload) {
+				t.Fatalf("packet %d: the reused slab's parse %+v differs from a fresh one %+v", i, p, q)
+			}
+		}
+		again, err := decode(appendPackets(nil, pkts))
 		if err != nil {
 			t.Fatalf("re-encoded batch rejected: %v", err)
 		}

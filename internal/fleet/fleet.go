@@ -319,14 +319,11 @@ func isPanicErr(err error) bool {
 }
 
 // digestOf returns the content digest of a device's running program; ok is
-// false when the program cannot be read.
+// false when the device cannot name it.
 func digestOf(tgt target.Target) (d p4ir.Digest, ok bool) {
-	var prog *p4ir.Program
-	if err := safeCall(func() error {
-		prog = tgt.Program()
-		return nil
-	}); err != nil || prog == nil {
-		return d, false
-	}
-	return prog.Digest(), true
+	err := safeCall(func() (err error) {
+		d, err = tgt.Digest()
+		return err
+	})
+	return d, err == nil
 }

@@ -181,12 +181,17 @@ func (c *Controller) Rollout(prog *p4ir.Program, cfg RolloutConfig) (*RolloutRep
 	if prog == nil {
 		return nil, errors.New("fleet: rollout needs a program")
 	}
+	return c.rollout(prog, prog.Digest(), cfg)
+}
+
+// rollout is Rollout of a program whose digest the caller has: want must be
+// prog.Digest().
+func (c *Controller) rollout(prog *p4ir.Program, want p4ir.Digest, cfg RolloutConfig) (*RolloutReport, error) {
 	c.rolloutMu.Lock()
 	defer c.rolloutMu.Unlock()
 	cfg = cfg.withDefaults()
 
 	eligible, skipped := c.eligibleDevices()
-	want := prog.Digest()
 	rep := &RolloutReport{Fingerprint: shortDigest(want), Skipped: skipped}
 	if len(eligible) == 0 {
 		return rep, errors.New("fleet: no eligible devices")
@@ -305,7 +310,7 @@ func (c *Controller) rollbackCommitted(rep *RolloutReport, commits []committedDe
 				if prev == nil {
 					return errors.New("no previous program captured")
 				}
-				if err := d.tgt.Deploy(prev.Clone()); err != nil {
+				if err := d.tgt.Deploy(prev); err != nil {
 					return err
 				}
 				return d.tgt.Commit()
@@ -366,7 +371,7 @@ func (c *Controller) deployOne(d *device, prog *p4ir.Program, cfg RolloutConfig,
 			}
 		}
 
-		if err := d.tgt.Deploy(prog.Clone()); err != nil {
+		if err := d.tgt.Deploy(prog); err != nil { // the backend keeps a copy
 			return fmt.Errorf("deploy: %w", err)
 		}
 		d.mu.Lock()
@@ -455,7 +460,7 @@ func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) (
 			continue
 		}
 		c.logf("optimize: model %s: plan %v (est. gain %.0fns)", g.Model, res.Plan, res.Gain)
-		rep, err := c.Rollout(rw.Program, cfg)
+		rep, err := c.rollout(rw.Program, rw.Digest, cfg)
 		if rep != nil {
 			reports = append(reports, rep)
 		}

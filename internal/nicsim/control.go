@@ -86,6 +86,7 @@ func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) erro
 		return fmt.Errorf("nicsim: %w", err)
 	}
 	n.tables[table] = rt
+	n.digest = p4ir.Digest{} // t changed in place
 	pl := n.plan.Load()
 	if id, ok := pl.ids[table]; ok {
 		n.plan.Store(pl.rebuiltNode(id, rt))

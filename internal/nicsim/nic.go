@@ -108,6 +108,11 @@ type NIC struct {
 	// cache insertion rate limiters instead of the wall clock, keeping
 	// the emulator deterministic under record/replay.
 	vnow atomic.Int64
+
+	// digest is prog.Digest(), or zero until the first ProgramDigest after
+	// load or an entry operation changed prog. Last, so that the data
+	// path's fields sit where they did before it was added.
+	digest p4ir.Digest
 }
 
 // procCtx is the reusable per-call scratch state of Process. Pooled so
@@ -220,7 +225,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 		}
 		conds[name] = f
 	}
-	n.prog = prog
+	n.prog, n.digest = prog, p4ir.Digest{}
 	n.tables = tables
 	n.conds = conds
 	n.caches = caches
@@ -282,6 +287,17 @@ func (n *NIC) Program() *p4ir.Program {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.prog
+}
+
+// ProgramDigest returns Program().Digest(), hashing the program only on the
+// first ask after a swap or an entry operation changed it.
+func (n *NIC) ProgramDigest() p4ir.Digest {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.digest == (p4ir.Digest{}) {
+		n.digest = n.prog.Digest()
+	}
+	return n.digest
 }
 
 // Params returns the cost/performance model the NIC was built with.

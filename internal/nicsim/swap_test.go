@@ -161,6 +161,61 @@ func sameDevice(t *testing.T, when string, rng *stats.RNG, got, want *NIC, pkts 
 	pass("after entry operations", pkts[:len(pkts)/4])
 }
 
+// TestProgramDigestKept: the digest a NIC keeps is the digest of the program
+// it runs, asked between every two changes — swaps from the original, from
+// a churned plan and back to a checkpoint (target.Local's Rollback), bulk
+// entry replacement, and single entry operations interleaved with all of
+// them — so a change that left the kept digest in place is caught at once.
+func TestProgramDigestKept(t *testing.T) {
+	for i := 0; i <= swapCorpus; i += 4 {
+		orig, spec, pm := swapCase(i)
+		plan := searched(t, orig, pm, spec)
+		nic, err := New(orig.Clone(), Config{Params: pm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(uint64(i) + 29)
+		check := func(when string) {
+			t.Helper()
+			if got, want := nic.ProgramDigest(), nic.Program().Digest(); got != want {
+				t.Fatalf("case %d, %s: kept digest %s, program's %s", i, when, got, want)
+			}
+		}
+		ops := func(when string) {
+			t.Helper()
+			for op := 0; op < 6; op++ {
+				churn(t, rng, nic.Program(), 1, nic)
+				check(fmt.Sprintf("%s, entry op %d", when, op))
+			}
+		}
+		check("at New")
+		ops("original")
+		checkpoint := nic.Program()
+		for _, p := range []*p4ir.Program{plan, checkpoint} {
+			if err := nic.Swap(p); err != nil {
+				t.Fatal(err)
+			}
+			check("after a swap")
+			ops("swapped")
+		}
+		var names []string
+		for name := range nic.Program().Tables {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if e := nic.Program().Tables[name].Entries; len(e) > 1 {
+				if err := nic.ReplaceEntries(name, e[:len(e)/2]); err != nil {
+					t.Fatal(err)
+				}
+				check("after ReplaceEntries")
+				break
+			}
+		}
+		ops("replaced")
+	}
+}
+
 func TestSwapIndistinguishableFromNew(t *testing.T) {
 	cases := swapCorpus + 1
 	if testing.Short() {

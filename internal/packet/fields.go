@@ -3,6 +3,7 @@ package packet
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -415,8 +416,12 @@ func (p *Packet) CloneInto(dst *Packet) {
 }
 
 // MetaMap returns a copy of all metadata fields keyed by full name
-// ("meta.x"). Intended for tests and debugging, not the hot path.
+// ("meta.x"), nil when the packet has none. Intended for tests, debugging
+// and the control plane's batch encoder, not the packet path.
 func (p *Packet) MetaMap() map[string]uint64 {
+	if p.nMeta == 0 && !slices.ContainsFunc(p.metaSet, func(w uint64) bool { return w != 0 }) {
+		return nil
+	}
 	out := make(map[string]uint64, int(p.nMeta))
 	for i := 0; i < int(p.nMeta); i++ {
 		out[FieldName(p.metaKeys[i])] = p.metaVals[i]

@@ -3,8 +3,8 @@ package packet
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -21,7 +21,7 @@ func checkMeta(t *testing.T, what string, p *Packet, m metaModel, universe []Fie
 			t.Fatalf("%s: %s = %d, model %d", what, FieldName(id), got, want)
 		}
 	}
-	if got, want := p.MetaMap(), map[string]uint64(m); !reflect.DeepEqual(got, want) {
+	if got, want := p.MetaMap(), map[string]uint64(m); !maps.Equal(got, want) { // nil when empty
 		t.Fatalf("%s: MetaMap has %d fields, model %d", what, len(got), len(want))
 	}
 }

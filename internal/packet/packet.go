@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by Parse.
@@ -125,9 +126,21 @@ const (
 // callers decide whether that is an error (mirroring gopacket's tolerant
 // ErrorLayer behaviour).
 func Parse(data []byte) (*Packet, error) {
-	p := &Packet{WireLen: len(data)}
+	p := new(Packet)
+	if err := ParseInto(p, data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ParseInto is Parse into p. Like CloneInto's destination, p keeps its own
+// metadata buffer, of which nothing a previous occupant wrote stays
+// readable. On error p holds a partial parse.
+func ParseInto(p *Packet, data []byte) error {
+	set, dense := p.metaSet[:0], p.metaDense[:0]
+	*p = Packet{WireLen: len(data), metaSet: set, metaDense: dense}
 	if len(data) < ethLen {
-		return nil, fmt.Errorf("%w: %d bytes for ethernet", ErrTruncated, len(data))
+		return fmt.Errorf("%w: %d bytes for ethernet", ErrTruncated, len(data))
 	}
 	copy(p.Eth.DstMAC[:], data[0:6])
 	copy(p.Eth.SrcMAC[:], data[6:12])
@@ -135,18 +148,18 @@ func Parse(data []byte) (*Packet, error) {
 	rest := data[ethLen:]
 	if p.Eth.Type != EtherTypeIPv4 {
 		p.Payload = rest
-		return p, nil
+		return nil
 	}
 	if len(rest) < ipv4Len {
-		return nil, fmt.Errorf("%w: %d bytes for ipv4", ErrTruncated, len(rest))
+		return fmt.Errorf("%w: %d bytes for ipv4", ErrTruncated, len(rest))
 	}
 	vihl := rest[0]
 	if vihl>>4 != 4 {
-		return nil, fmt.Errorf("%w: ip version %d", ErrUnsupported, vihl>>4)
+		return fmt.Errorf("%w: ip version %d", ErrUnsupported, vihl>>4)
 	}
 	ihl := int(vihl&0x0f) * 4
 	if ihl < ipv4Len || len(rest) < ihl {
-		return nil, fmt.Errorf("%w: ihl %d", ErrTruncated, ihl)
+		return fmt.Errorf("%w: ihl %d", ErrTruncated, ihl)
 	}
 	p.HasIPv4 = true
 	p.IP.TOS = rest[1]
@@ -164,7 +177,7 @@ func Parse(data []byte) (*Packet, error) {
 	switch p.IP.Protocol {
 	case ProtoTCP:
 		if len(l4) < tcpLen {
-			return nil, fmt.Errorf("%w: %d bytes for tcp", ErrTruncated, len(l4))
+			return fmt.Errorf("%w: %d bytes for tcp", ErrTruncated, len(l4))
 		}
 		p.HasTCP = true
 		p.TCP.SrcPort = binary.BigEndian.Uint16(l4[0:2])
@@ -173,7 +186,7 @@ func Parse(data []byte) (*Packet, error) {
 		p.TCP.Ack = binary.BigEndian.Uint32(l4[8:12])
 		off := int(l4[12]>>4) * 4
 		if off < tcpLen || len(l4) < off {
-			return nil, fmt.Errorf("%w: tcp offset %d", ErrTruncated, off)
+			return fmt.Errorf("%w: tcp offset %d", ErrTruncated, off)
 		}
 		p.TCP.Flags = l4[13]
 		p.TCP.Window = binary.BigEndian.Uint16(l4[14:16])
@@ -182,7 +195,7 @@ func Parse(data []byte) (*Packet, error) {
 		p.Payload = l4[off:]
 	case ProtoUDP:
 		if len(l4) < udpLen {
-			return nil, fmt.Errorf("%w: %d bytes for udp", ErrTruncated, len(l4))
+			return fmt.Errorf("%w: %d bytes for udp", ErrTruncated, len(l4))
 		}
 		p.HasUDP = true
 		p.UDP.SrcPort = binary.BigEndian.Uint16(l4[0:2])
@@ -193,12 +206,15 @@ func Parse(data []byte) (*Packet, error) {
 	default:
 		p.Payload = l4
 	}
-	return p, nil
+	return nil
 }
 
 // Serialize encodes the packet back to wire format, recomputing lengths
 // and the IPv4 header checksum (and L4 checksums over the pseudo-header).
-func (p *Packet) Serialize() []byte {
+func (p *Packet) Serialize() []byte { return p.AppendSerialize(nil) }
+
+// AppendSerialize appends Serialize's bytes to dst.
+func (p *Packet) AppendSerialize(dst []byte) []byte {
 	l4 := 0
 	if p.HasTCP {
 		l4 = tcpLen
@@ -213,14 +229,18 @@ func (p *Packet) Serialize() []byte {
 	if p.HasIPv4 {
 		size = ethLen + ipTotal
 	}
-	out := make([]byte, size)
+	dst = slices.Grow(dst, size)
+	dst = dst[:len(dst)+size]
+	out := dst[len(dst)-size:]
 	copy(out[0:6], p.Eth.DstMAC[:])
 	copy(out[6:12], p.Eth.SrcMAC[:])
 	binary.BigEndian.PutUint16(out[12:14], p.Eth.Type)
 	if !p.HasIPv4 {
 		copy(out[ethLen:], p.Payload)
-		return out
+		return dst
 	}
+	// Every byte is written below; the checksum field reads zero while the
+	// checksum is summed.
 	ip := out[ethLen:]
 	ip[0] = 0x45
 	ip[1] = p.IP.TOS
@@ -229,6 +249,7 @@ func (p *Packet) Serialize() []byte {
 	binary.BigEndian.PutUint16(ip[6:8], uint16(p.IP.Flags)<<13|p.IP.FragOff&0x1fff)
 	ip[8] = p.IP.TTL
 	ip[9] = p.IP.Protocol
+	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint32(ip[12:16], p.IP.SrcAddr)
 	binary.BigEndian.PutUint32(ip[16:20], p.IP.DstAddr)
 	cs := Checksum(ip[:ipv4Len])
@@ -259,12 +280,14 @@ func (p *Packet) Serialize() []byte {
 	default:
 		copy(l4b, p.Payload)
 	}
-	return out
+	return dst
 }
 
 // Checksum computes the RFC 1071 internet checksum of data.
-func Checksum(data []byte) uint16 {
-	var sum uint32
+func Checksum(data []byte) uint16 { return checksum(0, data) }
+
+// checksum is Checksum of data behind words already summed into sum.
+func checksum(sum uint32, data []byte) uint16 {
 	for i := 0; i+1 < len(data); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
 	}
@@ -277,14 +300,10 @@ func Checksum(data []byte) uint16 {
 	return ^uint16(sum)
 }
 
+// pseudoHeaderChecksum is the checksum of the IPv4 pseudo-header (source,
+// destination, zero, protocol, L4 length) followed by l4, summed in place.
 func pseudoHeaderChecksum(src, dst uint32, proto uint8, l4 []byte) uint16 {
-	ph := make([]byte, 12, 12+len(l4)+1)
-	binary.BigEndian.PutUint32(ph[0:4], src)
-	binary.BigEndian.PutUint32(ph[4:8], dst)
-	ph[9] = proto
-	binary.BigEndian.PutUint16(ph[10:12], uint16(len(l4)))
-	ph = append(ph, l4...)
-	return Checksum(ph)
+	return checksum(src>>16+src&0xffff+dst>>16+dst&0xffff+uint32(proto)+uint32(uint16(len(l4))), l4)
 }
 
 // FlowKey is the canonical 5-tuple identity of a flow, usable as a map

@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -202,5 +204,31 @@ func TestChecksumKnownVector(t *testing.T) {
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
 	if got := Checksum(data); got != 0x220d {
 		t.Errorf("Checksum = %#x, want 0x220d", got)
+	}
+}
+
+// TestPseudoHeaderChecksumInPlace: summing the pseudo-header's words ahead
+// of the segment is the checksum of the two laid out in one buffer, as it
+// was computed before — both length parities, and segments long enough to
+// carry many times and to overflow the 16-bit length field.
+func TestPseudoHeaderChecksumInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 70000; n += 1 + n/3 {
+		l4 := make([]byte, n)
+		if n%2 == 0 {
+			rng.Read(l4)
+		} else {
+			for i := range l4 {
+				l4[i] = 0xff
+			}
+		}
+		src, dst, proto := rng.Uint32(), rng.Uint32(), uint8(rng.Intn(256))
+		ph := binary.BigEndian.AppendUint32(nil, src)
+		ph = binary.BigEndian.AppendUint32(ph, dst)
+		ph = append(ph, 0, proto)
+		ph = binary.BigEndian.AppendUint16(ph, uint16(n))
+		if got, want := pseudoHeaderChecksum(src, dst, proto, l4), Checksum(append(ph, l4...)); got != want {
+			t.Fatalf("%d-byte segment: %#x, want %#x", n, got, want)
+		}
 	}
 }

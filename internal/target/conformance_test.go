@@ -1,6 +1,7 @@
 package target_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -137,12 +138,28 @@ func confBatch(n int) []*packet.Packet {
 	return gen.Batch(n)
 }
 
+// digestIsProgram fails unless the digest the backend names its program by
+// is that program's. It is asked after every step that may change the
+// program, so a backend that keeps the digest of one it no longer runs is
+// caught at the step that left it stale.
+func digestIsProgram(t *testing.T, tgt target.Target, step string) {
+	t.Helper()
+	d, err := tgt.Digest()
+	if err != nil {
+		t.Fatalf("after %s: Digest: %v", step, err)
+	}
+	if prog := tgt.Program(); prog == nil || d != prog.Digest() {
+		t.Fatalf("after %s: Digest() is not Program().Digest()", step)
+	}
+}
+
 // exercise runs the shared conformance sequence. deepChecks enables the
 // assertions that examine live device state; the recording pass runs with
 // them on too, so the replayed trace holds exactly the responses the
 // sequence consumes.
 func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool) {
 	t.Helper()
+	step := func(name string) { t.Helper(); digestIsProgram(t, tgt, name) }
 
 	// Capabilities must describe a plausible device.
 	cap := tgt.Capabilities()
@@ -165,12 +182,14 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if got := tgt.Program(); got == nil || got.Root != orig.Root {
 		t.Fatalf("initial program root = %v, want %q", rootOf(got), orig.Root)
 	}
+	step("start")
 
 	// Deploy → staged program visible → Rollback restores the original.
 	alt := altProgram(t)
 	if err := tgt.Deploy(alt); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
+	step("deploy")
 	if got := tgt.Program(); rootOf(got) != alt.Root {
 		t.Fatalf("after deploy, root = %q, want %q", rootOf(got), alt.Root)
 	} else if got == alt {
@@ -181,6 +200,7 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if err := tgt.Rollback(); err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
+	step("rollback")
 	if got := tgt.Program(); rootOf(got) != orig.Root {
 		t.Fatalf("after rollback, root = %q, want %q", rootOf(got), orig.Root)
 	}
@@ -193,15 +213,18 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if err := tgt.Deploy(alt); err != nil {
 		t.Fatalf("redeploy: %v", err)
 	}
+	step("redeploy")
 	if err := tgt.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
+	step("commit")
 	if got := tgt.Program(); rootOf(got) != alt.Root {
 		t.Fatalf("after commit, root = %q, want %q", rootOf(got), alt.Root)
 	}
 	if err := tgt.Rollback(); err == nil {
 		t.Error("rollback after commit should fail")
 	}
+	step("refused rollback")
 
 	// Measurement: the batch is processed and aggregated.
 	batch := confBatch(1000)
@@ -242,12 +265,15 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if err := tgt.InsertEntry("acl1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 9999}}, Action: "drop_packet"}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
+	step("insert")
 	if err := tgt.ModifyEntry("acl1", []p4ir.MatchValue{{Value: 9999}}, "allow", nil); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
+	step("modify")
 	if err := tgt.DeleteEntry("acl1", []p4ir.MatchValue{{Value: 9999}}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
+	step("delete")
 	if err := tgt.InsertEntry("no_such_table", p4ir.Entry{}); err == nil {
 		t.Error("insert into unknown table should fail")
 	}
@@ -256,11 +282,13 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 	if err := tgt.InsertEntry("acl2", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 8080}}, Action: "drop_packet"}); err != nil {
 		t.Fatalf("insert up to capacity: %v", err)
 	}
+	step("insert up to capacity")
 	if err := tgt.InsertEntry("acl2", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 8081}}, Action: "drop_packet"}); err == nil {
 		t.Error("insert into a full table should fail")
 	} else if n := len(tgt.Program().Tables["acl2"].Entries); n != 2 {
 		t.Errorf("refused insert left %d entries in acl2, want 2", n)
 	}
+	step("refused insert")
 
 	if isReplay {
 		// The replayed sequence must have consumed exactly the recording.
@@ -298,6 +326,48 @@ func TestConformanceReplay(t *testing.T) {
 	tgt := newReplayTarget(t, prog)
 	defer tgt.Close()
 	exercise(t, tgt, prog, true)
+}
+
+// TestConformanceDigestUnderDeployFaults: a deploy the device delays, refuses
+// or silently drops leaves Digest() naming the program the device runs, on
+// the device and across the wire — where the remote holds the digest of
+// the program it sent, not of the one that runs after a silent fault. (A
+// Replayer has no device to fault.)
+func TestConformanceDigestUnderDeployFaults(t *testing.T) {
+	for _, wire := range []bool{false, true} {
+		script := faultinject.NewScript()
+		nic, err := nicsim.New(confProgram(t), nicsim.Config{Params: costmodel.BlueField2(), Faults: script})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tgt target.Target = target.NewLocal(nic, nil)
+		if wire {
+			srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(tgt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if tgt, err = remote.Dial(srv.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			defer tgt.Close()
+		}
+		for _, d := range []faultinject.Decision{{Delay: time.Millisecond}, {Fail: true}, {Silent: true}} {
+			step := fmt.Sprintf("wire=%v, deploy with %+v", wire, d)
+			digestIsProgram(t, tgt, step+": before")
+			script.Queue(faultinject.PointDeploy, d)
+			if err := tgt.Deploy(altProgram(t)); (err != nil) != d.Fail {
+				t.Fatalf("%s: err = %v", step, err)
+			}
+			digestIsProgram(t, tgt, step)
+			if !d.Fail {
+				if err := tgt.Rollback(); err != nil {
+					t.Fatalf("%s: rollback: %v", step, err)
+				}
+				digestIsProgram(t, tgt, step+": rollback")
+			}
+		}
+	}
 }
 
 // TestConformanceRemoteProgramIsTheDevices pins what the loopback remote

@@ -41,6 +41,9 @@ func (l *Local) NIC() *nicsim.NIC { return l.nic }
 // Program returns the currently running program.
 func (l *Local) Program() *p4ir.Program { return l.nic.Program() }
 
+// Digest returns the digest the emulator keeps of its running program.
+func (l *Local) Digest() (p4ir.Digest, error) { return l.nic.ProgramDigest(), nil }
+
 // Deploy swaps prog onto the emulator, checkpointing the running program.
 func (l *Local) Deploy(prog *p4ir.Program) error {
 	l.mu.Lock()

@@ -7,8 +7,10 @@
 //
 // A program crosses the wire only when it changed: the remote holds one
 // program beside its digest — the last it fetched, or its own copy of the
-// last it deployed — and Program names that digest to the server, which
-// answers "unchanged" when it still runs exactly that.
+// last it deployed — and Program and Digest name that digest to the server,
+// which answers "unchanged" when it still runs exactly that. Neither side
+// hashes a program to say so: the server's device keeps its program's
+// digest, and this side hashed the held one once, when it arrived.
 package remote
 
 import (
@@ -60,16 +62,30 @@ func New(client *controlplane.Client) (*Remote, error) {
 // cannot be read. Every call asks the device; the program itself crosses
 // only when it is not the held one.
 func (r *Remote) Program() *p4ir.Program {
+	prog, _, _ := r.current()
+	return prog
+}
+
+// Digest is Program's round trip, answered with the held digest: the held
+// program is not hashed again.
+func (r *Remote) Digest() (p4ir.Digest, error) {
+	_, digest, err := r.current()
+	return digest, err
+}
+
+// current asks the device whether it still runs the held program, holds the
+// one it runs when not, and returns the held pair.
+func (r *Remote) current() (*p4ir.Program, p4ir.Digest, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	prog, digest, err := r.client.ProgramUnless(r.digest)
 	if err != nil {
-		return nil
+		return nil, p4ir.Digest{}, err
 	}
 	if prog != nil {
 		r.held, r.digest = prog, digest
 	}
-	return r.held
+	return r.held, r.digest, nil
 }
 
 // Deploy stages prog on the remote device and keeps a copy of it as the

@@ -189,6 +189,13 @@ func (r *Replayer) Program() *p4ir.Program {
 	return r.prog
 }
 
+// Digest hashes the tracked program.
+func (r *Replayer) Digest() (p4ir.Digest, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.prog.Digest(), nil
+}
+
 // Deploy validates and stages prog, checkpointing the tracked program.
 func (r *Replayer) Deploy(prog *p4ir.Program) error {
 	if err := prog.Validate(); err != nil {

@@ -114,6 +114,10 @@ type Target interface {
 	// out the program it runs (Local) or the one copy it keeps (Remote).
 	// Clone it before changing it or deploying it elsewhere.
 	Program() *p4ir.Program
+	// Digest returns Program().Digest() without hashing a program the
+	// backend has hashed before: the device keeps its program's digest
+	// (Local), the remote asks whether the held one is still running.
+	Digest() (p4ir.Digest, error)
 
 	// Deploy stages prog on the device, checkpointing the running program
 	// so Rollback can restore it. A failed Deploy leaves the previous
@@ -128,7 +132,7 @@ type Target interface {
 	Rollback() error
 
 	// Measure processes the batch and returns aggregate statistics. Input
-	// packets are not mutated.
+	// packets are neither mutated nor kept past the call.
 	Measure(pkts []*packet.Packet) (Measurement, error)
 	// Profile returns the profiling counters accumulated since the last
 	// resetting call; reset=true closes the window and starts a new one.
