@@ -58,7 +58,7 @@ var importRules = []importRule{
 
 // tierNameRule forbids files under Dir (non-test) from naming concrete
 // execution tiers (costmodel.TierASIC / TierNICCPU / TierOffPath).
-// Placement and runtime code must iterate tiers generically — 0..NumTiers
+// Placement and runtime code must iterate tiers generically — 0..Kernel.Tiers
 // — so adding a fourth tier never requires touching them; only costmodel
 // may say what a tier concretely is.
 type tierNameRule struct {
@@ -75,11 +75,11 @@ var tierNames = map[string]bool{
 var tierNameRules = []tierNameRule{
 	{
 		Dir: "internal/opt",
-		Why: "the placement search is tier-generic; iterate 0..NumTiers instead",
+		Why: "the placement search is tier-generic; iterate 0..Kernel.Tiers instead",
 	},
 	{
 		Dir: "internal/core",
-		Why: "the runtime is tier-generic; iterate 0..NumTiers instead",
+		Why: "the runtime is tier-generic; iterate 0..Kernel.Tiers instead",
 	},
 }
 
@@ -118,6 +118,24 @@ const analysisDir, analysisPath, facadeFile = "internal/analysis", "pipeleon/int
 const serialDir = "internal/opt"
 
 var sharingPrimitives = map[string]bool{"WaitGroup": true, "Once": true, "Pool": true}
+
+// costmodel.Kernel is where a target's parameters become costs: the
+// emulator (internal/nicsim) charges its terms per event and the optimizer
+// (internal/opt) integrates them over a profile. Neither reads a latency term
+// of costmodel.Params, nor calls a Params method whose value the kernel now
+// holds — when each derived the terms itself, the two priced a conditional
+// off the ASIC differently. As syntactic as the other rules: any selector
+// spelling a term or one of those method names counts, whatever its
+// receiver (Table.MatchComplexity included: the kernel's Match is m there).
+var kernelDirs = []string{"internal/nicsim", "internal/opt"}
+
+var (
+	latencyTermRE = regexp.MustCompile(`^(Lmat|Lact|BranchFactor|CounterUpdate|CPUSlowdown|OffPathSlowdown|MigrationLatency|DMA(BaseNs|PerPacketNs|Batch)|UpdateStall(ASIC|CPU|OffPath)|SRAMFactor|(LPM|Ternary)FixedM)$`)
+	kernelMethods = map[string]bool{
+		"MatchComplexity": true, "TierFactor": true, "MatchLatency": true, "CondLatency": true,
+		"TierSpeed": true, "MigrationCost": true, "TierUpdateStall": true, "OffPathCrossNs": true,
+	}
+)
 
 var determinismRules = []determinismRule{
 	{
@@ -186,6 +204,15 @@ func lintModule(root string) ([]Violation, error) {
 		return nil, err
 	}
 	out = append(out, vs...)
+	for _, dir := range kernelDirs {
+		vs, err := lintDir(fset, filepath.Join(root, dir), nil, func(f *ast.File) []Violation {
+			return checkKernel(fset, f)
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vs...)
+	}
 	vs, err = lintDiagCodes(fset, root)
 	if err != nil {
 		return nil, err
@@ -516,6 +543,21 @@ func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
 				Rule: "one-estimator",
 				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
 					sel.Sel.Name, costViewDir, costViewFile),
+			})
+		}
+		return true
+	})
+	return out
+}
+
+func checkKernel(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && (latencyTermRE.MatchString(sel.Sel.Name) || kernelMethods[sel.Sel.Name]) {
+			out = append(out, Violation{
+				Pos:  fset.Position(sel.Pos()),
+				Rule: "one-kernel",
+				Msg:  sel.Sel.Name + " is a cost derived from costmodel.Params: read the target's costmodel.Kernel (Params.Kernel) instead",
 			})
 		}
 		return true

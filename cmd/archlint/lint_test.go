@@ -419,6 +419,69 @@ func measure() { var wg sync.WaitGroup; wg.Add(1); go wg.Done(); wg.Wait() }
 	}
 }
 
+func TestCostsComeFromTheKernel(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// The emulator folding its own constants: terms, a fixed m, a tier
+		// speed and a migration cost.
+		"internal/nicsim/plan.go": `package nicsim
+
+func compile(pm params) plan {
+	return plan{lmat: pm.Lmat, cond: pm.CondLatency(), m: pm.LPMFixedM, speed: pm.TierSpeed(1), mig: pm.MigrationCost(0, 1)}
+}
+`,
+		// The optimizer pricing with the parameters; a method value counts.
+		"internal/opt/hetero.go": `package opt
+
+func stall(pm params, t table) float64 {
+	f := pm.TierUpdateStall
+	return f(1) + pm.UpdateStallCPU*pm.CPUSlowdown + float64(t.MatchComplexity())
+}
+`,
+		// Reading the kernel, the capacity and names that only share a prefix
+		// are fine.
+		"internal/opt/estimate.go": `package opt
+
+func price(k kernel, pm params, res result) float64 {
+	_, lat := k.Match(nil)
+	return lat + k.Mat + k.Cond*k.Speed[1] + float64(pm.SRAMBytes+res.DMACrossings)
+}
+`,
+		"internal/opt/oracle_test.go": `package opt
+
+func legacy(pm params) float64 { return pm.Lmat * pm.CPUSlowdown }
+`,
+		// The package that defines the terms folds them; other packages are
+		// not covered.
+		"internal/costmodel/kernel.go": `package costmodel
+
+func (pm Params) Kernel() Kernel { return Kernel{Mat: pm.Lmat, Cond: pm.BranchFactor * pm.Lmat} }
+`,
+		"internal/experiments/fig5.go": `package experiments
+
+func cond(pm params) float64 { return pm.CondLatency() }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := map[string]int{}
+	for _, v := range vs {
+		if v.Rule != "one-kernel" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		perFile[filepath.Base(v.Pos.Filename)]++
+	}
+	// plan.go: Lmat, CondLatency, LPMFixedM, TierSpeed, MigrationCost;
+	// hetero.go: TierUpdateStall, UpdateStallCPU, CPUSlowdown, MatchComplexity.
+	if len(vs) != 9 || perFile["plan.go"] != 5 || perFile["hetero.go"] != 4 {
+		t.Fatalf("got %v, want 5 in plan.go and 4 in hetero.go: %v", perFile, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "costmodel.Kernel") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}
+
 func TestProofPrimitivesOnlyInsideAnalysis(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		// The package that owns the primitives composes them.

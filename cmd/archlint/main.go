@@ -16,6 +16,12 @@
 //     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
 //     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof
 //     tiers are composed by analysis.Verifier only.
+//   - one-kernel: in internal/nicsim and internal/opt nothing reads a
+//     latency term of costmodel.Params (Lmat, Lact, BranchFactor,
+//     CounterUpdate, CPUSlowdown, OffPathSlowdown, MigrationLatency, the
+//     DMA*, UpdateStall* and *FixedM fields, SRAMFactor) or calls a cost
+//     method whose value costmodel.Kernel holds; the emulator and the
+//     optimizer read the kernel.
 //   - serial-search: non-test files of internal/opt contain no go
 //     statement and use no sync.WaitGroup, sync.Once, sync.Pool or
 //     sync/atomic; a search is one goroutine on one session.

@@ -344,9 +344,8 @@ func lintWidthMismatch(g *graph) diag.List {
 // lintMemoryTiers checks memory-tier placement against the target (PL105):
 // pinning tables to SRAM on a target without a tier model is a silent
 // no-op (warn); overcommitting the SRAM capacity means the placement
-// cannot be realized (error). Accounting matches opt.PlanMemoryTiers:
-// entry bytes scaled by match complexity, with a minimum footprint for
-// empty tables.
+// cannot be realized (error). Accounting is Table.MemoryBytes, as in
+// opt.PlanMemoryTiers.
 func lintMemoryTiers(g *graph, pm costmodel.Params) diag.List {
 	var l diag.List
 	names := make([]string, 0, len(g.prog.Tables))
@@ -362,11 +361,7 @@ func lintMemoryTiers(g *graph, pm costmodel.Params) diag.List {
 			continue
 		}
 		pinned = append(pinned, name)
-		bytes := t.MemoryBytes()
-		if bytes == 0 {
-			bytes = t.EntryBytes() * pm.MatchComplexity(t)
-		}
-		total += bytes
+		total += t.MemoryBytes()
 	}
 	if len(pinned) == 0 {
 		return nil

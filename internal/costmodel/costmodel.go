@@ -20,7 +20,8 @@
 //
 // ExpectedLatency evaluates Equation 1 by propagating reach probabilities
 // over the DAG in O(V+E); the literal sum over enumerated paths lives in
-// the package's tests as its oracle.
+// the package's tests as its oracle. Every term comes from the target's
+// Kernel (kernel.go), the one place Params is turned into costs.
 package costmodel
 
 import (
@@ -65,12 +66,12 @@ type Params struct {
 	CPUSlowdown float64
 	// OffPathSlowdown scales node latencies for tables executed on the
 	// off-path host/DPU tier. 0 means the target has no off-path tier
-	// (NumTiers() == 2). Host cores are often faster than the NIC's
+	// (Kernel.Tiers == 2). Host cores are often faster than the NIC's
 	// wimpy cores, so OffPathSlowdown < CPUSlowdown is the common case —
 	// the PCIe crossing, not execution speed, is the off-path tax.
 	OffPathSlowdown float64
 	// DMABaseNs / DMAPerPacketNs / DMABatch parameterize the off-path
-	// transfer function OffPathCrossNs: a crossing costs
+	// transfer function offPathCrossNs: a crossing costs
 	// DMABaseNs/batch + DMAPerPacketNs, so the doorbell/completion round
 	// trip amortizes over the DMA descriptor batch while the payload
 	// copy does not. DMABatch <= 0 is treated as 1 (no batching).
@@ -79,7 +80,11 @@ type Params struct {
 	DMABatch       int
 	// UpdateStallASIC / UpdateStallCPU / UpdateStallOffPath are the
 	// expected per-packet latency (ns) added per entry update/second
-	// applied to a table resident on that tier (see TierUpdateStall).
+	// applied to a table resident on that tier (Kernel.Stall). On the
+	// ASIC, installs go through the table-update engine and stall the
+	// pipeline; on the NIC CPU they are cheaper software writes; off-path
+	// they land in host memory — which is what makes churn-heavy stateful
+	// stages gravitate off-path.
 	UpdateStallASIC    float64
 	UpdateStallCPU     float64
 	UpdateStallOffPath float64
@@ -185,63 +190,6 @@ func EmulatedNIC() Params {
 	}
 }
 
-// MatchComplexity returns m for a table under this target, honoring the
-// fixed-m overrides of emulated NIC models.
-func (pm Params) MatchComplexity(t *p4ir.Table) int {
-	switch t.WidestMatchKind() {
-	case p4ir.MatchLPM:
-		if pm.LPMFixedM > 0 {
-			return pm.LPMFixedM
-		}
-	case p4ir.MatchTernary, p4ir.MatchRange:
-		if pm.TernaryFixedM > 0 {
-			return pm.TernaryFixedM
-		}
-	}
-	return t.MatchComplexity()
-}
-
-// TierFactor returns the probe-latency multiplier for the table's memory
-// tier: SRAMFactor for SRAM-pinned tables when the target supports tiers,
-// 1 otherwise.
-func (pm Params) TierFactor(t *p4ir.Table) float64 {
-	if pm.SRAMFactor > 0 && t.MemTier() == p4ir.TierSRAM {
-		return pm.SRAMFactor
-	}
-	return 1
-}
-
-// MatchLatency evaluates Equation 4a for one table, honoring its memory
-// tier. It is the one place the match part of a node's cost is priced:
-// TableLatency and the optimizer's cost view (opt.Evaluator) both call it.
-func (pm Params) MatchLatency(t *p4ir.Table) float64 {
-	return float64(pm.MatchComplexity(t)) * pm.Lmat * pm.TierFactor(t)
-}
-
-// TableLatency evaluates Equation 3 for one table given its action
-// probabilities.
-func (pm Params) TableLatency(t *p4ir.Table, actionProb map[string]float64) float64 {
-	match := pm.MatchLatency(t)
-	var action float64
-	for _, a := range t.Actions {
-		action += actionProb[a.Name] * float64(a.NumPrimitives()) * pm.Lact
-	}
-	return match + action
-}
-
-// CondLatency is the (small) cost of evaluating a conditional branch.
-func (pm Params) CondLatency() float64 { return pm.BranchFactor * pm.Lmat }
-
-// NodeLatency returns the latency of any named node under the profile.
-func (pm Params) NodeLatency(prog *p4ir.Program, prof *profile.Profile, name string) float64 {
-	if t, c := prog.Node(name); t != nil {
-		return pm.TableLatency(t, prof.ActionProb(t))
-	} else if c != nil {
-		return pm.CondLatency()
-	}
-	return 0
-}
-
 // ExpectedLatency computes L(G) (Equation 1) by propagating reach
 // probabilities: E[L] = Σ_v P(reach v) · L(v), which equals the
 // path-enumeration sum because path probabilities factor over edges.
@@ -255,9 +203,10 @@ func ExpectedLatency(prog *p4ir.Program, prof *profile.Profile, pm Params) float
 	// runs (map iteration order would otherwise wiggle the last ULP),
 	// which the warm/cold search bit-identity property relies on.
 	sort.Strings(names)
+	k := pm.Kernel()
 	var total float64
 	for _, name := range names {
-		total += reach[name] * pm.NodeLatency(prog, prof, name)
+		total += reach[name] * k.NodeLatency(prog, prof, name)
 	}
 	return total
 }

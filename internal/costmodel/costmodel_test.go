@@ -45,7 +45,8 @@ func TestTableLatencyEquation(t *testing.T) {
 	}
 	probs := map[string]float64{"a1": 0.25, "a2": 0.75}
 	// L = 1*10 + (0.25*3 + 0.75*1)*2 = 10 + 3 = 13
-	if got := pm.TableLatency(tbl, probs); math.Abs(got-13) > 1e-9 {
+	k := pm.Kernel()
+	if got := k.tableLatency(tbl, probs); math.Abs(got-13) > 1e-9 {
 		t.Errorf("TableLatency = %v, want 13", got)
 	}
 }
@@ -96,13 +97,15 @@ func TestLPMAndTernaryMoreExpensive(t *testing.T) {
 
 func TestEmulatedNICFixedM(t *testing.T) {
 	pm := EmulatedNIC()
+	k := pm.Kernel()
 	tern := &p4ir.Table{Keys: []p4ir.Key{{Field: "a.b", Kind: p4ir.MatchTernary}}}
 	lpm := &p4ir.Table{Keys: []p4ir.Key{{Field: "a.b", Kind: p4ir.MatchLPM}}}
-	if pm.MatchComplexity(tern) != 3 || pm.MatchComplexity(lpm) != 3 {
-		t.Errorf("emulated NIC should fix m=3 for LPM and ternary, got %d/%d",
-			pm.MatchComplexity(lpm), pm.MatchComplexity(tern))
+	mt, _ := k.Match(tern)
+	ml, _ := k.Match(lpm)
+	if mt != 3 || ml != 3 {
+		t.Errorf("emulated NIC should fix m=3 for LPM and ternary, got %d/%d", ml, mt)
 	}
-	if got, want := pm.CondLatency(), 0.1*pm.Lmat; math.Abs(got-want) > 1e-9 {
+	if got, want := k.Cond, 0.1*pm.Lmat; math.Abs(got-want) > 1e-9 {
 		t.Errorf("branch cost = %v, want 1/10 of exact probe %v", got, want)
 	}
 }
@@ -192,6 +195,7 @@ const MaxEnumerationPaths = 1 << 16
 // cost of the action leading to the current path, which the expansion
 // handles naturally by splitting per action.
 func EnumeratePaths(prog *p4ir.Program, prof *profile.Profile, pm Params) ([]WeightedPath, error) {
+	k := pm.Kernel()
 	var out []WeightedPath
 	var walk func(name string, nodes []string, prob, lat float64) error
 	walk = func(name string, nodes []string, prob, lat float64) error {
@@ -210,13 +214,14 @@ func EnumeratePaths(prog *p4ir.Program, prof *profile.Profile, pm Params) ([]Wei
 		switch {
 		case t != nil:
 			probs := prof.ActionProb(t)
-			match := float64(pm.MatchComplexity(t)) * pm.Lmat
+			m, _ := k.Match(t)
+			match := float64(m) * k.Mat
 			for _, a := range t.Actions {
 				pa := probs[a.Name]
 				if pa == 0 {
 					continue
 				}
-				actLat := float64(a.NumPrimitives()) * pm.Lact
+				actLat := float64(a.NumPrimitives()) * k.Act
 				nextLat := lat + match + actLat
 				if a.Drops() {
 					// Drop terminates the path here.
@@ -232,7 +237,7 @@ func EnumeratePaths(prog *p4ir.Program, prof *profile.Profile, pm Params) ([]Wei
 			}
 		case c != nil:
 			pt := prof.BranchProb(name)
-			l := lat + pm.CondLatency()
+			l := lat + k.Cond
 			if err := walk(c.TrueNext, nodes, prob*pt, l); err != nil {
 				return err
 			}

@@ -58,13 +58,13 @@ func placemapParams(locality float64) costmodel.Params {
 	return pm
 }
 
-// placemapWinner returns the tier (0..NumTiers-1) whose whole-stage
+// placemapWinner returns the tier (0..Kernel.Tiers-1) whose whole-stage
 // placement minimizes the modeled latency, iterating tiers generically
 // — concrete tier names stay inside costmodel.
 func placemapWinner(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params) (int, error) {
 	winner, best := 0, 0.0
 	view := opt.NewEvaluator(prog, prof, pm, opt.Config{})
-	for t := 0; t < pm.NumTiers(); t++ {
+	for t := 0; t < pm.Kernel().Tiers; t++ {
 		pl := opt.Placement{Tier: map[string]costmodel.TierID{}, Copies: map[string]bool{}}
 		for _, name := range placemapStage {
 			pl.Tier[name] = costmodel.TierID(t)
@@ -114,7 +114,7 @@ func Fig20(opts RunOpts) *Result {
 	pm := placemapParams(1)
 	nPkts := opts.pick(4000, 800)
 	var xs, ys []float64
-	for t := 0; t < pm.NumTiers(); t++ {
+	for t := 0; t < pm.Kernel().Tiers; t++ {
 		tiers := map[string]int{}
 		for _, name := range placemapStage {
 			tiers[name] = t

@@ -62,7 +62,7 @@ func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
 		for i, e := range entries {
 			fresh[i] = e.Clone()
 		}
-		built, err := buildTable(t, fresh, n.pm.LPMFixedM, n.pm.TernaryFixedM)
+		built, err := buildTable(t, fresh, n.kern.PinnedM(t))
 		if err != nil {
 			return err
 		}

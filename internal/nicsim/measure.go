@@ -131,7 +131,7 @@ func (n *NIC) measure(pkts []*packet.Packet, workers int) Measurement {
 	m.VendorHitRate = float64(tally.vhits) / float64(len(pkts))
 	m.MeanCounterUpdates = float64(tally.counters) / float64(len(pkts))
 	meanBytes := int(tally.wireBytes / int64(len(pkts)))
-	m.ThroughputGbps = n.pm.ThroughputGbps(m.MeanLatencyNs, meanBytes)
+	m.ThroughputGbps = n.cfg.Params.ThroughputGbps(m.MeanLatencyNs, meanBytes)
 	return m
 }
 

@@ -87,7 +87,7 @@ type NIC struct {
 	mu     sync.RWMutex
 	prog   *p4ir.Program
 	cfg    Config
-	pm     costmodel.Params
+	kern   costmodel.Kernel
 	tables map[string]*runtimeTable
 	conds  map[string]CondFunc
 	caches map[string]*flowCache
@@ -150,7 +150,7 @@ type fillRef struct {
 
 // New builds a NIC executing prog under cfg.
 func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
-	n := &NIC{cfg: cfg, pm: cfg.Params}
+	n := &NIC{cfg: cfg, kern: cfg.Params.Kernel()}
 	n.ctxPool.New = func() any {
 		return &procCtx{slot: n.ctxSeq.Add(1) - 1, values: make([]uint64, 0, 8)}
 	}
@@ -193,7 +193,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 			for i := range t.Entries { // the arrays the store holds, not a second copy
 				t.Entries[i].Match = old.tbl.Entries[i].Match
 			}
-		} else if rt, err := buildTable(t, t.Entries, n.pm.LPMFixedM, n.pm.TernaryFixedM); err != nil {
+		} else if rt, err := buildTable(t, t.Entries, n.kern.PinnedM(t)); err != nil {
 			return err
 		} else {
 			tables[name] = rt
@@ -301,7 +301,7 @@ func (n *NIC) ProgramDigest() p4ir.Digest {
 }
 
 // Params returns the cost/performance model the NIC was built with.
-func (n *NIC) Params() costmodel.Params { return n.pm }
+func (n *NIC) Params() costmodel.Params { return n.cfg.Params }
 
 // Result reports the outcome of processing one packet.
 type Result struct {
@@ -388,13 +388,13 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		ctx.keyBuf = append(ctx.keyBuf,
 			uint64(k.SrcAddr)<<32|uint64(k.DstAddr),
 			uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))
-		lat += pl.lmat
+		lat += pl.Mat
 		if r, ok := pl.vendor.get(ctx.keyBuf[off:], ctx.writes); ok {
 			ctx.writes = r.writes
 			for _, w := range r.writes {
 				pkt.SetID(w.id, w.value)
 			}
-			lat += float64(len(r.writes)) * pl.lact
+			lat += float64(len(r.writes)) * pl.Act
 			res.VendorCacheHit = true
 			res.Dropped = r.dropped
 			res.LatencyNs = pl.applyNoise(lat, flowHash)
@@ -413,13 +413,13 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			ctx.path = append(ctx.path, cur)
 		}
 		if nd.kind == nkCond {
-			mult := pl.condTierMult[curTier]
-			lat += pl.condLat * mult
+			mult := pl.Speed[curTier]
+			lat += pl.Cond * mult
 			taken := nd.cond(pkt)
 			if sampled {
 				sink.IncBranch(int(nd.condSlot), taken)
 				res.CounterUpdates++
-				lat += pl.counterUpdate * mult
+				lat += pl.Counter * mult
 			} else if pl.instrument {
 				lat += pl.sampleCheckCost * mult
 			}
@@ -433,7 +433,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 
 		// Tier placement and migration (tables and caches).
 		if nd.tier != curTier && !nd.copied {
-			cost := pl.migCost[curTier][nd.tier]
+			cost := pl.Migrate[curTier][nd.tier]
 			lat += cost
 			if curTier > 1 || nd.tier > 1 {
 				// Off-path crossings are DMA transfers: the descriptor
@@ -446,7 +446,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			res.Migrations++
 			curTier = nd.tier
 		}
-		mult := pl.tierMult[curTier]
+		mult := pl.Speed[curTier]
 		rt := nd.rt
 		// Gather the width-masked key fields, by compiled field ID; most
 		// keys are one field, fetched without the loop.
@@ -462,7 +462,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		}
 
 		if nd.kind == nkCache {
-			lat += pl.lmat * mult
+			lat += pl.Mat * mult
 			off := len(ctx.keyBuf)
 			ctx.keyBuf = append(ctx.keyBuf, vals...)
 			if r, ok := nd.fc.get(ctx.keyBuf[off:], ctx.writes); ok {
@@ -470,12 +470,12 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 				for _, w := range r.writes {
 					pkt.SetID(w.id, w.value)
 				}
-				lat += float64(len(r.writes)) * pl.lact * mult
+				lat += float64(len(r.writes)) * pl.Act * mult
 				if sampled {
 					sink.IncCache(int(nd.cacheSlot), true)
 					sink.IncAction(int(nd.hitSite))
 					res.CounterUpdates++
-					lat += pl.counterUpdate * mult
+					lat += pl.Counter * mult
 				} else if pl.instrument {
 					lat += pl.sampleCheckCost * mult
 				}
@@ -490,7 +490,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 				sink.IncCache(int(nd.cacheSlot), false)
 				sink.IncAction(int(nd.missSite))
 				res.CounterUpdates++
-				lat += pl.counterUpdate * mult
+				lat += pl.Counter * mult
 			} else if pl.instrument {
 				lat += pl.sampleCheckCost * mult
 			}
@@ -523,20 +523,20 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		if se != nil {
 			act, cargs = se.cact, se.cargs
 		}
-		lat += float64(rt.numGroups()) * nd.lmatTier * mult
+		lat += float64(rt.numGroups()) * nd.probe * mult
 		if act == nil {
 			// Table with no actions: pure forwarding node.
 			cur = nd.baseNext
 			continue
 		}
-		lat += float64(len(act.prims)) * pl.lact * mult
+		lat += float64(len(act.prims)) * pl.Act * mult
 		if sampled {
 			sink.IncAction(int(nd.actSites[act.idx]))
 			if nd.prepopSlot >= 0 {
 				sink.IncCache(int(nd.prepopSlot), !act.isCacheMiss)
 			}
 			res.CounterUpdates++
-			lat += pl.counterUpdate * mult
+			lat += pl.Counter * mult
 		} else if pl.instrument {
 			lat += pl.sampleCheckCost * mult
 		}

@@ -5,13 +5,12 @@ import (
 	"slices"
 
 	"pipeleon/internal/costmodel"
-	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 )
 
 // The execution plan is the precompiled form of a loaded program: every
-// node gets a dense int32 id, control-flow edges are resolved to ids,
-// per-node cost constants are folded in, and profiling sites are bound to
+// node gets a dense int32 id, control-flow edges are resolved to ids, the
+// target's cost kernel is embedded, and profiling sites are bound to
 // integer slots of a profile.Layout. Process walks the plan with no map
 // lookups, no string parsing, and no locks — the plan pointer itself is
 // swapped atomically by the control plane (copy-on-write), which is the
@@ -36,9 +35,9 @@ type execNode struct {
 
 	// Table & cache nodes.
 	rt *runtimeTable
-	// lmatTier is Lmat scaled by the table's memory-tier factor; the
-	// probe charge is probes*lmatTier.
-	lmatTier float64
+	// probe is the kernel's Probe of the table (its memory tier applied);
+	// a lookup is charged probes*probe.
+	probe float64
 	// keySlot is the Layout.Tables slot for distinct-key tracking
 	// (ordinary tables only; -1 otherwise).
 	keySlot int32
@@ -72,24 +71,15 @@ type execPlan struct {
 	maxSteps   int
 	instrument bool
 
-	// Folded cost constants.
-	counterUpdate   float64
-	sampleCheckCost float64 // SampleCheckFraction * CounterUpdate
-	numTiers        int
-	// tierMult[t] is the table-node latency multiplier on tier t
-	// (guarded >0); condTierMult[t] is the conditional-node multiplier
-	// (tier 1 keeps the raw CPUSlowdown — conds historically unguarded).
-	tierMult     []float64
-	condTierMult []float64
-	// migCost[from][to] is the per-transition migration charge; any
-	// crossing that involves a tier above 1 is a DMA transfer whose cost
-	// is also charged on the NIC's virtual clock.
-	migCost       [][]float64
-	condLat       float64
-	lmat          float64
-	lact          float64
-	perPacketOver float64
-	cacheFillCost float64
+	// The constants every event is charged: a probe, a primitive, a
+	// conditional, a counter update, each scaled by the current tier's
+	// Speed, and Migrate[from][to] per tier transition (a crossing that
+	// involves a tier above 1 is a DMA transfer, also charged on the NIC's
+	// virtual clock).
+	costmodel.Kernel
+	sampleCheckCost float64 // SampleCheckFraction * Counter
+	perPacketOver   float64
+	cacheFillCost   float64
 
 	noiseStd  float64
 	noiseSeed uint64
@@ -125,39 +115,18 @@ func (n *NIC) compile() *execPlan {
 		ids:           ids,
 		root:          resolve(n.prog.Root),
 		instrument:    n.cfg.Instrument,
-		counterUpdate: n.pm.CounterUpdate,
-		numTiers:      n.pm.NumTiers(),
-		condLat:       n.pm.CondLatency(),
-		lmat:          n.pm.Lmat,
-		lact:          n.pm.Lact,
+		Kernel:        n.kern,
 		perPacketOver: n.cfg.PerPacketOverheadNs,
 		cacheFillCost: n.cfg.CacheFillCostNs,
 		noiseStd:      n.cfg.NoiseStdDev,
 		noiseSeed:     n.cfg.Seed + 1,
 		vendor:        n.vendorCache,
 	}
-	pl.tierMult = make([]float64, pl.numTiers)
-	pl.condTierMult = make([]float64, pl.numTiers)
-	pl.migCost = make([][]float64, pl.numTiers)
-	for t := 0; t < pl.numTiers; t++ {
-		tid := costmodel.TierID(t)
-		pl.tierMult[t] = n.pm.TierSpeed(tid)
-		if t == 1 {
-			// Conds historically used the raw CPUSlowdown unguarded.
-			pl.condTierMult[t] = n.pm.CPUSlowdown
-		} else {
-			pl.condTierMult[t] = n.pm.TierSpeed(tid)
-		}
-		pl.migCost[t] = make([]float64, pl.numTiers)
-		for u := 0; u < pl.numTiers; u++ {
-			pl.migCost[t][u] = n.pm.MigrationCost(tid, costmodel.TierID(u))
-		}
-	}
 	sampleCheck := n.cfg.SampleCheckFraction
 	if n.cfg.Instrument && sampleCheck == 0 {
 		sampleCheck = 0.15
 	}
-	pl.sampleCheckCost = sampleCheck * n.pm.CounterUpdate
+	pl.sampleCheckCost = sampleCheck * pl.Counter
 	pl.maxSteps = n.cfg.MaxSteps
 	if pl.maxSteps <= 0 {
 		pl.maxSteps = 4*n.prog.NumNodes() + 16
@@ -173,9 +142,15 @@ func (n *NIC) compile() *execPlan {
 		if t != nil {
 			rt := n.tables[name]
 			nd.rt = rt
-			nd.tier = resolveTier(t, n.cfg, pl.numTiers)
+			// An explicit TierTables entry wins over the placement
+			// annotation.
+			tier, ok := n.cfg.TierTables[name]
+			if !ok {
+				tier, _ = t.TierAssignment()
+			}
+			nd.tier = uint8(pl.Tier(tier, t.TierFloor()))
 			nd.copied = n.cfg.CopiedTables[name] || t.TierCopied()
-			nd.lmatTier = n.pm.Lmat * n.pm.TierFactor(t)
+			nd.probe = pl.Probe(t)
 			if fc, isCache := n.caches[name]; isCache {
 				nd.kind = nkCache
 				nd.fc = fc
@@ -224,26 +199,6 @@ func (n *NIC) compile() *execPlan {
 		pl.shards = n.cfg.Collector.Bind(layout, numShards())
 	}
 	return pl
-}
-
-// resolveTier decides a table's execution tier: explicit TierTables
-// config wins, then the placement annotation; the result is raised to the
-// table's floor (Unsupported tables never land on the ASIC) and clamped to
-// the tiers the target has.
-func resolveTier(t *p4ir.Table, cfg Config, numTiers int) uint8 {
-	tier := 0
-	if tt, ok := cfg.TierTables[t.Name]; ok {
-		tier = tt
-	} else if at, ok := t.TierAssignment(); ok {
-		tier = at
-	}
-	if f := t.TierFloor(); tier < f {
-		tier = f
-	}
-	if tier >= numTiers {
-		tier = numTiers - 1
-	}
-	return uint8(tier)
 }
 
 // rebuiltNode returns a copy of the plan with one node's runtime table

@@ -310,8 +310,8 @@ type runtimeTable struct {
 	groups []*maskGroup
 	one    [1]*maskGroup  // backs a fork's groups when there is but one
 	kind   p4ir.MatchKind // widest
-	// fixedM optionally overrides the probe charge (emulated-NIC models
-	// that fix LPM/ternary cost).
+	// fixedM optionally overrides the probe charge: the kernel's PinnedM
+	// (emulated-NIC models fix LPM/ternary cost).
 	fixedM int
 	// fids are the compiled key-field IDs and kmasks their width masks:
 	// key gathering reads packets by ID and masks with one AND.
@@ -333,10 +333,11 @@ type runtimeTable struct {
 // argument-resolved primitive lists, so the per-packet path never parses
 // operand strings — around an empty match store, then inserts the entries
 // one by one: New, Swap and ReplaceEntries install as InsertEntry does.
-func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedLPM, fixedTernary int) (*runtimeTable, error) {
+func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedM int) (*runtimeTable, error) {
 	rt := &runtimeTable{
 		tbl:       t,
 		kind:      t.WidestMatchKind(),
+		fixedM:    fixedM,
 		acts:      make([]*compiledAction, len(t.Actions)),
 		actByName: make(map[string]*compiledAction, len(t.Actions)),
 	}
@@ -353,7 +354,6 @@ func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedLPM, fixedTernary int)
 	} else if len(rt.acts) > 0 {
 		rt.defaultAct = rt.acts[len(rt.acts)-1]
 	}
-	rt.fixedM = map[p4ir.MatchKind]int{p4ir.MatchLPM: fixedLPM, p4ir.MatchTernary: fixedTernary}[rt.kind]
 	for i := range entries {
 		if _, err := rt.insert(&entries[i]); err != nil {
 			return nil, fmt.Errorf("table %q entry %d: %w", t.Name, i, err)

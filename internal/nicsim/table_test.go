@@ -24,7 +24,7 @@ func TestMultiKeyExactLookup(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 10}, {Value: 80}}, Action: "hit"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMixedLPMExactKey(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a140000, PrefixLen: 16}, {Value: 6}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRangeKindTreatedAsTernary(t *testing.T) {
 			{Priority: 1, Match: []p4ir.MatchValue{{Value: 0, Mask: 0xfc00}}, Action: "low"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDuplicateEntryHigherPriorityWins(t *testing.T) {
 			{Priority: 9, Match: []p4ir.MatchValue{{Value: 5, Mask: 0xff}}, Action: "second"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0, 0)
+	rt, err := buildTable(tbl, tbl.Entries, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFixedMOverridesProbeCount(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a000000, PrefixLen: 8}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 3, 0) // emulated NIC pins LPM at 3
+	rt, err := buildTable(tbl, tbl.Entries, 3) // emulated NIC pins LPM at 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBuildTableRejectsGhostAction(t *testing.T) {
 		Actions: []*p4ir.Action{p4ir.NoopAction("a")},
 		Entries: []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 1}}, Action: "ghost"}},
 	}
-	if _, err := buildTable(tbl, tbl.Entries, 0, 0); err == nil {
+	if _, err := buildTable(tbl, tbl.Entries, 0); err == nil {
 		t.Error("ghost action should fail table build")
 	}
 }

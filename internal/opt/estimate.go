@@ -23,11 +23,12 @@ import (
 // entries fix (readEntries, again whenever they changed), and what the
 // profile fixes (refresh, once per round) — which is what lets a warm
 // Session reuse one Evaluator across rounds. A view belongs to one
-// goroutine at a time: pricing works in its scratch.
+// goroutine at a time: pricing works in its scratch. Every cost term comes
+// from the target's kernel; the view decides only what weighs it.
 type Evaluator struct {
 	prog *p4ir.Program
 	prof *profile.Profile
-	pm   costmodel.Params
+	kern costmodel.Kernel
 	cfg  Config
 
 	// an is built on first use: the tier-aware and ranking integrals never
@@ -50,7 +51,7 @@ type Evaluator struct {
 	// complexity counts the distinct masks and prefix lengths among its
 	// entries, which the runtime's entry API edits in place.
 	// matchLat / actLat split each table's latency into the key-match part
-	// (Params.MatchLatency) and the expected action part (Σ P(a)·n_a·Lact).
+	// (Kernel.Match) and the expected action part (Σ P(a)·n_a·Lact).
 	matchLat []float64
 	entries  []int
 	mcomp    []int
@@ -85,7 +86,7 @@ type Evaluator struct {
 // use, so a caller that only wants estimates (HeteroLatency under several
 // placements, say) holds a cheap value.
 func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) *Evaluator {
-	ev := &Evaluator{prog: prog, pm: pm, cfg: cfg}
+	ev := &Evaluator{prog: prog, kern: pm.Kernel(), cfg: cfg}
 	tnames := make([]string, 0, len(prog.Tables))
 	for name := range prog.Tables {
 		tnames = append(tnames, name)
@@ -155,9 +156,8 @@ func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 // follows its verifier's entry epoch).
 func (ev *Evaluator) readEntries() {
 	for i, t := range ev.tables {
-		ev.matchLat[i] = ev.pm.MatchLatency(t)
+		ev.mcomp[i], ev.matchLat[i] = ev.kern.Match(t)
 		ev.entries[i] = max(len(t.Entries), 1) // an empty table counts as one entry in a merge product
-		ev.mcomp[i] = ev.pm.MatchComplexity(t)
 		ev.memBytes[i] = t.MemoryBytes()
 	}
 }
@@ -181,7 +181,7 @@ func (ev *Evaluator) refresh(prof *profile.Profile) {
 		probs := prof.ActionProb(t)
 		var act, drop float64
 		for _, a := range t.Actions {
-			act += probs[a.Name] * float64(a.NumPrimitives()) * ev.pm.Lact
+			act += probs[a.Name] * float64(a.NumPrimitives()) * ev.kern.Act
 			if a.Drops() {
 				drop += probs[a.Name]
 			}
@@ -265,7 +265,7 @@ func (ev *Evaluator) nodeLat(i int) float64 {
 	if i < ev.numTables {
 		return ev.matchLat[i] + ev.actLat[i]
 	}
-	return ev.pm.CondLatency()
+	return ev.kern.Cond
 }
 
 // baseline is the expected latency of the program as it stands, Σ_v
@@ -393,7 +393,7 @@ func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep
 		// One exact probe always; on a hit the combined action applies; on
 		// a miss the packet falls through to the original tables.
 		h := ev.invalidationDiscount(ev.hitEstimate(key, span), span)
-		cost = ev.pm.Lmat + h*actSum + (1-h)*origCost
+		cost = ev.kern.CachedSpan(h, actSum, origCost)
 	case ev.allExactIdx(span):
 		// Merged-exact cache with fallback (§3.2.3: "Pipeleon addresses
 		// this by generating a merged exact table without ternary entries
@@ -402,11 +402,11 @@ func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep
 		if hh, ok := ev.cfg.HitRateOverride[key]; ok {
 			h = hh
 		}
-		cost = ev.pm.Lmat + h*actSum + (1-h)*origCost
+		cost = ev.kern.CachedSpan(h, actSum, origCost)
 	default:
 		// In-place merge: one (multi-probe) match executes all member
 		// actions.
-		cost = float64(ev.mergedMIdx(span))*ev.pm.Lmat + actSum
+		cost = float64(ev.mergedMIdx(span))*ev.kern.Mat + actSum
 	}
 	return cost, 1 - dropP
 }
@@ -747,13 +747,13 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 		weightedAct += ev.reach[ti] * ev.actLat[ti]
 	}
 	for _, bn := range g.Branches {
-		weighted += ev.reachOf(bn) * ev.pm.CondLatency()
+		weighted += ev.reachOf(bn) * ev.kern.Cond
 	}
 	baseline := weighted / entryReach
 	actSum := weightedAct / entryReach
 
 	h := ev.invalidationDiscount(ev.hitEstimate(SpanKey(allTables), span), span)
-	cached := ev.pm.Lmat + h*actSum + (1-h)*baseline
+	cached := ev.kern.CachedSpan(h, actSum, baseline)
 	gain := (baseline - cached) * entryReach
 	keyFields := ev.analyzer().CacheKey(allTables)
 	entryBytes := (len(keyFields)+len(branchFields))*8 + 16

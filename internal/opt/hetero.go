@@ -15,7 +15,7 @@ import (
 // on-path CPU cores, and — on off-path designs — a host/DPU complex
 // behind a PCIe/DMA wall. Packets migrate between tiers with
 // intermediate state piggybacked; each tier pair has its own crossing
-// cost (costmodel.MigrationCost), and off-path crossings amortize with
+// cost (costmodel.Kernel.Migrate), and off-path crossings amortize with
 // DMA batch depth. Pipeleon minimizes migration overhead by (1)
 // reordering for longer same-tier runs, (2) caching software-only
 // results on the ASIC, and (3) copying tables needed by several tiers.
@@ -41,7 +41,7 @@ type Placement struct {
 // table sits on its floor tier, which for legacy programs means
 // Unsupported tables go to the NIC CPU. Assignments record intent — a
 // floor above the target's top tier stays as-is and is clamped to the
-// tiers pm actually has only when costs are evaluated (placedTier).
+// tiers pm actually has only when costs are evaluated (Kernel.Tier).
 func NewPlacement(prog *p4ir.Program, pm costmodel.Params) Placement {
 	pl := Placement{Tier: map[string]costmodel.TierID{}, Copies: map[string]bool{}}
 	for name, t := range prog.Tables {
@@ -93,36 +93,9 @@ func (p Placement) String() string {
 	return sb.String()
 }
 
-// placedTier resolves a table's effective tier under a placement: the
-// assigned tier, raised to the table's floor, clamped to the tiers the
-// target actually has.
-func placedTier(pl Placement, t *p4ir.Table, numTiers int) costmodel.TierID {
-	d := pl.Tier[t.Name]
-	if f := costmodel.TierID(t.TierFloor()); d < f {
-		d = f
-	}
-	if int(d) >= numTiers {
-		d = costmodel.TierID(numTiers - 1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// rawTierSpeed is the per-tier node-latency multiplier used inside the
-// estimator. Unlike costmodel.TierSpeed it does NOT guard tier 1
-// against CPUSlowdown <= 0 — the legacy estimator applied that guard
-// once, after blending, and reproducing it in the same place keeps the
-// two-tier estimate bit-identical to the original.
-func rawTierSpeed(pm costmodel.Params, d costmodel.TierID) float64 {
-	switch {
-	case d <= 0:
-		return 1
-	case d == 1:
-		return pm.CPUSlowdown
-	}
-	return pm.TierSpeed(d)
+// placedTier resolves a table's effective tier under a placement.
+func (ev *Evaluator) placedTier(pl Placement, t *p4ir.Table) costmodel.TierID {
+	return ev.kern.Tier(int(pl.Tier[t.Name]), t.TierFloor())
 }
 
 // EstimateHeteroLatency computes the expected per-packet latency of a
@@ -135,11 +108,12 @@ func EstimateHeteroLatency(prog *p4ir.Program, prof *profile.Profile, pm costmod
 
 // HeteroLatency computes the expected per-packet latency of the program
 // under a placement, including per-pair migration costs and per-tier
-// update-install stalls: the view's Σ P(reach v)·L(v) with each table's
-// L(v) scaled by its tier's speed, plus the crossings, walking the DAG in
-// topological order while carrying a per-tier probability vector across
-// joins. For branch-free chains (the Appendix A.2 benchmark shape) this is
-// exact; for DAGs it approximates by probability-weighting the tier state.
+// update-install stalls: the view's Σ P(reach v)·L(v) with each node's
+// L(v) scaled by the speed of the tier it runs on, plus the crossings,
+// walking the DAG in topological order while carrying a per-tier
+// probability vector across joins. For branch-free chains (the Appendix
+// A.2 benchmark shape) this is exact; for DAGs it approximates by
+// probability-weighting the tier state.
 // The placement is an argument: one view prices any number of them. A
 // cyclic or disconnected program returns the TopoOrder error — it used to
 // be silently reported as zero latency, i.e. "free program".
@@ -153,9 +127,8 @@ func (ev *Evaluator) HeteroLatency(pl Placement) (float64, error) {
 // heteroLatency is HeteroLatency on a program known to have a topological
 // order.
 func (ev *Evaluator) heteroLatency(pl Placement) float64 {
-	pm := ev.pm
-	nt := pm.NumTiers()
-	w := nt - 1
+	k := &ev.kern
+	w := k.Tiers - 1
 	// q[i*w+d-1] = probability the packet is on tier d (d >= 1) when it
 	// arrives at node i, conditioned on reaching it. Tier-0 mass is the
 	// residual 1 - sum, mirroring the legacy scalar pCPU. The row past the
@@ -170,41 +143,38 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 		}
 		arr := q[i*w : (i+1)*w]
 		after := arr
-		if i < ev.numTables {
-			var qsum float64
-			for _, v := range arr {
-				qsum += v
-			}
-			var mult, mig, stall float64
-			if pl.Copies[ev.nodeNames[i]] {
-				// Runs wherever the packet is: blend tier speeds by
-				// arrival mass, no migration, tier state unchanged.
-				for k, v := range arr {
-					mult += v * rawTierSpeed(pm, costmodel.TierID(k+1))
-				}
-				mult += (1 - qsum) * 1
-			} else {
-				d := placedTier(pl, ev.tables[i], nt)
-				mult = rawTierSpeed(pm, d)
+		// blend is the speed of a node that runs wherever the packet is —
+		// a conditional or a copied table: the tier speeds weighted by
+		// arrival mass. Such a node moves no packet.
+		var qsum, blend float64
+		for j, v := range arr {
+			qsum += v
+			blend += v * k.Speed[j+1]
+		}
+		blend += (1 - qsum) * k.Speed[0]
+		if i >= ev.numTables {
+			total += mass * (k.Cond * blend)
+		} else {
+			mult, mig, stall := blend, 0.0, 0.0
+			if !pl.Copies[ev.nodeNames[i]] {
+				d := ev.placedTier(pl, ev.tables[i])
+				mult = k.Speed[d]
 				if d != 0 {
 					if r := 1 - qsum; r != 0 {
-						mig += r * pm.MigrationCost(0, d)
+						mig += r * k.Migrate[0][d]
 					}
 				}
-				for k, v := range arr {
-					if from := costmodel.TierID(k + 1); from != d && v != 0 {
-						mig += v * pm.MigrationCost(from, d)
+				for j, v := range arr {
+					if from := costmodel.TierID(j + 1); from != d && v != 0 {
+						mig += v * k.Migrate[from][d]
 					}
 				}
-				stall = pm.TierUpdateStall(d)
+				stall = k.Stall[d]
 				after = q[n*w:]
 				clear(after)
 				if d != 0 {
 					after[d-1] = 1
 				}
-			}
-			if pm.CPUSlowdown <= 0 {
-				mult = 1
 			}
 			total += mass * (ev.nodeLat(i)*mult + mig)
 			// Entry churn stalls packets while the table's tier installs
@@ -213,17 +183,15 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 			if ur := ev.updRate[i]; stall != 0 && ur != 0 {
 				total += mass * ur * stall
 			}
-		} else {
-			total += mass * pm.CondLatency()
 		}
 		// Propagate tier state to successors (weighted by how much of
 		// their traffic comes from here).
-		for k := ev.succOff[i]; k < ev.succOff[i+1]; k++ {
-			s := ev.succ[k]
+		for e := ev.succOff[i]; e < ev.succOff[i+1]; e++ {
+			s := ev.succ[e]
 			if ev.reach[s] > 0 {
 				for j, v := range after {
 					if v != 0 {
-						q[s*w+j] += v * (mass / ev.reach[s]) * ev.share[k]
+						q[s*w+j] += v * (mass / ev.reach[s]) * ev.share[e]
 					}
 				}
 			}
@@ -234,10 +202,10 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 
 // copyCandidates lists tables eligible for tier replication, in sorted
 // order: floor-0 tables still on tier 0 whose state is not pinned.
-func (ev *Evaluator) copyCandidates(base Placement, numTiers int) []string {
+func (ev *Evaluator) copyCandidates(base Placement) []string {
 	var names []string
 	for _, t := range ev.tables {
-		if t.TierFloor() == 0 && !t.Sticky && placedTier(base, t, numTiers) == 0 {
+		if t.TierFloor() == 0 && !t.Sticky && ev.placedTier(base, t) == 0 {
 			names = append(names, t.Name)
 		}
 	}
@@ -280,7 +248,7 @@ func (m placementMove) apply(pl Placement) Placement {
 // that "copying only one table ... does not reduce the needed migration
 // and performing the copied table on CPU cores is slower", so
 // unprofitable copies are never taken. With the off-path tier disabled
-// (NumTiers() == 2) moves (b) and (c) enumerate nothing and the search is
+// (Kernel.Tiers == 2) moves (b) and (c) enumerate nothing and the search is
 // exactly the legacy greedy copy planner — a property the tests pin
 // bit-for-bit. Every trial placement is priced against one view.
 func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, base Placement, maxMoves int) (Placement, error) {
@@ -297,8 +265,7 @@ func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel
 // order).
 func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves int) Placement {
 	best, bestLat := clonePlacement(base), baseLat
-	nt := ev.pm.NumTiers()
-	copies := ev.copyCandidates(best, nt)
+	copies := ev.copyCandidates(best)
 	runs := ev.tableRuns()
 	for round := 0; round < maxMoves; round++ {
 		var pick placementMove
@@ -320,7 +287,7 @@ func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves i
 		// order; a run qualifies when it contains at least one table
 		// already placed in software (tier >= 1) — the PnO insight is
 		// that the stateful software stage drags its neighbors along.
-		for d := costmodel.TierID(2); int(d) < nt; d++ {
+		for d := costmodel.TierID(2); int(d) < ev.kern.Tiers; d++ {
 			for _, run := range runs {
 				for lo := 0; lo < len(run); lo++ {
 					for hi := lo; hi < len(run); hi++ {
@@ -330,7 +297,7 @@ func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves i
 						ok, moves := false, false
 						for _, name := range seg {
 							t := ev.prog.Tables[name]
-							at := placedTier(best, t, nt)
+							at := ev.placedTier(best, t)
 							ok = ok || at >= 1
 							moves = moves || at != d
 							if t.TierFloor() > int(d) {

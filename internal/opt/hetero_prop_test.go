@@ -76,10 +76,11 @@ func legacyEstimate(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Para
 			if pm.CPUSlowdown <= 0 {
 				mult = 1
 			}
-			node := pm.NodeLatency(prog, prof, name)
+			k := pm.Kernel()
+			node := k.NodeLatency(prog, prof, name)
 			total += mass * (node*mult + migProb*pm.MigrationLatency)
 		} else {
-			total += mass * pm.CondLatency()
+			total += mass * (pm.BranchFactor * pm.Lmat)
 			afterCPU = onCPU
 		}
 		for _, s := range prog.Successors(name) {

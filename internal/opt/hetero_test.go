@@ -1,12 +1,16 @@
 package opt
 
 import (
+	"math"
 	"testing"
 
 	"pipeleon/internal/costmodel"
+	"pipeleon/internal/nicsim"
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/synth"
+	"pipeleon/internal/trafficgen"
 )
 
 // interlaced builds U1 S1 S2 U2 S3 S4 U3 — unsupported tables interlaced
@@ -231,19 +235,20 @@ func TestGreedyPlacementPlanRespectsTierFloor(t *testing.T) {
 	prof := profile.New()
 	pm := offPathParams()
 	base := NewPlacement(prog, pm)
-	if got := placedTier(base, prog.Tables["u2"], pm.NumTiers()); got != 2 {
+	ev := NewEvaluator(prog, prof, pm, Config{})
+	if got := ev.placedTier(base, prog.Tables["u2"]); got != 2 {
 		t.Fatalf("baseline tier of floor-2 table = %d, want 2", got)
 	}
 	plan, err := GreedyPlacementPlan(prog, prof, pm, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := placedTier(plan, prog.Tables["u2"], pm.NumTiers()); got != 2 {
+	if got := ev.placedTier(plan, prog.Tables["u2"]); got != 2 {
 		t.Fatalf("plan dropped a floor-2 table to tier %d", got)
 	}
 	// On a two-tier target the floor clamps to the top tier.
 	two := heteroParams()
-	if got := placedTier(NewPlacement(prog, two), prog.Tables["u2"], two.NumTiers()); got != 1 {
+	if got := NewEvaluator(prog, prof, two, Config{}).placedTier(NewPlacement(prog, two), prog.Tables["u2"]); got != 1 {
 		t.Fatalf("clamped tier = %d, want 1", got)
 	}
 }
@@ -289,4 +294,137 @@ func BenchmarkHeteroEstimate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestModelMatchesEmulatorOnTiers holds the tier-aware estimate to the
+// emulator on programs whose every node has one arrival tier: a table
+// floored to the NIC CPU, a conditional behind it, a copied table, and a
+// table on the off-path tier of a three-tier target. The profile is the
+// emulator's own, and noise, per-packet overhead and entry churn are off, so
+// what is left is the arithmetic of the two, which share one kernel: the
+// model must integrate exactly what the emulator charged. (Before they
+// shared it, a conditional reached on the NIC CPU cost the emulator
+// CPUSlowdown times what the model charged.)
+func TestModelMatchesEmulatorOnTiers(t *testing.T) {
+	table := func(name string, minTier int, next string) p4ir.TableSpec {
+		key := p4ir.Key{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: 32}
+		return p4ir.TableSpec{
+			Name: name, Keys: []p4ir.Key{key}, Next: next, MinTier: minTier,
+			Actions: []*p4ir.Action{
+				p4ir.NewAction("work", p4ir.Prim("modify_field", "meta."+name, "1"), p4ir.Prim("modify_field", "meta."+name+"_b", "2")),
+				p4ir.NewAction("pass", p4ir.Prim("modify_field", "meta."+name+"_m", "1")),
+			},
+			DefaultAction: "pass",
+			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 7}}, Action: "work"}},
+		}
+	}
+	// u (floored to tier 1) -> c (always true) -> k -> a: k is copied in
+	// the "copy" cases, placed on tier 2 in the "offpath" ones.
+	build := func() *p4ir.Program {
+		return p4ir.NewBuilder("tiers").
+			Table(table("u", 1, "c")).
+			Cond("c", "true", "k", "").
+			Table(table("k", 0, "a")).
+			Table(table("a", 0, "")).
+			Root("u").MustBuild()
+	}
+	flows := trafficgen.UniformFlows(5, 40)
+	flows[0].Dst = 7 // one flow hits every table's entry
+	cases := []struct {
+		name string
+		pm   costmodel.Params
+		pl   Placement
+	}{
+		{"emulated/floor", costmodel.EmulatedNIC(), Placement{}},
+		{"emulated/copy", costmodel.EmulatedNIC(), Placement{Copies: map[string]bool{"k": true}}},
+		{"bluefield2/floor", costmodel.BlueField2(), Placement{}},
+		{"bluefield2/copy", costmodel.BlueField2(), Placement{Copies: map[string]bool{"k": true}}},
+		{"bluefield2/offpath", costmodel.BlueField2(), Placement{Tier: map[string]costmodel.TierID{"k": 2}}},
+		{"agiliocx/offpath", costmodel.AgilioCX(), Placement{Tier: map[string]costmodel.TierID{"k": 2, "a": 1}}},
+	}
+	for _, c := range cases {
+		gen := trafficgen.New(9, 0)
+		gen.AddFlows(flows...)
+		pkts := gen.Batch(1500)
+		clones := make([]*packet.Packet, len(pkts))
+		for i, p := range pkts {
+			clones[i] = p.Clone()
+		}
+		col := profile.NewCollector()
+		if measureTiered(t, build(), c.pm, c.pl, col, clones).MeanLatencyNs <= 0 {
+			t.Fatalf("%s: instrumented run measured nothing", c.name)
+		}
+		got := measureTiered(t, build(), c.pm, c.pl, nil, pkts).MeanLatencyNs
+		want, err := EstimateHeteroLatency(build(), col.Snapshot(), c.pm, c.pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(want-got) > 1e-9*got {
+			t.Errorf("%s: model %.6f ns, emulator %.6f ns (off by %.6f)", c.name, want, got, want-got)
+		}
+	}
+}
+
+// measureTiered runs pkts through an emulator with the placement applied by
+// configuration, instrumented into col when col is not nil.
+func measureTiered(t *testing.T, prog *p4ir.Program, pm costmodel.Params, pl Placement, col *profile.Collector, pkts []*packet.Packet) nicsim.Measurement {
+	t.Helper()
+	tiers := map[string]int{}
+	for name, d := range pl.Tier {
+		tiers[name] = int(d)
+	}
+	nic, err := nicsim.New(prog, nicsim.Config{
+		Params: pm, TierTables: tiers, CopiedTables: pl.Copies, Collector: col, Instrument: col != nil,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nic.Measure(pkts)
+}
+
+// TestPlacementCopyCostsTheTablesFootprint: a table copied onto every tier
+// costs the knapsack the memory the table occupies, Table.MemoryBytes — for
+// an LPM table over five prefix lengths that is five hash tables of entries,
+// not the emulated NIC's pinned latency m of 3, and an empty table occupies
+// its one-entry minimum.
+func TestPlacementCopyCostsTheTablesFootprint(t *testing.T) {
+	var prefixes []p4ir.Entry
+	for i, plen := range []int{8, 12, 16, 24, 32} {
+		prefixes = append(prefixes, p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i+1) << 24, PrefixLen: plen}}, Action: "n"})
+	}
+	mk := func(name string, floor int, kind p4ir.MatchKind, entries []p4ir.Entry) p4ir.TableSpec {
+		return p4ir.TableSpec{
+			Name: name, MinTier: floor, Entries: entries,
+			Keys:    []p4ir.Key{{Field: "ipv4.dstAddr", Kind: kind, Width: 32}},
+			Actions: []*p4ir.Action{p4ir.NoopAction("n")},
+		}
+	}
+	prog, err := p4ir.ChainTables("footprint", []p4ir.TableSpec{
+		mk("u1", 1, p4ir.MatchExact, nil), mk("lpm", 0, p4ir.MatchLPM, prefixes),
+		mk("u2", 1, p4ir.MatchExact, nil), mk("empty", 0, p4ir.MatchExact, nil),
+		mk("u3", 1, p4ir.MatchExact, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.EnablePlacement = true
+	res, err := coldSession(t, prog, heteroParams(), cfg).Search(profile.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range res.Units {
+		if u.Name != "placement" {
+			continue
+		}
+		o := u.Options[0]
+		if !o.Placement.Copies["lpm"] || !o.Placement.Copies["empty"] {
+			t.Fatalf("want both ASIC tables copied, got %v", o.Placement)
+		}
+		if want := prog.Tables["lpm"].MemoryBytes() + prog.Tables["empty"].MemoryBytes(); o.MemCost != want {
+			t.Fatalf("copies cost %d bytes, the tables occupy %d", o.MemCost, want)
+		}
+		return
+	}
+	t.Fatal("no placement unit")
 }

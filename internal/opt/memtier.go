@@ -28,13 +28,13 @@ type TierPlan struct {
 // tables maximizing saved latency per byte:
 //
 //	benefit(t) = P(reach t) · m_t · Lmat · (1 − SRAMFactor)
-//	density(t) = benefit(t) / memoryBytes(t)
+//	density(t) = benefit(t) / Table.MemoryBytes(t)
 //
-// Empty tables occupy a minimum footprint so they are not free. Tables
-// already pinned to SRAM are skipped.
+// Tables already pinned to SRAM are skipped.
 func PlanMemoryTiers(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params) TierPlan {
 	var plan TierPlan
-	if pm.SRAMFactor <= 0 || pm.SRAMFactor >= 1 || pm.SRAMBytes <= 0 {
+	k := pm.Kernel()
+	if k.SRAM <= 0 || k.SRAM >= 1 || pm.SRAMBytes <= 0 {
 		return plan
 	}
 	ev := NewEvaluator(prog, prof, pm, Config{})
@@ -49,10 +49,7 @@ func PlanMemoryTiers(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Par
 			continue
 		}
 		bytes := ev.memBytes[i]
-		if bytes == 0 {
-			bytes = t.EntryBytes() * ev.mcomp[i] // min footprint
-		}
-		benefit := ev.reach[i] * float64(ev.mcomp[i]) * pm.Lmat * (1 - pm.SRAMFactor)
+		benefit := ev.reach[i] * float64(ev.mcomp[i]) * k.Mat * (1 - k.SRAM)
 		if benefit <= 0 {
 			continue
 		}

@@ -317,9 +317,6 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 // view does, so a repeated search of the round's profile skips the greedy
 // search.
 func (s *Session) placementUnit() (int, error) {
-	if s.pm.NumTiers() < 2 {
-		return 0, nil
-	}
 	software := false
 	for _, t := range s.prog.Tables {
 		if t.TierFloor() > 0 {
@@ -351,7 +348,7 @@ func (s *Session) placementUnit() (int, error) {
 		// sessions must agree bitwise.
 		for i, t := range s.ev.tables {
 			if plan.Copies[t.Name] {
-				o.MemCost += len(t.Entries) * t.EntryBytes() * s.pm.MatchComplexity(t)
+				o.MemCost += t.MemoryBytes()
 				o.UpdateCost += s.ev.updRate[i]
 			}
 		}

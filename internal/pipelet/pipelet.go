@@ -192,11 +192,12 @@ type Cost struct {
 // returns them sorted descending.
 func RankByCost(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, part *Partition) []Cost {
 	reach := prof.ReachProbs(prog)
+	k := pm.Kernel()
 	costs := make([]Cost, 0, len(part.Pipelets))
 	for _, p := range part.Pipelets {
 		var w float64
 		for _, tbl := range p.Tables {
-			w += reach[tbl] * pm.NodeLatency(prog, prof, tbl)
+			w += reach[tbl] * k.NodeLatency(prog, prof, tbl)
 		}
 		costs = append(costs, Cost{Pipelet: p, Weighted: w, Reach: reach[p.Head()]})
 	}

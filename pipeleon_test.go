@@ -175,7 +175,7 @@ func TestTargetsDiffer(t *testing.T) {
 	if em.LPMFixedM != 3 || em.TernaryFixedM != 3 {
 		t.Error("emulated NIC should pin LPM/ternary at 3x exact (§5.3.3)")
 	}
-	if math.Abs(em.CondLatency()-0.1*em.Lmat) > 1e-9 {
+	if math.Abs(em.Kernel().Cond-0.1*em.Lmat) > 1e-9 {
 		t.Error("emulated NIC branch cost should be 1/10 of an exact probe")
 	}
 }
