@@ -137,6 +137,16 @@ var (
 	}
 )
 
+// The fleet plans only through core.Runtime: a canary's round is the
+// single-device round, with its counter translation, change detection,
+// hysteresis and guard. So non-test files of internal/fleet neither build an
+// optimizer session nor search or materialize on one — the fleet's own copy
+// of the round once searched a canary's untranslated counters. Methods match
+// by name, as syntactically as one-kernel.
+const fleetDir, optPath = "internal/fleet", "pipeleon/internal/opt"
+
+var sessionMethods = map[string]bool{"Search": true, "SearchAndApply": true, "Materialize": true}
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -213,6 +223,13 @@ func lintModule(root string) ([]Violation, error) {
 		}
 		out = append(out, vs...)
 	}
+	vs, err = lintDir(fset, filepath.Join(root, fleetDir), nil, func(f *ast.File) []Violation {
+		return checkOneRound(fset, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
 	vs, err = lintDiagCodes(fset, root)
 	if err != nil {
 		return nil, err
@@ -558,6 +575,28 @@ func checkKernel(fset *token.FileSet, f *ast.File) []Violation {
 				Pos:  fset.Position(sel.Pos()),
 				Rule: "one-kernel",
 				Msg:  sel.Sel.Name + " is a cost derived from costmodel.Params: read the target's costmodel.Kernel (Params.Kernel) instead",
+			})
+		}
+		return true
+	})
+	return out
+}
+
+func checkOneRound(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	optName := importName(f, optPath)
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		id, isIdent := sel.X.(*ast.Ident)
+		newSession := sel.Sel.Name == "NewSession" && isIdent && optName != "" && id.Name == optName && id.Obj == nil
+		if newSession || sessionMethods[sel.Sel.Name] {
+			out = append(out, Violation{
+				Pos:  fset.Position(sel.Pos()),
+				Rule: "one-round",
+				Msg:  "uses " + sel.Sel.Name + " in " + fleetDir + ": the fleet plans through a canary's core.Runtime (OptimizeOnce), not an optimizer session of its own",
 			})
 		}
 		return true

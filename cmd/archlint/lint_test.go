@@ -620,3 +620,66 @@ func rig(cfg *struct{ HitRateAlpha float64 }) { cfg.HitRateAlpha = 1 }
 		t.Fatalf("got %v, want Config.HitRateAlpha and Config.MaxCombos unset", vs)
 	}
 }
+
+func TestFleetPlansThroughTheRuntime(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// A second round: a session built, searched and materialized; a
+		// method value counts.
+		"internal/fleet/plan.go": `package fleet
+
+import "pipeleon/internal/opt"
+
+func plan(pm params, cfg opt.Config) {
+	s, _ := opt.NewSession(nil, pm, cfg)
+	s.SearchAndApply(nil)
+	res, _ := s.Search(nil)
+	apply := s.Materialize
+	_, _ = apply(res.Plan)
+}
+`,
+		"internal/fleet/alias.go": `package fleet
+
+import o "pipeleon/internal/opt"
+
+func build() { o.NewSession(nil, nil, o.Config{}) }
+`,
+		// Driving a Runtime and reading the optimizer's config are fine.
+		"internal/fleet/rollout.go": `package fleet
+
+import "pipeleon/internal/opt"
+
+func round(rt runtime) { rt.SetDeployGuard(guard{}); rt.OptimizeOnce(0); _ = opt.DefaultConfig() }
+`,
+		"internal/fleet/plan_test.go": `package fleet
+
+import "pipeleon/internal/opt"
+
+func oracle() { s, _ := opt.NewSession(nil, nil, opt.Config{}); s.Search(nil) }
+`,
+		// The runtime owns the round and its session.
+		"internal/core/runtime.go": `package core
+
+import "pipeleon/internal/opt"
+
+func build() { s, _ := opt.NewSession(nil, nil, opt.Config{}); s.Search(nil); s.Materialize(nil) }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := map[string]int{}
+	for _, v := range vs {
+		if v.Rule != "one-round" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		perFile[filepath.Base(v.Pos.Filename)]++
+	}
+	// plan.go: NewSession, SearchAndApply, Search, Materialize; alias.go: NewSession.
+	if len(vs) != 5 || perFile["plan.go"] != 4 || perFile["alias.go"] != 1 {
+		t.Fatalf("got %v, want 4 in plan.go and 1 in alias.go: %v", perFile, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "core.Runtime") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}

@@ -2,9 +2,10 @@
 // go/parser + go/ast — cheap structural rules that gofmt and go vet do
 // not cover:
 //
-//   - layering: internal/core must not import internal/nicsim (the
-//     runtime reaches devices only through the internal/target
-//     abstraction; the emulator is just one backend).
+//   - layering: internal/core and internal/fleet must not import
+//     internal/nicsim (the runtime reaches devices only through the
+//     internal/target abstraction, the emulator being just one backend;
+//     the fleet imports target and core, and binaries assemble emulators).
 //   - determinism: internal/nicsim fast-path files and internal/target
 //     record/replay files must not call time.Now or import math/rand —
 //     any ambient wall clock or global RNG would make recorded device
@@ -25,6 +26,9 @@
 //   - serial-search: non-test files of internal/opt contain no go
 //     statement and use no sync.WaitGroup, sync.Once, sync.Pool or
 //     sync/atomic; a search is one goroutine on one session.
+//   - one-round: non-test files of internal/fleet call neither
+//     opt.NewSession nor a Search, SearchAndApply or Materialize method;
+//     the fleet plans through a canary's core.Runtime.
 //   - live-knob: every exported field of opt.Config is set (assigned
 //     through a selector, or keyed in a composite literal) somewhere in
 //     the module outside internal/opt/config.go, test files counting as

@@ -7,8 +7,8 @@
 //
 //	GET  /v1/status             aggregate fleet + per-device status
 //	POST /v1/rollout            staged rollout of the posted program JSON
-//	POST /v1/optimize           profile canaries, search each profile on its
-//	                            warm session, roll layouts out per model
+//	POST /v1/optimize           run each model canary's core.Runtime round,
+//	                            roll the layout it runs out per model
 //	POST /v1/quarantine?device= force a device out of rotation
 //	POST /v1/recover?device=    lift a quarantine (probation re-entry)
 //	GET  /metrics               the same counters in Prometheus text format

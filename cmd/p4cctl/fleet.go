@@ -126,7 +126,7 @@ func printFleetStatus(st fleet.Status) {
 		len(st.Devices), st.Healthy, st.Degraded, st.Quarantined, st.Recovering, st.Serving)
 	fmt.Printf("rollouts: %d total, %d halted, %d fleet rollbacks\n",
 		st.Rollouts, st.HaltedRollouts, st.FleetRollbacks)
-	fmt.Printf("search: %d warm sessions, %d rounds in %s; skeletons %d reused / %d built, verify memo %d hits / %d misses\n",
+	fmt.Printf("search: %d canary runtimes, %d searches in %s; skeletons %d reused / %d built, verify memo %d hits / %d misses\n",
 		st.OptSearch.Sessions, st.OptSearch.Rounds,
 		time.Duration(st.OptSearch.TotalSearchNs),
 		st.OptSearch.UnitHits, st.OptSearch.UnitMisses,

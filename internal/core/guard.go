@@ -3,6 +3,7 @@ package core
 import (
 	"pipeleon/internal/faultinject"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/target"
 )
 
 // DeployGuard makes deployments transactional: OptimizeOnce checkpoints
@@ -57,6 +58,53 @@ func DefaultDeployGuard(sampler func(n int) []*packet.Packet) DeployGuard {
 		BreakerThreshold:      3,
 		BreakerCooldownRounds: 5,
 	}
+}
+
+// Comparison is a deploy measured on both sides: the running program and
+// the program deployed after it, on one sample at equal cache warmth.
+type Comparison struct {
+	// Verified is set when a baseline was measured: the sample held packets
+	// and the pre-deploy measurement succeeded with a positive mean latency.
+	// Without one the deploy went ahead unverified — a broken measurement
+	// path never blocks a deploy.
+	Verified bool
+	Pre      target.Measurement
+	Post     target.Measurement
+	// PostErr is the post-deploy measurement's failure: the device changed
+	// programs and went mute, which contradicts the deploy.
+	PostErr error
+}
+
+// Delta is the relative mean-latency change across the deploy,
+// (post-pre)/pre; zero when the deploy was not verified.
+func (c Comparison) Delta() float64 {
+	if !c.Verified || c.PostErr != nil {
+		return 0
+	}
+	return (c.Post.MeanLatencyNs - c.Pre.MeanLatencyNs) / c.Pre.MeanLatencyNs
+}
+
+// CompareDeploy runs deploy between two measurements of sample on tgt, each
+// after one discarded pass that warms the caches: a freshly swapped program
+// starts cold, and measuring it against the warm incumbent would veto every
+// cache plan. It is the one way a deploy's VerifyDelta is measured — the
+// runtime's guard and the fleet's per-device verify step both call it. The
+// error is deploy's; a failed measurement is reported in the Comparison.
+func CompareDeploy(tgt target.Target, sample []*packet.Packet, deploy func() error) (Comparison, error) {
+	var c Comparison
+	if len(sample) > 0 {
+		_, _ = tgt.Measure(sample)
+		pre, err := tgt.Measure(sample)
+		c.Verified, c.Pre = err == nil && pre.MeanLatencyNs > 0, pre
+	}
+	if err := deploy(); err != nil {
+		return c, err
+	}
+	if c.Verified {
+		_, _ = tgt.Measure(sample)
+		c.Post, c.PostErr = tgt.Measure(sample)
+	}
+	return c, nil
 }
 
 func (g *DeployGuard) verifyPackets() int {

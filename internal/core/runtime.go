@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -141,6 +142,9 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	if err := orig.Validate(); err != nil {
 		return nil, err
 	}
+	// The runtime writes observed hit rates into its own copy: two runtimes
+	// built from one Config must not read each other's feedback.
+	cfg.HitRateOverride = maps.Clone(cfg.HitRateOverride)
 	if cfg.HitRateOverride == nil {
 		cfg.HitRateOverride = map[string]float64{}
 	}
@@ -433,70 +437,52 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err er
 		}
 		// Keep the pre-deploy bookkeeping; the target checkpoints the
 		// program itself (Deploy stages, Commit/Rollback resolve it).
-		// Measure the pre-deploy baseline on the same sample the
-		// post-deploy window will replay.
+		// The guard measures the pre-deploy baseline on the same sample the
+		// post-deploy window replays.
 		prevProg, prevDigest, prevMap, prevPlan := r.current, r.currentDigest, r.cmap, r.activePlan
-		verifying := r.guard != nil && r.guard.Sampler != nil && nextPlan != nil
 		var sample []*packet.Packet
-		var preM target.Measurement
-		if verifying {
+		if r.guard != nil && r.guard.Sampler != nil && nextPlan != nil {
 			sample = r.guard.Sampler(r.guard.verifyPackets())
-			if len(sample) == 0 {
-				verifying = false
-			} else {
-				// One discarded pass before each measurement warms the
-				// caches, so pre and post compare steady state to steady
-				// state: a freshly swapped program starts cold, and
-				// measuring it against the warm incumbent would veto
-				// every cache plan.
-				var merr error
-				_, _ = r.tgt.Measure(sample)
-				preM, merr = r.tgt.Measure(sample)
-				if merr != nil {
-					// No usable baseline — deploy unverified rather than
-					// veto the plan on a measurement failure.
-					verifying = false
-				}
-			}
 		}
-		if err := r.tgt.Deploy(next); err != nil {
+		cmp, err := CompareDeploy(r.tgt, sample, func() error {
+			if err := r.tgt.Deploy(next); err != nil {
+				return err
+			}
+			// A materialized program is the runtime's alone (the session keeps
+			// none, a target copies what Deploy is handed) and becomes current
+			// as it is; r.orig may not: entry operations write both.
+			if next == r.orig {
+				next = r.orig.Clone()
+			}
+			r.setCurrentLocked(next, nextDigest, nextMap, nextPlan)
+			unstage = func() error {
+				unstage = nil
+				if err := r.tgt.Rollback(); err != nil {
+					return err
+				}
+				r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
+				return nil
+			}
+			return nil
+		})
+		if err != nil {
 			report.DeployError = err.Error()
 			r.noteDeployFailureLocked()
 			record()
 			return report, fmt.Errorf("core: deploy failed: %w", err)
 		}
-		// A materialized program is the runtime's alone (the session keeps none,
-		// a target copies what Deploy is handed) and becomes current as it is;
-		// r.orig may not: entry operations write both.
-		if next == r.orig {
-			next = r.orig.Clone()
-		}
-		r.setCurrentLocked(next, nextDigest, nextMap, nextPlan)
-		unstage = func() error {
-			unstage = nil
-			if err := r.tgt.Rollback(); err != nil {
-				return err
-			}
-			r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
-			return nil
-		}
 		report.Deployed = true
-		if verifying {
-			_, _ = r.tgt.Measure(sample) // warm the fresh program's caches
-			postM, merr := r.tgt.Measure(sample)
+		if cmp.Verified {
 			contradicted := false
-			if merr != nil {
+			if cmp.PostErr != nil {
 				// Can't confirm the deploy helped — fail safe and restore
 				// the checkpoint.
 				contradicted = true
-				report.DeployError = fmt.Sprintf("verify measure failed: %v", merr)
+				report.DeployError = fmt.Sprintf("verify measure failed: %v", cmp.PostErr)
 			} else {
-				delta := 0.0
-				if preM.MeanLatencyNs > 0 {
-					delta = (postM.MeanLatencyNs - preM.MeanLatencyNs) / preM.MeanLatencyNs
-				}
+				delta := cmp.Delta()
 				report.VerifyDelta = delta
-				realized := preM.MeanLatencyNs - postM.MeanLatencyNs
+				realized := cmp.Pre.MeanLatencyNs - cmp.Post.MeanLatencyNs
 				// The pre-deploy measurement ran on the currently deployed
 				// (possibly already optimized) program, so the prediction to
 				// hold the plan to is its gain *over the active plan*, not

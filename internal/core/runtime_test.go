@@ -211,6 +211,38 @@ func TestRuntimeDeploysCacheAndFeedsBackHitRate(t *testing.T) {
 	}
 }
 
+// TestRuntimesKeepTheirOwnHitRates: two runtimes built from one Config
+// whose HitRateOverride map is set must not share it — one device's
+// observed cache hit rates are not another's.
+func TestRuntimesKeepTheirOwnHitRates(t *testing.T) {
+	prog := ternaryProgram(t)
+	cfg := opt.DefaultConfig()
+	cfg.TopKFrac = 1
+	cfg.EnableMerge = false
+	cfg.EnableReorder = false
+	cfg.HitRateOverride = map[string]float64{}
+	rt, nic, _ := newRig(t, prog, cfg)
+	other, _, _ := newRig(t, prog, cfg)
+
+	gen := trafficgen.New(5, 0)
+	gen.AddFlows(trafficgen.UniformFlows(6, 20)...)
+	drive(nic, gen, 3000)
+	if _, err := rt.OptimizeOnce(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	drive(nic, gen, 3000)
+	rep, err := rt.OptimizeOnce(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.HitRateFeedback) == 0 {
+		t.Fatalf("no hit rate fed back: %+v", rep)
+	}
+	if len(other.cfg.HitRateOverride) != 0 || len(cfg.HitRateOverride) != 0 {
+		t.Errorf("feedback leaked: other runtime %v, caller's config %v", other.cfg.HitRateOverride, cfg.HitRateOverride)
+	}
+}
+
 func TestRuntimeAPIMappingFastPath(t *testing.T) {
 	prog := aclProgram(t)
 	cfg := opt.DefaultConfig()

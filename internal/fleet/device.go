@@ -120,13 +120,6 @@ type device struct {
 // it like an ordinary transient failure.
 var errProbePanic = errors.New("fleet: device operation panicked")
 
-// serving reports whether the device should receive traffic and rollouts.
-func (d *device) serving() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state == Healthy || d.state == Degraded
-}
-
 // noteProbeSuccessLocked applies a successful probe to the state machine.
 func (d *device) noteProbeSuccessLocked(pol HealthPolicy) {
 	d.probeConsecFail = 0
@@ -198,6 +191,36 @@ func (d *device) noteDeployFailureLocked(err error, pol HealthPolicy) {
 		}
 		d.state = Degraded
 	}
+}
+
+// noteDeploy applies one deploy transaction — a rollout's deployOne or a
+// canary Runtime's round — to the counters and the state machine: deployed
+// and rolledBack say what reached the device, err whether the transaction
+// failed. It returns the device's deploy count.
+func (d *device) noteDeploy(deployed, rolledBack bool, err error, pol HealthPolicy) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if deployed {
+		d.deploys++
+	}
+	if rolledBack {
+		d.rollbacks++
+	}
+	if err != nil {
+		d.deployFails++
+		d.noteDeployFailureLocked(err, pol)
+	} else if deployed {
+		d.commits++
+		d.noteDeploySuccessLocked()
+	}
+	return d.deploys
+}
+
+// deployCount returns how many deploys reached the device.
+func (d *device) deployCount() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.deploys
 }
 
 func (d *device) enterQuarantineLocked(pol HealthPolicy) {

@@ -12,17 +12,17 @@
 //     with per-device measured-regression verification and an automatic
 //     fleet-wide halt-and-rollback when the failure ratio crosses a
 //     threshold (rollout.go),
-//   - fleet optimization rounds: one canary per device model is profiled,
-//     the profile searched on a warm optimizer session held per (program
-//     digest, model), and the result staged across the fleet; a round that
-//     finds the plan already running deploys nothing (sessions.go).
+//   - fleet optimization rounds: one sticky canary per device model runs
+//     the single-device core.Runtime round, and the program it then runs
+//     is staged across the model's devices; a round that finds the plan
+//     already running deploys nothing (rollout.go).
 //
 // The controller degrades gracefully: quarantined devices are excluded
 // from rollouts and the rest of the fleet keeps serving; recovered
 // devices are converged back onto the fleet program.
 //
 // cmd/fleetd exposes the controller over HTTP; `p4cctl fleet` is the
-// operator CLI. The package depends on target and the optimizer but —
+// operator CLI. The package depends on target and core but —
 // enforced by cmd/archlint — never on the emulator: simulated fleets are
 // assembled by callers and handed in as Targets.
 package fleet
@@ -49,23 +49,27 @@ type Options struct {
 }
 
 // Controller owns a fleet of devices. All methods are safe for concurrent
-// use; rollouts are serialized with each other.
+// use; rollouts and optimization rounds are serialized with each other.
 type Controller struct {
-	policy   HealthPolicy
-	optCfg   opt.Config
-	sessions *sessionPool
-	logf     func(string, ...any)
+	policy HealthPolicy
+	optCfg opt.Config
+	logf   func(string, ...any)
 
 	mu      sync.Mutex
 	devices []*device // registration order
 	byName  map[string]*device
+	// canaries holds each device model's planning Runtime (canaryFor);
+	// canaryHits counts rounds one served, canaryBuilds Runtimes built.
+	canaries     map[string]*canary
+	canaryHits   uint64
+	canaryBuilds uint64
 
 	// Fleet-level counters (reported in Status).
 	rollouts       uint64
 	haltedRollouts uint64
 	fleetRollbacks uint64
 
-	rolloutMu sync.Mutex // serializes rollouts
+	rolloutMu sync.Mutex // serializes rollouts and optimization rounds
 }
 
 // New returns a Controller with no devices.
@@ -84,9 +88,9 @@ func New(opts Options) *Controller {
 	return &Controller{
 		policy:   pol,
 		optCfg:   opts.Optimizer,
-		sessions: newSessionPool(),
 		logf:     logf,
 		byName:   map[string]*device{},
+		canaries: map[string]*canary{},
 	}
 }
 

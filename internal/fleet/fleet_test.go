@@ -2,11 +2,13 @@ package fleet_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pipeleon/internal/core"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/faultinject"
 	"pipeleon/internal/fleet"
@@ -23,25 +25,41 @@ import (
 // independent ACLs, with acl2's drop rule hot under the test traffic.
 func aclProgram(t *testing.T) *p4ir.Program {
 	t.Helper()
-	return aclProgramOrder(t, "aclprog", []string{"t1", "t2", "acl1", "acl2"})
+	return aclProgramOrder(t, "aclprog", []string{"t1", "t2", "acl1", "acl2"}, false)
 }
 
 // altProgram is the same pipeline with the hot ACL hoisted to the front —
 // the shape the optimizer would produce, used as the rollout target.
 func altProgram(t *testing.T) *p4ir.Program {
 	t.Helper()
-	return aclProgramOrder(t, "aclprog.next", []string{"acl2", "acl1", "t1", "t2"})
+	return aclProgramOrder(t, "aclprog.next", []string{"acl2", "acl1", "t1", "t2"}, false)
 }
 
-func aclProgramOrder(t *testing.T, name string, order []string) *p4ir.Program {
+// ternaryACLProgram is aclProgram with t1 and t2 matching ternary entries:
+// the optimizer then merges one of them with an ACL.
+func ternaryACLProgram(t *testing.T) *p4ir.Program {
+	t.Helper()
+	return aclProgramOrder(t, "ternacl", []string{"t1", "t2", "acl1", "acl2"}, true)
+}
+
+func aclProgramOrder(t *testing.T, name string, order []string, ternary bool) *p4ir.Program {
 	t.Helper()
 	mk := func(name, field string) p4ir.TableSpec {
-		return p4ir.TableSpec{
+		ts := p4ir.TableSpec{
 			Name:          name,
 			Keys:          []p4ir.Key{{Field: field, Kind: p4ir.MatchExact, Width: packet.FieldWidth(field)}},
 			Actions:       []*p4ir.Action{p4ir.NewAction("set", p4ir.Prim("modify_field", "meta."+name, "1")), p4ir.NoopAction("pass")},
 			DefaultAction: "pass",
 		}
+		if ternary {
+			ts.Keys[0].Kind = p4ir.MatchTernary
+			ts.Entries = []p4ir.Entry{
+				{Priority: 1, Match: []p4ir.MatchValue{{Value: 0, Mask: 0}}, Action: "set"},
+				{Priority: 2, Match: []p4ir.MatchValue{{Value: 1, Mask: 0xff}}, Action: "set"},
+				{Priority: 3, Match: []p4ir.MatchValue{{Value: 2, Mask: 0xffff}}, Action: "set"},
+			}
+		}
+		return ts
 	}
 	acl := func(name, field string, dropVal uint64) p4ir.TableSpec {
 		return p4ir.TableSpec{
@@ -316,9 +334,9 @@ func reorderOnly() opt.Config {
 }
 
 // TestOptimizeAndRolloutSharesPlans runs a fleet optimization round over
-// three same-model devices: the canary's profile is searched once, on the
-// one session the pool holds for the pair, and the optimized program (hot
-// ACL promoted) rolls out to the whole group.
+// three same-model devices: the canary's profile is searched once, by the
+// one Runtime the controller holds for the model, and the optimized program
+// (hot ACL promoted) rolls out to the whole group.
 func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 	progA := aclProgram(t)
 	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
@@ -336,8 +354,8 @@ func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 
 	rcfg := fleet.DefaultRolloutConfig(lockedSampler(gen))
 	rcfg.Verify.MaxRegression = 1.0
-	// Status is served beside the round: it reads the warm session's
-	// counters while the search runs (the race detector's business).
+	// Status is served beside the round: it reads the canary Runtime's
+	// counters while the round runs (the race detector's business).
 	stop, polled := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(polled)
@@ -368,28 +386,32 @@ func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 			t.Errorf("%s root = %q, want acl2 promoted", m.Name, root)
 		}
 	}
-	if ss := ctl.Status().OptSearch; ss.Sessions != 1 || ss.Rounds != 1 {
-		t.Errorf("session pool = %d sessions, %d rounds, want one search on one session", ss.Sessions, ss.Rounds)
+	if ss := ctl.Status().OptSearch; ss.Sessions != 1 || ss.PoolMisses != 1 || ss.PoolHits != 0 || ss.Rounds != 1 {
+		t.Errorf("canaries = %d runtimes (%d built, %d reused), %d searches, want one search on one runtime",
+			ss.Sessions, ss.PoolMisses, ss.PoolHits, ss.Rounds)
 	}
 }
 
 // TestRepeatedOptimizeConverges pins what stands where the plan cache
-// stood: a second optimization round over an unchanged canary profile
-// searches again on the same warm session, finds the same program, and
-// Rollout's whole-digest test turns that into zero deploys.
+// stood: a second optimization round over the same traffic runs on the
+// same canary Runtime, keeps the same program, and Rollout's whole-digest
+// test turns that into zero deploys.
 func TestRepeatedOptimizeConverges(t *testing.T) {
 	progA := aclProgram(t)
 	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
 	gen := dropTraffic()
+	var canary *nicsim.NIC
 	for i := 0; i < 3; i++ {
 		m, nic := newMemberNIC(t, fmt.Sprintf("nic%d", i), progA)
 		nic.Measure(gen.Batch(4000))
+		if i == 0 {
+			canary = nic
+		}
 		if err := ctl.Add(m.Name, m.Target); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Unverified deploys: no measurement moves the canary's profile
-	// between the rounds.
+	// Unverified deploys: the canary's windows hold only the traffic below.
 	rcfg := fleet.DefaultRolloutConfig(nil)
 
 	first, err := ctl.OptimizeAndRollout(progA, rcfg)
@@ -401,6 +423,8 @@ func TestRepeatedOptimizeConverges(t *testing.T) {
 	}
 	before := ctl.Status()
 
+	// A round closes the canary's window; the next one sees the same mix.
+	canary.Measure(gen.Batch(4000))
 	second, err := ctl.OptimizeAndRollout(progA, rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -421,8 +445,9 @@ func TestRepeatedOptimizeConverges(t *testing.T) {
 		}
 	}
 	after := ctl.Status()
-	if ss := after.OptSearch; ss.Sessions != 1 || ss.Rounds != 2 {
-		t.Errorf("session pool = %d sessions, %d rounds, want 1 and 2", ss.Sessions, ss.Rounds)
+	if ss := after.OptSearch; ss.Sessions != 1 || ss.PoolMisses != 1 || ss.PoolHits != 1 {
+		t.Errorf("canaries = %d runtimes (%d built, %d reused), want one runtime serving both rounds",
+			ss.Sessions, ss.PoolMisses, ss.PoolHits)
 	}
 	for i, d := range after.Devices {
 		if d.Deploys != before.Devices[i].Deploys {
@@ -465,6 +490,107 @@ func TestOptimizeContinuesPastFailedGroup(t *testing.T) {
 	if !committed || live.Target.Program().Root != "acl2" {
 		t.Errorf("bf0 committed=%v root=%q, want the optimized program committed: %+v",
 			committed, live.Target.Program().Root, reports[0])
+	}
+	if ss := ctl.Status().OptSearch; ss.Sessions != 2 || ss.PoolMisses != 2 {
+		t.Errorf("canaries = %d runtimes (%d built), want one per model", ss.Sessions, ss.PoolMisses)
+	}
+}
+
+// TestRolloutToCanaryRebuildsItsRuntime: a Rollout of another program that
+// deploys to the canary leaves its Runtime reading counters through a
+// layout the device no longer runs. The next round rebuilds the Runtime on
+// the same device, which redeploys base, and plans again the round after.
+func TestRolloutToCanaryRebuildsItsRuntime(t *testing.T) {
+	progA := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
+	gen := dropTraffic()
+	var nics []*nicsim.NIC
+	for i := 0; i < 2; i++ {
+		m, nic := newMemberNIC(t, fmt.Sprintf("nic%d", i), progA)
+		nics = append(nics, nic)
+		if err := ctl.Add(m.Name, m.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rcfg := fleet.DefaultRolloutConfig(nil)
+	round := func(name string, wantReports int) {
+		t.Helper()
+		nics[0].Measure(gen.Batch(4000))
+		reports, err := ctl.OptimizeAndRollout(progA, rcfg)
+		if err != nil || len(reports) != wantReports {
+			t.Fatalf("%s: %d reports (%v), want %d", name, len(reports), err, wantReports)
+		}
+	}
+	round("round 1", 1)
+	foreign := aclProgramOrder(t, "aclprog.foreign", []string{"t2", "t1", "acl1", "acl2"}, false)
+	if rep, err := ctl.Rollout(foreign, rcfg); err != nil || len(rep.Committed) != 2 {
+		t.Fatalf("foreign rollout: %+v %v", rep, err)
+	}
+	round("round 2", 0)
+	if got := nics[0].Program().Digest(); got != progA.Digest() {
+		t.Errorf("rebuilt canary runs %s, want base", got)
+	}
+	round("round 3", 1)
+	for i, nic := range nics {
+		if root := nic.Program().Root; root != "acl2" {
+			t.Errorf("nic%d root = %q, want acl2 promoted", i, root)
+		}
+	}
+	if ss := ctl.Status().OptSearch; ss.Sessions != 1 || ss.PoolMisses != 2 || ss.PoolHits != 1 {
+		t.Errorf("canaries = %d runtimes (%d built, %d reused), want a rebuild after the foreign rollout",
+			ss.Sessions, ss.PoolMisses, ss.PoolHits)
+	}
+}
+
+// TestTwoModelsKeepTheirOwnPlans: a model's rollout covers that model's
+// devices only, so neither canary sees the other model's program deployed
+// to it. Both Runtimes serve every round after the first, and the rounds
+// after the first deploy nothing.
+func TestTwoModelsKeepTheirOwnPlans(t *testing.T) {
+	progA := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
+	gen := dropTraffic()
+	var nics []*nicsim.NIC
+	for i, pm := range []costmodel.Params{costmodel.AgilioCX(), costmodel.AgilioCX(), costmodel.BlueField2(), costmodel.BlueField2()} {
+		m, nic := newMemberModel(t, fmt.Sprintf("nic%d", i), progA, pm)
+		nics = append(nics, nic)
+		if err := ctl.Add(m.Name, m.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rcfg := fleet.DefaultRolloutConfig(nil)
+	var deploys []uint64
+	for round := 1; round <= 3; round++ {
+		for _, nic := range nics {
+			nic.Measure(gen.Batch(4000))
+		}
+		reports, err := ctl.OptimizeAndRollout(progA, rcfg)
+		if err != nil || len(reports) != 2 {
+			t.Fatalf("round %d: %d reports (%v), want one per model", round, len(reports), err)
+		}
+		for _, rep := range reports {
+			if len(rep.Results) != 2 || len(rep.Committed) != 2 {
+				t.Errorf("round %d: rollout %s covered %d devices, committed %v; want the model's 2", round, rep.Fingerprint, len(rep.Results), rep.Committed)
+			}
+		}
+		st := ctl.Status()
+		if ss := st.OptSearch; ss.Sessions != 2 || ss.PoolMisses != 2 || ss.PoolHits != uint64(2*(round-1)) {
+			t.Errorf("round %d: canaries = %d runtimes (%d built, %d reused), want 2 built and %d reused",
+				round, ss.Sessions, ss.PoolMisses, ss.PoolHits, 2*(round-1))
+		}
+		for i, nic := range nics {
+			if root := nic.Program().Root; root != "acl2" {
+				t.Errorf("round %d: nic%d root = %q, want acl2 promoted", round, i, root)
+			}
+		}
+		var now []uint64
+		for _, d := range st.Devices {
+			now = append(now, d.Deploys)
+		}
+		if round > 1 && !slices.Equal(now, deploys) {
+			t.Errorf("round %d: device deploys %v -> %v on a converged round", round, deploys, now)
+		}
+		deploys = now
 	}
 }
 
@@ -511,5 +637,92 @@ func TestRunSupervisedLoops(t *testing.T) {
 	}
 	if st := ctl.Status(); st.Healthy != 4 {
 		t.Errorf("healthy = %d, want 4", st.Healthy)
+	}
+}
+
+// TestCanaryPlansFromTranslatedCounters: a canary that already runs an
+// optimized layout counts its traffic on the deployed tables — here a merged
+// table stands where two base tables stood, so those count nothing. The
+// fleet round must read the counters through the layout's counter map, as a
+// single-device core.Runtime does: searched raw over the base program they
+// plan another program.
+func TestCanaryPlansFromTranslatedCounters(t *testing.T) {
+	base := ternaryACLProgram(t)
+	cfg := opt.DefaultConfig()
+	cfg.TopKFrac = 1
+	cfg.EnableCache = false
+	ctl := fleet.New(fleet.Options{Optimizer: cfg, Logf: t.Logf})
+	m, nic := newMemberNIC(t, "nic0", base)
+	if err := ctl.Add(m.Name, m.Target); err != nil {
+		t.Fatal(err)
+	}
+	// The single-device reference: a Runtime on an identical emulator fed
+	// the same packets (two generators with one seed).
+	twinCol := profile.NewCollector()
+	twin, err := nicsim.New(base.Clone(), nicsim.Config{Params: costmodel.BlueField2(), Collector: twinCol, Instrument: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.NewRuntime(base, target.NewLocal(twin, twinCol), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetGen, twinGen := dropTraffic(), dropTraffic()
+	traffic := func() {
+		nic.Measure(fleetGen.Batch(2000))
+		twin.Measure(twinGen.Batch(2000))
+	}
+	round := func(name string) {
+		t.Helper()
+		if _, err := ctl.OptimizeAndRollout(base, fleet.DefaultRolloutConfig(nil)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := rt.OptimizeOnce(time.Second); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Target.Program().Digest() != rt.Current().Digest() {
+			t.Fatalf("%s: the canary and the single-device runtime run different programs", name)
+		}
+	}
+
+	traffic()
+	round("round 1")
+	merged := false
+	for name := range m.Target.Program().Tables {
+		merged = merged || strings.HasPrefix(name, "__merged__")
+	}
+	if !merged {
+		t.Fatalf("round 1 deployed no merged table: %v", m.Target.Program().Tables)
+	}
+
+	// The next window holds only traffic on the deployed layout.
+	if _, err := m.Target.Profile(true); err != nil {
+		t.Fatal(err)
+	}
+	// What the canary's raw counters plan over the base program. The
+	// Runtime's translated profile carries no flow cardinality, so neither
+	// does this one: the two differ in the translation alone.
+	traffic()
+	raw, err := m.Target.Profile(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.FlowCardinality = 0
+	s, err := opt.NewSession(base, costmodel.BlueField2(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rw, err := s.SearchAndApply(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untranslated := base.Digest()
+	if rw != nil {
+		untranslated = rw.Digest
+	}
+
+	round("round 2")
+	if m.Target.Program().Digest() == untranslated {
+		t.Fatalf("the canary runs what its raw counters plan (%v): the test no longer tells the two apart", res.Plan)
 	}
 }

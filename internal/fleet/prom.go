@@ -72,10 +72,10 @@ func WriteMetrics(w io.Writer, st Status) error {
 	p.counter("pipeleon_fleet_rollouts_halted_total", "Rollouts halted by the failure-fraction gate.", float64(st.HaltedRollouts))
 	p.counter("pipeleon_fleet_rollbacks_total", "Fleet-wide rollbacks.", float64(st.FleetRollbacks))
 
-	p.gauge("pipeleon_optsearch_sessions", "Live warm optimizer sessions.", float64(st.OptSearch.Sessions))
-	p.counter("pipeleon_optsearch_pool_hits_total", "Session-pool lookups that reused a warm session.", float64(st.OptSearch.PoolHits))
-	p.counter("pipeleon_optsearch_pool_misses_total", "Session-pool lookups that built a session.", float64(st.OptSearch.PoolMisses))
-	p.counter("pipeleon_optsearch_rounds_total", "Optimization searches served.", float64(st.OptSearch.Rounds))
+	p.gauge("pipeleon_optsearch_sessions", "Live canary planning runtimes.", float64(st.OptSearch.Sessions))
+	p.counter("pipeleon_optsearch_pool_hits_total", "Optimization rounds served by a canary runtime already held.", float64(st.OptSearch.PoolHits))
+	p.counter("pipeleon_optsearch_pool_misses_total", "Canary runtimes built.", float64(st.OptSearch.PoolMisses))
+	p.counter("pipeleon_optsearch_rounds_total", "Optimization searches run by the canary runtimes.", float64(st.OptSearch.Rounds))
 	p.counter("pipeleon_optsearch_unit_memo_hits_total", "Pipelets priced on a candidate skeleton reused.", float64(st.OptSearch.UnitHits))
 	p.counter("pipeleon_optsearch_unit_memo_misses_total", "Pipelets priced on a candidate skeleton built first.", float64(st.OptSearch.UnitMisses))
 	p.counter("pipeleon_optsearch_verify_memo_hits_total", "Rewrite-verdict-memo hits.", float64(st.OptSearch.VerifyHits))

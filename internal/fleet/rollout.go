@@ -4,42 +4,28 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
-	"pipeleon/internal/opt"
+	"pipeleon/internal/core"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
-	"pipeleon/internal/profile"
-	"pipeleon/internal/target"
 )
 
-// VerifyConfig is the per-device measured-regression check a rollout runs
-// around every deploy, mirroring the single-device runtime's deploy guard:
-// measure before, deploy, measure after on the same sample, and roll the
-// device back if latency regressed past the allowance.
+// VerifyConfig is the measured-regression check around every deploy of a
+// rollout, and the source of the canary Runtime's core.DeployGuard (Sampler,
+// VerifyPackets, MaxRegression): core.CompareDeploy measures the sample on
+// the running program and on the deployed one at equal cache warmth, and a
+// device whose latency regressed past the allowance is rolled back. Packets
+// keeps its name until the benchmark that sets it changes with it.
 type VerifyConfig struct {
 	// Sampler produces the verification batch (nil disables verification).
 	Sampler func(n int) []*packet.Packet
 	// Packets per verification measurement (default 256).
 	Packets int
 	// MaxRegression is the tolerated relative mean-latency increase
-	// (default 0.2 — looser than the runtime's guard because a fresh
-	// deploy measures with cold caches).
+	// (default 0.2).
 	MaxRegression float64
-}
-
-func (v VerifyConfig) packets() int {
-	if v.Packets > 0 {
-		return v.Packets
-	}
-	return 256
-}
-
-func (v VerifyConfig) maxRegression() float64 {
-	if v.MaxRegression > 0 {
-		return v.MaxRegression
-	}
-	return 0.2
 }
 
 // RolloutConfig shapes a staged rollout.
@@ -82,6 +68,12 @@ func (cfg RolloutConfig) withDefaults() RolloutConfig {
 	}
 	if cfg.MaxFailureFrac <= 0 {
 		cfg.MaxFailureFrac = 0.25
+	}
+	if cfg.Verify.Packets <= 0 {
+		cfg.Verify.Packets = 256
+	}
+	if cfg.Verify.MaxRegression <= 0 {
+		cfg.Verify.MaxRegression = 0.2
 	}
 	return cfg
 }
@@ -165,8 +157,8 @@ type RolloutReport struct {
 }
 
 // shortDigest is the display form of a program digest in logs and reports:
-// its first 16 hex characters. Rollouts and the session pool identify
-// programs by the whole digest.
+// its first 16 hex characters. Rollouts and the canaries identify programs
+// by the whole digest.
 func shortDigest(d p4ir.Digest) string { return hex.EncodeToString(d[:8]) }
 
 // Rollout deploys prog to every eligible device in stages: canary first,
@@ -181,17 +173,21 @@ func (c *Controller) Rollout(prog *p4ir.Program, cfg RolloutConfig) (*RolloutRep
 	if prog == nil {
 		return nil, errors.New("fleet: rollout needs a program")
 	}
-	return c.rollout(prog, prog.Digest(), cfg)
-}
-
-// rollout is Rollout of a program whose digest the caller has: want must be
-// prog.Digest().
-func (c *Controller) rollout(prog *p4ir.Program, want p4ir.Digest, cfg RolloutConfig) (*RolloutReport, error) {
 	c.rolloutMu.Lock()
 	defer c.rolloutMu.Unlock()
+	return c.rollout(prog, "", cfg)
+}
+
+// rollout is Rollout over the eligible devices of one model ("" = every
+// model). The caller holds rolloutMu.
+func (c *Controller) rollout(prog *p4ir.Program, model string, cfg RolloutConfig) (*RolloutReport, error) {
 	cfg = cfg.withDefaults()
+	want := prog.Digest()
 
 	eligible, skipped := c.eligibleDevices()
+	if model != "" {
+		eligible = slices.DeleteFunc(eligible, func(d *device) bool { return d.model != model })
+	}
 	rep := &RolloutReport{Fingerprint: shortDigest(want), Skipped: skipped}
 	if len(eligible) == 0 {
 		return rep, errors.New("fleet: no eligible devices")
@@ -348,147 +344,164 @@ func (c *Controller) rollbackCommitted(rep *RolloutReport, commits []committedDe
 func (c *Controller) deployOne(d *device, prog *p4ir.Program, cfg RolloutConfig, stage int) (DeviceResult, *p4ir.Program) {
 	res := DeviceResult{Device: d.name, Stage: stage}
 	var prev *p4ir.Program
+	deployed := false
 	err := safeCall(func() error {
 		prev = d.tgt.Program()
-
-		// Pre-deploy measurement on the verification sample. A failed
-		// pre-measure disables verification (matching the single-device
-		// guard: never block a deploy on a broken measurement path), but a
-		// failed post-measure contradicts the deploy — the device just
-		// changed programs and went mute.
 		var sample []*packet.Packet
-		var pre target.Measurement
-		verifying := cfg.Verify.Sampler != nil
-		if verifying {
-			sample = cfg.Verify.Sampler(cfg.Verify.packets())
-			verifying = len(sample) > 0
+		if cfg.Verify.Sampler != nil {
+			sample = cfg.Verify.Sampler(cfg.Verify.Packets)
 		}
-		if verifying {
-			var merr error
-			pre, merr = d.tgt.Measure(sample)
-			if merr != nil || pre.MeanLatencyNs <= 0 {
-				verifying = false
-			}
-		}
-
-		if err := d.tgt.Deploy(prog); err != nil { // the backend keeps a copy
+		cmp, err := core.CompareDeploy(d.tgt, sample, func() error {
+			err := d.tgt.Deploy(prog) // the backend keeps a copy
+			deployed = err == nil
+			return err
+		})
+		if err != nil {
 			return fmt.Errorf("deploy: %w", err)
 		}
-		d.mu.Lock()
-		d.deploys++
-		d.mu.Unlock()
-
-		if verifying {
-			post, merr := d.tgt.Measure(sample)
-			bad := false
-			if merr != nil {
-				bad = true
-				res.Err = fmt.Sprintf("verify measurement failed: %v", merr)
-			} else {
-				res.VerifyDelta = (post.MeanLatencyNs - pre.MeanLatencyNs) / pre.MeanLatencyNs
-				bad = res.VerifyDelta > cfg.Verify.maxRegression()
+		res.VerifyDelta = cmp.Delta()
+		if cmp.Verified && (cmp.PostErr != nil || res.VerifyDelta > cfg.Verify.MaxRegression) {
+			if rerr := d.tgt.Rollback(); rerr != nil {
+				return fmt.Errorf("verify failed and rollback failed too: %v", rerr)
 			}
-			if bad {
-				if rerr := d.tgt.Rollback(); rerr != nil {
-					return fmt.Errorf("verify failed and rollback failed too: %v", rerr)
-				}
-				res.RolledBack = true
-				d.mu.Lock()
-				d.rollbacks++
-				d.mu.Unlock()
-				if res.Err != "" {
-					return errors.New(res.Err)
-				}
-				return fmt.Errorf("verify: mean latency regressed %+.0f%% (max %+.0f%%)",
-					res.VerifyDelta*100, cfg.Verify.maxRegression()*100)
+			res.RolledBack = true
+			if cmp.PostErr != nil {
+				return fmt.Errorf("verify measurement failed: %v", cmp.PostErr)
 			}
+			return fmt.Errorf("verify: mean latency regressed %+.0f%% (max %+.0f%%)",
+				res.VerifyDelta*100, cfg.Verify.MaxRegression*100)
 		}
-
 		if err := d.tgt.Commit(); err != nil {
 			return fmt.Errorf("commit: %w", err)
 		}
 		res.Committed = true
 		return nil
 	})
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if err != nil {
-		if res.Err == "" {
-			res.Err = err.Error()
-		}
-		d.deployFails++
-		d.noteDeployFailureLocked(err, c.policy)
-		return res, prev
+		res.Err = err.Error()
 	}
-	d.commits++
-	d.noteDeploySuccessLocked()
+	d.noteDeploy(deployed, res.RolledBack, err, c.policy)
 	return res, prev
 }
 
-// OptimizeAndRollout runs one fleet optimization round: for each device
-// model represented in the eligible fleet, it profiles the group's canary
-// (first eligible device), searches that profile on the warm session held
-// for the (program, model) pair and stages a Rollout of the result across
-// the whole fleet. A round that finds the plan the fleet already runs
-// costs no deploy: Rollout skips every device whose program digest
-// matches. base is the original (unoptimized) program the plans are
-// computed from.
+// canary is the core.Runtime planning one device model's rollouts, bound to
+// the group's canary device and to the base program whose digest it names.
+type canary struct {
+	dev  *device
+	base p4ir.Digest
+	rt   *core.Runtime
+	// deploys is dev's deploy count when the Runtime last acted: a deploy
+	// since then was another rollout's, to a layout the Runtime does not know.
+	deploys uint64
+}
+
+// OptimizeAndRollout runs one fleet optimization round from base, the
+// original program: for each device model in the eligible fleet, the
+// model's canary runs one round of its core.Runtime — profile, counter
+// translation, change detection, warm search, hysteresis, blacklist, gate
+// and a verified deploy on the canary — and a rollout stages the program
+// the canary then runs across the model's eligible devices; devices
+// already running it cost no deploy. Rounds and rollouts are serialized.
 //
 // A group whose canary cannot be profiled or planned does not hold back
-// the other models: the round goes on, and the error returned joins every
-// group's failure beside the reports that were gathered.
+// the other models: the error returned joins every group's failure beside
+// the reports that were gathered.
 func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) ([]*RolloutReport, error) {
 	if base == nil {
 		return nil, errors.New("fleet: OptimizeAndRollout needs the base program")
 	}
+	// The canaries' deploys, commits and rollbacks, like a rollout's, must
+	// not interleave with another transaction on a device's one checkpoint.
+	c.rolloutMu.Lock()
+	defer c.rolloutMu.Unlock()
 	eligible, _ := c.eligibleDevices()
 	if len(eligible) == 0 {
 		return nil, errors.New("fleet: no eligible devices")
 	}
+	cfg = cfg.withDefaults()
+	digest := base.Digest()
+	guard := core.DeployGuard{Sampler: cfg.Verify.Sampler, VerifyPackets: cfg.Verify.Packets, MaxRegression: cfg.Verify.MaxRegression}
 	var reports []*RolloutReport
 	var errs []error
 	for _, g := range modelGroups(eligible) {
-		canary := g.Devs[0]
-		res, rw, err := c.planFor(base, canary)
+		model := g.Model
+		cn, err := c.canaryFor(model, g.Devs, base, digest)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("fleet: planning for model %s via %s: %w", g.Model, canary.name, err))
+			errs = append(errs, err)
+		}
+		if cn == nil {
 			continue
 		}
-		if rw == nil {
-			c.logf("optimize: model %s: no profitable plan, skipping rollout", g.Model)
+		cn.rt.SetDeployGuard(guard)
+		// The fleet sends no entry operation through the Runtime, so there
+		// are no update counts for a window length to turn into rates.
+		rep, err := cn.rt.OptimizeOnce(0)
+		var failed error
+		if rep.DeployError != "" || rep.RolledBack {
+			failed = fmt.Errorf("canary round %d: rolled back=%v verify delta %+.0f%% %s", rep.Round, rep.RolledBack, rep.VerifyDelta*100, rep.DeployError)
+		}
+		cn.deploys = cn.dev.noteDeploy(rep.Deployed, rep.RolledBack, failed, c.policy)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("fleet: planning for model %s via %s: %w", model, cn.dev.name, err))
 			continue
 		}
-		c.logf("optimize: model %s: plan %v (est. gain %.0fns)", g.Model, res.Plan, res.Gain)
-		rep, err := c.rollout(rw.Program, rw.Digest, cfg)
-		if rep != nil {
-			reports = append(reports, rep)
+		c.logf("optimize: model %s via %s: plan %v (est. gain %.0fns) deployed=%v rolled back=%v",
+			model, cn.dev.name, rep.Plan, rep.Gain, rep.Deployed, rep.RolledBack)
+		// The rollout covers the model's devices: another model's canary
+		// runs its own plan.
+		rr, err := c.rollout(cn.rt.Current(), model, cfg)
+		if rr != nil {
+			reports = append(reports, rr)
 		}
 		if err != nil {
-			errs = append(errs, fmt.Errorf("model %s: %w", g.Model, err))
+			errs = append(errs, fmt.Errorf("model %s: %w", model, err))
 		}
 	}
 	return reports, errors.Join(errs...)
 }
 
-// planFor searches base under the canary device's current profile, on the
-// warm session for (base, canary model). A nil Rewrite means no plan paid.
-func (c *Controller) planFor(base *p4ir.Program, canary *device) (*opt.SearchResult, *opt.Rewrite, error) {
-	var prof *profile.Profile
-	err := safeCall(func() error {
-		p, err := canary.tgt.Profile(false)
-		if err != nil {
-			return err
+// canaryFor returns the Runtime planning model's rollouts from base. The
+// canary is sticky: the Runtime held is kept while its device stays
+// eligible, no other rollout deployed to it and it optimizes base;
+// otherwise one is built — on the same device while it is eligible, else
+// on the group's healthiest — which deploys base there. A device that ran
+// another program collected its window on that layout's tables: the
+// window is closed unread and the group sits the round out (nil canary,
+// nil error).
+func (c *Controller) canaryFor(model string, devs []*device, base *p4ir.Program, digest p4ir.Digest) (*canary, error) {
+	c.mu.Lock()
+	held, d := c.canaries[model], devs[0]
+	if sticky := held != nil && slices.Contains(devs, held.dev); sticky && held.base == digest && held.dev.deployCount() == held.deploys {
+		c.canaryHits++
+		c.mu.Unlock()
+		return held, nil
+	} else if sticky {
+		d = held.dev
+	}
+	delete(c.canaries, model)
+	c.mu.Unlock() // building deploys: Status and probes do not wait on it
+	var rt *core.Runtime
+	fresh := false
+	err := safeCall(func() (err error) {
+		ran, ok := digestOf(d.tgt)
+		if rt, err = core.NewRuntime(base, d.tgt, c.optCfg); err == nil && (!ok || ran != digest) {
+			fresh = true
+			_, err = d.tgt.Profile(true)
 		}
-		prof = p
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("profiling canary: %w", err)
+		return nil, fmt.Errorf("fleet: planning for model %s via %s: %w", model, d.name, err)
 	}
-	s, err := c.sessions.get(base.Digest(), canary.model, base, canary.tgt.Capabilities().Params, c.optCfg)
-	if err != nil {
-		return nil, nil, err
+	// NewRuntime deployed and committed base.
+	cn := &canary{dev: d, base: digest, rt: rt, deploys: d.noteDeploy(true, false, nil, c.policy)}
+	c.mu.Lock()
+	c.canaryBuilds++
+	c.canaries[model] = cn
+	c.mu.Unlock()
+	if fresh {
+		c.logf("optimize: model %s: canary %s ran another layout; planning starts next window", model, d.name)
+		return nil, nil
 	}
-	return s.SearchAndApply(prof)
+	return cn, nil
 }

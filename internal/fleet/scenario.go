@@ -121,6 +121,10 @@ func RunFaultScenario(in FaultScenarioInput) error {
 		return nil
 	}
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	// A verified deploy measures four times (core.CompareDeploy: warm pass
+	// and baseline, deploy, warm pass and post); scaling the last one is a
+	// deploy that regressed the device.
+	regressOnVerify := []faultinject.Decision{{}, {}, {}, {Scale: 10}}
 
 	ctl.ProbeAll()
 	st := ctl.Status()
@@ -130,8 +134,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 
 	// ---- Phase 1: canary gate -------------------------------------------
 	logf("phase 1: canary verification failure must stop fan-out")
-	devs[0].Script.Queue(faultinject.PointMeasure,
-		faultinject.Decision{}, faultinject.Decision{Scale: 10})
+	devs[0].Script.Queue(faultinject.PointMeasure, regressOnVerify...)
 	rep, err := ctl.Rollout(in.Next, cfg)
 	if err != nil {
 		return fmt.Errorf("phase 1 rollout: %w", err)
@@ -154,8 +157,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	// ---- Phase 2: mid-wave breach → halt + rollback ---------------------
 	logf("phase 2: ratio breach mid-wave must roll back committed devices")
 	devs[crasher].Script.Queue(faultinject.PointDeploy, faultinject.Decision{Fail: true})
-	devs[flapper].Script.Queue(faultinject.PointMeasure,
-		faultinject.Decision{}, faultinject.Decision{Scale: 10})
+	devs[flapper].Script.Queue(faultinject.PointMeasure, regressOnVerify...)
 	rep, err = ctl.Rollout(in.Next, cfg)
 	if err != nil {
 		return fmt.Errorf("phase 2 rollout: %w", err)
@@ -177,8 +179,7 @@ func RunFaultScenario(in FaultScenarioInput) error {
 	// ---- Phase 3: breaker quarantine + graceful degradation -------------
 	logf("phase 3: repeat offenders trip the breaker; fleet degrades gracefully")
 	devs[crasher].Script.Queue(faultinject.PointDeploy, faultinject.Decision{Fail: true})
-	devs[flapper].Script.Queue(faultinject.PointMeasure,
-		faultinject.Decision{}, faultinject.Decision{Scale: 10})
+	devs[flapper].Script.Queue(faultinject.PointMeasure, regressOnVerify...)
 	rep, err = ctl.Rollout(in.Next, cfg)
 	if err != nil {
 		return fmt.Errorf("phase 3 rollout: %w", err)

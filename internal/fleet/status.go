@@ -1,5 +1,7 @@
 package fleet
 
+import "pipeleon/internal/core"
+
 // DeviceStatus is one device's machine-readable health snapshot.
 type DeviceStatus struct {
 	Name  string `json:"name"`
@@ -47,15 +49,51 @@ type Status struct {
 	HaltedRollouts uint64 `json:"halted_rollouts"`
 	FleetRollbacks uint64 `json:"fleet_rollbacks"`
 
-	// PlanCache is always zero: the plan cache is gone (the warm session
-	// re-searches in less than a hit cost). The field and its JSON key stay
-	// only because bench/layers.go reads .Hits/.Misses for
-	// fleet.plancache_hit_ratio; the next benchmark PR drops both.
+	// PlanCache is always zero: the fleet keeps no plan cache (a canary's
+	// Runtime answers an unchanged profile by change detection). The field
+	// and its JSON key stay only because the end-to-end benchmark reads
+	// .Hits/.Misses for fleet.plancache_hit_ratio.
 	PlanCache PlanCacheStats `json:"plan_cache"`
-	// OptSearch aggregates the warm optimizer-session pool: searches
+	// OptSearch aggregates the canaries' planning Runtimes: searches
 	// served, candidate skeletons reused / built, verdict-memo hit rates,
 	// and cumulative search time.
 	OptSearch SearchSessionStats `json:"opt_search"`
+}
+
+// SearchSessionStats aggregates the live canary Runtimes for Status.
+// Sessions counts them, PoolHits the rounds a Runtime already held served,
+// PoolMisses the Runtimes built; every other field sums the RuntimeStatus
+// counter of the same meaning (Rounds: SearchRounds, UnitHits:
+// SearchUnitHits, ...). The JSON keys keep the names of the session pool
+// the Runtimes replaced.
+type SearchSessionStats struct {
+	Sessions         int    `json:"sessions"`
+	PoolHits         uint64 `json:"pool_hits"`
+	PoolMisses       uint64 `json:"pool_misses"`
+	Rounds           int    `json:"rounds"`
+	UnitHits         uint64 `json:"unit_hits"`
+	UnitMisses       uint64 `json:"unit_misses"`
+	VerifyHits       uint64 `json:"verify_hits"`
+	VerifyMisses     uint64 `json:"verify_misses"`
+	ProofMemoHits    uint64 `json:"proof_memo_hits"`
+	ProofMemoMisses  uint64 `json:"proof_memo_misses"`
+	ProofForcedConds int    `json:"proof_forced_conds"`
+	ProofTotalConds  int    `json:"proof_total_conds"`
+	TotalSearchNs    int64  `json:"total_search_ns"`
+}
+
+// add folds one Runtime's search counters in.
+func (st *SearchSessionStats) add(rs core.RuntimeStatus) {
+	st.Rounds += rs.SearchRounds
+	st.UnitHits += rs.SearchUnitHits
+	st.UnitMisses += rs.SearchUnitMisses
+	st.VerifyHits += rs.SearchVerifyHits
+	st.VerifyMisses += rs.SearchVerifyMisses
+	st.ProofMemoHits += rs.ProofMemoHits
+	st.ProofMemoMisses += rs.ProofMemoMisses
+	st.ProofForcedConds += rs.ProofForcedConds
+	st.ProofTotalConds += rs.ProofTotalConds
+	st.TotalSearchNs += rs.TotalSearchNs
 }
 
 // Status returns the aggregate fleet snapshot.
@@ -99,8 +137,16 @@ func (c *Controller) Status() Status {
 	st.Rollouts = c.rollouts
 	st.HaltedRollouts = c.haltedRollouts
 	st.FleetRollbacks = c.fleetRollbacks
+	st.OptSearch = SearchSessionStats{Sessions: len(c.canaries), PoolHits: c.canaryHits, PoolMisses: c.canaryBuilds}
+	rts := make([]*core.Runtime, 0, len(c.canaries))
+	for _, cn := range c.canaries {
+		rts = append(rts, cn.rt)
+	}
 	c.mu.Unlock()
-	st.OptSearch = c.sessions.stats()
+	// A Runtime's Status waits out a round in progress; read them unlocked.
+	for _, rt := range rts {
+		st.OptSearch.add(rt.Status())
+	}
 	return st
 }
 

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -68,9 +69,10 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 // from masked key words to cachedResult, with a fixed entry budget and an
 // insertion rate limiter. Entries live in a slab of nodes linked into the
 // LRU order by index; an open-addressed table of node indices, keyed by a
-// hash of the key words, finds them. Every node owns a key buffer and a
-// writes buffer that the next key stored in the node reuses, so a warm
-// cache neither allocates nor frees.
+// hash of the key words, finds them. Node i's key words sit at i·kw in
+// keys and its writes at i·ww in ids and vals: one stride per array, the
+// longest key and result the cache has held, so an entry has no buffer of
+// its own and a warm cache neither allocates nor frees.
 type flowCache struct {
 	mu      sync.Mutex
 	spec    p4ir.CacheSpec
@@ -78,9 +80,13 @@ type flowCache struct {
 	budget  int
 	limiter *tokenBucket
 
-	nodes []cacheNode // live entries; the slab beyond len keeps its buffers
-	index []int32     // node index + 1 per slot, 0 = empty; at most half full
-	shift uint        // 64 - log2(len(index))
+	nodes  []cacheNode // live entries; the slab grows to the budget at most
+	keys   []uint64    // kw words per slab slot
+	ids    []packet.FieldID
+	vals   []uint64 // ww writes per slab slot, split in two arrays
+	kw, ww int
+	index  []int32 // node index + 1 per slot, 0 = empty; at most half full
+	shift  uint    // 64 - log2(len(index))
 	// head is the most recently used node and tail the least; both are
 	// nilNode when the cache is empty.
 	head, tail int32
@@ -89,11 +95,10 @@ type flowCache struct {
 }
 
 type cacheNode struct {
-	hash       uint64
-	key        []uint64
-	writes     []fieldWrite
-	dropped    bool
-	prev, next int32 // towards head, towards tail
+	hash            uint64
+	prev, next      int32  // towards head, towards tail
+	keyLen, nWrites uint16 // the used prefix of the node's stride
+	dropped         bool
 }
 
 func newFlowCache(spec p4ir.CacheSpec, fields []string) *flowCache {
@@ -130,7 +135,7 @@ func (c *flowCache) find(key []uint64, h uint64) int32 {
 		if id < 0 {
 			return nilNode
 		}
-		if nd := &c.nodes[id]; nd.hash == h && slices.Equal(nd.key, key) {
+		if nd := &c.nodes[id]; nd.hash == h && slices.Equal(c.keys[int(id)*c.kw:][:nd.keyLen], key) {
 			return id
 		}
 	}
@@ -212,8 +217,29 @@ func (c *flowCache) growIndex() {
 	}
 }
 
+// fit sizes keys, ids and vals for every slot of the slab at strides of at
+// least kw and ww.
+func (c *flowCache) fit(kw, ww int) {
+	if slots := cap(c.nodes); kw > c.kw || ww > c.ww || len(c.keys) != slots*c.kw || len(c.vals) != slots*c.ww {
+		c.refit(max(kw, c.kw), max(ww, c.ww))
+	}
+}
+
+// refit lays the arrays out afresh at strides kw and ww, moving the live
+// nodes' contents.
+func (c *flowCache) refit(kw, ww int) {
+	slots := cap(c.nodes)
+	keys, ids, vals := make([]uint64, slots*kw), make([]packet.FieldID, slots*ww), make([]uint64, slots*ww)
+	for i, nd := range c.nodes {
+		copy(keys[i*kw:], c.keys[i*c.kw:][:nd.keyLen])
+		copy(ids[i*ww:], c.ids[i*c.ww:][:nd.nWrites])
+		copy(vals[i*ww:], c.vals[i*c.ww:][:nd.nWrites])
+	}
+	c.keys, c.ids, c.vals, c.kw, c.ww = keys, ids, vals, kw, ww
+}
+
 // get looks up a key, refreshing LRU order on hit. The result's writes
-// are copied into buf (returned re-sliced): the node's own buffer may be
+// are copied into buf (returned re-sliced): the node's writes may be
 // rewritten by a concurrent put as soon as the lock is released.
 func (c *flowCache) get(key []uint64, buf []fieldWrite) (cachedResult, bool) {
 	h := hashWords(key)
@@ -227,19 +253,31 @@ func (c *flowCache) get(key []uint64, buf []fieldWrite) (cachedResult, bool) {
 	c.touch(id)
 	c.hits++
 	nd := &c.nodes[id]
-	return cachedResult{writes: append(buf[:0], nd.writes...), dropped: nd.dropped}, true
+	o := int(id) * c.ww
+	ids, vals := c.ids[o:][:nd.nWrites], c.vals[o:][:nd.nWrites]
+	buf = slices.Grow(buf[:0], len(ids))[:len(ids)]
+	for i := range buf {
+		buf[i] = fieldWrite{ids[i], vals[i]}
+	}
+	return cachedResult{writes: buf, dropped: nd.dropped}, true
 }
 
 // put installs a result, subject to the rate limit and LRU eviction. The
-// key words and the result's writes are copied into the node's buffers:
-// callers reuse both across packets.
+// key words and the result's writes are copied into the node's slots:
+// callers reuse both across packets. A key or result too long for a
+// node's length fields is rejected.
 func (c *flowCache) put(key []uint64, res cachedResult, now time.Time) bool {
 	h := hashWords(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(key) > math.MaxUint16 || len(res.writes) > math.MaxUint16 {
+		c.rejected++
+		return false
+	}
 	id := c.find(key, h)
 	if id >= 0 {
 		c.touch(id)
+		c.fit(0, len(res.writes))
 	} else {
 		if !c.limiter.allow(now) {
 			c.rejected++
@@ -256,27 +294,35 @@ func (c *flowCache) put(key []uint64, res cachedResult, now time.Time) bool {
 				c.growIndex()
 			}
 			id = int32(len(c.nodes))
-			if int(id) < cap(c.nodes) {
-				c.nodes = c.nodes[:id+1] // a node an invalidation left behind
-			} else {
-				c.nodes = append(c.nodes, cacheNode{})
+			if int(id) == cap(c.nodes) {
+				size := max(16, 2*cap(c.nodes))
+				if c.budget > 0 {
+					size = min(size, c.budget)
+				}
+				c.nodes = append(make([]cacheNode, 0, size), c.nodes...)
 			}
+			c.nodes = c.nodes[:id+1]
 		}
+		c.fit(len(key), len(res.writes))
 		nd := &c.nodes[id]
-		nd.hash = h
-		nd.key = append(nd.key[:0], key...)
+		nd.hash, nd.keyLen = h, uint16(len(key))
+		copy(c.keys[int(id)*c.kw:], key)
 		c.indexInsert(id)
 		c.pushFront(id)
 		c.inserts++
 	}
 	nd := &c.nodes[id]
-	nd.writes = append(nd.writes[:0], res.writes...)
-	nd.dropped = res.dropped
+	o := int(id) * c.ww
+	ids, vals := c.ids[o:][:len(res.writes)], c.vals[o:][:len(res.writes)]
+	for i, w := range res.writes {
+		ids[i], vals[i] = w.id, w.value
+	}
+	nd.nWrites, nd.dropped = uint16(len(res.writes)), res.dropped
 	return true
 }
 
 // invalidate clears the whole cache (an update in any covered table
-// invalidates it, §3.2.2). The slab keeps its nodes' buffers.
+// invalidates it, §3.2.2). The slab and its key and write slots stay.
 func (c *flowCache) invalidate() {
 	c.mu.Lock()
 	if len(c.nodes) > 0 {

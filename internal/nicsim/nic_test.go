@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -360,6 +361,36 @@ func TestCacheLRUEvictionAndBudget(t *testing.T) {
 	}
 	if st := fc.stats(); st.Evictions != 1 || st.Entries != 2 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestFlowCacheEntryFootprint bounds the live heap of a full cache: three
+// key words and four writes cost 24 + 24 + 48 bytes in the flat arrays
+// plus the index's share, and no entry holds a buffer of its own (a node
+// with key and writes slices costs about 160 bytes).
+func TestFlowCacheEntryFootprint(t *testing.T) {
+	const budget = 1024
+	res := cachedResult{writes: []fieldWrite{{id: 1, value: 1}, {id: 2, value: 2}, {id: 3, value: 3}, {id: 4, value: 4}}}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: budget}, nil)
+	key := make([]uint64, 3)
+	for i := range budget {
+		key[0], key[1], key[2] = uint64(i), uint64(i)*0x9e3779b97f4a7c15, 7
+		fc.put(key, res, time.Unix(0, 1))
+	}
+	perEntry := float64(int64(live())-int64(before)) / budget
+	runtime.KeepAlive(fc)
+	if st := fc.stats(); st.Entries != budget {
+		t.Fatalf("%d entries, want %d", st.Entries, budget)
+	}
+	if perEntry > 120 {
+		t.Errorf("a full cache holds %.0f bytes per entry, want at most 120", perEntry)
 	}
 }
 

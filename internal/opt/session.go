@@ -246,15 +246,31 @@ func (s *Session) Search(prof *profile.Profile) (*SearchResult, error) {
 
 // verifyPlan discards the selected options that fail verification. Plan
 // options belong to disjoint units, so verifying them in isolation is
-// exact.
+// exact. The options kept are copies: a pipelet's candidates are priced
+// into one slab, and a plan held past the round (the runtime's active
+// plan) would otherwise keep every candidate beside the one it chose.
 func (s *Session) verifyPlan(plan []*Option) []*Option {
 	out := make([]*Option, 0, len(plan))
 	for _, o := range plan {
 		if s.verifier.verify(o) {
-			out = append(out, o)
+			out = append(out, detach(o))
 		}
 	}
 	return out
+}
+
+// detach copies o, and a combo's members with it, out of their slabs.
+func detach(o *Option) *Option {
+	c := *o
+	if o.Members != nil {
+		c.Members = make([]*Option, len(o.Members))
+		for i, m := range o.Members {
+			if m != nil {
+				c.Members[i] = detach(m)
+			}
+		}
+	}
+	return &c
 }
 
 // Materialize builds the program a searched plan describes and proves it

@@ -289,3 +289,58 @@ func TestWarmSearchAllocBudget(t *testing.T) {
 		t.Fatalf("drifting search allocates %.0f objs/op, budget %d", allocs, budget)
 	}
 }
+
+// TestPlanOptionsAreNotTheCandidates: a plan held past its round (the
+// runtime's active plan) keeps its own options, never pointers into the
+// slabs its units' candidates were priced into, which would keep every
+// candidate alive beside the chosen one.
+func TestPlanOptionsAreNotTheCandidates(t *testing.T) {
+	planned := 0
+	for i := 0; i < sessionSeeds; i += 7 {
+		pspec, profSpec, pm := sessionCase(i)
+		prog := synth.Program(pspec)
+		s, err := NewSession(prog, pm, sessionConfig(i, prog))
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		res, err := s.Search(synth.SynthesizeProfile(prog, profSpec))
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		candidates := map[*Option]bool{}
+		var add func(o *Option)
+		add = func(o *Option) {
+			candidates[o] = true
+			for _, m := range o.Members {
+				if m != nil {
+					add(m)
+				}
+			}
+		}
+		for _, u := range res.Units {
+			for _, o := range u.Options {
+				add(o)
+			}
+		}
+		var check func(o *Option)
+		check = func(o *Option) {
+			if candidates[o] {
+				t.Errorf("seed %d: plan option %s is a unit's candidate", i, o)
+			}
+			for _, m := range o.Members {
+				if m != nil {
+					check(m)
+				}
+			}
+		}
+		for _, o := range res.Plan {
+			check(o)
+		}
+		if len(res.Plan) > 0 {
+			planned++
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no seed produced a plan")
+	}
+}

@@ -6,11 +6,11 @@
 // Deploy or Measure cannot double-apply.
 //
 // A program crosses the wire only when it changed: the remote holds one
-// program beside its digest — the last it fetched, or its own copy of the
-// last it deployed — and Program and Digest name that digest to the server,
-// which answers "unchanged" when it still runs exactly that. Neither side
-// hashes a program to say so: the server's device keeps its program's
-// digest, and this side hashed the held one once, when it arrived.
+// program beside its digest — the last it fetched, or the last it deployed —
+// and Program and Digest name that digest to the server, which answers
+// "unchanged" when it still runs exactly that. Neither side hashes a program
+// to say so: the server's device keeps its program's digest, and this side
+// hashed the held one once, when it arrived.
 package remote
 
 import (
@@ -28,13 +28,15 @@ type Remote struct {
 	client *controlplane.Client
 	cap    target.Capabilities
 
-	// held is the one program kept on this side and digest its content
-	// digest; nil until the first fetch or deploy. It is never memory a
-	// caller can write: core.Runtime edits the program it deployed in
-	// place on the entry fast path. mu also spans the RPC that replaces
-	// them, so held and digest always belong together.
+	// held is the one program kept on this side, in p4ir's binary encoding
+	// (a fraction of the decoded program's heap), and digest its content
+	// digest; nil until the first fetch or deploy. Program decodes a copy
+	// per call, so held is never memory a caller can write: core.Runtime
+	// edits the program it deployed in place on the entry fast path. mu
+	// also spans the RPC that replaces them, so held and digest always
+	// belong together.
 	mu     sync.Mutex
-	held   *p4ir.Program
+	held   []byte
 	digest p4ir.Digest
 }
 
@@ -58,11 +60,18 @@ func New(client *controlplane.Client) (*Remote, error) {
 	return &Remote{client: client, cap: cap}, nil
 }
 
-// Program returns the device's currently deployed program, nil when it
-// cannot be read. Every call asks the device; the program itself crosses
-// only when it is not the held one.
+// Program returns a copy of the device's currently deployed program, nil
+// when it cannot be read. Every call asks the device; the program itself
+// crosses only when it is not the held one.
 func (r *Remote) Program() *p4ir.Program {
-	prog, _, _ := r.current()
+	enc, _, err := r.current()
+	if err != nil {
+		return nil
+	}
+	prog, err := p4ir.DecodeBinary(enc)
+	if err != nil {
+		return nil
+	}
 	return prog
 }
 
@@ -75,7 +84,7 @@ func (r *Remote) Digest() (p4ir.Digest, error) {
 
 // current asks the device whether it still runs the held program, holds the
 // one it runs when not, and returns the held pair.
-func (r *Remote) current() (*p4ir.Program, p4ir.Digest, error) {
+func (r *Remote) current() ([]byte, p4ir.Digest, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	prog, digest, err := r.client.ProgramUnless(r.digest)
@@ -83,12 +92,12 @@ func (r *Remote) current() (*p4ir.Program, p4ir.Digest, error) {
 		return nil, p4ir.Digest{}, err
 	}
 	if prog != nil {
-		r.held, r.digest = prog, digest
+		r.held, r.digest = prog.AppendBinary(nil), digest
 	}
 	return r.held, r.digest, nil
 }
 
-// Deploy stages prog on the remote device and keeps a copy of it as the
+// Deploy stages prog on the remote device and keeps its encoding as the
 // held program: it is what the device runs until something changes it.
 func (r *Remote) Deploy(prog *p4ir.Program) error {
 	r.mu.Lock()
@@ -97,7 +106,7 @@ func (r *Remote) Deploy(prog *p4ir.Program) error {
 	if _, err := r.client.DeployEncoded(enc); err != nil {
 		return err
 	}
-	r.held, r.digest = prog.Clone(), p4ir.DigestOf(enc)
+	r.held, r.digest = enc, p4ir.DigestOf(enc)
 	return nil
 }
 
