@@ -16,6 +16,7 @@ package pipeleon
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -484,14 +485,42 @@ func BenchmarkEmulatorProcessBurstSynth110Instrumented(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureSynth110Instrumented is one Measure of the 4 096-packet
+// batch on the 110-table program with its searched cache plan, into a
+// bound collector, with noise: the walk and the finish stage both on the
+// path. ns/pkt is per packet, allocs/op per Measure. The gomaxprocs=1 row
+// sets GOMAXPROCS to one for its duration (and restores it), so a one-core
+// regression of Measure shows beside the default row.
+func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
+	nic, _, pkts := synth110Deployed(b)
+	for _, procs := range []int{0, 1} {
+		name := "gomaxprocs=default"
+		if procs > 0 {
+			name = fmt.Sprintf("gomaxprocs=%d", procs)
+		}
+		b.Run(name, func(b *testing.B) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			nic.Measure(pkts) // warm: caches filled, buffers sized
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nic.Measure(pkts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+		})
+	}
+}
+
 // BenchmarkMeasureParallel measures batch throughput of the burst
 // datapath at different worker counts, reporting wall-clock packets per
 // second. workers=1 is the serial burst path; workers>1 fan out over
-// SPSC-ring-fed goroutines with RSS flow steering. On multicore hardware
-// the wide counts should scale past serial; on a single-core runner they
-// mainly confirm the ring machinery adds no meaningful overhead. The
-// sub-benchmark names use "=" (not "-") so the name survives benchjson's
-// -procs-suffix stripping with the worker count intact.
+// goroutines with RSS flow steering, each walking its own index list
+// (about 1.2× at two workers on two cores: DESIGN.md, "MeasureParallel,
+// measured"). The sub-benchmark names use "=" (not "-") so the name
+// survives benchjson's -procs-suffix stripping with the worker count
+// intact.
 func BenchmarkMeasureParallel(b *testing.B) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 6, AvgLen: 2, Category: synth.Mixed, Seed: 3})
 	gen := trafficgen.New(4, 0)

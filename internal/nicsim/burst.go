@@ -28,12 +28,17 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 	_ = results[len(pkts)-1]
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
+	n.processBurst(ctx, pkts, results)
+	n.ctxPool.Put(ctx)
+}
+
+// processBurst is ProcessBurst on the caller's context. A context holding
+// a finish chunk (Measure's walk) leaves the noise and the distinct keys
+// to it; otherwise every Result is finished here.
+func (n *NIC) processBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) {
 	var dropped uint64
 	for lo := 0; lo < len(pkts); lo += BurstSize {
-		hi := lo + BurstSize
-		if hi > len(pkts) {
-			hi = len(pkts)
-		}
+		hi := min(lo+BurstSize, len(pkts))
 		pl := n.plan.Load()
 		sink := ctx.sink(pl)
 		for i := lo; i < hi; i++ {
@@ -43,10 +48,13 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 			}
 			ctx.reset()
 		}
-		sink.Flush()
+		if ctx.chunk != nil {
+			sink.FlushCounters(&ctx.chunk.keys)
+		} else {
+			sink.Flush()
+		}
 	}
 	n.noteBurst(uint64(len(pkts)), dropped)
-	n.ctxPool.Put(ctx)
 }
 
 // noteBurst batches the processed/dropped accounting of a whole burst

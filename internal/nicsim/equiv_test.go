@@ -78,7 +78,7 @@ func TestMeasureSerialParallelEquivalence(t *testing.T) {
 // order means the same virtual-clock order and the same cache evolution,
 // so every per-packet Result (minus Path, which the burst path skips) and
 // every final packet byte must match even for stateful programs. Part B
-// pins the ring-based MeasureParallel to serial Measure on cache-free
+// pins the index-steered MeasureParallel to serial Measure on cache-free
 // configurations, where profiling commutativity and per-index latency
 // slots make the aggregate bit-identical regardless of steering.
 func TestBurstScalarEquivalenceProperty(t *testing.T) {
@@ -155,7 +155,7 @@ func TestBurstScalarEquivalenceProperty(t *testing.T) {
 			t.Fatalf("seed %d: counters (%d,%d) != (%d,%d)", seed, sProc, sDrop, bProc, bDrop)
 		}
 
-		// Part B: serial Measure vs ring-fed MeasureParallel (cache-free:
+		// Part B: serial Measure vs steered MeasureParallel (cache-free:
 		// LRU caches are order-dependent across workers by design).
 		serialNIC, serialCol := mkNIC(false)
 		parallelNIC, parallelCol := mkNIC(false)

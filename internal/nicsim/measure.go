@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
 )
 
 // Measurement aggregates a batch of processed packets into the quantities
@@ -24,10 +25,20 @@ type Measurement struct {
 }
 
 // Measure clones and processes each packet, returning aggregates. Input
-// packets are not mutated. Packets run through the burst datapath in
-// submission order, so serial measurement remains bit-identical to
-// per-packet Process calls (same virtual-clock order, same latency
-// arithmetic).
+// packets are not mutated.
+//
+// It runs in two stages. The walk, on the caller's goroutine, clones and
+// processes the batch through the burst datapath in submission order:
+// lookups, flow caches, the virtual clock and every counter, as per-packet
+// Process calls would. The finish — measurement noise and the distinct-key
+// and flow set inserts of an instrumented NIC — is order-independent, and
+// on a batch of 512 packets or more (with more than one processor) a
+// helper goroutine does it beside the walk; it is started and joined
+// inside the call. After Measure returns, its Measurement, the collector's Snapshot
+// and Counters are bit-identical to per-packet Process calls over the same
+// packets, cached programs included. While it runs, a concurrent Snapshot
+// may see a chunk's counters before its keys; see profile.Burst for what a
+// Swap or Collector.Reset racing it does to the keys.
 func (n *NIC) Measure(pkts []*packet.Packet) Measurement {
 	return n.measure(pkts, 1)
 }
@@ -135,27 +146,140 @@ func (n *NIC) measure(pkts []*packet.Packet, workers int) Measurement {
 	return m
 }
 
-// measureSerial runs the batch through the burst datapath in order on the
-// calling goroutine.
+// measureSerial is Measure's walk, through the burst datapath in order on
+// the calling goroutine. It finishes inline unless the NIC has something
+// to finish (a collector's sets to fill, noise to apply), the batch is
+// long enough and a second processor is there to take the finish stage.
 func (n *NIC) measureSerial(pkts []*packet.Packet, lat []float64, tally *burstTally) {
 	br := newBurstRunner()
-	for lo := 0; lo < len(pkts); lo += BurstSize {
-		hi := lo + BurstSize
-		if hi > len(pkts) {
-			hi = len(pkts)
+	ctx := n.ctxPool.Get().(*procCtx)
+	ctx.wantPath = false
+	pl := n.plan.Load()
+	if (len(pl.shards) == 0 && pl.noiseStd <= 0) || len(pkts) < finishMinPkts || runtime.GOMAXPROCS(0) < 2 {
+		for lo := 0; lo < len(pkts); lo += BurstSize {
+			br.runRange(n, ctx, pkts, lo, min(lo+BurstSize, len(pkts)), lat, tally)
 		}
-		br.runRange(n, pkts, lo, hi, lat, tally)
+	} else {
+		n.walkAndFinish(br, ctx, pl, pkts, lat, tally)
+	}
+	n.ctxPool.Put(ctx)
+}
+
+// walkAndFinish is measureSerial's two-stage form: it hands each chunk but
+// the last to the helper and finishes the last one itself while the helper
+// drains.
+func (n *NIC) walkAndFinish(br *burstRunner, ctx *procCtx, pl *execPlan, pkts []*packet.Packet, lat []float64, tally *burstTally) {
+	f := finisherPool.Get().(*finisher)
+	go f.run(pl, lat)
+	defer func() {
+		// Also on a panicking walk: no helper outlives the call.
+		f.full <- nil
+		<-f.done
+		if len(f.free) == finishDepth {
+			finisherPool.Put(f)
+		}
+	}()
+	for lo := 0; lo < len(pkts); lo += finishChunkPkts {
+		hi := min(lo+finishChunkPkts, len(pkts))
+		ch := <-f.free
+		ch.lo, ch.hashes = lo, ch.hashes[:0]
+		ctx.chunk = ch
+		for b := lo; b < hi; b += BurstSize {
+			br.runRange(n, ctx, pkts, b, min(b+BurstSize, hi), lat, tally)
+		}
+		ctx.chunk = nil
+		if hi < len(pkts) {
+			f.full <- ch
+		} else {
+			ch.finish(pl, lat)
+			f.free <- ch
+		}
 	}
 }
 
-// runRange is runIdx for a contiguous index range — the serial path's
-// form, with no index array to fill or chase.
-func (br *burstRunner) runRange(n *NIC, pkts []*packet.Packet, lo, hi int, lat []float64, t *burstTally) {
+// finishChunkPkts is the size of a finish chunk, four bursts: a hand-off
+// per 128 packets is a few hundred nanoseconds against tens of
+// microseconds of walk, and the chunk's key log stays in cache.
+const finishChunkPkts = 4 * BurstSize
+
+// finishMinPkts is the shortest batch the helper takes part in. Waking it
+// takes tens of microseconds, about as long as walking the chunk or two
+// of a short batch it could take over: with the helper on the 128- and
+// 256-packet batches a deploy guard measures, the rounds measuring them
+// read 2–4 % slower.
+const finishMinPkts = 4 * finishChunkPkts
+
+// finishDepth is how many chunks a finisher holds, so how far the walk may
+// run ahead of the helper. The helper's work is a fraction of the walk's,
+// but it sleeps between chunks and waking it takes tens of microseconds (a
+// collection or a preemption, milliseconds): with two chunks the walk of a
+// DASH batch waited for it a third of its time, with four 7 %.
+const finishDepth = 4
+
+// finisher is the finish stage of one Measure call: its helper goroutine
+// and the chunks that circulate between walk and helper — taken from free,
+// filled by the walk, sent on full, finished and returned to free. A nil
+// on full stops the helper, which then signals done. Channels and chunk
+// buffers are recycled across calls through finisherPool: a batch's key
+// log allocated per call is megabytes of garbage on a large program.
+type finisher struct {
+	chunks     [finishDepth]finishChunk
+	free, full chan *finishChunk
+	done       chan struct{}
+}
+
+// finishChunk is what the walk leaves of finishChunkPkts packets: their
+// noiseless latencies (in Measure's lat, from index lo), their flow
+// hashes, and the distinct keys their bursts noted.
+type finishChunk struct {
+	lo     int
+	hashes []uint64
+	keys   profile.KeyLog
+}
+
+var finisherPool = sync.Pool{New: func() any {
+	f := &finisher{
+		free: make(chan *finishChunk, finishDepth),
+		full: make(chan *finishChunk, finishDepth),
+		done: make(chan struct{}),
+	}
+	for i := range f.chunks {
+		f.chunks[i].hashes = make([]uint64, 0, finishChunkPkts)
+		f.free <- &f.chunks[i]
+	}
+	return f
+}}
+
+// run is the helper goroutine: it finishes chunks until the nil that ends
+// the walk.
+func (f *finisher) run(pl *execPlan, lat []float64) {
+	for ch := <-f.full; ch != nil; ch = <-f.full {
+		ch.finish(pl, lat)
+		f.free <- ch
+	}
+	f.done <- struct{}{}
+}
+
+// finish applies the chunk's noise to its latencies and inserts its keys.
+// The noise constants come from the NIC's Config, the same in every plan.
+func (ch *finishChunk) finish(pl *execPlan, lat []float64) {
+	if pl.noiseStd > 0 {
+		l := lat[ch.lo : ch.lo+len(ch.hashes)]
+		for i, h := range ch.hashes {
+			l[i] = pl.applyNoise(l[i], h)
+		}
+	}
+	ch.keys.Insert()
+}
+
+// runRange is runIdx for a contiguous index range on the caller's context
+// — the serial path's form, with no index array to fill or chase.
+func (br *burstRunner) runRange(n *NIC, ctx *procCtx, pkts []*packet.Packet, lo, hi int, lat []float64, t *burstTally) {
 	k := hi - lo
 	for i := 0; i < k; i++ {
 		pkts[lo+i].CloneInto(br.ptrs[i])
 	}
-	n.ProcessBurst(br.ptrs[:k], br.results[:k])
+	n.processBurst(ctx, br.ptrs[:k], br.results[:k])
 	for i := 0; i < k; i++ {
 		r := &br.results[i]
 		lat[lo+i] = r.LatencyNs
@@ -208,6 +332,9 @@ func (n *NIC) measureSteered(pkts []*packet.Packet, lat []float64, tally *burstT
 		fill[w]++
 	}
 
+	// Each worker counts into a tally of its own and stores it once: the
+	// 40-byte tallies of neighbouring workers share a cache line, which
+	// per-packet increments in place kept bouncing between cores.
 	tallies := make([]burstTally, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,11 +342,13 @@ func (n *NIC) measureSteered(pkts []*packet.Packet, lat []float64, tally *burstT
 		go func(w int) {
 			defer wg.Done()
 			br := newBurstRunner()
+			var t burstTally
 			for list := idx[starts[w]:starts[w+1]]; len(list) > 0; {
 				k := min(len(list), BurstSize)
-				br.runIdx(n, pkts, list[:k], lat, &tallies[w])
+				br.runIdx(n, pkts, list[:k], lat, &t)
 				list = list[k:]
 			}
+			tallies[w] = t
 		}(w)
 	}
 	wg.Wait()

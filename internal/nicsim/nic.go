@@ -130,6 +130,9 @@ type procCtx struct {
 	// burst is the profiling accumulator (lazily created), flushed once
 	// per burst.
 	burst *profile.Burst
+	// chunk, set only on Measure's walk, takes each packet's noise and the
+	// burst's distinct keys for the finish stage (see finisher).
+	chunk *finishChunk
 }
 
 // reset clears the per-packet scratch slices for reuse.
@@ -397,7 +400,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			lat += float64(len(r.writes)) * pl.Act
 			res.VendorCacheHit = true
 			res.Dropped = r.dropped
-			res.LatencyNs = pl.applyNoise(lat, flowHash)
+			ctx.finish(pl, res, lat, flowHash)
 			return
 		}
 		ctx.addFill(pl.vendor, off, len(ctx.keyBuf)-off, nil)
@@ -597,6 +600,18 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			names[i] = pl.nodes[id].name
 		}
 		res.Path = names
+	}
+	ctx.finish(pl, res, lat, flowHash)
+}
+
+// finish sets a packet's latency: lat with the measurement noise applied,
+// or — on Measure's walk — lat as it is, the flow hash the noise is keyed
+// by left in the chunk for the finish stage to apply it.
+func (ctx *procCtx) finish(pl *execPlan, res *Result, lat float64, flowHash uint64) {
+	if ctx.chunk != nil {
+		ctx.chunk.hashes = append(ctx.chunk.hashes, flowHash)
+		res.LatencyNs = lat
+		return
 	}
 	res.LatencyNs = pl.applyNoise(lat, flowHash)
 }

@@ -17,6 +17,15 @@ const flowSlot = -1
 // yields the same snapshot. A Burst belongs to one goroutine; Flush must
 // run before the results of the burst are observed through
 // Collector.Snapshot.
+//
+// Keys reach the collector's sets at Flush, or — when the burst is
+// flushed with FlushCounters — at the Insert of the KeyLog they were
+// handed to. Keys noted under a shard that a Bind has since superseded
+// are dropped when they arrive, like that shard's counters; a Reset
+// between noting and arrival moves them into the window it opens. So a
+// program swap (which rebinds) or a Reset that races the processing of a
+// batch may lose, or carry over, keys the batch noted before it; a swap
+// or Reset between two batches loses nothing.
 type Burst struct {
 	shard    *Shard
 	actions  []uint64
@@ -120,6 +129,30 @@ func (b *Burst) Flush() {
 	if b == nil || !b.dirty {
 		return
 	}
+	b.flushCounters()
+	if len(b.keys) > 0 {
+		b.shard.c.addKeys(b.shard, b.keys)
+		b.keys = b.keys[:0]
+	}
+	b.dirty = false
+}
+
+// FlushCounters is Flush for a caller that inserts the keys later: the
+// counters reach the shard now, and the keys noted since the last flush
+// move to log, with the shard they were noted under. They reach the
+// collector's sets when log.Insert runs (see Burst for what a Bind or
+// Reset in between does to them).
+func (b *Burst) FlushCounters(log *KeyLog) {
+	if b == nil || !b.dirty {
+		return
+	}
+	b.flushCounters()
+	log.take(b.shard, b.keys)
+	b.keys = b.keys[:0]
+	b.dirty = false
+}
+
+func (b *Burst) flushCounters() {
 	s := b.shard
 	for i, v := range b.actions {
 		if v > 0 {
@@ -139,9 +172,33 @@ func (b *Burst) Flush() {
 			b.caches[i] = 0
 		}
 	}
-	if len(b.keys) > 0 {
-		s.c.addKeys(s, b.keys)
-		b.keys = b.keys[:0]
+}
+
+// KeyLog carries distinct keys from the bursts that noted them to a later
+// Insert, possibly on another goroutine: set insertion is commutative and
+// capped, so the sets end up the same whenever the keys arrive. All keys
+// in a log were noted under one shard; keys noted under another (the
+// program was swapped in between) first insert what the log holds. A
+// KeyLog belongs to one goroutine at a time and keeps its buffer for
+// reuse.
+type KeyLog struct {
+	shard *Shard
+	keys  []burstKey
+}
+
+func (l *KeyLog) take(s *Shard, keys []burstKey) {
+	if l.shard != s {
+		l.Insert()
+		l.shard = s
 	}
-	b.dirty = false
+	l.keys = append(l.keys, keys...)
+}
+
+// Insert adds the logged keys to the collector's sets under one lock
+// acquisition and empties the log.
+func (l *KeyLog) Insert() {
+	if len(l.keys) > 0 {
+		l.shard.c.addKeys(l.shard, l.keys)
+		l.keys = l.keys[:0]
+	}
 }

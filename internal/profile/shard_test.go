@@ -161,3 +161,35 @@ func TestShardConcurrentIncrementsExact(t *testing.T) {
 		t.Errorf("key cardinality acl=%d fwd=%d, want 47/48", p.KeyCardinality["acl"], p.KeyCardinality["fwd"])
 	}
 }
+
+// A burst flushed with FlushCounters hands its keys to a KeyLog: counters
+// count at once, keys at Insert. Keys still in a log when a Bind supersedes
+// their shard are dropped at Insert, as a Flush after the Bind drops them;
+// a log that takes keys of a new shard first inserts those of the old one.
+func TestKeyLogInsertsLater(t *testing.T) {
+	c := profile.NewCollector()
+	b := bursts(c, 1)[0]
+	var log profile.KeyLog
+	b.IncAction(0)
+	b.AddKey(0, 1)
+	b.AddFlow(9)
+	b.FlushCounters(&log)
+	p := c.Snapshot()
+	if p.ActionCounts["acl"]["allow"] != 1 || p.KeyCardinality["acl"] != 0 || p.FlowCardinality != 0 {
+		t.Fatalf("before Insert: counts %v, keys %v, flows %d", p.ActionCounts, p.KeyCardinality, p.FlowCardinality)
+	}
+	log.Insert()
+	if p = c.Snapshot(); p.KeyCardinality["acl"] != 1 || p.FlowCardinality != 1 {
+		t.Fatalf("after Insert: keys %v, flows %d", p.KeyCardinality, p.FlowCardinality)
+	}
+
+	b.AddKey(0, 2)
+	b.FlushCounters(&log)
+	nb := c.Bind(testLayout(), 1)[0].NewBurst()
+	nb.AddKey(0, 3)
+	nb.FlushCounters(&log) // inserts key 2 under the superseded shard: dropped
+	log.Insert()
+	if got := c.Snapshot().KeyCardinality["acl"]; got != 2 {
+		t.Errorf("after a Bind: %d keys at acl, want 2 (1 and 3)", got)
+	}
+}

@@ -84,7 +84,11 @@ func (l *Local) Rollback() error {
 	return nil
 }
 
-// Measure processes the batch serially (deterministic per-batch results).
+// Measure is nicsim.NIC.Measure: the batch is walked in submission order
+// on the caller's goroutine, and its noise and distinct-key inserts are
+// finished beside the walk by a helper joined before Measure returns. The
+// result, the profile and the packet counters are those of a serial
+// per-packet run (deterministic per-batch results).
 func (l *Local) Measure(pkts []*packet.Packet) (Measurement, error) {
 	m := l.nic.Measure(pkts)
 	return Measurement{
