@@ -21,12 +21,13 @@ fmtcheck:
 
 # lint runs the project's own static analyzers: the architecture linter
 # over the module (layering + determinism + diag-code rules) and the P4
-# program analyzer — with the symbolic -deep tier — over the checked-in
-# program corpus (each trace is linted under its recorded cost model).
-# p4lint exits 1 on warnings, so the corpus must stay warning-free.
+# program analyzer, `pipeleon -check` with the symbolic -deep tier, over
+# the checked-in program corpus (each trace is linted under its recorded
+# cost model). The checker exits 1 on warnings, so the corpus must stay
+# warning-free.
 lint:
 	$(GO) run ./cmd/archlint .
-	$(GO) run ./cmd/p4lint -q -deep testdata/dash.p4 testdata/traces/bluefield2.json testdata/traces/agiliocx.json
+	$(GO) run ./cmd/pipeleon -check -deep testdata/dash.p4 testdata/traces/bluefield2.json testdata/traces/agiliocx.json
 
 # loc prints the number ROADMAP aim 2 counts: non-test Go lines of the root
 # module (the nested bench/ module excluded), then of each internal package.
@@ -106,7 +107,7 @@ traces:
 	$(GO) run ./cmd/tracegen -out testdata/traces/bluefield2.json -target bluefield2 -seed 7
 	$(GO) run ./cmd/tracegen -out testdata/traces/agiliocx.json -target agiliocx -seed 21
 
-# bench runs the hot-path micro-benchmarks (emulator fast path, parallel
+# bench runs the hot-path micro-benchmarks (emulator fast path, batch
 # measurement, search, and — beside their code in internal/opt — the
 # tier-aware estimate and the drifting search) plus the Figure 12
 # profiling-overhead benches, and
@@ -129,7 +130,7 @@ traces:
 # any allocation there), one live reconfiguration in nicsim, the deploy
 # gate's lint and rewrite proof in analysis, all on the 110-table synth
 # program — and are archived in BENCH_control.json.
-EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
+EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasure$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
 EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
@@ -153,18 +154,16 @@ bench:
 # — or grew allocs/op — versus the committed BENCH_emulator.json
 # baseline (and the proof benches versus BENCH_search.json, the store
 # benches versus BENCH_datapath.json, the control-loop benches versus
-# BENCH_control.json). The -gate regexp excludes the
-# multi-worker MeasureParallel entries: at GOMAXPROCS=1 those measure
-# scheduler contention, not the datapath, and swing well past any sane
-# threshold run to run. It gates the search the loop asks for (SearchDrift:
-# a warm session, a profile that moved), not SearchWarm — a repeat of the
-# very same profile, which change detection skips before it reaches Search. Refresh the baseline with `make bench` after
-# intentional performance changes.
+# BENCH_control.json). The emulator -gate regexp gates the search the
+# loop asks for (SearchDrift: a warm session, a profile that moved), not
+# SearchWarm — a repeat of the very same profile, which change detection
+# skips before it reaches Search. Refresh the baseline with `make bench`
+# after intentional performance changes.
 MAXREGRESS ?= 0.15
 benchcheck:
 	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) \
 		| $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
-		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|SearchCold$$|SearchDrift$$|PlacementPlan$$|HeteroEstimate'
+		-gate 'Fig12|EmulatorProcess|Measure$$|SearchCold$$|SearchDrift$$|PlacementPlan$$|HeteroEstimate'
 	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)
 	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \

@@ -513,35 +513,26 @@ func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureParallel measures batch throughput of the burst
-// datapath at different worker counts, reporting wall-clock packets per
-// second. workers=1 is the serial burst path; workers>1 fan out over
-// goroutines with RSS flow steering, each walking its own index list
-// (about 1.2× at two workers on two cores: DESIGN.md, "MeasureParallel,
-// measured"). The sub-benchmark names use "=" (not "-") so the name
-// survives benchjson's -procs-suffix stripping with the worker count
-// intact.
-func BenchmarkMeasureParallel(b *testing.B) {
+// BenchmarkMeasure measures batch throughput of the burst datapath on an
+// un-instrumented, noise-free NIC (so the walk finishes inline), reporting
+// wall-clock packets per second.
+func BenchmarkMeasure(b *testing.B) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 6, AvgLen: 2, Category: synth.Mixed, Seed: 3})
 	gen := trafficgen.New(4, 0)
 	gen.AddFlows(trafficgen.UniformFlows(5, 256)...)
 	pkts := gen.Batch(4096)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				nic.MeasureParallel(pkts, workers)
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(pkts))/elapsed, "pkts/s")
-			}
-		})
+	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		nic.Measure(pkts)
+	}
+	elapsed := time.Since(start).Seconds()
+	if elapsed > 0 {
+		b.ReportMetric(float64(b.N*len(pkts))/elapsed, "pkts/s")
 	}
 }
 

@@ -171,7 +171,7 @@ func main() {
 			case <-ticker.C:
 				if gen != nil {
 					n := int(float64(*pps) * interval.Seconds())
-					m := nic.MeasureParallel(gen.Batch(n), 0)
+					m := nic.Measure(gen.Batch(n))
 					if !*quiet {
 						fmt.Printf("nicd: window %.1f Gbps, %.0f ns mean, drop %.1f%%\n",
 							m.ThroughputGbps, m.MeanLatencyNs, m.DropRate*100)

@@ -11,17 +11,20 @@
 //	pipeleon -in prog.json -out prog.opt.json [-profile prof.json]
 //	    [-trace trace.json] [-target bluefield2|agiliocx|emulated]
 //	    [-topk 0.2] [-mem-budget bytes] [-update-budget ops] [-no-cache]
-//	    [-no-merge] [-no-reorder] [-dot out.dot] [-check] [-deep] [-v]
+//	    [-no-merge] [-no-reorder] [-dot out.dot] [-deep] [-v]
+//	pipeleon -check [-deep] [-json] [-target name] file.p4|prog.json|trace.json ...
 //
-// With -check, the input is run through the static analyzer
-// (internal/analysis) and the diagnostics are printed without
-// optimizing; the exit status is 1 when any Error-severity diagnostic
-// was reported. Adding -deep also runs the symbolic tier (the abstract
-// interpreter's PL2xx value-range rules). Optimized output always
-// passes the same analyzer — the searcher discards any candidate whose
-// rewrite cannot be proven safe — and with -deep every candidate must
-// additionally pass the semantic-equivalence proof
-// (a deep analysis.Verifier via opt.Config.DeepVerify).
+// With -check, pipeleon is the offline static analyzer (internal/analysis,
+// the rules every deploy passes). It lints -in, -trace and each file
+// argument under the one target rule: -target, else the trace's recorded
+// model, else BlueField2. -deep adds the symbolic PL2xx tier, -json prints
+// one document over all files. Exit status: 0 clean, 1 warnings, 2 errors,
+// 3 a load or usage error.
+//
+// Optimized output always passes the same analyzer — the searcher
+// discards any candidate whose rewrite cannot be proven safe — and with
+// -deep every candidate must additionally pass the semantic-equivalence
+// proof (a deep analysis.Verifier via opt.Config.DeepVerify).
 //
 // With -trace, a recorded replay trace (cmd/tracegen, internal/target)
 // supplies the profile window, the cost-model parameters, and — when -in
@@ -34,13 +37,17 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
+	"pipeleon/internal/diag"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4c"
 	"pipeleon/internal/p4ir"
@@ -63,7 +70,8 @@ func main() {
 		noMerge    = flag.Bool("no-merge", false, "disable table merging")
 		noReorder  = flag.Bool("no-reorder", false, "disable table reordering")
 		mergeCap   = flag.Int("merge-cap", 2, "max tables per merge")
-		check      = flag.Bool("check", false, "run the static analyzer on the input and exit (no optimization); exit 1 on error diagnostics")
+		check      = flag.Bool("check", false, "lint -in, -trace and every file argument (.p4, program JSON, or trace) and exit without optimizing: 0 clean, 1 warnings, 2 errors, 3 load or usage error")
+		jsonOut    = flag.Bool("json", false, "with -check, print one JSON document over all files instead of text lines")
 		deep       = flag.Bool("deep", false, "with -check, add the symbolic tier (PL2xx value-range rules); when optimizing, gate every candidate behind the semantic-equivalence proof (opt.Config.DeepVerify)")
 		dotPath    = flag.String("dot", "", "also write the optimized graph as Graphviz DOT")
 		verbose    = flag.Bool("v", false, "print the plan and estimated gain")
@@ -71,17 +79,20 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *check {
+		files := slices.DeleteFunc(append([]string{*inPath, *tracePath}, flag.Args()...), func(f string) bool { return f == "" })
+		os.Exit(lintFiles(files, *targetName, *deep, *jsonOut, os.Stdout, os.Stderr))
+	}
 	if *inPath == "" && *tracePath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var trace *target.Trace
-	if *tracePath != "" {
-		var terr error
-		trace, terr = target.LoadTrace(*tracePath)
-		if terr != nil {
-			fatal("loading trace: %v", terr)
-		}
+	prog, trace, err := loadInput(cmp.Or(*inPath, *tracePath))
+	if err == nil && *inPath != "" && *tracePath != "" {
+		trace, err = target.LoadTrace(*tracePath)
+	}
+	if err != nil {
+		fatal("%v", err)
 	}
 	stopCPU, err := pprofutil.StartCPU(*cpuProf)
 	if err != nil {
@@ -93,21 +104,6 @@ func main() {
 			fatal("%v", err)
 		}
 	}()
-	var prog *p4ir.Program
-	if *inPath != "" {
-		prog, err = p4c.LoadFile(*inPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-	} else {
-		prog, err = trace.EmbeddedProgram()
-		if err != nil {
-			fatal("decoding trace program: %v", err)
-		}
-		if prog == nil {
-			fatal("trace %q has no embedded program; pass -in", trace.Name)
-		}
-	}
 	prof := profile.New()
 	switch {
 	case *profPath != "":
@@ -123,32 +119,9 @@ func main() {
 		// converged on.
 		prof = trace.Profiles[len(trace.Profiles)-1]
 	}
-	var pm costmodel.Params
-	switch {
-	case *targetName != "":
-		var ok bool
-		if pm, ok = costmodel.ByName(*targetName); !ok {
-			fatal("unknown target %q", *targetName)
-		}
-	case trace != nil:
-		pm = trace.Capabilities.Params
-	default:
-		pm = costmodel.BlueField2()
-	}
-	if *check {
-		diags := analysis.Lint(prog, analysis.WithParams(pm))
-		if *deep {
-			diags = append(diags, analysis.LintDeep(prog)...)
-			diags.Sort()
-		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if diags.HasErrors() {
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pipeleon: %s: ok (%d warning(s))\n", prog.Name, len(diags))
-		return
+	pm, err := params(*targetName, trace)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	cfg := opt.DefaultConfig()
@@ -201,6 +174,102 @@ func main() {
 			fatal("writing dot: %v", err)
 		}
 	}
+}
+
+// fileReport is one file's element of the -check -json document.
+type fileReport struct {
+	File     string    `json:"file"`
+	Model    string    `json:"model"`
+	Diags    diag.List `json:"diags"`
+	Errors   int       `json:"errors"`
+	Warnings int       `json:"warnings"`
+}
+
+// lintFiles is -check: it lints each file under the model params resolves
+// for it and returns the exit status. Diagnostics (or, with jsonOut, one
+// document over all files) go to stdout; "ok" lines and errors to stderr.
+func lintFiles(files []string, targetName string, deep, jsonOut bool, stdout, stderr io.Writer) int {
+	if len(files) == 0 {
+		fmt.Fprintln(stderr, "usage: pipeleon -check [-deep] [-json] [-target name] [-in file] file.p4|prog.json|trace.json ...")
+		return 3
+	}
+	var reports []fileReport
+	worst := 0
+	for _, path := range files {
+		prog, trace, err := loadInput(path)
+		pm, perr := params(targetName, trace)
+		if err = cmp.Or(err, perr); err != nil {
+			fmt.Fprintf(stderr, "pipeleon: %s: %v\n", path, err)
+			return 3
+		}
+		diags := analysis.Lint(prog, analysis.WithParams(pm))
+		if deep {
+			diags = append(diags, analysis.LintDeep(prog)...)
+			diags.Sort()
+		}
+		nerr := len(diags.Errors())
+		reports = append(reports, fileReport{File: path, Model: pm.Name, Diags: diags, Errors: nerr, Warnings: len(diags) - nerr})
+		switch {
+		case nerr > 0:
+			worst = 2
+		case len(diags) > 0:
+			worst = max(worst, 1)
+		}
+		if jsonOut {
+			continue
+		}
+		for _, d := range diags {
+			fmt.Fprintf(stdout, "%s: %s\n", path, d)
+		}
+		if nerr == 0 {
+			fmt.Fprintf(stderr, "%s: ok (%d warning(s))\n", path, len(diags))
+		}
+	}
+	if jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(reports); err != nil {
+			fmt.Fprintf(stderr, "pipeleon: encoding report: %v\n", err)
+			return 3
+		}
+	}
+	return worst
+}
+
+// loadInput reads one checked file. A replay trace (JSON that records the
+// device's capabilities) yields its embedded program and itself; a trace
+// whose program is missing or does not decode is an error, never a second
+// reading of the file as a program. Anything else is .p4 source or
+// program JSON.
+func loadInput(path string) (*p4ir.Program, *target.Trace, error) {
+	if trace, err := target.LoadTrace(path); err == nil && (trace.Capabilities.Model != "" || len(trace.Program) > 0) {
+		prog, err := trace.EmbeddedProgram()
+		if err != nil {
+			return nil, nil, fmt.Errorf("decoding trace program: %w", err)
+		}
+		if prog == nil {
+			return nil, nil, fmt.Errorf("trace %q has no embedded program", trace.Name)
+		}
+		return prog, trace, nil
+	}
+	prog, err := p4c.LoadFile(path)
+	return prog, nil, err
+}
+
+// params is pipeleon's one target rule: -target, else the trace's recorded
+// model, else BlueField2.
+func params(targetName string, trace *target.Trace) (costmodel.Params, error) {
+	switch {
+	case targetName != "":
+		pm, ok := costmodel.ByName(targetName)
+		if !ok {
+			return pm, fmt.Errorf("unknown target %q", targetName)
+		}
+		return pm, nil
+	case trace != nil:
+		return trace.Capabilities.Params, nil
+	}
+	return costmodel.BlueField2(), nil
 }
 
 func pct(gain, base float64) float64 {

@@ -7,6 +7,7 @@ package pipeleon
 // inline slots, the collector's key sets, the flow caches.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,10 +154,12 @@ func TestProcessBurstAllocatesNothingOnMultiFieldTables(t *testing.T) {
 	}
 }
 
-// MeasureParallel on a cached program while entry updates invalidate the
-// caches and the runtime snapshots the profile: the window the race
-// detector has to clear.
-func TestMeasureParallelWithInvalidationAndSnapshot(t *testing.T) {
+// Concurrent Measure callers on a cached program while entry updates
+// invalidate the caches and the runtime snapshots the profile: the window
+// the race detector has to clear. Each batch is long enough that the
+// call's finish helper runs beside its walk.
+func TestConcurrentMeasureWithInvalidationAndSnapshot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	nic, col, pkts := synth110Deployed(t)
 	table, entry := exactTableEntry(t, nic.Program())
 	stop := make(chan struct{})
@@ -191,12 +194,17 @@ func TestMeasureParallelWithInvalidationAndSnapshot(t *testing.T) {
 			}
 		}
 	}()
-	want := len(pkts)
+	var measuring sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		if m := nic.MeasureParallel(pkts, 4); m.Packets != want {
-			t.Errorf("measured %d packets, want %d", m.Packets, want)
-		}
+		measuring.Add(1)
+		go func() {
+			defer measuring.Done()
+			if m := nic.Measure(pkts); m.Packets != len(pkts) {
+				t.Errorf("measured %d packets, want %d", m.Packets, len(pkts))
+			}
+		}()
 	}
+	measuring.Wait()
 	close(stop)
 	wg.Wait()
 	var inval uint64

@@ -1,7 +1,7 @@
 // Deep (symbolic) analysis tier: value-range lints and differential
 // semantic equivalence, both built on the internal/analysis/absint
 // forward abstract interpreter. Everything here is opt-in — a deep
-// Verifier (opt.Config.DeepVerify), p4lint -deep, and pipeleon -check.
+// Verifier (opt.Config.DeepVerify) and pipeleon -check -deep.
 package analysis
 
 import (

@@ -7,9 +7,10 @@ import (
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
 )
 
-// TestEntryChurnUnderTraffic runs ProcessBurst and MeasureParallel workers
+// TestEntryChurnUnderTraffic runs ProcessBurst workers and a Measure caller
 // against a two-word conntrack table while another goroutine inserts,
 // deletes and modifies its entries. Every operation touches one key, so
 // "the result under the entry set before or after the operation" comes to
@@ -50,7 +51,10 @@ func TestEntryChurnUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic, err := New(prog, Config{Params: testParams()})
+	// Instrumented, so a Measure of the stable packets (more than
+	// finishMinPkts) runs its finish helper beside the churn too.
+	defer twoProcs()()
+	nic, err := New(prog, Config{Params: testParams(), Collector: profile.NewCollector(), Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +134,8 @@ func TestEntryChurnUnderTraffic(t *testing.T) {
 			default:
 			}
 			// Only never-touched entries drop, so the rate is exact.
-			if m := nic.MeasureParallel(pkts[:stable], 2); m.DropRate != float64(denied)/stable {
-				t.Errorf("MeasureParallel under churn: drop rate %v, want %v", m.DropRate, float64(denied)/stable)
+			if m := nic.Measure(pkts[:stable]); m.DropRate != float64(denied)/stable {
+				t.Errorf("Measure under churn: drop rate %v, want %v", m.DropRate, float64(denied)/stable)
 				return
 			}
 		}

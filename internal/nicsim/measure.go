@@ -34,101 +34,19 @@ type Measurement struct {
 // and flow set inserts of an instrumented NIC — is order-independent, and
 // on a batch of 512 packets or more (with more than one processor) a
 // helper goroutine does it beside the walk; it is started and joined
-// inside the call. After Measure returns, its Measurement, the collector's Snapshot
-// and Counters are bit-identical to per-packet Process calls over the same
-// packets, cached programs included. While it runs, a concurrent Snapshot
-// may see a chunk's counters before its keys; see profile.Burst for what a
-// Swap or Collector.Reset racing it does to the keys.
+// inside the call. After Measure returns, its Measurement, the collector's
+// Snapshot and Counters are bit-identical to a per-packet Process loop over
+// the same packets, cached programs included. While it runs, a concurrent
+// Snapshot may see a chunk's counters before its keys; see profile.Burst
+// for what a Swap or Collector.Reset racing it does to the keys.
 func (n *NIC) Measure(pkts []*packet.Packet) Measurement {
-	return n.measure(pkts, 1)
-}
-
-// MeasureParallel processes the batch on `workers` goroutines, steering
-// packets to workers through an RSS-style indirection table rebalanced
-// for the batch's per-bucket load — flows stay on one core, so per-flow
-// state never migrates mid-batch. Per-packet latencies land in per-index
-// slots and profiling updates are commutative, so for cache-free programs
-// at sampling=1 the result is bit-identical to Measure. workers <= 0 uses
-// GOMAXPROCS.
-func (n *NIC) MeasureParallel(pkts []*packet.Packet, workers int) Measurement {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return n.measure(pkts, workers)
-}
-
-// burstTally accumulates per-worker aggregate counts; merged once per
-// worker, not per packet.
-type burstTally struct {
-	drops, migrations, vhits, counters, wireBytes int64
-}
-
-func (t *burstTally) add(o *burstTally) {
-	t.drops += o.drops
-	t.migrations += o.migrations
-	t.vhits += o.vhits
-	t.counters += o.counters
-	t.wireBytes += o.wireBytes
-}
-
-// burstRunner is one goroutine's scratch for the burst datapath: a fixed
-// arena of packets cloned into by index, so measurement performs no
-// per-packet heap allocation.
-type burstRunner struct {
-	scratch [BurstSize]packet.Packet
-	ptrs    [BurstSize]*packet.Packet
-	results [BurstSize]Result
-}
-
-func newBurstRunner() *burstRunner {
-	br := &burstRunner{}
-	for i := range br.ptrs {
-		br.ptrs[i] = &br.scratch[i]
-	}
-	return br
-}
-
-// runIdx clones pkts[idx[i]] into the scratch arena, processes the burst,
-// and scatters latencies back to their per-index slots.
-func (br *burstRunner) runIdx(n *NIC, pkts []*packet.Packet, idx []int32, lat []float64, t *burstTally) {
-	k := len(idx)
-	for i := 0; i < k; i++ {
-		pkts[idx[i]].CloneInto(br.ptrs[i])
-	}
-	n.ProcessBurst(br.ptrs[:k], br.results[:k])
-	for i := 0; i < k; i++ {
-		r := &br.results[i]
-		j := idx[i]
-		lat[j] = r.LatencyNs
-		if r.Dropped {
-			t.drops++
-		}
-		t.migrations += int64(r.Migrations)
-		if r.VendorCacheHit {
-			t.vhits++
-		}
-		t.counters += int64(r.CounterUpdates)
-		wl := pkts[j].WireLen
-		if wl == 0 {
-			wl = 512
-		}
-		t.wireBytes += int64(wl)
-	}
-}
-
-func (n *NIC) measure(pkts []*packet.Packet, workers int) Measurement {
 	var m Measurement
 	if len(pkts) == 0 {
 		return m
 	}
 	lat := make([]float64, len(pkts))
 	var tally burstTally
-
-	if workers <= 1 {
-		n.measureSerial(pkts, lat, &tally)
-	} else {
-		n.measureSteered(pkts, lat, &tally, workers)
-	}
+	n.walk(pkts, lat, &tally)
 
 	var sum float64
 	for _, l := range lat {
@@ -146,11 +64,39 @@ func (n *NIC) measure(pkts []*packet.Packet, workers int) Measurement {
 	return m
 }
 
-// measureSerial is Measure's walk, through the burst datapath in order on
-// the calling goroutine. It finishes inline unless the NIC has something
-// to finish (a collector's sets to fill, noise to apply), the batch is
-// long enough and a second processor is there to take the finish stage.
-func (n *NIC) measureSerial(pkts []*packet.Packet, lat []float64, tally *burstTally) {
+// MeasureParallel is Measure; workers is ignored. It exists only because
+// the end-to-end benchmark's per-layer replay (bench/layers.go, a module
+// of its own that only benchmark changes edit) calls it, and ROADMAP item
+// 8 deletes it with that call.
+func (n *NIC) MeasureParallel(pkts []*packet.Packet, workers int) Measurement { return n.Measure(pkts) }
+
+// burstTally accumulates a walk's aggregate counts.
+type burstTally struct {
+	drops, migrations, vhits, counters, wireBytes int64
+}
+
+// burstRunner is the walk's scratch for the burst datapath: a fixed arena
+// of packets cloned into, so measurement performs no per-packet heap
+// allocation.
+type burstRunner struct {
+	scratch [BurstSize]packet.Packet
+	ptrs    [BurstSize]*packet.Packet
+	results [BurstSize]Result
+}
+
+func newBurstRunner() *burstRunner {
+	br := &burstRunner{}
+	for i := range br.ptrs {
+		br.ptrs[i] = &br.scratch[i]
+	}
+	return br
+}
+
+// walk is Measure's walk, through the burst datapath in order on the
+// calling goroutine. It finishes inline unless the NIC has something to
+// finish (a collector's sets to fill, noise to apply), the batch is long
+// enough and a second processor is there to take the finish stage.
+func (n *NIC) walk(pkts []*packet.Packet, lat []float64, tally *burstTally) {
 	br := newBurstRunner()
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
@@ -165,7 +111,7 @@ func (n *NIC) measureSerial(pkts []*packet.Packet, lat []float64, tally *burstTa
 	n.ctxPool.Put(ctx)
 }
 
-// walkAndFinish is measureSerial's two-stage form: it hands each chunk but
+// walkAndFinish is walk's two-stage form: it hands each chunk but
 // the last to the helper and finishes the last one itself while the helper
 // drains.
 func (n *NIC) walkAndFinish(br *burstRunner, ctx *procCtx, pl *execPlan, pkts []*packet.Packet, lat []float64, tally *burstTally) {
@@ -272,8 +218,9 @@ func (ch *finishChunk) finish(pl *execPlan, lat []float64) {
 	ch.keys.Insert()
 }
 
-// runRange is runIdx for a contiguous index range on the caller's context
-// — the serial path's form, with no index array to fill or chase.
+// runRange clones pkts[lo:hi] into the scratch arena, processes them as
+// one burst on the caller's context, and records their latencies in
+// lat[lo:hi] and their counts in t.
 func (br *burstRunner) runRange(n *NIC, ctx *procCtx, pkts []*packet.Packet, lo, hi int, lat []float64, t *burstTally) {
 	k := hi - lo
 	for i := 0; i < k; i++ {
@@ -296,64 +243,6 @@ func (br *burstRunner) runRange(n *NIC, ctx *procCtx, pkts []*packet.Packet, lo,
 			wl = 512
 		}
 		t.wireBytes += int64(wl)
-	}
-}
-
-// measureSteered is the multicore path: one pass steers every packet index
-// through the RSS table into its worker's list, then each worker walks
-// its list in bursts, clone-and-processes and scatters results by index.
-func (n *NIC) measureSteered(pkts []*packet.Packet, lat []float64, tally *burstTally, workers int) {
-	// Steering: hash every flow, count per-bucket load, then migrate
-	// buckets so the batch spreads evenly — deterministic for a given
-	// batch, so repeated runs steer identically.
-	rss := newRSSTable(workers)
-	hashes := make([]uint64, len(pkts))
-	var load [rssBuckets]int64
-	for i, p := range pkts {
-		hashes[i] = p.Flow().FastHash()
-		load[bucketOf(hashes[i])]++
-	}
-	rss.rebalance(&load)
-
-	// The bucket loads say how long each worker's list gets, so the lists
-	// are cut from one array and filled in batch order.
-	starts := make([]int, workers+1)
-	for b, l := range load {
-		starts[rss.bucket[b]+1] += int(l)
-	}
-	for w := 0; w < workers; w++ {
-		starts[w+1] += starts[w]
-	}
-	idx := make([]int32, len(pkts))
-	fill := append([]int(nil), starts[:workers]...)
-	for i := range pkts {
-		w := rss.workerOf(hashes[i])
-		idx[fill[w]] = int32(i)
-		fill[w]++
-	}
-
-	// Each worker counts into a tally of its own and stores it once: the
-	// 40-byte tallies of neighbouring workers share a cache line, which
-	// per-packet increments in place kept bouncing between cores.
-	tallies := make([]burstTally, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			br := newBurstRunner()
-			var t burstTally
-			for list := idx[starts[w]:starts[w+1]]; len(list) > 0; {
-				k := min(len(list), BurstSize)
-				br.runIdx(n, pkts, list[:k], lat, &t)
-				list = list[k:]
-			}
-			tallies[w] = t
-		}(w)
-	}
-	wg.Wait()
-	for w := range tallies {
-		tally.add(&tallies[w])
 	}
 }
 

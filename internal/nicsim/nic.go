@@ -47,8 +47,8 @@ type Config struct {
 	// noise, so "hardware measurements" differ from model predictions the
 	// way real measurements do (Figure 5's ~5% deviation). The noise is a
 	// pure function of (seed, flow, noiseless latency), so it is
-	// independent of packet processing order — serial and parallel runs
-	// of the same batch produce bit-identical latencies.
+	// independent of where and when it is applied: Measure's finish stage
+	// applies it beside the walk, bit-identical to Process.
 	Seed        uint64
 	NoiseStdDev float64
 	// MaxSteps guards against miswired programs (0 = auto).
@@ -638,7 +638,7 @@ func (n *NIC) note(dropped bool) {
 // applyNoise scales lat by a multiplicative noise factor that is a pure
 // function of (seed, flow, noiseless latency). Being stateless, it gives
 // identical results whatever order packets are processed in — the
-// property the serial/parallel equivalence guarantee rests on.
+// property that lets Measure's finish stage apply it off the walk.
 func (pl *execPlan) applyNoise(lat float64, flowHash uint64) float64 {
 	if pl.noiseStd <= 0 {
 		return lat

@@ -628,29 +628,6 @@ func TestMeasureThroughput(t *testing.T) {
 	}
 }
 
-func TestMeasureParallelMatchesSerial(t *testing.T) {
-	prog, err := p4ir.ChainTables("p", []p4ir.TableSpec{
-		exactTable("t1", "ipv4.dstAddr", "t2", e("hit_act", 5)),
-		exactTable("t2", "ipv4.srcAddr", ""),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nic, err := New(prog, Config{Params: testParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkts []*packet.Packet
-	for i := 0; i < 1000; i++ {
-		pkts = append(pkts, pkt(uint32(i%7), 5, 3, 4))
-	}
-	serial := nic.Measure(pkts)
-	par := nic.MeasureParallel(pkts, 8)
-	if math.Abs(serial.MeanLatencyNs-par.MeanLatencyNs) > 1e-9 {
-		t.Errorf("parallel mean %v != serial %v", par.MeanLatencyNs, serial.MeanLatencyNs)
-	}
-}
-
 func TestSwapProgramLive(t *testing.T) {
 	progA, _ := p4ir.ChainTables("a", []p4ir.TableSpec{exactTable("t1", "ipv4.dstAddr", "")})
 	progB, _ := p4ir.ChainTables("b", []p4ir.TableSpec{

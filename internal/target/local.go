@@ -35,7 +35,7 @@ func NewLocal(nic *nicsim.NIC, col *profile.Collector) *Local {
 func (l *Local) SetCapabilities(c Capabilities) { l.cap = c }
 
 // NIC exposes the wrapped emulator for callers that need emulator-only
-// features (parallel measurement, direct packet injection in tests).
+// features (batch measurement, direct packet injection in tests).
 func (l *Local) NIC() *nicsim.NIC { return l.nic }
 
 // Program returns the currently running program.
