@@ -513,6 +513,64 @@ func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureDash is one Measure of 8 192 packets on testdata/dash.p4
+// with the entries the end-to-end benchmark's dash workloads bake in —
+// ternary ACLs over four masks, LPM routing over three prefix lengths, a
+// two-word conntrack — instrumented into a bound collector, with noise:
+// the multi-group and multi-word lookups the 110-table rows barely have.
+// ns/pkt is per packet, allocs/op per Measure.
+func BenchmarkMeasureDash(b *testing.B) {
+	prog, err := LoadProgram("testdata/dash.p4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	flows := trafficgen.UniformFlows(5, 20000)
+	bake := func(table string, e p4ir.Entry) {
+		t := prog.Tables[table]
+		t.Entries = append(t.Entries, e)
+	}
+	for _, f := range flows[:2000] {
+		bake("conntrack", p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(f.Src)}, {Value: uint64(f.SPort)}}, Action: "track"})
+	}
+	masks := []uint64{0xffffffff, 0xffffff00, 0xfffff000, 0xffff0000}
+	for i := 0; i < 512; i++ {
+		m := masks[i%len(masks)]
+		action := "permit"
+		if i%8 == 0 {
+			action = "deny"
+		}
+		prio := 10 * (len(masks) - i%len(masks))
+		f := flows[(i*37)%len(flows)]
+		bake("acl_level1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(f.Src) & m, Mask: m}}, Action: action, Priority: prio})
+		bake("acl_level2", p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(f.Dst) & m, Mask: m}}, Action: action, Priority: prio})
+	}
+	for i, plens := 0, []int{24, 20, 16}; i < 256; i++ {
+		plen := plens[i%len(plens)]
+		bake("routing", p4ir.Entry{
+			Match:  []p4ir.MatchValue{{Value: uint64(flows[(i*53)%len(flows)].Dst) &^ (1<<(32-plen) - 1), PrefixLen: plen}},
+			Action: "fwd", Args: []string{fmt.Sprint(2 + i%6)},
+		})
+	}
+	nic, err := nicsim.New(prog, nicsim.Config{
+		Params: costmodel.BlueField2(), Collector: NewCollector(), Instrument: true,
+		Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := trafficgen.New(4, trafficgen.DefaultPacketBytes)
+	gen.AddFlows(flows...)
+	gen.SetSkew(0.9)
+	pkts := gen.Batch(8192)
+	nic.Measure(pkts) // warm: buffers sized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nic.Measure(pkts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+}
+
 // BenchmarkMeasure measures batch throughput of the burst datapath on an
 // un-instrumented, noise-free NIC (so the walk finishes inline), reporting
 // wall-clock packets per second.

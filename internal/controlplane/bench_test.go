@@ -42,14 +42,14 @@ func benchDevice(b *testing.B) (*Client, *p4ir.Program) {
 
 func BenchmarkProgramRPCUnchanged(b *testing.B) {
 	cl, _ := benchDevice(b)
-	_, have, err := cl.ProgramUnless(p4ir.Digest{})
+	_, _, have, err := cl.ProgramUnless(p4ir.Digest{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, _, err := cl.ProgramUnless(have); err != nil || p != nil {
+		if p, _, _, err := cl.ProgramUnless(have); err != nil || p != nil {
 			b.Fatalf("program %v, err %v: want unchanged", p, err)
 		}
 	}

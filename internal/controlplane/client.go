@@ -289,34 +289,37 @@ func (c *Client) ModifyEntry(table string, match []p4ir.MatchValue, action strin
 
 // Program fetches the currently deployed program.
 func (c *Client) Program() (*p4ir.Program, error) {
-	p, _, err := c.ProgramUnless(p4ir.Digest{})
+	p, _, _, err := c.ProgramUnless(p4ir.Digest{})
 	return p, err
 }
 
-// ProgramUnless fetches the currently deployed program and its digest,
-// unless that digest is have (the zero digest stands for "none held"): the
-// server then sends no program and the result is (nil, have, nil). The
-// server decides, from the program it runs when the request arrives.
-func (c *Client) ProgramUnless(have p4ir.Digest) (*p4ir.Program, p4ir.Digest, error) {
+// ProgramUnless fetches the currently deployed program, its encoding and
+// its digest, unless that digest is have (the zero digest stands for "none
+// held"): the server then sends no program and the result is (nil, nil,
+// have, nil). The server decides, from the program it runs when the
+// request arrives. enc is the body the server sent, which the decode
+// validated: DecodeBinary accepts only the canonical encoding, so enc is
+// the program's, and nothing else holds it.
+func (c *Client) ProgramUnless(have p4ir.Digest) (prog *p4ir.Program, enc []byte, digest p4ir.Digest, err error) {
 	req := &Request{Op: OpProgram}
 	if have != (p4ir.Digest{}) {
 		req.Have = have.String()
 	}
 	resp, err := c.call(req)
 	if err != nil {
-		return nil, p4ir.Digest{}, err
+		return nil, nil, p4ir.Digest{}, err
 	}
 	if resp.Unchanged != "" {
 		if resp.Unchanged != req.Have {
-			return nil, p4ir.Digest{}, fmt.Errorf("controlplane: server answered program %q unchanged, which the request (have %q) did not name", resp.Unchanged, req.Have)
+			return nil, nil, p4ir.Digest{}, fmt.Errorf("controlplane: server answered program %q unchanged, which the request (have %q) did not name", resp.Unchanged, req.Have)
 		}
-		return nil, have, nil
+		return nil, nil, have, nil
 	}
 	p, err := p4ir.DecodeBinary(resp.Body)
 	if err != nil {
-		return nil, p4ir.Digest{}, err
+		return nil, nil, p4ir.Digest{}, err
 	}
-	return p, p4ir.DigestOf(resp.Body), nil
+	return p, resp.Body, p4ir.DigestOf(resp.Body), nil
 }
 
 // Counters fetches a profile snapshot from the device collector.

@@ -223,10 +223,10 @@ func TestUnchangedNeedsTheDigestThatWasSent(t *testing.T) {
 	if p, err := cl.Program(); err == nil {
 		t.Fatalf("unchanged without a digest sent: program %v, no error", p)
 	}
-	if p, _, err := cl.ProgramUnless(p4ir.Digest{2}); err == nil {
+	if p, _, _, err := cl.ProgramUnless(p4ir.Digest{2}); err == nil {
 		t.Fatalf("unchanged for another digest: program %v, no error", p)
 	}
-	if p, d, err := cl.ProgramUnless(p4ir.Digest{1}); err != nil || p != nil || d != (p4ir.Digest{1}) {
+	if p, enc, d, err := cl.ProgramUnless(p4ir.Digest{1}); err != nil || p != nil || enc != nil || d != (p4ir.Digest{1}) {
 		t.Fatalf("unchanged for the digest sent: (%v, %v, %v)", p, d, err)
 	}
 }

@@ -97,9 +97,12 @@ func newBurstRunner() *burstRunner {
 // finish (a collector's sets to fill, noise to apply), the batch is long
 // enough and a second processor is there to take the finish stage.
 func (n *NIC) walk(pkts []*packet.Packet, lat []float64, tally *burstTally) {
-	br := newBurstRunner()
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
+	if ctx.arena == nil {
+		ctx.arena = newBurstRunner()
+	}
+	br := ctx.arena
 	pl := n.plan.Load()
 	if (len(pl.shards) == 0 && pl.noiseStd <= 0) || len(pkts) < finishMinPkts || runtime.GOMAXPROCS(0) < 2 {
 		for lo := 0; lo < len(pkts); lo += BurstSize {

@@ -133,6 +133,9 @@ type procCtx struct {
 	// chunk, set only on Measure's walk, takes each packet's noise and the
 	// burst's distinct keys for the finish stage (see finisher).
 	chunk *finishChunk
+	// arena is Measure's clone arena (lazily created), recycled with the
+	// context: its scratch packets keep their metadata buffers across calls.
+	arena *burstRunner
 }
 
 // reset clears the per-packet scratch slices for reuse.
@@ -450,13 +453,13 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			curTier = nd.tier
 		}
 		mult := pl.Speed[curTier]
-		rt := nd.rt
 		// Gather the width-masked key fields, by compiled field ID; most
-		// keys are one field, fetched without the loop.
+		// keys are one field, fetched from the node without the loop.
 		vals := ctx.values[:1]
-		if len(rt.fids) == 1 {
-			vals[0] = pkt.GetID(rt.fids[0]) & rt.kmasks[0]
+		if nd.oneWord {
+			vals[0] = pkt.GetID(nd.fid) & nd.kmask
 		} else {
+			rt := nd.rt
 			vals = vals[:0]
 			for i, fid := range rt.fids {
 				vals = append(vals, pkt.GetID(fid)&rt.kmasks[i])
@@ -513,20 +516,23 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			sink.AddKey(int(nd.keySlot), k)
 		}
 		var se *storedEntry
-		if len(vals) != 1 || len(rt.groups) != 1 {
-			se = rt.lookup(vals)
-		} else if g := rt.groups[0]; len(g.flat) != 0 {
+		switch {
+		case nd.bound && len(nd.views) == 1:
 			// One word in one small group, the hottest shape: probed inline.
-			se = g.probe1(vals[0])
-		} else {
-			se = g.probePaged(vals[0])
+			se = nd.views[0].probe1(vals[0])
+		case nd.bound:
+			se = nd.lookup(vals[0])
+		case nd.oneWord && len(nd.rt.groups) == 1:
+			se = nd.rt.groups[0].probePaged(vals[0])
+		default:
+			se = nd.rt.lookup(vals)
 		}
-		act := rt.defaultAct
+		act := nd.defaultAct
 		var cargs []operand
 		if se != nil {
 			act, cargs = se.cact, se.cargs
 		}
-		lat += float64(rt.numGroups()) * nd.probe * mult
+		lat += nd.charge * mult
 		if act == nil {
 			// Table with no actions: pure forwarding node.
 			cur = nd.baseNext

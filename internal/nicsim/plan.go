@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"pipeleon/internal/costmodel"
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
 )
 
@@ -28,16 +30,22 @@ const (
 const nilNode int32 = -1
 
 type execNode struct {
-	name   string
 	kind   nodeKind
 	tier   uint8 // placement: execution tier (0 = ASIC)
 	copied bool  // replicated on every tier; never migrates
 
-	// Table & cache nodes.
-	rt *runtimeTable
-	// probe is the kernel's Probe of the table (its memory tier applied);
-	// a lookup is charged probes*probe.
-	probe float64
+	// Table & cache nodes: what a packet reads of rt, copied out by bind.
+	// oneWord keys are gathered from fid and kmask; a bound node's groups
+	// all probe inline and are read from views (through rt otherwise);
+	// ternary selects take's ladder.
+	oneWord, bound, ternary bool
+	fid                     packet.FieldID
+	kmask                   uint64
+	views                   []groupView
+	// charge is a lookup's probe charge before the tier's speed:
+	// numGroups·probe.
+	charge     float64
+	defaultAct *compiledAction
 	// keySlot is the Layout.Tables slot for distinct-key tracking
 	// (ordinary tables only; -1 otherwise).
 	keySlot int32
@@ -49,6 +57,9 @@ type execNode struct {
 	// prepopSlot is the Layout.Caches slot of a pre-populated merged
 	// cache (-1 otherwise): the executed action records hit/miss.
 	prepopSlot int32
+	rt         *runtimeTable
+	// probe is the kernel's Probe of the table (its memory tier applied).
+	probe float64
 
 	// Conditional nodes.
 	cond                CondFunc
@@ -61,6 +72,45 @@ type execNode struct {
 	hitSite, missSite int32
 	hitNext, missNext int32
 	covers            []uint64 // node-id bitset of the covered span
+
+	name string // read for Result.Path only: last, off the walk's lines
+}
+
+// bind points a table or cache node at rt and copies out what its lookup
+// reads, so that the walk gathers, probes and charges without loading the
+// table header, its key arrays or a group header. compile and rebuiltNode
+// are the only places a plan publishes a runtime table, and both bind it:
+// a node never holds views of a page its table no longer has.
+func (nd *execNode) bind(rt *runtimeTable) {
+	nd.rt, nd.defaultAct = rt, rt.defaultAct
+	nd.charge = float64(rt.numGroups()) * nd.probe
+	nd.ternary = rt.kind == p4ir.MatchTernary
+	nd.oneWord, nd.bound, nd.views = len(rt.fids) == 1, false, nil
+	if !nd.oneWord {
+		return
+	}
+	nd.fid, nd.kmask = rt.fids[0], rt.kmasks[0]
+	views := rt.views[:0]
+	for _, g := range rt.groups {
+		if len(g.flat) == 0 {
+			return
+		}
+		views = append(views, g.groupView)
+	}
+	nd.bound, nd.views = true, views
+}
+
+// lookup is runtimeTable.lookup of a bound node's key word, read from the
+// node.
+func (nd *execNode) lookup(v uint64) *storedEntry {
+	var best *storedEntry
+	for i := range nd.views {
+		var done bool
+		if best, done = take(nd.ternary, best, nd.views[i].probe1(v)); done {
+			break
+		}
+	}
+	return best
 }
 
 type execPlan struct {
@@ -141,7 +191,6 @@ func (n *NIC) compile() *execPlan {
 		t, c := n.prog.Node(name)
 		if t != nil {
 			rt := n.tables[name]
-			nd.rt = rt
 			// An explicit TierTables entry wins over the placement
 			// annotation.
 			tier, ok := n.cfg.TierTables[name]
@@ -151,6 +200,7 @@ func (n *NIC) compile() *execPlan {
 			nd.tier = uint8(pl.Tier(tier, t.TierFloor()))
 			nd.copied = n.cfg.CopiedTables[name] || t.TierCopied()
 			nd.probe = pl.Probe(t)
+			nd.bind(rt)
 			if fc, isCache := n.caches[name]; isCache {
 				nd.kind = nkCache
 				nd.fc = fc
@@ -201,13 +251,13 @@ func (n *NIC) compile() *execPlan {
 	return pl
 }
 
-// rebuiltNode returns a copy of the plan with one node's runtime table
-// replaced (entry mutation): the layout, sites and edges are unchanged
-// because entry updates cannot add or remove actions.
+// rebuiltNode returns a copy of the plan with one node bound to a new
+// runtime table (entry mutation): the layout, sites and edges are
+// unchanged because entry updates cannot add or remove actions.
 func (pl *execPlan) rebuiltNode(id int32, rt *runtimeTable) *execPlan {
 	next := *pl
 	next.nodes = slices.Clone(pl.nodes)
-	next.nodes[id].rt = rt
+	next.nodes[id].bind(rt)
 	return &next
 }
 

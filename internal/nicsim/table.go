@@ -63,6 +63,17 @@ const (
 	tinySlots = 8
 )
 
+// groupView is what a one-word probe of a one-page group reads. A group
+// starts with it, and a bound plan node holds a copy per group (see
+// execNode.bind), so that its probe starts from the slot page.
+type groupView struct {
+	mask0 uint64 // masks[0]
+	shift uint   // 64 - log2(slot count); 64 in a tiny group
+	// flat is the group's one page when it has at most pageSlots slots,
+	// one load closer to the probe than pages (empty in a larger group).
+	flat []slot
+}
+
 // maskGroup is one hash table of a multi-hash-table match structure — the
 // emulator's stand-in for an SRAM exact-match bank: open addressing,
 // Fibonacci hashing, linear probing, at most half full. Of the entries
@@ -76,12 +87,9 @@ const (
 // writes. What a one-word probe of a small group reads comes first, in one
 // cache line: a 110-table program does not fit L1, and a line a table shows.
 type maskGroup struct {
-	mask0 uint64 // masks[0]
-	shift uint   // 64 - log2(slot count); 64 in a tiny group
+	groupView
 	// pages hold slot i at pages[i>>pageBits][i&(pageSlots-1)]; a group of
-	// at most pageSlots slots has one page of just that many, and flat is
-	// that page, one load closer to the probe (empty in a larger group).
-	flat  []slot
+	// at most pageSlots slots has one page of just that many (flat).
 	pages [][]slot
 	mask  uint64 // slot count - 1
 	masks []uint64
@@ -97,7 +105,7 @@ type maskGroup struct {
 }
 
 // home is the slot a tag's probe run starts at.
-func (g *maskGroup) home(k uint64) uint64 {
+func (g *groupView) home(k uint64) uint64 {
 	return k * fib64 >> g.shift
 }
 
@@ -123,7 +131,7 @@ func (g *maskGroup) set(i uint64, s slot) {
 // probe1 is find for the commonest shape, a one-word group of one page:
 // a tag match is a key match, the slot array is at hand, and the loop is
 // a few instructions a slot and small enough to inline into the walk.
-func (g *maskGroup) probe1(v uint64) *storedEntry {
+func (g *groupView) probe1(v uint64) *storedEntry {
 	k, slots := v&g.mask0, g.flat
 	mask := uint64(len(slots) - 1)
 	for i := g.home(k) & mask; ; i = (i + 1) & mask {
@@ -327,6 +335,9 @@ type runtimeTable struct {
 	// cow marks a fork of a published table: its groups are shared with
 	// readers, so own copies the one a mutator is about to write.
 	cow bool
+	// views backs the group views of the plan node bound to this header
+	// (execNode.bind), so that publishing a fork allocates nothing more.
+	views [8]groupView
 }
 
 // buildTable compiles a table's keys and actions — actions into
@@ -512,15 +523,17 @@ func (rt *runtimeTable) modify(match []p4ir.MatchValue, action string, args []st
 // numGroups whatever is found where. This loop takes what probes inline —
 // one-word keys, one-page groups — and holds no call, which keeps it in
 // registers; the first group that needs more takes the rest of the table
-// to lookupFrom.
+// to lookupFrom. The walk reads a table whose groups all probe inline from
+// its plan node instead (execNode.lookup).
 func (rt *runtimeTable) lookup(values []uint64) *storedEntry {
 	var best *storedEntry
+	ternary := rt.kind == p4ir.MatchTernary
 	for gi, g := range rt.groups {
 		if len(values) != 1 || len(g.flat) == 0 {
 			return rt.lookupFrom(gi, best, values)
 		}
 		var done bool
-		if best, done = rt.take(best, g.probe1(values[0])); done {
+		if best, done = take(ternary, best, g.probe1(values[0])); done {
 			break
 		}
 	}
@@ -528,6 +541,7 @@ func (rt *runtimeTable) lookup(values []uint64) *storedEntry {
 }
 
 func (rt *runtimeTable) lookupFrom(gi int, best *storedEntry, values []uint64) *storedEntry {
+	ternary := rt.kind == p4ir.MatchTernary
 	for _, g := range rt.groups[gi:] {
 		var se *storedEntry
 		if len(values) == 1 {
@@ -536,7 +550,7 @@ func (rt *runtimeTable) lookupFrom(gi int, best *storedEntry, values []uint64) *
 			se = g.at(g.find(values)).v
 		}
 		var done bool
-		if best, done = rt.take(best, se); done {
+		if best, done = take(ternary, best, se); done {
 			break
 		}
 	}
@@ -546,8 +560,7 @@ func (rt *runtimeTable) lookupFrom(gi int, best *storedEntry, values []uint64) *
 // take is the match-kind ladder: exact and LPM tables take the first hit
 // and stop; ternary and range tables take the best priority over all
 // groups, the earlier group on a tie.
-func (rt *runtimeTable) take(best, se *storedEntry) (_ *storedEntry, done bool) {
-	ternary := rt.kind == p4ir.MatchTernary
+func take(ternary bool, best, se *storedEntry) (_ *storedEntry, done bool) {
 	if se == nil || ternary && best != nil && se.priority <= best.priority {
 		return best, false
 	}

@@ -29,12 +29,12 @@ type Remote struct {
 	cap    target.Capabilities
 
 	// held is the one program kept on this side, in p4ir's binary encoding
-	// (a fraction of the decoded program's heap), and digest its content
-	// digest; nil until the first fetch or deploy. Program decodes a copy
-	// per call, so held is never memory a caller can write: core.Runtime
-	// edits the program it deployed in place on the entry fast path. mu
-	// also spans the RPC that replaces them, so held and digest always
-	// belong together.
+	// (a fraction of the decoded program's heap) — the body a fetch received
+	// or what Deploy encoded — and digest its content digest; nil until the
+	// first fetch or deploy. Program hands out a decoded copy, so held is
+	// never memory a caller can write: core.Runtime edits the program it
+	// deployed in place on the entry fast path. mu also spans the RPC that
+	// replaces them, so held and digest always belong together.
 	mu     sync.Mutex
 	held   []byte
 	digest p4ir.Digest
@@ -62,11 +62,15 @@ func New(client *controlplane.Client) (*Remote, error) {
 
 // Program returns a copy of the device's currently deployed program, nil
 // when it cannot be read. Every call asks the device; the program itself
-// crosses only when it is not the held one.
+// crosses only when it is not the held one, and is then decoded once: the
+// caller gets the program the fetch decoded, which holds none of the body.
 func (r *Remote) Program() *p4ir.Program {
-	enc, _, err := r.current()
+	enc, fetched, _, err := r.current()
 	if err != nil {
 		return nil
+	}
+	if fetched != nil {
+		return fetched
 	}
 	prog, err := p4ir.DecodeBinary(enc)
 	if err != nil {
@@ -78,23 +82,24 @@ func (r *Remote) Program() *p4ir.Program {
 // Digest is Program's round trip, answered with the held digest: the held
 // program is not hashed again.
 func (r *Remote) Digest() (p4ir.Digest, error) {
-	_, digest, err := r.current()
+	_, _, digest, err := r.current()
 	return digest, err
 }
 
 // current asks the device whether it still runs the held program, holds the
-// one it runs when not, and returns the held pair.
-func (r *Remote) current() ([]byte, p4ir.Digest, error) {
+// one it runs when not, and returns the held pair, with the program the
+// fetch decoded when there was one.
+func (r *Remote) current() (held []byte, fetched *p4ir.Program, digest p4ir.Digest, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	prog, digest, err := r.client.ProgramUnless(r.digest)
+	fetched, enc, digest, err := r.client.ProgramUnless(r.digest)
 	if err != nil {
-		return nil, p4ir.Digest{}, err
+		return nil, nil, p4ir.Digest{}, err
 	}
-	if prog != nil {
-		r.held, r.digest = prog.AppendBinary(nil), digest
+	if fetched != nil {
+		r.held, r.digest = enc, digest
 	}
-	return r.held, r.digest, nil
+	return r.held, fetched, r.digest, nil
 }
 
 // Deploy stages prog on the remote device and keeps its encoding as the

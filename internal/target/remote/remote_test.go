@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"pipeleon/internal/controlplane"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/nicsim"
+	"pipeleon/internal/p4ir"
 	"pipeleon/internal/synth"
 	"pipeleon/internal/target"
 )
@@ -52,6 +54,61 @@ func relay(t *testing.T, addr string, fromServer *atomic.Int64) string {
 		io.Copy(down, countingConn{Conn: up, read: fromServer})
 	}()
 	return ln.Addr().String()
+}
+
+// TestChangedProgramDecodesOnce counts allocations: a Program() call that
+// brings a changed program costs what one client fetch costs — its one
+// decode — and hands the caller a program sharing nothing with what the
+// remote holds.
+func TestChangedProgramDecodesOnce(t *testing.T) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 3, Category: synth.Mixed, Seed: 3})
+	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(target.NewLocal(nic, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := controlplane.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	r, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	fetch := testing.AllocsPerRun(20, func() {
+		if p, err := cl.Program(); err != nil || p == nil {
+			t.Fatalf("client fetch: %v", err)
+		}
+	})
+	changed := testing.AllocsPerRun(20, func() {
+		r.digest = p4ir.Digest{} // nothing held the device runs: the fetch brings the body
+		if r.Program() == nil {
+			t.Fatal("changed program not read")
+		}
+	})
+	if changed > fetch+4 {
+		t.Errorf("a changed Program() allocates %v times, a client fetch %v: more than one decode", changed, fetch)
+	}
+
+	r.digest = p4ir.Digest{}
+	got := r.Program()
+	want := append([]byte(nil), r.held...)
+	for _, tbl := range got.Tables {
+		tbl.Name += "-edited"
+		for i := range tbl.Entries {
+			tbl.Entries[i].Action += "-edited"
+		}
+	}
+	if !bytes.Equal(r.held, want) || p4ir.DigestOf(r.held) != r.digest || r.digest != prog.Digest() {
+		t.Fatal("editing the program Program() returned changed what the remote holds")
+	}
 }
 
 // TestUnchangedProgramCrossesOnce counts bytes on the wire: however often
