@@ -459,10 +459,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		if nd.oneWord {
 			vals[0] = pkt.GetID(nd.fid) & nd.kmask
 		} else {
-			rt := nd.rt
 			vals = vals[:0]
-			for i, fid := range rt.fids {
-				vals = append(vals, pkt.GetID(fid)&rt.kmasks[i])
+			for i, fid := range nd.fids {
+				vals = append(vals, pkt.GetID(fid)&nd.kmasks[i])
 			}
 			ctx.values = vals
 		}
@@ -516,16 +515,11 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			sink.AddKey(int(nd.keySlot), k)
 		}
 		var se *storedEntry
-		switch {
-		case nd.bound && len(nd.views) == 1:
-			// One word in one small group, the hottest shape: probed inline.
+		if nd.oneWord && len(nd.views) == 1 {
+			// One word in one group, the hottest shape: probed inline.
 			se = nd.views[0].probe1(vals[0])
-		case nd.bound:
-			se = nd.lookup(vals[0])
-		case nd.oneWord && len(nd.rt.groups) == 1:
-			se = nd.rt.groups[0].probePaged(vals[0])
-		default:
-			se = nd.rt.lookup(vals)
+		} else {
+			se = nd.lookup(vals)
 		}
 		act := nd.defaultAct
 		var cargs []operand

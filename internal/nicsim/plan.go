@@ -35,13 +35,13 @@ type execNode struct {
 	copied bool  // replicated on every tier; never migrates
 
 	// Table & cache nodes: what a packet reads of rt, copied out by bind.
-	// oneWord keys are gathered from fid and kmask; a bound node's groups
-	// all probe inline and are read from views (through rt otherwise);
-	// ternary selects take's ladder.
-	oneWord, bound, ternary bool
-	fid                     packet.FieldID
-	kmask                   uint64
-	views                   []groupView
+	// A oneWord key is gathered from fid and kmask (a wider one from fids
+	// and kmasks, below); views are the groups in probe order; ternary
+	// selects take's ladder.
+	oneWord, ternary bool
+	fid              packet.FieldID
+	kmask            uint64
+	views            []groupView
 	// charge is a lookup's probe charge before the tier's speed:
 	// numGroups·probe.
 	charge     float64
@@ -57,7 +57,6 @@ type execNode struct {
 	// prepopSlot is the Layout.Caches slot of a pre-populated merged
 	// cache (-1 otherwise): the executed action records hit/miss.
 	prepopSlot int32
-	rt         *runtimeTable
 	// probe is the kernel's Probe of the table (its memory tier applied).
 	probe float64
 
@@ -73,40 +72,52 @@ type execNode struct {
 	hitNext, missNext int32
 	covers            []uint64 // node-id bitset of the covered span
 
+	// A key of more than one word is gathered by fids, masked by kmasks:
+	// off the lines the walk reads for every table.
+	fids   []packet.FieldID
+	kmasks []uint64
+
 	name string // read for Result.Path only: last, off the walk's lines
 }
 
-// bind points a table or cache node at rt and copies out what its lookup
-// reads, so that the walk gathers, probes and charges without loading the
-// table header, its key arrays or a group header. compile and rebuiltNode
-// are the only places a plan publishes a runtime table, and both bind it:
-// a node never holds views of a page its table no longer has.
+// bind copies out of rt what the lookup of a table or cache node reads, so
+// that the walk gathers, probes and charges without loading the table
+// header or a group header. compile and rebuiltNode are the only
+// places a plan publishes a runtime table, and both bind it: a node never
+// holds views of a page its table no longer has.
 func (nd *execNode) bind(rt *runtimeTable) {
-	nd.rt, nd.defaultAct = rt, rt.defaultAct
+	nd.defaultAct = rt.defaultAct
 	nd.charge = float64(rt.numGroups()) * nd.probe
 	nd.ternary = rt.kind == p4ir.MatchTernary
-	nd.oneWord, nd.bound, nd.views = len(rt.fids) == 1, false, nil
-	if !nd.oneWord {
-		return
+	nd.fids, nd.kmasks = rt.fids, rt.kmasks
+	if nd.oneWord = len(rt.fids) == 1; nd.oneWord {
+		nd.fid, nd.kmask = rt.fids[0], rt.kmasks[0]
 	}
-	nd.fid, nd.kmask = rt.fids[0], rt.kmasks[0]
-	views := rt.views[:0]
+	nd.views = rt.views[:0]
 	for _, g := range rt.groups {
-		if len(g.flat) == 0 {
-			return
-		}
-		views = append(views, g.groupView)
+		nd.views = append(nd.views, g.groupView)
 	}
-	nd.bound, nd.views = true, views
 }
 
-// lookup is runtimeTable.lookup of a bound node's key word, read from the
-// node.
-func (nd *execNode) lookup(v uint64) *storedEntry {
+// lookup matches the width-masked key words against the node's table,
+// group by group in probe order. Hardware probes every bank: the charge is
+// numGroups whatever is found where. A one-word key's loop holds no call,
+// which keeps it in registers.
+func (nd *execNode) lookup(values []uint64) *storedEntry {
 	var best *storedEntry
+	if nd.oneWord {
+		for i := range nd.views {
+			var done bool
+			if best, done = take(nd.ternary, best, nd.views[i].probe1(values[0])); done {
+				break
+			}
+		}
+		return best
+	}
 	for i := range nd.views {
+		_, s := nd.views[i].find(values)
 		var done bool
-		if best, done = take(nd.ternary, best, nd.views[i].probe1(v)); done {
+		if best, done = take(nd.ternary, best, s.v); done {
 			break
 		}
 	}

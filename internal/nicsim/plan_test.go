@@ -15,13 +15,13 @@ import (
 )
 
 // TestPlanNodeFollowsStore drives seeded entry operations and a Swap
-// through one-field exact, LPM and ternary tables — mask groups appearing
-// and disappearing, the exact table growing from one slot page into a
-// paged group and emptying again — under a model that charges the live
-// groups and one that pins LPM and ternary m. After every operation each
-// table node must be bound to the table the NIC holds, field for field as
-// a fresh bind of it, and the NIC must process an adversarial packet set as
-// a NIC built afresh from its program does.
+// through one-field exact, LPM and ternary tables and a two-field exact
+// one — mask groups appearing and disappearing, both exact tables growing
+// from one slot page into a paged group and emptying again — under a model
+// that charges the live groups and one that pins LPM and ternary m. After
+// every operation each table node must be bound to the table the NIC
+// holds, field for field as a fresh bind of it, and the NIC must process an
+// adversarial packet set as a NIC built afresh from its program does.
 func TestPlanNodeFollowsStore(t *testing.T) {
 	for _, pm := range []costmodel.Params{testParams(), costmodel.EmulatedNIC()} {
 		t.Run(pm.Name, func(t *testing.T) { planNodeFollowsStore(t, pm) })
@@ -29,10 +29,13 @@ func TestPlanNodeFollowsStore(t *testing.T) {
 }
 
 func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
-	table := func(name, field string, kind p4ir.MatchKind, next string) p4ir.TableSpec {
+	table := func(name string, kind p4ir.MatchKind, next string, fields ...string) p4ir.TableSpec {
+		var keys []p4ir.Key
+		for _, f := range fields {
+			keys = append(keys, p4ir.Key{Field: f, Kind: kind, Width: packet.FieldWidth(f)})
+		}
 		return p4ir.TableSpec{
-			Name: name, Next: next,
-			Keys: []p4ir.Key{{Field: field, Kind: kind, Width: packet.FieldWidth(field)}},
+			Name: name, Next: next, Keys: keys,
 			Actions: []*p4ir.Action{
 				p4ir.NewAction("set", p4ir.Prim("modify_field", "meta."+name, "$0")),
 				p4ir.NewAction("deny", p4ir.Prim("drop")),
@@ -42,9 +45,10 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 		}
 	}
 	prog, err := p4ir.ChainTables("bound", []p4ir.TableSpec{
-		table("exact", "ipv4.dstAddr", p4ir.MatchExact, "lpm"),
-		table("lpm", "ipv4.srcAddr", p4ir.MatchLPM, "ternary"),
-		table("ternary", "tcp.dport", p4ir.MatchTernary, ""),
+		table("exact", p4ir.MatchExact, "lpm", "ipv4.dstAddr"),
+		table("lpm", p4ir.MatchLPM, "ternary", "ipv4.srcAddr"),
+		table("ternary", p4ir.MatchTernary, "pair", "tcp.dport"),
+		table("pair", p4ir.MatchExact, "", "ipv4.dstAddr", "tcp.sport"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +76,10 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 		case "ternary":
 			mv.Mask = []uint64{0xffff, 0xff00, 0xf000, 0}[rng.Intn(4)]
 			mv.Value = uint64(rng.Intn(4)*0x1111) & mv.Mask
+		case "pair":
+			mv.Value = 0x0a000000 + uint64(rng.Intn(40))
+			e.Match = []p4ir.MatchValue{mv, {Value: uint64(rng.Intn(10))}}
+			return e
 		}
 		e.Match = []p4ir.MatchValue{mv}
 		return e
@@ -80,34 +88,33 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 	// installed entry's value, the same with low bits flipped, or a random
 	// word — hits in every group, misses beside them.
 	probes := func() []*packet.Packet {
-		word := func(name string) uint64 {
+		word := func(name string, key int) uint64 {
 			entries := nic.Program().Tables[name].Entries
 			switch k := rng.Intn(3); {
 			case k == 2 || len(entries) == 0:
 				return rng.Uint64()
 			default:
-				return entries[rng.Intn(len(entries))].Match[0].Value ^ uint64(k*rng.Intn(256))
+				return entries[rng.Intn(len(entries))].Match[key].Value ^ uint64(k*rng.Intn(256))
 			}
 		}
 		out := make([]*packet.Packet, 48)
 		for i := range out {
-			out[i] = pkt(uint32(word("lpm")), uint32(word("exact")), 80, uint16(word("ternary")))
+			dst := word([]string{"exact", "pair"}[rng.Intn(2)], 0)
+			out[i] = pkt(uint32(word("lpm", 0)), uint32(dst), uint16(word("pair", 1)), uint16(word("ternary", 0)))
 		}
 		return out
 	}
-	paged := false // the exact table was seen in one paged group
+	paged := map[string]bool{} // the exact tables seen in one paged group
 	check := func(when string) {
 		t.Helper()
 		pl := nic.plan.Load()
 		for name, rt := range nic.tables {
-			nd := &pl.nodes[pl.ids[name]]
-			cp := *rt
-			want := execNode{probe: nd.probe}
-			want.bind(&cp)
-			if nd.rt != rt || !sameBinding(nd, &want) {
+			if !boundTo(&pl.nodes[pl.ids[name]], rt) {
 				t.Fatalf("%s: node %q is not bound to the table the NIC holds", when, name)
 			}
-			paged = paged || name == "exact" && !nd.bound && len(rt.groups) == 1
+			if len(rt.groups) == 1 && len(rt.groups[0].flat) == 0 {
+				paged[name] = true
+			}
 		}
 		want, err := New(nic.Program().Clone(), Config{Params: pm})
 		if err != nil {
@@ -156,7 +163,7 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 	}
 	mixed := func(ops int) {
 		for i := 0; i < ops; i++ {
-			name := []string{"exact", "lpm", "ternary"}[rng.Intn(3)]
+			name := []string{"exact", "lpm", "ternary", "pair"}[rng.Intn(4)]
 			switch k := rng.Intn(10); {
 			case k < 5:
 				insert(name)
@@ -170,8 +177,10 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 
 	check("New")
 	mixed(240)
-	for len(nic.Program().Tables["exact"].Entries) < 200 {
-		insert("exact") // past half of one slot page: the group goes paged
+	for _, name := range []string{"exact", "pair"} {
+		for len(nic.Program().Tables[name].Entries) < 200 {
+			insert(name) // past half of one slot page: the group goes paged
+		}
 	}
 	swapped := nic.Program().Clone()
 	lpm := swapped.Tables["lpm"]
@@ -180,23 +189,41 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 		t.Fatal(err)
 	}
 	check("Swap")
-	for len(nic.Program().Tables["exact"].Entries) > 0 {
-		remove("exact", false) // down to no group at all
+	for _, name := range []string{"exact", "pair"} {
+		for len(nic.Program().Tables[name].Entries) > 0 {
+			remove(name, false) // down to no group at all
+		}
 	}
 	mixed(120)
-	if !paged {
-		t.Fatal("vacuous: the exact table never went paged")
+	if !paged["exact"] || !paged["pair"] {
+		t.Fatalf("vacuous: paged groups seen in %v, want exact and pair", paged)
 	}
+}
+
+// freshBind returns a node of the given probe cost bound to a copy of rt's
+// header, so that the views of the table a plan holds stay as that plan
+// bound them.
+func freshBind(rt *runtimeTable, probe float64) *execNode {
+	cp := *rt
+	nd := &execNode{probe: probe}
+	nd.bind(&cp)
+	return nd
+}
+
+// boundTo reports whether nd holds what a fresh bind of rt gives it.
+func boundTo(nd *execNode, rt *runtimeTable) bool {
+	return sameBinding(nd, freshBind(rt, nd.probe))
 }
 
 // sameBinding reports whether two nodes hold the same bound fields, views
 // pointing at the same slot pages.
 func sameBinding(a, b *execNode) bool {
+	samePage := func(x, y []slot) bool { return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0]) }
 	sameView := func(x, y groupView) bool {
-		return x.mask0 == y.mask0 && x.shift == y.shift && len(x.flat) == len(y.flat) &&
-			(len(x.flat) == 0 || &x.flat[0] == &y.flat[0])
+		return x.mask0 == y.mask0 && x.shift == y.shift && x.mask == y.mask && samePage(x.flat, y.flat) &&
+			slices.EqualFunc(x.pages, y.pages, samePage) && slices.Equal(x.masks, y.masks)
 	}
-	return a.oneWord == b.oneWord && a.bound == b.bound && a.ternary == b.ternary &&
-		a.fid == b.fid && a.kmask == b.kmask && a.charge == b.charge && a.defaultAct == b.defaultAct &&
-		slices.EqualFunc(a.views, b.views, sameView)
+	return a.oneWord == b.oneWord && a.fid == b.fid && a.kmask == b.kmask && a.ternary == b.ternary &&
+		slices.Equal(a.fids, b.fids) && slices.Equal(a.kmasks, b.kmasks) && a.charge == b.charge &&
+		a.defaultAct == b.defaultAct && slices.EqualFunc(a.views, b.views, sameView)
 }

@@ -63,15 +63,21 @@ const (
 	tinySlots = 8
 )
 
-// groupView is what a one-word probe of a one-page group reads. A group
-// starts with it, and a bound plan node holds a copy per group (see
-// execNode.bind), so that its probe starts from the slot page.
+// groupView is what a probe of a group reads. A group starts with it, and
+// a table node of the plan holds a copy per group (see execNode.bind), so
+// that the walk's probe starts from the slot page. What a one-word probe of
+// a one-page group reads comes first, in one cache line.
 type groupView struct {
 	mask0 uint64 // masks[0]
 	shift uint   // 64 - log2(slot count); 64 in a tiny group
 	// flat is the group's one page when it has at most pageSlots slots,
 	// one load closer to the probe than pages (empty in a larger group).
-	flat []slot
+	flat  []slot
+	mask  uint64 // slot count - 1
+	masks []uint64
+	// pages hold slot i at pages[i>>pageBits][i&(pageSlots-1)]; a group of
+	// at most pageSlots slots has one page of just that many (flat).
+	pages [][]slot
 }
 
 // maskGroup is one hash table of a multi-hash-table match structure — the
@@ -84,15 +90,9 @@ type groupView struct {
 // A published group is immutable. The mutators below belong to its owner:
 // the table under construction, or the copy runtimeTable.own made, which
 // shares its pages with the published group until set copies the ones it
-// writes. What a one-word probe of a small group reads comes first, in one
-// cache line: a 110-table program does not fit L1, and a line a table shows.
+// writes.
 type maskGroup struct {
 	groupView
-	// pages hold slot i at pages[i>>pageBits][i&(pageSlots-1)]; a group of
-	// at most pageSlots slots has one page of just that many (flat).
-	pages [][]slot
-	mask  uint64 // slot count - 1
-	masks []uint64
 	// shared is the published page directory a copy still has pages of.
 	shared   [][]slot
 	live     int // occupied slots
@@ -109,7 +109,7 @@ func (g *groupView) home(k uint64) uint64 {
 	return k * fib64 >> g.shift
 }
 
-func (g *maskGroup) at(i uint64) *slot {
+func (g *groupView) at(i uint64) *slot {
 	if i < uint64(len(g.flat)) { // the bounds check, and the small-group test
 		return &g.flat[i]
 	}
@@ -128,46 +128,35 @@ func (g *maskGroup) set(i uint64, s slot) {
 	}
 }
 
-// probe1 is find for the commonest shape, a one-word group of one page:
-// a tag match is a key match, the slot array is at hand, and the loop is
-// a few instructions a slot and small enough to inline into the walk.
-func (g *groupView) probe1(v uint64) *storedEntry {
-	k, slots := v&g.mask0, g.flat
-	mask := uint64(len(slots) - 1)
-	for i := g.home(k) & mask; ; i = (i + 1) & mask {
-		if s := &slots[i]; s.k == k || s.v == nil {
-			return s.v
-		}
-	}
-}
-
-// probePaged is probe1 through the page directory, for one-word groups of
-// more than one page: big enough that a call does not show, and out of
-// line so probe1 stays small.
-func (g *maskGroup) probePaged(v uint64) *storedEntry {
-	k := v & g.mask0
-	for i := g.home(k); ; i = (i + 1) & g.mask {
-		if s := &g.pages[i>>pageBits][i&(pageSlots-1)]; s.k == k || s.v == nil {
-			return s.v
-		}
-	}
-}
-
 // find returns the slot that holds the winner for values — masked or not,
-// masking is idempotent — or the empty slot that ends its probe run.
-func (g *maskGroup) find(values []uint64) uint64 {
+// masking is idempotent — and its index, or the empty slot that ends its
+// probe run. Entry operations take it, and the walk for keys of more than
+// one word.
+func (g *groupView) find(values []uint64) (uint64, *slot) {
 	k := g.slotKey(values)
 	for i := g.home(k); ; i = (i + 1) & g.mask {
 		if s := g.at(i); s.v == nil || s.k == k && s.v.keyed(values, g.masks) {
-			return i
+			return i, s
+		}
+	}
+}
+
+// probe1 is the walk's find in a one-word group, where a tag match is a
+// key match: a few instructions a slot, no entry read, and small enough to
+// inline into the walk.
+func (g *groupView) probe1(v uint64) *storedEntry {
+	k := v & g.mask0
+	for i := g.home(k); ; i = (i + 1) & g.mask {
+		if s := g.at(i); s.k == k || s.v == nil {
+			return s.v
 		}
 	}
 }
 
 // slotKey is the word a key's slot is tagged with.
-func (g *maskGroup) slotKey(values []uint64) uint64 {
+func (g *groupView) slotKey(values []uint64) uint64 {
 	if len(g.masks) == 1 {
-		return values[0] & g.masks[0]
+		return values[0] & g.mask0
 	}
 	h := uint64(14695981039346656037)
 	for i, m := range g.masks {
@@ -224,14 +213,14 @@ func (g *maskGroup) reserve(n int) {
 
 // add installs an entry; the caller reserved room for it.
 func (g *maskGroup) add(se *storedEntry) {
-	i := g.find(se.key)
-	switch w := g.at(i).v; {
+	i, s := g.find(se.key)
+	switch w := s.v; {
 	case w == nil:
 		g.set(i, slot{k: g.slotKey(se.key), v: se})
 		g.live++
 	case se.priority > w.priority:
 		g.shadowed = append(g.shadowed, w)
-		g.set(i, slot{k: g.at(i).k, v: se})
+		g.set(i, slot{k: s.k, v: se})
 	default:
 		g.shadowed = append(g.shadowed, se)
 	}
@@ -241,8 +230,9 @@ func (g *maskGroup) add(se *storedEntry) {
 // slot, and its index in shadowed or -1 when it is the slot's winner. Equal
 // matches share masks and key: every candidate is here, under this key.
 func (g *maskGroup) locate(key []uint64, match []p4ir.MatchValue) (at uint64, shadow int, se *storedEntry) {
-	at, shadow = g.find(key), -1
-	if w := g.at(at).v; w != nil && slices.Equal(w.match, match) {
+	at, s := g.find(key)
+	shadow = -1
+	if w := s.v; w != nil && slices.Equal(w.match, match) {
 		se = w
 	}
 	for i, s := range g.shadowed {
@@ -311,8 +301,12 @@ func (g *maskGroup) refreshRank() {
 // published one: they fork the header, copy the one group they touch, and
 // the control plane publishes the fork (see NIC.mutateTable), so packet
 // readers stay lock-free and see a table either before or after an
-// operation. What a packet reads comes first in the header.
+// operation. A packet reads only views: first in the header, so that what
+// a one-word probe reads of the first group shares one cache line.
 type runtimeTable struct {
+	// views backs the group views of the plan node bound to this header
+	// (execNode.bind), so that publishing a fork allocates nothing more.
+	views [8]groupView
 	// groups in probe order. Exact tables have at most one (every entry
 	// carries the full mask).
 	groups []*maskGroup
@@ -335,9 +329,6 @@ type runtimeTable struct {
 	// cow marks a fork of a published table: its groups are shared with
 	// readers, so own copies the one a mutator is about to write.
 	cow bool
-	// views backs the group views of the plan node bound to this header
-	// (execNode.bind), so that publishing a fork allocates nothing more.
-	views [8]groupView
 }
 
 // buildTable compiles a table's keys and actions — actions into
@@ -445,7 +436,7 @@ func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
 	gi := rt.groupIndex(masks)
 	fresh := gi < 0
 	if fresh {
-		g := &maskGroup{masks: slices.Clone(masks), prefixBits: se.prefixBits, firstSeq: se.seq}
+		g := &maskGroup{groupView: groupView{masks: slices.Clone(masks)}, prefixBits: se.prefixBits, firstSeq: se.seq}
 		if len(masks) > 0 {
 			g.mask0 = masks[0]
 		}
@@ -516,45 +507,6 @@ func (rt *runtimeTable) modify(match []p4ir.MatchValue, action string, args []st
 			g.set(at, slot{k: g.at(at).k, v: &next})
 		}
 	})
-}
-
-// lookup matches the width-masked field values against the table, group
-// by group in probe order. Hardware probes every bank: the charge is
-// numGroups whatever is found where. This loop takes what probes inline —
-// one-word keys, one-page groups — and holds no call, which keeps it in
-// registers; the first group that needs more takes the rest of the table
-// to lookupFrom. The walk reads a table whose groups all probe inline from
-// its plan node instead (execNode.lookup).
-func (rt *runtimeTable) lookup(values []uint64) *storedEntry {
-	var best *storedEntry
-	ternary := rt.kind == p4ir.MatchTernary
-	for gi, g := range rt.groups {
-		if len(values) != 1 || len(g.flat) == 0 {
-			return rt.lookupFrom(gi, best, values)
-		}
-		var done bool
-		if best, done = take(ternary, best, g.probe1(values[0])); done {
-			break
-		}
-	}
-	return best
-}
-
-func (rt *runtimeTable) lookupFrom(gi int, best *storedEntry, values []uint64) *storedEntry {
-	ternary := rt.kind == p4ir.MatchTernary
-	for _, g := range rt.groups[gi:] {
-		var se *storedEntry
-		if len(values) == 1 {
-			se = g.probePaged(values[0])
-		} else {
-			se = g.at(g.find(values)).v
-		}
-		var done bool
-		if best, done = take(ternary, best, se); done {
-			break
-		}
-	}
-	return best
 }
 
 // take is the match-kind ladder: exact and LPM tables take the first hit

@@ -109,7 +109,7 @@ func (m *tableModel) check(op string) {
 		m.t.Fatalf("op %d (%s): reference rebuild: %v", m.ops, op, err)
 	}
 	rt := m.nic.tables["t"]
-	if rt != m.nic.plan.Load().nodes[0].rt {
+	if !boundTo(&m.nic.plan.Load().nodes[0], rt) {
 		m.t.Fatalf("op %d (%s): published plan does not hold the current table", m.ops, op)
 	}
 	if got, want := rt.numGroups(), ref.numGroups(); got != want {
@@ -123,7 +123,7 @@ func (m *tableModel) check(op string) {
 func sameLookup(t *testing.T, when string, rt *runtimeTable, ref *refTable, probes [][]uint64) {
 	t.Helper()
 	for _, p := range probes {
-		g, want := rt.lookup(p), ref.lookup(p)
+		g, want := lookupIn(rt, p), ref.lookup(p)
 		if hit, probes := g != nil, rt.numGroups(); hit != want.hit || probes != want.probes {
 			t.Fatalf("%s: lookup(%#x) hit=%v probes=%d, reference hit=%v probes=%d", when, p, hit, probes, want.hit, want.probes)
 		}

@@ -11,6 +11,12 @@ import (
 // Multi-key lookups and less common match kinds, exercised directly
 // against the runtime table structures.
 
+// lookupIn is the walk's lookup of values in rt, through a node bound to
+// it (freshBind).
+func lookupIn(rt *runtimeTable, values []uint64) *storedEntry {
+	return freshBind(rt, 0).lookup(values)
+}
+
 func TestMultiKeyExactLookup(t *testing.T) {
 	tbl := &p4ir.Table{
 		Name: "pair",
@@ -28,13 +34,13 @@ func TestMultiKeyExactLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rt.lookup([]uint64{10, 80}); r == nil {
+	if r := lookupIn(rt, []uint64{10, 80}); r == nil {
 		t.Error("exact pair should hit")
 	}
-	if r := rt.lookup([]uint64{10, 81}); r != nil {
+	if r := lookupIn(rt, []uint64{10, 81}); r != nil {
 		t.Error("partial match must miss")
 	}
-	if r := rt.lookup([]uint64{11, 80}); r != nil {
+	if r := lookupIn(rt, []uint64{11, 80}); r != nil {
 		t.Error("partial match must miss")
 	}
 	if rt.numGroups() != 1 {
@@ -61,7 +67,7 @@ func TestMixedLPMExactKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10.20.x.x proto 6 matches both prefixes; longest (/16) wins first.
-	r := rt.lookup([]uint64{0x0a140102, 6})
+	r := lookupIn(rt, []uint64{0x0a140102, 6})
 	if r == nil {
 		t.Fatal("should hit")
 	}
@@ -69,7 +75,7 @@ func TestMixedLPMExactKey(t *testing.T) {
 		t.Errorf("longest prefix should win, got /%d", r.match[0].PrefixLen)
 	}
 	// Wrong proto misses both.
-	if r := rt.lookup([]uint64{0x0a140102, 17}); r != nil {
+	if r := lookupIn(rt, []uint64{0x0a140102, 17}); r != nil {
 		t.Error("proto mismatch should miss")
 	}
 	if rt.numGroups() != 2 {
@@ -94,10 +100,10 @@ func TestRangeKindTreatedAsTernary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := rt.lookup([]uint64{80}); r == nil {
+	if r := lookupIn(rt, []uint64{80}); r == nil {
 		t.Error("port 80 should match the low range")
 	}
-	if r := rt.lookup([]uint64{8080}); r != nil {
+	if r := lookupIn(rt, []uint64{8080}); r != nil {
 		t.Error("port 8080 should miss")
 	}
 }
@@ -119,7 +125,7 @@ func TestDuplicateEntryHigherPriorityWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rt.lookup([]uint64{5})
+	r := lookupIn(rt, []uint64{5})
 	if r == nil || r.cact.act.Name != "second" {
 		t.Errorf("priority 9 duplicate should win, got %+v", r)
 	}
@@ -204,7 +210,7 @@ func TestKeyWidthMasking(t *testing.T) {
 	}
 	// Lookup directly to observe the masked hit.
 	rt := nic.tables["narrow"]
-	if res := rt.lookup([]uint64{0x50}); res == nil {
+	if res := lookupIn(rt, []uint64{0x50}); res == nil {
 		t.Error("entry value above field width should be masked to match")
 	}
 }
@@ -271,7 +277,7 @@ func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
 			t.Errorf("%s: refused, but Table.Entries = %+v, want %+v", name, got, entries)
 		}
 		for v := uint64(1); v <= 9; v++ {
-			if hit := nic.tables["t"].lookup([]uint64{v}) != nil; hit != (v <= 3) {
+			if hit := lookupIn(nic.tables["t"], []uint64{v}) != nil; hit != (v <= 3) {
 				t.Errorf("%s: refused, but lookup(%d) hit = %v", name, v, hit)
 			}
 		}
