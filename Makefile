@@ -121,7 +121,8 @@ traces:
 # the root burst bench that has all three stores on its path, the root
 # Measure of that program's batch (walk and finish stage; its gomaxprocs=1
 # row gates the one-core path), the root Measure of the DASH program with
-# its baked entries (multi-group and two-word lookups) and the match
+# its baked entries (multi-group and two-word lookups), the same with the
+# dash workloads' three flow caches (the cache lock, hits and fills) and the match
 # store's rows: lookup per match kind, entry operation per table size,
 # bulk install. The control loop's benches live beside theirs too — one
 # round of each kind in core, the program digest and the binary codec
@@ -136,7 +137,7 @@ EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
-SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$|BenchmarkMeasureSynth110Instrumented$$|BenchmarkMeasureDash$$
+SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$|BenchmarkMeasureSynth110Instrumented$$|BenchmarkMeasureDash$$|BenchmarkMeasureDashCached$$
 CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkPacketBatch$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$
 CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis
 bench:

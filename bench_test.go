@@ -17,6 +17,7 @@ package pipeleon
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -520,11 +521,30 @@ func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 // the multi-group and multi-word lookups the 110-table rows barely have.
 // ns/pkt is per packet, allocs/op per Measure.
 func BenchmarkMeasureDash(b *testing.B) {
+	benchMeasureDash(b, dashProgram(b))
+}
+
+// BenchmarkMeasureDashCached is BenchmarkMeasureDash on the layout the dash
+// workloads deploy: a runtime flow cache in front of each of acl_level1,
+// acl_level2 and routing, at the search's default budget (1 024 entries)
+// and insert limit (5 000/s), so the cache lock, hits, misses, fills and
+// rejected fills are on the path.
+func BenchmarkMeasureDashCached(b *testing.B) {
+	prog := dashProgram(b)
+	cfg := opt.DefaultConfig()
+	for _, t := range []string{"acl_level1", "acl_level2", "routing"} {
+		cacheInFront(prog, t, cfg.CacheBudgetEntries, cfg.CacheInsertLimit)
+	}
+	benchMeasureDash(b, prog)
+}
+
+// dashProgram is testdata/dash.p4 with the dash workloads' entries baked in.
+func dashProgram(tb testing.TB) *p4ir.Program {
 	prog, err := LoadProgram("testdata/dash.p4")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	flows := trafficgen.UniformFlows(5, 20000)
+	flows := dashFlows()
 	bake := func(table string, e p4ir.Entry) {
 		t := prog.Tables[table]
 		t.Entries = append(t.Entries, e)
@@ -551,6 +571,54 @@ func BenchmarkMeasureDash(b *testing.B) {
 			Action: "fwd", Args: []string{fmt.Sprint(2 + i%6)},
 		})
 	}
+	return prog
+}
+
+func dashFlows() []trafficgen.Flow { return trafficgen.UniformFlows(5, 20000) }
+
+// cacheInFront puts a runtime flow cache over table t in front of it, laid
+// out as the search lays out a one-table cache: every edge into t enters
+// the cache, a hit skips to t's successor, a miss walks t.
+func cacheInFront(prog *p4ir.Program, t string, budget int, limit float64) {
+	tbl := prog.Tables[t]
+	name := p4ir.GeneratedName(p4ir.KindCache, []string{t})
+	to := func(next *string) {
+		if *next == t {
+			*next = name
+		}
+	}
+	to(&prog.Root)
+	for _, other := range prog.Tables {
+		to(&other.BaseNext)
+		for a, next := range other.ActionNext {
+			to(&next)
+			other.ActionNext[a] = next
+		}
+	}
+	for _, c := range prog.Conds {
+		to(&c.TrueNext)
+		to(&c.FalseNext)
+	}
+	keys := slices.Clone(tbl.Keys)
+	for i := range keys {
+		keys[i].Kind = p4ir.MatchExact
+	}
+	ct := &p4ir.Table{
+		Name: name, Keys: keys,
+		Actions:       []*p4ir.Action{{Name: "cache_hit"}, {Name: "cache_miss"}},
+		DefaultAction: "cache_miss",
+		ActionNext:    map[string]string{"cache_hit": tbl.BaseNext, "cache_miss": t},
+		MaxEntries:    budget,
+	}
+	ct.SetCacheMeta(p4ir.CacheSpec{
+		Table: name, Kind: p4ir.KindCache, Covers: []string{t},
+		HitNext: tbl.BaseNext, MissNext: t, Budget: budget, InsertLimit: limit,
+	})
+	prog.Tables[name] = ct
+}
+
+// benchMeasureDash times Measure of the dash batch on prog.
+func benchMeasureDash(b *testing.B, prog *p4ir.Program) {
 	nic, err := nicsim.New(prog, nicsim.Config{
 		Params: costmodel.BlueField2(), Collector: NewCollector(), Instrument: true,
 		Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
@@ -559,7 +627,7 @@ func BenchmarkMeasureDash(b *testing.B) {
 		b.Fatal(err)
 	}
 	gen := trafficgen.New(4, trafficgen.DefaultPacketBytes)
-	gen.AddFlows(flows...)
+	gen.AddFlows(dashFlows()...)
 	gen.SetSkew(0.9)
 	pkts := gen.Batch(8192)
 	nic.Measure(pkts) // warm: buffers sized

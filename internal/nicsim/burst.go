@@ -3,8 +3,8 @@ package nicsim
 import "pipeleon/internal/packet"
 
 // BurstSize is the default burst width of the batched datapath: the plan
-// pointer is loaded and profiling counters are flushed once per
-// BurstSize packets, amortizing dispatch the way a DPDK rx burst
+// pointer is loaded, the cache lock taken and profiling counters flushed
+// once per BurstSize packets, amortizing dispatch the way a DPDK rx burst
 // amortizes PCIe doorbells. 32 matches DPDK's conventional burst size.
 const BurstSize = 32
 
@@ -39,22 +39,35 @@ func (n *NIC) processBurst(ctx *procCtx, pkts []*packet.Packet, results []Result
 	var dropped uint64
 	for lo := 0; lo < len(pkts); lo += BurstSize {
 		hi := min(lo+BurstSize, len(pkts))
-		pl := n.plan.Load()
-		sink := ctx.sink(pl)
-		for i := lo; i < hi; i++ {
-			n.run(pl, ctx, pkts[i], sink, &results[i])
-			if results[i].Dropped {
-				dropped++
-			}
-			ctx.reset()
-		}
-		if ctx.chunk != nil {
-			sink.FlushCounters(&ctx.chunk.keys)
-		} else {
-			sink.Flush()
-		}
+		dropped += n.walkBurst(ctx, pkts[lo:hi], results[lo:hi])
 	}
 	n.noteBurst(uint64(len(pkts)), dropped)
+}
+
+// walkBurst walks one burst and returns its drop count. A plan with a flow
+// cache is loaded and walked under the cache lock (released on a panic
+// too), so an entry operation's invalidation lands between bursts.
+func (n *NIC) walkBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) (dropped uint64) {
+	pl := n.plan.Load()
+	if pl.cached {
+		n.cacheMu.Lock()
+		defer n.cacheMu.Unlock()
+		pl = n.plan.Load()
+	}
+	sink := ctx.sink(pl)
+	for i, pkt := range pkts {
+		n.run(pl, ctx, pkt, sink, &results[i])
+		if results[i].Dropped {
+			dropped++
+		}
+		ctx.reset()
+	}
+	if ctx.chunk != nil {
+		sink.FlushCounters(&ctx.chunk.keys)
+	} else {
+		sink.Flush()
+	}
+	return dropped
 }
 
 // noteBurst batches the processed/dropped accounting of a whole burst

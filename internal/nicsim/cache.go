@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"pipeleon/internal/p4ir"
@@ -19,38 +18,25 @@ type fieldWrite struct {
 	value uint64
 }
 
-// cachedResult is the value stored per cache entry: the combined effect of
-// the covered span on packets of this flow.
-type cachedResult struct {
-	writes  []fieldWrite
-	dropped bool
-}
-
 // tokenBucket rate-limits cache insertions (§3.2.2: "Pipeleon sets an
 // insertion rate limit for each cache; insertions beyond the limit will be
-// dropped").
+// dropped"), full at the Unix epoch. Time is the NIC's virtual clock in ns,
+// never the wall clock, so record/replay sessions reproduce every decision.
 type tokenBucket struct {
 	rate   float64 // tokens per second; <=0 = unlimited
 	burst  float64
 	tokens float64
-	last   time.Time
+	last   int64
 }
 
-func newTokenBucket(rate float64) *tokenBucket {
-	// The epoch anchors the bucket without consulting the wall clock: the
-	// emulator feeds a deterministic virtual time into allow(), and any
-	// wall-clock read here would make record/replay sessions diverge.
-	// (The zero time.Time would overflow now.Sub(last) — ~292-year
-	// time.Duration limit — so the Unix epoch is the anchor.)
-	return &tokenBucket{rate: rate, burst: rate, tokens: rate, last: time.Unix(0, 0)}
-}
-
-// allow consumes one token if available at time now.
-func (tb *tokenBucket) allow(now time.Time) bool {
+// allow consumes one token if available at virtual time now. The elapsed
+// seconds are time.Duration's, the float time.Time.Sub gives for the same
+// two instants.
+func (tb *tokenBucket) allow(now int64) bool {
 	if tb.rate <= 0 {
 		return true
 	}
-	dt := now.Sub(tb.last).Seconds()
+	dt := time.Duration(now - tb.last).Seconds()
 	if dt > 0 {
 		tb.tokens += dt * tb.rate
 		if tb.tokens > tb.burst {
@@ -66,19 +52,18 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 }
 
 // flowCache is the runtime store of one generated cache table: an LRU map
-// from masked key words to cachedResult, with a fixed entry budget and an
-// insertion rate limiter. Entries live in a slab of nodes linked into the
-// LRU order by index; an open-addressed table of node indices, keyed by a
-// hash of the key words, finds them. Node i's key words sit at i·kw in
-// keys and its writes at i·ww in ids and vals: one stride per array, the
-// longest key and result the cache has held, so an entry has no buffer of
-// its own and a warm cache neither allocates nor frees.
+// from masked key words to the covered span's effect on the flow, with a
+// fixed entry budget and an insertion rate limiter. Entries live in a slab
+// of nodes linked into the LRU order by index; an open-addressed table of
+// node indices, keyed by a hash of the key words, finds them. Node i's key
+// words sit at i·kw in keys and its writes at i·ww in ids and vals: one
+// stride per array, the longest key and result the cache has held, so an
+// entry has no buffer of its own and a warm cache neither allocates nor
+// frees. The NIC's cacheMu guards every field.
 type flowCache struct {
-	mu      sync.Mutex
 	spec    p4ir.CacheSpec
-	fields  []string
 	budget  int
-	limiter *tokenBucket
+	limiter tokenBucket
 
 	nodes  []cacheNode // live entries; the slab grows to the budget at most
 	keys   []uint64    // kw words per slab slot
@@ -101,12 +86,11 @@ type cacheNode struct {
 	dropped         bool
 }
 
-func newFlowCache(spec p4ir.CacheSpec, fields []string) *flowCache {
+func newFlowCache(spec p4ir.CacheSpec) *flowCache {
 	return &flowCache{
 		spec:    spec,
-		fields:  fields,
 		budget:  spec.Budget,
-		limiter: newTokenBucket(spec.InsertLimit),
+		limiter: tokenBucket{rate: spec.InsertLimit, burst: spec.InsertLimit, tokens: spec.InsertLimit},
 		head:    nilNode,
 		tail:    nilNode,
 	}
@@ -238,100 +222,84 @@ func (c *flowCache) refit(kw, ww int) {
 	c.keys, c.ids, c.vals, c.kw, c.ww = keys, ids, vals, kw, ww
 }
 
-// get looks up a key, refreshing LRU order on hit. The result's writes
-// are copied into buf (returned re-sliced): the node's writes may be
-// rewritten by a concurrent put as soon as the lock is released.
-func (c *flowCache) get(key []uint64, buf []fieldWrite) (cachedResult, bool) {
+// get looks up a key, refreshing LRU order on a hit. It returns the node
+// holding key, or nilNode and the key's hash, which the miss's fill takes.
+func (c *flowCache) get(key []uint64) (int32, uint64) {
 	h := hashWords(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	id := c.find(key, h)
 	if id < 0 {
 		c.misses++
-		return cachedResult{}, false
+		return nilNode, h
 	}
 	c.touch(id)
 	c.hits++
-	nd := &c.nodes[id]
-	o := int(id) * c.ww
-	ids, vals := c.ids[o:][:nd.nWrites], c.vals[o:][:nd.nWrites]
-	buf = slices.Grow(buf[:0], len(ids))[:len(ids)]
-	for i := range buf {
-		buf[i] = fieldWrite{ids[i], vals[i]}
-	}
-	return cachedResult{writes: buf, dropped: nd.dropped}, true
+	return id, h
 }
 
-// put installs a result, subject to the rate limit and LRU eviction. The
-// key words and the result's writes are copied into the node's slots:
-// callers reuse both across packets. A key or result too long for a
-// node's length fields is rejected.
-func (c *flowCache) put(key []uint64, res cachedResult, now time.Time) bool {
-	h := hashWords(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(key) > math.MaxUint16 || len(res.writes) > math.MaxUint16 {
+// result is node id's cached effect, read in place: the written field IDs,
+// their values, and whether the packet drops.
+func (c *flowCache) result(id int32) ([]packet.FieldID, []uint64, bool) {
+	nd := &c.nodes[id]
+	o := int(id) * c.ww
+	return c.ids[o:][:nd.nWrites], c.vals[o:][:nd.nWrites], nd.dropped
+}
+
+// fill installs the result of a key get has just missed (h is its hash),
+// subject to the rate limit and LRU eviction, copying key and writes into
+// the node's slots. The key is still absent: the walk holds the cache lock
+// from miss to fill and meets a cache once per packet (P4S03: acyclic). A
+// key or result too long for a node's length fields is rejected.
+func (c *flowCache) fill(key []uint64, h uint64, writes []fieldWrite, dropped bool, now int64) bool {
+	if len(key) > math.MaxUint16 || len(writes) > math.MaxUint16 || !c.limiter.allow(now) {
 		c.rejected++
 		return false
 	}
-	id := c.find(key, h)
-	if id >= 0 {
-		c.touch(id)
-		c.fit(0, len(res.writes))
+	var id int32
+	if c.budget > 0 && len(c.nodes) >= c.budget {
+		// The evicted node is the one the new key moves into.
+		id = c.tail
+		c.indexDelete(id)
+		c.unlink(id)
+		c.evictions++
 	} else {
-		if !c.limiter.allow(now) {
-			c.rejected++
-			return false
+		if 2*(len(c.nodes)+1) > len(c.index) {
+			c.growIndex()
 		}
-		if c.budget > 0 && len(c.nodes) >= c.budget {
-			// The evicted node is the one the new key moves into.
-			id = c.tail
-			c.indexDelete(id)
-			c.unlink(id)
-			c.evictions++
-		} else {
-			if 2*(len(c.nodes)+1) > len(c.index) {
-				c.growIndex()
+		id = int32(len(c.nodes))
+		if int(id) == cap(c.nodes) {
+			size := max(16, 2*cap(c.nodes))
+			if c.budget > 0 {
+				size = min(size, c.budget)
 			}
-			id = int32(len(c.nodes))
-			if int(id) == cap(c.nodes) {
-				size := max(16, 2*cap(c.nodes))
-				if c.budget > 0 {
-					size = min(size, c.budget)
-				}
-				c.nodes = append(make([]cacheNode, 0, size), c.nodes...)
-			}
-			c.nodes = c.nodes[:id+1]
+			c.nodes = append(make([]cacheNode, 0, size), c.nodes...)
 		}
-		c.fit(len(key), len(res.writes))
-		nd := &c.nodes[id]
-		nd.hash, nd.keyLen = h, uint16(len(key))
-		copy(c.keys[int(id)*c.kw:], key)
-		c.indexInsert(id)
-		c.pushFront(id)
-		c.inserts++
+		c.nodes = c.nodes[:id+1]
 	}
+	c.fit(len(key), len(writes))
 	nd := &c.nodes[id]
+	nd.hash, nd.keyLen = h, uint16(len(key))
+	copy(c.keys[int(id)*c.kw:], key)
+	c.indexInsert(id)
+	c.pushFront(id)
+	c.inserts++
 	o := int(id) * c.ww
-	ids, vals := c.ids[o:][:len(res.writes)], c.vals[o:][:len(res.writes)]
-	for i, w := range res.writes {
+	ids, vals := c.ids[o:][:len(writes)], c.vals[o:][:len(writes)]
+	for i, w := range writes {
 		ids[i], vals[i] = w.id, w.value
 	}
-	nd.nWrites, nd.dropped = uint16(len(res.writes)), res.dropped
+	nd.nWrites, nd.dropped = uint16(len(writes)), dropped
 	return true
 }
 
 // invalidate clears the whole cache (an update in any covered table
 // invalidates it, §3.2.2). The slab and its key and write slots stay.
 func (c *flowCache) invalidate() {
-	c.mu.Lock()
 	if len(c.nodes) > 0 {
 		c.nodes = c.nodes[:0]
 		clear(c.index)
 		c.head, c.tail = nilNode, nilNode
 	}
 	c.invalidations++
-	c.mu.Unlock()
 }
 
 // CacheStats is a snapshot of one cache's counters.
@@ -346,8 +314,6 @@ type CacheStats struct {
 }
 
 func (c *flowCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
 		Table: c.spec.Table,
 		Hits:  c.hits, Misses: c.misses,

@@ -3,6 +3,7 @@ package nicsim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -11,21 +12,20 @@ import (
 	"pipeleon/internal/stats"
 )
 
-// cacheModel drives the slab flow cache and the reference side by side
-// and fails on the first operation whose return value or CacheStats
-// differ.
+// cacheModel drives the slab flow cache the way the walk does — get, and
+// on a miss the fill — and the reference by get and put, side by side, and
+// fails on the first operation whose outcome or CacheStats differ.
 type cacheModel struct {
 	t   *testing.T
 	fc  *flowCache
 	ref *refFlowCache
 	now int64 // virtual clock, ns since the epoch
-	buf []fieldWrite
 	ops int
 }
 
 func newCacheModel(t *testing.T, budget int, limit float64) *cacheModel {
 	spec := p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: budget, InsertLimit: limit}
-	return &cacheModel{t: t, fc: newFlowCache(spec, nil), ref: newRefFlowCache(spec, nil)}
+	return &cacheModel{t: t, fc: newFlowCache(spec), ref: newRefFlowCache(spec, nil)}
 }
 
 // refKey is the byte key the reference sees for a word key: the words
@@ -58,26 +58,43 @@ func sameResult(a, b cachedResult) bool {
 	return true
 }
 
-func (m *cacheModel) get(key []uint64) {
+// visit is one cache visit of the walk: a hit's result must be the
+// reference's; a miss fills res, which the walk computed meanwhile, with
+// the clock advanced by step.
+func (m *cacheModel) visit(key []uint64, res cachedResult, step int64) {
 	m.t.Helper()
-	got, ok := m.fc.get(key, m.buf)
-	m.buf = got.writes
+	id, h := m.fc.get(key)
 	want, wantOK := m.ref.get(refKey(key))
-	if ok != wantOK || !sameResult(got, want) {
-		m.t.Fatalf("op %d get(%x) = %+v %v, reference %+v %v", m.ops+1, key, got, ok, want, wantOK)
+	if id >= 0 {
+		ids, vals, dropped := m.fc.result(id)
+		got := cachedResult{dropped: dropped}
+		for i := range ids {
+			got.writes = append(got.writes, fieldWrite{ids[i], vals[i]})
+		}
+		if !wantOK || !sameResult(got, want) {
+			m.t.Fatalf("op %d get(%x) = %+v, reference %+v %v", m.ops+1, key, got, want, wantOK)
+		}
+		m.check("hit")
+		return
 	}
-	m.check("get")
+	if wantOK {
+		m.t.Fatalf("op %d get(%x) missed, reference hit %+v", m.ops+1, key, want)
+	}
+	m.check("miss")
+	m.now += step
+	got := m.fc.fill(key, h, res.writes, res.dropped, m.now)
+	if want := m.ref.put(refKey(key), res, time.Unix(0, m.now)); got != want {
+		m.t.Fatalf("op %d fill(%x) = %v, reference %v", m.ops+1, key, got, want)
+	}
+	m.check("fill")
 }
 
-func (m *cacheModel) put(key []uint64, res cachedResult, advance int64) {
-	m.t.Helper()
-	m.now += advance
-	now := time.Unix(0, m.now)
-	got, want := m.fc.put(key, res, now), m.ref.put(refKey(key), res, now)
-	if got != want {
-		m.t.Fatalf("op %d put(%x) = %v, reference %v", m.ops+1, key, got, want)
-	}
-	m.check("put")
+// getOrFill is the walk's use of a cache outside the model: get, and on a
+// miss the fill of writes at virtual time now. It reports whether a fill
+// went in.
+func getOrFill(fc *flowCache, key []uint64, writes []fieldWrite, now int64) bool {
+	id, h := fc.get(key)
+	return id < 0 && fc.fill(key, h, writes, false, now)
 }
 
 func (m *cacheModel) invalidate() {
@@ -88,9 +105,9 @@ func (m *cacheModel) invalidate() {
 }
 
 // run interprets prog as an operation stream: one opcode byte, then the
-// operands the opcode takes. Keys come from a small space so that hits,
-// updates in place and evictions all occur; key lengths vary so that keys
-// that are prefixes of one another meet in one cache.
+// operands the opcode takes. Keys come from a small space so that hits
+// and evictions both occur; key lengths vary so that keys that are
+// prefixes of one another meet in one cache.
 func (m *cacheModel) run(prog []byte) {
 	m.t.Helper()
 	next := func() uint64 {
@@ -112,8 +129,6 @@ func (m *cacheModel) run(prog []byte) {
 	}
 	for len(prog) > 0 {
 		switch op := next(); {
-		case op < 96:
-			m.get(key())
 		case op < 232:
 			k := key()
 			res := cachedResult{dropped: next()&1 == 1}
@@ -126,7 +141,7 @@ func (m *cacheModel) run(prog []byte) {
 			if step > 250_000 {
 				step *= 4000
 			}
-			m.put(k, res, step)
+			m.visit(k, res, step)
 		default:
 			m.invalidate()
 		}
@@ -151,23 +166,35 @@ func TestFlowCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// A result handed out by get must survive the node being rewritten.
-func TestFlowCacheGetDoesNotAliasNode(t *testing.T) {
-	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 1}, nil)
-	now := time.Unix(0, 1)
-	fc.put([]uint64{1}, cachedResult{writes: []fieldWrite{{id: 3, value: 7}}}, now)
-	r, ok := fc.get([]uint64{1}, nil)
-	fc.put([]uint64{1}, cachedResult{writes: []fieldWrite{{id: 4, value: 8}}}, now) // in place
-	fc.put([]uint64{2}, cachedResult{writes: []fieldWrite{{id: 5, value: 9}}}, now) // evicts, reuses the node
-	if !ok || len(r.writes) != 1 || r.writes[0] != (fieldWrite{id: 3, value: 7}) {
-		t.Fatalf("result changed under the caller: %+v", r)
+// TestTokenBucketMatchesTimeBucket feeds the virtual-nanosecond bucket and
+// the reference's time.Time bucket one seeded clock: every decision agrees,
+// and so does every token count, bit for bit.
+func TestTokenBucketMatchesTimeBucket(t *testing.T) {
+	for _, rate := range []float64{0, 1, 50, 5000, 1e6} {
+		rng := stats.NewRNG(uint64(rate) + 7)
+		tb, ref := tokenBucket{rate: rate, burst: rate, tokens: rate}, newRefTokenBucket(rate)
+		var now int64
+		for i := range 20000 {
+			// Mostly sub-millisecond steps; now and then none, or seconds.
+			switch r := rng.Uint64(); r % 8 {
+			case 0:
+			case 1:
+				now += int64(r >> 3 % 10_000_000_000)
+			default:
+				now += int64(r >> 3 % 1_000_000)
+			}
+			got, want := tb.allow(now), ref.allow(time.Unix(0, now))
+			if got != want || math.Float64bits(tb.tokens) != math.Float64bits(ref.tokens) {
+				t.Fatalf("rate %v, step %d at %d ns: allow %v tokens %v, reference %v %v", rate, i, now, got, tb.tokens, want, ref.tokens)
+			}
+		}
 	}
 }
 
 // FuzzFlowCacheModel lets the fuzzer write the operation stream. Seed
 // corpus lives in testdata/fuzz/FuzzFlowCacheModel.
 func FuzzFlowCacheModel(f *testing.F) {
-	f.Add(uint8(2), uint16(0), []byte{100, 0, 1, 0, 1, 3, 9, 10, 0, 0, 1, 255}) // put, get, invalidate
+	f.Add(uint8(2), uint16(0), []byte{100, 0, 1, 0, 1, 3, 9, 10, 0, 0, 1, 255}) // miss and fill, hit, invalidate
 	f.Fuzz(func(t *testing.T, budget uint8, limit uint16, prog []byte) {
 		newCacheModel(t, int(budget%65), float64(limit)).run(prog)
 	})

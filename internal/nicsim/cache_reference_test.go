@@ -10,7 +10,55 @@ import (
 
 // The flow cache as it stood before the slab rewrite — a Go map from key
 // string to container/list element — kept verbatim (names aside) as the
-// oracle of TestFlowCacheMatchesReference and FuzzFlowCacheModel.
+// oracle of TestFlowCacheMatchesReference and FuzzFlowCacheModel, with the
+// time.Time token bucket it limited inserts by: independent of the virtual
+// nanosecond bucket the cache under test keeps.
+
+// cachedResult is the value stored per cache entry: the combined effect of
+// the covered span on packets of this flow.
+type cachedResult struct {
+	writes  []fieldWrite
+	dropped bool
+}
+
+// refTokenBucket rate-limits cache insertions (§3.2.2: "Pipeleon sets an
+// insertion rate limit for each cache; insertions beyond the limit will be
+// dropped").
+type refTokenBucket struct {
+	rate   float64 // tokens per second; <=0 = unlimited
+	burst  float64
+	tokens float64
+	last   time.Time
+}
+
+func newRefTokenBucket(rate float64) *refTokenBucket {
+	// The epoch anchors the bucket without consulting the wall clock: the
+	// emulator feeds a deterministic virtual time into allow(), and any
+	// wall-clock read here would make record/replay sessions diverge.
+	// (The zero time.Time would overflow now.Sub(last) — ~292-year
+	// time.Duration limit — so the Unix epoch is the anchor.)
+	return &refTokenBucket{rate: rate, burst: rate, tokens: rate, last: time.Unix(0, 0)}
+}
+
+// allow consumes one token if available at time now.
+func (tb *refTokenBucket) allow(now time.Time) bool {
+	if tb.rate <= 0 {
+		return true
+	}
+	dt := now.Sub(tb.last).Seconds()
+	if dt > 0 {
+		tb.tokens += dt * tb.rate
+		if tb.tokens > tb.burst {
+			tb.tokens = tb.burst
+		}
+		tb.last = now
+	}
+	if tb.tokens >= 1 {
+		tb.tokens--
+		return true
+	}
+	return false
+}
 
 // refFlowCache is the runtime store of one generated cache table: an LRU map
 // from masked key to cachedResult, with a fixed entry budget and an
@@ -22,7 +70,7 @@ type refFlowCache struct {
 	budget  int
 	lru     *list.List // front = most recent; values are *refCacheNode
 	index   map[string]*list.Element
-	limiter *tokenBucket
+	limiter *refTokenBucket
 
 	hits, misses, inserts, rejected, evictions, invalidations uint64
 }
@@ -39,7 +87,7 @@ func newRefFlowCache(spec p4ir.CacheSpec, fields []string) *refFlowCache {
 		budget:  spec.Budget,
 		lru:     list.New(),
 		index:   map[string]*list.Element{},
-		limiter: newTokenBucket(spec.InsertLimit),
+		limiter: newRefTokenBucket(spec.InsertLimit),
 	}
 }
 

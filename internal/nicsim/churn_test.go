@@ -3,7 +3,9 @@ package nicsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
@@ -164,4 +166,175 @@ func TestEntryChurnUnderTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// cachedT1 is a flow cache in front of t1, an exact table on the
+// destination address whose hit action writes meta.t1; both the cache's hit
+// and t1 continue to next.
+func cachedT1(t *testing.T, b *p4ir.Builder, next string, entries ...p4ir.Entry) *p4ir.Program {
+	t.Helper()
+	prog, err := b.Table(p4ir.TableSpec{
+		Name:          "cachetab",
+		Keys:          []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: 32}},
+		Actions:       []*p4ir.Action{{Name: "cache_hit"}, {Name: "cache_miss"}},
+		DefaultAction: "cache_miss",
+		ActionNext:    map[string]string{"cache_hit": next, "cache_miss": "t1"},
+	}).Table(exactTable("t1", "ipv4.dstAddr", next, entries...)).Root("cachetab").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Tables["cachetab"].SetCacheMeta(p4ir.CacheSpec{
+		Table: "cachetab", Kind: p4ir.KindCache,
+		Covers: []string{"t1"}, HitNext: next, MissNext: "t1", Budget: 1024,
+	})
+	return prog
+}
+
+// TestNoStaleFillOutlivesInvalidation runs ProcessBurst workers through a
+// cache over t1 while inserts and deletes toggle t1's entries. Every
+// operation invalidates the whole cache (§3.2.2), so once the workers have
+// drained, every live cache entry must be what a fresh walk of t1 gives its
+// key: a fill computed on the plan from before an operation and installed
+// after its invalidation fails the check. Rounds of a few operations each
+// give the race many last operations to land on.
+func TestNoStaleFillOutlivesInvalidation(t *testing.T) {
+	const keys = 4
+	dst := func(k int) uint32 { return uint32(0x0a000001 + k) }
+	defer twoProcs()()
+	nic, err := New(cachedT1(t, p4ir.NewBuilder("p"), ""), Config{Params: testParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkts [BurstSize]*packet.Packet
+	for i := range pkts {
+		pkts[i] = pkt(1, dst(i%keys), 1, 80)
+	}
+	installed := make([]bool, keys)
+	rounds := 300
+	if testing.Short() || raceEnabled {
+		rounds = 60
+	}
+	for r := 0; r < rounds && !t.Failed(); r++ {
+		stop := make(chan struct{})
+		var ready, done sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			ready.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				var scratch [BurstSize]packet.Packet
+				var burst [BurstSize]*packet.Packet
+				var results [BurstSize]Result
+				for i := range burst {
+					burst[i] = &scratch[i]
+				}
+				for n := 0; ; n++ {
+					for j := range burst {
+						pkts[j].CloneInto(burst[j])
+					}
+					nic.ProcessBurst(burst[:], results[:])
+					if n == 0 {
+						ready.Done()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		ready.Wait()
+		for n := 0; n < 8; n++ {
+			k := (r + n) % keys
+			if installed[k] {
+				err = nic.DeleteEntry("t1", e("hit_act", uint64(dst(k))).Match)
+			} else {
+				err = nic.InsertEntry("t1", e("hit_act", uint64(dst(k))))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			installed[k] = !installed[k]
+		}
+		close(stop)
+		done.Wait()
+
+		fresh, err := p4ir.ChainTables("fresh", []p4ir.TableSpec{exactTable("t1", "ipv4.dstAddr", "", nic.Program().Tables["t1"].Entries...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walker, err := New(fresh, Config{Params: testParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := nic.caches["cachetab"]
+		for id := range fc.nodes {
+			key := fc.keys[id*fc.kw:][:fc.nodes[id].keyLen]
+			ids, vals, dropped := fc.result(int32(id))
+			cached := pkt(1, uint32(key[0]), 1, 80)
+			for i, fid := range ids {
+				cached.SetID(fid, vals[i])
+			}
+			walked := pkt(1, uint32(key[0]), 1, 80)
+			res := walker.Process(walked)
+			got, _ := cached.Get("meta.t1")
+			want, _ := walked.Get("meta.t1")
+			if got != want || dropped != res.Dropped {
+				t.Errorf("round %d: the cache holds meta.t1=%d dropped=%v for %#x, a fresh walk of t1 gives %d %v",
+					r, got, dropped, key[0], want, res.Dropped)
+			}
+		}
+	}
+}
+
+// TestPanickingWalkReleasesCacheLock panics the walk of a cached program
+// in a CondFunc, once through Measure and once through Process: the cache
+// lock unwinds with it, so the next Measure completes.
+func TestPanickingWalkReleasesCacheLock(t *testing.T) {
+	var boom atomic.Bool
+	prog := cachedT1(t, p4ir.NewBuilder("p").Cond("boom", "boom()", "", ""), "boom", e("hit_act", 5))
+	nic, err := New(prog, Config{Params: testParams(), CondFuncs: map[string]CondFunc{
+		"boom()": func(*packet.Packet) bool {
+			if boom.Load() {
+				panic("boom")
+			}
+			return true
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]*packet.Packet, 64)
+	for i := range pkts {
+		pkts[i] = pkt(1, uint32(i%8), 1, 80)
+	}
+	for _, walk := range []func(){
+		func() { nic.Measure(pkts) },
+		func() { nic.Process(pkts[0].Clone()) },
+	} {
+		boom.Store(true)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the walk did not panic")
+				}
+			}()
+			walk()
+		}()
+		boom.Store(false)
+		done := make(chan Measurement, 1)
+		go func() { done <- nic.Measure(pkts) }()
+		select {
+		case m := <-done:
+			if m.Packets != len(pkts) {
+				t.Fatalf("Measure after the panic: %+v", m)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Measure after a panicking walk did not complete: the cache lock is still held")
+		}
+	}
+	if st := nic.CacheStatsAll(); len(st) != 1 || st[0].Hits == 0 {
+		t.Errorf("cache stats after the panics: %+v", st)
+	}
 }

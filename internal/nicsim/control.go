@@ -73,7 +73,9 @@ func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
 
 // mutateTable runs one entry operation against a fork of the table's
 // lookup store and publishes the fork copy-on-write: in-flight Process
-// calls keep walking the old plan; new calls see the new entries.
+// calls keep walking the old plan; new calls see the new entries. The
+// covering caches are invalidated after the publish, under the cache lock:
+// after any burst that walks the old plan, so none of its fills survive.
 func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -91,12 +93,14 @@ func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) erro
 	if id, ok := pl.ids[table]; ok {
 		n.plan.Store(pl.rebuiltNode(id, rt))
 	}
+	n.cacheMu.Lock()
 	for _, fc := range n.coveredBy[table] {
 		fc.invalidate()
 	}
 	if n.vendorCache != nil {
 		n.vendorCache.invalidate()
 	}
+	n.cacheMu.Unlock()
 	return nil
 }
 
@@ -111,6 +115,8 @@ func (n *NIC) CacheStatsAll() []CacheStats {
 	}
 	sort.Strings(names)
 	var out []CacheStats
+	n.cacheMu.Lock()
+	defer n.cacheMu.Unlock()
 	for _, name := range names {
 		out = append(out, n.caches[name].stats())
 	}

@@ -36,7 +36,8 @@ type Config struct {
 	// VendorCacheBudget is its LRU capacity (entries).
 	VendorCacheBudget int
 	// CondFuncs supplies evaluators for conditional expressions the
-	// built-in compiler cannot parse.
+	// built-in compiler cannot parse. On a cached program they run under
+	// the NIC's cache lock, so they must not call back into the NIC.
 	CondFuncs map[string]CondFunc
 	// Collector receives profiling counters when Instrument is true.
 	Collector *profile.Collector
@@ -78,11 +79,11 @@ type Config struct {
 
 // NIC is one emulated SmartNIC running a program.
 //
-// The data path is lock-free: Process reads the current execution plan
-// through an atomic pointer and walks it with a pooled scratch context,
-// so packet processing scales with cores. n.mu serializes only the
-// control plane (Swap, entry mutation, introspection), which rebuilds
-// affected plan state copy-on-write and publishes it atomically.
+// The data path walks the execution plan, read through an atomic pointer,
+// with a pooled scratch context: lock-free, unless the plan has a flow
+// cache, when cacheMu is held once per burst. n.mu serializes the control
+// plane (Swap, entry mutation, introspection), which rebuilds affected
+// plan state copy-on-write and publishes it atomically.
 type NIC struct {
 	mu     sync.RWMutex
 	prog   *p4ir.Program
@@ -95,6 +96,8 @@ type NIC struct {
 	// when it changes.
 	coveredBy   map[string][]*flowCache
 	vendorCache *flowCache
+	// cacheMu guards every flow cache of the NIC, runtime and vendor.
+	cacheMu sync.Mutex
 
 	plan    atomic.Pointer[execPlan]
 	ctxPool sync.Pool
@@ -148,6 +151,7 @@ func (ctx *procCtx) reset() {
 
 type fillRef struct {
 	cache          *flowCache
+	hash           uint64   // the key's, from the miss
 	keyOff, keyLen int      // in words of keyBuf
 	covers         []uint64 // node-id bitset; nil = every table (vendor)
 	writes         []fieldWrite
@@ -167,7 +171,7 @@ func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
 		}
 		n.vendorCache = newFlowCache(p4ir.CacheSpec{
 			Table: "__vendor_cache", Kind: p4ir.KindCache, Budget: budget,
-		}, nil)
+		})
 	}
 	if err := n.load(prog); err != nil {
 		return nil, err
@@ -205,18 +209,14 @@ func (n *NIC) load(prog *p4ir.Program) error {
 			tables[name] = rt
 		}
 		if spec, ok := t.CacheMeta(); ok && !spec.Prepopulated {
-			fields := make([]string, len(t.Keys))
-			for i, k := range t.Keys {
-				fields[i] = k.Field
-			}
 			var fc *flowCache
 			if old, exists := n.caches[name]; exists && sameCacheIdentity(old.spec, spec) {
-				old.mu.Lock()
+				n.cacheMu.Lock()
 				old.spec = spec // routing may have changed; contents survive
-				old.mu.Unlock()
+				n.cacheMu.Unlock()
 				fc = old
 			} else {
-				fc = newFlowCache(spec, fields)
+				fc = newFlowCache(spec)
 			}
 			caches[name] = fc
 			for _, covered := range spec.Covers {
@@ -331,11 +331,15 @@ type Result struct {
 
 // Process runs one packet through the program, mutating it in place, and
 // returns the emulated result: ProcessBurst of one packet, plus
-// Result.Path. It takes no locks on the plan: the execution plan is read
-// through an atomic pointer and all scratch state lives in a pooled
-// context, so concurrent callers never contend.
+// Result.Path. All scratch state lives in a pooled context; a plan with a
+// flow cache is loaded and walked under the cache lock.
 func (n *NIC) Process(pkt *packet.Packet) Result {
 	pl := n.plan.Load()
+	if pl.cached {
+		n.cacheMu.Lock()
+		defer n.cacheMu.Unlock()
+		pl = n.plan.Load()
+	}
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = true
 	sink := ctx.sink(pl)
@@ -395,18 +399,19 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			uint64(k.SrcAddr)<<32|uint64(k.DstAddr),
 			uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))
 		lat += pl.Mat
-		if r, ok := pl.vendor.get(ctx.keyBuf[off:], ctx.writes); ok {
-			ctx.writes = r.writes
-			for _, w := range r.writes {
-				pkt.SetID(w.id, w.value)
+		id, h := pl.vendor.get(ctx.keyBuf[off:])
+		if id >= 0 {
+			ids, vals, drop := pl.vendor.result(id)
+			for i, fid := range ids {
+				pkt.SetID(fid, vals[i])
 			}
-			lat += float64(len(r.writes)) * pl.Act
+			lat += float64(len(ids)) * pl.Act
 			res.VendorCacheHit = true
-			res.Dropped = r.dropped
+			res.Dropped = drop
 			ctx.finish(pl, res, lat, flowHash)
 			return
 		}
-		ctx.addFill(pl.vendor, off, len(ctx.keyBuf)-off, nil)
+		ctx.addFill(pl.vendor, h, off, len(ctx.keyBuf)-off, nil)
 	}
 
 	cur := pl.root
@@ -470,12 +475,13 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			lat += pl.Mat * mult
 			off := len(ctx.keyBuf)
 			ctx.keyBuf = append(ctx.keyBuf, vals...)
-			if r, ok := nd.fc.get(ctx.keyBuf[off:], ctx.writes); ok {
-				ctx.writes = r.writes
-				for _, w := range r.writes {
-					pkt.SetID(w.id, w.value)
+			id, h := nd.fc.get(ctx.keyBuf[off:])
+			if id >= 0 {
+				wids, wvals, drop := nd.fc.result(id)
+				for i, fid := range wids {
+					pkt.SetID(fid, wvals[i])
 				}
-				lat += float64(len(r.writes)) * pl.Act * mult
+				lat += float64(len(wids)) * pl.Act * mult
 				if sampled {
 					sink.IncCache(int(nd.cacheSlot), true)
 					sink.IncAction(int(nd.hitSite))
@@ -484,7 +490,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 				} else if pl.instrument {
 					lat += pl.sampleCheckCost * mult
 				}
-				if r.dropped {
+				if drop {
 					dropped = true
 					break
 				}
@@ -499,7 +505,7 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			} else if pl.instrument {
 				lat += pl.sampleCheckCost * mult
 			}
-			ctx.addFill(nd.fc, off, len(ctx.keyBuf)-off, nd.covers)
+			ctx.addFill(nd.fc, h, off, len(ctx.keyBuf)-off, nd.covers)
 			cur = nd.missNext
 			continue
 		}
@@ -579,12 +585,11 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		if tick < 1 {
 			tick = 1
 		}
-		now := time.Unix(0, n.vnow.Add(tick))
+		now := n.vnow.Add(tick)
 		filled := false
 		for fi := range ctx.fills {
 			f := &ctx.fills[fi]
-			key := ctx.keyBuf[f.keyOff : f.keyOff+f.keyLen]
-			if f.cache.put(key, cachedResult{writes: f.writes, dropped: f.dropped}, now) {
+			if f.cache.fill(ctx.keyBuf[f.keyOff:f.keyOff+f.keyLen], f.hash, f.writes, f.dropped, now) {
 				filled = true
 			}
 			ctx.fillBufs = append(ctx.fillBufs, f.writes[:0])
@@ -616,15 +621,16 @@ func (ctx *procCtx) finish(pl *execPlan, res *Result, lat float64, flowHash uint
 	res.LatencyNs = pl.applyNoise(lat, flowHash)
 }
 
-// addFill opens a cache-fill record, reusing a pooled write buffer.
-func (ctx *procCtx) addFill(fc *flowCache, keyOff, keyLen int, covers []uint64) {
+// addFill opens a cache-fill record for a miss of key hash h, reusing a
+// pooled write buffer.
+func (ctx *procCtx) addFill(fc *flowCache, h uint64, keyOff, keyLen int, covers []uint64) {
 	var buf []fieldWrite
 	if n := len(ctx.fillBufs); n > 0 {
 		buf = ctx.fillBufs[n-1][:0]
 		ctx.fillBufs = ctx.fillBufs[:n-1]
 	}
 	ctx.fills = append(ctx.fills, fillRef{
-		cache: fc, keyOff: keyOff, keyLen: keyLen, covers: covers, writes: buf,
+		cache: fc, hash: h, keyOff: keyOff, keyLen: keyLen, covers: covers, writes: buf,
 	})
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"time"
-
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
@@ -346,17 +344,16 @@ func TestFlowCacheCachesDropVerdict(t *testing.T) {
 }
 
 func TestCacheLRUEvictionAndBudget(t *testing.T) {
-	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 2}, nil)
-	now := timeNow()
+	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 2})
 	a, b, c := []uint64{1}, []uint64{2}, []uint64{3}
-	fc.put(a, cachedResult{}, now)
-	fc.put(b, cachedResult{}, now)
-	fc.get(a, nil) // refresh a
-	fc.put(c, cachedResult{}, now)
-	if _, ok := fc.get(b, nil); ok {
+	getOrFill(fc, a, nil, 1)
+	getOrFill(fc, b, nil, 1)
+	fc.get(a) // refresh a
+	getOrFill(fc, c, nil, 1)
+	if id, _ := fc.get(b); id >= 0 {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if _, ok := fc.get(a, nil); !ok {
+	if id, _ := fc.get(a); id < 0 {
 		t.Error("a was refreshed; must survive")
 	}
 	if st := fc.stats(); st.Evictions != 1 || st.Entries != 2 {
@@ -370,7 +367,7 @@ func TestCacheLRUEvictionAndBudget(t *testing.T) {
 // with key and writes slices costs about 160 bytes).
 func TestFlowCacheEntryFootprint(t *testing.T) {
 	const budget = 1024
-	res := cachedResult{writes: []fieldWrite{{id: 1, value: 1}, {id: 2, value: 2}, {id: 3, value: 3}, {id: 4, value: 4}}}
+	writes := []fieldWrite{{id: 1, value: 1}, {id: 2, value: 2}, {id: 3, value: 3}, {id: 4, value: 4}}
 	live := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -378,11 +375,11 @@ func TestFlowCacheEntryFootprint(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := live()
-	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: budget}, nil)
+	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: budget})
 	key := make([]uint64, 3)
 	for i := range budget {
 		key[0], key[1], key[2] = uint64(i), uint64(i)*0x9e3779b97f4a7c15, 7
-		fc.put(key, res, time.Unix(0, 1))
+		getOrFill(fc, key, writes, 1)
 	}
 	perEntry := float64(int64(live())-int64(before)) / budget
 	runtime.KeepAlive(fc)
@@ -395,11 +392,10 @@ func TestFlowCacheEntryFootprint(t *testing.T) {
 }
 
 func TestCacheInsertRateLimit(t *testing.T) {
-	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 1000, InsertLimit: 5}, nil)
-	now := timeNow()
+	fc := newFlowCache(p4ir.CacheSpec{Table: "c", Kind: p4ir.KindCache, Budget: 1000, InsertLimit: 5})
 	accepted := 0
 	for i := 0; i < 100; i++ {
-		if fc.put([]uint64{uint64(i)}, cachedResult{}, now) {
+		if getOrFill(fc, []uint64{uint64(i)}, nil, 1) {
 			accepted++
 		}
 	}
@@ -742,9 +738,6 @@ func TestMaxEntriesEnforced(t *testing.T) {
 		t.Error("MaxEntries must be enforced")
 	}
 }
-
-// timeNow is a test helper so cache tests read naturally.
-func timeNow() time.Time { return time.Now() }
 
 func offPathParams() costmodel.Params {
 	pm := testParams()

@@ -14,9 +14,10 @@ import (
 // node gets a dense int32 id, control-flow edges are resolved to ids, the
 // target's cost kernel is embedded, and profiling sites are bound to
 // integer slots of a profile.Layout. Process walks the plan with no map
-// lookups, no string parsing, and no locks — the plan pointer itself is
-// swapped atomically by the control plane (copy-on-write), which is the
-// single-writer invariant that makes the fast path lock-free.
+// lookups and no string parsing. The plan pointer is swapped atomically by
+// the control plane (copy-on-write), the single-writer invariant that makes
+// the walk of a cache-free plan lock-free; a plan with a flow cache is
+// walked under the NIC's cache lock, once per burst.
 
 type nodeKind uint8
 
@@ -131,6 +132,7 @@ type execPlan struct {
 
 	maxSteps   int
 	instrument bool
+	cached     bool // a flow cache (runtime or vendor) is on the walk
 
 	// The constants every event is charged: a probe, a primitive, a
 	// conditional, a counter update, each scaled by the current tier's
@@ -182,6 +184,7 @@ func (n *NIC) compile() *execPlan {
 		noiseStd:      n.cfg.NoiseStdDev,
 		noiseSeed:     n.cfg.Seed + 1,
 		vendor:        n.vendorCache,
+		cached:        n.vendorCache != nil,
 	}
 	sampleCheck := n.cfg.SampleCheckFraction
 	if n.cfg.Instrument && sampleCheck == 0 {
@@ -215,6 +218,7 @@ func (n *NIC) compile() *execPlan {
 			if fc, isCache := n.caches[name]; isCache {
 				nd.kind = nkCache
 				nd.fc = fc
+				pl.cached = true
 				nd.hitNext = resolve(fc.spec.HitNext)
 				nd.missNext = resolve(fc.spec.MissNext)
 				nd.cacheSlot = int32(len(layout.Caches))

@@ -11,8 +11,8 @@ import (
 
 // Local is the in-process backend: it wraps the software SmartNIC
 // emulator and its profiling collector. Packet processing stays on the
-// emulator's lock-free fast path — Local adds synchronization only around
-// the deploy checkpoint, which is control-plane state.
+// emulator's fast path — Local adds synchronization only around the
+// deploy checkpoint, which is control-plane state.
 type Local struct {
 	nic *nicsim.NIC
 	col *profile.Collector

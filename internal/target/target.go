@@ -7,7 +7,7 @@
 // Three implementations ship with the repo:
 //
 //   - Local wraps a *nicsim.NIC and its profile collector (this package),
-//     preserving the emulator's lock-free fast path.
+//     preserving the emulator's fast path.
 //   - Remote (package target/remote) drives a nicd device server over the
 //     extended control-plane protocol, so the optimizer can live off-box.
 //   - Replayer (this package) replays Measure/Profile/CacheStats responses
