@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -245,6 +246,11 @@ func lintModule(root string) ([]Violation, error) {
 		return nil, err
 	}
 	out = append(out, vs...)
+	vs, err = lintOneDecoder(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
@@ -252,6 +258,76 @@ func lintModule(root string) ([]Violation, error) {
 		return out[i].Pos.Line < out[j].Pos.Line
 	})
 	return out, nil
+}
+
+// The IR's action and condition language (Primitive.Op, Conditional.Expr)
+// means what internal/p4ir's Primitive.Decode and Conditional.Decode say;
+// internal/p4c, the frontend that emits it, is the one other package that
+// spells it (a second reading once missed what forward writes). So no .Op
+// is compared or switched against a string literal, and .Expr is read only
+// as an argument of a fmt call or an Add (a diag.List message).
+func lintOneDecoder(fset *token.FileSet, root string) ([]Violation, error) {
+	var out []Violation
+	err := walkModule(fset, root, false, func(path string, f *ast.File) {
+		if !slices.ContainsFunc([]string{"internal/p4ir", "internal/p4c"}, func(dir string) bool {
+			return strings.HasPrefix(path, filepath.Join(root, dir)+string(filepath.Separator))
+		}) {
+			out = append(out, checkOneDecoder(fset, f)...)
+		}
+	})
+	return out, err
+}
+
+func checkOneDecoder(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	report := func(n ast.Node, what string) {
+		out = append(out, Violation{Pos: fset.Position(n.Pos()), Rule: "one-decoder",
+			Msg: what + ": decode it with p4ir's Primitive.Decode or Conditional.Decode instead"})
+	}
+	imported := map[string]bool{}
+	for _, imp := range f.Imports {
+		if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+			imported[importName(f, p)] = true
+		}
+	}
+	field := func(e ast.Expr, name string) bool { // a field, not a package's identifier
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, isIdent := sel.X.(*ast.Ident)
+		return !isIdent || id.Obj != nil || !imported[id.Name]
+	}
+	isStr := func(e ast.Expr) bool { lit, ok := e.(*ast.BasicLit); return ok && lit.Kind == token.STRING }
+	message, fmtName := map[ast.Expr]bool{}, importName(f, "fmt")
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				if id, isIdent := sel.X.(*ast.Ident); sel.Sel.Name == "Add" || isIdent && id.Name == fmtName {
+					for _, a := range n.Args {
+						message[a] = true
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			if field(n, "Expr") && !message[n] {
+				report(n, "reads .Expr")
+			}
+		case *ast.BinaryExpr:
+			if (n.Op == token.EQL || n.Op == token.NEQ) && (field(n.X, "Op") && isStr(n.Y) || field(n.Y, "Op") && isStr(n.X)) {
+				report(n, "compares .Op to a string literal")
+			}
+		case *ast.SwitchStmt:
+			if field(n.Tag, "Op") && slices.ContainsFunc(n.Body.List, func(c ast.Stmt) bool {
+				return slices.ContainsFunc(c.(*ast.CaseClause).List, isStr)
+			}) {
+				report(n, "switches on .Op over string literals")
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // lintDir parses every matching non-test .go file under dir (recursively)
@@ -287,13 +363,13 @@ func lintDir(fset *token.FileSet, dir string, match func(string) bool, check fun
 }
 
 // diagCodeRE matches the stable diagnostic codes the analyzer emits
-// (PLxxx structural/symbolic lint, RWxxx rewrite proofs, SExxx semantic
-// equivalence). Each code is the contract between the analyzer and
-// everything that filters on it (CI, the deploy gate, operators reading
-// round reports), so two rules apply module-wide: a code is declared by
-// exactly one constant, and every declared code has a row in the root
-// DESIGN.md diagnostics table (rendered there as `CODE` in backticks).
-var diagCodeRE = regexp.MustCompile(`^(PL|RW|SE)[0-9]{3}$`)
+// (P4Sxx structural checks, PLxxx structural/symbolic lint, RWxxx rewrite
+// proofs, SExxx semantic equivalence). Each code is the contract between
+// the analyzer and everything that filters on it (CI, the deploy gate,
+// operators reading round reports), so two rules apply module-wide: a code
+// is declared by exactly one constant, and every declared code has a row,
+// `CODE` in backticks, in the root DESIGN.md diagnostics table.
+var diagCodeRE = regexp.MustCompile(`^((PL|RW|SE)[0-9]{3}|P4S[0-9]{2})$`)
 
 // lintDiagCodes collects, module-wide, constant declarations whose value
 // is a diag-code string literal, and reports duplicates and codes missing
@@ -409,55 +485,67 @@ func lintOneVerifier(fset *token.FileSet, root string) ([]Violation, error) {
 	return out, err
 }
 
-// knobFile declares opt.Config, the optimizer's tunables. A field nothing
-// sets is not a tunable: it is a constant that a Config literal built
-// without DefaultConfig silently zeroes (six such fields once priced every
-// cache at hit rate 0 for whoever wrote opt.Config{...}). So every exported
-// field must be set somewhere in the module outside this file — assigned
-// through a selector (cfg.F = v) or keyed in a composite literal. For this
-// rule alone test files count as users: a knob only a test turns is still
-// turned. The match is by field name, as syntactic as the other rules: a
-// same-named field of another struct counts too.
-const knobFile, knobType = "internal/opt/config.go", "Config"
+// knobs are the structs of tunables. A field nothing sets is not a tunable:
+// it is a constant that a literal built without the defaults silently
+// zeroes (six such fields once priced every cache at hit rate 0 for whoever
+// wrote opt.Config{...}). So every exported field must be set somewhere in
+// the module outside the file declaring it — assigned through a selector
+// (cfg.F = v) or keyed in a composite literal. For this rule alone test
+// files count as users: a knob only a test turns is still turned. The match
+// is by field name, as syntactic as the other rules.
+var knobs = []struct{ file, typ string }{
+	{"internal/opt/config.go", "Config"},
+	{"internal/nicsim/nic.go", "Config"},
+	{"internal/core/guard.go", "DeployGuard"},
+}
 
 func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
-	decl := filepath.Join(root, knobFile)
-	fields, set := map[string]token.Pos{}, map[string]bool{}
+	type field struct {
+		file, typ, name string
+		pos             token.Pos
+	}
+	var fields []field
+	setIn := map[string][]string{} // field name -> files setting it
 	err := walkModule(fset, root, true, func(path string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok && path == decl && n.Name.Name == knobType {
+				st, ok := n.Type.(*ast.StructType)
+				for _, k := range knobs {
+					if !ok || path != filepath.Join(root, k.file) || n.Name.Name != k.typ {
+						continue
+					}
 					for _, fld := range st.Fields.List {
 						for _, name := range fld.Names {
 							if name.IsExported() {
-								fields[name.Name] = name.Pos()
+								fields = append(fields, field{k.file, k.typ, name.Name, name.Pos()})
 							}
 						}
 					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && path != decl {
-						set[sel.Sel.Name] = true
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
 					}
 				}
 			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok && path != decl {
-					set[key.Name] = true
+				if key, ok := n.Key.(*ast.Ident); ok {
+					setIn[key.Name] = append(setIn[key.Name], path)
 				}
 			}
 			return true
 		})
 	})
 	var out []Violation
-	for name, pos := range fields {
-		if !set[name] {
+	for _, fl := range fields {
+		decl := filepath.Join(root, fl.file)
+		if !slices.ContainsFunc(setIn[fl.name], func(p string) bool { return p != decl }) {
 			out = append(out, Violation{
-				Pos:  fset.Position(pos),
+				Pos:  fset.Position(fl.pos),
 				Rule: "live-knob",
 				Msg: fmt.Sprintf("%s.%s is set nowhere outside %s: make it an unexported constant, or delete it",
-					knobType, name, knobFile),
+					fl.typ, fl.name, fl.file),
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -680,6 +681,130 @@ func build() { s, _ := opt.NewSession(nil, nil, opt.Config{}); s.Search(nil); s.
 		t.Fatalf("got %v, want 4 in plan.go and 1 in alias.go: %v", perFile, vs)
 	}
 	if !strings.Contains(vs[0].Msg, "core.Runtime") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}
+
+func TestEveryKnobStructIsChecked(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/nicsim/nic.go": `package nicsim
+
+type Config struct {
+	Seed     uint64
+	MaxSteps int
+}
+
+func defaults() Config { return Config{MaxSteps: 64} }
+`,
+		"internal/core/guard.go": `package core
+
+type DeployGuard struct {
+	VerifyPackets      int
+	MinPredictedGainNs float64
+}
+`,
+		// Set outside its own file: Seed and VerifyPackets are live.
+		"cmd/nicd/main.go": `package main
+
+import (
+	"pipeleon/internal/core"
+	"pipeleon/internal/nicsim"
+)
+
+var cfg = nicsim.Config{Seed: 1}
+
+func guard(g *core.DeployGuard) { g.VerifyPackets = 8 }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 2 || vs[0].Rule != "live-knob" || !strings.HasPrefix(vs[0].Msg, "DeployGuard.MinPredictedGainNs ") ||
+		vs[1].Rule != "live-knob" || !strings.HasPrefix(vs[1].Msg, "Config.MaxSteps ") {
+		t.Fatalf("got %v, want DeployGuard.MinPredictedGainNs and Config.MaxSteps unset", vs)
+	}
+}
+
+func TestOneDecoder(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// Second readings of the IR's language: a switch and a comparison
+		// on the op, and two reads of the expression.
+		"internal/nicsim/compiled.go": `package nicsim
+
+import "strings"
+
+func kind(p prim, c *cond) int {
+	switch p.Op {
+	case "drop":
+		return 1
+	}
+	if "forward" == p.Op {
+		return 2
+	}
+	if strings.HasPrefix(c.Expr, "valid(") {
+		return 3
+	}
+	if cfg.Op == "drop" || strings.HasPrefix(prog.Expr, "valid(") {
+		return 4
+	}
+	return parse(c.Expr)
+}
+`,
+		// Package-level values another file declares: per-file parsing
+		// leaves them unresolved, and they are values all the same.
+		"internal/nicsim/vars.go": `package nicsim
+
+var (
+	cfg  prim
+	prog cond
+)
+`,
+		// Fine: ops compared to each other, the expression in a message, a
+		// package's Expr type, and a test file.
+		"internal/analysis/deep.go": `package analysis
+
+import (
+	"fmt"
+	"go/ast"
+)
+
+func same(p, q prim) bool { return p.Op == q.Op }
+
+func msg(l *list, c *cond, e ast.Expr) error {
+	l.Add("PL203", c.Expr)
+	return fmt.Errorf("bad %q", c.Expr)
+}
+`,
+		"internal/analysis/deep_test.go": `package analysis
+
+func oracle(p prim) bool { return p.Op == "drop" }
+`,
+		// The decoder itself and the frontend that emits the language.
+		"internal/p4ir/decode.go": `package p4ir
+
+func (p Primitive) Decode() int { if p.Op == "drop" { return 1 }; return len(c.Expr) }
+`,
+		"internal/p4c/lower.go": `package p4c
+
+func lower(s stmt) bool { return s.Op == "==" }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, v := range vs {
+		if v.Rule != "one-decoder" || filepath.Base(v.Pos.Filename) != "compiled.go" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		lines = append(lines, v.Pos.Line)
+	}
+	if !slices.Equal(lines, []int{6, 10, 13, 16, 16, 19}) {
+		t.Fatalf("got violations at lines %v, want 6, 10, 13, 16, 16, 19: %v", lines, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "Primitive.Decode") {
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
 	}
 }

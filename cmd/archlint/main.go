@@ -29,11 +29,17 @@
 //   - one-round: non-test files of internal/fleet call neither
 //     opt.NewSession nor a Search, SearchAndApply or Materialize method;
 //     the fleet plans through a canary's core.Runtime.
-//   - live-knob: every exported field of opt.Config is set (assigned
-//     through a selector, or keyed in a composite literal) somewhere in
-//     the module outside internal/opt/config.go, test files counting as
-//     users for this rule only; a field nothing sets is a constant that a
-//     literal built without DefaultConfig silently zeroes.
+//   - live-knob: every exported field of opt.Config, nicsim.Config and
+//     core.DeployGuard is set (assigned through a selector, or keyed in a
+//     composite literal) somewhere in the module outside the file
+//     declaring it, test files counting as users for this rule only; a
+//     field nothing sets is a constant that a literal built without the
+//     defaults silently zeroes.
+//   - one-decoder: outside internal/p4ir (the decoder) and internal/p4c
+//     (the frontend) nothing compares or switches a .Op against a string
+//     literal, and .Expr is read only as an argument of a fmt call or a
+//     diag.List Add; a primitive or condition means what p4ir's
+//     Primitive.Decode and Conditional.Decode say.
 //
 // Test files are exempt from every rule (and read by live-knob only).
 // Violations print one per line as file:line: [rule] message; the exit

@@ -1,8 +1,7 @@
 package absint
 
 import (
-	"math"
-	"strconv"
+	"slices"
 	"strings"
 
 	"pipeleon/internal/p4ir"
@@ -75,7 +74,8 @@ const (
 type cnode struct {
 	name string
 	kind nodeKind
-	cond condExpr
+	cond p4ir.Cond
+	slot int32    // of cond.Field, for a comparison
 	next [2]int32 // nodeCond: true arm, false arm; nodePass: the miss path
 	tab  *ctable
 }
@@ -120,32 +120,19 @@ type caction struct {
 	writes []int32 // slots prims write
 }
 
-type primOp uint8
-
-const (
-	opSet primOp = iota
-	opAdd
-	opSub
-)
-
-// cprim is one field write: dst = a (opSet) or a ± b.
+// cprim is one field write: dst = a ± b for PrimAdd and PrimSub, dst = a
+// for the others (set and forward).
 type cprim struct {
-	op      primOp
+	op      p4ir.PrimKind
 	dst     int32
 	a, b    operand
 	checked bool // report a provably truncating operand (header writes other than forward)
 }
 
-type operandKind uint8
-
-const (
-	opdConst operandKind = iota
-	opdSlot              // reads state slot idx
-	opdArg               // reads action-data argument idx
-)
-
+// operand is a compiled p4ir.Operand: a constant c, state slot idx
+// (OperandField) or action datum idx (OperandArg).
 type operand struct {
-	kind operandKind
+	kind p4ir.OperandKind
 	idx  int32
 	c    Value
 }
@@ -155,9 +142,9 @@ type operand struct {
 // out-of-range ones.
 func (o *operand) eval(st []Value, args []operand) Value {
 	switch o.kind {
-	case opdConst:
+	case p4ir.OperandLit:
 		return o.c
-	case opdSlot:
+	case p4ir.OperandField:
 		return st[o.idx]
 	}
 	if int(o.idx) < len(args) {
@@ -195,9 +182,9 @@ func compile(prog *p4ir.Program) *plan {
 		nd.name = name
 		if c, ok := prog.Conds[name]; ok {
 			nd.kind = nodeCond
-			nd.cond = parseCond(c.Expr)
-			if nd.cond.kind == ckCompare {
-				nd.cond.slot = p.fields.slotOf(nd.cond.field)
+			nd.cond = c.Decode()
+			if nd.cond.Kind == p4ir.CondCompare {
+				nd.slot = p.fields.slotOf(nd.cond.Field)
 			}
 			nd.next = [2]int32{p.resolve(c.TrueNext), p.resolve(c.FalseNext)}
 			continue
@@ -271,7 +258,7 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 		ce := &ct.entries[ei]
 		ce.live = true
 		for i, k := range t.Keys {
-			mask := entryMask(k, e.Match[i])
+			mask := k.MatchMask(e.Match[i])
 			ct.match[ei*nk+i] = cmatch{
 				mask:     mask,
 				val:      e.Match[i].Value & mask,
@@ -282,126 +269,49 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 			continue
 		}
 		for _, a := range e.Args {
-			// Action data referencing action data reads zero.
-			if strings.HasPrefix(a, "$") {
-				ce.args = append(ce.args, operand{c: Const(0)})
-			} else {
-				ce.args = append(ce.args, p.baseOperand(a))
-			}
+			ce.args = append(ce.args, p.operand(p4ir.DecodeOperand(a)))
 		}
 	}
 	return ct
 }
 
-// entryMask derives the comparison mask of one entry key, matching the
-// emulator's entryMasks.
-func entryMask(k p4ir.Key, mv p4ir.MatchValue) uint64 {
-	switch k.Kind {
-	case p4ir.MatchExact:
-		return k.FullMask()
-	case p4ir.MatchLPM:
-		return k.PrefixMask(mv.PrefixLen)
-	default: // ternary / range
-		return mv.Mask
-	}
-}
-
 // compileAction lowers an action to its field writes the way the emulator
-// compiles primitives: everything after a drop is dead, malformed
-// primitives are no-ops, and writes to unknown non-meta fields are
-// swallowed.
+// executes its decoded primitives: everything after a drop is dead,
+// malformed primitives are no-ops, and writes to unknown non-meta fields
+// are swallowed.
 func (p *plan) compileAction(a *p4ir.Action, next int32) *caction {
 	ca := &caction{name: a.Name, next: next}
-	write := func(pr cprim, dst string) {
-		pr.dst = p.fields.slotOf(dst)
-		if p.fields.width[pr.dst] == unwritable {
-			return
-		}
-		pr.checked = pr.checked && !strings.HasPrefix(dst, "meta.")
-		ca.prims = append(ca.prims, pr)
-		for _, s := range ca.writes {
-			if s == pr.dst {
-				return
-			}
-		}
-		ca.writes = append(ca.writes, pr.dst)
-	}
-	for _, pr := range a.Primitives {
-		switch pr.Op {
-		case "drop", "mark_to_drop":
+	for _, prim := range a.Primitives {
+		in := prim.Decode()
+		if in.Kind == p4ir.PrimDrop {
 			ca.drops = true
 			return ca
-		case "modify_field":
-			if len(pr.Args) >= 2 {
-				write(cprim{op: opSet, a: p.operand(pr.Args[1]), checked: true}, pr.Args[0])
-			}
-		case "add", "subtract":
-			if len(pr.Args) >= 3 {
-				op := opAdd
-				if pr.Op == "subtract" {
-					op = opSub
-				}
-				write(cprim{op: op, a: p.operand(pr.Args[1]), b: p.operand(pr.Args[2]), checked: true}, pr.Args[0])
-			}
-		case "forward":
-			if len(pr.Args) >= 1 {
-				// forward writes meta.egress_port (full width, no truncation).
-				write(cprim{op: opSet, a: p.operand(pr.Args[0])}, "meta.egress_port")
-			}
+		}
+		if in.Dst == "" {
+			continue
+		}
+		pr := cprim{op: in.Kind, a: p.operand(in.Src[0]), b: p.operand(in.Src[1])}
+		if pr.dst = p.fields.slotOf(in.Dst); p.fields.width[pr.dst] == unwritable {
+			continue
+		}
+		// Header writes are checked for truncation; forward writes
+		// metadata (full width, no truncation).
+		pr.checked = !strings.HasPrefix(in.Dst, "meta.")
+		ca.prims = append(ca.prims, pr)
+		if !slices.Contains(ca.writes, pr.dst) {
+			ca.writes = append(ca.writes, pr.dst)
 		}
 	}
 	return ca
 }
 
-// operand mirrors the emulator's operand compilation: "$i" resolves entry
-// action data (a negative or unparseable index reads zero), dotted names
-// read fields, and anything else parses as a literal (unparseable reads
-// zero).
-func (p *plan) operand(arg string) operand {
-	if strings.HasPrefix(arg, "$") {
-		i, err := strconv.Atoi(arg[1:])
-		if err != nil || i < 0 || i > math.MaxInt32 {
-			return operand{c: Const(0)} // no entry carries that many arguments
-		}
-		return operand{kind: opdArg, idx: int32(i)}
+// operand resolves a decoded operand's field to its state slot.
+func (p *plan) operand(o p4ir.Operand) operand {
+	switch o.Kind {
+	case p4ir.OperandArg:
+		return operand{kind: o.Kind, idx: int32(o.Arg)}
+	case p4ir.OperandField:
+		return operand{kind: o.Kind, idx: p.fields.slotOf(o.Field)}
 	}
-	return p.baseOperand(arg)
-}
-
-func (p *plan) baseOperand(arg string) operand {
-	if p4ir.IsFieldRef(arg) {
-		return operand{kind: opdSlot, idx: p.fields.slotOf(arg)}
-	}
-	v, err := strconv.ParseUint(arg, 0, 64)
-	if err != nil {
-		return operand{c: Const(0)}
-	}
-	return operand{c: Const(v)}
-}
-
-// parseCond mirrors nicsim's compileCond grammar. Expressions it cannot
-// analyze (valid(...) headers, custom predicates, malformed literals) are
-// ckUnknown, which the interpreter treats as "either arm" — always sound.
-func parseCond(expr string) condExpr {
-	s := strings.TrimSpace(expr)
-	switch s {
-	case "true", "":
-		return condExpr{kind: ckConst, constVal: true}
-	case "false":
-		return condExpr{kind: ckConst, constVal: false}
-	}
-	if strings.HasPrefix(s, "valid(") {
-		return condExpr{}
-	}
-	for _, op := range []string{"==", "!=", "<=", ">=", "<", ">"} {
-		if i := strings.Index(s, op); i > 0 {
-			field := strings.TrimSpace(s[:i])
-			lit, err := strconv.ParseUint(strings.TrimSpace(s[i+len(op):]), 0, 64)
-			if err != nil {
-				return condExpr{}
-			}
-			return condExpr{kind: ckCompare, field: field, op: op, lit: lit}
-		}
-	}
-	return condExpr{}
+	return operand{c: Const(o.Lit)}
 }

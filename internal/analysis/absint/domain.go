@@ -5,13 +5,17 @@
 // intervals capture conditional refinements (ipv4.ttl > 5) and arithmetic,
 // known bits capture exact/LPM/ternary match constraints and constants.
 //
-// The interpreter mirrors the nicsim emulator's concrete semantics
-// bit-for-bit where they are observable: header writes truncate to the
+// What a primitive, an operand or a condition means is not decided here:
+// the interpreter, like the nicsim emulator and the dependency analysis,
+// compiles p4ir's decoded forms (Primitive.Decode, DecodeOperand,
+// Conditional.Decode, Key.MatchMask). What it adds is the value semantics,
+// equal to the emulator's where observable: header writes truncate to the
 // registry width while metadata keeps full 64-bit values, unknown fields
 // and out-of-range action arguments read zero, and table lookups mask keys
-// to the declared key width. Soundness is pinned by property tests and the
-// FuzzAbsintAgree fuzz target: the abstract result must always contain the
-// concrete emulator result.
+// to the declared key width. Validity tests and opaque conditions take
+// both arms. Soundness is pinned by property tests and the FuzzAbsintAgree
+// fuzz target: the abstract result must always contain the concrete
+// emulator result.
 //
 // On top of the per-node analysis (Analyze) the package provides
 // path-class differential execution (Exec with forced branch decisions),

@@ -81,7 +81,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		in := info{ok: true, masks: words[:n:n], vals: words[n : 2*n : 2*n]}
 		words = words[2*n:]
 		for i, k := range t.Keys {
-			m := entryMask(k, e.Match[i])
+			m := k.MatchMask(e.Match[i])
 			in.masks[i] = m
 			in.vals[i] = e.Match[i].Value & m
 		}

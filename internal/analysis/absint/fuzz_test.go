@@ -19,7 +19,7 @@ import (
 // panic. Seed corpus lives in testdata/fuzz/FuzzAbsintAgree.
 func FuzzAbsintAgree(f *testing.F) {
 	f.Add([]byte(`{"name":"x","init_table":"t","tables":[{"name":"t","key":[{"target":"ipv4.ttl","match_type":"exact","width":8}],"actions":[{"name":"drop","primitives":[{"op":"drop"}]},{"name":"fwd","primitives":[{"op":"forward","parameters":["3"]}]}],"default_action":"fwd","entries":[{"match_key":[{"value":64}],"action_name":"drop"}]}],"conditionals":[]}`), uint64(7))
-	f.Add([]byte(`{"name":"y","init_table":"c","tables":[{"name":"t","key":[{"target":"tcp.dport","match_type":"ternary","width":16}],"actions":[{"name":"m","primitives":[{"op":"add","parameters":["meta.n","meta.n","$0"]}]}],"entries":[{"priority":2,"match_key":[{"value":80,"mask":65520}],"action_name":"m","action_data":["5"]}]}],"conditionals":[{"name":"c","expression":"ipv4.proto == 6","true_next":"t","false_next":""}]}`), uint64(1))
+	f.Add([]byte(`{"name":"y","init_table":"c","tables":[{"name":"t","key":[{"target":"tcp.dport","match_type":"ternary","width":16}],"actions":[{"name":"m","primitives":[{"op":"add","parameters":["meta.n","meta.n","$0"]}]}],"entries":[{"priority":2,"match_key":[{"value":80,"mask":65520}],"action_name":"m","action_data":["5"]}]}],"conditionals":[{"name":"c","expression":"ipv4.proto == 6","true_next":"t","false_next":"","read_fields":["ipv4.proto"]}]}`), uint64(1))
 	f.Add([]byte(`{}`), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		prog, err := p4ir.Load(bytes.NewReader(data))

@@ -17,8 +17,8 @@ var errEmptyNodeName = errors.New("absint: program contains a node with an empty
 // pre-filled with the field's default. Fields the program never mentions
 // have no slot and always hold their default: header fields are
 // parser-extracted and unconstrained within their registry width, metadata
-// starts zeroed, and unknown non-meta fields read zero (mirroring the
-// emulator's FieldInvalid fallback).
+// starts zeroed, and unknown non-meta fields read zero (as the emulator's
+// FieldInvalid reads do).
 type State struct {
 	fields *fieldTable
 	vals   []Value
@@ -351,14 +351,14 @@ func (x *exec) runCond(nd *cnode, st []Value, force int8, nr *NodeResult) {
 	ce := &nd.cond
 	mayT, mayF := true, true
 	var refT, refF Value
-	switch ce.kind {
-	case ckConst:
-		mayT, mayF = ce.constVal, !ce.constVal
-	case ckCompare:
-		mayT, mayF, refT, refF = evalCompare(st[ce.slot], ce.op, ce.lit)
+	switch ce.Kind {
+	case p4ir.CondConst:
+		mayT, mayF = ce.Value, !ce.Value
+	case p4ir.CondCompare:
+		mayT, mayF, refT, refF = evalCompare(st[nd.slot], ce.Op, ce.Lit)
 	}
 	if nr != nil {
-		nr.CondKnown = ce.kind != ckUnknown
+		nr.CondKnown = ce.Kind == p4ir.CondConst || ce.Kind == p4ir.CondCompare // valid() and opaque: both arms
 		nr.CondDecided = mayT != mayF
 		nr.CondTaken = mayT
 	}
@@ -372,25 +372,25 @@ func (x *exec) runCond(nd *cnode, st []Value, force int8, nr *NodeResult) {
 	// existing read, so it is stored verbatim (no truncation applies).
 	// Comparisons of unknown non-meta fields, which always read zero,
 	// refine nothing.
-	refine := ce.kind == ckCompare && x.p.fields.width[ce.slot] != unwritable
+	refine := ce.Kind == p4ir.CondCompare && x.p.fields.width[nd.slot] != unwritable
 	var old Value
 	if refine {
-		old = st[ce.slot]
+		old = st[nd.slot]
 	}
 	if mayT {
 		if refine {
-			st[ce.slot] = refT
+			st[nd.slot] = refT
 		}
 		x.flow(nd.next[0], st)
 	}
 	if mayF {
 		if refine {
-			st[ce.slot] = refF
+			st[nd.slot] = refF
 		}
 		x.flow(nd.next[1], st)
 	}
 	if refine {
-		st[ce.slot] = old
+		st[nd.slot] = old
 	}
 }
 
@@ -472,10 +472,9 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 	return dropped
 }
 
-// applyAction is the abstract transfer function of one action on st,
-// mirroring the emulator's compiled primitives: a drop terminates the
-// action immediately, malformed primitives are no-ops, and unknown
-// destination fields swallow the write (compile drops both). When
+// applyAction is the abstract transfer function of one action on st, over
+// the primitives compileAction kept of the decoded action (what follows a
+// drop, no-ops and writes to unknown destination fields are gone). When
 // collecting, header writes whose operand provably exceeds the
 // destination width are recorded.
 func (x *exec) applyAction(node string, act *caction, args []operand, st []Value) {
@@ -484,9 +483,9 @@ func (x *exec) applyAction(node string, act *caction, args []operand, st []Value
 		pr := &act.prims[i]
 		v := pr.a.eval(st, args)
 		switch pr.op {
-		case opAdd:
+		case p4ir.PrimAdd:
 			v = v.Add(pr.b.eval(st, args))
-		case opSub:
+		case p4ir.PrimSub:
 			v = v.Sub(pr.b.eval(st, args))
 		}
 		w := f.width[pr.dst]
@@ -499,52 +498,35 @@ func (x *exec) applyAction(node string, act *caction, args []operand, st []Value
 	}
 }
 
-type condKind uint8
-
-const (
-	ckUnknown condKind = iota // outside the grammar: both arms possible
-	ckConst                   // "true" / "false" / ""
-	ckCompare                 // <field> <op> <literal>
-)
-
-type condExpr struct {
-	kind     condKind
-	constVal bool
-	field    string
-	slot     int32 // of field, set by compile
-	op       string
-	lit      uint64
-}
-
 // evalCompare decides a field-vs-literal comparison abstractly. It
 // returns whether each arm is possible and the value refined under each
 // arm (valid only when the arm is possible).
-func evalCompare(v Value, op string, lit uint64) (mayT, mayF bool, refT, refF Value) {
+func evalCompare(v Value, op p4ir.CmpOp, lit uint64) (mayT, mayF bool, refT, refF Value) {
 	iv := func(lo, hi uint64) Value { return Value{Lo: lo, Hi: hi} }
 	meet := func(r Value) (Value, bool) { return v.Meet(r) }
 	switch op {
-	case "==":
+	case p4ir.CmpEq:
 		refT, mayT = meet(Const(lit))
 		refF, mayF = excludePoint(v, lit)
-	case "!=":
+	case p4ir.CmpNe:
 		refT, mayT = excludePoint(v, lit)
 		refF, mayF = meet(Const(lit))
-	case "<":
+	case p4ir.CmpLt:
 		if lit > 0 {
 			refT, mayT = meet(iv(0, lit-1))
 		}
 		refF, mayF = meet(iv(lit, ^uint64(0)))
-	case "<=":
+	case p4ir.CmpLe:
 		refT, mayT = meet(iv(0, lit))
 		if lit < ^uint64(0) {
 			refF, mayF = meet(iv(lit+1, ^uint64(0)))
 		}
-	case ">":
+	case p4ir.CmpGt:
 		if lit < ^uint64(0) {
 			refT, mayT = meet(iv(lit+1, ^uint64(0)))
 		}
 		refF, mayF = meet(iv(0, lit))
-	case ">=":
+	case p4ir.CmpGe:
 		refT, mayT = meet(iv(lit, ^uint64(0)))
 		if lit > 0 {
 			refF, mayF = meet(iv(0, lit-1))

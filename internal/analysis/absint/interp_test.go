@@ -15,7 +15,7 @@ func exactKey(field string, w int) p4ir.Key {
 // flagged, and an unreachable arm's table never becomes reachable.
 func TestCondRefinementPrunesEntriesAndBranches(t *testing.T) {
 	prog := p4ir.NewBuilder("refine").
-		Cond("c_ttl", "ipv4.ttl > 10", "t_big", "t_small").
+		Cond("c_ttl", "ipv4.ttl > 10", "t_big", "t_small", "ipv4.ttl").
 		Table(p4ir.TableSpec{
 			Name: "t_big",
 			Keys: []p4ir.Key{exactKey("ipv4.ttl", 8)},
@@ -29,7 +29,7 @@ func TestCondRefinementPrunesEntriesAndBranches(t *testing.T) {
 			},
 			Next: "c_dead",
 		}).
-		Cond("c_dead", "ipv4.ttl <= 10", "t_never", "").
+		Cond("c_dead", "ipv4.ttl <= 10", "t_never", "", "ipv4.ttl").
 		Table(p4ir.TableSpec{
 			Name:    "t_never",
 			Actions: []*p4ir.Action{p4ir.NoopAction("noop")},
@@ -74,7 +74,7 @@ func TestCondRefinementPrunesEntriesAndBranches(t *testing.T) {
 // MustDrop.
 func TestMustMatchAndMustDrop(t *testing.T) {
 	prog := p4ir.NewBuilder("drop").
-		Cond("c", "ipv4.proto == 6", "t", "").
+		Cond("c", "ipv4.proto == 6", "t", "", "ipv4.proto").
 		Table(p4ir.TableSpec{
 			Name: "t",
 			Keys: []p4ir.Key{exactKey("ipv4.proto", 8)},

@@ -224,27 +224,27 @@ func (a *refAnalyzer) run(forced map[string]bool, collect bool) (*refResult, err
 }
 
 func refRunCond(c *p4ir.Conditional, st refState, forced map[string]bool, nr *refNodeResult, flow func(string, refState)) {
-	ce := parseCond(c.Expr)
+	ce := c.Decode()
 	mayT, mayF := true, true
 	stT, stF := st, st
-	switch ce.kind {
-	case ckConst:
-		mayT, mayF = ce.constVal, !ce.constVal
-	case ckCompare:
-		v := st.Get(ce.field)
+	switch ce.Kind {
+	case p4ir.CondConst:
+		mayT, mayF = ce.Value, !ce.Value
+	case p4ir.CondCompare:
+		v := st.Get(ce.Field)
 		var refT, refF Value
-		mayT, mayF, refT, refF = evalCompare(v, ce.op, ce.lit)
+		mayT, mayF, refT, refF = evalCompare(v, ce.Op, ce.Lit)
 		if mayT {
 			stT = st.clone()
-			stT.set2(ce.field, refT)
+			stT.set2(ce.Field, refT)
 		}
 		if mayF {
 			stF = st.clone()
-			stF.set2(ce.field, refF)
+			stF.set2(ce.Field, refF)
 		}
 	}
 	if nr != nil {
-		nr.CondKnown = ce.kind != ckUnknown
+		nr.CondKnown = ce.Kind == p4ir.CondConst || ce.Kind == p4ir.CondCompare
 		nr.CondDecided = mayT != mayF
 		nr.CondTaken = mayT
 	}
@@ -303,7 +303,7 @@ func refRunTable(t *p4ir.Table, facts refTableFacts, st refState, nr *refNodeRes
 		}
 		entryMay, entryMust := true, true
 		for i, k := range t.Keys {
-			mask := entryMask(k, e.Match[i])
+			mask := k.MatchMask(e.Match[i])
 			val := e.Match[i].Value & mask
 			w := k.BitWidth()
 			if !keyVals[i].MayMatch(mask, val, w) {
@@ -435,7 +435,7 @@ func refEvalOperand(st refState, arg string, args []string) Value {
 }
 
 func refEvalBase(st refState, arg string) Value {
-	if p4ir.IsFieldRef(arg) {
+	if strings.Contains(arg, ".") {
 		return st.Get(arg)
 	}
 	v, err := strconv.ParseUint(arg, 0, 64)
@@ -541,7 +541,7 @@ func diffState(got *State, want refState) string {
 // never contains: fuzzer-mangled programs with unknown fields, malformed
 // primitives, dangling action data and cache annotations.
 func FuzzDenseMatchesReference(f *testing.F) {
-	f.Add([]byte(`{"name":"y","init_table":"c","tables":[{"name":"t","key":[{"target":"tcp.dport","match_type":"ternary","width":16}],"actions":[{"name":"m","primitives":[{"op":"add","parameters":["meta.n","meta.n","$0"]},{"op":"modify_field","parameters":["bogus","$7"]}]}],"entries":[{"priority":2,"match_key":[{"value":80,"mask":65520}],"action_name":"m","action_data":["5"]}]}],"conditionals":[{"name":"c","expression":"ipv4.proto == 6","true_next":"t","false_next":""}]}`))
+	f.Add([]byte(`{"name":"y","init_table":"c","tables":[{"name":"t","key":[{"target":"tcp.dport","match_type":"ternary","width":16}],"actions":[{"name":"m","primitives":[{"op":"add","parameters":["meta.n","meta.n","$0"]},{"op":"modify_field","parameters":["bogus","$7"]}]}],"entries":[{"priority":2,"match_key":[{"value":80,"mask":65520}],"action_name":"m","action_data":["5"]}]}],"conditionals":[{"name":"c","expression":"ipv4.proto == 6","true_next":"t","false_next":"","read_fields":["ipv4.proto"]}]}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, err := p4ir.Load(bytes.NewReader(data))

@@ -238,17 +238,15 @@ func lintReadBeforeInit(g *graph) diag.List {
 			for _, a := range t.Actions {
 				local := deps.FieldSet{}
 				for _, pr := range a.Primitives {
-					switch pr.Op {
-					case "modify_field", "add", "subtract":
-						for _, arg := range pr.Args[1:] {
-							if p4ir.IsFieldRef(arg) && uninitialized(name, arg, local) {
-								l.Add(CodeReadBeforeIni, diag.Warn, name, arg,
-									"action %q reads metadata %q never written before this table", a.Name, arg)
-							}
+					in := pr.Decode()
+					for _, o := range in.Src {
+						if o.Kind == p4ir.OperandField && uninitialized(name, o.Field, local) {
+							l.Add(CodeReadBeforeIni, diag.Warn, name, o.Field,
+								"action %q reads metadata %q never written before this table", a.Name, o.Field)
 						}
-						if len(pr.Args) > 0 {
-							local[pr.Args[0]] = true
-						}
+					}
+					if in.Dst != "" {
+						local[in.Dst] = true
 					}
 				}
 			}
@@ -279,7 +277,7 @@ func lintDeadPrimitives(g *graph) diag.List {
 		t := g.prog.Tables[name]
 		for _, a := range t.Actions {
 			for i, pr := range a.Primitives {
-				if pr.IsDrop() && i+1 < len(a.Primitives) {
+				if pr.Decode().Kind == p4ir.PrimDrop && i+1 < len(a.Primitives) {
 					l.Add(CodeDeadPrimitive, diag.Warn, name, "",
 						"action %q has %d primitive(s) after the drop at position %d",
 						a.Name, len(a.Primitives)-i-1, i)

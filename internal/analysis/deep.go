@@ -92,15 +92,13 @@ func LintDeep(prog *p4ir.Program) diag.List {
 		// unobservable (PL103 covers primitives after the drop).
 		for _, act := range t.Actions {
 			for i, pr := range act.Primitives {
-				if !pr.IsDrop() {
+				if pr.Decode().Kind != p4ir.PrimDrop {
 					continue
 				}
 				for _, prev := range act.Primitives[:i] {
-					switch prev.Op {
-					case "modify_field", "add", "subtract", "forward":
-						l.Add(CodeDeadWrite, diag.Warn, name, writeDst(prev),
-							"action %q modifies %s and then unconditionally drops the packet",
-							act.Name, writeDst(prev))
+					if dst := prev.Decode().Dst; dst != "" {
+						l.Add(CodeDeadWrite, diag.Warn, name, dst,
+							"action %q modifies %s and then unconditionally drops the packet", act.Name, dst)
 					}
 				}
 				break
@@ -123,16 +121,6 @@ func armName(next string) string {
 		return " (egress)"
 	}
 	return fmt.Sprintf(" toward %q", next)
-}
-
-func writeDst(pr p4ir.Primitive) string {
-	if pr.Op == "forward" {
-		return "meta.egress_port"
-	}
-	if len(pr.Args) > 0 {
-		return pr.Args[0]
-	}
-	return ""
 }
 
 // semClassBudget bounds the path-class enumeration: the number of forced
@@ -224,7 +212,7 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 			"optimized program has %d structural error(s); semantic comparison impossible", len(sd.Errors()))
 		return l
 	}
-	fields := unionFields(sc.origFields, writtenFields(opt))
+	fields := writtenFields(opt, sc.origFields...)
 	an := absint.NewAnalyzer(opt)
 	for ci := range sc.classes {
 		cl := &sc.classes[ci]
@@ -306,39 +294,19 @@ func classLabel(conds []string, forced map[string]bool) string {
 	return s
 }
 
-// writtenFields returns the sorted set of fields any action of the
-// program can write — the observable surface VerifySemantics compares
-// (plus meta.egress_port for forward primitives, which WriteSet does not
-// cover).
-func writtenFields(prog *p4ir.Program) []string {
+// writtenFields returns the sorted set of fields any action of prog can
+// write, plus also: the observable surface VerifySemantics compares.
+func writtenFields(prog *p4ir.Program, also ...string) []string {
 	set := map[string]bool{}
+	for _, f := range also {
+		set[f] = true
+	}
 	for _, t := range prog.Tables {
 		for _, a := range t.Actions {
 			for _, f := range a.WriteSet() {
 				set[f] = true
 			}
-			for _, pr := range a.Primitives {
-				if pr.Op == "forward" {
-					set["meta.egress_port"] = true
-				}
-			}
 		}
-	}
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func unionFields(a, b []string) []string {
-	set := map[string]bool{}
-	for _, f := range a {
-		set[f] = true
-	}
-	for _, f := range b {
-		set[f] = true
 	}
 	out := make([]string, 0, len(set))
 	for f := range set {

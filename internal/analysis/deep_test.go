@@ -18,7 +18,7 @@ func deepCodes(l diag.List) map[string]int {
 
 func TestLintDeepFindsRangeDeadEntriesAndDecidedBranches(t *testing.T) {
 	prog := p4ir.NewBuilder("deep").
-		Cond("c", "ipv4.ttl > 10", "t", "").
+		Cond("c", "ipv4.ttl > 10", "t", "", "ipv4.ttl").
 		Table(p4ir.TableSpec{
 			Name: "t",
 			Keys: []p4ir.Key{{Field: "ipv4.ttl", Kind: p4ir.MatchExact, Width: 8}},
@@ -32,7 +32,7 @@ func TestLintDeepFindsRangeDeadEntriesAndDecidedBranches(t *testing.T) {
 			},
 			Next: "c2",
 		}).
-		Cond("c2", "ipv4.ttl <= 10", "t2", "").
+		Cond("c2", "ipv4.ttl <= 10", "t2", "", "ipv4.ttl").
 		Table(p4ir.TableSpec{
 			Name:    "t2",
 			Actions: []*p4ir.Action{p4ir.NoopAction("noop")},
@@ -185,7 +185,7 @@ func TestVerifySemanticsRejectsDropChange(t *testing.T) {
 func TestVerifySemanticsRejectsLostPathClass(t *testing.T) {
 	mk := func(expr string) *p4ir.Program {
 		return p4ir.NewBuilder("p").
-			Cond("c", expr, "t", "").
+			Cond("c", expr, "t", "", "ipv4.proto").
 			Table(p4ir.TableSpec{
 				Name: "t",
 				Actions: []*p4ir.Action{

@@ -30,10 +30,9 @@ type DeployGuard struct {
 	// MinRealizedGainFrac rolls back when the measured latency
 	// improvement is below this fraction of the plan's predicted gain —
 	// the misprediction detector. 0 disables the check (default 0.2).
+	// Plans predicted to gain less than minPredictedGainNs are not judged:
+	// their gain is noise-level.
 	MinRealizedGainFrac float64
-	// MinPredictedGainNs gates the realized-gain check so noise-level
-	// plans are not judged (default 1ns).
-	MinPredictedGainNs float64
 	// BlacklistRounds is how many rounds a rolled-back plan is barred
 	// from redeployment (default 3).
 	BlacklistRounds int
@@ -45,6 +44,10 @@ type DeployGuard struct {
 	BreakerCooldownRounds int
 }
 
+// minPredictedGainNs is the smallest predicted gain the realized-gain
+// check judges.
+const minPredictedGainNs = 1
+
 // DefaultDeployGuard returns the default thresholds with the given
 // traffic sampler.
 func DefaultDeployGuard(sampler func(n int) []*packet.Packet) DeployGuard {
@@ -53,7 +56,6 @@ func DefaultDeployGuard(sampler func(n int) []*packet.Packet) DeployGuard {
 		VerifyPackets:         256,
 		MaxRegression:         0.1,
 		MinRealizedGainFrac:   0.2,
-		MinPredictedGainNs:    1,
 		BlacklistRounds:       3,
 		BreakerThreshold:      3,
 		BreakerCooldownRounds: 5,
@@ -119,13 +121,6 @@ func (g *DeployGuard) maxRegression() float64 {
 		return 0.1
 	}
 	return g.MaxRegression
-}
-
-func (g *DeployGuard) minPredictedGain() float64 {
-	if g.MinPredictedGainNs <= 0 {
-		return 1
-	}
-	return g.MinPredictedGainNs
 }
 
 func (g *DeployGuard) blacklistRounds() int {

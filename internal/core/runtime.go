@@ -495,7 +495,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err er
 				}
 				regressed := delta > r.guard.maxRegression()
 				unrealized := r.guard.MinRealizedGainFrac > 0 &&
-					predicted >= r.guard.minPredictedGain() &&
+					predicted >= minPredictedGainNs &&
 					realized < r.guard.MinRealizedGainFrac*predicted
 				contradicted = regressed || unrealized
 			}

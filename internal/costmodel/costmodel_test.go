@@ -301,7 +301,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 			if i+2 <= depth-1 {
 				trueNext = names[i+2]
 			}
-			b.Cond(names[i], "meta.x == 1", trueNext, next)
+			b.Cond(names[i], "meta.x == 1", trueNext, next, "meta.x")
 			for k := rng.Intn(60); k >= 0; k-- {
 				rec.Branch(names[i], rng.Intn(2) == 0)
 			}

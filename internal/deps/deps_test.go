@@ -192,3 +192,28 @@ func TestFieldSetIntersects(t *testing.T) {
 		t.Error("Intersects misbehaves")
 	}
 }
+
+// forward writes meta.egress_port and reads its operand: a table matching
+// the port depends on it (RAW), a table setting the port too (WAW), and a
+// forward of meta.x depends on the table writing meta.x.
+func TestForwardDependencies(t *testing.T) {
+	p, err := p4ir.ChainTables("fwd", []p4ir.TableSpec{
+		{Name: "setx", Actions: []*p4ir.Action{p4ir.NewAction("s", p4ir.Prim("modify_field", "meta.x", "1"))}},
+		{Name: "route", Actions: []*p4ir.Action{p4ir.NewAction("f", p4ir.Prim("forward", "meta.x"))}},
+		{Name: "port_acl", Keys: []p4ir.Key{{Field: "meta.egress_port", Kind: p4ir.MatchExact}},
+			Actions: []*p4ir.Action{p4ir.DropAction()}},
+		{Name: "repin", Actions: []*p4ir.Action{p4ir.NewAction("p", p4ir.Prim("modify_field", "meta.egress_port", "7"))}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer(p)
+	for _, c := range []struct {
+		earlier, later string
+		want           DependencyKind
+	}{{"setx", "route", DepRAW}, {"route", "port_acl", DepRAW}, {"route", "repin", DepWAW}} {
+		if got := a.Dependency(c.earlier, c.later); got != c.want {
+			t.Errorf("%s -> %s: %v, want %v", c.earlier, c.later, got, c.want)
+		}
+	}
+}

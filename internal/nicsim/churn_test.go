@@ -289,21 +289,21 @@ func TestNoStaleFillOutlivesInvalidation(t *testing.T) {
 }
 
 // TestPanickingWalkReleasesCacheLock panics the walk of a cached program
-// in a CondFunc, once through Measure and once through Process: the cache
-// lock unwinds with it, so the next Measure completes.
+// in a conditional's evaluator, once through Measure and once through
+// Process: the cache lock unwinds with it, so the next Measure completes.
 func TestPanickingWalkReleasesCacheLock(t *testing.T) {
 	var boom atomic.Bool
-	prog := cachedT1(t, p4ir.NewBuilder("p").Cond("boom", "boom()", "", ""), "boom", e("hit_act", 5))
-	nic, err := New(prog, Config{Params: testParams(), CondFuncs: map[string]CondFunc{
-		"boom()": func(*packet.Packet) bool {
-			if boom.Load() {
-				panic("boom")
-			}
-			return true
-		},
-	}})
+	prog := cachedT1(t, p4ir.NewBuilder("p").Cond("boom", "true", "", ""), "boom", e("hit_act", 5))
+	nic, err := New(prog, Config{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	pl := nic.plan.Load()
+	pl.nodes[pl.ids["boom"]].cond = func(*packet.Packet) bool {
+		if boom.Load() {
+			panic("boom")
+		}
+		return true
 	}
 	pkts := make([]*packet.Packet, 64)
 	for i := range pkts {

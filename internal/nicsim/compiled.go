@@ -1,52 +1,30 @@
 package nicsim
 
 import (
-	"strconv"
-	"strings"
-
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 )
 
-// Compiled action primitives: operand strings ("$0", "ipv4.ttl", "0x2a")
-// are classified and parsed once, at table-build time, so executing an
-// action on the per-packet path is a switch over pre-resolved operands
-// with no string parsing and no allocation. Field references compile to
-// packet.FieldID, so reads and writes are integer-dispatched instead of
-// string-switched.
-
-type operandKind uint8
-
-const (
-	opLit   operandKind = iota // literal constant
-	opField                    // packet field read
-	opArg                      // entry action-data reference ($i)
-)
+// Compiled action primitives: each primitive is decoded (p4ir's
+// Primitive.Decode) and its fields resolved to packet.FieldIDs once, at
+// table-build time, so executing an action on the per-packet path is a
+// switch over pre-resolved operands with no string parsing and no
+// allocation.
 
 type operand struct {
-	kind operandKind
+	kind p4ir.OperandKind
 	lit  uint64
 	fid  packet.FieldID
 	arg  int
 }
 
-// egressPortID is the compiled ID of the forward primitive's destination.
-var egressPortID = packet.FieldIDFor("meta.egress_port")
-
-// compileOperand classifies one primitive operand. Unparseable literals
-// resolve to 0, matching the lenient behaviour of the former resolveArg.
-func compileOperand(arg string) operand {
-	if strings.HasPrefix(arg, "$") {
-		if i, err := strconv.Atoi(arg[1:]); err == nil && i >= 0 {
-			return operand{kind: opArg, arg: i}
-		}
-		return operand{kind: opLit}
+// compileOperand resolves a decoded operand's field to its ID.
+func compileOperand(o p4ir.Operand) operand {
+	c := operand{kind: o.Kind, lit: o.Lit, arg: o.Arg}
+	if o.Kind == p4ir.OperandField {
+		c.fid = packet.FieldIDFor(o.Field)
 	}
-	if p4ir.IsFieldRef(arg) {
-		return operand{kind: opField, fid: packet.FieldIDFor(arg)}
-	}
-	v, _ := strconv.ParseUint(arg, 0, 64)
-	return operand{kind: opLit, lit: v}
+	return c
 }
 
 // value evaluates the operand against the packet and the matched entry's
@@ -55,39 +33,25 @@ func compileOperand(arg string) operand {
 // unknown field reference (FieldInvalid reads as 0).
 func (o operand) value(pkt *packet.Packet, cargs []operand) uint64 {
 	switch o.kind {
-	case opLit:
+	case p4ir.OperandLit:
 		return o.lit
-	case opField:
+	case p4ir.OperandField:
 		return pkt.GetID(o.fid)
 	default:
 		if o.arg >= len(cargs) {
 			return 0
 		}
 		a := cargs[o.arg]
-		if a.kind == opArg {
+		if a.kind == p4ir.OperandArg {
 			return 0
 		}
 		return a.value(pkt, nil)
 	}
 }
 
-type primKind uint8
-
-const (
-	prNop primKind = iota
-	prDrop
-	prModify
-	prAdd
-	prSub
-	prForward
-)
-
 type compiledPrim struct {
-	kind primKind
-	// dstID is the compiled destination field (FieldInvalid when the
-	// destination is unknown: the write is dropped, matching the old
-	// behaviour of a failing pkt.Set).
-	dstID packet.FieldID
+	kind  p4ir.PrimKind
+	dstID packet.FieldID // FieldInvalid for an unknown destination: the write is dropped
 	a, b  operand
 }
 
@@ -109,36 +73,9 @@ func compileAction(act *p4ir.Action, idx int) *compiledAction {
 	ca := &compiledAction{act: act, idx: idx, isCacheMiss: act.Name == "cache_miss"}
 	ca.prims = make([]compiledPrim, len(act.Primitives))
 	for i, prim := range act.Primitives {
-		cp := compiledPrim{kind: prNop, dstID: packet.FieldInvalid}
-		switch prim.Op {
-		case "drop", "mark_to_drop":
-			cp.kind = prDrop
-		case "modify_field":
-			if len(prim.Args) >= 2 {
-				cp = compiledPrim{
-					kind:  prModify,
-					dstID: packet.FieldIDFor(prim.Args[0]),
-					a:     compileOperand(prim.Args[1]),
-				}
-			}
-		case "add", "subtract":
-			if len(prim.Args) >= 3 {
-				cp = compiledPrim{
-					kind:  prAdd,
-					dstID: packet.FieldIDFor(prim.Args[0]),
-					a:     compileOperand(prim.Args[1]),
-					b:     compileOperand(prim.Args[2]),
-				}
-				if prim.Op == "subtract" {
-					cp.kind = prSub
-				}
-			}
-		case "forward":
-			if len(prim.Args) >= 1 {
-				cp = compiledPrim{kind: prForward, dstID: egressPortID, a: compileOperand(prim.Args[0])}
-			}
-		}
-		ca.prims[i] = cp
+		in := prim.Decode()
+		ca.prims[i] = compiledPrim{kind: in.Kind, dstID: packet.FieldIDFor(in.Dst),
+			a: compileOperand(in.Src[0]), b: compileOperand(in.Src[1])}
 	}
 	return ca
 }
@@ -149,38 +86,22 @@ func compileAction(act *p4ir.Action, idx int) *compiledAction {
 func (ca *compiledAction) apply(pkt *packet.Packet, cargs []operand, writes *[]fieldWrite) bool {
 	for i := range ca.prims {
 		pr := &ca.prims[i]
-		switch pr.kind {
-		case prDrop:
+		switch {
+		case pr.kind == p4ir.PrimDrop:
 			return true
-		case prModify:
-			if pr.dstID == packet.FieldInvalid {
-				continue
-			}
-			v := pr.a.value(pkt, cargs)
-			pkt.SetID(pr.dstID, v)
-			if writes != nil {
-				*writes = append(*writes, fieldWrite{id: pr.dstID, value: v})
-			}
-		case prAdd, prSub:
-			if pr.dstID == packet.FieldInvalid {
-				continue
-			}
-			a := pr.a.value(pkt, cargs)
-			b := pr.b.value(pkt, cargs)
-			v := a + b
-			if pr.kind == prSub {
-				v = a - b
-			}
-			pkt.SetID(pr.dstID, v)
-			if writes != nil {
-				*writes = append(*writes, fieldWrite{id: pr.dstID, value: v})
-			}
-		case prForward:
-			v := pr.a.value(pkt, cargs)
-			pkt.SetID(pr.dstID, v)
-			if writes != nil {
-				*writes = append(*writes, fieldWrite{id: pr.dstID, value: v})
-			}
+		case pr.kind == p4ir.PrimNop, pr.dstID == packet.FieldInvalid:
+			continue
+		}
+		v := pr.a.value(pkt, cargs)
+		switch pr.kind {
+		case p4ir.PrimAdd:
+			v += pr.b.value(pkt, cargs)
+		case p4ir.PrimSub:
+			v -= pr.b.value(pkt, cargs)
+		}
+		pkt.SetID(pr.dstID, v)
+		if writes != nil {
+			*writes = append(*writes, fieldWrite{id: pr.dstID, value: v})
 		}
 	}
 	return false

@@ -2,38 +2,24 @@ package nicsim
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 )
 
-// CondFunc evaluates a conditional branch against a packet.
-type CondFunc func(*packet.Packet) bool
+// condFunc evaluates a conditional branch against a packet.
+type condFunc func(*packet.Packet) bool
 
-// compileCond turns a conditional expression into an executable predicate.
-// The supported grammar covers what the paper's programs need:
-//
-//	<field> <op> <literal>   with op in {==, !=, <, <=, >, >=}
-//	valid(ipv4|tcp|udp)      header validity
-//	true | false             constants
-//
-// Anything else must be supplied via Config.CondFuncs; unknown expressions
-// fail at build time rather than silently defaulting.
-func compileCond(expr string, custom map[string]CondFunc) (CondFunc, error) {
-	if f, ok := custom[expr]; ok {
-		return f, nil
-	}
-	s := strings.TrimSpace(expr)
-	switch s {
-	case "true", "":
-		return func(*packet.Packet) bool { return true }, nil
-	case "false":
-		return func(*packet.Packet) bool { return false }, nil
-	}
-	if strings.HasPrefix(s, "valid(") && strings.HasSuffix(s, ")") {
-		hdr := s[len("valid(") : len(s)-1]
-		switch hdr {
+// compileCond turns a decoded conditional into an executable predicate.
+// An opaque expression, or a validity test of a header the packet model
+// does not parse, fails at build time rather than silently defaulting.
+func compileCond(c *p4ir.Conditional) (condFunc, error) {
+	d := c.Decode()
+	switch d.Kind {
+	case p4ir.CondConst:
+		return func(*packet.Packet) bool { return d.Value }, nil
+	case p4ir.CondValid:
+		switch d.Header {
 		case "ipv4":
 			return func(p *packet.Packet) bool { return p.HasIPv4 }, nil
 		case "tcp":
@@ -41,37 +27,26 @@ func compileCond(expr string, custom map[string]CondFunc) (CondFunc, error) {
 		case "udp":
 			return func(p *packet.Packet) bool { return p.HasUDP }, nil
 		}
-		return nil, fmt.Errorf("nicsim: unknown header in %q", expr)
-	}
-	for _, op := range []string{"==", "!=", "<=", ">=", "<", ">"} {
-		if i := strings.Index(s, op); i > 0 {
-			field := strings.TrimSpace(s[:i])
-			litStr := strings.TrimSpace(s[i+len(op):])
-			lit, err := strconv.ParseUint(litStr, 0, 64)
-			if err != nil {
-				return nil, fmt.Errorf("nicsim: bad literal in %q: %v", expr, err)
-			}
-			// The field resolves to a compiled ID and the operator to a
-			// dedicated closure at build time, so evaluating the branch is
-			// one integer-indexed read and one compare — no string switch
-			// on the per-packet path. Unknown fields read as 0, matching
-			// the old Get fallback.
-			fid := packet.FieldIDFor(field)
-			switch op {
-			case "==":
-				return func(p *packet.Packet) bool { return p.GetID(fid) == lit }, nil
-			case "!=":
-				return func(p *packet.Packet) bool { return p.GetID(fid) != lit }, nil
-			case "<":
-				return func(p *packet.Packet) bool { return p.GetID(fid) < lit }, nil
-			case "<=":
-				return func(p *packet.Packet) bool { return p.GetID(fid) <= lit }, nil
-			case ">":
-				return func(p *packet.Packet) bool { return p.GetID(fid) > lit }, nil
-			default:
-				return func(p *packet.Packet) bool { return p.GetID(fid) >= lit }, nil
-			}
+	case p4ir.CondCompare:
+		// The field resolves to a compiled ID and the operator to a
+		// dedicated closure at build time, so evaluating the branch is
+		// one integer-indexed read and one compare — no string switch
+		// on the per-packet path. Unknown fields read as 0.
+		fid, lit := packet.FieldIDFor(d.Field), d.Lit
+		switch d.Op {
+		case p4ir.CmpEq:
+			return func(p *packet.Packet) bool { return p.GetID(fid) == lit }, nil
+		case p4ir.CmpNe:
+			return func(p *packet.Packet) bool { return p.GetID(fid) != lit }, nil
+		case p4ir.CmpLt:
+			return func(p *packet.Packet) bool { return p.GetID(fid) < lit }, nil
+		case p4ir.CmpLe:
+			return func(p *packet.Packet) bool { return p.GetID(fid) <= lit }, nil
+		case p4ir.CmpGt:
+			return func(p *packet.Packet) bool { return p.GetID(fid) > lit }, nil
+		default:
+			return func(p *packet.Packet) bool { return p.GetID(fid) >= lit }, nil
 		}
 	}
-	return nil, fmt.Errorf("nicsim: cannot compile conditional %q", expr)
+	return nil, fmt.Errorf("nicsim: cannot compile conditional %q (opaque, or an unknown header)", c.Expr)
 }

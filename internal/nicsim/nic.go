@@ -35,10 +35,6 @@ type Config struct {
 	VendorCache bool
 	// VendorCacheBudget is its LRU capacity (entries).
 	VendorCacheBudget int
-	// CondFuncs supplies evaluators for conditional expressions the
-	// built-in compiler cannot parse. On a cached program they run under
-	// the NIC's cache lock, so they must not call back into the NIC.
-	CondFuncs map[string]CondFunc
 	// Collector receives profiling counters when Instrument is true.
 	Collector *profile.Collector
 	// Instrument enables per-packet counter updates (and their latency
@@ -52,8 +48,6 @@ type Config struct {
 	// applies it beside the walk, bit-identical to Process.
 	Seed        uint64
 	NoiseStdDev float64
-	// MaxSteps guards against miswired programs (0 = auto).
-	MaxSteps int
 	// CacheFillCostNs is charged to the packet that installs a cache
 	// entry: on real NICs, entry insertions compete with packet
 	// processing for table-update bandwidth, which is what makes
@@ -65,12 +59,6 @@ type Config struct {
 	// the paper's regression absorbs it into the constants B1/B2. It is
 	// what makes Figure 5's model-vs-measurement comparison non-trivial.
 	PerPacketOverheadNs float64
-	// SampleCheckFraction is the cost (as a fraction of one counter
-	// update) each instrumentation point charges packets that are NOT
-	// sampled — the per-site sampling test is not free on hardware,
-	// which is why 1/1024 sampling still costs ~4-5% on Agilio CX
-	// (§5.4.1). Default 0.15 when Instrument is set.
-	SampleCheckFraction float64
 	// Faults, when non-nil, is consulted on program swaps so tests can
 	// inject deploy failures and silent mid-deploy crashes (the NIC left
 	// on the old program). Production configs leave it nil.
@@ -90,7 +78,7 @@ type NIC struct {
 	cfg    Config
 	kern   costmodel.Kernel
 	tables map[string]*runtimeTable
-	conds  map[string]CondFunc
+	conds  map[string]condFunc
 	caches map[string]*flowCache
 	// coveredBy maps a table to the runtime caches that must invalidate
 	// when it changes.
@@ -193,7 +181,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 		return err
 	}
 	tables := make(map[string]*runtimeTable, len(prog.Tables))
-	conds := make(map[string]CondFunc, len(prog.Conds))
+	conds := make(map[string]condFunc, len(prog.Conds))
 	caches := map[string]*flowCache{}
 	coveredBy := map[string][]*flowCache{}
 	for name, t := range prog.Tables {
@@ -225,7 +213,7 @@ func (n *NIC) load(prog *p4ir.Program) error {
 		}
 	}
 	for name, c := range prog.Conds {
-		f, err := compileCond(c.Expr, n.cfg.CondFuncs)
+		f, err := compileCond(c)
 		if err != nil {
 			return err
 		}

@@ -186,7 +186,7 @@ func TestDropHaltsExecution(t *testing.T) {
 
 func TestConditionalRouting(t *testing.T) {
 	prog := p4ir.NewBuilder("p").
-		Cond("c", "tcp.dport == 80", "web", "other").
+		Cond("c", "tcp.dport == 80", "web", "other", "tcp.dport").
 		Table(exactTable("web", "ipv4.dstAddr", "")).
 		Table(exactTable("other", "ipv4.srcAddr", "")).
 		Root("c").MustBuild()

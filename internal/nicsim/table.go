@@ -390,16 +390,12 @@ func (rt *runtimeTable) own(i, n int) *maskGroup {
 // keys their prefix length.
 func (rt *runtimeTable) keyOf(match []p4ir.MatchValue, masks, key []uint64) (_, _ []uint64, prefixBits int) {
 	for i, k := range rt.tbl.Keys {
-		var m uint64
+		m := k.MatchMask(match[i])
 		switch k.Kind {
 		case p4ir.MatchExact:
-			m = rt.kmasks[i]
 			prefixBits += k.BitWidth()
 		case p4ir.MatchLPM:
-			m = k.PrefixMask(match[i].PrefixLen)
 			prefixBits += match[i].PrefixLen
-		case p4ir.MatchTernary, p4ir.MatchRange:
-			m = match[i].Mask
 		}
 		masks, key = append(masks, m), append(key, match[i].Value&m)
 	}
@@ -452,7 +448,7 @@ func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
 func compileArgs(args []string) []operand {
 	cargs := make([]operand, len(args))
 	for i, arg := range args {
-		cargs[i] = compileOperand(arg)
+		cargs[i] = compileOperand(p4ir.DecodeOperand(arg))
 	}
 	return cargs
 }

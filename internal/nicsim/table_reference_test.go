@@ -285,11 +285,7 @@ func refBuildTable(t *p4ir.Table, fixedLPM, fixedTernary int) (*refTable, error)
 		}
 		prev, exists := g.entries[key]
 		if !exists || e.Priority > prev.priority {
-			cargs := make([]operand, len(e.Args))
-			for j, arg := range e.Args {
-				cargs[j] = compileOperand(arg)
-			}
-			g.entries[key] = &refEntry{entry: *e, action: cact.act, cact: cact, cargs: cargs, priority: e.Priority}
+			g.entries[key] = &refEntry{entry: *e, action: cact.act, cact: cact, cargs: compileArgs(e.Args), priority: e.Priority}
 		}
 	}
 	// Probe order: LPM longest prefix first; others stable by signature.

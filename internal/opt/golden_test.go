@@ -257,7 +257,7 @@ func TestAnalysisGolden(t *testing.T) {
 	chained := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 3, Category: synth.Mixed, Seed: 42})
 	for i, name := range sortedTables(chained) {
 		if a := chained.Tables[name].Actions[0]; i%3 == 0 && !a.Drops() {
-			a.Primitives = append(a.Primitives, p4ir.Primitive{Op: "add", Args: []string{"meta.chain", "meta.chain"}})
+			a.Primitives = append(a.Primitives, p4ir.Primitive{Op: "add", Args: []string{"meta.chain", "meta.chain", "1"}})
 		}
 	}
 	checked["chained"] = chained

@@ -595,17 +595,7 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 				prio++
 				parts[i] = m.Action(ch.entry.Action)
 				for ki, mv := range ch.entry.Match {
-					k := m.Keys[ki]
-					out := p4ir.MatchValue{Value: mv.Value}
-					switch k.Kind {
-					case p4ir.MatchExact:
-						out.Mask = k.FullMask()
-					case p4ir.MatchLPM:
-						out.Mask = k.PrefixMask(mv.PrefixLen)
-					default:
-						out.Mask = mv.Mask
-					}
-					match = append(match, out)
+					match = append(match, p4ir.MatchValue{Value: mv.Value, Mask: m.Keys[ki].MatchMask(mv)})
 				}
 				args = append(args, ch.entry.Args...)
 			} else {

@@ -1,6 +1,7 @@
 package p4ir
 
 import (
+	"slices"
 	"sort"
 
 	"pipeleon/internal/diag"
@@ -10,14 +11,15 @@ import (
 // Validate has always enforced; StructuralDiagnostics reports all
 // violations in one pass instead of stopping at the first.
 const (
-	CodeNoRoot        = "P4S01" // program has nodes but no root
-	CodeDanglingRef   = "P4S02" // edge references a missing node
-	CodeCycle         = "P4S03" // reachable graph has a cycle
-	CodeBadDefault    = "P4S04" // default action not in action list
-	CodeDupNode       = "P4S05" // name is both a table and a conditional
-	CodeBadEntry      = "P4S06" // entry arity/action malformed
-	CodeBadActionNext = "P4S07" // switch-case references unknown action
-	CodeNameMismatch  = "P4S08" // map key differs from node name
+	CodeNoRoot         = "P4S01" // program has nodes but no root
+	CodeDanglingRef    = "P4S02" // edge references a missing node
+	CodeCycle          = "P4S03" // reachable graph has a cycle
+	CodeBadDefault     = "P4S04" // default action not in action list
+	CodeDupNode        = "P4S05" // name is both a table and a conditional
+	CodeBadEntry       = "P4S06" // entry arity/action malformed
+	CodeBadActionNext  = "P4S07" // switch-case references unknown action
+	CodeNameMismatch   = "P4S08" // map key differs from node name
+	CodeUndeclaredRead = "P4S09" // compared field missing from ReadFields
 )
 
 // StructuralDiagnostics checks structural well-formedness of the program
@@ -29,7 +31,9 @@ const (
 //   - every table's default action and switch-case action labels exist,
 //   - every entry's match arity equals the key arity and its action exists,
 //   - no name is both a table and a conditional,
-//   - every map key equals its node's Name field.
+//   - every map key equals its node's Name field,
+//   - a comparison's field is among its conditional's ReadFields, the
+//     read set the dependency analysis sees.
 //
 // All structural diagnostics have Error severity: a program violating any
 // of them cannot be deployed or analyzed further.
@@ -105,6 +109,9 @@ func (p *Program) StructuralDiagnostics() diag.List {
 			if nxt != "" && !p.Has(nxt) {
 				l.Add(CodeDanglingRef, diag.Error, name, "", "branch -> missing node %q", nxt)
 			}
+		}
+		if d := c.Decode(); d.Kind == CondCompare && !slices.Contains(c.ReadFields, d.Field) {
+			l.Add(CodeUndeclaredRead, diag.Error, name, d.Field, "%q compares %q, which its read_fields omit", c.Expr, d.Field)
 		}
 	}
 	l = append(l, p.cycleDiagnostics()...)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // MatchKind classifies how a key field is matched against table entries.
@@ -113,21 +112,13 @@ func (k Key) PrefixMask(plen int) uint64 {
 // Primitive is a single action operation, e.g. modify_field(ipv4.ttl, -1).
 // The cost model charges Lact per primitive (paper Equation 4b).
 type Primitive struct {
-	// Op is the primitive name. Well-known ops understood by the emulator
-	// and the dependency analysis: "modify_field", "add", "subtract",
-	// "drop", "forward", "count", "no_op", "push_header", "pop_header".
+	// Op is the primitive name; Decode gives it its meaning. modify_field,
+	// add, subtract and forward write a field, drop and mark_to_drop drop the
+	// packet; count, no_op, push_header and pop_header are no-ops everywhere.
 	Op string
 	// Args are the operands. For field-writing primitives the first arg is
 	// the destination field.
 	Args []string
-}
-
-// IsDrop reports whether the primitive terminates packet processing by
-// dropping the packet. On SmartNICs a drop halts run-to-completion
-// execution immediately (§3.2.1), which is what makes table reordering
-// profitable.
-func (p Primitive) IsDrop() bool {
-	return p.Op == "drop" || p.Op == "mark_to_drop"
 }
 
 // Action is a named list of primitives attached to a table.
@@ -142,46 +133,47 @@ func (a *Action) NumPrimitives() int { return len(a.Primitives) }
 // Drops reports whether executing the action drops the packet.
 func (a *Action) Drops() bool {
 	for _, p := range a.Primitives {
-		if p.IsDrop() {
+		if p.Decode().Kind == PrimDrop {
 			return true
 		}
 	}
 	return false
 }
 
-// WriteSet returns the header fields the action writes.
+// WriteSet returns the fields the action can write, in primitive order. A
+// drop halts run-to-completion execution (§3.2.1): what follows it counts
+// for neither set.
 func (a *Action) WriteSet() []string {
 	var out []string
 	for _, p := range a.Primitives {
-		switch p.Op {
-		case "modify_field", "add", "subtract":
-			if len(p.Args) > 0 {
-				out = append(out, p.Args[0])
-			}
+		in := p.Decode()
+		if in.Kind == PrimDrop {
+			break
+		}
+		if in.Dst != "" {
+			out = append(out, in.Dst)
 		}
 	}
 	return out
 }
 
-// ReadSet returns the header fields the action reads (source operands).
+// ReadSet returns the fields the action's source operands read, in
+// primitive order.
 func (a *Action) ReadSet() []string {
 	var out []string
 	for _, p := range a.Primitives {
-		switch p.Op {
-		case "modify_field", "add", "subtract":
-			for _, arg := range p.Args[1:] {
-				if IsFieldRef(arg) {
-					out = append(out, arg)
-				}
+		in := p.Decode()
+		if in.Kind == PrimDrop {
+			break
+		}
+		for _, o := range in.Src {
+			if o.Kind == OperandField {
+				out = append(out, o.Field)
 			}
 		}
 	}
 	return out
 }
-
-// IsFieldRef reports whether an action argument names a header field
-// (heuristic: contains a dot, e.g. "ipv4.ttl") rather than an immediate.
-func IsFieldRef(arg string) bool { return strings.Contains(arg, ".") }
 
 // MatchValue is the matched value for one key of an entry.
 type MatchValue struct {
@@ -455,14 +447,14 @@ func (t *Table) MemoryBytes() int {
 // target; the paper's emulated NIC uses 1/10 of an exact table).
 type Conditional struct {
 	Name string
-	// Expr is the branch expression, e.g. "ipv4.isValid()" or
-	// "meta.direction == 1". It is informational for the optimizer but the
-	// emulator evaluates a registered predicate.
+	// Expr is the branch expression, e.g. "valid(ipv4)" or
+	// "meta.direction == 1"; Decode gives it its meaning.
 	Expr      string
 	TrueNext  string
 	FalseNext string
-	// ReadFields lists header fields the expression reads (for dependency
-	// analysis).
+	// ReadFields lists the fields the expression reads, which is what the
+	// dependency analysis sees of it. A comparison's field must be among
+	// them (P4S09).
 	ReadFields []string
 }
 

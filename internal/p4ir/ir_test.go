@@ -1,6 +1,7 @@
 package p4ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -224,6 +225,20 @@ func TestReadWriteSets(t *testing.T) {
 	reads := a.ReadSet()
 	if len(reads) != 1 || reads[0] != "ipv4.ttl" {
 		t.Errorf("ReadSet = %v", reads)
+	}
+	// forward writes meta.egress_port and reads its operand; nothing after
+	// a drop runs.
+	a = NewAction("fwd",
+		Prim("forward", "meta.x"),
+		Prim("add", "meta.n", "meta.n", "ipv4.ttl"),
+		Prim("drop"),
+		Prim("modify_field", "meta.dead", "meta.y"),
+	)
+	if got, want := a.WriteSet(), []string{"meta.egress_port", "meta.n"}; !slices.Equal(got, want) {
+		t.Errorf("WriteSet = %v, want %v", got, want)
+	}
+	if got, want := a.ReadSet(), []string{"meta.x", "meta.n", "ipv4.ttl"}; !slices.Equal(got, want) {
+		t.Errorf("ReadSet = %v, want %v", got, want)
 	}
 }
 

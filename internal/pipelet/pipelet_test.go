@@ -36,7 +36,7 @@ func tbl(name, next string) p4ir.TableSpec {
 func figure8(t *testing.T) *p4ir.Program {
 	t.Helper()
 	p, err := p4ir.NewBuilder("fig8").
-		Cond("c0", "meta.dir == 0", "a1", "b1").
+		Cond("c0", "meta.dir == 0", "a1", "b1", "meta.dir").
 		Table(tbl("a1", "a2")).
 		Table(tbl("a2", "sw")).
 		Table(tbl("b1", "b2")).

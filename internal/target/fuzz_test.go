@@ -18,7 +18,7 @@ func FuzzLoadTrace(f *testing.F) {
 	// and the checked-in traces are loaded by the replay tests anyway.
 	f.Add([]byte(`{"name":"x","capabilities":{},"measurements":[{}],"profiles":[null],"cache_stats":[null,[{}]]}`))
 	f.Add([]byte(`{"program":{"name":"p","init_table":"t","tables":[{"name":"t","key":[],"actions":[]}],"conditionals":[]},"profiles":[{},null],"cache_stats":[null,[{}]]}`))
-	f.Add([]byte(`{"name":"t","capabilities":{"model":"bluefield2","cores":8},"program":{"name":"p","init_table":"t","tables":[{"name":"t","key":[{"target":"ipv4.dstAddr","match_type":"exact","width":32}],"actions":[{"name":"drop","primitives":[{"op":"drop"}]}],"next_tables":{"drop":"c"}}],"conditionals":[{"name":"c","expression":"meta.x == 1","true_next":"t"}]},"measurements":[{"packets":8,"mean_latency_ns":250.5}],"profiles":[{"sample_rate":1,"action_counts":{"t":{"drop":3}},"branch_counts":{"c":[1,2]}}],"cache_stats":[[{"table":"c0","hits":1}]]}`))
+	f.Add([]byte(`{"name":"t","capabilities":{"model":"bluefield2","cores":8},"program":{"name":"p","init_table":"t","tables":[{"name":"t","key":[{"target":"ipv4.dstAddr","match_type":"exact","width":32}],"actions":[{"name":"drop","primitives":[{"op":"drop"}]}],"next_tables":{"drop":"c"}}],"conditionals":[{"name":"c","expression":"meta.x == 1","true_next":"t","read_fields":["meta.x"]}]},"measurements":[{"packets":8,"mean_latency_ns":250.5}],"profiles":[{"sample_rate":1,"action_counts":{"t":{"drop":3}},"branch_counts":{"c":[1,2]}}],"cache_stats":[[{"table":"c0","hits":1}]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "trace.json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
