@@ -55,6 +55,11 @@ var importRules = []importRule{
 		Path: "pipeleon/internal/nicsim",
 		Why:  "the fleet controller manages devices through internal/target; only binaries may construct emulators",
 	},
+	{
+		Dir:  "internal/nicsim",
+		Path: "pipeleon/internal/faultinject",
+		Why:  "device faults are injected at the target boundary (target.WithFaults), never inside the emulator",
+	},
 }
 
 // tierNameRule forbids files under Dir (non-test) from naming concrete

@@ -5,7 +5,9 @@
 //   - layering: internal/core and internal/fleet must not import
 //     internal/nicsim (the runtime reaches devices only through the
 //     internal/target abstraction, the emulator being just one backend;
-//     the fleet imports target and core, and binaries assemble emulators).
+//     the fleet imports target and core, and binaries assemble emulators);
+//     and internal/nicsim must not import internal/faultinject (device
+//     faults are injected at the target boundary, target.WithFaults).
 //   - determinism: internal/nicsim fast-path files and internal/target
 //     record/replay files must not call time.Now or import math/rand —
 //     any ambient wall clock or global RNG would make recorded device

@@ -229,14 +229,14 @@ func main() {
 }
 
 // simDevice builds one in-process emulated device: a nicsim-backed Local
-// target wrapped for fault injection (unscripted by default).
+// target.
 func simDevice(prog *p4ir.Program, pm costmodel.Params) (target.Target, error) {
 	col := profile.NewCollector()
 	nic, err := nicsim.New(prog.Clone(), nicsim.Config{Params: pm, Collector: col, Instrument: true})
 	if err != nil {
 		return nil, err
 	}
-	return fleet.WithFaults(target.NewLocal(nic, col), faultinject.NewScript()), nil
+	return target.NewLocal(nic, col), nil
 }
 
 // lockedSampler serializes a generator: rollout stages measure devices
@@ -285,7 +285,7 @@ func driveScenario(progA, progB *p4ir.Program, logf func(string, ...any)) error 
 		}
 		members = append(members, fleet.FleetMember{
 			Name:   fmt.Sprintf("sim%d", i),
-			Target: fleet.WithFaults(target.NewLocal(nic, col), script),
+			Target: target.WithFaults(target.NewLocal(nic, col), script),
 			Script: script,
 		})
 	}

@@ -82,12 +82,11 @@ func main() {
 	col := profile.NewCollector()
 	nic, err := nicsim.New(prog, nicsim.Config{
 		Params: pm, Collector: col, Instrument: true, CacheFillCostNs: 500,
-		Faults: faults,
 	})
 	if err != nil {
 		fatal("starting emulator: %v", err)
 	}
-	dev := target.NewLocal(nic, col)
+	dev := target.WithFaults(target.NewLocal(nic, col), faults)
 
 	var rt *core.Runtime
 	if !*devOnly {

@@ -20,6 +20,18 @@ import (
 
 func newDeviceServer(t *testing.T, opts ...ServerOption) (*Server, *target.Local) {
 	t.Helper()
+	dev, _ := newDevice(t)
+	srv, err := NewServer("127.0.0.1:0", nil, nil, append(opts, WithDevice(dev))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, dev
+}
+
+// newDevice builds the one-table emulated device and its collector.
+func newDevice(t *testing.T) (*target.Local, *profile.Collector) {
+	t.Helper()
 	prog, err := p4ir.ChainTables("devprog", []p4ir.TableSpec{{
 		Name:          "acl",
 		Keys:          []p4ir.Key{{Field: "tcp.dport", Kind: p4ir.MatchExact, Width: packet.FieldWidth("tcp.dport")}},
@@ -37,13 +49,44 @@ func newDeviceServer(t *testing.T, opts ...ServerOption) (*Server, *target.Local
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := target.NewLocal(nic, col)
-	srv, err := NewServer("127.0.0.1:0", nil, nil, append(opts, WithDevice(dev))...)
+	return target.NewLocal(nic, col), col
+}
+
+// TestCountersReadTheFaultedDevice: a device-only server answers counters
+// from its device before its collector, so a device wrapped with a Zero at
+// PointCounters answers an empty window once, then the device's window.
+func TestCountersReadTheFaultedDevice(t *testing.T) {
+	dev, col := newDevice(t)
+	script := faultinject.NewScript().Queue(faultinject.PointCounters, faultinject.Decision{Zero: true})
+	srv, err := NewServer("127.0.0.1:0", nil, col, WithDevice(target.WithFaults(dev, script)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, dev
+	defer srv.Close()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	gen := trafficgen.New(1, 0)
+	gen.AddFlows(trafficgen.UniformFlows(2, 50)...)
+	batch := gen.Batch(300)
+	if _, err := dev.Measure(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{0, uint64(len(batch))} {
+		prof, err := cl.Counters()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prof.TableTotal("acl"); got != want {
+			t.Errorf("read %d: %d acl hits, want %d", i+1, got, want)
+		}
+	}
+	if script.Fired(faultinject.PointCounters) != 1 {
+		t.Error("the zeroed-counters fault did not fire")
+	}
 }
 
 func TestRetriedMeasureNotDuplicated(t *testing.T) {

@@ -70,9 +70,10 @@ func (ic *idemCache) put(key string, resp *Response) {
 // ServerOption customizes a Server.
 type ServerOption func(*Server)
 
-// WithFaultInjector makes the server consult inj on connection reads,
-// response writes, and counter reads — the control-plane half of the
-// fault-injection harness. Production servers omit it.
+// WithFaultInjector makes the server consult inj on connection reads and
+// response writes (PointConnRead, PointConnWrite) — the wire's half of
+// the fault-injection harness; device faults are injected at the target
+// the server is handed (target.WithFaults). Production servers omit it.
 func WithFaultInjector(inj faultinject.Injector) ServerOption {
 	return func(s *Server) { s.faults = inj }
 }
@@ -428,15 +429,9 @@ func (s *Server) apply(req *Request) *Response {
 		if s.device == nil {
 			return fail(errNoDevice)
 		}
-		var snap *profile.Profile
-		if d := s.faultAt(faultinject.PointCounters); d.Zero {
-			snap = profile.New() // stale/zeroed window
-		} else {
-			var err error
-			snap, err = s.device.Profile(req.Reset)
-			if err != nil {
-				return fail(err)
-			}
+		snap, err := s.device.Profile(req.Reset)
+		if err != nil {
+			return fail(err)
 		}
 		data, err := json.Marshal(snap)
 		if err != nil {
@@ -467,21 +462,19 @@ func (s *Server) apply(req *Request) *Response {
 		resp.Data = data
 	case OpCounters:
 		// Prefer counters translated back to the original program's
-		// tables (the management-API view); fall back to the raw
-		// collector.
+		// tables (the management-API view); then the device's open
+		// window; then the raw collector.
 		var snap *profile.Profile
-		if d := s.faultAt(faultinject.PointCounters); d.Zero {
-			snap = profile.New() // stale/zeroed window
-		} else if tr, ok := s.backend.(interface{ TranslatedCounters() *profile.Profile }); ok {
+		if tr, ok := s.backend.(interface{ TranslatedCounters() *profile.Profile }); ok {
 			snap = tr.TranslatedCounters()
-		} else if s.collector != nil {
-			snap = s.collector.Snapshot()
 		} else if s.device != nil {
 			var err error
 			snap, err = s.device.Profile(false)
 			if err != nil {
 				return fail(err)
 			}
+		} else if s.collector != nil {
+			snap = s.collector.Snapshot()
 		} else {
 			return fail(errors.New("counters unavailable"))
 		}

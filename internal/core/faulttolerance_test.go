@@ -31,12 +31,11 @@ func newFaultRig(t *testing.T, inj faultinject.Injector) (*Runtime, *nicsim.NIC,
 		Params:     costmodel.BlueField2(),
 		Collector:  col,
 		Instrument: true,
-		Faults:     inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(prog, target.NewLocal(nic, col), cfg)
+	rt, err := NewRuntime(prog, target.WithFaults(target.NewLocal(nic, col), inj), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

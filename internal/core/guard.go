@@ -152,17 +152,14 @@ func (r *Runtime) SetDeployGuard(g DeployGuard) {
 	r.guard = &g
 }
 
-// SetFaultInjector wires a fault injector into the runtime's own fault
-// points (plan-gain misprediction, stale counter windows). The NIC and
-// control-plane server carry their own injector wiring.
+// SetFaultInjector wires a fault injector into the runtime's one fault
+// point, PointPlan (plan-gain misprediction). Device faults are injected
+// at the target (target.WithFaults), the wire's at the control-plane
+// server.
 func (r *Runtime) SetFaultInjector(inj faultinject.Injector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.faults = inj
-}
-
-func (r *Runtime) faultAt(p faultinject.Point) faultinject.Decision {
-	return faultinject.At(r.faults, p)
 }
 
 // noteDeployFailureLocked counts a failed or rolled-back deploy toward

@@ -50,11 +50,11 @@ func (p *probeTarget) Commit() error {
 func newProbeRig(t *testing.T, prog *p4ir.Program, cfg opt.Config, inj faultinject.Injector) (*Runtime, *nicsim.NIC, *probeTarget) {
 	t.Helper()
 	col := profile.NewCollector()
-	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col, Instrument: true, Faults: inj})
+	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := &probeTarget{Target: target.NewLocal(nic, col)}
+	tgt := &probeTarget{Target: target.WithFaults(target.NewLocal(nic, col), inj)}
 	rt, err := NewRuntime(prog, tgt, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -303,12 +303,6 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err er
 	if optProf == nil {
 		optProf = profile.New()
 	}
-	if d := r.faultAt(faultinject.PointCounters); d.Zero {
-		// Stale/wiped counter window: the device returned no usable
-		// profile. Proceed with an empty window rather than stale data;
-		// the next healthy window re-triggers optimization.
-		optProf = profile.New()
-	}
 
 	// Entry-update rates: delta of data-plane update counts over the
 	// window, attributed to original table names via the API mapping's
@@ -387,7 +381,7 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err er
 	}
 	// Cost-model misprediction fault: an inflated predicted gain must be
 	// caught by the verification window, not believed.
-	if d := r.faultAt(faultinject.PointPlan); d.Scale > 0 {
+	if d := faultinject.At(r.faults, faultinject.PointPlan); d.Scale > 0 {
 		report.Gain = res.Gain * d.Scale
 	}
 	planKey := strings.Join(report.Plan, ";")

@@ -1,7 +1,19 @@
 // Package faultinject is a deterministic fault-injection harness for the
-// runtime loop, the emulated NIC, and the control plane. Instrumented
-// sites ask an Injector what should go wrong at a named Point; production
-// code paths carry a nil Injector and pay only a nil check.
+// runtime loop, the devices it drives, and the control-plane wire. An
+// instrumented site asks an Injector what should go wrong at a named
+// Point; production code paths carry a nil Injector and pay only a nil
+// check.
+//
+// Each point is consulted by exactly one layer, and a Decision means one
+// thing there:
+//
+//	point       consulted by                         fields read
+//	deploy      target.WithFaults: Deploy, Rollback  Delay, Fail, Silent
+//	counters    target.WithFaults: Profile           Delay, Fail, Zero
+//	measure     target.WithFaults: Measure           Delay, Fail, Scale
+//	conn.read   controlplane.Server, each request    Delay, Drop
+//	conn.write  controlplane.Server, each response   Delay, Drop
+//	plan        core.Runtime, after plan search      Scale
 //
 // Two implementations are provided: Script replays an exact, per-point
 // queue of decisions (for reproducible fault-matrix tests), and Random
@@ -24,41 +36,37 @@ import (
 // Point identifies one instrumented fault site.
 type Point string
 
-// Instrumented sites.
+// Instrumented sites; the package doc says who consults each.
 const (
-	// PointDeploy is consulted by the NIC on every program swap.
+	// PointDeploy: a program swap, deploy or rollback. Silent reports
+	// success while the device keeps running what it ran.
 	PointDeploy Point = "deploy"
-	// PointConnRead is consulted by the control-plane server after
-	// reading each request frame.
+	// PointConnRead: the server has read a request frame.
 	PointConnRead Point = "conn.read"
-	// PointConnWrite is consulted by the control-plane server before
-	// writing each response frame — dropping here models the ambiguous
-	// "applied but unacknowledged" failure idempotency keys exist for.
+	// PointConnWrite: the server is about to write a response frame.
+	// Dropping here models the ambiguous "applied but unacknowledged"
+	// failure idempotency keys exist for.
 	PointConnWrite Point = "conn.write"
-	// PointCounters is consulted when a profile window is snapshotted
-	// (runtime) or served (control plane).
+	// PointCounters: a profile read, the runtime's window or a fleet
+	// health probe. Zero serves an empty (stale/wiped) window.
 	PointCounters Point = "counters"
-	// PointPlan is consulted by the runtime after plan search; Scale
-	// inflates the predicted gain to model cost-model misprediction.
+	// PointPlan: the runtime's plan search has answered. Scale inflates
+	// the predicted gain to model cost-model misprediction.
 	PointPlan Point = "plan"
-	// PointProbe is consulted by the fleet controller's health probes;
-	// Fail marks the device unreachable, Delay models a hung probe.
-	PointProbe Point = "probe"
-	// PointMeasure is consulted around device measurements (fleet rollout
-	// verification windows); Fail rejects the measurement, Scale inflates
-	// the measured mean latency to model a deploy that regressed.
+	// PointMeasure: a device measurement, such as a verification window.
+	// Scale inflates the measured latencies to model a deploy that
+	// regressed.
 	PointMeasure Point = "measure"
 )
 
 // Decision tells an instrumented site what to do. The zero value injects
-// nothing. Fields are interpreted by site: Fail/Silent at PointDeploy,
-// Drop/Delay at connection points, Zero at PointCounters, Scale at
-// PointPlan; Delay applies everywhere.
+// nothing. A site reads only the fields the package doc's table gives its
+// point and ignores the rest.
 type Decision struct {
 	// Fail makes the operation return Err (or a generic injected error).
 	Fail bool
-	// Silent makes a deploy report success without applying — the
-	// mid-deploy crash that leaves the NIC on the old program.
+	// Silent makes a swap report success without applying — the
+	// mid-deploy crash that leaves the device on the program it ran.
 	Silent bool
 	// Drop makes the server abandon the connection.
 	Drop bool
@@ -66,7 +74,8 @@ type Decision struct {
 	Zero bool
 	// Delay stalls the operation before proceeding.
 	Delay time.Duration
-	// Scale multiplies a plan's predicted gain when > 0.
+	// Scale, when > 0, multiplies a plan's predicted gain (plan) or a
+	// measurement's latencies (measure).
 	Scale float64
 	// Err overrides the error returned when Fail is set.
 	Err error
@@ -301,14 +310,14 @@ func ParseSpec(spec string, seed uint64) (Injector, error) {
 
 func knownPoint(p Point) bool {
 	switch p {
-	case PointDeploy, PointConnRead, PointConnWrite, PointCounters, PointPlan, PointProbe, PointMeasure:
+	case PointDeploy, PointConnRead, PointConnWrite, PointCounters, PointPlan, PointMeasure:
 		return true
 	}
 	return false
 }
 
 func knownPoints() string {
-	pts := []string{string(PointDeploy), string(PointConnRead), string(PointConnWrite), string(PointCounters), string(PointPlan), string(PointProbe), string(PointMeasure)}
+	pts := []string{string(PointDeploy), string(PointConnRead), string(PointConnWrite), string(PointCounters), string(PointPlan), string(PointMeasure)}
 	sort.Strings(pts)
 	return strings.Join(pts, ", ")
 }

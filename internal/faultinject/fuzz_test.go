@@ -12,11 +12,11 @@ import (
 func FuzzParseSpec(f *testing.F) {
 	f.Add("deploy.fail=0.1,conn.write.drop=0.05,counters.zero=0.02,plan.scale=0.1:20,conn.read.delay=0.1:50ms", uint64(7))
 	f.Add("deploy.fail=0.3,conn.write.drop=0.4", uint64(7))
-	f.Add(" probe.silent=1 ,, measure.scale=1:1e308", uint64(1))
+	f.Add(" counters.silent=1 ,, measure.scale=1:1e308", uint64(1))
 	f.Add("deploy.fail", uint64(0))
 	f.Add(".fail=1", uint64(0))
 	f.Add("", uint64(0))
-	points := []Point{PointDeploy, PointConnRead, PointConnWrite, PointCounters, PointPlan, PointProbe, PointMeasure}
+	points := []Point{PointDeploy, PointConnRead, PointConnWrite, PointCounters, PointPlan, PointMeasure}
 	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
 		inj, err := ParseSpec(spec, seed)
 		if err != nil {

@@ -90,7 +90,7 @@ func aclProgramOrder(t *testing.T, name string, order []string, ternary bool) *p
 }
 
 // newMember builds one simulated fleet member: a nicsim-backed Local
-// target wrapped in a FaultTarget with its own script.
+// target wrapped by target.WithFaults with its own script.
 func newMember(t *testing.T, name string, prog *p4ir.Program) fleet.FleetMember {
 	t.Helper()
 	m, _ := newMemberNIC(t, name, prog)
@@ -116,7 +116,7 @@ func newMemberModel(t *testing.T, name string, prog *p4ir.Program, pm costmodel.
 	script := faultinject.NewScript()
 	return fleet.FleetMember{
 		Name:   name,
-		Target: fleet.WithFaults(target.NewLocal(nic, col), script),
+		Target: target.WithFaults(target.NewLocal(nic, col), script),
 		Script: script,
 	}, nic
 }
@@ -185,7 +185,7 @@ func TestStateMachineProbationRelapse(t *testing.T) {
 	}
 
 	// Two probe failures: Healthy → Degraded → Quarantined.
-	m.Script.QueueN(faultinject.PointProbe, 2, faultinject.Decision{Fail: true})
+	m.Script.QueueN(faultinject.PointCounters, 2, faultinject.Decision{Fail: true})
 	ctl.ProbeAll()
 	if got := state(); got != fleet.Degraded {
 		t.Fatalf("after 1 failure: %s, want degraded", got)
@@ -198,7 +198,7 @@ func TestStateMachineProbationRelapse(t *testing.T) {
 	// Sit-out round, then probation begins — and a failure during
 	// probation re-quarantines.
 	ctl.ProbeAll() // serves the sit-out, no probe issued
-	m.Script.Queue(faultinject.PointProbe, faultinject.Decision{Fail: true})
+	m.Script.Queue(faultinject.PointCounters, faultinject.Decision{Fail: true})
 	ctl.ProbeAll() // Quarantined → Recovering, probation probe fails
 	if got := state(); got != fleet.Quarantined {
 		t.Fatalf("relapse during probation: %s, want quarantined", got)
@@ -471,13 +471,13 @@ func TestOptimizeContinuesPastFailedGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dead.Script.Queue(faultinject.PointProbe, faultinject.Decision{Fail: true})
+	dead.Script.Queue(faultinject.PointCounters, faultinject.Decision{Fail: true})
 
 	reports, err := ctl.OptimizeAndRollout(progA, fleet.DefaultRolloutConfig(nil))
 	if err == nil || !strings.Contains(err.Error(), "agiliocx") {
 		t.Fatalf("err = %v, want the agiliocx group's planning failure", err)
 	}
-	if dead.Script.Pending(faultinject.PointProbe) != 0 {
+	if dead.Script.Pending(faultinject.PointCounters) != 0 {
 		t.Fatal("the scripted probe failure never fired")
 	}
 	if len(reports) != 1 {

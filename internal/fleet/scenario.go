@@ -38,7 +38,7 @@ type FaultScenarioInput struct {
 	Logf func(format string, args ...any)
 }
 
-// FleetMember pairs a named target (typically a FaultTarget around an
+// FleetMember pairs a named target (typically target.WithFaults around an
 // emulator or remote device) with the fault script the scenario queues
 // decisions into. Callers assemble the members — keeping this package
 // free of any emulator dependency — and RunFaultScenario drives them.

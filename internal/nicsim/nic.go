@@ -1,15 +1,12 @@
 package nicsim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pipeleon/internal/costmodel"
-	"pipeleon/internal/faultinject"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
@@ -59,10 +56,6 @@ type Config struct {
 	// the paper's regression absorbs it into the constants B1/B2. It is
 	// what makes Figure 5's model-vs-measurement comparison non-trivial.
 	PerPacketOverheadNs float64
-	// Faults, when non-nil, is consulted on program swaps so tests can
-	// inject deploy failures and silent mid-deploy crashes (the NIC left
-	// on the old program). Production configs leave it nil.
-	Faults faultinject.Injector
 }
 
 // NIC is one emulated SmartNIC running a program.
@@ -253,24 +246,7 @@ func sameCacheIdentity(a, b p4ir.CacheSpec) bool {
 // reconfiguration of runtime-programmable SmartNICs (§2.3 deployment
 // scenario 1). Tables the swap leaves as they were keep their match store
 // and runtime cache contents (see load); the rest start afresh.
-//
-// Under fault injection a swap may fail (reload rejected, device keeps
-// the old program) or crash mid-deploy (reported success, old program
-// still running) — the failure modes the runtime's verify-and-rollback
-// deploy transaction exists to absorb.
 func (n *NIC) Swap(prog *p4ir.Program) error {
-	if n.cfg.Faults != nil {
-		d := n.cfg.Faults.At(faultinject.PointDeploy)
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
-		if d.Fail {
-			return fmt.Errorf("nicsim: deploy failed: %w", d.Error())
-		}
-		if d.Silent {
-			return nil
-		}
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.load(prog.Clone())

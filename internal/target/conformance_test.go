@@ -1,7 +1,6 @@
 package target_test
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -101,11 +100,10 @@ func newLocalTarget(t *testing.T, prog *p4ir.Program) *target.Local {
 	return target.NewLocal(nic, col)
 }
 
-// newRemoteTarget spins a loopback device-only server over a local backend
-// and dials it — the full wire path with no separate process.
-func newRemoteTarget(t *testing.T, prog *p4ir.Program) target.Target {
+// newRemoteTarget spins a loopback device-only server over dev and dials
+// it — the full wire path with no separate process.
+func newRemoteTarget(t *testing.T, dev target.Target) target.Target {
 	t.Helper()
-	dev := newLocalTarget(t, prog)
 	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(dev))
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +314,7 @@ func TestConformanceLocal(t *testing.T) {
 
 func TestConformanceRemote(t *testing.T) {
 	prog := confProgram(t)
-	tgt := newRemoteTarget(t, prog)
+	tgt := newRemoteTarget(t, newLocalTarget(t, prog))
 	defer tgt.Close()
 	exercise(t, tgt, prog, false)
 }
@@ -328,44 +326,191 @@ func TestConformanceReplay(t *testing.T) {
 	exercise(t, tgt, prog, true)
 }
 
-// TestConformanceDigestUnderDeployFaults: a deploy the device delays, refuses
-// or silently drops leaves Digest() naming the program the device runs, on
-// the device and across the wire — where the remote holds the digest of
-// the program it sent, not of the one that runs after a silent fault. (A
-// Replayer has no device to fault.)
-func TestConformanceDigestUnderDeployFaults(t *testing.T) {
-	for _, wire := range []bool{false, true} {
-		script := faultinject.NewScript()
-		nic, err := nicsim.New(confProgram(t), nicsim.Config{Params: costmodel.BlueField2(), Faults: script})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tgt target.Target = target.NewLocal(nic, nil)
-		if wire {
-			srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(tgt))
+// faultCase drives one device fault through tgt, queueing its decisions
+// on script, the injector tgt is wrapped with.
+type faultCase func(t *testing.T, tgt target.Target, script *faultinject.Script)
+
+// TestConformanceDeviceFaults: a device fault means one thing on every
+// backend target.WithFaults wraps — the emulator, a loopback remote
+// (faulted on the device side of the wire) and a replayed trace. A deploy
+// or rollback the device delays, refuses or silently drops leaves Digest()
+// naming the program the device runs, on the device and across the wire,
+// where the remote holds the digest of the program it sent, not of the one
+// that runs after a silent fault; the transaction stays where the fault
+// leaves it. A refused counter read never reaches the device; a zeroed one
+// still closes the device's window.
+func TestConformanceDeviceFaults(t *testing.T) {
+	backends := []struct {
+		name string
+		run  func(t *testing.T, c faultCase)
+	}{
+		{"local", func(t *testing.T, c faultCase) {
+			script := faultinject.NewScript()
+			c(t, target.WithFaults(newLocalTarget(t, confProgram(t)), script), script)
+		}},
+		{"remote", func(t *testing.T, c faultCase) {
+			script := faultinject.NewScript()
+			tgt := newRemoteTarget(t, target.WithFaults(newLocalTarget(t, confProgram(t)), script))
+			defer tgt.Close()
+			c(t, tgt, script)
+		}},
+		{"replay", func(t *testing.T, c faultCase) {
+			// The case runs once over a recording of the emulator, so the
+			// trace holds exactly the device calls the faults let through,
+			// then again over the replay of that trace.
+			prog := confProgram(t)
+			rec := target.NewRecorder(newLocalTarget(t, prog), "faults")
+			script := faultinject.NewScript()
+			c(t, target.WithFaults(rec, script), script)
+			rp, err := target.NewReplayer(rec.Trace(), prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			if tgt, err = remote.Dial(srv.Addr()); err != nil {
-				t.Fatal(err)
+			script = faultinject.NewScript()
+			c(t, target.WithFaults(rp, script), script)
+			if ms, ps, _ := rp.Remaining(); ms != 0 || ps != 0 {
+				t.Errorf("replay left %d measurements and %d profiles unconsumed", ms, ps)
 			}
-			defer tgt.Close()
+		}},
+	}
+	var cases []struct {
+		name string
+		run  faultCase
+	}
+	add := func(name string, run faultCase) {
+		cases = append(cases, struct {
+			name string
+			run  faultCase
+		}{name, run})
+	}
+	for _, f := range []struct {
+		name string
+		d    faultinject.Decision
+	}{{"delay", faultinject.Decision{Delay: time.Millisecond}}, {"fail", faultinject.Decision{Fail: true}}, {"silent", faultinject.Decision{Silent: true}}} {
+		add("deploy-"+f.name, deployFaultCase(f.d))
+		add("rollback-"+f.name, rollbackFaultCase(f.d))
+	}
+	add("profile-fail", profileFaultCase(faultinject.Decision{Fail: true}))
+	add("profile-zero", profileFaultCase(faultinject.Decision{Zero: true}))
+	for _, b := range backends {
+		for _, c := range cases {
+			t.Run(b.name+"/"+c.name, func(t *testing.T) { b.run(t, c.run) })
 		}
-		for _, d := range []faultinject.Decision{{Delay: time.Millisecond}, {Fail: true}, {Silent: true}} {
-			step := fmt.Sprintf("wire=%v, deploy with %+v", wire, d)
-			digestIsProgram(t, tgt, step+": before")
+	}
+}
+
+// wantNoStaged fails unless err is the refusal of a Commit or Rollback with
+// nothing staged (by message: over the wire the sentinel is a string).
+func wantNoStaged(t *testing.T, op string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "no staged") {
+		t.Fatalf("%s: err = %v, want no staged deploy", op, err)
+	}
+}
+
+func wantRoot(t *testing.T, tgt target.Target, step, root string) {
+	t.Helper()
+	digestIsProgram(t, tgt, step)
+	if got := rootOf(tgt.Program()); got != root {
+		t.Fatalf("after %s: root = %q, want %q", step, got, root)
+	}
+}
+
+// deployFaultCase: Deploy under d, then the transaction ended each way. A
+// refused deploy stages nothing; a silent one stages the running program,
+// so a Commit after it succeeds and the device runs what it ran.
+func deployFaultCase(d faultinject.Decision) faultCase {
+	return func(t *testing.T, tgt target.Target, script *faultinject.Script) {
+		orig, alt := confProgram(t).Root, altProgram(t).Root
+		staged := alt
+		if d.Fail || d.Silent {
+			staged = orig
+		}
+		for _, end := range []string{"rollback", "commit"} {
+			digestIsProgram(t, tgt, "before deploy")
 			script.Queue(faultinject.PointDeploy, d)
 			if err := tgt.Deploy(altProgram(t)); (err != nil) != d.Fail {
-				t.Fatalf("%s: err = %v", step, err)
+				t.Fatalf("deploy: err = %v", err)
 			}
-			digestIsProgram(t, tgt, step)
-			if !d.Fail {
+			wantRoot(t, tgt, "deploy", staged)
+			if d.Fail {
+				wantNoStaged(t, "commit after a refused deploy", tgt.Commit())
+				return
+			}
+			if end == "rollback" {
 				if err := tgt.Rollback(); err != nil {
-					t.Fatalf("%s: rollback: %v", step, err)
+					t.Fatalf("rollback: %v", err)
 				}
-				digestIsProgram(t, tgt, step+": rollback")
+				wantRoot(t, tgt, "rollback", orig)
+				continue
 			}
+			if err := tgt.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			wantRoot(t, tgt, "commit", staged)
+		}
+	}
+}
+
+// rollbackFaultCase: Rollback of a staged deploy under d. A refused
+// rollback leaves the deploy staged, so the next one restores the
+// original; a silent one commits the staged program.
+func rollbackFaultCase(d faultinject.Decision) faultCase {
+	return func(t *testing.T, tgt target.Target, script *faultinject.Script) {
+		orig, alt := confProgram(t).Root, altProgram(t).Root
+		if err := tgt.Deploy(altProgram(t)); err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+		script.Queue(faultinject.PointDeploy, d)
+		if err := tgt.Rollback(); (err != nil) != d.Fail {
+			t.Fatalf("rollback: err = %v", err)
+		}
+		if d.Fail || d.Silent {
+			wantRoot(t, tgt, "rollback", alt)
+		} else {
+			wantRoot(t, tgt, "rollback", orig)
+		}
+		err := tgt.Rollback()
+		if !d.Fail {
+			wantNoStaged(t, "second rollback", err)
+			return
+		}
+		if err != nil {
+			t.Fatalf("rollback after a refused one: %v", err)
+		}
+		wantRoot(t, tgt, "second rollback", orig)
+	}
+}
+
+// profileFaultCase: Profile(true) under d between two measured batches,
+// then an un-faulted Profile(true). Every packet passes the root table t1,
+// so its count is the window's packets.
+func profileFaultCase(d faultinject.Decision) faultCase {
+	return func(t *testing.T, tgt target.Target, script *faultinject.Script) {
+		first, second := confBatch(300), confBatch(200)
+		if _, err := tgt.Measure(first); err != nil {
+			t.Fatal(err)
+		}
+		script.Queue(faultinject.PointCounters, d)
+		prof, err := tgt.Profile(true)
+		if (err != nil) != d.Fail {
+			t.Fatalf("faulted profile: err = %v", err)
+		}
+		if d.Zero && prof.TableTotal("t1") != 0 {
+			t.Fatalf("zeroed profile holds %d t1 hits", prof.TableTotal("t1"))
+		}
+		if _, err := tgt.Measure(second); err != nil {
+			t.Fatal(err)
+		}
+		if prof, err = tgt.Profile(true); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(len(second))
+		if d.Fail {
+			want += uint64(len(first)) // the refused read left the window open
+		}
+		if got := prof.TableTotal("t1"); got != want {
+			t.Fatalf("next window holds %d t1 hits, want %d", got, want)
 		}
 	}
 }
@@ -464,7 +609,7 @@ func TestConformanceRemoteProgramIsTheDevices(t *testing.T) {
 func TestConformanceMeasurementsAgree(t *testing.T) {
 	prog := confProgram(t)
 	local := newLocalTarget(t, prog)
-	rem := newRemoteTarget(t, prog)
+	rem := newRemoteTarget(t, newLocalTarget(t, prog))
 	defer rem.Close()
 
 	batch := confBatch(2000)
@@ -550,7 +695,7 @@ func TestRuntimeRollbackOnVerifyFailureLocal(t *testing.T) {
 
 func TestRuntimeRollbackOnVerifyFailureRemote(t *testing.T) {
 	prog := confProgram(t)
-	tgt := newRemoteTarget(t, prog)
+	tgt := newRemoteTarget(t, newLocalTarget(t, prog))
 	defer tgt.Close()
 	runtimeRollbackScenario(t, tgt, prog, rollbackGen())
 }
