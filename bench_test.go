@@ -488,12 +488,23 @@ func BenchmarkEmulatorProcessBurstSynth110Instrumented(b *testing.B) {
 
 // BenchmarkMeasureSynth110Instrumented is one Measure of the 4 096-packet
 // batch on the 110-table program with its searched cache plan, into a
-// bound collector, with noise: the walk and the finish stage both on the
-// path. ns/pkt is per packet, allocs/op per Measure. The gomaxprocs=1 row
-// sets GOMAXPROCS to one for its duration (and restores it), so a one-core
-// regression of Measure shows beside the default row.
+// bound collector, with noise. ns/pkt is per packet, allocs/op per
+// Measure. The gomaxprocs rows measure the same batch again and again, so
+// after the first call every packet replays from the trace memo: they
+// time the replay. The gomaxprocs=1 row sets GOMAXPROCS to one for its
+// duration (and restores it), so a one-core regression of Measure shows
+// beside the default row. The fresh row draws a new window of the same
+// 128 flows for every Measure and resets the collector before it, as
+// synth-shift's windows come: each flow's first packet of a window walks
+// again (its keys go into the new window), the rest replay.
 func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
-	nic, _, pkts := synth110Deployed(b)
+	nic, col, pkts := synth110Deployed(b)
+	b.Run("fresh", func(b *testing.B) {
+		gen := trafficgen.New(6, trafficgen.DefaultPacketBytes)
+		gen.AddFlows(trafficgen.UniformFlows(8, 128)...)
+		gen.SetSkew(0.9)
+		benchMeasureFresh(b, nic, col, gen, len(pkts), 1)
+	})
 	for _, procs := range []int{0, 1} {
 		name := "gomaxprocs=default"
 		if procs > 0 {
@@ -519,7 +530,11 @@ func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 // ternary ACLs over four masks, LPM routing over three prefix lengths, a
 // two-word conntrack — instrumented into a bound collector, with noise:
 // the multi-group and multi-word lookups the 110-table rows barely have.
-// ns/pkt is per packet, allocs/op per Measure.
+// ns/pkt is per packet, allocs/op per Measure. The repeat row measures one
+// batch again and again, which the trace memo replays as far as it holds
+// the batch's flows; the fresh row draws a new batch of the 20 000 Zipf
+// flows for every Measure and resets the collector every eight, as the
+// dash workloads' windows of eight Measure calls come.
 func BenchmarkMeasureDash(b *testing.B) {
 	benchMeasureDash(b, dashProgram(b))
 }
@@ -617,26 +632,59 @@ func cacheInFront(prog *p4ir.Program, t string, budget int, limit float64) {
 	prog.Tables[name] = ct
 }
 
-// benchMeasureDash times Measure of the dash batch on prog.
+// benchMeasureDash times Measure of dash batches on prog, each row on a
+// NIC of its own.
 func benchMeasureDash(b *testing.B, prog *p4ir.Program) {
-	nic, err := nicsim.New(prog, nicsim.Config{
-		Params: costmodel.BlueField2(), Collector: NewCollector(), Instrument: true,
-		Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
-	})
-	if err != nil {
-		b.Fatal(err)
+	dash := func() (*nicsim.NIC, *Collector, *trafficgen.Generator) {
+		col := NewCollector()
+		nic, err := nicsim.New(prog, nicsim.Config{
+			Params: costmodel.BlueField2(), Collector: col, Instrument: true,
+			Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen := trafficgen.New(4, trafficgen.DefaultPacketBytes)
+		gen.AddFlows(dashFlows()...)
+		gen.SetSkew(0.9)
+		return nic, col, gen
 	}
-	gen := trafficgen.New(4, trafficgen.DefaultPacketBytes)
-	gen.AddFlows(dashFlows()...)
-	gen.SetSkew(0.9)
-	pkts := gen.Batch(8192)
+	b.Run("repeat", func(b *testing.B) {
+		nic, _, gen := dash()
+		pkts := gen.Batch(8192)
+		nic.Measure(pkts) // warm: buffers sized
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nic.Measure(pkts)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+	})
+	b.Run("fresh", func(b *testing.B) {
+		nic, col, gen := dash()
+		benchMeasureFresh(b, nic, col, gen, 8192, 8)
+	})
+}
+
+// benchMeasureFresh times Measure of a new batch of n packets from gen per
+// iteration, the collector reset before every window of the given number
+// of batches. Drawing the batch and the reset are not timed.
+func benchMeasureFresh(b *testing.B, nic *nicsim.NIC, col *Collector, gen *trafficgen.Generator, n, window int) {
+	pkts := make([]*packet.Packet, n)
+	gen.BatchInto(pkts)
 	nic.Measure(pkts) // warm: buffers sized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		gen.BatchInto(pkts)
+		if i%window == 0 {
+			col.Reset()
+		}
+		b.StartTimer()
 		nic.Measure(pkts)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pkt")
 }
 
 // BenchmarkMeasure measures batch throughput of the burst datapath on an

@@ -16,6 +16,11 @@
 // reported via b.ReportMetric. Everything else (PASS, ok, goos lines) is
 // passed over; the input is echoed to stdout so the command can sit at the
 // end of a pipeline without hiding the run.
+//
+// The document is stamped with the machine the run is from: GOMAXPROCS
+// (the lowest its result names carry), NumCPU, the Go version and the
+// commit. -compare refuses a baseline stamped with another GOMAXPROCS or
+// NumCPU: numbers from different core counts are not comparable.
 package main
 
 import (
@@ -25,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -44,9 +51,17 @@ type Bench struct {
 
 // Doc is the output document.
 type Doc struct {
-	Goos       string  `json:"goos,omitempty"`
-	Goarch     string  `json:"goarch,omitempty"`
-	CPU        string  `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the lowest the run's results were printed under: the
+	// suffix Go appends to a benchmark name, 1 for a name without one (see
+	// splitProcs). NumCPU, the Go version and the commit are stamped by
+	// the command (see stamp); an archive written before them has none.
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	NumCPU     int     `json:"num_cpu,omitempty"`
+	GoVersion  string  `json:"go_version,omitempty"`
+	Commit     string  `json:"commit,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
@@ -62,6 +77,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: reading input: %v\n", err)
 		os.Exit(1)
 	}
+	// Output waits for git to exit; outside a git checkout it just fails.
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+		if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+			commit += "-dirty" // the run is of uncommitted changes on it
+		}
+	}
+	doc.stamp(runtime.NumCPU(), runtime.Version(), commit)
 
 	data, err := doc.MarshalIndent()
 	if err != nil {
@@ -94,6 +118,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if err := comparable(&base, &doc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
 	violations := compareDocs(&base, &doc, *maxRegress, re)
 	if len(violations) == 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: no regressions vs %s (max-regress %.0f%%)\n", *compare, *maxRegress*100)
@@ -116,6 +144,26 @@ func readDoc(path string) (Doc, error) {
 		return d, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
+}
+
+// stamp records the machine a parsed run is from, beside the GOMAXPROCS
+// parse read off it.
+func (d *Doc) stamp(numCPU int, goVersion, commit string) {
+	d.NumCPU, d.GoVersion, d.Commit = numCPU, goVersion, commit
+}
+
+// comparable refuses to compare a run with a baseline from another core
+// count: both stamped, with a different GOMAXPROCS or NumCPU. A baseline
+// archived before the stamp is compared as before.
+func comparable(base, cur *Doc) error {
+	if base.GOMAXPROCS == 0 || base.NumCPU == 0 {
+		return nil
+	}
+	if base.GOMAXPROCS != cur.GOMAXPROCS || base.NumCPU != cur.NumCPU {
+		return fmt.Errorf("refusing to compare: the baseline ran at GOMAXPROCS=%d on %d CPUs, this run at GOMAXPROCS=%d on %d",
+			base.GOMAXPROCS, base.NumCPU, cur.GOMAXPROCS, cur.NumCPU)
+	}
+	return nil
 }
 
 // compareDocs is the bench-regression gate: for every baseline benchmark
@@ -202,7 +250,10 @@ func parse(r io.Reader, echo io.Writer) (Doc, error) {
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		}
-		if b, ok := parseLine(line); ok {
+		if b, procs, ok := parseLine(line); ok {
+			if len(doc.Benchmarks) == 0 || procs < doc.GOMAXPROCS {
+				doc.GOMAXPROCS = procs
+			}
 			doc.Benchmarks = append(doc.Benchmarks, b)
 		}
 	}
@@ -219,44 +270,48 @@ func (d *Doc) MarshalIndent() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// parseLine extracts one benchmark result; ok is false for non-result
-// lines.
-func parseLine(line string) (Bench, bool) {
+// parseLine extracts one benchmark result and the GOMAXPROCS its name
+// was printed under; ok is false for non-result lines.
+func parseLine(line string) (b Bench, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Bench{}, false
+		return Bench{}, 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Bench{}, false
+		return Bench{}, 0, false
 	}
-	b := Bench{Name: stripProcs(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
+	b = Bench{Iterations: iters, Metrics: map[string]float64{}}
+	b.Name, procs = splitProcs(fields[0])
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Bench{}, false
+			return Bench{}, 0, false
 		}
 		b.Metrics[fields[i+1]] = v
 	}
 	if len(b.Metrics) == 0 {
-		return Bench{}, false
+		return Bench{}, 0, false
 	}
-	return b, true
+	return b, procs, true
 }
 
-// stripProcs removes the trailing -GOMAXPROCS suffix Go appends to
-// benchmark names (Benchmark/sub-8 -> Benchmark/sub). On a single-CPU
-// runner Go omits the suffix entirely, so a sub-benchmark whose own name
-// ends in "-<digits>" (e.g. "workers-8") would be eaten here and collapse
-// with its siblings; parameterized sub-benchmarks therefore use "=" in
-// their names ("workers=8"), which survives stripping in both forms.
-func stripProcs(name string) string {
+// splitProcs splits the -GOMAXPROCS suffix Go appends to benchmark names
+// off name (Benchmark/sub-8 -> Benchmark/sub, 8). At GOMAXPROCS 1 Go
+// appends none, and a name without one is (name, 1). So on a single-CPU
+// runner a sub-benchmark whose own name ends in "-<digits>" (e.g.
+// "workers-8") would lose it here, collapse with its siblings and read as
+// GOMAXPROCS 8; parameterized sub-benchmarks therefore use "=" in their
+// names ("workers=8"), which survives in both forms. A run mixing such
+// names with plain ones is still stamped 1: parse keeps the lowest.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }

@@ -66,33 +66,118 @@ func TestParseLineRejectsNonResults(t *testing.T) {
 		"BenchmarkBroken-8 notanumber 12 ns/op",
 		"BenchmarkNoMetrics-8 100",
 	} {
-		if _, ok := parseLine(line); ok {
+		if _, _, ok := parseLine(line); ok {
 			t.Errorf("parseLine accepted %q", line)
 		}
 	}
 }
 
 func TestStripProcs(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkEmulatorProcess-8":           "BenchmarkEmulatorProcess",
-		"BenchmarkMeasureParallel/workers-8":   "BenchmarkMeasureParallel/workers",
-		"BenchmarkPlain":                       "BenchmarkPlain",
-		"BenchmarkMeasureParallel/workers-8-8": "BenchmarkMeasureParallel/workers-8",
+	type split struct {
+		name  string
+		procs int
+	}
+	cases := map[string]split{
+		"BenchmarkEmulatorProcess-8":           {"BenchmarkEmulatorProcess", 8},
+		"BenchmarkMeasureParallel/workers-8":   {"BenchmarkMeasureParallel/workers", 8},
+		"BenchmarkPlain":                       {"BenchmarkPlain", 1},
+		"BenchmarkMeasureParallel/workers-8-8": {"BenchmarkMeasureParallel/workers-8", 8},
 		// The "=" convention keeps parameterized sub-benchmarks distinct in
 		// both forms go emits: with the -GOMAXPROCS suffix (multi-CPU) and
 		// without it (GOMAXPROCS=1, where a "-N" ending would be eaten).
-		"BenchmarkMeasureParallel/workers=8-8": "BenchmarkMeasureParallel/workers=8",
-		"BenchmarkMeasureParallel/workers=4":   "BenchmarkMeasureParallel/workers=4",
+		"BenchmarkMeasureParallel/workers=8-8": {"BenchmarkMeasureParallel/workers=8", 8},
+		"BenchmarkMeasureParallel/workers=4":   {"BenchmarkMeasureParallel/workers=4", 1},
 	}
 	for in, want := range cases {
-		if got := stripProcs(in); got != want {
-			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
+		if name, procs := splitProcs(in); (split{name, procs}) != want {
+			t.Errorf("splitProcs(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }
 
 func bench(name string, metrics map[string]float64) Bench {
 	return Bench{Name: name, Iterations: 100, Metrics: metrics}
+}
+
+// TestStampGolden pins the stamp: the sample transcript, stamped with a
+// fixed machine, converts to exactly the archived stamped document —
+// GOMAXPROCS read off its result names (1: one has no suffix), NumCPU, Go version and commit
+// beside it.
+func TestStampGolden(t *testing.T) {
+	in, err := os.Open(filepath.Join("testdata", "bench.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	doc, err := parse(in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.stamp(16, "go1.24.0", "0123456789abcdef0123456789abcdef01234567")
+	got, err := doc.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenPath := filepath.Join("testdata", "stamped.golden.json")
+	if *update {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stamped document diverges from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestComparableRefusesOtherCoreCounts: a run is compared with a baseline
+// stamped with its GOMAXPROCS and NumCPU, or with an unstamped one, and
+// refused against any other.
+func TestComparableRefusesOtherCoreCounts(t *testing.T) {
+	stamped := func(procs, cpus int) *Doc {
+		return &Doc{GOMAXPROCS: procs, NumCPU: cpus, GoVersion: "go1.24.0", Commit: "abc"}
+	}
+	for _, tc := range []struct {
+		name      string
+		base, cur *Doc
+		ok        bool
+	}{
+		{"same machine", stamped(2, 2), stamped(2, 2), true},
+		{"unstamped baseline", &Doc{}, stamped(8, 8), true},
+		{"other GOMAXPROCS", stamped(2, 2), stamped(1, 2), false},
+		{"other NumCPU", stamped(2, 2), stamped(2, 4), false},
+	} {
+		if err := comparable(tc.base, tc.cur); (err == nil) != tc.ok {
+			t.Errorf("%s: comparable = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+	// A run is stamped with the lowest GOMAXPROCS its names carry, so a
+	// one-CPU run whose first name ends in "-<digits>" itself is still
+	// stamped 1, and refused against a two-CPU baseline.
+	for _, tc := range []struct {
+		name  string
+		lines []string
+		procs int
+	}{
+		{"two CPUs", []string{"BenchmarkEntryOp/exact2w-2000-2 10 5 ns/op", "BenchmarkFlowCache/hit-2 10 5 ns/op"}, 2},
+		{"one CPU", []string{"BenchmarkEntryOp/exact2w-2000 10 5 ns/op", "BenchmarkFlowCache/hit 10 5 ns/op"}, 1},
+		{"eight CPUs", []string{"BenchmarkSwap-8 10 5 ns/op"}, 8},
+	} {
+		doc, err := parse(strings.NewReader(strings.Join(tc.lines, "\n")), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.GOMAXPROCS != tc.procs {
+			t.Errorf("%s: stamped GOMAXPROCS=%d, want %d", tc.name, doc.GOMAXPROCS, tc.procs)
+		}
+		doc.stamp(2, "go1.24.0", "abc")
+		if err := comparable(stamped(2, 2), &doc); (err == nil) != (tc.procs == 2) {
+			t.Errorf("%s: comparable with a two-CPU baseline = %v", tc.name, err)
+		}
+	}
 }
 
 // TestCompareDocs pins the regression-gate semantics: >max-regress ns/op

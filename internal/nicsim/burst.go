@@ -28,20 +28,13 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 	_ = results[len(pkts)-1]
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
-	n.processBurst(ctx, pkts, results)
-	n.ctxPool.Put(ctx)
-}
-
-// processBurst is ProcessBurst on the caller's context. A context holding
-// a finish chunk (Measure's walk) leaves the noise and the distinct keys
-// to it; otherwise every Result is finished here.
-func (n *NIC) processBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) {
 	var dropped uint64
 	for lo := 0; lo < len(pkts); lo += BurstSize {
 		hi := min(lo+BurstSize, len(pkts))
 		dropped += n.walkBurst(ctx, pkts[lo:hi], results[lo:hi])
 	}
 	n.noteBurst(uint64(len(pkts)), dropped)
+	n.ctxPool.Put(ctx)
 }
 
 // walkBurst walks one burst and returns its drop count. A plan with a flow
@@ -56,17 +49,13 @@ func (n *NIC) walkBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) (
 	}
 	sink := ctx.sink(pl)
 	for i, pkt := range pkts {
-		n.run(pl, ctx, pkt, sink, &results[i])
+		n.run(pl, ctx, pkt, sink, sink != nil && sink.Sampled(), &results[i])
 		if results[i].Dropped {
 			dropped++
 		}
 		ctx.reset()
 	}
-	if ctx.chunk != nil {
-		sink.FlushCounters(&ctx.chunk.keys)
-	} else {
-		sink.Flush()
-	}
+	sink.Flush()
 	return dropped
 }
 

@@ -80,11 +80,22 @@ type flowCache struct {
 }
 
 type cacheNode struct {
-	hash            uint64
+	hash uint64
+	// mark holds the low 31 bits of the node's stamp — the inserts count
+	// of the fill that wrote it, which no other fill of the cache shares —
+	// and, in bit 31, whether the packet drops. Packed so that a node
+	// stays 24 bytes.
+	mark            uint32
 	prev, next      int32  // towards head, towards tail
 	keyLen, nWrites uint16 // the used prefix of the node's stride
-	dropped         bool
 }
+
+// stampBits masks a stamp's bits in cacheNode.mark; markDropped is the
+// drop bit.
+const (
+	stampBits   = 1<<31 - 1
+	markDropped = 1 << 31
+)
 
 func newFlowCache(spec p4ir.CacheSpec) *flowCache {
 	return &flowCache{
@@ -236,12 +247,28 @@ func (c *flowCache) get(key []uint64) (int32, uint64) {
 	return id, h
 }
 
+// stamp names the fill node id holds: the latest stamp with the node's
+// low bits, which holds recognizes for as long as the node keeps the fill.
+func (c *flowCache) stamp(id int32) uint64 {
+	low := uint64(c.nodes[id].mark & stampBits)
+	return c.inserts - (c.inserts-low)&stampBits
+}
+
+// holds reports whether node id is live and still holds the fill it held
+// when stamp(id) returned stamp: then a get of that fill's key finds the
+// node, with that fill's result. A node only ever takes later stamps, and
+// a later one with the same low bits is at least 2^31 beyond stamp, so the
+// low bits and the distance from the latest stamp decide.
+func (c *flowCache) holds(id int32, stamp uint64) bool {
+	return int(id) < len(c.nodes) && uint64(c.nodes[id].mark&stampBits) == stamp&stampBits && c.inserts-stamp <= stampBits
+}
+
 // result is node id's cached effect, read in place: the written field IDs,
 // their values, and whether the packet drops.
 func (c *flowCache) result(id int32) ([]packet.FieldID, []uint64, bool) {
 	nd := &c.nodes[id]
 	o := int(id) * c.ww
-	return c.ids[o:][:nd.nWrites], c.vals[o:][:nd.nWrites], nd.dropped
+	return c.ids[o:][:nd.nWrites], c.vals[o:][:nd.nWrites], nd.mark&markDropped != 0
 }
 
 // fill installs the result of a key get has just missed (h is its hash),
@@ -282,12 +309,16 @@ func (c *flowCache) fill(key []uint64, h uint64, writes []fieldWrite, dropped bo
 	c.indexInsert(id)
 	c.pushFront(id)
 	c.inserts++
+	nd.mark = uint32(c.inserts & stampBits)
+	if dropped {
+		nd.mark |= markDropped
+	}
 	o := int(id) * c.ww
 	ids, vals := c.ids[o:][:len(writes)], c.vals[o:][:len(writes)]
 	for i, w := range writes {
 		ids[i], vals[i] = w.id, w.value
 	}
-	nd.nWrites, nd.dropped = uint16(len(writes)), dropped
+	nd.nWrites = uint16(len(writes))
 	return true
 }
 

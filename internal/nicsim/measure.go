@@ -24,17 +24,18 @@ type Measurement struct {
 	MeanCounterUpdates float64
 }
 
-// Measure clones and processes each packet, returning aggregates. Input
+// Measure processes a clone of each packet, returning aggregates. Input
 // packets are not mutated.
 //
-// It runs in two stages. The walk, on the caller's goroutine, clones and
-// processes the batch through the burst datapath in submission order:
-// lookups, flow caches, the virtual clock and every counter, as per-packet
-// Process calls would. The finish — measurement noise and the distinct-key
-// and flow set inserts of an instrumented NIC — is order-independent, and
-// on a batch of 512 packets or more (with more than one processor) a
-// helper goroutine does it beside the walk; it is started and joined
-// inside the call. After Measure returns, its Measurement, the collector's
+// It runs in two stages. The walk, on the caller's goroutine, takes the
+// batch through the burst datapath in submission order: lookups, flow
+// caches, the virtual clock and every counter, as per-packet Process calls
+// would. A packet whose flow the plan's trace memo holds is replayed from
+// it instead of cloned and walked (memo.go). The finish — measurement
+// noise and the distinct-key and flow set inserts of an instrumented NIC —
+// is order-independent, and on a batch of 512 packets or more (with more
+// than one processor) a helper goroutine does it beside the walk; it is
+// started and joined inside the call. After Measure returns, its Measurement, the collector's
 // Snapshot and Counters are bit-identical to a per-packet Process loop over
 // the same packets, cached programs included. While it runs, a concurrent
 // Snapshot may see a chunk's counters before its keys; see profile.Burst
@@ -75,23 +76,6 @@ type burstTally struct {
 	drops, migrations, vhits, counters, wireBytes int64
 }
 
-// burstRunner is the walk's scratch for the burst datapath: a fixed arena
-// of packets cloned into, so measurement performs no per-packet heap
-// allocation.
-type burstRunner struct {
-	scratch [BurstSize]packet.Packet
-	ptrs    [BurstSize]*packet.Packet
-	results [BurstSize]Result
-}
-
-func newBurstRunner() *burstRunner {
-	br := &burstRunner{}
-	for i := range br.ptrs {
-		br.ptrs[i] = &br.scratch[i]
-	}
-	return br
-}
-
 // walk is Measure's walk, through the burst datapath in order on the
 // calling goroutine. It finishes inline unless the NIC has something to
 // finish (a collector's sets to fill, noise to apply), the batch is long
@@ -99,17 +83,14 @@ func newBurstRunner() *burstRunner {
 func (n *NIC) walk(pkts []*packet.Packet, lat []float64, tally *burstTally) {
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
-	if ctx.arena == nil {
-		ctx.arena = newBurstRunner()
-	}
-	br := ctx.arena
 	pl := n.plan.Load()
 	if (len(pl.shards) == 0 && pl.noiseStd <= 0) || len(pkts) < finishMinPkts || runtime.GOMAXPROCS(0) < 2 {
 		for lo := 0; lo < len(pkts); lo += BurstSize {
-			br.runRange(n, ctx, pkts, lo, min(lo+BurstSize, len(pkts)), lat, tally)
+			hi := min(lo+BurstSize, len(pkts))
+			n.measureBurst(ctx, pkts[lo:hi], lat[lo:hi], tally)
 		}
 	} else {
-		n.walkAndFinish(br, ctx, pl, pkts, lat, tally)
+		n.walkAndFinish(ctx, pl, pkts, lat, tally)
 	}
 	n.ctxPool.Put(ctx)
 }
@@ -117,7 +98,7 @@ func (n *NIC) walk(pkts []*packet.Packet, lat []float64, tally *burstTally) {
 // walkAndFinish is walk's two-stage form: it hands each chunk but
 // the last to the helper and finishes the last one itself while the helper
 // drains.
-func (n *NIC) walkAndFinish(br *burstRunner, ctx *procCtx, pl *execPlan, pkts []*packet.Packet, lat []float64, tally *burstTally) {
+func (n *NIC) walkAndFinish(ctx *procCtx, pl *execPlan, pkts []*packet.Packet, lat []float64, tally *burstTally) {
 	f := finisherPool.Get().(*finisher)
 	go f.run(pl, lat)
 	defer func() {
@@ -134,7 +115,8 @@ func (n *NIC) walkAndFinish(br *burstRunner, ctx *procCtx, pl *execPlan, pkts []
 		ch.lo, ch.hashes = lo, ch.hashes[:0]
 		ctx.chunk = ch
 		for b := lo; b < hi; b += BurstSize {
-			br.runRange(n, ctx, pkts, b, min(b+BurstSize, hi), lat, tally)
+			e := min(b+BurstSize, hi)
+			n.measureBurst(ctx, pkts[b:e], lat[b:e], tally)
 		}
 		ctx.chunk = nil
 		if hi < len(pkts) {
@@ -221,32 +203,98 @@ func (ch *finishChunk) finish(pl *execPlan, lat []float64) {
 	ch.keys.Insert()
 }
 
-// runRange clones pkts[lo:hi] into the scratch arena, processes them as
-// one burst on the caller's context, and records their latencies in
-// lat[lo:hi] and their counts in t.
-func (br *burstRunner) runRange(n *NIC, ctx *procCtx, pkts []*packet.Packet, lo, hi int, lat []float64, t *burstTally) {
-	k := hi - lo
-	for i := 0; i < k; i++ {
-		pkts[lo+i].CloneInto(br.ptrs[i])
+// measureBurst measures one burst of pkts, recording their latencies in
+// lat and their counts in t. A packet whose flow the plan's memo holds is
+// replayed from it; any other is cloned into the context's scratch packet
+// and walked, and recorded when the memo admits its flow: on its second
+// sighting, or when its record no longer holds. A plan with a flow cache
+// is loaded and measured under the cache lock, as walkBurst walks it.
+func (n *NIC) measureBurst(ctx *procCtx, pkts []*packet.Packet, lat []float64, t *burstTally) {
+	pl := n.plan.Load()
+	if pl.cached {
+		n.cacheMu.Lock()
+		defer n.cacheMu.Unlock()
+		pl = n.plan.Load()
 	}
-	n.processBurst(ctx, br.ptrs[:k], br.results[:k])
-	for i := 0; i < k; i++ {
-		r := &br.results[i]
-		lat[lo+i] = r.LatencyNs
-		if r.Dropped {
-			t.drops++
-		}
-		t.migrations += int64(r.Migrations)
-		if r.VendorCacheHit {
-			t.vhits++
-		}
-		t.counters += int64(r.CounterUpdates)
-		wl := pkts[lo+i].WireLen
-		if wl == 0 {
-			wl = 512
-		}
-		t.wireBytes += int64(wl)
+	sink := ctx.sink(pl)
+	m := pl.memo.acquire(pl)
+	if m != nil {
+		defer m.mu.Unlock()
 	}
+	var epoch uint64
+	if sink != nil {
+		epoch = sink.Epoch()
+	}
+	var dropped uint64
+	var r Result
+	for i, p := range pkts {
+		sampled := sink != nil && sink.Sampled()
+		at, admit := -1, false
+		var h uint64
+		if m != nil && !p.HasMeta() {
+			ctx.memoKey = m.key(p, sampled, ctx.memoKey)
+			h = hashWords(ctx.memoKey)
+			m.probes++
+			if at = m.lookup(ctx.memoKey, h); at >= 0 {
+				var flowHash uint64
+				if sampled || pl.noiseStd > 0 {
+					flowHash = p.Flow().FastHash()
+				}
+				if n.replay(pl, m, at, ctx.memoKey, ctx, sink, epoch, flowHash, &r) {
+					m.replays++
+					dropped += t.add(&r, p, &lat[i])
+					continue
+				}
+			}
+			admit = at >= 0 || m.sighted(h)
+		}
+		p.CloneInto(&ctx.scratch)
+		if admit {
+			ctx.rec = &ctx.recBuf
+			ctx.rec.reset()
+		}
+		n.run(pl, ctx, &ctx.scratch, sink, sampled, &r)
+		if admit {
+			var flowHash uint64
+			if sampled {
+				flowHash = p.Flow().FastHash()
+			}
+			m.store(at, ctx.memoKey, h, ctx, &r, flowHash, epoch)
+			ctx.rec = nil
+		}
+		ctx.reset()
+		dropped += t.add(&r, p, &lat[i])
+	}
+	if m != nil {
+		m.judge()
+	}
+	if ctx.chunk != nil {
+		sink.FlushCounters(&ctx.chunk.keys)
+	} else {
+		sink.Flush()
+	}
+	n.noteBurst(uint64(len(pkts)), dropped)
+}
+
+// add counts one measured packet (p, with result r) into t, sets its
+// latency, and returns 1 when it dropped.
+func (t *burstTally) add(r *Result, p *packet.Packet, lat *float64) uint64 {
+	*lat = r.LatencyNs
+	t.migrations += int64(r.Migrations)
+	if r.VendorCacheHit {
+		t.vhits++
+	}
+	t.counters += int64(r.CounterUpdates)
+	wl := p.WireLen
+	if wl == 0 {
+		wl = 512
+	}
+	t.wireBytes += int64(wl)
+	if r.Dropped {
+		t.drops++
+		return 1
+	}
+	return 0
 }
 
 // percentile returns the value at rank int(q*(len-1)) of the sorted order

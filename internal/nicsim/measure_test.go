@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,15 +20,21 @@ import (
 	"pipeleon/internal/trafficgen"
 )
 
-// Measure's two stages are pinned to the simplest thing that could compute
-// a Measurement: a Process call per cloned packet, in order, aggregated
-// here. The walk is the same datapath in the same order; the finish —
-// noise, key and flow set inserts — runs on a helper beside it, so the
-// oracle catches any of it that depends on when or where it runs. The
-// configurations are stateful (flow caches of searched plans, the vendor
-// cache, cache-fill costs on the virtual clock), and the NIC pair is
-// measured batch after batch, so state carried from one call to the next
-// counts too.
+// Measure is pinned to the simplest thing that could compute a
+// Measurement: a Process call per cloned packet, in order, aggregated
+// here. Measure walks a flow's first packets and replays the rest from
+// the plan's trace memo; its finish — noise, key and flow set inserts —
+// runs on a helper beside the walk, so the oracle catches any of it that
+// depends on when or where it runs, or on whether a packet was walked or
+// replayed. The configurations are stateful (flow caches of searched plans,
+// the vendor cache, cache-fill costs on the virtual clock), and the NIC
+// pair is measured batch after batch, so state carried from one call to
+// the next counts too.
+
+// measureWindow is the oracle's collector window of several batches: the
+// DASH workloads reset their collector every eight Measure calls, a
+// managed device's guard after its samples.
+const measureWindow = 4
 
 // measureBatches are the batch sizes the oracle walks one after another:
 // empty, one packet, around a burst, one chunk and one chunk + 1, around
@@ -103,16 +111,34 @@ func twoProcs() func() {
 // measureMatchesProcess builds two NICs alike — mk returns one with its
 // collector — and walks the batch sizes on both: Measure on one, the
 // Process oracle on the other. After every batch the Measurement, the
-// profile snapshot and the packet counters must agree exactly.
-func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.Collector), pkts []*packet.Packet) {
+// profile snapshot, the packet counters, every cache's stats and the
+// virtual clock must agree exactly; after every window'th batch both
+// collectors start a new window, and after every batch between (when not
+// nil) runs on each NIC alike. Within a window the memo replays records
+// that earlier calls made, after their caches, token buckets and clock
+// have moved on; a new window's epoch stops the replay of a record that
+// logged keys in the old one.
+func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.Collector), pkts []*packet.Packet,
+	sizes []int, window int, between func(batch int, n *NIC)) memoUse {
 	t.Helper()
 	got, gotCol := mk()
 	want, wantCol := mk()
+	var use memoUse
 	at := 0
-	for _, size := range measureBatches {
+	for i, size := range sizes {
 		batch := pkts[at : at+size]
 		at += size
+		m := got.plan.Load().memo
+		var r0, p0, fresh int
+		if m != nil {
+			r0, p0, fresh = m.replays, m.probes, freshKeys(m, batch)
+		}
 		gm, wm := got.Measure(batch), processMeasure(want, batch)
+		if m != nil && m.probes >= p0 {
+			r := m.replays - r0
+			use.replays, use.probes = use.replays+r, use.probes+m.probes-p0
+			use.carried += max(0, r-fresh)
+		}
 		if !sameMeasurement(gm, wm) {
 			t.Fatalf("%s, batch of %d: Measure %+v, per-packet Process %+v", name, size, gm, wm)
 		}
@@ -124,12 +150,55 @@ func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.
 		if gProc != wProc || gDrop != wDrop {
 			t.Fatalf("%s, batch of %d: counters (%d,%d), per-packet Process (%d,%d)", name, size, gProc, gDrop, wProc, wDrop)
 		}
+		if gs, ws := got.CacheStatsAll(), want.CacheStatsAll(); !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("%s, batch of %d: cache stats differ:\nMeasure: %+v\nProcess: %+v", name, size, gs, ws)
+		}
+		if gv, wv := got.vnow.Load(), want.vnow.Load(); gv != wv {
+			t.Fatalf("%s, batch of %d: virtual clock %d, per-packet Process %d", name, size, gv, wv)
+		}
+		if (i+1)%window == 0 {
+			gotCol.Reset()
+			wantCol.Reset()
+		}
+		if between != nil {
+			between(i, got)
+			between(i, want)
+		}
 	}
+	return use
 }
 
-func measureBatchTotal() int {
+// memoUse is what a run of the oracle measured of the memo: of the packets
+// it probed the memo for (over the batches no probation ended in), how
+// many it replayed, and at least how many of those replayed a record an
+// earlier Measure call made.
+type memoUse struct {
+	replays, probes, carried int
+}
+
+// freshKeys bounds the replays a Measure of batch can make from records it
+// makes itself: a key's first packet in the call has none yet, so it is
+// the probed packets less their distinct keys. The keys are taken sampled
+// (the bit is the only key word that tells sampling apart), which can only
+// merge keys, so the bound holds at any sampling rate.
+func freshKeys(m *traceMemo, batch []*packet.Packet) int {
+	seen := map[string]bool{}
+	probed := 0
+	var buf []uint64
+	for _, p := range batch {
+		if p.HasMeta() {
+			continue
+		}
+		probed++
+		buf = m.key(p, true, buf)
+		seen[fmt.Sprint(buf)] = true
+	}
+	return probed - len(seen)
+}
+
+func batchTotal(sizes []int) int {
 	total := 0
-	for _, s := range measureBatches {
+	for _, s := range sizes {
 		total += s
 	}
 	return total
@@ -141,7 +210,7 @@ func measureBatchTotal() int {
 // instrumentation and a cache-fill cost on every seed.
 func TestMeasureMatchesProcess(t *testing.T) {
 	defer twoProcs()()
-	cached := 0
+	cached, carried := 0, 0
 	for i := 0; i < swapCorpus; i++ {
 		if testing.Short() && i%4 != 0 || raceEnabled && i%6 != 0 {
 			continue
@@ -172,12 +241,18 @@ func TestMeasureMatchesProcess(t *testing.T) {
 		gen := trafficgen.New(uint64(i)+5, 0)
 		gen.AddFlows(trafficgen.UniformFlows(uint64(i)+6, 96)...)
 		gen.SetSkew(0.8)
-		measureMatchesProcess(t, fmt.Sprintf("case %d", i), mk, gen.Batch(measureBatchTotal()))
+		pkts := gen.Batch(batchTotal(measureBatches))
+		for _, window := range []int{1, measureWindow} {
+			carried += measureMatchesProcess(t, fmt.Sprintf("case %d, window %d", i, window), mk, pkts, measureBatches, window, nil).carried
+		}
 	}
 	if cached == 0 {
 		t.Fatal("vacuous: no searched plan of the corpus has a flow cache")
 	}
-	t.Logf("%d plans with a runtime flow cache", cached)
+	if carried == 0 {
+		t.Fatal("vacuous: no replay of a record an earlier Measure call made")
+	}
+	t.Logf("%d plans with a runtime flow cache; at least %d replays of records of earlier calls", cached, carried)
 }
 
 // TestMeasureMatchesProcessSynth110 runs the oracle on the root package's
@@ -222,7 +297,289 @@ func TestMeasureMatchesProcessSynth110(t *testing.T) {
 		col.Reset()
 		return nic, col
 	}
-	measureMatchesProcess(t, "synth110", mk, pkts)
+	for _, window := range []int{1, measureWindow} {
+		use := measureMatchesProcess(t, fmt.Sprintf("synth110, window %d", window), mk, pkts, measureBatches, window, nil)
+		t.Logf("window %d: %d of %d probed packets replayed, at least %d from records of earlier calls", window, use.replays, use.probes, use.carried)
+		if window > 1 && use.carried == 0 {
+			t.Error("vacuous: no replay of a record an earlier Measure call made")
+		}
+	}
+}
+
+// replayBatches are the batch sizes of the replay oracle: a packet, a
+// burst short of one, up to a window of 4 096, around the chunk and the
+// helper's minimum — repeated, so that every kind of batch meets every
+// operation between them.
+var replayBatches = func() []int {
+	var sizes []int
+	for range 3 {
+		sizes = append(sizes, 1, BurstSize-1, 128, finishChunkPkts+1, finishMinPkts, 4096, finishMinPkts+17)
+	}
+	return sizes
+}()
+
+// TestMeasureMatchesProcessReplays runs the oracle where the trace memo does
+// most of the work: batches of 96 flows, so that most packets replay, on a
+// searched plan with flow caches placed over three tiers (a third of the
+// tables on the NIC CPU and a third off-path, so walks cross by DMA and
+// advance the virtual clock), with and without the vendor cache in front —
+// at a budget under the flow count, so records meet evicted and refilled
+// entries — at sampling 1 and 1 024. Between batches an entry goes in,
+// the same entry goes out, or the plan is swapped for the original program
+// and back: each publishes a fresh memo, and so does the collector's new
+// window for the keys a record logged.
+func TestMeasureMatchesProcessReplays(t *testing.T) {
+	defer twoProcs()()
+	pm := costmodel.BlueField2()
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 8, AvgLen: 2, Category: synth.Mixed, Seed: 41})
+	plan := searched(t, orig, pm, synth.ProfileSpec{Seed: 42, Category: synth.Mixed})
+	tiers := map[string]int{}
+	names := append(tableNames(orig), tableNames(plan)...)
+	for i, name := range names {
+		tiers[name] = i % 3
+	}
+	gen := trafficgen.New(43, 0)
+	gen.AddFlows(trafficgen.UniformFlows(44, 96)...)
+	gen.SetSkew(0.9)
+	pkts := gen.Batch(batchTotal(replayBatches))
+
+	// The entry the operations insert and delete: into the first table of
+	// the original program keyed on one header field, matching the first
+	// packet, so that its flow walks another way while it is in.
+	var table string
+	var entry p4ir.Entry
+	for _, name := range tableNames(orig) {
+		tbl := orig.Tables[name]
+		if len(tbl.Keys) != 1 || tbl.Keys[0].Kind != p4ir.MatchExact || len(tbl.Actions) == 0 {
+			continue
+		}
+		if v, ok := pkts[0].Get(tbl.Keys[0].Field); ok && !strings.HasPrefix(tbl.Keys[0].Field, "meta.") {
+			table = name
+			entry = p4ir.Entry{Match: []p4ir.MatchValue{{Value: v & tbl.Keys[0].FullMask()}}, Action: tbl.Actions[0].Name, Args: []string{"7", "9"}}
+			break
+		}
+	}
+	if table == "" {
+		t.Fatal("no table of the program takes the entry")
+	}
+	between := func(i int, n *NIC) {
+		var err error
+		switch i % 4 {
+		case 0:
+			err = n.InsertEntry(table, entry)
+		case 1:
+			err = n.DeleteEntry(table, entry.Match)
+		case 2:
+			err = n.Swap(orig)
+		default:
+			err = n.Swap(plan)
+		}
+		if err != nil {
+			t.Fatalf("after batch %d: %v", i, err)
+		}
+	}
+
+	cached := false
+	for _, vendor := range []bool{false, true} {
+		for _, every := range []uint64{1, 1024} {
+			mk := func() (*NIC, *profile.Collector) {
+				col := profile.NewCollector()
+				col.SetSampling(every)
+				nic, err := New(orig.Clone(), Config{
+					Params: pm, Collector: col, Instrument: true, TierTables: tiers,
+					Seed: 45, NoiseStdDev: 0.05, CacheFillCostNs: 500,
+					VendorCache: vendor, VendorCacheBudget: 48,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := nic.Swap(plan); err != nil {
+					t.Fatal(err)
+				}
+				if !vendor && len(nic.CacheStatsAll()) > 0 {
+					cached = true
+				}
+				return nic, col
+			}
+			name := fmt.Sprintf("vendor %v, sampling %d", vendor, every)
+			use := measureMatchesProcess(t, name, mk, pkts, replayBatches, 1, between)
+			if 2*use.replays < use.probes {
+				t.Errorf("%s: %d of %d probed packets replayed; the memo must carry most of them", name, use.replays, use.probes)
+			}
+			t.Logf("%s: %d of %d probed packets replayed", name, use.replays, use.probes)
+		}
+	}
+	if !cached {
+		t.Fatal("vacuous: the searched plan has no runtime flow cache")
+	}
+}
+
+// TestMeasureWalksPacketsWithMetadata: the memo keys on header fields, so
+// a packet that arrives carrying metadata — here the field a table matches
+// on — is walked, not replayed from the record of its flow's other
+// packets.
+func TestMeasureWalksPacketsWithMetadata(t *testing.T) {
+	prog, err := p4ir.ChainTables("meta", []p4ir.TableSpec{
+		exactTable("tag", "meta.tag", "fwd", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 5}}, Action: "hit_act"}),
+		exactTable("fwd", "ipv4.dstAddr", ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]*packet.Packet, 512)
+	for i := range pkts {
+		pkts[i] = pkt(1, 2, 3, 4)
+		if i%3 == 0 {
+			if err := pkts[i].Set("meta.tag", 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mk := func() (*NIC, *profile.Collector) {
+		col := profile.NewCollector()
+		nic, err := New(prog.Clone(), Config{Params: testParams(), Collector: col, Instrument: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nic, col
+	}
+	if use := measureMatchesProcess(t, "metadata", mk, pkts, []int{64, 448}, 1, nil); use.replays == 0 {
+		t.Fatal("vacuous: no packet replayed")
+	}
+}
+
+// TestMeasureMemoBounded measures always-new flows, so the memo keeps
+// admitting and dropping records, with entry operations handing it on a
+// hundred times: the live heap must stay flat (a slope under 64 bytes a
+// call, where a record kept per flow is hundreds) and the memo inside its
+// cap.
+func TestMeasureMemoBounded(t *testing.T) {
+	calls := 10_000
+	if testing.Short() || raceEnabled {
+		calls = 1_000
+	}
+	pm := costmodel.BlueField2()
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 6, AvgLen: 2, Category: synth.Mixed, Seed: 51})
+	plan := searched(t, orig, pm, synth.ProfileSpec{Seed: 52, Category: synth.Mixed})
+	col := profile.NewCollector()
+	nic, err := New(plan, Config{Params: pm, Collector: col, Instrument: true, Seed: 53, NoiseStdDev: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table string
+	for _, name := range tableNames(plan) {
+		if tbl := plan.Tables[name]; len(tbl.Keys) == 1 && tbl.Keys[0].Kind == p4ir.MatchExact && len(tbl.Actions) > 0 {
+			table = name
+			break
+		}
+	}
+	if table == "" {
+		t.Fatal("no exact table to write to")
+	}
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	pkts := make([]*packet.Packet, 64)
+	var samples []float64
+	for i := 0; i < calls; i++ {
+		gen := trafficgen.New(uint64(i)+54, 0)
+		gen.AddFlows(trafficgen.UniformFlows(uint64(i)<<8+55, 8)...)
+		gen.BatchInto(pkts)
+		if m := nic.Measure(pkts); m.Packets != len(pkts) {
+			t.Fatalf("call %d: measured %d packets", i, m.Packets)
+		}
+		if i%(calls/50) == calls/50-1 { // one entry in and out: two hand-offs
+			e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i) & plan.Tables[table].Keys[0].FullMask()}}, Action: plan.Tables[table].Actions[0].Name}
+			if err := nic.InsertEntry(table, e); err != nil {
+				t.Fatal(err)
+			}
+			if err := nic.DeleteEntry(table, e.Match); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%100 == 99 {
+			col.Reset()
+		}
+		if (i+1)%(calls/10) == 0 {
+			samples = append(samples, heap())
+		}
+	}
+	m := nic.plan.Load().memo
+	if m.off {
+		t.Fatal("vacuous: the memo went off")
+	}
+	if cap(m.arena) > memoArenaWords || len(m.records.slots) > 2*memoMaxRecords || len(m.trace.slots) > 2*memoMaxRecords {
+		t.Errorf("memo past its cap: %d arena words, %d record and %d trace slots", cap(m.arena), len(m.records.slots), len(m.trace.slots))
+	}
+	if perCall := heapSlope(samples[1:], calls/10); perCall > 64 {
+		t.Errorf("live heap grows %.1f bytes per Measure (samples %v)", perCall, samples)
+	} else {
+		t.Logf("%d calls, live heap slope %.2f bytes a call", calls, perCall)
+	}
+}
+
+// TestMeasureRacesEntryOps runs two Measure callers on one NIC beside a
+// writer inserting and deleting entries, on a plan with flow caches (the
+// cache lock held per burst) and on one without (the memo's own lock):
+// under the race detector, every hand-off of the memo and every burst that
+// finds it held is checked.
+func TestMeasureRacesEntryOps(t *testing.T) {
+	pm := costmodel.BlueField2()
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 6, AvgLen: 2, Category: synth.Mixed, Seed: 61})
+	plan := searched(t, orig, pm, synth.ProfileSpec{Seed: 62, Category: synth.Mixed})
+	gen := trafficgen.New(63, 0)
+	gen.AddFlows(trafficgen.UniformFlows(64, 64)...)
+	pkts := gen.Batch(1024)
+	rounds := 40
+	if raceEnabled {
+		rounds = 10
+	}
+	for _, prog := range []*p4ir.Program{orig, plan} {
+		col := profile.NewCollector()
+		nic, err := New(prog, Config{Params: pm, Collector: col, Instrument: true, Seed: 65, NoiseStdDev: 0.05, CacheFillCostNs: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var table string
+		for _, name := range tableNames(prog) {
+			if tbl := prog.Tables[name]; len(tbl.Keys) == 1 && tbl.Keys[0].Kind == p4ir.MatchExact && len(tbl.Actions) > 0 {
+				table = name
+				break
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if m := nic.Measure(pkts); m.Packets != len(pkts) {
+						t.Errorf("measured %d packets of %d", m.Packets, len(pkts))
+					}
+				}
+			}()
+		}
+		for r := 0; r < 4*rounds; r++ {
+			e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(r)}}, Action: prog.Tables[table].Actions[0].Name}
+			if err := nic.InsertEntry(table, e); err != nil {
+				t.Fatal(err)
+			}
+			if err := nic.DeleteEntry(table, e.Match); err != nil {
+				t.Fatal(err)
+			}
+			if r%8 == 7 {
+				col.Reset()
+			}
+		}
+		wg.Wait()
+		if processed, _ := nic.Counters(); processed != uint64(2*rounds*len(pkts)) {
+			t.Errorf("%d packets counted, %d measured", processed, 2*rounds*len(pkts))
+		}
+	}
 }
 
 // TestMeasureLeavesNoGoroutine: the finish stage's helper is joined inside
@@ -322,4 +679,32 @@ func TestMeasureLeavesNoGoroutine(t *testing.T) {
 		t.Errorf("live heap grows %.1f bytes per Measure (samples %v)", perCall, samples)
 	}
 	t.Logf("%d calls, live heap slope %.2f bytes a call", calls, perCall)
+}
+
+// heapSlope is the least-squares slope of heap samples taken every calls
+// calls, in bytes a call.
+func heapSlope(xs []float64, calls int) float64 {
+	var mx, my float64
+	for j, y := range xs {
+		mx += float64(j)
+		my += y
+	}
+	mx /= float64(len(xs))
+	my /= float64(len(xs))
+	var sxy, sxx float64
+	for j, y := range xs {
+		sxy += (float64(j) - mx) * (y - my)
+		sxx += (float64(j) - mx) * (float64(j) - mx)
+	}
+	return sxy / sxx / float64(calls)
+}
+
+// tableNames returns the program's table names, sorted.
+func tableNames(prog *p4ir.Program) []string {
+	names := make([]string, 0, len(prog.Tables))
+	for name := range prog.Tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -117,9 +117,14 @@ type procCtx struct {
 	// chunk, set only on Measure's walk, takes each packet's noise and the
 	// burst's distinct keys for the finish stage (see finisher).
 	chunk *finishChunk
-	// arena is Measure's clone arena (lazily created), recycled with the
-	// context: its scratch packets keep their metadata buffers across calls.
-	arena *burstRunner
+
+	// Measure's scratch: the clone a walked packet runs on (it keeps its
+	// metadata buffer across calls), the recorder rec points at while a
+	// walk is recorded, and the buffer of the memo key.
+	scratch packet.Packet
+	rec     *recorder
+	recBuf  recorder
+	memoKey []uint64
 }
 
 // reset clears the per-packet scratch slices for reuse.
@@ -308,7 +313,7 @@ func (n *NIC) Process(pkt *packet.Packet) Result {
 	ctx.wantPath = true
 	sink := ctx.sink(pl)
 	var res Result
-	n.run(pl, ctx, pkt, sink, &res)
+	n.run(pl, ctx, pkt, sink, sink != nil && sink.Sampled(), &res)
 	sink.Flush()
 	n.note(res.Dropped)
 	ctx.reset()
@@ -332,19 +337,17 @@ func (ctx *procCtx) sink(pl *execPlan) *profile.Burst {
 }
 
 // run walks the compiled plan for one packet. Profiling updates go
-// through sink, which the caller flushes; the caller also accounts the
-// packet via note / noteBurst.
+// through sink, which the caller flushes, when sampled (the caller asked
+// sink.Sampled() for the packet); the caller also accounts the packet via
+// note / noteBurst. While Measure records the packet's flow (ctx.rec is
+// set), every effect the walk has outside the packet is also noted there.
 // run fills res in place rather than returning it: the burst path calls
 // it once per packet, and writing through the pointer keeps the Result
 // (with its Path slice header) out of the call's copy traffic.
-func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.Burst, res *Result) {
+func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.Burst, sampled bool, res *Result) {
 	*res = Result{}
 	lat := pl.perPacketOver
-
-	sampled := false
-	if pl.instrument && sink != nil {
-		sampled = sink.Sampled()
-	}
+	rec := ctx.rec
 	// The flow hash feeds profiling (AddFlow) and the noise model; when
 	// neither is live this packet, skip computing it.
 	var flowHash uint64
@@ -364,6 +367,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			uint64(k.SrcPort)<<24|uint64(k.DstPort)<<8|uint64(k.Proto))
 		lat += pl.Mat
 		id, h := pl.vendor.get(ctx.keyBuf[off:])
+		if rec != nil {
+			rec.step(pl.vendor, vendorRef, off, len(ctx.keyBuf)-off, h, id)
+		}
 		if id >= 0 {
 			ids, vals, drop := pl.vendor.result(id)
 			for i, fid := range ids {
@@ -372,6 +378,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			lat += float64(len(ids)) * pl.Act
 			res.VendorCacheHit = true
 			res.Dropped = drop
+			if rec != nil {
+				rec.latPre = lat
+			}
 			ctx.finish(pl, res, lat, flowHash)
 			return
 		}
@@ -393,6 +402,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			taken := nd.cond(pkt)
 			if sampled {
 				sink.IncBranch(int(nd.condSlot), taken)
+				if rec != nil {
+					rec.branch(nd.condSlot, taken)
+				}
 				res.CounterUpdates++
 				lat += pl.Counter * mult
 			} else if pl.instrument {
@@ -417,6 +429,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 				// on-path migrations stay latency-only, as before).
 				res.DMACrossings++
 				n.vnow.Add(int64(cost))
+				if rec != nil {
+					rec.clock += int64(cost)
+				}
 			}
 			res.Migrations++
 			curTier = nd.tier
@@ -440,6 +455,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			off := len(ctx.keyBuf)
 			ctx.keyBuf = append(ctx.keyBuf, vals...)
 			id, h := nd.fc.get(ctx.keyBuf[off:])
+			if rec != nil {
+				rec.step(nd.fc, cur+1, off, len(ctx.keyBuf)-off, h, id)
+			}
 			if id >= 0 {
 				wids, wvals, drop := nd.fc.result(id)
 				for i, fid := range wids {
@@ -449,6 +467,10 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 				if sampled {
 					sink.IncCache(int(nd.cacheSlot), true)
 					sink.IncAction(int(nd.hitSite))
+					if rec != nil {
+						rec.cache(nd.cacheSlot, true)
+						rec.action(nd.hitSite)
+					}
 					res.CounterUpdates++
 					lat += pl.Counter * mult
 				} else if pl.instrument {
@@ -464,6 +486,10 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			if sampled {
 				sink.IncCache(int(nd.cacheSlot), false)
 				sink.IncAction(int(nd.missSite))
+				if rec != nil {
+					rec.cache(nd.cacheSlot, false)
+					rec.action(nd.missSite)
+				}
 				res.CounterUpdates++
 				lat += pl.Counter * mult
 			} else if pl.instrument {
@@ -508,6 +534,12 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 			if nd.prepopSlot >= 0 {
 				sink.IncCache(int(nd.prepopSlot), !act.isCacheMiss)
 			}
+			if rec != nil {
+				rec.action(nd.actSites[act.idx])
+				if nd.prepopSlot >= 0 {
+					rec.cache(nd.prepopSlot, !act.isCacheMiss)
+				}
+			}
 			res.CounterUpdates++
 			lat += pl.Counter * mult
 		} else if pl.instrument {
@@ -536,6 +568,9 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 		cur = nd.nextByAct[act.idx]
 	}
 
+	if rec != nil {
+		rec.latPre = lat
+	}
 	// Finalize cache fills. Installing entries consumes entry-insertion
 	// bandwidth; the cost is charged once per packet (inserts into
 	// multiple caches are pipelined by the hardware update engine).

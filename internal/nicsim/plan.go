@@ -133,9 +133,9 @@ func (nd *execNode) lookup(values []uint64) *storedEntry {
 type execPlan struct {
 	nodes []execNode
 	ids   map[string]int32
-	root  int32
 
 	maxSteps   int
+	root       int32
 	instrument bool
 	cached     bool // a flow cache (runtime or vendor) is on the walk
 
@@ -157,6 +157,10 @@ type execPlan struct {
 	// Profiling shard bank bound to layout (nil when not instrumented).
 	layout *profile.Layout
 	shards []*profile.Shard
+
+	// memo is Measure's trace memo, keyed on the plan's read set: nil
+	// when the layout's counter sites are too many to record.
+	memo *traceMemo
 }
 
 func (pl *execPlan) coversBit(set []uint64, id int32) bool {
@@ -196,6 +200,9 @@ func (n *NIC) compile() *execPlan {
 	}
 	pl.maxSteps = 4*n.prog.NumNodes() + 16 // guards against miswired programs
 
+	// reads is the plan's read set (see headerBit): the memo's key.
+	var reads uint64
+
 	layout := &profile.Layout{}
 	for i, name := range names {
 		nd := &pl.nodes[i]
@@ -215,6 +222,7 @@ func (n *NIC) compile() *execPlan {
 			nd.copied = n.cfg.CopiedTables[name] || t.TierCopied()
 			nd.probe = pl.Probe(t)
 			nd.bind(rt)
+			reads |= rt.headerReads()
 			if fc, isCache := n.caches[name]; isCache {
 				nd.kind = nkCache
 				nd.fc = fc
@@ -251,6 +259,9 @@ func (n *NIC) compile() *execPlan {
 				layout.Actions = append(layout.Actions, profile.ActionSite{Table: name, Action: ca.act.Name})
 			}
 		} else if c != nil {
+			if d := c.Decode(); d.Kind == p4ir.CondCompare {
+				reads |= headerBit(packet.FieldIDFor(d.Field))
+			}
 			nd.kind = nkCond
 			nd.cond = n.conds[name]
 			nd.trueNext = resolve(c.TrueNext)
@@ -263,16 +274,32 @@ func (n *NIC) compile() *execPlan {
 	if n.cfg.Instrument && n.cfg.Collector != nil {
 		pl.shards = n.cfg.Collector.Bind(layout, numShards())
 	}
+	if pl.vendor != nil {
+		for _, f := range flowFields {
+			reads |= headerBit(packet.FieldIDFor(f))
+		}
+	}
+	if memoable(layout) {
+		pl.memo = newTraceMemo(pl, reads)
+	}
 	return pl
 }
 
+// flowFields are the header fields packet.Flow reads: the vendor cache's
+// key.
+var flowFields = []string{"ipv4.srcAddr", "ipv4.dstAddr", "ipv4.proto", "tcp.sport", "tcp.dport", "udp.sport", "udp.dport"}
+
 // rebuiltNode returns a copy of the plan with one node bound to a new
 // runtime table (entry mutation): the layout, sites and edges are
-// unchanged because entry updates cannot add or remove actions.
+// unchanged because entry updates cannot add or remove actions. The memo
+// passes to the copy, emptied, its read set taking in the new entries'.
 func (pl *execPlan) rebuiltNode(id int32, rt *runtimeTable) *execPlan {
 	next := *pl
 	next.nodes = slices.Clone(pl.nodes)
 	next.nodes[id].bind(rt)
+	if next.memo != nil {
+		next.memo.passTo(&next, rt.headerReads())
+	}
 	return &next
 }
 

@@ -326,6 +326,10 @@ type runtimeTable struct {
 	tbl       *p4ir.Table
 	// nextSeq numbers installs: Table.Entries is always in seq order.
 	nextSeq uint64
+	// argReads is the header fields (see headerBit) that entries installed
+	// since the build name in their action data: a superset of what the
+	// entries present may read through a $i operand.
+	argReads uint64
 	// cow marks a fork of a published table: its groups are shared with
 	// readers, so own copies the one a mutator is about to write.
 	cow bool
@@ -429,6 +433,7 @@ func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
 	var masks []uint64
 	masks, se.key, se.prefixBits = rt.keyOf(e.Match, buf[:0], se.kbuf[:0])
 	rt.nextSeq++
+	rt.argReads |= operandReads(se.cargs)
 	gi := rt.groupIndex(masks)
 	fresh := gi < 0
 	if fresh {
@@ -451,6 +456,43 @@ func compileArgs(args []string) []operand {
 		cargs[i] = compileOperand(p4ir.DecodeOperand(arg))
 	}
 	return cargs
+}
+
+// headerBit is a header field's bit in a read set: bit i for FieldID i.
+// Metadata fields (and FieldInvalid) have none: the trace memo keys on
+// header fields and walks every packet that carries metadata.
+func headerBit(fid packet.FieldID) uint64 {
+	if fid < 0 || fid >= 64 {
+		return 0
+	}
+	return 1 << uint(fid)
+}
+
+// operandReads is the read set of the field operands among ops.
+func operandReads(ops []operand) uint64 {
+	var r uint64
+	for _, o := range ops {
+		if o.kind == p4ir.OperandField {
+			r |= headerBit(o.fid)
+		}
+	}
+	return r
+}
+
+// headerReads is the read set of a packet's visit to the table: its key
+// fields, the field operands of its actions' primitives and of its
+// entries' action data.
+func (rt *runtimeTable) headerReads() uint64 {
+	r := rt.argReads
+	for _, fid := range rt.fids {
+		r |= headerBit(fid)
+	}
+	for _, ca := range rt.acts {
+		for _, pr := range ca.prims {
+			r |= operandReads([]operand{pr.a, pr.b})
+		}
+	}
+	return r
 }
 
 // edit locates the first-installed entry whose match equals match, the one
@@ -497,6 +539,7 @@ func (rt *runtimeTable) modify(match []p4ir.MatchValue, action string, args []st
 		next := *se
 		next.key = append(next.kbuf[:0], se.key...) // its own copy: the old entry can go
 		next.cact, next.cargs = cact, compileArgs(args)
+		rt.argReads |= operandReads(next.cargs)
 		if shadow >= 0 {
 			g.shadowed[shadow] = &next
 		} else {

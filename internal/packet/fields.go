@@ -415,11 +415,16 @@ func (p *Packet) CloneInto(dst *Packet) {
 	}
 }
 
+// HasMeta reports whether the packet carries a metadata field.
+func (p *Packet) HasMeta() bool {
+	return p.nMeta > 0 || slices.ContainsFunc(p.metaSet, func(w uint64) bool { return w != 0 })
+}
+
 // MetaMap returns a copy of all metadata fields keyed by full name
 // ("meta.x"), nil when the packet has none. Intended for tests, debugging
 // and the control plane's batch encoder, not the packet path.
 func (p *Packet) MetaMap() map[string]uint64 {
-	if p.nMeta == 0 && !slices.ContainsFunc(p.metaSet, func(w uint64) bool { return w != 0 }) {
+	if !p.HasMeta() {
 		return nil
 	}
 	out := make(map[string]uint64, int(p.nMeta))

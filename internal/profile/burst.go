@@ -109,6 +109,13 @@ func (b *Burst) IncCache(slot int, hit bool) {
 	b.dirty = true
 }
 
+// Epoch returns the collector's reset epoch, which every Reset advances.
+// Keys a burst noted reach the sets in the epoch they were noted in or a
+// later one, and no Reset within an epoch removes them: a key noted in
+// epoch e, when Epoch still returns e, is in the sets or on its way, and
+// noting it again changes nothing.
+func (b *Burst) Epoch() uint64 { return b.shard.c.epoch.Load() }
+
 // AddKey notes a key value seen at the given table slot: the masked key
 // word of a single-field table, a fold of the words otherwise. Repeats are
 // logged again and dropped by the collector's set: a filter in front of

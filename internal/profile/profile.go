@@ -298,6 +298,10 @@ type Collector struct {
 	layout *Layout
 	shards []*Shard
 	gen    uint64
+	// epoch counts Reset calls: a key noted in one epoch is in the sets
+	// until the next Reset, so a caller that remembers the epoch it noted
+	// a key in may leave noting it again until then (see Burst.Epoch).
+	epoch atomic.Uint64
 }
 
 // NewCollector returns a collector recording every packet.
@@ -480,5 +484,6 @@ func (c *Collector) Reset() {
 	for _, s := range c.shards {
 		s.zero()
 	}
+	c.epoch.Add(1)
 	c.mu.Unlock()
 }
