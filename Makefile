@@ -120,7 +120,8 @@ traces:
 # clone in packet) and are archived in BENCH_datapath.json together with
 # the root burst bench that has all three stores on its path, the root
 # Measure of that program's batch (walk and finish stage; its gomaxprocs=1
-# row gates the one-core path), the root Measure of the DASH program with
+# row gates the one-core path, its rotating row the trace memo's capacity
+# under synth-shift's four traffic mixes), the root Measure of the DASH program with
 # its baked entries (multi-group and two-word lookups), the same with the
 # dash workloads' three flow caches (the cache lock, hits and fills) and the match
 # store's rows: lookup per match kind, entry operation per table size,

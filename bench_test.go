@@ -304,7 +304,7 @@ func BenchmarkAblationKnapsackResolution(b *testing.B) {
 	prog, cfgBase, pm, _ := ablationSearchInput()
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
 	for _, buckets := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("buckets-%d", buckets), func(b *testing.B) {
+		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
 			cfg := *cfgBase
 			cfg.MemBuckets, cfg.UpdBuckets = buckets, buckets/2
 			cfg.MemoryBudget = 1 << 20
@@ -326,7 +326,7 @@ func BenchmarkAblationMergeCap(b *testing.B) {
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 100, Category: synth.SmallStatic})
 	pm := costmodel.EmulatedNIC()
 	for _, cap := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("cap-%d", cap), func(b *testing.B) {
+		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
 			cfg := opt.DefaultConfig()
 			cfg.TopKFrac = 1
 			cfg.MergeCap = cap
@@ -495,15 +495,18 @@ func BenchmarkEmulatorProcessBurstSynth110Instrumented(b *testing.B) {
 // duration (and restores it), so a one-core regression of Measure shows
 // beside the default row. The fresh row draws a new window of the same
 // 128 flows for every Measure and resets the collector before it, as
-// synth-shift's windows come: each flow's first packet of a window walks
-// again (its keys go into the new window), the rest replay.
+// synth-shift's windows come: a flow's first sampled packet of a window
+// notes its keys from the record, the rest replay. The rotating row draws
+// each batch from synth-shift's four traffic mixes in turn, two batches a
+// mix, and resets the collector before every batch: the ~900 flows of the
+// four mixes are the working set a memo must hold for a window to replay.
 func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 	nic, col, pkts := synth110Deployed(b)
 	b.Run("fresh", func(b *testing.B) {
 		gen := trafficgen.New(6, trafficgen.DefaultPacketBytes)
 		gen.AddFlows(trafficgen.UniformFlows(8, 128)...)
 		gen.SetSkew(0.9)
-		benchMeasureFresh(b, nic, col, gen, len(pkts), 1)
+		benchMeasureFresh(b, nic, col, []*trafficgen.Generator{gen}, 1, len(pkts), 1)
 	})
 	for _, procs := range []int{0, 1} {
 		name := "gomaxprocs=default"
@@ -522,6 +525,31 @@ func BenchmarkMeasureSynth110Instrumented(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
 		})
+	}
+	b.Run("rotating", func(b *testing.B) {
+		benchMeasureFresh(b, nic, col, synthShiftMixes(), 2, len(pkts), 1)
+	})
+}
+
+// synthShiftMixes are the four traffic mixes synth-shift rotates through:
+// the flow populations and skews of bench/workloads.go, each drawn by a
+// generator of its own.
+func synthShiftMixes() []*trafficgen.Generator {
+	const seed = 7
+	mix := func(stream uint64, skew float64, flows []trafficgen.Flow) *trafficgen.Generator {
+		g := trafficgen.New(seed*8+stream, trafficgen.DefaultPacketBytes)
+		g.AddFlows(flows...)
+		g.SetSkew(skew)
+		return g
+	}
+	return []*trafficgen.Generator{
+		mix(0, 0.9, trafficgen.UniformFlows(seed+1, 128)),
+		mix(1, 0.9, trafficgen.DropTargetedFlows(seed+2, 128, "tcp.dport", 23, 0.6)),
+		mix(2, 0.5, trafficgen.CrossProductFlows(seed+3, 512, map[string]int{
+			"ipv4.srcAddr": 4096, "ipv4.dstAddr": 4096, "tcp.sport": 1024, "tcp.dport": 512,
+			"ipv4.tos": 64, "ipv4.ttl": 64,
+		})),
+		mix(3, 0.2, trafficgen.UniformFlows(seed+4, 128)),
 	}
 }
 
@@ -662,22 +690,23 @@ func benchMeasureDash(b *testing.B, prog *p4ir.Program) {
 	})
 	b.Run("fresh", func(b *testing.B) {
 		nic, col, gen := dash()
-		benchMeasureFresh(b, nic, col, gen, 8192, 8)
+		benchMeasureFresh(b, nic, col, []*trafficgen.Generator{gen}, 1, 8192, 8)
 	})
 }
 
-// benchMeasureFresh times Measure of a new batch of n packets from gen per
-// iteration, the collector reset before every window of the given number
-// of batches. Drawing the batch and the reset are not timed.
-func benchMeasureFresh(b *testing.B, nic *nicsim.NIC, col *Collector, gen *trafficgen.Generator, n, window int) {
+// benchMeasureFresh times Measure of a new batch of n packets per
+// iteration, from gens in turn, rotate batches each, the collector reset
+// before every window of the given number of batches. Drawing the batch
+// and the reset are not timed.
+func benchMeasureFresh(b *testing.B, nic *nicsim.NIC, col *Collector, gens []*trafficgen.Generator, rotate, n, window int) {
 	pkts := make([]*packet.Packet, n)
-	gen.BatchInto(pkts)
+	gens[0].BatchInto(pkts)
 	nic.Measure(pkts) // warm: buffers sized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		gen.BatchInto(pkts)
+		gens[i/rotate%len(gens)].BatchInto(pkts)
 		if i%window == 0 {
 			col.Reset()
 		}

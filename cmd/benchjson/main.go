@@ -40,7 +40,7 @@ import (
 // Bench is one parsed benchmark result.
 type Bench struct {
 	// Name is the benchmark (and sub-benchmark) name without the
-	// -GOMAXPROCS suffix, e.g. "BenchmarkMeasureParallel/workers-8".
+	// -GOMAXPROCS suffix, e.g. "BenchmarkMeasureParallel/workers=8".
 	Name string `json:"name"`
 	// Iterations is b.N for the recorded run.
 	Iterations int64 `json:"iterations"`

@@ -303,3 +303,30 @@ func TestCompareDocs(t *testing.T) {
 		}
 	})
 }
+
+// TestArchivedNamesKeepTheirProcsSuffix: no archived row may be named with
+// a trailing "-<digits>" of its own. On a GOMAXPROCS=1 run Go appends no
+// suffix, so splitProcs would take that part of the name for one, and rows
+// such as "exact2w-2000" and "exact2w-16000" would collapse into one
+// "exact2w"; parameterized names use "=" instead (see splitProcs).
+func TestArchivedNamesKeepTheirProcsSuffix(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("vacuous: no BENCH_*.json archive at the repository root")
+	}
+	suffix := regexp.MustCompile(`-[0-9]+$`)
+	for _, path := range paths {
+		doc, err := readDoc(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range doc.Benchmarks {
+			if suffix.MatchString(b.Name) {
+				t.Errorf("%s: row %q ends in -<digits>, which a one-CPU run parses as a GOMAXPROCS suffix", filepath.Base(path), b.Name)
+			}
+		}
+	}
+}

@@ -191,8 +191,8 @@ func BenchmarkEntryOp(b *testing.B) {
 		words int
 		size  int
 	}{
-		{"exact2w-2000", p4ir.MatchExact, 2, 2000}, {"exact2w-16000", p4ir.MatchExact, 2, 16000},
-		{"ternary-512", p4ir.MatchTernary, 1, 512}, {"lpm-256", p4ir.MatchLPM, 1, 256},
+		{"exact2w/entries=2000", p4ir.MatchExact, 2, 2000}, {"exact2w/entries=16000", p4ir.MatchExact, 2, 16000},
+		{"ternary/entries=512", p4ir.MatchTernary, 1, 512}, {"lpm/entries=256", p4ir.MatchLPM, 1, 256},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			prog, spare := lookupBenchTable(sh.kind, sh.words, sh.size)

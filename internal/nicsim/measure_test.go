@@ -16,6 +16,7 @@ import (
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
+	"pipeleon/internal/stats"
 	"pipeleon/internal/synth"
 	"pipeleon/internal/trafficgen"
 )
@@ -111,13 +112,14 @@ func twoProcs() func() {
 // measureMatchesProcess builds two NICs alike — mk returns one with its
 // collector — and walks the batch sizes on both: Measure on one, the
 // Process oracle on the other. After every batch the Measurement, the
-// profile snapshot, the packet counters, every cache's stats and the
-// virtual clock must agree exactly; after every window'th batch both
-// collectors start a new window, and after every batch between (when not
-// nil) runs on each NIC alike. Within a window the memo replays records
-// that earlier calls made, after their caches, token buckets and clock
-// have moved on; a new window's epoch stops the replay of a record that
-// logged keys in the old one.
+// profile snapshot (counters, KeyCardinality and FlowCardinality), the
+// packet counters, every cache's stats and the virtual clock must agree
+// exactly; after every window'th batch both collectors start a new window,
+// and after every batch between (when not nil) runs on each NIC alike.
+// Within a window the memo replays records that earlier calls made, after
+// their caches, token buckets and clock have moved on; in a new window a
+// sampled replay of a record made in the old one notes its keys and flow
+// itself (a renewal), or walks when its keys are not the packet's own.
 func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.Collector), pkts []*packet.Packet,
 	sizes []int, window int, between func(batch int, n *NIC)) memoUse {
 	t.Helper()
@@ -129,15 +131,18 @@ func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.
 		batch := pkts[at : at+size]
 		at += size
 		m := got.plan.Load().memo
-		var r0, p0, fresh int
+		var r0, p0, n0, fresh int
 		if m != nil {
-			r0, p0, fresh = m.replays, m.probes, freshKeys(m, batch)
+			r0, p0, n0, fresh = m.replays, m.probes, m.renewals, freshKeys(m, batch)
 		}
 		gm, wm := got.Measure(batch), processMeasure(want, batch)
 		if m != nil && m.probes >= p0 {
 			r := m.replays - r0
 			use.replays, use.probes = use.replays+r, use.probes+m.probes-p0
 			use.carried += max(0, r-fresh)
+		}
+		if m != nil {
+			use.renewals += m.renewals - n0
 		}
 		if !sameMeasurement(gm, wm) {
 			t.Fatalf("%s, batch of %d: Measure %+v, per-packet Process %+v", name, size, gm, wm)
@@ -165,15 +170,18 @@ func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.
 			between(i, want)
 		}
 	}
+	use.memo = got.plan.Load().memo
 	return use
 }
 
 // memoUse is what a run of the oracle measured of the memo: of the packets
 // it probed the memo for (over the batches no probation ended in), how
 // many it replayed, and at least how many of those replayed a record an
-// earlier Measure call made.
+// earlier Measure call made; how many replays renewed a record of an
+// earlier collector window; and the Measure NIC's memo at the end.
 type memoUse struct {
-	replays, probes, carried int
+	replays, probes, carried, renewals int
+	memo                               *traceMemo
 }
 
 // freshKeys bounds the replays a Measure of batch can make from records it
@@ -210,7 +218,7 @@ func batchTotal(sizes []int) int {
 // instrumentation and a cache-fill cost on every seed.
 func TestMeasureMatchesProcess(t *testing.T) {
 	defer twoProcs()()
-	cached, carried := 0, 0
+	cached, carried, renewals := 0, 0, 0
 	for i := 0; i < swapCorpus; i++ {
 		if testing.Short() && i%4 != 0 || raceEnabled && i%6 != 0 {
 			continue
@@ -243,7 +251,9 @@ func TestMeasureMatchesProcess(t *testing.T) {
 		gen.SetSkew(0.8)
 		pkts := gen.Batch(batchTotal(measureBatches))
 		for _, window := range []int{1, measureWindow} {
-			carried += measureMatchesProcess(t, fmt.Sprintf("case %d, window %d", i, window), mk, pkts, measureBatches, window, nil).carried
+			use := measureMatchesProcess(t, fmt.Sprintf("case %d, window %d", i, window), mk, pkts, measureBatches, window, nil)
+			carried += use.carried
+			renewals += use.renewals
 		}
 	}
 	if cached == 0 {
@@ -252,7 +262,11 @@ func TestMeasureMatchesProcess(t *testing.T) {
 	if carried == 0 {
 		t.Fatal("vacuous: no replay of a record an earlier Measure call made")
 	}
-	t.Logf("%d plans with a runtime flow cache; at least %d replays of records of earlier calls", cached, carried)
+	if renewals == 0 {
+		t.Fatal("vacuous: no replay of a record of an earlier collector window")
+	}
+	t.Logf("%d plans with a runtime flow cache; at least %d replays of records of earlier calls, %d of earlier windows",
+		cached, carried, renewals)
 }
 
 // TestMeasureMatchesProcessSynth110 runs the oracle on the root package's
@@ -299,9 +313,13 @@ func TestMeasureMatchesProcessSynth110(t *testing.T) {
 	}
 	for _, window := range []int{1, measureWindow} {
 		use := measureMatchesProcess(t, fmt.Sprintf("synth110, window %d", window), mk, pkts, measureBatches, window, nil)
-		t.Logf("window %d: %d of %d probed packets replayed, at least %d from records of earlier calls", window, use.replays, use.probes, use.carried)
+		t.Logf("window %d: %d of %d probed packets replayed, at least %d from records of earlier calls, %d of earlier windows",
+			window, use.replays, use.probes, use.carried, use.renewals)
 		if window > 1 && use.carried == 0 {
 			t.Error("vacuous: no replay of a record an earlier Measure call made")
+		}
+		if use.renewals == 0 {
+			t.Error("vacuous: no replay of a record of an earlier collector window")
 		}
 	}
 }
@@ -448,11 +466,98 @@ func TestMeasureWalksPacketsWithMetadata(t *testing.T) {
 	}
 }
 
-// TestMeasureMemoBounded measures always-new flows, so the memo keeps
-// admitting and dropping records, with entry operations handing it on a
-// hundred times: the live heap must stay flat (a slope under 64 bytes a
-// call, where a record kept per flow is hundreds) and the memo inside its
-// cap.
+// TestMeasureRenewsOnlyInputKeys: in a new collector window a replay notes
+// its record's table keys as it gathers them from the packet, which is only
+// right for keys no earlier action wrote. Here rw rewrites ipv4.tos, or
+// sets meta.rw, for four of eight destinations, and the next table keys on
+// what it wrote: the records of those flows must walk again in a new
+// window, the others renew, and the snapshots, KeyCardinality included,
+// must match the per-packet loop either way.
+func TestMeasureRenewsOnlyInputKeys(t *testing.T) {
+	for _, field := range []string{"ipv4.tos", "meta.rw"} {
+		prog, err := p4ir.ChainTables("rewrite", []p4ir.TableSpec{
+			{
+				Name: "rw", Keys: []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: 32}},
+				Actions: []*p4ir.Action{
+					p4ir.NewAction("set", p4ir.Prim("modify_field", field, "5")),
+					p4ir.NoopAction("keep"),
+				},
+				DefaultAction: "keep",
+				Entries:       []p4ir.Entry{e("set", 1), e("set", 2), e("set", 3), e("set", 4)},
+			},
+			exactTable("rekeyed", field, "", e("hit_act", 5)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every destination with three tos values, the rewritten one among
+		// them, twenty packets each, in a shuffled order. The rewriting
+		// destinations come with tos values no other flow has, so a key
+		// gathered from such a packet shows in KeyCardinality.
+		var pkts []*packet.Packet
+		for rep := 0; rep < 20; rep++ {
+			for dst := uint32(1); dst <= 8; dst++ {
+				toses := []uint64{0, 5, 9}
+				if dst <= 4 {
+					toses = []uint64{5, 10, 11}
+				}
+				for _, tos := range toses {
+					p := pkt(7, dst, 1000, 80)
+					if err := p.Set("ipv4.tos", tos); err != nil {
+						t.Fatal(err)
+					}
+					pkts = append(pkts, p)
+				}
+			}
+		}
+		rng := stats.NewRNG(71)
+		for i := len(pkts) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			pkts[i], pkts[j] = pkts[j], pkts[i]
+		}
+		mk := func() (*NIC, *profile.Collector) {
+			col := profile.NewCollector()
+			nic, err := New(prog.Clone(), Config{Params: testParams(), Collector: col, Instrument: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nic, col
+		}
+		for _, window := range []int{1, 2} {
+			use := measureMatchesProcess(t, fmt.Sprintf("%s, window %d", field, window), mk, pkts, []int{96, 96, 96, 96, 96}, window, nil)
+			written, input := recordsByKeys(use.memo)
+			t.Logf("%s, window %d: %d of %d probed packets replayed, %d renewed; %d sampled records keyed on input fields, %d not",
+				field, window, use.replays, use.probes, use.renewals, input, written)
+			if use.renewals == 0 || written == 0 || input == 0 {
+				t.Errorf("%s, window %d: vacuous", field, window)
+			}
+		}
+	}
+}
+
+// recordsByKeys counts m's sampled records whose keys a replay may gather
+// from the packet, and those whose keys it may not.
+func recordsByKeys(m *traceMemo) (written, input int) {
+	for _, v := range m.records.slots {
+		if o := int(v) - 1; v != 0 && m.arena[o+recKey]&sampledBit != 0 {
+			if m.arena[o+recShape]&recRegathers != 0 {
+				input++
+			} else {
+				written++
+			}
+		}
+	}
+	return written, input
+}
+
+// TestMeasureMemoBounded measures traffic that keeps the memo admitting
+// and dropping records, with entry operations handing it on a hundred
+// times: always-new flows with a new collector window every hundred calls
+// or every call (each replay then renews its record), and four mixes of
+// 1 500 flows taking turns every second call with a window per call, more
+// flows than a memo holds. The live heap must stay flat (a slope under 64
+// bytes a call, where a record kept per flow is hundreds) and the memo
+// inside its cap.
 func TestMeasureMemoBounded(t *testing.T) {
 	calls := 10_000
 	if testing.Short() || raceEnabled {
@@ -461,11 +566,6 @@ func TestMeasureMemoBounded(t *testing.T) {
 	pm := costmodel.BlueField2()
 	orig := synth.Program(synth.ProgramSpec{Pipelets: 6, AvgLen: 2, Category: synth.Mixed, Seed: 51})
 	plan := searched(t, orig, pm, synth.ProfileSpec{Seed: 52, Category: synth.Mixed})
-	col := profile.NewCollector()
-	nic, err := New(plan, Config{Params: pm, Collector: col, Instrument: true, Seed: 53, NoiseStdDev: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var table string
 	for _, name := range tableNames(plan) {
 		if tbl := plan.Tables[name]; len(tbl.Keys) == 1 && tbl.Keys[0].Kind == p4ir.MatchExact && len(tbl.Actions) > 0 {
@@ -483,42 +583,80 @@ func TestMeasureMemoBounded(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc)
 	}
-	pkts := make([]*packet.Packet, 64)
-	var samples []float64
-	for i := 0; i < calls; i++ {
+	newFlows := func(pkts []*packet.Packet, i int) {
 		gen := trafficgen.New(uint64(i)+54, 0)
 		gen.AddFlows(trafficgen.UniformFlows(uint64(i)<<8+55, 8)...)
 		gen.BatchInto(pkts)
-		if m := nic.Measure(pkts); m.Packets != len(pkts) {
-			t.Fatalf("call %d: measured %d packets", i, m.Packets)
+	}
+	var mixes []*trafficgen.Generator
+	for k := range 4 {
+		gen := trafficgen.New(uint64(k)+56, 0)
+		gen.AddFlows(trafficgen.UniformFlows(uint64(k)+57, 800)...)
+		gen.SetSkew(0.9)
+		mixes = append(mixes, gen)
+	}
+	rotating := func(pkts []*packet.Packet, i int) { mixes[i/2%len(mixes)].BatchInto(pkts) }
+	for _, tc := range []struct {
+		name   string
+		pkts   int
+		draw   func(pkts []*packet.Packet, i int)
+		window int
+	}{
+		{"new flows, window of 100 calls", 64, newFlows, 100},
+		{"new flows, window of 1 call", 64, newFlows, 1},
+		{"rotating mixes, window of 1 call", 512, rotating, 1},
+	} {
+		col := profile.NewCollector()
+		nic, err := New(plan, Config{Params: pm, Collector: col, Instrument: true, Seed: 53, NoiseStdDev: 0.05})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i%(calls/50) == calls/50-1 { // one entry in and out: two hand-offs
-			e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i) & plan.Tables[table].Keys[0].FullMask()}}, Action: plan.Tables[table].Actions[0].Name}
-			if err := nic.InsertEntry(table, e); err != nil {
-				t.Fatal(err)
+		pkts := make([]*packet.Packet, tc.pkts)
+		var samples []float64
+		most, clears := 0, 0
+		for i := 0; i < calls; i++ {
+			tc.draw(pkts, i)
+			m := nic.plan.Load().memo
+			before := m.records.n
+			if got := nic.Measure(pkts); got.Packets != len(pkts) {
+				t.Fatalf("%s, call %d: measured %d packets", tc.name, i, got.Packets)
 			}
-			if err := nic.DeleteEntry(table, e.Match); err != nil {
-				t.Fatal(err)
+			if m.records.n < before {
+				clears++
+			}
+			most = max(most, m.records.n)
+			if cap(m.arena) > memoArenaWords || len(m.records.slots) > 2*memoMaxRecords || len(m.trace.slots) > 2*memoMaxRecords ||
+				64*len(m.door) > memoDoorBits {
+				t.Fatalf("%s, call %d: memo past its cap: %d arena words, %d record and %d trace slots, %d door words",
+					tc.name, i, cap(m.arena), len(m.records.slots), len(m.trace.slots), len(m.door))
+			}
+			if i%(calls/50) == calls/50-1 { // one entry in and out: two hand-offs
+				e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i) & plan.Tables[table].Keys[0].FullMask()}}, Action: plan.Tables[table].Actions[0].Name}
+				if err := nic.InsertEntry(table, e); err != nil {
+					t.Fatal(err)
+				}
+				if err := nic.DeleteEntry(table, e.Match); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%tc.window == tc.window-1 {
+				col.Reset()
+			}
+			if (i+1)%(calls/10) == 0 {
+				samples = append(samples, heap())
 			}
 		}
-		if i%100 == 99 {
-			col.Reset()
+		if nic.plan.Load().memo.off {
+			t.Fatalf("%s: vacuous: the memo went off", tc.name)
 		}
-		if (i+1)%(calls/10) == 0 {
-			samples = append(samples, heap())
+		if clears == 0 {
+			t.Errorf("%s: vacuous: the memo never filled (%d records at most)", tc.name, most)
 		}
-	}
-	m := nic.plan.Load().memo
-	if m.off {
-		t.Fatal("vacuous: the memo went off")
-	}
-	if cap(m.arena) > memoArenaWords || len(m.records.slots) > 2*memoMaxRecords || len(m.trace.slots) > 2*memoMaxRecords {
-		t.Errorf("memo past its cap: %d arena words, %d record and %d trace slots", cap(m.arena), len(m.records.slots), len(m.trace.slots))
-	}
-	if perCall := heapSlope(samples[1:], calls/10); perCall > 64 {
-		t.Errorf("live heap grows %.1f bytes per Measure (samples %v)", perCall, samples)
-	} else {
-		t.Logf("%d calls, live heap slope %.2f bytes a call", calls, perCall)
+		if perCall := heapSlope(samples[1:], calls/10); perCall > 64 {
+			t.Errorf("%s: live heap grows %.1f bytes per Measure (samples %v)", tc.name, perCall, samples)
+		} else {
+			t.Logf("%s: %d calls, live heap slope %.2f bytes a call, %d records at most, %d calls emptied the memo", tc.name, calls, perCall, most, clears)
+		}
 	}
 }
 

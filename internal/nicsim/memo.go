@@ -19,22 +19,25 @@ import (
 // flow's walk once, in a memo the plan owns, and replays them for the
 // flow's later packets: the replay checks that every cache step would come
 // out as recorded, then applies the record, without cloning the packet or
-// evaluating a plan node. DESIGN.md, "Measure replays a flow", has the
+// evaluating a plan node. The counters of a burst's replays are added once
+// per trace (fold), and in a later collector window a replay notes the
+// record's table keys itself, gathered from the packet, when no action
+// wrote what they read. DESIGN.md, "Measure replays a flow", has the
 // effects table and the measurements behind the constants below.
 
 const (
 	// memoArenaWords caps a memo's records and traces, in words: a full
 	// memo starts again empty.
-	memoArenaWords = 40 << 10 / 8
+	memoArenaWords = 160 << 10 / 8
 	// memoMaxRecordWords is the largest record and trace kept: a walk that
 	// would take more is not recorded.
-	memoMaxRecordWords = memoArenaWords / 16
+	memoMaxRecordWords = 320
 	// memoMaxRecords caps a memo's records, and its traces, so that their
 	// indexes (at most twice as many slots) stay bounded too.
-	memoMaxRecords = 1 << 10
+	memoMaxRecords = 1 << 12
 	// memoDoorBits is the doorkeeper's size: a flow is recorded when its
 	// key's bit is found set, on its second sighting.
-	memoDoorBits = 1 << 12
+	memoDoorBits = 1 << 14
 	// memoProbation probes make a judgement: a memo that replayed fewer
 	// than one in memoBreakEven of them stops probing for good.
 	memoProbation = 1 << 14
@@ -44,7 +47,7 @@ const (
 // A flow's record, in arena words from its offset:
 //
 //	recHash  hash of the key words
-//	recShape capacity in words | cache steps<<16 | trace offset<<32
+//	recShape capacity in words | cache steps<<16 | flags<<24 | trace offset<<32
 //	recKey   the key words
 //
 // then, in a sampled record, the flow hash the walk logged and the
@@ -56,16 +59,18 @@ const (
 // values.
 //
 // A record's trace is what it shares with every flow that walked the same
-// way, kept once:
+// way, kept once, after the word trPend:
 //
 //	trHash   hash of the words after it
 //	trShape  action sites | branch sites<<16 | cache sites<<32 | flags<<48
 //	trCounts counter updates | migrations<<32
 //	trLat    noiseless latency before the fill charge (float64 bits)
 //	trClock  the virtual-clock advance of the walk's DMA crossings
+//	trKeys   keyed table visits
 //
 // then the counter sites, four to a word: actions, branches, caches, each
-// the index Burst counts it under.
+// the index Burst counts it under; then the node ids of the keyed visits,
+// in walk order.
 const (
 	recHash = iota
 	recShape
@@ -73,13 +78,21 @@ const (
 )
 
 const (
-	trHash = iota
+	trPend = iota - 1 // the burst's replays of the trace, not yet folded
+	trHash
 	trShape
 	trCounts
 	trLat
 	trClock
+	trKeys
 	trHead
 )
+
+// recRegathers flags a sampled record whose keys are all the ones their
+// nodes gather from the packet as it came in: a replay in a later
+// collector epoch notes them itself. A record whose walk keyed a table on
+// a field an earlier action wrote is walked again instead.
+const recRegathers = 1 << 24
 
 const (
 	flagDropped = 1 << iota
@@ -135,11 +148,15 @@ type traceMemo struct {
 	arena          []uint64
 	records, trace offsets
 	door           []uint64
+	// pending lists the traces the burst replayed sampled, their counts in
+	// trPend: fold adds their sites to the burst's counters once each.
+	pending []int32
 
 	// probes and replays count the probation under way; off is the verdict
-	// of one that replayed too few.
-	probes, replays int
-	off             bool
+	// of one that replayed too few. renewals counts the replays that noted
+	// their keys in a later epoch than their record's.
+	probes, replays, renewals int
+	off                       bool
 }
 
 type keyField struct {
@@ -174,10 +191,11 @@ func (m *traceMemo) keyOn(reads uint64) {
 	}
 }
 
-// memoable reports whether a plan's counter sites fit a trace's 16-bit
-// site words.
-func memoable(l *profile.Layout) bool {
-	return len(l.Actions) <= math.MaxUint16 && 2*len(l.Branches) <= math.MaxUint16 && 2*len(l.Caches) <= math.MaxUint16
+// memoable reports whether a plan's counter sites and node ids fit a
+// trace's 16-bit site words.
+func memoable(l *profile.Layout, nodes int) bool {
+	return len(l.Actions) <= math.MaxUint16 && 2*len(l.Branches) <= math.MaxUint16 && 2*len(l.Caches) <= math.MaxUint16 &&
+		nodes <= math.MaxUint16
 }
 
 // passTo empties the memo and gives it to next, the plan an entry
@@ -208,8 +226,47 @@ func (m *traceMemo) acquire(pl *execPlan) *traceMemo {
 		m.mu.Unlock()
 		return nil
 	}
+	// Counts a panicking burst left unfolded belong to no burst now.
+	for _, t := range m.pending {
+		m.arena[int(t)+trPend] = 0
+	}
+	m.pending = m.pending[:0]
 	return m
 }
+
+// count notes a sampled replay of trace t, for the burst's fold.
+func (m *traceMemo) count(t int) {
+	if m.arena[t+trPend] == 0 {
+		m.pending = append(m.pending, int32(t))
+	}
+	m.arena[t+trPend]++
+}
+
+// fold adds the counter sites of every trace the burst replayed to sink,
+// as many times as it replayed it, and clears the counts.
+func (m *traceMemo) fold(sink *profile.Burst) {
+	a := m.arena
+	for _, t32 := range m.pending {
+		t := int(t32)
+		n, shape := a[t+trPend], a[t+trShape]
+		a[t+trPend] = 0
+		sites := a[t+trHead:]
+		i, end := 0, int(shape&0xffff)
+		for ; i < end; i++ {
+			sink.AddAction(siteAt(sites, i), n)
+		}
+		for end += int(shape >> 16 & 0xffff); i < end; i++ {
+			sink.AddBranch(siteAt(sites, i), n)
+		}
+		for end += int(shape >> 32 & 0xffff); i < end; i++ {
+			sink.AddCache(siteAt(sites, i), n)
+		}
+	}
+	m.pending = m.pending[:0]
+}
+
+// siteAt is the i-th 16-bit site of a trace's site words.
+func siteAt(sites []uint64, i int) int { return int(uint16(sites[i/4] >> (16 * (i % 4)))) }
 
 // judge closes a probation when it is over: a memo that replayed fewer
 // than one in memoBreakEven of its probes goes off and lets its buffers go.
@@ -224,9 +281,11 @@ func (m *traceMemo) judge() {
 	m.probes, m.replays = 0, 0
 }
 
-// clear empties the memo, keeping its buffers.
+// clear empties the memo, keeping its buffers; a burst that clears it
+// folds its replays first.
 func (m *traceMemo) clear() {
 	m.arena = m.arena[:0]
+	m.pending = m.pending[:0]
 	m.records.reset()
 	m.trace.reset()
 	clear(m.door)
@@ -274,8 +333,9 @@ func (m *traceMemo) findTrace(tr []uint64) int {
 		return -1
 	}
 	for i := tr[trHash] >> x.shift; x.slots[i] != 0; i = (i + 1) & x.mask() {
-		// Equal shapes are equal lengths.
-		if o := int(x.slots[i]) - 1; m.arena[o+trShape] == tr[trShape] && slices.Equal(m.arena[o:][:len(tr)], tr) {
+		// Equal shapes and keyed visits are equal lengths.
+		if o := int(x.slots[i]) - 1; m.arena[o+trShape] == tr[trShape] && m.arena[o+trKeys] == tr[trKeys] &&
+			slices.Equal(m.arena[o:][:len(tr)], tr) {
 			return o
 		}
 	}
@@ -353,6 +413,8 @@ func (x *offsets) reset() {
 // flow (procCtx.rec): the effects the record is made of, in walk order.
 type recorder struct {
 	actions, branches, caches []uint16 // counter sites, as Burst indexes them
+	keyed                     []uint16 // the nodes of the keyed visits
+	keys                      []uint64 // the keys they noted
 	steps                     []recStep
 	clock                     int64   // the DMA crossings' virtual-clock advance
 	latPre                    float64 // noiseless latency before the fill charge
@@ -371,6 +433,7 @@ type recStep struct {
 
 func (r *recorder) reset() {
 	r.actions, r.branches, r.caches = r.actions[:0], r.branches[:0], r.caches[:0]
+	r.keyed, r.keys = r.keyed[:0], r.keys[:0]
 	r.steps = r.steps[:0]
 	r.clock, r.latPre = 0, 0
 }
@@ -383,6 +446,11 @@ func (r *recorder) branch(slot int32, taken bool) {
 
 func (r *recorder) cache(slot int32, hit bool) {
 	r.caches = append(r.caches, uint16(2*slot)+uint16(b2u(!hit)))
+}
+
+// key notes that the visit of node id noted key k.
+func (r *recorder) key(id int32, k uint64) {
+	r.keyed, r.keys = append(r.keyed, uint16(id)), append(r.keys, k)
 }
 
 // step notes a get of fc (a vendor or runtime cache, ref) for the key at
@@ -411,9 +479,9 @@ func (r *recorder) buildTrace(res *Result) bool {
 	t := append(r.trace[:0], 0,
 		uint64(len(r.actions))|uint64(len(r.branches))<<16|uint64(len(r.caches))<<32|flags<<48,
 		uint64(res.CounterUpdates)|uint64(res.Migrations)<<32,
-		math.Float64bits(r.latPre), uint64(r.clock))
+		math.Float64bits(r.latPre), uint64(r.clock), uint64(len(r.keyed)))
 	n := 0
-	for _, sites := range [3][]uint16{r.actions, r.branches, r.caches} {
+	for _, sites := range [4][]uint16{r.actions, r.branches, r.caches, r.keyed} {
 		for _, s := range sites {
 			if n%4 == 0 {
 				t = append(t, 0)
@@ -427,13 +495,18 @@ func (r *recorder) buildTrace(res *Result) bool {
 	return true
 }
 
-// store records the walk ctx just made of the packet with key (hash h):
-// in place of the record at at (-1: none) when it fits there, elsewhere
-// otherwise, its trace shared with every record that has it.
-func (m *traceMemo) store(at int, key []uint64, h uint64, ctx *procCtx, res *Result, flowHash, epoch uint64) {
+// store records the walk ctx just made of p, with key (hash h): in place
+// of the record at at (-1: none) when it fits there, elsewhere otherwise,
+// its trace shared with every record that has it. A memo it empties to
+// make room folds the burst's replays into sink first.
+func (m *traceMemo) store(at int, key []uint64, h uint64, p *packet.Packet, ctx *procCtx, sink *profile.Burst, res *Result, flowHash, epoch uint64) {
 	r := ctx.rec
 	if !r.buildTrace(res) {
 		return
+	}
+	var flags uint64
+	if m.keysFromInput(r, p) {
+		flags |= recRegathers
 	}
 	size := recSteps(key)
 	fi := 0
@@ -461,14 +534,16 @@ func (m *traceMemo) store(at int, key []uint64, h uint64, ctx *procCtx, res *Res
 		need += size
 	}
 	if t < 0 {
-		need += len(r.trace)
+		need += len(r.trace) + 1
 	}
 	if len(m.arena)+need > memoArenaWords || at < 0 && m.records.n == memoMaxRecords || t < 0 && m.trace.n == memoMaxRecords {
+		m.fold(sink)
 		m.clear()
 		at, t, capacity = -1, -1, 0
 	}
 	if t < 0 {
-		t = m.alloc(len(r.trace))
+		t = m.alloc(len(r.trace)+1) - trPend
+		m.arena[t+trPend] = 0
 		copy(m.arena[t:], r.trace)
 		m.trace.add(m.arena, r.trace[trHash], t)
 	}
@@ -476,7 +551,7 @@ func (m *traceMemo) store(at int, key []uint64, h uint64, ctx *procCtx, res *Res
 	if size > capacity {
 		o, capacity = m.alloc(size), size
 	}
-	m.encode(m.arena[o:], capacity, t, key, h, ctx, flowHash, epoch)
+	m.encode(m.arena[o:], uint64(capacity)|flags, t, key, h, ctx, flowHash, epoch)
 	switch {
 	case o == at:
 	case at >= 0:
@@ -486,11 +561,35 @@ func (m *traceMemo) store(at int, key []uint64, h uint64, ctx *procCtx, res *Res
 	}
 }
 
-// encode writes the record of capacity words, of trace t, at a.
-func (m *traceMemo) encode(a []uint64, capacity, t int, key []uint64, h uint64, ctx *procCtx, flowHash, epoch uint64) {
+// keysFromInput reports whether every key the recorded walk noted is the
+// one its node gathers from p, the packet as it came in: then no action
+// before the visit wrote a field the key reads.
+func (m *traceMemo) keysFromInput(r *recorder, p *packet.Packet) bool {
+	for i, id := range r.keyed {
+		if m.owner.nodes[id].keyOf(p) != r.keys[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// keyOf is the key a visit of nd notes for p, gathered as the walk
+// gathers it.
+func (nd *execNode) keyOf(p *packet.Packet) uint64 {
+	var buf [8]uint64
+	vals := buf[:0]
+	for i, fid := range nd.fids {
+		vals = append(vals, p.GetID(fid)&nd.kmasks[i])
+	}
+	return notedKey(vals)
+}
+
+// encode writes the record of capacity words (and the record flags), of
+// trace t, at a.
+func (m *traceMemo) encode(a []uint64, capacity uint64, t int, key []uint64, h uint64, ctx *procCtx, flowHash, epoch uint64) {
 	r := ctx.rec
 	a[recHash] = h
-	a[recShape] = uint64(capacity) | uint64(len(r.steps))<<16 | uint64(t)<<32
+	a[recShape] = capacity | uint64(len(r.steps))<<16 | uint64(t)<<32
 	p := recKey + copy(a[recKey:], key)
 	if key[0]&sampledBit != 0 {
 		a[p], a[p+1] = flowHash, epoch
@@ -530,19 +629,21 @@ func (pl *execPlan) cacheOf(ref int32) *flowCache {
 	return pl.nodes[ref-1].fc
 }
 
-// replay applies the record at o (key its key) for a packet of flow hash
+// replay applies the record at o (key its key) for pkt, of flow hash
 // flowHash, filling res as the walk would. It first peeks every cache step
 // of the record; when one would not come out as recorded — or a sampled
-// record logged its keys in an earlier reset epoch of the collector — it
-// reports false, having changed nothing.
-func (n *NIC) replay(pl *execPlan, m *traceMemo, o int, key []uint64, ctx *procCtx, sink *profile.Burst, epoch, flowHash uint64, res *Result) bool {
+// record logged its keys in an earlier reset epoch of the collector and
+// cannot gather them from pkt — it reports false, having changed nothing.
+// A sampled replay's counters wait in its trace for the burst's fold.
+func (n *NIC) replay(pl *execPlan, m *traceMemo, o int, key []uint64, pkt *packet.Packet, ctx *procCtx, sink *profile.Burst, epoch, flowHash uint64, res *Result) bool {
 	a := m.arena
 	sampled := key[0]&sampledBit != 0
 	flow := o + recKey + len(key) // a sampled record's flow, then epoch
-	if sampled && a[flow+1] != epoch {
+	shape := a[o+recShape]
+	renew := sampled && a[flow+1] != epoch
+	if renew && shape&recRegathers == 0 {
 		return false
 	}
-	shape := a[o+recShape]
 	first, steps := o+recSteps(key), int(shape>>16&0xff)
 
 	// Peek: every hit's node must still hold the fill it held, and every
@@ -600,23 +701,18 @@ func (n *NIC) replay(pl *execPlan, m *traceMemo, o int, key []uint64, ctx *procC
 		}
 	}
 
-	// The counters, and the flow when another flow logged the record.
+	// The counters; the flow when another flow logged the record; in a new
+	// epoch the keys too, and the record logged them in this one.
 	tshape := a[t+trShape]
 	if sampled {
-		nAct, nBr, nCache := int(tshape&0xffff), int(tshape>>16&0xffff), int(tshape>>32&0xffff)
-		sites := a[t+trHead:]
-		for i := 0; i < nAct+nBr+nCache; i++ {
-			site := int(uint16(sites[i/4] >> (16 * (i % 4))))
-			switch {
-			case i < nAct:
-				sink.IncAction(site)
-			case i < nAct+nBr:
-				sink.IncBranch(site>>1, site&1 == 0)
-			default:
-				sink.IncCache(site>>1, site&1 == 0)
-			}
-		}
-		if a[flow] != flowHash {
+		m.count(t)
+		switch {
+		case renew:
+			m.noteKeys(t, pkt, sink)
+			sink.AddFlow(flowHash)
+			a[flow], a[flow+1] = flowHash, epoch
+			m.renewals++
+		case a[flow] != flowHash:
 			sink.AddFlow(flowHash)
 		}
 	}
@@ -629,4 +725,16 @@ func (n *NIC) replay(pl *execPlan, m *traceMemo, o int, key []uint64, ctx *procC
 	}
 	ctx.finish(pl, res, lat, flowHash)
 	return true
+}
+
+// noteKeys notes, for p, the key of every keyed visit of trace t.
+func (m *traceMemo) noteKeys(t int, p *packet.Packet, sink *profile.Burst) {
+	a := m.arena
+	shape := a[t+trShape]
+	first := int(shape&0xffff) + int(shape>>16&0xffff) + int(shape>>32&0xffff)
+	sites := a[t+trHead:]
+	for i := first; i < first+int(a[t+trKeys]); i++ {
+		nd := &m.owner.nodes[siteAt(sites, i)]
+		sink.AddKey(int(nd.keySlot), nd.keyOf(p))
+	}
 }

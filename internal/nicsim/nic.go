@@ -502,13 +502,11 @@ func (n *NIC) run(pl *execPlan, ctx *procCtx, pkt *packet.Packet, sink *profile.
 
 		// Ordinary (or pre-populated merged-cache) table.
 		if sampled && len(vals) > 0 {
-			// A one-field key is its own identity; wider keys fold to a
-			// hash.
-			k := vals[0]
-			if len(vals) > 1 {
-				k = hashWords(vals)
-			}
+			k := notedKey(vals)
 			sink.AddKey(int(nd.keySlot), k)
+			if rec != nil {
+				rec.key(cur, k)
+			}
 		}
 		var se *storedEntry
 		if nd.oneWord && len(nd.views) == 1 {
@@ -618,6 +616,15 @@ func (ctx *procCtx) finish(pl *execPlan, res *Result, lat float64, flowHash uint
 		return
 	}
 	res.LatencyNs = pl.applyNoise(lat, flowHash)
+}
+
+// notedKey is the distinct key a table visit notes for its gathered key
+// words: a one-field key is its own identity; wider keys fold to a hash.
+func notedKey(vals []uint64) uint64 {
+	if len(vals) > 1 {
+		return hashWords(vals)
+	}
+	return vals[0]
 }
 
 // addFill opens a cache-fill record for a miss of key hash h, reusing a

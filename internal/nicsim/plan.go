@@ -279,7 +279,7 @@ func (n *NIC) compile() *execPlan {
 			reads |= headerBit(packet.FieldIDFor(f))
 		}
 	}
-	if memoable(layout) {
+	if memoable(layout, len(pl.nodes)) {
 		pl.memo = newTraceMemo(pl, reads)
 	}
 	return pl

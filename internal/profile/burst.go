@@ -109,6 +109,26 @@ func (b *Burst) IncCache(slot int, hit bool) {
 	b.dirty = true
 }
 
+// AddAction adds n to the action counter at slot: n IncAction calls.
+func (b *Burst) AddAction(slot int, n uint64) {
+	b.actions[slot] += n
+	b.dirty = true
+}
+
+// AddBranch adds n to the branch counter at index i, 2·slot for taken and
+// 2·slot+1 for not: n IncBranch calls.
+func (b *Burst) AddBranch(i int, n uint64) {
+	b.branches[i] += n
+	b.dirty = true
+}
+
+// AddCache adds n to the cache counter at index i, 2·slot for a hit and
+// 2·slot+1 for a miss: n IncCache calls.
+func (b *Burst) AddCache(i int, n uint64) {
+	b.caches[i] += n
+	b.dirty = true
+}
+
 // Epoch returns the collector's reset epoch, which every Reset advances.
 // Keys a burst noted reach the sets in the epoch they were noted in or a
 // later one, and no Reset within an epoch removes them: a key noted in
