@@ -256,6 +256,11 @@ func lintModule(root string) ([]Violation, error) {
 		return nil, err
 	}
 	out = append(out, vs...)
+	vs, err = lintOneIndex(fset, root)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, vs...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
@@ -329,6 +334,59 @@ func checkOneDecoder(fset *token.FileSet, f *ast.File) []Violation {
 			}) {
 				report(n, "switches on .Op over string literals")
 			}
+		}
+		return true
+	})
+	return out
+}
+
+// A program's nodes are numbered once, by p4ir.Index: four layers once kept
+// a private name→number map each, in three orders, and read "" two ways.
+// So in internal/ and cmd/, outside internal/p4ir (the index) and
+// internal/p4c (the frontend, which numbers action parameters before any
+// program exists), nothing calls TopoOrder or NodeNames, and no range loop
+// stores an element's position under the element (m[v] = i, or a
+// conversion of i). examples/ may call the public TopoOrder.
+func lintOneIndex(fset *token.FileSet, root string) ([]Violation, error) {
+	var out []Violation
+	err := walkModule(fset, root, false, func(path string, f *ast.File) {
+		rel, _ := filepath.Rel(root, path)
+		under := func(dir string) bool { return strings.HasPrefix(filepath.ToSlash(rel), dir+"/") }
+		if (under("internal") || under("cmd")) && !under("internal/p4ir") && !under("internal/p4c") {
+			out = append(out, checkOneIndex(fset, f)...)
+		}
+	})
+	return out, err
+}
+
+func checkOneIndex(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	report := func(n ast.Node, what string) {
+		out = append(out, Violation{Pos: fset.Position(n.Pos()), Rule: "one-index",
+			Msg: what + ": number nodes with p4ir.Index (ID, Pos, Topo, Names) instead"})
+	}
+	named := func(e ast.Expr, id *ast.Ident) bool {
+		if conv, ok := e.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+			e = conv.Args[0]
+		}
+		x, ok := e.(*ast.Ident)
+		return ok && id != nil && id.Name != "_" && x.Name == id.Name
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "TopoOrder" || sel.Sel.Name == "NodeNames") {
+			report(n, "calls "+sel.Sel.Name)
+		}
+		if r, ok := n.(*ast.RangeStmt); ok {
+			k, _ := r.Key.(*ast.Ident)
+			v, _ := r.Value.(*ast.Ident)
+			ast.Inspect(r.Body, func(m ast.Node) bool {
+				if as, ok := m.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+					if lhs, ok := as.Lhs[0].(*ast.IndexExpr); ok && named(lhs.Index, v) && named(as.Rhs[0], k) {
+						report(as, "maps each name to its position")
+					}
+				}
+				return true
+			})
 		}
 		return true
 	})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -812,6 +813,86 @@ func lower(s stmt) bool { return s.Op == "==" }
 		t.Fatalf("got violations at lines %v, want 6, 10, 13, 16, 16, 19: %v", lines, vs)
 	}
 	if !strings.Contains(vs[0].Msg, "Primitive.Decode") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}
+
+func TestOneIndex(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// A private numbering: a walk of its own, a name list, and two
+		// name→position maps.
+		"internal/nicsim/plan.go": `package nicsim
+
+func compile(prog *program) map[string]int32 {
+	order, _ := prog.TopoOrder()
+	ids := map[string]int32{}
+	for i, name := range prog.NodeNames() {
+		ids[name] = int32(i)
+	}
+	pos := map[string]int{}
+	for i, n := range order {
+		pos[n] = i
+	}
+	return ids
+}
+`,
+		"cmd/tool/main.go": `package main
+
+func main() { _ = prog.NodeNames() }
+`,
+		// Fine: positions stored under something else, an index's names,
+		// a test file, the index itself, the frontend and the examples.
+		"internal/analysis/graph.go": `package analysis
+
+func fine(ix *index, groups []group) map[string]int {
+	by := map[string]int{}
+	for i, g := range groups {
+		by[g.Branch] = i
+	}
+	for id, name := range ix.Names() {
+		by[name] += id
+	}
+	return by
+}
+`,
+		"internal/opt/golden_test.go": `package opt
+
+func oracle(p *program) { p.TopoOrder() }
+`,
+		"internal/p4ir/ir.go": `package p4ir
+
+func (p *Program) TopoOrder() []string { return p.NodeNames() }
+`,
+		"internal/p4c/lower.go": `package p4c
+
+func lower(params []string) map[string]int {
+	idx := map[string]int{}
+	for i, p := range params {
+		idx[p] = i
+	}
+	return idx
+}
+`,
+		"examples/route/main.go": `package main
+
+func main() { prog.TopoOrder() }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range vs {
+		if v.Rule != "one-index" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		got = append(got, fmt.Sprintf("%s:%d", filepath.Base(v.Pos.Filename), v.Pos.Line))
+	}
+	if want := []string{"main.go:3", "plan.go:4", "plan.go:6", "plan.go:7", "plan.go:11"}; !slices.Equal(got, want) {
+		t.Fatalf("got violations at %v, want %v: %v", got, want, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "p4ir.Index") {
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
 	}
 }

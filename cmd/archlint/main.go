@@ -42,6 +42,10 @@
 //     literal, and .Expr is read only as an argument of a fmt call or a
 //     diag.List Add; a primitive or condition means what p4ir's
 //     Primitive.Decode and Conditional.Decode say.
+//   - one-index: in internal/ and cmd/, outside internal/p4ir (the index)
+//     and internal/p4c (the frontend), nothing calls TopoOrder or
+//     NodeNames, and no range loop stores an element's position under the
+//     element (m[v] = i); a program's nodes are numbered by p4ir.Index.
 //
 // Test files are exempt from every rule (and read by live-knob only).
 // Violations print one per line as file:line: [rule] message; the exit

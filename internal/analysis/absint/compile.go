@@ -14,8 +14,7 @@ type plan struct {
 	err    error       // the program is unanalyzable; every run reports it
 	fields *fieldTable // slot assignment of every mentioned field
 	nodes  []cnode     // topological order; successors are indices into it
-	index  map[string]int32
-	names  []string // every node of the program, reachable or not
+	ix     *p4ir.Index // a node's place in nodes is its Pos
 	root   int32
 	egress int32 // len(nodes): the successor index of "", and the scratch row of the egress join
 
@@ -24,7 +23,7 @@ type plan struct {
 
 func (p *plan) nslots() int { return len(p.fields.names) }
 
-// toNowhere is the successor code of a name outside the topological
+// toNowhere is the successor code (Pos) of a node outside the topological
 // order: such a node is never executed, so flows to it are discarded.
 // Egress is the index one past the last node (plan.egress).
 const toNowhere int32 = -1
@@ -154,33 +153,19 @@ func (o *operand) eval(st []Value, args []operand) Value {
 }
 
 func compile(prog *p4ir.Program) *plan {
-	p := &plan{}
-	if prog.Has("") {
-		// p4ir's graph view treats "" as the egress sink, but the emulator
-		// resolves it to the empty-named node: the two disagree on every
-		// edge, so such (degenerate, loader-accepted) programs are
-		// unanalyzable.
-		p.err = errEmptyNodeName
+	p := &plan{ix: p4ir.NewIndex(prog)}
+	if p.err = p.ix.Err(); p.err != nil {
 		return p
 	}
-	order, err := prog.TopoOrder()
-	if err != nil {
-		p.err = err
-		return p
-	}
-	p.names = prog.NodeNames()
+	order := p.ix.Topo()
 	p.fields = &fieldTable{slot: map[string]int32{}}
-	p.index = make(map[string]int32, len(order))
-	for i, name := range order {
-		p.index[name] = int32(i)
-	}
 	p.egress = int32(len(order))
 	p.root = p.resolve(prog.Root)
 	p.nodes = make([]cnode, len(order))
-	for i, name := range order {
+	for i, id := range order {
 		nd := &p.nodes[i]
-		nd.name = name
-		if c, ok := prog.Conds[name]; ok {
+		nd.name = p.ix.Name(id)
+		if c := p.ix.Cond(id); c != nil {
 			nd.kind = nodeCond
 			nd.cond = c.Decode()
 			if nd.cond.Kind == p4ir.CondCompare {
@@ -189,7 +174,7 @@ func compile(prog *p4ir.Program) *plan {
 			nd.next = [2]int32{p.resolve(c.TrueNext), p.resolve(c.FalseNext)}
 			continue
 		}
-		t := prog.Tables[name]
+		t := p.ix.Table(id)
 		if spec, isCache := t.CacheMeta(); isCache && !spec.Prepopulated {
 			nd.kind = nodePass
 			nd.next[0] = p.resolve(spec.MissNext)
@@ -203,12 +188,14 @@ func compile(prog *p4ir.Program) *plan {
 	return p
 }
 
+// resolve returns a successor's place in nodes: egress for the sink,
+// toNowhere for a name no reachable node has.
 func (p *plan) resolve(next string) int32 {
 	if next == "" {
 		return p.egress
 	}
-	if i, ok := p.index[next]; ok {
-		return i
+	if id := p.ix.ID(next); id >= 0 {
+		return p.ix.Pos(id)
 	}
 	return toNowhere
 }

@@ -37,7 +37,11 @@ func FuzzAbsintAgree(f *testing.F) {
 		if err != nil {
 			t.Skip() // compile rejection is fine; panics are not
 		}
-		hasCaches := len(prog.CacheSpecs()) > 0
+		hasCaches := false
+		for _, t := range prog.Tables {
+			_, isCache := t.CacheMeta()
+			hasCaches = hasCaches || isCache
+		}
 
 		gen := trafficgen.New(seed, 0)
 		gen.AddFlows(trafficgen.UniformFlows(seed+1, 8)...)

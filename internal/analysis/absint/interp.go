@@ -1,16 +1,12 @@
 package absint
 
 import (
-	"errors"
 	"strings"
 	"sync"
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 )
-
-// errEmptyNodeName rejects programs containing a node literally named "".
-var errEmptyNodeName = errors.New("absint: program contains a node with an empty name")
 
 // State is the abstract value of every field one program mentions, stored
 // densely: the analyzer's field table assigns each mentioned field a slot,
@@ -168,14 +164,14 @@ func Exec(prog *p4ir.Program, forced map[string]bool) (ClassOutcome, error) {
 // CondNames returns the reachable conditionals in topological order — the
 // branch variables path-class enumeration forks on.
 func CondNames(prog *p4ir.Program) []string {
-	order, err := prog.TopoOrder()
-	if err != nil {
+	ix := p4ir.NewIndex(prog)
+	if ix.Err() != nil {
 		return nil
 	}
 	var out []string
-	for _, name := range order {
-		if _, ok := prog.Conds[name]; ok {
-			out = append(out, name)
+	for _, id := range ix.Topo() {
+		if ix.Cond(id) != nil {
+			out = append(out, ix.Name(id))
 		}
 	}
 	return out
@@ -290,7 +286,7 @@ func (a *Analyzer) run(forced map[string]bool, res *Result) (ClassOutcome, error
 	}
 	clear(sc.force)
 	for name, taken := range forced {
-		if i, ok := p.index[name]; ok {
+		if i := p.resolve(name); i >= 0 && i != p.egress {
 			if taken {
 				sc.force[i] = 1
 			} else {
@@ -301,8 +297,8 @@ func (a *Analyzer) run(forced map[string]bool, res *Result) (ClassOutcome, error
 
 	x := exec{p: p, sc: sc, res: res}
 	if res != nil {
-		res.Nodes = make(map[string]*NodeResult, len(p.names))
-		for _, name := range p.names {
+		res.Nodes = make(map[string]*NodeResult, p.ix.Len())
+		for _, name := range p.ix.Names() {
 			res.Nodes[name] = &NodeResult{}
 		}
 	}

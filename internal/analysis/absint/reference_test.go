@@ -138,13 +138,6 @@ func refJoinState(a, b refState) refState {
 
 func (a *refAnalyzer) run(forced map[string]bool, collect bool) (*refResult, error) {
 	prog := a.prog
-	if prog.Has("") {
-		// p4ir's graph view treats "" as the egress sink, but the emulator
-		// resolves it to the empty-named node: the two disagree on every
-		// edge, so such (degenerate, loader-accepted) programs are
-		// unanalyzable.
-		return nil, errEmptyNodeName
-	}
 	order, err := prog.TopoOrder()
 	if err != nil {
 		return nil, err

@@ -26,7 +26,6 @@ package analysis
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"pipeleon/internal/costmodel"
@@ -90,41 +89,34 @@ func Lint(prog *p4ir.Program, opts ...Option) diag.List {
 	return l
 }
 
-// graph bundles the derived views every rule needs: the reachable set, the
-// strict-precedence closure, and per-table dataflow effects. The closure is
-// a bitset row per reachable node: sets of names cost a gate's first sight
-// of a layout one map insert per ordered pair of nodes.
+// graph bundles the derived views every rule needs: the program's index
+// (reachability, topological order), the strict-precedence closure, and
+// per-table dataflow effects. The closure is a bitset row per node: sets
+// of names cost a gate's first sight of a layout one map insert per
+// ordered pair of nodes.
 type graph struct {
 	prog *p4ir.Program
 	an   *deps.Analyzer
-	// topo is the reachable nodes in topological order, idx a node's place
-	// in it; empty for a structurally invalid program (callers gate on that).
-	topo []string
-	idx  map[string]int
-	// desc: bit v of row u (words long) says v is strictly after u on a path.
+	ix   *p4ir.Index
+	// desc: bit v of row u (words long) says node v is strictly after node
+	// u on a path; nil for a structurally invalid program (callers gate).
 	desc  []uint64
 	words int
 }
 
 func newGraph(prog *p4ir.Program) *graph {
-	g := &graph{prog: prog, an: deps.NewAnalyzer(prog)}
-	order, err := prog.TopoOrder()
-	if err != nil {
+	g := &graph{prog: prog, an: deps.NewAnalyzer(prog), ix: p4ir.NewIndex(prog)}
+	if g.ix.Err() != nil {
 		return g
 	}
-	g.topo = order
-	g.idx = make(map[string]int, len(order))
-	for i, n := range order {
-		g.idx[n] = i
-	}
-	g.words = (len(order) + 63) / 64
-	g.desc = make([]uint64, len(order)*g.words)
-	for i := len(order) - 1; i >= 0; i-- {
-		row := g.row(i)
-		for _, s := range prog.Successors(order[i]) {
-			j := g.idx[s]
-			row[j>>6] |= 1 << (j & 63)
-			for w, bits := range g.row(j) {
+	g.words = (g.ix.Len() + 63) / 64
+	g.desc = make([]uint64, g.ix.Len()*g.words)
+	topo := g.ix.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		row := g.row(topo[i])
+		for _, s := range g.ix.Succ(topo[i]) {
+			row[s>>6] |= 1 << (s & 63)
+			for w, bits := range g.row(s) {
 				row[w] |= bits
 			}
 		}
@@ -132,24 +124,28 @@ func newGraph(prog *p4ir.Program) *graph {
 	return g
 }
 
-// row is node i's row of the closure.
-func (g *graph) row(i int) []uint64 { return g.desc[i*g.words : (i+1)*g.words] }
+// row is node u's row of the closure.
+func (g *graph) row(u int32) []uint64 { return g.desc[int(u)*g.words : int(u+1)*g.words] }
+
+// id returns the node's ID if it is on some root path, else -1.
+func (g *graph) id(name string) int32 {
+	if id := g.ix.ID(name); id >= 0 && g.desc != nil && g.ix.Pos(id) >= 0 {
+		return id
+	}
+	return -1
+}
 
 // reachable reports whether the node is on some root path.
-func (g *graph) reachable(name string) bool {
-	_, ok := g.idx[name]
-	return ok
-}
+func (g *graph) reachable(name string) bool { return g.id(name) >= 0 }
 
 // before reports whether v is strictly after u on some execution path.
 func (g *graph) before(u, v string) bool {
-	i, ok := g.idx[u]
-	j, ok2 := g.idx[v]
-	return ok && ok2 && g.has(i, j)
+	i, j := g.id(u), g.id(v)
+	return i >= 0 && j >= 0 && g.has(i, j)
 }
 
-// has is before by place in topo.
-func (g *graph) has(i, j int) bool { return g.desc[i*g.words+j>>6]&(1<<(j&63)) != 0 }
+// has is before by ID; false when either node is unreachable.
+func (g *graph) has(i, j int32) bool { return g.desc[int(i)*g.words+int(j>>6)]&(1<<(j&63)) != 0 }
 
 // reads returns the full read set of a node (tables: keys + action
 // operands; conditionals: expression read fields).
@@ -177,7 +173,7 @@ func (g *graph) writes(name string) deps.FieldSet {
 // they cost memory and obscure intent but cannot affect packets.
 func lintUnreachable(g *graph) diag.List {
 	var l diag.List
-	for _, name := range g.prog.NodeNames() {
+	for _, name := range g.ix.Names() {
 		if !g.reachable(name) {
 			l.Add(CodeUnreachable, diag.Warn, name, "", "node is unreachable from root %q", g.prog.Root)
 		}
@@ -208,11 +204,11 @@ var knownFields = func() map[string]bool {
 // wrote.
 func lintReadBeforeInit(g *graph) diag.List {
 	var l diag.List
-	// writers lists, per field, the nodes that write it, by place in topo.
-	writers := map[string][]int{}
-	for i, u := range g.topo {
-		for f := range g.writes(u) {
-			writers[f] = append(writers[f], i)
+	// writers lists, per field, the reachable nodes that write it.
+	writers := map[string][]int32{}
+	for _, u := range g.ix.Topo() {
+		for f := range g.writes(g.ix.Name(u)) {
+			writers[f] = append(writers[f], u)
 		}
 	}
 	uninitialized := func(node, field string, local deps.FieldSet) bool {
@@ -222,12 +218,13 @@ func lintReadBeforeInit(g *graph) diag.List {
 		if local != nil && local[field] {
 			return false
 		}
-		v := g.idx[node]
-		return !slices.ContainsFunc(writers[field], func(u int) bool { return g.has(u, v) })
+		v := g.id(node)
+		return !slices.ContainsFunc(writers[field], func(u int32) bool { return g.has(u, v) })
 	}
-	names := append([]string(nil), g.topo...)
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range g.ix.Names() {
+		if !g.reachable(name) {
+			continue
+		}
 		if t, ok := g.prog.Tables[name]; ok {
 			for _, k := range t.Keys {
 				if uninitialized(name, k.Field, nil) {
@@ -268,13 +265,8 @@ func lintReadBeforeInit(g *graph) diag.List {
 // the same action (PL103, warn): the packet is gone, so they never run.
 func lintDeadPrimitives(g *graph) diag.List {
 	var l diag.List
-	names := make([]string, 0, len(g.prog.Tables))
-	for name := range g.prog.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := g.prog.Tables[name]
+	for _, id := range g.ix.Tables() {
+		name, t := g.ix.Name(id), g.ix.Table(id)
 		for _, a := range t.Actions {
 			for i, pr := range a.Primitives {
 				if pr.Decode().Kind == p4ir.PrimDrop && i+1 < len(a.Primitives) {
@@ -296,13 +288,8 @@ func lintDeadPrimitives(g *graph) diag.List {
 // entry (warn).
 func lintWidthMismatch(g *graph) diag.List {
 	var l diag.List
-	names := make([]string, 0, len(g.prog.Tables))
-	for name := range g.prog.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := g.prog.Tables[name]
+	for _, id := range g.ix.Tables() {
+		name, t := g.ix.Name(id), g.ix.Table(id)
 		for ei, e := range t.Entries {
 			for ki, k := range t.Keys {
 				if ki >= len(e.Match) {
@@ -346,15 +333,10 @@ func lintWidthMismatch(g *graph) diag.List {
 // opt.PlanMemoryTiers.
 func lintMemoryTiers(g *graph, pm costmodel.Params) diag.List {
 	var l diag.List
-	names := make([]string, 0, len(g.prog.Tables))
-	for name := range g.prog.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var pinned []string
 	total := 0
-	for _, name := range names {
-		t := g.prog.Tables[name]
+	for _, id := range g.ix.Tables() {
+		name, t := g.ix.Name(id), g.ix.Table(id)
 		if t.MemTier() != p4ir.TierSRAM {
 			continue
 		}
@@ -389,14 +371,10 @@ func lintMemoryTiers(g *graph, pm costmodel.Params) diag.List {
 // any field a later cover reads.
 func lintCacheSpecs(g *graph) diag.List {
 	var l diag.List
-	specs := g.prog.CacheSpecs()
-	names := make([]string, 0, len(specs))
-	for name := range specs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		l = append(l, cacheSpecDiags(g, specs[name])...)
+	for _, id := range g.ix.Tables() {
+		if spec, ok := g.ix.Table(id).CacheMeta(); ok {
+			l = append(l, cacheSpecDiags(g, spec)...)
+		}
 	}
 	return l
 }
@@ -471,14 +449,15 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 	// Nothing strictly between the cache and a covered table may write a
 	// cache-key field: the verdict was keyed on the packet as it passed
 	// the cache.
-	if ci, ok := g.idx[name]; ok {
-		for wi, w := range g.topo {
+	if ci := g.id(name); ci >= 0 {
+		for _, wi := range g.ix.Topo() {
+			w := g.ix.Name(wi)
 			if !g.has(ci, wi) || covered[w] {
 				continue
 			}
 			betweenCover := false
 			for _, v := range spec.Covers {
-				if vi, ok := g.idx[v]; ok && g.has(wi, vi) {
+				if vi := g.id(v); vi >= 0 && g.has(wi, vi) {
 					betweenCover = true
 					break
 				}

@@ -46,9 +46,7 @@ func LintDeep(prog *p4ir.Program) diag.List {
 	}
 	var l diag.List
 
-	names := prog.NodeNames()
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range p4ir.NewIndex(prog).Names() {
 		nr := res.Nodes[name]
 		if nr == nil || !nr.Reachable {
 			continue // PL101's department

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"pipeleon/internal/deps"
@@ -74,19 +74,18 @@ func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
 		rc.origDiags = len(sd)
 		return rc
 	}
-	rc.gO = newGraph(orig)
-	nodes := append([]string(nil), rc.gO.topo...)
-	sort.Strings(nodes)
-	for _, u := range nodes {
-		for _, v := range nodes {
-			if u == v || !rc.gO.before(u, v) {
+	g := newGraph(orig)
+	rc.gO = g
+	for u := range int32(g.ix.Len()) {
+		for v := range int32(g.ix.Len()) {
+			if !g.has(u, v) {
 				continue
 			}
-			kind, field := edgeBetween(rc.gO, u, v)
+			kind, field := edgeBetween(g, g.ix.Name(u), g.ix.Name(v))
 			if kind == "" {
 				continue
 			}
-			rc.edges = append(rc.edges, depEdge{u: u, v: v, kind: kind, field: field})
+			rc.edges = append(rc.edges, depEdge{u: g.ix.Name(u), v: g.ix.Name(v), kind: kind, field: field})
 		}
 	}
 	return rc
@@ -112,7 +111,7 @@ func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) dia
 		return sd
 	}
 	gN := newGraph(opt)
-	l, rep, coverIdx := representation(rc.gO, gN)
+	l, rep, coverOrder := representation(rc.gO, gN)
 	for _, e := range rc.edges {
 		if touched != nil && !touched[e.u] && !touched[e.v] {
 			continue
@@ -124,8 +123,8 @@ func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) dia
 		if ru == rv {
 			// Both ends merged into one table: the combined action
 			// executes members in cover order.
-			idx := coverIdx[ru]
-			if idx != nil && idx[e.u] > idx[e.v] {
+			at := func(n string) int { return max(slices.Index(coverOrder[ru], n), 0) }
+			if at(e.u) > at(e.v) {
 				l.Add(CodeBrokenDep, diag.Error, ru, e.field,
 					"%s dependency %s→%s on %q is reversed inside merged table %q", e.kind, e.u, e.v, e.field, ru)
 			}
@@ -147,20 +146,15 @@ func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) dia
 
 // representation maps every reachable original node to the optimized node
 // that executes on its behalf, reporting RW001/RW003 inconsistencies.
-// coverIdx records, for merged tables, each member's position inside the
-// combined action.
-func representation(gO, gN *graph) (diag.List, map[string]string, map[string]map[string]int) {
+// coverOrder records, for merged tables, the members in the order the
+// combined action executes them.
+func representation(gO, gN *graph) (diag.List, map[string]string, map[string][]string) {
 	var l diag.List
 	rep := map[string]string{}
-	coverIdx := map[string]map[string]int{}
+	coverOrder := map[string][]string{}
 
-	optTables := make([]string, 0, len(gN.prog.Tables))
-	for name := range gN.prog.Tables {
-		optTables = append(optTables, name)
-	}
-	sort.Strings(optTables)
-	for _, name := range optTables {
-		t := gN.prog.Tables[name]
+	for _, id := range gN.ix.Tables() {
+		name, t := gN.ix.Name(id), gN.ix.Table(id)
 		kind := t.Annotations[p4ir.AnnotKind]
 		if kind == "" {
 			continue
@@ -168,8 +162,7 @@ func representation(gO, gN *graph) (diag.List, map[string]string, map[string]map
 		covers := strings.Split(t.Annotations[p4ir.AnnotCovers], ",")
 		switch kind {
 		case p4ir.KindMerged:
-			idx := map[string]int{}
-			for i, c := range covers {
+			for _, c := range covers {
 				if _, ok := gO.prog.Tables[c]; !ok {
 					l.Add(CodeBadCovers, diag.Error, name, "",
 						"merged table covers %q, which is not a table in the original program", c)
@@ -185,9 +178,8 @@ func representation(gO, gN *graph) (diag.List, map[string]string, map[string]map
 					continue
 				}
 				rep[c] = name
-				idx[c] = i
 			}
-			coverIdx[name] = idx
+			coverOrder[name] = covers
 		case p4ir.KindCache, p4ir.KindMergedCache:
 			for _, c := range covers {
 				if _, ok := gO.prog.Tables[c]; !ok {
@@ -203,7 +195,8 @@ func representation(gO, gN *graph) (diag.List, map[string]string, map[string]map
 		}
 	}
 	// Surviving nodes represent themselves.
-	for _, name := range gO.topo {
+	for _, id := range gO.ix.Topo() {
+		name := gO.ix.Name(id)
 		if _, mapped := rep[name]; mapped {
 			continue
 		}
@@ -214,7 +207,7 @@ func representation(gO, gN *graph) (diag.List, map[string]string, map[string]map
 		l.Add(CodeLostNode, diag.Error, name, "",
 			"original node is dropped or unreachable in the optimized program")
 	}
-	return l, rep, coverIdx
+	return l, rep, coverOrder
 }
 
 // edgeBetween classifies the strongest dependency from u to v (RAW > WAW >
@@ -241,13 +234,8 @@ func edgeBetween(g *graph, u, v string) (kind, field string) {
 // no longer exist in the optimized one).
 func verifyTransforms(gO, gN *graph) diag.List {
 	var l diag.List
-	names := make([]string, 0, len(gN.prog.Tables))
-	for name := range gN.prog.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := gN.prog.Tables[name]
+	for _, id := range gN.ix.Tables() {
+		name, t := gN.ix.Name(id), gN.ix.Table(id)
 		switch t.Annotations[p4ir.AnnotKind] {
 		case p4ir.KindCache, p4ir.KindMergedCache:
 			if spec, ok := t.CacheMeta(); ok {

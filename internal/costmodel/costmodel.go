@@ -26,7 +26,6 @@ package costmodel
 
 import (
 	"math"
-	"sort"
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
@@ -194,19 +193,14 @@ func EmulatedNIC() Params {
 // probabilities: E[L] = Σ_v P(reach v) · L(v), which equals the
 // path-enumeration sum because path probabilities factor over edges.
 func ExpectedLatency(prog *p4ir.Program, prof *profile.Profile, pm Params) float64 {
-	reach := prof.ReachProbs(prog)
-	names := make([]string, 0, len(reach))
-	for name := range reach {
-		names = append(names, name)
-	}
-	// Summing in sorted order makes the float result reproducible across
-	// runs (map iteration order would otherwise wiggle the last ULP),
-	// which the warm/cold search bit-identity property relies on.
-	sort.Strings(names)
+	ix := p4ir.NewIndex(prog)
+	reach := make([]float64, ix.Len())
+	prof.ReachProbsAlong(ix, reach)
+	// Summed in name (ID) order: reproducible to the bit (warm/cold identity).
 	k := pm.Kernel()
 	var total float64
-	for _, name := range names {
-		total += reach[name] * k.NodeLatency(prog, prof, name)
+	for id, r := range reach {
+		total += r * k.NodeLatency(prog, prof, ix.Name(int32(id)))
 	}
 	return total
 }

@@ -12,6 +12,7 @@
 package deps
 
 import (
+	"slices"
 	"sort"
 
 	"pipeleon/internal/p4ir"
@@ -156,19 +157,13 @@ func (a *Analyzer) ValidOrder(original, proposed []string) bool {
 	if len(original) != len(proposed) {
 		return false
 	}
-	pos := make(map[string]int, len(proposed))
-	for i, n := range proposed {
-		pos[n] = i
-	}
-	for _, n := range original {
-		if _, ok := pos[n]; !ok {
+	for i, u := range original {
+		pu := slices.Index(proposed, u)
+		if pu < 0 {
 			return false
 		}
-	}
-	for i := 0; i < len(original); i++ {
-		for j := i + 1; j < len(original); j++ {
-			u, v := original[i], original[j]
-			if a.Dependency(u, v) != DepNone && pos[u] > pos[v] {
+		for _, v := range original[i+1:] {
+			if a.Dependency(u, v) != DepNone && slices.Index(proposed, v) < pu {
 				return false
 			}
 		}

@@ -299,7 +299,7 @@ func TestPanickingWalkReleasesCacheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := nic.plan.Load()
-	pl.nodes[pl.ids["boom"]].cond = func(*packet.Packet) bool {
+	pl.nodes[pl.ix.ID("boom")].cond = func(*packet.Packet) bool {
 		if boom.Load() {
 			panic("boom")
 		}

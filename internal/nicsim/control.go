@@ -2,7 +2,6 @@ package nicsim
 
 import (
 	"fmt"
-	"sort"
 
 	"pipeleon/internal/p4ir"
 )
@@ -90,7 +89,7 @@ func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) erro
 	n.tables[table] = rt
 	n.digest = p4ir.Digest{} // t changed in place
 	pl := n.plan.Load()
-	if id, ok := pl.ids[table]; ok {
+	if id := pl.ix.ID(table); id >= 0 {
 		n.plan.Store(pl.rebuiltNode(id, rt))
 	}
 	n.cacheMu.Lock()
@@ -109,16 +108,13 @@ func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) erro
 func (n *NIC) CacheStatsAll() []CacheStats {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var names []string
-	for name := range n.caches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var out []CacheStats
 	n.cacheMu.Lock()
 	defer n.cacheMu.Unlock()
-	for _, name := range names {
-		out = append(out, n.caches[name].stats())
+	for _, name := range n.plan.Load().ix.Names() {
+		if fc, ok := n.caches[name]; ok {
+			out = append(out, fc.stats())
+		}
 	}
 	if n.vendorCache != nil {
 		out = append(out, n.vendorCache.stats())

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -181,6 +182,24 @@ func TestDropHaltsExecution(t *testing.T) {
 	// Dropped packets are cheaper — the reordering premise.
 	if r.LatencyNs >= r2.LatencyNs {
 		t.Errorf("dropped %v should be cheaper than full path %v", r.LatencyNs, r2.LatencyNs)
+	}
+}
+
+// TestEmptyNodeNameRejected: "" spells the sink. A node of that name once
+// passed Validate; the emulator then resolved a → "" to it and dropped
+// every packet, while the rest of the toolchain read the edge as egress.
+func TestEmptyNodeNameRejected(t *testing.T) {
+	prog := p4ir.NewProgram("p")
+	prog.Root = "a"
+	prog.Tables["a"] = &p4ir.Table{Name: "a", Actions: []*p4ir.Action{p4ir.NoopAction("pass")}, DefaultAction: "pass"}
+	drop := p4ir.DropAction()
+	prog.Tables[""] = &p4ir.Table{Actions: []*p4ir.Action{drop}, DefaultAction: drop.Name}
+	var ve *p4ir.ValidationError
+	if err := prog.Validate(); !errors.As(err, &ve) || len(ve.Diags) != 1 || ve.Diags[0].Code != p4ir.CodeEmptyName {
+		t.Fatalf("Validate = %v, want one %s", err, p4ir.CodeEmptyName)
+	}
+	if _, err := New(prog, Config{Params: testParams()}); err == nil {
+		t.Fatal(`New accepted a node named ""`)
 	}
 }
 

@@ -27,7 +27,7 @@ const (
 	nkCache
 )
 
-// nilNode is the sink id ("" next pointer).
+// nilNode is the sink id ("" next pointer): p4ir.Index.ID's -1.
 const nilNode int32 = -1
 
 // sampleCheckFraction is what an instrumentation point charges an unsampled
@@ -131,8 +131,8 @@ func (nd *execNode) lookup(values []uint64) *storedEntry {
 }
 
 type execPlan struct {
-	nodes []execNode
-	ids   map[string]int32
+	nodes []execNode // by p4ir.Index ID
+	ix    *p4ir.Index
 
 	maxSteps   int
 	root       int32
@@ -170,22 +170,13 @@ func (pl *execPlan) coversBit(set []uint64, id int32) bool {
 // compile builds the execution plan from the freshly loaded runtime
 // structures. Called with n.mu held (or before the NIC is published).
 func (n *NIC) compile() *execPlan {
-	names := n.prog.NodeNames()
-	ids := make(map[string]int32, len(names))
-	for i, name := range names {
-		ids[name] = int32(i)
-	}
-	resolve := func(name string) int32 {
-		if id, ok := ids[name]; ok {
-			return id
-		}
-		return nilNode
-	}
+	ix := p4ir.NewIndex(n.prog)
+	names := ix.Names()
 
 	pl := &execPlan{
 		nodes:         make([]execNode, len(names)),
-		ids:           ids,
-		root:          resolve(n.prog.Root),
+		ix:            ix,
+		root:          ix.ID(n.prog.Root),
 		instrument:    n.cfg.Instrument,
 		Kernel:        n.kern,
 		perPacketOver: n.cfg.PerPacketOverheadNs,
@@ -209,7 +200,7 @@ func (n *NIC) compile() *execPlan {
 		nd.name = name
 		nd.keySlot, nd.condSlot, nd.cacheSlot, nd.prepopSlot = -1, -1, -1, -1
 		nd.hitSite, nd.missSite = -1, -1
-		t, c := n.prog.Node(name)
+		t, c := ix.Table(int32(i)), ix.Cond(int32(i))
 		if t != nil {
 			rt := n.tables[name]
 			// An explicit TierTables entry wins over the placement
@@ -227,8 +218,8 @@ func (n *NIC) compile() *execPlan {
 				nd.kind = nkCache
 				nd.fc = fc
 				pl.cached = true
-				nd.hitNext = resolve(fc.spec.HitNext)
-				nd.missNext = resolve(fc.spec.MissNext)
+				nd.hitNext = ix.ID(fc.spec.HitNext)
+				nd.missNext = ix.ID(fc.spec.MissNext)
 				nd.cacheSlot = int32(len(layout.Caches))
 				layout.Caches = append(layout.Caches, name)
 				nd.hitSite = int32(len(layout.Actions))
@@ -237,14 +228,14 @@ func (n *NIC) compile() *execPlan {
 				layout.Actions = append(layout.Actions, profile.ActionSite{Table: name, Action: "cache_miss"})
 				nd.covers = make([]uint64, (len(names)+63)/64)
 				for _, covered := range fc.spec.Covers {
-					if id, ok := ids[covered]; ok {
+					if id := ix.ID(covered); id >= 0 {
 						nd.covers[id>>6] |= 1 << (uint(id) & 63)
 					}
 				}
 				continue
 			}
 			nd.kind = nkTable
-			nd.baseNext = resolve(t.BaseNext)
+			nd.baseNext = ix.ID(t.BaseNext)
 			nd.keySlot = int32(len(layout.Tables))
 			layout.Tables = append(layout.Tables, name)
 			if spec, ok := t.CacheMeta(); ok && spec.Prepopulated {
@@ -254,7 +245,7 @@ func (n *NIC) compile() *execPlan {
 			nd.nextByAct = make([]int32, len(rt.acts))
 			nd.actSites = make([]int32, len(rt.acts))
 			for ai, ca := range rt.acts {
-				nd.nextByAct[ai] = resolve(t.NextFor(ca.act.Name))
+				nd.nextByAct[ai] = ix.ID(t.NextFor(ca.act.Name))
 				nd.actSites[ai] = int32(len(layout.Actions))
 				layout.Actions = append(layout.Actions, profile.ActionSite{Table: name, Action: ca.act.Name})
 			}
@@ -264,8 +255,8 @@ func (n *NIC) compile() *execPlan {
 			}
 			nd.kind = nkCond
 			nd.cond = n.conds[name]
-			nd.trueNext = resolve(c.TrueNext)
-			nd.falseNext = resolve(c.FalseNext)
+			nd.trueNext = ix.ID(c.TrueNext)
+			nd.falseNext = ix.ID(c.FalseNext)
 			nd.condSlot = int32(len(layout.Branches))
 			layout.Branches = append(layout.Branches, name)
 		}

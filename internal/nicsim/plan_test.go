@@ -109,7 +109,7 @@ func planNodeFollowsStore(t *testing.T, pm costmodel.Params) {
 		t.Helper()
 		pl := nic.plan.Load()
 		for name, rt := range nic.tables {
-			if !boundTo(&pl.nodes[pl.ids[name]], rt) {
+			if !boundTo(&pl.nodes[pl.ix.ID(name)], rt) {
 				t.Fatalf("%s: node %q is not bound to the table the NIC holds", when, name)
 			}
 			if len(rt.groups) == 1 && len(rt.groups[0].flat) == 0 {

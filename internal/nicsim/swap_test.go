@@ -154,7 +154,7 @@ func sameDevice(t *testing.T, when string, rng *stats.RNG, got, want *NIC, pkts 
 	}
 	pl := got.plan.Load()
 	for name, rt := range got.tables {
-		if rt.tbl != got.prog.Tables[name] || !boundTo(&pl.nodes[pl.ids[name]], rt) {
+		if rt.tbl != got.prog.Tables[name] || !boundTo(&pl.nodes[pl.ix.ID(name)], rt) {
 			t.Fatalf("%s: table %q: store, program and published plan disagree on the table", when, name)
 		}
 	}

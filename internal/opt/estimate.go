@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"pipeleon/internal/costmodel"
@@ -13,8 +14,8 @@ import (
 
 // Evaluator is the optimizer's one reading of (program, profile, cost
 // model): every per-node quantity of the §3.1 formula, laid out in dense
-// slices over a stable node ordering (sorted tables, then sorted conds),
-// together with the graph as indices. Every estimate of a round — pipelet
+// slices by the program's p4ir.Index ID (node names in ascending order),
+// with the graph as the index holds it. Every estimate of a round — pipelet
 // layouts, group caches, re-scores, the pipelet ranking, the baseline, the
 // tier-aware estimate — is an integral over these arrays, so this file is
 // the only place in the package that asks the profile for a probability or
@@ -37,16 +38,13 @@ type Evaluator struct {
 	// scratch is price's working state, kept from pipelet to pipelet.
 	scratch evalScratch
 
-	// Stable dense node ordering: tables first (sorted), then conds
-	// (sorted). Table-only quantities are zero at cond slots.
-	nodeIdx   map[string]int
-	nodeNames []string
-	numTables int
+	// ix numbers the nodes; every slice below is by its ID, and
+	// table-only quantities are zero at a conditional's.
+	ix *p4ir.Index
 
 	// Structural quantities (program + cost model, fixed for the
 	// Evaluator's lifetime).
-	tables []*p4ir.Table
-	exact  []bool
+	exact []bool
 	// Entry-dependent quantities, re-read by readEntries: a table's match
 	// complexity counts the distinct masks and prefix lengths among its
 	// entries, which the runtime's entry API edits in place.
@@ -56,19 +54,9 @@ type Evaluator struct {
 	entries  []int
 	mcomp    []int
 	memBytes []int
-	// byName lists node indices in lexicographic name order — the order
-	// costmodel.ExpectedLatency sums in, which baseline must reproduce to
-	// stay bit-equal to it.
-	byName []int
-	// topo lists the nodes reachable from the root in topological order,
-	// order their names; topoErr is the error of a program that has none.
-	topo    []int
-	order   []string
-	topoErr error
-	// Node i's successors are succ[succOff[i]:succOff[i+1]], in
-	// Program.Successors order.
-	succOff []int
-	succ    []int
+	// topo lists the nodes reachable from the root in topological order;
+	// empty for a program that has none (ix.Err says why).
+	topo []int32
 
 	// Profile-dependent quantities, recomputed in place by refresh.
 	reach    []float64
@@ -76,8 +64,8 @@ type Evaluator struct {
 	actLat   []float64
 	card     []uint64
 	updRate  []float64
-	// share[k] is the fraction of the traffic leaving succ[k]'s source
-	// node that goes to succ[k].
+	// share[k] is the fraction of the traffic leaving edge k's source node
+	// (p4ir.Index.EdgeOff) that takes edge k.
 	share []float64
 }
 
@@ -86,67 +74,23 @@ type Evaluator struct {
 // use, so a caller that only wants estimates (HeteroLatency under several
 // placements, say) holds a cheap value.
 func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) *Evaluator {
-	ev := &Evaluator{prog: prog, kern: pm.Kernel(), cfg: cfg}
-	tnames := make([]string, 0, len(prog.Tables))
-	for name := range prog.Tables {
-		tnames = append(tnames, name)
-	}
-	sort.Strings(tnames)
-	cnames := make([]string, 0, len(prog.Conds))
-	for name := range prog.Conds {
-		cnames = append(cnames, name)
-	}
-	sort.Strings(cnames)
-	nt := len(tnames)
-	n := nt + len(cnames)
-	ev.numTables = nt
-	ev.nodeNames = append(append(make([]string, 0, n), tnames...), cnames...)
-	ev.nodeIdx = make(map[string]int, n)
-	for i, name := range ev.nodeNames {
-		ev.nodeIdx[name] = i
-	}
-	ev.byName = make([]int, 0, n)
-	for t, c := 0, nt; t < nt || c < n; {
-		if c == n || (t < nt && ev.nodeNames[t] < ev.nodeNames[c]) {
-			ev.byName = append(ev.byName, t)
-			t++
-		} else {
-			ev.byName = append(ev.byName, c)
-			c++
-		}
-	}
-	ev.tables = make([]*p4ir.Table, nt)
+	ev := &Evaluator{prog: prog, kern: pm.Kernel(), cfg: cfg, ix: p4ir.NewIndex(prog)}
+	n := ev.ix.Len()
 	ev.matchLat = make([]float64, n)
 	ev.entries = make([]int, n)
 	ev.exact = make([]bool, n)
 	ev.mcomp = make([]int, n)
 	ev.memBytes = make([]int, n)
-	for i, name := range tnames {
-		t := prog.Tables[name]
-		ev.tables[i] = t
-		ev.exact[i] = t.WidestMatchKind() == p4ir.MatchExact
-	}
 	ev.readEntries()
-	ev.succOff = make([]int, n+1)
-	for i, name := range ev.nodeNames {
-		for _, s := range prog.Successors(name) {
-			if j, ok := ev.nodeIdx[s]; ok {
-				ev.succ = append(ev.succ, j)
-			}
-		}
-		ev.succOff[i+1] = len(ev.succ)
-	}
-	ev.order, ev.topoErr = prog.TopoOrder()
-	ev.topo = make([]int, len(ev.order))
-	for k, name := range ev.order {
-		ev.topo[k] = ev.nodeIdx[name]
+	if ev.ix.Err() == nil {
+		ev.topo = ev.ix.Topo()
 	}
 	ev.reach = make([]float64, n)
 	ev.dropRate = make([]float64, n)
 	ev.actLat = make([]float64, n)
 	ev.card = make([]uint64, n)
 	ev.updRate = make([]float64, n)
-	ev.share = make([]float64, len(ev.succ))
+	ev.share = make([]float64, ev.ix.EdgeOff(int32(n)))
 	ev.refresh(prof)
 	return ev
 }
@@ -155,7 +99,9 @@ func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 // of a long-lived view calls it again when the entries changed (a Session
 // follows its verifier's entry epoch).
 func (ev *Evaluator) readEntries() {
-	for i, t := range ev.tables {
+	for _, i := range ev.ix.Tables() {
+		t := ev.ix.Table(i)
+		ev.exact[i] = t.WidestMatchKind() == p4ir.MatchExact // keys only: fixed
 		ev.mcomp[i], ev.matchLat[i] = ev.kern.Match(t)
 		ev.entries[i] = max(len(t.Entries), 1) // an empty table counts as one entry in a merge product
 		ev.memBytes[i] = t.MemoryBytes()
@@ -172,12 +118,9 @@ func (ev *Evaluator) readEntries() {
 func (ev *Evaluator) refresh(prof *profile.Profile) {
 	ev.prof = prof
 	clear(ev.reach)
-	for name, v := range prof.ReachProbsAlong(ev.prog, ev.order) {
-		if i, ok := ev.nodeIdx[name]; ok {
-			ev.reach[i] = v
-		}
-	}
-	for i, t := range ev.tables {
+	prof.ReachProbsAlong(ev.ix, ev.reach)
+	for _, i := range ev.ix.Tables() {
+		t := ev.ix.Table(i)
 		probs := prof.ActionProb(t)
 		var act, drop float64
 		for _, a := range t.Actions {
@@ -190,40 +133,37 @@ func (ev *Evaluator) refresh(prof *profile.Profile) {
 		ev.dropRate[i] = drop
 		ev.card[i] = prof.Cardinality(t.Name, defaultCardinality)
 		ev.updRate[i] = prof.UpdateRate(t.Name)
-		lo, hi := ev.succOff[i], ev.succOff[i+1]
+		sh := ev.shares(i)
 		if !t.IsSwitchCase() {
-			if lo < hi {
-				ev.share[lo] = 1 - drop
+			if len(sh) > 0 {
+				sh[0] = 1 - drop
 			}
 			continue
 		}
-		clear(ev.share[lo:hi])
+		clear(sh)
 		for _, a := range t.Actions {
 			if !a.Drops() {
-				ev.addShare(lo, hi, t.NextFor(a.Name), probs[a.Name])
+				ev.addShare(i, t.NextFor(a.Name), probs[a.Name])
 			}
 		}
 	}
-	for i := ev.numTables; i < len(ev.nodeNames); i++ {
-		name := ev.nodeNames[i]
-		c := ev.prog.Conds[name]
-		pt := prof.BranchProb(name)
-		lo, hi := ev.succOff[i], ev.succOff[i+1]
-		clear(ev.share[lo:hi])
-		ev.addShare(lo, hi, c.TrueNext, pt)
-		ev.addShare(lo, hi, c.FalseNext, 1-pt)
+	for _, i := range ev.ix.Conds() {
+		c := ev.ix.Cond(i)
+		pt := prof.BranchProb(ev.ix.Name(i))
+		clear(ev.shares(i))
+		ev.addShare(i, c.TrueNext, pt)
+		ev.addShare(i, c.FalseNext, 1-pt)
 	}
 }
 
-// addShare adds p to the share of the edge among succ[lo:hi] that leads to
-// the named node, if there is one.
-func (ev *Evaluator) addShare(lo, hi int, to string, p float64) {
-	if j, ok := ev.nodeIdx[to]; ok {
-		for k := lo; k < hi; k++ {
-			if ev.succ[k] == j {
-				ev.share[k] += p
-			}
-		}
+// shares returns the shares of node i's edges, in Index.Succ order.
+func (ev *Evaluator) shares(i int32) []float64 { return ev.share[ev.ix.EdgeOff(i):ev.ix.EdgeOff(i+1)] }
+
+// addShare adds p to the share of node i's edge to the named node, if
+// there is one.
+func (ev *Evaluator) addShare(i int32, to string, p float64) {
+	if k := slices.Index(ev.ix.Succ(i), ev.ix.ID(to)); k >= 0 {
+		ev.shares(i)[k] += p
 	}
 }
 
@@ -235,16 +175,8 @@ func (ev *Evaluator) analyzer() *deps.Analyzer {
 	return ev.an
 }
 
-// idxOf returns a node's dense index, or -1 for unknown names.
-func (ev *Evaluator) idxOf(name string) int {
-	if i, ok := ev.nodeIdx[name]; ok {
-		return i
-	}
-	return -1
-}
-
 func (ev *Evaluator) reachOf(name string) float64 {
-	if i := ev.idxOf(name); i >= 0 {
+	if i := ev.ix.ID(name); i >= 0 {
 		return ev.reach[i]
 	}
 	return 0
@@ -254,7 +186,7 @@ func (ev *Evaluator) reachOf(name string) float64 {
 // and pipelets carry names; this is where they enter the index space.
 func (ev *Evaluator) appendIdx(dst []int, names []string) []int {
 	for _, t := range names {
-		dst = append(dst, ev.nodeIdx[t])
+		dst = append(dst, int(ev.ix.ID(t)))
 	}
 	return dst
 }
@@ -262,7 +194,7 @@ func (ev *Evaluator) appendIdx(dst []int, names []string) []int {
 // nodeLat is L(v) of Equation 3 for node i: match plus expected action
 // latency for a table, the branch cost for a conditional.
 func (ev *Evaluator) nodeLat(i int) float64 {
-	if i < ev.numTables {
+	if ev.ix.Table(int32(i)) != nil {
 		return ev.matchLat[i] + ev.actLat[i]
 	}
 	return ev.kern.Cond
@@ -272,8 +204,8 @@ func (ev *Evaluator) nodeLat(i int) float64 {
 // P(reach v)·L(v) — costmodel.ExpectedLatency over the view, bit for bit.
 func (ev *Evaluator) baseline() float64 {
 	var total float64
-	for _, i := range ev.byName {
-		total += ev.reach[i] * ev.nodeLat(i)
+	for i, r := range ev.reach {
+		total += r * ev.nodeLat(i)
 	}
 	return total
 }
@@ -285,7 +217,7 @@ func (ev *Evaluator) rank(part *pipelet.Partition) []pipelet.Cost {
 	for _, p := range part.Pipelets {
 		var w float64
 		for _, tbl := range p.Tables {
-			if i := ev.idxOf(tbl); i >= 0 {
+			if i := int(ev.ix.ID(tbl)); i >= 0 {
 				w += ev.reach[i] * ev.nodeLat(i)
 			}
 		}

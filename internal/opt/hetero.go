@@ -118,8 +118,8 @@ func EstimateHeteroLatency(prog *p4ir.Program, prof *profile.Profile, pm costmod
 // cyclic or disconnected program returns the TopoOrder error — it used to
 // be silently reported as zero latency, i.e. "free program".
 func (ev *Evaluator) HeteroLatency(pl Placement) (float64, error) {
-	if ev.topoErr != nil {
-		return 0, fmt.Errorf("opt: hetero estimate: %w", ev.topoErr)
+	if err := ev.ix.Err(); err != nil {
+		return 0, fmt.Errorf("opt: hetero estimate: %w", err)
 	}
 	return ev.heteroLatency(pl), nil
 }
@@ -133,15 +133,15 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 	// arrives at node i, conditioned on reaching it. Tier-0 mass is the
 	// residual 1 - sum, mirroring the legacy scalar pCPU. The row past the
 	// last node is scratch: the tier state after a table that is not copied.
-	n := len(ev.nodeNames)
+	n := ev.ix.Len()
 	q := make([]float64, (n+1)*w)
 	var total float64
-	for _, i := range ev.topo {
-		mass := ev.reach[i]
+	for _, id := range ev.topo {
+		mass := ev.reach[id]
 		if mass <= 0 {
 			continue
 		}
-		arr := q[i*w : (i+1)*w]
+		arr := q[int(id)*w : int(id+1)*w]
 		after := arr
 		// blend is the speed of a node that runs wherever the packet is —
 		// a conditional or a copied table: the tier speeds weighted by
@@ -152,12 +152,12 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 			blend += v * k.Speed[j+1]
 		}
 		blend += (1 - qsum) * k.Speed[0]
-		if i >= ev.numTables {
+		if t := ev.ix.Table(id); t == nil {
 			total += mass * (k.Cond * blend)
 		} else {
 			mult, mig, stall := blend, 0.0, 0.0
-			if !pl.Copies[ev.nodeNames[i]] {
-				d := ev.placedTier(pl, ev.tables[i])
+			if !pl.Copies[ev.ix.Name(id)] {
+				d := ev.placedTier(pl, t)
 				mult = k.Speed[d]
 				if d != 0 {
 					if r := 1 - qsum; r != 0 {
@@ -176,22 +176,22 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 					after[d-1] = 1
 				}
 			}
-			total += mass * (ev.nodeLat(i)*mult + mig)
+			total += mass * (ev.nodeLat(int(id))*mult + mig)
 			// Entry churn stalls packets while the table's tier installs
 			// updates. Zero for legacy parameter sets, so the term is
 			// skipped and the two-tier estimate stays bit-identical.
-			if ur := ev.updRate[i]; stall != 0 && ur != 0 {
+			if ur := ev.updRate[id]; stall != 0 && ur != 0 {
 				total += mass * ur * stall
 			}
 		}
 		// Propagate tier state to successors (weighted by how much of
 		// their traffic comes from here).
-		for e := ev.succOff[i]; e < ev.succOff[i+1]; e++ {
-			s := ev.succ[e]
+		sh := ev.shares(id)
+		for e, s := range ev.ix.Succ(id) {
 			if ev.reach[s] > 0 {
 				for j, v := range after {
 					if v != 0 {
-						q[s*w+j] += v * (mass / ev.reach[s]) * ev.share[e]
+						q[int(s)*w+j] += v * (mass / ev.reach[s]) * sh[e]
 					}
 				}
 			}
@@ -204,8 +204,8 @@ func (ev *Evaluator) heteroLatency(pl Placement) float64 {
 // order: floor-0 tables still on tier 0 whose state is not pinned.
 func (ev *Evaluator) copyCandidates(base Placement) []string {
 	var names []string
-	for _, t := range ev.tables {
-		if t.TierFloor() == 0 && !t.Sticky && ev.placedTier(base, t) == 0 {
+	for _, i := range ev.ix.Tables() {
+		if t := ev.ix.Table(i); t.TierFloor() == 0 && !t.Sticky && ev.placedTier(base, t) == 0 {
 			names = append(names, t.Name)
 		}
 	}
@@ -328,8 +328,8 @@ func (ev *Evaluator) tableRuns() [][]string {
 	var runs [][]string
 	var cur []string
 	for _, i := range ev.topo {
-		if i < ev.numTables {
-			cur = append(cur, ev.nodeNames[i])
+		if ev.ix.Table(i) != nil {
+			cur = append(cur, ev.ix.Name(i))
 			continue
 		}
 		if len(cur) > 0 {

@@ -44,7 +44,8 @@ func PlanMemoryTiers(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Par
 		bytes   int
 	}
 	var cands []cand
-	for i, t := range ev.tables {
+	for _, i := range ev.ix.Tables() {
+		t := ev.ix.Table(i)
 		if t.MemTier() == p4ir.TierSRAM {
 			continue
 		}

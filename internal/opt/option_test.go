@@ -407,10 +407,10 @@ func TestHitEstimateShape(t *testing.T) {
 	prog := mustChain(t, plainSpec("c", "f.a", p4ir.MatchExact), plainSpec("d", "f.b", p4ir.MatchExact))
 	cfg.HitRateOverride = map[string]float64{"c": 0.42}
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
-	if got := ev.hitEstimate("c", []int{ev.idxOf("c")}); got != 0.42 {
+	if got := ev.hitEstimate("c", []int{int(ev.ix.ID("c"))}); got != 0.42 {
 		t.Errorf("override ignored: %v", got)
 	}
-	d := []int{ev.idxOf("d")}
+	d := []int{int(ev.ix.ID("d"))}
 	if got, want := ev.hitEstimate("d", d), cfg.hitEstimateNoOverride(ev.workingSetIdx(d)); got != want {
 		t.Errorf("span without an override should fall through to the model: %v, want %v", got, want)
 	}

@@ -152,15 +152,15 @@ func (s *Session) view(prof *profile.Profile) *Evaluator {
 
 // Observe makes prof the round's profile — the one refresh of the cost view
 // a round pays for — and returns what a caller's change detection reads of
-// it: the pipelet ranking, and the drop rate of every table (parallel
-// slices, tables in name order). A Search or ReScore of the same profile
-// afterwards starts from the refreshed view. The slices are the session's:
-// read-only, valid until it sees another profile.
-func (s *Session) Observe(prof *profile.Profile) (costs []pipelet.Cost, tables []string, dropRates []float64) {
+// it: the pipelet ranking, and the drop rate of every node (parallel
+// slices, nodes in name order; a conditional's is 0). A Search or ReScore
+// of the same profile afterwards starts from the refreshed view. The
+// slices are the session's: read-only, valid until it sees another profile.
+func (s *Session) Observe(prof *profile.Profile) (costs []pipelet.Cost, nodes []string, dropRates []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ev := s.view(prof)
-	return s.costs, ev.nodeNames[:ev.numTables], ev.dropRate[:ev.numTables]
+	return s.costs, ev.ix.Names(), ev.dropRate
 }
 
 // Search runs one optimization round (§4) against the session's program:
@@ -362,8 +362,8 @@ func (s *Session) placementUnit() (int, error) {
 		// Accumulate in the view's (sorted) table order: float sums are
 		// order-sensitive and map iteration is not, and warm and cold
 		// sessions must agree bitwise.
-		for i, t := range s.ev.tables {
-			if plan.Copies[t.Name] {
+		for _, i := range s.ev.ix.Tables() {
+			if t := s.ev.ix.Table(i); plan.Copies[t.Name] {
 				o.MemCost += t.MemoryBytes()
 				o.UpdateCost += s.ev.updRate[i]
 			}

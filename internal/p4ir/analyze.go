@@ -20,6 +20,7 @@ const (
 	CodeBadActionNext  = "P4S07" // switch-case references unknown action
 	CodeNameMismatch   = "P4S08" // map key differs from node name
 	CodeUndeclaredRead = "P4S09" // compared field missing from ReadFields
+	CodeEmptyName      = "P4S10" // a node is named "", the sink's spelling
 )
 
 // StructuralDiagnostics checks structural well-formedness of the program
@@ -33,7 +34,8 @@ const (
 //   - no name is both a table and a conditional,
 //   - every map key equals its node's Name field,
 //   - a comparison's field is among its conditional's ReadFields, the
-//     read set the dependency analysis sees.
+//     read set the dependency analysis sees,
+//   - no node is named "", which every edge reads as the sink.
 //
 // All structural diagnostics have Error severity: a program violating any
 // of them cannot be deployed or analyzed further.
@@ -49,25 +51,18 @@ func (p *Program) StructuralDiagnostics() diag.List {
 	if !p.Has(p.Root) {
 		l.Add(CodeDanglingRef, diag.Error, p.Root, "", "root %q names no node", p.Root)
 	}
-
-	tableNames := make([]string, 0, len(p.Tables))
-	for name := range p.Tables {
-		tableNames = append(tableNames, name)
+	if p.Has("") {
+		l.Add(CodeEmptyName, diag.Error, "", "", `a node is named "", which every edge reads as the sink`)
 	}
-	sort.Strings(tableNames)
-	condNames := make([]string, 0, len(p.Conds))
-	for name := range p.Conds {
-		condNames = append(condNames, name)
-	}
-	sort.Strings(condNames)
 
-	for _, name := range tableNames {
-		if _, dup := p.Conds[name]; dup {
-			l.Add(CodeDupNode, diag.Error, name, "", "%q is both a table and a conditional", name)
+	ix := NewIndex(p)
+	for _, id := range ix.Tables() {
+		if _, dup := p.Conds[ix.Name(id)]; dup {
+			l.Add(CodeDupNode, diag.Error, ix.Name(id), "", "%q is both a table and a conditional", ix.Name(id))
 		}
 	}
-	for _, name := range tableNames {
-		t := p.Tables[name]
+	for _, id := range ix.Tables() {
+		name, t := ix.Name(id), ix.Table(id)
 		if t.Name != name {
 			l.Add(CodeNameMismatch, diag.Error, name, "", "table map key %q != table name %q", name, t.Name)
 		}
@@ -100,8 +95,8 @@ func (p *Program) StructuralDiagnostics() diag.List {
 			}
 		}
 	}
-	for _, name := range condNames {
-		c := p.Conds[name]
+	for _, id := range ix.Conds() {
+		name, c := ix.Name(id), ix.Cond(id)
 		if c.Name != name {
 			l.Add(CodeNameMismatch, diag.Error, name, "", "conditional map key %q != name %q", name, c.Name)
 		}
@@ -114,40 +109,11 @@ func (p *Program) StructuralDiagnostics() diag.List {
 			l.Add(CodeUndeclaredRead, diag.Error, name, d.Field, "%q compares %q, which its read_fields omit", c.Expr, d.Field)
 		}
 	}
-	l = append(l, p.cycleDiagnostics()...)
-	return l
-}
-
-// cycleDiagnostics runs a DFS from the root reporting every back edge.
-// Missing nodes are treated as sinks here — they are already reported as
-// dangling references — so one malformed edge does not mask an independent
-// cycle elsewhere in the graph.
-func (p *Program) cycleDiagnostics() diag.List {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	var l diag.List
-	state := map[string]int{}
-	var visit func(string)
-	visit = func(n string) {
-		if n == "" || !p.Has(n) {
-			return
-		}
-		switch state[n] {
-		case done:
-			return
-		case visiting:
-			l.Add(CodeCycle, diag.Error, n, "", "cycle through node %q", n)
-			return
-		}
-		state[n] = visiting
-		for _, s := range p.Successors(n) {
-			visit(s)
-		}
-		state[n] = done
+	// One P4S03 per back edge of the index's DFS. A missing node is a
+	// sink there — it is already reported as a dangling reference — so one
+	// malformed edge does not mask an independent cycle elsewhere.
+	for _, id := range ix.BackEdges() {
+		l.Add(CodeCycle, diag.Error, ix.Name(id), "", "cycle through node %q", ix.Name(id))
 	}
-	visit(p.Root)
 	return l
 }

@@ -123,18 +123,6 @@ func (t *Table) CacheMeta() (CacheSpec, bool) {
 	return spec, true
 }
 
-// CacheSpecs returns the decoded specs of every cache table in the
-// program, keyed by cache table name.
-func (p *Program) CacheSpecs() map[string]CacheSpec {
-	out := map[string]CacheSpec{}
-	for name, t := range p.Tables {
-		if spec, ok := t.CacheMeta(); ok {
-			out[name] = spec
-		}
-	}
-	return out
-}
-
 // GeneratedName builds a deterministic name for a generated table from its
 // kind and the covered span.
 func GeneratedName(kind string, covers []string) string {

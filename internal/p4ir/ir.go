@@ -339,26 +339,6 @@ func (t *Table) NextFor(action string) string {
 	return t.BaseNext
 }
 
-// Successors returns the distinct successor node names, sorted, with ""
-// (sink) excluded.
-func (t *Table) Successors() []string {
-	set := map[string]bool{}
-	if t.BaseNext != "" {
-		set[t.BaseNext] = true
-	}
-	for _, nxt := range t.ActionNext {
-		if nxt != "" {
-			set[nxt] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MatchComplexity returns m, the number of memory accesses one key match of
 // this table costs (paper Equation 4a). Exact matches cost one probe. LPM
 // and ternary tables are implemented as multiple hash tables — one per
@@ -458,23 +438,6 @@ type Conditional struct {
 	ReadFields []string
 }
 
-// Successors returns the distinct non-sink successor names, sorted.
-func (c *Conditional) Successors() []string {
-	set := map[string]bool{}
-	if c.TrueNext != "" {
-		set[c.TrueNext] = true
-	}
-	if c.FalseNext != "" {
-		set[c.FalseNext] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Program is a complete P4 program graph.
 type Program struct {
 	Name string
@@ -511,18 +474,16 @@ func (p *Program) Has(name string) bool {
 	return t != nil || c != nil
 }
 
-// Successors returns the named node's distinct successor names.
+// Successors returns the named node's distinct successor names, sorted,
+// missing nodes included and the sink "" left out.
 func (p *Program) Successors(name string) []string {
-	if t, c := p.Node(name); t != nil {
-		return t.Successors()
-	} else if c != nil {
-		return c.Successors()
-	}
-	return nil
+	t, c := p.Node(name)
+	return node{t, c}.nexts(nil)
 }
 
-// NodeNames returns all node names, sorted, tables first then conditionals
-// is NOT guaranteed — the order is purely lexicographic for determinism.
+// NodeNames returns every node name in ascending order (a name that is
+// both a table and a conditional, which P4S05 rejects, appears twice).
+// Index numbers nodes in this order.
 func (p *Program) NodeNames() []string {
 	out := make([]string, 0, len(p.Tables)+len(p.Conds))
 	for n := range p.Tables {
@@ -540,77 +501,42 @@ func (p *Program) NumNodes() int { return len(p.Tables) + len(p.Conds) }
 
 // TopoOrder returns node names in a topological order of the DAG reachable
 // from Root. It returns an error if the graph has a cycle or references a
-// missing node.
+// missing node: the first of the two Index's DFS meets.
 func (p *Program) TopoOrder() ([]string, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := map[string]int{}
-	var order []string
-	var visit func(string) error
-	visit = func(n string) error {
-		if n == "" {
-			return nil
-		}
-		switch state[n] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("p4ir: cycle through node %q", n)
-		}
-		if !p.Has(n) {
-			return fmt.Errorf("p4ir: reference to missing node %q", n)
-		}
-		state[n] = visiting
-		for _, s := range p.Successors(n) {
-			if err := visit(s); err != nil {
-				return err
-			}
-		}
-		state[n] = done
-		order = append(order, n)
-		return nil
+	ix := NewIndex(p)
+	if ix.err != nil {
+		return nil, ix.err
 	}
-	if err := visit(p.Root); err != nil {
-		return nil, err
-	}
-	// Reverse: visit appends post-order.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
+	order := make([]string, len(ix.topo))
+	for i, id := range ix.topo {
+		order[i] = ix.names[id]
 	}
 	return order, nil
 }
 
-// Predecessors computes the reverse adjacency of the reachable graph:
-// for every node, the list of (predecessor, edge count) pairs.
+// Predecessors computes the reverse adjacency of the reachable graph: for
+// every node with an incoming edge, its predecessors' names, sorted. A
+// program TopoOrder rejects has none.
 func (p *Program) Predecessors() map[string][]string {
-	preds := map[string][]string{}
-	order, err := p.TopoOrder()
-	if err != nil {
+	preds, ix := map[string][]string{}, NewIndex(p)
+	if ix.err != nil {
 		return preds
 	}
-	for _, n := range order {
-		for _, s := range p.Successors(n) {
-			preds[s] = append(preds[s], n)
+	for id, name := range ix.names {
+		for _, u := range ix.Pred(int32(id)) {
+			preds[name] = append(preds[name], ix.names[u])
 		}
-	}
-	for _, list := range preds {
-		sort.Strings(list)
 	}
 	return preds
 }
 
-// TableCount returns the number of reachable table nodes.
+// TableCount returns the number of table nodes the root reaches, counted
+// by the Index's DFS: on a program with a cycle or a missing reference too
+// (a missing node is a sink), and never an unreachable table.
 func (p *Program) TableCount() int {
-	order, err := p.TopoOrder()
-	if err != nil {
-		return len(p.Tables)
-	}
-	n := 0
-	for _, name := range order {
-		if _, ok := p.Tables[name]; ok {
+	ix, n := NewIndex(p), 0
+	for _, id := range ix.topo {
+		if ix.nodes[id].t != nil {
 			n++
 		}
 	}

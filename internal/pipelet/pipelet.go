@@ -52,6 +52,7 @@ type Partition struct {
 	Pipelets []*Pipelet
 	// ByTable maps a table name to the index of its pipelet in Pipelets.
 	ByTable map[string]int
+	ix      *p4ir.Index // the program's, which Form read
 }
 
 // DefaultMaxLen is the default long-pipelet split threshold. The paper
@@ -71,42 +72,26 @@ func Form(prog *p4ir.Program, maxLen int) (*Partition, error) {
 	if maxLen <= 0 {
 		maxLen = DefaultMaxLen
 	}
-	order, err := prog.TopoOrder()
-	if err != nil {
+	ix := p4ir.NewIndex(prog)
+	if err := ix.Err(); err != nil {
 		return nil, err
 	}
-	preds := prog.Predecessors()
-	part := &Partition{ByTable: map[string]int{}}
+	part := &Partition{ByTable: map[string]int{}, ix: ix}
 
-	isPipeletStart := func(name string) bool {
-		t, _ := prog.Node(name)
-		if t == nil {
-			return false // conditionals are boundaries, not members
-		}
-		if name == prog.Root {
-			return true
-		}
-		pl := preds[name]
-		if len(pl) != 1 {
-			return true // join node or unreachable-orphan
-		}
-		// Single predecessor: start only if the predecessor ends a
-		// pipelet (conditional or switch-case).
-		if pt, pc := prog.Node(pl[0]); pc != nil {
-			return true
-		} else if pt != nil && pt.IsSwitchCase() {
-			return true
-		}
-		return false
+	// A pipelet starts at the root, at a join node (or an unreachable
+	// orphan), and after the single predecessor that ends a pipelet: a
+	// conditional or a switch-case table.
+	root := ix.ID(prog.Root)
+	isPipeletStart := func(id int32) bool {
+		pl := ix.Pred(id)
+		return id == root || len(pl) != 1 || ix.Table(pl[0]) == nil || ix.Table(pl[0]).IsSwitchCase()
 	}
 
 	assigned := map[string]bool{}
-	for _, name := range order {
-		t, _ := prog.Node(name)
-		if t == nil || assigned[name] {
-			continue
-		}
-		if !isPipeletStart(name) {
+	for _, id := range ix.Topo() {
+		name := ix.Name(id)
+		// Conditionals are boundaries, not members.
+		if ix.Table(id) == nil || assigned[name] || !isPipeletStart(id) {
 			continue
 		}
 		// Grow the chain from here.
@@ -129,7 +114,7 @@ func Form(prog *p4ir.Program, maxLen int) (*Partition, error) {
 					break
 				}
 				nt, _ := prog.Node(nxt)
-				if nt == nil || nt.IsSwitchCase() || len(preds[nxt]) != 1 {
+				if nt == nil || nt.IsSwitchCase() || len(ix.Pred(ix.ID(nxt))) != 1 {
 					p.ExitNext = nxt
 					break
 				}
@@ -143,19 +128,15 @@ func Form(prog *p4ir.Program, maxLen int) (*Partition, error) {
 				break
 			}
 			nt, _ := prog.Node(nxt)
-			if nt == nil || assigned[nxt] || len(preds[nxt]) != 1 {
+			if nt == nil || assigned[nxt] || len(ix.Pred(ix.ID(nxt))) != 1 {
 				break
 			}
 			cur = nxt
 		}
 	}
 	// Deterministic order by first-table topological position.
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
 	sort.SliceStable(part.Pipelets, func(i, j int) bool {
-		return pos[part.Pipelets[i].Head()] < pos[part.Pipelets[j].Head()]
+		return ix.Pos(ix.ID(part.Pipelets[i].Head())) < ix.Pos(ix.ID(part.Pipelets[j].Head()))
 	})
 	for i, p := range part.Pipelets {
 		p.ID = i
@@ -281,32 +262,24 @@ func (g Group) Tables() []string {
 // FindGroups detects pipelet groups among the selected pipelets: for every
 // branch node whose successors are all heads of selected pipelets and
 // whose member pipelets all exit to one common node, a Group is emitted.
+// part is Form's partition of prog.
 func FindGroups(prog *p4ir.Program, part *Partition, selected []*Pipelet) []Group {
 	selectedHead := map[string]*Pipelet{}
 	for _, p := range selected {
 		selectedHead[p.Head()] = p
 	}
 	var groups []Group
-	var branchNames []string
-	for name := range prog.Conds {
-		branchNames = append(branchNames, name)
-	}
-	for name, t := range prog.Tables {
-		if t.IsSwitchCase() {
-			branchNames = append(branchNames, name)
-		}
-	}
-	sort.Strings(branchNames)
-	for _, bn := range branchNames {
-		succs := prog.Successors(bn)
-		if len(succs) < 2 {
+	ix := part.ix
+	for id, bn := range ix.Names() {
+		succs := ix.Succ(int32(id))
+		if t := ix.Table(int32(id)); t != nil && !t.IsSwitchCase() || len(succs) < 2 {
 			continue
 		}
 		var members []*Pipelet
 		exit := ""
 		ok := true
 		for i, s := range succs {
-			p, found := selectedHead[s]
+			p, found := selectedHead[ix.Name(s)]
 			if !found || p.SwitchCase {
 				ok = false
 				break

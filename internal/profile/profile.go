@@ -143,47 +143,52 @@ func (p *Profile) Cardinality(table string, def uint64) uint64 {
 // the pipelet ... the sum of probabilities for all reachable paths from
 // the graph root to the pipelet") computed without path enumeration.
 func (p *Profile) ReachProbs(prog *p4ir.Program) map[string]float64 {
-	order, _ := prog.TopoOrder() // none for a program that has none: nothing is reached
-	return p.ReachProbsAlong(prog, order)
+	ix := p4ir.NewIndex(prog)
+	reach, out := make([]float64, ix.Len()), map[string]float64{}
+	p.ReachProbsAlong(ix, reach)
+	for id, r := range reach {
+		if r != 0 {
+			out[ix.Name(int32(id))] = r
+		}
+	}
+	return out
 }
 
-// ReachProbsAlong is ReachProbs for a caller that holds prog.TopoOrder().
-func (p *Profile) ReachProbsAlong(prog *p4ir.Program, order []string) map[string]float64 {
-	reach := map[string]float64{}
-	if len(order) > 0 {
-		reach[prog.Root] = 1
+// ReachProbsAlong is ReachProbs into reach (zeroed, by ix's IDs). A program
+// whose index has findings has no topological order: nothing is reached.
+func (p *Profile) ReachProbsAlong(ix *p4ir.Index, reach []float64) {
+	order := ix.Topo()
+	if ix.Err() != nil || len(order) == 0 {
+		return
 	}
-	for _, name := range order {
-		mass := reach[name]
+	reach[order[0]] = 1
+	add := func(next string, mass float64) {
+		if id := ix.ID(next); id >= 0 {
+			reach[id] += mass
+		}
+	}
+	for _, id := range order {
+		mass := reach[id]
 		if mass == 0 {
 			continue
 		}
-		if t, c := prog.Node(name); t != nil {
+		if t := ix.Table(id); t != nil {
 			probs := p.ActionProb(t)
 			if t.IsSwitchCase() {
 				for _, a := range t.Actions {
-					if a.Drops() {
-						continue
-					}
-					nxt := t.NextFor(a.Name)
-					if nxt != "" {
-						reach[nxt] += mass * probs[a.Name]
+					if !a.Drops() {
+						add(t.NextFor(a.Name), mass*probs[a.Name])
 					}
 				}
-			} else if t.BaseNext != "" {
-				reach[t.BaseNext] += mass * (1 - dropProb(t, probs))
+			} else {
+				add(t.BaseNext, mass*(1-dropProb(t, probs)))
 			}
-		} else if c != nil {
-			pt := p.BranchProb(name)
-			if c.TrueNext != "" {
-				reach[c.TrueNext] += mass * pt
-			}
-			if c.FalseNext != "" {
-				reach[c.FalseNext] += mass * (1 - pt)
-			}
+		} else if c := ix.Cond(id); c != nil {
+			pt := p.BranchProb(ix.Name(id))
+			add(c.TrueNext, mass*pt)
+			add(c.FalseNext, mass*(1-pt))
 		}
 	}
-	return reach
 }
 
 // Clone returns a deep copy of the profile.

@@ -42,26 +42,18 @@ func SynthesizeProfile(prog *p4ir.Program, spec ProfileSpec) *profile.Profile {
 	// Pass 1: random branch probabilities. Iterate names in sorted order:
 	// RNG draws inside a map-order loop would assign different values to
 	// each node across runs, making the "same seed" profile nondeterministic.
-	condNames := make([]string, 0, len(prog.Conds))
-	for name := range prog.Conds {
-		condNames = append(condNames, name)
-	}
-	sort.Strings(condNames)
-	for _, name := range condNames {
+	ix := p4ir.NewIndex(prog)
+	for _, id := range ix.Conds() {
+		name := ix.Name(id)
 		pt := rng.Float64()
 		t := uint64(pt * float64(total))
 		p.BranchCounts[name] = [2]uint64{t, total - t}
 	}
 	// Per-table behaviour knobs, drawn before reach so they are stable.
-	tableNames := make([]string, 0, len(prog.Tables))
-	for name := range prog.Tables {
-		tableNames = append(tableNames, name)
-	}
-	sort.Strings(tableNames)
 	dropRate := map[string]float64{}
 	mainRate := map[string]float64{}
-	for _, name := range tableNames {
-		t := prog.Tables[name]
+	for _, id := range ix.Tables() {
+		name, t := ix.Name(id), ix.Table(id)
 		var dr float64
 		if t.HasDropAction() {
 			switch spec.Category {
@@ -90,15 +82,15 @@ func SynthesizeProfile(prog *p4ir.Program, spec ProfileSpec) *profile.Profile {
 	}
 	// Pass 2: propagate reach with the branch probabilities and the drawn
 	// drop rates, assigning action counts as we go (topological order).
-	order, err := prog.TopoOrder()
-	if err != nil {
+	if ix.Err() != nil {
 		return p
 	}
 	reach := map[string]float64{}
 	if prog.Root != "" {
 		reach[prog.Root] = 1
 	}
-	for _, name := range order {
+	for _, id := range ix.Topo() {
+		name := ix.Name(id)
 		mass := reach[name]
 		if mass <= 0 {
 			continue
