@@ -114,8 +114,8 @@ traces:
 # archives the parsed results in BENCH_emulator.json (see DESIGN.md's
 # "Performance architecture" for how to read it). The semantic-proof
 # benches live beside their code (internal/analysis and its absint
-# subpackage, all on the 54-table synth program) and are archived in
-# BENCH_search.json. The per-packet stores' benches live beside theirs
+# subpackage, and the search-time option proof in internal/opt, all on
+# the 54-table synth program) and are archived in BENCH_search.json. The per-packet stores' benches live beside theirs
 # (flow cache in nicsim, sink flush and snapshot in profile, metadata and
 # clone in packet) and are archived in BENCH_datapath.json together with
 # the root burst bench that has all three stores on its path, the root
@@ -135,7 +135,8 @@ traces:
 # program — and are archived in BENCH_control.json.
 EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasure$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
 EMUPKGS = . ./internal/opt
-PROOFBENCH = BenchmarkAnalyzerExec$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$
+PROOFBENCH = BenchmarkAnalyzerExecClasses$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$|BenchmarkProveTouched$$
+PROOFPKGS = ./internal/analysis/... ./internal/opt
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$|BenchmarkMeasureSynth110Instrumented$$|BenchmarkMeasureDash$$|BenchmarkMeasureDashCached$$
@@ -143,7 +144,7 @@ CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeploy
 CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
-	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
+	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem $(PROOFPKGS) \
 		| $(GO) run ./cmd/benchjson -out BENCH_search.json
 	{ $(GO) test -run '^$$' -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
 	  $(GO) test -run '^$$' -bench '$(SYNTH110BENCH)' -benchmem .; } \
@@ -167,7 +168,7 @@ benchcheck:
 	$(GO) test -run '^$$' -count=3 -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) \
 		| $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
 		-gate 'Fig12|EmulatorProcess|Measure$$|SearchCold$$|SearchDrift$$|PlacementPlan$$|HeteroEstimate'
-	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem ./internal/analysis/... \
+	$(GO) test -run '^$$' -count=3 -bench '$(PROOFBENCH)' -benchmem $(PROOFPKGS) \
 		| $(GO) run ./cmd/benchjson -compare BENCH_search.json -max-regress $(MAXREGRESS)
 	{ $(GO) test -run '^$$' -count=3 -bench '$(STOREBENCH)' -benchmem $(STOREPKGS); \
 	  $(GO) test -run '^$$' -count=3 -bench '$(SYNTH110BENCH)' -benchmem .; } \

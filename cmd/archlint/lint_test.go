@@ -318,7 +318,7 @@ func read(c Costs) float64 { return c.DropProb + c.BranchProb }
 `,
 		"internal/opt/oracle_test.go": `package opt
 
-func legacy(prof profile) { prof.DropProb(nil); prof.BranchProb("c") }
+func legacy(prof profile) { prof.ActionProb(nil); prof.BranchProb("c") }
 `,
 		// The runtime reads the round's profile through the session's view,
 		// never on its own — change detection used to.
@@ -328,12 +328,12 @@ func signature(prof profile) {
 	prof.ReachProbs(nil)
 	for range prof.ActionProb(nil) {
 	}
-	prof.DropProb(nil)
+	prof.BranchProb("c")
 }
 `,
 		"internal/core/change_test.go": `package core
 
-func oracle(prof profile) { prof.DropProb(nil) }
+func oracle(prof profile) { prof.BranchProb("c") }
 `,
 		// Other packages define and use these freely.
 		"internal/pipelet/rank.go": `package pipelet

@@ -13,8 +13,8 @@
 //     any ambient wall clock or global RNG would make recorded device
 //     sessions unreproducible on replay.
 //   - one-estimator: in internal/opt only estimate.go, the file that
-//     builds the cost view, may call ReachProbs, ActionProb, DropProb,
-//     BranchProb, NodeLatency or TableLatency.
+//     builds the cost view, may call ReachProbs, ActionProb, BranchProb,
+//     NodeLatency or TableLatency.
 //   - one-verifier: outside internal/analysis (and the root façade's
 //     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
 //     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof

@@ -101,16 +101,12 @@ func TestPathClassPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	outs, err := NewAnalyzer(prog).ExecClasses(conds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	anyFeasible := false
-	for bits := 0; bits < 1<<len(conds); bits++ {
-		forced := map[string]bool{}
-		for i, c := range conds {
-			forced[c] = bits>>i&1 == 1
-		}
-		out, err := Exec(prog, forced)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for bits, out := range outs {
 		if !out.Feasible {
 			continue
 		}

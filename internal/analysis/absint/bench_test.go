@@ -13,49 +13,35 @@ func benchProgram() *p4ir.Program {
 	return synth.Program(synth.ProgramSpec{Pipelets: 20, AvgLen: 3, Category: synth.Mixed, Seed: 7})
 }
 
-// pathClasses enumerates every truth assignment over the program's
-// conditionals, the way the semantic checker does.
-func pathClasses(prog *p4ir.Program) []map[string]bool {
-	conds := CondNames(prog)
-	classes := make([]map[string]bool, 1<<len(conds))
-	for bits := range classes {
-		classes[bits] = make(map[string]bool, len(conds))
-		for i, c := range conds {
-			classes[bits][c] = bits>>i&1 == 1
-		}
-	}
-	return classes
-}
-
-// BenchmarkAnalyzerExec times one warm path-class execution, the unit a
-// semantic proof repeats 2^conditionals times per program.
-func BenchmarkAnalyzerExec(b *testing.B) {
+// BenchmarkAnalyzerExecClasses times one warm class tree over the
+// program's five conditionals: all 32 path classes, what a semantic proof
+// runs once per program.
+func BenchmarkAnalyzerExecClasses(b *testing.B) {
 	prog := benchProgram()
 	an := NewAnalyzer(prog)
-	classes := pathClasses(prog)
+	conds := CondNames(prog)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Exec(classes[i%len(classes)]); err != nil {
+		if _, err := an.ExecClasses(conds); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// A warm Exec allocates only the egress state it returns: every working
-// state lives in the analyzer's scratch.
+// A warm class tree allocates only what it returns — the outcomes, and
+// one slab each for their states and values: every working state lives in
+// the analyzer's scratch.
 func TestWarmExecAllocBudget(t *testing.T) {
 	prog := benchProgram()
 	an := NewAnalyzer(prog)
-	classes := pathClasses(prog)
-	i := 0
+	conds := CondNames(prog)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := an.Exec(classes[i%len(classes)]); err != nil {
+		if _, err := an.ExecClasses(conds); err != nil {
 			t.Fatal(err)
 		}
-		i++
 	})
-	if allocs > 2 {
-		t.Errorf("warm Exec allocates %.0f objects, budget 2 (the returned State and its values)", allocs)
+	if allocs > 3 {
+		t.Errorf("warm ExecClasses allocates %.0f objects, budget 3 (the outcomes, their states and their values)", allocs)
 	}
 }

@@ -1,15 +1,19 @@
 package absint
 
 import (
+	"encoding/binary"
 	"slices"
 	"strings"
+	"sync"
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
 )
 
 // plan is a program compiled for the interpreter: everything a run needs
-// that does not depend on the incoming state or the forced branches.
+// that does not depend on the incoming state or the forced branches. The
+// table bodies in it may be shared with other plans (Cache); what is the
+// program's own is the node order and every successor.
 type plan struct {
 	err    error       // the program is unanalyzable; every run reports it
 	fields *fieldTable // slot assignment of every mentioned field
@@ -18,7 +22,7 @@ type plan struct {
 	root   int32
 	egress int32 // len(nodes): the successor index of "", and the scratch row of the egress join
 
-	maxKeys int
+	maxKeys, maxEntries int
 }
 
 func (p *plan) nslots() int { return len(p.fields.names) }
@@ -32,18 +36,45 @@ const toNowhere int32 = -1
 // zero and swallow writes.
 const unwritable = -1
 
-// fieldTable assigns a state slot to every field a program mentions.
+// fieldTable assigns a state slot to every field a program mentions, in
+// first-mention order. A table that extends a base (a Cache's, frozen)
+// keeps the base's slots and appends the fields only its program mentions,
+// so a body compiled against the base reads and writes the same slots in
+// either.
 type fieldTable struct {
+	base     *fieldTable // nil, or the frozen table whose slots come first
 	names    []string
-	slot     map[string]int32
+	slot     map[string]int32 // the fields this table added to base
 	defaults []Value
 	// width is what a write truncates to: the registry width of a header
 	// field, 64 (no truncation) for metadata, unwritable otherwise.
 	width []int
 }
 
+// extend returns a table that starts with f's slots. f is never written
+// through it: the clipped slices copy on the first field appended.
+func (f *fieldTable) extend() *fieldTable {
+	return &fieldTable{
+		base:     f,
+		names:    slices.Clip(f.names),
+		slot:     map[string]int32{},
+		defaults: slices.Clip(f.defaults),
+		width:    slices.Clip(f.width),
+	}
+}
+
+func (f *fieldTable) lookup(name string) (int32, bool) {
+	if f.base != nil {
+		if i, ok := f.base.slot[name]; ok {
+			return i, true
+		}
+	}
+	i, ok := f.slot[name]
+	return i, ok
+}
+
 func (f *fieldTable) slotOf(name string) int32 {
-	if i, ok := f.slot[name]; ok {
+	if i, ok := f.lookup(name); ok {
 		return i
 	}
 	i := int32(len(f.names))
@@ -77,17 +108,25 @@ type cnode struct {
 	slot int32    // of cond.Field, for a comparison
 	next [2]int32 // nodeCond: true arm, false arm; nodePass: the miss path
 	tab  *ctable
+	// A table's successors: acts[i] follows tab.acts[i], base follows an
+	// actionless table.
+	acts []int32
+	base int32
 }
 
+// ctable is a table's compiled body: everything its lookup and actions
+// need and nothing about where it sits, so one body serves every program
+// holding a table with the same keys, actions, default action and entries.
 type ctable struct {
 	keys []ckey
 	// match holds one row of len(keys) per entry.
-	match    []cmatch
-	entries  []centry
-	mustHit  bool     // a miss is statically impossible
-	def      *caction // miss action; nil for an actionless table
-	baseNext int32
-	writes   []int32 // slots any action of the table writes
+	match   []cmatch
+	entries []centry
+	acts    []*caction // the table's actions, in order
+	mustHit bool       // a miss is statically impossible
+	def     int32      // index in acts of the miss action; -1 for an actionless table
+	writes  []int32    // slots any action of the table writes
+	shadows []Shadow   // AnalyzeTable's: the entries the lookup never selects
 }
 
 type ckey struct {
@@ -107,15 +146,18 @@ type centry struct {
 	// never pick — applying them would leak their writes into the egress
 	// join and flag legal Figure-6 merges as inequivalent.
 	live bool
-	act  *caction  // nil when the entry names no action of its table
+	act  int32     // index in the table's acts; -1 when the entry names no action of its table
 	args []operand // the entry's action data
+	// same is the first live entry with this entry's action and action
+	// data: applying either has the same effect, so a run that need not
+	// attribute writes applies only the first one that may match.
+	same int32
 }
 
 type caction struct {
 	name   string
 	prims  []cprim // up to the first drop
 	drops  bool
-	next   int32
 	writes []int32 // slots prims write
 }
 
@@ -152,16 +194,27 @@ func (o *operand) eval(st []Value, args []operand) Value {
 	return Const(0)
 }
 
-func compile(prog *p4ir.Program) *plan {
+// compile compiles prog. With a cache, fields extend the cache's and a
+// table whose body digest the cache holds takes that body; with store set
+// (the cache's own program), every body compiled is added to it.
+func compile(prog *p4ir.Program, cache *Cache, store bool) *plan {
 	p := &plan{ix: p4ir.NewIndex(prog)}
 	if p.err = p.ix.Err(); p.err != nil {
 		return p
 	}
 	order := p.ix.Topo()
-	p.fields = &fieldTable{slot: map[string]int32{}}
+	if cache != nil && !store {
+		p.fields = cache.fields.extend()
+	} else {
+		p.fields = &fieldTable{slot: map[string]int32{}}
+	}
 	p.egress = int32(len(order))
 	p.root = p.resolve(prog.Root)
 	p.nodes = make([]cnode, len(order))
+	var h *p4ir.BodyHasher
+	if cache != nil {
+		h = new(p4ir.BodyHasher)
+	}
 	for i, id := range order {
 		nd := &p.nodes[i]
 		nd.name = p.ix.Name(id)
@@ -180,12 +233,65 @@ func compile(prog *p4ir.Program) *plan {
 			nd.next[0] = p.resolve(spec.MissNext)
 			continue
 		}
-		nd.tab = p.compileTable(t)
-		if len(t.Keys) > p.maxKeys {
-			p.maxKeys = len(t.Keys)
+		switch {
+		case cache == nil:
+			nd.tab = p.compileTable(t)
+		case store:
+			nd.tab = p.compileTable(t)
+			cache.bodies[h.Digest(t)] = nd.tab
+		default:
+			if nd.tab = cache.bodies[h.Digest(t)]; nd.tab == nil {
+				nd.tab = p.compileTable(t)
+			}
 		}
+		nd.acts = make([]int32, len(t.Actions))
+		for ai, a := range t.Actions {
+			nd.acts[ai] = p.resolve(t.NextFor(a.Name))
+		}
+		nd.base = p.resolve(t.BaseNext)
+		p.maxKeys = max(p.maxKeys, len(t.Keys))
+		p.maxEntries = max(p.maxEntries, len(t.Entries))
+	}
+	if store {
+		cache.fields = p.fields
 	}
 	return p
+}
+
+// Cache holds what compiling one program's tables derives — each table's
+// AnalyzeTable facts and compiled body — so that analyzing a rewrite of
+// that program compiles only the tables the rewrite generated or changed.
+// A body is keyed by its table's body digest (p4ir.BodyHasher): a table takes a
+// cached body exactly when its keys, actions, default action and entries
+// equal, at that moment, those the body was compiled from, whatever its
+// name and successors. Fields the original mentions keep the original's
+// slots in every program compiled against the cache; a program's own new
+// fields come after them. Read-only once built, so safe for concurrent
+// use.
+type Cache struct {
+	fields *fieldTable // the original's; nil when it is unanalyzable
+	bodies map[p4ir.Digest]*ctable
+	orig   *Analyzer
+	pool   scratches // shared by every analyzer the cache compiles
+}
+
+// NewCache compiles orig and keeps its table bodies.
+func NewCache(orig *p4ir.Program) *Cache {
+	c := &Cache{bodies: map[p4ir.Digest]*ctable{}, pool: scratches{shared: &sync.Pool{}}}
+	c.orig = &Analyzer{plan: compile(orig, c, true), pool: &c.pool}
+	return c
+}
+
+// Original returns the analyzer of the program the cache was built from.
+func (c *Cache) Original() *Analyzer { return c.orig }
+
+// Analyzer compiles prog against the cache (NewAnalyzer when c is nil or
+// its original was unanalyzable).
+func (c *Cache) Analyzer(prog *p4ir.Program) *Analyzer {
+	if c == nil || c.fields == nil {
+		return NewAnalyzer(prog)
+	}
+	return &Analyzer{plan: compile(prog, c, false), pool: &c.pool}
 }
 
 // resolve returns a successor's place in nodes: egress for the sink,
@@ -201,35 +307,41 @@ func (p *plan) resolve(next string) int32 {
 }
 
 func (p *plan) compileTable(t *p4ir.Table) *ctable {
-	ct := &ctable{baseNext: p.resolve(t.BaseNext)}
+	ct := &ctable{def: -1}
 	for _, k := range t.Keys {
 		ct.keys = append(ct.keys, ckey{slot: p.fields.slotOf(k.Field), width: k.BitWidth()})
 	}
 
-	acts := make([]*caction, len(t.Actions))
-	byName := make(map[string]*caction, len(t.Actions))
+	ct.acts = make([]*caction, len(t.Actions))
+	byName := make(map[string]int32, len(t.Actions))
 	written := map[int32]bool{}
 	for i, a := range t.Actions {
-		acts[i] = p.compileAction(a, p.resolve(t.NextFor(a.Name)))
+		ct.acts[i] = p.compileAction(a)
 		if _, dup := byName[a.Name]; !dup {
-			byName[a.Name] = acts[i]
+			byName[a.Name] = int32(i)
 		}
-		for _, s := range acts[i].writes {
+		for _, s := range ct.acts[i].writes {
 			if !written[s] {
 				written[s] = true
 				ct.writes = append(ct.writes, s)
 			}
 		}
 	}
-	ct.def = byName[t.DefaultAction]
-	if ct.def == nil && len(acts) > 0 {
+	actOf := func(name string) int32 {
+		if i, ok := byName[name]; ok {
+			return i
+		}
+		return -1
+	}
+	ct.def = actOf(t.DefaultAction)
+	if ct.def < 0 && len(ct.acts) > 0 {
 		// The emulator falls back to the last action when no default is
 		// named.
-		ct.def = acts[len(acts)-1]
+		ct.def = int32(len(ct.acts) - 1)
 	}
 
 	facts := AnalyzeTable(t)
-	ct.mustHit = facts.MustHit
+	ct.mustHit, ct.shadows = facts.MustHit, facts.Shadows
 	dead := make([]bool, len(t.Entries))
 	for _, s := range facts.Shadows {
 		dead[s.Entry] = true
@@ -237,12 +349,15 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 	nk := len(t.Keys)
 	ct.match = make([]cmatch, len(t.Entries)*nk)
 	ct.entries = make([]centry, len(t.Entries))
+	effects := map[string]int32{} // action and action data, length-prefixed -> first entry
+	var effect []byte
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
+		ce := &ct.entries[ei]
+		ce.act = -1
 		if len(e.Match) != nk || dead[ei] {
 			continue
 		}
-		ce := &ct.entries[ei]
 		ce.live = true
 		for i, k := range t.Keys {
 			mask := k.MatchMask(e.Match[i])
@@ -252,11 +367,18 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 				monotone: maskMonotone(mask, k.BitWidth()),
 			}
 		}
-		if ce.act = byName[e.Action]; ce.act == nil {
+		if ce.act = actOf(e.Action); ce.act < 0 {
 			continue
 		}
+		effect = binary.AppendUvarint(effect[:0], uint64(ce.act))
 		for _, a := range e.Args {
 			ce.args = append(ce.args, p.operand(p4ir.DecodeOperand(a)))
+			effect = append(binary.AppendUvarint(effect, uint64(len(a))), a...)
+		}
+		var seen bool
+		if ce.same, seen = effects[string(effect)]; !seen {
+			ce.same = int32(ei)
+			effects[string(effect)] = ce.same
 		}
 	}
 	return ct
@@ -266,8 +388,8 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 // executes its decoded primitives: everything after a drop is dead,
 // malformed primitives are no-ops, and writes to unknown non-meta fields
 // are swallowed.
-func (p *plan) compileAction(a *p4ir.Action, next int32) *caction {
-	ca := &caction{name: a.Name, next: next}
+func (p *plan) compileAction(a *p4ir.Action) *caction {
+	ca := &caction{name: a.Name}
 	for _, prim := range a.Primitives {
 		in := prim.Decode()
 		if in.Kind == p4ir.PrimDrop {

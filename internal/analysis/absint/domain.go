@@ -18,7 +18,8 @@
 // emulator result.
 //
 // On top of the per-node analysis (Analyze) the package provides
-// path-class differential execution (Exec with forced branch decisions),
+// path-class differential execution (ExecClasses: one outcome per truth
+// assignment over chosen conditionals, all in one run),
 // which analysis.VerifySemantics uses to prove an optimized program
 // equivalent to its original over the joined abstract packet space.
 package absint

@@ -48,12 +48,6 @@ type TableFacts struct {
 	MustHit bool
 }
 
-// TableShadows finds entries of t that provably can never be selected by
-// the emulator's lookup. It is AnalyzeTable's shadow list.
-func TableShadows(t *p4ir.Table) []Shadow {
-	return AnalyzeTable(t).Shadows
-}
-
 // AnalyzeTable derives the static lookup facts of one table, mirroring
 // the emulator's build-time dedup (within a mask group, one winner per
 // masked key), its highest-priority-wins ternary probe (earlier-installed
@@ -130,33 +124,40 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	shadowed := make([]bool, len(t.Entries))
 	copy(shadowed, losers)
 	if ternary {
+		// b dominates a iff match(a) ⊆ match(b): per key, b's mask is a
+		// subset of a's and the masked values agree on it. In a mask group
+		// whose masks are a subset of a's, only entries with one masked key
+		// — a's values under those masks — can, and of those only the dedup
+		// winner is installed: one lookup per group finds it. By is the
+		// first dominating entry.
+		key := make([]uint64, len(t.Keys))
 		for a := range t.Entries {
 			ia := infos[a]
 			if !ia.ok || losers[a] {
 				continue
 			}
-			for b := range t.Entries {
-				if a == b || !infos[b].ok || losers[b] {
-					continue
-				}
-				ib := infos[b]
-				if t.Entries[b].Priority <= t.Entries[a].Priority {
-					continue
-				}
-				// b dominates a iff match(a) ⊆ match(b): per key, b's mask is
-				// a subset of a's and the masked values agree on it.
-				dominates := true
-				for i := range ia.masks {
-					if ib.masks[i]&^ia.masks[i] != 0 || (ia.vals[i]^ib.vals[i])&ib.masks[i] != 0 {
-						dominates = false
+			by := -1
+			for g := range maskGroups.len() {
+				sub := true
+				for i, m := range maskGroups.tuple(g) {
+					if m&^ia.masks[i] != 0 {
+						sub = false
 						break
 					}
+					key[i] = ia.vals[i] & m
 				}
-				if dominates {
-					out = append(out, Shadow{Entry: a, By: b})
-					shadowed[a] = true
-					break
+				if !sub {
+					continue
 				}
+				if slot, ok := dedups[g].vals.find(key); ok {
+					if b := dedups[g].winner[slot]; b != a && t.Entries[b].Priority > t.Entries[a].Priority && (by < 0 || b < by) {
+						by = b
+					}
+				}
+			}
+			if by >= 0 {
+				out = append(out, Shadow{Entry: a, By: by})
+				shadowed[a] = true
 			}
 		}
 	}
@@ -270,13 +271,13 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		}
 		var virts []virtual
 		for _, g := range groupSeq {
-			tuples := g.vals.words
-			if !g.some || len(tuples) < 2 {
+			tuples := g.vals.len()
+			if !g.some || tuples < 2 {
 				continue
 			}
 			for j := range t.Keys {
 				bitsJ := popcount(g.masks[j] & widthMask(t.Keys[j].BitWidth()))
-				if bitsJ == 0 || bitsJ > 24 || len(tuples) < 1<<uint(bitsJ) {
+				if bitsJ == 0 || bitsJ > 24 || tuples < 1<<uint(bitsJ) {
 					continue
 				}
 				// Bucket the tuples by their values on every key but j; a
@@ -289,7 +290,8 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 				var contexts wordIndex
 				var buckets []bucket
 				ctx := make([]uint64, 0, len(t.Keys))
-				for _, tu := range tuples {
+				for k := range tuples {
+					tu := g.vals.tuple(k)
 					ctx = append(append(ctx[:0], tu[:j]...), tu[j+1:]...)
 					bi, fresh := contexts.id(ctx)
 					if fresh {
@@ -338,38 +340,62 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	return TableFacts{Shadows: out, MustHit: mustHit}
 }
 
-// wordIndex numbers distinct word tuples in first-seen order. Tuples are
-// found by a 64-bit fold of their words (the emulator's hashWords; absint
-// may not import the emulator) and compared word for word on a match, so
-// no tuple is ever formatted into a string to serve as a map key.
+// wordIndex numbers distinct word tuples, all of one width, in first-seen
+// order. Tuples are found by a 64-bit fold of their words (the emulator's
+// hashWords; absint may not import the emulator) and compared word for
+// word on a match, so no tuple is ever formatted into a string to serve as
+// a map key.
 type wordIndex struct {
 	head  map[uint64]int32 // fold -> 1 + the newest tuple with that fold
 	chain []int32          // id -> 1 + the next older tuple with its fold
-	words [][]uint64       // id -> tuple
+	words []uint64         // tuple id is words[id*width:(id+1)*width]
+	width int
 }
 
-func (x *wordIndex) len() int { return len(x.words) }
+func (x *wordIndex) len() int { return len(x.chain) }
+
+func (x *wordIndex) tuple(id int) []uint64 {
+	return x.words[id*x.width : (id+1)*x.width : (id+1)*x.width]
+}
 
 // id returns the tuple's number, assigning the next one (and keeping a
 // copy of the words) when it is new.
 func (x *wordIndex) id(words []uint64) (id int, fresh bool) {
+	h := fold(words)
+	if id, ok := x.lookup(h, words); ok {
+		return id, false
+	}
+	if x.head == nil {
+		x.head = map[uint64]int32{}
+		x.width = len(words)
+	}
+	x.chain = append(x.chain, x.head[h])
+	x.words = append(x.words, words...)
+	x.head[h] = int32(len(x.chain))
+	return len(x.chain) - 1, true
+}
+
+// find returns the tuple's number, if it has one.
+func (x *wordIndex) find(words []uint64) (id int, ok bool) {
+	return x.lookup(fold(words), words)
+}
+
+func (x *wordIndex) lookup(h uint64, words []uint64) (int, bool) {
+	for i := x.head[h]; i != 0; i = x.chain[i-1] {
+		if slices.Equal(x.tuple(int(i-1)), words) {
+			return int(i - 1), true
+		}
+	}
+	return 0, false
+}
+
+func fold(words []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range words {
 		h = (h ^ w) * 0x9E3779B97F4A7C15
 		h ^= h >> 32
 	}
-	for i := x.head[h]; i != 0; i = x.chain[i-1] {
-		if slices.Equal(x.words[i-1], words) {
-			return int(i - 1), false
-		}
-	}
-	if x.head == nil {
-		x.head = map[uint64]int32{}
-	}
-	x.chain = append(x.chain, x.head[h])
-	x.words = append(x.words, slices.Clone(words))
-	x.head[h] = int32(len(x.words))
-	return len(x.words) - 1, true
+	return h
 }
 
 func widthMask(w int) uint64 {

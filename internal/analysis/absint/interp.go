@@ -23,7 +23,7 @@ type State struct {
 // Get reads a field, falling back to its initial-value default.
 func (s *State) Get(field string) Value {
 	if s != nil {
-		if i, ok := s.fields.slot[field]; ok {
+		if i, ok := s.fields.lookup(field); ok {
 			return s.vals[i]
 		}
 	}
@@ -71,6 +71,9 @@ type NodeResult struct {
 	CondKnown   bool
 	CondDecided bool
 	CondTaken   bool
+	// Shadows lists a table's entries the emulator's lookup never selects
+	// (AnalyzeTable's, derived once per table body; shared, read-only).
+	Shadows []Shadow
 }
 
 // ClassOutcome summarizes one abstract execution of a program: whether
@@ -110,24 +113,22 @@ type Result struct {
 }
 
 // Analyzer runs the abstract interpreter over one program. Construction
-// compiles everything a run would otherwise re-derive — the semantic
-// checker abstractly executes the same program once per path class — into
-// a plan: topological order with successors as indices, a field→slot
-// table, parsed conditionals, per-entry masks and values with the
-// statically dead entries (TableShadows) marked, and actions with
-// pre-resolved operands. Runs execute that plan on dense states from a
-// scratch free list. Safe for concurrent use.
+// compiles everything a run would otherwise re-derive into a plan:
+// topological order with successors as indices, a field→slot table, parsed
+// conditionals, and per table a body — per-entry masks and values with the
+// statically dead entries (AnalyzeTable's shadows) marked, and actions
+// with pre-resolved operands — which a Cache shares between a program and
+// its rewrites. Runs execute that plan on dense states from a scratch free
+// list. Safe for concurrent use.
 type Analyzer struct {
 	plan *plan
-
-	mu   sync.Mutex
-	free []*scratch
+	pool *scratches
 }
 
 // NewAnalyzer compiles prog. The analyzer keeps no reference to the
 // program's entries: a program mutated afterwards needs a new analyzer.
 func NewAnalyzer(prog *p4ir.Program) *Analyzer {
-	return &Analyzer{plan: compile(prog)}
+	return &Analyzer{plan: compile(prog, nil, false), pool: &scratches{}}
 }
 
 // Analyze runs the forward interpreter over every path of the program
@@ -135,20 +136,19 @@ func NewAnalyzer(prog *p4ir.Program) *Analyzer {
 // field states, and entry feasibility. The program must be structurally
 // valid (acyclic, no dangling references).
 func (a *Analyzer) Analyze() (*Result, error) {
-	res := &Result{}
-	out, err := a.run(nil, res)
-	if err != nil {
-		return nil, err
+	p := a.plan
+	if p.err != nil {
+		return nil, p.err
 	}
-	res.Outcome = out
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	res := &Result{}
+	x := a.start(sc, res)
+	for i := range p.nodes {
+		x.step(i, 0)
+	}
+	res.Outcome = x.outcome()
 	return res, nil
-}
-
-// Exec abstractly executes the program under a path class: conditionals
-// named in forced take only the given branch (when feasible), all others
-// contribute both arms. A nil forced map executes the full packet space.
-func (a *Analyzer) Exec(forced map[string]bool) (ClassOutcome, error) {
-	return a.run(forced, nil)
 }
 
 // Analyze is the one-shot form of Analyzer.Analyze.
@@ -156,9 +156,40 @@ func Analyze(prog *p4ir.Program) (*Result, error) {
 	return NewAnalyzer(prog).Analyze()
 }
 
-// Exec is the one-shot form of Analyzer.Exec.
-func Exec(prog *p4ir.Program, forced map[string]bool) (ClassOutcome, error) {
-	return NewAnalyzer(prog).Exec(forced)
+// ExecClasses abstractly executes the program under every path class over
+// conds at once. In class b, conds[i] takes only its true arm when bit i
+// of b is set and only its false arm otherwise (each when feasible); every
+// other conditional contributes both arms. out[b] is class b's outcome;
+// no conds is the one class of the full packet space. The 2^len(conds)
+// classes run as one depth-first tree over the
+// topological order: nodes before a forced conditional run once for every
+// class below it, and at the conditional the run forks — the rows still to
+// be read, their reached and joined flags, and the drop flag are saved,
+// the true arm runs to the end, they are restored, and the false arm runs.
+// A forced conditional the run does not reach (or one the program lacks)
+// splits nothing: the classes on either side of it share one outcome, and
+// its Egress state. Outcomes are read-only. len(conds) is at most 30.
+func (a *Analyzer) ExecClasses(conds []string) ([]ClassOutcome, error) {
+	p := a.plan
+	if p.err != nil {
+		return nil, p.err
+	}
+	sc := a.getScratch()
+	defer a.putScratch(sc)
+	for i := range sc.fork {
+		sc.fork[i] = -1
+	}
+	for b, name := range conds {
+		if i := p.resolve(name); i >= 0 && i != p.egress && p.nodes[i].kind == nodeCond {
+			sc.fork[i] = int8(b)
+		}
+	}
+	out := make([]ClassOutcome, 1<<len(conds))
+	x := a.start(sc, nil)
+	x.states = make([]State, 0, len(out))
+	x.vals = make([]Value, 0, len(out)*p.nslots())
+	x.tree(0, 0, uint32(len(out)-1), out)
+	return out, nil
 }
 
 // CondNames returns the reachable conditionals in topological order — the
@@ -189,41 +220,85 @@ type scratch struct {
 	joined []int32
 	tmp    []Value // the executing table's in-state plus one action's writes
 	keys   []Value
-	force  []int8 // per node: 0 unforced, 1 only the true arm, 2 only the false arm
+	done   []bool // per entry of the executing table: its effect was applied
+	fork   []int8 // per node: the class bit ExecClasses forks on there, or -1
+
+	// The class tree's saves, a stack: per fork, the reached and joined
+	// flags of every row after the conditional and the values of the rows
+	// among them already reached.
+	savedReached []bool
+	savedJoined  []int32
+	savedVals    []Value
+}
+
+// scratches hands out run memory. An analyzer of a program alone keeps a
+// free list of its own. The analyzers a Cache compiles share the cache's
+// shared pool instead — a rewrite's plan is about the size of its
+// original's — which the collector may empty between proofs, so a
+// long-lived checker does not hold a scratch it is not using.
+type scratches struct {
+	mu     sync.Mutex
+	free   []*scratch
+	shared *sync.Pool
 }
 
 func (a *Analyzer) getScratch() *scratch {
-	a.mu.Lock()
-	if n := len(a.free); n > 0 {
-		sc := a.free[n-1]
-		a.free = a.free[:n-1]
-		a.mu.Unlock()
-		return sc
+	var sc *scratch
+	if a.pool.shared != nil {
+		sc, _ = a.pool.shared.Get().(*scratch)
+	} else {
+		a.pool.mu.Lock()
+		if n := len(a.pool.free); n > 0 {
+			sc = a.pool.free[n-1]
+			a.pool.free = a.pool.free[:n-1]
+		}
+		a.pool.mu.Unlock()
 	}
-	a.mu.Unlock()
+	if sc == nil {
+		sc = &scratch{}
+	}
+	// Contents left by an earlier run are never read: a run resets the
+	// flags it reads, and writes a row whole before reading it.
 	p := a.plan
 	rows := len(p.nodes) + 1
-	return &scratch{
-		vals:    make([]Value, rows*p.nslots()),
-		reached: make([]bool, rows),
-		joined:  make([]int32, rows),
-		tmp:     make([]Value, p.nslots()),
-		keys:    make([]Value, p.maxKeys),
-		force:   make([]int8, len(p.nodes)),
-	}
+	sc.vals = fit(sc.vals, rows*p.nslots())
+	sc.reached = fit(sc.reached, rows)
+	sc.joined = fit(sc.joined, rows)
+	sc.tmp = fit(sc.tmp, p.nslots())
+	sc.keys = fit(sc.keys, p.maxKeys)
+	sc.done = fit(sc.done, p.maxEntries)
+	sc.fork = fit(sc.fork, len(p.nodes))
+	return sc
 }
 
 func (a *Analyzer) putScratch(sc *scratch) {
-	a.mu.Lock()
-	a.free = append(a.free, sc)
-	a.mu.Unlock()
+	if a.pool.shared != nil {
+		a.pool.shared.Put(sc)
+		return
+	}
+	a.pool.mu.Lock()
+	a.pool.free = append(a.pool.free, sc)
+	a.pool.mu.Unlock()
+}
+
+// fit returns s resized to n, reallocated only when its capacity is short.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // exec is one run in flight.
 type exec struct {
-	p   *plan
-	sc  *scratch
-	res *Result // nil unless collecting per-node results and truncations
+	p       *plan
+	sc      *scratch
+	res     *Result // nil unless collecting per-node results and truncations
+	mayDrop bool    // some path run so far drops
+
+	// The class tree's egress states, allocated once for all its leaves.
+	states []State
+	vals   []Value
 }
 
 func (x *exec) row(i int32) []Value {
@@ -231,9 +306,16 @@ func (x *exec) row(i int32) []Value {
 	return x.sc.vals[int(i)*n : (int(i)+1)*n]
 }
 
-// snapshot copies a state row out of the scratch.
+// snapshot copies a state row out of the scratch, into the class tree's
+// slab when the run has one.
 func (x *exec) snapshot(row []Value) *State {
-	return &State{fields: x.p.fields, vals: append([]Value(nil), row...)}
+	if len(x.states) == cap(x.states) {
+		return &State{fields: x.p.fields, vals: append([]Value(nil), row...)}
+	}
+	n := len(x.vals)
+	x.vals = append(x.vals, row...)
+	x.states = append(x.states, State{fields: x.p.fields, vals: x.vals[n:len(x.vals):len(x.vals)]})
+	return &x.states[len(x.states)-1]
 }
 
 // flow joins src, a complete state, into the in-state of successor to.
@@ -271,30 +353,14 @@ func (x *exec) flowFrom(table, to int32, src []Value, writes []int32) {
 	x.sc.joined[to] = table
 }
 
-// run executes the plan once. A non-nil res additionally collects the
-// per-node results and truncations.
-func (a *Analyzer) run(forced map[string]bool, res *Result) (ClassOutcome, error) {
+// start begins a run on sc: nothing reached but the root, which holds the
+// defaults.
+func (a *Analyzer) start(sc *scratch, res *Result) exec {
 	p := a.plan
-	if p.err != nil {
-		return ClassOutcome{}, p.err
-	}
-	sc := a.getScratch()
-	defer a.putScratch(sc)
 	for i := range sc.reached {
 		sc.reached[i] = false
 		sc.joined[i] = -1
 	}
-	clear(sc.force)
-	for name, taken := range forced {
-		if i := p.resolve(name); i >= 0 && i != p.egress {
-			if taken {
-				sc.force[i] = 1
-			} else {
-				sc.force[i] = 2
-			}
-		}
-	}
-
 	x := exec{p: p, sc: sc, res: res}
 	if res != nil {
 		res.Nodes = make(map[string]*NodeResult, p.ix.Len())
@@ -302,45 +368,116 @@ func (a *Analyzer) run(forced map[string]bool, res *Result) (ClassOutcome, error
 			res.Nodes[name] = &NodeResult{}
 		}
 	}
-
 	x.flow(p.root, p.fields.defaults)
-	mayDrop := false
-	for i := range p.nodes {
-		if !sc.reached[i] {
+	return x
+}
+
+// step executes node i, when some path reached it. force 1 (2) runs only
+// a conditional's true (false) arm; 0 runs both.
+func (x *exec) step(i int, force int8) {
+	if !x.sc.reached[i] {
+		return
+	}
+	nd := &x.p.nodes[i]
+	st := x.row(int32(i))
+	var nr *NodeResult
+	if x.res != nil {
+		nr = x.res.Nodes[nd.name]
+		nr.Reachable = true
+		nr.In = x.snapshot(st)
+		if nd.tab != nil {
+			nr.Shadows = nd.tab.shadows
+		}
+	}
+	switch nd.kind {
+	case nodeCond:
+		x.runCond(nd, st, force, nr)
+	case nodePass:
+		// Runtime flow caches are cold at deploy time and record only
+		// outcomes their covers produced: the deploy-time semantics is
+		// the always-miss path, which executes the covers unchanged.
+		x.flow(nd.next[0], st)
+	default:
+		if x.runTable(int32(i), nd, st, nr) {
+			x.mayDrop = true
+		}
+	}
+}
+
+// outcome is the run's result once every node has stepped.
+func (x *exec) outcome() ClassOutcome {
+	eg := x.sc.reached[x.p.egress]
+	out := ClassOutcome{
+		Feasible: eg || x.mayDrop,
+		MayDrop:  x.mayDrop,
+		MustDrop: x.mayDrop && !eg,
+	}
+	if eg {
+		out.Egress = x.snapshot(x.row(x.p.egress))
+	}
+	return out
+}
+
+// tree steps nodes from, forking at every reached conditional that
+// carries a class bit, and files each leaf's outcome under every class
+// that agrees with bits on the bits no longer undecided.
+func (x *exec) tree(from int, bits, undecided uint32, out []ClassOutcome) {
+	sc := x.sc
+	for i := from; i < len(x.p.nodes); i++ {
+		b := sc.fork[i]
+		if b < 0 || !sc.reached[i] {
+			x.step(i, 0)
 			continue
 		}
-		nd := &p.nodes[i]
-		st := x.row(int32(i))
-		var nr *NodeResult
-		if res != nil {
-			nr = res.Nodes[nd.name]
-			nr.Reachable = true
-			nr.In = x.snapshot(st)
-		}
-		switch nd.kind {
-		case nodeCond:
-			x.runCond(nd, st, sc.force[i], nr)
-		case nodePass:
-			// Runtime flow caches are cold at deploy time and record only
-			// outcomes their covers produced: the deploy-time semantics is
-			// the always-miss path, which executes the covers unchanged.
-			x.flow(nd.next[0], st)
-		default:
-			if x.runTable(int32(i), nd, st, nr) {
-				mayDrop = true
-			}
+		bit := uint32(1) << uint(b)
+		undecided &^= bit
+		nr, nj, nv, mayDrop := x.save(i)
+		x.step(i, 1)
+		x.tree(i+1, bits|bit, undecided, out)
+		x.restore(i, nr, nj, nv, mayDrop)
+		x.step(i, 2)
+		x.tree(i+1, bits, undecided, out)
+		return
+	}
+	o := x.outcome()
+	for sub := undecided; ; sub = (sub - 1) & undecided {
+		out[bits|sub] = o
+		if sub == 0 {
+			return
 		}
 	}
+}
 
-	out := ClassOutcome{
-		Feasible: sc.reached[p.egress] || mayDrop,
-		MayDrop:  mayDrop,
-		MustDrop: mayDrop && !sc.reached[p.egress],
+// save pushes what the arms of the fork at node i may change: the flags of
+// every later row and the values of those already reached. Rows up to i
+// are never written again (the conditional restores its own row), and a
+// row first reached inside an arm is overwritten whole when next reached.
+func (x *exec) save(i int) (nr, nj, nv int, mayDrop bool) {
+	sc := x.sc
+	nr, nj, nv = len(sc.savedReached), len(sc.savedJoined), len(sc.savedVals)
+	sc.savedReached = append(sc.savedReached, sc.reached[i+1:]...)
+	sc.savedJoined = append(sc.savedJoined, sc.joined[i+1:]...)
+	for r := i + 1; r < len(sc.reached); r++ {
+		if sc.reached[r] {
+			sc.savedVals = append(sc.savedVals, x.row(int32(r))...)
+		}
 	}
-	if sc.reached[p.egress] {
-		out.Egress = x.snapshot(x.row(p.egress))
+	return nr, nj, nv, x.mayDrop
+}
+
+// restore pops what save pushed at node i.
+func (x *exec) restore(i, nr, nj, nv int, mayDrop bool) {
+	sc := x.sc
+	copy(sc.reached[i+1:], sc.savedReached[nr:])
+	copy(sc.joined[i+1:], sc.savedJoined[nj:])
+	v := sc.savedVals[nv:]
+	for r := i + 1; r < len(sc.reached); r++ {
+		if sc.reached[r] {
+			v = v[copy(x.row(int32(r)), v):]
+		}
 	}
-	return out, nil
+	sc.savedReached, sc.savedJoined, sc.savedVals = sc.savedReached[:nr], sc.savedJoined[:nj], sc.savedVals[:nv]
+	x.mayDrop = mayDrop
 }
 
 func (x *exec) runCond(nd *cnode, st []Value, force int8, nr *NodeResult) {
@@ -411,7 +548,8 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 	tmp := x.sc.tmp
 	copy(tmp, st)
 	dropped := false
-	apply := func(act *caction, args []operand) {
+	apply := func(ai int32, args []operand) {
+		act := t.acts[ai]
 		if act.drops && x.res == nil {
 			dropped = true // writes before a drop are unobservable
 			return
@@ -420,7 +558,7 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 		if act.drops {
 			dropped = true
 		} else {
-			x.flowFrom(self, act.next, tmp, t.writes)
+			x.flowFrom(self, nd.acts[ai], tmp, t.writes)
 		}
 		for _, s := range act.writes {
 			tmp[s] = st[s]
@@ -429,6 +567,8 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 
 	missPossible := !t.mustHit
 	nk := len(t.keys)
+	done := x.sc.done[:len(t.entries)]
+	clear(done)
 	for ei := range t.entries {
 		e := &t.entries[ei]
 		if !e.live {
@@ -450,17 +590,26 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 		if entryMust {
 			missPossible = false
 		}
-		if entryMay && e.act != nil {
-			apply(e.act, e.args)
+		if !entryMay || e.act < 0 {
+			continue
 		}
+		if x.res == nil {
+			// An effect applied once more joins nothing new; only the
+			// truncations a collecting run records are per entry.
+			if done[e.same] {
+				continue
+			}
+			done[e.same] = true
+		}
+		apply(e.act, e.args)
 	}
 	if nr != nil {
 		nr.EntryMay, nr.EntryMust, nr.MissPossible = may, must, missPossible
 	}
 	if missPossible {
-		if t.def == nil {
+		if t.def < 0 {
 			// Actionless table: pure forwarding node.
-			x.flow(t.baseNext, st)
+			x.flow(nd.base, st)
 		} else {
 			apply(t.def, nil)
 		}

@@ -108,20 +108,20 @@ func TestMustMatchAndMustDrop(t *testing.T) {
 	}
 
 	// Forcing the true arm makes the drop certain.
-	out, err := Exec(prog, map[string]bool{"c": true})
+	outs, err := NewAnalyzer(prog).ExecClasses([]string{"c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Feasible || !out.MustDrop {
+	if out := outs[1]; !out.Feasible || !out.MustDrop {
 		t.Errorf("forced-true class should must-drop: %+v", out)
 	}
-	// Forcing an infeasible combination is reported as such.
-	out, err = Exec(prog, map[string]bool{"c": true, "missing": false})
+	// A forced conditional the program lacks changes no class.
+	outs, err = NewAnalyzer(prog).ExecClasses([]string{"c", "missing"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Feasible {
-		t.Errorf("unknown forced cond must not change feasibility: %+v", out)
+	if out := outs[1]; !out.Feasible || !out.MustDrop {
+		t.Errorf("unknown forced cond must not change the class: %+v", out)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestEgressJoinAndActionSemantics(t *testing.T) {
 	// (covered by the hull: miss writes exactly 7, not 7+$0)
 }
 
-// TableShadows mirrors the emulator's dedup and priority probe.
+// AnalyzeTable's shadows mirror the emulator's dedup and priority probe.
 func TestTableShadows(t *testing.T) {
 	tern := func(v, m uint64, prio int) p4ir.Entry {
 		return p4ir.Entry{Priority: prio, Match: []p4ir.MatchValue{{Value: v, Mask: m}}, Action: "a"}
@@ -184,7 +184,7 @@ func TestTableShadows(t *testing.T) {
 			tern(0x00, 0x00, 10), // 4: full wildcard at top priority -> dominates everything
 		},
 	}
-	shadows := TableShadows(tbl)
+	shadows := AnalyzeTable(tbl).Shadows
 	got := map[[2]int]bool{}
 	dup := map[[2]int]bool{}
 	for _, s := range shadows {
@@ -214,7 +214,7 @@ func TestTableShadows(t *testing.T) {
 		tern(0x10, 0xff, 2),
 		tern(0x00, 0xf0, 2),
 	}
-	if s := TableShadows(tbl); len(s) != 0 {
+	if s := AnalyzeTable(tbl).Shadows; len(s) != 0 {
 		t.Errorf("priority ties reported: %v", s)
 	}
 
@@ -231,14 +231,14 @@ func TestTableShadows(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a0a0000, PrefixLen: 16}}, Action: "a"},
 		},
 	}
-	if s := TableShadows(lpm); len(s) != 0 {
+	if s := AnalyzeTable(lpm).Shadows; len(s) != 0 {
 		t.Errorf("nested LPM prefixes are both live: %v", s)
 	}
 	// ... but two entries with the same prefix length and masked key dedup.
 	lpm.Entries = append(lpm.Entries, p4ir.Entry{
 		Match: []p4ir.MatchValue{{Value: 0x0a000001, PrefixLen: 8}}, Action: "a",
 	})
-	s := TableShadows(lpm)
+	s := AnalyzeTable(lpm).Shadows
 	if len(s) != 1 || s[0].Entry != 2 || s[0].By != 0 || !s[0].Duplicate {
 		t.Errorf("same-prefix duplicate not caught: %v", s)
 	}

@@ -75,6 +75,9 @@ func TestDenseMatchesReference(t *testing.T) {
 					continue // the search drops candidates that fail to apply
 				}
 				checkAgainstReference(t, cands[i].String(), rw.Program)
+				if d := absint.DiffCachedAgainstReference(prog, rw.Program, 8); d != "" {
+					t.Fatalf("%s, compiled against the original's cache: %s", cands[i], d)
+				}
 			}
 		})
 	}
@@ -101,4 +104,7 @@ func TestDenseMatchesReferenceLargeProgram(t *testing.T) {
 		t.Fatal("search found no plan for the benchmark program")
 	}
 	checkAgainstReference(t, "optimized", rw.Program)
+	if d := absint.DiffCachedAgainstReference(prog, rw.Program, 8); d != "" {
+		t.Fatalf("optimized, compiled against the original's cache: %s", d)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -443,9 +444,21 @@ func refEvalBase(st refState, arg string) Value {
 // over its first maxConds conditionals — and returns the first
 // disagreement, or "" when they agree on every node result, truncation,
 // feasibility and drop flag, and on the egress value of every field either
-// side tracks.
+// side tracks. The classes run as the class tree (ExecClasses), once over
+// the conditionals in topological order and once reversed, the order a
+// rewrite that swapped them presents.
 func diffAgainstReference(prog *p4ir.Program, maxConds int) string {
-	an, ref := NewAnalyzer(prog), newRefAnalyzer(prog)
+	return diffCompiled(NewAnalyzer(prog), prog, maxConds)
+}
+
+// diffCachedAgainstReference is diffAgainstReference for prog compiled
+// against orig's Cache, as the semantic checker compiles a rewrite of orig.
+func diffCachedAgainstReference(orig, prog *p4ir.Program, maxConds int) string {
+	return diffCompiled(NewCache(orig).Analyzer(prog), prog, maxConds)
+}
+
+func diffCompiled(an *Analyzer, prog *p4ir.Program, maxConds int) string {
+	ref := newRefAnalyzer(prog)
 	res, err := an.Analyze()
 	want, wantErr := ref.Analyze()
 	if (err != nil) != (wantErr != nil) {
@@ -473,6 +486,10 @@ func diffAgainstReference(prog *p4ir.Program, maxConds int) string {
 		if d := diffState(g.In, w.In); d != "" {
 			return fmt.Sprintf("node %q in-state: %s", name, d)
 		}
+		if t := prog.Tables[name]; t != nil && g.Reachable && !isPassCache(t) &&
+			!reflect.DeepEqual(g.Shadows, AnalyzeTable(t).Shadows) {
+			return fmt.Sprintf("node %q: shadows %v, AnalyzeTable %v", name, g.Shadows, AnalyzeTable(t).Shadows)
+		}
 	}
 	if !reflect.DeepEqual(res.Truncations, want.Truncations) {
 		return fmt.Sprintf("truncations: dense %+v, reference %+v", res.Truncations, want.Truncations)
@@ -482,24 +499,47 @@ func diffAgainstReference(prog *p4ir.Program, maxConds int) string {
 	if len(conds) > maxConds {
 		conds = conds[:maxConds]
 	}
-	for bits := 0; bits < 1<<len(conds); bits++ {
-		forced := make(map[string]bool, len(conds))
+	return diffClasses(an, ref, conds)
+}
+
+// diffClasses compares every class over conds — the class tree over conds
+// and over them reversed — against the reference's run of that class.
+func diffClasses(an *Analyzer, ref *refAnalyzer, conds []string) string {
+	tree, err := an.ExecClasses(conds)
+	if err != nil {
+		return fmt.Sprintf("class tree: %v", err)
+	}
+	reversed := slices.Clone(conds)
+	slices.Reverse(reversed)
+	treeRev, err := an.ExecClasses(reversed)
+	if err != nil {
+		return fmt.Sprintf("reversed class tree: %v", err)
+	}
+	n := len(conds)
+	for bits := 0; bits < 1<<n; bits++ {
+		forced := make(map[string]bool, n)
+		rev := 0
 		for i, c := range conds {
 			forced[c] = bits>>i&1 == 1
-		}
-		got, err := an.Exec(forced)
-		if err != nil {
-			return fmt.Sprintf("class %b: %v", bits, err)
+			rev |= bits >> i & 1 << (n - 1 - i)
 		}
 		want, err := ref.Exec(forced)
 		if err != nil {
 			return fmt.Sprintf("class %b: reference: %v", bits, err)
 		}
-		if d := diffOutcome(got, want); d != "" {
-			return fmt.Sprintf("class %b: %s", bits, d)
+		if d := diffOutcome(tree[bits], want); d != "" {
+			return fmt.Sprintf("class %b of the tree: %s", bits, d)
+		}
+		if d := diffOutcome(treeRev[rev], want); d != "" {
+			return fmt.Sprintf("class %b of the reversed tree: %s", bits, d)
 		}
 	}
 	return ""
+}
+
+func isPassCache(t *p4ir.Table) bool {
+	spec, ok := t.CacheMeta()
+	return ok && !spec.Prepopulated
 }
 
 func diffOutcome(got ClassOutcome, want refClassOutcome) string {
@@ -532,7 +572,8 @@ func diffState(got *State, want refState) string {
 // FuzzDenseMatchesReference holds the dense interpreter to the map-based
 // reference on what the synthesized corpus of TestDenseMatchesReference
 // never contains: fuzzer-mangled programs with unknown fields, malformed
-// primitives, dangling action data and cache annotations.
+// primitives, dangling action data and cache annotations — compiled alone
+// and against a Cache of themselves, whose every body is a hit.
 func FuzzDenseMatchesReference(f *testing.F) {
 	f.Add([]byte(`{"name":"y","init_table":"c","tables":[{"name":"t","key":[{"target":"tcp.dport","match_type":"ternary","width":16}],"actions":[{"name":"m","primitives":[{"op":"add","parameters":["meta.n","meta.n","$0"]},{"op":"modify_field","parameters":["bogus","$7"]}]}],"entries":[{"priority":2,"match_key":[{"value":80,"mask":65520}],"action_name":"m","action_data":["5"]}]}],"conditionals":[{"name":"c","expression":"ipv4.proto == 6","true_next":"t","false_next":"","read_fields":["ipv4.proto"]}]}`))
 	f.Add([]byte(`{}`))
@@ -543,6 +584,9 @@ func FuzzDenseMatchesReference(f *testing.F) {
 		}
 		if d := diffAgainstReference(prog, 4); d != "" {
 			t.Fatal(d)
+		}
+		if d := diffCachedAgainstReference(prog, prog, 4); d != "" {
+			t.Fatalf("compiled against its own cache: %s", d)
 		}
 	})
 }

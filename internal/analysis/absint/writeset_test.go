@@ -17,14 +17,14 @@ import (
 // the same set, over the same corpus.
 func TestCompiledWritesAreWriteSet(t *testing.T) {
 	for name, prog := range writeSetCorpus(t) {
-		p := compile(prog)
+		p := compile(prog, nil, false)
 		if p.err != nil {
 			t.Fatalf("%s: %v", name, p.err)
 		}
 		for _, tbl := range prog.Tables {
 			for _, a := range tbl.Actions {
 				var got []string
-				for _, s := range p.compileAction(a, p.egress).writes {
+				for _, s := range p.compileAction(a).writes {
 					got = append(got, p.fields.names[s])
 				}
 				want := slices.Clone(a.WriteSet())

@@ -28,6 +28,7 @@ const (
 	CodeSemDrop     = "SE002" // drop behaviour differs in some path class
 	CodeSemEgress   = "SE003" // an observable egress field range differs
 	CodeSemPathLost = "SE004" // path-class feasibility differs
+	CodeSemCoarse   = "SE005" // info: the path-class partition was coarsened (Verifier.Prove)
 )
 
 // LintDeep runs the symbolic lint tier over prog: the abstract
@@ -37,10 +38,16 @@ const (
 // Programs with structural errors (or shapes absint rejects) yield no
 // deep diagnostics; the structural tier already reports those.
 func LintDeep(prog *p4ir.Program) diag.List {
+	return lintDeep(prog, nil)
+}
+
+// lintDeep is LintDeep compiling prog against tables, the compiled tables
+// of the program prog rewrites (nil: none).
+func lintDeep(prog *p4ir.Program, tables *absint.Cache) diag.List {
 	if sd := prog.StructuralDiagnostics(); sd.HasErrors() {
 		return nil
 	}
-	res, err := absint.Analyze(prog)
+	res, err := tables.Analyzer(prog).Analyze()
 	if err != nil {
 		return nil
 	}
@@ -69,7 +76,7 @@ func LintDeep(prog *p4ir.Program) diag.List {
 		}
 		// Dedup losers and dominated entries (static shadow analysis).
 		shadowed := map[int]bool{}
-		for _, s := range absint.TableShadows(t) {
+		for _, s := range nr.Shadows {
 			shadowed[s.Entry] = true
 			if s.Duplicate {
 				l.Add(CodeAlwaysMissEntry, diag.Warn, name, "",
@@ -132,23 +139,23 @@ const (
 
 // SemanticChecker amortizes differential semantic verification over many
 // candidate rewrites of one original program, the way RewriteChecker
-// does for dependency ordering. Construction enumerates the original's
-// path classes and abstractly executes each once; Verify then only
-// executes the candidate. It remembers no verdicts — Verifier, which
-// composes it with the other proof tiers, does. The original must not
-// change while the checker is in use; after an entry update, build a new
-// one. Safe for concurrent use once built.
+// does for dependency ordering. Construction compiles the original's
+// tables once (absint.Cache) and abstractly executes its path classes, all
+// of them in one class tree; Verify then compiles only the tables a
+// candidate generated or changed and runs the candidate's class tree. It
+// remembers no verdicts — Verifier, which composes it with the other proof
+// tiers, does. A table body is reused only for a table whose contents
+// equal, when the candidate is compiled, those it was compiled from, so an
+// entry edited in place is never read stale; the outcomes of the
+// original's classes are, so after an entry update build a new checker.
+// Safe for concurrent use once built.
 type SemanticChecker struct {
 	origBroken bool
 	conds      []string
 	condsTotal int
-	classes    []semClass
+	outcomes   []absint.ClassOutcome // per class, indexed by its bits over conds
 	origFields []string
-}
-
-type semClass struct {
-	forced  map[string]bool
-	outcome absint.ClassOutcome
+	tables     *absint.Cache
 }
 
 // NewSemanticChecker precomputes the original program's per-path-class
@@ -174,19 +181,13 @@ func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
 	}
 	sc.conds = conds[:n]
 	sc.origFields = writtenFields(orig)
-	an := absint.NewAnalyzer(orig)
-	for bits := 0; bits < 1<<n; bits++ {
-		forced := make(map[string]bool, n)
-		for i, c := range sc.conds {
-			forced[c] = bits>>i&1 == 1
-		}
-		out, err := an.Exec(forced)
-		if err != nil {
-			sc.origBroken = true
-			return sc
-		}
-		sc.classes = append(sc.classes, semClass{forced: forced, outcome: out})
+	sc.tables = absint.NewCache(orig)
+	outs, err := sc.tables.Original().ExecClasses(sc.conds)
+	if err != nil {
+		sc.origBroken = true
+		return sc
 	}
+	sc.outcomes = outs
 	return sc
 }
 
@@ -211,34 +212,33 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 		return l
 	}
 	fields := writtenFields(opt, sc.origFields...)
-	an := absint.NewAnalyzer(opt)
-	for ci := range sc.classes {
-		cl := &sc.classes[ci]
-		out, err := an.Exec(cl.forced)
-		if err != nil {
-			l.Add(CodeSemInput, diag.Error, "", "",
-				"optimized program is not analyzable: %v", err)
-			return l
-		}
-		if out.Feasible != cl.outcome.Feasible {
+	outs, err := sc.tables.Analyzer(opt).ExecClasses(sc.conds)
+	if err != nil {
+		l.Add(CodeSemInput, diag.Error, "", "",
+			"optimized program is not analyzable: %v", err)
+		return l
+	}
+	for bits, orig := range sc.outcomes {
+		out := outs[bits]
+		if out.Feasible != orig.Feasible {
 			l.Add(CodeSemPathLost, diag.Error, "", "",
 				"path class %s: feasibility changed (orig %v, optimized %v)",
-				classLabel(sc.conds, cl.forced), cl.outcome.Feasible, out.Feasible)
+				classLabel(sc.conds, bits), orig.Feasible, out.Feasible)
 			continue
 		}
 		if !out.Feasible {
 			continue
 		}
-		if out.MayDrop != cl.outcome.MayDrop || out.MustDrop != cl.outcome.MustDrop {
+		if out.MayDrop != orig.MayDrop || out.MustDrop != orig.MustDrop {
 			l.Add(CodeSemDrop, diag.Error, "", "",
 				"path class %s: drop behaviour differs (orig may=%v must=%v, optimized may=%v must=%v)",
-				classLabel(sc.conds, cl.forced),
-				cl.outcome.MayDrop, cl.outcome.MustDrop, out.MayDrop, out.MustDrop)
+				classLabel(sc.conds, bits),
+				orig.MayDrop, orig.MustDrop, out.MayDrop, out.MustDrop)
 		}
-		a, b := cl.outcome.Egress, out.Egress
+		a, b := orig.Egress, out.Egress
 		if (a == nil) != (b == nil) {
 			l.Add(CodeSemEgress, diag.Error, "", "",
-				"path class %s: one program never egresses", classLabel(sc.conds, cl.forced))
+				"path class %s: one program never egresses", classLabel(sc.conds, bits))
 			continue
 		}
 		if a == nil {
@@ -248,7 +248,7 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 			if va, vb := a.Get(f), b.Get(f); !va.Eq(vb) {
 				l.Add(CodeSemEgress, diag.Error, "", f,
 					"path class %s: egress range of %s differs (orig [%d,%d] mask %#x/%#x, optimized [%d,%d] mask %#x/%#x)",
-					classLabel(sc.conds, cl.forced), f,
+					classLabel(sc.conds, bits), f,
 					va.Lo, va.Hi, va.KnownMask, va.KnownVal,
 					vb.Lo, vb.Hi, vb.KnownMask, vb.KnownVal)
 			}
@@ -274,7 +274,9 @@ func VerifySemantics(orig, opt *p4ir.Program) diag.List {
 	return NewSemanticChecker(orig).Verify(opt)
 }
 
-func classLabel(conds []string, forced map[string]bool) string {
+// classLabel names class bits over conds: each conditional, negated where
+// the class takes its false arm.
+func classLabel(conds []string, bits int) string {
 	if len(conds) == 0 {
 		return "⊤"
 	}
@@ -283,7 +285,7 @@ func classLabel(conds []string, forced map[string]bool) string {
 		if i > 0 {
 			s += " "
 		}
-		if forced[c] {
+		if bits>>i&1 == 1 {
 			s += c
 		} else {
 			s += "!" + c

@@ -75,7 +75,7 @@ func (g *Gate) check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
 		}
 	}
 	if g.v.IsDeep() {
-		diags = append(diags, LintDeep(cand)...)
+		diags = append(diags, g.v.lintDeep(cand)...)
 	}
 	diags.Sort()
 	return Verdict{Diags: diags}

@@ -102,7 +102,16 @@ func (v *Verifier) Prove(cand *p4ir.Program, digest p4ir.Digest) diag.List {
 	if l, ok := v.verdicts.Get(key); ok {
 		return l
 	}
-	l := v.prove(sc, cand, nil)
+	l, semantic := v.prove(sc, cand, nil)
+	if semantic {
+		// How strong the proof was, whatever its verdict: a refusal under
+		// a coarsened partition may be the coarsening's.
+		if forced, total := sc.Strength(); forced < total {
+			l.Add(CodeSemCoarse, diag.Info, "", "",
+				"path classes fork on %d of %d conditionals; the other %d contribute both arms to every class",
+				forced, total, total-forced)
+		}
+	}
 	v.verdicts.Put(key, l)
 	return l
 }
@@ -114,16 +123,28 @@ func (v *Verifier) Prove(cand *p4ir.Program, digest p4ir.Digest) diag.List {
 // name than the scratch program's digest.
 func (v *Verifier) ProveTouched(scratch *p4ir.Program, touched map[string]bool) diag.List {
 	sc, _ := v.current()
-	return v.prove(sc, scratch, touched)
+	l, _ := v.prove(sc, scratch, touched)
+	return l
 }
 
 // prove runs the tiers once; a nil touched checks every dependency edge.
-func (v *Verifier) prove(sc *SemanticChecker, cand *p4ir.Program, touched map[string]bool) diag.List {
-	l := v.rc.verify(cand, touched) // structure, then dependency ordering
-	if sc != nil && !l.HasErrors() {
-		l = append(l, sc.Verify(cand)...)
+// semantic reports that the semantic tier ran.
+func (v *Verifier) prove(sc *SemanticChecker, cand *p4ir.Program, touched map[string]bool) (l diag.List, semantic bool) {
+	l = v.rc.verify(cand, touched) // structure, then dependency ordering
+	if sc == nil || l.HasErrors() {
+		return l, false
 	}
-	return l
+	return append(l, sc.Verify(cand)...), true
+}
+
+// lintDeep is LintDeep(cand) reading the original's compiled tables, which
+// the semantic checker of the current entries holds.
+func (v *Verifier) lintDeep(cand *p4ir.Program) diag.List {
+	sc, _ := v.current()
+	if sc == nil {
+		return LintDeep(cand)
+	}
+	return lintDeep(cand, sc.tables)
 }
 
 // MemoStats returns how many Prove calls were answered from the memo and

@@ -8,6 +8,7 @@ import (
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/diag"
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/synth"
 )
 
 // codesWith returns the diagnostics of l whose code starts with prefix,
@@ -264,5 +265,48 @@ func TestGateTiers(t *testing.T) {
 	g.EntriesChanged()
 	if g.verdicts.Len() != 0 || v.Epoch() != epoch+1 {
 		t.Errorf("after EntriesChanged: %d verdicts, verifier epoch %d -> %d", g.verdicts.Len(), epoch, v.Epoch())
+	}
+}
+
+// Prove states the proof's strength when the class bounds coarsened it: one
+// SE005 info naming the forced and total conditionals, on a program with
+// 13 reachable conditionals (semMaxConds is 12, and semClassBudget forces
+// fewer still on its 68 nodes). The verdict itself is not refused.
+func TestProveReportsCoarsenedPartition(t *testing.T) {
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 1.5, Category: synth.Mixed, Seed: 3, EntriesPerTable: 4, DiamondOnly: true})
+	v := NewVerifier(orig, true)
+	forced, total := v.Strength()
+	if total <= semMaxConds || forced >= total {
+		t.Fatalf("strength %d of %d: the program must have more than %d conditionals and a coarsened partition", forced, total, semMaxConds)
+	}
+	cand := orig.Clone()
+	l := v.Prove(cand, cand.Digest())
+	if l.HasErrors() {
+		t.Fatalf("the original's clone is refused: %v", l)
+	}
+	se := l.ByCode(CodeSemCoarse)
+	if len(se) != 1 || se[0].Severity != diag.Info {
+		t.Fatalf("want one SE005 info, got %v", l)
+	}
+	if want := fmt.Sprintf("fork on %d of %d conditionals", forced, total); !strings.Contains(se[0].Message, want) {
+		t.Errorf("SE005 %q does not say %q", se[0].Message, want)
+	}
+	// A shallow verifier has no semantic tier to coarsen.
+	if l := NewVerifier(orig, false).Prove(cand, cand.Digest()); len(l.ByCode(CodeSemCoarse)) != 0 {
+		t.Errorf("shallow Prove reports %v", l)
+	}
+}
+
+// The synth-proof program forks on all five of its conditionals: its
+// proofs carry no SE005.
+func TestSynthProofProofIsFull(t *testing.T) {
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 20, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	v := NewVerifier(orig, true)
+	if forced, total := v.Strength(); forced != 5 || total != 5 {
+		t.Fatalf("strength %d of %d, want 5 of 5", forced, total)
+	}
+	cand := orig.Clone()
+	if l := v.Prove(cand, cand.Digest()); len(l) != 0 {
+		t.Errorf("Prove of the original's clone: %v", l)
 	}
 }

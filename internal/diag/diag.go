@@ -13,7 +13,7 @@ import (
 )
 
 // Severity classifies a diagnostic. Errors block deployment; warnings are
-// surfaced but do not gate.
+// surfaced but do not gate; infos report how a check was made.
 type Severity int
 
 const (
@@ -21,27 +21,34 @@ const (
 	Warn Severity = iota
 	// Error flags programs that must not be deployed.
 	Error
+	// Info states a fact about the check itself, such as its strength.
+	Info
 )
 
-// String returns "warn" or "error".
+// String returns "warn", "error" or "info".
 func (s Severity) String() string {
-	if s == Error {
+	switch s {
+	case Error:
 		return "error"
+	case Info:
+		return "info"
 	}
 	return "warn"
 }
 
-// MarshalText encodes the severity as "warn"/"error" for JSON transport
-// (the control plane ships diagnostics to remote clients).
+// MarshalText encodes the severity as "warn"/"error"/"info" for JSON
+// transport (the control plane ships diagnostics to remote clients).
 func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// UnmarshalText decodes "warn"/"error".
+// UnmarshalText decodes "warn"/"error"/"info".
 func (s *Severity) UnmarshalText(b []byte) error {
 	switch string(b) {
 	case "warn":
 		*s = Warn
 	case "error":
 		*s = Error
+	case "info":
+		*s = Info
 	default:
 		return fmt.Errorf("diag: unknown severity %q", b)
 	}

@@ -551,14 +551,17 @@ func recordsByKeys(m *traceMemo) (written, input int) {
 }
 
 // TestMeasureMemoBounded measures traffic that keeps the memo admitting
-// and dropping records, with entry operations handing it on a hundred
-// times: always-new flows with a new collector window every hundred calls
+// and dropping records, with entry operations handing it on twice every
+// handOff calls: always-new flows with a new collector window every hundred calls
 // or every call (each replay then renews its record), and four mixes of
 // 1 500 flows taking turns every second call with a window per call, more
 // flows than a memo holds. The live heap must stay flat (a slope under 64
 // bytes a call, where a record kept per flow is hundreds) and the memo
-// inside its cap.
+// inside its cap. The hand-off period is fixed, not a share of the calls:
+// the memo needs that many calls of new flows to fill, so the run thinned
+// to 1 000 calls under -race or -short fills and empties it as well.
 func TestMeasureMemoBounded(t *testing.T) {
+	const handOff = 200
 	calls := 10_000
 	if testing.Short() || raceEnabled {
 		calls = 1_000
@@ -630,7 +633,7 @@ func TestMeasureMemoBounded(t *testing.T) {
 				t.Fatalf("%s, call %d: memo past its cap: %d arena words, %d record and %d trace slots, %d door words",
 					tc.name, i, cap(m.arena), len(m.records.slots), len(m.trace.slots), len(m.door))
 			}
-			if i%(calls/50) == calls/50-1 { // one entry in and out: two hand-offs
+			if i%handOff == handOff-1 { // one entry in and out: two hand-offs
 				e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i) & plan.Tables[table].Keys[0].FullMask()}}, Action: plan.Tables[table].Actions[0].Name}
 				if err := nic.InsertEntry(table, e); err != nil {
 					t.Fatal(err)

@@ -211,7 +211,7 @@ func (ev *Evaluator) baseline() float64 {
 }
 
 // rank computes every pipelet's weighted cost L(G')·P(G') (§4.1.2) and
-// returns them sorted descending — pipelet.RankByCost over the view.
+// returns them sorted descending — the weighted-cost ranking, over the view.
 func (ev *Evaluator) rank(part *pipelet.Partition) []pipelet.Cost {
 	costs := make([]pipelet.Cost, 0, len(part.Pipelets))
 	for _, p := range part.Pipelets {

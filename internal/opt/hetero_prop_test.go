@@ -99,7 +99,7 @@ func edgeShare(prog *p4ir.Program, prof *profile.Profile, from, to string) float
 	if t, c := prog.Node(from); t != nil {
 		if !t.IsSwitchCase() {
 			if t.BaseNext == to {
-				return 1 - prof.DropProb(t)
+				return 1 - dropProb(prof, t)
 			}
 			return 0
 		}
@@ -343,4 +343,16 @@ func TestTwoTierPlacementMatchesLegacyPlanner(t *testing.T) {
 	if planned < 10 {
 		t.Errorf("only %d/%d seeds produced a non-empty copy plan; corpus too easy", planned, seeds)
 	}
+}
+
+// dropProb is the fraction of t's traffic that runs a dropping action.
+func dropProb(prof *profile.Profile, t *p4ir.Table) float64 {
+	probs := prof.ActionProb(t)
+	var drop float64
+	for _, a := range t.Actions {
+		if a.Drops() {
+			drop += probs[a.Name]
+		}
+	}
+	return drop
 }

@@ -143,6 +143,20 @@ func (w *binWriter) program(p *Program) {
 
 func (w *binWriter) table(t *Table) {
 	w.str(t.Name)
+	w.lookup(t)
+	w.str(t.BaseNext)
+	w.strMap(t.ActionNext)
+	w.num(t.MaxEntries)
+	w.flag(t.Unsupported)
+	w.num(t.MinTier)
+	w.flag(t.Sticky)
+	w.strMap(t.Annotations)
+	w.entries(t)
+}
+
+// lookup writes the keys, the actions and the default action: with the
+// entries, everything a table's lookup and actions read.
+func (w *binWriter) lookup(t *Table) {
 	w.num(len(t.Keys))
 	for _, k := range t.Keys {
 		w.str(k.Field)
@@ -159,13 +173,9 @@ func (w *binWriter) table(t *Table) {
 		}
 	}
 	w.str(t.DefaultAction)
-	w.str(t.BaseNext)
-	w.strMap(t.ActionNext)
-	w.num(t.MaxEntries)
-	w.flag(t.Unsupported)
-	w.num(t.MinTier)
-	w.flag(t.Sticky)
-	w.strMap(t.Annotations)
+}
+
+func (w *binWriter) entries(t *Table) {
 	w.num(len(t.Entries))
 	for i := range t.Entries {
 		e := &t.Entries[i]

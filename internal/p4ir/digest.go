@@ -37,3 +37,33 @@ func (p *Program) Digest() Digest {
 	w.h.Sum(d[:0])
 	return d
 }
+
+// BodyHasher computes body digests, which identify what a table matches
+// and does: the SHA-256 of its keys, actions, default action and entries,
+// written as the program walk writes them. The name, successors, size,
+// placement and annotations are left out, so two tables with equal body
+// digests look up and act alike wherever they sit. Like Digest, a body
+// digest is computed from the current contents on every call, so an entry
+// edited in place changes it. One hasher digests table after table with
+// one hash state and buffer; the zero value is ready to use. Not safe for
+// concurrent use.
+type BodyHasher struct {
+	w      binWriter
+	window [1024]byte
+}
+
+// Digest returns t's body digest.
+func (h *BodyHasher) Digest(t *Table) Digest {
+	if h.w.h == nil {
+		h.w.h = sha256.New()
+	} else {
+		h.w.h.Reset()
+	}
+	h.w.buf = h.window[:0]
+	h.w.lookup(t)
+	h.w.entries(t)
+	h.w.flush()
+	var d Digest
+	h.w.h.Sum(d[:0])
+	return d
+}

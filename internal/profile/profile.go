@@ -105,12 +105,9 @@ func (p *Profile) BranchProb(cond string) float64 {
 	return float64(c[0]) / float64(total)
 }
 
-// DropProb returns the fraction of the table's traffic that executes a
-// dropping action — the "packet dropping rate" that drives table
-// reordering (§3.2.1).
-func (p *Profile) DropProb(t *p4ir.Table) float64 { return dropProb(t, p.ActionProb(t)) }
-
-// dropProb sums the probabilities of t's dropping actions.
+// dropProb sums the probabilities of t's dropping actions: the fraction of
+// the table's traffic that drops, the "packet dropping rate" that drives
+// table reordering (§3.2.1).
 func dropProb(t *p4ir.Table, probs map[string]float64) float64 {
 	var drop float64
 	for _, a := range t.Actions {

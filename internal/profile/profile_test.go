@@ -49,9 +49,21 @@ func TestActionProbAndDropProb(t *testing.T) {
 	if math.Abs(probs["drop_packet"]-0.3) > 1e-9 {
 		t.Errorf("P(drop) = %v, want 0.3", probs["drop_packet"])
 	}
-	if math.Abs(p.DropProb(prog.Tables["acl"])-0.3) > 1e-9 {
-		t.Errorf("DropProb = %v, want 0.3", p.DropProb(prog.Tables["acl"]))
+	if math.Abs(dropProb(p, prog.Tables["acl"])-0.3) > 1e-9 {
+		t.Errorf("drop share = %v, want 0.3", dropProb(p, prog.Tables["acl"]))
 	}
+}
+
+// dropProb is the fraction of t's traffic that runs a dropping action.
+func dropProb(prof *profile.Profile, t *p4ir.Table) float64 {
+	probs := prof.ActionProb(t)
+	var drop float64
+	for _, a := range t.Actions {
+		if a.Drops() {
+			drop += probs[a.Name]
+		}
+	}
+	return drop
 }
 
 func TestActionProbUniformFallback(t *testing.T) {
