@@ -131,8 +131,10 @@ traces:
 # bulk RPC in controlplane and the measure RPC's packet codec alone (its
 # encode and decode rows archived at 0 allocs/op, so benchcheck fails on
 # any allocation there), one live reconfiguration in nicsim, the deploy
-# gate's lint and rewrite proof in analysis, all on the 110-table synth
-# program — and are archived in BENCH_control.json.
+# gate's lint and rewrite proof in analysis, and the set-up rows (a
+# runtime's construction in core, the rewrite checker's in analysis, the
+# synthesizer's program), all on the 110-table synth program — and are
+# archived in BENCH_control.json.
 EMUBENCH = BenchmarkEmulatorProcess$$|BenchmarkEmulatorProcessBurst$$|BenchmarkEmulatorProcessInstrumented$$|BenchmarkMeasure$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchDrift$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkHeteroEstimate$$
 EMUPKGS = . ./internal/opt
 PROOFBENCH = BenchmarkAnalyzerExecClasses$$|BenchmarkSemanticCheckerNew$$|BenchmarkSemanticVerify$$|BenchmarkLintDeep$$|BenchmarkProveTouched$$
@@ -140,8 +142,8 @@ PROOFPKGS = ./internal/analysis/... ./internal/opt
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$|BenchmarkMeasureSynth110Instrumented$$|BenchmarkMeasureDash$$|BenchmarkMeasureDashCached$$
-CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkPacketBatch$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$
-CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis
+CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkNewRuntime$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkPacketBatch$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$|BenchmarkRewriteCheckerNew$$|BenchmarkSynthProgram$$
+CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis ./internal/synth
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 	$(GO) test -run '^$$' -bench '$(PROOFBENCH)' -benchmem $(PROOFPKGS) \

@@ -73,7 +73,7 @@ func (v Value) Eq(o Value) bool { return v == o }
 // known and equal in both operands. Join is commutative and associative,
 // so terminal-state joins are independent of path enumeration order.
 func (v Value) Join(o Value) Value {
-	out := Value{Lo: minU64(v.Lo, o.Lo), Hi: maxU64(v.Hi, o.Hi)}
+	out := Value{Lo: min(v.Lo, o.Lo), Hi: max(v.Hi, o.Hi)}
 	out.KnownMask = v.KnownMask & o.KnownMask &^ (v.KnownVal ^ o.KnownVal)
 	out.KnownVal = v.KnownVal & out.KnownMask
 	return out
@@ -86,8 +86,8 @@ func (v Value) Meet(o Value) (Value, bool) {
 		return Value{}, false
 	}
 	out := Value{
-		Lo:        maxU64(v.Lo, o.Lo),
-		Hi:        minU64(v.Hi, o.Hi),
+		Lo:        max(v.Lo, o.Lo),
+		Hi:        min(v.Hi, o.Hi),
 		KnownMask: v.KnownMask | o.KnownMask,
 		KnownVal:  v.KnownVal | o.KnownVal,
 	}
@@ -98,8 +98,8 @@ func (v Value) Meet(o Value) (Value, bool) {
 // non-emptiness: the smallest representable value fills unknown bits with
 // zeros, the largest with ones.
 func (v Value) normalize() (Value, bool) {
-	lo := maxU64(v.Lo, v.KnownVal)
-	hi := minU64(v.Hi, v.KnownVal|^v.KnownMask)
+	lo := max(v.Lo, v.KnownVal)
+	hi := min(v.Hi, v.KnownVal|^v.KnownMask)
 	if lo > hi {
 		return Value{}, false
 	}
@@ -175,15 +175,10 @@ func maskMonotone(mask uint64, w int) bool {
 	return bits.Len64(mask) == w
 }
 
-// MayMatch reports whether some represented value x can satisfy
-// x&mask == val, for a key of width w (v must already be truncated to w).
-// mask==0 is a full wildcard. The result over-approximates: false means
-// provably no match.
-func (v Value) MayMatch(mask, val uint64, w int) bool {
-	return v.mayMatch(mask, val, maskMonotone(mask, w))
-}
-
-// mayMatch is MayMatch with maskMonotone(mask, w) precomputed.
+// mayMatch reports whether some represented value x can satisfy
+// x&mask == val, for a key of width w (v must already be truncated to w)
+// whose mask is monotone as maskMonotone(mask, w) says. mask==0 is a full
+// wildcard. The result over-approximates: false means provably no match.
 func (v Value) mayMatch(mask, val uint64, monotone bool) bool {
 	if mask == 0 {
 		return true
@@ -199,14 +194,9 @@ func (v Value) mayMatch(mask, val uint64, monotone bool) bool {
 	return true
 }
 
-// MustMatch reports whether every represented value x satisfies
-// x&mask == val. The result under-approximates: true means provably
-// always a match.
-func (v Value) MustMatch(mask, val uint64, w int) bool {
-	return v.mustMatch(mask, val, maskMonotone(mask, w))
-}
-
-// mustMatch is MustMatch with maskMonotone(mask, w) precomputed.
+// mustMatch reports whether every represented value x satisfies
+// x&mask == val, monotone as for mayMatch. The result under-approximates:
+// true means provably always a match.
 func (v Value) mustMatch(mask, val uint64, monotone bool) bool {
 	if mask == 0 {
 		return true
@@ -219,18 +209,4 @@ func (v Value) mustMatch(mask, val uint64, monotone bool) bool {
 		return v.Lo&mask == val && v.Hi&mask == val
 	}
 	return false
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,3 +10,13 @@ var DiffCachedAgainstReference = diffCachedAgainstReference
 
 // BenchProgram is the 54-table program of the micro-benchmarks.
 var BenchProgram = benchProgram
+
+// MayMatch is mayMatch for a key of width w.
+func (v Value) MayMatch(mask, val uint64, w int) bool {
+	return v.mayMatch(mask, val, maskMonotone(mask, w))
+}
+
+// MustMatch is mustMatch for a key of width w.
+func (v Value) MustMatch(mask, val uint64, w int) bool {
+	return v.mustMatch(mask, val, maskMonotone(mask, w))
+}

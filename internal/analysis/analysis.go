@@ -91,9 +91,9 @@ func Lint(prog *p4ir.Program, opts ...Option) diag.List {
 
 // graph bundles the derived views every rule needs: the program's index
 // (reachability, topological order), the strict-precedence closure, and
-// per-table dataflow effects. The closure is a bitset row per node: sets
-// of names cost a gate's first sight of a layout one map insert per
-// ordered pair of nodes.
+// per-node dataflow effects by the index's IDs. The closure is a bitset row
+// per node: sets of names cost a gate's first sight of a layout one map
+// insert per ordered pair of nodes.
 type graph struct {
 	prog *p4ir.Program
 	an   *deps.Analyzer
@@ -105,7 +105,8 @@ type graph struct {
 }
 
 func newGraph(prog *p4ir.Program) *graph {
-	g := &graph{prog: prog, an: deps.NewAnalyzer(prog), ix: p4ir.NewIndex(prog)}
+	g := &graph{prog: prog, ix: p4ir.NewIndex(prog)}
+	g.an = deps.New(g.ix)
 	if g.ix.Err() != nil {
 		return g
 	}
@@ -147,27 +148,9 @@ func (g *graph) before(u, v string) bool {
 // has is before by ID; false when either node is unreachable.
 func (g *graph) has(i, j int32) bool { return g.desc[int(i)*g.words+int(j>>6)]&(1<<(j&63)) != 0 }
 
-// reads returns the full read set of a node (tables: keys + action
-// operands; conditionals: expression read fields).
-func (g *graph) reads(name string) deps.FieldSet {
-	if _, ok := g.prog.Tables[name]; ok {
-		return g.an.Effects(name).Reads
-	}
-	if c, ok := g.prog.Conds[name]; ok {
-		s := deps.FieldSet{}
-		s.Add(c.ReadFields...)
-		return s
-	}
-	return nil
-}
-
-// writes returns the write set of a node (conditionals never write).
-func (g *graph) writes(name string) deps.FieldSet {
-	if _, ok := g.prog.Tables[name]; ok {
-		return g.an.Effects(name).Writes
-	}
-	return nil
-}
+// effects returns the named node's dataflow effects; the zero value for a
+// name no node has.
+func (g *graph) effects(name string) deps.Effects { return g.an.Effects(g.ix.ID(name)) }
 
 // lintUnreachable flags nodes that no root path visits (PL101, warn):
 // they cost memory and obscure intent but cannot affect packets.
@@ -204,54 +187,56 @@ var knownFields = func() map[string]bool {
 // wrote.
 func lintReadBeforeInit(g *graph) diag.List {
 	var l diag.List
-	// writers lists, per field, the reachable nodes that write it.
-	writers := map[string][]int32{}
+	// writers lists, per field number, the reachable nodes that write it.
+	writers := make([][]int32, g.an.NumFields())
 	for _, u := range g.ix.Topo() {
-		for f := range g.writes(g.ix.Name(u)) {
+		w := g.an.Effects(u).Writes
+		for f := w.Next(0); f >= 0; f = w.Next(f + 1) {
 			writers[f] = append(writers[f], u)
 		}
 	}
-	uninitialized := func(node, field string, local deps.FieldSet) bool {
-		if parserInitialized(field) || knownFields[field] {
+	// local holds the fields the action's earlier primitives wrote (after
+	// a drop too, where the analyzer's effects stop).
+	var local []string
+	uninitialized := func(v int32, field string) bool {
+		if parserInitialized(field) || knownFields[field] || slices.Contains(local, field) {
 			return false
 		}
-		if local != nil && local[field] {
-			return false
-		}
-		v := g.id(node)
-		return !slices.ContainsFunc(writers[field], func(u int32) bool { return g.has(u, v) })
+		f := g.an.FieldNum(field)
+		return f < 0 || !slices.ContainsFunc(writers[f], func(u int32) bool { return g.has(u, v) })
 	}
-	for _, name := range g.ix.Names() {
-		if !g.reachable(name) {
+	for id, name := range g.ix.Names() {
+		v := int32(id)
+		if g.ix.Pos(v) < 0 {
 			continue
 		}
-		if t, ok := g.prog.Tables[name]; ok {
+		if t := g.ix.Table(v); t != nil {
 			for _, k := range t.Keys {
-				if uninitialized(name, k.Field, nil) {
+				if uninitialized(v, k.Field) {
 					l.Add(CodeReadBeforeIni, diag.Warn, name, k.Field,
 						"match key %q is metadata never written before this table", k.Field)
 				}
 			}
 			for _, a := range t.Actions {
-				local := deps.FieldSet{}
 				for _, pr := range a.Primitives {
 					in := pr.Decode()
 					for _, o := range in.Src {
-						if o.Kind == p4ir.OperandField && uninitialized(name, o.Field, local) {
+						if o.Kind == p4ir.OperandField && uninitialized(v, o.Field) {
 							l.Add(CodeReadBeforeIni, diag.Warn, name, o.Field,
 								"action %q reads metadata %q never written before this table", a.Name, o.Field)
 						}
 					}
 					if in.Dst != "" {
-						local[in.Dst] = true
+						local = append(local, in.Dst)
 					}
 				}
+				local = local[:0]
 			}
 			continue
 		}
-		if c, ok := g.prog.Conds[name]; ok {
+		if c := g.ix.Cond(v); c != nil {
 			for _, f := range c.ReadFields {
-				if uninitialized(name, f, nil) {
+				if uninitialized(v, f) {
 					l.Add(CodeReadBeforeIni, diag.Warn, name, f,
 						"branch reads metadata %q never written before this conditional", f)
 				}
@@ -403,21 +388,17 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 	if l.HasErrors() {
 		return l
 	}
-	ct := g.prog.Tables[name]
-	cacheKeys := deps.FieldSet{}
-	for _, k := range ct.Keys {
-		cacheKeys[k.Field] = true
-	}
+	cacheKeys := g.effects(name).KeyReads
 	for _, c := range spec.Covers {
-		eff := g.an.Effects(c)
+		eff := g.effects(c)
 		if eff.SwitchCase {
 			l.Add(CodeUnsoundCache, diag.Error, name, "",
 				"covered table %q is switch-case; a cached verdict cannot reproduce its control flow", c)
 		}
-		for f := range eff.KeyReads {
-			if !cacheKeys[f] {
-				l.Add(CodeUnsoundCache, diag.Error, name, f,
-					"cache key is missing %q, matched by covered table %q", f, c)
+		for f := eff.KeyReads.Next(0); f >= 0; f = eff.KeyReads.Next(f + 1) {
+			if !cacheKeys.Has(f) {
+				l.Add(CodeUnsoundCache, diag.Error, name, g.an.Field(f),
+					"cache key is missing %q, matched by covered table %q", g.an.Field(f), c)
 			}
 		}
 	}
@@ -429,13 +410,13 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 			if u == v || !g.before(u, v) {
 				continue
 			}
-			eu, ev := g.an.Effects(u), g.an.Effects(v)
-			if f := firstCommon(eu.Writes, ev.KeyReads); f != "" {
+			eu, ev := g.effects(u), g.effects(v)
+			if f := g.an.Field(eu.Writes.First(ev.KeyReads)); f != "" {
 				l.Add(CodeUnsoundCache, diag.Error, name, f,
 					"covered table %q writes %q, matched by later covered table %q", u, f, v)
 			}
 			if spec.Prepopulated {
-				if f := firstCommon(eu.Writes, ev.Reads); f != "" {
+				if f := g.an.Field(eu.Writes.First(ev.Reads)); f != "" {
 					l.Add(CodeUnsoundCache, diag.Error, name, f,
 						"merged-cache cover %q writes %q, read by later cover %q", u, f, v)
 				}
@@ -465,23 +446,11 @@ func cacheSpecDiags(g *graph, spec p4ir.CacheSpec) diag.List {
 			if !betweenCover {
 				continue
 			}
-			if f := firstCommon(g.writes(w), cacheKeys); f != "" {
+			if f := g.an.Field(g.an.Effects(wi).Writes.First(cacheKeys)); f != "" {
 				l.Add(CodeUnsoundCache, diag.Error, name, f,
 					"node %q between cache and its covers writes cache-key field %q", w, f)
 			}
 		}
 	}
 	return l
-}
-
-// firstCommon returns the lexicographically first field in both sets, or
-// "" when disjoint — a stable witness for diagnostics.
-func firstCommon(a, b deps.FieldSet) string {
-	var out string
-	for f := range a {
-		if b[f] && (out == "" || f < out) {
-			out = f
-		}
-	}
-	return out
 }

@@ -130,3 +130,15 @@ func controlBenchPrograms(b *testing.B) (orig, optimized *p4ir.Program) {
 	}
 	return orig, rw.Program
 }
+
+// BenchmarkRewriteCheckerNew times what a verifier pays once per original
+// program before its first rewrite proof: the structural gate, the
+// dependency graph and the classified edge list of the 110-table program.
+func BenchmarkRewriteCheckerNew(b *testing.B) {
+	orig := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.NewRewriteChecker(orig)
+	}
+}

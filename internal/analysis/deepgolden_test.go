@@ -15,7 +15,7 @@ import (
 	"pipeleon/internal/synth"
 )
 
-var updateDeepGolden = flag.Bool("update-golden", false, "rewrite testdata/deep_golden.txt from this build")
+var updateDeepGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/ from this build")
 
 const deepGoldenFile = "testdata/deep_golden.txt"
 

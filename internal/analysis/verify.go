@@ -81,11 +81,9 @@ func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
 			if !g.has(u, v) {
 				continue
 			}
-			kind, field := edgeBetween(g, g.ix.Name(u), g.ix.Name(v))
-			if kind == "" {
-				continue
+			if kind, f := g.an.Witness(u, v); kind != deps.DepNone {
+				rc.edges = append(rc.edges, depEdge{u: g.ix.Name(u), v: g.ix.Name(v), kind: kind.String(), field: g.an.Field(f)})
 			}
-			rc.edges = append(rc.edges, depEdge{u: g.ix.Name(u), v: g.ix.Name(v), kind: kind, field: field})
 		}
 	}
 	return rc
@@ -210,24 +208,6 @@ func representation(gO, gN *graph) (diag.List, map[string]string, map[string][]s
 	return l, rep, coverOrder
 }
 
-// edgeBetween classifies the strongest dependency from u to v (RAW > WAW >
-// WAR, matching deps.Dependency) over full node effects — conditionals
-// participate as pure readers — and returns a witness field.
-func edgeBetween(g *graph, u, v string) (kind, field string) {
-	wu, ru := g.writes(u), g.reads(u)
-	wv, rv := g.writes(v), g.reads(v)
-	if f := firstCommon(wu, rv); f != "" {
-		return deps.DepRAW.String(), f
-	}
-	if f := firstCommon(wu, wv); f != "" {
-		return deps.DepWAW.String(), f
-	}
-	if f := firstCommon(ru, wv); f != "" {
-		return deps.DepWAR.String(), f
-	}
-	return "", ""
-}
-
 // verifyTransforms re-proves each declared rewrite's own legality rule
 // (RW004): caches against the caching conditions, merged tables against
 // the merging conditions evaluated on the original program (the members
@@ -291,7 +271,7 @@ func tierDiags(name string, t *p4ir.Table) diag.List {
 func mergeDiags(gO *graph, name string, covers []string) diag.List {
 	var l diag.List
 	for i, u := range covers {
-		eu := gO.an.Effects(u)
+		eu := gO.effects(u)
 		if _, ok := gO.prog.Tables[u]; !ok {
 			continue // RW003 already reported
 		}
@@ -308,7 +288,7 @@ func mergeDiags(gO *graph, name string, covers []string) diag.List {
 			if _, ok := gO.prog.Tables[v]; !ok {
 				continue
 			}
-			if f := firstCommon(eu.Writes, gO.an.Effects(v).Reads); f != "" {
+			if f := gO.an.Field(eu.Writes.First(gO.effects(v).Reads)); f != "" {
 				l.Add(CodeUnsoundXform, diag.Error, name, f,
 					"merged member %q writes %q, read by later member %q", u, f, v)
 			}

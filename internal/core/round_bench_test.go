@@ -160,3 +160,29 @@ func BenchmarkRoundDeployed(b *testing.B) { deployRounds(b, true) }
 // BenchmarkRoundRedeployed: the same, for a layout the loop has been on
 // before — the gate's verdict is remembered.
 func BenchmarkRoundRedeployed(b *testing.B) { deployRounds(b, false) }
+
+// BenchmarkNewRuntime times what a runtime pays before its first round on
+// the 110-table program: the session (partition, evaluator, verifier and
+// its rewrite checker), the gate's check of the original and the first
+// deploy. Each iteration gets a fresh emulator, untimed.
+func BenchmarkNewRuntime(b *testing.B) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
+	cfg := opt.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		col := profile.NewCollector()
+		nic, err := nicsim.New(prog.Clone(), nicsim.Config{
+			Params: costmodel.BlueField2(), Collector: col, Instrument: true,
+			Seed: 5, NoiseStdDev: 0.01, CacheFillCostNs: 500,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := NewRuntime(prog, target.NewLocal(nic, col), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

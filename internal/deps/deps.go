@@ -12,98 +12,168 @@
 package deps
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 
 	"pipeleon/internal/p4ir"
 )
 
-// FieldSet is a set of header field names.
-type FieldSet map[string]bool
+// Fields is a set of fields as a bitset: bit f stands for field f of one
+// Analyzer's numbering. Fields are numbered in name order, so the lowest
+// bit two sets share is their lexicographically first common field.
+type Fields []uint64
 
-// Add inserts fields into the set.
-func (s FieldSet) Add(fields ...string) {
-	for _, f := range fields {
-		s[f] = true
-	}
-}
+// Has reports whether field f is in the set.
+func (s Fields) Has(f int) bool { return f >= 0 && f>>6 < len(s) && s[f>>6]&(1<<(f&63)) != 0 }
 
-// Intersects reports whether the two sets share a field.
-func (s FieldSet) Intersects(o FieldSet) bool {
-	// Iterate the smaller set.
-	if len(o) < len(s) {
-		s, o = o, s
-	}
-	for f := range s {
-		if o[f] {
-			return true
+// First returns the lowest-numbered field in both sets — the
+// lexicographically first by name — or -1 when they are disjoint.
+func (s Fields) First(o Fields) int {
+	for w := range min(len(s), len(o)) {
+		if both := s[w] & o[w]; both != 0 {
+			return w<<6 + bits.TrailingZeros64(both)
 		}
 	}
-	return false
+	return -1
 }
 
-// Sorted returns the fields in lexicographic order (for stable output).
-func (s FieldSet) Sorted() []string {
-	out := make([]string, 0, len(s))
-	for f := range s {
-		out = append(out, f)
+// Next returns the lowest field in the set numbered f or above, -1 when
+// there is none: for f := s.Next(0); f >= 0; f = s.Next(f + 1) visits the
+// set in name order.
+func (s Fields) Next(f int) int {
+	for w := f >> 6; w < len(s); w, f = w+1, 0 {
+		if word := s[w] &^ (1<<(f&63) - 1); word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
 	}
-	sort.Strings(out)
-	return out
+	return -1
 }
 
-// Effects summarizes one table's dataflow behaviour.
+// Effects summarizes one node's dataflow behaviour. A conditional reads
+// its expression's fields and does nothing else.
 type Effects struct {
 	// Reads are the fields the table's match keys and action operands read.
-	Reads FieldSet
+	Reads Fields
 	// KeyReads are just the match-key fields (subset of Reads); caching
 	// legality cares specifically about these.
-	KeyReads FieldSet
+	KeyReads Fields
 	// Writes are the fields the table's actions may write.
-	Writes FieldSet
+	Writes Fields
 	// Drops reports whether any action can drop the packet.
 	Drops bool
 	// SwitchCase reports whether the table picks its successor per action.
 	SwitchCase bool
 }
 
-// TableEffects computes the Effects of a single table.
-func TableEffects(t *p4ir.Table) Effects {
-	e := Effects{
-		Reads:      FieldSet{},
-		KeyReads:   FieldSet{},
-		Writes:     FieldSet{},
-		Drops:      t.HasDropAction(),
-		SwitchCase: t.IsSwitchCase(),
-	}
-	for _, k := range t.Keys {
-		e.Reads.Add(k.Field)
-		e.KeyReads.Add(k.Field)
-	}
-	for _, a := range t.Actions {
-		e.Reads.Add(a.ReadSet()...)
-		e.Writes.Add(a.WriteSet()...)
-	}
-	return e
-}
-
-// Analyzer caches per-table effects for a program.
+// Analyzer holds the effects of every node of one program, by the node
+// IDs of its index, over one numbering of the fields its tables and
+// conditionals read or write.
 type Analyzer struct {
-	prog    *p4ir.Program
-	effects map[string]Effects
+	fields  []string         // field number → name, ascending
+	nums    map[string]int32 // name → field number
+	effects []Effects        // by node ID
 }
 
-// NewAnalyzer builds an analyzer over prog.
-func NewAnalyzer(prog *p4ir.Program) *Analyzer {
-	a := &Analyzer{prog: prog, effects: make(map[string]Effects, len(prog.Tables))}
-	for name, t := range prog.Tables {
-		a.effects[name] = TableEffects(t)
+// NewAnalyzer builds an analyzer over prog, numbering its nodes with a
+// fresh index.
+func NewAnalyzer(prog *p4ir.Program) *Analyzer { return New(p4ir.NewIndex(prog)) }
+
+// New builds an analyzer over the program ix indexes: its node IDs are
+// ix's.
+func New(ix *p4ir.Index) *Analyzer {
+	// One pass notes each field occurrence as (set, field number in order
+	// of first sight); renumbering by name then sets the bits. Node id's
+	// sets are 3*id+reads, +keyReads and +writes.
+	const reads, keyReads, writes = 0, 1, 2
+	type use struct{ set, first int32 }
+	a := &Analyzer{nums: make(map[string]int32, 2*ix.Len()), effects: make([]Effects, ix.Len())}
+	var uses []use
+	note := func(id int32, f string, sets ...int32) {
+		n, ok := a.nums[f]
+		if !ok {
+			n = int32(len(a.fields))
+			a.nums[f] = n
+			a.fields = append(a.fields, f)
+		}
+		for _, set := range sets {
+			uses = append(uses, use{3*id + set, n})
+		}
+	}
+	for id := range int32(ix.Len()) {
+		if c := ix.Cond(id); c != nil {
+			for _, f := range c.ReadFields {
+				note(id, f, reads)
+			}
+			continue
+		}
+		t, e := ix.Table(id), &a.effects[id]
+		e.SwitchCase = t.IsSwitchCase()
+		for _, k := range t.Keys {
+			note(id, k.Field, reads, keyReads)
+		}
+		for _, act := range t.Actions {
+			for _, p := range act.Primitives {
+				in := p.Decode()
+				if in.Kind == p4ir.PrimDrop {
+					e.Drops = true
+					break // nothing after a drop runs
+				}
+				for _, o := range in.Src {
+					if o.Kind == p4ir.OperandField {
+						note(id, o.Field, reads)
+					}
+				}
+				if in.Dst != "" {
+					note(id, in.Dst, writes)
+				}
+			}
+		}
+	}
+	rank := make([]int32, len(a.fields)) // first-sight number → name rank
+	slices.Sort(a.fields)
+	for r, f := range a.fields {
+		rank[a.nums[f]], a.nums[f] = int32(r), int32(r)
+	}
+	words := (len(a.fields) + 63) / 64
+	sets := make([]uint64, 3*words*ix.Len())
+	for _, u := range uses {
+		f := rank[u.first]
+		sets[int(u.set)*words+int(f>>6)] |= 1 << (f & 63)
+	}
+	for id := range a.effects {
+		row := func(set int) Fields { return sets[(3*id+set)*words : (3*id+set+1)*words : (3*id+set+1)*words] }
+		a.effects[id].Reads, a.effects[id].KeyReads, a.effects[id].Writes = row(reads), row(keyReads), row(writes)
 	}
 	return a
 }
 
-// Effects returns the cached effects of a table (zero value for unknown).
-func (a *Analyzer) Effects(table string) Effects { return a.effects[table] }
+// Effects returns node id's effects; the zero value for -1, the ID of no
+// node.
+func (a *Analyzer) Effects(id int32) Effects {
+	if id < 0 {
+		return Effects{}
+	}
+	return a.effects[id]
+}
+
+// Field returns field f's name, "" for -1 (no field).
+func (a *Analyzer) Field(f int) string {
+	if f < 0 {
+		return ""
+	}
+	return a.fields[f]
+}
+
+// FieldNum returns the named field's number, -1 when no node touches it.
+func (a *Analyzer) FieldNum(name string) int {
+	if n, ok := a.nums[name]; ok {
+		return int(n)
+	}
+	return -1
+}
+
+// NumFields returns how many fields are numbered (0..NumFields()-1).
+func (a *Analyzer) NumFields() int { return len(a.fields) }
 
 // DependencyKind classifies a dependency between an earlier table A and a
 // later table B.
@@ -125,35 +195,34 @@ var depNames = [...]string{"none", "read-after-write", "write-after-read", "writ
 // String returns the dependency kind name.
 func (k DependencyKind) String() string { return depNames[k] }
 
-// Dependency returns the strongest dependency from earlier table a to later
-// table b (RAW > WAW > WAR > none).
-func (a *Analyzer) Dependency(earlier, later string) DependencyKind {
-	ea, eb := a.effects[earlier], a.effects[later]
-	if ea.Writes.Intersects(eb.Reads) {
-		return DepRAW
-	}
-	if ea.Writes.Intersects(eb.Writes) {
-		return DepWAW
-	}
-	if ea.Reads.Intersects(eb.Writes) {
-		return DepWAR
-	}
-	return DepNone
+// Dependency returns the strongest dependency from earlier node u to later
+// node v (RAW > WAW > WAR > none).
+func (a *Analyzer) Dependency(u, v int32) DependencyKind {
+	kind, _ := a.Witness(u, v)
+	return kind
 }
 
-// Independent reports whether two tables have no dependency in either
-// direction, the precondition for swapping their order (§3.2.1: reordering
-// "alters the table sequence when there are no dependencies across these
-// tables").
-func (a *Analyzer) Independent(x, y string) bool {
-	return a.Dependency(x, y) == DepNone && a.Dependency(y, x) == DepNone
+// Witness is Dependency plus the lexicographically first field that
+// witnesses it, -1 for DepNone.
+func (a *Analyzer) Witness(u, v int32) (DependencyKind, int) {
+	eu, ev := a.Effects(u), a.Effects(v)
+	if f := eu.Writes.First(ev.Reads); f >= 0 {
+		return DepRAW, f
+	}
+	if f := eu.Writes.First(ev.Writes); f >= 0 {
+		return DepWAW, f
+	}
+	if f := eu.Reads.First(ev.Writes); f >= 0 {
+		return DepWAR, f
+	}
+	return DepNone, -1
 }
 
 // ValidOrder reports whether the proposed permutation of a table sequence
 // preserves every pairwise dependency of the original order: whenever
 // original order has u before v with a dependency u→v, the permutation
 // must also place u before v.
-func (a *Analyzer) ValidOrder(original, proposed []string) bool {
+func (a *Analyzer) ValidOrder(original, proposed []int32) bool {
 	if len(original) != len(proposed) {
 		return false
 	}
@@ -182,20 +251,20 @@ func (a *Analyzer) ValidOrder(original, proposed []string) bool {
 //   - no earlier table drops: a drop mid-span would suppress the later
 //     tables' actions, which a single merged action cannot express for
 //     partially matching packets (the final table may drop).
-func (a *Analyzer) CanMerge(span []string) bool {
+func (a *Analyzer) CanMerge(span []int32) bool {
 	if len(span) < 2 {
 		return false
 	}
-	for i, name := range span {
-		e := a.effects[name]
+	for i, u := range span {
+		e := a.Effects(u)
 		if e.SwitchCase {
 			return false
 		}
 		if e.Drops && i != len(span)-1 {
 			return false
 		}
-		for j := i + 1; j < len(span); j++ {
-			if e.Writes.Intersects(a.effects[span[j]].Reads) {
+		for _, v := range span[i+1:] {
+			if e.Writes.First(a.Effects(v).Reads) >= 0 {
 				return false
 			}
 		}
@@ -211,17 +280,17 @@ func (a *Analyzer) CanMerge(span []string) bool {
 // the drop verdict). Switch-case tables cannot: their successor varies per
 // packet, so a single cache-hit fast path cannot reproduce the control
 // flow.
-func (a *Analyzer) CanCache(span []string) bool {
+func (a *Analyzer) CanCache(span []int32) bool {
 	if len(span) == 0 {
 		return false
 	}
-	for i, name := range span {
-		e := a.effects[name]
+	for i, u := range span {
+		e := a.Effects(u)
 		if e.SwitchCase {
 			return false
 		}
-		for j := i + 1; j < len(span); j++ {
-			if e.Writes.Intersects(a.effects[span[j]].KeyReads) {
+		for _, v := range span[i+1:] {
+			if e.Writes.First(a.Effects(v).KeyReads) >= 0 {
 				return false
 			}
 		}
@@ -229,15 +298,27 @@ func (a *Analyzer) CanCache(span []string) bool {
 	return true
 }
 
-// CacheKey returns the union of match-key fields over a span — the key of
-// a covering flow cache. The cross-product risk of a cache grows with the
-// size of this union (§3.2.2).
-func (a *Analyzer) CacheKey(span []string) []string {
-	set := FieldSet{}
-	for _, name := range span {
-		for f := range a.effects[name].KeyReads {
-			set[f] = true
+// CacheKey returns the union of match-key fields over a span, in name
+// order — the key of a covering flow cache. The cross-product risk of a
+// cache grows with the size of this union (§3.2.2).
+func (a *Analyzer) CacheKey(span []int32) []string {
+	union := func(w int) (word uint64) {
+		for _, u := range span {
+			if kr := a.Effects(u).KeyReads; w < len(kr) {
+				word |= kr[w]
+			}
+		}
+		return word
+	}
+	words, n := (len(a.fields)+63)/64, 0
+	for w := range words {
+		n += bits.OnesCount64(union(w))
+	}
+	out := make([]string, 0, n)
+	for w := range words {
+		for word := union(w); word != 0; word &= word - 1 {
+			out = append(out, a.fields[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
-	return set.Sorted()
+	return out
 }

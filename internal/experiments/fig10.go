@@ -82,10 +82,3 @@ func search(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg 
 	}
 	return sr
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -35,6 +35,8 @@ type Evaluator struct {
 	// an is built on first use: the tier-aware and ranking integrals never
 	// need it, and a one-shot estimate must not pay for it.
 	an *deps.Analyzer
+	// ids holds a group member's node IDs while the analyzer reads them.
+	ids []int32
 	// scratch is price's working state, kept from pipelet to pipelet.
 	scratch evalScratch
 
@@ -167,10 +169,11 @@ func (ev *Evaluator) addShare(i int32, to string, p float64) {
 	}
 }
 
-// analyzer returns the dependency analyzer, building it on first use.
+// analyzer returns the dependency analyzer over the view's node IDs,
+// building it on first use.
 func (ev *Evaluator) analyzer() *deps.Analyzer {
 	if ev.an == nil {
-		ev.an = deps.NewAnalyzer(ev.prog)
+		ev.an = deps.New(ev.ix)
 	}
 	return ev.an
 }
@@ -184,9 +187,9 @@ func (ev *Evaluator) reachOf(name string) float64 {
 
 // appendIdx appends the dense indices of the named tables to dst. Options
 // and pipelets carry names; this is where they enter the index space.
-func (ev *Evaluator) appendIdx(dst []int, names []string) []int {
+func (ev *Evaluator) appendIdx(dst []int32, names []string) []int32 {
 	for _, t := range names {
-		dst = append(dst, int(ev.ix.ID(t)))
+		dst = append(dst, ev.ix.ID(t))
 	}
 	return dst
 }
@@ -231,7 +234,7 @@ func (ev *Evaluator) rank(part *pipelet.Partition) []pipelet.Cost {
 // per-entering-packet cost, the expected combined action cost, and the
 // span's aggregate drop probability. Within the span, traffic surviving
 // table i proceeds to table i+1.
-func (ev *Evaluator) spanStatsIdx(span []int) (origCost, actSum, dropProb float64) {
+func (ev *Evaluator) spanStatsIdx(span []int32) (origCost, actSum, dropProb float64) {
 	flow := 1.0
 	for _, ti := range span {
 		origCost += flow * (ev.matchLat[ti] + ev.actLat[ti])
@@ -247,7 +250,7 @@ func (ev *Evaluator) spanStatsIdx(span []int) (origCost, actSum, dropProb float6
 // function of the packet's flow, the working set is additionally bounded
 // by the observed flow cardinality — a handful of long-lived flows keeps
 // even a whole-program cache hot regardless of the field cross-product.
-func (ev *Evaluator) workingSetIdx(span []int) uint64 {
+func (ev *Evaluator) workingSetIdx(span []int32) uint64 {
 	const sat = 1 << 40
 	ws := uint64(1)
 	for _, ti := range span {
@@ -268,7 +271,7 @@ func (ev *Evaluator) workingSetIdx(span []int) uint64 {
 }
 
 // allExactIdx reports whether every table in the span matches exactly.
-func (ev *Evaluator) allExactIdx(span []int) bool {
+func (ev *Evaluator) allExactIdx(span []int32) bool {
 	for _, ti := range span {
 		if !ev.exact[ti] {
 			return false
@@ -282,7 +285,7 @@ func (ev *Evaluator) allExactIdx(span []int) bool {
 // so m multiplies (capped). Merging ternary tables therefore usually loses
 // — exactly the hazard Figure 6 illustrates — and such candidates fall out
 // of the search on gain.
-func (ev *Evaluator) mergedMIdx(span []int) int {
+func (ev *Evaluator) mergedMIdx(span []int32) int {
 	const cap = 64
 	m := 1
 	for _, ti := range span {
@@ -296,7 +299,7 @@ func (ev *Evaluator) mergedMIdx(span []int) int {
 
 // hitEstimate resolves the estimated hit rate of a cache over a span; key
 // is the span's SpanKey, under which the runtime files observed rates.
-func (ev *Evaluator) hitEstimate(key string, span []int) float64 {
+func (ev *Evaluator) hitEstimate(key string, span []int32) float64 {
 	if h, ok := ev.cfg.HitRateOverride[key]; ok {
 		return h
 	}
@@ -306,7 +309,7 @@ func (ev *Evaluator) hitEstimate(key string, span []int) float64 {
 // invalidationDiscount applies the §3.2.2 cache-invalidation penalty:
 // entry updates in any covered table invalidate the whole cache, so the
 // hit estimate is discounted by the aggregate update rate.
-func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
+func (ev *Evaluator) invalidationDiscount(h float64, span []int32) float64 {
 	var upd float64
 	for _, ti := range span {
 		upd += ev.updRate[ti]
@@ -318,7 +321,7 @@ func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
 // expected latency spent in it and the probability of leaving it alive.
 // These are the reference expressions of §3.2.2/§3.2.3; every estimate of a
 // cached or merged span, the price tables included, is this function's.
-func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep float64) {
+func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int32) (cost, keep float64) {
 	origCost, actSum, dropP := ev.spanStatsIdx(span)
 	switch {
 	case kind == SegCache:
@@ -346,7 +349,7 @@ func (ev *Evaluator) spanPrice(kind SegKind, key string, span []int) (cost, keep
 // seqLatencyIdx returns the expected per-packet latency of a pipelet layout
 // for one packet entering the pipelet. It walks the order positions
 // directly against the (position-sorted, disjoint) segments.
-func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) float64 {
+func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int32, segs []Segment) float64 {
 	flow := 1.0
 	var total float64
 	si := 0
@@ -625,7 +628,7 @@ func (ev *Evaluator) GroupOptions(g *pipelet.Group, memberOpts [][]*Option) []*O
 			}
 		}
 		for _, m := range g.Members {
-			if !ev.analyzer().CanCache(m.Tables) {
+			if ev.ids = ev.appendIdx(ev.ids[:0], m.Tables); !ev.analyzer().CanCache(ev.ids) {
 				legal = false
 				break
 			}
@@ -669,7 +672,7 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 		return nil
 	}
 	allTables := g.Tables()
-	span := ev.appendIdx(make([]int, 0, len(allTables)), allTables)
+	span := ev.appendIdx(make([]int32, 0, len(allTables)), allTables)
 	// Conditional (per-entering-packet) expected cost of the group: the
 	// reach-weighted node costs of members and internal branches,
 	// normalized by the entry reach.
@@ -687,7 +690,7 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 	h := ev.invalidationDiscount(ev.hitEstimate(SpanKey(allTables), span), span)
 	cached := ev.kern.CachedSpan(h, actSum, baseline)
 	gain := (baseline - cached) * entryReach
-	keyFields := ev.analyzer().CacheKey(allTables)
+	keyFields := ev.analyzer().CacheKey(span)
 	entryBytes := (len(keyFields)+len(branchFields))*8 + 16
 	return &Option{
 		Kind: OptGroupCache, Group: g,

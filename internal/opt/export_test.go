@@ -1,5 +1,7 @@
 package opt
 
+import "pipeleon/internal/pipelet"
+
 // Helpers of the differential test, for its entry-churn half in the
 // external test package (which imports internal/core, and core imports
 // this package).
@@ -8,3 +10,13 @@ var (
 	SnapshotPacket = snapshotPacket
 	DiffSnapshots  = diffSnapshots
 )
+
+// LocalOptimize enumerates and scores all candidates for one pipelet
+// (Figure 16, LocalOptimize). The returned options are sorted by gain
+// descending, truncated to cfg.MaxOptionsPerPipelet, and exclude
+// candidates with non-positive gain (the implicit "do nothing" option is
+// always available to the global search). One-shot: a Session keeps the
+// skeleton.
+func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
+	return ev.price(newSkeleton(ev, p))
+}

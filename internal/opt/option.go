@@ -118,13 +118,14 @@ func SpanKey(tables []string) string { return strings.Join(tables, "+") }
 // permute exhaustively (n! > maxOrders) yields its original order alone and
 // exhaustive = false: its one alternative, the greedy drop-sorted order,
 // follows the profile and is derived per round (skeleton.dropOrder).
-func enumerateOrders(an *deps.Analyzer, tables []string, maxOrders int) (orders [][]string, exhaustive bool) {
+func enumerateOrders(ev *Evaluator, tables []string, maxOrders int) (orders [][]string, exhaustive bool) {
 	n := len(tables)
 	orders = [][]string{slices.Clone(tables)}
 	if n < 2 || !factorialAtMost(n, maxOrders) {
 		return orders, n < 2
 	}
-	perm := make([]string, 0, n)
+	an, ids := ev.analyzer(), ev.appendIdx(nil, tables)
+	perm, permIDs := make([]string, 0, n), make([]int32, 0, n)
 	used := make([]bool, n)
 	var rec func()
 	rec = func() {
@@ -132,7 +133,7 @@ func enumerateOrders(an *deps.Analyzer, tables []string, maxOrders int) (orders 
 			return
 		}
 		if len(perm) == n {
-			if !slices.Equal(perm, tables) && an.ValidOrder(tables, perm) {
+			if !slices.Equal(perm, tables) && an.ValidOrder(ids, permIDs) {
 				orders = append(orders, slices.Clone(perm))
 			}
 			return
@@ -142,9 +143,9 @@ func enumerateOrders(an *deps.Analyzer, tables []string, maxOrders int) (orders 
 				continue
 			}
 			used[i] = true
-			perm = append(perm, tables[i])
+			perm, permIDs = append(perm, tables[i]), append(permIDs, ids[i])
 			rec()
-			perm = perm[:len(perm)-1]
+			perm, permIDs = perm[:len(perm)-1], permIDs[:len(permIDs)-1]
 			used[i] = false
 		}
 	}
@@ -165,12 +166,13 @@ func factorialAtMost(n, cap int) bool {
 
 // orderDeps is the dependency matrix the greedy order consults: row j,
 // column i (j < i) says table i must stay behind table j.
-func orderDeps(an *deps.Analyzer, tables []string) [][]bool {
-	blocked := make([][]bool, len(tables))
-	for j := range tables {
-		blocked[j] = make([]bool, len(tables))
-		for i := j + 1; i < len(tables); i++ {
-			blocked[j][i] = an.Dependency(tables[j], tables[i]) != deps.DepNone
+func orderDeps(ev *Evaluator, tables []string) [][]bool {
+	an, ids := ev.analyzer(), ev.appendIdx(nil, tables)
+	blocked := make([][]bool, len(ids))
+	for j := range ids {
+		blocked[j] = make([]bool, len(ids))
+		for i := j + 1; i < len(ids); i++ {
+			blocked[j][i] = an.Dependency(ids[j], ids[i]) != deps.DepNone
 		}
 	}
 	return blocked
@@ -230,7 +232,7 @@ type skeleton struct {
 // need of the span's identity.
 type orderSkel struct {
 	order  []string
-	idx    []int
+	idx    []int32
 	shape  *shape
 	keyLen []int    // per shape span: fields in the covering cache key
 	keys   []string // per shape span: SpanKey, the HitRateOverride key
@@ -272,10 +274,10 @@ func newSkeleton(ev *Evaluator, p *pipelet.Pipelet) *skeleton {
 	}
 	orders, exhaustive := [][]string{slices.Clone(p.Tables)}, true
 	if ev.cfg.EnableReorder {
-		orders, exhaustive = enumerateOrders(ev.analyzer(), p.Tables, ev.cfg.MaxOrders)
+		orders, exhaustive = enumerateOrders(ev, p.Tables, ev.cfg.MaxOrders)
 	}
 	if !exhaustive {
-		sk.blocked = orderDeps(ev.analyzer(), p.Tables)
+		sk.blocked = orderDeps(ev, p.Tables)
 	}
 	var shapes []*shape
 	for _, order := range orders {
@@ -315,12 +317,12 @@ func newOrderSkel(ev *Evaluator, order []string, shapes *[]*shape) *orderSkel {
 	legal := make([]int, 2*n)
 	for pos := 0; pos < n; pos++ {
 		if cfg.EnableCache {
-			for l := 1; pos+l <= n && an.CanCache(order[pos:pos+l]); l++ {
+			for l := 1; pos+l <= n && an.CanCache(os.idx[pos:pos+l]); l++ {
 				legal[pos] = l
 			}
 		}
 		if cfg.EnableMerge {
-			for l := 2; l <= mergeMax && pos+l <= n && an.CanMerge(order[pos:pos+l]); l++ {
+			for l := 2; l <= mergeMax && pos+l <= n && an.CanMerge(os.idx[pos:pos+l]); l++ {
 				legal[n+pos] = l
 			}
 		}
@@ -332,9 +334,8 @@ func newOrderSkel(ev *Evaluator, order []string, shapes *[]*shape) *orderSkel {
 		*shapes = append(*shapes, os.shape)
 	}
 	for _, sp := range os.shape.spans {
-		names := order[sp.Start : sp.Start+sp.Len]
-		os.keyLen = append(os.keyLen, len(an.CacheKey(names)))
-		os.keys = append(os.keys, SpanKey(names))
+		os.keyLen = append(os.keyLen, len(an.CacheKey(os.idx[sp.Start:sp.Start+sp.Len])))
+		os.keys = append(os.keys, SpanKey(order[sp.Start:sp.Start+sp.Len]))
 	}
 	return os
 }
@@ -397,14 +398,4 @@ func newShape(legal []int, maxSegs int) *shape {
 	}
 	rec(0)
 	return sh
-}
-
-// LocalOptimize enumerates and scores all candidates for one pipelet
-// (Figure 16, LocalOptimize). The returned options are sorted by gain
-// descending, truncated to cfg.MaxOptionsPerPipelet, and exclude
-// candidates with non-positive gain (the implicit "do nothing" option is
-// always available to the global search). One-shot: a Session keeps the
-// skeleton.
-func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
-	return ev.price(newSkeleton(ev, p))
 }

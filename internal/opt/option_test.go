@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pipeleon/internal/costmodel"
-	"pipeleon/internal/deps"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/pipelet"
 	"pipeleon/internal/profile"
@@ -71,8 +70,7 @@ func TestEnumerateOrdersRespectsDeps(t *testing.T) {
 			Actions: []*p4ir.Action{p4ir.NoopAction("n")}},
 		aclSpec("acl", "tcp.dport"),
 	)
-	an := deps.NewAnalyzer(prog)
-	orders, _ := enumerateOrders(an, []string{"w", "r", "acl"}, 1000)
+	orders, _ := enumerateOrders(view(prog), []string{"w", "r", "acl"}, 1000)
 	// w must always precede r.
 	for _, o := range orders {
 		wi, ri := -1, -1
@@ -94,10 +92,16 @@ func TestEnumerateOrdersRespectsDeps(t *testing.T) {
 	}
 }
 
+// view returns a default evaluator of prog: its analyzer and node IDs are
+// what enumerateOrders and orderDeps read.
+func view(prog *p4ir.Program) *Evaluator {
+	return NewEvaluator(prog, profile.New(), costmodel.BlueField2(), DefaultConfig())
+}
+
 // GreedyDropOrder is greedyDropOrder by table name.
-func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]float64) []string {
+func GreedyDropOrder(ev *Evaluator, tables []string, dropRate map[string]float64) []string {
 	var out []string
-	for _, i := range greedyDropOrder(orderDeps(an, tables), func(i int) float64 { return dropRate[tables[i]] }) {
+	for _, i := range greedyDropOrder(orderDeps(ev, tables), func(i int) float64 { return dropRate[tables[i]] }) {
 		out = append(out, tables[i])
 	}
 	return out
@@ -105,9 +109,8 @@ func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]flo
 
 func TestGreedyDropOrder(t *testing.T) {
 	prog := mustChain(t, aclSpec("a", "f.a"), aclSpec("b", "f.b"), aclSpec("c", "f.c"))
-	an := deps.NewAnalyzer(prog)
 	drops := map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5}
-	order := GreedyDropOrder(an, []string{"a", "b", "c"}, drops)
+	order := GreedyDropOrder(view(prog), []string{"a", "b", "c"}, drops)
 	if strings.Join(order, ",") != "b,c,a" {
 		t.Errorf("GreedyDropOrder = %v, want [b c a]", order)
 	}
@@ -121,9 +124,8 @@ func TestGreedyDropOrderRespectsDependency(t *testing.T) {
 			Keys:    []p4ir.Key{{Field: "meta.x", Kind: p4ir.MatchExact}},
 			Actions: []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")}},
 	)
-	an := deps.NewAnalyzer(prog)
 	// r drops a lot but depends on w; greedy must keep w first.
-	order := GreedyDropOrder(an, []string{"w", "r"}, map[string]float64{"w": 0, "r": 0.99})
+	order := GreedyDropOrder(view(prog), []string{"w", "r"}, map[string]float64{"w": 0, "r": 0.99})
 	if order[0] != "w" {
 		t.Errorf("dependency violated: %v", order)
 	}
@@ -407,10 +409,10 @@ func TestHitEstimateShape(t *testing.T) {
 	prog := mustChain(t, plainSpec("c", "f.a", p4ir.MatchExact), plainSpec("d", "f.b", p4ir.MatchExact))
 	cfg.HitRateOverride = map[string]float64{"c": 0.42}
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
-	if got := ev.hitEstimate("c", []int{int(ev.ix.ID("c"))}); got != 0.42 {
+	if got := ev.hitEstimate("c", []int32{ev.ix.ID("c")}); got != 0.42 {
 		t.Errorf("override ignored: %v", got)
 	}
-	d := []int{int(ev.ix.ID("d"))}
+	d := []int32{ev.ix.ID("d")}
 	if got, want := ev.hitEstimate("d", d), cfg.hitEstimateNoOverride(ev.workingSetIdx(d)); got != want {
 		t.Errorf("span without an override should fall through to the model: %v, want %v", got, want)
 	}

@@ -135,11 +135,11 @@ func TestCapsCutTheEnumeration(t *testing.T) {
 		}
 	}
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
-	full, exhaustive := enumerateOrders(ev.analyzer(), order, 24)
+	full, exhaustive := enumerateOrders(ev, order, 24)
 	if len(full) != 24 || !exhaustive || !reflect.DeepEqual(full[0], order) {
 		t.Fatalf("MaxOrders=24: %d orders (exhaustive %v), want all 24 with the own order first", len(full), exhaustive)
 	}
-	if capped, exhaustive := enumerateOrders(ev.analyzer(), order, 23); len(capped) != 1 || exhaustive {
+	if capped, exhaustive := enumerateOrders(ev, order, 23); len(capped) != 1 || exhaustive {
 		t.Fatalf("MaxOrders=23: %d orders (exhaustive %v), want the own order alone", len(capped), exhaustive)
 	}
 }

@@ -141,8 +141,8 @@ func (a *Action) Drops() bool {
 }
 
 // WriteSet returns the fields the action can write, in primitive order. A
-// drop halts run-to-completion execution (§3.2.1): what follows it counts
-// for neither set.
+// drop halts run-to-completion execution (§3.2.1): what follows it does
+// not count.
 func (a *Action) WriteSet() []string {
 	var out []string
 	for _, p := range a.Primitives {
@@ -152,24 +152,6 @@ func (a *Action) WriteSet() []string {
 		}
 		if in.Dst != "" {
 			out = append(out, in.Dst)
-		}
-	}
-	return out
-}
-
-// ReadSet returns the fields the action's source operands read, in
-// primitive order.
-func (a *Action) ReadSet() []string {
-	var out []string
-	for _, p := range a.Primitives {
-		in := p.Decode()
-		if in.Kind == PrimDrop {
-			break
-		}
-		for _, o := range in.Src {
-			if o.Kind == OperandField {
-				out = append(out, o.Field)
-			}
 		}
 	}
 	return out
@@ -512,22 +494,6 @@ func (p *Program) TopoOrder() ([]string, error) {
 		order[i] = ix.names[id]
 	}
 	return order, nil
-}
-
-// Predecessors computes the reverse adjacency of the reachable graph: for
-// every node with an incoming edge, its predecessors' names, sorted. A
-// program TopoOrder rejects has none.
-func (p *Program) Predecessors() map[string][]string {
-	preds, ix := map[string][]string{}, NewIndex(p)
-	if ix.err != nil {
-		return preds
-	}
-	for id, name := range ix.names {
-		for _, u := range ix.Pred(int32(id)) {
-			preds[name] = append(preds[name], ix.names[u])
-		}
-	}
-	return preds
 }
 
 // TableCount returns the number of table nodes the root reaches, counted

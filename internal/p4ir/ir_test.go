@@ -359,14 +359,16 @@ func TestGraphvizContainsNodes(t *testing.T) {
 }
 
 func TestPredecessors(t *testing.T) {
-	prog := fixture(t)
-	preds := prog.Predecessors()
-	dPreds := preds["D"]
-	if len(dPreds) != 3 {
-		t.Errorf("D has %d preds (%v), want 3", len(dPreds), dPreds)
+	ix := NewIndex(fixture(t))
+	var dPreds []string
+	for _, u := range ix.Pred(ix.ID("D")) {
+		dPreds = append(dPreds, ix.Name(u))
 	}
-	if len(preds["r"]) != 0 {
-		t.Errorf("root should have no predecessors, got %v", preds["r"])
+	if len(dPreds) != 3 || dPreds[0] != "A" || dPreds[1] != "B" || dPreds[2] != "C" {
+		t.Errorf("D has preds %v, want [A B C]", dPreds)
+	}
+	if p := ix.Pred(ix.ID("r")); len(p) != 0 {
+		t.Errorf("root should have no predecessors, got %v", p)
 	}
 }
 

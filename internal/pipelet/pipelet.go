@@ -36,9 +36,6 @@ type Pipelet struct {
 // Head returns the first table of the pipelet.
 func (p *Pipelet) Head() string { return p.Tables[0] }
 
-// Tail returns the last table of the pipelet.
-func (p *Pipelet) Tail() string { return p.Tables[len(p.Tables)-1] }
-
 // Len returns the pipelet length (table count).
 func (p *Pipelet) Len() int { return len(p.Tables) }
 
@@ -148,14 +145,6 @@ func Form(prog *p4ir.Program, maxLen int) (*Partition, error) {
 
 func (part *Partition) add(p *Pipelet) {
 	part.Pipelets = append(part.Pipelets, p)
-}
-
-// Of returns the pipelet containing the table, or nil.
-func (part *Partition) Of(table string) *Pipelet {
-	if i, ok := part.ByTable[table]; ok {
-		return part.Pipelets[i]
-	}
-	return nil
 }
 
 // Cost is a pipelet's contribution to program latency.

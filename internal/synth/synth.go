@@ -9,6 +9,7 @@ package synth
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/stats"
@@ -246,13 +247,6 @@ func Program(spec ProgramSpec) *p4ir.Program {
 	return prog
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func entryCount(spec ProgramSpec, rng *stats.RNG) int {
 	if spec.EntriesPerTable > 0 {
 		return spec.EntriesPerTable
@@ -279,16 +273,13 @@ func entryCount(spec ProgramSpec, rng *stats.RNG) int {
 // only a table whose whole key space is exhausted comes up short.
 func syntheticEntries(rng *stats.RNG, ts p4ir.TableSpec, n int) []p4ir.Entry {
 	entries := make([]p4ir.Entry, 0, n)
-	// Keyed by (match kind, prefix length or mask) and, in seen, the masked
-	// value placed under it; as formatted strings these were 3/4 of Program.
-	seen := map[[3]uint64]bool{}
-	groupN := map[[2]uint64]int{}
+	classes := maskClasses(ts.Keys)
 	for i := 0; i < n; i++ {
 		e := p4ir.Entry{Action: "act_main"}
 		ok := true
-		for _, k := range ts.Keys {
+		for ki, k := range ts.Keys {
 			raw := uint64(rng.Intn(1 << min(k.BitWidth(), 20)))
-			mv, placed := placeEntry(k, raw, i, seen, groupN)
+			mv, placed := placeEntry(raw, i, classes[ki])
 			if !placed {
 				ok = false
 				break
@@ -312,71 +303,132 @@ type placedMatch struct {
 	priority int
 }
 
-// placeEntry finds a free masked key for one table key, starting from
-// entry index i's mask class and spilling into the following classes
-// when a class's value space is full. Classes per kind follow the
-// paper's defaults: LPM prefixes at 1/4, 1/2, 3/4 of the key width;
+// maskClass is one mask class of a table key: the match value it fills
+// in (prefix length or mask, and priority), its mask, the step that
+// cycles through the mask's values, how many entries its group may take,
+// and the group.
+type maskClass struct {
+	mv                placedMatch
+	mask, step, space uint64
+	g                 *valueGroup
+}
+
+// valueGroup holds the values placed under one signature of a table:
+// match kind (range counting as ternary) and prefix length or mask. A
+// narrow group (at most 1<<12 values) keeps an occupancy bitmap, bit
+// v>>shift for value v; a wide one a set of its few placed values.
+type valueGroup struct {
+	n     int    // values placed
+	mask  uint64 // the union of its classes' masks
+	shift int    // the fewest trailing zeros among them
+	bits  []uint64
+	wide  map[uint64]bool
+}
+
+// maskClasses returns each key's mask classes. Classes per kind follow
+// the paper's defaults: LPM prefixes at 1/4, 1/2, 3/4 of the key width;
 // ternary masks keeping the top width-2c bits, with priority tied to
 // specificity (the most specific mask ranks highest) so no entry is
-// dominated by a coarser, higher-priority one.
-func placeEntry(k p4ir.Key, raw uint64, i int, seen map[[3]uint64]bool, groupN map[[2]uint64]int) (placedMatch, bool) {
-	classes := 1
-	switch k.Kind {
-	case p4ir.MatchLPM:
-		classes = 3
-	case p4ir.MatchTernary, p4ir.MatchRange:
-		classes = 5
-	}
-	for attempt := 0; attempt < classes; attempt++ {
-		c := (i + attempt) % classes
-		mv := placedMatch{MatchValue: p4ir.MatchValue{Value: raw}}
-		mask := k.FullMask()
-		sig := [2]uint64{uint64(p4ir.MatchExact)}
-		switch k.Kind {
-		case p4ir.MatchLPM:
-			// A prefix must never exceed the key itself (a /24 on a
-			// 16-bit port field is malformed; PL104 flags it).
-			mv.PrefixLen = (1 + c) * k.BitWidth() / 4
-			mask = k.PrefixMask(mv.PrefixLen)
-			sig = [2]uint64{uint64(p4ir.MatchLPM), uint64(mv.PrefixLen)}
-		case p4ir.MatchTernary, p4ir.MatchRange:
-			mask = k.FullMask() &^ ((uint64(1) << (c * 2)) - 1)
-			mv.Mask = mask
-			mv.priority = 5 - c
-			sig = [2]uint64{uint64(p4ir.MatchTernary), mask}
+// dominated by a coarser, higher-priority one. Classes of one table whose
+// signatures coincide share a group sized for all of them — two exact
+// keys, or LPM keys of different widths with equal prefix lengths — so a
+// value one key placed is taken for the other.
+func maskClasses(keys []p4ir.Key) [][]maskClass {
+	var sigs [][2]uint64
+	var groups []*valueGroup
+	out := make([][]maskClass, len(keys))
+	for ki, k := range keys {
+		n, ternary := 1, k.Kind == p4ir.MatchTernary || k.Kind == p4ir.MatchRange
+		if k.Kind == p4ir.MatchLPM {
+			n = 3
+		} else if ternary {
+			n = 5
 		}
-		mv.Value &= mask
-		// A fully-enumerated mask group matches every packet, starving
-		// everything at lower priority (the analyzer proves it): cap
-		// each group one below its value space. A wildcard mask has a
-		// one-entry space and takes exactly one entry.
-		step := mask & -mask
-		space := uint64(1) << 62
-		if k.Kind == p4ir.MatchTernary || k.Kind == p4ir.MatchRange {
-			if step == 0 {
-				space = 1
-			} else if w := bits.OnesCount64(mask); w < 62 {
-				space = (uint64(1) << w) - 1
+		out[ki] = make([]maskClass, n)
+		for c := range n {
+			mc, sig := maskClass{mask: k.FullMask()}, [2]uint64{uint64(p4ir.MatchExact)}
+			switch {
+			case k.Kind == p4ir.MatchLPM:
+				// A prefix must never exceed the key itself (a /24 on a
+				// 16-bit port field is malformed; PL104 flags it).
+				mc.mv.PrefixLen = (1 + c) * k.BitWidth() / 4
+				mc.mask = k.PrefixMask(mc.mv.PrefixLen)
+				sig = [2]uint64{uint64(p4ir.MatchLPM), uint64(mc.mv.PrefixLen)}
+			case ternary:
+				mc.mask &^= (uint64(1) << (c * 2)) - 1
+				mc.mv.Mask, mc.mv.priority = mc.mask, 5-c
+				sig = [2]uint64{uint64(p4ir.MatchTernary), mc.mask}
 			}
+			// A fully-enumerated mask group matches every packet, starving
+			// everything at lower priority (the analyzer proves it): cap
+			// each group one below its value space. A wildcard mask has a
+			// one-entry space and takes exactly one entry.
+			mc.step, mc.space = mc.mask&-mc.mask, uint64(1)<<62
+			if ternary {
+				if mc.step == 0 {
+					mc.space = 1
+				} else if w := bits.OnesCount64(mc.mask); w < 62 {
+					mc.space = (uint64(1) << w) - 1
+				}
+			}
+			j := slices.Index(sigs, sig)
+			if j < 0 {
+				j, sigs, groups = len(sigs), append(sigs, sig), append(groups, &valueGroup{shift: 64})
+			}
+			mc.g = groups[j]
+			mc.g.mask |= mc.mask
+			mc.g.shift = min(mc.g.shift, bits.TrailingZeros64(mc.mask)) // 64 for a wildcard
+			out[ki][c] = mc
 		}
-		if uint64(groupN[sig]) >= space {
+	}
+	for _, g := range groups {
+		g.shift %= 64 // 64: wildcards only, the one value 0
+		if span := g.mask >> g.shift; span < 1<<12 {
+			g.bits = make([]uint64, span/64+1)
+		} else {
+			g.wide = map[uint64]bool{}
+		}
+	}
+	return out
+}
+
+// claim places value v unless it is placed already, and reports whether
+// it did.
+func (g *valueGroup) claim(v uint64) bool {
+	if i := v >> g.shift; g.bits != nil {
+		if g.bits[i>>6]&(1<<(i&63)) != 0 {
+			return false
+		}
+		g.bits[i>>6] |= 1 << (i & 63)
+	} else if g.wide[v] {
+		return false
+	} else {
+		g.wide[v] = true
+	}
+	g.n++
+	return true
+}
+
+// placeEntry finds a free masked key for one table key, starting from
+// entry index i's mask class and spilling into the following classes
+// when a class's value space is full.
+func placeEntry(raw uint64, i int, classes []maskClass) (placedMatch, bool) {
+next:
+	for attempt := range classes {
+		c := &classes[(i+attempt)%len(classes)]
+		if uint64(c.g.n) >= c.space {
 			continue // class full: spill into the next one
 		}
 		// Masks are contiguous high blocks, so stepping by the mask's
 		// lowest set bit cycles through the whole group space.
-		free := true
-		for tries := 0; seen[[3]uint64{sig[0], sig[1], mv.Value}]; tries++ {
-			if step == 0 || tries >= 1<<12 {
-				free = false
-				break
+		mv := c.mv
+		mv.Value = raw & c.mask
+		for tries := 0; !c.g.claim(mv.Value); tries++ {
+			if c.step == 0 || tries >= 1<<12 {
+				continue next
 			}
-			mv.Value = (mv.Value + step) & mask
+			mv.Value = (mv.Value + c.step) & c.mask
 		}
-		if !free {
-			continue
-		}
-		seen[[3]uint64{sig[0], sig[1], mv.Value}] = true
-		groupN[sig]++
 		return mv, true
 	}
 	return placedMatch{}, false
