@@ -30,9 +30,12 @@ lint:
 	$(GO) run ./cmd/pipeleon -check -deep testdata/dash.p4 testdata/traces/bluefield2.json testdata/traces/agiliocx.json
 
 # loc prints the number ROADMAP aim 2 counts: non-test Go lines of the root
-# module (the nested bench/ module excluded), then of each internal package.
+# module (the nested bench/ module excluded), its test lines, then the
+# non-test lines of each internal package. TestLineBudget holds the first
+# two to testdata/loc_budget.txt.
 loc:
 	@printf '%-28s %6d\n' 'root module' "$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf '%-28s %6d\n' 'root module tests' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@for d in internal/*/; do \
 		printf '%-28s %6d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 

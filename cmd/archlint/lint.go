@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -172,95 +173,57 @@ var determinismRules = []determinismRule{
 // they may construct emulators and use wall-clock timeouts freely — and
 // read by one: live-knob counts them as users of a Config field.
 func lintModule(root string) ([]Violation, error) {
-	var out []Violation
 	fset := token.NewFileSet()
+	var out []Violation
+	var errs []error
+	collect := func(vs []Violation, err error) { out, errs = append(out, vs...), append(errs, err) }
+	inDir := func(dir string, match func(string) bool, check func(*ast.File) []Violation) {
+		collect(lintDir(fset, filepath.Join(root, dir), match, check))
+	}
+	// files runs check over every non-test file of the module whose
+	// slash-separated module-relative path keep accepts.
+	files := func(keep func(rel string) bool, check func(rel string, f *ast.File) []Violation) {
+		errs = append(errs, walkModule(fset, root, false, func(path string, f *ast.File) {
+			rel, _ := filepath.Rel(root, path)
+			if rel = filepath.ToSlash(rel); keep(rel) {
+				out = append(out, check(rel, f)...)
+			}
+		}))
+	}
+	under := func(rel string, dirs ...string) bool {
+		return slices.ContainsFunc(dirs, func(dir string) bool { return strings.HasPrefix(rel, dir+"/") })
+	}
 	for _, r := range importRules {
-		vs, err := lintDir(fset, filepath.Join(root, r.Dir), nil, func(f *ast.File) []Violation {
-			return checkImports(fset, f, r)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
+		inDir(r.Dir, nil, func(f *ast.File) []Violation { return checkImports(fset, f, r) })
 	}
 	for _, r := range determinismRules {
-		r := r
-		vs, err := lintDir(fset, filepath.Join(root, r.Dir), r.Match, func(f *ast.File) []Violation {
-			return checkDeterminism(fset, f, r)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
+		inDir(r.Dir, r.Match, func(f *ast.File) []Violation { return checkDeterminism(fset, f, r) })
 	}
 	for _, r := range tierNameRules {
-		r := r
-		vs, err := lintDir(fset, filepath.Join(root, r.Dir), nil, func(f *ast.File) []Violation {
-			return checkTierNames(fset, f, r)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
+		inDir(r.Dir, nil, func(f *ast.File) []Violation { return checkTierNames(fset, f, r) })
 	}
-	notView := func(base string) bool { return base != costViewFile }
-	for dir, match := range map[string]func(string) bool{costViewDir: notView, roundDir: nil} {
-		vs, err := lintDir(fset, filepath.Join(root, dir), match, func(f *ast.File) []Violation {
-			return checkCostView(fset, f)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	vs, err := lintDir(fset, filepath.Join(root, serialDir), nil, func(f *ast.File) []Violation {
-		return checkSerial(fset, f)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
+	costView := func(f *ast.File) []Violation { return checkCostView(fset, f) }
+	inDir(costViewDir, func(base string) bool { return base != costViewFile }, costView)
+	inDir(roundDir, nil, costView)
+	inDir(serialDir, nil, func(f *ast.File) []Violation { return checkSerial(fset, f) })
 	for _, dir := range kernelDirs {
-		vs, err := lintDir(fset, filepath.Join(root, dir), nil, func(f *ast.File) []Violation {
-			return checkKernel(fset, f)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
+		inDir(dir, nil, func(f *ast.File) []Violation { return checkKernel(fset, f) })
 	}
-	vs, err = lintDir(fset, filepath.Join(root, fleetDir), nil, func(f *ast.File) []Violation {
-		return checkOneRound(fset, f)
-	})
-	if err != nil {
+	inDir(fleetDir, nil, func(f *ast.File) []Violation { return checkOneRound(fset, f) })
+	collect(lintDiagCodes(fset, root))
+	collect(lintLiveKnobs(fset, root))
+	files(func(rel string) bool { return !under(rel, analysisDir) && rel != facadeFile },
+		func(_ string, f *ast.File) []Violation { return checkOneVerifier(fset, f) })
+	irOrFrontend := func(rel string) bool { return under(rel, "internal/p4ir", "internal/p4c") }
+	files(func(rel string) bool { return !irOrFrontend(rel) },
+		func(_ string, f *ast.File) []Violation { return checkOneDecoder(fset, f) })
+	files(func(rel string) bool { return under(rel, "internal", "cmd") && !irOrFrontend(rel) },
+		func(_ string, f *ast.File) []Violation { return checkOneIndex(fset, f) })
+	files(func(rel string) bool { return !under(rel, "internal/p4ir") },
+		func(rel string, f *ast.File) []Violation { return checkOneEntryWriter(fset, rel, f) })
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	out = append(out, vs...)
-	vs, err = lintDiagCodes(fset, root)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
-	vs, err = lintOneVerifier(fset, root)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
-	vs, err = lintLiveKnobs(fset, root)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
-	vs, err = lintOneDecoder(fset, root)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
-	vs, err = lintOneIndex(fset, root)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, vs...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
@@ -276,18 +239,6 @@ func lintModule(root string) ([]Violation, error) {
 // spells it (a second reading once missed what forward writes). So no .Op
 // is compared or switched against a string literal, and .Expr is read only
 // as an argument of a fmt call or an Add (a diag.List message).
-func lintOneDecoder(fset *token.FileSet, root string) ([]Violation, error) {
-	var out []Violation
-	err := walkModule(fset, root, false, func(path string, f *ast.File) {
-		if !slices.ContainsFunc([]string{"internal/p4ir", "internal/p4c"}, func(dir string) bool {
-			return strings.HasPrefix(path, filepath.Join(root, dir)+string(filepath.Separator))
-		}) {
-			out = append(out, checkOneDecoder(fset, f)...)
-		}
-	})
-	return out, err
-}
-
 func checkOneDecoder(fset *token.FileSet, f *ast.File) []Violation {
 	var out []Violation
 	report := func(n ast.Node, what string) {
@@ -347,18 +298,6 @@ func checkOneDecoder(fset *token.FileSet, f *ast.File) []Violation {
 // program exists), nothing calls TopoOrder or NodeNames, and no range loop
 // stores an element's position under the element (m[v] = i, or a
 // conversion of i). examples/ may call the public TopoOrder.
-func lintOneIndex(fset *token.FileSet, root string) ([]Violation, error) {
-	var out []Violation
-	err := walkModule(fset, root, false, func(path string, f *ast.File) {
-		rel, _ := filepath.Rel(root, path)
-		under := func(dir string) bool { return strings.HasPrefix(filepath.ToSlash(rel), dir+"/") }
-		if (under("internal") || under("cmd")) && !under("internal/p4ir") && !under("internal/p4c") {
-			out = append(out, checkOneIndex(fset, f)...)
-		}
-	})
-	return out, err
-}
-
 func checkOneIndex(fset *token.FileSet, f *ast.File) []Violation {
 	var out []Violation
 	report := func(n ast.Node, what string) {
@@ -391,6 +330,87 @@ func checkOneIndex(fset *token.FileSet, f *ast.File) []Violation {
 		return true
 	})
 	return out
+}
+
+// A published program's entries change through p4ir's entry operations
+// only (Program.InsertEntry, DeleteEntry, ModifyEntry), which count every
+// change in the program's EntryVersion: the verifier, the gate and the
+// optimizer's cost view key what they derived from the entries by it, and
+// an uncounted write would let a stale proof reach a device. So outside
+// internal/p4ir no non-test code assigns, appends to or index-writes a
+// .Entries, save where entryWriters says why. The match is syntactic: any
+// selector named Entries counts, a TableSpec's or a parsed declaration's
+// included.
+var entryWriters = []struct{ file, fn, why string }{
+	{"internal/p4c/lower.go", "", "lowers a parsed table into a table no program holds yet"},
+	{"internal/p4c/parser.go", "", "collects a table declaration's const entries"},
+	{"internal/synth/synth.go", "", "fills the table specs of a program it is building"},
+	{"internal/experiments/programs.go", "", "fills the table specs of the figures' programs"},
+	{"internal/experiments/fig11.go", "", "fills the table specs of fig11's program"},
+	{"internal/opt/rewrite.go", "buildMergedCache", "fills the merged cache table it creates"},
+	{"internal/opt/rewrite.go", "buildInPlaceMerge", "fills the merged table it creates"},
+	{"internal/nicsim/nic.go", "load", "the device copy's matches share the arrays its match store holds"},
+	{"internal/nicsim/control.go", "ReplaceEntries", "bulk install into the device copy, from which its store is rebuilt"},
+	{"examples/dashrouting/main.go", "", "fills the table specs of the example's program"},
+	{"examples/loadbalancer/main.go", "", "fills the table specs of the example's program"},
+}
+
+func checkOneEntryWriter(fset *token.FileSet, rel string, f *ast.File) []Violation {
+	var out []Violation
+	for _, d := range f.Decls {
+		fn := ""
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			fn = fd.Name.Name
+		}
+		if slices.ContainsFunc(entryWriters, func(w struct{ file, fn, why string }) bool {
+			return w.file == rel && (w.fn == "" || w.fn == fn)
+		}) {
+			continue
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			var targets []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				targets = n.Lhs
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{n.X}
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
+					targets = n.Args[:1]
+				}
+			}
+			for _, e := range targets {
+				if intoEntries(e) {
+					out = append(out, Violation{Pos: fset.Position(e.Pos()), Rule: "one-entry-writer",
+						Msg: "writes .Entries: change a program's entries with p4ir's Program.InsertEntry, DeleteEntry or ModifyEntry"})
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// intoEntries reports whether the write target e is a .Entries or reaches
+// into one: t.Entries, t.Entries[i], t.Entries[i].Args.
+func intoEntries(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if x.Sel.Name == "Entries" {
+				return true
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
 }
 
 // lintDir parses every matching non-test .go file under dir (recursively)
@@ -533,19 +553,6 @@ func walkModule(fset *token.FileSet, root string, tests bool, visit func(path st
 		visit(path, f)
 		return nil
 	})
-}
-
-// lintOneVerifier reports each use of a proof primitive outside
-// internal/analysis and the root façade file.
-func lintOneVerifier(fset *token.FileSet, root string) ([]Violation, error) {
-	var out []Violation
-	owner := filepath.Join(root, analysisDir) + string(filepath.Separator)
-	err := walkModule(fset, root, false, func(path string, f *ast.File) {
-		if !strings.HasPrefix(path, owner) && path != filepath.Join(root, facadeFile) {
-			out = append(out, checkOneVerifier(fset, f)...)
-		}
-	})
-	return out, err
 }
 
 // knobs are the structs of tunables. A field nothing sets is not a tunable:

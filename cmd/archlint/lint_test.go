@@ -896,3 +896,77 @@ func main() { prog.TopoOrder() }
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
 	}
 }
+
+func TestOneEntryWriter(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// Uncounted writes: a splice, an append kept elsewhere, an element,
+		// an element's field, an increment.
+		"internal/core/apimap.go": `package core
+
+func undo(t *table, i int, e entry) {
+	t.Entries = splice(t.Entries, i)
+	grown := append(t.Entries, e)
+	t.Entries[i] = e
+	prog.Tables["x"].Entries[i].Args = nil
+	t.Entries[i].Priority++
+	_ = grown
+}
+`,
+		// The emulator's allowance is its bulk install only.
+		"internal/nicsim/control.go": `package nicsim
+
+func (n *NIC) ReplaceEntries(t *table, fresh []entry) { t.Entries = fresh }
+
+func (n *NIC) InsertEntry(t *table, e entry) { t.Entries = append(t.Entries, e) }
+`,
+		// Fine: reads, a test file, p4ir itself, an allowlisted builder
+		// and the allowlisted merge of opt's rewrite.
+		"internal/analysis/lint.go": `package analysis
+
+func read(t *table) int {
+	es := t.Entries
+	n := len(t.Entries) + len(es)
+	for i := range t.Entries {
+		n += t.Entries[i].Priority
+	}
+	return n
+}
+`,
+		"internal/core/apimap_test.go": `package core
+
+func fill(t *table, e entry) { t.Entries = append(t.Entries, e) }
+`,
+		"internal/p4ir/ir.go": `package p4ir
+
+func (t *Table) insertEntry(e Entry) { t.Entries = append(t.Entries, e) }
+`,
+		"internal/synth/synth.go": `package synth
+
+func spec(ts *TableSpec) { ts.Entries = entries() }
+`,
+		"internal/opt/rewrite.go": `package opt
+
+func buildInPlaceMerge(mt *table, e entry) { mt.Entries = append(mt.Entries, e) }
+
+func applyOption(t *table) { t.Entries = nil }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range vs {
+		if v.Rule != "one-entry-writer" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		got = append(got, fmt.Sprintf("%s:%d", filepath.Base(v.Pos.Filename), v.Pos.Line))
+	}
+	want := []string{"apimap.go:4", "apimap.go:5", "apimap.go:6", "apimap.go:7", "apimap.go:8", "control.go:5", "control.go:5", "rewrite.go:5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got violations at %v, want %v: %v", got, want, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "Program.InsertEntry") {
+		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}

@@ -46,6 +46,12 @@
 //     and internal/p4c (the frontend), nothing calls TopoOrder or
 //     NodeNames, and no range loop stores an element's position under the
 //     element (m[v] = i); a program's nodes are numbered by p4ir.Index.
+//   - one-entry-writer: outside internal/p4ir no code assigns, appends to
+//     or index-writes a .Entries, save the builders that fill a table
+//     before any program holds it and the emulator's own device copy
+//     (entryWriters lists each with its reason); a published program's
+//     entries change through p4ir's Program.InsertEntry, DeleteEntry and
+//     ModifyEntry, which count every change in its EntryVersion.
 //
 // Test files are exempt from every rule (and read by live-knob only).
 // Violations print one per line as file:line: [rule] message; the exit

@@ -15,12 +15,13 @@
 //     deeper, its packet semantics (SemanticChecker).
 //
 // The rules are primitives; two types compose them. Verifier runs the
-// proof tiers for one original program and owns their memo and the entry
-// epoch; Gate puts Lint and a Verifier in front of a device and is what
-// every deploy — a runtime's own or one received over the control plane —
-// passes. Diagnostics carry stable rule codes (P4Sxx structural, PLxxx
-// lint, RWxxx rewrite safety, SExxx semantics), warn/error severities, and
-// node/field positions, and are collected exhaustively within a tier.
+// proof tiers for one original program and owns their memo, keyed by the
+// original's entry version; Gate puts Lint and a Verifier in front of a
+// device and is what every deploy — a runtime's own or one received over
+// the control plane — passes. Diagnostics carry stable rule codes (P4Sxx
+// structural, PLxxx lint, RWxxx rewrite safety, SExxx semantics),
+// warn/error severities, and node/field positions, and are collected
+// exhaustively within a tier.
 // Gates block on Error severity only; warnings are surfaced but never gate.
 package analysis
 

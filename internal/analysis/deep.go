@@ -147,7 +147,8 @@ const (
 // tiers, does. A table body is reused only for a table whose contents
 // equal, when the candidate is compiled, those it was compiled from, so an
 // entry edited in place is never read stale; the outcomes of the
-// original's classes are, so after an entry update build a new checker.
+// original's classes are, so after an entry update build a new checker
+// (Verifier does, when the original's EntryVersion moved).
 // Safe for concurrent use once built.
 type SemanticChecker struct {
 	origBroken bool

@@ -34,27 +34,33 @@ type Verdict struct {
 //
 // An error ends the check at its tier. Every tier is a deterministic
 // function of the device's parameters, the original and the candidate, so
-// verdicts are memoized under the candidate's digest, and EntriesChanged —
-// the original changed — drops them all. Safe for concurrent use.
+// verdicts are memoized under the candidate's digest and the original's
+// entry version, as the verifier's proofs are: a verdict reached before an
+// entry operation on the original is never found after it. Safe for
+// concurrent use.
 type Gate struct {
 	pm       costmodel.Params
 	v        *Verifier // nil: no original to prove against, lint only
-	verdicts *memo.Table[p4ir.Digest, Verdict]
+	verdicts *memo.Table[proofKey, Verdict]
 }
 
 // NewGate returns the gate of a device with parameters pm. v proves
 // candidates against its original and may be nil.
 func NewGate(pm costmodel.Params, v *Verifier) *Gate {
-	return &Gate{pm: pm, v: v, verdicts: memo.New[p4ir.Digest, Verdict](gateMemoCap)}
+	return &Gate{pm: pm, v: v, verdicts: memo.New[proofKey, Verdict](gateMemoCap)}
 }
 
 // Check returns the gate's verdict on cand; digest must be cand.Digest().
 func (g *Gate) Check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
-	if v, ok := g.verdicts.Get(digest); ok {
+	key := proofKey{digest: digest}
+	if g.v != nil {
+		key.version = g.v.orig.EntryVersion() // read before any proof reads the entries
+	}
+	if v, ok := g.verdicts.Get(key); ok {
 		return v
 	}
 	v := g.check(cand, digest)
-	g.verdicts.Put(digest, v)
+	g.verdicts.Put(key, v)
 	return v
 }
 
@@ -79,16 +85,6 @@ func (g *Gate) check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
 	}
 	diags.Sort()
 	return Verdict{Diags: diags}
-}
-
-// EntriesChanged tells the gate that the original's table entries were
-// mutated in place: every remembered verdict goes, the verifier's
-// included.
-func (g *Gate) EntriesChanged() {
-	g.verdicts.Reset()
-	if g.v != nil {
-		g.v.EntriesChanged()
-	}
 }
 
 // MemoStats returns how many checks were answered from the memo and how

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pipeleon/internal/diag"
 	"pipeleon/internal/memo"
@@ -27,17 +26,18 @@ const proofMemoCap = 256
 // refused program reports the first failing tier's findings.
 //
 // Tiers 1 and 2 read the original's structure and effects; tier 3 also
-// reads its table entries, which the original's owner mutates in place
-// (the runtime's entry API) and announces through EntriesChanged. The
-// owner must not change entries while a proof runs — that races on the
-// program itself. Proofs are safe for concurrent use.
+// reads its table entries, which the original's owner changes in place
+// through p4ir's entry operations. Each proof starts by comparing the
+// original's EntryVersion with the one its semantic checker was built at,
+// so nobody announces a change. The owner must not change entries while a
+// proof runs — that races on the program itself. Proofs are safe for
+// concurrent use.
 type Verifier struct {
 	orig *p4ir.Program
 	rc   *RewriteChecker
 	deep bool
 
-	epoch atomic.Uint64 // entry changes announced
-	// verdicts maps (entry epoch, candidate content digest) to the
+	// verdicts maps (entry version, candidate content digest) to the
 	// diagnostics Prove produced. The digest is cryptographic because a hit
 	// skips the proof: a collision between a verified and a broken
 	// candidate would deploy the broken one unproven.
@@ -45,17 +45,20 @@ type Verifier struct {
 
 	mu    sync.Mutex       // guards the fields below
 	sc    *SemanticChecker // nil unless deep
-	built uint64           // epoch sc was built, and verdicts last emptied, at
+	built uint64           // entry version sc was built, and verdicts last emptied, at
 }
 
+// proofKey names a verdict about a candidate: its content digest, and the
+// original's entry version the verdict was reached against.
 type proofKey struct {
-	epoch  uint64
-	digest p4ir.Digest
+	version uint64
+	digest  p4ir.Digest
 }
 
 // NewVerifier precomputes what the proofs need of the original.
 func NewVerifier(orig *p4ir.Program, deep bool) *Verifier {
-	v := &Verifier{orig: orig, rc: NewRewriteChecker(orig), deep: deep, verdicts: memo.New[proofKey, diag.List](proofMemoCap)}
+	v := &Verifier{orig: orig, rc: NewRewriteChecker(orig), deep: deep,
+		verdicts: memo.New[proofKey, diag.List](proofMemoCap), built: orig.EntryVersion()}
 	if deep {
 		v.sc = NewSemanticChecker(orig)
 	}
@@ -65,22 +68,15 @@ func NewVerifier(orig *p4ir.Program, deep bool) *Verifier {
 // IsDeep reports whether the semantic tier is on.
 func (v *Verifier) IsDeep() bool { return v.deep }
 
-// EntriesChanged announces that the original's table entries were mutated
-// in place. The next proof starts over, so a burst of updates costs once.
-func (v *Verifier) EntriesChanged() { v.epoch.Add(1) }
-
-// Epoch counts the entry changes announced so far. A caller that keeps
-// verdicts of its own compares it to know when a deep verdict is stale.
-func (v *Verifier) Epoch() uint64 { return v.epoch.Load() }
-
 // current returns the semantic checker for the original's current entries
-// and their epoch, first dropping what an entry change outdated. A proof
-// that began before the change files its verdict under the epoch it read,
-// where no later proof looks.
+// and their version, first dropping what an entry change outdated: the
+// next proof after a burst of updates starts over once. A proof that began
+// before the change files its verdict under the version it read, where no
+// later proof looks.
 func (v *Verifier) current() (*SemanticChecker, uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if e := v.epoch.Load(); e != v.built {
+	if e := v.orig.EntryVersion(); e != v.built {
 		v.built = e
 		v.verdicts.Reset()
 		if v.deep {
@@ -94,11 +90,11 @@ func (v *Verifier) current() (*SemanticChecker, uint64) {
 // diagnostic of the last tier reached; the candidate is a sound rewrite
 // when none is an error. digest must be cand.Digest() — callers have
 // computed it to compare layouts — and keys the memo: each distinct
-// program is proven once per entry epoch. The returned list is shared with
-// the memo and must not be modified.
+// program is proven once per entry version of the original. The returned
+// list is shared with the memo and must not be modified.
 func (v *Verifier) Prove(cand *p4ir.Program, digest p4ir.Digest) diag.List {
-	sc, epoch := v.current()
-	key := proofKey{epoch, digest}
+	sc, version := v.current()
+	key := proofKey{version, digest}
 	if l, ok := v.verdicts.Get(key); ok {
 		return l
 	}

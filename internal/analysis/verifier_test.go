@@ -154,10 +154,10 @@ func TestVerifierMemoBoundedAndVerdictStable(t *testing.T) {
 	}
 }
 
-// A deep proof reads the original's entries. After the owner mutates them
-// and says so, a verdict from before is not reused and the next proof
-// compares against the new entries; the counters keep running across the
-// rebuild.
+// A deep proof reads the original's entries. After an entry operation on
+// the original, announced to nobody, a verdict from before is not reused
+// and the next proof compares against the new entries; the counters keep
+// running across the rebuild.
 func TestVerifierFollowsEntryChanges(t *testing.T) {
 	build := func(name string, args ...string) *p4ir.Program {
 		var entries []p4ir.Entry
@@ -182,16 +182,16 @@ func TestVerifierFollowsEntryChanges(t *testing.T) {
 		t.Fatal("before the insert: the one-entry program must pass and the two-entry one fail")
 	}
 
-	orig.Tables["mark"].Entries = append(orig.Tables["mark"].Entries, wide.Tables["mark"].Entries[1].Clone())
-	if prove(narrow).HasErrors() {
-		t.Fatal("an unannounced entry change must not reach the memo (the owner announces it)")
+	if _, err := orig.InsertEntry("mark", wide.Tables["mark"].Entries[1]); err != nil {
+		t.Fatal(err)
 	}
-	v.EntriesChanged()
 	if l := prove(narrow); deepCodes(l)[CodeSemEgress] == 0 {
 		t.Errorf("program without the inserted entry passed on a verdict from before: %v", l)
 	}
-	if l := prove(wide); l.HasErrors() {
-		t.Errorf("program with the inserted entry refused: %v", l)
+	for range 2 { // a miss, then a hit under the new version
+		if l := prove(wide); l.HasErrors() {
+			t.Errorf("program with the inserted entry refused: %v", l)
+		}
 	}
 	if hits, misses := v.MemoStats(); hits != 1 || misses != 4 {
 		t.Errorf("memo stats = %d hits / %d misses over the rebuild, want 1 / 4", hits, misses)
@@ -199,7 +199,7 @@ func TestVerifierFollowsEntryChanges(t *testing.T) {
 }
 
 // The gate's tiers, in order, each ending the check on an error; what a
-// memo hit returns; what an entry change drops.
+// memo hit returns; what an entry operation on the original outdates.
 func TestGateTiers(t *testing.T) {
 	orig := depProg("orig", false)
 	v := NewVerifier(orig, true)
@@ -257,14 +257,27 @@ func TestGateTiers(t *testing.T) {
 		strings.Join(again.Diags.Strings(), "\n") != strings.Join(fresh.Diags.Strings(), "\n") {
 		t.Errorf("memo hit differs from the fresh verdict: %+v vs %+v", again, fresh)
 	}
-	// An entry change drops the gate's verdicts and the verifier's.
-	if g.verdicts.Len() == 0 {
-		t.Fatal("gate remembered nothing")
+	// An entry operation on the original moves the key of every verdict:
+	// the deep gate, the shallow one and the verifier behind the deep gate
+	// each run once more, then remember what they found under the new
+	// version.
+	_, gMisses := g.MemoStats()
+	_, sgMisses := sg.MemoStats()
+	_, vMisses := v.MemoStats()
+	e := orig.Tables["w"].Entries[0]
+	if _, err := orig.ModifyEntry("w", e.Match, e.Action, e.Args); err != nil {
+		t.Fatal(err)
 	}
-	epoch := v.Epoch()
-	g.EntriesChanged()
-	if g.verdicts.Len() != 0 || v.Epoch() != epoch+1 {
-		t.Errorf("after EntriesChanged: %d verdicts, verifier epoch %d -> %d", g.verdicts.Len(), epoch, v.Epoch())
+	for range 2 {
+		check(shadowed)
+		sg.Check(shadowed, shadowed.Digest())
+	}
+	_, gAfter := g.MemoStats()
+	_, sgAfter := sg.MemoStats()
+	_, vAfter := v.MemoStats()
+	if gAfter != gMisses+1 || sgAfter != sgMisses+1 || vAfter != vMisses+1 {
+		t.Errorf("misses across the entry operation: deep gate +%d, shallow gate +%d, verifier +%d; want +1 each",
+			gAfter-gMisses, sgAfter-sgMisses, vAfter-vMisses)
 	}
 }
 

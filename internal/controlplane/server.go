@@ -323,26 +323,22 @@ func (s *Server) apply(req *Request) *Response {
 			return fail(errors.New("insert requires an entry"))
 		}
 		e := req.Entry.ToEntry()
-		if err := s.insertEntry(req.Table, e); err != nil {
+		if err := s.entryOp(func(api entryAPI) error { return api.InsertEntry(req.Table, e) },
+			func(p *p4ir.Program) (func(), error) { return p.InsertEntry(req.Table, e) }); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) error { return t.InsertEntry(e) })
 	case OpDelete:
-		if err := s.deleteEntry(req.Table, req.Match); err != nil {
+		if err := s.entryOp(func(api entryAPI) error { return api.DeleteEntry(req.Table, req.Match) },
+			func(p *p4ir.Program) (func(), error) { return p.DeleteEntry(req.Table, req.Match) }); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) error {
-			_, _, err := t.DeleteEntry(req.Match)
-			return err
-		})
 	case OpModify:
-		if err := s.modifyEntry(req.Table, req.Match, req.Action, req.Args); err != nil {
+		if err := s.entryOp(func(api entryAPI) error { return api.ModifyEntry(req.Table, req.Match, req.Action, req.Args) },
+			func(p *p4ir.Program) (func(), error) {
+				return p.ModifyEntry(req.Table, req.Match, req.Action, req.Args)
+			}); err != nil {
 			return fail(err)
 		}
-		s.entryServed(req.Table, func(t *p4ir.Table) error {
-			_, _, err := t.ModifyEntry(req.Match, req.Action, req.Args)
-			return err
-		})
 	case OpProgram:
 		prog, err := s.currentProgram()
 		if err != nil {
@@ -529,59 +525,47 @@ func (s *Server) checkDeploy(prog *p4ir.Program, digest p4ir.Digest) (analysis.V
 	}
 }
 
-// entryServed repeats an entry operation the device accepted on the gate's
-// baseline, so a deep gate proves later deploys against the entries the
-// device holds now. A table the baseline lacks — one a rewrite generated —
-// is skipped.
-func (s *Server) entryServed(table string, mut func(t *p4ir.Table) error) {
+// entryAPI is what entry operations apply to: the runtime backend, which
+// maps them onto the original program (§2.3), or else the device, which
+// applies them to the program it runs.
+type entryAPI interface {
+	InsertEntry(table string, e p4ir.Entry) error
+	DeleteEntry(table string, match []p4ir.MatchValue) error
+	ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error
+}
+
+// entryOp applies an entry operation through the entry API and, once it
+// is accepted, repeats it (onBaseline) on the gate's baseline, so a deep
+// gate proves later deploys against the entries the device holds now: the
+// operation moves the baseline's EntryVersion, which keys the gate's
+// verdicts. A shallow gate's verdicts read the candidate only.
+func (s *Server) entryOp(op func(entryAPI) error, onBaseline func(*p4ir.Program) (func(), error)) error {
+	var api entryAPI
+	switch {
+	case s.backend != nil:
+		api = s.backend
+	case s.device != nil:
+		api = s.device
+	default:
+		return errNoBackend
+	}
+	if err := op(api); err != nil {
+		return err
+	}
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
-	if s.baseline == nil {
-		return // a shallow gate's verdicts read the candidate only
-	}
-	if t, ok := s.baseline.Tables[table]; ok {
+	if s.baseline != nil {
 		// The device accepted the operation on these same entries. A
-		// refusal here means the baseline differs from the device already;
-		// it is left as it is.
-		_ = mut(t)
+		// refusal here — a table the baseline lacks, one a rewrite
+		// generated, or a baseline that differs from the device already —
+		// leaves the baseline, and so every verdict, as it is.
+		_, _ = onBaseline(s.baseline)
 	}
-	s.gate.EntriesChanged()
+	return nil
 }
 
-// Entry and program ops prefer the runtime backend (which maps them onto
-// the original program, §2.3); a device-only server applies them to the
-// deployed program directly.
-
-func (s *Server) insertEntry(table string, e p4ir.Entry) error {
-	if s.backend != nil {
-		return s.backend.InsertEntry(table, e)
-	}
-	if s.device != nil {
-		return s.device.InsertEntry(table, e)
-	}
-	return errNoBackend
-}
-
-func (s *Server) deleteEntry(table string, match []p4ir.MatchValue) error {
-	if s.backend != nil {
-		return s.backend.DeleteEntry(table, match)
-	}
-	if s.device != nil {
-		return s.device.DeleteEntry(table, match)
-	}
-	return errNoBackend
-}
-
-func (s *Server) modifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	if s.backend != nil {
-		return s.backend.ModifyEntry(table, match, action, args)
-	}
-	if s.device != nil {
-		return s.device.ModifyEntry(table, match, action, args)
-	}
-	return errNoBackend
-}
-
+// Program ops prefer the runtime backend too; a device-only server reads
+// the deployed program directly.
 func (s *Server) currentProgram() (*p4ir.Program, error) {
 	if s.backend != nil {
 		return s.backend.Current(), nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
@@ -20,73 +21,58 @@ import (
 // the runtime re-applies the active plan against the updated original and
 // swaps the result in, which is exactly the I(T_A)·N(T_B) update
 // amplification the cost model charges merges for (§3.2.3).
+//
+// Both views change through p4ir's entry operations only, which count every
+// change in the program's EntryVersion. The session's cost view, its
+// verifier and the deploy gate key what they derived from the original's
+// entries by that version, so an operation here tells none of them.
 
 // plan returns the currently deployed plan (options applied to orig).
 func (r *Runtime) planLocked() []*opt.Option { return r.activePlan }
 
-// entryMut applies one entry operation to a table and returns how to take
-// it back; an operation it refuses leaves the table untouched, and its undo
-// is not to be called.
-type entryMut func(t *p4ir.Table) (undo func(), err error)
-
 // InsertEntry adds an entry to a table of the *original* program and
 // propagates the change to the deployed layout.
 func (r *Runtime) InsertEntry(table string, e p4ir.Entry) error {
-	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		err := t.InsertEntry(e)
-		return func() { t.Entries = slices.Delete(t.Entries, len(t.Entries)-1, len(t.Entries)) }, err
-	}, func() error {
-		return r.tgt.InsertEntry(table, e)
-	})
+	return r.entryOp(table, func(p *p4ir.Program) (func(), error) { return p.InsertEntry(table, e) },
+		func() error { return r.tgt.InsertEntry(table, e) })
 }
 
 // DeleteEntry removes the first entry with equal match values.
 func (r *Runtime) DeleteEntry(table string, match []p4ir.MatchValue) error {
-	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		i, gone, err := t.DeleteEntry(match)
-		return func() { t.Entries = slices.Insert(t.Entries, i, gone) }, err
-	}, func() error {
-		return r.tgt.DeleteEntry(table, match)
-	})
+	return r.entryOp(table, func(p *p4ir.Program) (func(), error) { return p.DeleteEntry(table, match) },
+		func() error { return r.tgt.DeleteEntry(table, match) })
 }
 
 // ModifyEntry rewrites the action/args of the first matching entry.
 func (r *Runtime) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	return r.entryOp(table, func(t *p4ir.Table) (func(), error) {
-		i, was, err := t.ModifyEntry(match, action, args)
-		return func() { t.Entries[i] = was }, err
-	}, func() error {
-		return r.tgt.ModifyEntry(table, match, action, args)
-	})
+	return r.entryOp(table, func(p *p4ir.Program) (func(), error) { return p.ModifyEntry(table, match, action, args) },
+		func() error { return r.tgt.ModifyEntry(table, match, action, args) })
 }
 
-// entryOp applies mut to the original program, then propagates: fast path
-// when the table exists untouched in the deployed program, slow path (plan
+// entryOp applies op — one of p4ir's entry operations, which returns its
+// undo — to the original program, then propagates: fast path when the
+// table exists untouched in the deployed program, slow path (plan
 // re-application + swap) when a merge consumed it. The operation is one
 // transaction: both views validate before the device is asked, and when the
 // device refuses (table full, RPC failure, failed redeploy) both views are
 // put back, so the runtime never believes in an entry the device does not
 // hold — the next redeploy would silently install it.
-func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
+func (r *Runtime) entryOp(table string, op func(*p4ir.Program) (func(), error), fast func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ot, ok := r.orig.Tables[table]
-	if !ok {
-		return fmt.Errorf("core: no table %q in original program", table)
-	}
-	undo, err := mut(ot)
+	undo, err := op(r.orig)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	// Slow path: regenerate the deployed program from the updated original
 	// under the active plan.
 	propagate := r.redeployLocked
-	if ct, inCurrent := r.current.Tables[table]; inCurrent && !r.tableMergedLocked(table) {
+	if _, inCurrent := r.current.Tables[table]; inCurrent && !r.tableMergedLocked(table) {
 		// Fast path. Keep the runtime's view of the deployed program in
 		// sync so the next round's layout comparison does not force a
 		// spurious swap (which would cold-start every cache).
 		propagate = func() error {
-			undoCurrent, err := mut(ct)
+			undoCurrent, err := op(r.current)
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
@@ -104,9 +90,6 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 		return err
 	}
 	r.updCountsOrig[table]++
-	// r.orig is the verifier's original: the gate's verdicts and the
-	// proofs behind them were computed from the entries as they were.
-	r.gate.EntriesChanged()
 	return nil
 }
 
@@ -114,33 +97,11 @@ func (r *Runtime) entryOp(table string, mut entryMut, fast func() error) error {
 // the deployed program covers the given original table.
 func (r *Runtime) tableMergedLocked(table string) bool {
 	for merged := range r.cmap.MergedActions {
-		if t, ok := r.current.Tables[merged]; ok {
-			covers := t.Annotations[p4ir.AnnotCovers]
-			if covers == "" {
-				continue
-			}
-			for _, c := range splitCovers(covers) {
-				if c == table {
-					return true
-				}
-			}
+		if t, ok := r.current.Tables[merged]; ok && slices.Contains(strings.Split(t.Annotations[p4ir.AnnotCovers], ","), table) {
+			return true
 		}
 	}
 	return r.cmap.Removed[table]
-}
-
-func splitCovers(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // redeployLocked re-applies the active plan to the (updated) original

@@ -189,7 +189,7 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 	if deploys < 10 {
 		t.Fatalf("only %d of 14 alternating rounds deployed", deploys)
 	}
-	// Both kinds of verdict were exercised: three epochs of two first
+	// Both kinds of verdict were exercised: three entry versions of two first
 	// sights each, everything else a layout the loop returned to.
 	if firstSights < 6 || repeats < 4 {
 		t.Errorf("%d first-sight and %d repeat deploys; want at least 6 and 4", firstSights, repeats)
@@ -202,8 +202,8 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 }
 
 // An entry operation changes the original program, and with it what the
-// gate's checks compare a candidate against: every remembered verdict
-// goes. Two hazards, one test each way — a plan vetted clean before the
+// gate's checks compare a candidate against: no verdict from before it is
+// found after it. Two hazards, one test each way — a plan vetted clean before the
 // operation fails the lint after it, and a program whose digest did not
 // change is no longer equivalent to the original.
 func TestGateMemoDroppedOnEntryOp(t *testing.T) {

@@ -73,8 +73,8 @@ type Runtime struct {
 	lastCosts   map[string]float64
 
 	// gate is the check every program passes before it reaches the device
-	// (see vet.go), built over search's verifier; every entry operation
-	// tells it the original changed.
+	// (see vet.go), built over search's verifier; it keys its verdicts by
+	// the original's entry version, which every entry operation moves.
 	gate *analysis.Gate
 
 	// Fault tolerance (see guard.go): transactional deploys with

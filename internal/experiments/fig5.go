@@ -24,22 +24,23 @@ import (
 // hitMissFlows builds flows whose field values match installed entries
 // with probability ~hitFrac, giving the model a non-trivial action mix.
 func hitMissFlows(prog *p4ir.Program, seed uint64, count int, hitFrac float64) []trafficgen.Flow {
-	// Collect per-field candidate values from entries.
+	// Collect per-field candidate values from entries, tables in name order:
+	// a draw indexes a field's list, so the list must not follow map order.
+	names := make([]string, 0, len(prog.Tables))
+	for name := range prog.Tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	candidates := map[string][]uint64{}
-	for _, t := range prog.Tables {
+	for _, name := range names {
+		t := prog.Tables[name]
 		for _, e := range t.Entries {
 			for ki, mv := range e.Match {
-				if ki >= len(t.Keys) {
-					continue
+				// The base value hits: any value under an LPM prefix or a
+				// ternary mask does.
+				if ki < len(t.Keys) {
+					candidates[t.Keys[ki].Field] = append(candidates[t.Keys[ki].Field], mv.Value)
 				}
-				f := t.Keys[ki].Field
-				v := mv.Value
-				if t.Keys[ki].Kind == p4ir.MatchLPM || t.Keys[ki].Kind == p4ir.MatchTernary {
-					// Any value under the prefix/mask hits; the base
-					// value itself does.
-					v = mv.Value
-				}
-				candidates[f] = append(candidates[f], v)
 			}
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // invalidates any runtime cache covering the table (§3.2.2: "an update in
 // any of the original tables will invalidate the entire cache"); the update
 // rate of §4 is counted by the caller (core). An operation validates, then
-// applies to a fork of the table's lookup store, then to Table.Entries —
-// or to neither: the fork of a refused one is dropped, which leaves program
-// and store in agreement.
+// applies to a fork of the table's lookup store, then to the NIC's copy of
+// the program through p4ir's entry operations — or to neither: the fork of
+// a refused one is dropped, which leaves program and store in agreement.
 
 // InsertEntry installs an entry into a table.
 func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
@@ -21,7 +21,7 @@ func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
 		if err != nil {
 			return err
 		}
-		if err := t.InsertEntry(e); err != nil {
+		if _, err := n.prog.InsertEntry(table, e); err != nil {
 			return err
 		}
 		se.match = t.Entries[len(t.Entries)-1].Match // the table's copy, not the caller's
@@ -36,7 +36,7 @@ func (n *NIC) DeleteEntry(table string, match []p4ir.MatchValue) error {
 		if err := rt.remove(match); err != nil {
 			return err
 		}
-		_, _, err := t.DeleteEntry(match)
+		_, err := n.prog.DeleteEntry(table, match)
 		return err
 	})
 }
@@ -48,7 +48,7 @@ func (n *NIC) ModifyEntry(table string, match []p4ir.MatchValue, action string, 
 		if err := rt.modify(match, action, args); err != nil {
 			return err
 		}
-		_, _, err := t.ModifyEntry(match, action, args)
+		_, err := n.prog.ModifyEntry(table, match, action, args)
 		return err
 	})
 }

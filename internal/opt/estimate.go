@@ -49,7 +49,7 @@ type Evaluator struct {
 	exact []bool
 	// Entry-dependent quantities, re-read by readEntries: a table's match
 	// complexity counts the distinct masks and prefix lengths among its
-	// entries, which the runtime's entry API edits in place.
+	// entries, which p4ir's entry operations edit in place.
 	// matchLat / actLat split each table's latency into the key-match part
 	// (Kernel.Match) and the expected action part (Σ P(a)·n_a·Lact).
 	matchLat []float64
@@ -99,7 +99,7 @@ func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params
 
 // readEntries reads what the view holds of the tables' entries. The holder
 // of a long-lived view calls it again when the entries changed (a Session
-// follows its verifier's entry epoch).
+// follows its program's entry version).
 func (ev *Evaluator) readEntries() {
 	for _, i := range ev.ix.Tables() {
 		t := ev.ix.Table(i)

@@ -209,12 +209,12 @@ func TestRefreshReusesView(t *testing.T) {
 // Property: the view follows the table entries. The runtime's entry API
 // edits the session's program in place and a table's match complexity
 // counts the distinct masks and prefix lengths among its entries, so after
-// inserts that add a mask and a prefix length — announced through the
-// verifier's entry epoch, as core.Runtime and the control-plane server do —
-// a warm session's baseline is costmodel.ExpectedLatency on the program as
-// it now stands, its ranking rankByCost, and its options (merge
-// memory and update costs read entry counts) a cold search's, whether the
-// next round brings a new profile or the same one again. At the parent the
+// inserts that add a mask and a prefix length — p4ir's entry operations on
+// the program, announced to nobody — a warm session's baseline is
+// costmodel.ExpectedLatency on the program as it now stands, its ranking
+// rankByCost, and its options (merge memory and update costs read entry
+// counts) a cold search's, whether the next round brings a new profile or
+// the same one again. At the parent the
 // view kept the match latencies of construction time: 2 409.77 ns against
 // 2 604.77 ns after 26 ternary inserts under AgilioCX.
 func TestViewFollowsEntryOps(t *testing.T) {
@@ -241,9 +241,10 @@ func TestViewFollowsEntryOps(t *testing.T) {
 					// A mask and a prefix length no synthesized entry has.
 					e.Match[k] = p4ir.MatchValue{Value: 0, Mask: 0x5a5a0000 << uint(round), PrefixLen: 61 + round}
 				}
-				tb.Entries = append(tb.Entries, e)
+				if _, err := prog.InsertEntry(name, e); err != nil {
+					t.Fatal(err)
+				}
 			}
-			s.Verifier().EntriesChanged()
 			label := fmt.Sprintf("seed %d after insert %d", i, round)
 			warm, err := s.Search(prof)
 			if err != nil {

@@ -31,8 +31,8 @@ import (
 // Search's bit for bit, whatever profiles came before.
 //
 // "The round's profile" is the *profile.Profile last handed to Observe,
-// Search or ReScore, while the program's table entries hold still (the
-// verifier's entry epoch): a call naming it again finds the view already
+// Search or ReScore, while the program's table entries hold still (its
+// p4ir EntryVersion): a call naming it again finds the view already
 // refreshed. A profile is read-only once a session has seen it.
 //
 // A round is two steps with a decision between them. Search and ReScore
@@ -53,11 +53,11 @@ type Session struct {
 	part     *pipelet.Partition
 	verifier *optionVerifier
 
-	mu    sync.Mutex  // guards everything below across rounds
-	skels []*skeleton // by Pipelet.ID, built the first time the pipelet is searched
-	ev    *Evaluator
-	epoch uint64         // the verifier's entry epoch ev's entry-dependent arrays were read at
-	costs []pipelet.Cost // ev's pipelet ranking
+	mu      sync.Mutex  // guards everything below across rounds
+	skels   []*skeleton // by Pipelet.ID, built the first time the pipelet is searched
+	ev      *Evaluator
+	version uint64         // the program's entry version ev's entry-dependent arrays were read at
+	costs   []pipelet.Cost // ev's pipelet ranking
 	// placement is the placement unit found under the view as it stands
 	// (without options: nothing profitable), placed whether it was looked for.
 	placement Unit
@@ -127,26 +127,26 @@ func (s *Session) Stats() SessionStats {
 }
 
 // Verifier returns the verifier of the session's program. A deploy gate
-// built over it finds what Materialize returned already proven, and
-// whoever mutates the program's table entries in place tells it.
+// built over it finds what Materialize returned already proven; it follows
+// the program's entry operations by itself (p4ir's EntryVersion).
 func (s *Session) Verifier() *analysis.Verifier { return s.verifier.v }
 
 // view returns the cost view under prof, refreshed unless prof is the round's
 // profile already (see Session); changed table entries are re-read first.
 func (s *Session) view(prof *profile.Profile) *Evaluator {
-	epoch := s.verifier.v.Epoch()
+	version := s.prog.EntryVersion()
 	switch {
 	case s.ev == nil:
 		s.ev = NewEvaluator(s.prog, prof, s.pm, s.cfg)
-	case s.ev.prof == prof && s.epoch == epoch:
+	case s.ev.prof == prof && s.version == version:
 		return s.ev
 	default:
-		if s.epoch != epoch {
+		if s.version != version {
 			s.ev.readEntries()
 		}
 		s.ev.refresh(prof)
 	}
-	s.epoch, s.costs, s.placed = epoch, s.ev.rank(s.part), false
+	s.version, s.costs, s.placed = version, s.ev.rank(s.part), false
 	return s.ev
 }
 

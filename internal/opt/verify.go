@@ -26,17 +26,17 @@ const verdictMemoCap = 4096
 //     program and the option, never on the profile.
 //
 // A shallow verdict reads the program's structure and effects only, so it
-// stays valid until evicted. A deep one also reads the table entries the
-// runtime mutates in place; the memo then follows the verifier's entry
-// epoch. Verdicts are identical to VerifyOption (pinned by
-// TestPlanVerifierMatchesVerifyOption).
+// stays valid until evicted. A deep one also reads the table entries, which
+// change in place through p4ir's entry operations; the memo then follows
+// the program's EntryVersion. Verdicts are identical to VerifyOption
+// (pinned by TestPlanVerifierMatchesVerifyOption).
 type optionVerifier struct {
 	prog    *p4ir.Program
 	cfg     Config
 	v       *analysis.Verifier
 	preds   map[string][]string // node -> original nodes holding a successor reference to it
 	verdict *memo.Table[string, bool]
-	epoch   uint64 // the verifier's entry epoch the verdicts were computed at
+	version uint64 // the program's entry version the verdicts were computed at
 }
 
 // predecessors indexes, for every node, the nodes referencing it as a
@@ -108,8 +108,8 @@ func scratchClone(prog *p4ir.Program) *p4ir.Program {
 // proof — memoized.
 func (ov *optionVerifier) verify(o *Option) bool {
 	if ov.v.IsDeep() {
-		if e := ov.v.Epoch(); ov.epoch != e {
-			ov.epoch = e
+		if e := ov.prog.EntryVersion(); ov.version != e {
+			ov.version = e
 			ov.verdict.Reset()
 		}
 	}

@@ -453,7 +453,9 @@ func TestDigestCoversEveryField(t *testing.T) {
 			walk(path, v.Elem())
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
-				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+				if f := v.Type().Field(i); f.Name != "entryVersion" { // a count of changes, not content
+					walk(path+"."+f.Name, v.Field(i))
+				}
 			}
 		case reflect.Slice:
 			for i := 0; i < v.Len(); i++ {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // MatchKind classifies how a key field is matched against table entries.
@@ -246,52 +247,48 @@ func (t *Table) Action(name string) *Action {
 	return nil
 }
 
-// The entry operations of the management API. Every holder of a program —
-// the emulator, the runtime's two views, the control-plane server's gate
-// baseline, a replayed trace — applies them through these three, so all
-// agree on what an operation means and when it is refused. A refused
-// operation leaves the table untouched.
+// The table halves of Program's entry operations: each validates, then
+// changes the table, or refuses and leaves it untouched.
 
-// InsertEntry appends a copy of e, or refuses it: wrong arity, an action
+// insertEntry appends a copy of e, or refuses it: wrong arity, an action
 // the table lacks, or a table at MaxEntries.
-func (t *Table) InsertEntry(e Entry) error {
+func (t *Table) insertEntry(e Entry) (undo func(), err error) {
 	switch {
 	case len(e.Match) != len(t.Keys):
-		return fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(t.Keys))
+		return nil, fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(t.Keys))
 	case t.Action(e.Action) == nil:
-		return fmt.Errorf("unknown action %q", e.Action)
+		return nil, fmt.Errorf("unknown action %q", e.Action)
 	case t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries:
-		return fmt.Errorf("table %q full (%d entries)", t.Name, t.MaxEntries)
+		return nil, fmt.Errorf("table %q full (%d entries)", t.Name, t.MaxEntries)
 	}
 	t.Entries = append(t.Entries, e.Clone())
-	return nil
+	return func() { t.Entries = slices.Delete(t.Entries, len(t.Entries)-1, len(t.Entries)) }, nil
 }
 
-// DeleteEntry removes the first entry whose match values equal match and
-// returns where it was and what it held — what putting it back takes.
-func (t *Table) DeleteEntry(match []MatchValue) (int, Entry, error) {
+// deleteEntry removes the first entry whose match values equal match.
+func (t *Table) deleteEntry(match []MatchValue) (undo func(), err error) {
 	i, err := t.entryIndex(match)
 	if err != nil {
-		return -1, Entry{}, err
+		return nil, err
 	}
 	was := t.Entries[i]
 	t.Entries = slices.Delete(t.Entries, i, i+1)
-	return i, was, nil
+	return func() { t.Entries = slices.Insert(t.Entries, i, was) }, nil
 }
 
-// ModifyEntry gives the first entry whose match values equal match a new
-// action and action data, and returns its index and what it held before.
-func (t *Table) ModifyEntry(match []MatchValue, action string, args []string) (int, Entry, error) {
+// modifyEntry gives the first entry whose match values equal match a new
+// action and action data.
+func (t *Table) modifyEntry(match []MatchValue, action string, args []string) (undo func(), err error) {
 	if t.Action(action) == nil {
-		return -1, Entry{}, fmt.Errorf("unknown action %q", action)
+		return nil, fmt.Errorf("unknown action %q", action)
 	}
 	i, err := t.entryIndex(match)
 	if err != nil {
-		return -1, Entry{}, err
+		return nil, err
 	}
 	was := t.Entries[i]
 	t.Entries[i].Action, t.Entries[i].Args = action, append([]string(nil), args...)
-	return i, was, nil
+	return func() { t.Entries[i] = was }, nil
 }
 
 func (t *Table) entryIndex(match []MatchValue) (int, error) {
@@ -427,6 +424,8 @@ type Program struct {
 	Root   string
 	Tables map[string]*Table
 	Conds  map[string]*Conditional
+
+	entryVersion atomic.Uint64 // see EntryVersion
 }
 
 // NewProgram returns an empty program with the given name.
@@ -437,6 +436,56 @@ func NewProgram(name string) *Program {
 		Conds:  map[string]*Conditional{},
 	}
 }
+
+// The entry operations of the management API. Every holder of a published
+// program — the emulator, the runtime's two views, the control-plane
+// server's gate baseline, a replayed trace — changes its entries through
+// these three only, so all agree on what an operation means and when it is
+// refused, and the program counts every change (EntryVersion). A refused
+// operation leaves the program untouched and returns no undo. An undo puts
+// the table's entries back as they were and counts as a change itself; it
+// is called at most once, before any later operation on the same table.
+
+// InsertEntry appends a copy of e to the named table, or refuses it: no
+// such table, wrong arity, an action the table lacks, or a table at
+// MaxEntries.
+func (p *Program) InsertEntry(table string, e Entry) (undo func(), err error) {
+	return p.entryOp(table, func(t *Table) (func(), error) { return t.insertEntry(e) })
+}
+
+// DeleteEntry removes the named table's first entry whose match values
+// equal match.
+func (p *Program) DeleteEntry(table string, match []MatchValue) (undo func(), err error) {
+	return p.entryOp(table, func(t *Table) (func(), error) { return t.deleteEntry(match) })
+}
+
+// ModifyEntry gives the named table's first entry whose match values equal
+// match a new action and action data.
+func (p *Program) ModifyEntry(table string, match []MatchValue, action string, args []string) (undo func(), err error) {
+	return p.entryOp(table, func(t *Table) (func(), error) { return t.modifyEntry(match, action, args) })
+}
+
+func (p *Program) entryOp(table string, op func(*Table) (func(), error)) (func(), error) {
+	t, ok := p.Tables[table]
+	if !ok {
+		return nil, fmt.Errorf("no table %q", table)
+	}
+	undo, err := op(t)
+	if err != nil {
+		return nil, err
+	}
+	p.entryVersion.Add(1)
+	return func() {
+		undo()
+		p.entryVersion.Add(1)
+	}, nil
+}
+
+// EntryVersion counts the entry operations and undos applied to the
+// program. Whatever reads a program's entries and keeps what it derived —
+// a proof, a verdict, a cost view — keys it by this version: entries never
+// change without it moving. A clone starts at zero.
+func (p *Program) EntryVersion() uint64 { return p.entryVersion.Load() }
 
 // Node returns the named node as (table, conditional); exactly one is
 // non-nil if found.

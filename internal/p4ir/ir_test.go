@@ -277,6 +277,77 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// Every accepted entry operation and every undo moves the program's entry
+// version by one; a refused operation moves nothing, changes nothing and
+// returns no undo. Undone in reverse order, the operations leave the
+// entries byte for byte as they were (the digest covers them).
+func TestEntryOpsCountAndUndo(t *testing.T) {
+	prog := fixture(t)
+	prog.Tables["D"].MaxEntries = 3
+	fwd := func(v uint64) Entry {
+		return Entry{Match: []MatchValue{{Value: v, PrefixLen: 24}}, Action: "fwd", Args: []string{"1"}}
+	}
+	for _, v := range []uint64{10, 20} {
+		if _, err := prog.InsertEntry("D", fwd(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start, before := prog.EntryVersion(), prog.Digest()
+	if start != 2 {
+		t.Fatalf("two inserts: version %d, want 2", start)
+	}
+	ten := fwd(10).Match
+	var undos []func()
+	do := func(what string, undo func(), err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		undos = append(undos, undo)
+		if v := prog.EntryVersion(); v != start+uint64(len(undos)) {
+			t.Errorf("%s: version %d, want %d", what, v, start+uint64(len(undos)))
+		}
+	}
+	refused := func(what string, undo func(), err error) {
+		t.Helper()
+		if err == nil || undo != nil {
+			t.Errorf("%s: accepted (err %v, undo %v)", what, err, undo != nil)
+		}
+	}
+	undo, err := prog.InsertEntry("D", fwd(30))
+	do("insert", undo, err)
+	full, version := prog.Digest(), prog.EntryVersion()
+	undo, err = prog.InsertEntry("D", fwd(40))
+	refused("insert into a full table", undo, err)
+	undo, err = prog.InsertEntry("nope", fwd(40))
+	refused("insert into no table", undo, err)
+	undo, err = prog.InsertEntry("A", Entry{Match: []MatchValue{{Value: 1}}, Action: "a1"})
+	refused("insert of the wrong arity", undo, err)
+	undo, err = prog.ModifyEntry("D", ten, "nope", nil)
+	refused("modify to an unknown action", undo, err)
+	undo, err = prog.DeleteEntry("D", fwd(99).Match)
+	refused("delete of no entry", undo, err)
+	if prog.Digest() != full || prog.EntryVersion() != version {
+		t.Fatal("a refused operation changed the program")
+	}
+	undo, err = prog.ModifyEntry("D", ten, "drop_packet", nil)
+	do("modify", undo, err)
+	undo, err = prog.DeleteEntry("D", fwd(20).Match)
+	do("delete", undo, err)
+	for i := len(undos) - 1; i >= 0; i-- {
+		undos[i]()
+	}
+	if prog.Digest() != before {
+		t.Error("undone operations left the entries changed")
+	}
+	if v := prog.EntryVersion(); v != start+6 {
+		t.Errorf("after three operations and their undos: version %d, want %d", v, start+6)
+	}
+	if prog.Clone().EntryVersion() != 0 {
+		t.Error("a clone inherited the entry version")
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	prog := fixture(t)
 	prog.Tables["D"].Entries = []Entry{

@@ -277,33 +277,23 @@ func (r *Replayer) CacheStats() ([]CacheStats, error) {
 
 // InsertEntry applies the entry to the tracked program.
 func (r *Replayer) InsertEntry(table string, e p4ir.Entry) error {
-	return r.mutate(table, func(t *p4ir.Table) error { return t.InsertEntry(e) })
+	return r.mutate(func(p *p4ir.Program) (func(), error) { return p.InsertEntry(table, e) })
 }
 
 // DeleteEntry removes the first matching entry from the tracked program.
 func (r *Replayer) DeleteEntry(table string, match []p4ir.MatchValue) error {
-	return r.mutate(table, func(t *p4ir.Table) error {
-		_, _, err := t.DeleteEntry(match)
-		return err
-	})
+	return r.mutate(func(p *p4ir.Program) (func(), error) { return p.DeleteEntry(table, match) })
 }
 
 // ModifyEntry rewrites the first matching entry in the tracked program.
 func (r *Replayer) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	return r.mutate(table, func(t *p4ir.Table) error {
-		_, _, err := t.ModifyEntry(match, action, args)
-		return err
-	})
+	return r.mutate(func(p *p4ir.Program) (func(), error) { return p.ModifyEntry(table, match, action, args) })
 }
 
-func (r *Replayer) mutate(table string, f func(*p4ir.Table) error) error {
+func (r *Replayer) mutate(op func(*p4ir.Program) (func(), error)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t, ok := r.prog.Tables[table]
-	if !ok {
-		return fmt.Errorf("target: no table %q", table)
-	}
-	if err := f(t); err != nil {
+	if _, err := op(r.prog); err != nil {
 		return fmt.Errorf("target: %w", err)
 	}
 	return nil
