@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fmtcheck lint loc ci verify conformance traces bench benchcheck bench-smoke fuzz fleet-sim
+.PHONY: build test vet race fmtcheck lint loc ci verify experiments conformance traces bench benchcheck bench-smoke fuzz fleet-sim
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,15 @@ lint:
 	$(GO) run ./cmd/archlint .
 	$(GO) run ./cmd/pipeleon -check -deep testdata/dash.p4 testdata/traces/bluefield2.json testdata/traces/agiliocx.json
 
-# loc prints the number ROADMAP aim 2 counts: non-test Go lines of the root
-# module (the nested bench/ module excluded), its test lines, then the
-# non-test lines of each internal package. TestLineBudget holds the first
-# two to testdata/loc_budget.txt.
+# loc prints the numbers ROADMAP aim 2 counts: non-test Go lines of the
+# root module (the nested bench/ module excluded), its test lines, the
+# exported functions and methods declared in non-test files under
+# internal/, then the non-test lines of each internal package.
+# TestLineBudget holds the first three to testdata/loc_budget.txt.
 loc:
 	@printf '%-28s %6d\n' 'root module' "$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@printf '%-28s %6d\n' 'root module tests' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf '%-28s %6d\n' 'internal exports' "$$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l)"
 	@for d in internal/*/; do \
 		printf '%-28s %6d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
@@ -88,15 +90,29 @@ fleet-sim:
 # suite under the race detector (the runtime loop, control plane, and
 # fault-injection paths are concurrent), then the backend conformance
 # suite explicitly, then the scripted fleet scenario through fleetd,
-# then the end-to-end benchmark's own smoke test, then the
-# bench-regression gate against the archived baselines.
+# then the end-to-end benchmark's own smoke test, then the reproduction
+# record (a figure that drifts from results_full.txt fails the gate),
+# then the bench-regression gate against the archived baselines.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(MAKE) lint
 	$(MAKE) conformance
 	$(MAKE) fleet-sim
 	$(MAKE) bench-smoke
+	$(MAKE) experiments
+	git diff --exit-code results_full.txt
 	$(MAKE) benchcheck
+
+# experiments regenerates the reproduction record: every figure of
+# `cmd/experiments -all` into results_full.txt, save what differs between
+# two runs of one build — fig13's search-time table and each "(… ran in …)"
+# line — which goes to results_timing.txt (not checked in).
+experiments:
+	out="$$($(GO) run ./cmd/experiments -all)" && printf '%s\n' "$$out" | awk '\
+		/^== / { timing = $$2 == "fig13:" } \
+		/^\(.* ran in .*\)$$/ { print > "results_timing.txt"; ran = 1; next } \
+		ran && /^$$/ { ran = 0; next } \
+		{ ran = 0; print > (timing ? "results_timing.txt" : "results_full.txt") }'
 
 # bench-smoke vets and tests the end-to-end benchmark. bench/ is a module
 # of its own, so `go build ./...` and `go test ./...` at the root never

@@ -337,8 +337,10 @@ func BenchmarkAblationMergeCap(b *testing.B) {
 			var mem int
 			for i := 0; i < b.N; i++ {
 				sr := searchFresh(b, prog, prof, pm, cfg)
-				gain = sr.Gain
-				mem, _ = opt.PlanCosts(sr.Plan)
+				gain, mem = sr.Gain, 0
+				for _, o := range sr.Plan {
+					mem += o.MemCost
+				}
 			}
 			b.ReportMetric(gain, "gain-ns")
 			b.ReportMetric(float64(mem), "mem-bytes")
@@ -846,7 +848,7 @@ func BenchmarkPacketParseSerialize(b *testing.B) {
 	wire := gen.Next().Serialize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := ParsePacket(wire)
+		p, err := packet.Parse(wire)
 		if err != nil {
 			b.Fatal(err)
 		}

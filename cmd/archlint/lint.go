@@ -108,14 +108,13 @@ const costViewDir, costViewFile, roundDir = "internal/opt", "estimate.go", "inte
 // proofs. Outside that package nothing composes them: analysis.Verifier
 // does, once, and every other layer asks it (or an analysis.Gate over it).
 // A second composition is how the wire gate once kept a baseline the
-// search's verifier had long since learned to refresh. The root façade
-// re-exports the one-shot forms for library users and is the exception.
+// search's verifier had long since learned to refresh.
 var proofPrimitives = map[string]bool{
 	"NewRewriteChecker": true, "NewSemanticChecker": true,
 	"VerifyRewrite": true, "VerifySemantics": true,
 }
 
-const analysisDir, analysisPath, facadeFile = "internal/analysis", "pipeleon/internal/analysis", "pipeleon.go"
+const analysisDir, analysisPath = "internal/analysis", "pipeleon/internal/analysis"
 
 // A search is one goroutine on one session (opt.Session.mu admits one round
 // at a time, and a round's work is 65-860 µs: a fan-out over it measured as
@@ -212,7 +211,8 @@ func lintModule(root string) ([]Violation, error) {
 	inDir(fleetDir, nil, func(f *ast.File) []Violation { return checkOneRound(fset, f) })
 	collect(lintDiagCodes(fset, root))
 	collect(lintLiveKnobs(fset, root))
-	files(func(rel string) bool { return !under(rel, analysisDir) && rel != facadeFile },
+	collect(lintDeadExports(fset, root))
+	files(func(rel string) bool { return !under(rel, analysisDir) },
 		func(_ string, f *ast.File) []Violation { return checkOneVerifier(fset, f) })
 	irOrFrontend := func(rel string) bool { return under(rel, "internal/p4ir", "internal/p4c") }
 	files(func(rel string) bool { return !irOrFrontend(rel) },
@@ -350,7 +350,6 @@ var entryWriters = []struct{ file, fn, why string }{
 	{"internal/opt/rewrite.go", "buildMergedCache", "fills the merged cache table it creates"},
 	{"internal/opt/rewrite.go", "buildInPlaceMerge", "fills the merged table it creates"},
 	{"internal/nicsim/nic.go", "load", "the device copy's matches share the arrays its match store holds"},
-	{"internal/nicsim/control.go", "ReplaceEntries", "bulk install into the device copy, from which its store is rebuilt"},
 	{"examples/dashrouting/main.go", "", "fills the table specs of the example's program"},
 	{"examples/loadbalancer/main.go", "", "fills the table specs of the example's program"},
 }
@@ -409,6 +408,121 @@ func intoEntries(e ast.Expr) bool {
 			e = x.X
 		default:
 			return false
+		}
+	}
+}
+
+// Every export earns a caller: an exported function, or an exported method
+// of an exported type, declared in a non-test file under internal/ is named
+// by non-test code outside its file — in the root module, or in the bench/
+// module, which drives the program from outside. One nothing calls is
+// deleted; one only its file calls is unexported; one only its package's
+// tests call moves into a test file. A reference is a selector (x.Name,
+// pkg.Name, so an interface call counts) or, within the declaring package,
+// the bare name; the match is by name, as syntactic as the other rules.
+// deadExportAllowed lists the exports kept without a caller, each with its
+// reason.
+var deadExportAllowed = []struct{ pkg, name, why string }{
+	{"internal/diag", "Severity.MarshalText", "encoding.TextMarshaler: encoding/json calls it"},
+	{"internal/diag", "Severity.UnmarshalText", "encoding.TextUnmarshaler: encoding/json calls it"},
+	{"internal/controlplane", "WithDeepVerify", "the server option that serves the deep proof tier; nicd is to turn it on by default"},
+	{"internal/costmodel", "Calibrate", "fits a target's parameters to measured latencies; its replacement is on the roadmap"},
+	{"internal/core", "Runtime.History", "the per-round record the planned decision log reads"},
+	{"internal/target", "NewReplayer", "the record/replay backend of the target conformance suite"},
+}
+
+func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
+	type export struct {
+		pkg, name, file string // module-relative dir, [Recv.]Name, path
+		short           string // the bare function or method name
+		pkgName         string
+		pos             token.Pos
+	}
+	var exports []export
+	selected := map[string][]string{} // selector name -> files
+	named := map[string][]string{}    // dir + "." + bare name -> files
+	visit := func(path string, f *ast.File) {
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		decl := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			decl[fd.Name] = true
+			recv := ""
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				recv = recvTypeName(fd.Recv.List[0].Type)
+				if !ast.IsExported(recv) {
+					continue
+				}
+				recv += "."
+			}
+			if strings.HasPrefix(rel, "internal/") && fd.Name.IsExported() {
+				exports = append(exports, export{dir, recv + fd.Name.Name, path, fd.Name.Name, f.Name.Name, fd.Name.Pos()})
+			}
+		}
+		var refs func(n ast.Node) bool
+		refs = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = append(selected[n.Sel.Name], path)
+				ast.Inspect(n.X, refs) // n.Sel is no bare name
+				return false
+			case *ast.Field: // a struct field or an interface method declares its name
+				for _, id := range n.Names {
+					decl[id] = true
+				}
+			case *ast.KeyValueExpr: // so does a composite literal's field key
+				if id, ok := n.Key.(*ast.Ident); ok {
+					decl[id] = true
+				}
+			case *ast.Ident:
+				if !decl[n] {
+					named[dir+"."+n.Name] = append(named[dir+"."+n.Name], path)
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, refs)
+	}
+	err := walkModule(fset, root, false, visit)
+	if bench := filepath.Join(root, "bench"); err == nil {
+		if _, serr := os.Stat(bench); serr == nil {
+			err = walkModule(fset, bench, false, visit)
+		}
+	}
+	var out []Violation
+	for _, e := range exports {
+		elsewhere := func(p string) bool { return p != e.file }
+		if slices.ContainsFunc(selected[e.short], elsewhere) || slices.ContainsFunc(named[e.pkg+"."+e.short], elsewhere) ||
+			slices.ContainsFunc(deadExportAllowed, func(a struct{ pkg, name, why string }) bool { return a.pkg == e.pkg && a.name == e.name }) {
+			continue
+		}
+		out = append(out, Violation{Pos: fset.Position(e.pos), Rule: "dead-export",
+			Msg: fmt.Sprintf("%s.%s has no non-test caller outside its file: delete it, unexport it, or move it into a test file", e.pkgName, e.name)})
+	}
+	return out, err
+}
+
+// recvTypeName is the type name of a method receiver: T of T, *T, T[P] or *T[P, Q].
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }

@@ -467,7 +467,7 @@ func (pm Params) Kernel() Kernel { return Kernel{Mat: pm.Lmat, Cond: pm.BranchFa
 `,
 		"internal/experiments/fig5.go": `package experiments
 
-func cond(pm params) float64 { return pm.CondLatency() }
+func cond(pm params) float64 { return pm.CondLatency() + pm.Kernel().Mat }
 `,
 	})
 	vs, err := lintModule(root)
@@ -530,18 +530,19 @@ func (local) VerifyRewrite() {}
 
 func ok() { analysis.NewVerifier(nil, true); analysis.Lint(nil); var analysis local; analysis.VerifyRewrite() }
 `,
-		// Exempt: tests, the root façade's re-exports, a nested module.
-		"internal/opt/oracle_test.go": `package opt
-
-import "pipeleon/internal/analysis"
-
-var _ = analysis.VerifyRewrite
-`,
+		// The root façade is no exception.
 		"pipeleon.go": `package pipeleon
 
 import "pipeleon/internal/analysis"
 
 var VerifyRewrite, VerifySemantics = analysis.VerifyRewrite, analysis.VerifySemantics
+`,
+		// Exempt: tests, a nested module.
+		"internal/opt/oracle_test.go": `package opt
+
+import "pipeleon/internal/analysis"
+
+var _ = analysis.VerifyRewrite
 `,
 		"bench/go.mod": "module bench\n",
 		"bench/layers.go": `package main
@@ -562,8 +563,8 @@ var _ = analysis.NewSemanticChecker
 		}
 		got[filepath.Base(v.Pos.Filename)]++
 	}
-	if len(vs) != 4 || got["sweep.go"] != 1 || got["server.go"] != 2 || got["main.go"] != 1 {
-		t.Fatalf("got %v, want one violation in sweep.go, two in server.go, one in main.go", vs)
+	if len(vs) != 6 || got["sweep.go"] != 1 || got["server.go"] != 2 || got["main.go"] != 1 || got["pipeleon.go"] != 2 {
+		t.Fatalf("got %v, want one violation in sweep.go, two in server.go, one in main.go, two in pipeleon.go", vs)
 	}
 	if !strings.Contains(vs[0].Msg, "analysis.Verifier") {
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
@@ -779,6 +780,8 @@ import (
 
 func same(p, q prim) bool { return p.Op == q.Op }
 
+func decoded(p prim) int { return p.Decode() }
+
 func msg(l *list, c *cond, e ast.Expr) error {
 	l.Add("PL203", c.Expr)
 	return fmt.Errorf("bad %q", c.Expr)
@@ -912,12 +915,12 @@ func undo(t *table, i int, e entry) {
 	_ = grown
 }
 `,
-		// The emulator's allowance is its bulk install only.
+		// The emulator has no allowance outside load: not even a bulk install.
 		"internal/nicsim/control.go": `package nicsim
 
-func (n *NIC) ReplaceEntries(t *table, fresh []entry) { t.Entries = fresh }
+func (n *NIC) replaceEntries(t *table, fresh []entry) { t.Entries = fresh }
 
-func (n *NIC) InsertEntry(t *table, e entry) { t.Entries = append(t.Entries, e) }
+func (n *NIC) insertEntry(t *table, e entry) { t.Entries = append(t.Entries, e) }
 `,
 		// Fine: reads, a test file, p4ir itself, an allowlisted builder
 		// and the allowlisted merge of opt's rewrite.
@@ -962,11 +965,104 @@ func applyOption(t *table) { t.Entries = nil }
 		}
 		got = append(got, fmt.Sprintf("%s:%d", filepath.Base(v.Pos.Filename), v.Pos.Line))
 	}
-	want := []string{"apimap.go:4", "apimap.go:5", "apimap.go:6", "apimap.go:7", "apimap.go:8", "control.go:5", "control.go:5", "rewrite.go:5"}
+	want := []string{"apimap.go:4", "apimap.go:5", "apimap.go:6", "apimap.go:7", "apimap.go:8", "control.go:3", "control.go:5", "control.go:5", "rewrite.go:5"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got violations at %v, want %v: %v", got, want, vs)
 	}
 	if !strings.Contains(vs[0].Msg, "Program.InsertEntry") {
 		t.Errorf("message does not say what to use instead: %q", vs[0].Msg)
+	}
+}
+
+func TestDeadExport(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// Flagged: nobody calls it, only its own file does, only a test does.
+		// Fine: a call from another package, from the same package's other
+		// file, from bench/ alone, a method called only through an interface,
+		// and a method of an unexported type.
+		"internal/opt/plan.go": `package opt
+
+func Nobody() {}
+
+func OwnFile() int { return 1 }
+
+func TestOnly() {}
+
+func Called() int { return OwnFile() }
+
+func SamePackage() {}
+
+func BenchOnly() {}
+
+type Plan struct{}
+
+func (Plan) Size() int { return 0 }
+
+type plan struct{}
+
+func (plan) Grow() {}
+`,
+		"internal/opt/search.go": `package opt
+
+type sized interface{ Size() int }
+
+func search(s sized) int { SamePackage(); return s.Size() }
+`,
+		"internal/opt/plan_test.go": `package opt
+
+func use() { TestOnly() }
+`,
+		"internal/core/runtime.go": `package core
+
+import "pipeleon/internal/opt"
+
+func round() int { return opt.Called() }
+`,
+		"bench/go.mod": "module bench\n",
+		"bench/main.go": `package main
+
+import "pipeleon/internal/opt"
+
+func main() { opt.BenchOnly() }
+`,
+		// Fine: an allowlisted method, and code outside internal/.
+		"internal/diag/diag.go": `package diag
+
+type Severity int
+
+func (s Severity) MarshalText() ([]byte, error) { return nil, nil }
+`,
+		"cmd/tool/main.go": `package main
+
+func Exported() {}
+
+func main() {}
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range vs {
+		if v.Rule != "dead-export" || filepath.Base(v.Pos.Filename) != "plan.go" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		got = append(got, fmt.Sprintf("%d", v.Pos.Line))
+	}
+	if want := []string{"3", "5", "7"}; !slices.Equal(got, want) {
+		t.Fatalf("got violations at lines %v, want %v: %v", got, want, vs)
+	}
+	if !strings.HasPrefix(vs[0].Msg, "opt.Nobody ") || !strings.Contains(vs[0].Msg, "delete it") {
+		t.Errorf("message does not name the function and what to do: %q", vs[0].Msg)
+	}
+}
+
+// Every exception to dead-export says why it is kept.
+func TestDeadExportAllowlistGivesReasons(t *testing.T) {
+	for _, a := range deadExportAllowed {
+		if a.pkg == "" || a.name == "" || strings.TrimSpace(a.why) == "" {
+			t.Errorf("allowlist entry %+v lacks a package, a name or a reason", a)
+		}
 	}
 }

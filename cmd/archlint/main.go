@@ -15,10 +15,10 @@
 //   - one-estimator: in internal/opt only estimate.go, the file that
 //     builds the cost view, may call ReachProbs, ActionProb, BranchProb,
 //     NodeLatency or TableLatency.
-//   - one-verifier: outside internal/analysis (and the root façade's
-//     one-shot re-exports) nothing uses analysis.NewRewriteChecker,
-//     NewSemanticChecker, VerifyRewrite or VerifySemantics; the proof
-//     tiers are composed by analysis.Verifier only.
+//   - one-verifier: outside internal/analysis nothing uses
+//     analysis.NewRewriteChecker, NewSemanticChecker, VerifyRewrite or
+//     VerifySemantics; the proof tiers are composed by analysis.Verifier
+//     only.
 //   - one-kernel: in internal/nicsim and internal/opt nothing reads a
 //     latency term of costmodel.Params (Lmat, Lact, BranchFactor,
 //     CounterUpdate, CPUSlowdown, OffPathSlowdown, MigrationLatency, the
@@ -52,6 +52,13 @@
 //     (entryWriters lists each with its reason); a published program's
 //     entries change through p4ir's Program.InsertEntry, DeleteEntry and
 //     ModifyEntry, which count every change in its EntryVersion.
+//   - dead-export: every exported function, and every exported method of
+//     an exported type, declared in a non-test file under internal/ is
+//     named by non-test code outside its file — in the module or in the
+//     bench/ module — by a selector, or by its bare name within its
+//     package; deadExportAllowed lists the exceptions, each with its
+//     reason. One nothing calls is deleted, one only its file calls is
+//     unexported, one only its package's tests call moves to a test file.
 //
 // Test files are exempt from every rule (and read by live-knob only).
 // Violations print one per line as file:line: [rule] message; the exit

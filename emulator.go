@@ -11,9 +11,6 @@ import (
 // Packet is a parsed or synthesized packet.
 type Packet = packet.Packet
 
-// ParsePacket decodes an Ethernet/IPv4/{TCP,UDP} frame.
-func ParsePacket(data []byte) (*Packet, error) { return packet.Parse(data) }
-
 // EmulatorConfig configures the software SmartNIC.
 type EmulatorConfig = nicsim.Config
 

@@ -20,7 +20,7 @@
 // On top of the per-node analysis (Analyze) the package provides
 // path-class differential execution (ExecClasses: one outcome per truth
 // assignment over chosen conditionals, all in one run),
-// which analysis.VerifySemantics uses to prove an optimized program
+// which analysis.SemanticChecker uses to prove an optimized program
 // equivalent to its original over the joined abstract packet space.
 package absint
 
@@ -35,14 +35,14 @@ type Value struct {
 	KnownVal  uint64
 }
 
-// Top is the unconstrained 64-bit value.
-func Top() Value { return Value{Lo: 0, Hi: ^uint64(0)} }
+// top is the unconstrained 64-bit value.
+func top() Value { return Value{Lo: 0, Hi: ^uint64(0)} }
 
 // TopWidth is the unconstrained value of a w-bit field: the interval
 // [0, 2^w-1] with the bits above w known zero.
 func TopWidth(w int) Value {
 	if w >= 64 {
-		return Top()
+		return top()
 	}
 	mask := (uint64(1) << w) - 1
 	return Value{Lo: 0, Hi: mask, KnownMask: ^mask, KnownVal: 0}
@@ -53,8 +53,8 @@ func Const(v uint64) Value {
 	return Value{Lo: v, Hi: v, KnownMask: ^uint64(0), KnownVal: v}
 }
 
-// IsConst reports whether the value is a singleton, returning it.
-func (v Value) IsConst() (uint64, bool) {
+// isConst reports whether the value is a singleton, returning it.
+func (v Value) isConst() (uint64, bool) {
 	if v.Lo == v.Hi {
 		return v.Lo, true
 	}
@@ -135,29 +135,29 @@ func (v Value) Truncate(w int) Value {
 // Add is wrapping 64-bit addition. Exact for constants; interval-precise
 // when the sum cannot wrap; Top otherwise.
 func (v Value) Add(o Value) Value {
-	if a, ok := v.IsConst(); ok {
-		if b, ok := o.IsConst(); ok {
+	if a, ok := v.isConst(); ok {
+		if b, ok := o.isConst(); ok {
 			return Const(a + b)
 		}
 	}
 	if v.Hi <= ^uint64(0)-o.Hi { // no wrap possible
 		return Value{Lo: v.Lo + o.Lo, Hi: v.Hi + o.Hi}
 	}
-	return Top()
+	return top()
 }
 
 // Sub is wrapping 64-bit subtraction. Exact for constants;
 // interval-precise when no borrow is possible; Top otherwise.
 func (v Value) Sub(o Value) Value {
-	if a, ok := v.IsConst(); ok {
-		if b, ok := o.IsConst(); ok {
+	if a, ok := v.isConst(); ok {
+		if b, ok := o.isConst(); ok {
 			return Const(a - b)
 		}
 	}
 	if v.Lo >= o.Hi { // no wrap possible
 		return Value{Lo: v.Lo - o.Hi, Hi: v.Hi - o.Lo}
 	}
-	return Top()
+	return top()
 }
 
 // maskMonotone reports whether x&mask is monotone non-decreasing in x over

@@ -197,10 +197,10 @@ func TestDomainPrecision(t *testing.T) {
 	}
 	// Constant folding through arithmetic and truncation.
 	ttl := Const(0x1ff).Truncate(8)
-	if c, ok := ttl.IsConst(); !ok || c != 0xff {
+	if c, ok := ttl.isConst(); !ok || c != 0xff {
 		t.Errorf("Truncate(8) of 0x1ff = %+v", ttl)
 	}
-	if c, ok := Const(7).Sub(Const(9)).IsConst(); !ok || c != ^uint64(1) {
+	if c, ok := Const(7).Sub(Const(9)).isConst(); !ok || c != ^uint64(1) {
 		t.Errorf("7-9 wrapped = %#x, %v", c, ok)
 	}
 }

@@ -46,7 +46,7 @@ func FuzzAbsintAgree(f *testing.F) {
 		gen := trafficgen.New(seed, 0)
 		gen.AddFlows(trafficgen.UniformFlows(seed+1, 8)...)
 		for pi, pkt := range gen.Batch(16) {
-			pkt.ClearMeta()
+			clearMeta(pkt)
 			r := nic.Process(pkt)
 			if !hasCaches {
 				// With flow caches a warm hit takes the hit edge, which the

@@ -20,7 +20,7 @@ func TestCondRefinementPrunesEntriesAndBranches(t *testing.T) {
 			Name: "t_big",
 			Keys: []p4ir.Key{exactKey("ipv4.ttl", 8)},
 			Actions: []*p4ir.Action{
-				p4ir.ForwardAction("fwd"),
+				p4ir.NewAction("fwd", p4ir.Prim("modify_field", "meta.egress_port", "1")),
 				p4ir.NoopAction("miss"),
 			},
 			Entries: []p4ir.Entry{

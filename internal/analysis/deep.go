@@ -22,7 +22,7 @@ const (
 	CodeProvenTruncate  = "PL205" // write provably truncates the operand's range
 )
 
-// Semantic-equivalence rule codes (SE00x: VerifySemantics verdicts).
+// Semantic-equivalence rule codes (SE00x: SemanticChecker.Verify verdicts).
 const (
 	CodeSemInput    = "SE001" // program not analyzable for semantic comparison
 	CodeSemDrop     = "SE002" // drop behaviour differs in some path class
@@ -267,14 +267,6 @@ func (sc *SemanticChecker) Strength() (forced, total int) {
 	return len(sc.conds), sc.condsTotal
 }
 
-// VerifySemantics is the one-shot form of SemanticChecker: a
-// differential symbolic check that the optimized program produces the
-// same action/drop/field-write outcomes as the original over the joined
-// abstract packet space of every path class.
-func VerifySemantics(orig, opt *p4ir.Program) diag.List {
-	return NewSemanticChecker(orig).Verify(opt)
-}
-
 // classLabel names class bits over conds: each conditional, negated where
 // the class takes its false arm.
 func classLabel(conds []string, bits int) string {
@@ -296,7 +288,7 @@ func classLabel(conds []string, bits int) string {
 }
 
 // writtenFields returns the sorted set of fields any action of prog can
-// write, plus also: the observable surface VerifySemantics compares.
+// write, plus also: the observable surface SemanticChecker.Verify compares.
 func writtenFields(prog *p4ir.Program, also ...string) []string {
 	set := map[string]bool{}
 	for _, f := range also {

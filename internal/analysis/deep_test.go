@@ -23,7 +23,7 @@ func TestLintDeepFindsRangeDeadEntriesAndDecidedBranches(t *testing.T) {
 			Name: "t",
 			Keys: []p4ir.Key{{Field: "ipv4.ttl", Kind: p4ir.MatchExact, Width: 8}},
 			Actions: []*p4ir.Action{
-				p4ir.ForwardAction("fwd"),
+				p4ir.NewAction("fwd", p4ir.Prim("modify_field", "meta.egress_port", "1")),
 				p4ir.NoopAction("miss"),
 			},
 			Entries: []p4ir.Entry{
@@ -222,4 +222,12 @@ func TestVerifySemanticsAcceptsAnnotationOnlyChange(t *testing.T) {
 	if l := VerifySemantics(orig, pinned); l.HasErrors() {
 		t.Errorf("annotation-only change rejected:\n%s", strings.Join(l.Strings(), "\n"))
 	}
+}
+
+// VerifySemantics is the one-shot form of SemanticChecker: a
+// differential symbolic check that the optimized program produces the
+// same action/drop/field-write outcomes as the original over the joined
+// abstract packet space of every path class.
+func VerifySemantics(orig, opt *p4ir.Program) diag.List {
+	return NewSemanticChecker(orig).Verify(opt)
 }

@@ -121,10 +121,7 @@ func tangled(t *testing.T, seed uint64, blocks, fields int) *p4ir.Program {
 		next = cond
 	}
 	b.Root(next)
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := b.MustBuild()
 	if sd := prog.StructuralDiagnostics(); sd.HasErrors() {
 		t.Fatalf("tangled-%d: %v", seed, sd)
 	}

@@ -297,7 +297,7 @@ func TestProveReportsCoarsenedPartition(t *testing.T) {
 	if l.HasErrors() {
 		t.Fatalf("the original's clone is refused: %v", l)
 	}
-	se := l.ByCode(CodeSemCoarse)
+	se := byCode(l, CodeSemCoarse)
 	if len(se) != 1 || se[0].Severity != diag.Info {
 		t.Fatalf("want one SE005 info, got %v", l)
 	}
@@ -305,7 +305,7 @@ func TestProveReportsCoarsenedPartition(t *testing.T) {
 		t.Errorf("SE005 %q does not say %q", se[0].Message, want)
 	}
 	// A shallow verifier has no semantic tier to coarsen.
-	if l := NewVerifier(orig, false).Prove(cand, cand.Digest()); len(l.ByCode(CodeSemCoarse)) != 0 {
+	if l := NewVerifier(orig, false).Prove(cand, cand.Digest()); len(byCode(l, CodeSemCoarse)) != 0 {
 		t.Errorf("shallow Prove reports %v", l)
 	}
 }
@@ -322,4 +322,15 @@ func TestSynthProofProofIsFull(t *testing.T) {
 	if l := v.Prove(cand, cand.Digest()); len(l) != 0 {
 		t.Errorf("Prove of the original's clone: %v", l)
 	}
+}
+
+// byCode returns the diagnostics of l that carry code.
+func byCode(l diag.List, code string) diag.List {
+	var out diag.List
+	for _, d := range l {
+		if d.Code == code {
+			out = append(out, d)
+		}
+	}
+	return out
 }

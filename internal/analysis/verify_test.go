@@ -292,22 +292,22 @@ func TestVerifyTierAnnotations(t *testing.T) {
 	// Sound placement: floored table annotated at (or above) its floor,
 	// floor-0 table replicated.
 	opt := mk()
-	opt.Tables["a"].SetTierAssignment(2)
-	opt.Tables["b"].SetTierCopied(true)
+	opt.Tables["a"].Annotations = map[string]string{p4ir.AnnotTier: "2"}
+	opt.Tables["b"].Annotations = map[string]string{p4ir.AnnotTierCopy: "1"}
 	if l := analysis.VerifyRewrite(orig, opt); l.HasErrors() {
 		t.Errorf("sound tier placement rejected:\n%v", l)
 	}
 
 	// RW005: assignment below the floor.
 	opt = mk()
-	opt.Tables["a"].SetTierAssignment(0)
+	opt.Tables["a"].Annotations = map[string]string{p4ir.AnnotTier: "0"}
 	if l := analysis.VerifyRewrite(orig, opt); !hasCode(l, analysis.CodeTierFloor) {
 		t.Errorf("below-floor assignment not reported as RW005:\n%v", l)
 	}
 
 	// RW005: replicating a floored table (a replica runs on tier 0 too).
 	opt = mk()
-	opt.Tables["a"].SetTierCopied(true)
+	opt.Tables["a"].Annotations = map[string]string{p4ir.AnnotTierCopy: "1"}
 	if l := analysis.VerifyRewrite(orig, opt); !hasCode(l, analysis.CodeTierFloor) {
 		t.Errorf("replicated floored table not reported as RW005:\n%v", l)
 	}
@@ -317,7 +317,7 @@ func TestVerifyTierAnnotations(t *testing.T) {
 	orig2.Tables["b"].Sticky = true
 	opt = mk()
 	opt.Tables["b"].Sticky = true
-	opt.Tables["b"].SetTierCopied(true)
+	opt.Tables["b"].Annotations = map[string]string{p4ir.AnnotTierCopy: "1"}
 	if l := analysis.VerifyRewrite(orig2, opt); !hasCode(l, analysis.CodeStickyCopied) {
 		t.Errorf("replicated sticky table not reported as RW006:\n%v", l)
 	}

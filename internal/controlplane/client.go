@@ -45,8 +45,8 @@ type RetryPolicy struct {
 	MaxElapsed time.Duration
 }
 
-// DefaultRetryPolicy is what Dial installs.
-func DefaultRetryPolicy() RetryPolicy {
+// defaultRetryPolicy is what Dial installs.
+func defaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, JitterFrac: 0.2, MaxElapsed: 15 * time.Second}
 }
 
@@ -93,7 +93,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		rng:         stats.NewRNG(binary.BigEndian.Uint64(seed[:]) | 1),
 		Timeout:     5 * time.Second,
 		DialTimeout: timeout,
-		Retry:       DefaultRetryPolicy(),
+		Retry:       defaultRetryPolicy(),
 	}, nil
 }
 
@@ -357,18 +357,18 @@ func (e *DeployError) Unwrap() error { return e.Err }
 // cost model first; a rejection comes back as a *DeployError carrying
 // the analyzer's diagnostics.
 func (c *Client) Deploy(prog *p4ir.Program) error {
-	_, err := c.DeployDiags(prog)
+	_, err := c.deployDiags(prog)
 	return err
 }
 
-// DeployDiags is Deploy, but also returns the diagnostics the server
+// deployDiags is Deploy, but also returns the diagnostics the server
 // attached to an accepted deploy — lint warnings ride along with
 // successful stagings instead of being discarded.
-func (c *Client) DeployDiags(prog *p4ir.Program) (diag.List, error) {
+func (c *Client) deployDiags(prog *p4ir.Program) (diag.List, error) {
 	return c.DeployEncoded(prog.AppendBinary(nil))
 }
 
-// DeployEncoded is DeployDiags for a caller that already holds the
+// DeployEncoded is deployDiags for a caller that already holds the
 // program's binary form (p4ir.AppendBinary) — and with it the digest the
 // server will know the program by.
 func (c *Client) DeployEncoded(encoded []byte) (diag.List, error) {

@@ -201,7 +201,7 @@ func TestRemoteDeployDeepLintWarnings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.DeployDiags(prog)
+	resp, err := cl.deployDiags(prog)
 	if err != nil {
 		t.Fatalf("deploy failed: %v", err)
 	}

@@ -84,7 +84,7 @@ func TestCountersReadTheFaultedDevice(t *testing.T) {
 			t.Errorf("read %d: %d acl hits, want %d", i+1, got, want)
 		}
 	}
-	if script.Fired(faultinject.PointCounters) != 1 {
+	if script.Pending(faultinject.PointCounters) != 0 {
 		t.Error("the zeroed-counters fault did not fire")
 	}
 }
@@ -113,7 +113,7 @@ func TestRetriedMeasureNotDuplicated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retried measure failed: %v", err)
 	}
-	if script.Fired(faultinject.PointConnWrite) != 1 {
+	if script.Pending(faultinject.PointConnWrite) != 0 {
 		t.Fatal("connection-drop fault did not fire")
 	}
 	if m.Packets != len(batch) {
@@ -150,7 +150,7 @@ func TestRetriedDeployNotDuplicated(t *testing.T) {
 	if err := cl.Deploy(next); err != nil {
 		t.Fatalf("retried deploy failed: %v", err)
 	}
-	if script.Fired(faultinject.PointConnWrite) != 1 {
+	if script.Pending(faultinject.PointConnWrite) != 0 {
 		t.Fatal("connection-drop fault did not fire")
 	}
 	if err := cl.Rollback(); err != nil {

@@ -178,7 +178,7 @@ func TestRetriedInsertNotDuplicated(t *testing.T) {
 	if err := cl.InsertEntry("acl", e); err != nil {
 		t.Fatalf("retried insert failed: %v", err)
 	}
-	if script.Fired(faultinject.PointConnWrite) != 1 {
+	if script.Pending(faultinject.PointConnWrite) != 0 {
 		t.Fatal("connection-drop fault did not fire")
 	}
 	if got := len(backend.Current().Tables["acl"].Entries); got != 1 {
@@ -235,7 +235,7 @@ func TestDroppedConnectionMidSessionReconnects(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("ping through dropped connection failed: %v", err)
 	}
-	if script.Fired(faultinject.PointConnRead) != 1 {
+	if script.Pending(faultinject.PointConnRead) != 0 {
 		t.Fatal("connection-drop fault did not fire")
 	}
 }

@@ -73,7 +73,7 @@ func TestLintMemoSameDiagnostics(t *testing.T) {
 
 	// Warnings ride along identically on the second deploy of a program.
 	warned := sramPinned(t)
-	first, err := cl.DeployDiags(warned)
+	first, err := cl.deployDiags(warned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLintMemoSameDiagnostics(t *testing.T) {
 	if err := cl.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.DeployDiags(warned.Clone())
+	second, err := cl.deployDiags(warned.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestLintMemoSameDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	clean, err := cl2.DeployDiags(warned)
+	clean, err := cl2.deployDiags(warned)
 	if err != nil {
 		t.Fatal(err)
 	}

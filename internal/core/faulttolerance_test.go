@@ -200,7 +200,7 @@ func TestStaleCounterWindowRecovers(t *testing.T) {
 	if _, err := rt.OptimizeOnce(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if script.Fired(faultinject.PointCounters) != 1 {
+	if script.Pending(faultinject.PointCounters) != 0 {
 		t.Fatal("stale-counter fault did not fire")
 	}
 
@@ -219,7 +219,7 @@ func TestStaleCounterWindowRecovers(t *testing.T) {
 func TestCircuitBreakerPausesAndRecovers(t *testing.T) {
 	script := faultinject.NewScript()
 	rt, nic, gen := newFaultRig(t, script)
-	script.QueueN(faultinject.PointDeploy, 2, faultinject.Decision{Fail: true})
+	script.Queue(faultinject.PointDeploy, faultinject.Decision{Fail: true}, faultinject.Decision{Fail: true})
 	guard := DeployGuard{BreakerThreshold: 2, BreakerCooldownRounds: 2}
 	rt.SetDeployGuard(guard) // breaker/blacklist only: no Sampler, no verify
 

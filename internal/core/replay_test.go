@@ -54,9 +54,15 @@ func replayRoundTrip(t *testing.T, tracePath string) {
 	if rt.Current().Digest() == rt.Original().Digest() {
 		t.Error("replayed loop never changed the layout")
 	}
-	// All recorded windows were consumed.
-	if _, profiles, _ := rp.Remaining(); profiles != 0 {
-		t.Errorf("%d recorded profile windows left unconsumed", profiles)
+	// All recorded windows were consumed: no recorded window is empty, and
+	// a peek past the last one serves the empty window.
+	for i, p := range trace.Profiles {
+		if len(p.ActionCounts) == 0 {
+			t.Fatalf("recorded profile window %d is empty", i)
+		}
+	}
+	if p, err := rp.Profile(false); err != nil || len(p.ActionCounts) != 0 {
+		t.Errorf("recorded profile windows left unconsumed (err %v)", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestStatusAggregatesHistory(t *testing.T) {
 	}
 
 	// Rounds 1-2: injected deploy failures open the breaker.
-	script.QueueN(faultinject.PointDeploy, 2, faultinject.Decision{Fail: true})
+	script.Queue(faultinject.PointDeploy, faultinject.Decision{Fail: true}, faultinject.Decision{Fail: true})
 	for i := 0; i < 2; i++ {
 		drive(nic, gen, 3000)
 		if _, err := rt.OptimizeOnce(time.Second); err == nil {

@@ -280,7 +280,7 @@ func TestWireGateIsTheLocalGate(t *testing.T) {
 	for _, cand := range candidates {
 		var rep RoundReport
 		localOK := gate(rt, cand, &rep)
-		wire, err := cl.DeployDiags(cand)
+		wire, err := cl.DeployEncoded(cand.AppendBinary(nil))
 		var de *controlplane.DeployError
 		if errors.As(err, &de) {
 			wire = de.Diags

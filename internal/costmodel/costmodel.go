@@ -216,11 +216,3 @@ func (pm Params) ThroughputGbps(latencyNs float64, packetBytes int) float64 {
 	gbps := pps * float64(packetBytes) * 8 / 1e9
 	return math.Min(gbps, pm.LineRateGbps)
 }
-
-// LatencyFloorNs returns the per-packet latency at which the target first
-// saturates its line rate for the given packet size. Below this latency,
-// throughput is constant at line rate — the "achieves the line rate"
-// plateaus in Figures 9a-9c.
-func (pm Params) LatencyFloorNs(packetBytes int) float64 {
-	return float64(pm.Cores) * float64(packetBytes) * 8 / pm.LineRateGbps
-}

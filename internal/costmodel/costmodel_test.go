@@ -323,10 +323,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 		}
 	}
 	b.Root(names[0])
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatalf("randomProgram: %v", err)
-	}
+	prog := b.MustBuild()
 	// Trim unreferenced trailing node if last layer was skipped over.
 	return prog, col.Snapshot()
 }
@@ -362,7 +359,9 @@ func TestThroughputMonotoneInLatency(t *testing.T) {
 
 func TestLatencyFloor(t *testing.T) {
 	pm := BlueField2()
-	floor := pm.LatencyFloorNs(512)
+	// The per-packet latency at which the target first saturates its line
+	// rate for 512-byte packets: the line-rate plateaus of Figures 9a-9c.
+	floor := float64(pm.Cores) * 512 * 8 / pm.LineRateGbps
 	if got := pm.ThroughputGbps(floor, 512); math.Abs(got-pm.LineRateGbps) > 1e-6 {
 		t.Errorf("at floor latency throughput = %v, want line rate", got)
 	}

@@ -110,26 +110,10 @@ func (l List) HasErrors() bool {
 }
 
 // Errors returns only the Error-severity diagnostics.
-func (l List) Errors() List { return l.filter(Error) }
-
-// Warnings returns only the Warn-severity diagnostics.
-func (l List) Warnings() List { return l.filter(Warn) }
-
-func (l List) filter(sev Severity) List {
+func (l List) Errors() List {
 	var out List
 	for _, d := range l {
-		if d.Severity == sev {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// ByCode returns the diagnostics carrying the given rule code.
-func (l List) ByCode(code string) List {
-	var out List
-	for _, d := range l {
-		if d.Code == code {
+		if d.Severity == Error {
 			out = append(out, d)
 		}
 	}

@@ -113,12 +113,11 @@ func At(inj Injector, p Point) Decision {
 type Script struct {
 	mu    sync.Mutex
 	queue map[Point][]Decision
-	fired map[Point]int
 }
 
 // NewScript returns an empty script.
 func NewScript() *Script {
-	return &Script{queue: map[Point][]Decision{}, fired: map[Point]int{}}
+	return &Script{queue: map[Point][]Decision{}}
 }
 
 // Queue appends decisions to a point's replay queue.
@@ -126,14 +125,6 @@ func (s *Script) Queue(p Point, ds ...Decision) *Script {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.queue[p] = append(s.queue[p], ds...)
-	return s
-}
-
-// QueueN appends n copies of one decision.
-func (s *Script) QueueN(p Point, n int, d Decision) *Script {
-	for i := 0; i < n; i++ {
-		s.Queue(p, d)
-	}
 	return s
 }
 
@@ -147,17 +138,7 @@ func (s *Script) At(p Point) Decision {
 	}
 	d := q[0]
 	s.queue[p] = q[1:]
-	if !d.None() {
-		s.fired[p]++
-	}
 	return d
-}
-
-// Fired returns how many non-empty decisions have been injected at p.
-func (s *Script) Fired(p Point) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired[p]
 }
 
 // Pending returns how many decisions remain queued at p.
@@ -189,16 +170,15 @@ type Random struct {
 	mu    sync.Mutex
 	rng   *stats.RNG
 	probs map[Point]Prob
-	fired map[Point]int
 }
 
-// NewRandom builds a probabilistic injector.
-func NewRandom(seed uint64, probs map[Point]Prob) *Random {
+// newRandom builds a probabilistic injector.
+func newRandom(seed uint64, probs map[Point]Prob) *Random {
 	cp := make(map[Point]Prob, len(probs))
 	for k, v := range probs {
 		cp[k] = v
 	}
-	return &Random{rng: stats.NewRNG(seed), probs: cp, fired: map[Point]int{}}
+	return &Random{rng: stats.NewRNG(seed), probs: cp}
 }
 
 // At draws one decision for p.
@@ -225,17 +205,7 @@ func (r *Random) At(p Point) Decision {
 	case u < pr.Fail+pr.Silent+pr.Drop+pr.Zero+pr.DelayProb+pr.ScaleProb:
 		d = Decision{Scale: pr.Scale}
 	}
-	if !d.None() {
-		r.fired[p]++
-	}
 	return d
-}
-
-// Fired returns how many faults have been injected at p.
-func (r *Random) Fired(p Point) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fired[p]
 }
 
 // ParseSpec builds a Random injector from a compact CLI spec:
@@ -305,7 +275,7 @@ func ParseSpec(spec string, seed uint64) (Injector, error) {
 		}
 		probs[point] = pr
 	}
-	return NewRandom(seed, probs), nil
+	return newRandom(seed, probs), nil
 }
 
 func knownPoint(p Point) bool {

@@ -22,23 +22,8 @@ func TestScriptReplaysInOrder(t *testing.T) {
 	if d := s.At(PointCounters); !d.Zero {
 		t.Errorf("counters decision = %+v, want Zero", d)
 	}
-	if got := s.Fired(PointDeploy); got != 2 {
-		t.Errorf("Fired(deploy) = %d, want 2", got)
-	}
 	if got := s.Pending(PointDeploy); got != 0 {
 		t.Errorf("Pending(deploy) = %d, want 0", got)
-	}
-}
-
-func TestScriptQueueN(t *testing.T) {
-	s := NewScript().QueueN(PointConnWrite, 3, Decision{Drop: true})
-	for i := 0; i < 3; i++ {
-		if d := s.At(PointConnWrite); !d.Drop {
-			t.Fatalf("decision %d = %+v, want Drop", i, d)
-		}
-	}
-	if d := s.At(PointConnWrite); !d.None() {
-		t.Errorf("queue should be drained, got %+v", d)
 	}
 }
 
@@ -53,8 +38,9 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 		PointDeploy:    {Fail: 0.3, Silent: 0.2},
 		PointConnWrite: {Drop: 0.5},
 	}
-	a := NewRandom(42, probs)
-	b := NewRandom(42, probs)
+	a := newRandom(42, probs)
+	b := newRandom(42, probs)
+	fired := 0
 	for i := 0; i < 200; i++ {
 		p := PointDeploy
 		if i%2 == 1 {
@@ -64,14 +50,17 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 		if da != db {
 			t.Fatalf("draw %d diverged: %+v vs %+v", i, da, db)
 		}
+		if p == PointDeploy && !da.None() {
+			fired++
+		}
 	}
-	if a.Fired(PointDeploy) == 0 {
+	if fired == 0 {
 		t.Error("faults with 0.5 total probability never fired in 100 draws")
 	}
 }
 
 func TestRandomRespectsZeroProbability(t *testing.T) {
-	r := NewRandom(7, map[Point]Prob{PointDeploy: {}})
+	r := newRandom(7, map[Point]Prob{PointDeploy: {}})
 	for i := 0; i < 100; i++ {
 		if d := r.At(PointDeploy); !d.None() {
 			t.Fatalf("zero-probability point injected %+v", d)

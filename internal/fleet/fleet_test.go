@@ -185,7 +185,7 @@ func TestStateMachineProbationRelapse(t *testing.T) {
 	}
 
 	// Two probe failures: Healthy → Degraded → Quarantined.
-	m.Script.QueueN(faultinject.PointCounters, 2, faultinject.Decision{Fail: true})
+	m.Script.Queue(faultinject.PointCounters, faultinject.Decision{Fail: true}, faultinject.Decision{Fail: true})
 	ctl.ProbeAll()
 	if got := state(); got != fleet.Degraded {
 		t.Fatalf("after 1 failure: %s, want degraded", got)

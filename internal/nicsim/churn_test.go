@@ -173,16 +173,13 @@ func TestEntryChurnUnderTraffic(t *testing.T) {
 // and t1 continue to next.
 func cachedT1(t *testing.T, b *p4ir.Builder, next string, entries ...p4ir.Entry) *p4ir.Program {
 	t.Helper()
-	prog, err := b.Table(p4ir.TableSpec{
+	prog := b.Table(p4ir.TableSpec{
 		Name:          "cachetab",
 		Keys:          []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchExact, Width: 32}},
 		Actions:       []*p4ir.Action{{Name: "cache_hit"}, {Name: "cache_miss"}},
 		DefaultAction: "cache_miss",
 		ActionNext:    map[string]string{"cache_hit": next, "cache_miss": "t1"},
-	}).Table(exactTable("t1", "ipv4.dstAddr", next, entries...)).Root("cachetab").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Table(exactTable("t1", "ipv4.dstAddr", next, entries...)).Root("cachetab").MustBuild()
 	prog.Tables["cachetab"].SetCacheMeta(p4ir.CacheSpec{
 		Table: "cachetab", Kind: p4ir.KindCache,
 		Covers: []string{"t1"}, HitNext: next, MissNext: "t1", Budget: 1024,

@@ -53,23 +53,6 @@ func (n *NIC) ModifyEntry(table string, match []p4ir.MatchValue, action string, 
 	})
 }
 
-// ReplaceEntries swaps a table's whole entry set (bulk install): the fork
-// becomes a store built afresh from the new entries.
-func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
-	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		fresh := make([]p4ir.Entry, len(entries))
-		for i, e := range entries {
-			fresh[i] = e.Clone()
-		}
-		built, err := buildTable(t, fresh, n.kern.PinnedM(t))
-		if err != nil {
-			return err
-		}
-		*rt, t.Entries = *built, fresh
-		return nil
-	})
-}
-
 // mutateTable runs one entry operation against a fork of the table's
 // lookup store and publishes the fork copy-on-write: in-flight Process
 // calls keep walking the old plan; new calls see the new entries. The

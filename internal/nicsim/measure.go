@@ -67,8 +67,8 @@ func (n *NIC) Measure(pkts []*packet.Packet) Measurement {
 
 // MeasureParallel is Measure; workers is ignored. It exists only because
 // the end-to-end benchmark's per-layer replay (bench/layers.go, a module
-// of its own that only benchmark changes edit) calls it, and ROADMAP item
-// 8 deletes it with that call.
+// of its own that only benchmark changes edit) calls it; it goes in the
+// change that drops that call.
 func (n *NIC) MeasureParallel(pkts []*packet.Packet, workers int) Measurement { return n.Measure(pkts) }
 
 // burstTally accumulates a walk's aggregate counts.

@@ -798,7 +798,7 @@ func TestTierAnnotationDrivesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Tables["b"].SetTierAssignment(2)
+	prog.Tables["b"].Annotations = map[string]string{p4ir.AnnotTier: "2"}
 	nic, err := New(prog, Config{Params: offPathParams()})
 	if err != nil {
 		t.Fatal(err)
@@ -809,8 +809,7 @@ func TestTierAnnotationDrivesPlacement(t *testing.T) {
 	}
 	// Copied annotation suppresses the crossing.
 	prog2 := prog.Clone()
-	prog2.Tables["b"].SetTierAssignment(0)
-	prog2.Tables["b"].SetTierCopied(true)
+	prog2.Tables["b"].Annotations = map[string]string{p4ir.AnnotTier: "0", p4ir.AnnotTierCopy: "1"}
 	if err := nic.Swap(prog2); err != nil {
 		t.Fatal(err)
 	}

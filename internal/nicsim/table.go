@@ -338,7 +338,7 @@ type runtimeTable struct {
 // buildTable compiles a table's keys and actions — actions into
 // argument-resolved primitive lists, so the per-packet path never parses
 // operand strings — around an empty match store, then inserts the entries
-// one by one: New, Swap and ReplaceEntries install as InsertEntry does.
+// one by one: New and Swap install as InsertEntry does.
 func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedM int) (*runtimeTable, error) {
 	rt := &runtimeTable{
 		tbl:       t,

@@ -217,7 +217,7 @@ func TestKeyWidthMasking(t *testing.T) {
 
 func TestThroughputFormulaAgainstFloor(t *testing.T) {
 	pmParams := testParams()
-	floor := pmParams.LatencyFloorNs(512)
+	floor := float64(pmParams.Cores) * 512 * 8 / pmParams.LineRateGbps
 	if math.Abs(pmParams.ThroughputGbps(floor, 512)-pmParams.LineRateGbps) > 1e-9 {
 		t.Error("floor latency should saturate line rate exactly")
 	}
@@ -282,4 +282,21 @@ func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ReplaceEntries swaps a table's whole entry set (bulk install): the fork
+// becomes a store built afresh from the new entries.
+func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
+	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
+		fresh := make([]p4ir.Entry, len(entries))
+		for i, e := range entries {
+			fresh[i] = e.Clone()
+		}
+		built, err := buildTable(t, fresh, n.kern.PinnedM(t))
+		if err != nil {
+			return err
+		}
+		*rt, t.Entries = *built, fresh
+		return nil
+	})
 }

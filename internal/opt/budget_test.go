@@ -37,7 +37,7 @@ func TestSearchRespectsResourceBudgets(t *testing.T) {
 		tighter := mk(8<<10, 400)
 
 		for _, sr := range []*SearchResult{tight, tighter} {
-			mem, upd := PlanCosts(sr.Plan)
+			mem, upd := planCosts(sr.Plan)
 			limitMem := map[*SearchResult]int{tight: 64 << 10, tighter: 8 << 10}[sr]
 			limitUpd := map[*SearchResult]float64{tight: 1200, tighter: 400}[sr]
 			if mem > limitMem {

@@ -70,15 +70,6 @@ type Config struct {
 	// device. Hysteresis prevents flip-flopping between near-equal plans,
 	// each swap of which would cold-start its caches.
 	RedeployMargin float64
-	// EnablePlacement turns on heterogeneous N-tier placement search:
-	// the session proposes a tier assignment + copy plan (as an
-	// annotation-only OptPlacement candidate) whenever the cost model
-	// has more than one tier and the program has software-floored
-	// tables. Off by default so homogeneous searches are unchanged.
-	EnablePlacement bool
-	// MaxPlacementMoves caps the greedy three-way placement search's
-	// committed moves per round. <=0 uses a small default.
-	MaxPlacementMoves int
 	// DeepVerify makes the session's analysis.Verifier a deep one: every
 	// plan option and every materialized program must additionally pass
 	// the semantic tier — a differential abstract-interpretation check

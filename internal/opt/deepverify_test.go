@@ -20,7 +20,7 @@ func planSignature(res *SearchResult) string {
 // The deep gate must be sound in the direction that matters for the
 // optimizer: every candidate the search produces is a legal rewrite
 // (guaranteed by the dependency verifier + differential emulator tests),
-// so analysis.VerifySemantics must never reject one. A false positive
+// so the semantic tier (analysis.SemanticChecker) must never reject one. A false positive
 // would silently degrade plans. We prove zero false positives over a
 // 120-seed synthesized corpus: the search with DeepVerify on must pick
 // exactly the plan it picks with the gate off.

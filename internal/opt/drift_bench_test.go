@@ -38,7 +38,7 @@ func driftRig(tb testing.TB) (*Session, []*profile.Profile) {
 			for _, o := range res.Plan {
 				if o.Kind == OptPipelet && lap == 0 {
 					for _, sg := range o.Segments {
-						cfg.HitRateOverride[SpanKey(o.SegTables(sg))] = 0.6
+						cfg.HitRateOverride[SpanKey(o.segTables(sg))] = 0.6
 					}
 				}
 			}

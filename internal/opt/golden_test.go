@@ -81,8 +81,8 @@ func dumpAnalysis(w *strings.Builder, r goldenRound) {
 	}
 	rw, err := Apply(r.prog, r.res.Plan, r.cfg)
 	if err != nil {
-		// Not the text: a placement plan over merged tables fails on whichever
-		// table a map walk names first (ROADMAP item 1).
+		// Not the text: an apply error may name whichever table a map walk
+		// reaches first, and the golden must not depend on map order.
 		fmt.Fprintf(w, " apply failed\n")
 		return
 	}
@@ -183,7 +183,7 @@ func goldenCases(t *testing.T, dump func(*strings.Builder, goldenRound)) (names 
 		for k, o := range res.Plan {
 			if o.Kind == OptPipelet {
 				for _, sg := range o.Segments {
-					cfg.HitRateOverride[SpanKey(o.SegTables(sg))] = 0.35 + 0.05*float64((r+k)%9)
+					cfg.HitRateOverride[SpanKey(o.segTables(sg))] = 0.35 + 0.05*float64((r+k)%9)
 				}
 			}
 		}

@@ -2,8 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
@@ -62,35 +60,6 @@ func clonePlacement(p Placement) Placement {
 		out.Copies[k] = true
 	}
 	return out
-}
-
-// String renders the placement deterministically (sorted names); it is
-// part of the Option.String() verifier/memo key.
-func (p Placement) String() string {
-	var sb strings.Builder
-	sb.WriteString("tier{")
-	names := make([]string, 0, len(p.Tier))
-	for n, d := range p.Tier {
-		if d > 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=%d", n, int(p.Tier[n]))
-	}
-	sb.WriteString("} copy{")
-	names = names[:0]
-	for n := range p.Copies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	sb.WriteString(strings.Join(names, ","))
-	sb.WriteString("}")
-	return sb.String()
 }
 
 // placedTier resolves a table's effective tier under a placement.
@@ -253,18 +222,11 @@ func (m placementMove) apply(pl Placement) Placement {
 // bit-for-bit. Every trial placement is priced against one view.
 func GreedyPlacementPlan(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, base Placement, maxMoves int) (Placement, error) {
 	ev := NewEvaluator(prog, prof, pm, Config{})
-	baseLat, err := ev.HeteroLatency(base)
+	bestLat, err := ev.HeteroLatency(base)
 	if err != nil {
 		return base, err
 	}
-	return ev.greedyPlacement(base, baseLat, maxMoves), nil
-}
-
-// greedyPlacement is GreedyPlacementPlan over the view, from a base
-// placement already priced at baseLat (so the program has a topological
-// order).
-func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves int) Placement {
-	best, bestLat := clonePlacement(base), baseLat
+	best := clonePlacement(base)
 	copies := ev.copyCandidates(best)
 	runs := ev.tableRuns()
 	for round := 0; round < maxMoves; round++ {
@@ -318,7 +280,7 @@ func (ev *Evaluator) greedyPlacement(base Placement, baseLat float64, maxMoves i
 		best = pick.apply(best)
 		bestLat = pickLat
 	}
-	return best
+	return best, nil
 }
 
 // tableRuns splits the topological order into maximal runs of

@@ -44,7 +44,7 @@ func legacyEstimate(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Para
 	if err != nil {
 		return 0
 	}
-	reach := prof.ReachProbs(prog)
+	reach, ix := prof.ReachProbs(prog), p4ir.NewIndex(prog)
 	pCPU := map[string]float64{}
 	var total float64
 	for _, name := range order {
@@ -83,8 +83,8 @@ func legacyEstimate(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Para
 			total += mass * (pm.BranchFactor * pm.Lmat)
 			afterCPU = onCPU
 		}
-		for _, s := range prog.Successors(name) {
-			if reach[s] > 0 {
+		for _, id := range ix.Succ(ix.ID(name)) {
+			if s := ix.Name(id); reach[s] > 0 {
 				pCPU[s] += afterCPU * (mass / reach[s]) * edgeShare(prog, prof, name, s)
 			}
 		}

@@ -381,50 +381,3 @@ func measureTiered(t *testing.T, prog *p4ir.Program, pm costmodel.Params, pl Pla
 	}
 	return nic.Measure(pkts)
 }
-
-// TestPlacementCopyCostsTheTablesFootprint: a table copied onto every tier
-// costs the knapsack the memory the table occupies, Table.MemoryBytes — for
-// an LPM table over five prefix lengths that is five hash tables of entries,
-// not the emulated NIC's pinned latency m of 3, and an empty table occupies
-// its one-entry minimum.
-func TestPlacementCopyCostsTheTablesFootprint(t *testing.T) {
-	var prefixes []p4ir.Entry
-	for i, plen := range []int{8, 12, 16, 24, 32} {
-		prefixes = append(prefixes, p4ir.Entry{Match: []p4ir.MatchValue{{Value: uint64(i+1) << 24, PrefixLen: plen}}, Action: "n"})
-	}
-	mk := func(name string, floor int, kind p4ir.MatchKind, entries []p4ir.Entry) p4ir.TableSpec {
-		return p4ir.TableSpec{
-			Name: name, MinTier: floor, Entries: entries,
-			Keys:    []p4ir.Key{{Field: "ipv4.dstAddr", Kind: kind, Width: 32}},
-			Actions: []*p4ir.Action{p4ir.NoopAction("n")},
-		}
-	}
-	prog, err := p4ir.ChainTables("footprint", []p4ir.TableSpec{
-		mk("u1", 1, p4ir.MatchExact, nil), mk("lpm", 0, p4ir.MatchLPM, prefixes),
-		mk("u2", 1, p4ir.MatchExact, nil), mk("empty", 0, p4ir.MatchExact, nil),
-		mk("u3", 1, p4ir.MatchExact, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.EnablePlacement = true
-	res, err := coldSession(t, prog, heteroParams(), cfg).Search(profile.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range res.Units {
-		if u.Name != "placement" {
-			continue
-		}
-		o := u.Options[0]
-		if !o.Placement.Copies["lpm"] || !o.Placement.Copies["empty"] {
-			t.Fatalf("want both ASIC tables copied, got %v", o.Placement)
-		}
-		if want := prog.Tables["lpm"].MemoryBytes() + prog.Tables["empty"].MemoryBytes(); o.MemCost != want {
-			t.Fatalf("copies cost %d bytes, the tables occupy %d", o.MemCost, want)
-		}
-		return
-	}
-	t.Fatal("no placement unit")
-}

@@ -159,12 +159,3 @@ func PlanGain(plan []*Option) float64 {
 	}
 	return g
 }
-
-// PlanCosts sums the resource costs of a plan.
-func PlanCosts(plan []*Option) (mem int, upd float64) {
-	for _, o := range plan {
-		mem += o.MemCost
-		upd += o.UpdateCost
-	}
-	return mem, upd
-}

@@ -35,7 +35,7 @@ func TestGlobalOptimizeMemoryConstraint(t *testing.T) {
 		{Name: "p2", Options: []*Option{opt1(8, 60, 0)}},
 	}
 	plan := GlobalOptimize(units, 100, 0, cfg)
-	mem, _ := PlanCosts(plan)
+	mem, _ := planCosts(plan)
 	if mem > 100 {
 		t.Errorf("plan exceeds memory budget: %d", mem)
 	}
@@ -67,7 +67,7 @@ func TestGlobalOptimizeUpdateConstraint(t *testing.T) {
 		{Name: "p2", Options: []*Option{opt1(9, 0, 900)}},
 	}
 	plan := GlobalOptimize(units, 0, 1000, cfg)
-	_, upd := PlanCosts(plan)
+	_, upd := planCosts(plan)
 	if upd > 1000 {
 		t.Errorf("plan exceeds update budget: %v", upd)
 	}
@@ -108,7 +108,7 @@ func TestGlobalOptimizeNeverExceedsBudgets(t *testing.T) {
 		mb := 200 + rng.Intn(800)
 		ub := 100 + rng.Float64()*300
 		plan := GlobalOptimize(units, mb, ub, cfg)
-		mem, upd := PlanCosts(plan)
+		mem, upd := planCosts(plan)
 		if mem > mb {
 			t.Fatalf("trial %d: mem %d > budget %d", trial, mem, mb)
 		}
@@ -155,8 +155,17 @@ func bruteForce(units []Unit, mb int, ub float64) float64 {
 
 func TestPlanCosts(t *testing.T) {
 	plan := []*Option{opt1(1, 10, 5), opt1(2, 20, 7)}
-	mem, upd := PlanCosts(plan)
+	mem, upd := planCosts(plan)
 	if mem != 30 || upd != 12 {
-		t.Errorf("PlanCosts = %d, %v", mem, upd)
+		t.Errorf("planCosts = %d, %v", mem, upd)
 	}
+}
+
+// planCosts sums the resource costs of a plan.
+func planCosts(plan []*Option) (mem int, upd float64) {
+	for _, o := range plan {
+		mem += o.MemCost
+		upd += o.UpdateCost
+	}
+	return mem, upd
 }

@@ -46,10 +46,6 @@ const (
 	// OptGroupCache inserts one cache covering an entire pipelet group,
 	// including its branch node (§4.1.1 joint optimization).
 	OptGroupCache
-	// OptPlacement assigns tables to execution tiers (and replicates
-	// some across tiers) on a heterogeneous target. It rewrites only
-	// placement annotations, never program structure.
-	OptPlacement
 )
 
 // Option is one optimization candidate with its estimated benefit and
@@ -67,9 +63,6 @@ type Option struct {
 	Group   *pipelet.Group
 	Members []*Option // OptGroupCombo: chosen option per member (nil = unchanged)
 
-	// Placement describes an OptPlacement candidate.
-	Placement *Placement
-
 	// Gain is the expected reduction of whole-program latency in
 	// nanoseconds (pipelet gain weighted by reach probability).
 	Gain float64
@@ -79,8 +72,8 @@ type Option struct {
 	UpdateCost float64
 }
 
-// SegTables returns the table names a segment covers.
-func (o *Option) SegTables(s Segment) []string {
+// segTables returns the table names a segment covers.
+func (o *Option) segTables(s Segment) []string {
 	return o.Order[s.Start : s.Start+s.Len]
 }
 
@@ -88,8 +81,6 @@ func (o *Option) SegTables(s Segment) []string {
 // "reorder[t3 t1 t2] cache[t3,t1]".
 func (o *Option) String() string {
 	switch o.Kind {
-	case OptPlacement:
-		return "placement " + o.Placement.String()
 	case OptGroupCache:
 		return fmt.Sprintf("group-cache@%s", o.Group.Branch)
 	case OptGroupCombo:
@@ -104,7 +95,7 @@ func (o *Option) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "order%v", o.Order)
 	for _, s := range o.Segments {
-		fmt.Fprintf(&sb, " %s%v", s.Kind, o.SegTables(s))
+		fmt.Fprintf(&sb, " %s%v", s.Kind, o.segTables(s))
 	}
 	return sb.String()
 }

@@ -186,38 +186,8 @@ func applyOption(p *p4ir.Program, o *Option, cm *CounterMap, cfg Config) error {
 		return nil
 	case OptGroupCache:
 		return applyGroupCache(p, o, cm, cfg)
-	case OptPlacement:
-		return applyPlacement(p, o)
 	}
 	return fmt.Errorf("unknown option kind %d", o.Kind)
-}
-
-// applyPlacement records a placement decision on the program as tier
-// annotations — an annotation-only rewrite: structure, wiring, and
-// entries are untouched, so the rewrite trivially preserves dependency
-// order (the verifier still checks the annotations themselves, RW005+).
-func applyPlacement(p *p4ir.Program, o *Option) error {
-	pl := o.Placement
-	if pl == nil {
-		return fmt.Errorf("placement option without a placement")
-	}
-	for name, d := range pl.Tier {
-		t, ok := p.Tables[name]
-		if !ok {
-			return fmt.Errorf("placement assigns unknown table %q", name)
-		}
-		if d > 0 {
-			t.SetTierAssignment(int(d))
-		}
-	}
-	for name := range pl.Copies {
-		t, ok := p.Tables[name]
-		if !ok {
-			return fmt.Errorf("placement copies unknown table %q", name)
-		}
-		t.SetTierCopied(true)
-	}
-	return nil
 }
 
 // redirect rewires every reference to node `from` so it points at `to`,

@@ -58,11 +58,7 @@ type Session struct {
 	ev      *Evaluator
 	version uint64         // the program's entry version ev's entry-dependent arrays were read at
 	costs   []pipelet.Cost // ev's pipelet ranking
-	// placement is the placement unit found under the view as it stands
-	// (without options: nothing profitable), placed whether it was looked for.
-	placement Unit
-	placed    bool
-	stats     SessionStats
+	stats   SessionStats
 }
 
 // SessionStats counts the session's cache effectiveness and search cost.
@@ -146,7 +142,7 @@ func (s *Session) view(prof *profile.Profile) *Evaluator {
 		}
 		s.ev.refresh(prof)
 	}
-	s.version, s.costs, s.placed = version, s.ev.rank(s.part), false
+	s.version, s.costs = version, s.ev.rank(s.part)
 	return s.ev
 }
 
@@ -218,20 +214,6 @@ func (s *Session) Search(prof *profile.Profile) (*SearchResult, error) {
 	for _, p := range res.TopK {
 		if !grouped[p] {
 			addUnit(p.String(), priced(p))
-		}
-	}
-
-	// Placement phase: on heterogeneous targets, propose one tier
-	// assignment + copy plan as an annotation-only candidate unit that
-	// competes in the global knapsack below.
-	if s.cfg.EnablePlacement {
-		cand, err := s.placementUnit()
-		if err != nil {
-			return nil, err
-		}
-		res.CandidatesEvaluated += cand
-		if len(s.placement.Options) > 0 {
-			res.Units = append(res.Units, s.placement)
 		}
 	}
 
@@ -324,51 +306,4 @@ func (s *Session) ReScore(prof *profile.Profile, plan []*Option) float64 {
 		}
 	}
 	return total
-}
-
-// placementUnit runs the greedy N-tier placement search under the view and
-// leaves the resulting plan (when it beats the baseline placement) as a
-// single-option unit in s.placement; it returns the candidates evaluated.
-// The outcome — including "nothing profitable" — holds for as long as the
-// view does, so a repeated search of the round's profile skips the greedy
-// search.
-func (s *Session) placementUnit() (int, error) {
-	software := false
-	for _, t := range s.prog.Tables {
-		if t.TierFloor() > 0 {
-			software = true
-			break
-		}
-	}
-	if !software {
-		return 0, nil
-	}
-	if s.placed {
-		return 1, nil
-	}
-	maxMoves := s.cfg.MaxPlacementMoves
-	if maxMoves <= 0 {
-		maxMoves = 8
-	}
-	base := NewPlacement(s.prog, s.pm)
-	baseLat, err := s.ev.HeteroLatency(base)
-	if err != nil {
-		return 0, err
-	}
-	plan := s.ev.greedyPlacement(base, baseLat, maxMoves)
-	s.placement, s.placed = Unit{}, true
-	if gain := baseLat - s.ev.heteroLatency(plan); gain > 1e-12 {
-		o := &Option{Kind: OptPlacement, Placement: &plan, Gain: gain}
-		// Accumulate in the view's (sorted) table order: float sums are
-		// order-sensitive and map iteration is not, and warm and cold
-		// sessions must agree bitwise.
-		for _, i := range s.ev.ix.Tables() {
-			if t := s.ev.ix.Table(i); plan.Copies[t.Name] {
-				o.MemCost += t.MemoryBytes()
-				o.UpdateCost += s.ev.updRate[i]
-			}
-		}
-		s.placement = Unit{Name: "placement", Options: []*Option{o}}
-	}
-	return 1, nil
 }

@@ -36,10 +36,9 @@ func sessionCase(i int) (synth.ProgramSpec, synth.ProfileSpec, costmodel.Params)
 }
 
 // sessionConfig is the corpus configuration of case i: exhaustive top-k,
-// resource budgets on every fifth case, and on every third the N-tier
-// placement unit — some tables of prog floored off the ASIC (i%3==0 cases
-// run under BlueField2, which has the off-path tier, so the three-way
-// planner runs in earnest).
+// resource budgets on every fifth case, and on every third some tables of
+// prog floored off the ASIC (those cases run under BlueField2, so the
+// floored tables are priced on the CPU tier).
 func sessionConfig(i int, prog *p4ir.Program) Config {
 	cfg := DefaultConfig()
 	cfg.TopKFrac = 1
@@ -56,8 +55,6 @@ func sessionConfig(i int, prog *p4ir.Program) Config {
 				prog.Tables[name].MinTier = 1
 			}
 		}
-		cfg.EnablePlacement = true
-		cfg.MaxPlacementMoves = 4
 	}
 	return cfg
 }

@@ -107,7 +107,7 @@ func TestPriceMatchesEnumerateAndScore(t *testing.T) {
 				}
 				// The runtime's feedback for the next pipelet's pricing.
 				for _, sg := range got[k].Segments {
-					cfg.HitRateOverride[SpanKey(got[k].SegTables(sg))] = 0.5
+					cfg.HitRateOverride[SpanKey(got[k].segTables(sg))] = 0.5
 				}
 			}
 		}
@@ -228,7 +228,7 @@ func TestOverridesWrittenBetweenRoundsReprice(t *testing.T) {
 		}
 		for _, sg := range o.Segments {
 			if sg.Kind == SegCache {
-				cfg.HitRateOverride[SpanKey(o.SegTables(sg))] = 0.02
+				cfg.HitRateOverride[SpanKey(o.segTables(sg))] = 0.02
 				written++
 			}
 		}

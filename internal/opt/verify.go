@@ -163,12 +163,5 @@ func (ov *optionVerifier) touch(set map[string]bool, o *Option) {
 		for _, p := range ov.preds[o.Group.Branch] {
 			set[p] = true
 		}
-	case OptPlacement:
-		for t := range o.Placement.Tier {
-			set[t] = true
-		}
-		for t := range o.Placement.Copies {
-			set[t] = true
-		}
 	}
 }

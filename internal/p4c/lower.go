@@ -15,14 +15,14 @@ func Compile(src string) (*p4ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Lower(f)
+	return lower(f)
 }
 
-// Lower converts a parsed File to the graph IR: sequential applies chain
+// lower converts a parsed File to the graph IR: sequential applies chain
 // through BaseNext, if/else becomes a Conditional with a join, and a
 // switch-on-apply becomes a switch-case table whose ActionNext routes per
 // action, falling through to the join for actions without a case.
-func Lower(f *File) (*p4ir.Program, error) {
+func lower(f *File) (*p4ir.Program, error) {
 	l := &lowerer{
 		f:       f,
 		prog:    p4ir.NewProgram(f.Control.Name),

@@ -171,9 +171,9 @@ func TestCompiledProgramExecutes(t *testing.T) {
 		t.Errorf("tos = %d, want 7 (decorate on web path)", v)
 	}
 	// TTL 1 skips classification.
-	pkt2 := pkt.Clone()
+	// A copy without the metadata the first walk wrote.
+	pkt2 := &packet.Packet{Eth: pkt.Eth, IP: pkt.IP, TCP: pkt.TCP, UDP: pkt.UDP, HasIPv4: pkt.HasIPv4, HasTCP: pkt.HasTCP, HasUDP: pkt.HasUDP, Payload: pkt.Payload, WireLen: pkt.WireLen}
 	pkt2.IP.TTL = 1
-	pkt2.ClearMeta()
 	r2 := nic.Process(pkt2)
 	if len(r2.Path) != 3 || r2.Path[2] != "route" {
 		t.Errorf("ttl=1 path = %v", r2.Path)

@@ -99,8 +99,8 @@ func (b *Builder) Root(name string) *Builder {
 	return b
 }
 
-// Build validates and returns the program.
-func (b *Builder) Build() (*Program, error) {
+// build validates and returns the program.
+func (b *Builder) build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -110,9 +110,9 @@ func (b *Builder) Build() (*Program, error) {
 	return b.prog, nil
 }
 
-// MustBuild is Build that panics on error; for tests and fixtures.
+// MustBuild is build that panics on error; for tests and fixtures.
 func (b *Builder) MustBuild() *Program {
-	p, err := b.Build()
+	p, err := b.build()
 	if err != nil {
 		panic(err)
 	}
@@ -139,12 +139,6 @@ func NoopAction(name string) *Action {
 	return NewAction(name, Prim("no_op"))
 }
 
-// ForwardAction returns an action that sets an egress port field, the
-// typical "allow" action of microbenchmark tables.
-func ForwardAction(name string) *Action {
-	return NewAction(name, Prim("modify_field", "meta.egress_port", "1"))
-}
-
 // ChainTables links the given table specs linearly (each table's Next set
 // to the following one) and returns a built program rooted at the first.
 // This is the shape of the paper's microbenchmarks: "constructed using
@@ -160,7 +154,7 @@ func ChainTables(name string, specs []TableSpec) (*Program, error) {
 	if len(specs) > 0 {
 		b.Root(specs[0].Name)
 	}
-	return b.Build()
+	return b.build()
 }
 
 // Graphviz renders the program as a DOT digraph for debugging and docs.

@@ -505,13 +505,6 @@ func (p *Program) Has(name string) bool {
 	return t != nil || c != nil
 }
 
-// Successors returns the named node's distinct successor names, sorted,
-// missing nodes included and the sink "" left out.
-func (p *Program) Successors(name string) []string {
-	t, c := p.Node(name)
-	return node{t, c}.nexts(nil)
-}
-
 // NodeNames returns every node name in ascending order (a name that is
 // both a table and a conditional, which P4S05 rejects, appears twice).
 // Index numbers nodes in this order.

@@ -39,10 +39,10 @@ func fixture(t *testing.T) *Program {
 		Table(TableSpec{
 			Name:    "D",
 			Keys:    []Key{{Field: "ipv4.dstAddr", Kind: MatchLPM}},
-			Actions: []*Action{ForwardAction("fwd"), DropAction()},
+			Actions: []*Action{NewAction("fwd", Prim("modify_field", "meta.egress_port", "1")), DropAction()},
 		}).
 		Root("r").
-		Build()
+		build()
 	if err != nil {
 		t.Fatalf("fixture: %v", err)
 	}

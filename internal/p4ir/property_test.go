@@ -96,7 +96,7 @@ func TestBuilderProgramsRoundTripTopology(t *testing.T) {
 				Keys:    []Key{{Field: "ipv4.dstAddr", Kind: MatchExact}},
 				Actions: acts, Next: next})
 		}
-		prog, err := b.Build()
+		prog, err := b.build()
 		if err != nil {
 			return false
 		}
@@ -112,8 +112,8 @@ func TestBuilderProgramsRoundTripTopology(t *testing.T) {
 			return false
 		}
 		for _, name := range prog.NodeNames() {
-			a := prog.Successors(name)
-			bb := back.Successors(name)
+			a := successors(prog, name)
+			bb := successors(back, name)
 			if len(a) != len(bb) {
 				return false
 			}

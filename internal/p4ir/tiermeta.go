@@ -2,10 +2,9 @@ package p4ir
 
 import "strconv"
 
-// Execution-tier placement annotations. The N-tier placement planner
-// (internal/opt) records its decisions on the rewritten program as
-// annotations so that the runtime (nicsim), the verifier (analysis) and
-// offline tools can all read one canonical encoding. Tiers are small
+// Execution-tier placement annotations: a program arriving from outside
+// may pin tables to tiers, and the runtime (nicsim), the verifier
+// (analysis) and offline tools all read this one canonical encoding. Tiers are small
 // integers (0 = fastest / ASIC-side); their semantics live in
 // internal/costmodel — this package only stores them.
 const (
@@ -35,29 +34,8 @@ func (t *Table) TierAssignment() (int, bool) {
 	return n, true
 }
 
-// SetTierAssignment annotates the table with its execution tier.
-func (t *Table) SetTierAssignment(tier int) {
-	if t.Annotations == nil {
-		t.Annotations = map[string]string{}
-	}
-	t.Annotations[AnnotTier] = strconv.Itoa(tier)
-}
-
 // TierCopied reports whether the table is annotated as replicated
 // across tiers.
 func (t *Table) TierCopied() bool {
 	return t.Annotations[AnnotTierCopy] == "1"
-}
-
-// SetTierCopied marks (or unmarks) the table as replicated across
-// tiers.
-func (t *Table) SetTierCopied(copied bool) {
-	if !copied {
-		delete(t.Annotations, AnnotTierCopy)
-		return
-	}
-	if t.Annotations == nil {
-		t.Annotations = map[string]string{}
-	}
-	t.Annotations[AnnotTierCopy] = "1"
 }

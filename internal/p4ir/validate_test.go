@@ -2,6 +2,7 @@ package p4ir
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"pipeleon/internal/diag"
@@ -61,7 +62,7 @@ func TestValidateCollectsAll(t *testing.T) {
 		}
 	}
 	for _, code := range []string{CodeDanglingRef, CodeBadDefault, CodeBadEntry} {
-		if len(verr.Diags.ByCode(code)) == 0 {
+		if !slices.ContainsFunc(verr.Diags, func(d diag.Diagnostic) bool { return d.Code == code }) {
 			t.Errorf("no %s diagnostic in %v", code, verr.Diags)
 		}
 	}

@@ -129,3 +129,14 @@ func TestCloneIntoReusesBuffer(t *testing.T) {
 		}
 	}
 }
+
+// ClearMeta removes every metadata field. The dense-store buffer is
+// released rather than kept: a Packet copied by value shares it.
+func (p *Packet) ClearMeta() {
+	for i := 0; i < int(p.nMeta); i++ {
+		p.metaKeys[i] = 0
+		p.metaVals[i] = 0
+	}
+	p.nMeta = 0
+	p.metaSet, p.metaDense = nil, nil
+}

@@ -252,7 +252,7 @@ func (p *Packet) AppendSerialize(dst []byte) []byte {
 	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint32(ip[12:16], p.IP.SrcAddr)
 	binary.BigEndian.PutUint32(ip[16:20], p.IP.DstAddr)
-	cs := Checksum(ip[:ipv4Len])
+	cs := checksum(0, ip[:ipv4Len])
 	binary.BigEndian.PutUint16(ip[10:12], cs)
 	l4b := ip[ipv4Len:]
 	switch {
@@ -283,10 +283,8 @@ func (p *Packet) AppendSerialize(dst []byte) []byte {
 	return dst
 }
 
-// Checksum computes the RFC 1071 internet checksum of data.
-func Checksum(data []byte) uint16 { return checksum(0, data) }
-
-// checksum is Checksum of data behind words already summed into sum.
+// checksum is the RFC 1071 internet checksum of data behind words already
+// summed into sum (0 for data alone).
 func checksum(sum uint32, data []byte) uint16 {
 	for i := 0; i+1 < len(data); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))

@@ -65,7 +65,7 @@ func TestIPv4ChecksumValid(t *testing.T) {
 	wire := tcpPacket().Serialize()
 	// Verify the IP header checksums to zero.
 	ipHdr := wire[14 : 14+20]
-	if got := Checksum(ipHdr); got != 0 {
+	if got := checksum(0, ipHdr); got != 0 {
 		t.Errorf("IP header checksum over full header = %#x, want 0", got)
 	}
 }
@@ -202,8 +202,8 @@ func TestRoundTripProperty(t *testing.T) {
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example: 0x0001 0xf203 0xf4f5 0xf6f7 -> checksum 0x220d.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := Checksum(data); got != 0x220d {
-		t.Errorf("Checksum = %#x, want 0x220d", got)
+	if got := checksum(0, data); got != 0x220d {
+		t.Errorf("checksum = %#x, want 0x220d", got)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestPseudoHeaderChecksumInPlace(t *testing.T) {
 		ph = binary.BigEndian.AppendUint32(ph, dst)
 		ph = append(ph, 0, proto)
 		ph = binary.BigEndian.AppendUint16(ph, uint16(n))
-		if got, want := pseudoHeaderChecksum(src, dst, proto, l4), Checksum(append(ph, l4...)); got != want {
+		if got, want := pseudoHeaderChecksum(src, dst, proto, l4), checksum(0, append(ph, l4...)); got != want {
 			t.Fatalf("%d-byte segment: %#x, want %#x", n, got, want)
 		}
 	}

@@ -36,7 +36,7 @@ func tbl(name, next string) p4ir.TableSpec {
 //	   z1
 func figure8(t *testing.T) *p4ir.Program {
 	t.Helper()
-	p, err := p4ir.NewBuilder("fig8").
+	return p4ir.NewBuilder("fig8").
 		Cond("c0", "meta.dir == 0", "a1", "b1", "meta.dir").
 		Table(tbl("a1", "a2")).
 		Table(tbl("a2", "sw")).
@@ -54,11 +54,7 @@ func figure8(t *testing.T) *p4ir.Program {
 		Table(tbl("y1", "z1")).
 		Table(tbl("z1", "")).
 		Root("c0").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+		MustBuild()
 }
 
 func TestFormFigure8(t *testing.T) {

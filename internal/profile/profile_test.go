@@ -15,7 +15,7 @@ func linearProg(t *testing.T) *p4ir.Program {
 		{Name: "acl", Keys: []p4ir.Key{{Field: "ipv4.srcAddr", Kind: p4ir.MatchExact}},
 			Actions: []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")}},
 		{Name: "route", Keys: []p4ir.Key{{Field: "ipv4.dstAddr", Kind: p4ir.MatchLPM}},
-			Actions: []*p4ir.Action{p4ir.ForwardAction("fwd")}},
+			Actions: []*p4ir.Action{p4ir.NewAction("fwd", p4ir.Prim("modify_field", "meta.egress_port", "1"))}},
 	})
 	if err != nil {
 		t.Fatal(err)

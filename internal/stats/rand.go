@@ -39,10 +39,10 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a standard normal variate via the Box-Muller
+// normFloat64 returns a standard normal variate via the Box-Muller
 // transform. Used to add deterministic "hardware measurement" noise in the
 // emulator.
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) normFloat64() float64 {
 	for {
 		u1 := r.Float64()
 		u2 := r.Float64()
@@ -79,13 +79,13 @@ func Mix64(x uint64) uint64 {
 
 // NormAt returns a standard normal variate determined purely by key: the
 // same key always yields the same draw, and draws for different keys are
-// independent. Unlike RNG.NormFloat64 this has no sequential state, so
+// independent. Unlike RNG.normFloat64 this has no sequential state, so
 // concurrent callers produce identical results regardless of execution
 // order — the property the emulator's measurement noise relies on to keep
 // serial and parallel runs bit-identical.
 func NormAt(key uint64) float64 {
 	s := RNG{state: key}
-	return s.NormFloat64()
+	return s.normFloat64()
 }
 
 // Zipf samples ranks in [0, n) with probability proportional to

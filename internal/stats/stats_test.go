@@ -33,7 +33,7 @@ func TestLinearRegressionNoisy(t *testing.T) {
 	ys := make([]float64, 200)
 	for i := range xs {
 		xs[i] = float64(i)
-		ys[i] = 2*xs[i] + 10 + rng.NormFloat64()*0.5
+		ys[i] = 2*xs[i] + 10 + rng.normFloat64()*0.5
 	}
 	fit, err := LinearRegression(xs, ys)
 	if err != nil {

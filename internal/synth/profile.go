@@ -169,9 +169,9 @@ func SynthesizeProfile(prog *p4ir.Program, spec ProfileSpec) *profile.Profile {
 	return p
 }
 
-// ProfileEntropy returns the entropy of the pipelet traffic distribution
+// profileEntropy returns the entropy of the pipelet traffic distribution
 // under a profile (appendix A.3's aggregation metric).
-func ProfileEntropy(prog *p4ir.Program, prof *profile.Profile, maxPipeletLen int) float64 {
+func profileEntropy(prog *p4ir.Program, prof *profile.Profile, maxPipeletLen int) float64 {
 	part, err := pipelet.Form(prog, maxPipeletLen)
 	if err != nil {
 		return 0
@@ -188,7 +188,7 @@ func ProfileBatch(prog *p4ir.Program, base uint64, n int, cat Category, maxPipel
 	ents := make([]float64, n)
 	for i := 0; i < n; i++ {
 		profs[i] = SynthesizeProfile(prog, ProfileSpec{Seed: base + uint64(i)*7919, Category: cat})
-		ents[i] = ProfileEntropy(prog, profs[i], maxPipeletLen)
+		ents[i] = profileEntropy(prog, profs[i], maxPipeletLen)
 	}
 	return profs, ents
 }

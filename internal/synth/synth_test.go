@@ -164,8 +164,8 @@ func TestProfileBatchEntropySpread(t *testing.T) {
 	}
 	pLow := PickEntropyPercentile(profs, ents, 10)
 	pHigh := PickEntropyPercentile(profs, ents, 90)
-	eLow := ProfileEntropy(prog, pLow, 8)
-	eHigh := ProfileEntropy(prog, pHigh, 8)
+	eLow := profileEntropy(prog, pLow, 8)
+	eHigh := profileEntropy(prog, pHigh, 8)
 	if eLow >= eHigh {
 		t.Errorf("picked profiles not ordered by entropy: %v >= %v", eLow, eHigh)
 	}

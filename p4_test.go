@@ -3,6 +3,8 @@ package pipeleon
 import (
 	"testing"
 	"time"
+
+	"pipeleon/internal/p4c"
 )
 
 // TestLoadP4AndOptimize drives the P4 source path end to end: compile
@@ -70,7 +72,7 @@ func TestLoadP4AndOptimize(t *testing.T) {
 }
 
 func TestCompileP4Inline(t *testing.T) {
-	prog, err := CompileP4(`
+	prog, err := p4c.Compile(`
 		action a() { no_op(); }
 		table t { key = { ipv4.dstAddr: exact; } actions = { a; } }
 		control main { apply(t); }
@@ -81,7 +83,7 @@ func TestCompileP4Inline(t *testing.T) {
 	if prog.Name != "main" || prog.Root != "t" {
 		t.Errorf("prog = %q root %q", prog.Name, prog.Root)
 	}
-	if _, err := CompileP4(`control main { apply(ghost); }`); err == nil {
+	if _, err := p4c.Compile(`control main { apply(ghost); }`); err == nil {
 		t.Error("CompileP4 should surface compile errors")
 	}
 }

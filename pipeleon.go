@@ -27,8 +27,6 @@
 package pipeleon
 
 import (
-	"io"
-
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/diag"
@@ -52,7 +50,6 @@ type (
 	MatchValue  = p4ir.MatchValue
 	Key         = p4ir.Key
 	TableSpec   = p4ir.TableSpec
-	Builder     = p4ir.Builder
 )
 
 // Match kinds.
@@ -62,9 +59,6 @@ const (
 	MatchTernary = p4ir.MatchTernary
 	MatchRange   = p4ir.MatchRange
 )
-
-// NewBuilder starts a program builder.
-func NewBuilder(name string) *Builder { return p4ir.NewBuilder(name) }
 
 // ChainTables links table specs into a linear program.
 func ChainTables(name string, specs []TableSpec) (*Program, error) {
@@ -83,13 +77,6 @@ func DropAction() *Action { return p4ir.DropAction() }
 // LoadProgram reads a program from a BMv2-style JSON file, or compiles it
 // from P4 source when the path ends in ".p4".
 func LoadProgram(path string) (*Program, error) { return p4c.LoadFile(path) }
-
-// ReadProgram reads a JSON program from a stream.
-func ReadProgram(r io.Reader) (*Program, error) { return p4ir.Load(r) }
-
-// CompileP4 compiles P4 subset source text (see internal/p4c for the
-// accepted grammar) into a program.
-func CompileP4(src string) (*Program, error) { return p4c.Compile(src) }
 
 // Target is a SmartNIC performance model (§3.1 cost-model parameters).
 type Target = costmodel.Params
@@ -205,14 +192,6 @@ func Lint(prog *Program, target ...Target) Diagnostics {
 	return analysis.Lint(prog, opts...)
 }
 
-// VerifyRewrite proves that opt preserves every dependency ordering of
-// orig modulo the declared rewrites (caching, merging, memory tiers) —
-// the RWxxx rule family. An empty result (no Error diagnostics) means the
-// transformation is safe to deploy.
-func VerifyRewrite(orig, opt *Program) Diagnostics {
-	return analysis.VerifyRewrite(orig, opt)
-}
-
 // LintDeep runs the symbolic lint tier on top of Lint: the abstract
 // interpreter's value-range rules (PL2xx — entries that can never be
 // selected, shadowed entries, branches decided under the inferred
@@ -221,15 +200,6 @@ func VerifyRewrite(orig, opt *Program) Diagnostics {
 // programs. Enable the same tier at runtime with Options.DeepVerify.
 func LintDeep(prog *Program) Diagnostics {
 	return analysis.LintDeep(prog)
-}
-
-// VerifySemantics proves opt observably equivalent to orig per path
-// class under the abstract value domain — the SExxx rule family,
-// catching value-level divergence the structural VerifyRewrite cannot
-// see. An empty result means every feasible path class drops the same
-// way and leaves the same abstract value in every observable field.
-func VerifySemantics(orig, opt *Program) Diagnostics {
-	return analysis.VerifySemantics(orig, opt)
 }
 
 // Optimize runs one search-and-rewrite round against a program, profile,

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 )
 
 // demoProgram builds a small program through the public API.
@@ -155,7 +158,7 @@ func TestProgramFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	back2, err := ReadProgram(f)
+	back2, err := p4ir.Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +187,7 @@ func TestParsePacketPublic(t *testing.T) {
 	gen := NewTrafficGen(9)
 	gen.AddFlows(Flow{Src: 1, Dst: 2, SPort: 3, DPort: 4})
 	wire := gen.Next().Serialize()
-	p, err := ParsePacket(wire)
+	p, err := packet.Parse(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
