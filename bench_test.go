@@ -845,11 +845,11 @@ func BenchmarkProgramJSONRoundTrip(b *testing.B) {
 func BenchmarkPacketParseSerialize(b *testing.B) {
 	gen := trafficgen.New(1, 0)
 	gen.AddFlows(trafficgen.UniformFlows(2, 16)...)
-	wire := gen.Next().Serialize()
+	wire := gen.Batch(1)[0].Serialize()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := packet.Parse(wire)
-		if err != nil {
+		p := new(packet.Packet)
+		if err := packet.ParseInto(p, wire); err != nil {
 			b.Fatal(err)
 		}
 		_ = p.Serialize()

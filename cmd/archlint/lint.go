@@ -153,6 +153,18 @@ const fleetDir, optPath = "internal/fleet", "pipeleon/internal/opt"
 
 var sessionMethods = map[string]bool{"Search": true, "SearchAndApply": true, "Materialize": true}
 
+// A program reaches a device by one path: internal/core's deploy.go
+// materializes and proves it, gates it, stages it and makes it current,
+// and its callers keep only their policy (commit at once, or judge a
+// verification window first). So in the non-test files of internal/core
+// only that file calls a Deploy, Commit or Rollback method — an entry
+// operation's second path once deployed its regenerated program without
+// the gate. Methods match by name, a method value included, as
+// syntactically as one-round.
+const deployDir, deployFile = "internal/core", "deploy.go"
+
+var deviceMethods = map[string]bool{"Deploy": true, "Commit": true, "Rollback": true}
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -209,6 +221,7 @@ func lintModule(root string) ([]Violation, error) {
 		inDir(dir, nil, func(f *ast.File) []Violation { return checkKernel(fset, f) })
 	}
 	inDir(fleetDir, nil, func(f *ast.File) []Violation { return checkOneRound(fset, f) })
+	inDir(deployDir, func(base string) bool { return base != deployFile }, func(f *ast.File) []Violation { return checkOneDeploy(fset, f) })
 	collect(lintDiagCodes(fset, root))
 	collect(lintLiveKnobs(fset, root))
 	collect(lintDeadExports(fset, root))
@@ -417,19 +430,26 @@ func intoEntries(e ast.Expr) bool {
 // by non-test code outside its file — in the root module, or in the bench/
 // module, which drives the program from outside. One nothing calls is
 // deleted; one only its file calls is unexported; one only its package's
-// tests call moves into a test file. A reference is a selector (x.Name,
-// pkg.Name, so an interface call counts) or, within the declaring package,
-// the bare name; the match is by name, as syntactic as the other rules.
-// deadExportAllowed lists the exports kept without a caller, each with its
-// reason.
+// tests call moves into a test file. A package-level function F of package
+// P is referenced by X.F where X is the file's import name for P, or by the
+// bare F within P: flag.Parse is no call of packet.Parse. A method is
+// referenced by any selector spelling its name that is not package-qualified
+// (x.Name, so an interface call counts), a match by name as syntactic as the
+// other rules. deadExportAllowed lists the exports kept without a caller,
+// each with its reason; the name "*" keeps every export of a package.
 var deadExportAllowed = []struct{ pkg, name, why string }{
 	{"internal/diag", "Severity.MarshalText", "encoding.TextMarshaler: encoding/json calls it"},
 	{"internal/diag", "Severity.UnmarshalText", "encoding.TextUnmarshaler: encoding/json calls it"},
 	{"internal/controlplane", "WithDeepVerify", "the server option that serves the deep proof tier; nicd is to turn it on by default"},
 	{"internal/costmodel", "Calibrate", "fits a target's parameters to measured latencies; its replacement is on the roadmap"},
+	{"internal/costmodel", "Calibration.Apply", "writes Calibrate's fit into a Params; kept with Calibrate"},
 	{"internal/core", "Runtime.History", "the per-round record the planned decision log reads"},
 	{"internal/target", "NewReplayer", "the record/replay backend of the target conformance suite"},
+	{"internal/profile/profiletest", "*", "test-support package: its callers are other packages' tests"},
 }
+
+// modulePath is the root module's import path, which bench/ imports too.
+const modulePath = "pipeleon"
 
 func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
 	type export struct {
@@ -439,12 +459,20 @@ func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
 		pos             token.Pos
 	}
 	var exports []export
-	selected := map[string][]string{} // selector name -> files
-	named := map[string][]string{}    // dir + "." + bare name -> files
+	selected := map[string][]string{}  // method-like selector name -> files
+	qualified := map[string][]string{} // import path + "." + name -> files
+	named := map[string][]string{}     // dir + "." + bare name -> files
 	visit := func(path string, f *ast.File) {
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
 		dir := filepath.ToSlash(filepath.Dir(rel))
+		imports := map[string]string{} // import name -> path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if name := importName(f, p); name != "" && name != "." {
+				imports[name] = p
+			}
+		}
 		decl := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -468,6 +496,11 @@ func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
 		refs = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					key := imports[x.Name] + "." + n.Sel.Name
+					qualified[key] = append(qualified[key], path)
+					return false
+				}
 				selected[n.Sel.Name] = append(selected[n.Sel.Name], path)
 				ast.Inspect(n.X, refs) // n.Sel is no bare name
 				return false
@@ -497,8 +530,14 @@ func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
 	var out []Violation
 	for _, e := range exports {
 		elsewhere := func(p string) bool { return p != e.file }
-		if slices.ContainsFunc(selected[e.short], elsewhere) || slices.ContainsFunc(named[e.pkg+"."+e.short], elsewhere) ||
-			slices.ContainsFunc(deadExportAllowed, func(a struct{ pkg, name, why string }) bool { return a.pkg == e.pkg && a.name == e.name }) {
+		refs := qualified[modulePath+"/"+e.pkg+"."+e.short]
+		if e.short != e.name { // a method
+			refs = selected[e.short]
+		}
+		if slices.ContainsFunc(refs, elsewhere) || slices.ContainsFunc(named[e.pkg+"."+e.short], elsewhere) ||
+			slices.ContainsFunc(deadExportAllowed, func(a struct{ pkg, name, why string }) bool {
+				return a.pkg == e.pkg && (a.name == e.name || a.name == "*")
+			}) {
 			continue
 		}
 		out = append(out, Violation{Pos: fset.Position(e.pos), Rule: "dead-export",
@@ -754,30 +793,6 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-func checkOneVerifier(fset *token.FileSet, f *ast.File) []Violation {
-	var out []Violation
-	pkgName := importName(f, analysisPath)
-	if pkgName == "" {
-		return out
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || !proofPrimitives[sel.Sel.Name] {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkgName && id.Obj == nil {
-			out = append(out, Violation{
-				Pos:  fset.Position(sel.Pos()),
-				Rule: "one-verifier",
-				Msg: fmt.Sprintf("uses %s.%s outside %s: ask an analysis.Verifier (or an analysis.Gate over one) instead of composing proof tiers again",
-					pkgName, sel.Sel.Name, analysisDir),
-			})
-		}
-		return true
-	})
-	return out
-}
-
 func checkImports(fset *token.FileSet, f *ast.File, r importRule) []Violation {
 	var out []Violation
 	for _, imp := range f.Imports {
@@ -819,61 +834,69 @@ func checkTierNames(fset *token.FileSet, f *ast.File, r tierNameRule) []Violatio
 	return out
 }
 
-func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
+// selectorsNamed reports, as rule, every selector of f that match accepts
+// — a call, a method value or a field read alike, or with calls set only
+// the called ones; msg says why.
+func selectorsNamed(fset *token.FileSet, f *ast.File, rule string, calls bool, match func(*ast.SelectorExpr) bool, msg func(name string) string) []Violation {
 	var out []Violation
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if call, ok := n.(*ast.CallExpr); ok && calls {
+			n = call.Fun
+		} else if calls {
 			return true
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && costDerivations[sel.Sel.Name] {
-			out = append(out, Violation{
-				Pos:  fset.Position(sel.Pos()),
-				Rule: "one-estimator",
-				Msg: fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
-					sel.Sel.Name, costViewDir, costViewFile),
-			})
+		if sel, ok := n.(*ast.SelectorExpr); ok && match(sel) {
+			out = append(out, Violation{Pos: fset.Position(sel.Pos()), Rule: rule, Msg: msg(sel.Sel.Name)})
 		}
 		return true
 	})
 	return out
+}
+
+// pkgSelector reports whether sel is pkgName.Name for an import name pkgName.
+func pkgSelector(sel *ast.SelectorExpr, pkgName string) bool {
+	id, ok := sel.X.(*ast.Ident)
+	return ok && pkgName != "" && id.Name == pkgName && id.Obj == nil
+}
+
+func checkOneVerifier(fset *token.FileSet, f *ast.File) []Violation {
+	pkgName := importName(f, analysisPath)
+	return selectorsNamed(fset, f, "one-verifier", false, func(sel *ast.SelectorExpr) bool {
+		return proofPrimitives[sel.Sel.Name] && pkgSelector(sel, pkgName)
+	}, func(name string) string {
+		return fmt.Sprintf("uses %s.%s outside %s: ask an analysis.Verifier (or an analysis.Gate over one) instead of composing proof tiers again",
+			pkgName, name, analysisDir)
+	})
+}
+
+func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
+	return selectorsNamed(fset, f, "one-estimator", true, func(sel *ast.SelectorExpr) bool { return costDerivations[sel.Sel.Name] }, func(name string) string {
+		return fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
+			name, costViewDir, costViewFile)
+	})
 }
 
 func checkKernel(fset *token.FileSet, f *ast.File) []Violation {
-	var out []Violation
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && (latencyTermRE.MatchString(sel.Sel.Name) || kernelMethods[sel.Sel.Name]) {
-			out = append(out, Violation{
-				Pos:  fset.Position(sel.Pos()),
-				Rule: "one-kernel",
-				Msg:  sel.Sel.Name + " is a cost derived from costmodel.Params: read the target's costmodel.Kernel (Params.Kernel) instead",
-			})
-		}
-		return true
+	return selectorsNamed(fset, f, "one-kernel", false, func(sel *ast.SelectorExpr) bool {
+		return latencyTermRE.MatchString(sel.Sel.Name) || kernelMethods[sel.Sel.Name]
+	}, func(name string) string {
+		return name + " is a cost derived from costmodel.Params: read the target's costmodel.Kernel (Params.Kernel) instead"
 	})
-	return out
 }
 
 func checkOneRound(fset *token.FileSet, f *ast.File) []Violation {
-	var out []Violation
 	optName := importName(f, optPath)
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, isIdent := sel.X.(*ast.Ident)
-		newSession := sel.Sel.Name == "NewSession" && isIdent && optName != "" && id.Name == optName && id.Obj == nil
-		if newSession || sessionMethods[sel.Sel.Name] {
-			out = append(out, Violation{
-				Pos:  fset.Position(sel.Pos()),
-				Rule: "one-round",
-				Msg:  "uses " + sel.Sel.Name + " in " + fleetDir + ": the fleet plans through a canary's core.Runtime (OptimizeOnce), not an optimizer session of its own",
-			})
-		}
-		return true
+	return selectorsNamed(fset, f, "one-round", false, func(sel *ast.SelectorExpr) bool {
+		return sessionMethods[sel.Sel.Name] || sel.Sel.Name == "NewSession" && pkgSelector(sel, optName)
+	}, func(name string) string {
+		return "uses " + name + " in " + fleetDir + ": the fleet plans through a canary's core.Runtime (OptimizeOnce), not an optimizer session of its own"
 	})
-	return out
+}
+
+func checkOneDeploy(fset *token.FileSet, f *ast.File) []Violation {
+	return selectorsNamed(fset, f, "one-deploy", false, func(sel *ast.SelectorExpr) bool { return deviceMethods[sel.Sel.Name] }, func(name string) string {
+		return "uses " + name + " outside " + deployDir + "/" + deployFile + ": a program reaches the device through deployLocked, which proves, gates and stages it"
+	})
 }
 
 func checkSerial(fset *token.FileSet, f *ast.File) []Violation {

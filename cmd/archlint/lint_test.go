@@ -694,6 +694,67 @@ func build() { s, _ := opt.NewSession(nil, nil, opt.Config{}); s.Search(nil); s.
 	}
 }
 
+func TestOneDeploy(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// The one deploy path.
+		"internal/core/deploy.go": `package core
+
+func (r *Runtime) deployLocked() error {
+	if err := r.tgt.Deploy(nil); err != nil {
+		return r.tgt.Rollback()
+	}
+	return nil
+}
+
+func (r *Runtime) commitLocked() error { return r.tgt.Commit() }
+`,
+		// A second path: an entry operation staging and resolving its own
+		// deploy; a method value counts.
+		"internal/core/apimap.go": `package core
+
+func (r *Runtime) redeployLocked() error {
+	if err := r.tgt.Deploy(nil); err != nil {
+		return err
+	}
+	if err := r.tgt.Commit(); err != nil {
+		return r.tgt.Rollback()
+	}
+	return nil
+}
+`,
+		"internal/core/runtime.go": `package core
+
+func (r *Runtime) round() error { commit := r.tgt.Commit; return commit() }
+`,
+		// Tests and other packages may drive a target directly.
+		"internal/core/deploy_test.go": `package core
+
+func stage(r *Runtime) { r.tgt.Deploy(nil); r.tgt.Commit() }
+`,
+		"internal/fleet/rollout.go": `package fleet
+
+func push(d *device) { d.tgt.Deploy(nil); d.tgt.Commit() }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := map[string]int{}
+	for _, v := range vs {
+		if v.Rule != "one-deploy" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		perFile[filepath.Base(v.Pos.Filename)]++
+	}
+	if len(vs) != 4 || perFile["apimap.go"] != 3 || perFile["runtime.go"] != 1 {
+		t.Fatalf("got %v, want 3 in apimap.go and 1 in runtime.go: %v", perFile, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "deploy.go") {
+		t.Errorf("message does not say where deploys belong: %q", vs[0].Msg)
+	}
+}
+
 func TestEveryKnobStructIsChecked(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/nicsim/nic.go": `package nicsim
@@ -976,10 +1037,11 @@ func applyOption(t *table) { t.Entries = nil }
 
 func TestDeadExport(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		// Flagged: nobody calls it, only its own file does, only a test does.
-		// Fine: a call from another package, from the same package's other
-		// file, from bench/ alone, a method called only through an interface,
-		// and a method of an unexported type.
+		// Flagged: nobody calls it, only its own file does, only a test does,
+		// only another package's function of the same name is called.
+		// Fine: a call from another package, through an aliased import, from
+		// the same package's other file, from bench/ alone, a method called
+		// only through an interface, and a method of an unexported type.
 		"internal/opt/plan.go": `package opt
 
 func Nobody() {}
@@ -1001,6 +1063,10 @@ func (Plan) Size() int { return 0 }
 type plan struct{}
 
 func (plan) Grow() {}
+
+func Parse() {}
+
+func Aliased() {}
 `,
 		"internal/opt/search.go": `package opt
 
@@ -1014,9 +1080,19 @@ func use() { TestOnly() }
 `,
 		"internal/core/runtime.go": `package core
 
-import "pipeleon/internal/opt"
+import (
+	"flag"
 
-func round() int { return opt.Called() }
+	"pipeleon/internal/opt"
+)
+
+func round() int { flag.Parse(); return opt.Called() }
+`,
+		"internal/fleet/rollout.go": `package fleet
+
+import o "pipeleon/internal/opt"
+
+func rollout() { o.Aliased() }
 `,
 		"bench/go.mod": "module bench\n",
 		"bench/main.go": `package main
@@ -1050,7 +1126,7 @@ func main() {}
 		}
 		got = append(got, fmt.Sprintf("%d", v.Pos.Line))
 	}
-	if want := []string{"3", "5", "7"}; !slices.Equal(got, want) {
+	if want := []string{"3", "5", "7", "23"}; !slices.Equal(got, want) {
 		t.Fatalf("got violations at lines %v, want %v: %v", got, want, vs)
 	}
 	if !strings.HasPrefix(vs[0].Msg, "opt.Nobody ") || !strings.Contains(vs[0].Msg, "delete it") {

@@ -31,6 +31,10 @@
 //   - one-round: non-test files of internal/fleet call neither
 //     opt.NewSession nor a Search, SearchAndApply or Materialize method;
 //     the fleet plans through a canary's core.Runtime.
+//   - one-deploy: in non-test files of internal/core only deploy.go calls
+//     a Deploy, Commit or Rollback method; construction, a round and an
+//     entry operation's redeploy all put a program on the device through
+//     its deployLocked (materialize and prove, gate, stage, make current).
 //   - live-knob: every exported field of opt.Config, nicsim.Config and
 //     core.DeployGuard is set (assigned through a selector, or keyed in a
 //     composite literal) somewhere in the module outside the file
@@ -55,9 +59,10 @@
 //   - dead-export: every exported function, and every exported method of
 //     an exported type, declared in a non-test file under internal/ is
 //     named by non-test code outside its file — in the module or in the
-//     bench/ module — by a selector, or by its bare name within its
-//     package; deadExportAllowed lists the exceptions, each with its
-//     reason. One nothing calls is deleted, one only its file calls is
+//     bench/ module: a function as pkg.F through the file's import of its
+//     package, or by its bare name within it; a method by any selector
+//     spelling its name. deadExportAllowed lists the exceptions, each with
+//     its reason. One nothing calls is deleted, one only its file calls is
 //     unexported, one only its package's tests call moves to a test file.
 //
 // Test files are exempt from every rule (and read by live-knob only).

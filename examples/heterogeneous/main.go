@@ -43,15 +43,9 @@ func buildInterleaved() *pipeleon.Program {
 	return prog
 }
 
-// measure runs the emulator with the placement applied via config.
+// measure runs the emulator on the program annotated with the placement.
 func measure(target pipeleon.Target, pl pipeleon.Placement, gen *pipeleon.TrafficGen) pipeleon.Measurement {
-	tiers := map[string]int{}
-	for name, d := range pl.Tier {
-		tiers[name] = int(d)
-	}
-	emu, err := pipeleon.NewEmulator(buildInterleaved(), pipeleon.EmulatorConfig{
-		Params: target, TierTables: tiers, CopiedTables: pl.Copies,
-	})
+	emu, err := pipeleon.NewEmulator(pl.Annotate(buildInterleaved()), pipeleon.EmulatorConfig{Params: target})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,10 +36,7 @@ func checkAgreement(t *testing.T, res *Result, nic *nicsim.NIC, pkts []*packet.P
 			t.Fatalf("pkt %d egressed but abstract outcome has no egress state", pi)
 		}
 		for _, f := range packet.KnownFields() {
-			c, ok := pkt.Get(f)
-			if !ok {
-				continue
-			}
+			c := pkt.GetID(packet.FieldIDFor(f))
 			if av := res.Outcome.Egress.Get(f); !av.Contains(c) {
 				t.Fatalf("pkt %d: %s = %#x outside abstract %+v", pi, f, c, av)
 			}

@@ -20,3 +20,12 @@ func (v Value) MayMatch(mask, val uint64, w int) bool {
 func (v Value) MustMatch(mask, val uint64, w int) bool {
 	return v.mustMatch(mask, val, maskMonotone(mask, w))
 }
+
+// Fields lists the fields the state tracks explicitly (every field its
+// program mentions); all others hold their default.
+func (s *State) Fields() []string {
+	if s == nil {
+		return nil
+	}
+	return s.fields.names
+}

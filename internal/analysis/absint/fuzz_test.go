@@ -68,10 +68,7 @@ func FuzzAbsintAgree(f *testing.F) {
 				t.Fatalf("pkt %d egressed but no abstract egress state", pi)
 			}
 			for _, fname := range packet.KnownFields() {
-				c, ok := pkt.Get(fname)
-				if !ok {
-					continue
-				}
+				c := pkt.GetID(packet.FieldIDFor(fname))
 				if av := res.Outcome.Egress.Get(fname); !av.Contains(c) {
 					t.Fatalf("pkt %d: %s = %#x outside abstract %+v", pi, fname, c, av)
 				}

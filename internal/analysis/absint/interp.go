@@ -30,15 +30,6 @@ func (s *State) Get(field string) Value {
 	return defaultValue(field)
 }
 
-// Fields lists the fields the state tracks explicitly (every field its
-// program mentions); all others hold their default.
-func (s *State) Fields() []string {
-	if s == nil {
-		return nil
-	}
-	return s.fields.names
-}
-
 func defaultValue(field string) Value {
 	if strings.HasPrefix(field, "meta.") {
 		return Const(0)

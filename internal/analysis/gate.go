@@ -21,8 +21,11 @@ type Verdict struct {
 	Refusal string
 }
 
-// Gate is the check every program passes on its way to a device, whether
-// a runtime deploys it locally or a server receives it over the wire:
+// Gate is the check every program passes on its way to a device. A
+// runtime has one path there — the original at construction, a round's
+// plan, and the program an entry operation regenerates all go through
+// it — and asks its gate on that path; a server asks its own about every
+// program it receives over the wire. The tiers:
 //
 //  1. Lint under the device's cost-model parameters. It is a tier of the
 //     gate and not of the Verifier because it judges a program on one

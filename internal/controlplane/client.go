@@ -352,25 +352,14 @@ func (e *DeployError) Error() string { return e.Err.Error() }
 
 func (e *DeployError) Unwrap() error { return e.Err }
 
-// Deploy stages prog on the remote device, checkpointing the running
-// program for Rollback. The server lints the program against its own
-// cost model first; a rejection comes back as a *DeployError carrying
-// the analyzer's diagnostics.
-func (c *Client) Deploy(prog *p4ir.Program) error {
-	_, err := c.deployDiags(prog)
-	return err
-}
-
-// deployDiags is Deploy, but also returns the diagnostics the server
-// attached to an accepted deploy — lint warnings ride along with
-// successful stagings instead of being discarded.
-func (c *Client) deployDiags(prog *p4ir.Program) (diag.List, error) {
-	return c.DeployEncoded(prog.AppendBinary(nil))
-}
-
-// DeployEncoded is deployDiags for a caller that already holds the
-// program's binary form (p4ir.AppendBinary) — and with it the digest the
-// server will know the program by.
+// DeployEncoded stages the program whose binary form (p4ir.AppendBinary)
+// the caller holds — and with it the digest the server will know the
+// program by — on the remote device, checkpointing the running program for
+// Rollback. The server gates the program against its own cost model first;
+// a rejection comes back as a *DeployError carrying the analyzer's
+// diagnostics. An accepted deploy returns the diagnostics the server
+// attached to it: lint warnings ride along with successful stagings
+// instead of being discarded.
 func (c *Client) DeployEncoded(encoded []byte) (diag.List, error) {
 	resp, err := c.call(&Request{Op: OpDeploy, Body: encoded})
 	if err != nil {

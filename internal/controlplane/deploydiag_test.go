@@ -293,3 +293,15 @@ func TestDeepGateBaselineFollowsEntryOps(t *testing.T) {
 		t.Fatalf("redeploy after a refused entry operation: %v", err)
 	}
 }
+
+// Deploy stages prog on the remote device through DeployEncoded.
+func (c *Client) Deploy(prog *p4ir.Program) error {
+	_, err := c.deployDiags(prog)
+	return err
+}
+
+// deployDiags is Deploy, but also returns the diagnostics the server
+// attached to an accepted deploy.
+func (c *Client) deployDiags(prog *p4ir.Program) (diag.List, error) {
+	return c.DeployEncoded(prog.AppendBinary(nil))
+}

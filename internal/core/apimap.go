@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 )
 
@@ -18,17 +17,16 @@ import (
 // survive in the optimized program take the fast path (direct device
 // update, which also invalidates any covering runtime cache). Tables that
 // were consumed by a merge require regenerating the merged cross-product —
-// the runtime re-applies the active plan against the updated original and
-// swaps the result in, which is exactly the I(T_A)·N(T_B) update
-// amplification the cost model charges merges for (§3.2.3).
+// the runtime deploys the active plan again over the updated original,
+// through the one deploy path a round takes (deploy.go: materialize and
+// prove, gate, stage, make current) and commits it at once. That is the
+// I(T_A)·N(T_B) update amplification the cost model charges merges for
+// (§3.2.3).
 //
 // Both views change through p4ir's entry operations only, which count every
 // change in the program's EntryVersion. The session's cost view, its
 // verifier and the deploy gate key what they derived from the original's
 // entries by that version, so an operation here tells none of them.
-
-// plan returns the currently deployed plan (options applied to orig).
-func (r *Runtime) planLocked() []*opt.Option { return r.activePlan }
 
 // InsertEntry adds an entry to a table of the *original* program and
 // propagates the change to the deployed layout.
@@ -51,12 +49,13 @@ func (r *Runtime) ModifyEntry(table string, match []p4ir.MatchValue, action stri
 
 // entryOp applies op — one of p4ir's entry operations, which returns its
 // undo — to the original program, then propagates: fast path when the
-// table exists untouched in the deployed program, slow path (plan
-// re-application + swap) when a merge consumed it. The operation is one
-// transaction: both views validate before the device is asked, and when the
-// device refuses (table full, RPC failure, failed redeploy) both views are
-// put back, so the runtime never believes in an entry the device does not
-// hold — the next redeploy would silently install it.
+// table exists untouched in the deployed program, slow path (the active
+// plan deployed again, gated like a round's) when a merge consumed it. The
+// operation is one transaction: both views validate before the device is
+// asked, and when the device or the gate refuses (table full, RPC failure,
+// failed redeploy, an Error finding in the regenerated program) both views
+// are put back, so the runtime never believes in an entry the device does
+// not hold — the next redeploy would silently install it.
 func (r *Runtime) entryOp(table string, op func(*p4ir.Program) (func(), error), fast func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -65,8 +64,10 @@ func (r *Runtime) entryOp(table string, op func(*p4ir.Program) (func(), error), 
 		return fmt.Errorf("core: %w", err)
 	}
 	// Slow path: regenerate the deployed program from the updated original
-	// under the active plan.
-	propagate := r.redeployLocked
+	// under the active plan. Entry propagation is a definitive change, not a
+	// speculative optimization: no verification window, and a failed
+	// redeploy fails the operation without counting toward the breaker.
+	propagate := func() error { return r.deployNowLocked(r.activePlan) }
 	if _, inCurrent := r.current.Tables[table]; inCurrent && !r.tableMergedLocked(table) {
 		// Fast path. Keep the runtime's view of the deployed program in
 		// sync so the next round's layout comparison does not force a
@@ -102,34 +103,4 @@ func (r *Runtime) tableMergedLocked(table string) bool {
 		}
 	}
 	return r.cmap.Removed[table]
-}
-
-// redeployLocked re-applies the active plan to the (updated) original
-// program and deploys the result to the target. Entry propagation is a
-// definitive change, not a speculative optimization, so the deploy is
-// committed immediately with no verification window. The runtime's view of
-// the deployed layout moves only once the device has taken it.
-func (r *Runtime) redeployLocked() error {
-	next, cmap, plan := r.orig.Clone(), opt.NewCounterMap(), r.planLocked()
-	if len(plan) > 0 {
-		// When the plan no longer applies (e.g. entries changed shape),
-		// fall back to the original program and let the next round
-		// re-optimize.
-		if rw, err := opt.Apply(r.orig, plan, r.cfg); err == nil {
-			next, cmap = rw.Program, rw.Map
-		} else {
-			plan = nil
-		}
-	}
-	if err := r.tgt.Deploy(next); err != nil {
-		return err
-	}
-	if err := r.tgt.Commit(); err != nil {
-		// The device holds next uncommitted; put the checkpoint back so it
-		// agrees with the view this error leaves in place.
-		_ = r.tgt.Rollback() // best effort: the commit error is the one to report
-		return err
-	}
-	r.setCurrentLocked(next, p4ir.Digest{}, cmap, plan)
-	return nil
 }

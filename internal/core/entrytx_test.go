@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/nicsim"
@@ -12,7 +11,6 @@ import (
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
-	"pipeleon/internal/trafficgen"
 )
 
 // refusingTarget is a local target whose entry calls and deploys fail
@@ -64,6 +62,9 @@ func newRefusingRig(t *testing.T, prog *p4ir.Program, cfg opt.Config) (*Runtime,
 	}
 	return rt, nic, tgt
 }
+
+// Original returns the original (un-optimized) program.
+func (r *Runtime) Original() *p4ir.Program { return r.orig }
 
 // views snapshots the three views of the program an entry operation must
 // keep in agreement.
@@ -161,21 +162,8 @@ func TestEntryOpUndoneWhenDeviceRefuses(t *testing.T) {
 // redeploy the device rejects leaves the cross product, the original and
 // the plan as they were.
 func TestEntryOpUndoneWhenRedeployFails(t *testing.T) {
-	prog := mergeProgram(t)
-	cfg := opt.DefaultConfig()
-	cfg.TopKFrac = 1
-	cfg.EnableCache = false
-	cfg.EnableReorder = false
-	rt, nic, tgt := newRefusingRig(t, prog, cfg)
-	gen := trafficgen.New(5, 0)
-	gen.AddFlows(trafficgen.UniformFlows(6, 50)...)
-	drive(nic, gen, 2000)
-	if _, err := rt.OptimizeOnce(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !rt.tableMergedLocked("A") {
-		t.Skip("the planner did not merge A; nothing takes the slow path")
-	}
+	rt, nic, tgt := newRefusingRig(t, mergeProgram(t), mergeConfig())
+	mergeRound(t, rt, nic)
 	was, plan := snapshot(rt, nic), len(rt.activePlan)
 	tgt.refuse = errors.New("reload rejected")
 	if err := rt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err == nil {

@@ -257,11 +257,11 @@ func TestCircuitBreakerPausesAndRecovers(t *testing.T) {
 	assertHealthy(t, rt, nic)
 }
 
-// TestRunLoopSurvivesFaultBurst drives the long-running Run loop through
-// a deploy failure and a silent mid-deploy crash while traffic flows
-// concurrently, and asserts the loop converges to a healthy deployed
-// state with the failures on record. Run under -race this also exercises
-// the new concurrent paths.
+// TestRunLoopSurvivesFaultBurst drives rounds on a ticker, from a
+// goroutine of their own, through a deploy failure and a silent mid-deploy
+// crash while traffic flows concurrently, and asserts the loop converges to
+// a healthy deployed state with the failures on record. Run under -race
+// this also exercises the concurrent paths.
 func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	script := faultinject.NewScript()
 	rt, nic, gen := newFaultRig(t, script)
@@ -275,11 +275,21 @@ func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	guard.BlacklistRounds = 1
 	rt.SetDeployGuard(guard)
 
+	const interval = 10 * time.Millisecond
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		rt.Run(10*time.Millisecond, stop)
-		close(done)
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				_, _ = rt.OptimizeOnce(interval)
+			}
+		}
 	}()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -296,7 +306,7 @@ func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("Run did not stop")
+		t.Fatal("the round loop did not stop")
 	}
 	if !converged {
 		t.Fatalf("loop did not converge; history=%+v", rt.History())

@@ -109,47 +109,26 @@ func CompareDeploy(tgt target.Target, sample []*packet.Packet, deploy func() err
 	return c, nil
 }
 
-func (g *DeployGuard) verifyPackets() int {
-	if g.VerifyPackets <= 0 {
-		return 256
-	}
-	return g.VerifyPackets
-}
-
-func (g *DeployGuard) maxRegression() float64 {
-	if g.MaxRegression <= 0 {
-		return 0.1
-	}
-	return g.MaxRegression
-}
-
-func (g *DeployGuard) blacklistRounds() int {
-	if g.BlacklistRounds <= 0 {
-		return 3
-	}
-	return g.BlacklistRounds
-}
-
-func (g *DeployGuard) breakerThreshold() int {
-	if g.BreakerThreshold <= 0 {
-		return 3
-	}
-	return g.BreakerThreshold
-}
-
-func (g *DeployGuard) breakerCooldown() int {
-	if g.BreakerCooldownRounds <= 0 {
-		return 5
-	}
-	return g.BreakerCooldownRounds
-}
-
 // SetDeployGuard installs (or, with a zero-Sampler guard, removes) the
-// transactional-deploy guard. Call before starting Run.
+// transactional-deploy guard; a threshold left zero or negative takes
+// DefaultDeployGuard's. Call before the first round.
 func (r *Runtime) SetDeployGuard(g DeployGuard) {
+	d := DefaultDeployGuard(g.Sampler)
+	orDefault(&g.VerifyPackets, d.VerifyPackets)
+	orDefault(&g.MaxRegression, d.MaxRegression)
+	orDefault(&g.BlacklistRounds, d.BlacklistRounds)
+	orDefault(&g.BreakerThreshold, d.BreakerThreshold)
+	orDefault(&g.BreakerCooldownRounds, d.BreakerCooldownRounds)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.guard = &g
+}
+
+// orDefault sets an unset (zero or negative) threshold to def.
+func orDefault[T int | float64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // SetFaultInjector wires a fault injector into the runtime's one fault
@@ -168,8 +147,8 @@ func (r *Runtime) SetFaultInjector(inj faultinject.Injector) {
 func (r *Runtime) noteDeployFailureLocked() {
 	r.lastCosts = nil
 	r.consecFailures++
-	if r.guard != nil && r.consecFailures >= r.guard.breakerThreshold() {
-		r.breakerOpenUntil = r.round + r.guard.breakerCooldown()
+	if r.guard != nil && r.consecFailures >= r.guard.BreakerThreshold {
+		r.breakerOpenUntil = r.round + r.guard.BreakerCooldownRounds
 		r.consecFailures = 0
 	}
 }
@@ -189,7 +168,7 @@ func (r *Runtime) blacklistLocked(planKey string) {
 			delete(r.blacklist, key)
 		}
 	}
-	r.blacklist[planKey] = r.round + r.guard.blacklistRounds()
+	r.blacklist[planKey] = r.round + r.guard.BlacklistRounds
 }
 
 // planBlacklistedLocked reports (and garbage-collects) blacklist state

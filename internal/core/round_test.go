@@ -143,30 +143,59 @@ func TestKeptRoundMaterializesNothing(t *testing.T) {
 	}
 }
 
-// Every program OptimizeOnce hands to Deploy holds a gate verdict — run
-// this round or remembered — that is younger than the last entry
-// operation.
+// newWatchedRig is newProbeRig with onDeploy shown every program handed
+// to Deploy from construction on, the runtime itself included (nil while
+// NewRuntime is still running).
+func newWatchedRig(t *testing.T, prog *p4ir.Program, cfg opt.Config, onDeploy func(*Runtime, *p4ir.Program)) (*Runtime, *nicsim.NIC) {
+	t.Helper()
+	col := profile.NewCollector()
+	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col, Instrument: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt *Runtime
+	tgt := &probeTarget{Target: target.NewLocal(nic, col), onDeploy: func(p *p4ir.Program) { onDeploy(rt, p) }}
+	if rt, err = NewRuntime(prog, tgt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return rt, nic
+}
+
+// Every program handed to Deploy — by construction, by a round, by an entry
+// operation's redeploy — holds a gate verdict, run this time or
+// remembered, that is younger than the last entry operation.
 func TestEveryDeployedProgramWasGated(t *testing.T) {
-	rt, nic, tgt := newProbeRig(t, aclProgram(t), reorderConfig(), nil)
-	inRound := false
 	var deploys, repeats, firstSights int
 	seen := map[p4ir.Digest]bool{} // gated since the last entry operation
-	tgt.onDeploy = func(prog *p4ir.Program) {
-		if !inRound {
-			return // an entry operation's redeploy, not a round's
-		}
-		deploys++
-		d := prog.Digest()
+	check := func(rt *Runtime, prog *p4ir.Program) {
 		if !gateRemembers(rt, prog) {
-			t.Errorf("round %d deployed a program with no live gate verdict", rt.round)
+			t.Errorf("deploy %d (round %d) handed the device a program with no live gate verdict", deploys, rt.round)
 		}
-		if seen[d] {
+		if d := prog.Digest(); seen[d] {
 			repeats++
 		} else {
 			firstSights++
+			seen[d] = true
 		}
-		seen[d] = true
 	}
+	var built []*p4ir.Program // deployed while NewRuntime ran
+	watch := func(rt *Runtime, prog *p4ir.Program) {
+		deploys++
+		if rt == nil {
+			built = append(built, prog.Clone())
+			return
+		}
+		check(rt, prog)
+	}
+	constructed := func(rt *Runtime) {
+		for _, prog := range built {
+			check(rt, prog)
+		}
+		built = nil
+	}
+
+	rt, nic := newWatchedRig(t, aclProgram(t), reorderConfig(), watch)
+	constructed(rt)
 	mixes := []*trafficgen.Generator{dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)}
 	extra := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 9999}}, Action: "drop_packet"}
 	for round := 0; round < 14; round++ {
@@ -182,22 +211,82 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 			}
 			clear(seen)
 		}
-		inRound = true
 		mustRound(t, rt, nic, mixes[round%2])
-		inRound = false
 	}
-	if deploys < 10 {
-		t.Fatalf("only %d of 14 alternating rounds deployed", deploys)
+	if deploys < 11 {
+		t.Fatalf("only %d of 14 alternating rounds deployed", deploys-1)
 	}
-	// Both kinds of verdict were exercised: three entry versions of two first
-	// sights each, everything else a layout the loop returned to.
-	if firstSights < 6 || repeats < 4 {
-		t.Errorf("%d first-sight and %d repeat deploys; want at least 6 and 4", firstSights, repeats)
+	// Both kinds of verdict were exercised: the original, then three entry
+	// versions of two first sights each, everything else a layout the loop
+	// returned to.
+	if firstSights < 7 || repeats < 4 {
+		t.Errorf("%d first-sight and %d repeat deploys; want at least 7 and 4", firstSights, repeats)
 	}
 	// The gate ran once per first sight; every repeat was a memo hit.
-	// (One more: NewRuntime gated the original.)
-	if _, misses := rt.gate.MemoStats(); int(misses) != firstSights+1 {
-		t.Errorf("gate ran %d times for %d first-sight deploys", misses-1, firstSights)
+	if _, misses := rt.gate.MemoStats(); int(misses) != firstSights {
+		t.Errorf("gate ran %d times for %d first-sight deploys", misses, firstSights)
+	}
+
+	// The slow path: an insert into a merged table deploys the regenerated
+	// cross product.
+	deploys = 0
+	mrt, mnic := newWatchedRig(t, mergeProgram(t), mergeConfig(), watch)
+	constructed(mrt)
+	mergeRound(t, mrt, mnic)
+	clear(seen)
+	if err := mrt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {
+		t.Fatal(err)
+	}
+	if deploys != 3 {
+		t.Errorf("construction, a merge round and a slow-path insert made %d deploys, want 3", deploys)
+	}
+}
+
+// mergeConfig searches for merges only.
+func mergeConfig() opt.Config {
+	cfg := opt.DefaultConfig()
+	cfg.TopKFrac = 1
+	cfg.EnableCache = false
+	cfg.EnableReorder = false
+	return cfg
+}
+
+// mergeRound runs the round that deploys mergeProgram's merge, after which
+// an entry operation on A takes the slow path.
+func mergeRound(t *testing.T, rt *Runtime, nic *nicsim.NIC) {
+	t.Helper()
+	gen := trafficgen.New(5, 0)
+	gen.AddFlows(trafficgen.UniformFlows(6, 50)...)
+	drive(nic, gen, 2000)
+	if rep, err := rt.OptimizeOnce(time.Second); err != nil || !rep.Deployed || !rt.tableMergedLocked("A") {
+		t.Fatalf("merge plan should deploy over A: err %v, report %+v", err, rep)
+	}
+}
+
+// A regenerated program is gated like a round's: when an insert into a
+// merged table yields a cross product with an Error finding, the operation
+// fails and no view moves.
+func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
+	rt, nic, _ := newProbeRig(t, mergeProgram(t), mergeConfig(), nil)
+	mergeRound(t, rt, nic)
+	was, plan := snapshot(rt, nic), len(rt.activePlan)
+	// 0x1ffffffff cannot fit the 32-bit ipv4.srcAddr key. The device would
+	// take the regenerated program (the entry simply never matches); the
+	// lint does not (PL104).
+	wide := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1ffffffff}}, Action: "set"}
+	err := rt.InsertEntry("A", wide)
+	if err == nil || !strings.Contains(err.Error(), "PL104") {
+		t.Fatalf("insert whose regenerated program fails the gate: err = %v, want a PL104 refusal", err)
+	}
+	assertUnchanged(t, "insert refused by the gate", was, rt, nic)
+	if len(rt.activePlan) != plan {
+		t.Errorf("active plan went from %d to %d options", plan, len(rt.activePlan))
+	}
+	if err := rt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {
+		t.Fatalf("a clean insert after the refusal: %v", err)
+	}
+	if rt.Current().Digest() != nic.Program().Digest() {
+		t.Error("runtime and device disagree after the clean insert")
 	}
 }
 
@@ -347,17 +436,8 @@ func TestStoredCurrentDigestNeverStale(t *testing.T) {
 
 	// The slow path: an insert into a merged-away table regenerates the
 	// deployed program from the original.
-	cfg := opt.DefaultConfig()
-	cfg.TopKFrac = 1
-	cfg.EnableCache = false
-	cfg.EnableReorder = false
-	mrt, mnic, _ := newProbeRig(t, mergeProgram(t), cfg, nil)
-	uniform := trafficgen.New(5, 0)
-	uniform.AddFlows(trafficgen.UniformFlows(6, 50)...)
-	drive(mnic, uniform, 2000)
-	if rep, err := mrt.OptimizeOnce(time.Second); err != nil || !rep.Deployed {
-		t.Fatalf("merge plan should deploy: err %v, report %+v", err, rep)
-	}
+	mrt, mnic, _ := newProbeRig(t, mergeProgram(t), mergeConfig(), nil)
+	mergeRound(t, mrt, mnic)
 	check(mrt, "merge deploy")
 	before := mrt.Current().Digest()
 	if err := mrt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {

@@ -26,7 +26,6 @@ import (
 	"pipeleon/internal/faultinject"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
-	"pipeleon/internal/packet"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
 )
@@ -73,7 +72,7 @@ type Runtime struct {
 	lastCosts   map[string]float64
 
 	// gate is the check every program passes before it reaches the device
-	// (see vet.go), built over search's verifier; it keys its verdicts by
+	// (see deploy.go), built over search's verifier; it keys its verdicts by
 	// the original's entry version, which every entry operation moves.
 	gate *analysis.Gate
 
@@ -171,15 +170,7 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	// The original is the first program to pass the gate: it must itself
 	// be clean of Error-severity findings (unsound caches, overcommitted
 	// tiers, bad entries) before it is deployed anywhere.
-	digest := r.orig.Digest()
-	if v := r.gate.Check(r.orig, digest); v.Refusal != "" {
-		return nil, fmt.Errorf("core: program failed %s", v.Refusal)
-	}
-	r.setCurrentLocked(orig.Clone(), digest, opt.NewCounterMap(), nil)
-	if err := tgt.Deploy(r.current); err != nil {
-		return nil, err
-	}
-	if err := tgt.Commit(); err != nil {
+	if err := r.deployNowLocked(nil); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -191,9 +182,6 @@ func (r *Runtime) Current() *p4ir.Program {
 	defer r.mu.Unlock()
 	return r.current
 }
-
-// Original returns the original (un-optimized) program.
-func (r *Runtime) Original() *p4ir.Program { return r.orig }
 
 // TranslatedCounters returns the current window's counters expressed
 // against the ORIGINAL program's tables and actions, whatever layout is
@@ -259,7 +247,7 @@ func (r *Runtime) recordLocked(rep RoundReport) {
 // it varies, a new round of optimization will be triggered".
 //
 // Every round — including failed ones — is recorded in History, so a
-// deploy error or rollback is observable and the Run loop can continue.
+// deploy error or rollback is observable and the caller's loop can continue.
 // When a DeployGuard is installed, deployment is transactional: the
 // previous program and counter map are checkpointed, a verification
 // window compares measured latency against the plan's prediction, and a
@@ -407,119 +395,69 @@ func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err er
 	}
 
 	// An empty plan deploys the original back.
-	next, nextMap, nextPlan := r.orig, opt.NewCounterMap(), []*opt.Option(nil)
-	var nextDigest p4ir.Digest
-	if len(res.Plan) > 0 {
-		rw, err := r.search.Materialize(res.Plan)
-		if err != nil {
-			report.Error = err.Error()
-			record()
-			return report, err
+	cmp, err := r.deployLocked(res.Plan, true, &report, &unstage)
+	if err != nil {
+		if report.DeployError != "" {
+			r.noteDeployFailureLocked()
 		}
-		next, nextMap, nextPlan, nextDigest = rw.Program, rw.Map, res.Plan, rw.Digest
-	} else {
-		nextDigest = next.Digest()
+		record()
+		return report, err
 	}
-	// Deploy only when the layout actually changed.
-	if nextDigest != r.currentDigestLocked() {
-		// Static-analysis gate: a program with Error diagnostics never
-		// reaches the device, whatever the search promised.
-		if !r.deployGate(next, nextDigest, &report) {
-			r.noteDeployFailureLocked()
-			record()
-			return report, fmt.Errorf("core: deploy %s", report.DeployError)
+	if unstage == nil { // the layout is the deployed one
+		record()
+		return report, nil
+	}
+	report.Deployed = true
+	if cmp.Verified {
+		contradicted := false
+		if cmp.PostErr != nil {
+			// Can't confirm the deploy helped — fail safe and restore the
+			// checkpoint.
+			contradicted = true
+			report.DeployError = fmt.Sprintf("verify measure failed: %v", cmp.PostErr)
+		} else {
+			delta := cmp.Delta()
+			report.VerifyDelta = delta
+			realized := cmp.Pre.MeanLatencyNs - cmp.Post.MeanLatencyNs
+			// The pre-deploy measurement ran on the currently deployed
+			// (possibly already optimized) program, so the prediction to
+			// hold the plan to is its gain *over the active plan*, not over
+			// the original baseline — otherwise replacing a good plan with
+			// a better one is judged against the sum of both improvements
+			// and spuriously rolled back.
+			predicted := report.Gain
+			if report.ActivePlanGain > 0 {
+				predicted -= report.ActivePlanGain
+			}
+			regressed := delta > r.guard.MaxRegression
+			unrealized := r.guard.MinRealizedGainFrac > 0 &&
+				predicted >= minPredictedGainNs &&
+				realized < r.guard.MinRealizedGainFrac*predicted
+			contradicted = regressed || unrealized
 		}
-		// Keep the pre-deploy bookkeeping; the target checkpoints the
-		// program itself (Deploy stages, Commit/Rollback resolve it).
-		// The guard measures the pre-deploy baseline on the same sample the
-		// post-deploy window replays.
-		prevProg, prevDigest, prevMap, prevPlan := r.current, r.currentDigest, r.cmap, r.activePlan
-		var sample []*packet.Packet
-		if r.guard != nil && r.guard.Sampler != nil && nextPlan != nil {
-			sample = r.guard.Sampler(r.guard.verifyPackets())
-		}
-		cmp, err := CompareDeploy(r.tgt, sample, func() error {
-			if err := r.tgt.Deploy(next); err != nil {
-				return err
-			}
-			// A materialized program is the runtime's alone (the session keeps
-			// none, a target copies what Deploy is handed) and becomes current
-			// as it is; r.orig may not: entry operations write both.
-			if next == r.orig {
-				next = r.orig.Clone()
-			}
-			r.setCurrentLocked(next, nextDigest, nextMap, nextPlan)
-			unstage = func() error {
-				unstage = nil
-				if err := r.tgt.Rollback(); err != nil {
-					return err
-				}
-				r.setCurrentLocked(prevProg, prevDigest, prevMap, prevPlan)
-				return nil
-			}
-			return nil
-		})
-		if err != nil {
-			report.DeployError = err.Error()
-			r.noteDeployFailureLocked()
-			record()
-			return report, fmt.Errorf("core: deploy failed: %w", err)
-		}
-		report.Deployed = true
-		if cmp.Verified {
-			contradicted := false
-			if cmp.PostErr != nil {
-				// Can't confirm the deploy helped — fail safe and restore
-				// the checkpoint.
-				contradicted = true
-				report.DeployError = fmt.Sprintf("verify measure failed: %v", cmp.PostErr)
-			} else {
-				delta := cmp.Delta()
-				report.VerifyDelta = delta
-				realized := cmp.Pre.MeanLatencyNs - cmp.Post.MeanLatencyNs
-				// The pre-deploy measurement ran on the currently deployed
-				// (possibly already optimized) program, so the prediction to
-				// hold the plan to is its gain *over the active plan*, not
-				// over the original baseline — otherwise replacing a good
-				// plan with a better one is judged against the sum of both
-				// improvements and spuriously rolled back.
-				predicted := report.Gain
-				if report.ActivePlanGain > 0 {
-					predicted -= report.ActivePlanGain
-				}
-				regressed := delta > r.guard.maxRegression()
-				unrealized := r.guard.MinRealizedGainFrac > 0 &&
-					predicted >= minPredictedGainNs &&
-					realized < r.guard.MinRealizedGainFrac*predicted
-				contradicted = regressed || unrealized
-			}
-			if contradicted {
-				if err := unstage(); err != nil {
-					// Device wedged between two programs — the breaker
-					// is the only remaining backstop.
-					report.DeployError = fmt.Sprintf("rollback failed: %v", err)
-					r.noteDeployFailureLocked()
-					record()
-					return report, fmt.Errorf("core: rollback failed: %w", err)
-				}
-				report.RolledBack = true
-				r.blacklistLocked(planKey)
+		if contradicted {
+			if err := unstage(); err != nil {
+				// Device wedged between two programs — the breaker is the
+				// only remaining backstop.
+				report.DeployError = fmt.Sprintf("rollback failed: %v", err)
 				r.noteDeployFailureLocked()
 				record()
-				return report, nil
+				return report, fmt.Errorf("core: rollback failed: %w", err)
 			}
-		}
-		if err := r.tgt.Commit(); err != nil {
-			report.DeployError = fmt.Sprintf("commit failed: %v", err)
+			report.RolledBack = true
+			r.blacklistLocked(planKey)
 			r.noteDeployFailureLocked()
 			record()
-			return report, fmt.Errorf("core: commit failed: %w", err)
+			return report, nil
 		}
-		r.consecFailures = 0
-	} else if nextPlan != nil {
-		// Layout unchanged; refresh map/plan so entry ops stay mapped.
-		r.setCurrentLocked(r.current, r.currentDigest, nextMap, nextPlan)
 	}
+	if err := r.commitLocked(); err != nil {
+		report.DeployError = fmt.Sprintf("commit failed: %v", err)
+		r.noteDeployFailureLocked()
+		record()
+		return report, fmt.Errorf("core: commit failed: %w", err)
+	}
+	r.consecFailures = 0
 	record()
 	return report, nil
 }
@@ -582,19 +520,4 @@ func costsChanged(old, new map[string]float64, threshold float64) bool {
 		}
 	}
 	return false
-}
-
-// Run executes rounds until stop is closed, one per interval. It is the
-// long-running form of the loop in Figure 3.
-func (r *Runtime) Run(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			_, _ = r.OptimizeOnce(interval)
-		}
-	}
 }

@@ -304,19 +304,8 @@ func mergeProgram(t *testing.T) *p4ir.Program {
 }
 
 func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
-	prog := mergeProgram(t)
-	cfg := opt.DefaultConfig()
-	cfg.TopKFrac = 1
-	cfg.EnableCache = false
-	cfg.EnableReorder = false
-	rt, nic, _ := newRig(t, prog, cfg)
-	gen := trafficgen.New(5, 0)
-	gen.AddFlows(trafficgen.UniformFlows(6, 50)...)
-	drive(nic, gen, 2000)
-	rep, err := rt.OptimizeOnce(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, nic, _ := newRig(t, mergeProgram(t), mergeConfig())
+	mergeRound(t, rt, nic)
 	merged := ""
 	for name := range rt.Current().Tables {
 		if strings.HasPrefix(name, "__merged_cache__") {
@@ -324,7 +313,7 @@ func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
 		}
 	}
 	if merged == "" {
-		t.Fatalf("no merged cache deployed; plan=%v", rep.Plan)
+		t.Fatalf("no merged cache deployed; plan=%v", rt.activePlan)
 	}
 	if got := len(rt.Current().Tables[merged].Entries); got != 2 {
 		t.Fatalf("merged entries = %d, want 2x1", got)
@@ -368,26 +357,5 @@ func TestRuntimeCounterTranslation(t *testing.T) {
 	// though most packets short-circuited through the cache.
 	if got := origProf.TableTotal("t1"); got < 1500 {
 		t.Errorf("translated t1 total = %d, want ~2000", got)
-	}
-}
-
-func TestRuntimeRunLoopStops(t *testing.T) {
-	prog := aclProgram(t)
-	rt, _, _ := newRig(t, prog, opt.DefaultConfig())
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		rt.Run(5*time.Millisecond, stop)
-		close(done)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop")
-	}
-	if len(rt.History()) == 0 {
-		t.Error("no rounds recorded")
 	}
 }

@@ -240,7 +240,7 @@ func TestWireGateIsTheLocalGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Deploy(orig); err != nil { // the server's baseline
+	if _, err := cl.DeployEncoded(orig.AppendBinary(nil)); err != nil { // the server's baseline
 		t.Fatal(err)
 	}
 

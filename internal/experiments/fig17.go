@@ -5,6 +5,7 @@ import (
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/nicsim"
+	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/trafficgen"
 )
@@ -35,12 +36,14 @@ func copyBenchProgram() *p4ir.Program {
 	return prog
 }
 
-func copiedSet(n int) map[string]bool {
-	out := map[string]bool{}
+// copied returns prog with its first n supported singletons copied onto
+// every tier.
+func copied(prog *p4ir.Program, n int) *p4ir.Program {
+	pl := opt.Placement{Copies: map[string]bool{}}
 	for i := 0; i < n; i++ {
-		out[fmt.Sprintf("s%d", i)] = true
+		pl.Copies[fmt.Sprintf("s%d", i)] = true
 	}
-	return out
+	return pl.Annotate(prog)
 }
 
 // Fig17a sweeps copied-table count for three migration latencies.
@@ -55,9 +58,8 @@ func Fig17a(opts RunOpts) *Result {
 		pm.MigrationLatency = mig
 		var xs, ys []float64
 		for copies := 0; copies <= 4; copies++ {
-			nic, err := nicsim.New(copyBenchProgram(), nicsim.Config{
+			nic, err := nicsim.New(copied(copyBenchProgram(), copies), nicsim.Config{
 				Params: pm, Seed: opts.Seed + uint64(copies),
-				CopiedTables: copiedSet(copies),
 			})
 			if err != nil {
 				panic(err)
@@ -116,9 +118,8 @@ func Fig17b(opts RunOpts) *Result {
 	for _, swFrac := range []float64{0.3, 0.5, 0.7} {
 		var xs, ys []float64
 		for copies := 0; copies <= 4; copies++ {
-			nic, err := nicsim.New(mkProg(), nicsim.Config{
+			nic, err := nicsim.New(copied(mkProg(), copies), nicsim.Config{
 				Params: pm, Seed: opts.Seed + uint64(copies),
-				CopiedTables: copiedSet(copies),
 			})
 			if err != nil {
 				panic(err)

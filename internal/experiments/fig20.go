@@ -58,6 +58,15 @@ func placemapParams(locality float64) costmodel.Params {
 	return pm
 }
 
+// stageOn places the whole stage on tier t.
+func stageOn(t int) opt.Placement {
+	pl := opt.Placement{Tier: map[string]costmodel.TierID{}, Copies: map[string]bool{}}
+	for _, name := range placemapStage {
+		pl.Tier[name] = costmodel.TierID(t)
+	}
+	return pl
+}
+
 // placemapWinner returns the tier (0..Kernel.Tiers-1) whose whole-stage
 // placement minimizes the modeled latency, iterating tiers generically
 // — concrete tier names stay inside costmodel.
@@ -65,11 +74,7 @@ func placemapWinner(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Para
 	winner, best := 0, 0.0
 	view := opt.NewEvaluator(prog, prof, pm, opt.Config{})
 	for t := 0; t < pm.Kernel().Tiers; t++ {
-		pl := opt.Placement{Tier: map[string]costmodel.TierID{}, Copies: map[string]bool{}}
-		for _, name := range placemapStage {
-			pl.Tier[name] = costmodel.TierID(t)
-		}
-		lat, err := view.HeteroLatency(pl)
+		lat, err := view.HeteroLatency(stageOn(t))
 		if err != nil {
 			return 0, err
 		}
@@ -115,12 +120,8 @@ func Fig20(opts RunOpts) *Result {
 	nPkts := opts.pick(4000, 800)
 	var xs, ys []float64
 	for t := 0; t < pm.Kernel().Tiers; t++ {
-		tiers := map[string]int{}
-		for _, name := range placemapStage {
-			tiers[name] = t
-		}
-		nic, err := nicsim.New(placemapProgram(), nicsim.Config{
-			Params: pm, Seed: opts.Seed + uint64(t), TierTables: tiers,
+		nic, err := nicsim.New(stageOn(t).Annotate(placemapProgram()), nicsim.Config{
+			Params: pm, Seed: opts.Seed + uint64(t),
 		})
 		if err != nil {
 			panic(err)

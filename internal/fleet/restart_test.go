@@ -29,20 +29,7 @@ func TestNicdKilledMidCanary(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	cl, err := controlplane.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tight budgets so a dead server fails fast instead of stalling the
-	// canary stage (the satellite fix this PR makes to the client).
-	cl.Timeout = 500 * time.Millisecond
-	cl.Retry = controlplane.RetryPolicy{
-		MaxAttempts: 2,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		MaxElapsed:  500 * time.Millisecond,
-	}
-	rdev, err := remote.New(cl)
+	rdev, err := remote.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func BenchmarkEntryOp(b *testing.B) {
 func BenchmarkBuildTable(b *testing.B) {
 	b.Run("2000", func(b *testing.B) {
 		prog, _ := lookupBenchTable(p4ir.MatchExact, 2, 2000)
-		entries := prog.Tables["lookup"].Clone().Entries
+		entries := prog.Clone().Tables["lookup"].Entries
 		nic, err := New(prog, Config{Params: testParams()})
 		if err != nil {
 			b.Fatal(err)

@@ -117,7 +117,7 @@ func TestEntryChurnUnderTraffic(t *testing.T) {
 				nic.ProcessBurst(burst[:], results[:])
 				for j := range burst {
 					i := (lo + j) % len(pkts)
-					ct, _ := burst[j].Get("meta.ct")
+					ct := burst[j].GetID(packet.FieldIDFor("meta.ct"))
 					if results[j].Dropped != deny[i] || !deny[i] && ct != allowed[i][0] && ct != allowed[i][1] {
 						t.Errorf("packet %d: dropped=%v meta.ct=%d, want dropped=%v meta.ct in %v", i, results[j].Dropped, ct, deny[i], allowed[i])
 						return
@@ -275,8 +275,8 @@ func TestNoStaleFillOutlivesInvalidation(t *testing.T) {
 			}
 			walked := pkt(1, uint32(key[0]), 1, 80)
 			res := walker.Process(walked)
-			got, _ := cached.Get("meta.t1")
-			want, _ := walked.Get("meta.t1")
+			got := cached.GetID(packet.FieldIDFor("meta.t1"))
+			want := walked.GetID(packet.FieldIDFor("meta.t1"))
 			if got != want || dropped != res.Dropped {
 				t.Errorf("round %d: the cache holds meta.t1=%d dropped=%v for %#x, a fresh walk of t1 gives %d %v",
 					r, got, dropped, key[0], want, res.Dropped)

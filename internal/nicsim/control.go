@@ -104,8 +104,3 @@ func (n *NIC) CacheStatsAll() []CacheStats {
 	}
 	return out
 }
-
-// Counters returns processed/dropped totals.
-func (n *NIC) Counters() (processed, dropped uint64) {
-	return n.processed.Load(), n.droppedCnt.Load()
-}

@@ -159,3 +159,8 @@ func TestInstrumentedAccumulationIsExact(t *testing.T) {
 		}
 	}
 }
+
+// Counters returns processed/dropped totals.
+func (n *NIC) Counters() (processed, dropped uint64) {
+	return n.processed.Load(), n.droppedCnt.Load()
+}

@@ -356,6 +356,7 @@ func TestMeasureMatchesProcessReplays(t *testing.T) {
 	for i, name := range names {
 		tiers[name] = i % 3
 	}
+	orig, plan = placed(orig, tiers), placed(plan, tiers)
 	gen := trafficgen.New(43, 0)
 	gen.AddFlows(trafficgen.UniformFlows(44, 96)...)
 	gen.SetSkew(0.9)
@@ -371,9 +372,9 @@ func TestMeasureMatchesProcessReplays(t *testing.T) {
 		if len(tbl.Keys) != 1 || tbl.Keys[0].Kind != p4ir.MatchExact || len(tbl.Actions) == 0 {
 			continue
 		}
-		if v, ok := pkts[0].Get(tbl.Keys[0].Field); ok && !strings.HasPrefix(tbl.Keys[0].Field, "meta.") {
+		if id := packet.FieldIDFor(tbl.Keys[0].Field); id != packet.FieldInvalid && !strings.HasPrefix(tbl.Keys[0].Field, "meta.") {
 			table = name
-			entry = p4ir.Entry{Match: []p4ir.MatchValue{{Value: v & tbl.Keys[0].FullMask()}}, Action: tbl.Actions[0].Name, Args: []string{"7", "9"}}
+			entry = p4ir.Entry{Match: []p4ir.MatchValue{{Value: pkts[0].GetID(id) & tbl.Keys[0].FullMask()}}, Action: tbl.Actions[0].Name, Args: []string{"7", "9"}}
 			break
 		}
 	}
@@ -404,7 +405,7 @@ func TestMeasureMatchesProcessReplays(t *testing.T) {
 				col := profile.NewCollector()
 				col.SetSampling(every)
 				nic, err := New(orig.Clone(), Config{
-					Params: pm, Collector: col, Instrument: true, TierTables: tiers,
+					Params: pm, Collector: col, Instrument: true,
 					Seed: 45, NoiseStdDev: 0.05, CacheFillCostNs: 500,
 					VendorCache: vendor, VendorCacheBudget: 48,
 				})

@@ -17,15 +17,6 @@ import (
 type Config struct {
 	// Params is the target cost/performance model.
 	Params costmodel.Params
-	// CopiedTables exist on every tier (table copying, §3.2.4): the
-	// packet executes them wherever it currently is, avoiding migration.
-	CopiedTables map[string]bool
-	// TierTables places tables on an explicit execution tier (0 = ASIC,
-	// 1 = NIC CPU, 2 = off-path host). It overrides the program's
-	// placement annotations; a table's floor (Unsupported /
-	// MinTier) still applies, and tiers the cost model does not have are
-	// clamped to its top tier.
-	TierTables map[string]int
 	// VendorCache enables a Netronome-style built-in whole-program flow
 	// cache keyed on the 5-tuple (§5.2.1: "Netronome SmartNICs have a
 	// vendor-native flow cache feature for the whole program").

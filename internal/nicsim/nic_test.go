@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -70,7 +72,7 @@ func TestProcessExactMatchLatency(t *testing.T) {
 	if math.Abs(r.LatencyNs-12) > 1e-9 {
 		t.Errorf("hit latency = %v, want 12", r.LatencyNs)
 	}
-	if v, _ := func() (uint64, bool) { p := pkt(1, 42, 0, 0); nic.Process(p); return p.Get("meta.t1") }(); v != 1 {
+	if v := func() uint64 { p := pkt(1, 42, 0, 0); nic.Process(p); return p.GetID(packet.FieldIDFor("meta.t1")) }(); v != 1 {
 		t.Errorf("hit action should set meta.t1, got %v", v)
 	}
 	// Miss: 1 probe + 1 no_op primitive = 12 as well (miss_act has 1 prim).
@@ -108,12 +110,12 @@ func TestLPMLongestPrefixWins(t *testing.T) {
 	}
 	p1 := pkt(1, 0x0a020304, 0, 0) // matches /8 only
 	nic.Process(p1)
-	if v, _ := p1.Get("meta.port"); v != 1 {
+	if v := p1.GetID(packet.FieldIDFor("meta.port")); v != 1 {
 		t.Errorf("10.2.3.4 should take /8 route, port=%v", v)
 	}
 	p2 := pkt(1, 0x0a010203, 0, 0) // matches /16 (longer)
 	r := nic.Process(p2)
-	if v, _ := p2.Get("meta.port"); v != 2 {
+	if v := p2.GetID(packet.FieldIDFor("meta.port")); v != 2 {
 		t.Errorf("10.1.2.3 should take /16 route, port=%v", v)
 	}
 	// Two distinct prefix lengths → 2 probes → 20 + action 2 = 22.
@@ -312,10 +314,10 @@ func TestFlowCacheHitSkipsSpan(t *testing.T) {
 		t.Errorf("cache hit %v should be faster than miss %v", r2.LatencyNs, r1.LatencyNs)
 	}
 	// Cached writes applied: t1 and t2 hit actions set meta fields.
-	if v, _ := p2.Get("meta.t1"); v != 1 {
+	if v := p2.GetID(packet.FieldIDFor("meta.t1")); v != 1 {
 		t.Error("cached write meta.t1 missing")
 	}
-	if v, _ := p2.Get("meta.t2"); v != 1 {
+	if v := p2.GetID(packet.FieldIDFor("meta.t2")); v != 1 {
 		t.Error("cached write meta.t2 missing")
 	}
 	st := nic.CacheStatsAll()
@@ -463,6 +465,29 @@ func TestEntryUpdateInvalidatesCache(t *testing.T) {
 	}
 }
 
+// placed returns a clone of prog with the tables tiers names annotated onto
+// those execution tiers, and the copied ones replicated on every tier.
+func placed(prog *p4ir.Program, tiers map[string]int, copied ...string) *p4ir.Program {
+	out := prog.Clone()
+	for name, t := range out.Tables {
+		tier, onTier := tiers[name]
+		isCopy := slices.Contains(copied, name)
+		if !onTier && !isCopy {
+			continue
+		}
+		if t.Annotations == nil {
+			t.Annotations = map[string]string{}
+		}
+		if onTier {
+			t.Annotations[p4ir.AnnotTier] = strconv.Itoa(tier)
+		}
+		if isCopy {
+			t.Annotations[p4ir.AnnotTierCopy] = "1"
+		}
+	}
+	return out
+}
+
 func TestHeterogeneousMigrationCost(t *testing.T) {
 	prog, err := p4ir.ChainTables("p", []p4ir.TableSpec{
 		exactTable("a", "ipv4.dstAddr", "b"),
@@ -473,7 +498,7 @@ func TestHeterogeneousMigrationCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm := testParams()
-	nic, err := New(prog, Config{Params: pm, TierTables: map[string]int{"b": 1}})
+	nic, err := New(placed(prog, map[string]int{"b": 1}), Config{Params: pm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,11 +524,7 @@ func TestTableCopyingAvoidsMigration(t *testing.T) {
 	pm := testParams()
 	// b is a CPU table; a and c copied to CPU would avoid migrations, but
 	// here we copy only b to ASIC — packet never migrates.
-	nic, err := New(prog, Config{
-		Params:       pm,
-		TierTables:   map[string]int{"b": 1},
-		CopiedTables: map[string]bool{"b": true},
-	})
+	nic, err := New(placed(prog, map[string]int{"b": 1}, "b"), Config{Params: pm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +576,7 @@ func TestVendorCacheWholeProgram(t *testing.T) {
 	if !r2.VendorCacheHit {
 		t.Fatal("same flow should hit vendor cache")
 	}
-	if v, _ := p2.Get("meta.t1"); v != 1 {
+	if v := p2.GetID(packet.FieldIDFor("meta.t1")); v != 1 {
 		t.Error("vendor cache must replay writes")
 	}
 	if r2.LatencyNs >= r1.LatencyNs {
@@ -638,7 +659,7 @@ func TestMeasureThroughput(t *testing.T) {
 		t.Errorf("throughput = %v, want line rate 100", m.ThroughputGbps)
 	}
 	// Inputs not mutated.
-	if v, _ := pkts[0].Get("meta.t1"); v != 0 {
+	if v := pkts[0].GetID(packet.FieldIDFor("meta.t1")); v != 0 {
 		t.Error("Measure must not mutate inputs")
 	}
 }
@@ -776,7 +797,7 @@ func TestOffPathTierChargesDMACrossings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nic, err := New(prog, Config{Params: offPathParams(), TierTables: map[string]int{"b": 2}})
+	nic, err := New(placed(prog, map[string]int{"b": 2}), Config{Params: offPathParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +849,7 @@ func TestOffPathTierClampsOnTwoTierTargets(t *testing.T) {
 	}
 	// testParams has no off-path tier: a tier-2 request degrades to the
 	// NIC CPU and costs a plain on-path migration.
-	nic, err := New(prog, Config{Params: testParams(), TierTables: map[string]int{"b": 2}})
+	nic, err := New(placed(prog, map[string]int{"b": 2}), Config{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

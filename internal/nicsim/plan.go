@@ -203,14 +203,12 @@ func (n *NIC) compile() *execPlan {
 		t, c := ix.Table(int32(i)), ix.Cond(int32(i))
 		if t != nil {
 			rt := n.tables[name]
-			// An explicit TierTables entry wins over the placement
-			// annotation.
-			tier, ok := n.cfg.TierTables[name]
-			if !ok {
-				tier, _ = t.TierAssignment()
-			}
+			// The placement annotations say where a table runs: its
+			// floor (Unsupported / MinTier) still applies, and tiers the
+			// cost model does not have are clamped to its top tier.
+			tier, _ := t.TierAssignment()
 			nd.tier = uint8(pl.Tier(tier, t.TierFloor()))
-			nd.copied = n.cfg.CopiedTables[name] || t.TierCopied()
+			nd.copied = t.TierCopied()
 			nd.probe = pl.Probe(t)
 			nd.bind(rt)
 			reads |= rt.headerReads()

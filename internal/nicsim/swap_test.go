@@ -284,7 +284,10 @@ func TestSwapIndistinguishableFromNew(t *testing.T) {
 			out := plan.Clone()
 			for name, tbl := range out.Tables {
 				if cur := dev.prog.Tables[name]; cur != nil && tbl.Annotations[p4ir.AnnotKind] == "" {
-					tbl.Entries = cur.Clone().Entries
+					tbl.Entries = make([]p4ir.Entry, len(cur.Entries))
+					for i, e := range cur.Entries {
+						tbl.Entries[i] = e.Clone()
+					}
 				}
 			}
 			return out

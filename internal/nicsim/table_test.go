@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pipeleon/internal/p4ir"
+	"pipeleon/internal/packet"
 )
 
 // Multi-key lookups and less common match kinds, exercised directly
@@ -175,12 +176,12 @@ func TestEntryArgsResolveThroughActionData(t *testing.T) {
 	}
 	p1 := pkt(9, 1, 1, 1)
 	nic.Process(p1)
-	if v, _ := p1.Get("meta.egress_port"); v != 42 {
+	if v := p1.GetID(packet.FieldIDFor("meta.egress_port")); v != 42 {
 		t.Errorf("entry arg 42 not applied, got %d", v)
 	}
 	p2 := pkt(9, 2, 1, 1)
 	nic.Process(p2)
-	if v, _ := p2.Get("meta.egress_port"); v != 0x1f {
+	if v := p2.GetID(packet.FieldIDFor("meta.egress_port")); v != 0x1f {
 		t.Errorf("hex entry arg not applied, got %d", v)
 	}
 }
@@ -256,7 +257,7 @@ func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, plan := nic.tables["t"], nic.plan.Load()
-	entries := prog.Tables["t"].Clone().Entries
+	entries := prog.Clone().Tables["t"].Entries
 	for name, op := range map[string]func() error{
 		"insert into full table": func() error { return nic.InsertEntry("t", e("hit_act", 4)) },
 		"insert, bad arity":      func() error { return nic.InsertEntry("t", e("hit_act", 4, 5)) },

@@ -43,7 +43,7 @@ func newChurnRig(t *testing.T, prog *p4ir.Program, pm costmodel.Params, cfg opt.
 func entryFor(tbl *p4ir.Table, pkt *packet.Packet, action string) p4ir.Entry {
 	e := p4ir.Entry{Action: action, Priority: 1 << 20}
 	for _, k := range tbl.Keys {
-		v, _ := pkt.Get(k.Field)
+		v := pkt.GetID(packet.FieldIDFor(k.Field))
 		e.Match = append(e.Match, p4ir.MatchValue{Value: v & k.FullMask(), PrefixLen: k.BitWidth(), Mask: k.FullMask()})
 	}
 	return e

@@ -31,7 +31,7 @@ var observableFields = []string{
 func snapshotPacket(p *packet.Packet) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, f := range observableFields {
-		v, _ := p.Get(f)
+		v := p.GetID(packet.FieldIDFor(f))
 		out[f] = v
 	}
 	for k, v := range p.MetaMap() {

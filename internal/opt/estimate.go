@@ -224,7 +224,7 @@ func (ev *Evaluator) rank(part *pipelet.Partition) []pipelet.Cost {
 				w += ev.reach[i] * ev.nodeLat(i)
 			}
 		}
-		costs = append(costs, pipelet.Cost{Pipelet: p, Weighted: w, Reach: ev.reachOf(p.Head())})
+		costs = append(costs, pipelet.Cost{Pipelet: p, Weighted: w})
 	}
 	sort.SliceStable(costs, func(i, j int) bool { return costs[i].Weighted > costs[j].Weighted })
 	return costs

@@ -283,7 +283,7 @@ func rankByCost(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, 
 		for _, tbl := range p.Tables {
 			w += reach[tbl] * k.NodeLatency(prog, prof, tbl)
 		}
-		costs = append(costs, pipelet.Cost{Pipelet: p, Weighted: w, Reach: reach[p.Head()]})
+		costs = append(costs, pipelet.Cost{Pipelet: p, Weighted: w})
 	}
 	sort.SliceStable(costs, func(i, j int) bool { return costs[i].Weighted > costs[j].Weighted })
 	return costs

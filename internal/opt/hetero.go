@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"strconv"
 
 	"pipeleon/internal/costmodel"
 	"pipeleon/internal/p4ir"
@@ -58,6 +59,27 @@ func clonePlacement(p Placement) Placement {
 	}
 	for k := range p.Copies {
 		out.Copies[k] = true
+	}
+	return out
+}
+
+// Annotate returns a clone of prog carrying the placement in the tier
+// annotations (p4ir.AnnotTier, p4ir.AnnotTierCopy): the one encoding of a
+// placement the emulator runs and the verifier checks. Tables the placement
+// does not assign keep the annotations they have.
+func (pl Placement) Annotate(prog *p4ir.Program) *p4ir.Program {
+	out := prog.Clone()
+	for name, t := range out.Tables {
+		tier, placed := pl.Tier[name]
+		if (placed || pl.Copies[name]) && t.Annotations == nil {
+			t.Annotations = map[string]string{}
+		}
+		if placed {
+			t.Annotations[p4ir.AnnotTier] = strconv.Itoa(int(tier))
+		}
+		if pl.Copies[name] {
+			t.Annotations[p4ir.AnnotTierCopy] = "1"
+		}
 	}
 	return out
 }

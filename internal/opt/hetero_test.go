@@ -365,17 +365,11 @@ func TestModelMatchesEmulatorOnTiers(t *testing.T) {
 	}
 }
 
-// measureTiered runs pkts through an emulator with the placement applied by
-// configuration, instrumented into col when col is not nil.
+// measureTiered runs pkts through an emulator of the program annotated
+// with the placement, instrumented into col when col is not nil.
 func measureTiered(t *testing.T, prog *p4ir.Program, pm costmodel.Params, pl Placement, col *profile.Collector, pkts []*packet.Packet) nicsim.Measurement {
 	t.Helper()
-	tiers := map[string]int{}
-	for name, d := range pl.Tier {
-		tiers[name] = int(d)
-	}
-	nic, err := nicsim.New(prog, nicsim.Config{
-		Params: pm, TierTables: tiers, CopiedTables: pl.Copies, Collector: col, Instrument: col != nil,
-	})
+	nic, err := nicsim.New(pl.Annotate(prog), nicsim.Config{Params: pm, Collector: col, Instrument: col != nil})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type CounterMap struct {
 	MergedActions map[string]map[string]map[string]string
 	// Removed holds original tables deleted by in-place merges.
 	Removed map[string]bool
-	// Renamed maps optimized table names to original names for tables
-	// that survive unchanged (identity unless a future pass renames).
-	Renamed map[string]string
 }
 
 // NewCounterMap returns an empty map.
@@ -33,7 +30,6 @@ func NewCounterMap() *CounterMap {
 		Caches:        map[string][]string{},
 		MergedActions: map[string]map[string]map[string]string{},
 		Removed:       map[string]bool{},
-		Renamed:       map[string]string{},
 	}
 }
 
@@ -145,9 +141,6 @@ type Rewrite struct {
 	Digest p4ir.Digest
 	// Map links optimized counters back to the original program.
 	Map *CounterMap
-	// Applied are the options realized (some may be skipped if the graph
-	// changed since planning; none currently).
-	Applied []*Option
 }
 
 // Apply clones prog and applies every option of the plan, producing the
@@ -162,7 +155,6 @@ func Apply(prog *p4ir.Program, plan []*Option, cfg Config) (*Rewrite, error) {
 		if err := applyOption(out, o, cm, cfg); err != nil {
 			return nil, fmt.Errorf("opt: applying %s: %w", o, err)
 		}
-		rw.Applied = append(rw.Applied, o)
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("opt: optimized program invalid: %w", err)

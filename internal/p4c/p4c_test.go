@@ -164,10 +164,10 @@ func TestCompiledProgramExecutes(t *testing.T) {
 			t.Fatalf("path = %v, want %v", r.Path, wantPath)
 		}
 	}
-	if v, _ := pkt.Get("meta.egress_port"); v != 9 {
+	if v := pkt.GetID(packet.FieldIDFor("meta.egress_port")); v != 9 {
 		t.Errorf("egress_port = %d, want 9 (route entry wins last)", v)
 	}
-	if v, _ := pkt.Get("ipv4.tos"); v != 7 {
+	if v := pkt.GetID(packet.FieldIDFor("ipv4.tos")); v != 7 {
 		t.Errorf("tos = %d, want 7 (decorate on web path)", v)
 	}
 	// TTL 1 skips classification.
@@ -421,7 +421,7 @@ func TestConstEntries(t *testing.T) {
 	if r := nic.Process(web); r.Dropped {
 		t.Error("web flow should pass")
 	}
-	if v, _ := web.Get("meta.egress_port"); v != 7 {
+	if v := web.GetID(packet.FieldIDFor("meta.egress_port")); v != 7 {
 		t.Errorf("host route should forward to 7, got %d", v)
 	}
 }

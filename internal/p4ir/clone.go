@@ -7,16 +7,16 @@ func (p *Program) Clone() *Program {
 	out := NewProgram(p.Name)
 	out.Root = p.Root
 	for name, t := range p.Tables {
-		out.Tables[name] = t.Clone()
+		out.Tables[name] = t.clone()
 	}
 	for name, c := range p.Conds {
-		out.Conds[name] = c.Clone()
+		out.Conds[name] = c.clone()
 	}
 	return out
 }
 
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
+// clone returns a deep copy of the table.
+func (t *Table) clone() *Table {
 	nt := &Table{
 		Name:          t.Name,
 		Keys:          append([]Key(nil), t.Keys...),
@@ -29,7 +29,7 @@ func (t *Table) Clone() *Table {
 	}
 	nt.Actions = make([]*Action, len(t.Actions))
 	for i, a := range t.Actions {
-		nt.Actions[i] = a.Clone()
+		nt.Actions[i] = a.clone()
 	}
 	if t.ActionNext != nil {
 		nt.ActionNext = make(map[string]string, len(t.ActionNext))
@@ -50,8 +50,8 @@ func (t *Table) Clone() *Table {
 	return nt
 }
 
-// Clone returns a deep copy of the action.
-func (a *Action) Clone() *Action {
+// clone returns a deep copy of the action.
+func (a *Action) clone() *Action {
 	na := &Action{Name: a.Name, Primitives: make([]Primitive, len(a.Primitives))}
 	for i, prim := range a.Primitives {
 		na.Primitives[i] = Primitive{Op: prim.Op, Args: append([]string(nil), prim.Args...)}
@@ -69,8 +69,8 @@ func (e Entry) Clone() Entry {
 	}
 }
 
-// Clone returns a deep copy of the conditional.
-func (c *Conditional) Clone() *Conditional {
+// clone returns a deep copy of the conditional.
+func (c *Conditional) clone() *Conditional {
 	return &Conditional{
 		Name:       c.Name,
 		Expr:       c.Expr,

@@ -64,8 +64,10 @@ func sortedKeys[V any](m map[string]V) []string {
 func mutate(p *p4ir.Program, s *script) {
 	tnames, cnames := sortedKeys(p.Tables), sortedKeys(p.Conds)
 	var t *p4ir.Table
+	var tname string
 	if len(tnames) > 0 {
-		t = p.Tables[tnames[s.pick(len(tnames))]]
+		tname = tnames[s.pick(len(tnames))]
+		t = p.Tables[tname]
 	}
 	var c *p4ir.Conditional
 	if len(cnames) > 0 {
@@ -260,7 +262,7 @@ func mutate(p *p4ir.Program, s *script) {
 	case 29:
 		t.Name, t.BaseNext = t.Name+"", t.BaseNext+""
 	case 30:
-		*t = *t.Clone()
+		*t = *p.Clone().Tables[tname]
 	case 31:
 		c.Name += tag
 	case 32:

@@ -185,15 +185,6 @@ func (p *Program) UnmarshalJSON(data []byte) error {
 	return p.Validate()
 }
 
-// WriteFile serializes the program to path.
-func (p *Program) WriteFile(path string) error {
-	data, err := p.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // LoadFile reads a program from a JSON file.
 func LoadFile(path string) (*Program, error) {
 	f, err := os.Open(path)

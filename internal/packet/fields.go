@@ -193,16 +193,6 @@ func KnownFields() []string {
 	return out
 }
 
-// Get reads a named field from the packet. Metadata fields read zero when
-// absent. ok is false only for unknown non-meta names.
-func (p *Packet) Get(name string) (uint64, bool) {
-	id := FieldIDFor(name)
-	if id == FieldInvalid {
-		return 0, false
-	}
-	return p.GetID(id), true
-}
-
 // GetID reads a field by compiled ID. Absent metadata fields read zero.
 func (p *Packet) GetID(id FieldID) uint64 {
 	if id >= metaBase {

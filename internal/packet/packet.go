@@ -121,18 +121,6 @@ const (
 	udpLen  = 8
 )
 
-// Parse decodes an Ethernet/IPv4/{TCP,UDP} packet. Unknown EtherTypes or
-// IP protocols parse successfully with the remaining bytes as payload —
-// callers decide whether that is an error (mirroring gopacket's tolerant
-// ErrorLayer behaviour).
-func Parse(data []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := ParseInto(p, data); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ParseInto is Parse into p. Like CloneInto's destination, p keeps its own
 // metadata buffer, of which nothing a previous occupant wrote stays
 // readable. On error p holds a partial parse.

@@ -232,3 +232,25 @@ func TestPseudoHeaderChecksumInPlace(t *testing.T) {
 		}
 	}
 }
+
+// Parse decodes an Ethernet/IPv4/{TCP,UDP} packet. Unknown EtherTypes or
+// IP protocols parse successfully with the remaining bytes as payload —
+// callers decide whether that is an error (mirroring gopacket's tolerant
+// ErrorLayer behaviour).
+func Parse(data []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := ParseInto(p, data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Get reads a named field from the packet. Metadata fields read zero when
+// absent. ok is false only for unknown non-meta names.
+func (p *Packet) Get(name string) (uint64, bool) {
+	id := FieldIDFor(name)
+	if id == FieldInvalid {
+		return 0, false
+	}
+	return p.GetID(id), true
+}

@@ -153,8 +153,6 @@ type Cost struct {
 	// Weighted is L(G')·P(G') — the pipelet's expected-latency
 	// contribution (§4.1.2).
 	Weighted float64
-	// Reach is P(G'), the probability a packet reaches the pipelet.
-	Reach float64
 }
 
 // TopK selects the top fraction (0 < frac <= 1) of pipelets by weighted

@@ -34,10 +34,6 @@ func NewLocal(nic *nicsim.NIC, col *profile.Collector) *Local {
 // caller plans with a cost model other than the emulator's).
 func (l *Local) SetCapabilities(c Capabilities) { l.cap = c }
 
-// NIC exposes the wrapped emulator for callers that need emulator-only
-// features (batch measurement, direct packet injection in tests).
-func (l *Local) NIC() *nicsim.NIC { return l.nic }
-
 // Program returns the currently running program.
 func (l *Local) Program() *p4ir.Program { return l.nic.Program() }
 

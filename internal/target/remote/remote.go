@@ -40,18 +40,13 @@ type Remote struct {
 	digest p4ir.Digest
 }
 
-// Dial connects to a device server and fetches its capabilities.
+// Dial connects to a device server and fetches its capabilities once; the
+// remote owns the connection from here (Close closes it).
 func Dial(addr string) (*Remote, error) {
 	client, err := controlplane.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return New(client)
-}
-
-// New wraps an existing client, fetching capabilities once; the remote
-// owns the client from here (Close closes it).
-func New(client *controlplane.Client) (*Remote, error) {
 	cap, err := client.Capabilities()
 	if err != nil {
 		client.Close()

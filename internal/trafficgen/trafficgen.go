@@ -114,16 +114,9 @@ func (g *Generator) nextFlow() Flow {
 	return g.flows[idx]
 }
 
-// Next samples one packet.
-func (g *Generator) Next() *packet.Packet {
-	p := &packet.Packet{}
-	g.buildInto(g.nextFlow(), p)
-	return p
-}
-
 // Split derives n independent child generators over the same flow
 // population. A Generator is single-threaded (its RNG and sampling tables
-// mutate on every Next), so concurrent producers each take one child:
+// mutate on every packet), so concurrent producers each take one child:
 // children share an immutable snapshot of the flows but own forked RNG
 // state and lazily rebuilt sampling structures, so they never touch the
 // parent's (or each other's) mutable state. Flows added to the parent
@@ -148,9 +141,7 @@ func (g *Generator) Split(n int) []*Generator {
 // Batch samples n packets.
 func (g *Generator) Batch(n int) []*packet.Packet {
 	out := make([]*packet.Packet, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
+	g.BatchInto(out)
 	return out
 }
 

@@ -24,7 +24,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestPacketShape(t *testing.T) {
 	g := New(1, 0)
 	g.AddFlows(Flow{Src: 10, Dst: 20, SPort: 30, DPort: 40})
-	p := g.Next()
+	p := g.Batch(1)[0]
 	if !p.HasIPv4 || !p.HasTCP {
 		t.Fatal("expected IPv4/TCP packet")
 	}
@@ -40,7 +40,7 @@ func TestPacketShape(t *testing.T) {
 func TestUDPFlows(t *testing.T) {
 	g := New(1, 0)
 	g.AddFlows(Flow{Src: 1, Dst: 2, SPort: 53, DPort: 5353, Proto: packet.ProtoUDP})
-	p := g.Next()
+	p := g.Batch(1)[0]
 	if !p.HasUDP || p.UDP.SrcPort != 53 {
 		t.Errorf("UDP flow mangled: %+v", p.UDP)
 	}
@@ -49,11 +49,11 @@ func TestUDPFlows(t *testing.T) {
 func TestFieldOverrides(t *testing.T) {
 	g := New(1, 0)
 	g.AddFlows(Flow{Src: 1, Dst: 2, Fields: map[string]uint64{"ipv4.tos": 7, "meta.tenant": 3}})
-	p := g.Next()
-	if v, _ := p.Get("ipv4.tos"); v != 7 {
+	p := g.Batch(1)[0]
+	if v := p.GetID(packet.FieldIDFor("ipv4.tos")); v != 7 {
 		t.Errorf("tos = %v", v)
 	}
-	if v, _ := p.Get("meta.tenant"); v != 3 {
+	if v := p.GetID(packet.FieldIDFor("meta.tenant")); v != 3 {
 		t.Errorf("meta.tenant = %v", v)
 	}
 }
@@ -66,7 +66,7 @@ func TestWeightedSampling(t *testing.T) {
 	)
 	counts := map[uint32]int{}
 	for i := 0; i < 10000; i++ {
-		counts[g.Next().IP.DstAddr]++
+		counts[g.Batch(1)[0].IP.DstAddr]++
 	}
 	frac := float64(counts[1]) / 10000
 	if math.Abs(frac-0.9) > 0.03 {
@@ -80,7 +80,7 @@ func TestZipfSkewConcentratesFlows(t *testing.T) {
 	g.SetSkew(1.1)
 	counts := map[packet.FlowKey]int{}
 	for i := 0; i < 20000; i++ {
-		counts[g.Next().Flow()]++
+		counts[g.Batch(1)[0].Flow()]++
 	}
 	max := 0
 	for _, c := range counts {
@@ -112,7 +112,7 @@ func TestDropTargetedFlows(t *testing.T) {
 	g.AddFlows(flows...)
 	matched := 0
 	for i := 0; i < 5000; i++ {
-		if g.Next().TCP.DstPort == 23 {
+		if g.Batch(1)[0].TCP.DstPort == 23 {
 			matched++
 		}
 	}
@@ -145,7 +145,7 @@ func TestCrossProductFlowsCardinality(t *testing.T) {
 
 func TestEmptyGeneratorStillProduces(t *testing.T) {
 	g := New(1, 256)
-	p := g.Next()
+	p := g.Batch(1)[0]
 	if p == nil || p.WireLen != 256 {
 		t.Error("empty generator should emit a default packet with configured size")
 	}
@@ -189,7 +189,7 @@ func TestSplitChildrenRaceClean(t *testing.T) {
 		go func(k *Generator) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				if k.Next() == nil {
+				if k.Batch(1)[0] == nil {
 					t.Error("nil packet")
 					return
 				}
@@ -198,7 +198,7 @@ func TestSplitChildrenRaceClean(t *testing.T) {
 	}
 	// The parent keeps drawing concurrently with its children.
 	for i := 0; i < 200; i++ {
-		g.Next()
+		g.Batch(1)
 	}
 	for range kids {
 		<-done

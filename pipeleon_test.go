@@ -143,7 +143,11 @@ func TestProgramFileRoundTrip(t *testing.T) {
 	prog := demoProgram(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.json")
-	if err := prog.WriteFile(path); err != nil {
+	data, err := prog.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadProgram(path)
@@ -186,9 +190,9 @@ func TestTargetsDiffer(t *testing.T) {
 func TestParsePacketPublic(t *testing.T) {
 	gen := NewTrafficGen(9)
 	gen.AddFlows(Flow{Src: 1, Dst: 2, SPort: 3, DPort: 4})
-	wire := gen.Next().Serialize()
-	p, err := packet.Parse(wire)
-	if err != nil {
+	wire := gen.Batch(1)[0].Serialize()
+	var p packet.Packet
+	if err := packet.ParseInto(&p, wire); err != nil {
 		t.Fatal(err)
 	}
 	if p.IP.SrcAddr != 1 || p.TCP.DstPort != 4 {
