@@ -165,6 +165,14 @@ const deployDir, deployFile = "internal/core", "deploy.go"
 
 var deviceMethods = map[string]bool{"Deploy": true, "Commit": true, "Rollback": true}
 
+// A round has one exit: internal/core's finishLocked applies the policy of
+// every outcome. So in the non-test files of internal/core no other
+// function, nor a package-level initializer, names the round's policy
+// actions — recording a round, charging the breaker, blacklisting a plan.
+const finishFunc = "finishLocked"
+
+var roundPolicy = map[string]bool{"recordLocked": true, "noteDeployFailureLocked": true, "blacklistLocked": true}
+
 var determinismRules = []determinismRule{
 	{
 		Dir: "internal/nicsim",
@@ -222,6 +230,7 @@ func lintModule(root string) ([]Violation, error) {
 	}
 	inDir(fleetDir, nil, func(f *ast.File) []Violation { return checkOneRound(fset, f) })
 	inDir(deployDir, func(base string) bool { return base != deployFile }, func(f *ast.File) []Violation { return checkOneDeploy(fset, f) })
+	inDir(deployDir, nil, func(f *ast.File) []Violation { return checkOneExit(fset, f) })
 	collect(lintDiagCodes(fset, root))
 	collect(lintLiveKnobs(fset, root))
 	collect(lintDeadExports(fset, root))
@@ -834,10 +843,10 @@ func checkTierNames(fset *token.FileSet, f *ast.File, r tierNameRule) []Violatio
 	return out
 }
 
-// selectorsNamed reports, as rule, every selector of f that match accepts
-// — a call, a method value or a field read alike, or with calls set only
-// the called ones; msg says why.
-func selectorsNamed(fset *token.FileSet, f *ast.File, rule string, calls bool, match func(*ast.SelectorExpr) bool, msg func(name string) string) []Violation {
+// selectorsNamed reports, as rule, every selector under f that match
+// accepts — a call, a method value or a field read alike, or with calls set
+// only the called ones; msg says why.
+func selectorsNamed(fset *token.FileSet, f ast.Node, rule string, calls bool, match func(*ast.SelectorExpr) bool, msg func(name string) string) []Violation {
 	var out []Violation
 	ast.Inspect(f, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && calls {
@@ -897,6 +906,19 @@ func checkOneDeploy(fset *token.FileSet, f *ast.File) []Violation {
 	return selectorsNamed(fset, f, "one-deploy", false, func(sel *ast.SelectorExpr) bool { return deviceMethods[sel.Sel.Name] }, func(name string) string {
 		return "uses " + name + " outside " + deployDir + "/" + deployFile + ": a program reaches the device through deployLocked, which proves, gates and stages it"
 	})
+}
+
+func checkOneExit(fset *token.FileSet, f *ast.File) []Violation {
+	var out []Violation
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == finishFunc {
+			continue
+		}
+		out = append(out, selectorsNamed(fset, d, "one-exit", false, func(sel *ast.SelectorExpr) bool { return roundPolicy[sel.Sel.Name] }, func(name string) string {
+			return "uses " + name + " outside " + finishFunc + ": a round ends through finishLocked, the one place round policy lives"
+		})...)
+	}
+	return out
 }
 
 func checkSerial(fset *token.FileSet, f *ast.File) []Violation {

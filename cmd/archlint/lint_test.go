@@ -755,6 +755,60 @@ func push(d *device) { d.tgt.Deploy(nil); d.tgt.Commit() }
 	}
 }
 
+func TestOneExit(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// The one exit: every policy action from finishLocked.
+		"internal/core/round.go": `package core
+
+func (r *Runtime) finishLocked(failed bool) {
+	if failed {
+		r.noteDeployFailureLocked()
+		r.blacklistLocked("")
+	}
+	r.recordLocked()
+}
+`,
+		// A second exit: a stage recording its own round, and a policy
+		// action as a method value and in a package-level initializer.
+		"internal/core/runtime.go": `package core
+
+func (r *Runtime) searchStage() {
+	r.recordLocked()
+}
+
+func (r *Runtime) judge() func() { return r.noteDeployFailureLocked }
+
+var sweep = func(r *Runtime) { r.blacklistLocked("") }
+`,
+		// Tests and other packages may call them.
+		"internal/core/round_test.go": `package core
+
+func record(r *Runtime) { r.recordLocked() }
+`,
+		"internal/fleet/device.go": `package fleet
+
+func fail(d *device) { d.noteDeployFailureLocked() }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, v := range vs {
+		if v.Rule != "one-exit" || filepath.Base(v.Pos.Filename) != "runtime.go" {
+			t.Errorf("unexpected violation: %v", v)
+		}
+		names = append(names, v.Msg[len("uses "):strings.Index(v.Msg, " outside")])
+	}
+	if want := []string{"recordLocked", "noteDeployFailureLocked", "blacklistLocked"}; !slices.Equal(names, want) {
+		t.Fatalf("flagged %v, want %v: %v", names, want, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "finishLocked") {
+		t.Errorf("message does not say where round policy belongs: %q", vs[0].Msg)
+	}
+}
+
 func TestEveryKnobStructIsChecked(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/nicsim/nic.go": `package nicsim

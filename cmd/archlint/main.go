@@ -35,6 +35,10 @@
 //     a Deploy, Commit or Rollback method; construction, a round and an
 //     entry operation's redeploy all put a program on the device through
 //     its deployLocked (materialize and prove, gate, stage, make current).
+//   - one-exit: in non-test files of internal/core only finishLocked
+//     calls recordLocked, noteDeployFailureLocked or blacklistLocked; a
+//     round's every outcome ends there, which records it and applies its
+//     policy (breaker, blacklist, re-evaluation).
 //   - live-knob: every exported field of opt.Config, nicsim.Config and
 //     core.DeployGuard is set (assigned through a selector, or keyed in a
 //     composite literal) somewhere in the module outside the file

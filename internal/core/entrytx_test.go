@@ -158,6 +158,23 @@ func TestEntryOpUndoneWhenDeviceRefuses(t *testing.T) {
 	}
 }
 
+// A refused operation is undone in both views, which leaves the original's
+// entries as they were and so its entry version: every gate verdict and
+// proof filed under it still holds, and the gate still remembers them.
+func TestEntryOpRefusedKeepsVerdicts(t *testing.T) {
+	rt, _, tgt := newRefusingRig(t, aclProgram(t), opt.DefaultConfig())
+	if !gateRemembers(rt, rt.orig) {
+		t.Fatal("gate holds no verdict for the original it deployed")
+	}
+	tgt.refuse = errors.New("device says no")
+	if err := rt.InsertEntry("acl1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 9999}}, Action: "drop_packet"}); err == nil {
+		t.Fatal("refused insert reported success")
+	}
+	if !gateRemembers(rt, rt.orig) {
+		t.Error("a refused insert dropped the gate's verdicts, though the entries are as they were")
+	}
+}
+
 // The slow path is a transaction too: an insert into a merged table whose
 // redeploy the device rejects leaves the cross product, the original and
 // the plan as they were.

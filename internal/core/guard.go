@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"pipeleon/internal/faultinject"
 	"pipeleon/internal/packet"
 	"pipeleon/internal/target"
@@ -77,13 +79,31 @@ type Comparison struct {
 	PostErr error
 }
 
-// Delta is the relative mean-latency change across the deploy,
-// (post-pre)/pre; zero when the deploy was not verified.
-func (c Comparison) Delta() float64 {
-	if !c.Verified || c.PostErr != nil {
-		return 0
+// Judge is the one judgment of a measured deploy — the runtime's guard
+// and the fleet's verify step both ask it. It returns the relative
+// mean-latency change across the deploy, (post-pre)/pre (zero when the
+// deploy was not verified or the post-measure failed), and, when the
+// measurement contradicts the deploy, why: the post-deploy measurement
+// failed, the mean latency regressed by more than maxRegression, or less
+// than minRealizedFrac of the predicted gain (ns) was realized. That last
+// check is off at minRealizedFrac 0 and for predictions under
+// minPredictedGainNs. An unverified deploy is never contradicted.
+func (c Comparison) Judge(maxRegression, minRealizedFrac, predictedNs float64) (float64, error) {
+	if !c.Verified {
+		return 0, nil
 	}
-	return (c.Post.MeanLatencyNs - c.Pre.MeanLatencyNs) / c.Pre.MeanLatencyNs
+	if c.PostErr != nil {
+		return 0, fmt.Errorf("verify measurement failed: %w", c.PostErr)
+	}
+	delta := (c.Post.MeanLatencyNs - c.Pre.MeanLatencyNs) / c.Pre.MeanLatencyNs
+	if delta > maxRegression {
+		return delta, fmt.Errorf("verify: mean latency regressed %+.0f%% (max %+.0f%%)", delta*100, maxRegression*100)
+	}
+	realized := c.Pre.MeanLatencyNs - c.Post.MeanLatencyNs
+	if minRealizedFrac > 0 && predictedNs >= minPredictedGainNs && realized < minRealizedFrac*predictedNs {
+		return delta, fmt.Errorf("verify: realized %.0fns of a predicted %.0fns gain (min %.0f%%)", realized, predictedNs, minRealizedFrac*100)
+	}
+	return delta, nil
 }
 
 // CompareDeploy runs deploy between two measurements of sample on tgt, each
@@ -132,9 +152,9 @@ func orDefault[T int | float64](v *T, def T) {
 }
 
 // SetFaultInjector wires a fault injector into the runtime's one fault
-// point, PointPlan (plan-gain misprediction). Device faults are injected
-// at the target (target.WithFaults), the wire's at the control-plane
-// server.
+// point, PointPlan (a failed search, a plan-gain misprediction). Device
+// faults are injected at the target (target.WithFaults), the wire's at the
+// control-plane server.
 func (r *Runtime) SetFaultInjector(inj faultinject.Injector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -142,10 +162,8 @@ func (r *Runtime) SetFaultInjector(inj faultinject.Injector) {
 }
 
 // noteDeployFailureLocked counts a failed or rolled-back deploy toward
-// the circuit breaker and forces the next round to re-evaluate (a failed
-// deploy must not be masked by the profile-unchanged skip).
+// the circuit breaker.
 func (r *Runtime) noteDeployFailureLocked() {
-	r.lastCosts = nil
 	r.consecFailures++
 	if r.guard != nil && r.consecFailures >= r.guard.BreakerThreshold {
 		r.breakerOpenUntil = r.round + r.guard.BreakerCooldownRounds
@@ -169,21 +187,4 @@ func (r *Runtime) blacklistLocked(planKey string) {
 		}
 	}
 	r.blacklist[planKey] = r.round + r.guard.BlacklistRounds
-}
-
-// planBlacklistedLocked reports (and garbage-collects) blacklist state
-// for a plan key.
-func (r *Runtime) planBlacklistedLocked(planKey string) bool {
-	if planKey == "" {
-		return false
-	}
-	exp, ok := r.blacklist[planKey]
-	if !ok {
-		return false
-	}
-	if r.round > exp {
-		delete(r.blacklist, planKey)
-		return false
-	}
-	return true
 }

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,6 +48,11 @@ type Runtime struct {
 	currentDigest p4ir.Digest
 	cmap          *opt.CounterMap
 	activePlan    []*opt.Option
+	// staged is the view before the program deployLocked last staged, while
+	// the device holds that program uncommitted (nil otherwise): what
+	// unstaging restores. A round's commit or finishLocked resolves it, and
+	// deployNowLocked for its own deploys.
+	staged *checkpoint
 
 	// search is the warm optimizer session: it keeps the pipelet
 	// partition, dependency analysis, cost-view arrays, candidate skeletons
@@ -86,7 +90,18 @@ type Runtime struct {
 	breakerOpenUntil int
 }
 
-// RoundReport summarizes one optimization round.
+// RoundReport summarizes one optimization round. How it ended reads in the
+// outcome fields, which one place sets: a lost window or a failed search
+// sets Error; an open breaker, an unchanged profile, a blacklisted plan set
+// BreakerOpen, SkippedUnchanged, PlanBlacklisted; a round the hysteresis
+// kept sets none and no error, with ActivePlanGain > 0 (one that found the
+// deployed layout again has ActivePlanGain 0); a refusal sets Error when
+// the plan did not materialize, DeployError when the gate or the device
+// refused; a rollback sets Deployed and RolledBack (and DeployError when
+// the post-measure failed), a failed rollback Deployed and DeployError, a
+// failed commit all three (the staged program is put back), a commit
+// Deployed alone; a panic sets Error, and RolledBack or DeployError when a
+// program was staged.
 type RoundReport struct {
 	Round int
 	// Deployed is true when a new program was swapped in.
@@ -115,8 +130,9 @@ type RoundReport struct {
 	Error string
 	// DeployError records a failed program swap (or failed rollback).
 	DeployError string
-	// RolledBack is true when the verification window contradicted the
-	// plan's prediction and the checkpointed program was restored.
+	// RolledBack is true when the checkpointed program was restored: the
+	// verification window contradicted the plan's prediction, or a failed
+	// commit or a panic left the new program staged.
 	RolledBack bool
 	// VerifyDelta is the measured relative mean-latency change across
 	// the deploy ((post-pre)/pre); only meaningful when a DeployGuard
@@ -238,228 +254,6 @@ func (r *Runtime) recordLocked(rep RoundReport) {
 		r.historyNext = (r.historyNext + 1) % historyCap
 	}
 	r.tally.count(rep)
-}
-
-// OptimizeOnce runs one optimization round over the profile collected in
-// the last window of the given duration (used to turn update counts into
-// rates). It snapshots and resets the collector, so each round sees only
-// the most recent window — "Pipeleon constantly monitors the profile; when
-// it varies, a new round of optimization will be triggered".
-//
-// Every round — including failed ones — is recorded in History, so a
-// deploy error or rollback is observable and the caller's loop can continue.
-// When a DeployGuard is installed, deployment is transactional: the
-// previous program and counter map are checkpointed, a verification
-// window compares measured latency against the plan's prediction, and a
-// contradicted deploy is rolled back and its plan blacklisted.
-// A panic under it (search, rewrite, gate, a target call) costs the round,
-// not the loop: recorded with Error, counted toward the breaker as a failed
-// deploy, and a program staged but not committed is rolled back.
-func (r *Runtime) OptimizeOnce(window time.Duration) (report RoundReport, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.round++
-	report = RoundReport{Round: r.round, HitRateFeedback: map[string]float64{}}
-	record := func() { r.recordLocked(report) }
-	// unstage restores the checkpoint, on the device and in the runtime's
-	// view; set once a program is deployed, spent by its one use.
-	var unstage func() error
-	defer func() {
-		if p := recover(); p != nil {
-			report.Error = fmt.Sprintf("panic: %v", p)
-			if unstage != nil {
-				if rerr := unstage(); rerr != nil {
-					report.DeployError = fmt.Sprintf("rollback failed: %v", rerr)
-				} else {
-					report.RolledBack = true
-				}
-			}
-			r.noteDeployFailureLocked()
-			record()
-			err = fmt.Errorf("core: round panicked: %v", p)
-		}
-	}()
-
-	optProf, perr := r.tgt.Profile(true)
-	if perr != nil {
-		// The window is lost (e.g. the remote device is unreachable).
-		// Record the round and let the next window retry.
-		report.Error = perr.Error()
-		record()
-		return report, fmt.Errorf("core: profile window: %w", perr)
-	}
-	if optProf == nil {
-		optProf = profile.New()
-	}
-
-	// Entry-update rates: delta of data-plane update counts over the
-	// window, attributed to original table names via the API mapping's
-	// own accounting (updCountsOrig).
-	secs := window.Seconds()
-	if secs <= 0 {
-		secs = 1
-	}
-	for table, cnt := range r.updCountsOrig {
-		delta := cnt - r.lastUpdCountsOrig[table]
-		optProf.UpdateRates[table] = float64(delta) / secs
-		r.lastUpdCountsOrig[table] = cnt
-	}
-
-	// Hit-rate feedback: observed rates of deployed caches override the
-	// default estimate for the same span next round. Best-effort: a
-	// backend without cache visibility just skips the feedback.
-	caches, _ := r.tgt.CacheStats()
-	for _, cs := range caches {
-		if spec, ok := r.current.Tables[cs.Table]; ok {
-			if meta, isCache := spec.CacheMeta(); isCache {
-				if rate, any := cs.HitRate(); any {
-					key := opt.SpanKey(meta.Covers)
-					r.cfg.HitRateOverride[key] = rate
-					report.HitRateFeedback[key] = rate
-				}
-			}
-		}
-	}
-
-	// Translate counters to the original program.
-	origProf := r.cmap.Translate(optProf, r.orig)
-	// Update rates were keyed by original names already.
-	for t, rate := range optProf.UpdateRates {
-		origProf.UpdateRates[t] = rate
-	}
-
-	// Circuit breaker: after repeated failed or rolled-back deploys,
-	// pause redeployment (profiling continues) until the cooldown
-	// expires, then force a full re-evaluation.
-	if r.round <= r.breakerOpenUntil {
-		report.BreakerOpen = true
-		r.lastCosts = nil
-		record()
-		return report, nil
-	}
-
-	// Change detection (§2.3): re-optimize only when the profile
-	// signature moved materially since the last round.
-	newCosts := r.profileSignature(origProf)
-	if r.cfg.ProfileChangeThreshold > 0 && r.lastCosts != nil {
-		if !costsChanged(r.lastCosts, newCosts, r.cfg.ProfileChangeThreshold) {
-			report.SkippedUnchanged = true
-			r.lastCosts = newCosts
-			record()
-			return report, nil
-		}
-	}
-	r.lastCosts = newCosts
-
-	// Decide, then materialize: the search, the blacklist and the
-	// hysteresis test read only the plan and its gain, so a round they stop
-	// never clones, rewrites or proves a program.
-	res, err := r.search.Search(origProf)
-	if err != nil {
-		report.Error = err.Error()
-		record()
-		return report, err
-	}
-	report.SearchTime = res.Elapsed
-	report.BaselineLatency = res.BaselineLatency
-	report.Gain = res.Gain
-	report.PlanSize = len(res.Plan)
-	for _, o := range res.Plan {
-		report.Plan = append(report.Plan, o.String())
-	}
-	// Cost-model misprediction fault: an inflated predicted gain must be
-	// caught by the verification window, not believed.
-	if d := faultinject.At(r.faults, faultinject.PointPlan); d.Scale > 0 {
-		report.Gain = res.Gain * d.Scale
-	}
-	planKey := strings.Join(report.Plan, ";")
-	if r.planBlacklistedLocked(planKey) {
-		report.PlanBlacklisted = true
-		// Force the next round to re-evaluate: the withheld plan must be
-		// reconsidered once the blacklist expires even if the profile
-		// holds still.
-		r.lastCosts = nil
-		record()
-		return report, nil
-	}
-	// Hysteresis: reconfigure only when the new plan beats the active
-	// plan (re-scored under the fresh profile) by RedeployMargin —
-	// otherwise keep the deployed layout and its warm caches.
-	if len(r.activePlan) > 0 && len(res.Plan) > 0 {
-		curGain := r.search.ReScore(origProf, r.activePlan)
-		report.ActivePlanGain = curGain
-		if curGain > 0 && report.Gain < curGain*(1+r.cfg.RedeployMargin) {
-			record()
-			return report, nil
-		}
-	}
-
-	// An empty plan deploys the original back.
-	cmp, err := r.deployLocked(res.Plan, true, &report, &unstage)
-	if err != nil {
-		if report.DeployError != "" {
-			r.noteDeployFailureLocked()
-		}
-		record()
-		return report, err
-	}
-	if unstage == nil { // the layout is the deployed one
-		record()
-		return report, nil
-	}
-	report.Deployed = true
-	if cmp.Verified {
-		contradicted := false
-		if cmp.PostErr != nil {
-			// Can't confirm the deploy helped — fail safe and restore the
-			// checkpoint.
-			contradicted = true
-			report.DeployError = fmt.Sprintf("verify measure failed: %v", cmp.PostErr)
-		} else {
-			delta := cmp.Delta()
-			report.VerifyDelta = delta
-			realized := cmp.Pre.MeanLatencyNs - cmp.Post.MeanLatencyNs
-			// The pre-deploy measurement ran on the currently deployed
-			// (possibly already optimized) program, so the prediction to
-			// hold the plan to is its gain *over the active plan*, not over
-			// the original baseline — otherwise replacing a good plan with
-			// a better one is judged against the sum of both improvements
-			// and spuriously rolled back.
-			predicted := report.Gain
-			if report.ActivePlanGain > 0 {
-				predicted -= report.ActivePlanGain
-			}
-			regressed := delta > r.guard.MaxRegression
-			unrealized := r.guard.MinRealizedGainFrac > 0 &&
-				predicted >= minPredictedGainNs &&
-				realized < r.guard.MinRealizedGainFrac*predicted
-			contradicted = regressed || unrealized
-		}
-		if contradicted {
-			if err := unstage(); err != nil {
-				// Device wedged between two programs — the breaker is the
-				// only remaining backstop.
-				report.DeployError = fmt.Sprintf("rollback failed: %v", err)
-				r.noteDeployFailureLocked()
-				record()
-				return report, fmt.Errorf("core: rollback failed: %w", err)
-			}
-			report.RolledBack = true
-			r.blacklistLocked(planKey)
-			r.noteDeployFailureLocked()
-			record()
-			return report, nil
-		}
-	}
-	if err := r.commitLocked(); err != nil {
-		report.DeployError = fmt.Sprintf("commit failed: %v", err)
-		r.noteDeployFailureLocked()
-		record()
-		return report, fmt.Errorf("core: commit failed: %w", err)
-	}
-	r.consecFailures = 0
-	record()
-	return report, nil
 }
 
 // profileSignature summarizes everything that should trigger a new

@@ -12,7 +12,8 @@ type RuntimeStatus struct {
 	// Deploys counts rounds that swapped a new program in (including
 	// those later rolled back).
 	Deploys int `json:"deploys"`
-	// RolledBack counts deploys undone by the verification window.
+	// RolledBack counts deploys undone: by the verification window, or
+	// after a panic or a failed commit left them staged.
 	RolledBack int `json:"rolled_back"`
 	// DeployErrors counts rounds whose swap, verify, commit, or rollback
 	// failed outright.

@@ -50,7 +50,12 @@ func TestNewRuntimeRejectsInvalidProgram(t *testing.T) {
 // gate runs the deploy gate on prog the way a round does: under the
 // digest the round computed to compare layouts.
 func gate(rt *Runtime, prog *p4ir.Program, report *RoundReport) bool {
-	return rt.deployGate(prog, prog.Digest(), report)
+	diags, ref := rt.deployGate(prog, prog.Digest())
+	report.Diagnostics = diags
+	if ref != nil {
+		report.DeployError = ref.detail
+	}
+	return ref == nil
 }
 
 // gateRemembers reports whether the gate holds a verdict for prog: asking

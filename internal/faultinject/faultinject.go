@@ -13,7 +13,7 @@
 //	measure     target.WithFaults: Measure           Delay, Fail, Scale
 //	conn.read   controlplane.Server, each request    Delay, Drop
 //	conn.write  controlplane.Server, each response   Delay, Drop
-//	plan        core.Runtime, after plan search      Scale
+//	plan        core.Runtime, after plan search      Fail, Scale
 //
 // Two implementations are provided: Script replays an exact, per-point
 // queue of decisions (for reproducible fault-matrix tests), and Random
@@ -50,8 +50,9 @@ const (
 	// PointCounters: a profile read, the runtime's window or a fleet
 	// health probe. Zero serves an empty (stale/wiped) window.
 	PointCounters Point = "counters"
-	// PointPlan: the runtime's plan search has answered. Scale inflates
-	// the predicted gain to model cost-model misprediction.
+	// PointPlan: the runtime's plan search has answered. Fail fails the
+	// search; Scale inflates the predicted gain to model cost-model
+	// misprediction.
 	PointPlan Point = "plan"
 	// PointMeasure: a device measurement, such as a verification window.
 	// Scale inflates the measured latencies to model a deploy that

@@ -359,17 +359,14 @@ func (c *Controller) deployOne(d *device, prog *p4ir.Program, cfg RolloutConfig,
 		if err != nil {
 			return fmt.Errorf("deploy: %w", err)
 		}
-		res.VerifyDelta = cmp.Delta()
-		if cmp.Verified && (cmp.PostErr != nil || res.VerifyDelta > cfg.Verify.MaxRegression) {
+		var contradicted error
+		res.VerifyDelta, contradicted = cmp.Judge(cfg.Verify.MaxRegression, 0, 0)
+		if contradicted != nil {
 			if rerr := d.tgt.Rollback(); rerr != nil {
 				return fmt.Errorf("verify failed and rollback failed too: %v", rerr)
 			}
 			res.RolledBack = true
-			if cmp.PostErr != nil {
-				return fmt.Errorf("verify measurement failed: %v", cmp.PostErr)
-			}
-			return fmt.Errorf("verify: mean latency regressed %+.0f%% (max %+.0f%%)",
-				res.VerifyDelta*100, cfg.Verify.MaxRegression*100)
+			return contradicted
 		}
 		if err := d.tgt.Commit(); err != nil {
 			return fmt.Errorf("commit: %w", err)

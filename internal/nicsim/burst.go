@@ -28,19 +28,17 @@ func (n *NIC) ProcessBurst(pkts []*packet.Packet, results []Result) {
 	_ = results[len(pkts)-1]
 	ctx := n.ctxPool.Get().(*procCtx)
 	ctx.wantPath = false
-	var dropped uint64
 	for lo := 0; lo < len(pkts); lo += BurstSize {
 		hi := min(lo+BurstSize, len(pkts))
-		dropped += n.walkBurst(ctx, pkts[lo:hi], results[lo:hi])
+		n.walkBurst(ctx, pkts[lo:hi], results[lo:hi])
 	}
-	n.noteBurst(uint64(len(pkts)), dropped)
 	n.ctxPool.Put(ctx)
 }
 
-// walkBurst walks one burst and returns its drop count. A plan with a flow
-// cache is loaded and walked under the cache lock (released on a panic
-// too), so an entry operation's invalidation lands between bursts.
-func (n *NIC) walkBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) (dropped uint64) {
+// walkBurst walks one burst. A plan with a flow cache is loaded and walked
+// under the cache lock (released on a panic too), so an entry operation's
+// invalidation lands between bursts.
+func (n *NIC) walkBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) {
 	pl := n.plan.Load()
 	if pl.cached {
 		n.cacheMu.Lock()
@@ -50,20 +48,7 @@ func (n *NIC) walkBurst(ctx *procCtx, pkts []*packet.Packet, results []Result) (
 	sink := ctx.sink(pl)
 	for i, pkt := range pkts {
 		n.run(pl, ctx, pkt, sink, sink != nil && sink.Sampled(), &results[i])
-		if results[i].Dropped {
-			dropped++
-		}
 		ctx.reset()
 	}
 	sink.Flush()
-	return dropped
-}
-
-// noteBurst batches the processed/dropped accounting of a whole burst
-// into two atomic adds.
-func (n *NIC) noteBurst(processed, dropped uint64) {
-	n.processed.Add(processed)
-	if dropped > 0 {
-		n.droppedCnt.Add(dropped)
-	}
 }

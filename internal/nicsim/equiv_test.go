@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -86,8 +87,8 @@ func TestBurstScalarEquivalenceProperty(t *testing.T) {
 		if sp, bp := scalarCol.Snapshot(), burstCol.Snapshot(); !reflect.DeepEqual(sp, bp) {
 			t.Fatalf("seed %d: scalar/burst profile snapshots differ:\nscalar: %+v\nburst:  %+v", seed, sp, bp)
 		}
-		sProc, sDrop := scalarNIC.Counters()
-		bProc, bDrop := burstNIC.Counters()
+		sProc, sDrop := tally(scalarRes)
+		bProc, bDrop := tally(burstRes)
 		if sProc != bProc || sDrop != bDrop {
 			t.Fatalf("seed %d: counters (%d,%d) != (%d,%d)", seed, sProc, sDrop, bProc, bDrop)
 		}
@@ -115,17 +116,18 @@ func TestInstrumentedAccumulationIsExact(t *testing.T) {
 	pkts := gen.Batch(finishMinPkts + 88)
 
 	once, onceCol := mk()
-	once.Measure(pkts)
+	oProc, oDrop := measured(once.Measure(pkts))
 	ref := onceCol.Snapshot()
 
 	const runs = 3
 	multi, multiCol := mk()
 	var wg sync.WaitGroup
+	ms := make([]Measurement, runs)
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			multi.Measure(pkts)
+			ms[i] = multi.Measure(pkts)
 		}()
 	}
 	wg.Wait()
@@ -144,8 +146,12 @@ func TestInstrumentedAccumulationIsExact(t *testing.T) {
 			t.Errorf("branch %s: %v != %d*%v", cond, g, runs, c)
 		}
 	}
-	oProc, oDrop := once.Counters()
-	if mProc, mDrop := multi.Counters(); mProc != runs*oProc || mDrop != runs*oDrop {
+	var mProc, mDrop uint64
+	for _, m := range ms {
+		p, d := measured(m)
+		mProc, mDrop = mProc+p, mDrop+d
+	}
+	if mProc != runs*oProc || mDrop != runs*oDrop {
 		t.Errorf("counters (%d,%d) != %d*(%d,%d)", mProc, mDrop, runs, oProc, oDrop)
 	}
 	// Cardinalities are sets, not counts: replaying the same batch must
@@ -160,7 +166,18 @@ func TestInstrumentedAccumulationIsExact(t *testing.T) {
 	}
 }
 
-// Counters returns processed/dropped totals.
-func (n *NIC) Counters() (processed, dropped uint64) {
-	return n.processed.Load(), n.droppedCnt.Load()
+// tally counts the packets of a run and its drops from the results.
+func tally(res []Result) (processed, dropped uint64) {
+	for _, r := range res {
+		processed++
+		if r.Dropped {
+			dropped++
+		}
+	}
+	return processed, dropped
+}
+
+// measured counts the packets of a Measurement and its drops.
+func measured(m Measurement) (processed, dropped uint64) {
+	return uint64(m.Packets), uint64(math.Round(m.DropRate * float64(m.Packets)))
 }

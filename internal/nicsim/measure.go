@@ -36,7 +36,7 @@ type Measurement struct {
 // is order-independent, and on a batch of 512 packets or more (with more
 // than one processor) a helper goroutine does it beside the walk; it is
 // started and joined inside the call. After Measure returns, its Measurement, the collector's
-// Snapshot and Counters are bit-identical to a per-packet Process loop over
+// Snapshot are bit-identical to a per-packet Process loop over
 // the same packets, cached programs included. While it runs, a concurrent
 // Snapshot may see a chunk's counters before its keys; see profile.Burst
 // for what a Swap or Collector.Reset racing it does to the keys.
@@ -228,7 +228,6 @@ func (n *NIC) measureBurst(ctx *procCtx, pkts []*packet.Packet, lat []float64, t
 	if sink != nil {
 		epoch = sink.Epoch()
 	}
-	var dropped uint64
 	var r Result
 	for i, p := range pkts {
 		sampled := sink != nil && sink.Sampled()
@@ -245,7 +244,7 @@ func (n *NIC) measureBurst(ctx *procCtx, pkts []*packet.Packet, lat []float64, t
 				}
 				if n.replay(pl, m, at, ctx.memoKey, p, ctx, sink, epoch, flowHash, &r) {
 					m.replays++
-					dropped += t.add(&r, p, &lat[i])
+					t.add(&r, p, &lat[i])
 					continue
 				}
 			}
@@ -266,7 +265,7 @@ func (n *NIC) measureBurst(ctx *procCtx, pkts []*packet.Packet, lat []float64, t
 			ctx.rec = nil
 		}
 		ctx.reset()
-		dropped += t.add(&r, p, &lat[i])
+		t.add(&r, p, &lat[i])
 	}
 	if m != nil {
 		m.fold(sink)
@@ -277,12 +276,11 @@ func (n *NIC) measureBurst(ctx *procCtx, pkts []*packet.Packet, lat []float64, t
 	} else {
 		sink.Flush()
 	}
-	n.noteBurst(uint64(len(pkts)), dropped)
 }
 
-// add counts one measured packet (p, with result r) into t, sets its
-// latency, and returns 1 when it dropped.
-func (t *burstTally) add(r *Result, p *packet.Packet, lat *float64) uint64 {
+// add counts one measured packet (p, with result r) into t and sets its
+// latency.
+func (t *burstTally) add(r *Result, p *packet.Packet, lat *float64) {
 	*lat = r.LatencyNs
 	t.migrations += int64(r.Migrations)
 	if r.VendorCacheHit {
@@ -296,9 +294,7 @@ func (t *burstTally) add(r *Result, p *packet.Packet, lat *float64) uint64 {
 	t.wireBytes += int64(wl)
 	if r.Dropped {
 		t.drops++
-		return 1
 	}
-	return 0
 }
 
 // percentile returns the value at rank int(q*(len-1)) of the sorted order

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,8 +151,8 @@ func measureMatchesProcess(t *testing.T, name string, mk func() (*NIC, *profile.
 		if gp, wp := gotCol.Snapshot(), wantCol.Snapshot(); !reflect.DeepEqual(gp, wp) {
 			t.Fatalf("%s, batch of %d: snapshots differ:\nMeasure: %+v\nProcess: %+v", name, size, gp, wp)
 		}
-		gProc, gDrop := got.Counters()
-		wProc, wDrop := want.Counters()
+		gProc, gDrop := measured(gm)
+		wProc, wDrop := measured(wm)
 		if gProc != wProc || gDrop != wDrop {
 			t.Fatalf("%s, batch of %d: counters (%d,%d), per-packet Process (%d,%d)", name, size, gProc, gDrop, wProc, wDrop)
 		}
@@ -694,14 +695,18 @@ func TestMeasureRacesEntryOps(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
+		var counted atomic.Uint64
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					if m := nic.Measure(pkts); m.Packets != len(pkts) {
+					m := nic.Measure(pkts)
+					if m.Packets != len(pkts) {
 						t.Errorf("measured %d packets of %d", m.Packets, len(pkts))
 					}
+					processed, _ := measured(m)
+					counted.Add(processed)
 				}
 			}()
 		}
@@ -718,7 +723,7 @@ func TestMeasureRacesEntryOps(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		if processed, _ := nic.Counters(); processed != uint64(2*rounds*len(pkts)) {
+		if processed := counted.Load(); processed != uint64(2*rounds*len(pkts)) {
 			t.Errorf("%d packets counted, %d measured", processed, 2*rounds*len(pkts))
 		}
 	}

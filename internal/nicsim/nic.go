@@ -75,9 +75,6 @@ type NIC struct {
 	ctxPool sync.Pool
 	ctxSeq  atomic.Uint32
 
-	processed  atomic.Uint64
-	droppedCnt atomic.Uint64
-
 	// vnow is the NIC's virtual clock in nanoseconds since the Unix
 	// epoch, advanced by each packet's modeled latency. It feeds the
 	// cache insertion rate limiters instead of the wall clock, keeping
@@ -306,7 +303,6 @@ func (n *NIC) Process(pkt *packet.Packet) Result {
 	var res Result
 	n.run(pl, ctx, pkt, sink, sink != nil && sink.Sampled(), &res)
 	sink.Flush()
-	n.note(res.Dropped)
 	ctx.reset()
 	n.ctxPool.Put(ctx)
 	return res
@@ -329,8 +325,7 @@ func (ctx *procCtx) sink(pl *execPlan) *profile.Burst {
 
 // run walks the compiled plan for one packet. Profiling updates go
 // through sink, which the caller flushes, when sampled (the caller asked
-// sink.Sampled() for the packet); the caller also accounts the packet via
-// note / noteBurst. While Measure records the packet's flow (ctx.rec is
+// sink.Sampled() for the packet). While Measure records the packet's flow (ctx.rec is
 // set), every effect the walk has outside the packet is also noted there.
 // run fills res in place rather than returning it: the burst path calls
 // it once per packet, and writing through the pointer keeps the Result
@@ -629,13 +624,6 @@ func (ctx *procCtx) addFill(fc *flowCache, h uint64, keyOff, keyLen int, covers 
 	ctx.fills = append(ctx.fills, fillRef{
 		cache: fc, hash: h, keyOff: keyOff, keyLen: keyLen, covers: covers, writes: buf,
 	})
-}
-
-func (n *NIC) note(dropped bool) {
-	n.processed.Add(1)
-	if dropped {
-		n.droppedCnt.Add(1)
-	}
 }
 
 // applyNoise scales lat by a multiplicative noise factor that is a pure

@@ -425,7 +425,21 @@ type Program struct {
 	Tables map[string]*Table
 	Conds  map[string]*Conditional
 
-	entryVersion atomic.Uint64 // see EntryVersion
+	entryVersion versions // see EntryVersion
+}
+
+// versions is a program's entry version (read concurrently) and the last
+// value handed out; the program's owner serializes entry operations.
+type versions struct {
+	cur  atomic.Uint64
+	last uint64
+}
+
+// next moves the version to a value never handed out before.
+func (v *versions) next() uint64 {
+	v.last++
+	v.cur.Store(v.last)
+	return v.last
 }
 
 // NewProgram returns an empty program with the given name.
@@ -443,8 +457,10 @@ func NewProgram(name string) *Program {
 // these three only, so all agree on what an operation means and when it is
 // refused, and the program counts every change (EntryVersion). A refused
 // operation leaves the program untouched and returns no undo. An undo puts
-// the table's entries back as they were and counts as a change itself; it
-// is called at most once, before any later operation on the same table.
+// the table's entries back as they were; it is called at most once, before
+// any later operation on the same table. When the version has not moved
+// since its operation, the undo puts the version back too (the entries are
+// the ones it named); otherwise it counts as a change itself.
 
 // InsertEntry appends a copy of e to the named table, or refuses it: no
 // such table, wrong arity, an action the table lacks, or a table at
@@ -474,18 +490,22 @@ func (p *Program) entryOp(table string, op func(*Table) (func(), error)) (func()
 	if err != nil {
 		return nil, err
 	}
-	p.entryVersion.Add(1)
+	prior, mine := p.entryVersion.cur.Load(), p.entryVersion.next()
 	return func() {
 		undo()
-		p.entryVersion.Add(1)
+		if !p.entryVersion.cur.CompareAndSwap(mine, prior) {
+			p.entryVersion.next()
+		}
 	}, nil
 }
 
-// EntryVersion counts the entry operations and undos applied to the
-// program. Whatever reads a program's entries and keeps what it derived —
-// a proof, a verdict, a cost view — keys it by this version: entries never
-// change without it moving. A clone starts at zero.
-func (p *Program) EntryVersion() uint64 { return p.entryVersion.Load() }
+// EntryVersion names the program's entries: every entry operation, and
+// every undo that does not restore the version before its operation, moves
+// it to a value never used before. Whatever reads a program's entries and
+// keeps what it derived — a proof, a verdict, a cost view — keys it by this
+// version: entries never change without it moving, and one value never
+// names two different sets of entries. A clone starts at zero.
+func (p *Program) EntryVersion() uint64 { return p.entryVersion.cur.Load() }
 
 // Node returns the named node as (table, conditional); exactly one is
 // non-nil if found.

@@ -277,10 +277,12 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// Every accepted entry operation and every undo moves the program's entry
-// version by one; a refused operation moves nothing, changes nothing and
+// Every accepted entry operation moves the program's entry version to a
+// fresh value; a refused operation moves nothing, changes nothing and
 // returns no undo. Undone in reverse order, the operations leave the
-// entries byte for byte as they were (the digest covers them).
+// entries byte for byte as they were (the digest covers them) and each
+// undo restores the version its operation found. An undo after another
+// change takes a fresh version instead: no value names two sets of entries.
 func TestEntryOpsCountAndUndo(t *testing.T) {
 	prog := fixture(t)
 	prog.Tables["D"].MaxEntries = 3
@@ -340,8 +342,36 @@ func TestEntryOpsCountAndUndo(t *testing.T) {
 	if prog.Digest() != before {
 		t.Error("undone operations left the entries changed")
 	}
-	if v := prog.EntryVersion(); v != start+6 {
-		t.Errorf("after three operations and their undos: version %d, want %d", v, start+6)
+	if v := prog.EntryVersion(); v != start {
+		t.Errorf("after three operations and their undos: version %d, want %d restored", v, start)
+	}
+
+	// Not restored: an insert into D, then one into B, then D's undo. The
+	// entries are those of no earlier version, and neither are they after
+	// B's undo too, so each undo takes a version never handed out before.
+	seen := map[uint64]bool{start: true}
+	for v := start + 1; v <= start+3; v++ {
+		seen[v] = true // the three operations above
+	}
+	undoD, err := prog.InsertEntry("D", fwd(30))
+	do("insert into D", undoD, err)
+	seen[prog.EntryVersion()] = true
+	undoB, err := prog.InsertEntry("B", Entry{Match: []MatchValue{{Value: 7}}, Action: "b1"})
+	do("insert into B", undoB, err)
+	seen[prog.EntryVersion()] = true
+	for _, u := range []struct {
+		what string
+		undo func()
+	}{{"D's undo after B's insert", undoD}, {"B's undo after D's", undoB}} {
+		u.undo()
+		if v := prog.EntryVersion(); seen[v] {
+			t.Errorf("%s: version %d was handed out before", u.what, v)
+		} else {
+			seen[v] = true
+		}
+	}
+	if prog.Digest() != before {
+		t.Error("the undone inserts left the entries changed")
 	}
 	if prog.Clone().EntryVersion() != 0 {
 		t.Error("a clone inherited the entry version")
