@@ -358,11 +358,13 @@ func checkOneIndex(fset *token.FileSet, f *ast.File) []Violation {
 // only (Program.InsertEntry, DeleteEntry, ModifyEntry), which count every
 // change in the program's EntryVersion: the verifier, the gate and the
 // optimizer's cost view key what they derived from the entries by it, and
-// an uncounted write would let a stale proof reach a device. So outside
-// internal/p4ir no non-test code assigns, appends to or index-writes a
-// .Entries, save where entryWriters says why. The match is syntactic: any
-// selector named Entries counts, a TableSpec's or a parsed declaration's
-// included.
+// an uncounted write would let a stale proof reach a device. Its actions
+// never change: a program's clones share them (p4ir's Program.Clone), so
+// a write into one would change every clone, the device's included. So
+// outside internal/p4ir no non-test code assigns, appends to or
+// index-writes a .Entries or a .Primitives, save where entryWriters says
+// why. The match is syntactic: any selector of those names counts, a
+// TableSpec's or a parsed declaration's included.
 var entryWriters = []struct{ file, fn, why string }{
 	{"internal/p4c/lower.go", "", "lowers a parsed table into a table no program holds yet"},
 	{"internal/p4c/parser.go", "", "collects a table declaration's const entries"},
@@ -371,7 +373,7 @@ var entryWriters = []struct{ file, fn, why string }{
 	{"internal/experiments/fig11.go", "", "fills the table specs of fig11's program"},
 	{"internal/opt/rewrite.go", "buildMergedCache", "fills the merged cache table it creates"},
 	{"internal/opt/rewrite.go", "buildInPlaceMerge", "fills the merged table it creates"},
-	{"internal/nicsim/nic.go", "load", "the device copy's matches share the arrays its match store holds"},
+	{"internal/experiments/fig12.go", "counterBenchProgram", "fills the actions of the table specs of fig12's program"},
 	{"examples/dashrouting/main.go", "", "fills the table specs of the example's program"},
 	{"examples/loadbalancer/main.go", "", "fills the table specs of the example's program"},
 }
@@ -401,9 +403,13 @@ func checkOneEntryWriter(fset *token.FileSet, rel string, f *ast.File) []Violati
 				}
 			}
 			for _, e := range targets {
-				if intoEntries(e) {
+				switch into(e) {
+				case "Entries":
 					out = append(out, Violation{Pos: fset.Position(e.Pos()), Rule: "one-entry-writer",
 						Msg: "writes .Entries: change a program's entries with p4ir's Program.InsertEntry, DeleteEntry or ModifyEntry"})
+				case "Primitives":
+					out = append(out, Violation{Pos: fset.Position(e.Pos()), Rule: "one-entry-writer",
+						Msg: "writes .Primitives: a program's clones share its actions; build a new action instead"})
 				}
 			}
 			return true
@@ -412,14 +418,15 @@ func checkOneEntryWriter(fset *token.FileSet, rel string, f *ast.File) []Violati
 	return out
 }
 
-// intoEntries reports whether the write target e is a .Entries or reaches
-// into one: t.Entries, t.Entries[i], t.Entries[i].Args.
-func intoEntries(e ast.Expr) bool {
+// into names the shared field the write target e is or reaches into —
+// "Entries" for t.Entries, t.Entries[i] or t.Entries[i].Args, "Primitives"
+// for a.Primitives or t.Actions[0].Primitives[i].Args[j] — or is "".
+func into(e ast.Expr) string {
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
-			if x.Sel.Name == "Entries" {
-				return true
+			if x.Sel.Name == "Entries" || x.Sel.Name == "Primitives" {
+				return x.Sel.Name
 			}
 			e = x.X
 		case *ast.IndexExpr:
@@ -429,7 +436,7 @@ func intoEntries(e ast.Expr) bool {
 		case *ast.StarExpr:
 			e = x.X
 		default:
-			return false
+			return ""
 		}
 	}
 }

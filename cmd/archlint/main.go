@@ -55,11 +55,12 @@
 //     NodeNames, and no range loop stores an element's position under the
 //     element (m[v] = i); a program's nodes are numbered by p4ir.Index.
 //   - one-entry-writer: outside internal/p4ir no code assigns, appends to
-//     or index-writes a .Entries, save the builders that fill a table
-//     before any program holds it and the emulator's own device copy
-//     (entryWriters lists each with its reason); a published program's
-//     entries change through p4ir's Program.InsertEntry, DeleteEntry and
-//     ModifyEntry, which count every change in its EntryVersion.
+//     or index-writes a .Entries or a .Primitives, save the builders that
+//     fill a table or an action before any program holds it (entryWriters
+//     lists each with its reason); a published program's entries change
+//     through p4ir's Program.InsertEntry, DeleteEntry and ModifyEntry,
+//     which count every change in its EntryVersion, and its actions, which
+//     its clones share, never change.
 //   - dead-export: every exported function, and every exported method of
 //     an exported type, declared in a non-test file under internal/ is
 //     named by non-test code outside its file — in the module or in the

@@ -49,14 +49,23 @@ func TestCacheKeyedByContent(t *testing.T) {
 	if len(edited) < 3 {
 		t.Fatalf("only %d tables to edit", len(edited))
 	}
-	edit := func(p *p4ir.Program, name string) {
+	edit := func(p *p4ir.Program, name string) { // through entry operations, the entries in order
 		tbl := p.Tables[name]
 		other := tbl.Actions[0].Name
 		if other == tbl.Entries[0].Action {
 			other = tbl.Actions[1].Name
 		}
-		for i := range tbl.Entries {
-			tbl.Entries[i].Action = other
+		entries := slices.Clone(tbl.Entries)
+		for _, e := range entries {
+			if _, err := p.DeleteEntry(name, e.Match); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range entries {
+			e.Action = other
+			if _, err := p.InsertEntry(name, e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	conds := CondNames(orig)

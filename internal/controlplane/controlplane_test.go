@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -33,42 +32,22 @@ func newFakeBackend() *fakeBackend {
 func (f *fakeBackend) InsertEntry(table string, e p4ir.Entry) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t, ok := f.prog.Tables[table]
-	if !ok {
-		return fmt.Errorf("no table %q", table)
-	}
-	t.Entries = append(t.Entries, e)
-	return nil
+	_, err := f.prog.InsertEntry(table, e)
+	return err
 }
 
 func (f *fakeBackend) DeleteEntry(table string, match []p4ir.MatchValue) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t, ok := f.prog.Tables[table]
-	if !ok {
-		return fmt.Errorf("no table %q", table)
-	}
-	for i := range t.Entries {
-		if len(t.Entries[i].Match) == len(match) && t.Entries[i].Match[0] == match[0] {
-			t.Entries = append(t.Entries[:i], t.Entries[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("not found")
+	_, err := f.prog.DeleteEntry(table, match)
+	return err
 }
 
 func (f *fakeBackend) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := f.prog.Tables[table]
-	for i := range t.Entries {
-		if t.Entries[i].Match[0] == match[0] {
-			t.Entries[i].Action = action
-			t.Entries[i].Args = args
-			return nil
-		}
-	}
-	return fmt.Errorf("not found")
+	_, err := f.prog.ModifyEntry(table, match, action, args)
+	return err
 }
 
 func (f *fakeBackend) Current() *p4ir.Program {

@@ -132,7 +132,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 			x.rt.round++
 			rd := &round{report: RoundReport{Round: x.rt.round}, plan: []*opt.Option{{Kind: 99}}}
 			return x.rt.finishLocked(rd, x.rt.deployStage(rd))
-		}, want: outcomeFields{err: true}, detail: "unknown option kind", fails: true},
+		}, want: outcomeFields{err: true}, detail: "unknown option kind", reEval: true, fails: true},
 		{name: "rolled back", prep: func(t *testing.T, x *exitRig) { plan(x, inflated) },
 			want: outcomeFields{deployed: true, rolledBack: true}, charged: true, barred: true, reEval: true,
 			check: func(t *testing.T, x *exitRig, rep RoundReport) {
@@ -159,7 +159,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 		{name: "panicked while staged",
 			// Measure calls of a guarded round: warm, pre | Deploy | warm, post.
 			panicked: faultinject.NewScript().Queue(faultinject.PointMeasure, faultinject.Decision{}, faultinject.Decision{}, faultinject.Decision{Fail: true}),
-			want:     outcomeFields{err: true, rolledBack: true}, detail: "panic: measure", charged: true, reEval: true, fails: true},
+			want:     outcomeFields{deployed: true, err: true, rolledBack: true}, detail: "panic: measure", charged: true, reEval: true, fails: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := reorderConfig()

@@ -301,8 +301,10 @@ func (r *Runtime) finishLocked(rd *round, out outcome) (RoundReport, error) {
 	case panicked:
 		rep.Error, err, failed = "panic: "+cause.Error(), fmt.Errorf("core: round panicked: %w", cause), true
 	}
-	// A panic or a failed commit left a program staged: put the checkpoint
-	// back, so the device agrees with the view.
+	// A panic or a failed commit left a program staged: the device took
+	// it, so the round deployed; put the checkpoint back, so the device
+	// agrees with the view.
+	rep.Deployed = rd.deployed || r.staged != nil
 	if r.staged != nil {
 		if uerr := r.unstageLocked(); uerr == nil {
 			rep.RolledBack = true
@@ -310,15 +312,15 @@ func (r *Runtime) finishLocked(rd *round, out outcome) (RoundReport, error) {
 			rep.DeployError = strings.TrimPrefix(rep.DeployError+"; rollback failed: "+uerr.Error(), "; ")
 		}
 	}
-	rep.Deployed = rd.deployed
 	if failed {
 		r.noteDeployFailureLocked()
 	}
 	// The next round re-evaluates whatever the profile does: a failed
-	// deploy or search must not hide behind the unchanged-profile skip, a
-	// withheld plan is reconsidered once its blacklisting expires, and the
-	// breaker's cooldown ends in a full re-evaluation.
-	if failed || out == searchFailed || out == blacklisted || out == breakerOpen {
+	// deploy, search or materialization must not hide behind the
+	// unchanged-profile skip, a withheld plan is reconsidered once its
+	// blacklisting expires, and the breaker's cooldown ends in a full
+	// re-evaluation.
+	if failed || out == searchFailed || out == refused || out == blacklisted || out == breakerOpen {
 		r.lastCosts = nil
 	}
 	r.recordLocked(*rep)

@@ -100,11 +100,12 @@ type Runtime struct {
 // refused; a rollback sets Deployed and RolledBack (and DeployError when
 // the post-measure failed), a failed rollback Deployed and DeployError, a
 // failed commit all three (the staged program is put back), a commit
-// Deployed alone; a panic sets Error, and RolledBack or DeployError when a
-// program was staged.
+// Deployed alone; a panic sets Error, and Deployed with RolledBack or
+// DeployError when the device had taken a program.
 type RoundReport struct {
 	Round int
-	// Deployed is true when a new program was swapped in.
+	// Deployed is true when the device took a new program, whether the
+	// round then kept it or not.
 	Deployed bool
 	// PlanSize is the number of options in the chosen plan.
 	PlanSize int

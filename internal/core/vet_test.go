@@ -270,8 +270,15 @@ func TestWireGateIsTheLocalGate(t *testing.T) {
 		edit("changed-write", func(p *p4ir.Program) {
 			p.Tables["w"].Actions[0] = p4ir.NewAction("set", p4ir.Prim("modify_field", "meta.a", "4"))
 		}),
-		edit("pl104-entry", func(p *p4ir.Program) {
-			p.Tables["acl"].Entries[0].Match[0].Value = 0x1ffff // 17 bits in the 16-bit tcp.sport key
+		edit("pl104-entry", func(p *p4ir.Program) { // the entry again, 17 bits in the 16-bit tcp.sport key
+			e := p.Tables["acl"].Entries[0].Clone()
+			if _, err := p.DeleteEntry("acl", e.Match); err != nil {
+				t.Fatal(err)
+			}
+			e.Match[0].Value = 0x1ffff
+			if _, err := p.InsertEntry("acl", e); err != nil {
+				t.Fatal(err)
+			}
 		}),
 	}
 	codes := func(rendered []string) string {

@@ -159,7 +159,9 @@ func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
 // compiles to the store the loaded table of its name has (sameStore: the
 // device compares with its own copy, whatever a caller says it changed)
 // takes that store as a fork, copied on write by entry operations; only
-// rewritten, merged and generated tables install entry by entry. A runtime
+// rewritten, merged and generated tables install entry by entry. Every
+// table's entries stay the array the caller's program holds (Swap's clone
+// shares it): the device keeps no copy of its own. A runtime
 // cache of unchanged identity (name + covered span + budget) keeps its
 // contents: a re-optimization that keeps it does not cold-start it.
 func (n *NIC) load(prog *p4ir.Program) error {
@@ -174,9 +176,6 @@ func (n *NIC) load(prog *p4ir.Program) error {
 		if old := n.tables[name]; old != nil && sameStore(old.tbl, t) {
 			tables[name] = old.fork()
 			tables[name].tbl = t
-			for i := range t.Entries { // the arrays the store holds, not a second copy
-				t.Entries[i].Match = old.tbl.Entries[i].Match
-			}
 		} else if rt, err := buildTable(t, t.Entries, n.kern.PinnedM(t)); err != nil {
 			return err
 		} else {
@@ -216,16 +215,19 @@ func (n *NIC) load(prog *p4ir.Program) error {
 
 // sameStore reports whether two tables compile to the same match store:
 // everything buildTable reads of a table, entries in install order included.
+// Entries and actions are shared values (p4ir.Program.Clone): one array or
+// one action is equal to itself without a look inside.
 func sameStore(a, b *p4ir.Table) bool {
 	prim := func(p, q p4ir.Primitive) bool { return p.Op == q.Op && slices.Equal(p.Args, q.Args) }
 	act := func(x, y *p4ir.Action) bool {
-		return x.Name == y.Name && slices.EqualFunc(x.Primitives, y.Primitives, prim)
+		return x == y || x.Name == y.Name && slices.EqualFunc(x.Primitives, y.Primitives, prim)
 	}
 	entry := func(x, y p4ir.Entry) bool {
 		return x.Priority == y.Priority && x.Action == y.Action && slices.Equal(x.Match, y.Match) && slices.Equal(x.Args, y.Args)
 	}
+	aliased := len(a.Entries) == len(b.Entries) && (len(a.Entries) == 0 || &a.Entries[0] == &b.Entries[0])
 	return a.DefaultAction == b.DefaultAction && a.MaxEntries == b.MaxEntries && slices.Equal(a.Keys, b.Keys) &&
-		slices.EqualFunc(a.Actions, b.Actions, act) && slices.EqualFunc(a.Entries, b.Entries, entry)
+		slices.EqualFunc(a.Actions, b.Actions, act) && (aliased || slices.EqualFunc(a.Entries, b.Entries, entry))
 }
 
 // sameCacheIdentity reports whether two cache specs describe the same

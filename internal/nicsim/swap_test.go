@@ -269,10 +269,11 @@ func TestSwapIndistinguishableFromNew(t *testing.T) {
 				if shared := old != nil && len(rt.groups) > 0 && slices.Equal(rt.groups, old.groups); shared != (same && len(rt.groups) > 0) {
 					t.Fatalf("case %d: table %q: same store %v, groups shared %v", i, name, same, shared)
 				}
-				// ... and its entries point at the match arrays that store
-				// holds, not at a second copy (live_heap_mb on the dash workloads).
-				if e := rt.tbl.Entries; same && len(e) > 0 && len(e[0].Match) > 0 && &e[0].Match[0] != &old.tbl.Entries[0].Match[0] {
-					t.Fatalf("case %d: table %q keeps its store and a copy of the store's match arrays", i, name)
+				// ... and, kept or not, its entries are the array the swapped
+				// program holds, not a second copy (live_heap_mb on the dash
+				// workloads).
+				if e := rt.tbl.Entries; len(e) > 0 && &e[0] != &p.Tables[name].Entries[0] {
+					t.Fatalf("case %d: table %q (same store %v) holds a copy of the program's entries", i, name, same)
 				}
 			}
 		}

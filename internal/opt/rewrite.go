@@ -1,8 +1,8 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 
 	"pipeleon/internal/p4ir"
@@ -436,17 +436,58 @@ func buildCacheTable(p *p4ir.Program, covers []string, cfg Config) (string, erro
 }
 
 // combineActions concatenates the primitives of one action per member
-// table into a single action named "a1·a2·...".
-func combineActions(parts []*p4ir.Action) *p4ir.Action {
+// table into a single action named prefix+"a1·a2·...". Actions are shared
+// values: the primitives' operands are the members'.
+func combineActions(prefix string, parts []*p4ir.Action) *p4ir.Action {
 	names := make([]string, len(parts))
 	var prims []p4ir.Primitive
 	for i, a := range parts {
 		names[i] = a.Name
-		for _, pr := range a.Primitives {
-			prims = append(prims, p4ir.Primitive{Op: pr.Op, Args: append([]string(nil), pr.Args...)})
-		}
+		prims = append(prims, a.Primitives...)
 	}
-	return &p4ir.Action{Name: strings.Join(names, "·"), Primitives: prims}
+	return &p4ir.Action{Name: prefix + strings.Join(names, "·"), Primitives: prims}
+}
+
+// combos names the combined action of each tuple of member actions that
+// entries of a merged table's cross product run, and builds it once per
+// tuple: the first action of a name joins mt, with its origin.
+type combos struct {
+	mt      *p4ir.Table
+	covers  []string
+	members []*p4ir.Table
+	prefix  string                       // of every combined action's name
+	tuple   []string                     // set by the caller: each member's action
+	origin  map[string]map[string]string // by combined action
+	byTuple map[string]string
+	key     []byte
+}
+
+func newCombos(mt *p4ir.Table, covers []string, members []*p4ir.Table, prefix string) *combos {
+	return &combos{mt: mt, covers: covers, members: members, prefix: prefix, tuple: make([]string, len(members)),
+		origin: map[string]map[string]string{}, byTuple: map[string]string{}}
+}
+
+// name returns the combined action of the tuple.
+func (c *combos) name() string {
+	c.key = c.key[:0]
+	for _, a := range c.tuple {
+		c.key = append(binary.AppendUvarint(c.key, uint64(len(a))), a...)
+	}
+	if n, ok := c.byTuple[string(c.key)]; ok {
+		return n
+	}
+	parts, om := make([]*p4ir.Action, len(c.tuple)), map[string]string{}
+	for i, a := range c.tuple {
+		parts[i] = c.members[i].Action(a)
+		om[c.covers[i]] = a
+	}
+	ca := combineActions(c.prefix, parts)
+	if _, seen := c.origin[ca.Name]; !seen {
+		c.mt.Actions = append(c.mt.Actions, ca)
+		c.origin[ca.Name] = om
+	}
+	c.byTuple[string(c.key)] = ca.Name
+	return ca.Name
 }
 
 // buildMergedCache creates a pre-populated merged-exact cache: an exact
@@ -471,45 +512,36 @@ func buildMergedCache(p *p4ir.Program, covers []string, cfg Config, cm *CounterM
 		DefaultAction: "cache_miss",
 		ActionNext:    map[string]string{"cache_miss": covers[0]},
 	}
-	origin := map[string]map[string]string{}
+	c := newCombos(mt, covers, members, "hit·")
 	// Cross product of member entries (all-hit combos only), capped: an
 	// odometer over the members' entry indices, the last member fastest.
+	// The entries' match values share one array.
 	total := 1
 	for _, m := range members {
 		total = min(total*len(m.Entries), 1<<16)
 	}
 	mt.Entries = make([]p4ir.Entry, 0, total)
+	matches := make([]p4ir.MatchValue, 0, total*len(keys))
 	at := make([]int, len(members))
-	seenAction := map[string]bool{}
 	for n := 0; n < total; n++ {
-		parts := make([]*p4ir.Action, len(members))
-		match := slices.Grow([]p4ir.MatchValue(nil), len(keys))
+		from := len(matches)
 		var args []string
 		for i, m := range members {
 			e := &m.Entries[at[i]]
-			parts[i] = m.Action(e.Action)
-			match = append(match, e.Match...)
+			c.tuple[i] = e.Action
+			matches = append(matches, e.Match...)
 			args = append(args, e.Args...)
 		}
-		ca := combineActions(parts)
-		ca.Name = "hit·" + ca.Name
-		if !seenAction[ca.Name] {
-			seenAction[ca.Name] = true
-			mt.Actions = append(mt.Actions, ca)
-			mt.ActionNext[ca.Name] = ""
-			om := map[string]string{}
-			for i, m := range members {
-				om[covers[i]] = m.Entries[at[i]].Action
-			}
-			origin[ca.Name] = om
-		}
-		mt.Entries = append(mt.Entries, p4ir.Entry{Match: match, Action: ca.Name, Args: args})
+		mt.Entries = append(mt.Entries, p4ir.Entry{Match: matches[from:len(matches):len(matches)], Action: c.name(), Args: args})
 		for i := len(at) - 1; i >= 0; i-- {
 			if at[i]++; at[i] < len(members[i].Entries) {
 				break
 			}
 			at[i] = 0
 		}
+	}
+	for _, a := range mt.Actions[1:] {
+		mt.ActionNext[a.Name] = ""
 	}
 	mt.SetCacheMeta(p4ir.CacheSpec{
 		Table: name, Kind: p4ir.KindMergedCache,
@@ -518,7 +550,7 @@ func buildMergedCache(p *p4ir.Program, covers []string, cfg Config, cm *CounterM
 		Budget:   0, // pre-populated; no LRU
 	})
 	p.Tables[name] = mt
-	cm.MergedActions[name] = origin
+	cm.MergedActions[name] = c.origin
 	return name, nil
 }
 
@@ -539,7 +571,7 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 		}
 	}
 	mt := &p4ir.Table{Name: name, Keys: keys}
-	origin := map[string]map[string]string{}
+	c := newCombos(mt, covers, members, "")
 
 	// Per member: its entries plus one "wildcard = miss" pseudo-entry.
 	type choice struct {
@@ -547,7 +579,6 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 	}
 	var rec func(i int, acc []choice)
 	addCombo := func(acc []choice) {
-		parts := make([]*p4ir.Action, len(members))
 		var match []p4ir.MatchValue
 		var args []string
 		prio := 0
@@ -555,37 +586,23 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 			m := members[i]
 			if ch.entry != nil {
 				prio++
-				parts[i] = m.Action(ch.entry.Action)
+				c.tuple[i] = ch.entry.Action
 				for ki, mv := range ch.entry.Match {
 					match = append(match, p4ir.MatchValue{Value: mv.Value, Mask: m.Keys[ki].MatchMask(mv)})
 				}
 				args = append(args, ch.entry.Args...)
 			} else {
-				parts[i] = m.Action(m.DefaultAction)
+				c.tuple[i] = m.DefaultAction
 				for range m.Keys {
 					match = append(match, p4ir.MatchValue{Value: 0, Mask: 0}) // full wildcard
 				}
 			}
 		}
-		ca := combineActions(parts)
-		if mt.Action(ca.Name) == nil {
-			mt.Actions = append(mt.Actions, ca)
-			om := map[string]string{}
-			for i, ch := range acc {
-				if ch.entry != nil {
-					om[covers[i]] = ch.entry.Action
-				} else {
-					om[covers[i]] = members[i].DefaultAction
-				}
-			}
-			origin[ca.Name] = om
-		}
-		allMiss := prio == 0
-		if allMiss {
-			mt.DefaultAction = ca.Name
+		if prio == 0 {
+			mt.DefaultAction = c.name()
 			return // the all-wildcard case is the default action, not an entry
 		}
-		mt.Entries = append(mt.Entries, p4ir.Entry{Priority: prio, Match: match, Action: ca.Name, Args: args})
+		mt.Entries = append(mt.Entries, p4ir.Entry{Priority: prio, Match: match, Action: c.name(), Args: args})
 	}
 	rec = func(i int, acc []choice) {
 		if len(mt.Entries) >= 1<<16 {
@@ -602,19 +619,12 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 	}
 	rec(0, nil)
 	if mt.DefaultAction == "" {
-		// No entries at all: default to combined defaults.
-		parts := make([]*p4ir.Action, len(members))
+		// The cap cut the walk short of the all-miss combo: default to the
+		// combined defaults.
 		for i, m := range members {
-			parts[i] = m.Action(m.DefaultAction)
+			c.tuple[i] = m.DefaultAction
 		}
-		ca := combineActions(parts)
-		mt.Actions = append(mt.Actions, ca)
-		mt.DefaultAction = ca.Name
-		om := map[string]string{}
-		for i, m := range members {
-			om[covers[i]] = m.DefaultAction
-		}
-		origin[ca.Name] = om
+		mt.DefaultAction = c.name()
 	}
 	if mt.Annotations == nil {
 		mt.Annotations = map[string]string{}
@@ -622,7 +632,7 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 	mt.Annotations[p4ir.AnnotKind] = p4ir.KindMerged
 	mt.Annotations[p4ir.AnnotCovers] = strings.Join(covers, ",")
 	p.Tables[name] = mt
-	cm.MergedActions[name] = origin
+	cm.MergedActions[name] = c.origin
 	for _, tbl := range covers {
 		cm.Removed[tbl] = true
 		delete(p.Tables, tbl)

@@ -66,43 +66,6 @@ func predecessors(prog *p4ir.Program) map[string][]string {
 	return preds
 }
 
-// scratchClone builds a program the apply path may mutate freely while
-// sharing the immutable bulk with prog. The apply path only ever writes a
-// table's BaseNext (struct field), ActionNext and Annotations (maps),
-// creates or deletes whole tables, and rewrites conditional successors —
-// it never mutates an existing table's Keys, Actions, Entries, or
-// DefaultAction — so a per-table struct copy with fresh ActionNext and
-// Annotations maps suffices.
-func scratchClone(prog *p4ir.Program) *p4ir.Program {
-	out := &p4ir.Program{
-		Name:   prog.Name + ".optimized",
-		Root:   prog.Root,
-		Tables: make(map[string]*p4ir.Table, len(prog.Tables)),
-		Conds:  make(map[string]*p4ir.Conditional, len(prog.Conds)),
-	}
-	for name, t := range prog.Tables {
-		ct := *t
-		if t.ActionNext != nil {
-			ct.ActionNext = make(map[string]string, len(t.ActionNext))
-			for a, n := range t.ActionNext {
-				ct.ActionNext[a] = n
-			}
-		}
-		if t.Annotations != nil {
-			ct.Annotations = make(map[string]string, len(t.Annotations))
-			for k, v := range t.Annotations {
-				ct.Annotations[k] = v
-			}
-		}
-		out.Tables[name] = &ct
-	}
-	for name, c := range prog.Conds {
-		cc := *c
-		out.Conds[name] = &cc
-	}
-	return out
-}
-
 // verify reports whether o's rewrite is provably sound — the same verdict
 // as VerifyOption(prog, o, cfg) plus, behind a deep verifier, the semantic
 // proof — memoized.
@@ -120,7 +83,7 @@ func (ov *optionVerifier) verify(o *Option) bool {
 	// Apply's post-hoc Validate is subsumed by the proof: every structural
 	// diagnostic is Error-severity, so Validate fails exactly when the
 	// proof's structure tier does.
-	scratch := scratchClone(ov.prog)
+	scratch := ov.prog.Clone()
 	r := applyOption(scratch, o, NewCounterMap(), ov.cfg) == nil
 	if r {
 		touched := map[string]bool{}

@@ -181,7 +181,9 @@ type Entry struct {
 	Args []string
 }
 
-// Table is a match-action table node.
+// Table is a match-action table node. Its entries (the array, each
+// entry's Match and Args) and actions are values its clones share: outside
+// the entry operations, which copy the array on write, nothing writes them.
 type Table struct {
 	Name string
 	Keys []Key
@@ -222,6 +224,8 @@ type Table struct {
 	// Annotations carries tool metadata (e.g. pipeleon.cache_of) without
 	// affecting semantics.
 	Annotations map[string]string
+
+	own *ownership // of the Entries array; nil: unknown
 }
 
 // TierFloor returns the lowest tier the table may execute on, folding
@@ -460,7 +464,10 @@ func NewProgram(name string) *Program {
 // the table's entries back as they were; it is called at most once, before
 // any later operation on the same table. When the version has not moved
 // since its operation, the undo puts the version back too (the entries are
-// the ones it named); otherwise it counts as a change itself.
+// the ones it named); otherwise it counts as a change itself. They and
+// their undos are the only writers of an entry array, and make it their
+// table's own first (ownEntries): a clone never sees its source's
+// operations, nor the source a clone's.
 
 // InsertEntry appends a copy of e to the named table, or refuses it: no
 // such table, wrong arity, an action the table lacks, or a table at
@@ -486,12 +493,14 @@ func (p *Program) entryOp(table string, op func(*Table) (func(), error)) (func()
 	if !ok {
 		return nil, fmt.Errorf("no table %q", table)
 	}
+	t.ownEntries()
 	undo, err := op(t)
 	if err != nil {
 		return nil, err
 	}
 	prior, mine := p.entryVersion.cur.Load(), p.entryVersion.next()
 	return func() {
+		t.ownEntries()
 		undo()
 		if !p.entryVersion.cur.CompareAndSwap(mine, prior) {
 			p.entryVersion.next()

@@ -1,6 +1,7 @@
 package p4ir
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -257,21 +258,77 @@ func TestNextForSwitchCase(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// A clone shares its source's entries and actions, and neither ever sees
+// the other's entry operations: an insert, a delete or a modify, and its
+// undo, on the original, on a clone or on a clone of a clone — whether or
+// not the table knows if its array is shared — shows in that program only.
+// After its first copy a table writes its array in place. A clone's graph
+// is its own: an ActionNext edit does not leak.
+func TestCloneSharesOnlyValues(t *testing.T) {
 	prog := fixture(t)
-	prog.Tables["D"].Entries = []Entry{
-		{Match: []MatchValue{{Value: 10, PrefixLen: 24}}, Action: "fwd", Args: []string{"2"}},
+	fwd := func(v uint64) Entry {
+		return Entry{Match: []MatchValue{{Value: v, PrefixLen: 24}}, Action: "fwd", Args: []string{"1"}}
+	}
+	for _, v := range []uint64{10, 20, 30} {
+		if _, err := prog.InsertEntry("D", fwd(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	built := fixture(t) // it was built: it cannot tell who shares its array
+	built.Tables["D"].Entries = []Entry{fwd(10), fwd(20), fwd(30)}
+	inner := built.Clone()
+	progs := map[string]*Program{
+		"written original": prog, "clone": prog.Clone(), "built original": built,
+		"clone of the built": inner, "clone of a clone": inner.Clone(),
+	}
+	progs["second clone"] = progs["clone"].Clone()
+	if &prog.Tables["D"].Entries[0] != &progs["second clone"].Tables["D"].Entries[0] ||
+		prog.Tables["A"].Actions[0] != progs["clone"].Tables["A"].Actions[0] {
+		t.Fatal("a clone copied the entries or the actions")
+	}
+	ops := []struct {
+		name string
+		do   func(p *Program) (func(), error)
+	}{
+		{"insert", func(p *Program) (func(), error) { return p.InsertEntry("D", fwd(40)) }},
+		{"delete", func(p *Program) (func(), error) { return p.DeleteEntry("D", fwd(20).Match) }},
+		{"modify", func(p *Program) (func(), error) { return p.ModifyEntry("D", fwd(10).Match, "drop_packet", nil) }},
+	}
+	digests := func() map[string]Digest {
+		out := map[string]Digest{}
+		for name, p := range progs {
+			out[name] = p.Digest()
+		}
+		return out
+	}
+	for name, p := range progs {
+		for _, op := range ops {
+			before := digests()
+			undo, err := op.do(p)
+			if err != nil {
+				t.Fatalf("%s on the %s: %v", op.name, name, err)
+			}
+			for other, d := range digests() {
+				if changed := d != before[other]; changed != (other == name) {
+					t.Errorf("%s on the %s: the %s changed: %v", op.name, name, other, changed)
+				}
+			}
+			undo()
+			if after := digests(); !maps.Equal(after, before) {
+				t.Errorf("%s on the %s and its undo: digests %v, want %v", op.name, name, after, before)
+			}
+		}
+		// Every table above has copied by now: the next write is in place.
+		at := &p.Tables["D"].Entries[0]
+		if _, err := p.ModifyEntry("D", fwd(30).Match, "fwd", []string{"2"}); err != nil {
+			t.Fatal(err)
+		}
+		if &p.Tables["D"].Entries[0] != at {
+			t.Errorf("the %s copied an array it holds alone", name)
+		}
 	}
 	clone := prog.Clone()
-	clone.Tables["D"].Entries[0].Match[0].Value = 99
-	clone.Tables["A"].Actions[0].Primitives[0].Args[0] = "changed"
 	clone.Tables["B"].ActionNext["b1"] = "D"
-	if prog.Tables["D"].Entries[0].Match[0].Value != 10 {
-		t.Error("entry mutation leaked into original")
-	}
-	if prog.Tables["A"].Actions[0].Primitives[0].Args[0] != "ipv4.ttl" {
-		t.Error("primitive mutation leaked into original")
-	}
 	if prog.Tables["B"].ActionNext["b1"] != "C" {
 		t.Error("ActionNext mutation leaked into original")
 	}
