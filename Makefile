@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadValidate$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzDigestMatchesJSON$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
+	$(GO) test -run '^$$' -fuzz '^FuzzEntryAdmission$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackets$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/

@@ -298,28 +298,6 @@ func searchFresh(tb testing.TB, prog *p4ir.Program, prof *profile.Profile, pm co
 	return sr
 }
 
-// BenchmarkAblationKnapsackResolution sweeps the knapsack discretization:
-// finer grids cost more time for marginally better plans.
-func BenchmarkAblationKnapsackResolution(b *testing.B) {
-	prog, cfgBase, pm, _ := ablationSearchInput()
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
-	for _, buckets := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			cfg := *cfgBase
-			cfg.MemBuckets, cfg.UpdBuckets = buckets, buckets/2
-			cfg.MemoryBudget = 1 << 20
-			cfg.UpdateBudget = 10000
-			cfg.CacheInsertLimit = 1000
-			var gain float64
-			for i := 0; i < b.N; i++ {
-				sr := searchFresh(b, prog, prof, pm, cfg)
-				gain = sr.Gain
-			}
-			b.ReportMetric(gain, "gain-ns")
-		})
-	}
-}
-
 // BenchmarkAblationMergeCap sweeps the merge cap (paper default 2).
 func BenchmarkAblationMergeCap(b *testing.B) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 8, AvgLen: 4, Category: synth.SmallStatic, Seed: 99})

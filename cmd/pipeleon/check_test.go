@@ -28,7 +28,8 @@ func TestCheck(t *testing.T) {
 	// A ternary entry strictly dominated by a coarser, higher-priority one:
 	// PL202, a warning of the symbolic tier only.
 	shadow := write("shadow.p4", fmt.Sprintf(acl, "ternary", "(0x10:0xf0): deny() prio 9; (0x12:0xff): permit() prio 5;"))
-	// A 9-bit entry value on the 8-bit ipv4.tos key: PL104, an error.
+	// A 9-bit entry value on the 8-bit ipv4.tos key is no entry of the
+	// table (P4S06, once the lint's PL104 error): the file does not load.
 	wide := write("wide.p4", fmt.Sprintf(acl, "exact", "(0x1ff): deny() prio 5;"))
 	trace, err := os.ReadFile("../../testdata/traces/bluefield2.json")
 	if err != nil {
@@ -57,7 +58,7 @@ func TestCheck(t *testing.T) {
 		{name: "shallow misses PL202", files: []string{shadow}, want: 0},
 		{name: "deep warns PL202", files: []string{shadow}, deep: true, want: 1, stdout: "shadow.p4: PL202 warn"},
 		{name: "json PL202", files: []string{shadow}, deep: true, want: 1, stdout: `"code": "PL202"`, models: []string{"bluefield2"}, warnings: 1},
-		{name: "error PL104", files: []string{dash, wide}, want: 2, stdout: "wide.p4: PL104 error"},
+		{name: "entry P4S06", files: []string{dash, wide}, want: 3, stderr: `table "acl" line 8: p4ir: malformed entry: P4S06`},
 		{name: "trace under recorded model", files: []string{dash, agx}, want: 0, models: []string{"bluefield2", "agiliocx"}},
 		{name: "target overrides trace", files: []string{agx}, target: "emulated", want: 0, models: []string{"emulated"}},
 		{name: "broken trace", files: []string{broken}, want: 3, stderr: "P4S02"},

@@ -41,7 +41,7 @@ const (
 	CodeUnreachable   = "PL101" // node not reachable from the root
 	CodeReadBeforeIni = "PL102" // metadata field read before any write
 	CodeDeadPrimitive = "PL103" // primitives after an unconditional drop
-	CodeWidthMismatch = "PL104" // entry value/mask exceeds the key width
+	CodeWidthMismatch = "PL104" // entry value bits no match compares
 	CodeTierOvercommt = "PL105" // SRAM tier overcommitted / unsupported
 	CodeUnsoundCache  = "PL106" // cache spec violates caching legality
 )
@@ -267,44 +267,18 @@ func lintDeadPrimitives(g *graph) diag.List {
 	return l
 }
 
-// lintWidthMismatch checks every installed entry against its key widths
-// (PL104): values or masks that do not fit the declared width can never
-// match (error); value bits outside a ternary mask or below an LPM prefix
-// are silently ignored by the match and usually indicate a mis-built
-// entry (warn).
+// lintWidthMismatch warns of entry value bits below an LPM prefix or
+// outside a ternary or range mask (PL104): the match never compares them,
+// which usually indicates a mis-built entry. An entry that does not fit its
+// keys at all is no entry of a valid program (p4ir's P4S06).
 func lintWidthMismatch(g *graph) diag.List {
 	var l diag.List
 	for _, id := range g.ix.Tables() {
 		name, t := g.ix.Name(id), g.ix.Table(id)
 		for ei, e := range t.Entries {
 			for ki, k := range t.Keys {
-				if ki >= len(e.Match) {
-					break // arity mismatch is a structural error
-				}
-				mv := e.Match[ki]
-				full := k.FullMask()
-				if mv.Value&^full != 0 {
-					l.Add(CodeWidthMismatch, diag.Error, name, k.Field,
-						"entry %d value %#x exceeds the %d-bit key width", ei, mv.Value, k.BitWidth())
-					continue
-				}
-				switch k.Kind {
-				case p4ir.MatchLPM:
-					if mv.PrefixLen > k.BitWidth() {
-						l.Add(CodeWidthMismatch, diag.Error, name, k.Field,
-							"entry %d prefix length %d exceeds the %d-bit key width", ei, mv.PrefixLen, k.BitWidth())
-					} else if mv.Value&^k.PrefixMask(mv.PrefixLen) != 0 {
-						l.Add(CodeWidthMismatch, diag.Warn, name, k.Field,
-							"entry %d has value bits below its /%d prefix that are never compared", ei, mv.PrefixLen)
-					}
-				case p4ir.MatchTernary, p4ir.MatchRange:
-					if mv.Mask&^full != 0 {
-						l.Add(CodeWidthMismatch, diag.Error, name, k.Field,
-							"entry %d mask %#x exceeds the %d-bit key width", ei, mv.Mask, k.BitWidth())
-					} else if mv.Mask != 0 && mv.Value&^mv.Mask != 0 {
-						l.Add(CodeWidthMismatch, diag.Warn, name, k.Field,
-							"entry %d has value bits outside its mask that are never compared", ei)
-					}
+				if mv := e.Match[ki]; mv.Value&^k.MatchMask(mv) != 0 && (k.Kind == p4ir.MatchLPM || mv.Mask != 0) {
+					l.Add(CodeWidthMismatch, diag.Warn, name, k.Field, "entry %d has value bits its %s match never compares", ei, k.Kind)
 				}
 			}
 		}

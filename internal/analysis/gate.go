@@ -16,7 +16,7 @@ type Verdict struct {
 	// the gate's memo, so read-only.
 	Diags diag.List
 	// Refusal is empty when the program may deploy. Otherwise it names the
-	// tier that refused and its first error: "static analysis: PL104 ..."
+	// tier that refused and its first error: "static analysis: PL105 ..."
 	// for the lint, "semantic verification: SE003 ..." for the proof.
 	Refusal string
 }

@@ -179,20 +179,24 @@ func TestLintWidthMismatch(t *testing.T) {
 			MustBuild()
 	}
 
-	// Oversized value: error.
-	l := analysis.Lint(mk([]p4ir.Entry{
-		{Match: []p4ir.MatchValue{{Value: 1 << 20}}, Action: "pass"},
-	}, p4ir.MatchExact))
-	wantDiag(t, l, analysis.CodeWidthMismatch, diag.Error, "t")
-
-	// Prefix longer than the key: error.
-	l = analysis.Lint(mk([]p4ir.Entry{
-		{Match: []p4ir.MatchValue{{Value: 0x10, PrefixLen: 24}}, Action: "pass"},
-	}, p4ir.MatchLPM))
-	wantDiag(t, l, analysis.CodeWidthMismatch, diag.Error, "t")
+	// An oversized value and a prefix longer than the key are no entries
+	// of a valid program: the structural pass refuses them (P4S06), and
+	// PL104 never sees them.
+	for kind, mv := range map[p4ir.MatchKind]p4ir.MatchValue{
+		p4ir.MatchExact: {Value: 1 << 20},
+		p4ir.MatchLPM:   {Value: 0x10, PrefixLen: 24},
+	} {
+		p := mk(nil, kind)
+		p.Tables["t"].Entries = []p4ir.Entry{{Match: []p4ir.MatchValue{mv}, Action: "pass"}}
+		l := analysis.Lint(p)
+		wantDiag(t, l, p4ir.CodeBadEntry, diag.Error, "t")
+		if codes(l)[analysis.CodeWidthMismatch] {
+			t.Errorf("PL104 fired on a structurally refused %s entry:\n%v", kind, l)
+		}
+	}
 
 	// Value bits below the prefix: warn.
-	l = analysis.Lint(mk([]p4ir.Entry{
+	l := analysis.Lint(mk([]p4ir.Entry{
 		{Match: []p4ir.MatchValue{{Value: 0xff01, PrefixLen: 8}}, Action: "pass"},
 	}, p4ir.MatchLPM))
 	wantDiag(t, l, analysis.CodeWidthMismatch, diag.Warn, "t")

@@ -207,11 +207,12 @@ func TestGateTiers(t *testing.T) {
 	check := func(p *p4ir.Program) Verdict { return g.Check(p, p.Digest()) }
 	proofs := func() uint64 { h, m := v.MemoStats(); return h + m }
 
-	// Tier 1: a PL104 entry refuses as "static analysis", before any proof.
+	// Tier 1: an entry too wide for its key (P4S06, once PL104) refuses as
+	// "static analysis", before any proof.
 	tooWide := depProg("toowide", false)
 	tooWide.Tables["w"].Entries[0].Match[0].Value = 1 << 20
 	if got := check(tooWide); !strings.HasPrefix(got.Refusal, "static analysis: ") ||
-		deepCodes(got.Diags)[CodeWidthMismatch] == 0 || proofs() != 0 {
+		deepCodes(got.Diags)[p4ir.CodeBadEntry] == 0 || proofs() != 0 {
 		t.Errorf("lint tier: verdict %+v after %d proofs", got, proofs())
 	}
 	// Tier 2: a reversed dependency and a changed write refuse as "semantic

@@ -23,18 +23,9 @@ func TestRemoteDeployRejectedWithDiagnostics(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// An entry value that cannot fit its 16-bit key: PL104 at Error.
-	bad, err := p4ir.ChainTables("badprog", []p4ir.TableSpec{{
-		Name:          "acl",
-		Keys:          []p4ir.Key{{Field: "tcp.dport", Kind: p4ir.MatchExact, Width: packet.FieldWidth("tcp.dport")}},
-		Actions:       []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")},
-		DefaultAction: "allow",
-		Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 1 << 20}}, Action: "drop_packet"}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cl.Deploy(bad)
+	// An entry value that cannot fit its 16-bit key: P4S06 (once PL104) at
+	// Error, found where the server decodes the program.
+	err = cl.Deploy(tooWide(t))
 	if err == nil {
 		t.Fatal("deploy of invalid program succeeded")
 	}
@@ -47,12 +38,12 @@ func TestRemoteDeployRejectedWithDiagnostics(t *testing.T) {
 	}
 	found := false
 	for _, d := range de.Diags.Errors() {
-		if d.Code == analysis.CodeWidthMismatch && d.Node == "acl" {
+		if d.Code == p4ir.CodeBadEntry && d.Node == "acl" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no %s diagnostic for table acl in %v", analysis.CodeWidthMismatch, de.Diags)
+		t.Errorf("no %s diagnostic for table acl in %v", p4ir.CodeBadEntry, de.Diags)
 	}
 	if !strings.Contains(err.Error(), "static analysis") {
 		t.Errorf("error message %q does not mention static analysis", err)

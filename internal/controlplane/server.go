@@ -3,6 +3,7 @@ package controlplane
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -371,6 +372,10 @@ func (s *Server) apply(req *Request) *Response {
 		// valid program: equal digests are equal programs.
 		digest := p4ir.DigestOf(req.Body)
 		prog, err := p4ir.DecodeBinary(req.Body)
+		if ve := (*p4ir.ValidationError)(nil); errors.As(err, &ve) { // refused as the lint tier refuses it
+			ve.Diags.Sort()
+			resp.Diags, err = ve.Diags, fmt.Errorf("program rejected by static analysis: %s", ve.Diags[0])
+		}
 		if err != nil {
 			return fail(err)
 		}

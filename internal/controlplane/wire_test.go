@@ -54,9 +54,21 @@ func sramPinned(t testing.TB) *p4ir.Program {
 	return prog
 }
 
-// tooWide carries an entry value its 16-bit key cannot hold: PL104, Error.
+// tooWide carries an entry value its 16-bit key cannot hold: no program
+// at all (P4S06, once the lint's PL104 error), so it is written past the
+// builder's Validate and refused where the server decodes it.
 func tooWide(t testing.TB) *p4ir.Program {
-	return oneTable(t, "toowide", func(s *p4ir.TableSpec) { s.Entries[0].Match[0].Value = 1 << 20 })
+	prog := oneTable(t, "toowide", nil)
+	prog.Tables["acl"].Entries[0].Match[0].Value = 1 << 20
+	return prog
+}
+
+// ghostCache is a valid program whose layout the lint refuses whatever the
+// device: a cache over a table it lacks (PL106, Error).
+func ghostCache(t testing.TB) *p4ir.Program {
+	prog := oneTable(t, "ghostcache", nil)
+	prog.Tables["acl"].SetCacheMeta(p4ir.CacheSpec{Table: "acl", Kind: p4ir.KindCache, Covers: []string{"ghost"}})
+	return prog
 }
 
 func hasCode(l diag.List, code string) bool {
@@ -101,7 +113,7 @@ func TestLintMemoSameDiagnostics(t *testing.T) {
 	// same diagnostics, and never reaches the device.
 	var rejections [2]*DeployError
 	for i := range rejections {
-		err := cl.Deploy(tooWide(t))
+		err := cl.Deploy(ghostCache(t))
 		if !errors.As(err, &rejections[i]) || !rejections[i].Diags.HasErrors() {
 			t.Fatalf("deploy %d of an Error-diagnostic program: err = %v", i, err)
 		}
@@ -155,7 +167,7 @@ func rawCall(t *testing.T, conn net.Conn, hdr map[string]any, body []byte) *Resp
 func TestServerDigestsWhatItReceived(t *testing.T) {
 	srv, dev := newDeviceServer(t)
 	conn := rawDial(t, srv.Addr())
-	good, bad := oneTable(t, "good", nil).AppendBinary(nil), tooWide(t).AppendBinary(nil)
+	good, bad := oneTable(t, "good", nil).AppendBinary(nil), ghostCache(t).AppendBinary(nil)
 	goodDigest, badDigest := p4ir.DigestOf(good).String(), p4ir.DigestOf(bad).String()
 
 	// Memoize a clean verdict for good's digest.

@@ -47,15 +47,15 @@ func (r *Runtime) ModifyEntry(table string, match []p4ir.MatchValue, action stri
 		func() error { return r.tgt.ModifyEntry(table, match, action, args) })
 }
 
-// entryOp applies op — one of p4ir's entry operations, which returns its
-// undo — to the original program, then propagates: fast path when the
-// table exists untouched in the deployed program, slow path (the active
-// plan deployed again, gated like a round's) when a merge consumed it. The
-// operation is one transaction: both views validate before the device is
-// asked, and when the device or the gate refuses (table full, RPC failure,
-// failed redeploy, an Error finding in the regenerated program) both views
-// are put back, so the runtime never believes in an entry the device does
-// not hold — the next redeploy would silently install it.
+// entryOp applies op — one of p4ir's entry operations, which judge the
+// entry (Table.CheckEntry) and return their undo — to the original program,
+// then propagates: fast path when the table exists untouched in the
+// deployed program, slow path (the active plan deployed again, gated like a
+// round's) when a merge consumed it. The operation is one transaction: when
+// the device or the gate refuses (table full, RPC failure, failed redeploy,
+// an Error finding in the regenerated program) both views are put back, so
+// the runtime never believes in an entry the device does not hold — the
+// next redeploy would silently install it.
 func (r *Runtime) entryOp(table string, op func(*p4ir.Program) (func(), error), fast func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -63,30 +63,27 @@ func (r *Runtime) entryOp(table string, op func(*p4ir.Program) (func(), error), 
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	// Slow path: regenerate the deployed program from the updated original
-	// under the active plan. Entry propagation is a definitive change, not a
-	// speculative optimization: no verification window, and a failed
-	// redeploy fails the operation without counting toward the breaker.
-	propagate := func() error { return r.deployNowLocked(r.activePlan) }
 	if _, inCurrent := r.current.Tables[table]; inCurrent && !r.tableMergedLocked(table) {
 		// Fast path. Keep the runtime's view of the deployed program in
 		// sync so the next round's layout comparison does not force a
 		// spurious swap (which would cold-start every cache).
-		propagate = func() error {
-			undoCurrent, err := op(r.current)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if err := fast(); err != nil {
-				undoCurrent()
-				return err
-			}
-			// current was edited in place; the next round recomputes.
-			r.currentDigest = p4ir.Digest{}
-			return nil
+		var undoCurrent func()
+		if undoCurrent, err = op(r.current); err != nil {
+			err = fmt.Errorf("core: %w", err)
+		} else if err = fast(); err != nil {
+			undoCurrent()
+		} else {
+			r.currentDigest = p4ir.Digest{} // current was edited in place; the next round recomputes
 		}
+	} else if err = r.deployNowLocked(r.activePlan); err != nil {
+		// Slow path: regenerate the deployed program from the updated
+		// original under the active plan — definitive, not speculative: no
+		// verification window, and a failure does not count toward the
+		// breaker. The entry passed p4ir's rule above: what refuses here is
+		// the layout (the device, or the gate on the regenerated program).
+		err = fmt.Errorf("core: redeploy of merged layout refused: %w", err)
 	}
-	if err := propagate(); err != nil {
+	if err != nil {
 		undo()
 		return err
 	}

@@ -58,6 +58,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 	inflated := faultinject.Decision{Scale: 50} // the verification window contradicts it
 	for _, tc := range []struct {
 		name  string
+		pin   string // a table pinTight pins
 		cfg   func(*opt.Config)
 		guard func(*DeployGuard)
 		// prep readies the rig for the round under test; run, when set,
@@ -115,10 +116,10 @@ func TestEveryRoundOutcome(t *testing.T) {
 		{name: "refused by the device", prep: func(t *testing.T, x *exitRig) {
 			x.script.Queue(faultinject.PointDeploy, faultinject.Decision{Fail: true})
 		}, want: outcomeFields{deployErr: true}, detail: "injected", charged: true, reEval: true, fails: true},
-		{name: "refused by the gate", prep: func(t *testing.T, x *exitRig) {
-			// Too wide for the 16-bit key: the device takes it, the lint does not.
-			wide := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1ffff}}, Action: "drop_packet"}
-			if err := x.rt.InsertEntry("acl1", wide); err != nil {
+		{name: "refused by the gate", pin: "acl1", prep: func(t *testing.T, x *exitRig) {
+			// A second entry in the pinned acl1: the device takes it, the
+			// lint refuses the layout that holds it (PL105).
+			if err := x.rt.InsertEntry("acl1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1fff}}, Action: "drop_packet"}); err != nil {
 				t.Fatal(err)
 			}
 		}, want: outcomeFields{deployErr: true}, detail: "blocked by static analysis", charged: true, reEval: true, fails: true},
@@ -167,7 +168,11 @@ func TestEveryRoundOutcome(t *testing.T) {
 				tc.cfg(&cfg)
 			}
 			script := faultinject.NewScript()
-			rt, nic, probe := newProbeRig(t, aclProgram(t), cfg, script)
+			prog := aclProgram(t)
+			if tc.pin != "" {
+				pinTight(prog, tc.pin)
+			}
+			rt, nic, probe := newProbeRig(t, prog, cfg, script)
 			x := &exitRig{rt: rt, nic: nic, probe: probe, script: script, gen: dropMix(1, "tcp.dport", 23)}
 			if tc.panicked != nil {
 				rt.tgt = &panickyTarget{Target: probe, faults: tc.panicked}

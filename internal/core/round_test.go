@@ -50,7 +50,13 @@ func (p *probeTarget) Commit() error {
 func newProbeRig(t *testing.T, prog *p4ir.Program, cfg opt.Config, inj faultinject.Injector) (*Runtime, *nicsim.NIC, *probeTarget) {
 	t.Helper()
 	col := profile.NewCollector()
-	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col, Instrument: true})
+	pm := costmodel.BlueField2()
+	for _, tbl := range prog.Tables { // SRAM that holds the pinned tables as they are (see pinTight)
+		if tbl.MemTier() == p4ir.TierSRAM {
+			pm.SRAMFactor, pm.SRAMBytes = 0.4, pm.SRAMBytes+tbl.MemoryBytes()
+		}
+	}
+	nic, err := nicsim.New(prog, nicsim.Config{Params: pm, Collector: col, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +67,15 @@ func newProbeRig(t *testing.T, prog *p4ir.Program, cfg opt.Config, inj faultinje
 	}
 	rt.SetFaultInjector(inj)
 	return rt, nic, tgt
+}
+
+// pinTight pins a table of prog to SRAM, which a probe rig sizes to hold
+// the pinned tables as they are: one more entry overcommits it, a layout
+// the lint refuses (PL105). An entry is judged by p4ir's rule alone, so
+// this is how an entry operation still makes the next deploy fail the gate.
+func pinTight(prog *p4ir.Program, table string) *p4ir.Program {
+	prog.Tables[table].SetMemTier(p4ir.TierSRAM)
+	return prog
 }
 
 // reorderConfig searches every round (no unchanged-profile skip) for
@@ -264,25 +279,22 @@ func mergeRound(t *testing.T, rt *Runtime, nic *nicsim.NIC) {
 }
 
 // A regenerated program is gated like a round's: when an insert into a
-// merged table yields a cross product with an Error finding, the operation
-// fails and no view moves.
+// merged table yields a layout with an Error finding — here the pinned A
+// outgrows the SRAM — the operation fails as the layout's, and no view
+// moves.
 func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
-	rt, nic, _ := newProbeRig(t, mergeProgram(t), mergeConfig(), nil)
+	rt, nic, _ := newProbeRig(t, pinTight(mergeProgram(t), "A"), mergeConfig(), nil)
 	mergeRound(t, rt, nic)
 	was, plan := snapshot(rt, nic), len(rt.activePlan)
-	// 0x1ffffffff cannot fit the 32-bit ipv4.srcAddr key. The device would
-	// take the regenerated program (the entry simply never matches); the
-	// lint does not (PL104).
-	wide := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1ffffffff}}, Action: "set"}
-	err := rt.InsertEntry("A", wide)
-	if err == nil || !strings.Contains(err.Error(), "PL104") {
-		t.Fatalf("insert whose regenerated program fails the gate: err = %v, want a PL104 refusal", err)
+	err := rt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"})
+	if err == nil || !strings.Contains(err.Error(), "core: redeploy of merged layout refused: ") || !strings.Contains(err.Error(), "PL105") {
+		t.Fatalf("insert whose regenerated program fails the gate: err = %v, want a PL105 refusal of the layout", err)
 	}
 	assertUnchanged(t, "insert refused by the gate", was, rt, nic)
 	if len(rt.activePlan) != plan {
 		t.Errorf("active plan went from %d to %d options", plan, len(rt.activePlan))
 	}
-	if err := rt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {
+	if err := rt.InsertEntry("B", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 11}}, Action: "set"}); err != nil {
 		t.Fatalf("a clean insert after the refusal: %v", err)
 	}
 	if rt.Current().Digest() != nic.Program().Digest() {
@@ -296,7 +308,7 @@ func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
 // operation fails the lint after it, and a program whose digest did not
 // change is no longer equivalent to the original.
 func TestGateMemoDroppedOnEntryOp(t *testing.T) {
-	rt, nic, _ := newProbeRig(t, aclProgram(t), reorderConfig(), nil)
+	rt, nic, _ := newProbeRig(t, pinTight(aclProgram(t), "acl1"), reorderConfig(), nil)
 	hotACL2, hotACL1 := dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)
 	if rep := mustRound(t, rt, nic, hotACL2); !rep.Deployed || rt.Current().Root != "acl2" {
 		t.Fatalf("round 1 should deploy acl2 first: %+v", rep)
@@ -309,10 +321,9 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 		t.Fatal("gate holds no verdict for the deployed program")
 	}
 
-	// 0x1ffff cannot fit the 16-bit tcp.sport key. The device takes the
-	// entry (it simply never matches); the lint does not (PL104).
-	wide := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1ffff}}, Action: "drop_packet"}
-	if err := rt.InsertEntry("acl1", wide); err != nil {
+	// The device takes a second entry in the pinned acl1 on the fast path;
+	// the lint refuses every layout that holds it (PL105).
+	if err := rt.InsertEntry("acl1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x1fff}}, Action: "drop_packet"}); err != nil {
 		t.Fatal(err)
 	}
 	if gateRemembers(rt, acl1First) {
@@ -320,15 +331,15 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	}
 
 	// The acl2-first plan was clean in round 1. It is the same plan now,
-	// over an original that no longer lints.
+	// over an original whose pinned table no longer fits the SRAM.
 	device := nic.Program().Digest()
 	refuse := func() RoundReport {
 		t.Helper()
 		drive(nic, hotACL2, 4000)
 		rep, err := rt.OptimizeOnce(time.Second)
-		if err == nil || rep.Deployed || !strings.Contains(rep.DeployError, "PL104") ||
-			!slices.ContainsFunc(rep.Diagnostics, func(d string) bool { return strings.Contains(d, "PL104") }) {
-			t.Fatalf("round %d should be refused with PL104: err %v, report %+v", rep.Round, err, rep)
+		if err == nil || rep.Deployed || !strings.Contains(rep.DeployError, "PL105") ||
+			!slices.ContainsFunc(rep.Diagnostics, func(d string) bool { return strings.Contains(d, "PL105") }) {
+			t.Fatalf("round %d should be refused with PL105: err %v, report %+v", rep.Round, err, rep)
 		}
 		if nic.Program().Digest() != device {
 			t.Fatalf("round %d: refused program reached the device", rep.Round)

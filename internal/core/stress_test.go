@@ -53,8 +53,8 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				// Stay within the 16-bit sport key width; an oversized
-				// value would trip PL104 and block the next deploy.
+				// Stay within the 16-bit sport key width; p4ir's rule
+				// refuses an oversized value (P4S06).
 				v = 0x2000 + (v+1)&0x0fff
 				e := p4ir.Entry{Match: []p4ir.MatchValue{{Value: v}}, Action: "drop_packet"}
 				if err := rt.InsertEntry("acl1", e); err != nil {

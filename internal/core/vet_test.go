@@ -25,24 +25,28 @@ func TestNewRuntimeRejectsInvalidProgram(t *testing.T) {
 		Keys:          []p4ir.Key{{Field: "ipv4.tos", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.tos")}},
 		Actions:       []*p4ir.Action{p4ir.NoopAction("pass")},
 		DefaultAction: "pass",
-		// 0x1ff cannot fit the 8-bit tos key: PL104 error.
-		Entries: []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0x1ff}}, Action: "pass"}},
+		Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0xff}}, Action: "pass"}},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
-	// The emulator itself accepts the program (it would simply never
-	// match); the runtime's analyzer is the layer that rejects it.
 	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRuntime(prog, target.NewLocal(nic, col), opt.DefaultConfig())
-	if err == nil {
-		t.Fatal("NewRuntime accepted a program with PL104 errors")
+	// 0x1ff cannot fit the 8-bit tos key: P4S06 (once the lint's PL104).
+	// The emulator refuses it by the same rule as the runtime.
+	bad := prog.Clone()
+	bad.Tables["t"].Entries = []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0x1ff}}, Action: "pass"}}
+	if _, err := nicsim.New(bad, nicsim.Config{Params: costmodel.BlueField2()}); !errors.Is(err, p4ir.ErrBadEntry) {
+		t.Errorf("the emulator took the program: %v", err)
 	}
-	if !strings.Contains(err.Error(), "PL104") {
+	_, err = NewRuntime(bad, target.NewLocal(nic, col), opt.DefaultConfig())
+	if err == nil {
+		t.Fatal("NewRuntime accepted a program with a P4S06 entry")
+	}
+	if !strings.Contains(err.Error(), "P4S06") {
 		t.Errorf("error does not carry the diagnostic code: %v", err)
 	}
 }
@@ -270,15 +274,10 @@ func TestWireGateIsTheLocalGate(t *testing.T) {
 		edit("changed-write", func(p *p4ir.Program) {
 			p.Tables["w"].Actions[0] = p4ir.NewAction("set", p4ir.Prim("modify_field", "meta.a", "4"))
 		}),
-		edit("pl104-entry", func(p *p4ir.Program) { // the entry again, 17 bits in the 16-bit tcp.sport key
+		edit("p4s06-entry", func(p *p4ir.Program) { // the entry again, 17 bits in the 16-bit tcp.sport key (once PL104)
 			e := p.Tables["acl"].Entries[0].Clone()
-			if _, err := p.DeleteEntry("acl", e.Match); err != nil {
-				t.Fatal(err)
-			}
 			e.Match[0].Value = 0x1ffff
-			if _, err := p.InsertEntry("acl", e); err != nil {
-				t.Fatal(err)
-			}
+			p.Tables["acl"].Entries = []p4ir.Entry{e} // past the rule, which would refuse it
 		}),
 	}
 	codes := func(rendered []string) string {

@@ -27,7 +27,7 @@ func regularTable(name, field string, nPrims, nEntries int, seed uint64) p4ir.Ta
 		DefaultAction: "pass",
 	}
 	// Entry values must fit the key's field width (a 16-bit draw on the
-	// 8-bit tos field could never match; PL104 flags it).
+	// 8-bit tos field is no entry at all; p4ir refuses it, P4S06).
 	full := ts.Keys[0].FullMask()
 	for i := 0; i < nEntries; i++ {
 		ts.Entries = append(ts.Entries, p4ir.Entry{

@@ -9,64 +9,50 @@ import (
 // Entry update API — the data-plane side of the control plane. Every call
 // invalidates any runtime cache covering the table (§3.2.2: "an update in
 // any of the original tables will invalidate the entire cache"); the update
-// rate of §4 is counted by the caller (core). An operation validates, then
-// applies to a fork of the table's lookup store, then to the NIC's copy of
-// the program through p4ir's entry operations — or to neither: the fork of
-// a refused one is dropped, which leaves program and store in agreement.
+// rate of §4 is counted by the caller (core). An operation applies to the
+// NIC's copy of the program through p4ir's entry operations, which judge
+// it (Table.CheckEntry), then to a fork of the table's lookup store — or to
+// neither, which leaves program and store in agreement.
 
 // InsertEntry installs an entry into a table.
 func (n *NIC) InsertEntry(table string, e p4ir.Entry) error {
-	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		se, err := rt.insert(&e)
-		if err != nil {
-			return err
-		}
-		if _, err := n.prog.InsertEntry(table, e); err != nil {
-			return err
-		}
-		se.match = t.Entries[len(t.Entries)-1].Match // the table's copy, not the caller's
-		return nil
-	})
+	return n.mutateTable(table, func() (func(), error) { return n.prog.InsertEntry(table, e) },
+		func(t *p4ir.Table, rt *runtimeTable) error { rt.insert(&t.Entries[len(t.Entries)-1]); return nil }) // the table's copy
 }
 
 // DeleteEntry removes the first entry whose match values equal the given
 // match.
 func (n *NIC) DeleteEntry(table string, match []p4ir.MatchValue) error {
-	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		if err := rt.remove(match); err != nil {
-			return err
-		}
-		_, err := n.prog.DeleteEntry(table, match)
-		return err
-	})
+	return n.mutateTable(table, func() (func(), error) { return n.prog.DeleteEntry(table, match) },
+		func(_ *p4ir.Table, rt *runtimeTable) error { return rt.remove(match) })
 }
 
 // ModifyEntry replaces the action/args of the first entry whose match
 // values equal the given match.
 func (n *NIC) ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error {
-	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		if err := rt.modify(match, action, args); err != nil {
-			return err
-		}
-		_, err := n.prog.ModifyEntry(table, match, action, args)
-		return err
-	})
+	return n.mutateTable(table, func() (func(), error) { return n.prog.ModifyEntry(table, match, action, args) },
+		func(_ *p4ir.Table, rt *runtimeTable) error { return rt.modify(match, action, args) })
 }
 
-// mutateTable runs one entry operation against a fork of the table's
-// lookup store and publishes the fork copy-on-write: in-flight Process
-// calls keep walking the old plan; new calls see the new entries. The
-// covering caches are invalidated after the publish, under the cache lock:
-// after any burst that walks the old plan, so none of its fills survive.
-func (n *NIC) mutateTable(table string, op func(*p4ir.Table, *runtimeTable) error) error {
+// mutateTable runs one entry operation, op on the program and store on a
+// fork of the table's lookup store, and publishes the fork copy-on-write:
+// in-flight Process calls keep walking the old plan; new calls see the new
+// entries. The covering caches are invalidated after the publish, under the
+// cache lock: after any burst that walks the old plan, so none survive.
+func (n *NIC) mutateTable(table string, op func() (func(), error), store func(*p4ir.Table, *runtimeTable) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	t, ok := n.prog.Tables[table]
 	if !ok {
 		return fmt.Errorf("nicsim: no table %q", table)
 	}
+	undo, err := op()
+	if err != nil {
+		return fmt.Errorf("nicsim: %w", err)
+	}
 	rt := n.tables[table].fork()
-	if err := op(t, rt); err != nil {
+	if err := store(t, rt); err != nil {
+		undo()
 		return fmt.Errorf("nicsim: %w", err)
 	}
 	n.tables[table] = rt

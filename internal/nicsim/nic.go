@@ -176,10 +176,8 @@ func (n *NIC) load(prog *p4ir.Program) error {
 		if old := n.tables[name]; old != nil && sameStore(old.tbl, t) {
 			tables[name] = old.fork()
 			tables[name].tbl = t
-		} else if rt, err := buildTable(t, t.Entries, n.kern.PinnedM(t)); err != nil {
-			return err
 		} else {
-			tables[name] = rt
+			tables[name] = buildTable(t, t.Entries, n.kern.PinnedM(t))
 		}
 		if spec, ok := t.CacheMeta(); ok && !spec.Prepopulated {
 			var fc *flowCache

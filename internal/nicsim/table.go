@@ -339,7 +339,7 @@ type runtimeTable struct {
 // argument-resolved primitive lists, so the per-packet path never parses
 // operand strings — around an empty match store, then inserts the entries
 // one by one: New and Swap install as InsertEntry does.
-func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedM int) (*runtimeTable, error) {
+func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedM int) *runtimeTable {
 	rt := &runtimeTable{
 		tbl:       t,
 		kind:      t.WidestMatchKind(),
@@ -361,11 +361,9 @@ func buildTable(t *p4ir.Table, entries []p4ir.Entry, fixedM int) (*runtimeTable,
 		rt.defaultAct = rt.acts[len(rt.acts)-1]
 	}
 	for i := range entries {
-		if _, err := rt.insert(&entries[i]); err != nil {
-			return nil, fmt.Errorf("table %q entry %d: %w", t.Name, i, err)
-		}
+		rt.insert(&entries[i])
 	}
-	return rt, nil
+	return rt
 }
 
 // fork returns a header the mutators may write, which copies the one group
@@ -417,19 +415,12 @@ func (rt *runtimeTable) sortGroups() {
 	})
 }
 
-// insert validates, compiles and installs one entry — and nothing else:
-// no entry already in the table is hashed, compiled or copied for it. The
-// stored entry keeps e.Match.
-func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
-	if len(e.Match) != len(rt.tbl.Keys) {
-		return nil, fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(rt.tbl.Keys))
-	}
-	cact := rt.actByName[e.Action]
-	if cact == nil {
-		return nil, fmt.Errorf("unknown action %q", e.Action)
-	}
+// insert compiles and installs one entry that p4ir's rule admitted
+// (Table.CheckEntry) — and nothing else: no entry already in the table is
+// hashed, compiled or copied for it. The stored entry keeps e.Match.
+func (rt *runtimeTable) insert(e *p4ir.Entry) {
 	var buf [8]uint64
-	se := &storedEntry{cact: cact, cargs: compileArgs(e.Args), priority: e.Priority, match: e.Match, seq: rt.nextSeq}
+	se := &storedEntry{cact: rt.actByName[e.Action], cargs: compileArgs(e.Args), priority: e.Priority, match: e.Match, seq: rt.nextSeq}
 	var masks []uint64
 	masks, se.key, se.prefixBits = rt.keyOf(e.Match, buf[:0], se.kbuf[:0])
 	rt.nextSeq++
@@ -447,7 +438,6 @@ func (rt *runtimeTable) insert(e *p4ir.Entry) (*storedEntry, error) {
 	if fresh {
 		rt.sortGroups()
 	}
-	return se, nil
 }
 
 func compileArgs(args []string) []operand {
@@ -496,16 +486,16 @@ func (rt *runtimeTable) headerReads() uint64 {
 }
 
 // edit locates the first-installed entry whose match equals match, the one
-// DeleteEntry and ModifyEntry name, and hands it to apply, its group owned.
+// DeleteEntry and ModifyEntry name — p4ir's operation has found it in the
+// program, so match has the table's arity — and hands it to apply, its
+// group owned.
 func (rt *runtimeTable) edit(match []p4ir.MatchValue, apply func(gi int, g *maskGroup, at uint64, shadow int, se *storedEntry)) error {
-	if len(match) == len(rt.tbl.Keys) {
-		var mbuf, kbuf [8]uint64
-		masks, key, _ := rt.keyOf(match, mbuf[:0], kbuf[:0])
-		if gi := rt.groupIndex(masks); gi >= 0 {
-			if at, shadow, se := rt.groups[gi].locate(key, match); se != nil {
-				apply(gi, rt.own(gi, 0), at, shadow, se)
-				return nil
-			}
+	var mbuf, kbuf [8]uint64
+	masks, key, _ := rt.keyOf(match, mbuf[:0], kbuf[:0])
+	if gi := rt.groupIndex(masks); gi >= 0 {
+		if at, shadow, se := rt.groups[gi].locate(key, match); se != nil {
+			apply(gi, rt.own(gi, 0), at, shadow, se)
+			return nil
 		}
 	}
 	return fmt.Errorf("no entry matching %v in %q", match, rt.tbl.Name)
@@ -531,14 +521,10 @@ func (rt *runtimeTable) remove(match []p4ir.MatchValue) error {
 // modify gives the first-installed entry whose match equals match a new
 // action and action data, in a fresh storedEntry at the same place.
 func (rt *runtimeTable) modify(match []p4ir.MatchValue, action string, args []string) error {
-	cact := rt.actByName[action]
-	if cact == nil {
-		return fmt.Errorf("unknown action %q", action)
-	}
 	return rt.edit(match, func(_ int, g *maskGroup, at uint64, shadow int, se *storedEntry) {
 		next := *se
 		next.key = append(next.kbuf[:0], se.key...) // its own copy: the old entry can go
-		next.cact, next.cargs = cact, compileArgs(args)
+		next.cact, next.cargs = rt.actByName[action], compileArgs(args)
 		rt.argReads |= operandReads(next.cargs)
 		if shadow >= 0 {
 			g.shadowed[shadow] = &next

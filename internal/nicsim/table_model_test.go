@@ -32,7 +32,8 @@ var tableShapes = []struct {
 
 // The operand spaces are small so that masked keys collide, groups empty
 // and reappear, and deletes meet shadowed entries; they reach past the key
-// widths because nothing stops a control plane from installing such values.
+// widths, which p4ir's entry rule refuses (an entry is drawn as it is one
+// time in sixteen, else fitted to its keys).
 var (
 	modelValues   = []uint64{0, 1, 2, 3, 0x0a000001, 0x0a0000ff, 0x0a00ff01, 0x0b000001, 0xffffffff, 0x1_0000_0001, 0x9e3779b97f4a7c15, ^uint64(0)}
 	modelMasks    = []uint64{0, 0xff, 0xff00, 0xffff, 0xffffff00, 0xffffffff, 0x1_ffff_ffff, ^uint64(0)}
@@ -175,8 +176,8 @@ func cloneTable(t *p4ir.Table) *p4ir.Table {
 func (m *tableModel) insert(e p4ir.Entry) {
 	m.t.Helper()
 	m.apply("insert", func() error { return m.nic.InsertEntry("t", e) }, func() error {
-		if len(e.Match) != len(m.tbl.Keys) || m.tbl.Action(e.Action) == nil {
-			return fmt.Errorf("bad entry")
+		if err := m.tbl.CheckEntry(e); err != nil {
+			return err
 		}
 		m.tbl.Entries = append(m.tbl.Entries, e.Clone())
 		return nil
@@ -203,8 +204,11 @@ func (m *tableModel) modify(match []p4ir.MatchValue, action string, args []strin
 	m.t.Helper()
 	m.apply("modify", func() error { return m.nic.ModifyEntry("t", match, action, args) }, func() error {
 		i := m.firstMatch(match)
-		if i < 0 || m.tbl.Action(action) == nil {
-			return fmt.Errorf("no such entry or action")
+		if i < 0 {
+			return fmt.Errorf("no such entry")
+		}
+		if err := m.tbl.CheckEntry(p4ir.Entry{Match: match, Action: action, Args: args}); err != nil {
+			return err
 		}
 		m.tbl.Entries[i].Action, m.tbl.Entries[i].Args = action, slices.Clone(args)
 		return nil
@@ -215,8 +219,8 @@ func (m *tableModel) replace(entries []p4ir.Entry) {
 	m.t.Helper()
 	m.apply("replace", func() error { return m.nic.ReplaceEntries("t", entries) }, func() error {
 		for _, e := range entries {
-			if len(e.Match) != len(m.tbl.Keys) || m.tbl.Action(e.Action) == nil {
-				return fmt.Errorf("bad entry")
+			if err := m.tbl.CheckEntry(e); err != nil {
+				return err
 			}
 		}
 		m.tbl.Entries = cloneTable(&p4ir.Table{Entries: entries}).Entries
@@ -272,8 +276,15 @@ func (m *tableModel) run(prog []byte) {
 		for n := next() % 3; n > 0; n-- {
 			e.Args = append(e.Args, fmt.Sprint(next()))
 		}
-		if next()%16 == 0 {
+		switch next() % 16 {
+		case 0:
 			e.Match = append(e.Match, p4ir.MatchValue{}) // wrong arity
+		case 1: // as drawn
+		default:
+			for i, k := range m.tbl.Keys {
+				mv := &e.Match[i]
+				mv.Value, mv.Mask, mv.PrefixLen = mv.Value&k.FullMask(), mv.Mask&k.FullMask(), min(mv.PrefixLen, k.BitWidth())
+			}
 		}
 		return e
 	}
@@ -348,7 +359,7 @@ func TestTableGrowthAndShiftMatchReference(t *testing.T) {
 		for i := range entries {
 			mv := make([]p4ir.MatchValue, len(m.tbl.Keys))
 			for k := range mv {
-				mv[k] = p4ir.MatchValue{Value: rng.Uint64() % 4096 << 8, PrefixLen: 16 + int(rng.Uint64()%9)}
+				mv[k] = p4ir.MatchValue{Value: rng.Uint64() % 4096 << 8 & m.tbl.Keys[k].FullMask(), PrefixLen: 16 + int(rng.Uint64()%9)}
 			}
 			entries[i] = p4ir.Entry{Match: mv, Action: "fwd", Args: []string{fmt.Sprint(i)}, Priority: int(rng.Uint64() % 2)}
 			m.probes = append(m.probes, []uint64{mv[0].Value, mv[len(mv)-1].Value & 0xffff}[:len(mv)])

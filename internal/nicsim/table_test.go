@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -31,10 +32,7 @@ func TestMultiKeyExactLookup(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 10}, {Value: 80}}, Action: "hit"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := buildTable(tbl, tbl.Entries, 0)
 	if r := lookupIn(rt, []uint64{10, 80}); r == nil {
 		t.Error("exact pair should hit")
 	}
@@ -63,10 +61,7 @@ func TestMixedLPMExactKey(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a140000, PrefixLen: 16}, {Value: 6}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := buildTable(tbl, tbl.Entries, 0)
 	// 10.20.x.x proto 6 matches both prefixes; longest (/16) wins first.
 	r := lookupIn(rt, []uint64{0x0a140102, 6})
 	if r == nil {
@@ -97,10 +92,7 @@ func TestRangeKindTreatedAsTernary(t *testing.T) {
 			{Priority: 1, Match: []p4ir.MatchValue{{Value: 0, Mask: 0xfc00}}, Action: "low"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := buildTable(tbl, tbl.Entries, 0)
 	if r := lookupIn(rt, []uint64{80}); r == nil {
 		t.Error("port 80 should match the low range")
 	}
@@ -122,10 +114,7 @@ func TestDuplicateEntryHigherPriorityWins(t *testing.T) {
 			{Priority: 9, Match: []p4ir.MatchValue{{Value: 5, Mask: 0xff}}, Action: "second"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := buildTable(tbl, tbl.Entries, 0)
 	r := lookupIn(rt, []uint64{5})
 	if r == nil || r.cact.act.Name != "second" {
 		t.Errorf("priority 9 duplicate should win, got %+v", r)
@@ -143,10 +132,7 @@ func TestFixedMOverridesProbeCount(t *testing.T) {
 			{Match: []p4ir.MatchValue{{Value: 0x0a000000, PrefixLen: 8}}, Action: "a"},
 		},
 	}
-	rt, err := buildTable(tbl, tbl.Entries, 3) // emulated NIC pins LPM at 3
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := buildTable(tbl, tbl.Entries, 3) // emulated NIC pins LPM at 3
 	if m := rt.numGroups(); m != 3 {
 		t.Errorf("probes = %d, want fixed 3", m)
 	}
@@ -187,32 +173,33 @@ func TestEntryArgsResolveThroughActionData(t *testing.T) {
 }
 
 func TestKeyWidthMasking(t *testing.T) {
-	// A 16-bit key must ignore bits above the field width on both the
-	// entry and the packet side.
-	tbl := &p4ir.Table{
-		Name:          "narrow",
-		Keys:          []p4ir.Key{{Field: "tcp.dport", Kind: p4ir.MatchExact, Width: 16}},
-		Actions:       []*p4ir.Action{p4ir.NoopAction("hit"), p4ir.NoopAction("miss")},
-		DefaultAction: "miss",
-		Entries: []p4ir.Entry{
-			{Match: []p4ir.MatchValue{{Value: 0x10050}}, Action: "hit"}, // == 0x50 after masking
-		},
+	// A 16-bit key compares the packet's field under the width; an entry
+	// value above it is no entry of the table at all (P4S06), where it
+	// once was masked to 0x50.
+	build := func(v uint64) (*NIC, error) {
+		prog := p4ir.NewProgram("w")
+		prog.Root = "narrow"
+		prog.Tables["narrow"] = &p4ir.Table{
+			Name:          "narrow",
+			Keys:          []p4ir.Key{{Field: "tcp.dport", Kind: p4ir.MatchExact, Width: 16}},
+			Actions:       []*p4ir.Action{p4ir.NoopAction("hit"), p4ir.NoopAction("miss")},
+			DefaultAction: "miss",
+			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: v}}, Action: "hit"}},
+		}
+		return New(prog, Config{Params: testParams()})
 	}
-	prog := p4ir.NewProgram("w")
-	prog.Root = "narrow"
-	prog.Tables["narrow"] = tbl
-	nic, err := New(prog, Config{Params: testParams()})
+	if _, err := build(0x10050); !errors.Is(err, p4ir.ErrBadEntry) {
+		t.Errorf("entry value above the field width: New err = %v, want P4S06", err)
+	}
+	nic, err := build(0x50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := nic.Process(pkt(1, 2, 3, 0x50))
-	if r.LatencyNs == 0 {
+	if r := nic.Process(pkt(1, 2, 3, 0x50)); r.LatencyNs == 0 {
 		t.Error("no processing happened")
 	}
-	// Lookup directly to observe the masked hit.
-	rt := nic.tables["narrow"]
-	if res := lookupIn(rt, []uint64{0x50}); res == nil {
-		t.Error("entry value above field width should be masked to match")
+	if res := lookupIn(nic.tables["narrow"], []uint64{0x50}); res == nil {
+		t.Error("entry within the field width should match")
 	}
 }
 
@@ -224,24 +211,27 @@ func TestThroughputFormulaAgainstFloor(t *testing.T) {
 	}
 }
 
-// Ensure the emulator rejects entries referencing unknown actions at
-// build time rather than at packet time.
+// Ensure the emulator rejects entries referencing unknown actions when it
+// builds its tables (New, through p4ir's entry rule) rather than at packet
+// time.
 func TestBuildTableRejectsGhostAction(t *testing.T) {
-	tbl := &p4ir.Table{
+	prog := p4ir.NewProgram("bad")
+	prog.Root = "bad"
+	prog.Tables["bad"] = &p4ir.Table{
 		Name:    "bad",
 		Keys:    []p4ir.Key{{Field: "ipv4.srcAddr", Kind: p4ir.MatchExact, Width: 32}},
 		Actions: []*p4ir.Action{p4ir.NoopAction("a")},
 		Entries: []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 1}}, Action: "ghost"}},
 	}
-	if _, err := buildTable(tbl, tbl.Entries, 0); err == nil {
-		t.Error("ghost action should fail table build")
+	if _, err := New(prog, Config{Params: testParams()}); !errors.Is(err, p4ir.ErrBadEntry) {
+		t.Errorf("ghost action should fail the build with P4S06, got %v", err)
 	}
 }
 
 // A refused entry operation — table full, bad arity, unknown action, no
 // such entry, a bulk install with one bad entry — must leave the program
-// and the lookup store as they were: the store forks, applies, and only
-// then is Table.Entries touched.
+// and the lookup store as they were: p4ir's entry operation refuses before
+// the store forks.
 func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
 	spec := exactTable("t", "ipv4.dstAddr", "", e("hit_act", 1), e("hit_act", 2))
 	spec.MaxEntries = 3
@@ -285,19 +275,26 @@ func TestRefusedEntryOpChangesNeitherProgramNorStore(t *testing.T) {
 	}
 }
 
-// ReplaceEntries swaps a table's whole entry set (bulk install): the fork
-// becomes a store built afresh from the new entries.
+// ReplaceEntries swaps a table's whole entry set (bulk install), each entry
+// judged by p4ir's rule: the fork becomes a store built afresh from the new
+// entries.
 func (n *NIC) ReplaceEntries(table string, entries []p4ir.Entry) error {
-	return n.mutateTable(table, func(t *p4ir.Table, rt *runtimeTable) error {
-		fresh := make([]p4ir.Entry, len(entries))
-		for i, e := range entries {
-			fresh[i] = e.Clone()
+	fresh := make([]p4ir.Entry, len(entries))
+	for i, e := range entries {
+		fresh[i] = e.Clone()
+	}
+	return n.mutateTable(table, func() (func(), error) {
+		t := n.prog.Tables[table]
+		for _, e := range fresh {
+			if err := t.CheckEntry(e); err != nil {
+				return nil, err
+			}
 		}
-		built, err := buildTable(t, fresh, n.kern.PinnedM(t))
-		if err != nil {
-			return err
-		}
-		*rt, t.Entries = *built, fresh
+		was := t.Entries
+		t.Entries = fresh
+		return func() { t.Entries = was }, nil
+	}, func(t *p4ir.Table, rt *runtimeTable) error {
+		*rt = *buildTable(t, fresh, n.kern.PinnedM(t))
 		return nil
 	})
 }

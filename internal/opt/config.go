@@ -25,27 +25,12 @@ type Config struct {
 	// restricts merges to two tables by default to control memory
 	// overhead (§5.2.2) but sweeps to four in Figure 9d.
 	MergeCap int
-	// MaxOrders caps the number of table orders enumerated per pipelet;
-	// beyond it only the original and the greedy drop-sorted orders are
-	// considered.
-	MaxOrders int
-	// MaxOptionsPerPipelet caps the candidate combinations retained per
-	// pipelet (highest gain first).
-	MaxOptionsPerPipelet int
-	// MaxSegmentations caps segmentation enumeration per (pipelet,
-	// order) pair — long pipelets otherwise explode combinatorially
-	// (§4's motivation for bounding the search).
-	MaxSegmentations int
 	// MemoryBudget is the optimizer-wide extra memory allowance in bytes
 	// (the M of Equation 5). <=0 means unconstrained.
 	MemoryBudget int
 	// UpdateBudget is the entry-update bandwidth allowance in ops/second
 	// (the E of Equation 5). <=0 means unconstrained.
 	UpdateBudget float64
-	// MemBuckets / UpdBuckets discretize the two budgets for the knapsack
-	// dynamic program.
-	MemBuckets int
-	UpdBuckets int
 	// TopKFrac selects the fraction of pipelets optimized per round
 	// (1 = exhaustive search / ESearch).
 	TopKFrac float64
@@ -111,7 +96,24 @@ const (
 	// maxGroupCombos caps the cross product of member options evaluated
 	// per pipelet group.
 	maxGroupCombos int = 256
+	// Per pipelet, the search enumerates at most maxOrders table orders
+	// (beyond it only the original and the greedy drop-sorted ones) and
+	// maxSegmentations segmentations per order — long pipelets otherwise
+	// explode combinatorially, §4's motivation for bounding the search —
+	// and keeps the maxOptionsPerPipelet best candidates. memBuckets ×
+	// updBuckets discretize the two budgets for the knapsack.
+	maxOrders            int = 120
+	maxSegmentations     int = 20000
+	maxOptionsPerPipelet int = 512
+	memBuckets           int = 64
+	updBuckets           int = 32
 )
+
+// searchCaps are the bounds of one search: the constants above, which a
+// test may replace on an evaluator (export_test.go).
+type searchCaps struct{ orders, options, segmentations, memBuckets, updBuckets int }
+
+var constCaps = searchCaps{maxOrders, maxOptionsPerPipelet, maxSegmentations, memBuckets, updBuckets}
 
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
@@ -119,13 +121,6 @@ func DefaultConfig() Config {
 		CacheBudgetEntries:     1024,
 		CacheInsertLimit:       5000,
 		MergeCap:               2,
-		MaxOrders:              120,
-		MaxOptionsPerPipelet:   512,
-		MaxSegmentations:       20000,
-		MemoryBudget:           0,
-		UpdateBudget:           0,
-		MemBuckets:             64,
-		UpdBuckets:             32,
 		TopKFrac:               0.2,
 		MaxPipeletLen:          8,
 		EnableReorder:          true,

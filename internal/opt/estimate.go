@@ -31,6 +31,7 @@ type Evaluator struct {
 	prof *profile.Profile
 	kern costmodel.Kernel
 	cfg  Config
+	caps searchCaps
 
 	// an is built on first use: the tier-aware and ranking integrals never
 	// need it, and a one-shot estimate must not pay for it.
@@ -76,7 +77,7 @@ type Evaluator struct {
 // use, so a caller that only wants estimates (HeteroLatency under several
 // placements, say) holds a cheap value.
 func NewEvaluator(prog *p4ir.Program, prof *profile.Profile, pm costmodel.Params, cfg Config) *Evaluator {
-	ev := &Evaluator{prog: prog, kern: pm.Kernel(), cfg: cfg, ix: p4ir.NewIndex(prog)}
+	ev := &Evaluator{prog: prog, kern: pm.Kernel(), cfg: cfg, caps: constCaps, ix: p4ir.NewIndex(prog)}
 	n := ev.ix.Len()
 	ev.matchLat = make([]float64, n)
 	ev.entries = make([]int, n)
@@ -434,7 +435,7 @@ func (sc *evalScratch) sortPicks(a []pick) []pick {
 // candidate containing it — and each candidate is the sum over its items of
 // flow·cost, flow the product of the keeps before it: seqLatencyIdx's own
 // operations in its own order, so the gains are the same bits. Only the
-// MaxOptionsPerPipelet best become Options, sharing the skeleton's Order
+// maxOptionsPerPipelet best become Options, sharing the skeleton's Order
 // and Segments.
 func (ev *Evaluator) price(sk *skeleton) []*Option {
 	if len(sk.orders) == 0 {
@@ -452,7 +453,7 @@ func (ev *Evaluator) price(sk *skeleton) []*Option {
 	// when the buffer fills it is sorted and cut to limit, and the last
 	// survivor's gain becomes the bar — a later candidate that only ties it
 	// comes after it in enumeration order and cannot displace it.
-	limit, bar := ev.cfg.MaxOptionsPerPipelet, 1e-12
+	limit, bar := ev.caps.options, 1e-12
 	picks := sc.picks[:0]
 	var baseline float64
 	for oi, os := range orders {

@@ -237,9 +237,9 @@ func TestViewFollowsEntryOps(t *testing.T) {
 			for _, name := range sortedTables(prog) {
 				tb := prog.Tables[name]
 				e := p4ir.Entry{Priority: 1000 + round, Action: tb.Actions[0].Name, Match: make([]p4ir.MatchValue, len(tb.Keys))}
-				for k := range tb.Keys {
+				for k, key := range tb.Keys {
 					// A mask and a prefix length no synthesized entry has.
-					e.Match[k] = p4ir.MatchValue{Value: 0, Mask: 0x5a5a0000 << uint(round), PrefixLen: 61 + round}
+					e.Match[k] = p4ir.MatchValue{Value: 0, Mask: 0x5a5a5a5a5a5a5a5a << uint(round) & key.FullMask(), PrefixLen: key.BitWidth() - round}
 				}
 				if _, err := prog.InsertEntry(name, e); err != nil {
 					t.Fatal(err)

@@ -194,23 +194,24 @@ func goldenCases(t *testing.T, dump func(*strings.Builder, goldenRound)) (names 
 	// alternative order is drop-sorted per round) under a segmentation cap
 	// that cuts, and short ones under caps on orders, segmentations and
 	// options kept that all cut.
-	long := DefaultConfig()
-	long.TopKFrac, long.MaxSegmentations = 1, 700
-	tight := DefaultConfig()
-	tight.TopKFrac, tight.MaxOrders, tight.MaxSegmentations, tight.MaxOptionsPerPipelet = 1, 6, 30, 20
+	all := DefaultConfig()
+	all.TopKFrac = 1
 	for _, c := range []struct {
 		name string
 		spec synth.ProgramSpec
-		cfg  Config
+		caps func(*searchCaps)
 	}{
-		{"long-pipelets", synth.ProgramSpec{Pipelets: 6, AvgLen: 7, Category: synth.HeavyDrop, Seed: 31}, long},
-		{"tight-caps", synth.ProgramSpec{Pipelets: 10, AvgLen: 3.5, Category: synth.Mixed, Seed: 32}, tight},
+		{"long-pipelets", synth.ProgramSpec{Pipelets: 6, AvgLen: 7, Category: synth.HeavyDrop, Seed: 31},
+			func(c *searchCaps) { c.segmentations = 700 }},
+		{"tight-caps", synth.ProgramSpec{Pipelets: 10, AvgLen: 3.5, Category: synth.Mixed, Seed: 32},
+			func(c *searchCaps) { c.orders, c.segmentations, c.options = 6, 30, 20 }},
 	} {
 		prog := synth.Program(c.spec)
-		s, err := NewSession(prog, costmodel.AgilioCX(), c.cfg)
+		s, err := NewSession(prog, costmodel.AgilioCX(), all)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.withCaps(c.caps)
 		var w strings.Builder
 		for r := 0; r < 6; r++ {
 			prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: uint64(900 + r), Category: synth.Category(r % 4)})
@@ -218,7 +219,7 @@ func goldenCases(t *testing.T, dump func(*strings.Builder, goldenRound)) (names 
 			if err != nil {
 				t.Fatalf("%s round %d: %v", c.name, r, err)
 			}
-			dump(&w, goldenRound{label: fmt.Sprintf("round %d", r), prog: prog, pm: costmodel.AgilioCX(), cfg: c.cfg, res: res})
+			dump(&w, goldenRound{label: fmt.Sprintf("round %d", r), prog: prog, pm: costmodel.AgilioCX(), cfg: all, res: res})
 		}
 		add(c.name, &w)
 	}

@@ -14,15 +14,15 @@ type Unit struct {
 	Options []*Option
 }
 
-// GlobalOptimize solves Equation 5: choose at most one option per unit to
+// globalOptimize solves Equation 5: choose at most one option per unit to
 // maximize total gain subject to the memory budget M (bytes) and the
 // entry-update budget E (ops/second). Budgets <= 0 are unconstrained.
 //
 // The implementation adapts the classic knapsack dynamic program of the
 // paper's Figure 16 to two resource dimensions, discretizing each budget
-// into cfg.MemBuckets × cfg.UpdBuckets cells. Option costs are rounded UP
+// into caps.memBuckets × caps.updBuckets cells. Option costs are rounded UP
 // to whole cells, so the returned plan never exceeds the true budgets.
-func GlobalOptimize(units []Unit, memBudget int, updBudget float64, cfg Config) []*Option {
+func globalOptimize(units []Unit, memBudget int, updBudget float64, caps searchCaps) []*Option {
 	// Unconstrained: per-unit argmax.
 	if memBudget <= 0 && updBudget <= 0 {
 		var plan []*Option
@@ -35,13 +35,7 @@ func GlobalOptimize(units []Unit, memBudget int, updBudget float64, cfg Config) 
 		return plan
 	}
 
-	bm, be := cfg.MemBuckets, cfg.UpdBuckets
-	if bm < 1 {
-		bm = 1
-	}
-	if be < 1 {
-		be = 1
-	}
+	bm, be := caps.memBuckets, caps.updBuckets
 	if memBudget <= 0 {
 		bm = 1 // single infinite cell
 	}

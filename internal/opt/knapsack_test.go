@@ -1,10 +1,13 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"pipeleon/internal/costmodel"
 	"pipeleon/internal/stats"
+	"pipeleon/internal/synth"
 )
 
 func opt1(gain float64, mem int, upd float64) *Option {
@@ -17,7 +20,7 @@ func TestGlobalOptimizeUnconstrainedPicksArgmax(t *testing.T) {
 		{Name: "p2", Options: []*Option{opt1(-1, 0, 0)}},
 		{Name: "p3", Options: []*Option{opt1(3, 50, 10)}},
 	}
-	plan := GlobalOptimize(units, 0, 0, DefaultConfig())
+	plan := globalOptimize(units, 0, 0, constCaps)
 	if len(plan) != 2 {
 		t.Fatalf("plan size %d, want 2 (negative-gain unit skipped)", len(plan))
 	}
@@ -27,14 +30,14 @@ func TestGlobalOptimizeUnconstrainedPicksArgmax(t *testing.T) {
 }
 
 func TestGlobalOptimizeMemoryConstraint(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemBuckets = 10
+	caps := constCaps
+	caps.memBuckets = 10
 	// Budget 100 bytes: each option costs 60 → only one fits.
 	units := []Unit{
 		{Name: "p1", Options: []*Option{opt1(10, 60, 0)}},
 		{Name: "p2", Options: []*Option{opt1(8, 60, 0)}},
 	}
-	plan := GlobalOptimize(units, 100, 0, cfg)
+	plan := globalOptimize(units, 100, 0, caps)
 	mem, _ := planCosts(plan)
 	if mem > 100 {
 		t.Errorf("plan exceeds memory budget: %d", mem)
@@ -45,28 +48,28 @@ func TestGlobalOptimizeMemoryConstraint(t *testing.T) {
 }
 
 func TestGlobalOptimizePrefersComboUnderBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemBuckets = 100
+	caps := constCaps
+	caps.memBuckets = 100
 	// Budget 100: p1 has a big expensive option (gain 10, 100B) and a
 	// cheap one (gain 6, 40B); p2 cheap (gain 5, 40B). Best = 6+5.
 	units := []Unit{
 		{Name: "p1", Options: []*Option{opt1(10, 100, 0), opt1(6, 40, 0)}},
 		{Name: "p2", Options: []*Option{opt1(5, 40, 0)}},
 	}
-	plan := GlobalOptimize(units, 100, 0, cfg)
+	plan := globalOptimize(units, 100, 0, caps)
 	if math.Abs(PlanGain(plan)-11) > 1e-9 {
 		t.Errorf("gain = %v, want 11 (combo beats single big option)", PlanGain(plan))
 	}
 }
 
 func TestGlobalOptimizeUpdateConstraint(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UpdBuckets = 10
+	caps := constCaps
+	caps.updBuckets = 10
 	units := []Unit{
 		{Name: "p1", Options: []*Option{opt1(10, 0, 900)}},
 		{Name: "p2", Options: []*Option{opt1(9, 0, 900)}},
 	}
-	plan := GlobalOptimize(units, 0, 1000, cfg)
+	plan := globalOptimize(units, 0, 1000, caps)
 	_, upd := planCosts(plan)
 	if upd > 1000 {
 		t.Errorf("plan exceeds update budget: %v", upd)
@@ -77,11 +80,10 @@ func TestGlobalOptimizeUpdateConstraint(t *testing.T) {
 }
 
 func TestGlobalOptimizeAtMostOnePerUnit(t *testing.T) {
-	cfg := DefaultConfig()
 	units := []Unit{
 		{Name: "p1", Options: []*Option{opt1(5, 10, 0), opt1(4, 10, 0), opt1(3, 10, 0)}},
 	}
-	plan := GlobalOptimize(units, 1000, 0, cfg)
+	plan := globalOptimize(units, 1000, 0, constCaps)
 	if len(plan) != 1 {
 		t.Fatalf("plan has %d options from one unit, want 1", len(plan))
 	}
@@ -93,8 +95,8 @@ func TestGlobalOptimizeAtMostOnePerUnit(t *testing.T) {
 func TestGlobalOptimizeNeverExceedsBudgets(t *testing.T) {
 	// Randomized stress: plans must respect both budgets exactly.
 	rng := stats.NewRNG(77)
-	cfg := DefaultConfig()
-	cfg.MemBuckets, cfg.UpdBuckets = 32, 16
+	caps := constCaps
+	caps.memBuckets, caps.updBuckets = 32, 16
 	for trial := 0; trial < 30; trial++ {
 		var units []Unit
 		n := 1 + rng.Intn(8)
@@ -107,7 +109,7 @@ func TestGlobalOptimizeNeverExceedsBudgets(t *testing.T) {
 		}
 		mb := 200 + rng.Intn(800)
 		ub := 100 + rng.Float64()*300
-		plan := GlobalOptimize(units, mb, ub, cfg)
+		plan := globalOptimize(units, mb, ub, caps)
 		mem, upd := planCosts(plan)
 		if mem > mb {
 			t.Fatalf("trial %d: mem %d > budget %d", trial, mem, mb)
@@ -168,4 +170,30 @@ func planCosts(plan []*Option) (mem int, upd float64) {
 		upd += o.UpdateCost
 	}
 	return mem, upd
+}
+
+// BenchmarkAblationKnapsackResolution sweeps the knapsack discretization:
+// finer grids cost more time for marginally better plans.
+func BenchmarkAblationKnapsackResolution(b *testing.B) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 2.5, Category: synth.Mixed, Seed: 4242})
+	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
+	cfg := DefaultConfig()
+	cfg.TopKFrac, cfg.MemoryBudget, cfg.UpdateBudget, cfg.CacheInsertLimit = 1, 1<<20, 10000, 1000
+	for _, buckets := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
+			var gain float64
+			for i := 0; i < b.N; i++ {
+				s, err := NewSession(prog, costmodel.EmulatedNIC(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sr, err := s.withCaps(func(c *searchCaps) { c.memBuckets, c.updBuckets = buckets, buckets/2 }).Search(prof)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gain = sr.Gain
+			}
+			b.ReportMetric(gain, "gain-ns")
+		})
+	}
 }

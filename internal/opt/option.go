@@ -204,7 +204,7 @@ func greedyDropOrder(blocked [][]bool, drop func(i int) float64) []int {
 // space (§4.2): its dependency-valid orders and, per order, the legal cache
 // and merge spans and every segmentation over them. It reads the program,
 // the dependency analysis and the structural config fields (EnableReorder/
-// Cache/Merge, MaxOrders, MaxSegmentations, MergeCap) — no profile, no cost
+// Cache/Merge, MergeCap) and the caps on orders and segmentations — no profile, no cost
 // model, no table entry — so it is built once per pipelet and priced every
 // round (Evaluator.price).
 type skeleton struct {
@@ -265,7 +265,7 @@ func newSkeleton(ev *Evaluator, p *pipelet.Pipelet) *skeleton {
 	}
 	orders, exhaustive := [][]string{slices.Clone(p.Tables)}, true
 	if ev.cfg.EnableReorder {
-		orders, exhaustive = enumerateOrders(ev, p.Tables, ev.cfg.MaxOrders)
+		orders, exhaustive = enumerateOrders(ev, p.Tables, ev.caps.orders)
 	}
 	if !exhaustive {
 		sk.blocked = orderDeps(ev, p.Tables)
@@ -321,7 +321,7 @@ func newOrderSkel(ev *Evaluator, order []string, shapes *[]*shape) *orderSkel {
 	if i := slices.IndexFunc(*shapes, func(sh *shape) bool { return slices.Equal(sh.legal, legal) }); i >= 0 {
 		os.shape = (*shapes)[i]
 	} else {
-		os.shape = newShape(legal, cfg.MaxSegmentations)
+		os.shape = newShape(legal, ev.caps.segmentations)
 		*shapes = append(*shapes, os.shape)
 	}
 	for _, sp := range os.shape.spans {
@@ -340,9 +340,6 @@ func newOrderSkel(ev *Evaluator, order []string, shapes *[]*shape) *orderSkel {
 func newShape(legal []int, maxSegs int) *shape {
 	n := len(legal) / 2
 	sh := &shape{n: n, legal: legal, ends: []uint32{0}, segEnds: []uint32{0}}
-	if maxSegs <= 0 {
-		maxSegs = 20000
-	}
 	spanID := map[Segment]uint16{}
 	item := func(sp Segment) uint16 {
 		id, ok := spanID[sp]

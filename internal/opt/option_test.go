@@ -133,8 +133,9 @@ func TestGreedyDropOrderRespectsDependency(t *testing.T) {
 
 // segmentationsOf collects every segmentation the skeleton holds for one
 // table order of prog.
-func segmentationsOf(prog *p4ir.Program, cfg Config, order []string) [][]Segment {
+func segmentationsOf(prog *p4ir.Program, cfg Config, order []string, limit int) [][]Segment {
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
+	ev.caps.segmentations = limit
 	sh := newOrderSkel(ev, order, new([]*shape)).shape
 	out := make([][]Segment, len(sh.ends)-1)
 	for c := range out {
@@ -146,7 +147,7 @@ func segmentationsOf(prog *p4ir.Program, cfg Config, order []string) [][]Segment
 func TestEnumerateSegmentationsCounts(t *testing.T) {
 	prog := mustChain(t, plainSpec("t1", "f.a", p4ir.MatchExact), plainSpec("t2", "f.b", p4ir.MatchExact))
 	cfg := DefaultConfig()
-	segs := segmentationsOf(prog, cfg, []string{"t1", "t2"})
+	segs := segmentationsOf(prog, cfg, []string{"t1", "t2"}, maxSegmentations)
 	// Paper §4.2: two tables yield cache candidates [A],[B],[A][B],[A,B]
 	// and one merge candidate [A,B]. With "nothing" that is:
 	// {}, C[A], C[B], C[A]C[B], C[AB], M[AB], C[A]M? no (overlap),
@@ -351,7 +352,7 @@ func TestMergeCapRespected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MergeCap = 2
 	cfg.EnableCache = false
-	segs := segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"})
+	segs := segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"}, maxSegmentations)
 	for _, ss := range segs {
 		for _, s := range ss {
 			if s.Kind == SegMerge && s.Len > 2 {
@@ -360,7 +361,7 @@ func TestMergeCapRespected(t *testing.T) {
 		}
 	}
 	cfg.MergeCap = 3
-	segs = segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"})
+	segs = segmentationsOf(prog, cfg, []string{"t1", "t2", "t3"}, maxSegmentations)
 	found3 := false
 	for _, ss := range segs {
 		for _, s := range ss {

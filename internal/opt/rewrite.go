@@ -3,6 +3,8 @@ package opt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"pipeleon/internal/p4ir"
@@ -203,19 +205,14 @@ func redirect(p *p4ir.Program, from, to string, internal map[string]bool) {
 		}
 		// Cache tables carry their routing in metadata too (the backend
 		// follows the spec); keep it consistent.
-		if spec, ok := t.CacheMeta(); ok {
-			changed := false
+		if spec, ok := t.CacheMeta(); ok && (spec.HitNext == from || spec.MissNext == from) {
 			if spec.HitNext == from {
 				spec.HitNext = to
-				changed = true
 			}
 			if spec.MissNext == from {
 				spec.MissNext = to
-				changed = true
 			}
-			if changed {
-				t.SetCacheMeta(spec)
-			}
+			t.SetCacheMeta(spec)
 		}
 	}
 	for name, c := range p.Conds {
@@ -436,14 +433,27 @@ func buildCacheTable(p *p4ir.Program, covers []string, cfg Config) (string, erro
 }
 
 // combineActions concatenates the primitives of one action per member
-// table into a single action named prefix+"a1·a2·...". Actions are shared
-// values: the primitives' operands are the members'.
+// table into a single action named prefix+"a1·a2·...". The members' action
+// data are laid end to end, NumParams per member (combos.args), so member
+// i's "$j" becomes "$(off+j)", off the data of the members before it.
 func combineActions(prefix string, parts []*p4ir.Action) *p4ir.Action {
 	names := make([]string, len(parts))
 	var prims []p4ir.Primitive
+	off := 0
 	for i, a := range parts {
 		names[i] = a.Name
-		prims = append(prims, a.Primitives...)
+		for _, p := range a.Primitives {
+			if off > 0 {
+				p.Args = slices.Clone(p.Args)
+				for j, arg := range p.Args {
+					if o := p4ir.DecodeOperand(arg); o.Kind == p4ir.OperandArg {
+						p.Args[j] = "$" + strconv.Itoa(off+o.Arg)
+					}
+				}
+			}
+			prims = append(prims, p)
+		}
+		off += a.NumParams()
 	}
 	return &p4ir.Action{Name: prefix + strings.Join(names, "·"), Primitives: prims}
 }
@@ -460,11 +470,31 @@ type combos struct {
 	origin  map[string]map[string]string // by combined action
 	byTuple map[string]string
 	key     []byte
+	params  map[*p4ir.Action]int // NumParams, once per member action
 }
 
 func newCombos(mt *p4ir.Table, covers []string, members []*p4ir.Table, prefix string) *combos {
 	return &combos{mt: mt, covers: covers, members: members, prefix: prefix, tuple: make([]string, len(members)),
-		origin: map[string]map[string]string{}, byTuple: map[string]string{}}
+		origin: map[string]map[string]string{}, byTuple: map[string]string{}, params: map[*p4ir.Action]int{}}
+}
+
+// args appends member i's share of a combined entry's action data, its
+// action's NumParams: its entry's first (the rule holds an entry to that
+// many) or, for a missed member, "0" — what a datum past an entry's reads.
+func (c *combos) args(dst []string, i int, e *p4ir.Entry) []string {
+	a := c.members[i].Action(c.tuple[i])
+	n, ok := c.params[a]
+	if !ok {
+		n = a.NumParams()
+		c.params[a] = n
+	}
+	if e != nil {
+		return append(dst, e.Args[:n]...)
+	}
+	for range n {
+		dst = append(dst, "0")
+	}
+	return dst
 }
 
 // name returns the combined action of the tuple.
@@ -530,7 +560,7 @@ func buildMergedCache(p *p4ir.Program, covers []string, cfg Config, cm *CounterM
 			e := &m.Entries[at[i]]
 			c.tuple[i] = e.Action
 			matches = append(matches, e.Match...)
-			args = append(args, e.Args...)
+			args = c.args(args, i, e)
 		}
 		mt.Entries = append(mt.Entries, p4ir.Entry{Match: matches[from:len(matches):len(matches)], Action: c.name(), Args: args})
 		for i := len(at) - 1; i >= 0; i-- {
@@ -573,30 +603,27 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 	mt := &p4ir.Table{Name: name, Keys: keys}
 	c := newCombos(mt, covers, members, "")
 
-	// Per member: its entries plus one "wildcard = miss" pseudo-entry.
-	type choice struct {
-		entry *p4ir.Entry // nil = miss (wildcard)
-	}
-	var rec func(i int, acc []choice)
-	addCombo := func(acc []choice) {
+	// Per member: its entries plus one "wildcard = miss" pseudo-entry, nil.
+	var rec func(i int, acc []*p4ir.Entry)
+	addCombo := func(acc []*p4ir.Entry) {
 		var match []p4ir.MatchValue
 		var args []string
 		prio := 0
-		for i, ch := range acc {
+		for i, e := range acc {
 			m := members[i]
-			if ch.entry != nil {
+			if e != nil {
 				prio++
-				c.tuple[i] = ch.entry.Action
-				for ki, mv := range ch.entry.Match {
+				c.tuple[i] = e.Action
+				for ki, mv := range e.Match {
 					match = append(match, p4ir.MatchValue{Value: mv.Value, Mask: m.Keys[ki].MatchMask(mv)})
 				}
-				args = append(args, ch.entry.Args...)
 			} else {
 				c.tuple[i] = m.DefaultAction
 				for range m.Keys {
 					match = append(match, p4ir.MatchValue{Value: 0, Mask: 0}) // full wildcard
 				}
 			}
+			args = c.args(args, i, e)
 		}
 		if prio == 0 {
 			mt.DefaultAction = c.name()
@@ -604,7 +631,7 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 		}
 		mt.Entries = append(mt.Entries, p4ir.Entry{Priority: prio, Match: match, Action: c.name(), Args: args})
 	}
-	rec = func(i int, acc []choice) {
+	rec = func(i int, acc []*p4ir.Entry) {
 		if len(mt.Entries) >= 1<<16 {
 			return
 		}
@@ -613,9 +640,9 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 			return
 		}
 		for ei := range members[i].Entries {
-			rec(i+1, append(acc, choice{entry: &members[i].Entries[ei]}))
+			rec(i+1, append(acc, &members[i].Entries[ei]))
 		}
-		rec(i+1, append(acc, choice{entry: nil}))
+		rec(i+1, append(acc, nil))
 	}
 	rec(0, nil)
 	if mt.DefaultAction == "" {
@@ -626,11 +653,7 @@ func buildInPlaceMerge(p *p4ir.Program, covers []string, cm *CounterMap) (string
 		}
 		mt.DefaultAction = c.name()
 	}
-	if mt.Annotations == nil {
-		mt.Annotations = map[string]string{}
-	}
-	mt.Annotations[p4ir.AnnotKind] = p4ir.KindMerged
-	mt.Annotations[p4ir.AnnotCovers] = strings.Join(covers, ",")
+	mt.Annotations = map[string]string{p4ir.AnnotKind: p4ir.KindMerged, p4ir.AnnotCovers: strings.Join(covers, ",")}
 	p.Tables[name] = mt
 	cm.MergedActions[name] = c.origin
 	for _, tbl := range covers {

@@ -217,7 +217,7 @@ func (s *Session) Search(prof *profile.Profile) (*SearchResult, error) {
 		}
 	}
 
-	res.Plan = s.verifyPlan(GlobalOptimize(res.Units, s.cfg.MemoryBudget, s.cfg.UpdateBudget, s.cfg))
+	res.Plan = s.verifyPlan(globalOptimize(res.Units, s.cfg.MemoryBudget, s.cfg.UpdateBudget, ev.caps))
 	res.Gain = PlanGain(res.Plan)
 	res.Elapsed = time.Since(start)
 	s.stats.Rounds++

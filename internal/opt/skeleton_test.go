@@ -40,8 +40,8 @@ func enumerateAndScore(ev *Evaluator, sk *skeleton) []*Option {
 		}
 	}
 	sort.SliceStable(opts, func(i, j int) bool { return opts[i].Gain > opts[j].Gain })
-	if len(opts) > ev.cfg.MaxOptionsPerPipelet {
-		opts = opts[:ev.cfg.MaxOptionsPerPipelet]
+	if len(opts) > ev.caps.options {
+		opts = opts[:ev.caps.options]
 	}
 	return opts
 }
@@ -57,9 +57,8 @@ func TestBoundedSelectionIsStableSortAndTruncate(t *testing.T) {
 		plainSpec("t3", "f.c", p4ir.MatchExact), plainSpec("t4", "f.d", p4ir.MatchExact))
 	p := singlePipelet(t, prog)
 	for _, limit := range []int{1, 2, 3, 7, 64, 512, 5000} {
-		cfg := DefaultConfig()
-		cfg.MaxOptionsPerPipelet = limit
-		ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
+		ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), DefaultConfig())
+		ev.caps.options = limit
 		sk := newSkeleton(ev, p)
 		want, got := enumerateAndScore(ev, sk), ev.price(sk)
 		if len(want) != len(got) || len(got) == 0 {
@@ -115,8 +114,8 @@ func TestPriceMatchesEnumerateAndScore(t *testing.T) {
 }
 
 // Property: a cap cuts the enumeration, it does not reshape it. The
-// segmentations under MaxSegmentations = m are the first m of the uncapped
-// list, and MaxOrders either admits every valid permutation or none but the
+// segmentations under a cap of m are the first m of the uncapped list, and
+// a cap on orders either admits every valid permutation or none but the
 // pipelet's own order.
 func TestCapsCutTheEnumeration(t *testing.T) {
 	prog := mustChain(t,
@@ -124,23 +123,22 @@ func TestCapsCutTheEnumeration(t *testing.T) {
 		plainSpec("t3", "f.c", p4ir.MatchExact), plainSpec("t4", "f.d", p4ir.MatchExact))
 	order := []string{"t1", "t2", "t3", "t4"}
 	cfg := DefaultConfig()
-	all := segmentationsOf(prog, cfg, order)
+	all := segmentationsOf(prog, cfg, order, maxSegmentations)
 	if len(all) != 49 {
 		t.Fatalf("%d segmentations of four independent tables, want 49", len(all))
 	}
 	for _, m := range []int{1, 2, 5, 17, 48, 49, 50} {
-		cfg.MaxSegmentations = m
-		if got := segmentationsOf(prog, cfg, order); !reflect.DeepEqual(got, all[:min(m, len(all))]) {
-			t.Errorf("MaxSegmentations=%d: %d segmentations, not the first %d of the uncapped list", m, len(got), m)
+		if got := segmentationsOf(prog, cfg, order, m); !reflect.DeepEqual(got, all[:min(m, len(all))]) {
+			t.Errorf("segmentation cap %d: %d segmentations, not the first %d of the uncapped list", m, len(got), m)
 		}
 	}
 	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
 	full, exhaustive := enumerateOrders(ev, order, 24)
 	if len(full) != 24 || !exhaustive || !reflect.DeepEqual(full[0], order) {
-		t.Fatalf("MaxOrders=24: %d orders (exhaustive %v), want all 24 with the own order first", len(full), exhaustive)
+		t.Fatalf("order cap 24: %d orders (exhaustive %v), want all 24 with the own order first", len(full), exhaustive)
 	}
 	if capped, exhaustive := enumerateOrders(ev, order, 23); len(capped) != 1 || exhaustive {
-		t.Fatalf("MaxOrders=23: %d orders (exhaustive %v), want the own order alone", len(capped), exhaustive)
+		t.Fatalf("order cap 23: %d orders (exhaustive %v), want the own order alone", len(capped), exhaustive)
 	}
 }
 

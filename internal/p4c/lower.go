@@ -110,28 +110,21 @@ func (l *lowerer) lowerTable(t *TableDecl) (*p4ir.Table, error) {
 	return out, nil
 }
 
-// lowerEntry converts one const-entries row, validating arity and action.
+// lowerEntry converts one const-entries row; p4ir's rule judges the entry
+// it makes (Table.CheckEntry).
 func lowerEntry(t *p4ir.Table, e EntryDecl) (p4ir.Entry, error) {
-	var out p4ir.Entry
-	if len(e.Matches) != len(t.Keys) {
-		return out, fmt.Errorf("entry has %d match values for %d keys", len(e.Matches), len(t.Keys))
-	}
-	if t.Action(e.Action) == nil {
-		return out, fmt.Errorf("entry action %q not in table actions", e.Action)
-	}
-	out.Action = e.Action
-	out.Args = e.Args
-	out.Priority = e.Prio
-	for i, m := range e.Matches {
+	out := p4ir.Entry{Action: e.Action, Args: e.Args, Priority: e.Prio, Match: make([]p4ir.MatchValue, len(e.Matches))}
+	for i, m := range e.Matches[:min(len(e.Matches), len(t.Keys))] { // the rule refuses a wrong arity
 		v, err := parseNum(m.Value)
 		if err != nil {
 			return out, fmt.Errorf("match value %q: %v", m.Value, err)
 		}
-		mv := p4ir.MatchValue{Value: v}
+		mv, k := &out.Match[i], t.Keys[i]
+		mv.Value = v
 		switch {
 		case m.Prefix != "":
-			if t.Keys[i].Kind != p4ir.MatchLPM {
-				return out, fmt.Errorf("prefix match on non-lpm key %q", t.Keys[i].Field)
+			if k.Kind != p4ir.MatchLPM {
+				return out, fmt.Errorf("prefix match on non-lpm key %q", k.Field)
 			}
 			p, err := parseNum(m.Prefix)
 			if err != nil {
@@ -139,8 +132,8 @@ func lowerEntry(t *p4ir.Table, e EntryDecl) (p4ir.Entry, error) {
 			}
 			mv.PrefixLen = int(p)
 		case m.Mask != "":
-			if t.Keys[i].Kind != p4ir.MatchTernary && t.Keys[i].Kind != p4ir.MatchRange {
-				return out, fmt.Errorf("mask match on non-ternary key %q", t.Keys[i].Field)
+			if k.Kind != p4ir.MatchTernary && k.Kind != p4ir.MatchRange {
+				return out, fmt.Errorf("mask match on non-ternary key %q", k.Field)
 			}
 			mask, err := parseNum(m.Mask)
 			if err != nil {
@@ -148,16 +141,15 @@ func lowerEntry(t *p4ir.Table, e EntryDecl) (p4ir.Entry, error) {
 			}
 			mv.Mask = mask
 		default:
-			switch t.Keys[i].Kind {
+			switch k.Kind {
 			case p4ir.MatchLPM:
-				mv.PrefixLen = t.Keys[i].BitWidth() // bare value = host route
+				mv.PrefixLen = k.BitWidth() // bare value = host route
 			case p4ir.MatchTernary, p4ir.MatchRange:
-				mv.Mask = t.Keys[i].FullMask() // bare value = exact-as-ternary
+				mv.Mask = k.FullMask() // bare value = exact-as-ternary
 			}
 		}
-		out.Match = append(out.Match, mv)
 	}
-	return out, nil
+	return out, t.CheckEntry(out)
 }
 
 func parseNum(s string) (uint64, error) {

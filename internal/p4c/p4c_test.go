@@ -437,7 +437,12 @@ func TestConstEntriesErrors(t *testing.T) {
 			action a() { no_op(); }
 			table t { key = { f.x: exact; } actions = { a; }
 				const entries = { (1): ghost(); } }
-			control c { apply(t); }`, "not in table actions"},
+			control c { apply(t); }`, "unknown action"},
+		{"too wide", `
+			action a() { no_op(); }
+			table t { key = { ipv4.tos: exact; } actions = { a; }
+				const entries = { (0x1ff): a(); } }
+			control c { apply(t); }`, "line 4: p4ir: malformed entry: P4S06"},
 		{"mask on exact", `
 			action a() { no_op(); }
 			table t { key = { f.x: exact; } actions = { a; }

@@ -16,7 +16,7 @@ const (
 	CodeCycle          = "P4S03" // reachable graph has a cycle
 	CodeBadDefault     = "P4S04" // default action not in action list
 	CodeDupNode        = "P4S05" // name is both a table and a conditional
-	CodeBadEntry       = "P4S06" // entry arity/action malformed
+	CodeBadEntry       = "P4S06" // entry refused by Table.CheckEntry
 	CodeBadActionNext  = "P4S07" // switch-case references unknown action
 	CodeNameMismatch   = "P4S08" // map key differs from node name
 	CodeUndeclaredRead = "P4S09" // compared field missing from ReadFields
@@ -30,7 +30,7 @@ const (
 //   - every successor reference resolves ("" means sink),
 //   - the reachable graph is acyclic (run-to-completion programs are DAGs),
 //   - every table's default action and switch-case action labels exist,
-//   - every entry's match arity equals the key arity and its action exists,
+//   - every entry is well-formed (Table.CheckEntry),
 //   - no name is both a table and a conditional,
 //   - every map key equals its node's Name field,
 //   - a comparison's field is among its conditional's ReadFields, the
@@ -85,13 +85,13 @@ func (p *Program) StructuralDiagnostics() diag.List {
 		if t.BaseNext != "" && !p.Has(t.BaseNext) {
 			l.Add(CodeDanglingRef, diag.Error, name, "", "next -> missing node %q", t.BaseNext)
 		}
-		for i, e := range t.Entries {
-			if len(e.Match) != len(t.Keys) {
-				l.Add(CodeBadEntry, diag.Error, name, "", "entry %d has %d match values for %d keys",
-					i, len(e.Match), len(t.Keys))
-			}
-			if t.Action(e.Action) == nil {
-				l.Add(CodeBadEntry, diag.Error, name, "", "entry %d references unknown action %q", i, e.Action)
+		params := make([]int, 0, 8) // NumParams by action: once per table, not per entry
+		for _, a := range t.Actions {
+			params = append(params, a.NumParams())
+		}
+		for i := range t.Entries {
+			if field, msg := t.entryFault(&t.Entries[i], params); msg != "" {
+				l.Add(CodeBadEntry, diag.Error, name, field, "entry %d %s", i, msg)
 			}
 		}
 	}

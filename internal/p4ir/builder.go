@@ -12,8 +12,6 @@ import (
 type Builder struct {
 	prog *Program
 	err  error
-	// last tracks the most recently added node for Then chaining.
-	last string
 }
 
 // NewBuilder starts a program named name.
@@ -66,7 +64,6 @@ func (b *Builder) Table(spec TableSpec) *Builder {
 	if b.prog.Root == "" {
 		b.prog.Root = spec.Name
 	}
-	b.last = spec.Name
 	return b
 }
 
@@ -87,7 +84,6 @@ func (b *Builder) Cond(name, expr, trueNext, falseNext string, readFields ...str
 	if b.prog.Root == "" {
 		b.prog.Root = name
 	}
-	b.last = name
 	return b
 }
 

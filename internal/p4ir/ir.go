@@ -25,7 +25,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
+
+	"pipeleon/internal/diag"
 )
 
 // MatchKind classifies how a key field is matched against table entries.
@@ -130,6 +133,24 @@ type Action struct {
 
 // NumPrimitives returns n_a, the primitive count used by the cost model.
 func (a *Action) NumPrimitives() int { return len(a.Primitives) }
+
+// NumParams returns how many action data an entry running the action must
+// carry: one more than the highest "$i" operand its primitives read, 0 when
+// they read none.
+func (a *Action) NumParams() int {
+	n := 0
+	for _, p := range a.Primitives {
+		if !slices.ContainsFunc(p.Args, func(s string) bool { return strings.HasPrefix(s, "$") }) {
+			continue // names no datum: nothing to decode
+		}
+		for _, o := range p.Decode().Src {
+			if o.Kind == OperandArg {
+				n = max(n, o.Arg+1)
+			}
+		}
+	}
+	return n
+}
 
 // Drops reports whether executing the action drops the packet.
 func (a *Action) Drops() bool {
@@ -251,18 +272,60 @@ func (t *Table) Action(name string) *Action {
 	return nil
 }
 
+// CheckEntry is the one rule for a well-formed entry of t, P4S06: as many
+// match values as keys, an action of the table, at least the action data
+// it reads (Action.NumParams), and each value, LPM prefix and ternary or
+// range mask within its key's width. Validate applies it to every installed
+// entry and the entry operations to every entry they install.
+func (t *Table) CheckEntry(e Entry) error {
+	if field, msg := t.entryFault(&e, nil); msg != "" {
+		return fmt.Errorf("%w: %s", ErrBadEntry, diag.Diagnostic{Code: CodeBadEntry, Severity: diag.Error, Node: t.Name, Field: field, Message: "entry " + msg})
+	}
+	return nil
+}
+
+// entryFault is CheckEntry's finding: the key field it concerns, if any,
+// and what is wrong ("" for none). params is NumParams of each of t's
+// actions, or nil to read that of e's action alone.
+func (t *Table) entryFault(e *Entry, params []int) (field, msg string) {
+	ai := len(t.Actions) // e's action, as Table.Action finds it
+	for i, a := range t.Actions {
+		if a.Name == e.Action {
+			ai = i
+			break
+		}
+	}
+	switch {
+	case len(e.Match) != len(t.Keys):
+		return "", fmt.Sprintf("has %d match values for %d keys", len(e.Match), len(t.Keys))
+	case ai == len(t.Actions):
+		return "", fmt.Sprintf("references unknown action %q", e.Action)
+	case params == nil && len(e.Args) < t.Actions[ai].NumParams(), params != nil && len(e.Args) < params[ai]:
+		return "", fmt.Sprintf("has %d action data, %q reads %d", len(e.Args), e.Action, t.Actions[ai].NumParams())
+	}
+	for i := range t.Keys {
+		k, mv := &t.Keys[i], &e.Match[i]
+		switch w := k.BitWidth(); { // x>>64 is 0: a 64-bit key holds every value
+		case mv.Value>>w != 0:
+			return k.Field, fmt.Sprintf("value %#x exceeds the %d-bit key width", mv.Value, w)
+		case k.Kind == MatchLPM && (mv.PrefixLen < 0 || mv.PrefixLen > w):
+			return k.Field, fmt.Sprintf("prefix length %d is outside the %d-bit key width", mv.PrefixLen, w)
+		case (k.Kind == MatchTernary || k.Kind == MatchRange) && mv.Mask>>w != 0:
+			return k.Field, fmt.Sprintf("mask %#x exceeds the %d-bit key width", mv.Mask, w)
+		}
+	}
+	return "", ""
+}
+
 // The table halves of Program's entry operations: each validates, then
 // changes the table, or refuses and leaves it untouched.
 
-// insertEntry appends a copy of e, or refuses it: wrong arity, an action
-// the table lacks, or a table at MaxEntries.
+// insertEntry appends a copy of e, or refuses it: an entry CheckEntry
+// refuses, or a table at MaxEntries.
 func (t *Table) insertEntry(e Entry) (undo func(), err error) {
-	switch {
-	case len(e.Match) != len(t.Keys):
-		return nil, fmt.Errorf("entry arity %d != %d keys", len(e.Match), len(t.Keys))
-	case t.Action(e.Action) == nil:
-		return nil, fmt.Errorf("unknown action %q", e.Action)
-	case t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries:
+	if err := t.CheckEntry(e); err != nil {
+		return nil, err
+	} else if t.MaxEntries > 0 && len(t.Entries) >= t.MaxEntries {
 		return nil, fmt.Errorf("table %q full (%d entries)", t.Name, t.MaxEntries)
 	}
 	t.Entries = append(t.Entries, e.Clone())
@@ -281,16 +344,16 @@ func (t *Table) deleteEntry(match []MatchValue) (undo func(), err error) {
 }
 
 // modifyEntry gives the first entry whose match values equal match a new
-// action and action data.
+// action and action data, or refuses the entry they would make.
 func (t *Table) modifyEntry(match []MatchValue, action string, args []string) (undo func(), err error) {
-	if t.Action(action) == nil {
-		return nil, fmt.Errorf("unknown action %q", action)
-	}
 	i, err := t.entryIndex(match)
 	if err != nil {
 		return nil, err
 	}
 	was := t.Entries[i]
+	if err := t.CheckEntry(Entry{Match: was.Match, Action: action, Args: args}); err != nil {
+		return nil, err
+	}
 	t.Entries[i].Action, t.Entries[i].Args = action, append([]string(nil), args...)
 	return func() { t.Entries[i] = was }, nil
 }
@@ -330,21 +393,16 @@ func (t *Table) NextFor(action string) string {
 // defaults apply: 3 prefixes for LPM, 5 masks for ternary.
 func (t *Table) MatchComplexity() int {
 	kind := t.WidestMatchKind()
-	switch kind {
-	case MatchExact:
+	if kind == MatchExact {
 		return 1
-	case MatchLPM:
-		if n := t.distinctPrefixLens(); n > 0 {
-			return n
-		}
-		return DefaultLPMPrefixes
-	case MatchTernary, MatchRange:
-		if n := t.distinctMasks(); n > 0 {
-			return n
-		}
-		return DefaultTernaryMasks
 	}
-	return 1
+	if n := t.distinct(kind == MatchLPM); n > 0 {
+		return n
+	}
+	if kind == MatchLPM {
+		return DefaultLPMPrefixes
+	}
+	return DefaultTernaryMasks
 }
 
 // Paper §3.1 methodology constants: "We use three different prefixes for
@@ -370,23 +428,16 @@ func (t *Table) WidestMatchKind() MatchKind {
 	return widest
 }
 
-func (t *Table) distinctPrefixLens() int {
-	set := map[int]bool{}
-	for _, e := range t.Entries {
-		for i, k := range t.Keys {
-			if k.Kind == MatchLPM && i < len(e.Match) {
-				set[e.Match[i].PrefixLen] = true
-			}
-		}
-	}
-	return len(set)
-}
-
-func (t *Table) distinctMasks() int {
+// distinct counts the distinct prefix lengths (lpm) or masks (ternary and
+// range keys) among the entries' match values.
+func (t *Table) distinct(lpm bool) int {
 	set := map[uint64]bool{}
 	for _, e := range t.Entries {
-		for i, k := range t.Keys {
-			if (k.Kind == MatchTernary || k.Kind == MatchRange) && i < len(e.Match) {
+		for i, k := range t.Keys[:min(len(t.Keys), len(e.Match))] {
+			switch {
+			case lpm && k.Kind == MatchLPM:
+				set[uint64(e.Match[i].PrefixLen)] = true
+			case !lpm && (k.Kind == MatchTernary || k.Kind == MatchRange):
 				set[e.Match[i].Mask] = true
 			}
 		}
@@ -470,8 +521,7 @@ func NewProgram(name string) *Program {
 // operations, nor the source a clone's.
 
 // InsertEntry appends a copy of e to the named table, or refuses it: no
-// such table, wrong arity, an action the table lacks, or a table at
-// MaxEntries.
+// such table, an entry Table.CheckEntry refuses, or a table at MaxEntries.
 func (p *Program) InsertEntry(table string, e Entry) (undo func(), err error) {
 	return p.entryOp(table, func(t *Table) (func(), error) { return t.insertEntry(e) })
 }
@@ -483,7 +533,8 @@ func (p *Program) DeleteEntry(table string, match []MatchValue) (undo func(), er
 }
 
 // ModifyEntry gives the named table's first entry whose match values equal
-// match a new action and action data.
+// match a new action and action data, unless Table.CheckEntry refuses the
+// entry that makes.
 func (p *Program) ModifyEntry(table string, match []MatchValue, action string, args []string) (undo func(), err error) {
 	return p.entryOp(table, func(t *Table) (func(), error) { return t.modifyEntry(match, action, args) })
 }

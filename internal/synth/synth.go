@@ -350,7 +350,7 @@ func maskClasses(keys []p4ir.Key) [][]maskClass {
 			switch {
 			case k.Kind == p4ir.MatchLPM:
 				// A prefix must never exceed the key itself (a /24 on a
-				// 16-bit port field is malformed; PL104 flags it).
+				// 16-bit port field is malformed; p4ir refuses it, P4S06).
 				mc.mv.PrefixLen = (1 + c) * k.BitWidth() / 4
 				mc.mask = k.PrefixMask(mc.mv.PrefixLen)
 				sig = [2]uint64{uint64(p4ir.MatchLPM), uint64(mc.mv.PrefixLen)}
