@@ -242,7 +242,9 @@ func lintModule(root string) ([]Violation, error) {
 	files(func(rel string) bool { return under(rel, "internal", "cmd") && !irOrFrontend(rel) },
 		func(_ string, f *ast.File) []Violation { return checkOneIndex(fset, f) })
 	files(func(rel string) bool { return !under(rel, "internal/p4ir") },
-		func(rel string, f *ast.File) []Violation { return checkOneEntryWriter(fset, rel, f) })
+		func(rel string, f *ast.File) []Violation {
+			return append(checkOneEntryWriter(fset, rel, f), checkOneCheck(fset, rel, f)...)
+		})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -376,6 +378,29 @@ var entryWriters = []struct{ file, fn, why string }{
 	{"internal/experiments/fig12.go", "counterBenchProgram", "fills the actions of the table specs of fig12's program"},
 	{"examples/dashrouting/main.go", "", "fills the table specs of the example's program"},
 	{"examples/loadbalancer/main.go", "", "fills the table specs of the example's program"},
+}
+
+// A program is checked once, by the code that makes or receives it (DESIGN.md,
+// "Who checks a program"): outside internal/p4ir, whose builders and decoders
+// check what they make, only the functions listed here (by file and name,
+// with the reason) call a Validate or StructuralDiagnostics method.
+var oneCheckers = map[string]string{
+	"internal/p4c/lower.go lower":               "the frontend makes the program",
+	"internal/opt/rewrite.go Apply":             "makes a plan's program",
+	"internal/opt/verify.go verify":             "makes the scratch rewrite an option is proven on",
+	"internal/opt/session.go NewSession":        "receives a caller's program (core.NewRuntime, cmd/pipeleon, the façade, the fleet canary)",
+	"internal/nicsim/nic.go New":                "receives a caller's program",
+	"internal/analysis/analysis.go Lint":        "a one-shot analysis of a program from anywhere",
+	"internal/analysis/deep.go LintDeep":        "a one-shot analysis of a program from anywhere",
+	"internal/analysis/verify.go VerifyRewrite": "a one-shot proof over programs from anywhere",
+}
+
+func checkOneCheck(fset *token.FileSet, rel string, f *ast.File) []Violation {
+	return selectorsNamed(fset, f, "one-check", true, func(fn string) bool { return oneCheckers[rel+" "+fn] != "" }, func(sel *ast.SelectorExpr) bool {
+		return sel.Sel.Name == "Validate" || sel.Sel.Name == "StructuralDiagnostics"
+	}, func(name string) string {
+		return "calls " + name + ": a program is checked by the code that makes or receives it (oneCheckers); trust the one you were handed"
+	})
 }
 
 func checkOneEntryWriter(fset *token.FileSet, rel string, f *ast.File) []Violation {
@@ -852,10 +877,14 @@ func checkTierNames(fset *token.FileSet, f *ast.File, r tierNameRule) []Violatio
 
 // selectorsNamed reports, as rule, every selector under f that match
 // accepts — a call, a method value or a field read alike, or with calls set
-// only the called ones; msg says why.
-func selectorsNamed(fset *token.FileSet, f ast.Node, rule string, calls bool, match func(*ast.SelectorExpr) bool, msg func(name string) string) []Violation {
+// only the called ones — outside the functions skip (if set) accepts by
+// name; msg says why.
+func selectorsNamed(fset *token.FileSet, f ast.Node, rule string, calls bool, skip func(fn string) bool, match func(*ast.SelectorExpr) bool, msg func(name string) string) []Violation {
 	var out []Violation
 	ast.Inspect(f, func(n ast.Node) bool {
+		if fd, ok := n.(*ast.FuncDecl); ok && skip != nil && skip(fd.Name.Name) {
+			return false
+		}
 		if call, ok := n.(*ast.CallExpr); ok && calls {
 			n = call.Fun
 		} else if calls {
@@ -877,7 +906,7 @@ func pkgSelector(sel *ast.SelectorExpr, pkgName string) bool {
 
 func checkOneVerifier(fset *token.FileSet, f *ast.File) []Violation {
 	pkgName := importName(f, analysisPath)
-	return selectorsNamed(fset, f, "one-verifier", false, func(sel *ast.SelectorExpr) bool {
+	return selectorsNamed(fset, f, "one-verifier", false, nil, func(sel *ast.SelectorExpr) bool {
 		return proofPrimitives[sel.Sel.Name] && pkgSelector(sel, pkgName)
 	}, func(name string) string {
 		return fmt.Sprintf("uses %s.%s outside %s: ask an analysis.Verifier (or an analysis.Gate over one) instead of composing proof tiers again",
@@ -886,14 +915,14 @@ func checkOneVerifier(fset *token.FileSet, f *ast.File) []Violation {
 }
 
 func checkCostView(fset *token.FileSet, f *ast.File) []Violation {
-	return selectorsNamed(fset, f, "one-estimator", true, func(sel *ast.SelectorExpr) bool { return costDerivations[sel.Sel.Name] }, func(name string) string {
+	return selectorsNamed(fset, f, "one-estimator", true, nil, func(sel *ast.SelectorExpr) bool { return costDerivations[sel.Sel.Name] }, func(name string) string {
 		return fmt.Sprintf("calls %s outside %s/%s: read the quantity from the cost view (opt.Evaluator, opt.Session.Observe) instead of deriving it again",
 			name, costViewDir, costViewFile)
 	})
 }
 
 func checkKernel(fset *token.FileSet, f *ast.File) []Violation {
-	return selectorsNamed(fset, f, "one-kernel", false, func(sel *ast.SelectorExpr) bool {
+	return selectorsNamed(fset, f, "one-kernel", false, nil, func(sel *ast.SelectorExpr) bool {
 		return latencyTermRE.MatchString(sel.Sel.Name) || kernelMethods[sel.Sel.Name]
 	}, func(name string) string {
 		return name + " is a cost derived from costmodel.Params: read the target's costmodel.Kernel (Params.Kernel) instead"
@@ -902,7 +931,7 @@ func checkKernel(fset *token.FileSet, f *ast.File) []Violation {
 
 func checkOneRound(fset *token.FileSet, f *ast.File) []Violation {
 	optName := importName(f, optPath)
-	return selectorsNamed(fset, f, "one-round", false, func(sel *ast.SelectorExpr) bool {
+	return selectorsNamed(fset, f, "one-round", false, nil, func(sel *ast.SelectorExpr) bool {
 		return sessionMethods[sel.Sel.Name] || sel.Sel.Name == "NewSession" && pkgSelector(sel, optName)
 	}, func(name string) string {
 		return "uses " + name + " in " + fleetDir + ": the fleet plans through a canary's core.Runtime (OptimizeOnce), not an optimizer session of its own"
@@ -910,22 +939,15 @@ func checkOneRound(fset *token.FileSet, f *ast.File) []Violation {
 }
 
 func checkOneDeploy(fset *token.FileSet, f *ast.File) []Violation {
-	return selectorsNamed(fset, f, "one-deploy", false, func(sel *ast.SelectorExpr) bool { return deviceMethods[sel.Sel.Name] }, func(name string) string {
+	return selectorsNamed(fset, f, "one-deploy", false, nil, func(sel *ast.SelectorExpr) bool { return deviceMethods[sel.Sel.Name] }, func(name string) string {
 		return "uses " + name + " outside " + deployDir + "/" + deployFile + ": a program reaches the device through deployLocked, which proves, gates and stages it"
 	})
 }
 
 func checkOneExit(fset *token.FileSet, f *ast.File) []Violation {
-	var out []Violation
-	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == finishFunc {
-			continue
-		}
-		out = append(out, selectorsNamed(fset, d, "one-exit", false, func(sel *ast.SelectorExpr) bool { return roundPolicy[sel.Sel.Name] }, func(name string) string {
-			return "uses " + name + " outside " + finishFunc + ": a round ends through finishLocked, the one place round policy lives"
-		})...)
-	}
-	return out
+	return selectorsNamed(fset, f, "one-exit", false, func(fn string) bool { return fn == finishFunc }, func(sel *ast.SelectorExpr) bool { return roundPolicy[sel.Sel.Name] }, func(name string) string {
+		return "uses " + name + " outside " + finishFunc + ": a round ends through finishLocked, the one place round policy lives"
+	})
 }
 
 func checkSerial(fset *token.FileSet, f *ast.File) []Violation {

@@ -1204,6 +1204,40 @@ func main() {}
 }
 
 // Every exception to dead-export says why it is kept.
+func TestOneCheck(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		// Consumers checking a program they were handed: a runtime, a gate,
+		// a device's swap (New beside it receives the caller's program).
+		"internal/core/runtime.go":  "package core\n\nfunc NewRuntime(orig *Program) error { return orig.Validate() }\n",
+		"internal/analysis/gate.go": "package analysis\n\nfunc (g *Gate) check(c *Program) bool { return c.StructuralDiagnostics().HasErrors() }\n",
+		"internal/nicsim/nic.go":    "package nicsim\n\nfunc New(p *Program) error { return p.Validate() }\n\nfunc (n *NIC) load(p *Program) error { return p.Validate() }\n",
+		// Fine: p4ir's makers, an allowlisted maker and a test file.
+		"internal/p4ir/binary.go":       "package p4ir\n\nfunc DecodeBinary(p *Program) error { return p.Validate() }\n",
+		"internal/opt/rewrite.go":       "package opt\n\nfunc Apply(out *Program) error { return out.Validate() }\n",
+		"internal/core/runtime_test.go": "package core\n\nfunc valid(p *Program) bool { return p.Validate() == nil }\n",
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	vs = slices.DeleteFunc(vs, func(v Violation) bool { return v.Rule != "one-check" }) // the tree's exports are dead
+	for _, v := range vs {
+		got = append(got, fmt.Sprintf("%s:%d", filepath.Base(v.Pos.Filename), v.Pos.Line))
+	}
+	if want := []string{"gate.go:3", "runtime.go:3", "nic.go:5"}; !slices.Equal(got, want) {
+		t.Fatalf("got violations at %v, want %v: %v", got, want, vs)
+	}
+	if !strings.Contains(vs[0].Msg, "oneCheckers") {
+		t.Errorf("message does not say who checks: %q", vs[0].Msg)
+	}
+	for c, why := range oneCheckers {
+		if strings.TrimSpace(why) == "" {
+			t.Errorf("oneCheckers entry %q gives no reason", c)
+		}
+	}
+}
+
 func TestDeadExportAllowlistGivesReasons(t *testing.T) {
 	for _, a := range deadExportAllowed {
 		if a.pkg == "" || a.name == "" || strings.TrimSpace(a.why) == "" {

@@ -61,6 +61,10 @@
 //     through p4ir's Program.InsertEntry, DeleteEntry and ModifyEntry,
 //     which count every change in its EntryVersion, and its actions, which
 //     its clones share, never change.
+//   - one-check: outside internal/p4ir only the functions oneCheckers lists
+//     with their reasons — makers, the constructors that receive a caller's
+//     program, the one-shot analyses — call Validate or
+//     StructuralDiagnostics: a program is checked once.
 //   - dead-export: every exported function, and every exported method of
 //     an exported type, declared in a non-test file under internal/ is
 //     named by non-test code outside its file — in the module or in the

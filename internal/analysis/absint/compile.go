@@ -140,13 +140,13 @@ type cmatch struct {
 }
 
 type centry struct {
-	// live is false for structurally invalid entries (key arity mismatch;
-	// gated upstream) and for the statically dead ones: dedup losers,
+	// live is false for the statically dead entries: dedup losers,
 	// dominated and group-covered entries, which the emulator's lookup can
 	// never pick — applying them would leak their writes into the egress
-	// join and flag legal Figure-6 merges as inequivalent.
+	// join and flag legal Figure-6 merges as inequivalent. The program is
+	// well formed: no entry is malformed.
 	live bool
-	act  int32     // index in the table's acts; -1 when the entry names no action of its table
+	act  int32     // index in the table's acts
 	args []operand // the entry's action data
 	// same is the first live entry with this entry's action and action
 	// data: applying either has the same effect, so a run that need not
@@ -275,7 +275,8 @@ type Cache struct {
 	pool   scratches // shared by every analyzer the cache compiles
 }
 
-// NewCache compiles orig and keeps its table bodies.
+// NewCache compiles orig, a well-formed program, and keeps its table
+// bodies.
 func NewCache(orig *p4ir.Program) *Cache {
 	c := &Cache{bodies: map[p4ir.Digest]*ctable{}, pool: scratches{shared: &sync.Pool{}}}
 	c.orig = &Analyzer{plan: compile(orig, c, true), pool: &c.pool}
@@ -317,9 +318,7 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 	written := map[int32]bool{}
 	for i, a := range t.Actions {
 		ct.acts[i] = p.compileAction(a)
-		if _, dup := byName[a.Name]; !dup {
-			byName[a.Name] = int32(i)
-		}
+		byName[a.Name] = int32(i)
 		for _, s := range ct.acts[i].writes {
 			if !written[s] {
 				written[s] = true
@@ -327,17 +326,11 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 			}
 		}
 	}
-	actOf := func(name string) int32 {
-		if i, ok := byName[name]; ok {
-			return i
-		}
-		return -1
-	}
-	ct.def = actOf(t.DefaultAction)
-	if ct.def < 0 && len(ct.acts) > 0 {
-		// The emulator falls back to the last action when no default is
-		// named.
-		ct.def = int32(len(ct.acts) - 1)
+	// The emulator falls back to the last action when no default is named
+	// (-1 for an actionless table).
+	ct.def = int32(len(ct.acts) - 1)
+	if t.DefaultAction != "" {
+		ct.def = byName[t.DefaultAction]
 	}
 
 	facts := AnalyzeTable(t)
@@ -354,8 +347,7 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
 		ce := &ct.entries[ei]
-		ce.act = -1
-		if len(e.Match) != nk || dead[ei] {
+		if dead[ei] {
 			continue
 		}
 		ce.live = true
@@ -367,9 +359,7 @@ func (p *plan) compileTable(t *p4ir.Table) *ctable {
 				monotone: maskMonotone(mask, k.BitWidth()),
 			}
 		}
-		if ce.act = actOf(e.Action); ce.act < 0 {
-			continue
-		}
+		ce.act = byName[e.Action]
 		effect = binary.AppendUvarint(effect[:0], uint64(ce.act))
 		for _, a := range e.Args {
 			ce.args = append(ce.args, p.operand(p4ir.DecodeOperand(a)))

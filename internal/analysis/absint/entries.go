@@ -52,13 +52,12 @@ type TableFacts struct {
 // the emulator's build-time dedup (within a mask group, one winner per
 // masked key), its highest-priority-wins ternary probe (earlier-installed
 // mask groups win priority ties), and mask-group coverage. Priority ties
-// between entries are otherwise order-dependent and never reported.
-// Structurally invalid entries (key arity mismatch) are skipped.
+// between entries are otherwise order-dependent and never reported. t is a
+// table of a well-formed program.
 func AnalyzeTable(t *p4ir.Table) TableFacts {
 	// Entries group by their per-key masks and, inside a group, by their
 	// masked values: both are word tuples, indexed as such (wordIndex).
 	type info struct {
-		ok    bool
 		masks []uint64
 		vals  []uint64
 		group int // mask group, numbered in first-seen order
@@ -68,11 +67,8 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	words := make([]uint64, 2*len(t.Keys)*len(t.Entries))
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
-		if len(e.Match) != len(t.Keys) {
-			continue
-		}
 		n := len(t.Keys)
-		in := info{ok: true, masks: words[:n:n], vals: words[n : 2*n : 2*n]}
+		in := info{masks: words[:n:n], vals: words[n : 2*n : 2*n]}
 		words = words[2*n:]
 		for i, k := range t.Keys {
 			m := k.MatchMask(e.Match[i])
@@ -96,9 +92,6 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	losers := make([]bool, len(t.Entries))
 	for ei := range t.Entries {
 		in := infos[ei]
-		if !in.ok {
-			continue
-		}
 		d := &dedups[in.group]
 		slot, fresh := d.vals.id(in.vals)
 		if fresh {
@@ -133,7 +126,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		key := make([]uint64, len(t.Keys))
 		for a := range t.Entries {
 			ia := infos[a]
-			if !ia.ok || losers[a] {
+			if losers[a] {
 				continue
 			}
 			by := -1
@@ -183,9 +176,6 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 	groupOf := make([]*group, len(t.Entries))
 	for ei := range t.Entries {
 		in := infos[ei]
-		if !in.ok {
-			continue
-		}
 		g := covGroups[in.group]
 		if g == nil {
 			bits, prefix := 0, 0
@@ -240,8 +230,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 			continue
 		}
 		for ei := range t.Entries {
-			in := infos[ei]
-			if !in.ok || shadowed[ei] || groupOf[ei] == g {
+			if shadowed[ei] || groupOf[ei] == g {
 				continue
 			}
 			p := t.Entries[ei].Priority
@@ -314,7 +303,7 @@ func AnalyzeTable(t *p4ir.Table) TableFacts {
 		}
 		for ei := range t.Entries {
 			in := infos[ei]
-			if !in.ok || shadowed[ei] {
+			if shadowed[ei] {
 				continue
 			}
 			p := t.Entries[ei].Priority

@@ -116,8 +116,9 @@ type Analyzer struct {
 	pool *scratches
 }
 
-// NewAnalyzer compiles prog. The analyzer keeps no reference to the
-// program's entries: a program mutated afterwards needs a new analyzer.
+// NewAnalyzer compiles prog, a well-formed program. The analyzer keeps no
+// reference to the program's entries: a program mutated afterwards needs a
+// new analyzer.
 func NewAnalyzer(prog *p4ir.Program) *Analyzer {
 	return &Analyzer{plan: compile(prog, nil, false), pool: &scratches{}}
 }
@@ -183,13 +184,10 @@ func (a *Analyzer) ExecClasses(conds []string) ([]ClassOutcome, error) {
 	return out, nil
 }
 
-// CondNames returns the reachable conditionals in topological order — the
-// branch variables path-class enumeration forks on.
+// CondNames returns the reachable conditionals of a well-formed program in
+// topological order — the branch variables path-class enumeration forks on.
 func CondNames(prog *p4ir.Program) []string {
 	ix := p4ir.NewIndex(prog)
-	if ix.Err() != nil {
-		return nil
-	}
 	var out []string
 	for _, id := range ix.Topo() {
 		if ix.Cond(id) != nil {
@@ -563,7 +561,7 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 	for ei := range t.entries {
 		e := &t.entries[ei]
 		if !e.live {
-			continue // malformed or shadowed: never selected, may/must stay false
+			continue // shadowed: never selected, may/must stay false
 		}
 		entryMay, entryMust := true, true
 		for i, m := range t.match[ei*nk : (ei+1)*nk] {
@@ -581,7 +579,7 @@ func (x *exec) runTable(self int32, nd *cnode, st []Value, nr *NodeResult) bool 
 		if entryMust {
 			missPossible = false
 		}
-		if !entryMay || e.act < 0 {
+		if !entryMay {
 			continue
 		}
 		if x.res == nil {

@@ -289,9 +289,6 @@ func refRunTable(t *p4ir.Table, facts refTableFacts, st refState, nr *refNodeRes
 	missPossible := !facts.mustHit
 	for ei := range t.Entries {
 		e := &t.Entries[ei]
-		if len(e.Match) != len(t.Keys) {
-			continue // structurally invalid entry; gated upstream
-		}
 		if facts.dead != nil && facts.dead[ei] {
 			continue // shadowed: never selected, may/must stay false
 		}
@@ -330,9 +327,7 @@ func refRunTable(t *p4ir.Table, facts refTableFacts, st refState, nr *refNodeRes
 		if !may[ei] {
 			continue
 		}
-		if act := t.Action(t.Entries[ei].Action); act != nil {
-			apply(act, t.Entries[ei].Args)
-		}
+		apply(t.Action(t.Entries[ei].Action), t.Entries[ei].Args)
 	}
 	if missPossible {
 		def := t.Action(t.DefaultAction)

@@ -65,20 +65,25 @@ func WithParams(pm costmodel.Params) Option {
 
 // Lint runs every program-lint rule over prog and returns the combined
 // diagnostic list, sorted deterministically. Structural violations (the
-// p4ir.Validate invariants) are reported first; when any is present the
-// semantic rules are skipped, since they assume a well-formed graph.
+// p4ir.Validate invariants) are checked first, for a program from anywhere;
+// when any is present they are returned alone, since the rules assume a
+// well-formed graph.
 func Lint(prog *p4ir.Program, opts ...Option) diag.List {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	l := prog.StructuralDiagnostics()
-	if l.HasErrors() {
+	if l := prog.StructuralDiagnostics(); l.HasErrors() {
 		l.Sort()
 		return l
 	}
+	return lintRules(prog, cfg)
+}
+
+// lintRules is Lint of a program its maker checked.
+func lintRules(prog *p4ir.Program, cfg config) diag.List {
 	g := newGraph(prog)
-	l = append(l, lintUnreachable(g)...)
+	l := lintUnreachable(g)
 	l = append(l, lintReadBeforeInit(g)...)
 	l = append(l, lintDeadPrimitives(g)...)
 	l = append(l, lintWidthMismatch(g)...)
@@ -100,7 +105,7 @@ type graph struct {
 	an   *deps.Analyzer
 	ix   *p4ir.Index
 	// desc: bit v of row u (words long) says node v is strictly after node
-	// u on a path; nil for a structurally invalid program (callers gate).
+	// u on a path. The program is well formed (callers check or trust it).
 	desc  []uint64
 	words int
 }
@@ -108,9 +113,6 @@ type graph struct {
 func newGraph(prog *p4ir.Program) *graph {
 	g := &graph{prog: prog, ix: p4ir.NewIndex(prog)}
 	g.an = deps.New(g.ix)
-	if g.ix.Err() != nil {
-		return g
-	}
 	g.words = (g.ix.Len() + 63) / 64
 	g.desc = make([]uint64, g.ix.Len()*g.words)
 	topo := g.ix.Topo()
@@ -131,7 +133,7 @@ func (g *graph) row(u int32) []uint64 { return g.desc[int(u)*g.words : int(u+1)*
 
 // id returns the node's ID if it is on some root path, else -1.
 func (g *graph) id(name string) int32 {
-	if id := g.ix.ID(name); id >= 0 && g.desc != nil && g.ix.Pos(id) >= 0 {
+	if id := g.ix.ID(name); id >= 0 && g.ix.Pos(id) >= 0 {
 		return id
 	}
 	return -1

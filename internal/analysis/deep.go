@@ -38,15 +38,15 @@ const (
 // Programs with structural errors (or shapes absint rejects) yield no
 // deep diagnostics; the structural tier already reports those.
 func LintDeep(prog *p4ir.Program) diag.List {
+	if prog.StructuralDiagnostics().HasErrors() {
+		return nil
+	}
 	return lintDeep(prog, nil)
 }
 
-// lintDeep is LintDeep compiling prog against tables, the compiled tables
-// of the program prog rewrites (nil: none).
+// lintDeep is LintDeep of a well-formed prog, compiling it against tables,
+// the compiled tables of the program prog rewrites (nil: none).
 func lintDeep(prog *p4ir.Program, tables *absint.Cache) diag.List {
-	if sd := prog.StructuralDiagnostics(); sd.HasErrors() {
-		return nil
-	}
 	res, err := tables.Analyzer(prog).Analyze()
 	if err != nil {
 		return nil
@@ -159,14 +159,11 @@ type SemanticChecker struct {
 	tables     *absint.Cache
 }
 
-// NewSemanticChecker precomputes the original program's per-path-class
-// abstract outcomes.
+// NewSemanticChecker precomputes the original's per-path-class abstract
+// outcomes. It and every candidate are well formed: their makers checked
+// them.
 func NewSemanticChecker(orig *p4ir.Program) *SemanticChecker {
 	sc := &SemanticChecker{}
-	if orig.StructuralDiagnostics().HasErrors() {
-		sc.origBroken = true
-		return sc
-	}
 	conds := absint.CondNames(orig)
 	sc.condsTotal = len(conds)
 	n := len(conds)
@@ -205,11 +202,6 @@ func (sc *SemanticChecker) Verify(opt *p4ir.Program) diag.List {
 	if sc.origBroken {
 		l.Add(CodeSemInput, diag.Error, "", "",
 			"original program is not analyzable; semantic comparison impossible")
-		return l
-	}
-	if sd := opt.StructuralDiagnostics(); sd.HasErrors() {
-		l.Add(CodeSemInput, diag.Error, "", "",
-			"optimized program has %d structural error(s); semantic comparison impossible", len(sd.Errors()))
 		return l
 	}
 	fields := writtenFields(opt, sc.origFields...)

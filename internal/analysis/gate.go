@@ -27,9 +27,9 @@ type Verdict struct {
 // it — and asks its gate on that path; a server asks its own about every
 // program it receives over the wire. The tiers:
 //
-//  1. Lint under the device's cost-model parameters. It is a tier of the
-//     gate and not of the Verifier because it judges a program on one
-//     device, while a proof holds on any device and is memoized by the
+//  1. Lint's rules under the device's cost-model parameters. It is a tier
+//     of the gate and not of the Verifier because it judges a program on
+//     one device, while a proof holds on any device and is memoized by the
 //     candidate's digest alone.
 //  2. Verifier.Prove, when the gate has an original and the candidate is
 //     not that very program.
@@ -54,6 +54,8 @@ func NewGate(pm costmodel.Params, v *Verifier) *Gate {
 }
 
 // Check returns the gate's verdict on cand; digest must be cand.Digest().
+// cand is well formed, checked by its maker (opt.Apply, p4ir.DecodeBinary,
+// opt.NewSession for the original): the gate does not check it again.
 func (g *Gate) Check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
 	key := proofKey{digest: digest}
 	if g.v != nil {
@@ -68,7 +70,7 @@ func (g *Gate) Check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
 }
 
 func (g *Gate) check(cand *p4ir.Program, digest p4ir.Digest) Verdict {
-	diags := Lint(cand, WithParams(g.pm))
+	diags := lintRules(cand, config{pm: g.pm, hasParams: true})
 	if diags.HasErrors() {
 		return Verdict{Diags: diags, Refusal: "static analysis: " + diags.Errors()[0].String()}
 	}

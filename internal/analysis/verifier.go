@@ -16,17 +16,16 @@ const proofMemoCap = 256
 // Verifier answers "is this program a sound rewrite of the original?" and
 // is the one place the proof tiers are composed:
 //
-//  1. structure — the candidate's own p4ir invariants;
-//  2. dependency ordering — RewriteChecker: every ordering of the original
+//  1. dependency ordering — RewriteChecker: every ordering of the original
 //     survives modulo the declared rewrites (RW0xx);
-//  3. semantics, behind a deep verifier only — SemanticChecker: per path
+//  2. semantics, behind a deep verifier only — SemanticChecker: per path
 //     class, the same drop behaviour and egress field ranges (SE0xx).
 //
-// A later tier runs only when the earlier ones found no error, so a
+// A later tier runs only when the earlier one found no error, so a
 // refused program reports the first failing tier's findings.
 //
-// Tiers 1 and 2 read the original's structure and effects; tier 3 also
-// reads its table entries, which the original's owner changes in place
+// Tier 1 reads the original's structure and effects; tier 2 also reads
+// its table entries, which the original's owner changes in place
 // through p4ir's entry operations. Each proof starts by comparing the
 // original's EntryVersion with the one its semantic checker was built at,
 // so nobody announces a change. The owner must not change entries while a
@@ -55,7 +54,8 @@ type proofKey struct {
 	digest  p4ir.Digest
 }
 
-// NewVerifier precomputes what the proofs need of the original.
+// NewVerifier precomputes what the proofs need of the original. It and
+// every candidate are well formed: their makers checked them.
 func NewVerifier(orig *p4ir.Program, deep bool) *Verifier {
 	v := &Verifier{orig: orig, rc: NewRewriteChecker(orig), deep: deep,
 		verdicts: memo.New[proofKey, diag.List](proofMemoCap), built: orig.EntryVersion()}
@@ -126,7 +126,7 @@ func (v *Verifier) ProveTouched(scratch *p4ir.Program, touched map[string]bool) 
 // prove runs the tiers once; a nil touched checks every dependency edge.
 // semantic reports that the semantic tier ran.
 func (v *Verifier) prove(sc *SemanticChecker, cand *p4ir.Program, touched map[string]bool) (l diag.List, semantic bool) {
-	l = v.rc.verify(cand, touched) // structure, then dependency ordering
+	l = v.rc.verify(cand, touched) // dependency ordering
 	if sc == nil || l.HasErrors() {
 		return l, false
 	}
@@ -134,12 +134,9 @@ func (v *Verifier) prove(sc *SemanticChecker, cand *p4ir.Program, touched map[st
 }
 
 // lintDeep is LintDeep(cand) reading the original's compiled tables, which
-// the semantic checker of the current entries holds.
+// the semantic checker of the current entries holds: a deep verifier's only.
 func (v *Verifier) lintDeep(cand *p4ir.Program) diag.List {
 	sc, _ := v.current()
-	if sc == nil {
-		return LintDeep(cand)
-	}
 	return lintDeep(cand, sc.tables)
 }
 

@@ -49,13 +49,18 @@ func depProg(name string, swapped bool) *p4ir.Program {
 }
 
 // A later tier runs only when the earlier ones found no error, and the
-// depth of a verifier changes nothing about the tiers both depths run.
+// depth of a verifier changes nothing about the tiers both depths run. A
+// verifier trusts a candidate's structure, which its maker checked;
+// VerifyRewrite, the one-shot proof, checks it and stops there.
 func TestVerifierTiersShortCircuit(t *testing.T) {
 	orig := depProg("orig", false)
 	shallow, deep := NewVerifier(orig, false), NewVerifier(orig, true)
 
 	dangling := depProg("dangling", false)
 	dangling.Tables["w"].BaseNext = "missing"
+	if l := VerifyRewrite(orig, dangling); !l.HasErrors() || codesWith(l, "P4S") != strings.Join(l.Strings(), "\n") {
+		t.Errorf("VerifyRewrite of a dangling candidate: %v, want its structural errors only", l)
+	}
 	lost := depProg("lost", false)
 	delete(lost.Tables, "r")
 	lost.Tables["w"].BaseNext = ""
@@ -67,7 +72,6 @@ func TestVerifierTiersShortCircuit(t *testing.T) {
 		wantCode string // the code family the deep verdict must consist of; "" accepts
 	}{
 		{depProg("same", false), ""},
-		{dangling, "P4S"},
 		{lost, "RW"},
 		{depProg("reversed", true), "RW"},
 		{changed, "SE"},
@@ -84,14 +88,14 @@ func TestVerifierTiersShortCircuit(t *testing.T) {
 			t.Errorf("%s: deep verifier accepted it", c.cand.Name)
 		}
 		// A refused program reports the first failing tier's findings only:
-		// the semantic tier would add SE001 to a structurally broken
-		// candidate and SE003 to one that lost or reversed a write.
+		// the semantic tier would add SE003 to one that lost or reversed a
+		// write.
 		for _, diag := range d {
 			if !strings.HasPrefix(diag.Code, c.wantCode) {
 				t.Errorf("%s: verdict reaches past the %s tier: %v", c.cand.Name, c.wantCode, diag)
 			}
 		}
-		if codesWith(d, "RW") != codesWith(s, "RW") || codesWith(d, "P4S") != codesWith(s, "P4S") {
+		if codesWith(d, "RW") != codesWith(s, "RW") {
 			t.Errorf("%s: the two depths disagree below the semantic tier:\ndeep    %v\nshallow %v", c.cand.Name, d, s)
 		}
 		if c.wantCode == "SE" && s.HasErrors() {
@@ -207,12 +211,12 @@ func TestGateTiers(t *testing.T) {
 	check := func(p *p4ir.Program) Verdict { return g.Check(p, p.Digest()) }
 	proofs := func() uint64 { h, m := v.MemoStats(); return h + m }
 
-	// Tier 1: an entry too wide for its key (P4S06, once PL104) refuses as
-	// "static analysis", before any proof.
-	tooWide := depProg("toowide", false)
-	tooWide.Tables["w"].Entries[0].Match[0].Value = 1 << 20
-	if got := check(tooWide); !strings.HasPrefix(got.Refusal, "static analysis: ") ||
-		deepCodes(got.Diags)[p4ir.CodeBadEntry] == 0 || proofs() != 0 {
+	// Tier 1: a lint error — a cache over a table the program lacks
+	// (PL106) — refuses as "static analysis", before any proof.
+	ghost := depProg("ghostcache", false)
+	ghost.Tables["w"].SetCacheMeta(p4ir.CacheSpec{Table: "w", Kind: p4ir.KindCache, Covers: []string{"ghost"}})
+	if got := check(ghost); !strings.HasPrefix(got.Refusal, "static analysis: ") ||
+		deepCodes(got.Diags)[CodeUnsoundCache] == 0 || proofs() != 0 {
 		t.Errorf("lint tier: verdict %+v after %d proofs", got, proofs())
 	}
 	// Tier 2: a reversed dependency and a changed write refuse as "semantic

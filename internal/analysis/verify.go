@@ -40,8 +40,19 @@ const (
 //
 // A violation yields an Error diagnostic naming the violated edge and its
 // witness field. Annotation-only rewrites (memory-tier pinning) pass
-// trivially.
+// trivially. A one-shot proof, it checks both programs first: a malformed
+// original is RW000, a malformed opt its structural diagnostics.
 func VerifyRewrite(orig, opt *p4ir.Program) diag.List {
+	if sd := orig.StructuralDiagnostics(); sd.HasErrors() {
+		var l diag.List
+		l.Add(CodeVerifyInput, diag.Error, "", "",
+			"original program is structurally invalid (%d diagnostics); run the structural analyzer on it first", len(sd))
+		return l
+	}
+	if sd := opt.StructuralDiagnostics(); sd.HasErrors() {
+		sd.Sort()
+		return sd
+	}
 	return NewRewriteChecker(orig).verify(opt, nil)
 }
 
@@ -54,28 +65,22 @@ type depEdge struct {
 
 // RewriteChecker amortizes rewrite verification over many candidate
 // rewrites of one original program. Construction performs everything that
-// depends only on the original — the structural gate, the dependency
-// graph, and the full classified dependency-edge list — so each proof
-// only analyzes the candidate program. It reads the original's
+// depends only on the original — the dependency graph and the full
+// classified dependency-edge list — so each proof only analyzes the
+// candidate program. It reads the original's
 // structure and effects, never its table entries, so entry operations
 // leave it valid. Safe for concurrent use once built (all precomputed
 // state is read-only).
 type RewriteChecker struct {
-	origDiags int // structural diagnostics count when the original is invalid
-	gO        *graph
-	edges     []depEdge
+	gO    *graph
+	edges []depEdge
 }
 
-// NewRewriteChecker precomputes the original program's dependency
-// structure.
+// NewRewriteChecker precomputes the original's dependency structure. It
+// and every candidate are well formed: their makers checked them.
 func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
-	rc := &RewriteChecker{}
-	if sd := orig.StructuralDiagnostics(); sd.HasErrors() {
-		rc.origDiags = len(sd)
-		return rc
-	}
 	g := newGraph(orig)
-	rc.gO = g
+	rc := &RewriteChecker{gO: g}
 	for u := range int32(g.ix.Len()) {
 		for v := range int32(g.ix.Len()) {
 			if !g.has(u, v) {
@@ -98,16 +103,6 @@ func NewRewriteChecker(orig *p4ir.Program) *RewriteChecker {
 // declared-transform legality (RW004) are still checked in full; both scan
 // only annotated or unreachable nodes, so they are cheap.
 func (rc *RewriteChecker) verify(opt *p4ir.Program, touched map[string]bool) diag.List {
-	if rc.gO == nil {
-		var l diag.List
-		l.Add(CodeVerifyInput, diag.Error, "", "",
-			"original program is structurally invalid (%d diagnostics); run the structural analyzer on it first", rc.origDiags)
-		return l
-	}
-	if sd := opt.StructuralDiagnostics(); sd.HasErrors() {
-		sd.Sort()
-		return sd
-	}
 	gN := newGraph(opt)
 	l, rep, coverOrder := representation(rc.gO, gN)
 	for _, e := range rc.edges {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"pipeleon/internal/analysis"
 	"pipeleon/internal/controlplane"
 	"pipeleon/internal/costmodel"
+	"pipeleon/internal/diag"
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/opt"
 	"pipeleon/internal/p4ir"
@@ -93,22 +97,7 @@ func TestEveryPathAdmitsTheSameEntries(t *testing.T) {
 		return rt.InsertEntry
 	}
 	plain, _, _ := newRig(t, admissionProgram(t), opt.DefaultConfig())
-
-	col := profile.NewCollector()
-	nic, err := nicsim.New(admissionProgram(t), nicsim.Config{Params: costmodel.BlueField2(), Collector: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(target.NewLocal(nic, col)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := controlplane.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	_, cl := wireDevice(t)
 
 	replay, err := target.NewReplayer(&target.Trace{Name: "admission"}, admissionProgram(t))
 	if err != nil {
@@ -134,5 +123,112 @@ func TestEveryPathAdmitsTheSameEntries(t *testing.T) {
 				t.Errorf("%s: %s: err = %v, want admitted = %v", path.name, c.name, err, c.ok)
 			}
 		}
+	}
+}
+
+// wireDevice serves an emulator of the admission program on loopback and
+// returns the device and a client of its server.
+func wireDevice(t *testing.T) (target.Target, *controlplane.Client) {
+	t.Helper()
+	col := profile.NewCollector()
+	nic, err := nicsim.New(admissionProgram(t), nicsim.Config{Params: costmodel.BlueField2(), Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := target.NewLocal(nic, col)
+	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(dev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := controlplane.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return dev, cl
+}
+
+// A program is checked where it enters — by the code that makes it or
+// receives it from a caller — and every such boundary refuses a malformed
+// program with the same code: p4ir's Validate and DecodeBinary, the
+// emulator's and the optimizer's constructors, the runtime's (with its
+// *p4ir.ValidationError), a server receiving it over the wire, and the
+// one-shot lint. The builder refuses the P4S11 table too.
+func TestEveryBoundaryRefusesTheSameProgram(t *testing.T) {
+	dev, cl := wireDevice(t)
+	codes := func(err error) (out []string) {
+		var ve *p4ir.ValidationError
+		var de *controlplane.DeployError
+		l := diag.List(nil)
+		if errors.As(err, &de) {
+			l = de.Diags
+		} else if errors.As(err, &ve) {
+			l = ve.Diags
+		}
+		for _, d := range l {
+			out = append(out, d.Code)
+		}
+		return out
+	}
+	cfg, pm := opt.DefaultConfig(), costmodel.BlueField2()
+	boundaries := []struct {
+		name   string
+		refuse func(*p4ir.Program) error
+	}{
+		{"Validate", func(p *p4ir.Program) error { return p.Validate() }},
+		{"DecodeBinary", func(p *p4ir.Program) error { _, err := p4ir.DecodeBinary(p.AppendBinary(nil)); return err }},
+		{"nicsim.New", func(p *p4ir.Program) error { _, err := nicsim.New(p, nicsim.Config{Params: pm}); return err }},
+		{"opt.NewSession", func(p *p4ir.Program) error { _, err := opt.NewSession(p, pm, cfg); return err }},
+		{"core.NewRuntime", func(p *p4ir.Program) error {
+			_, err := NewRuntime(p, dev, cfg)
+			if err != nil && strings.Contains(err.Error(), "partitioning program") {
+				t.Errorf("%s: NewRuntime reads as a partitioning failure: %v", p.Name, err)
+			}
+			return err
+		}},
+		{"loopback wire", func(p *p4ir.Program) error { _, err := cl.DeployEncoded(p.AppendBinary(nil)); return err }},
+		{"analysis.Lint", func(p *p4ir.Program) error { return &p4ir.ValidationError{Diags: analysis.Lint(p)} }},
+	}
+
+	edit := func(name string, f func(p *p4ir.Program)) *p4ir.Program {
+		p := admissionProgram(t)
+		p.Name = name
+		f(p)
+		return p
+	}
+	cases := []struct {
+		code string
+		prog *p4ir.Program
+	}{
+		{p4ir.CodeDanglingRef, edit("dangling", func(p *p4ir.Program) { p.Tables["u"].BaseNext = "missing" })},
+		{p4ir.CodeCycle, edit("cycle", func(p *p4ir.Program) { p.Tables["u"].BaseNext = "t" })},
+		{p4ir.CodeBadDefault, edit("default", func(p *p4ir.Program) { p.Tables["u"].DefaultAction = "ghost" })},
+		{p4ir.CodeBadEntry, edit("entry", func(p *p4ir.Program) { // 17 bits in the 16-bit tcp.sport key, past InsertEntry
+			e := p.Tables["t"].Entries[0].Clone()
+			e.Match[0].Value = 0x1ffff
+			p.Tables["t"].Entries = []p4ir.Entry{e}
+		})},
+		{p4ir.CodeEmptyName, edit("sink", func(p *p4ir.Program) {
+			drop := p4ir.DropAction()
+			p.Tables[""] = &p4ir.Table{Actions: []*p4ir.Action{drop}, DefaultAction: drop.Name}
+		})},
+		{p4ir.CodeDupAction, edit("dupaction", func(p *p4ir.Program) { // u's entry names mark: p4ir read the first, nicsim the last
+			u := p.Tables["u"]
+			u.Actions = append(slices.Clip(u.Actions), p4ir.NoopAction("mark"))
+		})},
+	}
+	for _, c := range cases {
+		for _, b := range boundaries {
+			if got := codes(b.refuse(c.prog)); !slices.Equal(got, []string{c.code}) {
+				t.Errorf("%s: %s refused with %v, want %s", c.prog.Name, b.name, got, c.code)
+			}
+		}
+	}
+
+	drop := p4ir.DropAction()
+	_, err := p4ir.ChainTables("dupaction", []p4ir.TableSpec{{Name: "a", Actions: []*p4ir.Action{drop, p4ir.NoopAction(drop.Name)}, DefaultAction: drop.Name}})
+	if got := codes(err); !slices.Equal(got, []string{p4ir.CodeDupAction}) {
+		t.Errorf("the builder refused a table with two actions of one name with %v, want %s: %v", got, p4ir.CodeDupAction, err)
 	}
 }

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"fmt"
 	"maps"
 	"sync"
 	"time"
@@ -154,10 +153,8 @@ type RoundReport struct {
 // NewRuntime builds a runtime for the given original program, deploying it
 // unmodified to the target. Cost-model parameters come from the target's
 // capabilities, so the optimizer always models the device it is driving.
+// A malformed original is refused with opt.NewSession's *p4ir.ValidationError.
 func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime, error) {
-	if err := orig.Validate(); err != nil {
-		return nil, err
-	}
 	// The runtime writes observed hit rates into its own copy: two runtimes
 	// built from one Config must not read each other's feedback.
 	cfg.HitRateOverride = maps.Clone(cfg.HitRateOverride)
@@ -180,13 +177,13 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	// it, and share its proof memo.
 	search, err := opt.NewSession(r.orig, r.pm, r.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: partitioning program: %w", err)
+		return nil, err
 	}
 	r.search = search
 	r.gate = analysis.NewGate(r.pm, search.Verifier())
 	// The original is the first program to pass the gate: it must itself
 	// be clean of Error-severity findings (unsound caches, overcommitted
-	// tiers, bad entries) before it is deployed anywhere.
+	// tiers) before it is deployed anywhere.
 	if err := r.deployNowLocked(nil); err != nil {
 		return nil, err
 	}

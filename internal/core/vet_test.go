@@ -16,40 +16,8 @@ import (
 )
 
 // The runtime's static-analysis gate: erroring programs never reach the
-// device, diagnostics land in the round report, and NewRuntime refuses an
-// original program that fails the lint outright.
-
-func TestNewRuntimeRejectsInvalidProgram(t *testing.T) {
-	prog, err := p4ir.ChainTables("badwidth", []p4ir.TableSpec{{
-		Name:          "t",
-		Keys:          []p4ir.Key{{Field: "ipv4.tos", Kind: p4ir.MatchExact, Width: packet.FieldWidth("ipv4.tos")}},
-		Actions:       []*p4ir.Action{p4ir.NoopAction("pass")},
-		DefaultAction: "pass",
-		Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0xff}}, Action: "pass"}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := profile.NewCollector()
-	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2(), Collector: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0x1ff cannot fit the 8-bit tos key: P4S06 (once the lint's PL104).
-	// The emulator refuses it by the same rule as the runtime.
-	bad := prog.Clone()
-	bad.Tables["t"].Entries = []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: 0x1ff}}, Action: "pass"}}
-	if _, err := nicsim.New(bad, nicsim.Config{Params: costmodel.BlueField2()}); !errors.Is(err, p4ir.ErrBadEntry) {
-		t.Errorf("the emulator took the program: %v", err)
-	}
-	_, err = NewRuntime(bad, target.NewLocal(nic, col), opt.DefaultConfig())
-	if err == nil {
-		t.Fatal("NewRuntime accepted a program with a P4S06 entry")
-	}
-	if !strings.Contains(err.Error(), "P4S06") {
-		t.Errorf("error does not carry the diagnostic code: %v", err)
-	}
-}
+// device, and diagnostics land in the round report. NewRuntime's refusal
+// of a malformed original is TestEveryBoundaryRefusesTheSameProgram's.
 
 // gate runs the deploy gate on prog the way a round does: under the
 // digest the round computed to compare layouts.
@@ -98,13 +66,10 @@ func TestDeployGateFillsReport(t *testing.T) {
 	prog := aclProgram(t)
 	rt, _, _ := newRig(t, prog, opt.DefaultConfig())
 
+	// Well formed, but a lint error: the root caches a table the program
+	// lacks (PL106).
 	mut := prog.Clone()
-	for name := range mut.Tables {
-		if name != mut.Root {
-			delete(mut.Tables, name)
-			break
-		}
-	}
+	mut.Tables[mut.Root].SetCacheMeta(p4ir.CacheSpec{Table: mut.Root, Kind: p4ir.KindCache, Covers: []string{"ghost"}})
 	var report RoundReport
 	if gate(rt, mut, &report) {
 		t.Fatal("deploy gate passed a broken candidate")
@@ -201,7 +166,10 @@ func TestDeepDeployGateBlocksSemanticChange(t *testing.T) {
 
 // The runtime's deploy gate and a deep server's OpDeploy are one
 // analysis.Gate: the same original and the same hand-broken candidates get
-// the same diagnostic codes and the same accept/refuse either way.
+// the same diagnostic codes and the same accept/refuse either way. A
+// malformed candidate is refused before either gate, by the check of the
+// code that makes it: Validate, as opt.Apply runs it, on the runtime's
+// side, and DecodeBinary on the server's.
 func TestWireGateIsTheLocalGate(t *testing.T) {
 	// w writes meta.a, r reads it, acl is independent of both.
 	orig, err := p4ir.ChainTables("wire", []p4ir.TableSpec{
@@ -287,10 +255,19 @@ func TestWireGateIsTheLocalGate(t *testing.T) {
 		}
 		return strings.Join(out, " ")
 	}
+	local := func(cand *p4ir.Program, rep *RoundReport) bool {
+		var ve *p4ir.ValidationError
+		if errors.As(cand.Validate(), &ve) {
+			ve.Diags.Sort()
+			rep.Diagnostics, rep.DeployError = ve.Diags.Strings(), "blocked by static analysis: "+ve.Diags[0].String()
+			return false
+		}
+		return gate(rt, cand, rep)
+	}
 	refusals := 0
 	for _, cand := range candidates {
 		var rep RoundReport
-		localOK := gate(rt, cand, &rep)
+		localOK := local(cand, &rep)
 		wire, err := cl.DeployEncoded(cand.AppendBinary(nil))
 		var de *controlplane.DeployError
 		if errors.As(err, &de) {

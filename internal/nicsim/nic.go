@@ -132,8 +132,11 @@ type fillRef struct {
 	dropped        bool
 }
 
-// New builds a NIC executing prog under cfg.
+// New checks prog and builds a NIC executing it under cfg.
 func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
 	n := &NIC{cfg: cfg, kern: cfg.Params.Kernel()}
 	n.ctxPool.New = func() any {
 		return &procCtx{slot: n.ctxSeq.Add(1) - 1, values: make([]uint64, 0, 8)}
@@ -165,9 +168,6 @@ func New(prog *p4ir.Program, cfg Config) (*NIC, error) {
 // cache of unchanged identity (name + covered span + budget) keeps its
 // contents: a re-optimization that keeps it does not cold-start it.
 func (n *NIC) load(prog *p4ir.Program) error {
-	if err := prog.Validate(); err != nil {
-		return err
-	}
 	tables := make(map[string]*runtimeTable, len(prog.Tables))
 	conds := make(map[string]condFunc, len(prog.Conds))
 	caches := map[string]*flowCache{}
@@ -238,7 +238,8 @@ func sameCacheIdentity(a, b p4ir.CacheSpec) bool {
 // Swap atomically replaces the running program — the live runtime
 // reconfiguration of runtime-programmable SmartNICs (§2.3 deployment
 // scenario 1). Tables the swap leaves as they were keep their match store
-// and runtime cache contents (see load); the rest start afresh.
+// and runtime cache contents (see load); the rest start afresh. prog is
+// well formed, checked by its maker: Swap does not check it again.
 func (n *NIC) Swap(prog *p4ir.Program) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

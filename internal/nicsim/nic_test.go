@@ -190,6 +190,8 @@ func TestDropHaltsExecution(t *testing.T) {
 // TestEmptyNodeNameRejected: "" spells the sink. A node of that name once
 // passed Validate; the emulator then resolved a → "" to it and dropped
 // every packet, while the rest of the toolchain read the edge as egress.
+// That New refuses it is TestEveryBoundaryRefusesTheSameProgram's
+// (internal/core).
 func TestEmptyNodeNameRejected(t *testing.T) {
 	prog := p4ir.NewProgram("p")
 	prog.Root = "a"
@@ -199,9 +201,6 @@ func TestEmptyNodeNameRejected(t *testing.T) {
 	var ve *p4ir.ValidationError
 	if err := prog.Validate(); !errors.As(err, &ve) || len(ve.Diags) != 1 || ve.Diags[0].Code != p4ir.CodeEmptyName {
 		t.Fatalf("Validate = %v, want one %s", err, p4ir.CodeEmptyName)
-	}
-	if _, err := New(prog, Config{Params: testParams()}); err == nil {
-		t.Fatal(`New accepted a node named ""`)
 	}
 }
 

@@ -92,9 +92,13 @@ type SessionStats struct {
 	TotalSearch time.Duration
 }
 
-// NewSession partitions the program and precomputes everything that
-// depends only on (prog, pm, cfg).
+// NewSession checks the program, partitions it and precomputes everything
+// that depends only on (prog, pm, cfg); the layers behind it trust the
+// check.
 func NewSession(prog *p4ir.Program, pm costmodel.Params, cfg Config) (*Session, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
 	part, err := pipelet.Form(prog, cfg.MaxPipeletLen)
 	if err != nil {
 		return nil, err

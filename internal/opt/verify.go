@@ -80,11 +80,9 @@ func (ov *optionVerifier) verify(o *Option) bool {
 	if r, ok := ov.verdict.Get(key); ok {
 		return r
 	}
-	// Apply's post-hoc Validate is subsumed by the proof: every structural
-	// diagnostic is Error-severity, so Validate fails exactly when the
-	// proof's structure tier does.
+	// Made here, the scratch rewrite is checked here, as Apply checks its own.
 	scratch := ov.prog.Clone()
-	r := applyOption(scratch, o, NewCounterMap(), ov.cfg) == nil
+	r := applyOption(scratch, o, NewCounterMap(), ov.cfg) == nil && scratch.Validate() == nil
 	if r {
 		touched := map[string]bool{}
 		ov.touch(touched, o)

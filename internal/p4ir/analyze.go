@@ -21,6 +21,7 @@ const (
 	CodeNameMismatch   = "P4S08" // map key differs from node name
 	CodeUndeclaredRead = "P4S09" // compared field missing from ReadFields
 	CodeEmptyName      = "P4S10" // a node is named "", the sink's spelling
+	CodeDupAction      = "P4S11" // a table holds two actions of one name
 )
 
 // StructuralDiagnostics checks structural well-formedness of the program
@@ -30,6 +31,8 @@ const (
 //   - every successor reference resolves ("" means sink),
 //   - the reachable graph is acyclic (run-to-completion programs are DAGs),
 //   - every table's default action and switch-case action labels exist,
+//   - no table holds two actions of one name, so a name means one action
+//     to every reader (Table.Action, an entry, the emulator),
 //   - every entry is well-formed (Table.CheckEntry),
 //   - no name is both a table and a conditional,
 //   - every map key equals its node's Name field,
@@ -86,8 +89,11 @@ func (p *Program) StructuralDiagnostics() diag.List {
 			l.Add(CodeDanglingRef, diag.Error, name, "", "next -> missing node %q", t.BaseNext)
 		}
 		params := make([]int, 0, 8) // NumParams by action: once per table, not per entry
-		for _, a := range t.Actions {
+		for i, a := range t.Actions {
 			params = append(params, a.NumParams())
+			if slices.ContainsFunc(t.Actions[:i], func(b *Action) bool { return b.Name == a.Name }) {
+				l.Add(CodeDupAction, diag.Error, name, "", "action %d repeats the name %q", i, a.Name)
+			}
 		}
 		for i := range t.Entries {
 			if field, msg := t.entryFault(&t.Entries[i], params); msg != "" {
