@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEntryAdmission$$' -fuzztime $(FUZZTIME) ./internal/p4ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackets$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnswers$$' -fuzztime $(FUZZTIME) ./internal/controlplane/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanCompileProcess$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime $(FUZZTIME) ./internal/nicsim/
@@ -148,7 +149,8 @@ traces:
 # bulk install. The control loop's benches live beside theirs too — one
 # round of each kind in core, the program digest and the binary codec
 # against the JSON they replaced in p4ir, one loopback round trip of each
-# bulk RPC in controlplane and the measure RPC's packet codec alone (its
+# bulk RPC and of the profile and cache-stats reads a round makes in
+# controlplane and the measure RPC's packet codec alone (its
 # encode and decode rows archived at 0 allocs/op, so benchcheck fails on
 # any allocation there), one live reconfiguration in nicsim, the deploy
 # gate's lint and rewrite proof in analysis, and the set-up rows (a
@@ -162,7 +164,7 @@ PROOFPKGS = ./internal/analysis/... ./internal/opt
 STOREBENCH = BenchmarkFlowCache$$|BenchmarkBurstFlush$$|BenchmarkSnapshot$$|BenchmarkMeta$$|BenchmarkCloneInto$$|BenchmarkLookup$$|BenchmarkEntryOp$$|BenchmarkBuildTable$$
 STOREPKGS = ./internal/nicsim ./internal/profile ./internal/packet
 SYNTH110BENCH = BenchmarkEmulatorProcessBurstSynth110Instrumented$$|BenchmarkMeasureSynth110Instrumented$$|BenchmarkMeasureDash$$|BenchmarkMeasureDashCached$$
-CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkNewRuntime$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkPacketBatch$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$|BenchmarkRewriteCheckerNew$$|BenchmarkSynthProgram$$|BenchmarkClone$$
+CONTROLBENCH = BenchmarkRoundSkipped$$|BenchmarkRoundKept$$|BenchmarkRoundDeployed$$|BenchmarkRoundRedeployed$$|BenchmarkNewRuntime$$|BenchmarkDigest$$|BenchmarkMarshalJSON$$|BenchmarkUnmarshalJSON$$|BenchmarkAppendBinary$$|BenchmarkDecodeBinary$$|BenchmarkProgramRPCUnchanged$$|BenchmarkProgramRPCChanged$$|BenchmarkDeployRPCFirstSight$$|BenchmarkDeployRPCRepeat$$|BenchmarkMeasureRPC$$|BenchmarkProfileRPC$$|BenchmarkCacheStatsRPC$$|BenchmarkPacketBatch$$|BenchmarkSwap$$|BenchmarkLint$$|BenchmarkVerifyRewrite$$|BenchmarkRewriteCheckerNew$$|BenchmarkSynthProgram$$|BenchmarkClone$$
 CONTROLPKGS = ./internal/core ./internal/p4ir ./internal/controlplane ./internal/nicsim ./internal/analysis ./internal/synth
 bench:
 	$(GO) test -run '^$$' -bench '$(EMUBENCH)' -benchmem $(EMUPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json

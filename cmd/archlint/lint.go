@@ -391,7 +391,7 @@ var oneCheckers = map[string]string{
 	"internal/opt/session.go NewSession":        "receives a caller's program (core.NewRuntime, cmd/pipeleon, the façade, the fleet canary)",
 	"internal/nicsim/nic.go New":                "receives a caller's program",
 	"internal/analysis/analysis.go Lint":        "a one-shot analysis of a program from anywhere",
-	"internal/analysis/deep.go LintDeep":        "a one-shot analysis of a program from anywhere",
+	"pipeleon.go LintDeep":                      "receives a caller's program for the deep tier, which trusts it",
 	"internal/analysis/verify.go VerifyRewrite": "a one-shot proof over programs from anywhere",
 }
 

@@ -202,9 +202,11 @@ func lintFiles(files []string, targetName string, deep, jsonOut bool, stdout, st
 			fmt.Fprintf(stderr, "pipeleon: %s: %v\n", path, err)
 			return 3
 		}
-		diags := analysis.Lint(prog, analysis.WithParams(pm))
+		// The loader checked prog: the lint rules judge it as the target's
+		// deploy gate would, and the deep tier trusts it too.
+		diags := analysis.NewGate(pm, nil).Check(prog, prog.Digest()).Diags
 		if deep {
-			diags = append(diags, analysis.LintDeep(prog)...)
+			diags = append(slices.Clip(diags), analysis.LintDeep(prog)...)
 			diags.Sort()
 		}
 		nerr := len(diags.Errors())

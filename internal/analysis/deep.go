@@ -35,14 +35,9 @@ const (
 // interpreter infers per-node field ranges and the rules flag entries,
 // branches, and writes that are provably dead or lossy under them. It
 // returns only the PL2xx diagnostics — callers combine it with Lint.
-// Programs with structural errors (or shapes absint rejects) yield no
-// deep diagnostics; the structural tier already reports those.
-func LintDeep(prog *p4ir.Program) diag.List {
-	if prog.StructuralDiagnostics().HasErrors() {
-		return nil
-	}
-	return lintDeep(prog, nil)
-}
+// prog is well formed, checked by its maker (p4c, Load, DecodeBinary, a
+// Builder); a shape absint rejects yields no deep diagnostics.
+func LintDeep(prog *p4ir.Program) diag.List { return lintDeep(prog, nil) }
 
 // lintDeep is LintDeep of a well-formed prog, compiling it against tables,
 // the compiled tables of the program prog rewrites (nil: none).

@@ -8,6 +8,7 @@ import (
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
 	"pipeleon/internal/synth"
 	"pipeleon/internal/target"
 	"pipeleon/internal/trafficgen"
@@ -17,17 +18,20 @@ import (
 // loopback against a device that runs the 110-table program of the
 // synth-shift workload: a program fetch that finds nothing changed and one
 // that moves the program, a deploy of a program the server has never seen
-// and of one it has, and a 2 000-packet measurement — and, with no wire,
-// that measurement's packet codec.
+// and of one it has, a 2 000-packet measurement, and the profile window and
+// cache counters a round reads after measuring — and, with no wire, that
+// measurement's packet codec.
 
-func benchDevice(b *testing.B) (*Client, *p4ir.Program) {
+// benchDevice serves the program's device; col, when not nil, is its
+// profile collector.
+func benchDevice(b *testing.B, col *profile.Collector) (*Client, *p4ir.Program) {
 	b.Helper()
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 40, AvgLen: 3, Category: synth.Mixed, Seed: 7})
-	nic, err := nicsim.New(prog.Clone(), nicsim.Config{Params: costmodel.BlueField2()})
+	nic, err := nicsim.New(prog.Clone(), nicsim.Config{Params: costmodel.BlueField2(), Collector: col, Instrument: col != nil})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", nil, nil, WithDevice(target.NewLocal(nic, nil)))
+	srv, err := NewServer("127.0.0.1:0", nil, nil, WithDevice(target.NewLocal(nic, col)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,22 +45,22 @@ func benchDevice(b *testing.B) (*Client, *p4ir.Program) {
 }
 
 func BenchmarkProgramRPCUnchanged(b *testing.B) {
-	cl, _ := benchDevice(b)
-	_, _, have, err := cl.ProgramUnless(p4ir.Digest{})
+	cl, _ := benchDevice(b, nil)
+	_, have, err := cl.ProgramUnless(p4ir.Digest{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if p, _, _, err := cl.ProgramUnless(have); err != nil || p != nil {
+		if p, _, err := cl.ProgramUnless(have); err != nil || p != nil {
 			b.Fatalf("program %v, err %v: want unchanged", p, err)
 		}
 	}
 }
 
 func BenchmarkProgramRPCChanged(b *testing.B) {
-	cl, _ := benchDevice(b)
+	cl, _ := benchDevice(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +71,7 @@ func BenchmarkProgramRPCChanged(b *testing.B) {
 }
 
 func BenchmarkDeployRPCFirstSight(b *testing.B) {
-	cl, prog := benchDevice(b)
+	cl, prog := benchDevice(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +83,7 @@ func BenchmarkDeployRPCFirstSight(b *testing.B) {
 }
 
 func BenchmarkDeployRPCRepeat(b *testing.B) {
-	cl, prog := benchDevice(b)
+	cl, prog := benchDevice(b, nil)
 	if err := cl.Deploy(prog); err != nil {
 		b.Fatal(err)
 	}
@@ -100,12 +104,42 @@ func measureBatch() []*packet.Packet {
 }
 
 func BenchmarkMeasureRPC(b *testing.B) {
-	cl, _ := benchDevice(b)
+	cl, _ := benchDevice(b, nil)
 	batch := measureBatch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.Measure(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProfileRPC reads the open profile window of a device that has
+// processed the measure batch once: every table and action of the
+// 110-table program has counts.
+func BenchmarkProfileRPC(b *testing.B) {
+	cl, _ := benchDevice(b, profile.NewCollector())
+	if _, err := cl.Measure(measureBatch()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, err := cl.ProfileWindow(false); err != nil || len(p.ActionCounts) == 0 {
+			b.Fatalf("profile %v, err %v", p, err)
+		}
+	}
+}
+
+// BenchmarkCacheStatsRPC reads the cache counters of a device whose
+// program has no cache: the RPC's own cost.
+func BenchmarkCacheStatsRPC(b *testing.B) {
+	cl, _ := benchDevice(b, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.CacheStats(); err != nil {
 			b.Fatal(err)
 		}
 	}

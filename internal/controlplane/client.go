@@ -271,7 +271,7 @@ func (c *Client) Stats() (json.RawMessage, error) {
 
 // InsertEntry installs an entry into a table of the original program.
 func (c *Client) InsertEntry(table string, e p4ir.Entry) error {
-	_, err := c.call(&Request{Op: OpInsert, Table: table, Entry: FromEntry(e)})
+	_, err := c.call(&Request{Op: OpInsert, Table: table, Entry: &e})
 	return err
 }
 
@@ -289,37 +289,36 @@ func (c *Client) ModifyEntry(table string, match []p4ir.MatchValue, action strin
 
 // Program fetches the currently deployed program.
 func (c *Client) Program() (*p4ir.Program, error) {
-	p, _, _, err := c.ProgramUnless(p4ir.Digest{})
+	p, _, err := c.ProgramUnless(p4ir.Digest{})
 	return p, err
 }
 
-// ProgramUnless fetches the currently deployed program, its encoding and
-// its digest, unless that digest is have (the zero digest stands for "none
-// held"): the server then sends no program and the result is (nil, nil,
-// have, nil). The server decides, from the program it runs when the
-// request arrives. enc is the body the server sent, which the decode
-// validated: DecodeBinary accepts only the canonical encoding, so enc is
-// the program's, and nothing else holds it.
-func (c *Client) ProgramUnless(have p4ir.Digest) (prog *p4ir.Program, enc []byte, digest p4ir.Digest, err error) {
+// ProgramUnless fetches the currently deployed program and its digest,
+// unless that digest is have (the zero digest stands for "none held"): the
+// server then sends no program and the result is (nil, have, nil). The
+// server decides, from the program it runs when the request arrives. The
+// digest is of the body the server sent, which the decode validated:
+// DecodeBinary accepts only the canonical encoding, so it is the program's.
+func (c *Client) ProgramUnless(have p4ir.Digest) (prog *p4ir.Program, digest p4ir.Digest, err error) {
 	req := &Request{Op: OpProgram}
 	if have != (p4ir.Digest{}) {
 		req.Have = have.String()
 	}
 	resp, err := c.call(req)
 	if err != nil {
-		return nil, nil, p4ir.Digest{}, err
+		return nil, p4ir.Digest{}, err
 	}
 	if resp.Unchanged != "" {
 		if resp.Unchanged != req.Have {
-			return nil, nil, p4ir.Digest{}, fmt.Errorf("controlplane: server answered program %q unchanged, which the request (have %q) did not name", resp.Unchanged, req.Have)
+			return nil, p4ir.Digest{}, fmt.Errorf("controlplane: server answered program %q unchanged, which the request (have %q) did not name", resp.Unchanged, req.Have)
 		}
-		return nil, nil, have, nil
+		return nil, have, nil
 	}
 	p, err := p4ir.DecodeBinary(resp.Body)
 	if err != nil {
-		return nil, nil, p4ir.Digest{}, err
+		return nil, p4ir.Digest{}, err
 	}
-	return p, resp.Body, p4ir.DigestOf(resp.Body), nil
+	return p, p4ir.DigestOf(resp.Body), nil
 }
 
 // Counters fetches a profile snapshot from the device collector.
@@ -328,11 +327,7 @@ func (c *Client) Counters() (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := profile.New()
-	if err := json.Unmarshal(resp.Data, p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return decodeProfile(resp.Body)
 }
 
 // Device operations — the client half of the target/remote backend.
@@ -398,11 +393,7 @@ func (c *Client) Measure(pkts []*packet.Packet) (target.Measurement, error) {
 	if err != nil {
 		return target.Measurement{}, err
 	}
-	var m target.Measurement
-	if err := json.Unmarshal(resp.Data, &m); err != nil {
-		return target.Measurement{}, err
-	}
-	return m, nil
+	return decodeAnswer((*codec).measurement, resp.Body)
 }
 
 // ProfileWindow fetches the device's raw profile window; reset closes it.
@@ -411,11 +402,7 @@ func (c *Client) ProfileWindow(reset bool) (*profile.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := profile.New()
-	if err := json.Unmarshal(resp.Data, p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return decodeProfile(resp.Body)
 }
 
 // CacheStats fetches the device's per-cache counters.
@@ -424,11 +411,7 @@ func (c *Client) CacheStats() ([]target.CacheStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cs []target.CacheStats
-	if err := json.Unmarshal(resp.Data, &cs); err != nil {
-		return nil, err
-	}
-	return cs, nil
+	return decodeAnswer((*codec).cacheStats, resp.Body)
 }
 
 // Capabilities fetches the device's capability description.

@@ -50,10 +50,15 @@ func (f *fakeBackend) ModifyEntry(table string, match []p4ir.MatchValue, action 
 	return err
 }
 
-func (f *fakeBackend) Current() *p4ir.Program {
+func (f *fakeBackend) Current() (*p4ir.Program, p4ir.Digest) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.prog
+	return f.prog, f.prog.Digest()
+}
+
+func (f *fakeBackend) program() *p4ir.Program {
+	p, _ := f.Current()
+	return p
 }
 
 func startServer(t *testing.T) (*Server, *Client, *fakeBackend, *profile.Collector) {
@@ -86,19 +91,19 @@ func TestInsertDeleteModifyOverTCP(t *testing.T) {
 	if err := cl.InsertEntry("acl", e); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(backend.Current().Tables["acl"].Entries); got != 1 {
+	if got := len(backend.program().Tables["acl"].Entries); got != 1 {
 		t.Fatalf("backend entries = %d", got)
 	}
 	if err := cl.ModifyEntry("acl", e.Match, "allow", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.Current().Tables["acl"].Entries[0].Action; got != "allow" {
+	if got := backend.program().Tables["acl"].Entries[0].Action; got != "allow" {
 		t.Errorf("action = %q", got)
 	}
 	if err := cl.DeleteEntry("acl", e.Match); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(backend.Current().Tables["acl"].Entries); got != 0 {
+	if got := len(backend.program().Tables["acl"].Entries); got != 0 {
 		t.Errorf("entries after delete = %d", got)
 	}
 }
@@ -163,7 +168,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	req := &Request{ID: 7, Op: OpInsert, Table: "t", Entry: &WireEntry{Action: "a", Match: []p4ir.MatchValue{{Value: 1}}}}
+	req := &Request{ID: 7, Op: OpInsert, Table: "t", Entry: &p4ir.Entry{Action: "a", Match: []p4ir.MatchValue{{Value: 1}}}}
 	if err := writeFrame(&buf, req, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if err := cl.InsertEntry("acl", e2); err != nil {
 		t.Fatalf("insert after restart: %v", err)
 	}
-	if got := len(backend.Current().Tables["acl"].Entries); got != 2 {
+	if got := len(backend.program().Tables["acl"].Entries); got != 2 {
 		t.Errorf("entries after restart = %d, want 2 (no loss, no duplicates)", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestRetriedInsertNotDuplicated(t *testing.T) {
 	if script.Pending(faultinject.PointConnWrite) != 0 {
 		t.Fatal("connection-drop fault did not fire")
 	}
-	if got := len(backend.Current().Tables["acl"].Entries); got != 1 {
+	if got := len(backend.program().Tables["acl"].Entries); got != 1 {
 		t.Errorf("entries = %d, want exactly 1 (retry deduplicated)", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestClientRecoversFromStalledResponse(t *testing.T) {
 	if err := cl.InsertEntry("acl", e); err != nil {
 		t.Fatalf("insert through stalled response failed: %v", err)
 	}
-	if got := len(backend.Current().Tables["acl"].Entries); got != 1 {
+	if got := len(backend.program().Tables["acl"].Entries); got != 1 {
 		t.Errorf("entries = %d, want exactly 1", got)
 	}
 }

@@ -64,7 +64,7 @@ type Request struct {
 	Idem  string `json:"idem,omitempty"`
 	Table string `json:"table,omitempty"`
 	// Entry is used by insert.
-	Entry *WireEntry `json:"entry,omitempty"`
+	Entry *p4ir.Entry `json:"entry,omitempty"`
 	// Match identifies entries for delete/modify.
 	Match []p4ir.MatchValue `json:"match,omitempty"`
 	// Action/Args are used by modify.
@@ -80,24 +80,6 @@ type Request struct {
 	// program in p4ir's binary form for deploy, the packet batch
 	// (appendPackets) for measure.
 	Body []byte `json:"-"`
-}
-
-// WireEntry is the wire form of a table entry.
-type WireEntry struct {
-	Priority int               `json:"priority,omitempty"`
-	Match    []p4ir.MatchValue `json:"match"`
-	Action   string            `json:"action"`
-	Args     []string          `json:"args,omitempty"`
-}
-
-// ToEntry converts to the IR form.
-func (w *WireEntry) ToEntry() p4ir.Entry {
-	return p4ir.Entry{Priority: w.Priority, Match: w.Match, Action: w.Action, Args: w.Args}
-}
-
-// FromEntry converts from the IR form.
-func FromEntry(e p4ir.Entry) *WireEntry {
-	return &WireEntry{Priority: e.Priority, Match: e.Match, Action: e.Action, Args: e.Args}
 }
 
 // mutating reports whether an op changes server state (and therefore
@@ -130,7 +112,8 @@ type Response struct {
 	// response then carries no body.
 	Unchanged string `json:"unchanged,omitempty"`
 	// Body is the frame's raw payload: the device's program in p4ir's
-	// binary form on a program response.
+	// binary form on a program response, and the answer of a measure,
+	// profile, counters or cachestats request (answers.go).
 	Body []byte `json:"-"`
 }
 
@@ -140,16 +123,18 @@ type Response struct {
 //
 // big-endian, length counting everything after itself. The header is a
 // Request or a Response; the body is whatever bulk payload rides with it
-// (a program, a packet batch) and is empty for most operations.
+// (a program, a packet batch, a round's answers) and is empty for the
+// rest.
 
 // maxFrame bounds a single message, header and body together (16 MiB), to
 // fail fast on framing corruption.
 const maxFrame = 16 << 20
 
-// protocolVersion is the frame layout's version byte. The layout before it
-// was a bare length-prefixed JSON document, whose first byte '{' reads as
-// version 123 here.
-const protocolVersion = 2
+// protocolVersion is the frame layout's version byte. Version 2 carried
+// measure, profile, counters and cachestats answers as JSON in the header;
+// the layout before it was a bare length-prefixed JSON document, whose
+// first byte '{' reads as version 123 here.
+const protocolVersion = 3
 
 // framePrefix is the version byte and the header length.
 const framePrefix = 1 + 4
@@ -271,73 +256,58 @@ var slabPool = sync.Pool{New: func() any { return new(packetSlab) }}
 
 // decodePackets reconstructs a batch into slab, which the packets live in
 // until its next use. Counts and lengths are checked against the bytes that
-// remain before anything is sized by them, and the slab grows with the
-// packets parsed, not with the count claimed. The packets' payloads alias
-// data.
+// remain before anything is sized by them (reader.number), and the slab
+// grows with the packets parsed, not with the count claimed. The packets'
+// payloads alias data.
 func decodePackets(slab *packetSlab, data []byte) ([]*packet.Packet, error) {
 	bad := func(what string) ([]*packet.Packet, error) {
 		return nil, fmt.Errorf("controlplane: malformed packet batch: %s", what)
 	}
-	// number reads a uvarint. With each > 0 it counts items of at least
-	// that many bytes apiece, and the bytes that remain must hold them.
-	number := func(each uint64) (uint64, bool) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, false
-		}
-		data = data[n:]
-		if each > 0 && v > uint64(len(data))/each {
-			return 0, false
-		}
-		return v, true
-	}
+	r := &reader{data: data}
 	// The smallest record that parses: a one-byte length, an Ethernet
 	// header, a wire length and a field count.
 	const minPacketBytes, minFieldBytes = 1 + 14 + 1 + 1, 2
-	count, ok := number(minPacketBytes)
+	count, ok := r.number(minPacketBytes)
 	if !ok {
 		return bad("packet count")
 	}
 	slab.pkts = slab.pkts[:0]
 	for i := uint64(0); i < count; i++ {
-		n, ok := number(1)
-		if !ok {
+		frame := r.bytes()
+		if r.bad {
 			return bad("packet length")
 		}
 		slab.pkts = slices.Grow(slab.pkts, 1)[:len(slab.pkts)+1] // a dirty slot: ParseInto resets it
 		p := &slab.pkts[len(slab.pkts)-1]
-		if err := packet.ParseInto(p, data[:n]); err != nil {
+		if err := packet.ParseInto(p, frame); err != nil {
 			return nil, err
 		}
-		data = data[n:]
-		wireLen, ok := number(0)
+		wireLen, ok := r.number(0)
 		if !ok || wireLen > maxFrame {
 			return bad("wire length")
 		}
 		if wireLen > 0 {
 			p.WireLen = int(wireLen)
 		}
-		fields, ok := number(minFieldBytes)
+		fields, ok := r.number(minFieldBytes)
 		if !ok {
 			return bad("field count")
 		}
 		for j := uint64(0); j < fields; j++ {
-			n, ok := number(1)
-			if !ok {
+			name := r.bytes()
+			if r.bad {
 				return bad("field name")
 			}
-			name := string(data[:n])
-			data = data[n:]
-			v, ok := number(0)
+			v, ok := r.number(0)
 			if !ok {
 				return bad("field value")
 			}
-			if err := p.Set(name, v); err != nil {
+			if err := p.Set(string(name), v); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if len(data) > 0 {
+	if len(r.data) > 0 {
 		return bad("trailing bytes")
 	}
 	slab.ptrs = slab.ptrs[:0]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +26,9 @@ type Backend interface {
 	InsertEntry(table string, e p4ir.Entry) error
 	DeleteEntry(table string, match []p4ir.MatchValue) error
 	ModifyEntry(table string, match []p4ir.MatchValue, action string, args []string) error
-	Current() *p4ir.Program
+	// Current returns the deployed program and the digest the backend
+	// keeps of it.
+	Current() (*p4ir.Program, p4ir.Digest)
 }
 
 // idemEntries bounds the server's idempotency-replay window. Old keys are
@@ -169,7 +172,7 @@ type WireStats struct {
 	ProgramsSent      uint64 `json:"programs_sent"`
 	ProgramsUnchanged uint64 `json:"programs_unchanged"`
 	// BodyBytesIn / BodyBytesOut total the frame bodies received (staged
-	// programs, packet batches) and sent (programs).
+	// programs, packet batches) and sent (programs, answers).
 	BodyBytesIn  uint64 `json:"body_bytes_in"`
 	BodyBytesOut uint64 `json:"body_bytes_out"`
 	// LintMemoHits / LintMemoMisses count deploys whose gate verdict was
@@ -317,13 +320,16 @@ func (s *Server) apply(req *Request) *Response {
 		resp.Error = err.Error()
 		return resp
 	}
+	if s.device == nil && slices.Contains([]Op{OpDeploy, OpCommit, OpRollback, OpMeasure, OpProfile, OpCacheStats, OpCapabilities}, req.Op) {
+		return fail(errNoDevice)
+	}
 	switch req.Op {
 	case OpPing:
 	case OpInsert:
 		if req.Entry == nil {
 			return fail(errors.New("insert requires an entry"))
 		}
-		e := req.Entry.ToEntry()
+		e := *req.Entry
 		if err := s.entryOp(func(api entryAPI) error { return api.InsertEntry(req.Table, e) },
 			func(p *p4ir.Program) (func(), error) { return p.InsertEntry(req.Table, e) }); err != nil {
 			return fail(err)
@@ -341,32 +347,38 @@ func (s *Server) apply(req *Request) *Response {
 			return fail(err)
 		}
 	case OpProgram:
-		prog, err := s.currentProgram()
-		if err != nil {
-			return fail(err)
-		}
 		// The answer is decided here, from the program running at this
 		// instant: whatever changed it — an entry operation, a rollback,
 		// another controller's deploy — changed its digest. The common
-		// answer is "unchanged", which a device decides by the digest it
-		// keeps; the program is encoded only when it has to travel.
+		// answer is "unchanged", which the runtime or the device decides by
+		// the digest it keeps; the program is read and encoded only when it
+		// has to travel. Program ops prefer the runtime backend; a
+		// device-only server reads the device.
+		var prog *p4ir.Program
 		var digest p4ir.Digest
-		if s.backend != nil {
-			digest = prog.Digest()
-		} else if digest, err = s.device.Digest(); err != nil {
+		var err error
+		switch {
+		case s.backend != nil:
+			prog, digest = s.backend.Current()
+		case s.device != nil:
+			digest, err = s.device.Digest()
+		default:
+			err = errNoBackend
+		}
+		if err != nil {
 			return fail(err)
 		}
 		if have := digest.String(); have == req.Have {
 			resp.Unchanged = have
 			s.wire.programsUnchanged.Add(1)
-		} else {
-			resp.Body = prog.AppendBinary(nil)
-			s.wire.programsSent.Add(1)
+			break
 		}
+		if prog == nil {
+			prog = s.device.Program()
+		}
+		resp.Body = prog.AppendBinary(nil)
+		s.wire.programsSent.Add(1)
 	case OpDeploy:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		// The digest is of the bytes received, never one the client names,
 		// and DecodeBinary accepts them only as the canonical encoding of a
 		// valid program: equal digests are equal programs.
@@ -394,23 +406,14 @@ func (s *Server) apply(req *Request) *Response {
 		}
 		adopt()
 	case OpCommit:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		if err := s.device.Commit(); err != nil {
 			return fail(err)
 		}
 	case OpRollback:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		if err := s.device.Rollback(); err != nil {
 			return fail(err)
 		}
 	case OpMeasure:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		slab := slabPool.Get().(*packetSlab)
 		pkts, err := decodePackets(slab, req.Body)
 		var m target.Measurement
@@ -421,41 +424,20 @@ func (s *Server) apply(req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		data, err := json.Marshal(m)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
+		resp.Body = encodeAnswer((*codec).measurement, m)
 	case OpProfile:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		snap, err := s.device.Profile(req.Reset)
 		if err != nil {
 			return fail(err)
 		}
-		data, err := json.Marshal(snap)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
+		resp.Body = encodeProfile(snap)
 	case OpCacheStats:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		cs, err := s.device.CacheStats()
 		if err != nil {
 			return fail(err)
 		}
-		data, err := json.Marshal(cs)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
+		resp.Body = encodeAnswer((*codec).cacheStats, cs)
 	case OpCapabilities:
-		if s.device == nil {
-			return fail(errNoDevice)
-		}
 		data, err := json.Marshal(s.device.Capabilities())
 		if err != nil {
 			return fail(err)
@@ -479,11 +461,7 @@ func (s *Server) apply(req *Request) *Response {
 		} else {
 			return fail(errors.New("counters unavailable"))
 		}
-		data, err := json.Marshal(snap)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
+		resp.Body = encodeProfile(snap)
 	case OpStats:
 		if s.statusFn != nil {
 			data, err := s.statusFn()
@@ -567,18 +545,6 @@ func (s *Server) entryOp(op func(entryAPI) error, onBaseline func(*p4ir.Program)
 		_, _ = onBaseline(s.baseline)
 	}
 	return nil
-}
-
-// Program ops prefer the runtime backend too; a device-only server reads
-// the deployed program directly.
-func (s *Server) currentProgram() (*p4ir.Program, error) {
-	if s.backend != nil {
-		return s.backend.Current(), nil
-	}
-	if s.device != nil {
-		return s.device.Program(), nil
-	}
-	return nil, errNoBackend
 }
 
 var errNoBackend = errors.New("no backend or device configured")

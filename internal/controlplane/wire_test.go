@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"pipeleon/internal/diag"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/packet"
+	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
 	"pipeleon/internal/trafficgen"
 )
@@ -235,10 +238,10 @@ func TestUnchangedNeedsTheDigestThatWasSent(t *testing.T) {
 	if p, err := cl.Program(); err == nil {
 		t.Fatalf("unchanged without a digest sent: program %v, no error", p)
 	}
-	if p, _, _, err := cl.ProgramUnless(p4ir.Digest{2}); err == nil {
+	if p, _, err := cl.ProgramUnless(p4ir.Digest{2}); err == nil {
 		t.Fatalf("unchanged for another digest: program %v, no error", p)
 	}
-	if p, enc, d, err := cl.ProgramUnless(p4ir.Digest{1}); err != nil || p != nil || enc != nil || d != (p4ir.Digest{1}) {
+	if p, d, err := cl.ProgramUnless(p4ir.Digest{1}); err != nil || p != nil || d != (p4ir.Digest{1}) {
 		t.Fatalf("unchanged for the digest sent: (%v, %v, %v)", p, d, err)
 	}
 }
@@ -253,13 +256,16 @@ func TestVersionMismatchIsAnError(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(old(&Request{ID: 1, Op: OpPing})), &req); !errors.Is(err, ErrProtocolVersion) {
 		t.Fatalf("old-layout frame: err = %v, want ErrProtocolVersion", err)
 	}
-	var future bytes.Buffer
-	if err := writeFrame(&future, &Request{ID: 1, Op: OpPing}, nil); err != nil {
-		t.Fatal(err)
-	}
-	future.Bytes()[4] = protocolVersion + 1
-	if _, err := readFrame(&future, &req); !errors.Is(err, ErrProtocolVersion) {
-		t.Fatalf("next-version frame: err = %v, want ErrProtocolVersion", err)
+	// Version 2, whose answers rode in the JSON header, and the next one.
+	for _, v := range []byte{2, protocolVersion + 1} {
+		var other bytes.Buffer
+		if err := writeFrame(&other, &Request{ID: 1, Op: OpPing}, nil); err != nil {
+			t.Fatal(err)
+		}
+		other.Bytes()[4] = v
+		if _, err := readFrame(&other, &req); !errors.Is(err, ErrProtocolVersion) {
+			t.Fatalf("version-%d frame: err = %v, want ErrProtocolVersion", v, err)
+		}
 	}
 
 	// A client facing a peer of the old build gets that error, at once:
@@ -433,7 +439,7 @@ func frameSeeds() [][]byte {
 		body []byte
 	}{
 		{&Request{ID: 1, Op: OpPing}, nil},
-		{&Request{ID: 2, Op: OpInsert, Table: "t", Entry: &WireEntry{Action: "a", Match: []p4ir.MatchValue{{Value: 1, Mask: 0xff}}}}, nil},
+		{&Request{ID: 2, Op: OpInsert, Table: "t", Entry: &p4ir.Entry{Action: "a", Match: []p4ir.MatchValue{{Value: 1, Mask: 0xff}}}}, nil},
 		{&Request{ID: 3, Op: OpProgram, Have: p4ir.Digest{9}.String()}, nil},
 		{&Request{ID: 4, Op: OpDeploy, Idem: "s-4"}, p4ir.NewProgram("p").AppendBinary(nil)},
 		{&Request{ID: 5, Op: OpMeasure, Idem: "s-5"}, appendPackets(nil, testBatch(2))},
@@ -506,4 +512,184 @@ func packetSeeds() [][]byte {
 		appendPackets(nil, testBatch(7)),
 		binary.AppendUvarint(nil, 1<<40),
 	}
+}
+
+// fullProfile sets every field of a profile, each map with more than one
+// key, so a field the codec skips or a map it reorders shows.
+func fullProfile() *profile.Profile {
+	p := profile.New()
+	p.ActionCounts["t1"] = map[string]uint64{"a": 3, "b": 1 << 40}
+	p.ActionCounts["t0"] = map[string]uint64{}
+	p.BranchCounts["c1"], p.BranchCounts["c0"] = [2]uint64{1, 2}, [2]uint64{0, 1 << 63}
+	p.CacheHits["cache1"], p.CacheHits["cache0"] = 7, 0
+	p.CacheMisses["cache1"], p.CacheMisses["cache0"] = 1, 2
+	p.UpdateRates["t1"], p.UpdateRates["t0"] = 123.5, 1e-300
+	p.KeyCardinality["t1"], p.KeyCardinality["t0"] = 2, 300
+	p.FlowCardinality = 99
+	p.SampleRate = 1.0 / 1024
+	return p
+}
+
+func fullCacheStats() []target.CacheStats {
+	return []target.CacheStats{
+		{Table: "cache1", Hits: 1, Misses: 2, Inserts: 3, Rejected: 4, Evictions: 5, Invalidations: 6, Entries: 7},
+		{Table: "", Hits: 1 << 63, Entries: -1},
+	}
+}
+
+func fullMeasurement() target.Measurement {
+	return target.Measurement{Packets: 2000, MeanLatencyNs: 271.25, P99LatencyNs: 900, ThroughputGbps: 41.5,
+		DropRate: 0.125, MeanMigrations: 0.5, VendorHitRate: 0.875, MeanCounterUpdates: 3}
+}
+
+// allSet fails for a field of v left zero: the fixtures above set every
+// field, so a field added to the type must be added to them and to its codec.
+func allSet(t *testing.T, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v)
+	for i := range rv.NumField() {
+		if rv.Field(i).IsZero() {
+			t.Fatalf("%T.%s is not set: add it to the fixture and to the body codec", v, rv.Type().Field(i).Name)
+		}
+	}
+}
+
+// TestAnswersRoundTrip: each answer body decodes to the answer encoded,
+// and a body that is not canonical is refused. FuzzDecodeAnswers's seeds
+// carry the floats JSON could not: NaN, ±Inf and −0.
+func TestAnswersRoundTrip(t *testing.T) {
+	p := fullProfile()
+	allSet(t, *p)
+	if back, err := decodeProfile(encodeProfile(p)); err != nil || !reflect.DeepEqual(back, p) {
+		t.Fatalf("profile: %+v, %v; want %+v", back, err, p)
+	}
+	if back, err := decodeProfile(encodeProfile(nil)); err != nil || !reflect.DeepEqual(back, profile.New()) {
+		t.Fatalf("nil profile: %+v, %v; want the empty profile", back, err)
+	}
+	cs := fullCacheStats()
+	allSet(t, cs[0])
+	if back, err := decodeAnswer((*codec).cacheStats, encodeAnswer((*codec).cacheStats, cs)); err != nil || !reflect.DeepEqual(back, cs) {
+		t.Fatalf("cache stats: %+v, %v; want %+v", back, err, cs)
+	}
+	m := fullMeasurement()
+	allSet(t, m)
+	if back, err := decodeAnswer((*codec).measurement, encodeAnswer((*codec).measurement, m)); err != nil || back != m {
+		t.Fatalf("measurement: %+v, %v; want %+v", back, err, m)
+	}
+
+	// Not canonical: names out of order or repeated, a long-form number.
+	empty := encodeProfile(nil)
+	withHits := func(names ...byte) []byte {
+		b := append(bytes.Clone(empty[:2]), byte(len(names)))
+		for _, n := range names {
+			b = append(b, 1, n, 1)
+		}
+		return append(b, empty[3:]...)
+	}
+	if _, err := decodeProfile(withHits('a', 'b')); err != nil {
+		t.Fatalf("cache hits in order refused: %v", err)
+	}
+	for _, names := range []string{"ba", "aa"} {
+		if _, err := decodeProfile(withHits(names[0], names[1])); err == nil {
+			t.Errorf("cache hits %q accepted", names)
+		}
+	}
+	if _, err := decodeAnswer((*codec).measurement, append([]byte{0x80, 0}, make([]byte, 56)...)); err == nil {
+		t.Error("a long-form packet count accepted")
+	}
+}
+
+// TestAnswerHostileLengthsAllocateNothing overwrites each position of an
+// honest profile and cache-stats body in turn with a huge count. Where it
+// lands on a map size, a name length or a list length it is refused before
+// anything is sized by it; where the body still parses it was read as a
+// value, and the answer encodes back to it. Either way it costs no more
+// than the honest body.
+func TestAnswerHostileLengthsAllocateNothing(t *testing.T) {
+	p := profile.New()
+	var cs []target.CacheStats
+	for i := range 300 {
+		name := fmt.Sprintf("table_%03d", i)
+		p.ActionCounts[name] = map[string]uint64{"hit": uint64(i), "miss": 1 << 33, "default": 7}
+		p.BranchCounts[name] = [2]uint64{uint64(i), 1}
+		p.UpdateRates[name] = float64(i) / 3
+		p.KeyCardinality[name] = uint64(i * i)
+		cs = append(cs, target.CacheStats{Table: name, Hits: uint64(i), Entries: i})
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for _, c := range []struct {
+		name   string
+		good   []byte
+		decode func([]byte) ([]byte, error) // the re-encoded answer
+	}{
+		{"profile", encodeProfile(p), func(b []byte) ([]byte, error) {
+			p, err := decodeProfile(b)
+			return encodeProfile(p), err
+		}},
+		{"cache stats", encodeAnswer((*codec).cacheStats, cs), func(b []byte) ([]byte, error) {
+			cs, err := decodeAnswer((*codec).cacheStats, b)
+			return encodeAnswer((*codec).cacheStats, cs), err
+		}},
+	} {
+		honest := allocatedBy(func() { c.decode(c.good) })
+		for at := 0; at+len(huge) < len(c.good); at += 7 {
+			input := bytes.Clone(c.good)
+			copy(input[at:], huge)
+			var again []byte
+			var err error
+			got := allocatedBy(func() { again, err = c.decode(input) })
+			if err == nil && !bytes.Equal(again, input) || got > honest+16<<10 {
+				t.Fatalf("%s: huge count at byte %d: allocated %d against %d for the honest body (err %v)", c.name, at, got, honest, err)
+			}
+		}
+	}
+}
+
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeAnswers feeds arbitrary bytes to the profile, cache-stats and
+// measurement decoders. None panics or allocates out of proportion to its
+// input, and whatever one accepts encodes back to the input byte for byte,
+// every float bit for bit.
+func FuzzDecodeAnswers(f *testing.F) {
+	weird := profile.New()
+	weird.UpdateRates["nan"], weird.UpdateRates["inf"], weird.SampleRate = math.NaN(), math.Inf(-1), math.Copysign(0, -1)
+	for _, seed := range [][]byte{
+		nil,
+		encodeProfile(fullProfile()),
+		encodeProfile(weird),
+		encodeAnswer((*codec).cacheStats, fullCacheStats()),
+		encodeAnswer((*codec).measurement, fullMeasurement()),
+		encodeAnswer((*codec).measurement, target.Measurement{MeanLatencyNs: math.NaN(), P99LatencyNs: math.Inf(1),
+			DropRate: math.Float64frombits(0x7ff8_0000_dead_beef), MeanMigrations: math.Copysign(0, -1)}),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p *profile.Profile
+		var cs []target.CacheStats
+		var m target.Measurement
+		var perr, cerr, merr error
+		if got := allocatedBy(func() {
+			p, perr = decodeProfile(data)
+			cs, cerr = decodeAnswer((*codec).cacheStats, data)
+			m, merr = decodeAnswer((*codec).measurement, data)
+		}); got > 256*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		for _, c := range []struct {
+			err   error
+			again []byte
+		}{{perr, encodeProfile(p)}, {cerr, encodeAnswer((*codec).cacheStats, cs)}, {merr, encodeAnswer((*codec).measurement, m)}} {
+			if c.err == nil && !bytes.Equal(c.again, data) {
+				t.Fatalf("accepted body %x re-encodes as %x", data, c.again)
+			}
+		}
+	})
 }

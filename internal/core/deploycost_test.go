@@ -30,13 +30,13 @@ func TestCurrentNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur := rt.Current(); cur == again.Program || cur == nic.Program() || cur == rt.Original() {
+	if cur := currentOf(rt); cur == again.Program || cur == nic.Program() || cur == rt.Original() {
 		t.Fatal("Current() is the session's rewrite, the device's program or the original itself")
 	}
 	if err := rt.InsertEntry("acl1", extra(9001)); err != nil {
 		t.Fatal(err)
 	}
-	if o, c, d, s := entries(rt.Original()), entries(rt.Current()), entries(nic.Program()), entries(again.Program); o != 2 || c != 2 || d != 2 || s != 1 {
+	if o, c, d, s := entries(rt.Original()), entries(currentOf(rt)), entries(nic.Program()), entries(again.Program); o != 2 || c != 2 || d != 2 || s != 1 {
 		t.Fatalf("after one insert under a plan: original %d, current %d, device %d entries (want 2 each), an earlier rewrite %d (want 1)", o, c, d, s)
 	}
 
@@ -46,16 +46,16 @@ func TestCurrentNotAliased(t *testing.T) {
 	if rep := mustRound(t, rt, nic, calm); !rep.Deployed || rep.PlanSize != 0 {
 		t.Fatalf("round 2 should deploy the original back: %+v", rep)
 	}
-	if rt.Current() == rt.Original() {
+	if currentOf(rt) == rt.Original() {
 		t.Fatal("Current() is the original itself: an entry operation would apply to it twice")
 	}
 	if err := rt.InsertEntry("acl1", extra(9002)); err != nil {
 		t.Fatal(err)
 	}
-	if o, c, d := entries(rt.Original()), entries(rt.Current()), entries(nic.Program()); o != 3 || c != 3 || d != 3 {
+	if o, c, d := entries(rt.Original()), entries(currentOf(rt)), entries(nic.Program()); o != 3 || c != 3 || d != 3 {
 		t.Fatalf("after one insert on the original layout: original %d, current %d, device %d entries, want 3 each", o, c, d)
 	}
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree on the deployed program")
 	}
 }
@@ -109,7 +109,7 @@ func TestPanicCostsOneRound(t *testing.T) {
 			if rep.RolledBack != tc.staged {
 				t.Errorf("RolledBack = %v with a program staged = %v", rep.RolledBack, tc.staged)
 			}
-			if nic.Program().Digest() != checkpoint || rt.Current().Digest() != checkpoint {
+			if nic.Program().Digest() != checkpoint || currentOf(rt).Digest() != checkpoint {
 				t.Error("device or runtime is not on the checkpoint after the panic")
 			}
 			if st := rt.Status(); st.ConsecutiveFailures != 1 || st.Errors != 1 || len(rt.History()) != 1 {
@@ -119,7 +119,7 @@ func TestPanicCostsOneRound(t *testing.T) {
 			if rep := mustRound(t, rt, nic, gen); !rep.Deployed || rep.RolledBack {
 				t.Fatalf("the round after the panic should deploy: %+v", rep)
 			}
-			if rt.Current().Digest() != nic.Program().Digest() || nic.Program().Digest() == checkpoint {
+			if currentOf(rt).Digest() != nic.Program().Digest() || nic.Program().Digest() == checkpoint {
 				t.Error("runtime and device are not both on the new layout")
 			}
 		})

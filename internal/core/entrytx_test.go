@@ -71,7 +71,7 @@ func (r *Runtime) Original() *p4ir.Program { return r.orig }
 type views struct{ orig, current, device *p4ir.Program }
 
 func snapshot(rt *Runtime, nic *nicsim.NIC) views {
-	return views{rt.Original().Clone(), rt.Current().Clone(), nic.Program().Clone()}
+	return views{rt.Original().Clone(), currentOf(rt).Clone(), nic.Program().Clone()}
 }
 
 // assertUnchanged fails unless a refused operation left every view as the
@@ -146,7 +146,7 @@ func TestEntryOpUndoneWhenDeviceRefuses(t *testing.T) {
 		if err := op.run(); err != nil {
 			t.Fatalf("%s once the device accepts: %v", op.name, err)
 		}
-		if rt.Current().Digest() != nic.Program().Digest() {
+		if currentOf(rt).Digest() != nic.Program().Digest() {
 			t.Errorf("%s: runtime and device disagree on the deployed program", op.name)
 		}
 		if n := rt.updCountsOrig["acl1"]; n != uint64(i+1) {
@@ -194,7 +194,7 @@ func TestEntryOpUndoneWhenRedeployFails(t *testing.T) {
 	if err := rt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree after the retried insert")
 	}
 }

@@ -62,8 +62,8 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 	genA := trafficgen.New(1, 0)
 	genA.AddFlows(trafficgen.DropTargetedFlows(2, 2000, "tcp.dport", 23, 0.8)...)
 	drive(nic, genA, 4000)
-	if rep, err := rt.OptimizeOnce(time.Second); err != nil || !rep.Deployed || rt.Current().Root != "acl2" {
-		t.Fatalf("phase 1 should deploy acl2 first: root %q, report %+v, err %v", rt.Current().Root, rep, err)
+	if rep, err := rt.OptimizeOnce(time.Second); err != nil || !rep.Deployed || currentOf(rt).Root != "acl2" {
+		t.Fatalf("phase 1 should deploy acl2 first: root %q, report %+v, err %v", currentOf(rt).Root, rep, err)
 	}
 	// Search, the joint check of the applied plan and the deploy gate ask
 	// one checker: the gate's proof of the program the search just proved
@@ -79,7 +79,7 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 	if again := rt.Status(); again.ProofMemoMisses != first.ProofMemoMisses {
 		t.Errorf("unchanged plan was proven again: misses %d -> %d", first.ProofMemoMisses, again.ProofMemoMisses)
 	}
-	beforeInsert := rt.Current().Clone()
+	beforeInsert := currentOf(rt).Clone()
 
 	widen := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 0x0b000002}}, Action: "set", Args: []string{"9"}}
 	if err := rt.InsertEntry("mark", widen); err != nil {
@@ -95,8 +95,8 @@ func TestEntryUpdateInvalidatesSemanticProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Deployed || rt.Current().Root != "acl1" {
-		t.Errorf("phase 2 should deploy acl1 first: root %q, report %+v", rt.Current().Root, rep)
+	if !rep.Deployed || currentOf(rt).Root != "acl1" {
+		t.Errorf("phase 2 should deploy acl1 first: root %q, report %+v", currentOf(rt).Root, rep)
 	}
 	if s := rep.Error + rep.DeployError + strings.Join(rep.Diagnostics, " "); strings.Contains(s, "SE0") {
 		t.Errorf("round after the insert carries semantic-equivalence diagnostics: %s", s)

@@ -49,10 +49,10 @@ func newFaultRig(t *testing.T, inj faultinject.Injector) (*Runtime, *nicsim.NIC,
 // ACL reorder is live.
 func assertHealthy(t *testing.T, rt *Runtime, nic *nicsim.NIC) {
 	t.Helper()
-	if root := rt.Current().Root; root != "acl2" {
+	if root := currentOf(rt).Root; root != "acl2" {
 		t.Errorf("runtime root = %q, want acl2 deployed", root)
 	}
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree on the deployed program")
 	}
 }
@@ -118,8 +118,8 @@ func TestMispredictedPlanRollsBackWithinOneRound(t *testing.T) {
 		t.Fatalf("mispredicted plan not rolled back within one round: %+v", rep)
 	}
 	// Rollback restored the original layout on both sides.
-	if rt.Current().Root != "t1" || nic.Program().Root != "t1" {
-		t.Errorf("rollback left roots runtime=%q device=%q, want t1", rt.Current().Root, nic.Program().Root)
+	if currentOf(rt).Root != "t1" || nic.Program().Root != "t1" {
+		t.Errorf("rollback left roots runtime=%q device=%q, want t1", currentOf(rt).Root, nic.Program().Root)
 	}
 
 	// The offending plan is blacklisted for one round...
@@ -164,7 +164,7 @@ func TestMidDeployCrashDetectedAndRolledBack(t *testing.T) {
 		t.Fatalf("silent mid-deploy crash not detected: %+v", rep)
 	}
 	// After rollback, runtime and device agree again.
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device diverged after crash + rollback")
 	}
 
@@ -296,7 +296,7 @@ func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	converged := false
 	for time.Now().Before(deadline) {
 		drive(nic, gen, 500)
-		if script.Pending(faultinject.PointDeploy) == 0 && rt.Current().Root == "acl2" {
+		if script.Pending(faultinject.PointDeploy) == 0 && currentOf(rt).Root == "acl2" {
 			converged = true
 			break
 		}
@@ -311,7 +311,7 @@ func TestRunLoopSurvivesFaultBurst(t *testing.T) {
 	if !converged {
 		t.Fatalf("loop did not converge; history=%+v", rt.History())
 	}
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree after convergence")
 	}
 	var sawFailure, sawRollback bool

@@ -137,7 +137,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 		{name: "rolled back", prep: func(t *testing.T, x *exitRig) { plan(x, inflated) },
 			want: outcomeFields{deployed: true, rolledBack: true}, charged: true, barred: true, reEval: true,
 			check: func(t *testing.T, x *exitRig, rep RoundReport) {
-				if x.rt.Current().Root != "t1" || x.nic.Program().Root != "t1" {
+				if currentOf(x.rt).Root != "t1" || x.nic.Program().Root != "t1" {
 					t.Error("the rollback left the runtime or the device off the original")
 				}
 			}},
@@ -150,7 +150,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 		}, want: outcomeFields{deployed: true, rolledBack: true, deployErr: true}, detail: "commit failed: commit lost",
 			charged: true, reEval: true, fails: true,
 			check: func(t *testing.T, x *exitRig, rep RoundReport) {
-				if x.rt.Current().Root != "t1" || x.nic.Program().Digest() != x.rt.Current().Digest() {
+				if currentOf(x.rt).Root != "t1" || x.nic.Program().Digest() != currentOf(x.rt).Digest() {
 					t.Error("an uncommitted program stayed staged")
 				}
 			}},

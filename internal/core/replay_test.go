@@ -51,7 +51,7 @@ func replayRoundTrip(t *testing.T, tracePath string) {
 	if !hist[0].Deployed || hist[0].Gain <= 0 {
 		t.Errorf("round 1 should deploy a profitable plan: %+v", hist[0])
 	}
-	if rt.Current().Digest() == rt.Original().Digest() {
+	if currentOf(rt).Digest() == rt.Original().Digest() {
 		t.Error("replayed loop never changed the layout")
 	}
 	// All recorded windows were consumed: no recorded window is empty, and

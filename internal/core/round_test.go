@@ -106,6 +106,12 @@ func mustRound(t *testing.T, rt *Runtime, nic *nicsim.NIC, gen *trafficgen.Gener
 	return rep
 }
 
+// currentOf is the program rt has deployed.
+func currentOf(rt *Runtime) *p4ir.Program {
+	p, _ := rt.Current()
+	return p
+}
+
 // A round the blacklist withholds or the hysteresis keeps was decided on
 // the plan and its gain alone: the session applied nothing and proved
 // nothing for it.
@@ -297,7 +303,7 @@ func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
 	if err := rt.InsertEntry("B", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 11}}, Action: "set"}); err != nil {
 		t.Fatalf("a clean insert after the refusal: %v", err)
 	}
-	if rt.Current().Digest() != nic.Program().Digest() {
+	if currentOf(rt).Digest() != nic.Program().Digest() {
 		t.Error("runtime and device disagree after the clean insert")
 	}
 }
@@ -310,13 +316,13 @@ func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
 func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	rt, nic, _ := newProbeRig(t, pinTight(aclProgram(t), "acl1"), reorderConfig(), nil)
 	hotACL2, hotACL1 := dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)
-	if rep := mustRound(t, rt, nic, hotACL2); !rep.Deployed || rt.Current().Root != "acl2" {
+	if rep := mustRound(t, rt, nic, hotACL2); !rep.Deployed || currentOf(rt).Root != "acl2" {
 		t.Fatalf("round 1 should deploy acl2 first: %+v", rep)
 	}
-	if rep := mustRound(t, rt, nic, hotACL1); !rep.Deployed || rt.Current().Root != "acl1" {
+	if rep := mustRound(t, rt, nic, hotACL1); !rep.Deployed || currentOf(rt).Root != "acl1" {
 		t.Fatalf("round 2 should deploy acl1 first: %+v", rep)
 	}
-	acl1First := rt.Current().Clone()
+	acl1First := currentOf(rt).Clone()
 	if !gateRemembers(rt, acl1First) {
 		t.Fatal("gate holds no verdict for the deployed program")
 	}
@@ -368,7 +374,7 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	if rep := mustRound(t, deep, dnic, hotACL2); !rep.Deployed {
 		t.Fatalf("deep round should deploy: %+v", rep)
 	}
-	deployed := deep.Current().Clone()
+	deployed := currentOf(deep).Clone()
 	var rep RoundReport
 	if !gate(deep, deployed, &rep) {
 		t.Fatalf("deployed program no longer passes its own gate: %v", rep.DeployError)
@@ -450,11 +456,11 @@ func TestStoredCurrentDigestNeverStale(t *testing.T) {
 	mrt, mnic, _ := newProbeRig(t, mergeProgram(t), mergeConfig(), nil)
 	mergeRound(t, mrt, mnic)
 	check(mrt, "merge deploy")
-	before := mrt.Current().Digest()
+	before := currentOf(mrt).Digest()
 	if err := mrt.InsertEntry("A", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 3}}, Action: "set"}); err != nil {
 		t.Fatal(err)
 	}
-	if mrt.Current().Digest() == before {
+	if currentOf(mrt).Digest() == before {
 		t.Fatal("insert into a merged table did not regenerate the deployed program")
 	}
 	check(mrt, "redeploy after an entry operation")

@@ -190,11 +190,12 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 	return r, nil
 }
 
-// Current returns the currently deployed program.
-func (r *Runtime) Current() *p4ir.Program {
+// Current returns the currently deployed program and its digest, which
+// the runtime keeps.
+func (r *Runtime) Current() (*p4ir.Program, p4ir.Digest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.current
+	return r.current, r.currentDigestLocked()
 }
 
 // TranslatedCounters returns the current window's counters expressed

@@ -92,7 +92,7 @@ func TestRuntimeReordersHotACL(t *testing.T) {
 		t.Fatalf("expected a deployment; report=%+v", rep)
 	}
 	// The deployed program should start with acl2.
-	if cur := rt.Current(); cur.Root != "acl2" {
+	if cur := currentOf(rt); cur.Root != "acl2" {
 		t.Errorf("root = %q, want acl2 promoted first (plan: %v)", cur.Root, rep.Plan)
 	}
 	after := drive(nic, gen, 4000)
@@ -120,8 +120,8 @@ func TestRuntimeAdaptsToDropFlip(t *testing.T) {
 	if _, err := rt.OptimizeOnce(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Current().Root != "acl2" {
-		t.Fatalf("phase 1 should promote acl2, got %q", rt.Current().Root)
+	if currentOf(rt).Root != "acl2" {
+		t.Fatalf("phase 1 should promote acl2, got %q", currentOf(rt).Root)
 	}
 
 	// Phase 2: acl1 (sport 1111) now drops 80%.
@@ -131,8 +131,8 @@ func TestRuntimeAdaptsToDropFlip(t *testing.T) {
 	if _, err := rt.OptimizeOnce(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Current().Root != "acl1" {
-		t.Errorf("phase 2 should promote acl1, got %q", rt.Current().Root)
+	if currentOf(rt).Root != "acl1" {
+		t.Errorf("phase 2 should promote acl1, got %q", currentOf(rt).Root)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestRuntimeDeploysCacheAndFeedsBackHitRate(t *testing.T) {
 		t.Fatalf("cache plan expected: %+v", rep)
 	}
 	foundCache := false
-	for name := range rt.Current().Tables {
+	for name := range currentOf(rt).Tables {
 		if strings.HasPrefix(name, "__cache__") {
 			foundCache = true
 		}
@@ -307,7 +307,7 @@ func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
 	rt, nic, _ := newRig(t, mergeProgram(t), mergeConfig())
 	mergeRound(t, rt, nic)
 	merged := ""
-	for name := range rt.Current().Tables {
+	for name := range currentOf(rt).Tables {
 		if strings.HasPrefix(name, "__merged_cache__") {
 			merged = name
 		}
@@ -315,7 +315,7 @@ func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
 	if merged == "" {
 		t.Fatalf("no merged cache deployed; plan=%v", rt.activePlan)
 	}
-	if got := len(rt.Current().Tables[merged].Entries); got != 2 {
+	if got := len(currentOf(rt).Tables[merged].Entries); got != 2 {
 		t.Fatalf("merged entries = %d, want 2x1", got)
 	}
 	// Insert into A: cross product must grow to 3x1.
@@ -323,7 +323,7 @@ func TestRuntimeAPIMappingThroughMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mergedTbl *p4ir.Table
-	for name, tbl := range rt.Current().Tables {
+	for name, tbl := range currentOf(rt).Tables {
 		if strings.HasPrefix(name, "__merged_cache__") {
 			mergedTbl = tbl
 		}

@@ -95,7 +95,7 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 				return
 			default:
 				_ = rt.TranslatedCounters()
-				_ = rt.Current()
+				_ = currentOf(rt)
 				_ = rt.Status() // reads the session's counters while a round may be searching
 				time.Sleep(5 * time.Millisecond)
 			}
@@ -108,7 +108,7 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 
 	// The system must still be coherent: the deployed program validates
 	// and processes packets.
-	if err := rt.Current().Validate(); err != nil {
+	if err := currentOf(rt).Validate(); err != nil {
 		t.Fatalf("deployed program invalid after stress: %v", err)
 	}
 	m := nic.Measure(gen.Batch(500))

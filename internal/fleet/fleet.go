@@ -70,6 +70,13 @@ type Controller struct {
 	fleetRollbacks uint64
 
 	rolloutMu sync.Mutex // serializes rollouts and optimization rounds
+	// base is the program OptimizeAndRollout last hashed, at the entry
+	// version it had then, and its digest (baseDigest); under rolloutMu.
+	base struct {
+		prog    *p4ir.Program
+		version uint64
+		digest  p4ir.Digest
+	}
 }
 
 // New returns a Controller with no devices.

@@ -456,6 +456,50 @@ func TestRepeatedOptimizeConverges(t *testing.T) {
 	}
 }
 
+// TestBaseHashedOnceAndAgainAfterAnEntryOp: rounds over one base program
+// hash it once. A rename in place, which moves no entry version, is the
+// probe: the controller does not look at the program again, so the canary
+// planning from it is kept. An entry operation on base moves its version:
+// the next round hashes it, finds a new program and rebuilds the canary,
+// which deploys base as it now is.
+func TestBaseHashedOnceAndAgainAfterAnEntryOp(t *testing.T) {
+	base := aclProgram(t)
+	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
+	gen := dropTraffic()
+	var nics []*nicsim.NIC
+	for i := 0; i < 2; i++ {
+		m, nic := newMemberNIC(t, fmt.Sprintf("nic%d", i), base)
+		nics = append(nics, nic)
+		if err := ctl.Add(m.Name, m.Target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rcfg := fleet.DefaultRolloutConfig(nil)
+	round := func(name string, built, reused uint64) {
+		t.Helper()
+		for _, nic := range nics {
+			nic.Measure(gen.Batch(4000))
+		}
+		if _, err := ctl.OptimizeAndRollout(base, rcfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ss := ctl.Status().OptSearch; ss.PoolMisses != built || ss.PoolHits != reused {
+			t.Fatalf("%s: canaries built %d, reused %d; want %d and %d", name, ss.PoolMisses, ss.PoolHits, built, reused)
+		}
+	}
+	round("first round", 1, 0)
+	base.Name = "renamed in place"
+	round("round over the same base", 1, 1)
+
+	if _, err := base.InsertEntry("acl1", p4ir.Entry{Match: []p4ir.MatchValue{{Value: 2222}}, Action: "drop_packet"}); err != nil {
+		t.Fatal(err)
+	}
+	round("round after an entry operation", 2, 1)
+	if !slices.ContainsFunc(nics, func(nic *nicsim.NIC) bool { return nic.ProgramDigest() == base.Digest() }) {
+		t.Fatal("the rebuilt canary does not run base with its new entry")
+	}
+}
+
 // TestOptimizeContinuesPastFailedGroup: one model's canary failing to
 // profile must not keep the other model's devices from being optimized.
 // Groups run in model-name order, so the failing agiliocx group is first.
@@ -680,7 +724,7 @@ func TestCanaryPlansFromTranslatedCounters(t *testing.T) {
 		if _, err := rt.OptimizeOnce(time.Second); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m.Target.Program().Digest() != rt.Current().Digest() {
+		if _, d := rt.Current(); m.Target.Program().Digest() != d {
 			t.Fatalf("%s: the canary and the single-device runtime run different programs", name)
 		}
 	}

@@ -175,14 +175,13 @@ func (c *Controller) Rollout(prog *p4ir.Program, cfg RolloutConfig) (*RolloutRep
 	}
 	c.rolloutMu.Lock()
 	defer c.rolloutMu.Unlock()
-	return c.rollout(prog, "", cfg)
+	return c.rollout(prog, prog.Digest(), "", cfg)
 }
 
-// rollout is Rollout over the eligible devices of one model ("" = every
-// model). The caller holds rolloutMu.
-func (c *Controller) rollout(prog *p4ir.Program, model string, cfg RolloutConfig) (*RolloutReport, error) {
+// rollout is Rollout of prog, whose digest is want, over the eligible
+// devices of one model ("" = every model). The caller holds rolloutMu.
+func (c *Controller) rollout(prog *p4ir.Program, want p4ir.Digest, model string, cfg RolloutConfig) (*RolloutReport, error) {
 	cfg = cfg.withDefaults()
-	want := prog.Digest()
 
 	eligible, skipped := c.eligibleDevices()
 	if model != "" {
@@ -399,6 +398,8 @@ type canary struct {
 // and a verified deploy on the canary — and a rollout stages the program
 // the canary then runs across the model's eligible devices; devices
 // already running it cost no deploy. Rounds and rollouts are serialized.
+// Between rounds base changes by entry operations only: a round hashes it
+// again when it is another program or its EntryVersion moved.
 //
 // A group whose canary cannot be profiled or planned does not hold back
 // the other models: the error returned joins every group's failure beside
@@ -416,7 +417,7 @@ func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) (
 		return nil, errors.New("fleet: no eligible devices")
 	}
 	cfg = cfg.withDefaults()
-	digest := base.Digest()
+	digest := c.baseDigest(base)
 	guard := core.DeployGuard{Sampler: cfg.Verify.Sampler, VerifyPackets: cfg.Verify.Packets, MaxRegression: cfg.Verify.MaxRegression}
 	var reports []*RolloutReport
 	var errs []error
@@ -446,7 +447,8 @@ func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) (
 			model, cn.dev.name, rep.Plan, rep.Gain, rep.Deployed, rep.RolledBack)
 		// The rollout covers the model's devices: another model's canary
 		// runs its own plan.
-		rr, err := c.rollout(cn.rt.Current(), model, cfg)
+		cur, want := cn.rt.Current()
+		rr, err := c.rollout(cur, want, model, cfg)
 		if rr != nil {
 			reports = append(reports, rr)
 		}
@@ -455,6 +457,17 @@ func (c *Controller) OptimizeAndRollout(base *p4ir.Program, cfg RolloutConfig) (
 		}
 	}
 	return reports, errors.Join(errs...)
+}
+
+// baseDigest returns base's digest, hashing base only when it is not the
+// program, at the same entry version, that the last round hashed: an entry
+// operation moves the version, and one version never names two sets of
+// entries. The caller holds rolloutMu.
+func (c *Controller) baseDigest(base *p4ir.Program) p4ir.Digest {
+	if v := base.EntryVersion(); base != c.base.prog || v != c.base.version {
+		c.base.prog, c.base.version, c.base.digest = base, v, base.Digest()
+	}
+	return c.base.digest
 }
 
 // canaryFor returns the Runtime planning model's rollouts from base. The

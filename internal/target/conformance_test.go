@@ -677,8 +677,8 @@ func runtimeRollbackScenario(t *testing.T, tgt target.Target, prog *p4ir.Program
 	if got := rootOf(tgt.Program()); got != prog.Root {
 		t.Errorf("rollback left device on root %q, want %q", got, prog.Root)
 	}
-	if got := rt.Current().Root; got != prog.Root {
-		t.Errorf("rollback left runtime on root %q, want %q", got, prog.Root)
+	if cur, _ := rt.Current(); cur.Root != prog.Root {
+		t.Errorf("rollback left runtime on root %q, want %q", cur.Root, prog.Root)
 	}
 }
 

@@ -8,9 +8,9 @@
 // A program crosses the wire only when it changed: the remote holds one
 // program beside its digest — the last it fetched, or the last it deployed —
 // and Program and Digest name that digest to the server, which answers
-// "unchanged" when it still runs exactly that. Neither side hashes a program
-// to say so: the server's device keeps its program's digest, and this side
-// hashed the held one once, when it arrived.
+// "unchanged" when it still runs exactly that. Neither side hashes or
+// decodes a program to say so: the server's device keeps its program's
+// digest, and this side hashed the held one once, when it arrived.
 package remote
 
 import (
@@ -28,15 +28,15 @@ type Remote struct {
 	client *controlplane.Client
 	cap    target.Capabilities
 
-	// held is the one program kept on this side, in p4ir's binary encoding
-	// (a fraction of the decoded program's heap) — the body a fetch received
-	// or what Deploy encoded — and digest its content digest; nil until the
-	// first fetch or deploy. Program hands out a decoded copy, so held is
-	// never memory a caller can write: core.Runtime edits the program it
-	// deployed in place on the entry fast path. mu also spans the RPC that
-	// replaces them, so held and digest always belong together.
+	// held is the one program kept on this side — a Clone of what Deploy
+	// was handed, or the program a fetch decoded — and digest its content
+	// digest; nil until the first fetch or deploy. No caller holds held:
+	// Deploy clones its argument, because core.Runtime edits the program it
+	// deployed in place on the entry fast path, and Program hands out
+	// clones, whose entry operations copy on write. mu also spans the RPC
+	// that replaces them, so held and digest always belong together.
 	mu     sync.Mutex
-	held   []byte
+	held   *p4ir.Program
 	digest p4ir.Digest
 }
 
@@ -57,48 +57,42 @@ func Dial(addr string) (*Remote, error) {
 
 // Program returns a copy of the device's currently deployed program, nil
 // when it cannot be read. Every call asks the device; the program itself
-// crosses only when it is not the held one, and is then decoded once: the
-// caller gets the program the fetch decoded, which holds none of the body.
+// crosses, and is decoded, only when it is not the held one.
 func (r *Remote) Program() *p4ir.Program {
-	enc, fetched, _, err := r.current()
-	if err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.refreshLocked() != nil {
 		return nil
 	}
-	if fetched != nil {
-		return fetched
-	}
-	prog, err := p4ir.DecodeBinary(enc)
-	if err != nil {
-		return nil
-	}
-	return prog
+	return r.held.Clone()
 }
 
 // Digest is Program's round trip, answered with the held digest: the held
 // program is not hashed again.
 func (r *Remote) Digest() (p4ir.Digest, error) {
-	_, _, digest, err := r.current()
-	return digest, err
-}
-
-// current asks the device whether it still runs the held program, holds the
-// one it runs when not, and returns the held pair, with the program the
-// fetch decoded when there was one.
-func (r *Remote) current() (held []byte, fetched *p4ir.Program, digest p4ir.Digest, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fetched, enc, digest, err := r.client.ProgramUnless(r.digest)
-	if err != nil {
-		return nil, nil, p4ir.Digest{}, err
+	if err := r.refreshLocked(); err != nil {
+		return p4ir.Digest{}, err
 	}
-	if fetched != nil {
-		r.held, r.digest = enc, digest
-	}
-	return r.held, fetched, r.digest, nil
+	return r.digest, nil
 }
 
-// Deploy stages prog on the remote device and keeps its encoding as the
-// held program: it is what the device runs until something changes it.
+// refreshLocked asks the device whether it still runs the held program and
+// holds the one it runs when not.
+func (r *Remote) refreshLocked() error {
+	fetched, digest, err := r.client.ProgramUnless(r.digest)
+	if err != nil {
+		return err
+	}
+	if fetched != nil {
+		r.held, r.digest = fetched, digest
+	}
+	return nil
+}
+
+// Deploy stages prog on the remote device and holds a Clone of it: it is
+// what the device runs until something changes it.
 func (r *Remote) Deploy(prog *p4ir.Program) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -106,7 +100,7 @@ func (r *Remote) Deploy(prog *p4ir.Program) error {
 	if _, err := r.client.DeployEncoded(enc); err != nil {
 		return err
 	}
-	r.held, r.digest = enc, p4ir.DigestOf(enc)
+	r.held, r.digest = prog.Clone(), p4ir.DigestOf(enc)
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"sync/atomic"
@@ -58,8 +57,9 @@ func relay(t *testing.T, addr string, fromServer *atomic.Int64) string {
 
 // TestChangedProgramDecodesOnce counts allocations: a Program() call that
 // brings a changed program costs what one client fetch costs — its one
-// decode — and hands the caller a program sharing nothing with what the
-// remote holds.
+// decode — and one Clone; a call that finds the held program still running
+// costs the body-less round trip and one Clone, and decodes nothing. The
+// caller's copy shares nothing it can change with what the remote holds.
 func TestChangedProgramDecodesOnce(t *testing.T) {
 	prog := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 3, Category: synth.Mixed, Seed: 3})
 	nic, err := nicsim.New(prog, nicsim.Config{Params: costmodel.BlueField2()})
@@ -87,27 +87,94 @@ func TestChangedProgramDecodesOnce(t *testing.T) {
 			t.Fatalf("client fetch: %v", err)
 		}
 	})
+	unchangedRPC := testing.AllocsPerRun(20, func() {
+		if p, _, err := cl.ProgramUnless(prog.Digest()); err != nil || p != nil {
+			t.Fatalf("client fetch of an unchanged program: %v, %v", p, err)
+		}
+	})
+	clone := testing.AllocsPerRun(20, func() { prog.Clone() })
 	changed := testing.AllocsPerRun(20, func() {
 		r.digest = p4ir.Digest{} // nothing held the device runs: the fetch brings the body
 		if r.Program() == nil {
 			t.Fatal("changed program not read")
 		}
 	})
-	if changed > fetch+4 {
-		t.Errorf("a changed Program() allocates %v times, a client fetch %v: more than one decode", changed, fetch)
+	if changed > fetch+clone+4 {
+		t.Errorf("a changed Program() allocates %v times, a client fetch %v and a Clone %v: more than one decode", changed, fetch, clone)
+	}
+	unchanged := testing.AllocsPerRun(20, func() {
+		if r.Program() == nil {
+			t.Fatal("unchanged program not read")
+		}
+	})
+	if unchanged > unchangedRPC+clone+4 {
+		t.Errorf("an unchanged Program() allocates %v times, its round trip %v and a Clone %v: it decoded", unchanged, unchangedRPC, clone)
 	}
 
-	r.digest = p4ir.Digest{}
+	// Every sanctioned change to the copy — the graph's fields, entry
+	// operations — leaves the held program as the device runs it.
 	got := r.Program()
-	want := append([]byte(nil), r.held...)
-	for _, tbl := range got.Tables {
-		tbl.Name += "-edited"
-		for i := range tbl.Entries {
-			tbl.Entries[i].Action += "-edited"
+	got.Root = ""
+	for name, tbl := range got.Tables {
+		tbl.DefaultAction += "-edited"
+		if len(tbl.Entries) > 0 {
+			e := tbl.Entries[0]
+			if _, err := got.ModifyEntry(name, e.Match, tbl.Actions[len(tbl.Actions)-1].Name, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := got.DeleteEntry(name, e.Match); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if !bytes.Equal(r.held, want) || p4ir.DigestOf(r.held) != r.digest || r.digest != prog.Digest() {
+	if r.held.Digest() != r.digest || r.digest != prog.Digest() || r.Program().Digest() != prog.Digest() {
 		t.Fatal("editing the program Program() returned changed what the remote holds")
+	}
+}
+
+// TestDeployedProgramHeldAsDeployed: the runtime edits the program it
+// deployed in place on the entry fast path, and sends each edit to the
+// device itself. The remote holds what it deployed, not the caller's
+// program: until an edit reaches the device, Program() is what was deployed.
+func TestDeployedProgramHeldAsDeployed(t *testing.T) {
+	prog := synth.Program(synth.ProgramSpec{Pipelets: 12, AvgLen: 3, Category: synth.Mixed, Seed: 3})
+	nic, err := nicsim.New(prog.Clone(), nicsim.Config{Params: costmodel.BlueField2()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := controlplane.NewServer("127.0.0.1:0", nil, nil, controlplane.WithDevice(target.NewLocal(nic, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	r, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	deployed := prog.Clone()
+	deployed.Name = "deployed"
+	want := deployed.Digest()
+	if err := r.Deploy(deployed); err != nil {
+		t.Fatal(err)
+	}
+	for name, tbl := range deployed.Tables {
+		if len(tbl.Entries) > 0 {
+			if _, err := deployed.DeleteEntry(name, tbl.Entries[0].Match); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if deployed.Digest() == want {
+		t.Fatal("the edit changed nothing")
+	}
+	got := r.Program()
+	if d, err := r.Digest(); err != nil || d != want || got.Digest() != want || got.Name != "deployed" {
+		t.Fatalf("after an in-place edit of the deployed program: held digest %v (err %v), content %v, want %v", d, err, got.Digest(), want)
+	}
+	if ws := srv.WireStats(); ws.ProgramsSent != 0 {
+		t.Fatalf("reading the program this remote deployed fetched %d bodies", ws.ProgramsSent)
 	}
 }
 

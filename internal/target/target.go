@@ -111,8 +111,8 @@ func CapabilitiesFor(pm costmodel.Params, cacheSupport bool) Capabilities {
 type Target interface {
 	// Program returns the currently running program (the staged one after
 	// an uncommitted Deploy). The result is read-only: a backend may hand
-	// out the program it runs (Local) or the one copy it keeps (Remote).
-	// Clone it before changing it or deploying it elsewhere.
+	// out the program it runs (Local). Clone it before changing it or
+	// deploying it elsewhere.
 	Program() *p4ir.Program
 	// Digest returns Program().Digest() without hashing a program the
 	// backend has hashed before: the device keeps its program's digest

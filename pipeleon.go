@@ -197,8 +197,12 @@ func Lint(prog *Program, target ...Target) Diagnostics {
 // selected, shadowed entries, branches decided under the inferred
 // ranges, dead writes, proven truncations). All findings are warnings;
 // they flag dead weight and likely authoring bugs, not unsound
-// programs. Enable the same tier at runtime with Options.DeepVerify.
+// programs. Enable the same tier at runtime with Options.DeepVerify. A
+// malformed program yields none: Lint reports its structural errors.
 func LintDeep(prog *Program) Diagnostics {
+	if prog.StructuralDiagnostics().HasErrors() {
+		return nil
+	}
 	return analysis.LintDeep(prog)
 }
 
