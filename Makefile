@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fmtcheck lint loc ci verify experiments conformance traces bench benchcheck bench-smoke fuzz fleet-sim
+.PHONY: build test vet race fmtcheck lint loc ci verify experiments conformance traces bench benchcheck bench-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -79,27 +79,18 @@ conformance:
 	$(GO) test -race -run 'TestConformance|TestRuntimeRollbackOnVerifyFailure' ./internal/target/
 	$(GO) test -race -run 'TestReplayRoundTrip|TestCoreDoesNotImportNicsim' ./internal/core/
 
-# fleet-sim drives the scripted fleet acceptance scenario through the
-# fleetd binary itself: 8 in-process emulated devices, one crashing and
-# one verify-failing, through canary halt, mid-wave rollback, graceful
-# degradation, and probation recovery. The same scenario runs as
-# TestFleetFaultScenario; this target exercises it through the daemon's
-# wiring rather than the test harness.
-fleet-sim:
-	$(GO) run ./cmd/fleetd -scenario
-
 # verify is the pre-merge gate: compile everything, vet, run the full
 # suite under the race detector (the runtime loop, control plane, and
 # fault-injection paths are concurrent), then the backend conformance
-# suite explicitly, then the scripted fleet scenario through fleetd,
-# then the end-to-end benchmark's own smoke test, then the reproduction
+# suite explicitly (the scripted fleet drill, TestFleetFaultScenario,
+# runs in the race suite), then the end-to-end benchmark's own smoke
+# test, then the reproduction
 # record (a figure that drifts from results_full.txt fails the gate),
 # then the bench-regression gate against the archived baselines.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	$(MAKE) lint
 	$(MAKE) conformance
-	$(MAKE) fleet-sim
 	$(MAKE) bench-smoke
 	$(MAKE) experiments
 	git diff --exit-code results_full.txt

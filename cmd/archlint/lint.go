@@ -190,7 +190,7 @@ var determinismRules = []determinismRule{
 // lintModule walks the module rooted at root and returns all violations,
 // sorted by position. Test files (_test.go) are exempt from every rule —
 // they may construct emulators and use wall-clock timeouts freely — and
-// read by one: live-knob counts them as users of a Config field.
+// no rule counts them as callers or setters.
 func lintModule(root string) ([]Violation, error) {
 	fset := token.NewFileSet()
 	var out []Violation
@@ -202,7 +202,7 @@ func lintModule(root string) ([]Violation, error) {
 	// files runs check over every non-test file of the module whose
 	// slash-separated module-relative path keep accepts.
 	files := func(keep func(rel string) bool, check func(rel string, f *ast.File) []Violation) {
-		errs = append(errs, walkModule(fset, root, false, func(path string, f *ast.File) {
+		errs = append(errs, walkModule(fset, root, func(path string, f *ast.File) {
 			rel, _ := filepath.Rel(root, path)
 			if rel = filepath.ToSlash(rel); keep(rel) {
 				out = append(out, check(rel, f)...)
@@ -486,6 +486,9 @@ var deadExportAllowed = []struct{ pkg, name, why string }{
 	{"internal/costmodel", "Calibration.Apply", "writes Calibrate's fit into a Params; kept with Calibrate"},
 	{"internal/core", "Runtime.History", "the per-round record the planned decision log reads"},
 	{"internal/target", "NewReplayer", "the record/replay backend of the target conformance suite"},
+	{"internal/faultinject", "NewScript", "the scripted injector the fault tests of core, controlplane, target and fleet queue decisions into"},
+	{"internal/faultinject", "Script.Queue", "kept with NewScript"},
+	{"internal/faultinject", "Script.Pending", "kept with NewScript"},
 	{"internal/profile/profiletest", "*", "test-support package: its callers are other packages' tests"},
 }
 
@@ -562,12 +565,7 @@ func lintDeadExports(fset *token.FileSet, root string) ([]Violation, error) {
 		}
 		ast.Inspect(f, refs)
 	}
-	err := walkModule(fset, root, false, visit)
-	if bench := filepath.Join(root, "bench"); err == nil {
-		if _, serr := os.Stat(bench); serr == nil {
-			err = walkModule(fset, bench, false, visit)
-		}
-	}
+	err := walkCallers(fset, root, visit)
 	var out []Violation
 	for _, e := range exports {
 		elsewhere := func(p string) bool { return p != e.file }
@@ -665,7 +663,7 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 		pos  token.Position
 	}
 	var decls []decl
-	walkErr := walkModule(fset, root, false, func(_ string, f *ast.File) {
+	walkErr := walkModule(fset, root, func(_ string, f *ast.File) {
 		for _, dcl := range f.Decls {
 			gd, ok := dcl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.CONST {
@@ -721,11 +719,11 @@ func lintDiagCodes(fset *token.FileSet, root string) ([]Violation, error) {
 	return out, nil
 }
 
-// walkModule parses every .go file of the module rooted at root — test
-// files only when tests is set — and hands it to visit with its path.
+// walkModule parses every non-test .go file of the module rooted at root
+// and hands it to visit with its path.
 // Fixture trees under testdata, dot directories and nested modules (bench/)
 // are not part of the module's code-facing surface.
-func walkModule(fset *token.FileSet, root string, tests bool, visit func(path string, f *ast.File)) error {
+func walkModule(fset *token.FileSet, root string, visit func(path string, f *ast.File)) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -737,7 +735,7 @@ func walkModule(fset *token.FileSet, root string, tests bool, visit func(path st
 			}
 			return nil
 		}
-		if base := d.Name(); !strings.HasSuffix(base, ".go") || (!tests && strings.HasSuffix(base, "_test.go")) {
+		if base := d.Name(); !strings.HasSuffix(base, ".go") || strings.HasSuffix(base, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -749,18 +747,40 @@ func walkModule(fset *token.FileSet, root string, tests bool, visit func(path st
 	})
 }
 
-// knobs are the structs of tunables. A field nothing sets is not a tunable:
-// it is a constant that a literal built without the defaults silently
-// zeroes (six such fields once priced every cache at hit rate 0 for whoever
-// wrote opt.Config{...}). So every exported field must be set somewhere in
-// the module outside the file declaring it — assigned through a selector
-// (cfg.F = v) or keyed in a composite literal. For this rule alone test
-// files count as users: a knob only a test turns is still turned. The match
-// is by field name, as syntactic as the other rules.
+// walkCallers walks the non-test files of the module rooted at root and of
+// its bench/ module, which drives the program from outside: the code that
+// counts as a caller or a setter.
+func walkCallers(fset *token.FileSet, root string, visit func(path string, f *ast.File)) error {
+	err := walkModule(fset, root, visit)
+	if bench := filepath.Join(root, "bench"); err == nil {
+		if _, serr := os.Stat(bench); serr == nil {
+			err = walkModule(fset, bench, visit)
+		}
+	}
+	return err
+}
+
+// knobs are the structs of settable values. A field only tests set is not
+// a tunable: it is a constant that a literal built without the defaults
+// silently zeroes (six such fields once priced every cache at hit rate 0 for
+// whoever wrote opt.Config{...}). So every exported field must be set by
+// non-test code outside the file declaring it — in the module, a command's
+// flag or an example included, or in the bench/ module, which drives the
+// program from outside: assigned through a selector (cfg.F = v, or
+// cfg.F.G = v, which sets F too), keyed in a composite literal, or handed
+// out by address (&cfg.F, as a flag.Var binding does). A test that needs
+// another value reaches an unexported field through an export_test.go hook.
+// The match is by field name, as syntactic as the other rules.
 var knobs = []struct{ file, typ string }{
 	{"internal/opt/config.go", "Config"},
 	{"internal/nicsim/nic.go", "Config"},
 	{"internal/core/guard.go", "DeployGuard"},
+	{"internal/fleet/fleet.go", "Options"},
+	{"internal/fleet/rollout.go", "RolloutConfig"},
+	{"internal/fleet/rollout.go", "VerifyConfig"},
+	{"internal/fleet/device.go", "healthPolicy"},
+	{"internal/controlplane/client.go", "RetryPolicy"},
+	{"internal/controlplane/client.go", "Client"},
 }
 
 func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
@@ -770,7 +790,12 @@ func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
 	}
 	var fields []field
 	setIn := map[string][]string{} // field name -> files setting it
-	err := walkModule(fset, root, true, func(path string, f *ast.File) {
+	set := func(e ast.Expr, path string) {
+		for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+			setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
+		}
+	}
+	err := walkCallers(fset, root, func(path string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
@@ -789,9 +814,11 @@ func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						setIn[sel.Sel.Name] = append(setIn[sel.Sel.Name], path)
-					}
+					set(lhs, path)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					set(n.X, path)
 				}
 			case *ast.KeyValueExpr:
 				if key, ok := n.Key.(*ast.Ident); ok {
@@ -808,7 +835,8 @@ func lintLiveKnobs(fset *token.FileSet, root string) ([]Violation, error) {
 			out = append(out, Violation{
 				Pos:  fset.Position(fl.pos),
 				Rule: "live-knob",
-				Msg: fmt.Sprintf("%s.%s is set nowhere outside %s: make it an unexported constant, or delete it",
+				Msg: fmt.Sprintf("%s.%s is set by no non-test code outside %s: make it an unexported constant "+
+					"(a test reaches another value through an export_test.go hook), or delete it",
 					fl.typ, fl.name, fl.file),
 			})
 		}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"slices"
@@ -578,26 +581,39 @@ func TestEveryConfigFieldIsSetSomewhere(t *testing.T) {
 type Config struct {
 	TopKFrac     float64
 	MergeCap     int
-	EnableCache  bool
-	HitRateAlpha float64 // set nowhere but here
+	MemoryBudget int
+	EnableCache  bool    // set only by a test
+	HitRateAlpha float64 // set only by the bench/ module
 	MaxCombos    int     // only read elsewhere
 	workers      int
 }
 
-func DefaultConfig() Config { return Config{TopKFrac: 0.2, MergeCap: 2, HitRateAlpha: 0.5, MaxCombos: 256} }
+func DefaultConfig() Config { return Config{TopKFrac: 0.2, MergeCap: 2, EnableCache: true, HitRateAlpha: 0.5, MaxCombos: 256} }
 `,
-		// A selector assignment, a literal in the package, a literal
-		// outside it; a test file counts as a user.
+		// A command's flags: a flag.Var binding by address, and a flag's
+		// value assigned through a selector.
 		"cmd/tool/main.go": `package main
 
-import "pipeleon/internal/opt"
+import (
+	"flag"
 
-func main() { cfg := opt.DefaultConfig(); cfg.TopKFrac = 1 }
+	"pipeleon/internal/opt"
+)
+
+func main() {
+	cfg := opt.DefaultConfig()
+	flag.Float64Var(&cfg.TopKFrac, "topk", 0.2, "")
+	budget := flag.Int("mem", 0, "")
+	flag.Parse()
+	cfg.MemoryBudget = *budget
+}
 `,
+		// A literal in the package.
 		"internal/opt/sweep.go": `package opt
 
 var merged = Config{MergeCap: 4}
 `,
+		// A test file is no setter, in the module or in bench/.
 		"internal/core/runtime_test.go": `package core
 
 import o "pipeleon/internal/opt"
@@ -608,11 +624,20 @@ var _ = o.Config{EnableCache: true}
 
 func combos(cfg Config) int { n := cfg.MaxCombos; return n }
 `,
-		// Not part of the module: a nested module's assignment.
+		// The bench/ module's non-test code drives the program from
+		// outside: its assignment is a setter.
 		"bench/go.mod": "module bench\n",
 		"bench/rig.go": `package main
 
-func rig(cfg *struct{ HitRateAlpha float64 }) { cfg.HitRateAlpha = 1 }
+import "pipeleon/internal/opt"
+
+func rig(cfg *opt.Config) { cfg.HitRateAlpha = 1 }
+`,
+		"bench/rig_test.go": `package main
+
+import "pipeleon/internal/opt"
+
+func rigT(cfg *opt.Config) { cfg.EnableCache = false; cfg.MaxCombos = 1 }
 `,
 	})
 	vs, err := lintModule(root)
@@ -626,8 +651,61 @@ func rig(cfg *struct{ HitRateAlpha float64 }) { cfg.HitRateAlpha = 1 }
 		}
 		got = append(got, v.Msg[:strings.Index(v.Msg, " ")])
 	}
-	if len(got) != 2 || got[0] != "Config.HitRateAlpha" || got[1] != "Config.MaxCombos" {
-		t.Fatalf("got %v, want Config.HitRateAlpha and Config.MaxCombos unset", vs)
+	if want := []string{"Config.EnableCache", "Config.MaxCombos"}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v unset", vs, want)
+	}
+	if !strings.Contains(vs[0].Msg, "export_test.go") {
+		t.Errorf("message does not say where a test's value goes: %q", vs[0].Msg)
+	}
+}
+
+// A nested selector sets every field it names: cl.Retry.MaxAttempts = n
+// sets Client.Retry as well as RetryPolicy.MaxAttempts.
+func TestNestedSelectorSetsEachField(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/controlplane/client.go": `package controlplane
+
+type RetryPolicy struct {
+	MaxAttempts int
+	MaxBackoff  int
+}
+
+type Client struct {
+	Retry   RetryPolicy
+	Timeout int
+}
+`,
+		"cmd/p4cctl/main.go": `package main
+
+import "pipeleon/internal/controlplane"
+
+func tune(cl *controlplane.Client, n int) { cl.Retry.MaxAttempts = n }
+`,
+	})
+	vs, err := lintModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range vs {
+		got = append(got, v.Msg[:strings.Index(v.Msg, " ")])
+	}
+	if want := []string{"RetryPolicy.MaxBackoff", "Client.Timeout"}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v unset", vs, want)
+	}
+}
+
+// Every struct the live-knob rule lists is where the list says: a rename or
+// a move must update the list, not take the struct out of the rule.
+func TestEveryKnobStructExists(t *testing.T) {
+	for _, k := range knobs {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("../..", k.file), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := f.Scope.Lookup(k.typ); o == nil || o.Kind != ast.Typ {
+			t.Errorf("%s declares no type %s", k.file, k.typ)
+		}
 	}
 }
 

@@ -39,12 +39,17 @@
 //     calls recordLocked, noteDeployFailureLocked or blacklistLocked; a
 //     round's every outcome ends there, which records it and applies its
 //     policy (breaker, blacklist, re-evaluation).
-//   - live-knob: every exported field of opt.Config, nicsim.Config and
-//     core.DeployGuard is set (assigned through a selector, or keyed in a
-//     composite literal) somewhere in the module outside the file
-//     declaring it, test files counting as users for this rule only; a
-//     field nothing sets is a constant that a literal built without the
-//     defaults silently zeroes.
+//   - live-knob: every exported field of the structs of settable values —
+//     opt.Config, nicsim.Config, core.DeployGuard, fleet.Options,
+//     fleet.RolloutConfig, fleet.VerifyConfig, fleet's healthPolicy,
+//     controlplane.RetryPolicy and controlplane.Client — is set (assigned
+//     through a selector, keyed in a composite literal, or taken by
+//     address as a flag binding does) by non-test code outside the file
+//     declaring it: in the module, a command's flags and the examples
+//     included, or in the bench/ module. A field only tests set is a
+//     constant that a literal built without the defaults silently zeroes;
+//     a test that needs another value reaches an unexported field through
+//     an export_test.go hook.
 //   - one-decoder: outside internal/p4ir (the decoder) and internal/p4c
 //     (the frontend) nothing compares or switches a .Op against a string
 //     literal, and .Expr is read only as an argument of a fmt call or a
@@ -74,7 +79,7 @@
 //     its reason. One nothing calls is deleted, one only its file calls is
 //     unexported, one only its package's tests call moves to a test file.
 //
-// Test files are exempt from every rule (and read by live-knob only).
+// Test files are exempt from every rule, and read by none.
 // Violations print one per line as file:line: [rule] message; the exit
 // status is 1 when any were found and 2 on I/O or parse errors.
 //

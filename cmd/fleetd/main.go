@@ -17,7 +17,6 @@
 //
 //	fleetd -devices 10.0.0.1:9559,10.0.0.2:9559 [-listen 127.0.0.1:9560]
 //	fleetd -sim 8 -program prog.json [-traffic 2000]
-//	fleetd -scenario            run the scripted 8-device fault drill and exit
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"pipeleon/internal/costmodel"
-	"pipeleon/internal/faultinject"
 	"pipeleon/internal/fleet"
 	"pipeleon/internal/nicsim"
 	"pipeleon/internal/opt"
@@ -55,7 +53,6 @@ func main() {
 		model    = flag.String("target", "bluefield2", "bluefield2|agiliocx|emulated (for -sim)")
 		flows    = flag.Int("traffic", 2000, "flow population for -sim verification traffic")
 		interval = flag.Duration("interval", 2*time.Second, "health-probe interval")
-		scenario = flag.Bool("scenario", false, "run the scripted 8-device fault scenario and exit (non-zero on failure)")
 
 		canary  = flag.Int("canary", 1, "rollout canary size")
 		wave    = flag.Int("wave", 2, "first post-canary wave size (doubles per wave)")
@@ -72,17 +69,12 @@ func main() {
 		}
 	}
 
-	if *scenario {
-		os.Exit(runScenario(logf))
-	}
-
 	pm, ok := costmodel.ByName(*model)
 	if !ok {
 		fatal("unknown target %q", *model)
 	}
 
 	ctl := fleet.New(fleet.Options{
-		Policy:    fleet.DefaultHealthPolicy(),
 		Optimizer: opt.DefaultConfig(),
 		Logf:      logf,
 	})
@@ -129,7 +121,7 @@ func main() {
 			logf("attached %s (%s)", addr, dev.Capabilities().Model)
 		}
 	default:
-		fatal("need -devices or -sim (or -scenario)")
+		fatal("need -devices or -sim")
 	}
 
 	rcfg := fleet.RolloutConfig{
@@ -248,88 +240,6 @@ func lockedSampler(gen *trafficgen.Generator) func(n int) []*packet.Packet {
 		defer mu.Unlock()
 		return gen.Batch(n)
 	}
-}
-
-// runScenario assembles the scripted 8-device rack and runs the fleet
-// acceptance drill (the same one `go test ./internal/fleet` pins):
-// canary gate, mid-wave halt+rollback, breaker quarantine with graceful
-// degradation, probation re-admission. Exit code 0 iff every phase's
-// assertions held — `make fleet-sim` gates on it.
-func runScenario(logf func(string, ...any)) int {
-	progA, err := scenarioProgram("aclprog", []string{"t1", "t2", "acl1", "acl2"})
-	if err == nil {
-		var progB *p4ir.Program
-		progB, err = scenarioProgram("aclprog.next", []string{"acl2", "acl1", "t1", "t2"})
-		if err == nil {
-			err = driveScenario(progA, progB, logf)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetd: scenario FAILED: %v\n", err)
-		return 1
-	}
-	fmt.Println("fleetd: scenario passed")
-	return 0
-}
-
-func driveScenario(progA, progB *p4ir.Program, logf func(string, ...any)) error {
-	members := make([]fleet.FleetMember, 0, 8)
-	for i := 0; i < 8; i++ {
-		script := faultinject.NewScript()
-		col := profile.NewCollector()
-		nic, err := nicsim.New(progA.Clone(), nicsim.Config{
-			Params: costmodel.BlueField2(), Collector: col, Instrument: true,
-		})
-		if err != nil {
-			return err
-		}
-		members = append(members, fleet.FleetMember{
-			Name:   fmt.Sprintf("sim%d", i),
-			Target: target.WithFaults(target.NewLocal(nic, col), script),
-			Script: script,
-		})
-	}
-	gen := trafficgen.New(1, 0)
-	gen.AddFlows(trafficgen.DropTargetedFlows(2, 2000, "tcp.dport", 23, 0.8)...)
-	return fleet.RunFaultScenario(fleet.FaultScenarioInput{
-		Devices: members,
-		Next:    progB,
-		Sampler: lockedSampler(gen),
-		Logf:    logf,
-	})
-}
-
-// scenarioProgram builds the drill pipeline: two plain tables and two
-// ACLs, in the given order (the reordered variant is the rollout target).
-func scenarioProgram(name string, order []string) (*p4ir.Program, error) {
-	mk := func(name, field string) p4ir.TableSpec {
-		return p4ir.TableSpec{
-			Name:          name,
-			Keys:          []p4ir.Key{{Field: field, Kind: p4ir.MatchExact, Width: packet.FieldWidth(field)}},
-			Actions:       []*p4ir.Action{p4ir.NewAction("set", p4ir.Prim("modify_field", "meta."+name, "1")), p4ir.NoopAction("pass")},
-			DefaultAction: "pass",
-		}
-	}
-	acl := func(name, field string, dropVal uint64) p4ir.TableSpec {
-		return p4ir.TableSpec{
-			Name:          name,
-			Keys:          []p4ir.Key{{Field: field, Kind: p4ir.MatchExact, Width: packet.FieldWidth(field)}},
-			Actions:       []*p4ir.Action{p4ir.DropAction(), p4ir.NoopAction("allow")},
-			DefaultAction: "allow",
-			Entries:       []p4ir.Entry{{Match: []p4ir.MatchValue{{Value: dropVal}}, Action: "drop_packet"}},
-		}
-	}
-	specs := map[string]p4ir.TableSpec{
-		"t1":   mk("t1", "ipv4.dstAddr"),
-		"t2":   mk("t2", "ipv4.srcAddr"),
-		"acl1": acl("acl1", "tcp.sport", 1111),
-		"acl2": acl("acl2", "tcp.dport", 23),
-	}
-	ordered := make([]p4ir.TableSpec, 0, len(order))
-	for _, n := range order {
-		ordered = append(ordered, specs[n])
-	}
-	return p4ir.ChainTables(name, ordered)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

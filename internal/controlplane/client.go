@@ -30,25 +30,26 @@ type RetryPolicy struct {
 	// retry).
 	MaxAttempts int
 	// BaseBackoff is the sleep before the first retry; it doubles per
-	// attempt up to MaxBackoff.
+	// attempt up to maxBackoff.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterFrac randomizes each backoff by ±frac to desynchronize
+}
+
+// The retry limits no caller tunes, held by a client in fields of the same
+// names.
+const (
+	// maxBackoff caps the doubling backoff.
+	maxBackoff = 2 * time.Second
+	// jitterFrac randomizes each backoff by ±frac to desynchronize
 	// reconnect storms.
-	JitterFrac float64
-	// MaxElapsed caps the total wall-clock time one call may spend across
+	jitterFrac = 0.2
+	// maxElapsed caps the total wall-clock time one call may spend across
 	// all attempts, backoffs included. Without it a call against a slow
 	// or hung server is bounded only by MaxAttempts × (Timeout + backoff)
 	// — long enough to stall a fleet rollout wave behind one sick device.
 	// Once the deadline passes, the call returns the last error instead
-	// of starting another attempt. <=0 disables the cap.
-	MaxElapsed time.Duration
-}
-
-// defaultRetryPolicy is what Dial installs.
-func defaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second, JitterFrac: 0.2, MaxElapsed: 15 * time.Second}
-}
+	// of starting another attempt. A client's <=0 disables the cap.
+	maxElapsed = 15 * time.Second
+)
 
 // Client is a synchronous control-plane client. It is safe for concurrent
 // use; calls are serialized over one connection, and a broken connection
@@ -60,10 +61,15 @@ type Client struct {
 	nextID  uint64
 	session string
 	rng     *stats.RNG
+	// dialTimeout bounds connect and reconnect attempts: DialTimeout's
+	// argument.
+	dialTimeout time.Duration
+	// The retry limits, the constants of the same names; a test may
+	// replace them.
+	maxBackoff, maxElapsed time.Duration
+	jitterFrac             float64
 	// Timeout bounds each round trip (default 5s).
 	Timeout time.Duration
-	// DialTimeout bounds connect and reconnect attempts (default 5s).
-	DialTimeout time.Duration
 	// Retry governs reconnect-and-retry after connection-level failures.
 	Retry RetryPolicy
 }
@@ -91,9 +97,12 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		conn:        conn,
 		session:     hex.EncodeToString(seed[:]),
 		rng:         stats.NewRNG(binary.BigEndian.Uint64(seed[:]) | 1),
+		dialTimeout: timeout,
+		maxBackoff:  maxBackoff,
+		maxElapsed:  maxElapsed,
+		jitterFrac:  jitterFrac,
 		Timeout:     5 * time.Second,
-		DialTimeout: timeout,
-		Retry:       defaultRetryPolicy(),
+		Retry:       RetryPolicy{MaxAttempts: 3, BaseBackoff: 50 * time.Millisecond},
 	}, nil
 }
 
@@ -131,7 +140,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 	// are all clamped to it, so a hung server cannot hold a caller for
 	// MaxAttempts full timeouts.
 	var overall time.Time
-	if max := c.Retry.MaxElapsed; max > 0 {
+	if max := c.maxElapsed; max > 0 {
 		overall = start.Add(max)
 	}
 	var lastErr error
@@ -143,12 +152,12 @@ func (c *Client) call(req *Request) (*Response, error) {
 			// this bounds time.
 			if !overall.IsZero() && time.Now().Add(sleep).After(overall) {
 				return nil, fmt.Errorf("controlplane: %s deadline exceeded after %d attempts (%.1fs elapsed, cap %s): %w",
-					req.Op, attempt, time.Since(start).Seconds(), c.Retry.MaxElapsed, lastErr)
+					req.Op, attempt, time.Since(start).Seconds(), c.maxElapsed, lastErr)
 			}
 			time.Sleep(sleep)
 		}
 		if c.conn == nil {
-			dt := c.dialTimeout()
+			dt := c.dialTimeout
 			if !overall.IsZero() {
 				if rem := time.Until(overall); rem < dt {
 					dt = rem
@@ -156,7 +165,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 			}
 			if dt <= 0 {
 				return nil, fmt.Errorf("controlplane: %s deadline exceeded while reconnecting (cap %s): %w",
-					req.Op, c.Retry.MaxElapsed, lastErr)
+					req.Op, c.maxElapsed, lastErr)
 			}
 			conn, err := net.DialTimeout("tcp", c.addr, dt)
 			if err != nil {
@@ -221,13 +230,6 @@ func (c *Client) timeout() time.Duration {
 	return c.Timeout
 }
 
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.DialTimeout
-}
-
 // backoff returns the exponential, jittered sleep before retry `attempt`
 // (1-based).
 func (c *Client) backoff(attempt int) time.Duration {
@@ -235,15 +237,12 @@ func (c *Client) backoff(attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	max := c.Retry.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
+	max := c.maxBackoff
 	d := base << uint(attempt-1)
 	if d > max || d <= 0 {
 		d = max
 	}
-	if f := c.Retry.JitterFrac; f > 0 {
+	if f := c.jitterFrac; f > 0 {
 		j := 1 + f*(2*c.rng.Float64()-1)
 		d = time.Duration(float64(d) * j)
 	}

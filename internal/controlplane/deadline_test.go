@@ -11,7 +11,7 @@ import (
 )
 
 // TestRetryDeadlineBoundsElapsedTime pins the satellite fix: a call's
-// retry loop must stop at RetryPolicy.MaxElapsed even when MaxAttempts
+// retry loop must stop at the client's maxElapsed even when MaxAttempts
 // would allow many more tries — a hung or dead fleet device must not
 // stall a rollout wave for MaxAttempts × timeout.
 func TestRetryDeadlineBoundsElapsedTime(t *testing.T) {
@@ -30,12 +30,8 @@ func TestRetryDeadlineBoundsElapsedTime(t *testing.T) {
 	defer cl.Close()
 	ln.Close()
 	cl.Timeout = time.Second
-	cl.Retry = RetryPolicy{
-		MaxAttempts: 100,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		MaxElapsed:  150 * time.Millisecond,
-	}
+	cl.Retry = RetryPolicy{MaxAttempts: 100, BaseBackoff: 20 * time.Millisecond}
+	cl.maxBackoff, cl.jitterFrac, cl.maxElapsed = 20*time.Millisecond, 0, 150*time.Millisecond
 
 	start := time.Now()
 	pingErr := cl.Ping()
@@ -97,7 +93,8 @@ func TestRetryDeadlineClampsHungRoundTrip(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.Timeout = 10 * time.Second // per-attempt timeout far above the cap
-	cl.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxElapsed: 200 * time.Millisecond}
+	cl.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond}
+	cl.jitterFrac, cl.maxElapsed = 0, 200*time.Millisecond
 
 	start := time.Now()
 	if err := cl.Ping(); err == nil {
@@ -154,7 +151,8 @@ func TestRetryDeadlineStillRetriesWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxElapsed: 5 * time.Second}
+	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond}
+	cl.jitterFrac, cl.maxElapsed = 0, 5*time.Second
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("retry within budget failed: %v", err)
 	}

@@ -112,7 +112,8 @@ func TestClientTimeoutOnSilentServer(t *testing.T) {
 // fastRetry configures tight retry timings so failure tests stay quick.
 func fastRetry(cl *Client) {
 	cl.Timeout = 300 * time.Millisecond
-	cl.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, JitterFrac: 0.2}
+	cl.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond}
+	cl.maxBackoff, cl.maxElapsed = 100*time.Millisecond, 0
 }
 
 func TestClientSurvivesServerRestart(t *testing.T) {

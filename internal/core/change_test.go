@@ -14,8 +14,8 @@ func TestRuntimeSkipsUnchangedProfiles(t *testing.T) {
 	prog := aclProgram(t)
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
-	cfg.ProfileChangeThreshold = 0.1
 	rt, nic, _ := newRig(t, prog, cfg)
+	rt.changeThreshold = 0.1
 
 	gen := trafficgen.New(1, 0)
 	gen.AddFlows(trafficgen.DropTargetedFlows(2, 2000, "tcp.dport", 23, 0.8)...)

@@ -18,6 +18,7 @@ import (
 // one program that is shared, the original, is still copied.
 func TestCurrentNotAliased(t *testing.T) {
 	rt, nic, _ := newProbeRig(t, aclProgram(t), reorderConfig(), nil)
+	rt.changeThreshold = 0
 	entries := func(p *p4ir.Program) int { return len(p.Tables["acl1"].Entries) }
 	extra := func(v uint64) p4ir.Entry {
 		return p4ir.Entry{Match: []p4ir.MatchValue{{Value: v}}, Action: "drop_packet"}
@@ -96,6 +97,7 @@ func TestPanicCostsOneRound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, nic, probe := newProbeRig(t, aclProgram(t), reorderConfig(), nil)
+			rt.changeThreshold = 0
 			rt.tgt = &panickyTarget{Target: probe, faults: tc.script}
 			gen := dropMix(1, "tcp.dport", 23)
 			rt.SetDeployGuard(DefaultDeployGuard(gen.Batch))

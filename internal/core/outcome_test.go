@@ -58,8 +58,8 @@ func TestEveryRoundOutcome(t *testing.T) {
 	inflated := faultinject.Decision{Scale: 50} // the verification window contradicts it
 	for _, tc := range []struct {
 		name  string
-		pin   string // a table pinTight pins
-		cfg   func(*opt.Config)
+		pin   string  // a table pinTight pins
+		skip  float64 // the runtime's changeThreshold; 0 searches every round
 		guard func(*DeployGuard)
 		// prep readies the rig for the round under test; run, when set,
 		// replaces OptimizeOnce as that round.
@@ -85,7 +85,7 @@ func TestEveryRoundOutcome(t *testing.T) {
 				t.Fatalf("the failed deploy that opens the breaker: %+v", rep)
 			}
 		}, want: outcomeFields{breakerOpen: true}, reEval: true},
-		{name: "unchanged", cfg: func(c *opt.Config) { c.ProfileChangeThreshold = 0.5 }, prep: func(t *testing.T, x *exitRig) {
+		{name: "unchanged", skip: 0.5, prep: func(t *testing.T, x *exitRig) {
 			x.prepRound(t)
 		}, want: outcomeFields{skipped: true}},
 		{name: "search failed", prep: func(t *testing.T, x *exitRig) {
@@ -163,16 +163,13 @@ func TestEveryRoundOutcome(t *testing.T) {
 			want:     outcomeFields{deployed: true, err: true, rolledBack: true}, detail: "panic: measure", charged: true, reEval: true, fails: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := reorderConfig()
-			if tc.cfg != nil {
-				tc.cfg(&cfg)
-			}
 			script := faultinject.NewScript()
 			prog := aclProgram(t)
 			if tc.pin != "" {
 				pinTight(prog, tc.pin)
 			}
-			rt, nic, probe := newProbeRig(t, prog, cfg, script)
+			rt, nic, probe := newProbeRig(t, prog, reorderConfig(), script)
+			rt.changeThreshold = tc.skip
 			x := &exitRig{rt: rt, nic: nic, probe: probe, script: script, gen: dropMix(1, "tcp.dport", 23)}
 			if tc.panicked != nil {
 				rt.tgt = &panickyTarget{Target: probe, faults: tc.panicked}

@@ -17,7 +17,7 @@ const (
 	running          outcome = iota // no stage has ended the round yet
 	lostWindow                      // the profile window could not be read
 	breakerOpen                     // the circuit breaker pauses redeployment
-	unchanged                       // no cost moved past ProfileChangeThreshold
+	unchanged                       // no cost moved past profileChangeThreshold
 	searchFailed                    // the search answered an error
 	blacklisted                     // a recent rollback bars the plan
 	keptByHysteresis                // the plan does not beat the active one by RedeployMargin
@@ -154,10 +154,16 @@ func (r *Runtime) breakerStage(*round) outcome {
 	return ends(r.round <= r.breakerOpenUntil, breakerOpen)
 }
 
+// profileChangeThreshold is the relative change in any pipelet's weighted
+// cost that triggers a new optimization round; below it the runtime skips
+// the search entirely ("Pipeleon constantly monitors the profile; when it
+// varies, a new round of optimization will be triggered", §2.3).
+const profileChangeThreshold float64 = 0.05
+
 // changeStage (§2.3) re-optimizes only when the profile signature moved
-// materially since the last round.
+// materially since the last round. A threshold of 0 disables skipping.
 func (r *Runtime) changeStage(rd *round) outcome {
-	costs, last, threshold := r.profileSignature(rd.prof), r.lastCosts, r.cfg.ProfileChangeThreshold
+	costs, last, threshold := r.profileSignature(rd.prof), r.lastCosts, r.changeThreshold
 	r.lastCosts = costs
 	return ends(threshold > 0 && last != nil && !costsChanged(last, costs, threshold), unchanged)
 }

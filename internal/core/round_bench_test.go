@@ -40,12 +40,11 @@ func newRoundRig(b *testing.B, changeThreshold float64) *roundRig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := opt.DefaultConfig()
-	cfg.ProfileChangeThreshold = changeThreshold
-	rt, err := NewRuntime(prog, target.NewLocal(nic, col), cfg)
+	rt, err := NewRuntime(prog, target.NewLocal(nic, col), opt.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	rt.changeThreshold = changeThreshold
 	gen := trafficgen.New(11, trafficgen.DefaultPacketBytes)
 	gen.AddFlows(trafficgen.UniformFlows(8, 128)...)
 	gen.SetSkew(0.9)
@@ -101,7 +100,7 @@ func (r *roundRig) backToOriginal(b *testing.B) {
 // BenchmarkRoundSkipped: the profile did not move; change detection ends
 // the round before the search.
 func BenchmarkRoundSkipped(b *testing.B) {
-	r := newRoundRig(b, opt.DefaultConfig().ProfileChangeThreshold)
+	r := newRoundRig(b, profileChangeThreshold)
 	for warm := 0; warm < 4; warm++ { // deploy, then let the hit rates settle
 		r.round(b)
 	}

@@ -78,14 +78,14 @@ func pinTight(prog *p4ir.Program, table string) *p4ir.Program {
 	return prog
 }
 
-// reorderConfig searches every round (no unchanged-profile skip) for
-// reorders only, so the plan follows which ACL the traffic makes hot.
+// reorderConfig searches for reorders only; a runtime built with it is
+// made to search every round (changeThreshold 0, no unchanged-profile
+// skip), so the plan follows which ACL the traffic makes hot.
 func reorderConfig() opt.Config {
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
 	cfg.EnableCache = false
 	cfg.EnableMerge = false
-	cfg.ProfileChangeThreshold = 0
 	return cfg
 }
 
@@ -123,6 +123,7 @@ func TestKeptRoundMaterializesNothing(t *testing.T) {
 	cfg := reorderConfig()
 	cfg.DeepVerify = true
 	rt, nic, _ := newProbeRig(t, aclProgram(t), cfg, script)
+	rt.changeThreshold = 0
 	gen := dropMix(1, "tcp.dport", 23)
 	guard := DefaultDeployGuard(gen.Batch)
 	guard.MinRealizedGainFrac = 0.5
@@ -216,6 +217,7 @@ func TestEveryDeployedProgramWasGated(t *testing.T) {
 	}
 
 	rt, nic := newWatchedRig(t, aclProgram(t), reorderConfig(), watch)
+	rt.changeThreshold = 0
 	constructed(rt)
 	mixes := []*trafficgen.Generator{dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)}
 	extra := p4ir.Entry{Match: []p4ir.MatchValue{{Value: 9999}}, Action: "drop_packet"}
@@ -315,6 +317,7 @@ func TestEntryOpRefusedWhenRedeployFailsTheGate(t *testing.T) {
 // change is no longer equivalent to the original.
 func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	rt, nic, _ := newProbeRig(t, pinTight(aclProgram(t), "acl1"), reorderConfig(), nil)
+	rt.changeThreshold = 0
 	hotACL2, hotACL1 := dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)
 	if rep := mustRound(t, rt, nic, hotACL2); !rep.Deployed || currentOf(rt).Root != "acl2" {
 		t.Fatalf("round 1 should deploy acl2 first: %+v", rep)
@@ -371,6 +374,7 @@ func TestGateMemoDroppedOnEntryOp(t *testing.T) {
 	cfg := reorderConfig()
 	cfg.DeepVerify = true
 	deep, dnic, _ := newProbeRig(t, markProgram(t), cfg, nil)
+	deep.changeThreshold = 0
 	if rep := mustRound(t, deep, dnic, hotACL2); !rep.Deployed {
 		t.Fatalf("deep round should deploy: %+v", rep)
 	}
@@ -408,6 +412,7 @@ func TestStoredCurrentDigestNeverStale(t *testing.T) {
 
 	script := faultinject.NewScript()
 	rt, nic, tgt := newProbeRig(t, aclProgram(t), reorderConfig(), script)
+	rt.changeThreshold = 0
 	hotACL2, hotACL1 := dropMix(1, "tcp.dport", 23), dropMix(5, "tcp.sport", 1111)
 	live := hotACL2 // the verification window samples the live traffic
 	guard := DefaultDeployGuard(func(n int) []*packet.Packet { return live.Batch(n) })

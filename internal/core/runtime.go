@@ -73,6 +73,9 @@ type Runtime struct {
 	historyNext int
 	tally       RuntimeStatus
 	lastCosts   map[string]float64
+	// changeThreshold is profileChangeThreshold, which a test may replace
+	// on a runtime.
+	changeThreshold float64
 
 	// gate is the check every program passes before it reaches the device
 	// (see deploy.go), built over search's verifier; it keys its verdicts by
@@ -123,7 +126,7 @@ type RoundReport struct {
 	// HitRateFeedback lists span -> observed hit rate fed into estimates.
 	HitRateFeedback map[string]float64
 	// SkippedUnchanged is true when the round was skipped because no
-	// pipelet's cost moved past Options.ProfileChangeThreshold.
+	// pipelet's cost moved past profileChangeThreshold.
 	SkippedUnchanged bool
 	// Error records a search/collection failure; the loop continues and
 	// the round is still part of History.
@@ -166,6 +169,7 @@ func NewRuntime(orig *p4ir.Program, tgt target.Target, cfg opt.Config) (*Runtime
 		tgt:               tgt,
 		pm:                tgt.Capabilities().Params,
 		cfg:               cfg,
+		changeThreshold:   profileChangeThreshold,
 		updCountsOrig:     map[string]uint64{},
 		lastUpdCountsOrig: map[string]uint64{},
 	}

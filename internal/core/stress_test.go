@@ -17,8 +17,8 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 	prog := aclProgram(t)
 	cfg := opt.DefaultConfig()
 	cfg.TopKFrac = 1
-	cfg.ProfileChangeThreshold = 0 // search every round: maximum churn
 	rt, nic, _ := newRig(t, prog, cfg)
+	rt.changeThreshold = 0 // search every round: maximum churn
 
 	gen := trafficgen.New(1, 0)
 	gen.AddFlows(trafficgen.DropTargetedFlows(2, 1000, "tcp.dport", 23, 0.5)...)

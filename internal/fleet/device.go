@@ -45,52 +45,50 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// HealthPolicy tunes the per-device state machine. The zero value is not
-// useful; start from DefaultHealthPolicy.
-type HealthPolicy struct {
-	// ProbeTimeout bounds one health probe (a hung device must not stall
+// The health policy of the per-device state machine: thresholds no caller
+// tunes. A controller holds them in a healthPolicy, which a test may
+// tighten (export_test.go).
+const (
+	// probeTimeout bounds one health probe (a hung device must not stall
 	// its supervisor loop).
-	ProbeTimeout time.Duration
-	// DegradedAfter is the consecutive probe-failure streak that marks a
+	probeTimeout = 2 * time.Second
+	// degradedAfter is the consecutive probe-failure streak that marks a
 	// device Degraded.
-	DegradedAfter int
-	// QuarantineAfter is the consecutive probe-failure streak that
+	degradedAfter = 1
+	// quarantineAfter is the consecutive probe-failure streak that
 	// quarantines a device.
-	QuarantineAfter int
-	// BreakerThreshold is the consecutive deploy/verify-failure streak
+	quarantineAfter = 3
+	// breakerThreshold is the consecutive deploy/verify-failure streak
 	// that quarantines a device — the fleet-level analogue of the
 	// runtime's redeploy circuit breaker. Probe successes do not reset
 	// this streak; only a successful deploy does, so a device that pings
 	// fine but keeps failing rollouts is still caught.
-	BreakerThreshold int
-	// QuarantineProbes is how many probe rounds a quarantined device sits
+	breakerThreshold = 3
+	// quarantineProbes is how many probe rounds a quarantined device sits
 	// out before probation begins.
-	QuarantineProbes int
-	// ProbationProbes is the consecutive probe successes a Recovering
+	quarantineProbes = 2
+	// probationProbes is the consecutive probe successes a Recovering
 	// device needs for re-admission to Healthy.
-	ProbationProbes int
-	// MaxProbeBackoff caps the extra probe rounds a failing device sits
+	probationProbes = 2
+	// maxProbeBackoff caps the extra probe rounds a failing device sits
 	// out between probes (backoff grows with the failure streak).
-	MaxProbeBackoff int
-	// RestartBudget is how many panics the device's supervised loop
+	maxProbeBackoff = 3
+	// restartBudget is how many panics the device's supervised loop
 	// absorbs (restarting the loop each time) before the device is
 	// permanently quarantined pending manual Recover.
-	RestartBudget int
+	restartBudget = 3
+)
+
+// healthPolicy is the constants above, field by field.
+type healthPolicy struct {
+	probeTimeout                                       time.Duration
+	degradedAfter, quarantineAfter, breakerThreshold   int
+	quarantineProbes, probationProbes, maxProbeBackoff int
+	restartBudget                                      int
 }
 
-// DefaultHealthPolicy returns the production defaults.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{
-		ProbeTimeout:     2 * time.Second,
-		DegradedAfter:    1,
-		QuarantineAfter:  3,
-		BreakerThreshold: 3,
-		QuarantineProbes: 2,
-		ProbationProbes:  2,
-		MaxProbeBackoff:  3,
-		RestartBudget:    3,
-	}
-}
+var constPolicy = healthPolicy{probeTimeout, degradedAfter, quarantineAfter, breakerThreshold,
+	quarantineProbes, probationProbes, maxProbeBackoff, restartBudget}
 
 // device is one supervised fleet member.
 type device struct {
@@ -121,7 +119,7 @@ type device struct {
 var errProbePanic = errors.New("fleet: device operation panicked")
 
 // noteProbeSuccessLocked applies a successful probe to the state machine.
-func (d *device) noteProbeSuccessLocked(pol HealthPolicy) {
+func (d *device) noteProbeSuccessLocked(pol healthPolicy) {
 	d.probeConsecFail = 0
 	d.consecOK++
 	d.lastErr = ""
@@ -131,7 +129,7 @@ func (d *device) noteProbeSuccessLocked(pol HealthPolicy) {
 		// that pings fine but flaps rollouts must still hit the breaker.
 		d.state = Healthy
 	case Recovering:
-		if d.consecOK >= pol.ProbationProbes {
+		if d.consecOK >= pol.probationProbes {
 			d.state = Healthy
 			d.deployConsecFail = 0
 			d.restarts = 0
@@ -140,7 +138,7 @@ func (d *device) noteProbeSuccessLocked(pol HealthPolicy) {
 }
 
 // noteProbeFailureLocked applies a failed probe.
-func (d *device) noteProbeFailureLocked(err error, pol HealthPolicy) {
+func (d *device) noteProbeFailureLocked(err error, pol healthPolicy) {
 	d.consecOK = 0
 	d.probeConsecFail++
 	d.lastErr = err.Error()
@@ -149,17 +147,17 @@ func (d *device) noteProbeFailureLocked(err error, pol HealthPolicy) {
 		// Failed probation: back to quarantine for another sit-out.
 		d.enterQuarantineLocked(pol)
 	case Healthy, Degraded:
-		if d.probeConsecFail >= pol.QuarantineAfter {
+		if d.probeConsecFail >= pol.quarantineAfter {
 			d.enterQuarantineLocked(pol)
 			return
 		}
-		if d.probeConsecFail >= pol.DegradedAfter {
+		if d.probeConsecFail >= pol.degradedAfter {
 			d.state = Degraded
 		}
 		// Probe backoff: failing devices are probed less often.
 		if back := d.probeConsecFail - 1; back > 0 {
-			if back > pol.MaxProbeBackoff {
-				back = pol.MaxProbeBackoff
+			if back > pol.maxProbeBackoff {
+				back = pol.maxProbeBackoff
 			}
 			d.sitOut = back
 		}
@@ -177,7 +175,7 @@ func (d *device) noteDeploySuccessLocked() {
 
 // noteDeployFailureLocked counts a failed or verify-rolled-back rollout
 // deploy toward the breaker.
-func (d *device) noteDeployFailureLocked(err error, pol HealthPolicy) {
+func (d *device) noteDeployFailureLocked(err error, pol healthPolicy) {
 	d.consecOK = 0
 	d.deployConsecFail++
 	d.lastErr = err.Error()
@@ -185,7 +183,7 @@ func (d *device) noteDeployFailureLocked(err error, pol HealthPolicy) {
 	case Recovering:
 		d.enterQuarantineLocked(pol)
 	case Healthy, Degraded:
-		if d.deployConsecFail >= pol.BreakerThreshold {
+		if d.deployConsecFail >= pol.breakerThreshold {
 			d.enterQuarantineLocked(pol)
 			return
 		}
@@ -197,7 +195,7 @@ func (d *device) noteDeployFailureLocked(err error, pol HealthPolicy) {
 // canary Runtime's round — to the counters and the state machine: deployed
 // and rolledBack say what reached the device, err whether the transaction
 // failed. It returns the device's deploy count.
-func (d *device) noteDeploy(deployed, rolledBack bool, err error, pol HealthPolicy) uint64 {
+func (d *device) noteDeploy(deployed, rolledBack bool, err error, pol healthPolicy) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if deployed {
@@ -223,10 +221,10 @@ func (d *device) deployCount() uint64 {
 	return d.deploys
 }
 
-func (d *device) enterQuarantineLocked(pol HealthPolicy) {
+func (d *device) enterQuarantineLocked(pol healthPolicy) {
 	d.state = Quarantined
 	d.quarantines++
-	d.sitOut = pol.QuarantineProbes
+	d.sitOut = pol.quarantineProbes
 	d.probeConsecFail = 0
 	d.consecOK = 0
 }

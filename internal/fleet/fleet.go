@@ -40,8 +40,6 @@ import (
 
 // Options configures a Controller.
 type Options struct {
-	// Policy is the device health policy; zero value → DefaultHealthPolicy.
-	Policy HealthPolicy
 	// Optimizer configures plan search for OptimizeAndRollout.
 	Optimizer opt.Config
 	// Logf, when set, receives human-readable progress lines.
@@ -51,7 +49,7 @@ type Options struct {
 // Controller owns a fleet of devices. All methods are safe for concurrent
 // use; rollouts and optimization rounds are serialized with each other.
 type Controller struct {
-	policy HealthPolicy
+	policy healthPolicy
 	optCfg opt.Config
 	logf   func(string, ...any)
 
@@ -81,19 +79,12 @@ type Controller struct {
 
 // New returns a Controller with no devices.
 func New(opts Options) *Controller {
-	pol := opts.Policy
-	if pol == (HealthPolicy{}) {
-		pol = DefaultHealthPolicy()
-	}
-	if pol.ProbeTimeout <= 0 {
-		pol.ProbeTimeout = 2 * time.Second
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Controller{
-		policy:   pol,
+		policy:   constPolicy,
 		optCfg:   opts.Optimizer,
 		logf:     logf,
 		byName:   map[string]*device{},
@@ -173,7 +164,7 @@ func (c *Controller) probeDevice(d *device) {
 	}
 	d.mu.Unlock()
 
-	err := d.probe(c.policy.ProbeTimeout)
+	err := d.probe(c.policy.probeTimeout)
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -189,7 +180,7 @@ func (c *Controller) probeDevice(d *device) {
 		// exhausted the device is quarantined permanently (until an
 		// operator Recover).
 		d.restarts++
-		if d.restarts > c.policy.RestartBudget {
+		if d.restarts > c.policy.restartBudget {
 			d.permanent = true
 			d.enterQuarantineLocked(c.policy)
 			d.lastErr = fmt.Sprintf("restart budget exhausted (%d panics): %v", d.restarts, err)

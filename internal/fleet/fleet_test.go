@@ -89,20 +89,28 @@ func aclProgramOrder(t *testing.T, name string, order []string, ternary bool) *p
 	return prog
 }
 
+// member is one simulated fleet device with the fault script its target
+// reads.
+type member struct {
+	Name   string
+	Target target.Target
+	Script *faultinject.Script
+}
+
 // newMember builds one simulated fleet member: a nicsim-backed Local
 // target wrapped by target.WithFaults with its own script.
-func newMember(t *testing.T, name string, prog *p4ir.Program) fleet.FleetMember {
+func newMember(t *testing.T, name string, prog *p4ir.Program) member {
 	t.Helper()
 	m, _ := newMemberNIC(t, name, prog)
 	return m
 }
 
-func newMemberNIC(t *testing.T, name string, prog *p4ir.Program) (fleet.FleetMember, *nicsim.NIC) {
+func newMemberNIC(t *testing.T, name string, prog *p4ir.Program) (member, *nicsim.NIC) {
 	t.Helper()
 	return newMemberModel(t, name, prog, costmodel.BlueField2())
 }
 
-func newMemberModel(t *testing.T, name string, prog *p4ir.Program, pm costmodel.Params) (fleet.FleetMember, *nicsim.NIC) {
+func newMemberModel(t *testing.T, name string, prog *p4ir.Program, pm costmodel.Params) (member, *nicsim.NIC) {
 	t.Helper()
 	col := profile.NewCollector()
 	nic, err := nicsim.New(prog.Clone(), nicsim.Config{
@@ -114,7 +122,7 @@ func newMemberModel(t *testing.T, name string, prog *p4ir.Program, pm costmodel.
 		t.Fatal(err)
 	}
 	script := faultinject.NewScript()
-	return fleet.FleetMember{
+	return member{
 		Name:   name,
 		Target: target.WithFaults(target.NewLocal(nic, col), script),
 		Script: script,
@@ -140,28 +148,6 @@ func lockedSampler(gen *trafficgen.Generator) func(n int) []*packet.Packet {
 	}
 }
 
-// TestFleetFaultScenario runs the full scripted 8-device acceptance
-// scenario — canary gate, mid-wave halt+rollback, breaker quarantine with
-// graceful degradation, probation re-admission — against in-process
-// emulator devices. The same scenario backs `make fleet-sim`.
-func TestFleetFaultScenario(t *testing.T) {
-	progA := aclProgram(t)
-	progB := altProgram(t)
-	members := make([]fleet.FleetMember, 0, 8)
-	for i := 0; i < 8; i++ {
-		members = append(members, newMember(t, fmt.Sprintf("nic%d", i), progA))
-	}
-	err := fleet.RunFaultScenario(fleet.FaultScenarioInput{
-		Devices: members,
-		Next:    progB,
-		Sampler: lockedSampler(dropTraffic()),
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStateMachineProbationRelapse walks one device through the failure
 // lifecycle, including a relapse during probation.
 func TestStateMachineProbationRelapse(t *testing.T) {
@@ -171,7 +157,7 @@ func TestStateMachineProbationRelapse(t *testing.T) {
 	pol.QuarantineProbes = 1
 	pol.ProbationProbes = 2
 	pol.MaxProbeBackoff = 0
-	ctl := fleet.New(fleet.Options{Policy: pol})
+	ctl := fleet.NewWithPolicy(fleet.Options{}, pol)
 	m := newMember(t, "nic0", aclProgram(t))
 	if err := ctl.Add(m.Name, m.Target); err != nil {
 		t.Fatal(err)
@@ -254,7 +240,7 @@ func TestRestartBudgetQuarantinesPanickingDevice(t *testing.T) {
 	pol.MaxProbeBackoff = 0
 	pol.ProbationProbes = 1
 	pol.QuarantineProbes = 1
-	ctl := fleet.New(fleet.Options{Policy: pol})
+	ctl := fleet.NewWithPolicy(fleet.Options{}, pol)
 
 	m := newMember(t, "nic0", aclProgram(t))
 	pt := &panicTarget{Target: m.Target, broken: true}
@@ -342,7 +328,7 @@ func TestOptimizeAndRolloutSharesPlans(t *testing.T) {
 	ctl := fleet.New(fleet.Options{Optimizer: reorderOnly(), Logf: t.Logf})
 
 	gen := dropTraffic()
-	var members []fleet.FleetMember
+	var members []member
 	for i := 0; i < 3; i++ {
 		m, nic := newMemberNIC(t, fmt.Sprintf("nic%d", i), progA)
 		nic.Measure(gen.Batch(4000)) // build up each device's profile
@@ -510,7 +496,7 @@ func TestOptimizeContinuesPastFailedGroup(t *testing.T) {
 	dead, _ := newMemberModel(t, "agilio0", progA, costmodel.AgilioCX())
 	live, nic := newMemberModel(t, "bf0", progA, costmodel.BlueField2())
 	nic.Measure(gen.Batch(4000))
-	for _, m := range []fleet.FleetMember{dead, live} {
+	for _, m := range []member{dead, live} {
 		if err := ctl.Add(m.Name, m.Target); err != nil {
 			t.Fatal(err)
 		}

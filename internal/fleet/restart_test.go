@@ -42,7 +42,7 @@ func TestNicdKilledMidCanary(t *testing.T) {
 	pol.QuarantineProbes = 1
 	pol.ProbationProbes = 2
 	pol.MaxProbeBackoff = 0
-	ctl := fleet.New(fleet.Options{Policy: pol, Logf: t.Logf})
+	ctl := fleet.NewWithPolicy(fleet.Options{Logf: t.Logf}, pol)
 	if err := ctl.Add("dev0", m0.Target); err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,9 @@ type RolloutConfig struct {
 	// Canary is the size of the first stage (default 1). Any canary
 	// failure halts the rollout before fan-out.
 	Canary int
-	// FirstWave is the size of the first post-canary wave (default 2).
+	// FirstWave is the size of the first post-canary wave (default 2);
+	// each later wave is waveGrowth times the one before.
 	FirstWave int
-	// WaveGrowth multiplies each subsequent wave (default 2).
-	WaveGrowth int
 	// MaxFailureFrac halts the rollout when cumulative
 	// failures/attempted exceeds it after any stage (default 0.25).
 	MaxFailureFrac float64
@@ -50,7 +49,6 @@ func DefaultRolloutConfig(sampler func(n int) []*packet.Packet) RolloutConfig {
 	return RolloutConfig{
 		Canary:         1,
 		FirstWave:      2,
-		WaveGrowth:     2,
 		MaxFailureFrac: 0.25,
 		Verify:         VerifyConfig{Sampler: sampler},
 	}
@@ -63,9 +61,6 @@ func (cfg RolloutConfig) withDefaults() RolloutConfig {
 	if cfg.FirstWave <= 0 {
 		cfg.FirstWave = 2
 	}
-	if cfg.WaveGrowth <= 1 {
-		cfg.WaveGrowth = 2
-	}
 	if cfg.MaxFailureFrac <= 0 {
 		cfg.MaxFailureFrac = 0.25
 	}
@@ -77,6 +72,9 @@ func (cfg RolloutConfig) withDefaults() RolloutConfig {
 	}
 	return cfg
 }
+
+// waveGrowth multiplies each post-canary wave after the first.
+const waveGrowth = 2
 
 // planStages returns the stage sizes for n devices: canary, then waves
 // growing geometrically until the fleet is covered.
@@ -99,7 +97,7 @@ func planStages(n int, cfg RolloutConfig) []int {
 		}
 		stages = append(stages, size)
 		left -= size
-		wave *= cfg.WaveGrowth
+		wave *= waveGrowth
 	}
 	return stages
 }

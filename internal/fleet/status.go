@@ -149,15 +149,3 @@ func (c *Controller) Status() Status {
 	}
 	return st
 }
-
-// DeviceState returns the named device's current state (testing and CLI
-// convenience).
-func (c *Controller) DeviceState(name string) (State, error) {
-	d, err := c.lookup(name)
-	if err != nil {
-		return Healthy, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state, nil
-}

@@ -44,12 +44,6 @@ type Config struct {
 	// EnableGroups turns on cross-pipelet (pipelet group) optimization
 	// (§4.1.1, Figure 15).
 	EnableGroups bool
-	// ProfileChangeThreshold is the relative change in any pipelet's
-	// weighted cost that triggers a new optimization round; below it the
-	// runtime skips the search entirely ("Pipeleon constantly monitors
-	// the profile; when it varies, a new round of optimization will be
-	// triggered", §2.3). 0 disables skipping.
-	ProfileChangeThreshold float64
 	// RedeployMargin is the relative improvement a new plan must show
 	// over the re-scored active plan before the runtime reconfigures the
 	// device. Hysteresis prevents flip-flopping between near-equal plans,
@@ -118,17 +112,16 @@ var constCaps = searchCaps{maxOrders, maxOptionsPerPipelet, maxSegmentations, me
 // DefaultConfig returns the paper-faithful defaults.
 func DefaultConfig() Config {
 	return Config{
-		CacheBudgetEntries:     1024,
-		CacheInsertLimit:       5000,
-		MergeCap:               2,
-		TopKFrac:               0.2,
-		MaxPipeletLen:          8,
-		EnableReorder:          true,
-		EnableCache:            true,
-		EnableMerge:            true,
-		EnableGroups:           true,
-		ProfileChangeThreshold: 0.05,
-		RedeployMargin:         0.1,
+		CacheBudgetEntries: 1024,
+		CacheInsertLimit:   5000,
+		MergeCap:           2,
+		TopKFrac:           0.2,
+		MaxPipeletLen:      8,
+		EnableReorder:      true,
+		EnableCache:        true,
+		EnableMerge:        true,
+		EnableGroups:       true,
+		RedeployMargin:     0.1,
 	}
 }
 

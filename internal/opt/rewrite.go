@@ -93,24 +93,26 @@ func (cm *CounterMap) Translate(opt *profile.Profile, orig *p4ir.Program) *profi
 				out.ActionCounts[tbl] = direct
 			}
 			var total uint64
-			for _, c := range direct {
-				total += c
+			for _, act := range ot.Actions {
+				total += direct[act.Name]
 			}
 			if total == 0 {
 				direct[ot.DefaultAction] += hits
 				continue
 			}
+			// In declaration order, so the integer remainder lands on a
+			// fixed action: the last one with a count.
 			var distributed uint64
 			var lastAction string
-			for a, c := range direct {
-				add := hits * c / total
-				direct[a] += add
-				distributed += add
-				lastAction = a
+			for _, act := range ot.Actions {
+				if c := direct[act.Name]; c > 0 {
+					add := hits * c / total
+					direct[act.Name] += add
+					distributed += add
+					lastAction = act.Name
+				}
 			}
-			if rem := hits - distributed; rem > 0 && lastAction != "" {
-				direct[lastAction] += rem
-			}
+			direct[lastAction] += hits - distributed
 		}
 	}
 	// Credit merged-action counts to constituents.

@@ -309,6 +309,31 @@ func TestCounterMapTranslateNoMissTraffic(t *testing.T) {
 	}
 }
 
+// The integer remainder of a cache's distributed hits lands on a fixed
+// action: one hit over a table whose actions a and b counted one each gives
+// the same translation every time, not whichever action a map range visits
+// last.
+func TestCounterMapTranslateIsDeterministic(t *testing.T) {
+	prog := mustChain(t, p4ir.TableSpec{Name: "T",
+		Actions: []*p4ir.Action{p4ir.NoopAction("a"), p4ir.NoopAction("b")}})
+	cm := NewCounterMap()
+	cm.Caches["__cache__T"] = []string{"T"}
+	optProf := profile.New()
+	optProf.CacheHits["__cache__T"] = 1
+	optProf.ActionCounts["T"] = map[string]uint64{"a": 1, "b": 1}
+	seen := map[uint64]bool{}
+	for i := 0; i < 64; i++ {
+		counts := cm.Translate(optProf, prog).ActionCounts["T"]
+		if counts["a"]+counts["b"] != 3 {
+			t.Fatalf("translation %d: %v, want 3 packets", i, counts)
+		}
+		seen[counts["a"]] = true
+	}
+	if len(seen) != 1 {
+		t.Errorf("a's count took %d values over 64 translations of one input", len(seen))
+	}
+}
+
 func TestCounterMapTranslateMergedActions(t *testing.T) {
 	prog := mustChain(t,
 		p4ir.TableSpec{Name: "A",

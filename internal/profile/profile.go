@@ -389,23 +389,28 @@ func (c *Collector) addKeys(from *Shard, keys []burstKey) {
 }
 
 // foldShardsLocked drains every shard's counters into the string-keyed
-// profile and zeroes the shards, preserving window totals across a Bind.
+// profile, preserving window totals across a Bind.
 func (c *Collector) foldShardsLocked() {
-	c.mergeShardsLocked(c.p)
-	for _, s := range c.shards {
-		s.zero()
-	}
+	c.mergeShardsLocked(c.p, true)
 }
 
-// mergeShardsLocked adds the live shard counters to out.
-func (c *Collector) mergeShardsLocked(out *Profile) {
+// mergeShardsLocked adds the live shard counters to out. With drain set it
+// takes them, each with one atomic swap to zero, so a count a concurrent
+// Burst.Flush adds lands either in out or in the shard, never in neither.
+func (c *Collector) mergeShardsLocked(out *Profile, drain bool) {
 	l := c.layout
 	if l == nil {
 		return
 	}
+	read := func(v *atomic.Uint64) uint64 {
+		if drain {
+			return v.Swap(0)
+		}
+		return v.Load()
+	}
 	for _, s := range c.shards {
 		for i := range l.Actions {
-			if n := s.actions[i].Load(); n > 0 {
+			if n := read(&s.actions[i]); n > 0 {
 				site := l.Actions[i]
 				m := out.ActionCounts[site.Table]
 				if m == nil {
@@ -416,7 +421,7 @@ func (c *Collector) mergeShardsLocked(out *Profile) {
 			}
 		}
 		for i, cond := range l.Branches {
-			t, f := s.branches[2*i].Load(), s.branches[2*i+1].Load()
+			t, f := read(&s.branches[2*i]), read(&s.branches[2*i+1])
 			if t+f > 0 {
 				v := out.BranchCounts[cond]
 				v[0] += t
@@ -425,10 +430,10 @@ func (c *Collector) mergeShardsLocked(out *Profile) {
 			}
 		}
 		for i, cache := range l.Caches {
-			if h := s.caches[2*i].Load(); h > 0 {
+			if h := read(&s.caches[2*i]); h > 0 {
 				out.CacheHits[cache] += h
 			}
-			if m := s.caches[2*i+1].Load(); m > 0 {
+			if m := read(&s.caches[2*i+1]); m > 0 {
 				out.CacheMisses[cache] += m
 			}
 		}
@@ -442,7 +447,31 @@ func (c *Collector) Snapshot() *Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.p.Clone()
-	c.mergeShardsLocked(out)
+	c.mergeShardsLocked(out, false)
+	c.finishLocked(out)
+	return out
+}
+
+// CloseWindow ends the profiling window in one step: it returns the
+// window's profile, as Snapshot would, and starts the next, as Reset would.
+// The shard counters are drained (mergeShardsLocked), so a concurrent
+// Burst.Flush counts each packet in exactly one window; the window's maps
+// are handed over, not copied.
+func (c *Collector) CloseWindow() *Profile {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.p
+	c.p = New()
+	c.p.SampleRate = out.SampleRate
+	c.mergeShardsLocked(out, true)
+	c.finishLocked(out)
+	c.releaseKeysLocked()
+	return out
+}
+
+// finishLocked sets out's cardinalities from the window's key sets and
+// scales its counters by the sampling factor.
+func (c *Collector) finishLocked(out *Profile) {
 	for table, set := range c.keys {
 		if set.n > 0 {
 			out.KeyCardinality[table] = uint64(set.n)
@@ -467,7 +496,6 @@ func (c *Collector) Snapshot() *Profile {
 			out.CacheMisses[k] *= every
 		}
 	}
-	return out
 }
 
 // Reset clears all counters (used at the start of each profiling window)
@@ -480,12 +508,17 @@ func (c *Collector) Reset() {
 	rate := c.p.SampleRate
 	c.p = New()
 	c.p.SampleRate = rate
-	c.keys = make(map[string]*u64set, len(c.slotKeys))
-	c.flows = u64set{}
-	c.resolveKeysLocked()
 	for _, s := range c.shards {
 		s.zero()
 	}
-	c.epoch.Add(1)
+	c.releaseKeysLocked()
 	c.mu.Unlock()
+}
+
+// releaseKeysLocked starts the next window's key sets and epoch.
+func (c *Collector) releaseKeysLocked() {
+	c.keys = make(map[string]*u64set, len(c.slotKeys))
+	c.flows = u64set{}
+	c.resolveKeysLocked()
+	c.epoch.Add(1)
 }

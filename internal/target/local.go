@@ -104,11 +104,10 @@ func (l *Local) Profile(reset bool) (*profile.Profile, error) {
 	if l.col == nil {
 		return profile.New(), nil
 	}
-	snap := l.col.Snapshot()
 	if reset {
-		l.col.Reset()
+		return l.col.CloseWindow(), nil
 	}
-	return snap, nil
+	return l.col.Snapshot(), nil
 }
 
 // CacheStats converts the emulator's per-cache counters.
