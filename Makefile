@@ -74,10 +74,12 @@ ci: fmtcheck lint
 	$(MAKE) fuzz
 
 # conformance runs the target-backend conformance suite (local emulator,
-# loopback remote, record/replay) plus the golden-trace round trips.
+# loopback remote), re-records the golden traces on the emulator, and
+# checks that core reaches devices only through internal/target.
 conformance:
 	$(GO) test -race -run 'TestConformance|TestRuntimeRollbackOnVerifyFailure' ./internal/target/
-	$(GO) test -race -run 'TestReplayRoundTrip|TestCoreDoesNotImportNicsim' ./internal/core/
+	$(GO) test -race -run 'TestGoldenTracesAreCurrent' ./cmd/tracegen/
+	$(GO) test -race -run 'TestCoreDoesNotImportNicsim' ./internal/core/
 
 # verify is the pre-merge gate: compile everything, vet, run the full
 # suite under the race detector (the runtime loop, control plane, and
@@ -113,8 +115,10 @@ experiments:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# traces regenerates the golden replay traces consumed by the core replay
-# round-trip tests and `pipeleon -trace`.
+# traces regenerates the golden traces read by `pipeleon -trace` and the
+# corpus tests in internal/opt and internal/analysis; TestGoldenTracesAreCurrent
+# (cmd/tracegen) fails until they are regenerated after a change to what
+# tracegen records.
 traces:
 	$(GO) run ./cmd/tracegen -out testdata/traces/bluefield2.json -target bluefield2 -seed 7
 	$(GO) run ./cmd/tracegen -out testdata/traces/agiliocx.json -target agiliocx -seed 21

@@ -34,15 +34,13 @@ type importRule struct {
 	Why  string
 }
 
-// determinismRule forbids wall-clock and ambient-randomness use in files
-// under Dir whose base name matches Match (empty = all non-test files):
-// no time.Now calls and no math/rand imports. These files feed the
-// record/replay machinery, where any nondeterminism makes a recorded
-// session unreproducible.
+// determinismRule forbids wall-clock and ambient-randomness use in the
+// non-test files under Dir: no time.Now calls and no math/rand imports.
+// These files feed the golden traces, where any nondeterminism makes a
+// recorded session unreproducible.
 type determinismRule struct {
-	Dir   string
-	Match func(base string) bool
-	Why   string
+	Dir string
+	Why string
 }
 
 var importRules = []importRule{
@@ -178,13 +176,6 @@ var determinismRules = []determinismRule{
 		Dir: "internal/nicsim",
 		Why: "the emulator fast path must be deterministic for record/replay",
 	},
-	{
-		Dir: "internal/target",
-		Match: func(base string) bool {
-			return strings.Contains(base, "replay") || strings.Contains(base, "record")
-		},
-		Why: "trace record/replay must be bit-reproducible",
-	},
 }
 
 // lintModule walks the module rooted at root and returns all violations,
@@ -216,7 +207,7 @@ func lintModule(root string) ([]Violation, error) {
 		inDir(r.Dir, nil, func(f *ast.File) []Violation { return checkImports(fset, f, r) })
 	}
 	for _, r := range determinismRules {
-		inDir(r.Dir, r.Match, func(f *ast.File) []Violation { return checkDeterminism(fset, f, r) })
+		inDir(r.Dir, nil, func(f *ast.File) []Violation { return checkDeterminism(fset, f, r) })
 	}
 	for _, r := range tierNameRules {
 		inDir(r.Dir, nil, func(f *ast.File) []Violation { return checkTierNames(fset, f, r) })
@@ -485,7 +476,6 @@ var deadExportAllowed = []struct{ pkg, name, why string }{
 	{"internal/costmodel", "Calibrate", "fits a target's parameters to measured latencies; its replacement is on the roadmap"},
 	{"internal/costmodel", "Calibration.Apply", "writes Calibrate's fit into a Params; kept with Calibrate"},
 	{"internal/core", "Runtime.History", "the per-round record the planned decision log reads"},
-	{"internal/target", "NewReplayer", "the record/replay backend of the target conformance suite"},
 	{"internal/faultinject", "NewScript", "the scripted injector the fault tests of core, controlplane, target and fleet queue decisions into"},
 	{"internal/faultinject", "Script.Queue", "kept with NewScript"},
 	{"internal/faultinject", "Script.Pending", "kept with NewScript"},

@@ -127,31 +127,6 @@ var t0 = time.Now()
 	}
 }
 
-func TestTargetRuleOnlyCoversReplayRecordFiles(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		// local.go may use the wall clock (live device measurements).
-		"internal/target/local.go": `package target
-
-import "time"
-
-var t0 = time.Now()
-`,
-		"internal/target/replay.go": `package target
-
-import "time"
-
-var t1 = time.Now()
-`,
-	})
-	vs, err := lintModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 1 || !strings.HasSuffix(vs[0].Pos.Filename, "replay.go") {
-		t.Fatalf("got %v, want exactly one violation in replay.go", vs)
-	}
-}
-
 func TestTierNameViolations(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		// Concrete tier name in opt: violation.

@@ -8,10 +8,9 @@
 //     the fleet imports target and core, and binaries assemble emulators);
 //     and internal/nicsim must not import internal/faultinject (device
 //     faults are injected at the target boundary, target.WithFaults).
-//   - determinism: internal/nicsim fast-path files and internal/target
-//     record/replay files must not call time.Now or import math/rand —
-//     any ambient wall clock or global RNG would make recorded device
-//     sessions unreproducible on replay.
+//   - determinism: internal/nicsim's files must not call time.Now or
+//     import math/rand — any ambient wall clock or global RNG would make
+//     recorded device sessions (the golden traces) unreproducible.
 //   - one-estimator: in internal/opt only estimate.go, the file that
 //     builds the cost view, may call ReachProbs, ActionProb, BranchProb,
 //     NodeLatency or TableLatency.

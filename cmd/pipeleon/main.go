@@ -26,10 +26,10 @@
 // -deep every candidate must additionally pass the semantic-equivalence
 // proof (a deep analysis.Verifier via opt.Config.DeepVerify).
 //
-// With -trace, a recorded replay trace (cmd/tracegen, internal/target)
-// supplies the profile window, the cost-model parameters, and — when -in
-// is omitted — the embedded program, so a device session captured once
-// can be re-optimized offline under different knobs.
+// With -trace, a trace recorded by cmd/tracegen (target.Trace) supplies
+// its last profile window, the cost-model parameters, and — when -in is
+// omitted — the embedded program, so a device session captured once can
+// be re-optimized offline under different knobs.
 //
 // Without a profile, uniform action/branch probabilities are assumed (the
 // compile-time-only baseline the paper argues is insufficient — expect
@@ -61,7 +61,7 @@ func main() {
 		inPath     = flag.String("in", "", "input program: BMv2-style JSON or .p4 source (required)")
 		outPath    = flag.String("out", "", "output optimized program JSON (default: stdout)")
 		profPath   = flag.String("profile", "", "runtime profile JSON (optional)")
-		tracePath  = flag.String("trace", "", "replay trace JSON: takes profile, cost model, and (when -in is omitted) the program from a recorded device session")
+		tracePath  = flag.String("trace", "", "trace JSON written by tracegen: takes the last profile window, the cost model, and (when -in is omitted) the program of a recorded device session")
 		targetName = flag.String("target", "", "cost model target: bluefield2|agiliocx|emulated (default bluefield2, or the trace's recorded model)")
 		topk       = flag.Float64("topk", 1.0, "fraction of pipelets to optimize (1 = exhaustive)")
 		memBudget  = flag.Int("mem-budget", 0, "extra memory budget in bytes (0 = unconstrained)")
@@ -238,7 +238,7 @@ func lintFiles(files []string, targetName string, deep, jsonOut bool, stdout, st
 	return worst
 }
 
-// loadInput reads one checked file. A replay trace (JSON that records the
+// loadInput reads one checked file. A trace (JSON that records the
 // device's capabilities) yields its embedded program and itself; a trace
 // whose program is missing or does not decode is an error, never a second
 // reading of the file as a program. Anything else is .p4 source or

@@ -2,9 +2,6 @@ package pipeleon
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,29 +22,16 @@ func TestMakeFuzzRunsEveryTarget(t *testing.T) {
 		listed[m[2]+" "+m[1]] = true
 	}
 	found := map[string]bool{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path != "." && (path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
-			return fs.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	walkModule(t, func(path string, _ []byte, f *ast.File) {
+		if !strings.HasSuffix(path, "_test.go") {
+			return
 		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Fuzz") {
 				found["./"+filepath.ToSlash(filepath.Dir(path))+"/ "+fd.Name.Name] = true
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(found) == 0 {
 		t.Fatal("no fuzz targets found")
 	}

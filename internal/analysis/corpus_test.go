@@ -10,9 +10,9 @@ import (
 	"pipeleon/internal/target"
 )
 
-// The checked-in corpus — recorded replay traces and the dash.p4 source —
-// must lint clean of Error diagnostics: these are the same inputs CI lints
-// via `make lint`, and a red corpus would block every deploy path.
+// The checked-in corpus — the traces cmd/tracegen records and the dash.p4
+// source — must lint clean of Error diagnostics: these are the same inputs
+// CI lints via `make lint`, and a red corpus would block every deploy path.
 
 func TestTraceCorpusLintsClean(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/traces/*.json")

@@ -129,7 +129,7 @@ func TestProgramFetch(t *testing.T) {
 
 func TestCountersFetch(t *testing.T) {
 	_, cl, _, col := startServer(t)
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	rec.Action("acl", "allow")
 	rec.Action("acl", "allow")
 	prof, err := cl.Counters()

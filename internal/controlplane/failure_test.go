@@ -2,7 +2,10 @@ package controlplane
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -241,18 +244,48 @@ func TestDroppedConnectionMidSessionReconnects(t *testing.T) {
 	}
 }
 
+// A dial to a server that never answers returns at the configured bound
+// (the old Dial used net.Dial with no deadline). The server is a loopback
+// socket listening with a backlog of 0 whose accept queue is filled by
+// dials held open, so the kernel drops the next dial's SYN.
 func TestDialTimeoutBounded(t *testing.T) {
-	// 203.0.113.1 (TEST-NET-3) blackholes, refuses, or is intercepted
-	// depending on the host's routing; whatever happens, the dial must
-	// return within the configured bound rather than blocking
-	// indefinitely (the old Dial used net.Dial with no deadline).
-	start := time.Now()
-	cl, err := DialTimeout("203.0.113.1:9", 150*time.Millisecond)
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("dial took %v, want bounded by ~150ms timeout", elapsed)
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		cl.Close() // some sandboxes intercept arbitrary dials
+	defer syscall.Close(fd)
+	if err := errors.Join(syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}), syscall.Listen(fd, 0)); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+	for held := 0; err == nil; held++ {
+		var conn net.Conn
+		if conn, err = net.DialTimeout("tcp", addr, 100*time.Millisecond); err == nil {
+			defer conn.Close()
+		}
+		if held == 4 {
+			t.Fatal("the accept queue never filled")
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		cl, err := DialTimeout(addr, 150*time.Millisecond)
+		if err == nil {
+			cl.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+			t.Fatalf("dial to a full accept queue: err = %v, want a timeout", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("dial still blocked after 1s, want bounded by ~150ms timeout")
 	}
 }
 

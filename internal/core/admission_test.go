@@ -76,8 +76,8 @@ func admissionStream() []struct {
 
 // Every path an entry takes to a table — the runtime's fast path on a
 // plain and on a cached table, its slow path on a merged one, the wire
-// server in front of a device, a replay target — admits exactly the
-// entries p4ir's rule admits, and refuses the others with P4S06.
+// server in front of a device — admits exactly the entries p4ir's rule
+// admits, and refuses the others with P4S06.
 func TestEveryPathAdmitsTheSameEntries(t *testing.T) {
 	layout := func(kind opt.SegKind) func(string, p4ir.Entry) error {
 		rt, _, _ := newRig(t, admissionProgram(t), opt.DefaultConfig())
@@ -99,11 +99,6 @@ func TestEveryPathAdmitsTheSameEntries(t *testing.T) {
 	plain, _, _ := newRig(t, admissionProgram(t), opt.DefaultConfig())
 	_, cl := wireDevice(t)
 
-	replay, err := target.NewReplayer(&target.Trace{Name: "admission"}, admissionProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for _, path := range []struct {
 		name   string
 		insert func(string, p4ir.Entry) error
@@ -112,7 +107,6 @@ func TestEveryPathAdmitsTheSameEntries(t *testing.T) {
 		{"cached table", layout(opt.SegCache)},
 		{"merged table", layout(opt.SegMerge)},
 		{"loopback wire", cl.InsertEntry},
-		{"replay target", replay.InsertEntry},
 	} {
 		for _, c := range admissionStream() {
 			err := path.insert("t", c.e)

@@ -124,7 +124,7 @@ func TestDropShortensExpectedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 90; i++ {
 		rec.Action("acl", "drop_packet")
 	}
@@ -135,7 +135,7 @@ func TestDropShortensExpectedLatency(t *testing.T) {
 
 	col2 := profile.NewCollector()
 
-	rec2 := profiletest.NewRecorder(col2)
+	rec2 := profiletest.New(col2)
 	for i := 0; i < 10; i++ {
 		rec2.Action("acl", "drop_packet")
 	}
@@ -276,7 +276,7 @@ func randomProgram(t *testing.T, rng *stats.RNG) (*p4ir.Program, *profile.Profil
 		names[i] = fmt.Sprintf("n%d", i)
 	}
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < depth; i++ {
 		next := names[i+1]
 		if i == depth-1 {

@@ -21,7 +21,7 @@ type fieldWrite struct {
 // tokenBucket rate-limits cache insertions (§3.2.2: "Pipeleon sets an
 // insertion rate limit for each cache; insertions beyond the limit will be
 // dropped"), full at the Unix epoch. Time is the NIC's virtual clock in ns,
-// never the wall clock, so record/replay sessions reproduce every decision.
+// never the wall clock, so a recorded session reproduces every decision.
 type tokenBucket struct {
 	rate   float64 // tokens per second; <=0 = unlimited
 	burst  float64

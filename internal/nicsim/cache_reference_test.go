@@ -34,7 +34,7 @@ type refTokenBucket struct {
 func newRefTokenBucket(rate float64) *refTokenBucket {
 	// The epoch anchors the bucket without consulting the wall clock: the
 	// emulator feeds a deterministic virtual time into allow(), and any
-	// wall-clock read here would make record/replay sessions diverge.
+	// wall-clock read here would make two recordings of a session diverge.
 	// (The zero time.Time would overflow now.Sub(last) — ~292-year
 	// time.Duration limit — so the Unix epoch is the anchor.)
 	return &refTokenBucket{rate: rate, burst: rate, tokens: rate, last: time.Unix(0, 0)}

@@ -78,7 +78,7 @@ type NIC struct {
 	// vnow is the NIC's virtual clock in nanoseconds since the Unix
 	// epoch, advanced by each packet's modeled latency. It feeds the
 	// cache insertion rate limiters instead of the wall clock, keeping
-	// the emulator deterministic under record/replay.
+	// the emulator deterministic, so a recorded session reproduces.
 	vnow atomic.Int64
 
 	// digest is prog.Digest(), or zero until the first ProgramDigest after

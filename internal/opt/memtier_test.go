@@ -47,7 +47,7 @@ func TestPlanMemoryTiersPrefersHotTraffic(t *testing.T) {
 	prog := tierProgram(t)
 	// gate drops 80%: "cold" sees 20% of traffic, the rest see 100%.
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	recordDrops(rec, "gate", 80)
 	for _, tb := range []string{"hot", "warm", "cold"} {
 		for i := 0; i < 100; i++ {

@@ -173,7 +173,7 @@ func TestLocalOptimizePrefersDropPromotion(t *testing.T) {
 		aclSpec("acl", "f.d"),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	recordDrops(rec, "acl", 75)
 	for _, tb := range []string{"t1", "t2", "t3"} {
 		for i := 0; i < 100; i++ {
@@ -208,7 +208,7 @@ func TestLocalOptimizeCachingComplexTables(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
 			rec.Action(tb, "set")
@@ -250,7 +250,7 @@ func TestCrossProductPenalizesWideCaches(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
 			rec.Action(tb, "set")
@@ -293,7 +293,7 @@ func TestMergeExactTablesProducesMergedCacheGain(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchExact),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
 			rec.Action(tb, "set")
@@ -323,7 +323,7 @@ func TestMergingTernaryTablesLoses(t *testing.T) {
 		plainSpec("t2", "f.b", p4ir.MatchTernary),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
 			rec.Action(tb, "set")
@@ -438,7 +438,7 @@ func TestLocalOptimizeManyTablesFallsBackToGreedy(t *testing.T) {
 	}
 	prog := mustChain(t, specs...)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 9; i++ {
 		recordDrops(rec, fmt.Sprintf("a%d", i), i*10)
 	}

@@ -366,7 +366,7 @@ func TestSearchAndApplyEndToEnd(t *testing.T) {
 		aclSpec("acl2", "f.d"),
 	)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for _, tb := range []string{"t1", "t2"} {
 		for i := 0; i < 100; i++ {
 			rec.Action(tb, "set")

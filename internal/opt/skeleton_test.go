@@ -161,7 +161,7 @@ func TestLongPipeletFollowsDropOrder(t *testing.T) {
 	}
 	window := func(hot int) *profile.Profile {
 		col := profile.NewCollector()
-		rec := profiletest.NewRecorder(col)
+		rec := profiletest.New(col)
 		for i := 0; i < 9; i++ {
 			pct := 5 + i
 			if i == hot {

@@ -145,7 +145,7 @@ func TestRankByCostAndTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	// 90% of traffic goes to the a-branch.
 	for i := 0; i < 90; i++ {
 		rec.Branch("c0", true)
@@ -197,7 +197,7 @@ func TestTrafficDistributionSumsToOne(t *testing.T) {
 	prog := figure8(t)
 	part, _ := Form(prog, 0)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 60; i++ {
 		rec.Branch("c0", true)
 	}

@@ -12,7 +12,7 @@ import (
 // (-profile); the snapshot must round-trip losslessly.
 func TestProfileJSONRoundTrip(t *testing.T) {
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	rec.Action("t1", "a")
 	rec.Action("t1", "a")
 	rec.Action("t1", "b")
@@ -59,7 +59,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 
 func TestFlowCardinalityTracking(t *testing.T) {
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 100; i++ {
 		rec.Flow(uint64(i % 25))
 	}

@@ -37,7 +37,7 @@ func branchProg(t *testing.T) *p4ir.Program {
 func TestActionProbAndDropProb(t *testing.T) {
 	prog := linearProg(t)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 30; i++ {
 		rec.Action("acl", "drop_packet")
 	}
@@ -77,7 +77,7 @@ func TestActionProbUniformFallback(t *testing.T) {
 
 func TestBranchProb(t *testing.T) {
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 80; i++ {
 		rec.Branch("c", true)
 	}
@@ -96,7 +96,7 @@ func TestBranchProb(t *testing.T) {
 func TestReachProbsLinearWithDrop(t *testing.T) {
 	prog := linearProg(t)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 40; i++ {
 		rec.Action("acl", "drop_packet")
 	}
@@ -115,7 +115,7 @@ func TestReachProbsLinearWithDrop(t *testing.T) {
 func TestReachProbsBranches(t *testing.T) {
 	prog := branchProg(t)
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 70; i++ {
 		rec.Branch("c", true)
 	}
@@ -147,7 +147,7 @@ func TestReachProbsSwitchCase(t *testing.T) {
 		Root("classify").
 		MustBuild()
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	for i := 0; i < 50; i++ {
 		rec.Action("classify", "to_a")
 	}
@@ -190,7 +190,7 @@ func TestSamplingScalesCounts(t *testing.T) {
 
 func TestResetPreservesSampling(t *testing.T) {
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	col.SetSampling(8)
 	rec.Action("t", "a")
 	col.Reset()
@@ -216,7 +216,7 @@ func TestUpdateRates(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	col := profile.NewCollector()
-	rec := profiletest.NewRecorder(col)
+	rec := profiletest.New(col)
 	rec.Action("t", "a")
 	p1 := col.Snapshot()
 	p2 := p1.Clone()

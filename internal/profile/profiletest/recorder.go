@@ -20,8 +20,8 @@ type Recorder struct {
 	burst    *profile.Burst
 }
 
-// NewRecorder returns a recorder writing into col.
-func NewRecorder(col *profile.Collector) *Recorder {
+// New returns a recorder writing into col.
+func New(col *profile.Collector) *Recorder {
 	r := &Recorder{
 		col:      col,
 		actions:  map[profile.ActionSite]int{},

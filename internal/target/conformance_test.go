@@ -20,10 +20,10 @@ import (
 	"pipeleon/internal/trafficgen"
 )
 
-// Conformance suite: every backend — local emulator, remote loopback nicd,
-// and recorded-trace replay — must expose identical transactional deploy
-// semantics, entry management, and measurement/profile plumbing, so the
-// runtime loop cannot tell them apart.
+// Conformance suite: both backends — the local emulator and a remote
+// loopback nicd — must expose identical transactional deploy semantics,
+// entry management, and measurement/profile plumbing, so the runtime loop
+// cannot tell them apart.
 
 // confProgram builds the four-table ACL program the suite deploys.
 func confProgram(t *testing.T) *p4ir.Program {
@@ -116,20 +116,6 @@ func newRemoteTarget(t *testing.T, dev target.Target) target.Target {
 	return r
 }
 
-// newReplayTarget records the conformance exercise against a local backend,
-// then replays the captured trace — so record/replay fidelity is itself
-// under test.
-func newReplayTarget(t *testing.T, prog *p4ir.Program) target.Target {
-	t.Helper()
-	rec := target.NewRecorder(newLocalTarget(t, prog), "conformance")
-	exercise(t, rec, prog, false)
-	rp, err := target.NewReplayer(rec.Trace(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rp
-}
-
 func confBatch(n int) []*packet.Packet {
 	gen := trafficgen.New(11, 0)
 	gen.AddFlows(trafficgen.DropTargetedFlows(12, 200, "tcp.dport", 23, 0.5)...)
@@ -151,11 +137,8 @@ func digestIsProgram(t *testing.T, tgt target.Target, step string) {
 	}
 }
 
-// exercise runs the shared conformance sequence. deepChecks enables the
-// assertions that examine live device state; the recording pass runs with
-// them on too, so the replayed trace holds exactly the responses the
-// sequence consumes.
-func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool) {
+// exercise runs the shared conformance sequence.
+func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program) {
 	t.Helper()
 	step := func(name string) { t.Helper(); digestIsProgram(t, tgt, name) }
 
@@ -287,15 +270,6 @@ func exercise(t *testing.T, tgt target.Target, orig *p4ir.Program, isReplay bool
 		t.Errorf("refused insert left %d entries in acl2, want 2", n)
 	}
 	step("refused insert")
-
-	if isReplay {
-		// The replayed sequence must have consumed exactly the recording.
-		if rp, ok := tgt.(*target.Replayer); ok {
-			if ms, _, _ := rp.Remaining(); ms != 0 {
-				t.Errorf("replay left %d recorded measurements unconsumed", ms)
-			}
-		}
-	}
 }
 
 func rootOf(p *p4ir.Program) string {
@@ -309,21 +283,14 @@ func TestConformanceLocal(t *testing.T) {
 	prog := confProgram(t)
 	tgt := newLocalTarget(t, prog)
 	defer tgt.Close()
-	exercise(t, tgt, prog, false)
+	exercise(t, tgt, prog)
 }
 
 func TestConformanceRemote(t *testing.T) {
 	prog := confProgram(t)
 	tgt := newRemoteTarget(t, newLocalTarget(t, prog))
 	defer tgt.Close()
-	exercise(t, tgt, prog, false)
-}
-
-func TestConformanceReplay(t *testing.T) {
-	prog := confProgram(t)
-	tgt := newReplayTarget(t, prog)
-	defer tgt.Close()
-	exercise(t, tgt, prog, true)
+	exercise(t, tgt, prog)
 }
 
 // faultCase drives one device fault through tgt, queueing its decisions
@@ -331,8 +298,8 @@ func TestConformanceReplay(t *testing.T) {
 type faultCase func(t *testing.T, tgt target.Target, script *faultinject.Script)
 
 // TestConformanceDeviceFaults: a device fault means one thing on every
-// backend target.WithFaults wraps — the emulator, a loopback remote
-// (faulted on the device side of the wire) and a replayed trace. A deploy
+// backend target.WithFaults wraps — the emulator and a loopback remote
+// (faulted on the device side of the wire). A deploy
 // or rollback the device delays, refuses or silently drops leaves Digest()
 // naming the program the device runs, on the device and across the wire,
 // where the remote holds the digest of the program it sent, not of the one
@@ -340,61 +307,27 @@ type faultCase func(t *testing.T, tgt target.Target, script *faultinject.Script)
 // leaves it. A refused counter read never reaches the device; a zeroed one
 // still closes the device's window.
 func TestConformanceDeviceFaults(t *testing.T) {
-	backends := []struct {
-		name string
-		run  func(t *testing.T, c faultCase)
-	}{
-		{"local", func(t *testing.T, c faultCase) {
-			script := faultinject.NewScript()
-			c(t, target.WithFaults(newLocalTarget(t, confProgram(t)), script), script)
-		}},
-		{"remote", func(t *testing.T, c faultCase) {
-			script := faultinject.NewScript()
-			tgt := newRemoteTarget(t, target.WithFaults(newLocalTarget(t, confProgram(t)), script))
-			defer tgt.Close()
-			c(t, tgt, script)
-		}},
-		{"replay", func(t *testing.T, c faultCase) {
-			// The case runs once over a recording of the emulator, so the
-			// trace holds exactly the device calls the faults let through,
-			// then again over the replay of that trace.
-			prog := confProgram(t)
-			rec := target.NewRecorder(newLocalTarget(t, prog), "faults")
-			script := faultinject.NewScript()
-			c(t, target.WithFaults(rec, script), script)
-			rp, err := target.NewReplayer(rec.Trace(), prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			script = faultinject.NewScript()
-			c(t, target.WithFaults(rp, script), script)
-			if ms, ps, _ := rp.Remaining(); ms != 0 || ps != 0 {
-				t.Errorf("replay left %d measurements and %d profiles unconsumed", ms, ps)
-			}
-		}},
+	backends := map[string]func(t *testing.T, dev target.Target) target.Target{
+		"local": func(_ *testing.T, dev target.Target) target.Target { return dev },
+		"remote": func(t *testing.T, dev target.Target) target.Target {
+			tgt := newRemoteTarget(t, dev)
+			t.Cleanup(func() { tgt.Close() })
+			return tgt
+		},
 	}
-	var cases []struct {
-		name string
-		run  faultCase
+	cases := map[string]faultCase{
+		"profile-fail": profileFaultCase(faultinject.Decision{Fail: true}),
+		"profile-zero": profileFaultCase(faultinject.Decision{Zero: true}),
 	}
-	add := func(name string, run faultCase) {
-		cases = append(cases, struct {
-			name string
-			run  faultCase
-		}{name, run})
+	for name, d := range map[string]faultinject.Decision{"delay": {Delay: time.Millisecond}, "fail": {Fail: true}, "silent": {Silent: true}} {
+		cases["deploy-"+name], cases["rollback-"+name] = deployFaultCase(d), rollbackFaultCase(d)
 	}
-	for _, f := range []struct {
-		name string
-		d    faultinject.Decision
-	}{{"delay", faultinject.Decision{Delay: time.Millisecond}}, {"fail", faultinject.Decision{Fail: true}}, {"silent", faultinject.Decision{Silent: true}}} {
-		add("deploy-"+f.name, deployFaultCase(f.d))
-		add("rollback-"+f.name, rollbackFaultCase(f.d))
-	}
-	add("profile-fail", profileFaultCase(faultinject.Decision{Fail: true}))
-	add("profile-zero", profileFaultCase(faultinject.Decision{Zero: true}))
-	for _, b := range backends {
-		for _, c := range cases {
-			t.Run(b.name+"/"+c.name, func(t *testing.T) { b.run(t, c.run) })
+	for backend, wrap := range backends {
+		for name, c := range cases {
+			t.Run(backend+"/"+name, func(t *testing.T) {
+				script := faultinject.NewScript()
+				c(t, wrap(t, target.WithFaults(newLocalTarget(t, confProgram(t)), script)), script)
+			})
 		}
 	}
 }
@@ -605,7 +538,7 @@ func TestConformanceRemoteProgramIsTheDevices(t *testing.T) {
 // TestConformanceMeasurementsAgree pins backend equivalence directly: the
 // same deterministic batch against identically configured devices must
 // produce the same measurement locally and across the wire (the emulator
-// is deterministic at zero noise), and a replay must reproduce it exactly.
+// is deterministic at zero noise).
 func TestConformanceMeasurementsAgree(t *testing.T) {
 	prog := confProgram(t)
 	local := newLocalTarget(t, prog)
@@ -623,22 +556,6 @@ func TestConformanceMeasurementsAgree(t *testing.T) {
 	}
 	if lm != rm {
 		t.Errorf("local and remote measurements diverge:\nlocal  %+v\nremote %+v", lm, rm)
-	}
-
-	rec := target.NewRecorder(newLocalTarget(t, prog), "agree")
-	if _, err := rec.Measure(batch); err != nil {
-		t.Fatal(err)
-	}
-	rp, err := target.NewReplayer(rec.Trace(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := rp.Measure(nil) // replay ignores the packets
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm != lm {
-		t.Errorf("replayed measurement diverges: %+v vs %+v", pm, lm)
 	}
 }
 
@@ -698,17 +615,4 @@ func TestRuntimeRollbackOnVerifyFailureRemote(t *testing.T) {
 	tgt := newRemoteTarget(t, newLocalTarget(t, prog))
 	defer tgt.Close()
 	runtimeRollbackScenario(t, tgt, prog, rollbackGen())
-}
-
-func TestRuntimeRollbackOnVerifyFailureReplay(t *testing.T) {
-	prog := confProgram(t)
-	// Record the scenario against a local device, then replay it: the
-	// replayed runtime must reach the identical rollback decision.
-	rec := target.NewRecorder(newLocalTarget(t, prog), "rollback")
-	runtimeRollbackScenario(t, rec, prog, rollbackGen())
-	rp, err := target.NewReplayer(rec.Trace(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtimeRollbackScenario(t, rp, prog, rollbackGen())
 }

@@ -12,7 +12,7 @@ import (
 
 // WithFaults wraps tgt so every device operation consults inj at its one
 // fault point — the only place device faults are injected, whatever the
-// backend (Local, Remote, Replayer) behind it:
+// backend (Local or Remote) behind it:
 //
 //   - Deploy and Rollback consult PointDeploy: both are program swaps.
 //     Delay stalls the swap; Fail refuses it, leaving the staging as it

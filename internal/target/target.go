@@ -1,24 +1,23 @@
 // Package target abstracts the device under optimization behind one
 // interface, so the Pipeleon runtime loop (internal/core) can drive an
-// in-process emulator, a remote nicd over the control-plane protocol, or
-// a recorded trace interchangeably — the multi-backend seam the
-// profile-guided loop needs to run against heterogeneous SmartNICs.
+// in-process emulator or a remote nicd over the control-plane protocol
+// interchangeably — the multi-backend seam the profile-guided loop needs
+// to run against heterogeneous SmartNICs.
 //
-// Three implementations ship with the repo:
+// Two implementations ship with the repo:
 //
 //   - Local wraps a *nicsim.NIC and its profile collector (this package),
 //     preserving the emulator's fast path.
 //   - Remote (package target/remote) drives a nicd device server over the
 //     extended control-plane protocol, so the optimizer can live off-box.
-//   - Replayer (this package) replays Measure/Profile/CacheStats responses
-//     from a recorded JSON trace deterministically — offline tuning and
-//     hermetic tests without an emulator. Recorder produces such traces by
-//     shadowing any other Target.
 //
 // Deploys are transactional, matching the runtime's verify-and-rollback
 // semantics: Deploy stages a program while checkpointing the running one,
 // Commit discards the checkpoint, Rollback restores it. A conformance
-// suite (conformance_test.go) pins these semantics across all backends.
+// suite (conformance_test.go) pins these semantics across both backends.
+//
+// A Trace (trace.go) is a data file, not a backend: the program and
+// profile windows of a recorded session, written by cmd/tracegen.
 package target
 
 import (
@@ -33,15 +32,10 @@ import (
 // ErrNoCheckpoint is returned by Commit/Rollback when no deploy is staged.
 var ErrNoCheckpoint = errors.New("target: no staged deploy to commit or roll back")
 
-// ErrTraceExhausted is returned by a Replayer once a recorded response
-// queue runs dry.
-var ErrTraceExhausted = errors.New("target: replay trace exhausted")
-
 // Measurement aggregates a processed batch into the quantities the
 // runtime's verification windows and the evaluation plots consume. It
 // mirrors the emulator's measurement but is backend-neutral and
-// JSON-stable so it can cross the control-plane wire and live in replay
-// traces.
+// JSON-stable so it can cross the control-plane wire.
 type Measurement struct {
 	Packets            int     `json:"packets"`
 	MeanLatencyNs      float64 `json:"mean_latency_ns"`
@@ -149,6 +143,6 @@ type Target interface {
 
 	// Capabilities describes the device model.
 	Capabilities() Capabilities
-	// Close releases backend resources (network connections, trace files).
+	// Close releases backend resources (network connections).
 	Close() error
 }

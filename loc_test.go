@@ -3,9 +3,6 @@ package pipeleon
 import (
 	"bytes"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -36,40 +33,20 @@ func TestLineBudget(t *testing.T) {
 		}
 	}
 	lines := map[string]int{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path == "bench":
-			return fs.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, ".go"):
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	walkModule(t, func(path string, src []byte, f *ast.File) {
 		kind := "root"
 		if strings.HasSuffix(path, "_test.go") {
 			kind = "tests"
 		}
 		lines[kind] += bytes.Count(src, []byte{'\n'})
 		if kind == "root" && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
 					lines["exports"]++
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, kind := range []string{"root", "tests", "exports"} {
 		if want, ok := budget[kind]; !ok {
 			t.Errorf("testdata/loc_budget.txt has no %q line", kind)
