@@ -97,7 +97,7 @@ var tierNameRules = []tierNameRule{
 // session's view, and change detection reads that (opt.Session.Observe).
 var costDerivations = map[string]bool{
 	"ReachProbs": true, "ReachProbsAlong": true, "ActionProb": true, "BranchProb": true,
-	"NodeLatency": true, "TableLatency": true,
+	"NodeLatency": true,
 }
 
 const costViewDir, costViewFile, roundDir = "internal/opt", "estimate.go", "internal/core"
@@ -126,19 +126,16 @@ var sharingPrimitives = map[string]bool{"WaitGroup": true, "Once": true, "Pool":
 // costmodel.Kernel is where a target's parameters become costs: the
 // emulator (internal/nicsim) charges its terms per event and the optimizer
 // (internal/opt) integrates them over a profile. Neither reads a latency term
-// of costmodel.Params, nor calls a Params method whose value the kernel now
-// holds — when each derived the terms itself, the two priced a conditional
-// off the ASIC differently. As syntactic as the other rules: any selector
-// spelling a term or one of those method names counts, whatever its
-// receiver (Table.MatchComplexity included: the kernel's Match is m there).
+// of costmodel.Params, nor m as a table counts it (Table.MatchComplexity: the
+// kernel's Match is what m means to a cost) — when each derived the terms
+// itself, the two priced a conditional off the ASIC differently. As
+// syntactic as the other rules: any selector spelling a term or
+// MatchComplexity counts, whatever its receiver.
 var kernelDirs = []string{"internal/nicsim", "internal/opt"}
 
 var (
 	latencyTermRE = regexp.MustCompile(`^(Lmat|Lact|BranchFactor|CounterUpdate|CPUSlowdown|OffPathSlowdown|MigrationLatency|DMA(BaseNs|PerPacketNs|Batch)|UpdateStall(ASIC|CPU|OffPath)|SRAMFactor|(LPM|Ternary)FixedM)$`)
-	kernelMethods = map[string]bool{
-		"MatchComplexity": true, "TierFactor": true, "MatchLatency": true, "CondLatency": true,
-		"TierSpeed": true, "MigrationCost": true, "TierUpdateStall": true, "OffPathCrossNs": true,
-	}
+	kernelMethods = map[string]bool{"MatchComplexity": true}
 )
 
 // The fleet plans only through core.Runtime: a canary's round is the

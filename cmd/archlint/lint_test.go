@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -284,7 +285,7 @@ func build(prof profile, pm params) { prof.ReachProbs(nil); prof.ActionProb(nil)
 
 func walk(prof profile, pm params) float64 {
 	reach := prof.ReachProbs(nil)
-	return reach["t"] * pm.TableLatency(nil, prof.ActionProb(nil))
+	return reach["t"] * pm.NodeLatency(nil, prof, "t") * prof.ActionProb(nil)["a"]
 }
 `,
 		// Naming a quantity without calling the deriving method is fine.
@@ -413,15 +414,16 @@ func TestCostsComeFromTheKernel(t *testing.T) {
 		"internal/nicsim/plan.go": `package nicsim
 
 func compile(pm params) plan {
-	return plan{lmat: pm.Lmat, cond: pm.CondLatency(), m: pm.LPMFixedM, speed: pm.TierSpeed(1), mig: pm.MigrationCost(0, 1)}
+	return plan{lmat: pm.Lmat, cond: pm.BranchFactor, m: pm.LPMFixedM, speed: pm.CPUSlowdown, mig: pm.MigrationLatency}
 }
 `,
-		// The optimizer pricing with the parameters; a method value counts.
+		// The optimizer pricing with the parameters and a table's own m; a
+		// method value counts.
 		"internal/opt/hetero.go": `package opt
 
 func stall(pm params, t table) float64 {
-	f := pm.TierUpdateStall
-	return f(1) + pm.UpdateStallCPU*pm.CPUSlowdown + float64(t.MatchComplexity())
+	m := t.MatchComplexity
+	return pm.UpdateStallOffPath + pm.UpdateStallCPU*pm.OffPathSlowdown + float64(m())
 }
 `,
 		// Reading the kernel, the capacity and names that only share a prefix
@@ -445,7 +447,7 @@ func (pm Params) Kernel() Kernel { return Kernel{Mat: pm.Lmat, Cond: pm.BranchFa
 `,
 		"internal/experiments/fig5.go": `package experiments
 
-func cond(pm params) float64 { return pm.CondLatency() + pm.Kernel().Mat }
+func cond(pm params) float64 { return pm.BranchFactor*pm.Lmat + pm.Kernel().Mat }
 `,
 	})
 	vs, err := lintModule(root)
@@ -459,8 +461,9 @@ func cond(pm params) float64 { return pm.CondLatency() + pm.Kernel().Mat }
 		}
 		perFile[filepath.Base(v.Pos.Filename)]++
 	}
-	// plan.go: Lmat, CondLatency, LPMFixedM, TierSpeed, MigrationCost;
-	// hetero.go: TierUpdateStall, UpdateStallCPU, CPUSlowdown, MatchComplexity.
+	// plan.go: Lmat, BranchFactor, LPMFixedM, CPUSlowdown, MigrationLatency;
+	// hetero.go: UpdateStallOffPath, UpdateStallCPU, OffPathSlowdown,
+	// MatchComplexity.
 	if len(vs) != 9 || perFile["plan.go"] != 5 || perFile["hetero.go"] != 4 {
 		t.Fatalf("got %v, want 5 in plan.go and 4 in hetero.go: %v", perFile, vs)
 	}
@@ -680,6 +683,47 @@ func TestEveryKnobStructExists(t *testing.T) {
 		}
 		if o := f.Scope.Lookup(k.typ); o == nil || o.Kind != ast.Typ {
 			t.Errorf("%s declares no type %s", k.file, k.typ)
+		}
+	}
+}
+
+// The name lists of one-estimator, one-kernel and one-verifier guard
+// something only while the module declares each name: every entry of
+// costDerivations, kernelMethods and proofPrimitives is a function or
+// method some Go file of the module declares, a test file included
+// (analysis.VerifySemantics is an oracle its tests declare).
+func TestEveryRuleNameExists(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "bench" || d.Name() == "testdata"):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				declared[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for list, names := range map[string]map[string]bool{
+		"costDerivations": costDerivations, "kernelMethods": kernelMethods, "proofPrimitives": proofPrimitives,
+	} {
+		for name := range names {
+			if !declared[name] {
+				t.Errorf("%s names %s, which nothing in the module declares", list, name)
+			}
 		}
 	}
 }

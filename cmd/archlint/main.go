@@ -12,8 +12,8 @@
 //     import math/rand — any ambient wall clock or global RNG would make
 //     recorded device sessions (the golden traces) unreproducible.
 //   - one-estimator: in internal/opt only estimate.go, the file that
-//     builds the cost view, may call ReachProbs, ActionProb, BranchProb,
-//     NodeLatency or TableLatency.
+//     builds the cost view, may call ReachProbs, ReachProbsAlong,
+//     ActionProb, BranchProb or NodeLatency.
 //   - one-verifier: outside internal/analysis nothing uses
 //     analysis.NewRewriteChecker, NewSemanticChecker, VerifyRewrite or
 //     VerifySemantics; the proof tiers are composed by analysis.Verifier
@@ -21,9 +21,9 @@
 //   - one-kernel: in internal/nicsim and internal/opt nothing reads a
 //     latency term of costmodel.Params (Lmat, Lact, BranchFactor,
 //     CounterUpdate, CPUSlowdown, OffPathSlowdown, MigrationLatency, the
-//     DMA*, UpdateStall* and *FixedM fields, SRAMFactor) or calls a cost
-//     method whose value costmodel.Kernel holds; the emulator and the
-//     optimizer read the kernel.
+//     DMA*, UpdateStall* and *FixedM fields, SRAMFactor) or calls
+//     Table.MatchComplexity; the emulator and the optimizer read
+//     costmodel.Kernel.
 //   - serial-search: non-test files of internal/opt contain no go
 //     statement and use no sync.WaitGroup, sync.Once, sync.Pool or
 //     sync/atomic; a search is one goroutine on one session.

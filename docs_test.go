@@ -14,18 +14,28 @@ import (
 	"testing"
 )
 
-// The design documents name only what exists: every backticked qualified
-// identifier in DESIGN.md and README.md — `pkg.Name`, `pkg.Type.Member`,
-// `Type.Member` — whose package or exported type the module declares
-// resolves to a declaration in it. A member is a method or a field,
-// promoted ones included. A file name (`trace.go`), a metric
+// The design documents — DESIGN.md, README.md, EXPERIMENTS.md — name only
+// what exists. Every backticked qualified identifier — `pkg.Name`,
+// `pkg.Type.Member`, `Type.Member` — whose package or exported type the
+// module declares resolves to a declaration in it. A member is a method or
+// a field, promoted ones included. A file name (`trace.go`), a metric
 // (`nicsim.swap_ms`) or a key the module spells as a string
-// (`pipeleon.tier`) is no identifier.
+// (`pipeleon.tier`) is no identifier. Every backticked `Test…`,
+// `Benchmark…` or `Fuzz…` name, less a `/sub` suffix, is a function some
+// _test.go file declares; a pattern (a name holding `<`) is not a name.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	pkgs, types, names := map[string]bool{}, map[string][]string{}, map[string]bool{}
 	members, embeds := map[string][]string{}, map[string][]string{} // by "pkg.Type"
-	walkModule(t, func(_ string, _ []byte, f *ast.File) {
+	tests := map[string]bool{}
+	walkModule(t, func(path string, _ []byte, f *ast.File) {
 		pkg := f.Name.Name
+		if strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					tests[fd.Name.Name] = true
+				}
+			}
+		}
 		pkgs[pkg] = true
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -91,13 +101,17 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	span := regexp.MustCompile("`([^`\n]+)`")
 	// A leading dotted identifier that does not go on as a path.
 	qualified := regexp.MustCompile(`^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:$|[^\w./-])`)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	testName := regexp.MustCompile(`^((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)(?:$|/)`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				if tn := testName.FindStringSubmatch(m[1]); tn != nil && !strings.Contains(m[1], "<") && !tests[tn[1]] {
+					t.Errorf("%s:%d: `%s` names no test, benchmark or fuzz target of the module", doc, i+1, m[1])
+				}
 				q := qualified.FindStringSubmatch(m[1])
 				if q == nil || names[q[1]] || strings.Contains(q[1], "_") {
 					continue

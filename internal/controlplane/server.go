@@ -14,6 +14,7 @@ import (
 
 	"pipeleon/internal/analysis"
 	"pipeleon/internal/faultinject"
+	"pipeleon/internal/memo"
 	"pipeleon/internal/p4ir"
 	"pipeleon/internal/profile"
 	"pipeleon/internal/target"
@@ -31,45 +32,12 @@ type Backend interface {
 	Current() (*p4ir.Program, p4ir.Digest)
 }
 
-// idemEntries bounds the server's idempotency-replay window. Old keys are
-// evicted FIFO; a retry arriving after eviction re-applies (the window is
-// sized far beyond any client's in-flight retry horizon).
+// idemEntries bounds the server's idempotency-replay window: the responses
+// of recently seen mutating requests, by idempotency key, so a retried
+// request replays the recorded outcome instead of double-applying. Old keys
+// are evicted FIFO; a retry arriving after eviction re-applies (the window
+// is sized far beyond any client's in-flight retry horizon).
 const idemEntries = 4096
-
-// idemCache remembers the response of recently seen mutating requests by
-// idempotency key, so a retried request replays the recorded outcome
-// instead of double-applying.
-type idemCache struct {
-	mu      sync.Mutex
-	entries map[string]*Response
-	order   []string
-}
-
-func newIdemCache() *idemCache {
-	return &idemCache{entries: map[string]*Response{}}
-}
-
-func (ic *idemCache) get(key string) (*Response, bool) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	r, ok := ic.entries[key]
-	return r, ok
-}
-
-func (ic *idemCache) put(key string, resp *Response) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if _, dup := ic.entries[key]; dup {
-		ic.entries[key] = resp
-		return
-	}
-	ic.entries[key] = resp
-	ic.order = append(ic.order, key)
-	for len(ic.order) > idemEntries {
-		delete(ic.entries, ic.order[0])
-		ic.order = ic.order[1:]
-	}
-}
 
 // ServerOption customizes a Server.
 type ServerOption func(*Server)
@@ -120,7 +88,7 @@ type Server struct {
 	collector *profile.Collector // optional, for OpCounters
 	device    target.Target      // optional, for device ops
 	ln        net.Listener
-	idem      *idemCache
+	idem      *memo.Table[string, *Response]
 	faults    faultinject.Injector
 	statusFn  func() ([]byte, error) // optional, for OpStats
 
@@ -148,7 +116,7 @@ type Server struct {
 // may be nil, disabling OpCounters.
 func NewServer(addr string, backend Backend, collector *profile.Collector, opts ...ServerOption) (*Server, error) {
 	s := &Server{
-		backend: backend, collector: collector, conns: map[net.Conn]struct{}{}, idem: newIdemCache(),
+		backend: backend, collector: collector, conns: map[net.Conn]struct{}{}, idem: memo.New[string, *Response](idemEntries),
 	}
 	for _, o := range opts {
 		o(s)
@@ -300,7 +268,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 func (s *Server) handle(req *Request) *Response {
 	if req.Idem != "" && mutating(req.Op) {
-		if prev, ok := s.idem.get(req.Idem); ok {
+		if prev, ok := s.idem.Get(req.Idem); ok {
 			replay := *prev
 			replay.ID = req.ID
 			return &replay
@@ -308,7 +276,7 @@ func (s *Server) handle(req *Request) *Response {
 	}
 	resp := s.apply(req)
 	if req.Idem != "" && mutating(req.Op) {
-		s.idem.put(req.Idem, resp)
+		s.idem.Put(req.Idem, resp)
 	}
 	return resp
 }

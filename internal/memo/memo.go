@@ -1,21 +1,25 @@
 // Package memo provides the bounded memo table behind the optimizer's
-// verdict caches: a long-running daemon sees an unbounded stream of
-// distinct options and candidate programs, so every cache of "already
-// verified" results needs a fixed capacity.
+// verdict caches and the control-plane server's idempotency window: a
+// long-running daemon sees an unbounded stream of distinct options,
+// candidate programs and request keys, so every cache of results it
+// already has needs a fixed capacity.
 package memo
 
 import "sync"
 
 // Table is a fixed-capacity map with first-in-first-out eviction and
 // hit/miss counters. Eviction only ever costs a recomputation: users store
-// results that are pure functions of the key. Safe for concurrent use.
+// results that are pure functions of the key. It grows with use, so a
+// table that never fills holds only what it was given. Safe for concurrent
+// use.
 type Table[K comparable, V any] struct {
-	mu     sync.Mutex
-	m      map[K]V
-	order  []K // insertion ring; next is the oldest key once full
-	next   int
-	hits   uint64
-	misses uint64
+	mu       sync.Mutex
+	m        map[K]V
+	order    []K // insertion ring; next is the oldest key once full
+	next     int
+	capacity int
+	hits     uint64
+	misses   uint64
 }
 
 // New returns an empty table holding at most capacity entries.
@@ -23,7 +27,7 @@ func New[K comparable, V any](capacity int) *Table[K, V] {
 	if capacity < 1 {
 		panic("memo: capacity must be positive")
 	}
-	return &Table[K, V]{m: make(map[K]V), order: make([]K, 0, capacity)}
+	return &Table[K, V]{m: make(map[K]V), capacity: capacity}
 }
 
 // Get looks k up, counting the outcome.
@@ -47,7 +51,7 @@ func (t *Table[K, V]) Put(k K, v V) {
 		t.m[k] = v
 		return
 	}
-	if len(t.order) < cap(t.order) {
+	if len(t.order) < t.capacity {
 		t.order = append(t.order, k)
 	} else {
 		delete(t.m, t.order[t.next])
